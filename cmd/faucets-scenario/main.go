@@ -17,9 +17,9 @@
 // runs once per market mechanism (first-price, posted-price, vickrey)
 // and a comparison table of placements, revenue, utilization, and
 // deadline-miss rate is printed (and written to -compare-out). The
-// baseline file may be a single report (legacy) or a keyed set of
-// reports ({"reports": {"<scenario>/<backend>/<mechanism>": ...}});
-// each run gates only against its own entry. -exact additionally
+// baseline file is a keyed set of reports
+// ({"reports": {"<scenario>/<backend>/<mechanism>": ...}}); each run
+// gates only against its own entry. -exact additionally
 // requires the run to reproduce its baseline entry byte-for-byte — the
 // gridsim determinism gate CI pins first-price with.
 //
@@ -54,7 +54,7 @@ func main() {
 		mechanisms = flag.String("mechanisms", "", "matrix mode: comma-separated mechanism list, or \"all\" — run once per mechanism and print a head-to-head table")
 		compareOut = flag.String("compare-out", "", "write the mechanism comparison table here (matrix mode)")
 		exact      = flag.Bool("exact", false, "require each report to be byte-identical to its baseline entry (gridsim determinism gate)")
-		updateBase = flag.String("update-baseline", "", "write the run's report(s) into this baseline set file (created if missing; legacy single-report files are upgraded in place)")
+		updateBase = flag.String("update-baseline", "", "write the run's report(s) into this baseline set file (created if missing)")
 	)
 	flag.Parse()
 	if *path == "" {

@@ -35,8 +35,6 @@ func main() {
 	usersFile := flag.String("users", "", "file of user:password[:homecluster] lines")
 	poll := flag.Duration("poll", 10*time.Second, "daemon polling interval (0 disables)")
 	deadAfter := flag.Duration("dead-after", 30*time.Second, "unseen daemons drop from the directory after this long")
-	dbPath := flag.String("db", "", "legacy JSON snapshot file: loaded at startup if present, saved periodically and on shutdown")
-	dbEvery := flag.Duration("db-interval", time.Minute, "snapshot save interval (with -db)")
 	stateDir := flag.String("state-dir", "", "durable state directory (snapshot + write-ahead log): every mutation is logged, and a restarted server recovers accounts, history, and settled-job marks")
 	snapEvery := flag.Duration("snapshot-interval", time.Minute, "WAL compaction interval (with -state-dir)")
 	walWindow := flag.Duration("wal-group-window", 0, "WAL group-commit accumulation window: how long a batch leader waits for concurrent mutations to pile on before the shared fsync (0 = flush immediately; with -state-dir)")
@@ -49,7 +47,6 @@ func main() {
 	pollTimeout := flag.Duration("poll-timeout", 3*time.Second, "deadline for each daemon liveness probe")
 	pollWidth := flag.Int("poll-concurrency", 32, "how many daemons are probed in parallel")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus metrics at this address under /metrics (empty = off)")
-	wireCodec := flag.String("wire-codec", "auto", "wire codec ceiling for served and federation connections: auto, binary, or json")
 	maxInflight := flag.Int("max-inflight", 0, "admission control: auctions + settlements processed concurrently before new auctions are shed with a retryable OVERLOADED error (0 = unlimited)")
 	breakerThreshold := flag.Float64("breaker-threshold", 0, "circuit-breaker suspicion score that opens a daemon's breaker and skips its liveness probes (0 = breakers off)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long an open breaker waits before half-open probing (0 = library default)")
@@ -58,9 +55,6 @@ func main() {
 	mechanism := flag.String("mechanism", "", "grid default market mechanism advertised to clients at login: first-price, posted-price, or vickrey (empty = first-price)")
 	flag.Parse()
 
-	if _, err := protocol.ParseWireCodec(*wireCodec); err != nil {
-		log.Fatalf("-wire-codec: %v", err)
-	}
 	if !qos.ValidMechanism(*mechanism) {
 		log.Fatalf("-mechanism: unknown mechanism %q (want first-price, posted-price, or vickrey)", *mechanism)
 	}
@@ -77,12 +71,8 @@ func main() {
 		log.Fatalf("unknown mode %q", *mode)
 	}
 
-	if *dbPath != "" && *stateDir != "" {
-		log.Fatal("-db and -state-dir are mutually exclusive (use -state-dir; -db is the legacy snapshot-only format)")
-	}
-	var srv *central.Server
-	switch {
-	case *stateDir != "":
+	srv := central.New(m)
+	if *stateDir != "" {
 		store, err := db.Open(*stateDir)
 		if err != nil {
 			log.Fatalf("db: %v", err)
@@ -90,24 +80,12 @@ func main() {
 		store.SetGroupWindow(*walWindow)
 		srv = central.NewWithDB(m, store)
 		log.Printf("faucets-server: recovered durable state from %s (%d history records)", *stateDir, store.HistoryLen())
-	case *dbPath != "":
-		if store, err := db.Load(*dbPath); err == nil {
-			srv = central.NewWithDB(m, store)
-			log.Printf("faucets-server: resumed database from %s", *dbPath)
-		} else if os.IsNotExist(err) || strings.Contains(err.Error(), "no such file") {
-			srv = central.New(m)
-		} else {
-			log.Fatalf("db: %v", err)
-		}
-	default:
-		srv = central.New(m)
 	}
 	srv.DeadAfter = *deadAfter
 	srv.RPCTimeout = *rpcTimeout
 	srv.PoolSize = *poolSize
 	srv.PollTimeout = *pollTimeout
 	srv.PollConcurrency = *pollWidth
-	srv.WireCodec = *wireCodec
 	srv.MaxInflight = *maxInflight
 	srv.BreakerThreshold = *breakerThreshold
 	srv.BreakerCooldown = *breakerCooldown
@@ -179,48 +157,28 @@ func main() {
 	if *stateDir != "" {
 		srv.StartSnapshots(*snapEvery)
 	}
-	if *dbPath != "" {
-		go snapshotLoop(srv, *dbPath, *dbEvery)
-	}
 	// Serve returns as soon as Close severs the listener, so main must
 	// wait for the shutdown sequence (final compaction, WAL close) to
 	// finish before the process may exit.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		shutdownOnSignal(srv, *dbPath)
+		shutdownOnSignal(srv)
 	}()
 	log.Printf("faucets-server: %s mode on %s", m, l.Addr())
 	srv.Serve(l)
 	<-done
 }
 
-// snapshotLoop persists the legacy -db snapshot periodically.
-func snapshotLoop(srv *central.Server, path string, every time.Duration) {
-	ticker := time.NewTicker(every)
-	defer ticker.Stop()
-	for range ticker.C {
-		if err := srv.DB.Save(path); err != nil {
-			log.Printf("db save: %v", err)
-		}
-	}
-}
-
 // shutdownOnSignal stops the server gracefully on SIGINT/SIGTERM: stop
 // accepting, flush durable state (a final WAL compaction runs inside
-// Close's snapshot loop; the legacy -db path saves explicitly), and
-// close the log.
-func shutdownOnSignal(srv *central.Server, legacyDB string) {
+// Close's snapshot loop), and close the log.
+func shutdownOnSignal(srv *central.Server) {
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 	sig := <-ch
 	log.Printf("faucets-server: %v: shutting down", sig)
 	srv.Close()
-	if legacyDB != "" {
-		if err := srv.DB.Save(legacyDB); err != nil {
-			log.Printf("db save: %v", err)
-		}
-	}
 	if err := srv.DB.Close(); err != nil {
 		log.Printf("db close: %v", err)
 	}

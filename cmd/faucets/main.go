@@ -37,7 +37,6 @@ func main() {
 	poolSize := flag.Int("rpc-pool-size", protocol.DefaultPoolSize, "persistent RPC connections kept per peer address")
 	bidConc := flag.Int("bid-concurrency", 0, "daemons asked for a bid in parallel during submit (0 = min(16, #servers), 1 = serial)")
 	bidTimeout := flag.Duration("bid-timeout", 0, "per-bid deadline: a daemon that does not answer in time forfeits its bid (0 = rpc-timeout only)")
-	wireCodec := flag.String("wire-codec", "auto", "wire codec for pooled connections: auto, binary, or json")
 	breakerThreshold := flag.Float64("breaker-threshold", 0, "circuit-breaker suspicion score that opens the breaker on a sick daemon, skipping it during bid solicitation (0 = breakers off)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long an open breaker waits before half-open probing (0 = library default)")
 	hedgeQuantile := flag.Float64("hedge-quantile", 0, "latency quantile after which outstanding bid requests are hedged with a duplicate, first answer wins (0 = hedging off; try 0.9)")
@@ -45,9 +44,6 @@ func main() {
 	flag.Parse()
 	if flag.NArg() < 1 {
 		log.Fatal("usage: faucets [flags] list|apps|credits|submit|status|watch")
-	}
-	if _, err := protocol.ParseWireCodec(*wireCodec); err != nil {
-		log.Fatalf("-wire-codec: %v", err)
 	}
 	if !qos.ValidMechanism(*mechanism) {
 		log.Fatalf("-mechanism: unknown mechanism %q (want first-price, posted-price, or vickrey)", *mechanism)
@@ -60,7 +56,6 @@ func main() {
 	cl.PoolSize = *poolSize
 	cl.BidConcurrency = *bidConc
 	cl.BidTimeout = *bidTimeout
-	cl.WireCodec = *wireCodec
 	cl.HedgeQuantile = *hedgeQuantile
 	cl.Mechanism = *mechanism
 	if *breakerThreshold > 0 {

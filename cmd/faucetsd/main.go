@@ -51,7 +51,6 @@ func main() {
 	lookahead := flag.Float64("lookahead", 3600, "profit scheduler admission lookahead, seconds")
 	preempt := flag.Bool("preempt", false, "profit scheduler: checkpoint low-payoff jobs for high-payoff arrivals (§4.1/§5.5.4)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus metrics at this address under /metrics, job traces under /trace (empty = off)")
-	wireCodec := flag.String("wire-codec", "auto", "wire codec ceiling for served and outbound connections: auto, binary, or json")
 	verifyCache := flag.Duration("verify-cache", daemon.DefaultVerifyCacheTTL, "how long a verified user token is trusted without re-asking the Central Server (negative disables the cache)")
 	breakerThreshold := flag.Float64("breaker-threshold", 0, "circuit-breaker suspicion score that opens the breaker on an unresponsive peer address (0 = breakers off)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long an open breaker waits before half-open probing (0 = library default)")
@@ -121,7 +120,6 @@ func main() {
 		SettleRetry:      *settleRetry,
 		StateDir:         *stateDir,
 		Tracer:           tracer,
-		WireCodec:        *wireCodec,
 		VerifyCacheTTL:   *verifyCache,
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,

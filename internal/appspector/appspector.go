@@ -334,13 +334,8 @@ func (s *Server) handle(conn net.Conn) {
 		if err != nil {
 			return // EOF or broken pipe: connection done
 		}
-		rc.SetEcho(f)
+		rc.SetID(f.ID)
 		switch f.Type {
-		case protocol.TypeCodecHello:
-			if err := protocol.AnswerHello(rc, f, protocol.MaxCodecVersion); err != nil {
-				_ = protocol.WriteError(rc, err.Error())
-			}
-
 		case protocol.TypeASRegisterReq:
 			var req protocol.ASRegisterReq
 			if err := protocol.Decode(f, f.Type, &req); err != nil {

@@ -152,10 +152,6 @@ type Server struct {
 	// PoolSize caps persistent federation connections per peer address
 	// (zero = protocol.DefaultPoolSize).
 	PoolSize int
-	// WireCodec selects the wire codec ceiling, both for connections
-	// served here and for federation calls to peers: "auto"/"binary"
-	// negotiate the binary codec, "json" pins JSON (empty = auto).
-	WireCodec string
 
 	// DefaultMechanism is the grid's default market mechanism, one of
 	// the qos.Mechanism* names. It is advertised to clients at login
@@ -236,7 +232,6 @@ func (s *Server) peerRPC() *protocol.Pool {
 	s.peerOnce.Do(func() {
 		s.peerPool = &protocol.Pool{
 			Size:    s.PoolSize,
-			Codec:   s.WireCodec,
 			Obs:     s.rpc,
 			PoolObs: telemetry.NewPoolMetrics(s.Metrics, "central"),
 			Retry:   protocol.Retry{Attempts: 2, Base: 50 * time.Millisecond, Max: 500 * time.Millisecond, Stop: s.closed},
@@ -251,15 +246,11 @@ func (s *Server) peerRPC() *protocol.Pool {
 // pollRPC lazily builds the pool carrying liveness probes to daemons.
 // Probes used to pay a fresh dial (and its timer) per daemon per tick;
 // a persistent connection makes the steady-state probe one pipelined
-// round trip. One connection per daemon is plenty for a probe cadence,
-// and the codec is pinned to JSON: a probe is a dozen bytes, so the
-// negotiation hello would cost more than it saves — and a JSON probe
-// stays byte-identical for daemons running any older build.
+// round trip. One connection per daemon is plenty for a probe cadence.
 func (s *Server) pollRPC() *protocol.Pool {
 	s.pollPoolOnce.Do(func() {
 		s.pollPool = &protocol.Pool{
 			Size:  1,
-			Codec: "json",
 			Obs:   s.rpc,
 			Retry: protocol.Retry{Attempts: 2, Base: 25 * time.Millisecond, Max: 200 * time.Millisecond, Stop: s.closed},
 			DialFunc: func(addr string, _ time.Duration) (net.Conn, error) {
@@ -276,7 +267,7 @@ func New(mode accounting.Mode) *Server {
 }
 
 // NewWithDB returns a Central Server backed by an existing database —
-// used to resume from a JSON snapshot (db.Load).
+// used to resume from a durable state directory (db.Open).
 func NewWithDB(mode accounting.Mode, store *db.DB) *Server {
 	reg := telemetry.NewRegistry()
 	store.Instrument(reg)
@@ -743,7 +734,10 @@ func (s *Server) Serve(l net.Listener) {
 			continue
 		}
 		backoff = 0
-		s.track(conn, true)
+		if !s.track(conn, true) {
+			conn.Close()
+			return
+		}
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
@@ -754,15 +748,24 @@ func (s *Server) Serve(l net.Listener) {
 	}
 }
 
-// track adds or removes a live connection.
-func (s *Server) track(conn net.Conn, add bool) {
+// track adds or removes a live connection. Adding fails once Close has
+// begun: a connection accepted while Close was severing the others
+// would never be severed itself, and its handler would hold Close in
+// wg.Wait for as long as the peer kept the connection busy.
+func (s *Server) track(conn net.Conn, add bool) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if add {
-		s.conns[conn] = struct{}{}
-	} else {
+	if !add {
 		delete(s.conns, conn)
+		return true
 	}
+	select {
+	case <-s.closed:
+		return false
+	default:
+	}
+	s.conns[conn] = struct{}{}
+	return true
 }
 
 // Close shuts the server down, severing live connections, and waits for
@@ -803,7 +806,7 @@ func (s *Server) handle(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		rc.SetEcho(f)
+		rc.SetID(f.ID)
 		start := time.Now()
 		derr := s.dispatch(rc, f)
 		s.rpc.ObserveRPC(f.Type, time.Since(start), derr)
@@ -815,13 +818,6 @@ func (s *Server) handle(conn net.Conn) {
 
 func (s *Server) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 	switch f.Type {
-	case protocol.TypeCodecHello:
-		maxCodec, err := protocol.ParseWireCodec(s.WireCodec)
-		if err != nil {
-			return err
-		}
-		return protocol.AnswerHello(conn, f, maxCodec)
-
 	case protocol.TypeAuthReq:
 		var req protocol.AuthReq
 		if err := protocol.Decode(f, f.Type, &req); err != nil {

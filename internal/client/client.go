@@ -61,11 +61,6 @@ type Client struct {
 	// Metrics, when set, records the auction fan-out latency histogram
 	// faucets_auction_fanout_seconds.
 	Metrics *telemetry.Registry
-	// WireCodec selects the wire codec for pooled connections:
-	// "auto"/"binary" negotiate the binary codec with each peer (JSON
-	// fallback for peers that do not speak it), "json" pins the JSON
-	// wire format (empty = auto).
-	WireCodec string
 	// Breakers, when set, installs per-daemon circuit breakers on the
 	// pool and gates auction fan-outs: a daemon whose breaker is OPEN
 	// forfeits its bid instantly (no dial, no timeout) until its cooldown
@@ -120,7 +115,6 @@ func (c *Client) rpcPool() *protocol.Pool {
 	c.poolOnce.Do(func() {
 		c.pool = &protocol.Pool{
 			Size:        c.PoolSize,
-			Codec:       c.WireCodec,
 			DialTimeout: c.DialTimeout,
 			PoolObs:     c.PoolObs,
 			Retry:       protocol.Retry{Attempts: 3, Base: 50 * time.Millisecond, Max: 500 * time.Millisecond},
@@ -546,13 +540,12 @@ type BatchPlacement struct {
 
 // PlaceBatch runs the §5 selection for a slate of contracts with one
 // request-for-bids fan-out: each daemon is asked to bid on the whole
-// slate in a single bid_batch_req frame (legacy daemons are walked
-// contract-by-contract), then each contract's ranked bids go through
-// the usual two-phase commit in slate order. The directory is read once
-// unfiltered, so static pre-screening is left to each daemon's own
-// decline logic. It returns one BatchPlacement per contract, in input
-// order; the error return is reserved for slate-wide failures (listing
-// the directory).
+// slate in a single bid_batch_req frame, then each contract's ranked
+// bids go through the usual two-phase commit in slate order. The
+// directory is read once unfiltered, so static pre-screening is left to
+// each daemon's own decline logic. It returns one BatchPlacement per
+// contract, in input order; the error return is reserved for slate-wide
+// failures (listing the directory).
 func (c *Client) PlaceBatch(contracts []*qos.Contract, crit market.Criterion) ([]BatchPlacement, error) {
 	if len(contracts) == 0 {
 		return nil, nil

@@ -82,10 +82,6 @@ type Config struct {
 	Metrics *telemetry.Registry
 	// Tracer records job-lifecycle span events (nil = tracing off).
 	Tracer *telemetry.Tracer
-	// WireCodec selects the RPC wire codec (protocol.ParseWireCodec):
-	// "auto"/"" negotiates the binary codec for served and outbound
-	// connections, "json" pins everything to JSON.
-	WireCodec string
 	// VerifyCacheTTL is how long (wall time) a successful credential
 	// verification with the Central Server is remembered, so the nested
 	// verify RPC is paid once per client burst instead of once per bid.
@@ -153,9 +149,6 @@ type Daemon struct {
 	// (register, verify, settle, AppSpector registration).
 	pool *protocol.Pool
 
-	// maxCodec is the served wire-codec ceiling (from cfg.WireCodec).
-	maxCodec uint8
-
 	// verifyCache remembers recent successful credential checks:
 	// user+token → wall-clock expiry.
 	verifyMu    sync.Mutex
@@ -216,10 +209,6 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.VerifyCacheTTL == 0 {
 		cfg.VerifyCacheTTL = DefaultVerifyCacheTTL
 	}
-	maxCodec, err := protocol.ParseWireCodec(cfg.WireCodec)
-	if err != nil {
-		return nil, fmt.Errorf("daemon: %w", err)
-	}
 	d := &Daemon{
 		cfg:        cfg,
 		epoch:      time.Now(),
@@ -234,14 +223,12 @@ func New(cfg Config) (*Daemon, error) {
 		closed:     make(chan struct{}),
 		met:        newFDMetrics(cfg.Metrics),
 		rpc:        telemetry.NewRPCMetrics(cfg.Metrics, "daemon"),
-		maxCodec:   maxCodec,
 	}
 	if cfg.VerifyCacheTTL > 0 {
 		d.verifyCache = map[string]time.Time{}
 	}
 	d.pool = &protocol.Pool{
 		Size:        cfg.PoolSize,
-		Codec:       cfg.WireCodec,
 		DialTimeout: cfg.RPCTimeout,
 		Obs:         d.rpc,
 		PoolObs:     telemetry.NewPoolMetrics(cfg.Metrics, "daemon"),
@@ -816,11 +803,10 @@ func (d *Daemon) serve(l net.Listener) {
 	}
 }
 
-// handle serves one connection; replies echo the request's frame ID and
-// codec so pooled clients can pipeline multiple in-flight requests over
-// whichever codec they negotiated. The FrameReader reuses one payload
-// buffer — safe because dispatch fully consumes each frame before the
-// next read.
+// handle serves one connection; replies echo the request's frame ID so
+// pooled clients can pipeline multiple in-flight requests. The
+// FrameReader reuses one payload buffer — safe because dispatch fully
+// consumes each frame before the next read.
 func (d *Daemon) handle(conn net.Conn) {
 	rc := protocol.NewReplyConn(conn)
 	fr := protocol.NewFrameReader(conn)
@@ -829,7 +815,7 @@ func (d *Daemon) handle(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		rc.SetEcho(f)
+		rc.SetID(f.ID)
 		if err := d.dispatch(rc, f); err != nil {
 			_ = protocol.WriteError(rc, err.Error())
 		}
@@ -838,9 +824,6 @@ func (d *Daemon) handle(conn net.Conn) {
 
 func (d *Daemon) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 	switch f.Type {
-	case protocol.TypeCodecHello:
-		return protocol.AnswerHello(conn, f, d.maxCodec)
-
 	case protocol.TypePollReq:
 		d.mu.Lock()
 		reply := protocol.PollOK{

@@ -11,15 +11,13 @@
 // Central Server recovers its accounts, job records, and contract
 // history — the durability the paper's contractually binding payoffs
 // (§3, §5.2.1) demand, with none of the external dependencies this
-// reproduction forbids. New and Load remain for ephemeral
-// (simulation/test) databases.
+// reproduction forbids. New remains for ephemeral (simulation/test)
+// databases.
 package db
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 )
@@ -105,7 +103,7 @@ func initMaps(s *snapshot) {
 }
 
 // DB is a concurrent in-memory database with optional WAL+snapshot
-// persistence (Open) or one-shot JSON snapshots (Save/Load).
+// persistence (Open).
 type DB struct {
 	mu   sync.RWMutex
 	data snapshot
@@ -361,32 +359,4 @@ func (d *DB) HistoryLen() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return len(d.data.History)
-}
-
-// Save writes a JSON snapshot to path atomically (write temp + rename in
-// the same directory). It is the one-shot persistence path for
-// ephemeral databases; durable ones use Compact.
-func (d *DB) Save(path string) error {
-	d.mu.Lock()
-	d.data.Seq = d.seq
-	blob, err := json.MarshalIndent(d.data, "", "  ")
-	d.mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("db: marshal snapshot: %w", err)
-	}
-	return atomicWrite(path, blob)
-}
-
-// Load replaces the database contents with a snapshot from path.
-func Load(path string) (*DB, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("db: read snapshot: %w", err)
-	}
-	var s snapshot
-	if err := json.Unmarshal(blob, &s); err != nil {
-		return nil, fmt.Errorf("db: decode snapshot: %w", err)
-	}
-	initMaps(&s)
-	return &DB{data: s, seq: s.Seq}, nil
 }

@@ -123,21 +123,30 @@ func TestContractHistory(t *testing.T) {
 	}
 }
 
+// TestSaveLoadRoundTrip: every table survives being folded into the
+// snapshot and read back by a fresh Open (the WAL is empty after
+// Compact, so the snapshot alone carries the state).
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "faucets.json")
-	d := New()
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	d.PutJob(JobRecord{ID: "j1", Owner: "alice", Price: 12.5})
 	d.PutUser(UserRecord{Name: "alice", HomeCluster: "hub"})
 	d.AddCredits("hub", 42)
 	d.AppendContract(ContractRecord{Time: 1, JobID: "j1", Multiplier: 1.5})
-	if err := d.Save(path); err != nil {
+	if err := d.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(path)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer back.Close()
 	j, err := back.GetJob("j1")
 	if err != nil || j.Price != 12.5 {
 		t.Fatalf("job: %+v %v", j, err)
@@ -154,30 +163,36 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadMissingAndCorrupt: a state dir without a snapshot opens empty;
+// one whose snapshot does not parse is refused.
 func TestLoadMissingAndCorrupt(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "absent.json")); err == nil {
-		t.Fatal("loading a missing file succeeded")
+	d, err := Open(filepath.Join(t.TempDir(), "absent"))
+	if err != nil {
+		t.Fatalf("opening a fresh state dir: %v", err)
 	}
+	if n := d.HistoryLen(); n != 0 {
+		t.Fatalf("fresh state dir holds %d history records", n)
+	}
+	d.Close()
 	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.json")
-	if err := writeFile(bad, "{nope"); err != nil {
+	if err := writeFile(snapshotFile(dir), "{nope"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(bad); err == nil {
+	if _, err := Open(dir); err == nil {
 		t.Fatal("corrupt snapshot accepted")
 	}
 }
 
 func TestLoadEmptyObjectInitializesMaps(t *testing.T) {
 	dir := t.TempDir()
-	p := filepath.Join(dir, "empty.json")
-	if err := writeFile(p, "{}"); err != nil {
+	if err := writeFile(snapshotFile(dir), "{}"); err != nil {
 		t.Fatal(err)
 	}
-	d, err := Load(p)
+	d, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer d.Close()
 	// Must not panic on nil maps.
 	d.PutJob(JobRecord{ID: "x"})
 	d.AddCredits("c", 1)

@@ -40,10 +40,6 @@ type ClusterSpec struct {
 	Bidder bidding.Generator
 	// Home is the bartering cluster; defaults to Spec.Name.
 	Home string
-	// WireCodec overrides Options.WireCodec for this cluster's daemon —
-	// set "json" to model a legacy JSON-only daemon inside an otherwise
-	// binary-codec grid (mixed-version interop tests).
-	WireCodec string
 	// Chaos, when set, additionally wraps THIS cluster's listener with
 	// its own fault injector — the way soak tests make a minority of
 	// daemons sick (slow-loris, stalled) while the rest of the grid and
@@ -100,11 +96,6 @@ type Options struct {
 	// in-process equivalent of each daemon's -metrics-addr flag); read
 	// the addresses back with MetricsAddr.
 	Metrics bool
-	// WireCodec is every component's wire codec setting (the in-process
-	// -wire-codec): "auto"/"binary" negotiate the binary codec, "json"
-	// pins JSON; empty = auto. ClusterSpec.WireCodec overrides it per
-	// daemon.
-	WireCodec string
 	// MaxInflight is the Central Server's admission-control budget (the
 	// in-process -max-inflight; zero = admission off).
 	MaxInflight int
@@ -431,7 +422,6 @@ func (g *Grid) newCentralAt(stateSub string, ring *shard.Ring, selfAddr string) 
 		fs.RPCTimeout = g.opts.RPCTimeout
 	}
 	fs.PoolSize = g.opts.PoolSize
-	fs.WireCodec = g.opts.WireCodec
 	fs.MaxInflight = g.opts.MaxInflight
 	fs.BreakerThreshold = g.opts.BreakerThreshold
 	fs.BreakerCooldown = g.opts.BreakerCooldown
@@ -469,10 +459,6 @@ func (g *Grid) startDaemon(i int, addr string) (*daemon.Daemon, string, error) {
 	if g.opts.StateDir != "" {
 		stateDir = filepath.Join(g.opts.StateDir, "fd-"+cl.Spec.Name)
 	}
-	codec := cl.WireCodec
-	if codec == "" {
-		codec = g.opts.WireCodec
-	}
 	d, err := daemon.New(daemon.Config{
 		Info:           protocol.ServerInfo{Spec: cl.Spec, Apps: cl.Apps, Home: cl.Home},
 		Scheduler:      factory(cl.Spec, g.opts.SchedCfg),
@@ -486,7 +472,6 @@ func (g *Grid) startDaemon(i int, addr string) (*daemon.Daemon, string, error) {
 		ReRegister:     g.opts.ReRegister,
 		StateDir:       stateDir,
 		Tracer:         g.Tracer,
-		WireCodec:      codec,
 	})
 	if err != nil {
 		return nil, "", err
@@ -664,7 +649,6 @@ func (g *Grid) Login(user, password string) (*client.Client, error) {
 	c.BidConcurrency = g.opts.BidConcurrency
 	c.BidTimeout = g.opts.BidTimeout
 	c.RPCTimeout = g.opts.RPCTimeout
-	c.WireCodec = g.opts.WireCodec
 	c.HedgeQuantile = g.opts.HedgeQuantile
 	c.Mechanism = g.opts.Mechanism
 	if g.opts.BreakerThreshold > 0 {

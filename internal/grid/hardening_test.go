@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -90,5 +91,33 @@ func TestHungDaemonsDoNotStallTheFleet(t *testing.T) {
 	recs := g.Central.DB.RecentContracts(nil, 1)
 	if r := recs[0]; r.App != "synth" || r.MaxPE != 16 {
 		t.Fatalf("settled record lost its contract shape: %+v", r)
+	}
+}
+
+// TestStrayHandshakeFrameGetsErrorReply: connections carry no handshake,
+// so a peer that opens with one sends a frame type no handler knows.
+// Every server loop must answer it with an error frame, promptly, and
+// leave the connection usable.
+func TestStrayHandshakeFrameGetsErrorReply(t *testing.T) {
+	g := threeClusterGrid(t, Options{})
+	for _, tc := range []struct{ component, addr string }{
+		{"central", g.CentralAddr},
+		{"daemon", g.daemonAddrs[0]},
+		{"appspector", g.AppSpectorAddr},
+	} {
+		t.Run(tc.component, func(t *testing.T) {
+			conn, err := protocol.Dial(tc.addr, time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			for i := 0; i < 2; i++ { // twice: the refusal must not close or wedge the conn
+				err = protocol.CallTimeout(conn, time.Second, "hello", nil, "hello_ok", nil)
+				var remote *protocol.RemoteError
+				if !errors.As(err, &remote) {
+					t.Fatalf("attempt %d: err = %v, want an error frame (RemoteError)", i, err)
+				}
+			}
+		})
 	}
 }

@@ -102,7 +102,7 @@ func TestChaosSoakSickMinority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ { // warm pooled connections + codec negotiation
+	for i := 0; i < 3; i++ { // warm pooled connections
 		soakAuction(t, hcl)
 	}
 	hStart := time.Now()

@@ -2,16 +2,25 @@ package gridsim
 
 import (
 	"errors"
+	"sort"
 	"testing"
 
 	"faucets/internal/qos"
 	"faucets/internal/workload"
 )
 
+// totalRevenue sums in server-name order: float addition is not
+// associative, so map-iteration order would make equal runs compare
+// unequal in the last bit.
 func totalRevenue(r *Result) float64 {
+	names := make([]string, 0, len(r.Revenue))
+	for name := range r.Revenue {
+		names = append(names, name)
+	}
+	sort.Strings(names)
 	var sum float64
-	for _, v := range r.Revenue {
-		sum += v
+	for _, name := range names {
+		sum += r.Revenue[name]
 	}
 	return sum
 }

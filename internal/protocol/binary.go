@@ -11,15 +11,14 @@ import (
 	"faucets/internal/qos"
 )
 
-// This file implements codec version 1: a hand-rolled binary encoding
-// for the hot auction-path message types (solicit/bid/commit/settle and
-// the nested verify), negotiated per connection with a codec_hello
-// exchange (see Negotiate / AnswerHello). JSON remains codec version 0,
-// the universal fallback: every frame self-describes its codec by its
-// first payload byte (JSON objects start '{', binary frames start
-// binMagic), so a server needs no per-connection codec state to read a
-// mixed stream, and message types without a binary encoding simply ride
-// as JSON frames on a binary-negotiated connection.
+// This file implements the hand-rolled binary encoding every sender
+// uses for the hot auction-path message types (solicit/bid/commit/
+// settle, the nested verify, poll, gossip and their error replies — the
+// types in binCodeOf). Message types without a binary encoding ride as
+// JSON frames on the same connection. Every frame self-describes its
+// shape by its first payload byte (JSON objects start '{', binary
+// frames start binMagic), so a reader needs no per-connection state to
+// read the mixed stream, and there is no handshake to agree on one.
 //
 // Binary frame layout, after the usual 4-byte big-endian length prefix:
 //
@@ -33,13 +32,11 @@ import (
 // floats as IEEE-754 bits, bools one byte, strings and repeated groups
 // length-prefixed with uint32 counts.
 
-// Codec versions. The version is what hello negotiation agrees on: 0
-// means frames are JSON, 1 adds the binary encoding for hot types.
+// The two payload shapes a reader sniffs. CodecBinary doubles as the
+// version byte of the binary header.
 const (
 	CodecJSON   uint8 = 0
 	CodecBinary uint8 = 1
-	// MaxCodecVersion is the newest codec this build speaks.
-	MaxCodecVersion = CodecBinary
 )
 
 // binMagic distinguishes binary payloads from JSON ones. JSON frame
@@ -54,19 +51,19 @@ const binHeaderLen = 11
 // Binary message type codes. Code 0 is deliberately unassigned so a
 // zeroed buffer never parses as a valid frame.
 const (
-	binError       uint8 = 1
-	binBidReq      uint8 = 2
-	binBidOK       uint8 = 3
-	binCommitReq   uint8 = 4
-	binCommitOK    uint8 = 5
-	binSubmitReq   uint8 = 6
-	binSubmitOK    uint8 = 7
-	binSettleReq   uint8 = 8
-	binSettleOK    uint8 = 9
-	binPollReq     uint8 = 10
-	binPollOK      uint8 = 11
-	binVerifyReq   uint8 = 12
-	binVerifyOK    uint8 = 13
+	binError            uint8 = 1
+	binBidReq           uint8 = 2
+	binBidOK            uint8 = 3
+	binCommitReq        uint8 = 4
+	binCommitOK         uint8 = 5
+	binSubmitReq        uint8 = 6
+	binSubmitOK         uint8 = 7
+	binSettleReq        uint8 = 8
+	binSettleOK         uint8 = 9
+	binPollReq          uint8 = 10
+	binPollOK           uint8 = 11
+	binVerifyReq        uint8 = 12
+	binVerifyOK         uint8 = 13
 	binBidBatchReq      uint8 = 14
 	binBidBatchOK       uint8 = 15
 	binGossipReq        uint8 = 16
@@ -77,19 +74,19 @@ const (
 // binCodeOf maps frame type strings to binary codes; binTypeOf is the
 // inverse. Types absent here are JSON-only and fall back transparently.
 var binCodeOf = map[string]uint8{
-	TypeError:       binError,
-	TypeBidReq:      binBidReq,
-	TypeBidOK:       binBidOK,
-	TypeCommitReq:   binCommitReq,
-	TypeCommitOK:    binCommitOK,
-	TypeSubmitReq:   binSubmitReq,
-	TypeSubmitOK:    binSubmitOK,
-	TypeSettleReq:   binSettleReq,
-	TypeSettleOK:    binSettleOK,
-	TypePollReq:     binPollReq,
-	TypePollOK:      binPollOK,
-	TypeVerifyReq:   binVerifyReq,
-	TypeVerifyOK:    binVerifyOK,
+	TypeError:            binError,
+	TypeBidReq:           binBidReq,
+	TypeBidOK:            binBidOK,
+	TypeCommitReq:        binCommitReq,
+	TypeCommitOK:         binCommitOK,
+	TypeSubmitReq:        binSubmitReq,
+	TypeSubmitOK:         binSubmitOK,
+	TypeSettleReq:        binSettleReq,
+	TypeSettleOK:         binSettleOK,
+	TypePollReq:          binPollReq,
+	TypePollOK:           binPollOK,
+	TypeVerifyReq:        binVerifyReq,
+	TypeVerifyOK:         binVerifyOK,
 	TypeBidBatchReq:      binBidBatchReq,
 	TypeBidBatchOK:       binBidBatchOK,
 	TypeGossipReq:        binGossipReq,
@@ -98,19 +95,19 @@ var binCodeOf = map[string]uint8{
 }
 
 var binTypeOf = [19]string{
-	binError:       TypeError,
-	binBidReq:      TypeBidReq,
-	binBidOK:       TypeBidOK,
-	binCommitReq:   TypeCommitReq,
-	binCommitOK:    TypeCommitOK,
-	binSubmitReq:   TypeSubmitReq,
-	binSubmitOK:    TypeSubmitOK,
-	binSettleReq:   TypeSettleReq,
-	binSettleOK:    TypeSettleOK,
-	binPollReq:     TypePollReq,
-	binPollOK:      TypePollOK,
-	binVerifyReq:   TypeVerifyReq,
-	binVerifyOK:    TypeVerifyOK,
+	binError:            TypeError,
+	binBidReq:           TypeBidReq,
+	binBidOK:            TypeBidOK,
+	binCommitReq:        TypeCommitReq,
+	binCommitOK:         TypeCommitOK,
+	binSubmitReq:        TypeSubmitReq,
+	binSubmitOK:         TypeSubmitOK,
+	binSettleReq:        TypeSettleReq,
+	binSettleOK:         TypeSettleOK,
+	binPollReq:          TypePollReq,
+	binPollOK:           TypePollOK,
+	binVerifyReq:        TypeVerifyReq,
+	binVerifyOK:         TypeVerifyOK,
 	binBidBatchReq:      TypeBidBatchReq,
 	binBidBatchOK:       TypeBidBatchOK,
 	binGossipReq:        TypeGossipReq,

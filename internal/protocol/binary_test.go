@@ -117,9 +117,8 @@ func TestBinaryFieldFreeTypesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryCodecFallsBackToJSONForColdTypes: a binary-negotiated
-// connection still carries types without a binary encoding as JSON
-// frames, readable by anyone.
+// TestBinaryCodecFallsBackToJSONForColdTypes: types without a binary
+// encoding leave as JSON frames, readable by anyone.
 func TestBinaryCodecFallsBackToJSONForColdTypes(t *testing.T) {
 	buf, err := AppendFrame(nil, CodecBinary, 9, TypeAuthReq, AuthReq{User: "u", Password: "p"})
 	if err != nil {
@@ -204,7 +203,6 @@ func TestDecodeEmptyBodyTable(t *testing.T) {
 		TypeOutputReq, TypeOutputOK, TypeKillReq, TypeKillOK,
 		TypeASRegisterReq, TypeASRegisterOK, TypeTelemetry,
 		TypeWatchReq, TypeWatchOK, TypeWatchEnd,
-		TypeCodecHello, TypeCodecOK,
 		TypeGossipReq, TypeGossipOK, TypeForwardSettleReq,
 	}
 	fieldFree := map[string]bool{
@@ -231,50 +229,39 @@ func TestDecodeEmptyBodyTable(t *testing.T) {
 	}
 }
 
-// TestCallRejectsMismatchedReplyID: a stale reply stamped with a
-// different request's ID must fail the call with IDMismatchError, not
-// decode as this call's answer.
+// TestCallRejectsMismatchedReplyID: a reply not stamped with this
+// request's ID — a stale answer to an earlier call, or an unstamped
+// frame — must fail the call with IDMismatchError, not decode as this
+// call's answer.
 func TestCallRejectsMismatchedReplyID(t *testing.T) {
-	cli, srv := net.Pipe()
-	defer cli.Close()
-	defer srv.Close()
-	go func() {
-		f, err := ReadFrame(srv)
-		if err != nil {
-			return
-		}
-		// Echo a wrong, non-zero ID — a leftover answer to an earlier call.
-		_ = writeFrameID(srv, f.ID+1000, TypePollOK, PollOK{UsedPE: 1})
-	}()
-	var reply PollOK
-	err := Call(cli, TypePollReq, nil, TypePollOK, &reply)
-	var mismatch *IDMismatchError
-	if !errors.As(err, &mismatch) {
-		t.Fatalf("stale reply accepted: err=%v reply=%+v", err, reply)
-	}
-	if mismatch.Got != mismatch.Want+1000 {
-		t.Fatalf("mismatch detail wrong: %+v", mismatch)
-	}
-}
-
-// TestCallToleratesZeroReplyID keeps back-compat with peers predating ID
-// echo: their replies carry no ID and must still be accepted.
-func TestCallToleratesZeroReplyID(t *testing.T) {
-	cli, srv := net.Pipe()
-	defer cli.Close()
-	defer srv.Close()
-	go func() {
-		if _, err := ReadFrame(srv); err != nil {
-			return
-		}
-		_ = writeFrameID(srv, 0, TypePollOK, PollOK{UsedPE: 5})
-	}()
-	var reply PollOK
-	if err := Call(cli, TypePollReq, nil, TypePollOK, &reply); err != nil {
-		t.Fatalf("zero-ID reply rejected: %v", err)
-	}
-	if reply.UsedPE != 5 {
-		t.Fatalf("reply body lost: %+v", reply)
+	for _, tc := range []struct {
+		name    string
+		replyID func(reqID uint64) uint64
+	}{
+		{"stale", func(reqID uint64) uint64 { return reqID + 1000 }},
+		{"zero", func(uint64) uint64 { return 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cli, srv := net.Pipe()
+			defer cli.Close()
+			defer srv.Close()
+			go func() {
+				f, err := ReadFrame(srv)
+				if err != nil {
+					return
+				}
+				_ = writeFrame(srv, tc.replyID(f.ID), TypePollOK, PollOK{UsedPE: 1})
+			}()
+			var reply PollOK
+			err := Call(cli, TypePollReq, nil, TypePollOK, &reply)
+			var mismatch *IDMismatchError
+			if !errors.As(err, &mismatch) {
+				t.Fatalf("mismatched reply accepted: err=%v reply=%+v", err, reply)
+			}
+			if mismatch.Got != tc.replyID(mismatch.Want) {
+				t.Fatalf("mismatch detail wrong: %+v", mismatch)
+			}
+		})
 	}
 }
 
@@ -285,11 +272,18 @@ func TestCallToleratesZeroReplyID(t *testing.T) {
 // split write observable: the first Read would return only the first
 // segment.
 func TestFrameArrivesAsSingleWrite(t *testing.T) {
-	for _, codec := range []uint8{CodecJSON, CodecBinary} {
+	// One type of each payload shape: BidOK leaves binary, HistoryOK JSON.
+	for codec, msg := range []struct {
+		typ  string
+		body any
+	}{
+		CodecJSON:   {TypeHistoryOK, HistoryOK{Records: []HistoryRecord{{App: "synth", MaxPE: 8}}}},
+		CodecBinary: {TypeBidOK, BidOK{Bid: testBid()}},
+	} {
 		cli, srv := net.Pipe()
 		errc := make(chan error, 1)
 		go func() {
-			errc <- writeFrameCodec(cli, codec, 42, TypeBidOK, BidOK{Bid: testBid()})
+			errc <- writeFrame(cli, 42, msg.typ, msg.body)
 		}()
 		buf := make([]byte, 64<<10)
 		srv.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -313,7 +307,7 @@ func TestFrameArrivesAsSingleWrite(t *testing.T) {
 		if err != nil {
 			t.Fatalf("codec %d: parse: %v", codec, err)
 		}
-		if f.ID != 42 || f.Type != TypeBidOK {
+		if f.ID != 42 || f.Type != msg.typ || int(f.Codec()) != codec {
 			t.Fatalf("codec %d: frame header mismatch: %+v", codec, f)
 		}
 		cli.Close()
@@ -325,16 +319,16 @@ func TestFrameArrivesAsSingleWrite(t *testing.T) {
 // reallocate the payload buffer, and binary/JSON frames may interleave
 // on one stream.
 func TestFrameReaderReusesBuffer(t *testing.T) {
-	var wire bytes.Buffer
+	var buf []byte
 	for i := 0; i < 3; i++ {
-		if err := writeFrameCodec(&wire, CodecBinary, uint64(i+1), TypeVerifyReq, VerifyReq{User: "u", Token: "t"}); err != nil {
-			t.Fatal(err)
-		}
-		if err := writeFrameCodec(&wire, CodecJSON, uint64(i+100), TypeVerifyReq, VerifyReq{User: "u", Token: "t"}); err != nil {
-			t.Fatal(err)
+		for _, codec := range []uint8{CodecBinary, CodecJSON} {
+			var err error
+			if buf, err = AppendFrame(buf, codec, uint64(i+1), TypeVerifyReq, VerifyReq{User: "u", Token: "t"}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	fr := NewFrameReader(&wire)
+	fr := NewFrameReader(bytes.NewReader(buf))
 	for i := 0; i < 6; i++ {
 		f, err := fr.Next()
 		if err != nil {

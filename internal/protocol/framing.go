@@ -4,13 +4,13 @@
 // and Client ↔ AppSpector.
 //
 // Frames are length-prefixed: a 4-byte big-endian payload length
-// followed by the payload in one of two codecs. Codec 0 is a JSON
-// object {"type": ..., "body": ...}; codec 1 (see binary.go) is a
-// compact binary encoding for the hot auction-path message types,
-// negotiated per connection. The payload's first byte identifies the
-// codec, so readers handle mixed streams statelessly. Length-prefixing
-// (rather than newline-delimiting) keeps file-staging payloads and
-// embedded output text unconstrained.
+// followed by the payload in one of two shapes. The hot auction-path
+// message types (see binary.go) always travel in a compact binary
+// encoding; every other type is a JSON object {"type": ..., "body":
+// ...}. The payload's first byte says which, so readers handle the
+// mixed stream statelessly and no connection carries codec state.
+// Length-prefixing (rather than newline-delimiting) keeps file-staging
+// payloads and embedded output text unconstrained.
 package protocol
 
 import (
@@ -45,7 +45,7 @@ type Frame struct {
 	Body json.RawMessage `json:"body,omitempty"`
 
 	// codec records which encoding Body uses (CodecJSON or CodecBinary)
-	// so Decode picks the right parser and ReplyConn echoes in kind.
+	// so Decode picks the right parser.
 	codec uint8
 }
 
@@ -97,38 +97,23 @@ var writeBufPool = sync.Pool{
 
 // WriteFrame encodes body and writes a framed message to w as a single
 // Write call, so frames from writers not sharing a mutex never
-// interleave and each frame leaves in one segment. When w carries reply
-// metadata (a *ReplyConn on the server side), the frame echoes the
-// in-flight request's ID and codec so pipelined callers can match the
-// reply to their request in the encoding they used.
+// interleave and each frame leaves in one segment. When w is a
+// *ReplyConn (the server side), the frame echoes the in-flight
+// request's ID so pipelined callers can match the reply to their
+// request.
 func WriteFrame(w io.Writer, typ string, body any) error {
 	id := uint64(0)
-	if rc, ok := w.(interface{ FrameID() uint64 }); ok {
-		id = rc.FrameID()
+	if rc, ok := w.(*ReplyConn); ok {
+		id = rc.id
 	}
-	return writeFrameCodec(w, frameCodecOf(w), id, typ, body)
+	return writeFrame(w, id, typ, body)
 }
 
-// frameCodecOf resolves the codec a writer's frames should use: binary
-// only when the writer (ReplyConn, negotiated conn wrapper) asks for it.
-func frameCodecOf(w io.Writer) uint8 {
-	if cc, ok := w.(interface{ FrameCodec() uint8 }); ok {
-		return cc.FrameCodec()
-	}
-	return CodecJSON
-}
-
-// writeFrameID writes one frame with an explicit request ID (JSON
-// codec), the path pooled callers used before codecs were negotiable.
-func writeFrameID(w io.Writer, id uint64, typ string, body any) error {
-	return writeFrameCodec(w, CodecJSON, id, typ, body)
-}
-
-// writeFrameCodec encodes the frame into a pooled buffer and writes it
-// with one Write call.
-func writeFrameCodec(w io.Writer, codec uint8, id uint64, typ string, body any) error {
+// writeFrame encodes the frame into a pooled buffer and writes it with
+// one Write call.
+func writeFrame(w io.Writer, id uint64, typ string, body any) error {
 	bp := writeBufPool.Get().(*[]byte)
-	buf, err := AppendFrame((*bp)[:0], codec, id, typ, body)
+	buf, err := AppendFrame((*bp)[:0], CodecBinary, id, typ, body)
 	if err == nil {
 		if _, werr := w.Write(buf); werr != nil {
 			err = fmt.Errorf("protocol: write frame: %w", werr)
@@ -142,11 +127,12 @@ func writeFrameCodec(w io.Writer, codec uint8, id uint64, typ string, body any) 
 }
 
 // AppendFrame appends one complete frame — length prefix included — to
-// dst and returns the extended slice. codec is the connection's
-// negotiated ceiling: with CodecBinary, types that have a binary
-// encoding use it and everything else falls back to JSON, which any
-// peer reads statelessly. The append style lets hot paths encode into
-// reused buffers with zero per-frame allocations.
+// dst and returns the extended slice. With CodecBinary — what every
+// sender in the system passes — types that have a binary encoding use
+// it and everything else is a JSON frame; CodecJSON writes the JSON
+// shape for any type, which readers accept just the same. The append
+// style lets hot paths encode into reused buffers with zero per-frame
+// allocations.
 func AppendFrame(dst []byte, codec uint8, id uint64, typ string, body any) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // length back-patched below
@@ -342,20 +328,20 @@ var oneShotID atomic.Uint64
 // Call writes a request frame and reads the reply, decoding it into
 // reply if the reply type matches wantReply. It is the client-side
 // helper for every simple request/response exchange in the system. The
-// request carries a unique frame ID; a reply echoing a different
-// non-zero ID is a stale answer to an earlier request and fails with
-// *IDMismatchError instead of being silently accepted. (A zero reply ID
-// is tolerated for peers predating ID echo.)
+// request carries a unique frame ID; a reply carrying any other ID —
+// zero included — is not the answer to this request (typically a stale
+// answer to an earlier one) and fails with *IDMismatchError instead of
+// being silently accepted.
 func Call(rw io.ReadWriter, reqType string, req any, wantReply string, reply any) error {
 	id := oneShotID.Add(1)
-	if err := writeFrameCodec(rw, frameCodecOf(rw), id, reqType, req); err != nil {
+	if err := writeFrame(rw, id, reqType, req); err != nil {
 		return err
 	}
 	f, err := ReadFrame(rw)
 	if err != nil {
 		return err
 	}
-	if f.ID != 0 && f.ID != id {
+	if f.ID != id {
 		return &IDMismatchError{Want: id, Got: f.ID}
 	}
 	if f.Type == TypeError {
@@ -378,30 +364,17 @@ func WriteErrorFrom(w io.Writer, err error) error {
 }
 
 // ReplyConn wraps a server-side connection so reply frames echo the ID
-// and codec of the request being answered. A handler loop calls SetEcho
-// with each request frame before dispatching; WriteFrame picks the
-// metadata up through FrameID/FrameCodec, so a binary request gets a
-// binary reply and a JSON request a JSON one on the very same
-// connection. Handler loops are single-goroutine per connection, so no
+// of the request being answered. A handler loop calls SetID with each
+// request frame's ID before dispatching; WriteFrame stamps it on every
+// reply. Handler loops are single-goroutine per connection, so no
 // synchronization is needed.
 type ReplyConn struct {
 	io.ReadWriter
-	id    uint64
-	codec uint8
+	id uint64
 }
 
-// NewReplyConn wraps rw for echo-stamped replies.
+// NewReplyConn wraps rw for ID-stamped replies.
 func NewReplyConn(rw io.ReadWriter) *ReplyConn { return &ReplyConn{ReadWriter: rw} }
 
-// SetEcho records the in-flight request's ID and codec for the replies.
-func (rc *ReplyConn) SetEcho(f Frame) { rc.id, rc.codec = f.ID, f.codec }
-
-// SetID records the in-flight request's ID for the next replies (JSON
-// codec; SetEcho supersedes it where the request frame is at hand).
+// SetID records the in-flight request's ID for the next replies.
 func (rc *ReplyConn) SetID(id uint64) { rc.id = id }
-
-// FrameID returns the ID replies are stamped with.
-func (rc *ReplyConn) FrameID() uint64 { return rc.id }
-
-// FrameCodec returns the codec replies are encoded with.
-func (rc *ReplyConn) FrameCodec() uint8 { return rc.codec }

@@ -118,24 +118,31 @@ func TestMultipleFramesSequential(t *testing.T) {
 	}
 }
 
-// rwBuf adapts two buffers into a ReadWriter (client writes to reqs,
-// reads from resps).
-type rwBuf struct {
-	r *bytes.Buffer
-	w *bytes.Buffer
+// cannedPeer is an in-memory far end for Call: each request written to
+// it is parsed and kept, and one canned reply stamped with that
+// request's ID is queued for the caller to read.
+type cannedPeer struct {
+	replyType string
+	replyBody any
+	reqs      []Frame
+	resps     bytes.Buffer
 }
 
-func (b rwBuf) Read(p []byte) (int, error)  { return b.r.Read(p) }
-func (b rwBuf) Write(p []byte) (int, error) { return b.w.Write(p) }
+func (p *cannedPeer) Read(b []byte) (int, error) { return p.resps.Read(b) }
+
+func (p *cannedPeer) Write(b []byte) (int, error) {
+	f, err := ReadFrame(bytes.NewReader(b)) // frames leave as one Write
+	if err != nil {
+		return 0, err
+	}
+	p.reqs = append(p.reqs, f)
+	return len(b), writeFrame(&p.resps, f.ID, p.replyType, p.replyBody)
+}
 
 func TestCallRoundTrip(t *testing.T) {
-	reqs, resps := &bytes.Buffer{}, &bytes.Buffer{}
-	// Pre-load the "server" response.
-	if err := WriteFrame(resps, TypeAuthOK, AuthOK{Token: "tok"}); err != nil {
-		t.Fatal(err)
-	}
+	peer := &cannedPeer{replyType: TypeAuthOK, replyBody: AuthOK{Token: "tok"}}
 	var reply AuthOK
-	err := Call(rwBuf{r: resps, w: reqs}, TypeAuthReq, AuthReq{User: "u"}, TypeAuthOK, &reply)
+	err := Call(peer, TypeAuthReq, AuthReq{User: "u"}, TypeAuthOK, &reply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,31 +150,24 @@ func TestCallRoundTrip(t *testing.T) {
 		t.Fatalf("reply=%+v", reply)
 	}
 	// The request must have been written.
-	f, err := ReadFrame(reqs)
-	if err != nil || f.Type != TypeAuthReq {
-		t.Fatalf("request frame: %+v err=%v", f, err)
+	if len(peer.reqs) != 1 || peer.reqs[0].Type != TypeAuthReq {
+		t.Fatalf("request frames: %+v", peer.reqs)
 	}
 }
 
 func TestCallRemoteError(t *testing.T) {
-	reqs, resps := &bytes.Buffer{}, &bytes.Buffer{}
-	if err := WriteError(resps, "bad credentials"); err != nil {
-		t.Fatal(err)
-	}
+	peer := &cannedPeer{replyType: TypeError, replyBody: ErrorBody{Message: "bad credentials"}}
 	var reply AuthOK
-	err := Call(rwBuf{r: resps, w: reqs}, TypeAuthReq, AuthReq{}, TypeAuthOK, &reply)
+	err := Call(peer, TypeAuthReq, AuthReq{}, TypeAuthOK, &reply)
 	if err == nil || !strings.Contains(err.Error(), "bad credentials") {
 		t.Fatalf("err=%v", err)
 	}
 }
 
 func TestCallUnexpectedReplyType(t *testing.T) {
-	reqs, resps := &bytes.Buffer{}, &bytes.Buffer{}
-	if err := WriteFrame(resps, TypePollOK, PollOK{}); err != nil {
-		t.Fatal(err)
-	}
+	peer := &cannedPeer{replyType: TypePollOK, replyBody: PollOK{}}
 	var reply AuthOK
-	err := Call(rwBuf{r: resps, w: reqs}, TypeAuthReq, AuthReq{}, TypeAuthOK, &reply)
+	err := Call(peer, TypeAuthReq, AuthReq{}, TypeAuthOK, &reply)
 	if !errors.Is(err, ErrBadType) {
 		t.Fatalf("err=%v", err)
 	}

@@ -42,7 +42,9 @@ func TestNotOwnerSurvivesWire(t *testing.T) {
 		if err != nil || f.Type != TypeAuthReq {
 			return
 		}
-		_ = WriteErrorFrom(server, MarkNotOwner(errors.New("wrong shard"), "10.9.9.9:7777"))
+		rc := NewReplyConn(server)
+		rc.SetID(f.ID)
+		_ = WriteErrorFrom(rc, MarkNotOwner(errors.New("wrong shard"), "10.9.9.9:7777"))
 	}()
 	var reply AuthOK
 	err := CallTimeout(client, time.Second, TypeAuthReq, AuthReq{User: "u", Password: "p"}, TypeAuthOK, &reply)

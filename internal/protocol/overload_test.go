@@ -42,7 +42,9 @@ func TestOverloadedSurvivesWire(t *testing.T) {
 		if err != nil || f.Type != TypePollReq {
 			return
 		}
-		_ = WriteErrorFrom(server, MarkOverloaded(errors.New("central: shed")))
+		rc := NewReplyConn(server)
+		rc.SetID(f.ID)
+		_ = WriteErrorFrom(rc, MarkOverloaded(errors.New("central: shed")))
 	}()
 	var reply PollOK
 	err := CallTimeout(client, time.Second, TypePollReq, PollReq{}, TypePollOK, &reply)
@@ -131,7 +133,7 @@ func TestPoolBreakerRemoteErrorIsSuccess(t *testing.T) {
 		}
 	}()
 	set := health.NewSet(health.Options{Threshold: 2, Cooldown: time.Hour})
-	p := &Pool{Health: set, Codec: "json"}
+	p := &Pool{Health: set}
 	defer p.Close()
 	addr := l.Addr().String()
 	for i := 0; i < 10; i++ {
@@ -158,7 +160,6 @@ func TestPoolBreakerHalfOpenRecovery(t *testing.T) {
 	p := &Pool{
 		Retry:  Retry{Attempts: 1},
 		Health: set,
-		Codec:  "json",
 		DialFunc: func(a string, timeout time.Duration) (net.Conn, error) {
 			if sick.Load() {
 				return nil, fmt.Errorf("injected dial failure to %s", a)
@@ -185,74 +186,4 @@ func TestPoolBreakerHalfOpenRecovery(t *testing.T) {
 	if got := set.State(addr); got != health.Closed {
 		t.Fatalf("state after good probe = %v, want closed", got)
 	}
-}
-
-// trickleConn delivers reads to the peer one byte at a time: the wrap
-// is on the client side here, simulating a server whose hello reply
-// dribbles in. Negotiation must still finish within its deadline when
-// the trickle is survivable, and fail cleanly when the peer stalls.
-func TestNegotiateTrickledHello(t *testing.T) {
-	s := startCodecEcho(t, CodecBinary)
-	raw, err := Dial(s.addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	conn := &trickleReadConn{Conn: raw, delay: 2 * time.Millisecond}
-	ver, err := Negotiate(conn, 2*time.Second)
-	if err != nil {
-		t.Fatalf("negotiate over trickled conn: %v", err)
-	}
-	if ver != CodecBinary {
-		t.Fatalf("negotiated %d, want binary", ver)
-	}
-}
-
-// A stalled peer — connected but silent — must cost Negotiate at most
-// its timeout, and the error must be a transport error (no silent JSON
-// fallback: the conn is useless).
-func TestNegotiateStalledPeerTimesOut(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			// Hold the connection open, never answer.
-			defer conn.Close()
-		}
-	}()
-	conn, err := Dial(l.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	start := time.Now()
-	_, err = Negotiate(conn, 100*time.Millisecond)
-	if err == nil {
-		t.Fatal("negotiate against stalled peer succeeded")
-	}
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("stalled negotiate took %v, want ~100ms", d)
-	}
-}
-
-// trickleReadConn delays between single-byte reads, so multi-byte
-// frames arrive as a slow dribble.
-type trickleReadConn struct {
-	net.Conn
-	delay time.Duration
-}
-
-func (c *trickleReadConn) Read(p []byte) (int, error) {
-	if len(p) > 1 {
-		p = p[:1]
-	}
-	time.Sleep(c.delay)
-	return c.Conn.Read(p)
 }

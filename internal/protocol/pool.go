@@ -98,11 +98,6 @@ type Pool struct {
 	// DialFunc overrides the dialer (tests wrap connections with the
 	// chaos injector here); nil uses Dial.
 	DialFunc func(addr string, timeout time.Duration) (net.Conn, error)
-	// Codec selects the wire codec ceiling for pooled connections (see
-	// ParseWireCodec): "" or "auto" negotiates the binary codec on each
-	// fresh dial, "json" skips negotiation and keeps every frame JSON.
-	// Unrecognized values behave like "auto".
-	Codec string
 	// Health, when set, gates every attempt through a per-address
 	// circuit breaker and feeds it attempt outcomes. Nil disables
 	// breaking entirely.
@@ -151,35 +146,6 @@ func (p *Pool) dial(addr string) (net.Conn, error) {
 	return Dial(addr, p.DialTimeout)
 }
 
-// maxCodec resolves the Codec field; unknown values fall back to auto
-// (binaries validate the flag at startup, so this only covers tests
-// poking the field directly).
-func (p *Pool) maxCodec() uint8 {
-	v, err := ParseWireCodec(p.Codec)
-	if err != nil {
-		return MaxCodecVersion
-	}
-	return v
-}
-
-// negotiate runs the codec hello on a fresh connection when the pool's
-// ceiling allows more than JSON, bounded by the checkout's call
-// timeout. The connection is not yet visible to other callers, so the
-// synchronous exchange cannot interleave with pipelined frames.
-func (p *Pool) negotiate(conn net.Conn, timeout time.Duration) (uint8, error) {
-	if p.maxCodec() == CodecJSON {
-		return CodecJSON, nil
-	}
-	ver, err := Negotiate(conn, timeout)
-	if err != nil {
-		return 0, err
-	}
-	if co, ok := p.PoolObs.(CodecObserver); ok {
-		co.CodecNegotiated(int(ver))
-	}
-	return ver, nil
-}
-
 // Call performs one deadline-bounded request/response exchange over a
 // pooled connection, observing the outcome like DialCallObs. Transport
 // failures evict the broken connection and redial under the Retry
@@ -224,7 +190,7 @@ func (p *Pool) call(addr string, timeout time.Duration, reqType string, req any,
 		}
 		attemptStart := time.Now()
 		var pc *poolConn
-		pc, err = p.checkout(addr, timeout)
+		pc, err = p.checkout(addr)
 		if err != nil {
 			if errors.Is(err, ErrPoolClosed) {
 				return err
@@ -264,7 +230,7 @@ func (p *Pool) recordHealth(addr string, start time.Time, err error) {
 // budget), or the least-loaded one to share. When the budget is spent
 // entirely on dials still in flight, the caller waits for one to land
 // rather than over-dialing.
-func (p *Pool) checkout(addr string, timeout time.Duration) (*poolConn, error) {
+func (p *Pool) checkout(addr string) (*poolConn, error) {
 	p.mu.Lock()
 	for {
 		select {
@@ -296,15 +262,9 @@ func (p *Pool) checkout(addr string, timeout time.Duration) (*poolConn, error) {
 	}
 	p.mu.Unlock()
 
-	// Dial (and negotiate the codec) outside the lock so a slow
-	// handshake never blocks checkouts to other addresses.
+	// Dial outside the lock so a slow handshake never blocks checkouts
+	// to other addresses.
 	conn, err := p.dial(addr)
-	var codec uint8
-	if err == nil {
-		if codec, err = p.negotiate(conn, timeout); err != nil {
-			conn.Close()
-		}
-	}
 	p.mu.Lock()
 	p.dialing[addr]--
 	if err != nil {
@@ -320,7 +280,7 @@ func (p *Pool) checkout(addr string, timeout time.Duration) (*poolConn, error) {
 		return nil, ErrPoolClosed
 	default:
 	}
-	pc := &poolConn{pool: p, addr: addr, conn: conn, codec: codec, pending: map[uint64]chan callResult{}}
+	pc := &poolConn{pool: p, addr: addr, conn: conn, pending: map[uint64]chan callResult{}}
 	pc.inflight.Add(1)
 	pc.lastUsed.Store(time.Now().UnixNano())
 	p.conns[addr] = append(p.conns[addr], pc)
@@ -407,10 +367,9 @@ type callResult struct {
 // are serialized under wmu, a single readLoop goroutine routes replies
 // to waiters by frame ID.
 type poolConn struct {
-	pool  *Pool
-	addr  string
-	conn  net.Conn
-	codec uint8 // negotiated at dial, immutable afterwards
+	pool *Pool
+	addr string
+	conn net.Conn
 
 	wmu sync.Mutex // serializes frame writes
 
@@ -519,7 +478,7 @@ func (pc *poolConn) call(timeout time.Duration, reqType string, req any, wantRep
 
 	pc.wmu.Lock()
 	_ = pc.conn.SetWriteDeadline(time.Now().Add(Timeout(timeout)))
-	err := writeFrameCodec(pc.conn, pc.codec, id, reqType, req)
+	err := writeFrame(pc.conn, id, reqType, req)
 	_ = pc.conn.SetWriteDeadline(time.Time{})
 	pc.wmu.Unlock()
 	if err != nil {

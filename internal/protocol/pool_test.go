@@ -26,10 +26,13 @@ func (o *countingPoolObs) PoolIdleReap()          { o.reaps.Add(1) }
 
 // poolEchoServer answers PollReq with PollOK on every accepted
 // connection, echoing frame IDs so pipelined callers demultiplex the
-// replies. It counts accepted connections.
+// replies. It counts accepted connections and the frames it reads,
+// and how many of those arrived binary.
 type poolEchoServer struct {
-	l       net.Listener
-	accepts atomic.Int64
+	l         net.Listener
+	accepts   atomic.Int64
+	frames    atomic.Int64
+	binFrames atomic.Int64
 }
 
 func startPoolEcho(t *testing.T) *poolEchoServer {
@@ -55,6 +58,10 @@ func startPoolEcho(t *testing.T) *poolEchoServer {
 					if err != nil {
 						return
 					}
+					s.frames.Add(1)
+					if f.Codec() == CodecBinary {
+						s.binFrames.Add(1)
+					}
 					rc.SetID(f.ID)
 					if f.Type != TypePollReq {
 						_ = WriteError(rc, "unexpected "+f.Type)
@@ -79,6 +86,23 @@ func waitConns(t *testing.T, p *Pool, want int) {
 			t.Fatalf("pool still holds %d conns, want %d", p.OpenConns(), want)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestPoolFreshCallSendsOnlyTheRequest: the first call on a fresh pooled
+// connection puts exactly one frame on the wire — the caller's request,
+// already in the binary encoding its type has — with no handshake frame
+// ahead of it.
+func TestPoolFreshCallSendsOnlyTheRequest(t *testing.T) {
+	s := startPoolEcho(t)
+	p := &Pool{}
+	defer p.Close()
+	var reply PollOK
+	if err := p.Call(s.addr(), time.Second, TypePollReq, PollReq{}, TypePollOK, &reply); err != nil {
+		t.Fatal(err)
+	}
+	if frames, bin := s.frames.Load(), s.binFrames.Load(); frames != 1 || bin != 1 {
+		t.Fatalf("fresh call delivered %d frames (%d binary), want exactly 1 binary request", frames, bin)
 	}
 }
 

@@ -113,9 +113,9 @@ func IsRetryable(err error) bool {
 
 // overloadedPrefix tags a shed request on the wire. The typed
 // OVERLOADED refusal rides inside ErrorBody.Message rather than a new
-// field so the binary codec's hand-rolled ErrorBody layout — and every
-// already-deployed peer — stays byte-compatible: legacy callers simply
-// see a retryable remote error, upgraded callers can classify it.
+// field, so the hand-rolled binary ErrorBody layout stays two fields
+// and a caller that does not classify it still sees a retryable remote
+// error.
 const overloadedPrefix = "OVERLOADED: "
 
 // overloadedMark wraps a refusal caused by load shedding (admission
@@ -151,9 +151,8 @@ func IsOverloaded(err error) bool {
 // notOwnerPrefix tags a request that reached the wrong shard of a
 // sharded Central Server mesh. Like OVERLOADED, the classification
 // rides inside ErrorBody.Message — "NOT_OWNER <addr>: <cause>" — so the
-// binary codec's ErrorBody layout and legacy peers stay
-// byte-compatible. The embedded address is the owning shard, letting
-// upgraded clients refresh their shard map and redirect.
+// binary ErrorBody layout is unchanged. The embedded address is the
+// owning shard, letting clients refresh their shard map and redirect.
 const notOwnerPrefix = "NOT_OWNER "
 
 // notOwnerMark wraps a refusal from a non-owning shard, carrying the

@@ -10,16 +10,18 @@ import (
 // echoPeer answers every frame of type reqType with wantReply on the
 // far end of a pipe, until the pipe closes.
 func echoPeer(conn net.Conn, reqType, replyType string, body any) {
+	rc := NewReplyConn(conn)
 	for {
 		f, err := ReadFrame(conn)
 		if err != nil {
 			return
 		}
+		rc.SetID(f.ID)
 		if f.Type != reqType {
-			_ = WriteError(conn, "unexpected "+f.Type)
+			_ = WriteError(rc, "unexpected "+f.Type)
 			continue
 		}
-		_ = WriteFrame(conn, replyType, body)
+		_ = WriteFrame(rc, replyType, body)
 	}
 }
 
@@ -93,8 +95,10 @@ func TestCallErrorFrameIsRemoteError(t *testing.T) {
 	defer client.Close()
 	defer server.Close()
 	go func() {
-		_, _ = ReadFrame(server)
-		_ = WriteError(server, "no such job")
+		f, _ := ReadFrame(server)
+		rc := NewReplyConn(server)
+		rc.SetID(f.ID)
+		_ = WriteError(rc, "no such job")
 	}()
 
 	var reply PollOK

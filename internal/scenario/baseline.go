@@ -21,9 +21,7 @@ func canonMechanism(name string) string {
 
 // BaselineSet is the committed multi-report baseline file: one
 // ScenarioReport per (scenario, backend, mechanism) triple, keyed by
-// BaselineKey. It supersedes the single-report baseline format;
-// LoadBaselineSet still reads old files by wrapping them as a
-// one-entry set, so CI baselines migrate without a flag day.
+// BaselineKey.
 type BaselineSet struct {
 	Reports map[string]*ScenarioReport `json:"reports"`
 }
@@ -49,32 +47,19 @@ func (b *BaselineSet) Lookup(scenario, backend, mechanism string) *ScenarioRepor
 	return b.Reports[BaselineKey(scenario, backend, mechanism)]
 }
 
-// LoadBaselineSet reads a baseline file in either format: the keyed
-// {"reports": {...}} set, or a legacy single ScenarioReport (sniffed by
-// the absence of a "reports" key), which wraps into a one-entry set.
+// LoadBaselineSet reads a keyed {"reports": {...}} baseline file. A
+// file without a "reports" key is not a baseline set and is refused.
 func LoadBaselineSet(path string) (*BaselineSet, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: read baseline: %w", err)
 	}
-	var probe struct {
-		Reports map[string]json.RawMessage `json:"reports"`
-	}
-	if err := json.Unmarshal(blob, &probe); err != nil {
-		return nil, fmt.Errorf("scenario: parse baseline %s: %w", path, err)
-	}
-	if probe.Reports == nil {
-		var r ScenarioReport
-		if err := json.Unmarshal(blob, &r); err != nil {
-			return nil, fmt.Errorf("scenario: parse baseline %s: %w", path, err)
-		}
-		set := &BaselineSet{}
-		set.Put(&r)
-		return set, nil
-	}
 	var set BaselineSet
 	if err := json.Unmarshal(blob, &set); err != nil {
 		return nil, fmt.Errorf("scenario: parse baseline %s: %w", path, err)
+	}
+	if set.Reports == nil {
+		return nil, fmt.Errorf(`scenario: baseline %s has no "reports" key`, path)
 	}
 	return &set, nil
 }

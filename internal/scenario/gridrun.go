@@ -105,7 +105,6 @@ func RunGridWithHooks(s *Spec, hooks GridHooks) (*ScenarioReport, error) {
 		BreakerCooldown:  msOr(s.Grid.BreakerCooldownMs, 0),
 		HedgeQuantile:    s.Grid.HedgeQuantile,
 		PoolSize:         s.Grid.PoolSize,
-		WireCodec:        s.Grid.WireCodec,
 		Mechanism:        s.Mechanism,
 		Shards:           s.Topology.Shards,
 		GossipInterval:   msOr(s.Grid.GossipIntervalMs, 0),

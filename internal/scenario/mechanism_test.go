@@ -80,29 +80,15 @@ func TestCompareRejectsMechanismMismatch(t *testing.T) {
 	}
 }
 
-func TestBaselineSetRoundTripAndLegacyUpgrade(t *testing.T) {
+func TestBaselineSetRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "base.json")
 
-	// Legacy single-report files load as a one-entry set keyed with the
-	// implied first-price tag.
-	legacy := &ScenarioReport{Scenario: "soak", Backend: "grid", Revenue: 42}
-	if err := legacy.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	set, err := LoadBaselineSet(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := set.Lookup("soak", "grid", "first-price")
-	if got == nil || got.Revenue != 42 {
-		t.Fatalf("legacy upgrade lost the report: %+v", got)
-	}
+	set := &BaselineSet{}
+	set.Put(&ScenarioReport{Scenario: "soak", Backend: "grid", Revenue: 42})
 	if set.Lookup("soak", "grid", "vickrey") != nil {
 		t.Fatal("lookup must miss for an unpinned mechanism")
 	}
-
-	// Adding a second entry and re-reading keeps both.
 	set.Put(&ScenarioReport{Scenario: "soak", Backend: "gridsim", Mechanism: "vickrey", Revenue: 7})
 	if err := set.WriteJSON(path); err != nil {
 		t.Fatal(err)
@@ -111,9 +97,19 @@ func TestBaselineSetRoundTripAndLegacyUpgrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if set2.Lookup("soak", "grid", "").Revenue != 42 ||
+	// An untagged report is keyed with the implied first-price tag.
+	if set2.Lookup("soak", "grid", "first-price").Revenue != 42 ||
 		set2.Lookup("soak", "gridsim", "vickrey").Revenue != 7 {
 		t.Fatalf("round trip lost entries: %+v", set2.Reports)
+	}
+
+	// A bare ScenarioReport is not a baseline set: the error names the file.
+	bare := filepath.Join(dir, "report.json")
+	if err := (&ScenarioReport{Scenario: "soak", Backend: "grid"}).WriteJSON(bare); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadBaselineSet(bare); err == nil || !strings.Contains(err.Error(), bare) {
+		t.Fatalf("file without a reports key: err=%v, want an error naming %s", err, bare)
 	}
 }
 

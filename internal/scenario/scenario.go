@@ -219,16 +219,15 @@ func (m JobMix) shape() workload.Spec {
 type GridTuning struct {
 	// TimeScale is virtual seconds per wall second (default 1000: one
 	// wall millisecond per virtual second, the grid harness default).
-	TimeScale        float64 `json:"timescale,omitempty"`
-	RPCTimeoutMs     float64 `json:"rpc_timeout_ms,omitempty"`
-	BidTimeoutMs     float64 `json:"bid_timeout_ms,omitempty"`
-	SettleRetryMs    float64 `json:"settle_retry_ms,omitempty"`
-	MaxInflight      int     `json:"max_inflight,omitempty"`
-	BreakerThreshold float64 `json:"breaker_threshold,omitempty"`
+	TimeScale         float64 `json:"timescale,omitempty"`
+	RPCTimeoutMs      float64 `json:"rpc_timeout_ms,omitempty"`
+	BidTimeoutMs      float64 `json:"bid_timeout_ms,omitempty"`
+	SettleRetryMs     float64 `json:"settle_retry_ms,omitempty"`
+	MaxInflight       int     `json:"max_inflight,omitempty"`
+	BreakerThreshold  float64 `json:"breaker_threshold,omitempty"`
 	BreakerCooldownMs float64 `json:"breaker_cooldown_ms,omitempty"`
-	HedgeQuantile    float64 `json:"hedge_quantile,omitempty"`
-	PoolSize         int     `json:"pool_size,omitempty"`
-	WireCodec        string  `json:"wire_codec,omitempty"`
+	HedgeQuantile     float64 `json:"hedge_quantile,omitempty"`
+	PoolSize          int     `json:"pool_size,omitempty"`
 	// GossipIntervalMs is the shard digest push cadence (with
 	// Topology.Shards > 1; 0 = central.DefaultGossipInterval).
 	GossipIntervalMs float64 `json:"gossip_interval_ms,omitempty"`
@@ -250,13 +249,13 @@ type SLO struct {
 
 // Spec validation errors.
 var (
-	ErrNoTraffic    = errors.New("scenario: no traffic processes")
-	ErrNoTopology   = errors.New("scenario: topology has neither servers nor a count")
-	ErrBadDuration  = errors.New("scenario: duration must be positive")
-	ErrBadProcess   = errors.New("scenario: bad traffic process")
-	ErrUnknownKind  = errors.New("scenario: unknown traffic kind")
-	ErrBadTopology  = errors.New("scenario: bad topology")
-	ErrUnknownName  = errors.New("scenario: unknown strategy name")
+	ErrNoTraffic   = errors.New("scenario: no traffic processes")
+	ErrNoTopology  = errors.New("scenario: topology has neither servers nor a count")
+	ErrBadDuration = errors.New("scenario: duration must be positive")
+	ErrBadProcess  = errors.New("scenario: bad traffic process")
+	ErrUnknownKind = errors.New("scenario: unknown traffic kind")
+	ErrBadTopology = errors.New("scenario: bad topology")
+	ErrUnknownName = errors.New("scenario: unknown strategy name")
 )
 
 // Validate checks the whole spec: duration, topology, job mix, and

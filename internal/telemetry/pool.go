@@ -1,17 +1,13 @@
 package telemetry
 
-import "strconv"
-
 // PoolMetrics turns RPC connection-pool lifecycle events into gauges
-// and counters. It implements protocol.PoolObserver (and its
-// protocol.CodecObserver extension), so a component hands it to its
-// protocol.Pool:
+// and counters. It implements protocol.PoolObserver, so a component
+// hands it to its protocol.Pool:
 //
 //	faucets_rpc_pool_open_conns{component="daemon"}
 //	faucets_rpc_pool_checkouts_total{component="daemon"}
 //	faucets_rpc_pool_redials_total{component="daemon"}
 //	faucets_rpc_pool_idle_reaps_total{component="daemon"}
-//	faucets_rpc_codec_negotiated_total{component="daemon",version="1"}
 //
 // Nil-safe like RPCMetrics, so un-instrumented components pass nil.
 type PoolMetrics struct {
@@ -19,37 +15,18 @@ type PoolMetrics struct {
 	checkouts *Counter
 	redials   *Counter
 	reaps     *Counter
-	// codecs[v] counts connections whose negotiation agreed on codec
-	// version v; pre-registered per version so the hot path is one
-	// atomic increment.
-	codecs []*Counter
 }
 
 // NewPoolMetrics registers pool instrumentation for one component in
 // reg.
 func NewPoolMetrics(reg *Registry, component string) *PoolMetrics {
 	l := L("component", component)
-	m := &PoolMetrics{
+	return &PoolMetrics{
 		open:      reg.Gauge("faucets_rpc_pool_open_conns", "Persistent RPC connections currently open in the pool.", l),
 		checkouts: reg.Counter("faucets_rpc_pool_checkouts_total", "Pooled connections handed to RPC calls.", l),
 		redials:   reg.Counter("faucets_rpc_pool_redials_total", "Fresh dials forced by broken pooled connections.", l),
 		reaps:     reg.Counter("faucets_rpc_pool_idle_reaps_total", "Pooled connections closed by the idle reaper.", l),
 	}
-	const maxCodec = 1 // keep in sync with protocol.MaxCodecVersion
-	for v := 0; v <= maxCodec; v++ {
-		m.codecs = append(m.codecs, reg.Counter("faucets_rpc_codec_negotiated_total",
-			"Pooled connections by the wire codec version their negotiation agreed on (0 = JSON, 1 = binary).",
-			l, L("version", strconv.Itoa(v))))
-	}
-	return m
-}
-
-// CodecNegotiated implements protocol.CodecObserver.
-func (m *PoolMetrics) CodecNegotiated(version int) {
-	if m == nil || version < 0 || version >= len(m.codecs) {
-		return
-	}
-	m.codecs[version].Inc()
 }
 
 // PoolConnOpen implements protocol.PoolObserver.

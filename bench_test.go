@@ -569,7 +569,7 @@ func BenchmarkAuctionFanout(b *testing.B) {
 	ports := benchFanoutPorts(b)
 	c := &qos.Contract{App: "synth", MinPE: 2, MaxPE: 16, Work: 100}
 	opts := market.SolicitOpts{Concurrency: 16, Timeout: 2 * time.Millisecond}
-	market.SolicitSerial(0, ports, c, market.LeastCost{}) // warm the connection pool
+	market.SolicitWith(0, ports, c, market.LeastCost{}, market.SolicitOpts{Concurrency: 1}) // warm the connection pool
 	// One probe round outside the timer: the slow bidder must forfeit and
 	// a quorum must remain. (Inside the timed loop the counts depend on
 	// runner load, so asserting them there makes the benchmark flaky —
@@ -597,10 +597,11 @@ func BenchmarkAuctionFanout(b *testing.B) {
 func BenchmarkAuctionFanoutSerial(b *testing.B) {
 	ports := benchFanoutPorts(b)
 	c := &qos.Contract{App: "synth", MinPE: 2, MaxPE: 16, Work: 100}
-	market.SolicitSerial(0, ports, c, market.LeastCost{}) // warm the connection pool
+	serial := market.SolicitOpts{Concurrency: 1}
+	market.SolicitWith(0, ports, c, market.LeastCost{}, serial) // warm the connection pool
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if bids := market.SolicitSerial(0, ports, c, market.LeastCost{}); len(bids) != 13 {
+		if bids := market.SolicitWith(0, ports, c, market.LeastCost{}, serial); len(bids) != 13 {
 			b.Fatalf("bids=%d, want 13 (serial waits the slow bidder out)", len(bids))
 		}
 	}
@@ -697,14 +698,14 @@ func startBenchShardMesh(b *testing.B, n int) (*shard.Ring, map[string]*central.
 	return ring, byAddr
 }
 
-// BenchmarkShardedAuctionThroughput is the tentpole scaling number: the
-// per-auction control-plane cost (directory read + durable settlement)
+// BenchmarkShardedSettleThroughput is the sharding scaling number: one
+// durable settlement per op, called in-process (no auction, no wire),
 // against a 1-, 2-, and 4-shard Central Server mesh, with users spread
 // across the ring and every request routed to its owning shard. Each
 // shard serializes its settlements behind its own lock and WAL, so
 // throughput should scale ~linearly with shard count — CI enforces
 // ≥2.5x at 4 shards via benchgate -scale.
-func BenchmarkShardedAuctionThroughput(b *testing.B) {
+func BenchmarkShardedSettleThroughput(b *testing.B) {
 	for _, n := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards_%d", n), func(b *testing.B) {
 			ring, byAddr := startBenchShardMesh(b, n)
@@ -745,7 +746,7 @@ func BenchmarkShardedAuctionThroughput(b *testing.B) {
 				}
 			})
 			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "auctions/s")
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "settles/s")
 		})
 	}
 }

@@ -281,7 +281,10 @@ func (s *Server) Serve(l net.Listener) {
 			log.Printf("appspector: accept: %v", err)
 			return
 		}
-		s.track(conn, true)
+		if !s.track(conn, true) {
+			conn.Close()
+			return
+		}
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
@@ -292,15 +295,22 @@ func (s *Server) Serve(l net.Listener) {
 	}
 }
 
-// track adds or removes a live connection.
-func (s *Server) track(conn net.Conn, add bool) {
+// track adds or removes a live connection. Adding fails once Close has
+// begun, for the reason central.Server.track gives.
+func (s *Server) track(conn net.Conn, add bool) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if add {
-		s.conns[conn] = struct{}{}
-	} else {
+	if !add {
 		delete(s.conns, conn)
+		return true
 	}
+	select {
+	case <-s.closed:
+		return false
+	default:
+	}
+	s.conns[conn] = struct{}{}
+	return true
 }
 
 // Close stops the server, severing live connections (watchers included),

@@ -2,6 +2,7 @@ package appspector
 
 import (
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -233,5 +234,38 @@ func TestNetworkRegisterAndTelemetry(t *testing.T) {
 			t.Fatalf("telemetry never ingested: %v %v %v", hist, done, err)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// lateListener hands out one connection as though it had been accepted
+// while Close was already severing the rest, then reports itself closed.
+type lateListener struct{ conn net.Conn }
+
+func (l *lateListener) Accept() (net.Conn, error) {
+	if c := l.conn; c != nil {
+		l.conn = nil
+		return c, nil
+	}
+	return nil, net.ErrClosed
+}
+func (l *lateListener) Close() error   { return nil }
+func (l *lateListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// TestTrackRefusesAfterClose: a connection accepted after Close has
+// begun must be refused and closed by the accept loop, never handed to
+// a handler that Close would then wait on for as long as the peer kept
+// the connection busy.
+func TestTrackRefusesAfterClose(t *testing.T) {
+	s := NewServer(nil)
+	s.Close()
+	ours, theirs := net.Pipe()
+	defer theirs.Close()
+	if s.track(ours, true) {
+		t.Fatal("track accepted a connection after Close")
+	}
+	s.Serve(&lateListener{conn: ours})
+	_ = theirs.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := theirs.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("late connection not closed by the accept loop: read err = %v, want EOF", err)
 	}
 }

@@ -138,7 +138,7 @@ func (c *Client) fanout() *telemetry.Histogram {
 	c.fanoutOnce.Do(func() {
 		if c.Metrics != nil {
 			c.fanoutHist = c.Metrics.Histogram("faucets_auction_fanout_seconds",
-				"Latency of one request-for-bids broadcast (market.Solicit).", nil)
+				"Latency of one request-for-bids broadcast (the mechanism's solicit round in Place).", nil)
 		}
 	})
 	return c.fanoutHist
@@ -156,9 +156,9 @@ func (c *Client) breakerSkips() *telemetry.Counter {
 	return c.skipCount
 }
 
-// solicitOpts assembles the fan-out options Place and PlaceBatch share:
-// concurrency, per-bid deadline, hedging, and the breaker gate. The gate
-// reads Healthy — a non-claiming check — rather than Allow, so gating a
+// solicitOpts assembles the fan-out options for Place: concurrency,
+// per-bid deadline, hedging, and the breaker gate. The gate reads
+// Healthy — a non-claiming check — rather than Allow, so gating a
 // fan-out never consumes the half-open probe slot the pool's own Allow
 // claims when a call is actually issued.
 func (c *Client) solicitOpts() market.SolicitOpts {
@@ -394,28 +394,6 @@ func (p *fdPort) RequestBid(_ float64, contract *qos.Contract) (bidding.Bid, boo
 	return b, true
 }
 
-// RequestBidBatch solicits bids for a whole slate of contracts in one
-// frame (market.BatchPort). A transport failure, or a daemon answering
-// the wrong number of slots, forfeits the slate for this server — the
-// daemon itself answers per-slot declines inline.
-func (p *fdPort) RequestBidBatch(_ float64, cs []*qos.Contract) []market.BatchBid {
-	var reply protocol.BidBatchOK
-	err := p.c.rpcPool().Call(p.info.Addr, p.c.RPCTimeout, protocol.TypeBidBatchReq,
-		protocol.BidBatchReq{User: p.c.User, Token: p.c.token(), Contracts: cs},
-		protocol.TypeBidBatchOK, &reply)
-	if err != nil || len(reply.Bids) != len(cs) {
-		return nil
-	}
-	out := make([]market.BatchBid, len(cs))
-	for i, item := range reply.Bids {
-		b := item.Bid
-		// Expiry is daemon-local; neutralize it for client-side comparison.
-		b.ExpiresAt = 0
-		out[i] = market.BatchBid{Bid: b, OK: item.OK}
-	}
-	return out
-}
-
 // Post implements market.PostPort: the daemon's commodity post is
 // derived entirely from its directory listing — static spec plus the
 // UsedPE weather the Central Server publishes from its liveness polls —
@@ -506,9 +484,9 @@ func (c *Client) Place(contract *qos.Contract, crit market.Criterion) (*Placemen
 	}
 	jobID := NewJobID()
 	c.Tracer.Record(jobID, telemetry.SpanSubmit, fmt.Sprintf("%s by %s: %.0f work for %d servers", contract.App, c.User, contract.Work, len(servers)))
-	// Solicit and commit separately (rather than market.AwardWith) so the
-	// winning bid is traced before the commit round records the contract
-	// span on the daemon — keeping the chain in causal order.
+	// The winning bid is traced between solicit and commit, before the
+	// commit round records the contract span on the daemon — keeping the
+	// chain in causal order.
 	solStart := time.Now()
 	bids := mech.Solicit(0, ports, contract, crit, c.solicitOpts())
 	if h := c.fanout(); h != nil {
@@ -528,119 +506,6 @@ func (c *Client) Place(contract *qos.Contract, crit market.Criterion) (*Placemen
 		Contract: contract,
 		Attempts: res.Attempts,
 	}, nil
-}
-
-// BatchPlacement is one contract's outcome in a PlaceBatch slate:
-// either a Placement or the error that contract hit. Contracts fail
-// independently — one unplaceable job does not abort its batchmates.
-type BatchPlacement struct {
-	Placement *Placement
-	Err       error
-}
-
-// PlaceBatch runs the §5 selection for a slate of contracts with one
-// request-for-bids fan-out: each daemon is asked to bid on the whole
-// slate in a single bid_batch_req frame, then each contract's ranked
-// bids go through the usual two-phase commit in slate order. The
-// directory is read once unfiltered, so static pre-screening is left to
-// each daemon's own decline logic. It returns one BatchPlacement per
-// contract, in input order; the error return is reserved for slate-wide
-// failures (listing the directory).
-func (c *Client) PlaceBatch(contracts []*qos.Contract, crit market.Criterion) ([]BatchPlacement, error) {
-	if len(contracts) == 0 {
-		return nil, nil
-	}
-	if crit == nil {
-		crit = market.LeastCost{}
-	}
-	out := make([]BatchPlacement, len(contracts))
-	valid := make([]*qos.Contract, 0, len(contracts))
-	idx := make([]int, 0, len(contracts))
-	for i, ct := range contracts {
-		if err := ct.Validate(); err != nil {
-			out[i].Err = err
-			continue
-		}
-		valid = append(valid, ct)
-		idx = append(idx, i)
-	}
-	if len(valid) == 0 {
-		return out, nil
-	}
-	servers, err := c.ListServers(nil)
-	if err != nil {
-		return nil, err
-	}
-	if len(servers) == 0 {
-		for _, i := range idx {
-			out[i].Err = ErrNoServers
-		}
-		return out, nil
-	}
-	ports := make([]market.ServerPort, len(servers))
-	byName := make(map[string]protocol.ServerInfo, len(servers))
-	for i, info := range servers {
-		ports[i] = &fdPort{c: c, info: info}
-		byName[info.Spec.Name] = info
-	}
-	// Resolve each contract's mechanism up front: auction-style contracts
-	// share one batched fan-out; posted-price contracts never leave the
-	// client (their offers are read from the directory listing), so they
-	// are excluded from the wire batch entirely.
-	mechs := make([]market.Mechanism, len(valid))
-	auction := make([]*qos.Contract, 0, len(valid))
-	aIdx := make([]int, 0, len(valid))
-	for k, ct := range valid {
-		m, err := c.mechanismFor(ct)
-		if err != nil {
-			out[idx[k]].Err = err
-			continue
-		}
-		mechs[k] = m
-		if _, posted := m.(market.PostedPrice); !posted {
-			auction = append(auction, ct)
-			aIdx = append(aIdx, k)
-		}
-	}
-	solStart := time.Now()
-	ranked := make([][]bidding.Bid, len(valid))
-	if len(auction) > 0 {
-		for j, bids := range market.SolicitBatch(0, ports, auction, crit, c.solicitOpts()) {
-			ranked[aIdx[j]] = bids
-		}
-	}
-	for k, m := range mechs {
-		if _, posted := m.(market.PostedPrice); posted {
-			ranked[k] = m.Solicit(0, ports, valid[k], crit, c.solicitOpts())
-		}
-	}
-	if h := c.fanout(); h != nil {
-		h.Observe(time.Since(solStart).Seconds())
-	}
-	for k, bids := range ranked {
-		if mechs[k] == nil {
-			continue // mechanism resolution failed; error already set
-		}
-		i := idx[k]
-		jobID := NewJobID()
-		c.Tracer.Record(jobID, telemetry.SpanSubmit, fmt.Sprintf("%s by %s: %.0f work for %d servers (batch %d/%d)", valid[k].App, c.User, valid[k].Work, len(servers), k+1, len(valid)))
-		if len(bids) > 0 {
-			c.Tracer.Record(jobID, telemetry.SpanBid, fmt.Sprintf("best of %d bids: %s at price %.2f", len(bids), bids[0].Server, bids[0].Price))
-		}
-		res, err := market.CommitPriced(0, ports, bids, jobID, false, mechs[k])
-		if err != nil {
-			out[i].Err = fmt.Errorf("client: award: %w", err)
-			continue
-		}
-		out[i].Placement = &Placement{
-			JobID:    jobID,
-			Server:   byName[res.Bid.Server],
-			Bid:      res.Bid,
-			Contract: valid[k],
-			Attempts: res.Attempts,
-		}
-	}
-	return out, nil
 }
 
 // Upload stages one input file to the awarded daemon in chunks with an

@@ -95,7 +95,7 @@ func TestParallelSolicitMatchesSerialUnderChaos(t *testing.T) {
 	crit := market.LeastCost{}
 
 	// Reference: the serial walk over the responsive servers only.
-	want := market.SolicitSerial(0, ports, contract, crit)
+	want := market.SolicitWith(0, ports, contract, crit, market.SolicitOpts{Concurrency: 1})
 	if len(want) != fast {
 		t.Fatalf("serial walk got %d bids, want %d", len(want), fast)
 	}

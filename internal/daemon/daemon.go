@@ -363,15 +363,22 @@ func (d *Daemon) registerLoop() {
 	}
 }
 
-// track adds or removes a live connection.
-func (d *Daemon) track(conn net.Conn, add bool) {
+// track adds or removes a live connection. Adding fails once Close has
+// begun, for the reason central.Server.track gives.
+func (d *Daemon) track(conn net.Conn, add bool) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if add {
-		d.conns[conn] = struct{}{}
-	} else {
+	if !add {
 		delete(d.conns, conn)
+		return true
 	}
+	select {
+	case <-d.closed:
+		return false
+	default:
+	}
+	d.conns[conn] = struct{}{}
+	return true
 }
 
 // Close stops the daemon, severing live connections, and waits for its
@@ -792,7 +799,10 @@ func (d *Daemon) serve(l net.Listener) {
 			continue
 		}
 		backoff = 0
-		d.track(conn, true)
+		if !d.track(conn, true) {
+			conn.Close()
+			return
+		}
 		d.wg.Add(1)
 		go func() {
 			defer d.wg.Done()
@@ -855,33 +865,6 @@ func (d *Daemon) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 		}
 		d.met.bids.Inc()
 		return protocol.WriteFrame(conn, protocol.TypeBidOK, protocol.BidOK{Bid: b})
-
-	case protocol.TypeBidBatchReq:
-		var req protocol.BidBatchReq
-		if err := protocol.Decode(f, f.Type, &req); err != nil {
-			return err
-		}
-		if err := d.verify(req.User, req.Token); err != nil {
-			return err
-		}
-		// One verification covers the whole batch; per-contract failures
-		// decline that slot rather than fail the frame, so one malformed
-		// contract cannot sink its siblings.
-		reply := protocol.BidBatchOK{Bids: make([]protocol.BidBatchItem, len(req.Contracts))}
-		for i, c := range req.Contracts {
-			if c == nil || c.Validate() != nil {
-				d.met.bidsDeclined.Inc()
-				continue
-			}
-			b, ok := d.makeBid(c)
-			if !ok {
-				d.met.bidsDeclined.Inc()
-				continue
-			}
-			d.met.bids.Inc()
-			reply.Bids[i] = protocol.BidBatchItem{OK: true, Bid: b}
-		}
-		return protocol.WriteFrame(conn, protocol.TypeBidBatchOK, reply)
 
 	case protocol.TypeCommitReq:
 		var req protocol.CommitReq

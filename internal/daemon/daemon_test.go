@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -359,5 +360,38 @@ func TestJobsRunUnderTemporaryUserIDs(t *testing.T) {
 	}
 	if !strings.HasPrefix(u1, "fauc-tmp-") {
 		t.Fatalf("temp user format: %q", u1)
+	}
+}
+
+// lateListener hands out one connection as though it had been accepted
+// while Close was already severing the rest, then reports itself closed.
+type lateListener struct{ conn net.Conn }
+
+func (l *lateListener) Accept() (net.Conn, error) {
+	if c := l.conn; c != nil {
+		l.conn = nil
+		return c, nil
+	}
+	return nil, net.ErrClosed
+}
+func (l *lateListener) Close() error   { return nil }
+func (l *lateListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// TestTrackRefusesAfterClose: a connection accepted after Close has
+// begun must be refused and closed by the accept loop, never handed to
+// a handler that Close would then wait on for as long as the peer kept
+// the connection busy.
+func TestTrackRefusesAfterClose(t *testing.T) {
+	d, _ := startDaemon(t, Config{})
+	d.Close()
+	ours, theirs := net.Pipe()
+	defer theirs.Close()
+	if d.track(ours, true) {
+		t.Fatal("track accepted a connection after Close")
+	}
+	d.serve(&lateListener{conn: ours})
+	_ = theirs.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if _, err := theirs.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("late connection not closed by the accept loop: read err = %v, want EOF", err)
 	}
 }

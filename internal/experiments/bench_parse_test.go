@@ -83,11 +83,11 @@ func TestCompareBenchGate(t *testing.T) {
 
 func TestCheckScalingGate(t *testing.T) {
 	rep := &BenchReport{Results: map[string]BenchResult{
-		"BenchmarkShardedAuctionThroughput/shards_1": {NsPerOp: 500000},
-		"BenchmarkShardedAuctionThroughput/shards_4": {NsPerOp: 160000},
+		"BenchmarkShardedSettleThroughput/shards_1": {NsPerOp: 500000},
+		"BenchmarkShardedSettleThroughput/shards_4": {NsPerOp: 160000},
 		"BenchmarkBroken": {NsPerOp: 0},
 	}}
-	fast, slow := "BenchmarkShardedAuctionThroughput/shards_4", "BenchmarkShardedAuctionThroughput/shards_1"
+	fast, slow := "BenchmarkShardedSettleThroughput/shards_4", "BenchmarkShardedSettleThroughput/shards_1"
 	if err := CheckScaling(rep, fast, slow, 2.5); err != nil {
 		t.Fatalf("3.1x rejected by a 2.5x floor: %v", err)
 	}

@@ -97,13 +97,15 @@ func TestHungDaemonsDoNotStallTheFleet(t *testing.T) {
 // TestStrayHandshakeFrameGetsErrorReply: connections carry no handshake,
 // so a peer that opens with one sends a frame type no handler knows.
 // Every server loop must answer it with an error frame, promptly, and
-// leave the connection usable.
+// leave the connection usable. The same goes for a frame type that once
+// existed: the daemon no longer knows the removed slate solicit.
 func TestStrayHandshakeFrameGetsErrorReply(t *testing.T) {
 	g := threeClusterGrid(t, Options{})
-	for _, tc := range []struct{ component, addr string }{
-		{"central", g.CentralAddr},
-		{"daemon", g.daemonAddrs[0]},
-		{"appspector", g.AppSpectorAddr},
+	for _, tc := range []struct{ component, addr, typ string }{
+		{"central", g.CentralAddr, "hello"},
+		{"daemon", g.daemonAddrs[0], "hello"},
+		{"appspector", g.AppSpectorAddr, "hello"},
+		{"daemon-removed-type", g.daemonAddrs[0], "bid_batch_req"},
 	} {
 		t.Run(tc.component, func(t *testing.T) {
 			conn, err := protocol.Dial(tc.addr, time.Second)
@@ -112,7 +114,7 @@ func TestStrayHandshakeFrameGetsErrorReply(t *testing.T) {
 			}
 			defer conn.Close()
 			for i := 0; i < 2; i++ { // twice: the refusal must not close or wedge the conn
-				err = protocol.CallTimeout(conn, time.Second, "hello", nil, "hello_ok", nil)
+				err = protocol.CallTimeout(conn, time.Second, tc.typ, nil, tc.typ+"_ok", nil)
 				var remote *protocol.RemoteError
 				if !errors.As(err, &remote) {
 					t.Fatalf("attempt %d: err = %v, want an error frame (RemoteError)", i, err)

@@ -6,7 +6,8 @@
 // commit the paper identifies as necessary for larger grids ("a two
 // phase protocol will be needed to get a firm commitment from the
 // selected Compute Server, which may have received a more lucrative job
-// in between", §5.3).
+// in between", §5.3). There is one of each: SolicitWith ranks the
+// bids, CommitPriced gets the commitment at the Mechanism's price.
 package market
 
 import (
@@ -15,7 +16,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"faucets/internal/bidding"
@@ -101,8 +101,8 @@ var (
 // SolicitOpts tunes the request-for-bids fan-out.
 type SolicitOpts struct {
 	// Concurrency bounds the number of in-flight RequestBid calls.
-	// <= 0 selects the default, min(16, len(servers)); 1 degenerates to
-	// the serial walk.
+	// <= 0 selects the default, min(16, len(servers)); 1 with no Timeout
+	// and no hedging is the serial walk on the caller's goroutine.
 	Concurrency int
 	// Timeout bounds each individual RequestBid. A server that has not
 	// answered within the deadline forfeits its bid for this auction —
@@ -146,282 +146,145 @@ func rankBids(bids []bidding.Bid, crit Criterion) {
 	})
 }
 
-// Solicit broadcasts a request-for-bids to the given servers and returns
-// all offers, stably sorted best-first under the criterion (server name
-// breaks criterion ties). The number of servers contacted equals
-// len(servers) — the caller (or the Faucets Central Server's filters,
-// §5.1) is responsible for pre-screening. Requests fan out concurrently
-// under SolicitOpts defaults; ports must therefore be safe for
-// concurrent RequestBid calls (wire ports are; single-threaded
-// simulation entities should use SolicitSerial).
-func Solicit(now float64, servers []ServerPort, c *qos.Contract, crit Criterion) []bidding.Bid {
-	return SolicitWith(now, servers, c, crit, SolicitOpts{})
-}
-
-// SolicitSerial is the sequential request-for-bids walk: one server at a
-// time, no per-bid deadline. It exists for callers whose ports are not
-// safe for concurrent use (the simulation drives entities from a single
-// goroutine) and as the reference implementation the parallel path must
-// match bid-for-bid.
-func SolicitSerial(now float64, servers []ServerPort, c *qos.Contract, crit Criterion) []bidding.Bid {
-	bids := make([]bidding.Bid, 0, len(servers))
-	for _, s := range servers {
-		if b, ok := s.RequestBid(now, c); ok {
-			bids = append(bids, b)
-		}
-	}
-	rankBids(bids, crit)
-	return bids
-}
-
-// SolicitWith is Solicit with explicit fan-out options. Bids are
-// collected into per-server slots so the pre-sort order equals the input
-// server order regardless of reply timing; with the name tie-break in
-// the ranking, awards are deterministic for seeded workloads.
+// SolicitWith broadcasts a request-for-bids to the given servers (less
+// any the gate skips; pre-screening is the caller's or the Central
+// Server's filters', §5.1) and returns all offers, stably sorted
+// best-first under the criterion. Bids land in per-server slots and
+// server name breaks criterion ties, so the ranking is independent of
+// reply timing and awards are deterministic for seeded workloads.
+//
+// Requests fan out concurrently, so ports must be safe for concurrent
+// RequestBid calls (wire ports are). The exception is Concurrency 1 with
+// no per-bid deadline and no hedging: that walk runs inline on the
+// caller's goroutine, one server at a time — the only legal path for
+// single-threaded simulation entities, and the reference every
+// concurrent configuration must match bid-for-bid.
 func SolicitWith(now float64, servers []ServerPort, c *qos.Contract, crit Criterion, opts SolicitOpts) []bidding.Bid {
 	n := len(servers)
 	if n == 0 {
 		return nil
 	}
-	conc := opts.Concurrency
+	hedge := opts.HedgeQuantile > 0 && opts.HedgeQuantile < 1
+	conc := min(opts.Concurrency, n)
 	if conc <= 0 {
-		conc = DefaultFanout
-	}
-	if conc > n {
-		conc = n
-	}
-	if conc == 1 && opts.Timeout <= 0 && opts.Gate == nil && !hedging(opts) {
-		return SolicitSerial(now, servers, c, crit)
-	}
-	if hedging(opts) {
-		return solicitHedged(now, servers, c, crit, opts, conc)
-	}
-	slots := make([]bidding.Bid, n)
-	got := make([]bool, n)
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				if opts.Gate != nil && !opts.Gate(servers[i]) {
-					continue // breaker OPEN: instant forfeit
-				}
-				if b, ok := requestBidTimeout(now, servers[i], c, opts.Timeout); ok {
-					slots[i], got[i] = b, true
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	bids := make([]bidding.Bid, 0, n)
-	for i, ok := range got {
-		if ok {
-			bids = append(bids, slots[i])
-		}
-	}
-	rankBids(bids, crit)
-	return bids
-}
-
-func hedging(opts SolicitOpts) bool {
-	return opts.HedgeQuantile > 0 && opts.HedgeQuantile < 1
-}
-
-// solicitHedged is SolicitWith's tail-latency variant. All gated-in
-// servers are solicited concurrently (bounded by conc); once the
-// HedgeQuantile fraction of them has resolved, the quantile latency for
-// this auction is known — everything still outstanding is already
-// slower than that, so each outstanding request is re-issued once to
-// the same server. Whichever attempt answers first fills the server's
-// slot; the loser drains into the buffered channel and is discarded, so
-// a server can never hold two slots and commits stay duplicate-safe.
-// The ranked result for a given bid set is byte-identical to
-// SolicitSerial's — hedging changes when bids arrive, never how they
-// rank.
-func solicitHedged(now float64, servers []ServerPort, c *qos.Contract, crit Criterion, opts SolicitOpts, conc int) []bidding.Bid {
-	n := len(servers)
-	type result struct {
-		i  int
-		b  bidding.Bid
-		ok bool
-	}
-	// Buffered for every attempt ever launched (≤ n originals + n
-	// hedges): abandoned attempts park their result here instead of
-	// leaking a goroutine.
-	resCh := make(chan result, 2*n)
-	sem := make(chan struct{}, conc)
-	launch := func(i int) {
-		go func() {
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			b, ok := requestBidTimeout(now, servers[i], c, opts.Timeout)
-			resCh <- result{i, b, ok}
-		}()
-	}
-
-	slots := make([]bidding.Bid, n)
-	got := make([]bool, n)
-	resolved := make([]bool, n)
-	inflight := make([]int8, n)
-	pending := 0
-	for i := range servers {
-		if opts.Gate != nil && !opts.Gate(servers[i]) {
-			resolved[i] = true // instant forfeit
-			continue
-		}
-		inflight[i] = 1
-		pending++
-		launch(i)
-	}
-	trigger := int(math.Ceil(opts.HedgeQuantile * float64(pending)))
-	if trigger < 1 {
-		trigger = 1
-	}
-	hedged := false
-	done := 0
-	for pending > 0 {
-		r := <-resCh
-		inflight[r.i]--
-		if !resolved[r.i] {
-			if r.ok || inflight[r.i] == 0 {
-				// First positive answer wins the slot; a decline only
-				// resolves it once no sibling attempt remains.
-				resolved[r.i] = true
-				slots[r.i], got[r.i] = r.b, r.ok
-				pending--
-				done++
-			}
-		}
-		if !hedged && done >= trigger && pending > 0 {
-			// The quantile has answered: the rest are the slow tail.
-			hedged = true
-			for i := range servers {
-				if !resolved[i] && inflight[i] > 0 {
-					inflight[i]++
-					launch(i)
-				}
-			}
-		}
+		conc = min(DefaultFanout, n)
 	}
 	bids := make([]bidding.Bid, 0, n)
-	for i, ok := range got {
-		if ok {
-			bids = append(bids, slots[i])
-		}
-	}
-	rankBids(bids, crit)
-	return bids
-}
-
-// BatchBid is one slot of a batched request-for-bids reply: the bid for
-// the contract at the same index of the solicited slate, or a per-slot
-// decline (OK false).
-type BatchBid struct {
-	Bid bidding.Bid
-	OK  bool
-}
-
-// BatchPort is a ServerPort that can answer a whole slate of contracts
-// in one exchange — on the wire, one bid_batch_req frame instead of N
-// bid_req round trips. RequestBidBatch returns one slot per contract in
-// input order, or nil when the server declines the whole slate (e.g.
-// transport failure).
-type BatchPort interface {
-	ServerPort
-	RequestBidBatch(now float64, cs []*qos.Contract) []BatchBid
-}
-
-// SolicitBatch broadcasts a slate of contracts to the given servers in
-// one fan-out and returns, for each contract (by input order), its bids
-// ranked best-first under the criterion — exactly the ranking Solicit
-// would produce for that contract alone. Ports implementing BatchPort
-// are asked once for the whole slate; plain ServerPorts are walked
-// contract-by-contract, so a slate can mix batch-capable and legacy
-// servers and still rank consistently.
-func SolicitBatch(now float64, servers []ServerPort, cs []*qos.Contract, crit Criterion, opts SolicitOpts) [][]bidding.Bid {
-	m := len(cs)
-	if m == 0 {
-		return nil
-	}
-	out := make([][]bidding.Bid, m)
-	n := len(servers)
-	if n == 0 {
-		return out
-	}
-	conc := opts.Concurrency
-	if conc <= 0 {
-		conc = DefaultFanout
-	}
-	if conc > n {
-		conc = n
-	}
-	// slots[i] is server i's reply for the whole slate; nil or a wrong
-	// length means the server forfeits every contract this auction.
-	slots := make([][]BatchBid, n)
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < conc; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				if opts.Gate != nil && !opts.Gate(servers[i]) {
-					continue // breaker OPEN: forfeit the whole slate
-				}
-				slots[i] = requestBatchTimeout(now, servers[i], cs, opts.Timeout)
+	if conc == 1 && opts.Timeout <= 0 && !hedge {
+		for _, s := range servers {
+			if opts.Gate != nil && !opts.Gate(s) {
+				continue // breaker OPEN: instant forfeit
 			}
-		}()
-	}
-	wg.Wait()
-	for j := 0; j < m; j++ {
-		bids := make([]bidding.Bid, 0, n)
-		for i := 0; i < n; i++ {
-			if len(slots[i]) == m && slots[i][j].OK {
-				bids = append(bids, slots[i][j].Bid)
+			if b, ok := s.RequestBid(now, c); ok {
+				bids = append(bids, b)
 			}
 		}
 		rankBids(bids, crit)
-		out[j] = bids
+		return bids
 	}
-	return out
+
+	// Every attempt — original or hedge — is an index on the queue, so
+	// the channel never carries a bid and never blocks a sender: each
+	// server is enqueued at most twice.
+	a := &auction{now: now, servers: servers, c: c, timeout: opts.Timeout,
+		slots: make([]slot, n), queue: make(chan int, 2*n)}
+	for i, s := range servers {
+		if opts.Gate != nil && !opts.Gate(s) {
+			continue // breaker OPEN: instant forfeit, no goroutine spent
+		}
+		a.slots[i].inflight = 1
+		a.left++
+		a.queue <- i
+	}
+	if a.left == 0 {
+		return bids // every server gated out
+	}
+	if hedge {
+		a.hedgeAt = a.left - max(1, int(math.Ceil(opts.HedgeQuantile*float64(a.left))))
+	}
+	if a.hedgeAt == 0 {
+		close(a.queue) // nothing will be re-enqueued: workers leave as it drains
+	}
+	a.open.Add(1)
+	for w := min(conc, a.left); w > 0; w-- {
+		go a.work()
+	}
+	// Wait for every gated-in server to resolve, not for every attempt to
+	// return: an attempt whose sibling already answered is abandoned (it
+	// finds its slot taken and changes nothing).
+	a.open.Wait()
+	a.mu.Lock()
+	for i := range a.slots {
+		if a.slots[i].got {
+			bids = append(bids, a.slots[i].bid)
+		}
+	}
+	a.mu.Unlock()
+	rankBids(bids, crit)
+	return bids
 }
 
-// requestBatchTimeout collects one server's bids for a slate under an
-// optional deadline, falling back to the per-contract RequestBid walk
-// for ports without batch support.
-func requestBatchTimeout(now float64, s ServerPort, cs []*qos.Contract, d time.Duration) []BatchBid {
-	call := func() []BatchBid {
-		if bp, ok := s.(BatchPort); ok {
-			return bp.RequestBidBatch(now, cs)
-		}
-		out := make([]BatchBid, len(cs))
-		for j, c := range cs {
-			out[j].Bid, out[j].OK = s.RequestBid(now, c)
-		}
-		return out
+// slot is one server's place in a concurrent auction.
+type slot struct {
+	bid      bidding.Bid
+	got      bool // bid holds the server's offer
+	resolved bool // the server has answered, declined or forfeited
+	inflight int8 // attempts queued or running
+}
+
+// auction is the state of one concurrent request-for-bids round: a
+// bounded set of workers drains a queue of server indices and writes
+// each answer straight into that server's slot.
+type auction struct {
+	now     float64
+	servers []ServerPort
+	c       *qos.Contract
+	timeout time.Duration
+	queue   chan int
+	open    sync.WaitGroup // held until every gated-in server has resolved
+
+	mu      sync.Mutex
+	slots   []slot
+	left    int // servers not yet resolved
+	hedgeAt int // hedge once only this many are left; 0 = off or spent
+}
+
+func (a *auction) work() {
+	for i := range a.queue {
+		b, ok := requestBidTimeout(a.now, a.servers[i], a.c, a.timeout)
+		a.finish(i, b, ok)
 	}
-	if d <= 0 {
-		return call()
+}
+
+// finish records one attempt's outcome. The first positive answer wins
+// the server's slot — a server can never hold two, so commits stay
+// duplicate-safe — and a decline resolves it only once no sibling
+// attempt remains. When the hedge quantile of servers has resolved, the
+// quantile latency for this auction is known and everything still
+// outstanding is already slower than that: each is re-issued once to
+// the same server. Hedging changes when bids arrive, never how they
+// rank.
+func (a *auction) finish(i int, b bidding.Bid, ok bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	s := &a.slots[i]
+	s.inflight--
+	if s.resolved || (!ok && s.inflight > 0) {
+		return
 	}
-	ch := make(chan []BatchBid, 1)
-	go func() { ch <- call() }()
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case r := <-ch:
-		return r
-	case <-t.C:
-		return nil
+	s.bid, s.got, s.resolved = b, ok, true
+	a.left--
+	if a.left == 0 {
+		a.open.Done()
+	} else if a.left <= a.hedgeAt {
+		a.hedgeAt = 0
+		for j := range a.slots {
+			if o := &a.slots[j]; !o.resolved && o.inflight > 0 {
+				o.inflight++
+				a.queue <- j
+			}
+		}
+		close(a.queue)
 	}
 }
 
@@ -463,35 +326,31 @@ type AwardResult struct {
 	Declined []string
 }
 
-// CommitRanked walks an already-ranked bid list asking each server in
-// turn for a firm commitment (phase two), skipping expired offers. With
-// singlePhase set, only the best bid is tried — the naive protocol
-// without fallback. The commit may happen later than the solicitation
-// (now reflects commit time), which is exactly when conflicts appear:
-// the chosen server "may have received a more lucrative job in between"
-// (§5.3).
-func CommitRanked(now float64, servers []ServerPort, bids []bidding.Bid, jobID string, singlePhase bool) (AwardResult, error) {
-	return commitWalk(now, servers, bids, jobID, singlePhase, nil)
-}
-
-// commitWalk is the shared two-phase commit walk. price, when non-nil,
-// maps a rank in the (full, pre-singlePhase) bid list to the clearing
-// price the commit should carry — the mechanism seam. A nil price
-// commits each bid verbatim (first-price behaviour).
-func commitWalk(now float64, servers []ServerPort, bids []bidding.Bid, jobID string, singlePhase bool, price func(i int) float64) (AwardResult, error) {
-	if len(bids) == 0 {
+// CommitPriced walks an already-ranked bid list asking each server in
+// turn for a firm commitment (phase two), skipping expired offers. Each
+// attempt carries the mechanism's clearing price for that rank; the
+// server records and settles whatever price the commit carries, so this
+// is the single point where a mechanism's economics take effect. With
+// singlePhase set only the best bid is tried — the naive protocol
+// experiment E8 contrasts, where a refusal is a failed placement. now
+// is commit time, later than the solicitation, which is exactly when
+// conflicts appear: the chosen server "may have received a more
+// lucrative job in between" (§5.3).
+func CommitPriced(now float64, servers []ServerPort, ranked []bidding.Bid, jobID string, singlePhase bool, m Mechanism) (AwardResult, error) {
+	if len(ranked) == 0 {
 		return AwardResult{}, ErrNoBids
 	}
 	byName := make(map[string]ServerPort, len(servers))
 	for _, s := range servers {
 		byName[s.ServerName()] = s
 	}
+	tried := ranked
 	if singlePhase {
-		bids = bids[:1]
+		tried = ranked[:1]
 	}
 	res := AwardResult{}
 	var lastErr error
-	for i, b := range bids {
+	for i, b := range tried {
 		if b.ExpiresAt > 0 && now > b.ExpiresAt {
 			lastErr = fmt.Errorf("%w: %s", ErrExpired, b.Server)
 			continue
@@ -500,9 +359,7 @@ func commitWalk(now float64, servers []ServerPort, bids []bidding.Bid, jobID str
 		if !ok {
 			continue
 		}
-		if price != nil {
-			b.Price = price(i)
-		}
+		b.Price = m.ClearingPrice(ranked, i)
 		res.Attempts++
 		if err := s.Commit(now, jobID, b); err != nil {
 			res.Declined = append(res.Declined, b.Server)
@@ -516,21 +373,4 @@ func commitWalk(now float64, servers []ServerPort, bids []bidding.Bid, jobID str
 		lastErr = ErrNoBids
 	}
 	return res, lastErr
-}
-
-// Award runs the full two-phase selection: solicit bids from every
-// server, then walk the ranked list asking each server in turn for a
-// firm commitment, skipping offers that expired. It returns the first
-// server that commits.
-func Award(now float64, servers []ServerPort, c *qos.Contract, crit Criterion, jobID string) (AwardResult, error) {
-	return CommitRanked(now, servers, Solicit(now, servers, c, crit), jobID, false)
-}
-
-// SinglePhaseAward models the naive protocol without firm commitment:
-// the client picks the best bid and assumes it holds. The server is
-// still asked to commit (so capacity accounting stays consistent), but
-// no fallback occurs — a refusal is a failed job placement. Experiment
-// E8 contrasts this with Award under contention.
-func SinglePhaseAward(now float64, servers []ServerPort, c *qos.Contract, crit Criterion, jobID string) (AwardResult, error) {
-	return CommitRanked(now, servers, Solicit(now, servers, c, crit), jobID, true)
 }

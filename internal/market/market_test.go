@@ -56,13 +56,26 @@ func ports(ss ...*fakeServer) []ServerPort {
 	return out
 }
 
+// solicit is the request-for-bids round under default options.
+func solicit(servers []ServerPort, crit Criterion) []bidding.Bid {
+	return SolicitWith(0, servers, contract(), crit, SolicitOpts{})
+}
+
+// award is the full selection the tests drive: solicit under the
+// mechanism with default options (least cost), then the priced commit
+// walk — two-phase unless singlePhase is set.
+func award(now float64, servers []ServerPort, jobID string, m Mechanism, singlePhase bool) (AwardResult, error) {
+	bids := m.Solicit(now, servers, contract(), LeastCost{}, SolicitOpts{})
+	return CommitPriced(now, servers, bids, jobID, singlePhase, m)
+}
+
 func TestSolicitSortsByCriterion(t *testing.T) {
 	servers := ports(srv("a", 30, 10), srv("b", 10, 30), srv("c", 20, 20))
-	bids := Solicit(0, servers, contract(), LeastCost{})
+	bids := solicit(servers, LeastCost{})
 	if bids[0].Server != "b" || bids[2].Server != "a" {
 		t.Fatalf("least-cost order wrong: %v", bids)
 	}
-	bids = Solicit(0, servers, contract(), EarliestCompletion{})
+	bids = solicit(servers, EarliestCompletion{})
 	if bids[0].Server != "a" || bids[2].Server != "b" {
 		t.Fatalf("earliest-completion order wrong: %v", bids)
 	}
@@ -71,7 +84,7 @@ func TestSolicitSortsByCriterion(t *testing.T) {
 func TestSolicitSkipsDecliners(t *testing.T) {
 	d := srv("d", 1, 1)
 	d.declines = true
-	bids := Solicit(0, ports(srv("a", 5, 5), d), contract(), LeastCost{})
+	bids := solicit(ports(srv("a", 5, 5), d), LeastCost{})
 	if len(bids) != 1 || bids[0].Server != "a" {
 		t.Fatalf("bids=%v", bids)
 	}
@@ -107,7 +120,7 @@ func TestWeightedCriterion(t *testing.T) {
 
 func TestAwardPicksBestCommitter(t *testing.T) {
 	a, b := srv("a", 10, 10), srv("b", 20, 20)
-	res, err := Award(0, ports(a, b), contract(), LeastCost{}, "job1")
+	res, err := award(0, ports(a, b), "job1", FirstPrice{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +136,7 @@ func TestAwardFallsBackOnConflict(t *testing.T) {
 	full := srv("cheap", 1, 1)
 	full.capacity = 0 // refuses all commits
 	backup := srv("backup", 50, 50)
-	res, err := Award(0, ports(full, backup), contract(), LeastCost{}, "j")
+	res, err := award(0, ports(full, backup), "j", FirstPrice{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +152,7 @@ func TestAwardSkipsExpiredBids(t *testing.T) {
 	stale := srv("stale", 1, 1)
 	stale.bid.ExpiresAt = 5
 	fresh := srv("fresh", 50, 50)
-	res, err := Award(10, ports(stale, fresh), contract(), LeastCost{}, "j")
+	res, err := award(10, ports(stale, fresh), "j", FirstPrice{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,10 +167,10 @@ func TestAwardSkipsExpiredBids(t *testing.T) {
 func TestAwardNoBids(t *testing.T) {
 	d := srv("d", 1, 1)
 	d.declines = true
-	if _, err := Award(0, ports(d), contract(), LeastCost{}, "j"); !errors.Is(err, ErrNoBids) {
+	if _, err := award(0, ports(d), "j", FirstPrice{}, false); !errors.Is(err, ErrNoBids) {
 		t.Fatalf("err=%v", err)
 	}
-	if _, err := Award(0, nil, contract(), LeastCost{}, "j"); !errors.Is(err, ErrNoBids) {
+	if _, err := award(0, nil, "j", FirstPrice{}, false); !errors.Is(err, ErrNoBids) {
 		t.Fatalf("err=%v", err)
 	}
 }
@@ -165,7 +178,7 @@ func TestAwardNoBids(t *testing.T) {
 func TestAwardAllRefuse(t *testing.T) {
 	a := srv("a", 1, 1)
 	a.capacity = 0
-	_, err := Award(0, ports(a), contract(), LeastCost{}, "j")
+	_, err := award(0, ports(a), "j", FirstPrice{}, false)
 	if !errors.Is(err, ErrConflict) {
 		t.Fatalf("err=%v", err)
 	}
@@ -174,7 +187,7 @@ func TestAwardAllRefuse(t *testing.T) {
 func TestAwardAllExpired(t *testing.T) {
 	a := srv("a", 1, 1)
 	a.bid.ExpiresAt = 1
-	_, err := Award(100, ports(a), contract(), LeastCost{}, "j")
+	_, err := award(100, ports(a), "j", FirstPrice{}, false)
 	if !errors.Is(err, ErrExpired) {
 		t.Fatalf("err=%v", err)
 	}
@@ -184,7 +197,7 @@ func TestSinglePhaseFailsOnConflict(t *testing.T) {
 	full := srv("cheap", 1, 1)
 	full.capacity = 0
 	backup := srv("backup", 50, 50)
-	_, err := SinglePhaseAward(0, ports(full, backup), contract(), LeastCost{}, "j")
+	_, err := award(0, ports(full, backup), "j", FirstPrice{}, true)
 	if !errors.Is(err, ErrConflict) {
 		t.Fatalf("single-phase must not fall back: %v", err)
 	}
@@ -195,7 +208,7 @@ func TestSinglePhaseFailsOnConflict(t *testing.T) {
 
 func TestSinglePhaseSucceedsWithoutContention(t *testing.T) {
 	a := srv("a", 5, 5)
-	res, err := SinglePhaseAward(0, ports(a), contract(), LeastCost{}, "j")
+	res, err := award(0, ports(a), "j", FirstPrice{}, true)
 	if err != nil || res.Bid.Server != "a" {
 		t.Fatalf("res=%+v err=%v", res, err)
 	}
@@ -216,14 +229,14 @@ func TestTwoPhaseBeatsSinglePhaseUnderContention(t *testing.T) {
 	pool2 := mkPool()
 	placed2 := 0
 	for i := 0; i < 8; i++ {
-		if _, err := Award(0, pool2, contract(), LeastCost{}, fmt.Sprintf("j%d", i)); err == nil {
+		if _, err := award(0, pool2, fmt.Sprintf("j%d", i), FirstPrice{}, false); err == nil {
 			placed2++
 		}
 	}
 	pool1 := mkPool()
 	placed1 := 0
 	for i := 0; i < 8; i++ {
-		if _, err := SinglePhaseAward(0, pool1, contract(), LeastCost{}, fmt.Sprintf("j%d", i)); err == nil {
+		if _, err := award(0, pool1, fmt.Sprintf("j%d", i), FirstPrice{}, true); err == nil {
 			placed1++
 		}
 	}
@@ -246,7 +259,7 @@ func TestSolicitSortedProperty(t *testing.T) {
 			servers = append(servers, srv(fmt.Sprintf("s%d", i), rng.Range(1, 100), rng.Range(1, 1000)))
 		}
 		for _, crit := range []Criterion{LeastCost{}, EarliestCompletion{}, Weighted{PriceWeight: 1, TimeWeight: 0.5}} {
-			bids := Solicit(0, servers, contract(), crit)
+			bids := solicit(servers, crit)
 			if len(bids) != n {
 				return false
 			}
@@ -276,7 +289,7 @@ func TestAwardSingleCommitProperty(t *testing.T) {
 			servers = append(servers, s)
 			raw = append(raw, s)
 		}
-		_, _ = Award(0, servers, contract(), LeastCost{}, "j")
+		_, _ = award(0, servers, "j", FirstPrice{}, false)
 		total := 0
 		for _, s := range raw {
 			total += len(s.committed)

@@ -6,8 +6,6 @@
 // breaker, and hedging machinery:
 //
 //   - FirstPrice: the paper's protocol. Winner pays its own bid.
-//     Solicitation and awards are byte-identical to the legacy
-//     Solicit/CommitRanked path.
 //   - Vickrey: second-price sealed-bid reverse auction. Same
 //     solicitation fan-out, but the winner is paid the runner-up's
 //     price — bidding true cost becomes the dominant strategy, at the
@@ -58,8 +56,7 @@ type FirstPrice struct{}
 // Name implements Mechanism.
 func (FirstPrice) Name() string { return qos.MechanismFirstPrice }
 
-// Solicit implements Mechanism by delegating to SolicitWith — the
-// legacy path, unchanged.
+// Solicit implements Mechanism: the request-for-bids fan-out.
 func (FirstPrice) Solicit(now float64, servers []ServerPort, c *qos.Contract, crit Criterion, opts SolicitOpts) []bidding.Bid {
 	return SolicitWith(now, servers, c, crit, opts)
 }
@@ -70,19 +67,14 @@ func (FirstPrice) ClearingPrice(ranked []bidding.Bid, i int) float64 {
 }
 
 // Vickrey is the second-price sealed-bid reverse auction: solicitation
-// is identical to FirstPrice (same fan-out, hedging, and breakers),
-// but the winner is paid the runner-up's price. When no runner-up
-// exists — the winner was the only standing offer — it pays its own
-// bid, the only price the auction discovered.
-type Vickrey struct{}
+// is FirstPrice's, embedded (same fan-out, hedging, and breakers), but
+// the winner is paid the runner-up's price. When no runner-up exists —
+// the winner was the only standing offer — it pays its own bid, the
+// only price the auction discovered.
+type Vickrey struct{ FirstPrice }
 
 // Name implements Mechanism.
 func (Vickrey) Name() string { return qos.MechanismVickrey }
-
-// Solicit implements Mechanism.
-func (Vickrey) Solicit(now float64, servers []ServerPort, c *qos.Contract, crit Criterion, opts SolicitOpts) []bidding.Bid {
-	return SolicitWith(now, servers, c, crit, opts)
-}
 
 // ClearingPrice implements Mechanism: the offer ranked directly below
 // the winner sets the price.
@@ -96,9 +88,9 @@ func (Vickrey) ClearingPrice(ranked []bidding.Bid, i int) float64 {
 // PostedPrice is the commodity-market mechanism: no request-for-bids
 // broadcast. Each server's posted price is read locally (PostPort) and
 // the posts are ranked under the same criterion; servers that cannot
-// post (legacy ports, or no feasible post) simply have no offer. The
-// walk is serial because reading a post is a local computation — there
-// is nothing to fan out.
+// post (ports without Post, or no feasible post) simply have no offer.
+// The walk is serial because reading a post is a local computation —
+// there is nothing to fan out.
 type PostedPrice struct{}
 
 // Name implements Mechanism.
@@ -142,24 +134,4 @@ func ForName(name string) (Mechanism, error) {
 		return PostedPrice{}, nil
 	}
 	return nil, fmt.Errorf("market: %w: %q", qos.ErrMechanism, name)
-}
-
-// CommitPriced is CommitRanked under a mechanism's pricing rule: the
-// ranked walk, expiry skip, and fallback behaviour are identical, but
-// each commit attempt carries the mechanism's clearing price for that
-// rank instead of the raw offer. The server records and settles
-// whatever price the commit carries, so this is the single point where
-// a mechanism's economics take effect.
-func CommitPriced(now float64, servers []ServerPort, bids []bidding.Bid, jobID string, singlePhase bool, m Mechanism) (AwardResult, error) {
-	return commitWalk(now, servers, bids, jobID, singlePhase, func(i int) float64 {
-		return m.ClearingPrice(bids, i)
-	})
-}
-
-// AwardWith runs the full two-phase selection under a mechanism:
-// solicit (however the mechanism gathers offers), then the priced
-// commit walk. With mechanism FirstPrice and zero SolicitOpts this is
-// exactly Award.
-func AwardWith(now float64, servers []ServerPort, c *qos.Contract, crit Criterion, jobID string, m Mechanism, opts SolicitOpts) (AwardResult, error) {
-	return CommitPriced(now, servers, m.Solicit(now, servers, c, crit, opts), jobID, false, m)
 }

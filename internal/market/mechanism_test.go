@@ -2,7 +2,6 @@ package market
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 
 	"faucets/internal/bidding"
@@ -66,7 +65,7 @@ func TestPricingRules(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.mech.Name(), func(t *testing.T) {
 			a, _, _, ss := fixture()
-			res, err := AwardWith(0, ss, contract(), LeastCost{}, "j", tc.mech, SolicitOpts{})
+			res, err := award(0, ss, "j", tc.mech, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,35 +82,9 @@ func TestPricingRules(t *testing.T) {
 	}
 }
 
-// First-price through the Mechanism seam must award identically to the
-// legacy Award path — same winner, price, attempts, and decline list —
-// on both the clean and the contended fixture.
-func TestFirstPriceMatchesLegacyAward(t *testing.T) {
-	run := func(build func() []ServerPort) (legacy, mech AwardResult, err1, err2 error) {
-		legacy, err1 = Award(0, build(), contract(), LeastCost{}, "j")
-		mech, err2 = AwardWith(0, build(), contract(), LeastCost{}, "j", FirstPrice{}, SolicitOpts{})
-		return
-	}
-	clean := func() []ServerPort { _, _, _, ss := fixture(); return ss }
-	contended := func() []ServerPort {
-		a, _, _, ss := fixture()
-		a.capacity = 0 // best bidder refuses every commit
-		return ss
-	}
-	for name, build := range map[string]func() []ServerPort{"clean": clean, "contended": contended} {
-		legacy, mech, err1, err2 := run(build)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("%s: err legacy=%v mech=%v", name, err1, err2)
-		}
-		if !reflect.DeepEqual(legacy, mech) {
-			t.Fatalf("%s: legacy %+v != mechanism %+v", name, legacy, mech)
-		}
-	}
-}
-
 func TestVickreyLoneOfferPaysOwnBid(t *testing.T) {
 	a := psrv("a", 10, 12)
-	res, err := AwardWith(0, []ServerPort{a}, contract(), LeastCost{}, "j", Vickrey{}, SolicitOpts{})
+	res, err := award(0, []ServerPort{a}, "j", Vickrey{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +99,7 @@ func TestVickreyLoneOfferPaysOwnBid(t *testing.T) {
 func TestVickreyFallbackPricesAgainstNextOffer(t *testing.T) {
 	a, b, _, ss := fixture()
 	a.capacity = 0
-	res, err := AwardWith(0, ss, contract(), LeastCost{}, "j", Vickrey{}, SolicitOpts{})
+	res, err := award(0, ss, "j", Vickrey{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,9 +63,7 @@ const (
 	binPollReq          uint8 = 10
 	binPollOK           uint8 = 11
 	binVerifyReq        uint8 = 12
-	binVerifyOK         uint8 = 13
-	binBidBatchReq      uint8 = 14
-	binBidBatchOK       uint8 = 15
+	binVerifyOK         uint8 = 13 // 14, 15: a removed request/reply pair, left unassigned
 	binGossipReq        uint8 = 16
 	binGossipOK         uint8 = 17
 	binForwardSettleReq uint8 = 18
@@ -87,8 +85,6 @@ var binCodeOf = map[string]uint8{
 	TypePollOK:           binPollOK,
 	TypeVerifyReq:        binVerifyReq,
 	TypeVerifyOK:         binVerifyOK,
-	TypeBidBatchReq:      binBidBatchReq,
-	TypeBidBatchOK:       binBidBatchOK,
 	TypeGossipReq:        binGossipReq,
 	TypeGossipOK:         binGossipOK,
 	TypeForwardSettleReq: binForwardSettleReq,
@@ -108,8 +104,6 @@ var binTypeOf = [19]string{
 	binPollOK:           TypePollOK,
 	binVerifyReq:        TypeVerifyReq,
 	binVerifyOK:         TypeVerifyOK,
-	binBidBatchReq:      TypeBidBatchReq,
-	binBidBatchOK:       TypeBidBatchOK,
 	binGossipReq:        TypeGossipReq,
 	binGossipOK:         TypeGossipOK,
 	binForwardSettleReq: TypeForwardSettleReq,
@@ -281,20 +275,6 @@ func appendBinaryBody(dst []byte, body any) ([]byte, bool) {
 			return dst, false
 		}
 		return appendStr(dst, m.User), true
-	case BidBatchReq:
-		return appendBidBatchReq(dst, &m), true
-	case *BidBatchReq:
-		if m == nil {
-			return dst, false
-		}
-		return appendBidBatchReq(dst, m), true
-	case BidBatchOK:
-		return appendBidBatchOK(dst, &m), true
-	case *BidBatchOK:
-		if m == nil {
-			return dst, false
-		}
-		return appendBidBatchOK(dst, m), true
 	case GossipReq:
 		return appendGossipReq(dst, &m), true
 	case *GossipReq:
@@ -363,16 +343,6 @@ func appendVerifyReq(b []byte, m *VerifyReq) []byte {
 	return appendStr(b, m.Token)
 }
 
-func appendBidBatchReq(b []byte, m *BidBatchReq) []byte {
-	b = appendStr(b, m.User)
-	b = appendStr(b, m.Token)
-	b = appendU32(b, uint32(len(m.Contracts)))
-	for _, c := range m.Contracts {
-		b = appendContract(b, c)
-	}
-	return b
-}
-
 func appendServerInfo(b []byte, si *ServerInfo) []byte {
 	b = appendStr(b, si.Spec.Name)
 	b = appendI64(b, si.Spec.NumPE)
@@ -413,16 +383,6 @@ func appendForwardSettleReq(b []byte, m *ForwardSettleReq) []byte {
 	b = appendI64(b, m.MaxPE)
 	b = appendF64(b, m.Price)
 	return appendF64(b, m.CPUSeconds)
-}
-
-func appendBidBatchOK(b []byte, m *BidBatchOK) []byte {
-	b = appendU32(b, uint32(len(m.Bids)))
-	for i := range m.Bids {
-		it := &m.Bids[i]
-		b = appendBool(b, it.OK)
-		b = appendBid(b, &it.Bid)
-	}
-	return b
 }
 
 // --- reader ----------------------------------------------------------
@@ -648,27 +608,6 @@ func decodeBinaryBody(typ string, data []byte, v any) error {
 		return storeBody(&r, typ, v, m)
 	case TypeVerifyOK:
 		return storeBody(&r, typ, v, VerifyOK{User: r.str()})
-	case TypeBidBatchReq:
-		var m BidBatchReq
-		m.User = r.str()
-		m.Token = r.str()
-		if n := r.count(); n > 0 {
-			m.Contracts = make([]*qos.Contract, n)
-			for i := range m.Contracts {
-				m.Contracts[i] = r.contract()
-			}
-		}
-		return storeBody(&r, typ, v, m)
-	case TypeBidBatchOK:
-		var m BidBatchOK
-		if n := r.count(); n > 0 {
-			m.Bids = make([]BidBatchItem, n)
-			for i := range m.Bids {
-				m.Bids[i].OK = r.boolean()
-				r.bid(&m.Bids[i].Bid)
-			}
-		}
-		return storeBody(&r, typ, v, m)
 	case TypeGossipReq:
 		var m GossipReq
 		m.From = r.str()

@@ -51,8 +51,6 @@ func TestBinaryRoundTripAllTypes(t *testing.T) {
 		{TypePollOK, PollOK{UsedPE: 12, QueueLen: 3, Running: 4}, func() any { return &PollOK{} }},
 		{TypeVerifyReq, VerifyReq{User: "u", Token: "tok"}, func() any { return &VerifyReq{} }},
 		{TypeVerifyOK, VerifyOK{User: "u"}, func() any { return &VerifyOK{} }},
-		{TypeBidBatchReq, BidBatchReq{User: "u", Token: "tok", Contracts: []*qos.Contract{testContract(), nil, {App: "x", MinPE: 1, MaxPE: 1, Work: 1}}}, func() any { return &BidBatchReq{} }},
-		{TypeBidBatchOK, BidBatchOK{Bids: []BidBatchItem{{OK: true, Bid: testBid()}, {OK: false}}}, func() any { return &BidBatchOK{} }},
 		{TypeGossipReq, GossipReq{
 			From: "10.0.0.1:9000", Seq: 42,
 			Servers: []ServerInfo{
@@ -197,7 +195,7 @@ func TestDecodeEmptyBodyTable(t *testing.T) {
 		TypeVerifyReq, TypeVerifyOK, TypeSettleReq, TypeSettleOK,
 		TypeWeatherReq, TypeWeatherOK, TypePeerListReq, TypePeerVerifyReq,
 		TypeHistoryReq, TypeHistoryOK,
-		TypeBidReq, TypeBidOK, TypeBidBatchReq, TypeBidBatchOK,
+		TypeBidReq, TypeBidOK,
 		TypeCommitReq, TypeCommitOK, TypeSubmitReq, TypeSubmitOK,
 		TypeUploadReq, TypeUploadOK, TypeStatusReq, TypeStatusOK,
 		TypeOutputReq, TypeOutputOK, TypeKillReq, TypeKillOK,

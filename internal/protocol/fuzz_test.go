@@ -77,8 +77,8 @@ func FuzzBinaryFrameRoundtrip(f *testing.F) {
 	seed(TypeSettleReq, 6, SettleReq{JobID: "j", User: "u", Server: "s", Price: 1, CPUSeconds: 2})
 	seed(TypePollOK, 7, PollOK{UsedPE: 1, QueueLen: 2, Running: 3})
 	seed(TypeVerifyReq, 8, VerifyReq{User: "u", Token: "t"})
-	seed(TypeBidBatchReq, 9, BidBatchReq{User: "u", Token: "t", Contracts: []*qos.Contract{contract, nil}})
-	seed(TypeBidBatchOK, 10, BidBatchOK{Bids: []BidBatchItem{{OK: true, Bid: bid}, {}}})
+	seed(TypeGossipReq, 9, GossipReq{From: "a", Seq: 1, Servers: []ServerInfo{{Addr: "b", Apps: []string{"x"}}}})
+	seed(TypeForwardSettleReq, 10, ForwardSettleReq{JobID: "j", User: "u", Server: "s", Price: 1, CPUSeconds: 2})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := ReadFrame(bytes.NewReader(data))

@@ -38,27 +38,25 @@ const (
 	TypeHistoryOK     = "history_ok"
 
 	// Central Server shard ↔ shard (consistent-hash mesh).
-	TypeGossipReq       = "gossip_req"
-	TypeGossipOK        = "gossip_ok"
+	TypeGossipReq        = "gossip_req"
+	TypeGossipOK         = "gossip_ok"
 	TypeForwardSettleReq = "forward_settle_req"
 
 	// Client ↔ Daemon.
-	TypeBidReq      = "bid_req"
-	TypeBidOK       = "bid_ok"
-	TypeBidBatchReq = "bid_batch_req"
-	TypeBidBatchOK  = "bid_batch_ok"
-	TypeCommitReq   = "commit_req"
-	TypeCommitOK    = "commit_ok"
-	TypeSubmitReq   = "submit_req"
-	TypeSubmitOK    = "submit_ok"
-	TypeUploadReq   = "upload_req"
-	TypeUploadOK    = "upload_ok"
-	TypeStatusReq   = "status_req"
-	TypeStatusOK    = "status_ok"
-	TypeOutputReq   = "output_req"
-	TypeOutputOK    = "output_ok"
-	TypeKillReq     = "kill_req"
-	TypeKillOK      = "kill_ok"
+	TypeBidReq    = "bid_req"
+	TypeBidOK     = "bid_ok"
+	TypeCommitReq = "commit_req"
+	TypeCommitOK  = "commit_ok"
+	TypeSubmitReq = "submit_req"
+	TypeSubmitOK  = "submit_ok"
+	TypeUploadReq = "upload_req"
+	TypeUploadOK  = "upload_ok"
+	TypeStatusReq = "status_req"
+	TypeStatusOK  = "status_ok"
+	TypeOutputReq = "output_req"
+	TypeOutputOK  = "output_ok"
+	TypeKillReq   = "kill_req"
+	TypeKillOK    = "kill_ok"
 
 	// Job/Daemon ↔ AppSpector, Client ↔ AppSpector.
 	TypeASRegisterReq = "as_register_req"
@@ -314,30 +312,6 @@ type BidReq struct {
 // BidOK returns the daemon's offer.
 type BidOK struct {
 	Bid bidding.Bid `json:"bid"`
-}
-
-// BidBatchReq solicits bids for several contracts in one frame: one
-// round trip and one credential verification cover the whole batch,
-// which is what keeps continuous auction rounds cheap when a client
-// shops many jobs at once (paper §5.1's "competition for every job").
-type BidBatchReq struct {
-	User      string          `json:"user"`
-	Token     string          `json:"token"`
-	Contracts []*qos.Contract `json:"contracts"`
-}
-
-// BidBatchItem is one per-contract answer within a batch reply. OK is
-// false when the daemon declines that contract (validation failure or
-// no bid); the Bid field is meaningful only when OK is true.
-type BidBatchItem struct {
-	OK  bool        `json:"ok"`
-	Bid bidding.Bid `json:"bid"`
-}
-
-// BidBatchOK answers a batch solicit with one item per requested
-// contract, in request order.
-type BidBatchOK struct {
-	Bids []BidBatchItem `json:"bids"`
 }
 
 // CommitReq is phase two of the award protocol (§5.3): the client asks

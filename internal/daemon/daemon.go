@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"path/filepath"
 	"sync"
@@ -52,8 +53,6 @@ type Config struct {
 	TimeScale float64
 	// BidValidity is how long bids stand, in virtual seconds.
 	BidValidity float64
-	// Tick is the wall-clock cadence of the execution loop.
-	Tick time.Duration
 	// ReRegister is how often the daemon refreshes its Central Server
 	// registration (default 30s wall time). A Central Server restart
 	// loses its in-memory directory; the heartbeat restores the entry
@@ -107,6 +106,12 @@ type Config struct {
 // auction round with a single verify round trip.
 const DefaultVerifyCacheTTL = 2 * time.Second
 
+// telemetryFloor is the shortest wall interval between two AppSpector
+// sample rounds. Samples are due every virtual second; at a compressed
+// TimeScale that would be every wall millisecond or less, which is more
+// than a monitor can use.
+const telemetryFloor = 5 * time.Millisecond
+
 // verifyCacheMax bounds the cache; past it the map is reset wholesale
 // (entries expire in seconds anyway, so eviction precision is not worth
 // bookkeeping).
@@ -138,6 +143,13 @@ type Daemon struct {
 	// outbox holds settlements the Central Server has not acknowledged
 	// yet; runLoop redelivers them until each is acked (or refused).
 	outbox []protocol.SettleReq
+	// kick wakes runLoop after a change to the scheduler's running set
+	// that it did not make itself (submit, kill, recovery), so it
+	// re-arms its timer. One pending kick covers any number of changes.
+	kick chan struct{}
+	// done holds jobs a request handler's catchUp found finished, until
+	// runLoop settles them.
+	done []*job.Job
 
 	// journal persists admissions and the outbox (nil = in-memory only).
 	journal *journal
@@ -188,9 +200,6 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.BidValidity <= 0 {
 		cfg.BidValidity = 300
 	}
-	if cfg.Tick <= 0 {
-		cfg.Tick = 5 * time.Millisecond
-	}
 	if cfg.ReRegister <= 0 {
 		cfg.ReRegister = 30 * time.Second
 	}
@@ -221,6 +230,7 @@ func New(cfg Config) (*Daemon, error) {
 		conns:      map[net.Conn]struct{}{},
 		Stage:      stage.NewStore(),
 		closed:     make(chan struct{}),
+		kick:       make(chan struct{}, 1),
 		met:        newFDMetrics(cfg.Metrics),
 		rpc:        telemetry.NewRPCMetrics(cfg.Metrics, "daemon"),
 	}
@@ -282,6 +292,9 @@ func (d *Daemon) recover(path string) error {
 		d.tempUsers[rec.JobID] = fmt.Sprintf("fauc-tmp-%06d", d.tempSeq)
 		d.outstanding += rec.Contract.Work
 		d.Stage.CreateJob(rec.JobID)
+	}
+	if len(st.pending) > 0 {
+		d.wake() // runLoop has not started yet; the kick waits for it
 	}
 	for _, req := range st.queued {
 		d.settledIDs[req.JobID] = true
@@ -517,18 +530,43 @@ func (d *Daemon) verify(user, token string) error {
 	return nil
 }
 
-// runLoop advances the scheduler in wall time, emitting telemetry,
-// settling finished jobs, and redelivering unacknowledged settlements.
+// runLoop is the execution loop: it advances the scheduler in wall time,
+// emits telemetry, settles finished jobs, and redelivers unacknowledged
+// settlements. It is event-driven, the way gridsim's serverEntity.refresh
+// is: after every pass it arms one timer for the wall instant of the
+// scheduler's next event and sleeps until that fires or a kick reports a
+// job arriving or leaving. An idle cluster costs no wakeups.
+//
+// runLoop is the only goroutine that calls flushSettlements while the
+// daemon runs (Close calls it once more after runLoop has exited): two
+// concurrent flushes would each deliver the same outbox entries.
 func (d *Daemon) runLoop() {
-	ticker := time.NewTicker(d.cfg.Tick)
-	defer ticker.Stop()
+	timer := time.NewTimer(maxSleep)
+	defer timer.Stop()
+	// go.mod predates Go 1.23's timer channels: a Reset must follow a
+	// Stop and a drain, or a stale fire is delivered after it.
+	disarm := func() {
+		if !timer.Stop() {
+			select {
+			case <-timer.C:
+			default:
+			}
+		}
+	}
+	disarm()
 	settleTicker := time.NewTicker(d.cfg.SettleRetry)
 	defer settleTicker.Stop()
-	lastTelemetry := 0.0
+	// AppSpector samples are due every virtual second, no more often
+	// than telemetryFloor in wall time, and only while a monitor is
+	// configured and something runs.
+	sampling := d.cfg.AppSpectorAddr != ""
+	sampleEvery := math.Max(1, telemetryFloor.Seconds()*d.cfg.TimeScale)
+	nextSample := 0.0
 	// lastPEs tracks each running job's allocation so adaptive
 	// reallocations (paper §4: jobs shrink and expand between MinPE and
-	// MaxPE) surface as shrink/expand span events.
-	lastPEs := map[string]int{}
+	// MaxPE) surface as shrink/expand span events. It is rebuilt from the
+	// running set on every pass, so it never outgrows it.
+	lastPEs, curPEs := map[string]int{}, map[string]int{}
 	for {
 		select {
 		case <-d.closed:
@@ -536,38 +574,44 @@ func (d *Daemon) runLoop() {
 		case <-settleTicker.C:
 			d.flushSettlements()
 			continue
-		case <-ticker.C:
+		case <-timer.C:
+		case <-d.kick:
 		}
+		d.met.wakeups.Inc()
 		now := d.Now()
 		type peChange struct {
 			id       string
 			from, to int
 		}
 		var changes []peChange
-		d.mu.Lock()
-		finished := d.cfg.Scheduler.Advance(now)
 		var samples []protocol.Telemetry
-		if now-lastTelemetry >= 1.0 {
-			lastTelemetry = now
-			for _, j := range d.jobs {
-				if j.State() == job.Running {
-					samples = append(samples, snapshotTelemetry(now, j, ""))
-				}
-			}
-		}
-		for id, j := range d.jobs {
-			if j.State() != job.Running {
-				delete(lastPEs, id)
-				continue
-			}
-			pes := j.PEs()
+		d.mu.Lock()
+		finished := append(d.done, d.cfg.Scheduler.Advance(now)...)
+		d.done = nil
+		running := d.cfg.Scheduler.Running()
+		next, armed := d.cfg.Scheduler.NextCompletion(now)
+		for _, j := range running {
+			id, pes := string(j.ID), j.PEs()
 			if prev, seen := lastPEs[id]; seen && prev != pes {
 				changes = append(changes, peChange{id: id, from: prev, to: pes})
 			}
-			lastPEs[id] = pes
+			curPEs[id] = pes
+		}
+		lastPEs, curPEs = curPEs, lastPEs
+		clear(curPEs)
+		if sampling && len(running) > 0 {
+			if now >= nextSample {
+				nextSample = now + sampleEvery
+				for _, j := range running {
+					samples = append(samples, snapshotTelemetry(now, j, ""))
+				}
+			}
+			if !armed || nextSample < next {
+				next, armed = nextSample, true
+			}
 		}
 		d.met.queueDepth.Set(float64(d.cfg.Scheduler.QueueLen()))
-		d.met.runningJobs.Set(float64(d.cfg.Scheduler.RunningCount()))
+		d.met.runningJobs.Set(float64(len(running)))
 		d.met.usedPEs.Set(float64(d.cfg.Scheduler.UsedPEs()))
 		d.met.outboxDepth.Set(float64(len(d.outbox)))
 		d.mu.Unlock()
@@ -579,14 +623,59 @@ func (d *Daemon) runLoop() {
 			}
 			d.trace(ch.id, span, fmt.Sprintf("%d -> %d PEs", ch.from, ch.to))
 		}
-
 		for _, j := range finished {
 			d.finishJob(now, j)
 		}
-		// Telemetry cadence: every virtual second is plenty.
 		for _, s := range samples {
 			d.emitTelemetry(s)
 		}
+
+		// Arm last, against a fresh clock: settling took wall time. A job
+		// admitted or killed meanwhile left a kick behind, so a stale
+		// `next` is corrected on the following pass.
+		disarm()
+		if armed {
+			timer.Reset(d.wallUntil(next))
+		}
+	}
+}
+
+// maxSleep caps one timer arming, which keeps wallUntil's conversion to
+// a time.Duration in range however distant the predicted instant is.
+const maxSleep = time.Hour
+
+// wallUntil is the wall time from now until virtual instant t, rounded
+// up so the timer never fires a truncated nanosecond short of t (the
+// pass would find nothing due and arm again).
+func (d *Daemon) wallUntil(t float64) time.Duration {
+	secs := (t - d.Now()) / d.cfg.TimeScale
+	switch {
+	case secs <= 0:
+		return 0
+	case secs >= maxSleep.Seconds():
+		return maxSleep
+	}
+	return time.Duration(secs*float64(time.Second)) + 1
+}
+
+// catchUp advances the scheduler to now, which books every running
+// job's progress: the run loop wakes only at scheduler events, so
+// whatever reads that progress in between (a status reply, a bid's or
+// an admission's view of the incumbents' remaining work) calls this
+// first. Jobs it finds finished are left for runLoop to settle. Caller
+// holds d.mu.
+func (d *Daemon) catchUp(now float64) {
+	if fin := d.cfg.Scheduler.Advance(now); len(fin) > 0 {
+		d.done = append(d.done, fin...)
+		d.wake()
+	}
+}
+
+// wake pokes runLoop without blocking; safe under d.mu.
+func (d *Daemon) wake() {
+	select {
+	case d.kick <- struct{}{}:
+	default:
 	}
 }
 
@@ -628,6 +717,7 @@ func (d *Daemon) finishJob(now float64, j *job.Job) {
 	}
 	d.met.jobsFinished.Inc()
 	d.mu.Unlock()
+	d.met.finishLag.Observe(time.Since(d.epoch).Seconds() - j.FinishTime/d.cfg.TimeScale)
 	d.trace(id, telemetry.SpanFinish, fmt.Sprintf("%.0f CPU-seconds", cpuUsed))
 
 	// The synthetic application's output file, stamped with the
@@ -912,10 +1002,12 @@ func (d *Daemon) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 		if err := protocol.Decode(f, f.Type, &req); err != nil {
 			return err
 		}
+		now := d.Now()
 		d.mu.Lock()
 		j, ok := d.jobs[req.JobID]
 		var st protocol.StatusOK
 		if ok {
+			d.catchUp(now)
 			done := 0.0
 			if j.Contract.Work > 0 {
 				done = j.DoneWork() / j.Contract.Work
@@ -985,6 +1077,7 @@ func (d *Daemon) makeBid(c *qos.Contract) (bidding.Bid, bool) {
 	}
 	now := d.Now()
 	d.mu.Lock()
+	d.catchUp(now)
 	est, canRun := d.cfg.Scheduler.EstimateCompletion(now, c)
 	st := bidding.ServerState{
 		NumPE:               d.cfg.Info.Spec.NumPE,
@@ -1062,6 +1155,7 @@ func (d *Daemon) submit(req protocol.SubmitReq) error {
 	delete(d.reserved, req.JobID)
 
 	j := job.New(job.ID(req.JobID), req.User, req.Contract, now)
+	d.catchUp(now)
 	if !d.cfg.Scheduler.Submit(now, j) {
 		d.met.jobsRejected.Inc()
 		return fmt.Errorf("daemon: %s refused job %s at submission", d.Name(), req.JobID)
@@ -1084,6 +1178,7 @@ func (d *Daemon) submit(req protocol.SubmitReq) error {
 		Price: d.prices[req.JobID], Contract: req.Contract,
 	})
 	d.trace(req.JobID, telemetry.SpanStart, fmt.Sprintf("started on %s with %d PEs", d.Name(), j.PEs()))
+	d.wake()
 	// AppSpector registration happens in the dispatch handler, after
 	// this lock is released and before SubmitOK is acknowledged.
 	return nil
@@ -1102,6 +1197,7 @@ func (d *Daemon) kill(req protocol.KillReq) (state string, err error) {
 	if d.owners[req.JobID] != req.User {
 		return "", fmt.Errorf("daemon: job %s is not owned by %s", req.JobID, req.User)
 	}
+	d.catchUp(now)
 	if j.State().Terminal() {
 		return j.State().String(), nil // idempotent: already done
 	}
@@ -1117,6 +1213,7 @@ func (d *Daemon) kill(req protocol.KillReq) (state string, err error) {
 	}
 	sample := snapshotTelemetry(now, j, fmt.Sprintf("%s killed by %s", req.JobID, req.User))
 	go d.emitTelemetry(sample)
+	d.wake()
 	return j.State().String(), nil
 }
 

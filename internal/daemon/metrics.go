@@ -18,10 +18,12 @@ type fdMetrics struct {
 	settleAcked     *telemetry.Counter   // settlements the Central Server acknowledged
 	outboxPoison    *telemetry.Counter   // settlements permanently refused and dropped
 	verifyCacheHits *telemetry.Counter   // credential checks answered from the verify cache
+	wakeups         *telemetry.Counter   // run-loop passes (timer fires and kicks)
 	queueDepth      *telemetry.Gauge     // scheduler queue length
 	runningJobs     *telemetry.Gauge     // jobs currently executing
 	usedPEs         *telemetry.Gauge     // processors allocated to running jobs
 	outboxDepth     *telemetry.Gauge     // settlements awaiting acknowledgement
+	finishLag       *telemetry.Histogram // scheduler completion instant → finish span
 	journalAppend   *telemetry.Histogram // journal record append+fsync latency
 	journalRewr     *telemetry.Histogram // journal compaction rewrite latency
 }
@@ -37,10 +39,12 @@ func newFDMetrics(reg *telemetry.Registry) *fdMetrics {
 		settleAcked:     reg.Counter("faucets_daemon_settlements_acked_total", "Settlements acknowledged (or permanently refused) by the Central Server."),
 		outboxPoison:    reg.Counter("faucets_daemon_outbox_poison_total", "Settlements the Central Server permanently refused, dropped from the outbox with their job ID logged."),
 		verifyCacheHits: reg.Counter("faucets_daemon_verify_cache_hits_total", "Credential verifications answered from the local cache instead of a Central Server round trip."),
+		wakeups:         reg.Counter("faucets_daemon_runloop_wakeups_total", "Execution-loop passes: timer fires at the scheduler's next event plus kicks from submit, kill and recovery. Idle daemons make none."),
 		queueDepth:      reg.Gauge("faucets_daemon_queue_depth", "Jobs waiting in the scheduler queue."),
 		runningJobs:     reg.Gauge("faucets_daemon_running_jobs", "Jobs currently executing."),
 		usedPEs:         reg.Gauge("faucets_daemon_used_pes", "Processors allocated to running jobs."),
 		outboxDepth:     reg.Gauge("faucets_daemon_outbox_depth", "Settlements queued for (re)delivery to the Central Server."),
+		finishLag:       reg.Histogram("faucets_daemon_finish_lag_seconds", "Wall time from the instant the scheduler says a job completed to its finish span.", nil),
 		journalAppend:   reg.Histogram("faucets_daemon_journal_append_seconds", "Journal record append latency.", nil),
 		journalRewr:     reg.Histogram("faucets_daemon_journal_rewrite_seconds", "Journal compaction rewrite+fsync latency.", nil),
 	}

@@ -171,10 +171,17 @@ func TestChaosSoakSickMinority(t *testing.T) {
 		t.Fatal("breaker-skip counter never incremented during the measured phase")
 	}
 
+	// Report only: an event-driven run loop costs about two wakeups a
+	// job, so a fleet total far above that is a loop that spins.
+	var wakeups uint64
+	for _, d := range g.Daemons {
+		wakeups += d.Metrics().Counter("faucets_daemon_runloop_wakeups_total", "").Value()
+	}
+
 	// Sustained throughput: ≥70% of the healthy baseline.
 	ratio := float64(healthyElapsed) / float64(sickElapsed)
-	t.Logf("soak: rounds=%d healthy=%v sick=%v throughput-ratio=%.2f warmup=%d skips=%d",
-		rounds, healthyElapsed, sickElapsed, ratio, warmup, skips.Value())
+	t.Logf("soak: rounds=%d healthy=%v sick=%v throughput-ratio=%.2f warmup=%d skips=%d jobs=%d runloop-wakeups=%d",
+		rounds, healthyElapsed, sickElapsed, ratio, warmup, skips.Value(), warmup+rounds, wakeups)
 	if ratio < 0.7 {
 		t.Fatalf("sick-fleet throughput is %.0f%% of healthy baseline (healthy %v, sick %v), want >= 70%%",
 			ratio*100, healthyElapsed, sickElapsed)

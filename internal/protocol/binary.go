@@ -12,13 +12,14 @@ import (
 )
 
 // This file implements the hand-rolled binary encoding every sender
-// uses for the hot auction-path message types (solicit/bid/commit/
-// settle, the nested verify, poll, gossip and their error replies — the
-// types in binCodeOf). Message types without a binary encoding ride as
-// JSON frames on the same connection. Every frame self-describes its
-// shape by its first payload byte (JSON objects start '{', binary
-// frames start binMagic), so a reader needs no per-connection state to
-// read the mixed stream, and there is no handshake to agree on one.
+// uses for the hot auction-path message types (the directory read,
+// solicit/bid/commit/settle, the nested verify, poll, gossip and their
+// error replies — the types in binCodeOf). Message types without a
+// binary encoding ride as JSON frames on the same connection. Every
+// frame self-describes its shape by its first payload byte (JSON
+// objects start '{', binary frames start binMagic), so a reader needs
+// no per-connection state to read the mixed stream, and there is no
+// handshake to agree on one.
 //
 // Binary frame layout, after the usual 4-byte big-endian length prefix:
 //
@@ -67,6 +68,8 @@ const (
 	binGossipReq        uint8 = 16
 	binGossipOK         uint8 = 17
 	binForwardSettleReq uint8 = 18
+	binListServersReq   uint8 = 19
+	binListServersOK    uint8 = 20
 )
 
 // binCodeOf maps frame type strings to binary codes; binTypeOf is the
@@ -88,9 +91,11 @@ var binCodeOf = map[string]uint8{
 	TypeGossipReq:        binGossipReq,
 	TypeGossipOK:         binGossipOK,
 	TypeForwardSettleReq: binForwardSettleReq,
+	TypeListServersReq:   binListServersReq,
+	TypeListServersOK:    binListServersOK,
 }
 
-var binTypeOf = [19]string{
+var binTypeOf = [21]string{
 	binError:            TypeError,
 	binBidReq:           TypeBidReq,
 	binBidOK:            TypeBidOK,
@@ -107,6 +112,8 @@ var binTypeOf = [19]string{
 	binGossipReq:        TypeGossipReq,
 	binGossipOK:         TypeGossipOK,
 	binForwardSettleReq: TypeForwardSettleReq,
+	binListServersReq:   TypeListServersReq,
+	binListServersOK:    TypeListServersOK,
 }
 
 // ErrBinaryFrame wraps every malformed-binary-payload failure so callers
@@ -291,6 +298,20 @@ func appendBinaryBody(dst []byte, body any) ([]byte, bool) {
 			return dst, false
 		}
 		return appendForwardSettleReq(dst, m), true
+	case ListServersReq:
+		return appendContract(appendStr(dst, m.Token), m.Contract), true
+	case *ListServersReq:
+		if m == nil {
+			return dst, false
+		}
+		return appendContract(appendStr(dst, m.Token), m.Contract), true
+	case ListServersOK:
+		return appendServerInfos(dst, m.Servers), true
+	case *ListServersOK:
+		if m == nil {
+			return dst, false
+		}
+		return appendServerInfos(dst, m.Servers), true
 	}
 	return dst, false
 }
@@ -359,13 +380,18 @@ func appendServerInfo(b []byte, si *ServerInfo) []byte {
 	return appendI64(b, si.UsedPE)
 }
 
+func appendServerInfos(b []byte, sis []ServerInfo) []byte {
+	b = appendU32(b, uint32(len(sis)))
+	for i := range sis {
+		b = appendServerInfo(b, &sis[i])
+	}
+	return b
+}
+
 func appendGossipReq(b []byte, m *GossipReq) []byte {
 	b = appendStr(b, m.From)
 	b = appendU64(b, m.Seq)
-	b = appendU32(b, uint32(len(m.Servers)))
-	for i := range m.Servers {
-		b = appendServerInfo(b, &m.Servers[i])
-	}
+	b = appendServerInfos(b, m.Servers)
 	b = appendI64(b, m.Weather.Servers)
 	b = appendI64(b, m.Weather.TotalPE)
 	b = appendI64(b, m.Weather.UsedPE)
@@ -519,6 +545,18 @@ func (r *breader) serverInfo(si *ServerInfo) {
 	si.UsedPE = r.i64()
 }
 
+func (r *breader) serverInfos() []ServerInfo {
+	n := r.count()
+	if n == 0 {
+		return nil
+	}
+	sis := make([]ServerInfo, n)
+	for i := range sis {
+		r.serverInfo(&sis[i])
+	}
+	return sis
+}
+
 func (r *breader) bid(b *bidding.Bid) {
 	b.Server = r.str()
 	b.Price = r.f64()
@@ -612,12 +650,7 @@ func decodeBinaryBody(typ string, data []byte, v any) error {
 		var m GossipReq
 		m.From = r.str()
 		m.Seq = r.u64()
-		if n := r.count(); n > 0 {
-			m.Servers = make([]ServerInfo, n)
-			for i := range m.Servers {
-				r.serverInfo(&m.Servers[i])
-			}
-		}
+		m.Servers = r.serverInfos()
 		m.Weather.Servers = r.i64()
 		m.Weather.TotalPE = r.i64()
 		m.Weather.UsedPE = r.i64()
@@ -638,6 +671,13 @@ func decodeBinaryBody(typ string, data []byte, v any) error {
 		m.Price = r.f64()
 		m.CPUSeconds = r.f64()
 		return storeBody(&r, typ, v, m)
+	case TypeListServersReq:
+		var m ListServersReq
+		m.Token = r.str()
+		m.Contract = r.contract()
+		return storeBody(&r, typ, v, m)
+	case TypeListServersOK:
+		return storeBody(&r, typ, v, ListServersOK{Servers: r.serverInfos()})
 	}
 	return fmt.Errorf("%w: no binary decoder for type %q", ErrBinaryFrame, typ)
 }

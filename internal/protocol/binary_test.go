@@ -60,6 +60,14 @@ func TestBinaryRoundTripAllTypes(t *testing.T) {
 			Weather: WeatherDigest{Servers: 2, TotalPE: 72, UsedPE: 12, Contracts: 7, MeanMultiplier: 1.3},
 		}, func() any { return &GossipReq{} }},
 		{TypeForwardSettleReq, ForwardSettleReq{JobID: "job-2", User: "u", Server: "s", HomeCluster: "h", App: "a", MinPE: 2, MaxPE: 8, Price: 3.5, CPUSeconds: 77}, func() any { return &ForwardSettleReq{} }},
+		{TypeListServersReq, ListServersReq{Token: "tok", Contract: testContract()}, func() any { return &ListServersReq{} }},
+		// A nil contract means "list everything" and must arrive nil.
+		{TypeListServersReq, ListServersReq{Token: "tok"}, func() any { return &ListServersReq{} }},
+		{TypeListServersOK, ListServersOK{Servers: []ServerInfo{
+			{Spec: machine.Spec{Name: "lemieux", NumPE: 64, MemPerPE: 512, CPUType: "x86", Speed: 1.5, CostRate: 0.02}, Addr: "10.0.0.2:7000", Apps: []string{"jacobi", "md"}, Home: "psc", UsedPE: 12},
+			{Spec: machine.Spec{Name: "tack", NumPE: 8}, Addr: "10.0.0.3:7000"},
+		}}, func() any { return &ListServersOK{} }},
+		{TypeListServersOK, ListServersOK{}, func() any { return &ListServersOK{} }},
 	}
 	for _, tc := range cases {
 		buf, err := AppendFrame(nil, CodecBinary, 7, tc.typ, tc.body)

@@ -79,6 +79,9 @@ func FuzzBinaryFrameRoundtrip(f *testing.F) {
 	seed(TypeVerifyReq, 8, VerifyReq{User: "u", Token: "t"})
 	seed(TypeGossipReq, 9, GossipReq{From: "a", Seq: 1, Servers: []ServerInfo{{Addr: "b", Apps: []string{"x"}}}})
 	seed(TypeForwardSettleReq, 10, ForwardSettleReq{JobID: "j", User: "u", Server: "s", Price: 1, CPUSeconds: 2})
+	seed(TypeListServersReq, 11, ListServersReq{Token: "t", Contract: contract})
+	seed(TypeListServersReq, 12, ListServersReq{Token: "t"})
+	seed(TypeListServersOK, 13, ListServersOK{Servers: []ServerInfo{{Addr: "b", Apps: []string{"x"}}}})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := ReadFrame(bytes.NewReader(data))

@@ -182,6 +182,7 @@ func RunGridWithHooks(s *Spec, hooks GridHooks) (*ScenarioReport, error) {
 		item     workload.Item
 		place    *client.Placement
 		dispatch time.Time // wall instant Place was issued
+		finish   time.Time // wall instant a status poll first read "finished"; zero = never
 		ttcMs    float64
 		shed     bool
 		rejected bool
@@ -192,6 +193,9 @@ func RunGridWithHooks(s *Spec, hooks GridHooks) (*ScenarioReport, error) {
 		wg       sync.WaitGroup
 		maxLagMs float64
 	)
+	// drained closes one drain timeout after the last submission fired:
+	// the point past which an unfinished job is reported unfinished.
+	drained := make(chan struct{})
 	start := time.Now()
 	var lastFire time.Time
 	for i, it := range trace.Items {
@@ -225,60 +229,34 @@ func RunGridWithHooks(s *Spec, hooks GridHooks) (*ScenarioReport, error) {
 				} else {
 					o.rejected = true
 				}
+			} else if err := cl.Start(p); err != nil {
+				o.rejected = true
+			} else if o.finish, err = watchFinish(cl, p, drained); err != nil {
+				o.rejected = true
 			} else {
 				o.place = p
-				if err := cl.Start(p); err != nil {
-					o.place, o.rejected = nil, true
-				}
 			}
 			mu.Lock()
 			outs = append(outs, o)
 			mu.Unlock()
 		}()
 	}
-	wg.Wait()
 
 	// ---- Drain: completions, then settlements ----------------------
-	// One watcher goroutine per placed job: a single sequential status
-	// sweep over hundreds of jobs takes long enough (especially under
-	// the race detector) to inflate every observed finish time — and
-	// with it response quantiles and deadline misses — by the sweep
-	// length.
 	drain := msOr(s.Grid.DrainTimeoutMs, 30_000)
 	deadline := time.Now().Add(drain)
-	finishWall := map[string]time.Time{} // job ID → observed finish
-	var finMu sync.Mutex
-	var drainWG sync.WaitGroup
+	drainTimer := time.AfterFunc(drain, func() { close(drained) })
+	wg.Wait()
+	drainTimer.Stop()
+	finished := 0
 	for _, o := range outs {
-		if o.place == nil {
-			continue
+		if !o.finish.IsZero() {
+			finished++
 		}
-		o := o
-		drainWG.Add(1)
-		go func() {
-			defer drainWG.Done()
-			for time.Now().Before(deadline) {
-				st, err := cl.Status(o.place)
-				if err == nil {
-					switch st.State {
-					case "finished":
-						finMu.Lock()
-						finishWall[o.place.JobID] = time.Now()
-						finMu.Unlock()
-						return
-					case "rejected", "killed":
-						o.place, o.rejected = nil, true
-						return
-					}
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
-		}()
 	}
-	drainWG.Wait()
 	// Give settlement outboxes a moment to flush every finished job into
 	// the Central Server's contract history.
-	for time.Now().Before(deadline) && g.HistoryLen() < len(finishWall) {
+	for time.Now().Before(deadline) && g.HistoryLen() < finished {
 		time.Sleep(5 * time.Millisecond)
 	}
 	close(utilStop)
@@ -320,8 +298,8 @@ func RunGridWithHooks(s *Spec, hooks GridHooks) (*ScenarioReport, error) {
 		if o.place == nil {
 			continue
 		}
-		fin, ok := finishWall[o.place.JobID]
-		if !ok {
+		fin := o.finish
+		if fin.IsZero() {
 			continue
 		}
 		r.Finished++
@@ -425,6 +403,34 @@ func RunGridWithHooks(s *Spec, hooks GridHooks) (*ScenarioReport, error) {
 		r.OpenLoop = ol
 	}
 	return r, nil
+}
+
+// watchFinish polls a started job's status until it reads "finished"
+// and returns that wall instant; zero if giveUp closes first. A job the
+// daemon reports rejected or killed is an error.
+//
+// RunGrid calls it from the job's own placement goroutine as soon as
+// Start is acknowledged, so a finish is stamped when it happens: not
+// when the arrival schedule ends, and not a sweep over hundreds of other
+// jobs later. Either would inflate every response quantile and deadline
+// miss by the wait.
+func watchFinish(cl *client.Client, p *client.Placement, giveUp <-chan struct{}) (time.Time, error) {
+	for {
+		if st, err := cl.Status(p); err == nil {
+			switch st.State {
+			case "finished":
+				return time.Now(), nil
+			case "rejected", "killed":
+				return time.Time{}, fmt.Errorf("scenario: job %s %s", p.JobID, st.State)
+			}
+		}
+		select {
+		case <-giveUp:
+			return time.Time{}, nil
+		default:
+			time.Sleep(time.Millisecond)
+		}
+	}
 }
 
 // scrape accumulates, so a counter present in several shard registries

@@ -179,11 +179,6 @@ func (e *Equipartition) Advance(now float64) []*job.Job {
 	return e.advanceCore(now, func(t float64) { e.reallocate(t) })
 }
 
-// NextCompletion implements Scheduler.
-func (e *Equipartition) NextCompletion(now float64) (float64, bool) {
-	return e.nextCompletion(now)
-}
-
 // EstimateCompletion implements Scheduler: assume the new job receives
 // the equipartition share it would get if it arrived now, and runs at
 // that share to completion. This is an estimate — shares change as other

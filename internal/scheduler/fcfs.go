@@ -150,11 +150,6 @@ func (f *FCFS) Advance(now float64) []*job.Job {
 	return f.advanceCore(now, func(t float64) { f.dispatch(t) })
 }
 
-// NextCompletion implements Scheduler.
-func (f *FCFS) NextCompletion(now float64) (float64, bool) {
-	return f.nextCompletion(now)
-}
-
 // EstimateCompletion implements Scheduler: the job would start at the
 // earliest time its rigid allocation fits behind the current queue, then
 // run to completion.

@@ -75,3 +75,36 @@ func TestPhaseBoundsRespectedAtSubmit(t *testing.T) {
 		t.Fatalf("wide-phase allocation=%d", mp.PEs())
 	}
 }
+
+// TestNextCompletionReportsPhaseBoundary: a boundary is reallocated only
+// if Advance is called at it, so an executor that steps from one
+// NextCompletion to the next (the daemon's timer, gridsim's completion
+// event) must be sent to boundaries too. A job held to 2 PEs by its
+// first phase and allowed 16 in its second then finishes at 30, not at
+// the 100 its first allocation predicts.
+func TestNextCompletionReportsPhaseBoundary(t *testing.T) {
+	s := NewEquipartition(spec(64), Config{})
+	c := &qos.Contract{
+		App: "mp", MinPE: 2, MaxPE: 16, Work: 200,
+		Phases: []qos.Phase{
+			{Name: "setup", Work: 40, MinPE: 2, MaxPE: 2},
+			{Name: "solve", Work: 160, MinPE: 2, MaxPE: 16},
+		},
+	}
+	j := job.New("mp", "u", c, 0)
+	s.Submit(0, j)
+	if next, ok := s.NextCompletion(0); !ok || next != 20 {
+		t.Fatalf("NextCompletion = %v, %v; want the phase boundary at 20", next, ok)
+	}
+	for now := 0.0; ; {
+		next, ok := s.NextCompletion(now)
+		if !ok {
+			break
+		}
+		now = next
+		s.Advance(now)
+	}
+	if j.State() != job.Finished || j.FinishTime < 29.9 || j.FinishTime > 30.1 {
+		t.Fatalf("state %v, finished at %v; want finished at 30", j.State(), j.FinishTime)
+	}
+}

@@ -326,11 +326,6 @@ func (p *Profit) Advance(now float64) []*job.Job {
 	return p.advanceCore(now, func(t float64) { p.reallocate(t) })
 }
 
-// NextCompletion implements Scheduler.
-func (p *Profit) NextCompletion(now float64) (float64, bool) {
-	return p.nextCompletion(now)
-}
-
 // EstimateCompletion implements Scheduler using the same plan that
 // admission control would apply.
 func (p *Profit) EstimateCompletion(now float64, c *qos.Contract) (float64, bool) {

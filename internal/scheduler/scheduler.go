@@ -45,8 +45,11 @@ type Scheduler interface {
 	// work finishes at or before now, and returns them in completion
 	// order.
 	Advance(now float64) []*job.Job
-	// NextCompletion predicts the earliest completion time among running
-	// jobs under current allocations. ok is false when nothing is running.
+	// NextCompletion predicts the next instant at which Advance has
+	// something to do under current allocations: the earliest completion
+	// among running jobs, or an earlier phase boundary (a reallocation
+	// point that can move every completion). An executor arms its one
+	// timer for it. ok is false when nothing is running.
 	NextCompletion(now float64) (t float64, ok bool)
 	// EstimateCompletion predicts when a hypothetical job with the given
 	// contract would complete if submitted now, without admitting it.
@@ -201,6 +204,23 @@ func (c *cluster) nextPhaseBoundary(now float64) (float64, bool) {
 	return best, ok
 }
 
+// nextEvent returns the earliest pending completion or phase boundary,
+// and whether it is a boundary.
+func (c *cluster) nextEvent(now float64) (t float64, boundary, ok bool) {
+	tc, okc := c.nextCompletion(now)
+	tb, okb := c.nextPhaseBoundary(now)
+	if okb && (!okc || tb < tc) {
+		return tb, true, true
+	}
+	return tc, false, okc
+}
+
+// NextCompletion implements Scheduler for every strategy.
+func (c *cluster) NextCompletion(now float64) (float64, bool) {
+	t, _, ok := c.nextEvent(now)
+	return t, ok
+}
+
 // advanceCore completes jobs up to time now, invoking onChange(t) at
 // each completion instant and each phase boundary, so the owning
 // strategy can reallocate and start queued work at exactly the right
@@ -208,17 +228,8 @@ func (c *cluster) nextPhaseBoundary(now float64) (float64, bool) {
 func (c *cluster) advanceCore(now float64, onChange func(t float64)) []*job.Job {
 	var done []*job.Job
 	for {
-		tc, okc := c.nextCompletion(now)
-		tb, okb := c.nextPhaseBoundary(now)
-		if !okc && !okb {
-			break
-		}
-		// Pick the earliest pending event.
-		t, boundary := tc, false
-		if !okc || (okb && tb < tc) {
-			t, boundary = tb, true
-		}
-		if t > now {
+		t, boundary, ok := c.nextEvent(now)
+		if !ok || t > now {
 			break
 		}
 		// Advance every running job to the event instant — nudged just

@@ -38,10 +38,10 @@ func main() {
 	stateDir := flag.String("state-dir", "", "durable state directory (snapshot + write-ahead log): every mutation is logged, and a restarted server recovers accounts, history, and settled-job marks")
 	snapEvery := flag.Duration("snapshot-interval", time.Minute, "WAL compaction interval (with -state-dir)")
 	walWindow := flag.Duration("wal-group-window", 0, "WAL group-commit accumulation window: how long a batch leader waits for concurrent mutations to pile on before the shared fsync (0 = flush immediately; with -state-dir)")
-	peers := flag.String("peers", "", "comma-separated peer Central Server addresses (distributed directory, §5.1)")
-	ring := flag.String("ring", "", "comma-separated addresses of EVERY shard in a consistent-hash Central Server mesh, identical on all members; users and server names partition across them")
+	peers := flag.String("peers", "", "comma-separated peer Central Server addresses this server asks (distributed directory and token vouching, §5.1); not with -ring")
+	ring := flag.String("ring", "", "comma-separated addresses of EVERY shard in a consistent-hash Central Server mesh, identical on all members; users and server names partition across them, and every other member is a peer")
 	shardID := flag.Int("shard-id", -1, "this server's index into -ring (its public address as peers dial it); required with -ring")
-	gossipInterval := flag.Duration("gossip-interval", 0, "shard digest push cadence (0 = default; with -ring)")
+	gossipInterval := flag.Duration("gossip-interval", 0, "how often each peer's directory/weather digest is pulled (0 = default; with -ring or -peers)")
 	rpcTimeout := flag.Duration("rpc-timeout", 5*time.Second, "deadline for each federation RPC round trip")
 	poolSize := flag.Int("rpc-pool-size", protocol.DefaultPoolSize, "persistent federation RPC connections kept per peer address")
 	pollTimeout := flag.Duration("poll-timeout", 3*time.Second, "deadline for each daemon liveness probe")
@@ -92,6 +92,10 @@ func main() {
 	srv.BrownoutFsync = *brownoutFsync
 	srv.BrownoutQueue = *brownoutQueue
 	srv.DefaultMechanism = *mechanism
+	srv.GossipInterval = *gossipInterval
+	if *peers != "" && *ring != "" {
+		log.Fatal("-peers and -ring are exclusive: a ring member's peers are the rest of its ring")
+	}
 	if *peers != "" {
 		var list []string
 		for _, p := range strings.Split(*peers, ",") {
@@ -109,22 +113,8 @@ func main() {
 		if *shardID < 0 || *shardID >= r.Size() {
 			log.Fatalf("-shard-id: want 0..%d (index into -ring), got %d", r.Size()-1, *shardID)
 		}
-		self := r.Addrs()[*shardID]
 		srv.Ring = r
-		srv.SelfAddr = self
-		srv.GossipInterval = *gossipInterval
-		if *peers == "" {
-			// Mesh members default to peering with every other shard, so
-			// gossip and settlement forwarding work without a separate
-			// -peers list.
-			var others []string
-			for _, a := range r.Addrs() {
-				if a != self {
-					others = append(others, a)
-				}
-			}
-			srv.SetPeers(others)
-		}
+		srv.SelfAddr = r.Addrs()[*shardID]
 		log.Printf("faucets-server: shard %d/%d of ring %v", *shardID, r.Size(), r.Addrs())
 	} else if *shardID >= 0 {
 		log.Fatal("-shard-id requires -ring")

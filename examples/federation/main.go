@@ -1,9 +1,10 @@
 // Federation: the distributed Faucets system §5.1 anticipates — "in
 // future, the broadcast itself will be handled by a distributed Faucets
 // system, making the potential-server selection scale up." Two Central
-// Servers peer with each other; Compute Servers register with whichever
-// is closest; a client talking to either sees the whole grid and can run
-// jobs anywhere in it.
+// Servers peer with each other and pull each other's directory digest on
+// a short timer; Compute Servers register with whichever is closest; a
+// client talking to either sees the whole grid and can run jobs anywhere
+// in it, and no directory read waits on the other campus.
 package main
 
 import (
@@ -67,11 +68,19 @@ func main() {
 	fsWest.SetPeers([]string{eastAddr})
 	_ = fsEast.Auth.AddUser("alice", "pw", "")
 
-	// Each campus runs its own Compute Servers, registered locally.
+	// Each campus runs its own Compute Servers, registered locally
+	// (registration is synchronous: both directories are populated here).
 	d1 := startDaemon("east-cluster", 32, eastAddr)
 	d2 := startDaemon("west-cluster", 128, westAddr)
 	defer d1.Close()
 	defer d2.Close()
+
+	// Gossip starts with one pull at once, then one per interval; the
+	// explicit round only spares this example a wait for the first.
+	fsEast.StartGossip()
+	fsWest.StartGossip()
+	fsEast.GossipOnce()
+	fmt.Printf("\neast pulls west's digest every %v and answers from its cache\n", central.DefaultGossipInterval)
 
 	// Alice only knows the east Central Server…
 	cl, err := clientpkg.Login(eastAddr, "alice", "pw")

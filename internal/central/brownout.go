@@ -10,8 +10,10 @@ package central
 //     stop triggering fleet scans.
 //   - The WAL group-commit window widens (4×, at least 5ms) so each
 //     fsync amortizes across more settlements.
-//   - Federation gossip pauses (FederatedServers serves the local
-//     directory alone); peer credential verification does not.
+//
+// Directory reads have nothing to shed: they merge the gossip cache and
+// dial no peer (federation.go). Peer credential verification is never
+// degraded — auth must stay exact.
 //
 // Every degradation is a freshness trade, never a correctness one:
 // settlements remain exactly-once and durably acknowledged.

@@ -63,29 +63,6 @@ func TestBrownoutWeatherServesStale(t *testing.T) {
 	}
 }
 
-// TestBrownoutPausesFederation: a browned-out directory read returns the
-// local view without touching peers — the gossip fan-out is the
-// expensive half of a solicitation.
-func TestBrownoutPausesFederation(t *testing.T) {
-	s := New(accounting.Dollars)
-	defer s.Close()
-	s.RPCTimeout = 2 * time.Second
-	if err := s.RegisterDaemon(info("local", 8, 512)); err != nil {
-		t.Fatal(err)
-	}
-	s.SetPeers([]string{hungListener(t)}) // a peer that would stall the query
-
-	s.SetBrownout(true)
-	start := time.Now()
-	out := s.FederatedServers(nil)
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("browned-out federated read took %v, peers were queried", elapsed)
-	}
-	if len(out) != 1 || out[0].Spec.Name != "local" {
-		t.Fatalf("browned-out directory = %v, want local view", out)
-	}
-}
-
 // TestBrownoutMonitorEngagesOnFsyncPressure: a durable settlement pushes
 // the fsync EWMA above a threshold of one nanosecond, so the monitor
 // must engage brownout on its next tick.

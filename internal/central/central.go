@@ -57,8 +57,8 @@ type srvMetrics struct {
 	brownoutOn    *telemetry.Gauge   // 1 while browned out
 	brownoutTrans *telemetry.Counter // brownout entries + exits
 	probeSkips    *telemetry.Counter // liveness probes skipped on an OPEN breaker
-	gossipSent    *telemetry.Counter // shard digests delivered to peers
-	gossipRecv    *telemetry.Counter // shard digests accepted from peers
+	gossipSent    *telemetry.Counter // digests served to pulling peers
+	gossipRecv    *telemetry.Counter // digests pulled from peers and cached
 	notOwner      *telemetry.Counter // requests refused with a NOT_OWNER redirect
 	fwdSettles    *telemetry.Counter // settlements forwarded to the owning shard
 }
@@ -80,8 +80,8 @@ func newSrvMetrics(reg *telemetry.Registry) *srvMetrics {
 		brownoutOn:    reg.Gauge("faucets_central_brownout", "1 while the server is serving in brownout (degraded-freshness) mode."),
 		brownoutTrans: reg.Counter("faucets_central_brownout_transitions_total", "Brownout mode entries and exits."),
 		probeSkips:    reg.Counter("faucets_central_probe_breaker_skips_total", "Liveness probes skipped because the daemon's circuit breaker was open."),
-		gossipSent:    reg.Counter("faucets_central_gossip_sent_total", "Shard liveness/weather digests delivered to peer shards."),
-		gossipRecv:    reg.Counter("faucets_central_gossip_received_total", "Shard liveness/weather digests accepted from peer shards."),
+		gossipSent:    reg.Counter("faucets_central_gossip_sent_total", "Liveness/weather digests served to peer Central Servers."),
+		gossipRecv:    reg.Counter("faucets_central_gossip_received_total", "Liveness/weather digests pulled from peer Central Servers and cached."),
 		notOwner:      reg.Counter("faucets_central_not_owner_total", "Requests refused with a NOT_OWNER shard redirect."),
 		fwdSettles:    reg.Counter("faucets_central_forwarded_settles_total", "Settlements forwarded one hop to the user-owning shard."),
 	}
@@ -162,18 +162,15 @@ type Server struct {
 	// Ring and SelfAddr make this server one shard of a consistent-hash
 	// Central Server mesh (see shardmesh.go): the ring partitions users
 	// and server names, SelfAddr is this shard's ring identity. With
-	// Ring unset (or a single-member ring) the server behaves exactly
-	// like the singleton Central Server.
+	// Ring unset (or a single-member ring) the server owns every key.
 	Ring     *shard.Ring
 	SelfAddr string
-	// GossipInterval is the digest push cadence between shards (zero =
-	// DefaultGossipInterval); GossipStaleAfter is how old a peer digest
-	// may grow before its entries stop being served (zero = 5×interval).
-	GossipInterval   time.Duration
-	GossipStaleAfter time.Duration
-	gossipSeq        atomic.Uint64
-	remoteMu         sync.Mutex
-	remotes          map[string]remoteDigest
+	// GossipInterval is how often each peer's digest is pulled (zero =
+	// DefaultGossipInterval); a digest is served until it is five
+	// intervals old (see federation.go).
+	GossipInterval time.Duration
+	remoteMu       sync.Mutex
+	remotes        map[string]remoteDigest // by dialed peer address
 
 	// MaxInflight caps concurrently admitted auction and settlement
 	// requests. Past the cap, admission control sheds the request with a
@@ -288,6 +285,7 @@ func NewWithDB(mode accounting.Mode, store *db.DB) *Server {
 		rpc:          telemetry.NewRPCMetrics(reg, "central"),
 		registry:     map[string]*regEntry{},
 		dirtySettles: map[string]bool{},
+		remotes:      map[string]remoteDigest{},
 		wagg:         wagg,
 		conns:        map[net.Conn]struct{}{},
 		closed:       make(chan struct{}),
@@ -546,15 +544,13 @@ func (s *Server) Weather() weather.Report {
 	servers, used, total := s.fleetScan()
 
 	r := weather.Report{Time: float64(now.UnixNano()) / 1e9, Servers: servers, TotalPE: total}
-	if total > 0 {
-		r.GridUtilization = float64(used) / float64(total)
+	s.wagg.Fill(&r)
+	used += s.mergeRemoteWeather(&r)
+	if r.TotalPE > 0 {
+		r.GridUtilization = float64(used) / float64(r.TotalPE)
 		if r.GridUtilization > 1 {
 			r.GridUtilization = 1
 		}
-	}
-	s.wagg.Fill(&r)
-	if s.sharded() {
-		s.mergeRemoteWeather(&r, used)
 	}
 
 	s.weatherMu.Lock()
@@ -864,22 +860,6 @@ func (s *Server) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 		return protocol.WriteFrame(conn, protocol.TypeListServersOK,
 			protocol.ListServersOK{Servers: s.FederatedServers(req.Contract)})
 
-	case protocol.TypePeerListReq:
-		// Peer directory exchange (§5.1 distributed Faucets system):
-		// answer with the LOCAL directory only, so federation queries
-		// never recurse through the peer graph.
-		var req protocol.PeerListReq
-		if err := protocol.Decode(f, f.Type, &req); err != nil {
-			return err
-		}
-		if req.Contract != nil {
-			if err := req.Contract.Validate(); err != nil {
-				return err
-			}
-		}
-		return protocol.WriteFrame(conn, protocol.TypeListServersOK,
-			protocol.ListServersOK{Servers: s.Servers(req.Contract)})
-
 	case protocol.TypeListAppsReq:
 		var req protocol.ListAppsReq
 		if err := protocol.Decode(f, f.Type, &req); err != nil {
@@ -994,12 +974,14 @@ func (s *Server) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 		return protocol.WriteFrame(conn, protocol.TypeSettleOK, protocol.SettleOK{})
 
 	case protocol.TypeGossipReq:
-		var req protocol.GossipReq
-		if err := protocol.Decode(f, f.Type, &req); err != nil {
-			return err
-		}
-		s.acceptGossip(req)
-		return protocol.WriteFrame(conn, protocol.TypeGossipOK, protocol.GossipOK{})
+		// A peer pulling our digest: answer with LOCAL state only, so
+		// gossip never recurses through the peer graph. The request has
+		// no fields and its body is never read — nothing a caller sends
+		// here is stored.
+		// Counted before the write so a puller that has its answer always
+		// finds the counter moved.
+		s.met.gossipSent.Inc()
+		return protocol.WriteFrame(conn, protocol.TypeGossipOK, s.localDigest())
 
 	case protocol.TypeHistoryReq:
 		var req protocol.HistoryReq

@@ -8,6 +8,7 @@ import (
 
 	"faucets/internal/protocol"
 	"faucets/internal/qos"
+	"faucets/internal/weather"
 )
 
 // Federation implements the distributed Faucets system §5.1 anticipates:
@@ -15,47 +16,173 @@ import (
 // Faucets system, making the potential-server selection scale up, even
 // in the presence of millions of job submissions a day."
 //
-// Each Central Server may be given peer addresses. A federated directory
-// query merges the local directory with each peer's (already filtered)
-// directory, so clients keep a single point of contact while Compute
-// Servers register with whichever Central Server is closest. Peers that
-// fail to answer are skipped — a partitioned federation degrades to the
-// local view instead of failing.
+// A Central Server with peers pulls each peer's digest — its live local
+// directory and local weather summary — once per gossip interval and
+// caches it under the address it dialed. Directory and weather reads
+// merge that cache and never touch the network, so clients keep a single
+// point of contact, Compute Servers register with whichever Central
+// Server is closest (or, on a sharded mesh, with the one owning their
+// name), and a hung or partitioned peer costs freshness, never latency:
+// its entries linger for gossipStaleAfter and then drop out. Whether the
+// peers also partition ownership is shardmesh.go's business; nothing
+// here asks.
 
-// SetPeers installs the peer Central Server addresses.
+// DefaultGossipInterval is the digest pull cadence when GossipInterval
+// is not positive.
+const DefaultGossipInterval = 500 * time.Millisecond
+
+// remoteDigest is the cached digest of one peer.
+type remoteDigest struct {
+	at      time.Time // when the pull that fetched it was sent
+	servers []protocol.ServerInfo
+	weather protocol.WeatherDigest
+}
+
+// SetPeers installs the peer Central Server addresses of an un-sharded
+// federation. A ring member's peers are the rest of its ring.
 func (s *Server) SetPeers(addrs []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.peers = append([]string(nil), addrs...)
 }
 
-// Peers returns the configured peer addresses.
+// Peers returns the Central Servers this one asks — for digests, for
+// vouching on a token: every other ring member when Ring is set, the
+// SetPeers list otherwise.
 func (s *Server) Peers() []string {
+	if s.Ring != nil {
+		var out []string
+		for _, a := range s.Ring.Addrs() {
+			if a != s.SelfAddr {
+				out = append(out, a)
+			}
+		}
+		return out
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]string(nil), s.peers...)
 }
 
+func (s *Server) gossipInterval() time.Duration {
+	if s.GossipInterval > 0 {
+		return s.GossipInterval
+	}
+	return DefaultGossipInterval
+}
+
+// gossipStaleAfter is how old a peer digest may be before its entries
+// stop being served — the moment a dead peer's directory contribution
+// vanishes from the federation.
+func (s *Server) gossipStaleAfter() time.Duration { return 5 * s.gossipInterval() }
+
+// StartGossip launches the periodic digest pull from every peer. The
+// first round runs at once, so a (re)started server has a warm directory
+// before its first tick. No-op without peers.
+func (s *Server) StartGossip() {
+	if len(s.Peers()) == 0 {
+		return
+	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.GossipOnce()
+		ticker := time.NewTicker(s.gossipInterval())
+		defer ticker.Stop()
+		for {
+			select {
+			case <-s.closed:
+				return
+			case <-ticker.C:
+				s.GossipOnce()
+			}
+		}
+	}()
+}
+
+// GossipOnce pulls every peer's digest concurrently and waits for the
+// round to finish. Unreachable peers are skipped — the digest cached
+// from them goes stale and expires, exactly the degradation a partition
+// should produce.
+func (s *Server) GossipOnce() {
+	var wg sync.WaitGroup
+	for _, addr := range s.Peers() {
+		wg.Add(1)
+		go func(addr string) {
+			defer wg.Done()
+			sent := time.Now()
+			var d protocol.GossipOK
+			err := s.peerRPC().Call(addr, s.RPCTimeout, protocol.TypeGossipReq, protocol.GossipReq{}, protocol.TypeGossipOK, &d)
+			if err == nil {
+				s.storeDigest(addr, sent, d)
+			}
+		}(addr)
+	}
+	wg.Wait()
+}
+
+// localDigest snapshots this server's live directory and local weather
+// summary. The weather digest is built from the LOCAL fleet and the
+// local contract aggregate only — never from merged weather — so
+// digests compose without double counting.
+func (s *Server) localDigest() protocol.GossipOK {
+	fleet, used, total := s.fleetScan()
+	var r weather.Report
+	s.wagg.Fill(&r)
+	return protocol.GossipOK{
+		// Servers(nil) publishes UsedPE per entry, so pullers can serve
+		// posted-price weather for remote machines too.
+		Servers: s.Servers(nil),
+		Weather: protocol.WeatherDigest{
+			Servers:        fleet,
+			TotalPE:        total,
+			UsedPE:         used,
+			Contracts:      r.Contracts,
+			MeanMultiplier: r.MeanMultiplier,
+		},
+	}
+}
+
+// storeDigest caches the digest pulled from addr, stamped with the
+// instant the pull was sent. Rounds may overlap (a slow reply, a manual
+// GossipOnce beside the ticker): the reply to an older request never
+// overwrites what a newer one fetched.
+func (s *Server) storeDigest(addr string, sent time.Time, d protocol.GossipOK) {
+	s.remoteMu.Lock()
+	if prev, ok := s.remotes[addr]; ok && !sent.After(prev.at) {
+		s.remoteMu.Unlock()
+		return
+	}
+	s.remotes[addr] = remoteDigest{at: sent, servers: d.Servers, weather: d.Weather}
+	s.remoteMu.Unlock()
+	s.met.gossipRecv.Inc()
+	s.invalidateWeather()
+}
+
+// gossipServers returns every unexpired remote directory entry.
+func (s *Server) gossipServers() []protocol.ServerInfo {
+	stale := s.gossipStaleAfter()
+	now := time.Now()
+	s.remoteMu.Lock()
+	defer s.remoteMu.Unlock()
+	var out []protocol.ServerInfo
+	for _, d := range s.remotes {
+		if now.Sub(d.at) > stale {
+			continue
+		}
+		out = append(out, d.servers...)
+	}
+	return out
+}
+
 // FederatedServers returns the union of the local filtered directory and
-// every reachable peer's filtered directory, deduplicated by server name
-// (local entries win) and sorted by name.
+// every unexpired peer digest, deduplicated by server name (local
+// entries win) and sorted by name. It reads the gossip cache only: no
+// peer is dialed on the auction path.
 func (s *Server) FederatedServers(c *qos.Contract) []protocol.ServerInfo {
 	local := s.Servers(c)
-	if s.sharded() {
-		// Sharded mesh: cross-shard knowledge arrives by periodic gossip
-		// (shardmesh.go), so the union is a local-cache merge — no peer
-		// round trips on the auction path at all.
-		return s.shardedServers(local, c)
-	}
-	if s.Brownout() {
-		// Brownout pauses federation gossip: peer directory fan-outs are
-		// the most expensive part of a solicitation and their absence only
-		// narrows the candidate set (freshness, not correctness). Peer
-		// credential verification is NOT paused — auth must stay exact.
-		return local
-	}
-	peers := s.Peers()
-	if len(peers) == 0 {
+	remote := s.gossipServers()
+	if len(remote) == 0 {
 		return local
 	}
 	seen := make(map[string]bool, len(local))
@@ -63,30 +190,47 @@ func (s *Server) FederatedServers(c *qos.Contract) []protocol.ServerInfo {
 		seen[info.Spec.Name] = true
 	}
 	out := local
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, addr := range peers {
-		addr := addr
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			remote, err := s.queryPeer(addr, c)
-			if err != nil {
-				return // unreachable peer: degrade to the rest
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			for _, info := range remote {
-				if !seen[info.Spec.Name] {
-					seen[info.Spec.Name] = true
-					out = append(out, info)
-				}
-			}
-		}()
+	for _, info := range remote {
+		if seen[info.Spec.Name] {
+			continue
+		}
+		if c != nil && !matches(info, c) {
+			continue
+		}
+		seen[info.Spec.Name] = true
+		out = append(out, info)
 	}
-	wg.Wait()
 	sort.Slice(out, func(i, j int) bool { return out[i].Spec.Name < out[j].Spec.Name })
 	return out
+}
+
+// mergeRemoteWeather folds unexpired peer weather digests into a local
+// report — fleet counts add up and the mean price multiplier is
+// contract-count weighted — and returns the peers' busy PE count for the
+// caller's utilization. Bucket multipliers stay local-only: they are
+// advisory and would bloat every digest. With no digest it changes
+// nothing.
+func (s *Server) mergeRemoteWeather(r *weather.Report) (used int) {
+	stale := s.gossipStaleAfter()
+	now := time.Now()
+	wsum := r.MeanMultiplier * float64(r.Contracts)
+	local := r.Contracts
+	s.remoteMu.Lock()
+	for _, d := range s.remotes {
+		if now.Sub(d.at) > stale {
+			continue
+		}
+		r.Servers += d.weather.Servers
+		r.TotalPE += d.weather.TotalPE
+		used += d.weather.UsedPE
+		r.Contracts += d.weather.Contracts
+		wsum += d.weather.MeanMultiplier * float64(d.weather.Contracts)
+	}
+	s.remoteMu.Unlock()
+	if r.Contracts > local {
+		r.MeanMultiplier = wsum / float64(r.Contracts)
+	}
+	return used
 }
 
 // verifyViaPeers asks every peer to vouch for a user's token,
@@ -136,17 +280,4 @@ func (s *Server) verifyViaPeers(user, token string) bool {
 		}
 	}
 	return false
-}
-
-// queryPeer fetches a peer's filtered directory over the pooled
-// federation connection. Peer queries use the federation token so peers
-// don't need shared user accounts.
-func (s *Server) queryPeer(addr string, c *qos.Contract) ([]protocol.ServerInfo, error) {
-	var reply protocol.ListServersOK
-	err := s.peerRPC().Call(addr, s.RPCTimeout, protocol.TypePeerListReq,
-		protocol.PeerListReq{Contract: c}, protocol.TypeListServersOK, &reply)
-	if err != nil {
-		return nil, err
-	}
-	return reply.Servers, nil
 }

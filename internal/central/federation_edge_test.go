@@ -13,26 +13,31 @@ import (
 	"faucets/internal/shard"
 )
 
-// TestBrownoutSuppressesPeerFanoutMidQuery: queries issued while a
-// server is in brownout skip the peer directory fan-out entirely (local
-// view only, no wire traffic), and the very next query after brownout
-// clears fans out again — the freshness-for-headroom trade stated in
-// FederatedServers.
-func TestBrownoutSuppressesPeerFanoutMidQuery(t *testing.T) {
-	servers, _ := federate(t, 2)
-	_ = servers[0].RegisterDaemon(info("near", 64, 1024))
-	_ = servers[1].RegisterDaemon(info("far", 64, 1024))
+// TestDirectoryReadNeverDialsPeers: the only peer is a listener that
+// accepts and never answers, and a pull from it is hanging in the
+// background. Directory and weather reads — browned out or not — answer
+// from the local view at once: no read path waits on a peer.
+func TestDirectoryReadNeverDialsPeers(t *testing.T) {
+	s := New(accounting.Dollars)
+	defer s.Close()
+	s.RPCTimeout = 2 * time.Second
+	if err := s.RegisterDaemon(info("local", 8, 512)); err != nil {
+		t.Fatal(err)
+	}
+	s.SetPeers([]string{hungListener(t)})
+	s.StartGossip()
 
-	if union := servers[0].FederatedServers(nil); len(union) != 2 {
-		t.Fatalf("healthy union=%v", union)
-	}
-	servers[0].SetBrownout(true)
-	if union := servers[0].FederatedServers(nil); len(union) != 1 || union[0].Spec.Name != "near" {
-		t.Fatalf("brownout union must be local-only: %v", union)
-	}
-	servers[0].SetBrownout(false)
-	if union := servers[0].FederatedServers(nil); len(union) != 2 {
-		t.Fatalf("post-brownout union=%v", union)
+	for _, brownout := range []bool{false, true, false} {
+		s.SetBrownout(brownout)
+		start := time.Now()
+		out := s.FederatedServers(nil)
+		w := s.Weather()
+		if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
+			t.Fatalf("brownout=%v: read took %v, a peer was waited on", brownout, elapsed)
+		}
+		if len(out) != 1 || out[0].Spec.Name != "local" || w.Servers != 1 {
+			t.Fatalf("brownout=%v: directory = %v, weather = %+v, want the local view", brownout, out, w)
+		}
 	}
 }
 
@@ -127,8 +132,8 @@ func TestVerifyViaPeersBreakerSkipsOpenPeer(t *testing.T) {
 	}
 }
 
-// TestShardedDirectoryDedupLocalWins: the gossip-backed union applies
-// the same name-dedup rule as the fan-out path — a server registered
+// TestShardedDirectoryDedupLocalWins: the union dedups by name on a
+// sharded mesh exactly as between plain peers — a server registered
 // both locally and in a peer's digest (daemon failover mid-gossip)
 // appears once, with the local registration's address winning.
 func TestShardedDirectoryDedupLocalWins(t *testing.T) {
@@ -144,9 +149,7 @@ func TestShardedDirectoryDedupLocalWins(t *testing.T) {
 
 	remoteDup := info("dup", 64, 1024)
 	remoteDup.Addr = "remote:1"
-	s.acceptGossip(protocol.GossipReq{
-		From:    "127.0.0.1:7002",
-		Seq:     1,
+	s.storeDigest("127.0.0.1:7002", time.Now(), protocol.GossipOK{
 		Servers: []protocol.ServerInfo{remoteDup, info("other", 32, 512)},
 	})
 
@@ -163,9 +166,10 @@ func TestShardedDirectoryDedupLocalWins(t *testing.T) {
 }
 
 // TestFederationPartitionedPeerConcurrent hammers the federated paths
-// from many goroutines while one peer is partitioned away: directory
-// unions degrade to the reachable membership and verifies stay bounded,
-// with no deadlock and no data race (this test is in the -race CI job).
+// from many goroutines while one peer is partitioned away: gossip
+// rounds, directory unions (never below the reachable membership) and
+// verifies interleave with no deadlock and no data race (this test is in
+// the -race CI job).
 func TestFederationPartitionedPeerConcurrent(t *testing.T) {
 	servers, _ := federate(t, 3)
 	_ = servers[0].RegisterDaemon(info("alpha", 64, 1024))
@@ -174,6 +178,7 @@ func TestFederationPartitionedPeerConcurrent(t *testing.T) {
 	for _, s := range servers {
 		s.RPCTimeout = 500 * time.Millisecond
 	}
+	pullAll(servers...)
 
 	// Partition server 2 away mid-run.
 	servers[2].Close()
@@ -185,6 +190,7 @@ func TestFederationPartitionedPeerConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 5; j++ {
+				servers[0].GossipOnce()
 				union := servers[0].FederatedServers(nil)
 				if len(union) < 2 {
 					errs <- fmt.Errorf("union shrank below reachable membership: %v", union)

@@ -11,7 +11,9 @@ import (
 	"faucets/internal/qos"
 )
 
-// federate boots n Central Servers, fully meshed.
+// federate boots n Central Servers, fully meshed. Nothing gossips on a
+// timer: tests call pullAll once the directories they care about are
+// registered.
 func federate(t *testing.T, n int) ([]*Server, []string) {
 	t.Helper()
 	servers := make([]*Server, n)
@@ -38,11 +40,19 @@ func federate(t *testing.T, n int) ([]*Server, []string) {
 	return servers, addrs
 }
 
+// pullAll runs one gossip round on every server.
+func pullAll(servers ...*Server) {
+	for _, s := range servers {
+		s.GossipOnce()
+	}
+}
+
 func TestFederatedDirectoryUnion(t *testing.T) {
 	servers, _ := federate(t, 3)
 	_ = servers[0].RegisterDaemon(info("alpha", 64, 1024, "synth"))
 	_ = servers[1].RegisterDaemon(info("beta", 128, 2048, "synth"))
 	_ = servers[2].RegisterDaemon(info("gamma", 32, 512, "synth"))
+	pullAll(servers...)
 
 	union := servers[0].FederatedServers(nil)
 	if len(union) != 3 {
@@ -68,6 +78,7 @@ func TestFederationDeduplicatesByName(t *testing.T) {
 	remote.Addr = "remote:1"
 	_ = servers[0].RegisterDaemon(local)
 	_ = servers[1].RegisterDaemon(remote)
+	pullAll(servers...)
 	union := servers[0].FederatedServers(nil)
 	if len(union) != 1 {
 		t.Fatalf("union=%v", union)
@@ -83,6 +94,7 @@ func TestFederationDegradesWhenPeerDown(t *testing.T) {
 	_ = s.RegisterDaemon(info("solo", 8, 512))
 	s.SetPeers([]string{"127.0.0.1:1"}) // nothing listens here
 	start := time.Now()
+	s.GossipOnce()
 	union := s.FederatedServers(nil)
 	if len(union) != 1 || union[0].Spec.Name != "solo" {
 		t.Fatalf("union=%v", union)
@@ -97,6 +109,7 @@ func TestClientSeesFederationOverTheWire(t *testing.T) {
 	_ = servers[0].Auth.AddUser("alice", "pw", "")
 	_ = servers[0].RegisterDaemon(info("near", 64, 1024))
 	_ = servers[1].RegisterDaemon(info("far", 64, 1024))
+	pullAll(servers...)
 
 	conn, err := net.Dial("tcp", addrs[0])
 	if err != nil {
@@ -116,36 +129,99 @@ func TestClientSeesFederationOverTheWire(t *testing.T) {
 	}
 }
 
-func TestPeerListDoesNotRecurse(t *testing.T) {
-	// A peer query answers with the local view only — even when the
-	// answering server itself has peers — so cycles terminate.
+// TestGossipReplyIsLocalOnly: a gossip_req answers with the local
+// directory and local weather only — even when the answering server
+// holds its own peers' digests — so gossip never recurses and fleets are
+// never counted twice.
+func TestGossipReplyIsLocalOnly(t *testing.T) {
 	servers, addrs := federate(t, 2)
+	_ = servers[0].RegisterDaemon(info("elsewhere", 64, 1024))
 	_ = servers[1].RegisterDaemon(info("remote-only", 8, 512))
-	// Query server 1's peer endpoint directly: must include only its
-	// local registrations, not trigger a fan-out back to server 0.
+	pullAll(servers...)
+	if n := len(servers[1].FederatedServers(nil)); n != 2 {
+		t.Fatalf("server 1 should hold merged state before it is asked: %d entries", n)
+	}
 	conn, err := net.Dial("tcp", addrs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	var ls protocol.ListServersOK
-	if err := protocol.Call(conn, protocol.TypePeerListReq, protocol.PeerListReq{}, protocol.TypeListServersOK, &ls); err != nil {
+	var d protocol.GossipOK
+	if err := protocol.Call(conn, protocol.TypeGossipReq, protocol.GossipReq{}, protocol.TypeGossipOK, &d); err != nil {
 		t.Fatal(err)
 	}
-	if len(ls.Servers) != 1 || ls.Servers[0].Spec.Name != "remote-only" {
-		t.Fatalf("peer list: %v", ls.Servers)
+	if len(d.Servers) != 1 || d.Servers[0].Spec.Name != "remote-only" {
+		t.Fatalf("digest directory: %v", d.Servers)
+	}
+	if d.Weather.Servers != 1 || d.Weather.TotalPE != 8 {
+		t.Fatalf("digest weather is not local-only: %+v", d.Weather)
+	}
+}
+
+// TestFederatedWeatherSumsPeers: grid weather covers the federation on
+// plain -peers servers too — fleets add up across Central Servers.
+func TestFederatedWeatherSumsPeers(t *testing.T) {
+	servers, _ := federate(t, 2)
+	_ = servers[0].RegisterDaemon(info("near", 64, 1024))
+	_ = servers[1].RegisterDaemon(info("far", 32, 512))
+	if w := servers[0].Weather(); w.Servers != 1 || w.TotalPE != 64 {
+		t.Fatalf("weather before any pull: %+v", w)
+	}
+	pullAll(servers...)
+	for i, s := range servers {
+		if w := s.Weather(); w.Servers != 2 || w.TotalPE != 96 {
+			t.Fatalf("server %d weather after gossip: %+v", i, w)
+		}
+	}
+}
+
+// TestPushedDirectoryFramesChangeNothing: a server only stores what it
+// fetched from an address in its own peer list. Frames that try to push
+// directory entries at it — the old gossip_req shape, a peer_list_req —
+// are ignored or refused, and its directory does not move.
+func TestPushedDirectoryFramesChangeNothing(t *testing.T) {
+	servers, addrs := federate(t, 2)
+	_ = servers[0].RegisterDaemon(info("honest", 8, 512))
+	conn, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	forged := struct {
+		From    string                `json:"from"`
+		Seq     uint64                `json:"seq"`
+		Servers []protocol.ServerInfo `json:"servers"`
+	}{From: addrs[1], Seq: 1 << 40, Servers: []protocol.ServerInfo{info("forged", 4096, 1024)}}
+	var d protocol.GossipOK
+	if err := protocol.Call(conn, protocol.TypeGossipReq, forged, protocol.TypeGossipOK, &d); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Servers) != 1 || d.Servers[0].Spec.Name != "honest" {
+		t.Fatalf("a pushed body changed the reply: %v", d.Servers)
+	}
+	var ls protocol.ListServersOK
+	if err := protocol.Call(conn, "peer_list_req", forged, protocol.TypeListServersOK, &ls); err == nil {
+		t.Fatalf("peer_list_req still answered: %v", ls.Servers)
+	}
+	if union := servers[0].FederatedServers(nil); len(union) != 1 || union[0].Spec.Name != "honest" {
+		t.Fatalf("pushed frames reached the directory: %v", union)
 	}
 }
 
 // TestFederatedPeerRestartRecovery: a durable peer that crashes drops
-// out of the federation union; restarted on the same address from its
-// state directory it rejoins with its accounts, history, and settled-job
-// marks intact, and still deduplicates redelivered settlements.
+// out of the federation union once its digest expires; restarted on the
+// same address from its state directory it is back after one pull, with
+// its accounts, history, and settled-job marks intact, and still
+// deduplicates redelivered settlements. The peering is one-directional
+// (s0 pulls, the peer never learns s0's address): that is all pull
+// needs.
 func TestFederatedPeerRestartRecovery(t *testing.T) {
 	dir := t.TempDir()
 
 	s0 := New(accounting.Dollars)
 	defer s0.Close()
+	s0.GossipInterval = 40 * time.Millisecond // digests expire after 200ms
 	l0, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -172,15 +248,19 @@ func TestFederatedPeerRestartRecovery(t *testing.T) {
 	if err := s1.Settle(req); err != nil {
 		t.Fatal(err)
 	}
+	s0.GossipOnce()
 	if union := s0.FederatedServers(nil); len(union) != 2 {
 		t.Fatalf("pre-crash union=%v", union)
 	}
 
-	// Crash the peer: the union degrades to the local view.
+	// Crash the peer: pulls fail, its digest ages out, and the union
+	// degrades to the local view.
 	s1.Close()
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
+	s0.GossipOnce()
+	time.Sleep(250 * time.Millisecond)
 	if union := s0.FederatedServers(nil); len(union) != 1 || union[0].Spec.Name != "near" {
 		t.Fatalf("degraded union=%v", union)
 	}
@@ -210,6 +290,7 @@ func TestFederatedPeerRestartRecovery(t *testing.T) {
 	// The daemon's re-register heartbeat repopulates the directory.
 	_ = s2.RegisterDaemon(info("far", 64, 1024, "synth"))
 
+	s0.GossipOnce() // one round, no waiting out a restart window
 	if union := s0.FederatedServers(nil); len(union) != 2 {
 		t.Fatalf("post-restart union=%v", union)
 	}

@@ -3,41 +3,24 @@ package central
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
-	"time"
 
 	"faucets/internal/protocol"
-	"faucets/internal/qos"
-	"faucets/internal/weather"
 )
 
-// This file implements the sharded Central Server mesh: a consistent-
-// hash ring (internal/shard) partitions users (accounting, quotas,
-// sessions, settlement) and server names (the directory) across
+// This file implements ownership on the sharded Central Server mesh: a
+// consistent-hash ring (internal/shard) partitions users (accounting,
+// quotas, sessions, settlement) and server names (the directory) across
 // cooperating Central Server processes. Each shard owns its own WAL and
 // serves only its key range; requests that land on the wrong shard get
 // a typed NOT_OWNER redirect (clients re-login at the owner) or, for
 // settlements, are forwarded one hop server-side so daemons never need
-// ring awareness. Cross-shard directory knowledge moves from
-// per-request peer fan-out to periodic gossip of liveness/weather
-// digests: with N shards, each daemon is polled by exactly its owning
-// shard instead of by all N.
+// ring awareness. With N shards, each daemon is polled by exactly its
+// owning shard instead of by all N; what the shards know of each other's
+// directories travels by the same gossip every federation uses
+// (federation.go).
 //
-// Everything here is gated on sharded(): with Ring unset the server is
-// byte-identical to the pre-sharding single Central Server.
-
-// DefaultGossipInterval is the digest push cadence when StartGossip is
-// called with a non-positive interval.
-const DefaultGossipInterval = 500 * time.Millisecond
-
-// remoteDigest is the cached gossip state of one peer shard.
-type remoteDigest struct {
-	seq     uint64
-	at      time.Time
-	servers []protocol.ServerInfo
-	weather protocol.WeatherDigest
-}
+// Everything here is gated on sharded(): with Ring unset the server
+// owns every key.
 
 // sharded reports whether this server is a member of a multi-shard
 // ring. A single-member ring is deliberately unsharded: it owns
@@ -55,193 +38,6 @@ func (s *Server) ownsUser(user string) bool {
 // ownsServer reports whether this shard owns a directory name.
 func (s *Server) ownsServer(name string) bool {
 	return !s.sharded() || s.Ring.OwnerServer(name) == s.SelfAddr
-}
-
-// gossipStaleAfter is how old a peer digest may be before its entries
-// stop being served — the moment a dead shard's directory contribution
-// vanishes from the mesh.
-func (s *Server) gossipStaleAfter() time.Duration {
-	if s.GossipStaleAfter > 0 {
-		return s.GossipStaleAfter
-	}
-	iv := s.GossipInterval
-	if iv <= 0 {
-		iv = DefaultGossipInterval
-	}
-	return 5 * iv
-}
-
-// StartGossip launches the periodic digest push to every peer shard.
-// No-op unless sharded.
-func (s *Server) StartGossip() {
-	if !s.sharded() {
-		return
-	}
-	interval := s.GossipInterval
-	if interval <= 0 {
-		interval = DefaultGossipInterval
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-s.closed:
-				return
-			case <-ticker.C:
-				s.GossipOnce()
-			}
-		}
-	}()
-}
-
-// GossipOnce pushes this shard's digest to every peer concurrently and
-// waits for the round to finish. Unreachable peers are skipped — their
-// cached view of us goes stale and expires on their side, exactly the
-// degradation a partition should produce.
-func (s *Server) GossipOnce() {
-	peers := s.Peers()
-	if len(peers) == 0 {
-		return
-	}
-	req := s.localDigest()
-	var wg sync.WaitGroup
-	for _, addr := range peers {
-		addr := addr
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var ok protocol.GossipOK
-			err := s.peerRPC().Call(addr, s.RPCTimeout, protocol.TypeGossipReq, req, protocol.TypeGossipOK, &ok)
-			if err == nil {
-				s.met.gossipSent.Inc()
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// localDigest snapshots this shard's live directory and local weather
-// summary. The weather digest is built from the LOCAL fleet and the
-// local contract aggregate only — never from merged weather — so
-// digests compose without double counting.
-func (s *Server) localDigest() protocol.GossipReq {
-	servers := s.Servers(nil)
-	fleet, used, total := s.fleetScan()
-	var r weather.Report
-	s.wagg.Fill(&r)
-	return protocol.GossipReq{
-		From: s.SelfAddr,
-		Seq:  s.gossipSeq.Add(1),
-		// Servers(nil) publishes UsedPE per entry, so receivers can serve
-		// posted-price weather for remote machines too.
-		Servers: servers,
-		Weather: protocol.WeatherDigest{
-			Servers:        fleet,
-			TotalPE:        total,
-			UsedPE:         used,
-			Contracts:      r.Contracts,
-			MeanMultiplier: r.MeanMultiplier,
-		},
-	}
-}
-
-// acceptGossip stores a peer digest. Stale reordering is rejected by
-// sequence number, but a peer that restarted (its seq reset to zero) is
-// accepted again once its previous digest has aged past the staleness
-// window.
-func (s *Server) acceptGossip(req protocol.GossipReq) {
-	if req.From == "" || req.From == s.SelfAddr {
-		return
-	}
-	now := time.Now()
-	s.remoteMu.Lock()
-	if s.remotes == nil {
-		s.remotes = map[string]remoteDigest{}
-	}
-	prev, ok := s.remotes[req.From]
-	if ok && req.Seq <= prev.seq && now.Sub(prev.at) < s.gossipStaleAfter() {
-		s.remoteMu.Unlock()
-		return
-	}
-	s.remotes[req.From] = remoteDigest{seq: req.Seq, at: now, servers: req.Servers, weather: req.Weather}
-	s.remoteMu.Unlock()
-	s.met.gossipRecv.Inc()
-	s.invalidateWeather()
-}
-
-// gossipServers returns every unexpired remote directory entry.
-func (s *Server) gossipServers() []protocol.ServerInfo {
-	stale := s.gossipStaleAfter()
-	now := time.Now()
-	s.remoteMu.Lock()
-	defer s.remoteMu.Unlock()
-	var out []protocol.ServerInfo
-	for _, d := range s.remotes {
-		if now.Sub(d.at) > stale {
-			continue
-		}
-		out = append(out, d.servers...)
-	}
-	return out
-}
-
-// shardedServers merges the local filtered directory with the gossip
-// cache: the same union FederatedServers produces from per-request peer
-// fan-out, at local-read cost. Dedup is by server name, local wins.
-func (s *Server) shardedServers(local []protocol.ServerInfo, c *qos.Contract) []protocol.ServerInfo {
-	seen := make(map[string]bool, len(local))
-	for _, info := range local {
-		seen[info.Spec.Name] = true
-	}
-	out := local
-	for _, info := range s.gossipServers() {
-		if seen[info.Spec.Name] {
-			continue
-		}
-		if c != nil && !matches(info, c) {
-			continue
-		}
-		seen[info.Spec.Name] = true
-		out = append(out, info)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Spec.Name < out[j].Spec.Name })
-	return out
-}
-
-// mergeRemoteWeather folds unexpired peer weather digests into a local
-// report: fleet counts add up, utilization re-derives from the summed
-// PE counts, and the mean price multiplier is contract-count weighted.
-// Bucket multipliers stay local-only — they are advisory and would
-// bloat every digest.
-func (s *Server) mergeRemoteWeather(r *weather.Report, localUsed int) {
-	stale := s.gossipStaleAfter()
-	now := time.Now()
-	used := localUsed
-	wsum := r.MeanMultiplier * float64(r.Contracts)
-	s.remoteMu.Lock()
-	for _, d := range s.remotes {
-		if now.Sub(d.at) > stale {
-			continue
-		}
-		r.Servers += d.weather.Servers
-		r.TotalPE += d.weather.TotalPE
-		used += d.weather.UsedPE
-		r.Contracts += d.weather.Contracts
-		wsum += d.weather.MeanMultiplier * float64(d.weather.Contracts)
-	}
-	s.remoteMu.Unlock()
-	if r.TotalPE > 0 {
-		r.GridUtilization = float64(used) / float64(r.TotalPE)
-		if r.GridUtilization > 1 {
-			r.GridUtilization = 1
-		}
-	}
-	if r.Contracts > 0 {
-		r.MeanMultiplier = wsum / float64(r.Contracts)
-	}
 }
 
 // forwardSettle relays a settlement one hop to the user-owning shard as

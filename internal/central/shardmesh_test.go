@@ -12,7 +12,8 @@ import (
 )
 
 // shardMesh boots n sharded Central Servers on real listeners, ring
-// positions bound to the listen addresses, fully meshed as peers.
+// positions bound to the listen addresses; each one's peers are the
+// rest of the ring.
 func shardMesh(t *testing.T, n int) ([]*Server, *shard.Ring) {
 	t.Helper()
 	listeners := make([]net.Listener, n)
@@ -32,13 +33,6 @@ func shardMesh(t *testing.T, n int) ([]*Server, *shard.Ring) {
 		s.Ring = ring
 		s.SelfAddr = addrs[i]
 		s.RPCTimeout = 2 * time.Second
-		var peers []string
-		for j, a := range addrs {
-			if j != i {
-				peers = append(peers, a)
-			}
-		}
-		s.SetPeers(peers)
 		go s.Serve(listeners[i])
 		t.Cleanup(s.Close)
 		servers[i] = s
@@ -75,7 +69,7 @@ func ownedUser(t *testing.T, ring *shard.Ring, addr string, owns bool) string {
 // TestGossipRoundMergesDirectoryAndWeather: one explicit gossip round
 // gives every shard the full fleet directory and a weather report whose
 // fleet counts sum across shards and whose mean multiplier is
-// contract-count weighted — without any per-request peer fan-out.
+// contract-count weighted.
 func TestGossipRoundMergesDirectoryAndWeather(t *testing.T) {
 	servers, ring := shardMesh(t, 2)
 	nameA := ownedServerName(t, ring, servers[0].SelfAddr)
@@ -100,11 +94,14 @@ func TestGossipRoundMergesDirectoryAndWeather(t *testing.T) {
 	settle(servers[0], "job-a", ownedUser(t, ring, servers[0].SelfAddr, true), 2.0, 1) // multiplier 2.0
 	settle(servers[1], "job-b", ownedUser(t, ring, servers[1].SelfAddr, true), 1.0, 1) // multiplier 1.0
 
-	sentBefore := servers[0].met.gossipSent.Value()
-	servers[0].GossipOnce()
-	servers[1].GossipOnce()
+	sentBefore, recvBefore := servers[0].met.gossipSent.Value(), servers[0].met.gossipRecv.Value()
+	pullAll(servers...)
+	// Shard 0 served one digest (shard 1's pull) and cached one (its own).
 	if after := servers[0].met.gossipSent.Value(); after != sentBefore+1 {
 		t.Fatalf("gossip sent counter: %d -> %d, want +1", sentBefore, after)
+	}
+	if after := servers[0].met.gossipRecv.Value(); after != recvBefore+1 {
+		t.Fatalf("gossip received counter: %d -> %d, want +1", recvBefore, after)
 	}
 
 	for i, s := range servers {
@@ -149,7 +146,7 @@ func TestStartGossipPropagatesPeriodically(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	// Unsharded servers must ignore StartGossip entirely.
+	// A server with nobody to ask must ignore StartGossip entirely.
 	solo := New(accounting.Dollars)
 	defer solo.Close()
 	solo.StartGossip()
@@ -220,19 +217,20 @@ func TestForwardSettleUnreachableOwnerRetryable(t *testing.T) {
 }
 
 // TestGossipStaleDigestExpires: a peer digest past the staleness window
-// stops contributing to both the directory and merged weather — the
-// degradation a dead shard should produce — and the window override is
-// honored.
+// (five gossip intervals) stops contributing to both the directory and
+// merged weather — the degradation a dead peer should produce. While it
+// is fresh, the reply to an OLDER overlapping pull never overwrites it,
+// and a newer one — a restarted peer answering the next round — replaces
+// it at once, with no window to wait out.
 func TestGossipStaleDigestExpires(t *testing.T) {
-	ring := shard.New([]string{"127.0.0.1:7101", "127.0.0.1:7102"})
+	const peer = "127.0.0.1:7102"
 	s := New(accounting.Dollars)
 	defer s.Close()
-	s.Ring = ring
-	s.SelfAddr = "127.0.0.1:7101"
-	s.GossipStaleAfter = 50 * time.Millisecond
+	s.SetPeers([]string{peer})
+	s.GossipInterval = 10 * time.Millisecond // stale after 50ms
 
-	s.acceptGossip(protocol.GossipReq{
-		From: "127.0.0.1:7102", Seq: 1,
+	sent := time.Now()
+	s.storeDigest(peer, sent, protocol.GossipOK{
 		Servers: []protocol.ServerInfo{info("ghost", 100, 1024, "synth")},
 		Weather: protocol.WeatherDigest{
 			Servers: 1, TotalPE: 100, UsedPE: 1000, // over-reports: utilization must cap at 1
@@ -240,7 +238,7 @@ func TestGossipStaleDigestExpires(t *testing.T) {
 		},
 	})
 	w := s.Weather()
-	if w.Servers != 1 || w.TotalPE != 100 || w.Contracts != 4 {
+	if w.Servers != 1 || w.TotalPE != 100 || w.Contracts != 4 || w.MeanMultiplier != 2.0 {
 		t.Fatalf("fresh digest not merged: %+v", w)
 	}
 	if w.GridUtilization != 1 {
@@ -250,11 +248,22 @@ func TestGossipStaleDigestExpires(t *testing.T) {
 		t.Fatalf("fresh digest missing from directory")
 	}
 
-	// A stale-sequence replay must be ignored while the digest is fresh.
+	// A pull sent BEFORE the one that fetched the cached digest, whose
+	// reply arrives after it, must be dropped.
 	recvBefore := s.met.gossipRecv.Value()
-	s.acceptGossip(protocol.GossipReq{From: "127.0.0.1:7102", Seq: 1})
-	if s.met.gossipRecv.Value() != recvBefore {
-		t.Fatal("stale-sequence digest accepted")
+	s.storeDigest(peer, sent.Add(-time.Millisecond), protocol.GossipOK{
+		Servers: []protocol.ServerInfo{info("older", 8, 128, "synth")},
+	})
+	if union := s.FederatedServers(nil); s.met.gossipRecv.Value() != recvBefore || len(union) != 1 || union[0].Spec.Name != "ghost" {
+		t.Fatalf("older overlapping pull overwrote a newer digest: %v", union)
+	}
+
+	// The peer restarts and answers the next round: visible immediately.
+	s.storeDigest(peer, time.Now(), protocol.GossipOK{
+		Servers: []protocol.ServerInfo{info("reborn", 8, 128, "synth")},
+	})
+	if union := s.FederatedServers(nil); len(union) != 1 || union[0].Spec.Name != "reborn" {
+		t.Fatalf("restarted peer's digest not served at once: %v", union)
 	}
 
 	time.Sleep(60 * time.Millisecond)
@@ -264,16 +273,6 @@ func TestGossipStaleDigestExpires(t *testing.T) {
 	}
 	if union := s.FederatedServers(nil); len(union) != 0 {
 		t.Fatalf("expired digest still in directory: %v", union)
-	}
-
-	// After expiry, a RESTARTED peer (sequence reset to zero) is
-	// accepted again — the reset-detection branch of acceptGossip.
-	s.acceptGossip(protocol.GossipReq{
-		From: "127.0.0.1:7102", Seq: 1,
-		Servers: []protocol.ServerInfo{info("reborn", 8, 128, "synth")},
-	})
-	if union := s.FederatedServers(nil); len(union) != 1 || union[0].Spec.Name != "reborn" {
-		t.Fatalf("restarted peer's digest refused: %v", union)
 	}
 }
 

@@ -123,11 +123,12 @@ type Options struct {
 	// Shards boots the Central Server as a consistent-hash mesh of this
 	// many cooperating shards (internal/shard): users and server names
 	// partition across them, daemons register with their owning shard,
-	// and shards gossip liveness/weather digests. 0 or 1 keeps the
-	// singleton Central Server, byte-identical to before.
+	// and shards pull each other's liveness/weather digests. 0 or 1
+	// keeps the singleton Central Server, byte-identical to before.
 	Shards int
-	// GossipInterval is the shard digest push cadence (zero =
-	// central.DefaultGossipInterval). Only meaningful with Shards > 1.
+	// GossipInterval is how often each shard pulls its peers' digests
+	// (zero = central.DefaultGossipInterval). Only meaningful with
+	// Shards > 1.
 	GossipInterval time.Duration
 }
 
@@ -234,7 +235,18 @@ func Start(clusters []ClusterSpec, opts Options) (*Grid, error) {
 			return nil, err
 		}
 	}
+	g.gossipRound()
 	return g, nil
+}
+
+// gossipRound has every shard pull its peers' digests once. Daemon
+// registration is synchronous, so after a round every shard lists the
+// whole fleet: the grid is ready when Start or RestartShard returns, not
+// one gossip interval later. A no-op on a single Central Server.
+func (g *Grid) gossipRound() {
+	for _, fs := range g.shardList() {
+		fs.GossipOnce()
+	}
 }
 
 // serveMetrics opens a loopback /metrics + /trace endpoint for one
@@ -303,8 +315,8 @@ func (g *Grid) listen(addr string) (net.Listener, error) {
 // startShards boots Options.Shards Central Servers as one consistent-
 // hash mesh. Listeners are opened first so the ring can be built from
 // real addresses; then each shard comes up already knowing the full
-// membership, with its peers set to the other shards and the gossip
-// loop running. Daemons registered later are routed to the shard that
+// membership (its peers are the rest of the ring) and the gossip loop
+// running. Daemons registered later are routed to the shard that
 // owns their name, so each daemon is polled by exactly one shard.
 func (g *Grid) startShards(n int) error {
 	lns := make([]net.Listener, n)
@@ -399,7 +411,7 @@ func (g *Grid) newCentral() (*central.Server, error) {
 
 // newCentralAt builds one Central Server journaling under
 // <StateDir>/<stateSub>; a non-nil ring makes it a mesh member with the
-// given self address, peered to every other ring member.
+// given self address.
 func (g *Grid) newCentralAt(stateSub string, ring *shard.Ring, selfAddr string) (*central.Server, error) {
 	var fs *central.Server
 	if g.opts.StateDir != "" {
@@ -432,13 +444,6 @@ func (g *Grid) newCentralAt(stateSub string, ring *shard.Ring, selfAddr string) 
 		fs.Ring = ring
 		fs.SelfAddr = selfAddr
 		fs.GossipInterval = g.opts.GossipInterval
-		var peers []string
-		for _, a := range ring.Addrs() {
-			if a != selfAddr {
-				peers = append(peers, a)
-			}
-		}
-		fs.SetPeers(peers)
 	}
 	fs.StartBrownoutMonitor(g.opts.BrownoutInterval)
 	return fs, nil
@@ -525,9 +530,9 @@ func (g *Grid) RestartCentral() error {
 // the same ring address from the same state directory. The replacement
 // rejoins with the identical ring (ownership never moves), its WAL
 // replay restores accounting and settled history, daemons repopulate
-// its directory via re-register heartbeats, and its gossip seq restarts
-// at zero — peers accept that once the dead shard's last digest ages
-// past the staleness window. Requires a StateDir, like RestartCentral.
+// its directory via re-register heartbeats, and it has pulled its peers'
+// digests (and they its) by the time this returns. Requires a StateDir,
+// like RestartCentral.
 func (g *Grid) RestartShard(i int) error {
 	if g.opts.StateDir == "" {
 		return fmt.Errorf("grid: RestartShard needs Options.StateDir")
@@ -559,6 +564,7 @@ func (g *Grid) RestartShard(i int) error {
 		fs.StartPolling(g.opts.PollInterval)
 	}
 	fs.StartGossip()
+	g.gossipRound()
 	return nil
 }
 

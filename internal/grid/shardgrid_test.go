@@ -93,6 +93,27 @@ func TestShardedGridDirectoryConverges(t *testing.T) {
 	}
 }
 
+// TestShardedGridReadyAtStart: the mesh directory is complete the moment
+// Start returns — with a gossip interval no test will live to see, the
+// only digests are the ones Start itself pulled after the daemons
+// registered.
+func TestShardedGridReadyAtStart(t *testing.T) {
+	g, err := Start(shardedClusters(), Options{
+		Users:          map[string]string{"alice": "pw"},
+		Shards:         3,
+		GossipInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	for i, s := range g.Shards {
+		if n := len(s.FederatedServers(nil)); n != len(g.Daemons) {
+			t.Errorf("shard %d lists %d of %d daemons when Start returns", i, n, len(g.Daemons))
+		}
+	}
+}
+
 // shardedTally counts settled-history records per job across every
 // shard's database and sums the clusters' revenue grid-wide.
 func shardedTally(g *Grid) (perJob map[string]int, revenue float64) {

@@ -282,15 +282,15 @@ func appendBinaryBody(dst []byte, body any) ([]byte, bool) {
 			return dst, false
 		}
 		return appendStr(dst, m.User), true
-	case GossipReq:
-		return appendGossipReq(dst, &m), true
-	case *GossipReq:
+	case GossipReq, *GossipReq:
+		return dst, true // no fields
+	case GossipOK:
+		return appendGossipOK(dst, &m), true
+	case *GossipOK:
 		if m == nil {
 			return dst, false
 		}
-		return appendGossipReq(dst, m), true
-	case GossipOK, *GossipOK:
-		return dst, true // no fields
+		return appendGossipOK(dst, m), true
 	case ForwardSettleReq:
 		return appendForwardSettleReq(dst, &m), true
 	case *ForwardSettleReq:
@@ -388,9 +388,7 @@ func appendServerInfos(b []byte, sis []ServerInfo) []byte {
 	return b
 }
 
-func appendGossipReq(b []byte, m *GossipReq) []byte {
-	b = appendStr(b, m.From)
-	b = appendU64(b, m.Seq)
+func appendGossipOK(b []byte, m *GossipOK) []byte {
 	b = appendServerInfos(b, m.Servers)
 	b = appendI64(b, m.Weather.Servers)
 	b = appendI64(b, m.Weather.TotalPE)
@@ -647,9 +645,9 @@ func decodeBinaryBody(typ string, data []byte, v any) error {
 	case TypeVerifyOK:
 		return storeBody(&r, typ, v, VerifyOK{User: r.str()})
 	case TypeGossipReq:
-		var m GossipReq
-		m.From = r.str()
-		m.Seq = r.u64()
+		return storeBody(&r, typ, v, GossipReq{})
+	case TypeGossipOK:
+		var m GossipOK
 		m.Servers = r.serverInfos()
 		m.Weather.Servers = r.i64()
 		m.Weather.TotalPE = r.i64()
@@ -657,8 +655,6 @@ func decodeBinaryBody(typ string, data []byte, v any) error {
 		m.Weather.Contracts = r.i64()
 		m.Weather.MeanMultiplier = r.f64()
 		return storeBody(&r, typ, v, m)
-	case TypeGossipOK:
-		return storeBody(&r, typ, v, GossipOK{})
 	case TypeForwardSettleReq:
 		var m ForwardSettleReq
 		m.JobID = r.str()

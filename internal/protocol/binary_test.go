@@ -51,14 +51,13 @@ func TestBinaryRoundTripAllTypes(t *testing.T) {
 		{TypePollOK, PollOK{UsedPE: 12, QueueLen: 3, Running: 4}, func() any { return &PollOK{} }},
 		{TypeVerifyReq, VerifyReq{User: "u", Token: "tok"}, func() any { return &VerifyReq{} }},
 		{TypeVerifyOK, VerifyOK{User: "u"}, func() any { return &VerifyOK{} }},
-		{TypeGossipReq, GossipReq{
-			From: "10.0.0.1:9000", Seq: 42,
+		{TypeGossipOK, GossipOK{
 			Servers: []ServerInfo{
 				{Spec: machine.Spec{Name: "lemieux", NumPE: 64, MemPerPE: 512, CPUType: "x86", Speed: 1.5, CostRate: 0.02}, Addr: "10.0.0.2:7000", Apps: []string{"jacobi", "md"}, Home: "psc", UsedPE: 12},
 				{Spec: machine.Spec{Name: "tack", NumPE: 8}, Addr: "10.0.0.3:7000"},
 			},
 			Weather: WeatherDigest{Servers: 2, TotalPE: 72, UsedPE: 12, Contracts: 7, MeanMultiplier: 1.3},
-		}, func() any { return &GossipReq{} }},
+		}, func() any { return &GossipOK{} }},
 		{TypeForwardSettleReq, ForwardSettleReq{JobID: "job-2", User: "u", Server: "s", HomeCluster: "h", App: "a", MinPE: 2, MaxPE: 8, Price: 3.5, CPUSeconds: 77}, func() any { return &ForwardSettleReq{} }},
 		{TypeListServersReq, ListServersReq{Token: "tok", Contract: testContract()}, func() any { return &ListServersReq{} }},
 		// A nil contract means "list everything" and must arrive nil.
@@ -104,7 +103,7 @@ func TestBinaryFieldFreeTypesRoundTrip(t *testing.T) {
 	}{
 		{TypeSettleOK, SettleOK{}},
 		{TypePollReq, PollReq{}},
-		{TypeGossipOK, GossipOK{}},
+		{TypeGossipReq, GossipReq{}},
 	} {
 		buf, err := AppendFrame(nil, CodecBinary, 3, tc.typ, tc.body)
 		if err != nil {
@@ -201,7 +200,7 @@ func TestDecodeEmptyBodyTable(t *testing.T) {
 		TypeListAppsReq, TypeListAppsOK, TypeCreditsReq, TypeCreditsOK,
 		TypeRegisterReq, TypeRegisterOK, TypePollReq, TypePollOK,
 		TypeVerifyReq, TypeVerifyOK, TypeSettleReq, TypeSettleOK,
-		TypeWeatherReq, TypeWeatherOK, TypePeerListReq, TypePeerVerifyReq,
+		TypeWeatherReq, TypeWeatherOK, TypePeerVerifyReq,
 		TypeHistoryReq, TypeHistoryOK,
 		TypeBidReq, TypeBidOK,
 		TypeCommitReq, TypeCommitOK, TypeSubmitReq, TypeSubmitOK,
@@ -219,7 +218,7 @@ func TestDecodeEmptyBodyTable(t *testing.T) {
 		TypeWeatherReq:   true,
 		TypeASRegisterOK: true,
 		TypeWatchEnd:     true,
-		TypeGossipOK:     true,
+		TypeGossipReq:    true,
 	}
 	for _, typ := range all {
 		f := Frame{Type: typ}

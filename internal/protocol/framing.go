@@ -83,7 +83,7 @@ var allowEmptyBody = map[string]bool{
 	TypeWeatherReq:   true,
 	TypeASRegisterOK: true,
 	TypeWatchEnd:     true,
-	TypeGossipOK:     true,
+	TypeGossipReq:    true,
 }
 
 // writeBufPool recycles frame encode buffers so the steady-state hot

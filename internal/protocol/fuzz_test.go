@@ -77,7 +77,7 @@ func FuzzBinaryFrameRoundtrip(f *testing.F) {
 	seed(TypeSettleReq, 6, SettleReq{JobID: "j", User: "u", Server: "s", Price: 1, CPUSeconds: 2})
 	seed(TypePollOK, 7, PollOK{UsedPE: 1, QueueLen: 2, Running: 3})
 	seed(TypeVerifyReq, 8, VerifyReq{User: "u", Token: "t"})
-	seed(TypeGossipReq, 9, GossipReq{From: "a", Seq: 1, Servers: []ServerInfo{{Addr: "b", Apps: []string{"x"}}}})
+	seed(TypeGossipOK, 9, GossipOK{Servers: []ServerInfo{{Addr: "b", Apps: []string{"x"}}}})
 	seed(TypeForwardSettleReq, 10, ForwardSettleReq{JobID: "j", User: "u", Server: "s", Price: 1, CPUSeconds: 2})
 	seed(TypeListServersReq, 11, ListServersReq{Token: "t", Contract: contract})
 	seed(TypeListServersReq, 12, ListServersReq{Token: "t"})

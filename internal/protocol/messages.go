@@ -32,12 +32,11 @@ const (
 	TypeSettleOK      = "settle_ok"
 	TypeWeatherReq    = "weather_req"
 	TypeWeatherOK     = "weather_ok"
-	TypePeerListReq   = "peer_list_req"
 	TypePeerVerifyReq = "peer_verify_req"
 	TypeHistoryReq    = "history_req"
 	TypeHistoryOK     = "history_ok"
 
-	// Central Server shard ↔ shard (consistent-hash mesh).
+	// Central Server ↔ Central Server (federation gossip, shard mesh).
 	TypeGossipReq        = "gossip_req"
 	TypeGossipOK         = "gossip_ok"
 	TypeForwardSettleReq = "forward_settle_req"
@@ -142,15 +141,6 @@ type CreditsReq struct {
 type CreditsOK struct {
 	Cluster string  `json:"cluster"`
 	Credits float64 `json:"credits"`
-}
-
-// PeerListReq is the Central-Server-to-Central-Server directory
-// exchange of the distributed Faucets system (§5.1). Unlike
-// ListServersReq it carries no user token (peers are trusted
-// infrastructure) and is answered with the local directory only, so
-// federation never recurses.
-type PeerListReq struct {
-	Contract *qos.Contract `json:"contract,omitempty"`
 }
 
 // PeerVerifyReq asks a peer Central Server whether it can vouch for a
@@ -258,9 +248,10 @@ type HistoryOK struct {
 	Records []HistoryRecord `json:"records"`
 }
 
-// WeatherDigest is the compact grid-weather summary a shard gossips to
-// its peers: fleet size and the price signal, but not the per-bucket
-// multiplier map (buckets stay local — they are advisory and large).
+// WeatherDigest is the compact grid-weather summary a Central Server
+// gives its peers: fleet size and the price signal, but not the
+// per-bucket multiplier map (buckets stay local — they are advisory and
+// large).
 type WeatherDigest struct {
 	Servers        int     `json:"servers"`
 	TotalPE        int     `json:"total_pe"`
@@ -269,21 +260,19 @@ type WeatherDigest struct {
 	MeanMultiplier float64 `json:"mean_multiplier"`
 }
 
-// GossipReq is the periodic shard-to-shard digest of a sharded Central
-// Server mesh: the sender's live local directory entries plus its
-// weather summary. Receivers cache the digest per sender, replacing the
-// per-request peer fan-out of FederatedServers — N shards no longer do
-// N× polling of every daemon. Seq increases monotonically per sender so
-// a reordered stale digest can never overwrite a newer one.
-type GossipReq struct {
-	From    string        `json:"from"` // sender's shard address (ring identity)
-	Seq     uint64        `json:"seq"`
+// GossipReq is one Central Server pulling a peer's digest. It carries
+// nothing: peers are the addresses a server dials, so the caller already
+// knows whose answer it holds, and a server only ever stores what it
+// fetched itself — no frame can push directory entries into it.
+type GossipReq struct{}
+
+// GossipOK is the answering server's digest: its live LOCAL directory
+// entries plus its local weather summary, never anything it learned from
+// its own peers, so digests compose without recursion or double counting.
+type GossipOK struct {
 	Servers []ServerInfo  `json:"servers"`
 	Weather WeatherDigest `json:"weather"`
 }
-
-// GossipOK acknowledges a digest.
-type GossipOK struct{}
 
 // ForwardSettleReq is a settlement forwarded one hop from the shard a
 // daemon reported to, to the shard owning the settling user's

@@ -228,7 +228,7 @@ type GridTuning struct {
 	BreakerCooldownMs float64 `json:"breaker_cooldown_ms,omitempty"`
 	HedgeQuantile     float64 `json:"hedge_quantile,omitempty"`
 	PoolSize          int     `json:"pool_size,omitempty"`
-	// GossipIntervalMs is the shard digest push cadence (with
+	// GossipIntervalMs is the shard digest pull cadence (with
 	// Topology.Shards > 1; 0 = central.DefaultGossipInterval).
 	GossipIntervalMs float64 `json:"gossip_interval_ms,omitempty"`
 	// DrainTimeoutMs bounds the post-arrival drain phase (status polls

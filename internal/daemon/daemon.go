@@ -588,6 +588,7 @@ func (d *Daemon) runLoop() {
 		d.mu.Lock()
 		finished := append(d.done, d.cfg.Scheduler.Advance(now)...)
 		d.done = nil
+		// The scheduler's own view: read only until d.mu is released.
 		running := d.cfg.Scheduler.Running()
 		next, armed := d.cfg.Scheduler.NextCompletion(now)
 		for _, j := range running {

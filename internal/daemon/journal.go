@@ -21,6 +21,11 @@
 // Like the db WAL, replay stops at the first corrupt line and truncates
 // the torn tail; recovery then rewrites the journal compacted to only
 // the live records.
+//
+// Unlike the db WAL, append does not fsync: a record is one write(), so
+// it survives the daemon process dying (the kernel holds it) but not the
+// host losing power before writeback. Only rewrite syncs. An fsync per
+// record would add a disk flush to each of a trip's three appends.
 package daemon
 
 import (
@@ -108,8 +113,9 @@ func openJournal(path string) (*journal, []journalRecord, error) {
 	return &journal{f: f, path: path}, recs, nil
 }
 
-// append writes one record; best effort (an unwritable journal degrades
-// to in-memory operation rather than failing the job path).
+// append writes one record with one write() and no fsync; best effort
+// (an unwritable journal degrades to in-memory operation rather than
+// failing the job path).
 func (j *journal) append(rec journalRecord) {
 	if j == nil {
 		return

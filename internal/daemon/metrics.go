@@ -24,7 +24,7 @@ type fdMetrics struct {
 	usedPEs         *telemetry.Gauge     // processors allocated to running jobs
 	outboxDepth     *telemetry.Gauge     // settlements awaiting acknowledgement
 	finishLag       *telemetry.Histogram // scheduler completion instant → finish span
-	journalAppend   *telemetry.Histogram // journal record append+fsync latency
+	journalAppend   *telemetry.Histogram // journal record append latency (one write, no fsync)
 	journalRewr     *telemetry.Histogram // journal compaction rewrite latency
 }
 
@@ -50,7 +50,7 @@ func newFDMetrics(reg *telemetry.Registry) *fdMetrics {
 	}
 }
 
-// journalAppend journals one record, timing the append+fsync. A daemon
+// journalAppend journals one record, timing the append. A daemon
 // without a journal records nothing (the latency of a no-op would only
 // pollute the histogram's low buckets).
 func (d *Daemon) journalAppend(rec journalRecord) {

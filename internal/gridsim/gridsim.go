@@ -131,6 +131,7 @@ type serverEntity struct {
 	name   string
 	home   string
 	sched  scheduler.Scheduler
+	spec   machine.Spec // sched.Spec(), read once
 	bidder bidding.Generator
 
 	outstanding float64 // admitted-but-unfinished sequential work
@@ -138,6 +139,11 @@ type serverEntity struct {
 	util        *sim.TimeWeighted
 	revenue     float64
 	payoff      float64
+
+	// The completion event's name and callback, built once per server:
+	// refresh re-arms the event after every state change.
+	completionName string
+	fire           func(*sim.Engine)
 }
 
 // gridRun is the in-flight simulation state.
@@ -153,6 +159,10 @@ type gridRun struct {
 	// placing maps a job ID to its Job while an award is in progress.
 	placing map[string]*placement
 	res     *Result
+
+	// The two per-bid counters, looked up by name on the first bid (a
+	// run that never solicits must not report them) and by pointer after.
+	bidReq, bidReply *sim.Counter
 }
 
 // placement carries the context a Commit callback needs.
@@ -169,20 +179,27 @@ func (s *serverEntity) ServerName() string { return s.name }
 // bid generator, counting protocol messages for the scalability
 // experiments.
 func (s *serverEntity) RequestBid(now float64, c *qos.Contract) (bidding.Bid, bool) {
-	s.g.metrics.C("messages.bid_req").Inc()
+	g := s.g
+	if g.bidReq == nil {
+		g.bidReq = g.metrics.C("messages.bid_req")
+	}
+	g.bidReq.Inc()
 	est, canRun := s.sched.EstimateCompletion(now, c)
 	st := bidding.ServerState{
-		NumPE:               s.sched.Spec().NumPE,
+		NumPE:               s.spec.NumPE,
 		UsedPE:              s.sched.UsedPEs(),
 		QueuedWork:          s.outstanding,
-		Speed:               s.sched.Spec().Speed,
-		CostRate:            s.sched.Spec().CostRate,
+		Speed:               s.spec.Speed,
+		CostRate:            s.spec.CostRate,
 		EstimatedCompletion: est,
 		CanRun:              canRun,
 	}
-	b, ok := bidding.Make(s.bidder, s.name, now, c, st, s.g.cfg.BidValidity)
+	b, ok := bidding.Make(s.bidder, s.name, now, c, st, g.cfg.BidValidity)
 	if ok {
-		s.g.metrics.C("messages.bid_reply").Inc()
+		if g.bidReply == nil {
+			g.bidReply = g.metrics.C("messages.bid_reply")
+		}
+		g.bidReply.Inc()
 	}
 	return b, ok
 }
@@ -194,7 +211,7 @@ func (s *serverEntity) RequestBid(now float64, c *qos.Contract) (bidding.Bid, bo
 // posted-price mechanism's admission risk.
 func (s *serverEntity) Post(now float64, c *qos.Contract) (bidding.Bid, bool) {
 	s.g.metrics.C("messages.post_read").Inc()
-	sp := s.sched.Spec()
+	sp := &s.spec
 	pe := c.MaxPE
 	if pe > sp.NumPE {
 		pe = sp.NumPE
@@ -246,9 +263,7 @@ func (s *serverEntity) refresh(now float64) {
 	if t < now {
 		t = now
 	}
-	s.completion = s.g.eng.At(sim.Time(t), "completion:"+s.name, func(e *sim.Engine) {
-		s.onCompletion(float64(e.Now()))
-	})
+	s.completion = s.g.eng.At(sim.Time(t), s.completionName, s.fire)
 }
 
 // onCompletion advances the scheduler and settles finished jobs.
@@ -267,15 +282,19 @@ func (s *serverEntity) settle(now float64, j *job.Job) {
 	if s.outstanding < 0 {
 		s.outstanding = 0
 	}
-	rec, err := g.store.GetJob(string(j.ID))
-	if err != nil {
-		rec = db.JobRecord{ID: string(j.ID), Owner: j.Owner, Server: s.name}
+	// One trip to the store: complete the row Commit wrote and keep a copy.
+	var rec db.JobRecord
+	complete := func(r *db.JobRecord) {
+		r.State = j.State().String()
+		r.StartTime = j.StartTime
+		r.FinishTime = j.FinishTime
+		r.CPUSeconds = j.CPUUsed()
+		rec = *r
 	}
-	rec.State = j.State().String()
-	rec.StartTime = j.StartTime
-	rec.FinishTime = j.FinishTime
-	rec.CPUSeconds = j.CPUUsed()
-	g.store.PutJob(rec)
+	if g.store.UpdateJob(string(j.ID), complete) != nil {
+		complete(&db.JobRecord{ID: string(j.ID), Owner: j.Owner, Server: s.name})
+		g.store.PutJob(rec)
+	}
 
 	g.res.Finished++
 	g.metrics.S("response_time").Add(j.ResponseTime())
@@ -302,8 +321,8 @@ func (s *serverEntity) settle(now float64, j *job.Job) {
 	}
 	// Market history for the §5.2.1 history-aware bidders.
 	mult := 0.0
-	if rec.CPUSeconds > 0 && s.sched.Spec().CostRate > 0 {
-		mult = rec.Price / (rec.CPUSeconds * s.sched.Spec().CostRate)
+	if rec.CPUSeconds > 0 && s.spec.CostRate > 0 {
+		mult = rec.Price / (rec.CPUSeconds * s.spec.CostRate)
 	}
 	g.store.AppendContract(db.ContractRecord{
 		Time: now, JobID: rec.ID, App: rec.App, Server: s.name,
@@ -384,7 +403,11 @@ func runInternal(cfg Config, trace *workload.Trace) (*Result, *gridRun, error) {
 			sched:  factory(sc.Spec, cfg.SchedCfg),
 			bidder: bidder,
 			util:   g.metrics.L("util." + sc.Spec.Name),
+
+			completionName: "completion:" + sc.Spec.Name,
 		}
+		ent.spec = ent.sched.Spec()
+		ent.fire = func(e *sim.Engine) { ent.onCompletion(float64(e.Now())) }
 		ent.util.Set(0, 0)
 		g.servers = append(g.servers, ent)
 		g.byName[ent.name] = ent
@@ -419,7 +442,7 @@ func runInternal(cfg Config, trace *workload.Trace) (*Result, *gridRun, error) {
 		s.util.Set(end, float64(s.sched.UsedPEs()))
 		g.res.Revenue[s.name] = s.revenue
 		g.res.Payoff[s.name] = s.payoff
-		g.res.Utilization[s.name] = s.util.MeanOver(end) / float64(s.sched.Spec().NumPE)
+		g.res.Utilization[s.name] = s.util.MeanOver(end) / float64(s.spec.NumPE)
 		g.res.Credits[s.home] = store.Credits(s.home)
 	}
 	return g.res, g, nil
@@ -497,7 +520,7 @@ func (g *gridRun) findPromptServer(now float64, origin *serverEntity, j *job.Job
 		}
 		// Prompt: the estimate leaves no room for a queueing delay
 		// beyond running the whole contract at MinPE from now.
-		prompt := now + j.Contract.ExecTime(j.Contract.MinPE, cand.sched.Spec().Speed)
+		prompt := now + j.Contract.ExecTime(j.Contract.MinPE, cand.spec.Speed)
 		if est > prompt+1e-9 {
 			continue
 		}
@@ -535,7 +558,7 @@ func (s gridWeatherSource) GridWeather(now float64) (weather.Report, bool) {
 	used, total := 0, 0
 	for _, sv := range s.g.servers {
 		used += sv.sched.UsedPEs()
-		total += sv.sched.Spec().NumPE
+		total += sv.spec.NumPE
 	}
 	return weather.Compute(now, used, total, len(s.g.servers), s.g.store), true
 }
@@ -557,7 +580,7 @@ func (g *gridRun) eligible(user string, c *qos.Contract) []*serverEntity {
 	}
 	out := make([]*serverEntity, 0, len(base))
 	for _, s := range base {
-		sp := s.sched.Spec()
+		sp := &s.spec
 		if sp.NumPE < c.MinPE || !c.FitsMemory(c.MinPE, sp.MemPerPE) {
 			g.metrics.C("filter.screened").Inc()
 			continue
@@ -606,7 +629,7 @@ func (g *gridRun) submit(now float64, it workload.Item) {
 			ports := []market.ServerPort{hs}
 			bids := mech.Solicit(now, ports, it.Contract, g.cfg.Criterion, serial)
 			if len(bids) > 0 {
-				prompt := now + it.Contract.ExecTime(it.Contract.MinPE, hs.sched.Spec().Speed)
+				prompt := now + it.Contract.ExecTime(it.Contract.MinPE, hs.spec.Speed)
 				if bids[0].EstCompletion <= prompt+1e-9 {
 					if res, err := market.CommitPriced(now, ports, bids, it.ID, g.cfg.SinglePhase, mech); err == nil {
 						g.finishAward(now, it, j, res, nil)

@@ -317,12 +317,15 @@ func (j *Job) CurrentPhase() (int, string) {
 }
 
 // NextPhaseBoundary predicts when the running job will cross into its
-// next phase under the current allocation. ok is false when the job is
-// not running, has no phases, or is already in its final phase —
-// schedulers use the boundary as a reallocation trigger (§2.1: "the
-// scheduler may benefit from knowing the shift in performance
-// parameters when the program shifts from one phase to another").
-func (j *Job) NextPhaseBoundary(now float64) (float64, bool) {
+// next phase under the current allocation, from its accounted state
+// (lastUpdate and the work booked by then) — so the answer does not move
+// with the caller's clock, and a caller that arrives after the boundary
+// is told when it was. ok is false when the job is not running, has no
+// phases, or is already in its final phase — schedulers use the boundary
+// as a reallocation trigger (§2.1: "the scheduler may benefit from
+// knowing the shift in performance parameters when the program shifts
+// from one phase to another").
+func (j *Job) NextPhaseBoundary() (float64, bool) {
 	if j.state != Running {
 		return 0, false
 	}
@@ -334,18 +337,7 @@ func (j *Job) NextPhaseBoundary(now float64) (float64, bool) {
 	if r <= 0 {
 		return 0, false
 	}
-	base := j.lastUpdate
-	if now > base {
-		base = now
-	}
-	// Remaining work in the current phase from the accounted state; any
-	// gap between lastUpdate and base progresses at the same in-phase
-	// rate (the boundary has not been crossed yet by definition).
-	left := j.Contract.PhaseRemaining(j.doneWork) - (base-j.lastUpdate)*r
-	if left <= 0 {
-		return base, true
-	}
-	return base + left/r, true
+	return j.lastUpdate + j.Contract.PhaseRemaining(j.doneWork)/r, true
 }
 
 // EffectiveBounds returns the processor bounds the scheduler should

@@ -228,28 +228,29 @@ func TestPhasedWorkConservationProperty(t *testing.T) {
 
 func TestNextPhaseBoundary(t *testing.T) {
 	j := New("b", "u", phased(), 0)
-	if _, ok := j.NextPhaseBoundary(0); ok {
+	if _, ok := j.NextPhaseBoundary(); ok {
 		t.Fatal("pending job reported a boundary")
 	}
 	_ = j.Start(0, 16, 1.0) // phase 1: 800 work at 16 PEs → boundary at 50
-	bt, ok := j.NextPhaseBoundary(0)
+	bt, ok := j.NextPhaseBoundary()
 	if !ok || math.Abs(bt-50) > 1e-9 {
 		t.Fatalf("boundary=%v ok=%v, want 50", bt, ok)
 	}
-	// Querying later without booking progress still projects correctly.
-	bt, ok = j.NextPhaseBoundary(25)
+	// Booking part of the progress projects the same instant.
+	j.AdvanceTo(25)
+	bt, ok = j.NextPhaseBoundary()
 	if !ok || math.Abs(bt-50) > 1e-9 {
 		t.Fatalf("boundary from t=25: %v", bt)
 	}
 	// In the final phase there is no next boundary.
 	j.AdvanceTo(60)
-	if _, ok := j.NextPhaseBoundary(60); ok {
+	if _, ok := j.NextPhaseBoundary(); ok {
 		t.Fatal("final phase reported a boundary")
 	}
 	// Single-phase jobs never report one.
 	s := New("s", "u", &qos.Contract{App: "x", MinPE: 1, MaxPE: 4, Work: 100}, 0)
 	_ = s.Start(0, 4, 1.0)
-	if _, ok := s.NextPhaseBoundary(0); ok {
+	if _, ok := s.NextPhaseBoundary(); ok {
 		t.Fatal("single-phase job reported a boundary")
 	}
 }

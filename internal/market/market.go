@@ -14,7 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -134,15 +135,14 @@ const DefaultFanout = 16
 // order — parallel and serial solicitation of the same bid set produce
 // byte-identical rankings.
 func rankBids(bids []bidding.Bid, crit Criterion) {
-	sort.SliceStable(bids, func(i, j int) bool {
-		a, b := bids[i], bids[j]
-		if crit.Less(a, b) {
-			return true
+	slices.SortStableFunc(bids, func(a, b bidding.Bid) int {
+		switch {
+		case crit.Less(a, b):
+			return -1
+		case crit.Less(b, a):
+			return 1
 		}
-		if crit.Less(b, a) {
-			return false
-		}
-		return a.Server < b.Server
+		return strings.Compare(a.Server, b.Server)
 	})
 }
 

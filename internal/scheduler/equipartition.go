@@ -21,6 +21,10 @@ import (
 // start as soon as the shares leave room for their MinPE.
 type Equipartition struct {
 	*cluster
+	// bs and target are plan's working set, reused so that a bid
+	// (EstimateCompletion) allocates nothing.
+	bs     []bounds
+	target []int
 }
 
 var _ Scheduler = (*Equipartition)(nil)
@@ -48,32 +52,27 @@ func (e *Equipartition) Submit(now float64, j *job.Job) bool {
 type bounds struct{ min, max int }
 
 // shares computes the equipartition target for each bounds pair over
-// total processors, water-filling within [min, max]. The returned slice
-// is aligned with bs; a zero target means the job cannot be given even
-// its minimum.
-func shares(total int, bs []bounds) []int {
-	n := len(bs)
-	target := make([]int, n)
-	if n == 0 {
-		return target
-	}
+// total processors, water-filling within [min, max]. The result reuses
+// target's storage and is aligned with bs; a zero target means the job
+// cannot be given even its minimum (a validated contract's is at least
+// one processor).
+func shares(total int, bs []bounds, target []int) []int {
+	target = append(target[:0], make([]int, len(bs))...)
 	// First ensure every job gets its minimum, in order; jobs that don't
 	// fit at their minimum get 0 (they stay queued).
 	remaining := total
-	active := make([]bool, n)
 	for i, b := range bs {
 		if b.min <= remaining {
 			target[i] = b.min
 			remaining -= b.min
-			active[i] = true
 		}
 	}
-	// Water-fill the remainder among active jobs not yet at max.
+	// Water-fill the remainder among served jobs not yet at max.
 	for remaining > 0 {
 		// Count how many can still grow.
 		growable := 0
 		for i := range bs {
-			if active[i] && target[i] < bs[i].max {
+			if target[i] > 0 && target[i] < bs[i].max {
 				growable++
 			}
 		}
@@ -84,29 +83,16 @@ func shares(total int, bs []bounds) []int {
 		if per == 0 {
 			per = 1
 		}
-		progressed := false
 		for i := range bs {
 			if remaining == 0 {
 				break
 			}
-			if !active[i] || target[i] >= bs[i].max {
+			if target[i] == 0 || target[i] >= bs[i].max {
 				continue
 			}
-			grant := per
-			if target[i]+grant > bs[i].max {
-				grant = bs[i].max - target[i]
-			}
-			if grant > remaining {
-				grant = remaining
-			}
-			if grant > 0 {
-				target[i] += grant
-				remaining -= grant
-				progressed = true
-			}
-		}
-		if !progressed {
-			break
+			grant := min(per, bs[i].max-target[i], remaining)
+			target[i] += grant
+			remaining -= grant
 		}
 	}
 	return target
@@ -120,63 +106,36 @@ func jobBounds(j *job.Job) bounds {
 	return bounds{min: min, max: max}
 }
 
-// reallocate recomputes targets and applies them: shrink first (freeing
-// processors), then start newly admitted jobs, then expand.
-func (e *Equipartition) reallocate(now float64) {
-	// Candidate set: running jobs in deterministic order, then queued
-	// jobs FIFO.
-	run := e.Running()
-	cands := make([]*job.Job, 0, len(run)+len(e.queue))
-	cands = append(cands, run...)
-	cands = append(cands, e.queue...)
-	bs := make([]bounds, len(cands))
-	for i, j := range cands {
-		bs[i] = jobBounds(j)
+// plan water-fills the machine over the running jobs in ID order, then
+// the queue FIFO, then — for an estimate — one hypothetical arrival. The
+// result is aligned with that sequence and lives in the scheduler's
+// scratch until the next call.
+func (e *Equipartition) plan(arrival ...bounds) []int {
+	e.bs = e.bs[:0]
+	for _, ent := range e.running {
+		e.bs = append(e.bs, jobBounds(ent.j))
 	}
-	target := shares(e.spec.NumPE, bs)
+	for _, j := range e.queue {
+		e.bs = append(e.bs, jobBounds(j))
+	}
+	e.bs = append(e.bs, arrival...)
+	e.target = shares(e.spec.NumPE, e.bs, e.target)
+	return e.target
+}
 
-	// Phase 1: shrink running jobs whose target is below their current
-	// size. Zero-target running jobs should never happen (they hold
-	// MinPE already), but guard by skipping.
-	for i, j := range cands {
-		ent, isRunning := e.running[j.ID]
-		if !isRunning || target[i] == 0 || target[i] >= ent.alloc.Size() {
-			continue
-		}
-		if err := e.alloc.Shrink(ent.alloc, target[i]); err == nil {
-			_ = j.Reconfigure(now, target[i], e.cfg.ReconfigLatency)
-		}
+// reallocate recomputes the fair shares and applies them.
+func (e *Equipartition) reallocate(now float64) {
+	target := e.plan()
+	nrun := len(e.running)
+	for i := range e.running {
+		e.running[i].target = target[i]
 	}
-	// Phase 2: start queued jobs with a non-zero target, FIFO.
-	var stillQueued []*job.Job
-	for i, j := range cands {
-		if _, isRunning := e.running[j.ID]; isRunning {
-			continue
-		}
-		if target[i] == 0 {
-			stillQueued = append(stillQueued, j)
-			continue
-		}
-		if err := e.start(now, j, target[i]); err != nil {
-			stillQueued = append(stillQueued, j)
-		}
-	}
-	e.queue = stillQueued
-	// Phase 3: expand running jobs up to their targets.
-	for i, j := range cands {
-		ent, isRunning := e.running[j.ID]
-		if !isRunning || target[i] <= ent.alloc.Size() {
-			continue
-		}
-		if err := e.alloc.Expand(ent.alloc, target[i]); err == nil {
-			_ = j.Reconfigure(now, target[i], e.cfg.ReconfigLatency)
-		}
-	}
+	e.apply(now, func(k int) int { return target[nrun+k] })
 }
 
 // Advance implements Scheduler.
 func (e *Equipartition) Advance(now float64) []*job.Job {
-	return e.advanceCore(now, func(t float64) { e.reallocate(t) })
+	return e.advanceCore(now, e.reallocate)
 }
 
 // EstimateCompletion implements Scheduler: assume the new job receives
@@ -187,16 +146,7 @@ func (e *Equipartition) EstimateCompletion(now float64, c *qos.Contract) (float6
 	if !e.feasible(c) {
 		return 0, false
 	}
-	run := e.Running()
-	bs := make([]bounds, 0, len(run)+len(e.queue)+1)
-	for _, j := range run {
-		bs = append(bs, jobBounds(j))
-	}
-	for _, j := range e.queue {
-		bs = append(bs, jobBounds(j))
-	}
-	bs = append(bs, bounds{min: c.MinPE, max: c.MaxPE})
-	target := shares(e.spec.NumPE, bs)
+	target := e.plan(bounds{min: c.MinPE, max: c.MaxPE})
 	pe := target[len(target)-1]
 	if pe == 0 {
 		// Cannot start immediately; estimate a wait until the earliest

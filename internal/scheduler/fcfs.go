@@ -1,7 +1,8 @@
 package scheduler
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"faucets/internal/job"
 	"faucets/internal/machine"
@@ -135,7 +136,7 @@ func (f *FCFS) earliestFit(now float64, pe int) (float64, bool) {
 		}
 		rels = append(rels, rel{t, e.alloc.Size()})
 	}
-	sort.Slice(rels, func(i, j int) bool { return rels[i].t < rels[j].t })
+	slices.SortFunc(rels, func(a, b rel) int { return cmp.Compare(a.t, b.t) })
 	for _, r := range rels {
 		free += r.pe
 		if free >= pe {
@@ -147,7 +148,7 @@ func (f *FCFS) earliestFit(now float64, pe int) (float64, bool) {
 
 // Advance implements Scheduler.
 func (f *FCFS) Advance(now float64) []*job.Job {
-	return f.advanceCore(now, func(t float64) { f.dispatch(t) })
+	return f.advanceCore(now, f.dispatch)
 }
 
 // EstimateCompletion implements Scheduler: the job would start at the

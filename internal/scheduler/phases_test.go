@@ -108,3 +108,48 @@ func TestNextCompletionReportsPhaseBoundary(t *testing.T) {
 		t.Fatalf("state %v, finished at %v; want finished at 30", j.State(), j.FinishTime)
 	}
 }
+
+// TestLateAdvanceEqualsStepping: an executor's timer fires late, so one
+// Advance(T) must leave the cluster exactly where stepping through every
+// event up to T does — the phase boundary's reallocation happens at the
+// boundary, not at T. Under equipartition mp frees processors at its
+// boundary for other to absorb; under profit the boundary is where
+// other's deadline gets re-planned against the clock.
+func TestLateAdvanceEqualsStepping(t *testing.T) {
+	type state struct {
+		pes  int
+		done float64
+	}
+	run := func(s Scheduler, late bool) (out []state) {
+		mp, other := phasedJob("mp"), mk("other", 1, 16, 3000)
+		other.Contract.Payoff = qos.Payoff{Soft: 400, Hard: 800, AtSoft: 100, AtHard: 10}
+		if !s.Submit(0, mp) || !s.Submit(0, other) {
+			t.Fatal("job refused")
+		}
+		boundary, ok := mp.NextPhaseBoundary()
+		if end, _ := other.CompletionTime(0); !ok || end < boundary+50 {
+			t.Fatalf("boundary %v (%v), other ends %v: want only the boundary before T", boundary, ok, end)
+		}
+		if !late {
+			s.Advance(boundary)
+		}
+		s.Advance(boundary + 50)
+		for _, j := range []*job.Job{mp, other} {
+			out = append(out, state{j.PEs(), j.DoneWork()})
+		}
+		return out
+	}
+	for name, build := range map[string]func() Scheduler{
+		"equipartition": func() Scheduler { return NewEquipartition(spec(16), Config{}) },
+		"profit":        func() Scheduler { return NewProfit(spec(16), Config{}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			stepped, late := run(build(), false), run(build(), true)
+			for i := range stepped {
+				if stepped[i] != late[i] {
+					t.Fatalf("job %d: stepping through the boundary leaves %+v, one late Advance %+v", i, stepped[i], late[i])
+				}
+			}
+		})
+	}
+}

@@ -1,7 +1,8 @@
 package scheduler
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"faucets/internal/gantt"
 	"faucets/internal/job"
@@ -32,6 +33,8 @@ type Profit struct {
 	acceptedPayoff float64
 	// preemptions counts checkpoint evictions (Config.Preempt).
 	preemptions int
+	// cands is candidates' storage, reused.
+	cands []*job.Job
 }
 
 var _ Scheduler = (*Profit)(nil)
@@ -63,7 +66,23 @@ type planEntry struct {
 	complete float64
 }
 
-// plan computes the deadline-weighted allocation for the given jobs at
+// candidates lists what a plan covers: the running jobs in ID order, the
+// queue FIFO and, when non-nil, one arrival. The slice is reused by the
+// next call.
+func (p *Profit) candidates(arrival *job.Job) []*job.Job {
+	p.cands = p.cands[:0]
+	for _, e := range p.running {
+		p.cands = append(p.cands, e.j)
+	}
+	p.cands = append(p.cands, p.queue...)
+	if arrival != nil {
+		p.cands = append(p.cands, arrival)
+	}
+	return p.cands
+}
+
+// plan computes the deadline-weighted allocation for the given jobs —
+// candidates, or a prefix of them, so the running set comes first — at
 // time now and predicts each job's completion under it. Jobs that cannot
 // be allocated their MinPE are given pe == 0 and complete == +inf proxy
 // (completion from a queued start estimate).
@@ -116,10 +135,7 @@ func (p *Profit) plan(now float64, jobs []*job.Job) []planEntry {
 	for i := range order {
 		order[i] = i
 	}
-	isRunning := func(i int) bool {
-		_, ok := p.running[jobs[i].ID]
-		return ok
-	}
+	isRunning := func(i int) bool { return i < len(p.running) }
 	var density []float64
 	if p.cfg.Preempt {
 		density = make([]float64, len(jobs))
@@ -132,19 +148,18 @@ func (p *Profit) plan(now float64, jobs []*job.Job) []planEntry {
 			density[i] = predictedPayoff(j, now+best) / rem
 		}
 	}
-	sort.SliceStable(order, func(a, b int) bool {
+	slices.SortStableFunc(order, func(a, b int) int {
 		if p.cfg.Preempt {
-			da, db := density[order[a]], density[order[b]]
-			if da != db {
-				return da > db
+			if density[a] != density[b] {
+				return cmp.Compare(density[b], density[a])
 			}
-			return needs[order[a]].slack < needs[order[b]].slack
+		} else if isRunning(a) != isRunning(b) {
+			if isRunning(a) {
+				return -1
+			}
+			return 1
 		}
-		ra, rb := isRunning(order[a]), isRunning(order[b])
-		if ra != rb {
-			return ra
-		}
-		return needs[order[a]].slack < needs[order[b]].slack
+		return cmp.Compare(needs[a].slack, needs[b].slack)
 	})
 
 	total := p.spec.NumPE
@@ -230,10 +245,8 @@ func (p *Profit) Submit(now float64, j *job.Job) bool {
 	if !p.feasible(j.Contract) {
 		return false
 	}
-	current := append(p.Running(), p.queue...)
-	withNew := append(append([]*job.Job{}, current...), j)
-
-	before := p.plan(now, current)
+	withNew := p.candidates(j)
+	before := p.plan(now, withNew[:len(withNew)-1])
 	after := p.plan(now, withNew)
 
 	// The candidate's own predicted outcome.
@@ -265,65 +278,35 @@ func (p *Profit) Submit(now float64, j *job.Job) bool {
 
 // reallocate applies the deadline-weighted plan to the actual machine.
 func (p *Profit) reallocate(now float64) {
-	all := append(p.Running(), p.queue...)
-	entries := p.plan(now, all)
-
+	entries := p.plan(now, p.candidates(nil))
+	nrun := len(p.running)
+	for i := range p.running {
+		p.running[i].target = entries[i].pe
+	}
 	// Preemption: a running job planned at zero processors is
-	// checkpointed and re-queued; it restarts from the checkpoint when
-	// capacity frees (§4.1).
+	// checkpointed and re-queued ahead of the waiting jobs; it restarts
+	// from the checkpoint when capacity frees (§4.1).
+	var preempted []*job.Job
 	if p.cfg.Preempt {
-		for _, pe := range entries {
-			ent, isRunning := p.running[pe.j.ID]
-			if !isRunning || pe.pe != 0 {
+		for _, pe := range entries[:nrun] {
+			if pe.pe != 0 || pe.j.Checkpoint(now) != nil {
 				continue
 			}
-			if err := pe.j.Checkpoint(now); err == nil {
-				p.alloc.Release(ent.alloc)
-				delete(p.running, pe.j.ID)
-				p.preemptions++
-			}
+			i, _ := p.find(pe.j.ID)
+			p.finish(i)
+			p.preemptions++
+			preempted = append(preempted, pe.j)
 		}
 	}
-	// Shrink first.
-	for _, pe := range entries {
-		ent, isRunning := p.running[pe.j.ID]
-		if !isRunning || pe.pe == 0 || pe.pe >= ent.alloc.Size() {
-			continue
-		}
-		if err := p.alloc.Shrink(ent.alloc, pe.pe); err == nil {
-			_ = pe.j.Reconfigure(now, pe.pe, p.cfg.ReconfigLatency)
-		}
-	}
-	// Start queued jobs with targets.
-	var stillQueued []*job.Job
-	for _, pe := range entries {
-		if _, isRunning := p.running[pe.j.ID]; isRunning {
-			continue
-		}
-		if pe.pe == 0 {
-			stillQueued = append(stillQueued, pe.j)
-			continue
-		}
-		if err := p.start(now, pe.j, pe.pe); err != nil {
-			stillQueued = append(stillQueued, pe.j)
-		}
-	}
-	p.queue = stillQueued
-	// Expand.
-	for _, pe := range entries {
-		ent, isRunning := p.running[pe.j.ID]
-		if !isRunning || pe.pe <= ent.alloc.Size() {
-			continue
-		}
-		if err := p.alloc.Expand(ent.alloc, pe.pe); err == nil {
-			_ = pe.j.Reconfigure(now, pe.pe, p.cfg.ReconfigLatency)
-		}
+	p.apply(now, func(k int) int { return entries[nrun+k].pe })
+	if len(preempted) > 0 {
+		p.queue = append(preempted, p.queue...)
 	}
 }
 
 // Advance implements Scheduler.
 func (p *Profit) Advance(now float64) []*job.Job {
-	return p.advanceCore(now, func(t float64) { p.reallocate(t) })
+	return p.advanceCore(now, p.reallocate)
 }
 
 // EstimateCompletion implements Scheduler using the same plan that
@@ -333,8 +316,7 @@ func (p *Profit) EstimateCompletion(now float64, c *qos.Contract) (float64, bool
 		return 0, false
 	}
 	probe := job.New("estimate-probe", "", c, now)
-	withNew := append(append(p.Running(), p.queue...), probe)
-	entries := p.plan(now, withNew)
+	entries := p.plan(now, p.candidates(probe))
 	cand := entries[len(entries)-1]
 	if cand.pe == 0 && p.cfg.Lookahead <= 0 {
 		return 0, false

@@ -20,8 +20,9 @@
 package scheduler
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"faucets/internal/job"
 	"faucets/internal/machine"
@@ -49,7 +50,9 @@ type Scheduler interface {
 	// something to do under current allocations: the earliest completion
 	// among running jobs, or an earlier phase boundary (a reallocation
 	// point that can move every completion). An executor arms its one
-	// timer for it. ok is false when nothing is running.
+	// timer for it. A boundary the caller is already late for is
+	// reported where it was, before now. ok is false when nothing is
+	// running.
 	NextCompletion(now float64) (t float64, ok bool)
 	// EstimateCompletion predicts when a hypothetical job with the given
 	// contract would complete if submitted now, without admitting it.
@@ -61,8 +64,10 @@ type Scheduler interface {
 	QueueLen() int
 	// RunningCount returns the number of executing jobs.
 	RunningCount() int
-	// Running returns the currently executing jobs (callers must not
-	// mutate them).
+	// Running returns the executing jobs, ascending by ID. The slice is
+	// the scheduler's own view, rewritten in place whenever a job starts
+	// or leaves: read it before the next Submit, Advance or Kill, under
+	// whatever lock serializes those calls, and copy it to keep it.
 	Running() []*job.Job
 	// Kill terminates a job (running or queued) at time now, freeing its
 	// processors; remaining capacity is redistributed. It returns false
@@ -97,10 +102,12 @@ type Config struct {
 	Preempt bool
 }
 
-// entry pairs a running job with its processor allocation.
+// entry is one member of the running set: a job, its processors, and
+// the size the latest reallocation planned for it.
 type entry struct {
-	j     *job.Job
-	alloc *machine.Alloc
+	j      *job.Job
+	alloc  *machine.Alloc
+	target int
 }
 
 // cluster is the machinery shared by every strategy: the allocator, the
@@ -110,34 +117,43 @@ type cluster struct {
 	alloc *machine.Allocator
 	cfg   Config
 
-	running map[job.ID]*entry
-	queue   []*job.Job // admitted, waiting to start (FIFO)
+	// running is the one running set, strictly ascending by job ID — the
+	// order every reader wants. Only start inserts and only finish
+	// removes; readers walk it in place.
+	running []entry
+	// view is running's jobs in the same order, what Running hands out.
+	// start and finish rewrite it whole and nothing in this package reads
+	// it, so a caller scribbling on it cannot corrupt the scheduler.
+	view  []*job.Job
+	queue []*job.Job // admitted, waiting to start (FIFO)
 }
 
 func newCluster(spec machine.Spec, cfg Config) *cluster {
 	if err := spec.Validate(); err != nil {
 		panic(fmt.Sprintf("scheduler: %v", err))
 	}
-	return &cluster{
-		spec:    spec,
-		alloc:   machine.NewAllocator(spec.NumPE),
-		cfg:     cfg,
-		running: make(map[job.ID]*entry),
-	}
+	return &cluster{spec: spec, alloc: machine.NewAllocator(spec.NumPE), cfg: cfg}
 }
 
-func (c *cluster) Spec() machine.Spec { return c.spec }
-func (c *cluster) UsedPEs() int       { return c.alloc.Used() }
-func (c *cluster) QueueLen() int      { return len(c.queue) }
-func (c *cluster) RunningCount() int  { return len(c.running) }
+func (c *cluster) Spec() machine.Spec  { return c.spec }
+func (c *cluster) UsedPEs() int        { return c.alloc.Used() }
+func (c *cluster) QueueLen() int       { return len(c.queue) }
+func (c *cluster) RunningCount() int   { return len(c.running) }
+func (c *cluster) Running() []*job.Job { return c.view }
 
-func (c *cluster) Running() []*job.Job {
-	out := make([]*job.Job, 0, len(c.running))
+// find returns id's index in the running set, or where it would go.
+func (c *cluster) find(id job.ID) (int, bool) {
+	return slices.BinarySearchFunc(c.running, id, func(e entry, id job.ID) int {
+		return cmp.Compare(e.j.ID, id)
+	})
+}
+
+// syncView rewrites Running's view after the running set changed.
+func (c *cluster) syncView() {
+	c.view = c.view[:0]
 	for _, e := range c.running {
-		out = append(out, e.j)
+		c.view = append(c.view, e.j)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // feasible reports whether the contract could ever run on this machine.
@@ -150,6 +166,10 @@ func (c *cluster) feasible(ct *qos.Contract) bool {
 
 // start launches a job on pe processors right now.
 func (c *cluster) start(now float64, j *job.Job, pe int) error {
+	i, dup := c.find(j.ID)
+	if dup {
+		return fmt.Errorf("scheduler: job %s is already running", j.ID)
+	}
 	a, err := c.alloc.Alloc(pe)
 	if err != nil {
 		return err
@@ -158,18 +178,49 @@ func (c *cluster) start(now float64, j *job.Job, pe int) error {
 		c.alloc.Release(a)
 		return err
 	}
-	c.running[j.ID] = &entry{j: j, alloc: a}
+	c.running = slices.Insert(c.running, i, entry{j: j, alloc: a, target: pe})
+	c.syncView()
 	return nil
 }
 
-// finish releases a completed (or killed) job's processors.
-func (c *cluster) finish(id job.ID) {
-	e, ok := c.running[id]
-	if !ok {
-		return
+// finish releases the processors of running[i] — completed, killed or
+// checkpointed — and drops it from the running set.
+func (c *cluster) finish(i int) {
+	c.alloc.Release(c.running[i].alloc)
+	c.running = slices.Delete(c.running, i, i+1)
+	c.syncView()
+}
+
+// apply moves the machine to a plan: every running job's planned size is
+// in its entry.target (0: leave it alone) and queued(k) is queue[k]'s
+// (0: keep waiting). Shrink first, freeing processors; then start queued
+// jobs FIFO — a started job enters the running set at its target, so the
+// last pass skips it; then expand.
+func (c *cluster) apply(now float64, queued func(k int) int) {
+	for _, ent := range c.running {
+		if ent.target == 0 || ent.target >= ent.alloc.Size() {
+			continue
+		}
+		if err := c.alloc.Shrink(ent.alloc, ent.target); err == nil {
+			_ = ent.j.Reconfigure(now, ent.target, c.cfg.ReconfigLatency)
+		}
 	}
-	c.alloc.Release(e.alloc)
-	delete(c.running, id)
+	kept := c.queue[:0]
+	for k, j := range c.queue {
+		if t := queued(k); t == 0 || c.start(now, j, t) != nil {
+			kept = append(kept, j)
+		}
+	}
+	clear(c.queue[len(kept):])
+	c.queue = kept
+	for _, ent := range c.running {
+		if ent.target <= ent.alloc.Size() {
+			continue
+		}
+		if err := c.alloc.Expand(ent.alloc, ent.target); err == nil {
+			_ = ent.j.Reconfigure(now, ent.target, c.cfg.ReconfigLatency)
+		}
+	}
 }
 
 // nextCompletion returns the earliest predicted completion among running
@@ -190,10 +241,10 @@ func (c *cluster) nextCompletion(now float64) (float64, bool) {
 
 // nextPhaseBoundary returns the earliest upcoming phase transition among
 // running multi-phase jobs.
-func (c *cluster) nextPhaseBoundary(now float64) (float64, bool) {
+func (c *cluster) nextPhaseBoundary() (float64, bool) {
 	best, ok := 0.0, false
 	for _, e := range c.running {
-		t, tok := e.j.NextPhaseBoundary(now)
+		t, tok := e.j.NextPhaseBoundary()
 		if !tok {
 			continue
 		}
@@ -205,10 +256,11 @@ func (c *cluster) nextPhaseBoundary(now float64) (float64, bool) {
 }
 
 // nextEvent returns the earliest pending completion or phase boundary,
-// and whether it is a boundary.
+// and whether it is a boundary. A boundary is where the jobs' accounted
+// progress puts it, so it lies before now when the caller is late.
 func (c *cluster) nextEvent(now float64) (t float64, boundary, ok bool) {
 	tc, okc := c.nextCompletion(now)
-	tb, okb := c.nextPhaseBoundary(now)
+	tb, okb := c.nextPhaseBoundary()
 	if okb && (!okc || tb < tc) {
 		return tb, true, true
 	}
@@ -219,6 +271,20 @@ func (c *cluster) nextEvent(now float64) (t float64, boundary, ok bool) {
 func (c *cluster) NextCompletion(now float64) (float64, bool) {
 	t, _, ok := c.nextEvent(now)
 	return t, ok
+}
+
+// sweep books every running job's progress up to t and finishes, in ID
+// order, those whose work completes by then, appending them to done.
+func (c *cluster) sweep(t float64, done []*job.Job) []*job.Job {
+	for i := 0; i < len(c.running); {
+		if j := c.running[i].j; j.AdvanceTo(t) {
+			c.finish(i)
+			done = append(done, j)
+		} else {
+			i++
+		}
+	}
+	return done
 }
 
 // advanceCore completes jobs up to time now, invoking onChange(t) at
@@ -241,40 +307,16 @@ func (c *cluster) advanceCore(now float64, onChange func(t float64)) []*job.Job 
 		if boundary {
 			target += 1e-9
 		}
-		var finished []*job.Job
-		for _, e := range c.running {
-			if e.j.AdvanceTo(target) {
-				finished = append(finished, e.j)
-			}
-		}
-		sort.Slice(finished, func(i, j int) bool { return finished[i].ID < finished[j].ID })
-		for _, j := range finished {
-			c.finish(j.ID)
-			done = append(done, j)
-		}
-		if onChange != nil {
-			onChange(t)
-		}
+		done = c.sweep(target, done)
+		onChange(t)
 	}
 	// Book progress up to now for everything still running. A job whose
 	// completion lands within floating-point epsilon of now can finish
 	// here even though the prediction loop above placed it just past now
 	// — collect it like any other completion.
-	var late []*job.Job
-	for _, e := range c.running {
-		if e.j.AdvanceTo(now) {
-			late = append(late, e.j)
-		}
-	}
-	if len(late) > 0 {
-		sort.Slice(late, func(i, j int) bool { return late[i].ID < late[j].ID })
-		for _, j := range late {
-			c.finish(j.ID)
-			done = append(done, j)
-		}
-		if onChange != nil {
-			onChange(now)
-		}
+	n := len(done)
+	if done = c.sweep(now, done); len(done) > n {
+		onChange(now)
 	}
 	return done
 }
@@ -299,17 +341,17 @@ func (c *cluster) Evict(now float64, id job.ID) *job.Job {
 // killCore terminates a running or queued job and frees its resources.
 // The caller reallocates afterwards.
 func (c *cluster) killCore(now float64, id job.ID) bool {
-	if e, ok := c.running[id]; ok {
-		e.j.AdvanceTo(now)
-		if e.j.State().Terminal() {
-			// Completed at or before the kill instant: let the normal
-			// completion path report it instead.
+	if i, ok := c.find(id); ok {
+		j := c.running[i].j
+		if t, ok := j.CompletionTime(now); ok && t <= now {
+			// Completes at or before the kill instant: leave it running
+			// for the next Advance to finish and report.
 			return false
 		}
-		if err := e.j.Kill(now); err != nil {
+		if err := j.Kill(now); err != nil {
 			return false
 		}
-		c.finish(id)
+		c.finish(i)
 		return true
 	}
 	for i, q := range c.queue {

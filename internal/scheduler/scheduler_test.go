@@ -281,7 +281,7 @@ func TestSharesWaterfill(t *testing.T) {
 		{min: 1, max: 100},
 		{min: 1, max: 100},
 	}
-	got := shares(20, bs)
+	got := shares(20, bs, nil)
 	if got[0] != 4 {
 		t.Fatalf("clamped job got %d, want 4", got[0])
 	}
@@ -295,7 +295,7 @@ func TestSharesWaterfill(t *testing.T) {
 
 func TestSharesZeroWhenMinDoesNotFit(t *testing.T) {
 	bs := []bounds{{min: 6, max: 8}, {min: 6, max: 8}}
-	got := shares(8, bs)
+	got := shares(8, bs, nil)
 	if got[0] == 0 || got[1] != 0 {
 		t.Fatalf("want first served, second starved: %v", got)
 	}
@@ -314,7 +314,7 @@ func TestSharesInvariantProperty(t *testing.T) {
 			min := 1 + rng.Intn(16)
 			bs[i] = bounds{min: min, max: min + rng.Intn(32)}
 		}
-		got := shares(total, bs)
+		got := shares(total, bs, nil)
 		sum := 0
 		for i, g := range got {
 			if g != 0 && (g < bs[i].min || g > bs[i].max) {

@@ -375,8 +375,10 @@ func (c *Client) Credits(cluster string) (float64, error) {
 // clock), so the port passes the market layer a zero "now".
 type fdPort struct {
 	c    *Client
-	info protocol.ServerInfo
+	info *protocol.ServerInfo // an element of Place's directory listing
 }
+
+var _ market.BidStarter = (*fdPort)(nil)
 
 func (p *fdPort) ServerName() string { return p.info.Spec.Name }
 
@@ -385,6 +387,22 @@ func (p *fdPort) RequestBid(_ float64, contract *qos.Contract) (bidding.Bid, boo
 	err := p.c.rpcPool().Call(p.info.Addr, p.c.RPCTimeout, protocol.TypeBidReq,
 		protocol.BidReq{User: p.c.User, Token: p.c.token(), Contract: contract},
 		protocol.TypeBidOK, &reply)
+	return bidFrom(&reply, err)
+}
+
+// StartBid implements market.BidStarter: the request is written on the
+// caller's goroutine — the auction's — and deliver runs as the pool's
+// completion, so a sixteen-way fan-out parks no goroutine per bid.
+func (p *fdPort) StartBid(_ float64, contract *qos.Contract, deliver func(bidding.Bid, bool)) {
+	reply := new(protocol.BidOK)
+	p.c.rpcPool().Go(p.info.Addr, p.c.RPCTimeout, protocol.TypeBidReq,
+		&protocol.BidReq{User: p.c.User, Token: p.c.token(), Contract: contract},
+		protocol.TypeBidOK, reply, func(err error) { deliver(bidFrom(reply, err)) })
+}
+
+// bidFrom turns a bid exchange's outcome into the market's answer: any
+// failure is a forfeit.
+func bidFrom(reply *protocol.BidOK, err error) (bidding.Bid, bool) {
 	if err != nil {
 		return bidding.Bid{}, false
 	}
@@ -476,11 +494,11 @@ func (c *Client) Place(contract *qos.Contract, crit market.Criterion) (*Placemen
 	if err != nil {
 		return nil, err
 	}
+	fds := make([]fdPort, len(servers))
 	ports := make([]market.ServerPort, len(servers))
-	byName := make(map[string]protocol.ServerInfo, len(servers))
-	for i, info := range servers {
-		ports[i] = &fdPort{c: c, info: info}
-		byName[info.Spec.Name] = info
+	for i := range servers {
+		fds[i] = fdPort{c: c, info: &servers[i]}
+		ports[i] = &fds[i]
 	}
 	jobID := NewJobID()
 	c.Tracer.Record(jobID, telemetry.SpanSubmit, fmt.Sprintf("%s by %s: %.0f work for %d servers", contract.App, c.User, contract.Work, len(servers)))
@@ -501,7 +519,7 @@ func (c *Client) Place(contract *qos.Contract, crit market.Criterion) (*Placemen
 	}
 	return &Placement{
 		JobID:    jobID,
-		Server:   byName[res.Bid.Server],
+		Server:   servers[res.Port],
 		Bid:      res.Bid,
 		Contract: contract,
 		Attempts: res.Attempts,

@@ -65,8 +65,8 @@ func startBidStub(t *testing.T, name string, price float64, delay time.Duration,
 // fan-out, run over the wire with the chaos delay injector in the path,
 // must produce exactly the ranking the serial walk produces — with the
 // one hung bidder excluded by the per-bid deadline rather than stalling
-// the auction. Run under -race, this also exercises the worker pool for
-// data races.
+// the auction. Run under -race, this also exercises the collector and the
+// pool's completion path for data races.
 func TestParallelSolicitMatchesSerialUnderChaos(t *testing.T) {
 	// Delay-only injector: every operation may sleep a little, so reply
 	// order is scrambled, but no frames are lost.
@@ -81,13 +81,13 @@ func TestParallelSolicitMatchesSerialUnderChaos(t *testing.T) {
 		// Duplicate prices across servers force criterion ties, so the
 		// ranking leans on the server-name tie-break.
 		addr := startBidStub(t, name, float64(10+i%4), 0, inj)
-		ports = append(ports, &fdPort{c: cl, info: protocol.ServerInfo{
+		ports = append(ports, &fdPort{c: cl, info: &protocol.ServerInfo{
 			Spec: machine.Spec{Name: name, NumPE: 4, MemPerPE: 1, Speed: 1}, Addr: addr,
 		}})
 	}
 	// One hung daemon: answers far past the per-bid deadline.
 	slowAddr := startBidStub(t, "zz-slow", 1, 2*time.Second, nil)
-	slowPort := &fdPort{c: cl, info: protocol.ServerInfo{
+	slowPort := &fdPort{c: cl, info: &protocol.ServerInfo{
 		Spec: machine.Spec{Name: "zz-slow", NumPE: 4, MemPerPE: 1, Speed: 1}, Addr: slowAddr,
 	}}
 

@@ -72,7 +72,7 @@ func TestPlaceRejectsUnknownMechanism(t *testing.T) {
 // posted price follows the published 1+utilization schedule.
 func TestFdPortPost(t *testing.T) {
 	cl := &Client{}
-	port := &fdPort{c: cl, info: protocol.ServerInfo{Apps: []string{"synth"}}}
+	port := &fdPort{c: cl, info: &protocol.ServerInfo{Apps: []string{"synth"}}}
 	port.info.Spec.Name = "box"
 	port.info.Spec.NumPE = 32
 	port.info.Spec.MemPerPE = 2048

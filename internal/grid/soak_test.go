@@ -3,6 +3,7 @@ package grid
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -15,14 +16,33 @@ import (
 )
 
 // soakRounds returns the measured auction count per phase; the CI
-// chaos-soak job raises it via FAUCETS_SOAK_ROUNDS for a longer run.
+// chaos-soak job raises it via FAUCETS_SOAK_ROUNDS for a longer run. The
+// default keeps each measured phase at or above ~100 ms of wall time (an
+// auction is a few hundred microseconds unraced), so one scheduling
+// hiccup is not a third of the sample.
 func soakRounds() int {
 	if v := os.Getenv("FAUCETS_SOAK_ROUNDS"); v != "" {
 		if n, err := strconv.Atoi(v); err == nil && n > 0 {
 			return n
 		}
 	}
-	return 25
+	return 300
+}
+
+// soakPhase runs the measured auctions of one phase and returns each
+// one's wall time, sorted, plus the phase total.
+func soakPhase(t *testing.T, cl *client.Client, rounds int) ([]time.Duration, time.Duration) {
+	t.Helper()
+	each := make([]time.Duration, rounds)
+	start := time.Now()
+	for i := range each {
+		one := time.Now()
+		soakAuction(t, cl)
+		each[i] = time.Since(one)
+	}
+	total := time.Since(start)
+	slices.Sort(each)
+	return each, total
 }
 
 // soakClusters builds a ten-cluster fleet of identical healthy daemons.
@@ -105,11 +125,7 @@ func TestChaosSoakSickMinority(t *testing.T) {
 	for i := 0; i < 3; i++ { // warm pooled connections
 		soakAuction(t, hcl)
 	}
-	hStart := time.Now()
-	for i := 0; i < rounds; i++ {
-		soakAuction(t, hcl)
-	}
-	healthyElapsed := time.Since(hStart)
+	healthyEach, healthyElapsed := soakPhase(t, hcl, rounds)
 	waitSettled(t, healthy, rounds+3)
 	hcl.Close()
 	healthy.Close()
@@ -151,11 +167,7 @@ func TestChaosSoakSickMinority(t *testing.T) {
 		t.Fatalf("breakers never opened after %d warmup auctions", warmup)
 	}
 
-	sStart := time.Now()
-	for i := 0; i < rounds; i++ {
-		soakAuction(t, cl)
-	}
-	sickElapsed := time.Since(sStart)
+	sickEach, sickElapsed := soakPhase(t, cl, rounds)
 	waitSettled(t, g, warmup+rounds)
 
 	// Instant forfeit: with the breakers OPEN, sick daemons are skipped
@@ -178,12 +190,20 @@ func TestChaosSoakSickMinority(t *testing.T) {
 		wakeups += d.Metrics().Counter("faucets_daemon_runloop_wakeups_total", "").Value()
 	}
 
-	// Sustained throughput: ≥70% of the healthy baseline.
-	ratio := float64(healthyElapsed) / float64(sickElapsed)
-	t.Logf("soak: rounds=%d healthy=%v sick=%v throughput-ratio=%.2f warmup=%d skips=%d jobs=%d runloop-wakeups=%d",
-		rounds, healthyElapsed, sickElapsed, ratio, warmup, skips.Value(), warmup+rounds, wakeups)
+	// Sustained throughput: ≥70% of the healthy baseline, phase against
+	// phase by the median auction. The sick phase starts the instant the
+	// breakers open, while the warm-up's abandoned calls to the trickler
+	// and the staller are still draining; a total would charge those few
+	// stragglers, and any one scheduling hiccup, to the steady state the
+	// 70% line is about.
+	healthyP50, sickP50 := healthyEach[rounds/2], sickEach[rounds/2]
+	ratio := float64(healthyP50) / float64(sickP50)
+	t.Logf("soak: rounds=%d healthy=%v (p50 %v) sick=%v (p50 %v) throughput-ratio=%.2f warmup=%d skips=%d jobs=%d runloop-wakeups=%d",
+		rounds, healthyElapsed, healthyP50, sickElapsed, sickP50, ratio, warmup, skips.Value(), warmup+rounds, wakeups)
 	if ratio < 0.7 {
-		t.Fatalf("sick-fleet throughput is %.0f%% of healthy baseline (healthy %v, sick %v), want >= 70%%",
-			ratio*100, healthyElapsed, sickElapsed)
+		t.Logf("healthy auctions, sorted: %v", healthyEach)
+		t.Logf("sick auctions, sorted: %v", sickEach)
+		t.Fatalf("sick-fleet throughput is %.0f%% of healthy baseline (median auction healthy %v, sick %v), want >= 70%%",
+			ratio*100, healthyP50, sickP50)
 	}
 }

@@ -30,16 +30,18 @@ func (s *slowFirstServer) RequestBid(now float64, c *qos.Contract) (bidding.Bid,
 // any quantile must produce the Concurrency 1 walk's exact ranking —
 // hedging changes when bids arrive, never how they rank.
 func TestSolicitHedgedMatchesSerial(t *testing.T) {
-	servers, c, crit := mixedFleet(), contract(), LeastCost{}
-	want := SolicitWith(0, servers, c, crit, SolicitOpts{Concurrency: 1})
-	for _, q := range []float64{0.01, 0.25, 0.5, 0.9, 0.99} {
-		for _, conc := range []int{0, 2} {
-			got := SolicitWith(0, servers, c, crit, SolicitOpts{HedgeQuantile: q, Concurrency: conc})
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("hedge quantile %v, concurrency %d diverged:\n got %+v\nwant %+v", q, conc, got, want)
+	c, crit := contract(), LeastCost{}
+	bothKinds(t, mixedFleet(), func(t *testing.T, servers []ServerPort) {
+		want := SolicitWith(0, servers, c, crit, SolicitOpts{Concurrency: 1})
+		for _, q := range []float64{0.01, 0.25, 0.5, 0.9, 0.99} {
+			for _, conc := range []int{0, 2} {
+				got := SolicitWith(0, servers, c, crit, SolicitOpts{HedgeQuantile: q, Concurrency: conc})
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("hedge quantile %v, concurrency %d diverged:\n got %+v\nwant %+v", q, conc, got, want)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestSolicitHedgeRescuesSlowServer: the straggler's first attempt is

@@ -17,6 +17,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"faucets/internal/bidding"
@@ -146,6 +147,18 @@ func rankBids(bids []bidding.Bid, crit Criterion) {
 	})
 }
 
+// BidStarter is a ServerPort that can answer a request-for-bids as a
+// completion instead of blocking a goroutine for the round trip: StartBid
+// returns once the request is on its way, and deliver is called exactly
+// once, from any goroutine, with what RequestBid would have returned.
+// The concurrent collector launches such ports on the caller's goroutine
+// (wire ports write their request there) and blocking ports on a
+// goroutine of their own.
+type BidStarter interface {
+	ServerPort
+	StartBid(now float64, c *qos.Contract, deliver func(bidding.Bid, bool))
+}
+
 // SolicitWith broadcasts a request-for-bids to the given servers (less
 // any the gate skips; pre-screening is the caller's or the Central
 // Server's filters', §5.1) and returns all offers, stably sorted
@@ -169,8 +182,8 @@ func SolicitWith(now float64, servers []ServerPort, c *qos.Contract, crit Criter
 	if conc <= 0 {
 		conc = min(DefaultFanout, n)
 	}
-	bids := make([]bidding.Bid, 0, n)
 	if conc == 1 && opts.Timeout <= 0 && !hedge {
+		bids := make([]bidding.Bid, 0, n)
 		for _, s := range servers {
 			if opts.Gate != nil && !opts.Gate(s) {
 				continue // breaker OPEN: instant forfeit
@@ -182,38 +195,46 @@ func SolicitWith(now float64, servers []ServerPort, c *qos.Contract, crit Criter
 		rankBids(bids, crit)
 		return bids
 	}
+	return collect(now, servers, c, crit, opts, conc, hedge)
+}
 
-	// Every attempt — original or hedge — is an index on the queue, so
-	// the channel never carries a bid and never blocks a sender: each
-	// server is enqueued at most twice.
-	a := &auction{now: now, servers: servers, c: c, timeout: opts.Timeout,
-		slots: make([]slot, n), queue: make(chan int, 2*n)}
+// collect is the concurrent round. There are no workers and no queue:
+// the caller's goroutine is the auction's only launcher. It starts up to
+// conc attempts, sleeps until a completion reports that every server
+// has resolved or that something is waiting to be launched (the next
+// server in line once an attempt returns, or a hedge), and launches
+// again. A completion only records its answer under the lock and
+// signals, so it is safe to run on a connection's read goroutine.
+func collect(now float64, servers []ServerPort, c *qos.Contract, crit Criterion, opts SolicitOpts, conc int, hedge bool) []bidding.Bid {
+	n := len(servers)
+	a := &auction{now: now, servers: servers, c: c, timeout: opts.Timeout, conc: conc, slots: make([]slot, n)}
+	a.wake.L = &a.mu
 	for i, s := range servers {
 		if opts.Gate != nil && !opts.Gate(s) {
-			continue // breaker OPEN: instant forfeit, no goroutine spent
+			continue // breaker OPEN: instant forfeit, nothing launched
 		}
-		a.slots[i].inflight = 1
+		a.slots[i].inflight, a.slots[i].queued = 1, 1
 		a.left++
-		a.queue <- i
 	}
-	if a.left == 0 {
-		return bids // every server gated out
-	}
+	a.queued = a.left
 	if hedge {
 		a.hedgeAt = a.left - max(1, int(math.Ceil(opts.HedgeQuantile*float64(a.left))))
 	}
-	if a.hedgeAt == 0 {
-		close(a.queue) // nothing will be re-enqueued: workers leave as it drains
-	}
-	a.open.Add(1)
-	for w := min(conc, a.left); w > 0; w-- {
-		go a.work()
-	}
+	a.attempts = make([]attempt, 0, a.left+a.hedgeAt)
 	// Wait for every gated-in server to resolve, not for every attempt to
 	// return: an attempt whose sibling already answered is abandoned (it
 	// finds its slot taken and changes nothing).
-	a.open.Wait()
 	a.mu.Lock()
+	for a.left > 0 {
+		if i, ok := a.next(); ok {
+			a.mu.Unlock()
+			a.launch(i)
+			a.mu.Lock()
+		} else {
+			a.wake.Wait()
+		}
+	}
+	bids := make([]bidding.Bid, 0, n)
 	for i := range a.slots {
 		if a.slots[i].got {
 			bids = append(bids, a.slots[i].bid)
@@ -229,30 +250,98 @@ type slot struct {
 	bid      bidding.Bid
 	got      bool // bid holds the server's offer
 	resolved bool // the server has answered, declined or forfeited
-	inflight int8 // attempts queued or running
+	inflight int8 // attempts waiting to be launched or outstanding
+	queued   int8 // of those, the ones still waiting
 }
 
-// auction is the state of one concurrent request-for-bids round: a
-// bounded set of workers drains a queue of server indices and writes
-// each answer straight into that server's slot.
+// auction is the state of one concurrent request-for-bids round. The
+// caller's goroutine launches; completions write each answer straight
+// into that server's slot.
 type auction struct {
-	now     float64
-	servers []ServerPort
-	c       *qos.Contract
-	timeout time.Duration
-	queue   chan int
-	open    sync.WaitGroup // held until every gated-in server has resolved
+	now      float64
+	servers  []ServerPort
+	c        *qos.Contract
+	timeout  time.Duration
+	conc     int
+	attempts []attempt // launcher-owned backing store: one allocation per round
 
 	mu      sync.Mutex
+	wake    sync.Cond // the launcher sleeps here
 	slots   []slot
 	left    int // servers not yet resolved
 	hedgeAt int // hedge once only this many are left; 0 = off or spent
+	running int // attempts outstanding, bounded by conc
+	queued  int // attempts waiting to be launched
+	cursor  int // launch order: slots 0..n-1 for the originals, n..2n-1 for the hedges
 }
 
-func (a *auction) work() {
-	for i := range a.queue {
-		b, ok := requestBidTimeout(a.now, a.servers[i], a.c, a.timeout)
-		a.finish(i, b, ok)
+// next claims the next attempt in line, if there is one and the
+// concurrency bound has room: every original in server order, then one
+// re-issue per hedged server in the same order. The caller holds a.mu.
+func (a *auction) next() (int, bool) {
+	n := len(a.slots)
+	for a.queued > 0 && a.running < a.conc {
+		i := a.cursor % n
+		a.cursor++
+		s := &a.slots[i]
+		if s.queued == 0 {
+			continue
+		}
+		s.queued--
+		a.queued--
+		if s.resolved {
+			s.inflight-- // its sibling answered first: nothing to re-issue
+			continue
+		}
+		a.running++
+		return i, true
+	}
+	return 0, false
+}
+
+// attempt is one launched request, original or hedge.
+type attempt struct {
+	a        *auction
+	i        int
+	fired    atomic.Bool
+	deadline *time.Timer // the per-bid deadline, if any; set before the port is asked
+}
+
+// complete ends the attempt exactly once: of the port's answer and the
+// deadline's forfeit the first counts and the other changes nothing.
+func (t *attempt) complete(b bidding.Bid, ok bool) {
+	if t.fired.CompareAndSwap(false, true) {
+		t.a.finish(t.i, b, ok)
+	}
+}
+
+// deliver is the port's side of complete, handed to StartBid.
+func (t *attempt) deliver(b bidding.Bid, ok bool) {
+	if t.deadline != nil {
+		t.deadline.Stop()
+	}
+	t.complete(b, ok)
+}
+
+// forfeit is the deadline's side: the server has not answered in time,
+// the attempt is abandoned (the transport's own deadline eventually
+// reaps the underlying RPC) and the auction proceeds without that bid.
+func (t *attempt) forfeit() { t.complete(bidding.Bid{}, false) }
+
+// ask is the goroutine a port that can only block is given.
+func (t *attempt) ask() { t.deliver(t.a.servers[t.i].RequestBid(t.a.now, t.a.c)) }
+
+// launch starts one attempt on server i, without holding a.mu.
+func (a *auction) launch(i int) {
+	a.attempts = append(a.attempts, attempt{a: a, i: i})
+	t := &a.attempts[len(a.attempts)-1]
+	if a.timeout > 0 {
+		t.deadline = time.AfterFunc(a.timeout, t.forfeit)
+	}
+	if s, ok := a.servers[i].(BidStarter); ok {
+		s.StartBid(a.now, a.c, t.deliver)
+	} else {
+		go t.ask()
 	}
 }
 
@@ -267,52 +356,25 @@ func (a *auction) work() {
 func (a *auction) finish(i int, b bidding.Bid, ok bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.running--
 	s := &a.slots[i]
 	s.inflight--
-	if s.resolved || (!ok && s.inflight > 0) {
-		return
-	}
-	s.bid, s.got, s.resolved = b, ok, true
-	a.left--
-	if a.left == 0 {
-		a.open.Done()
-	} else if a.left <= a.hedgeAt {
-		a.hedgeAt = 0
-		for j := range a.slots {
-			if o := &a.slots[j]; !o.resolved && o.inflight > 0 {
-				o.inflight++
-				a.queue <- j
+	if !s.resolved && (ok || s.inflight == 0) {
+		s.bid, s.got, s.resolved = b, ok, true
+		a.left--
+		if a.left > 0 && a.left <= a.hedgeAt {
+			a.hedgeAt = 0
+			for j := range a.slots {
+				if o := &a.slots[j]; !o.resolved && o.inflight > 0 {
+					o.inflight++
+					o.queued++
+					a.queued++
+				}
 			}
 		}
-		close(a.queue)
 	}
-}
-
-// requestBidTimeout runs one RequestBid under an optional deadline. On
-// timeout the server forfeits: the call is abandoned (the goroutine
-// drains into a buffered channel and the transport's own deadline
-// eventually reaps the underlying RPC) and the auction proceeds without
-// that bid.
-func requestBidTimeout(now float64, s ServerPort, c *qos.Contract, d time.Duration) (bidding.Bid, bool) {
-	if d <= 0 {
-		return s.RequestBid(now, c)
-	}
-	type reply struct {
-		b  bidding.Bid
-		ok bool
-	}
-	ch := make(chan reply, 1)
-	go func() {
-		b, ok := s.RequestBid(now, c)
-		ch <- reply{b, ok}
-	}()
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case r := <-ch:
-		return r.b, r.ok
-	case <-t.C:
-		return bidding.Bid{}, false
+	if a.left == 0 || a.queued > 0 {
+		a.wake.Signal() // all resolved, or a slot just freed for the next in line
 	}
 }
 
@@ -324,6 +386,8 @@ type AwardResult struct {
 	Attempts int
 	// Declined lists servers whose commit was refused.
 	Declined []string
+	// Port is the index in servers of the port that committed.
+	Port int
 }
 
 // CommitPriced walks an already-ranked bid list asking each server in
@@ -340,10 +404,6 @@ func CommitPriced(now float64, servers []ServerPort, ranked []bidding.Bid, jobID
 	if len(ranked) == 0 {
 		return AwardResult{}, ErrNoBids
 	}
-	byName := make(map[string]ServerPort, len(servers))
-	for _, s := range servers {
-		byName[s.ServerName()] = s
-	}
 	tried := ranked
 	if singlePhase {
 		tried = ranked[:1]
@@ -355,18 +415,20 @@ func CommitPriced(now float64, servers []ServerPort, ranked []bidding.Bid, jobID
 			lastErr = fmt.Errorf("%w: %s", ErrExpired, b.Server)
 			continue
 		}
-		s, ok := byName[b.Server]
-		if !ok {
+		// A scan, not a per-call name map: a commit walk rarely goes past
+		// the first bid and a fleet is tens of names.
+		at := slices.IndexFunc(servers, func(s ServerPort) bool { return s.ServerName() == b.Server })
+		if at < 0 {
 			continue
 		}
 		b.Price = m.ClearingPrice(ranked, i)
 		res.Attempts++
-		if err := s.Commit(now, jobID, b); err != nil {
+		if err := servers[at].Commit(now, jobID, b); err != nil {
 			res.Declined = append(res.Declined, b.Server)
 			lastErr = fmt.Errorf("%w: %s: %v", ErrConflict, b.Server, err)
 			continue
 		}
-		res.Bid = b
+		res.Bid, res.Port = b, at
 		return res, nil
 	}
 	if lastErr == nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 
 	"faucets/internal/bidding"
 	"faucets/internal/machine"
@@ -193,155 +194,67 @@ func appendBid(b []byte, bd *bidding.Bid) []byte {
 	return b
 }
 
-// appendBinaryBody appends typ's binary body encoding for body, or
-// reports ok == false when the concrete body value has no binary
-// encoder (the caller falls back to JSON for the whole frame).
+// binaryAppender is implemented, on value receivers, by every message
+// type with a binary body encoding, so a body passed by value and one
+// passed by pointer take the same path and the dispatch is one interface
+// assertion. (A type switch binding each value-typed message to its own
+// local gave appendBinaryBody a 1.3 KiB frame, and every goroutine that
+// encoded its first frame grew its stack through it.)
+type binaryAppender interface {
+	appendBinary(b []byte) []byte
+}
+
+// appendBinaryBody appends body's binary encoding, or reports ok ==
+// false when the concrete body value has none (the caller falls back to
+// JSON for the whole frame).
 func appendBinaryBody(dst []byte, body any) ([]byte, bool) {
 	if body == nil {
 		// No body at all (field-free requests like poll_req): the binary
 		// empty body, same semantics as an omitted JSON body.
 		return dst, true
 	}
-	switch m := body.(type) {
-	case ErrorBody:
-		return appendErrorBody(dst, &m), true
-	case *ErrorBody:
-		if m == nil {
-			return dst, false
-		}
-		return appendErrorBody(dst, m), true
-	case BidReq:
-		return appendBidReq(dst, &m), true
-	case *BidReq:
-		if m == nil {
-			return dst, false
-		}
-		return appendBidReq(dst, m), true
-	case BidOK:
-		return appendBid(dst, &m.Bid), true
-	case *BidOK:
-		if m == nil {
-			return dst, false
-		}
-		return appendBid(dst, &m.Bid), true
-	case CommitReq:
-		return appendCommitReq(dst, &m), true
-	case *CommitReq:
-		if m == nil {
-			return dst, false
-		}
-		return appendCommitReq(dst, m), true
-	case CommitOK:
-		return appendStr(dst, m.JobID), true
-	case *CommitOK:
-		if m == nil {
-			return dst, false
-		}
-		return appendStr(dst, m.JobID), true
-	case SubmitReq:
-		return appendSubmitReq(dst, &m), true
-	case *SubmitReq:
-		if m == nil {
-			return dst, false
-		}
-		return appendSubmitReq(dst, m), true
-	case SubmitOK:
-		return appendStr(dst, m.JobID), true
-	case *SubmitOK:
-		if m == nil {
-			return dst, false
-		}
-		return appendStr(dst, m.JobID), true
-	case SettleReq:
-		return appendSettleReq(dst, &m), true
-	case *SettleReq:
-		if m == nil {
-			return dst, false
-		}
-		return appendSettleReq(dst, m), true
-	case SettleOK, *SettleOK, PollReq, *PollReq:
-		return dst, true // no fields
-	case PollOK:
-		return appendPollOK(dst, &m), true
-	case *PollOK:
-		if m == nil {
-			return dst, false
-		}
-		return appendPollOK(dst, m), true
-	case VerifyReq:
-		return appendVerifyReq(dst, &m), true
-	case *VerifyReq:
-		if m == nil {
-			return dst, false
-		}
-		return appendVerifyReq(dst, m), true
-	case VerifyOK:
-		return appendStr(dst, m.User), true
-	case *VerifyOK:
-		if m == nil {
-			return dst, false
-		}
-		return appendStr(dst, m.User), true
-	case GossipReq, *GossipReq:
-		return dst, true // no fields
-	case GossipOK:
-		return appendGossipOK(dst, &m), true
-	case *GossipOK:
-		if m == nil {
-			return dst, false
-		}
-		return appendGossipOK(dst, m), true
-	case ForwardSettleReq:
-		return appendForwardSettleReq(dst, &m), true
-	case *ForwardSettleReq:
-		if m == nil {
-			return dst, false
-		}
-		return appendForwardSettleReq(dst, m), true
-	case ListServersReq:
-		return appendContract(appendStr(dst, m.Token), m.Contract), true
-	case *ListServersReq:
-		if m == nil {
-			return dst, false
-		}
-		return appendContract(appendStr(dst, m.Token), m.Contract), true
-	case ListServersOK:
-		return appendServerInfos(dst, m.Servers), true
-	case *ListServersOK:
-		if m == nil {
-			return dst, false
-		}
-		return appendServerInfos(dst, m.Servers), true
+	m, ok := body.(binaryAppender)
+	if !ok {
+		return dst, false
 	}
-	return dst, false
+	if v := reflect.ValueOf(body); v.Kind() == reflect.Pointer && v.IsNil() {
+		return dst, false // a nil *T has no fields to encode: JSON null
+	}
+	return m.appendBinary(dst), true
 }
 
-func appendErrorBody(b []byte, m *ErrorBody) []byte {
+func (m ErrorBody) appendBinary(b []byte) []byte {
 	b = appendStr(b, m.Message)
 	return appendBool(b, m.Retryable)
 }
 
-func appendBidReq(b []byte, m *BidReq) []byte {
+func (m BidReq) appendBinary(b []byte) []byte {
 	b = appendStr(b, m.User)
 	b = appendStr(b, m.Token)
 	return appendContract(b, m.Contract)
 }
 
-func appendCommitReq(b []byte, m *CommitReq) []byte {
+func (m BidOK) appendBinary(b []byte) []byte { return appendBid(b, &m.Bid) }
+
+func (m CommitReq) appendBinary(b []byte) []byte {
 	b = appendStr(b, m.User)
 	b = appendStr(b, m.Token)
 	b = appendStr(b, m.JobID)
 	return appendBid(b, &m.Bid)
 }
 
-func appendSubmitReq(b []byte, m *SubmitReq) []byte {
+func (m CommitOK) appendBinary(b []byte) []byte { return appendStr(b, m.JobID) }
+
+func (m SubmitReq) appendBinary(b []byte) []byte {
 	b = appendStr(b, m.User)
 	b = appendStr(b, m.Token)
 	b = appendStr(b, m.JobID)
 	return appendContract(b, m.Contract)
 }
 
-func appendSettleReq(b []byte, m *SettleReq) []byte {
+func (m SubmitOK) appendBinary(b []byte) []byte { return appendStr(b, m.JobID) }
+
+func (m SettleReq) appendBinary(b []byte) []byte {
 	b = appendStr(b, m.JobID)
 	b = appendStr(b, m.User)
 	b = appendStr(b, m.Server)
@@ -353,16 +266,41 @@ func appendSettleReq(b []byte, m *SettleReq) []byte {
 	return appendF64(b, m.CPUSeconds)
 }
 
-func appendPollOK(b []byte, m *PollOK) []byte {
+// The field-free types: an empty binary body.
+func (SettleOK) appendBinary(b []byte) []byte  { return b }
+func (PollReq) appendBinary(b []byte) []byte   { return b }
+func (GossipReq) appendBinary(b []byte) []byte { return b }
+
+func (m PollOK) appendBinary(b []byte) []byte {
 	b = appendI64(b, m.UsedPE)
 	b = appendI64(b, m.QueueLen)
 	return appendI64(b, m.Running)
 }
 
-func appendVerifyReq(b []byte, m *VerifyReq) []byte {
+func (m VerifyReq) appendBinary(b []byte) []byte {
 	b = appendStr(b, m.User)
 	return appendStr(b, m.Token)
 }
+
+func (m VerifyOK) appendBinary(b []byte) []byte { return appendStr(b, m.User) }
+
+func (m GossipOK) appendBinary(b []byte) []byte {
+	b = appendServerInfos(b, m.Servers)
+	b = appendI64(b, m.Weather.Servers)
+	b = appendI64(b, m.Weather.TotalPE)
+	b = appendI64(b, m.Weather.UsedPE)
+	b = appendI64(b, m.Weather.Contracts)
+	return appendF64(b, m.Weather.MeanMultiplier)
+}
+
+// ForwardSettleReq is SettleReq under another type: one encoding.
+func (m ForwardSettleReq) appendBinary(b []byte) []byte { return SettleReq(m).appendBinary(b) }
+
+func (m ListServersReq) appendBinary(b []byte) []byte {
+	return appendContract(appendStr(b, m.Token), m.Contract)
+}
+
+func (m ListServersOK) appendBinary(b []byte) []byte { return appendServerInfos(b, m.Servers) }
 
 func appendServerInfo(b []byte, si *ServerInfo) []byte {
 	b = appendStr(b, si.Spec.Name)
@@ -386,27 +324,6 @@ func appendServerInfos(b []byte, sis []ServerInfo) []byte {
 		b = appendServerInfo(b, &sis[i])
 	}
 	return b
-}
-
-func appendGossipOK(b []byte, m *GossipOK) []byte {
-	b = appendServerInfos(b, m.Servers)
-	b = appendI64(b, m.Weather.Servers)
-	b = appendI64(b, m.Weather.TotalPE)
-	b = appendI64(b, m.Weather.UsedPE)
-	b = appendI64(b, m.Weather.Contracts)
-	return appendF64(b, m.Weather.MeanMultiplier)
-}
-
-func appendForwardSettleReq(b []byte, m *ForwardSettleReq) []byte {
-	b = appendStr(b, m.JobID)
-	b = appendStr(b, m.User)
-	b = appendStr(b, m.Server)
-	b = appendStr(b, m.HomeCluster)
-	b = appendStr(b, m.App)
-	b = appendI64(b, m.MinPE)
-	b = appendI64(b, m.MaxPE)
-	b = appendF64(b, m.Price)
-	return appendF64(b, m.CPUSeconds)
 }
 
 // --- reader ----------------------------------------------------------

@@ -209,10 +209,11 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, raw...)
 }
 
-// ReadFrame reads one framed message from r, allocating a fresh payload
-// buffer — safe to hand across goroutines (the pool's read loop does).
-// Handler loops that consume each frame before reading the next should
-// prefer FrameReader, which reuses its buffer.
+// ReadFrame reads one framed message from r — exactly its bytes, so r
+// can be used again afterwards — into a fresh payload buffer that is
+// safe to hand across goroutines. Loops that own a connection and
+// consume each frame before reading the next (the handlers, the pool's
+// read loop) use FrameReader, which reads ahead and reuses its buffer.
 func ReadFrame(r io.Reader) (Frame, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -262,37 +263,71 @@ func parsePayload(payload []byte) (Frame, error) {
 	return f, nil
 }
 
-// FrameReader reads frames from one connection reusing a single payload
-// buffer: a server handler loop that fully consumes each frame before
-// calling Next again pays no per-frame payload allocation. The returned
-// Frame's Body may alias the internal buffer and is valid only until
-// the next call to Next; anything retained past that must be copied.
+// FrameReader reads frames from one connection through a single reused
+// buffer. Header and payload come out of the same Read, so a frame that
+// left as one Write costs one read(2), and a loop that fully consumes
+// each frame before calling Next again pays no per-frame allocation. It
+// reads ahead, so it must own the read side of r. The returned Frame's
+// Body may alias the buffer and is valid only until the next call to
+// Next; anything retained past that must be copied.
 type FrameReader struct {
-	r   io.Reader
-	buf []byte
+	r    io.Reader
+	buf  []byte // reused backing store
+	data []byte // read from r, not yet returned: a window of buf
 }
 
-// NewFrameReader wraps r for buffer-reusing frame reads.
+// frameReaderBuf is a FrameReader's starting buffer: several auction
+// frames, or a directory listing of a few dozen servers.
+const frameReaderBuf = 4096
+
+// NewFrameReader wraps r for buffered, buffer-reusing frame reads.
 func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
 
 // Next reads and parses the next frame.
 func (fr *FrameReader) Next() (Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
-		return Frame{}, err
+	if len(fr.data) == 0 {
+		fr.data = fr.buf[:0] // drained: the next Read gets the whole buffer
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	if err := fr.fill(4); err != nil {
+		if err == io.EOF && len(fr.data) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return Frame{}, err // a bare io.EOF between frames is a clean shutdown
+	}
+	n := int(binary.BigEndian.Uint32(fr.data))
 	if n > MaxFrame {
 		return Frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooBig, n)
 	}
-	if cap(fr.buf) < n || cap(fr.buf) > maxPooledBuf && n <= maxPooledBuf {
-		fr.buf = make([]byte, n)
+	if keep := max(4+n, len(fr.data), frameReaderBuf); len(fr.buf) > maxPooledBuf && keep <= maxPooledBuf {
+		// A rare huge frame (file staging) grew the buffer; a connection
+		// back to small frames must not pin those megabytes.
+		fr.buf = make([]byte, keep)
+		fr.data = fr.buf[:copy(fr.buf, fr.data)]
 	}
-	payload := fr.buf[:n]
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
+	if err := fr.fill(4 + n); err != nil {
 		return Frame{}, fmt.Errorf("protocol: read payload: %w", err)
 	}
+	payload := fr.data[4 : 4+n]
+	fr.data = fr.data[4+n:]
 	return parsePayload(payload)
+}
+
+// fill reads until at least need bytes are buffered, first moving the
+// window to the front of a buffer that can hold them if it cannot grow
+// that far where it sits.
+func (fr *FrameReader) fill(need int) error {
+	if len(fr.data) >= need {
+		return nil
+	}
+	if cap(fr.data) < need {
+		if len(fr.buf) < need {
+			fr.buf = make([]byte, max(need, frameReaderBuf))
+		}
+		fr.data = fr.buf[:copy(fr.buf, fr.data)]
+	}
+	n, err := io.ReadAtLeast(fr.r, fr.data[len(fr.data):cap(fr.data)], need-len(fr.data))
+	fr.data = fr.data[:len(fr.data)+n]
+	return err
 }
 
 // Decode unmarshals a frame body into v, checking the frame type first.
@@ -344,6 +379,12 @@ func Call(rw io.ReadWriter, reqType string, req any, wantReply string, reply any
 	if f.ID != id {
 		return &IDMismatchError{Want: id, Got: f.ID}
 	}
+	return decodeReply(f, wantReply, reply)
+}
+
+// decodeReply is the reply half of an exchange: a TypeError frame
+// becomes a *RemoteError, anything else must be wantReply.
+func decodeReply(f Frame, wantReply string, reply any) error {
 	if f.Type == TypeError {
 		var e ErrorBody
 		_ = Decode(f, TypeError, &e)

@@ -244,3 +244,129 @@ func TestWriteFrameTooBig(t *testing.T) {
 		t.Fatalf("err=%v", err)
 	}
 }
+
+// chunkReader delivers a scripted sequence of chunks, at most one per
+// Read, and counts the Reads — a socket whose segments arrive one by one.
+type chunkReader struct {
+	chunks [][]byte
+	reads  int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	c.reads++
+	if len(c.chunks) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.chunks[0])
+	if c.chunks[0] = c.chunks[0][n:]; len(c.chunks[0]) == 0 {
+		c.chunks = c.chunks[1:]
+	}
+	return n, nil
+}
+
+func verifyFrame(t *testing.T, id uint64) []byte {
+	t.Helper()
+	b, err := AppendFrame(nil, CodecBinary, id, TypeVerifyReq, VerifyReq{User: "u", Token: "tok"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestFrameReaderOneReadPerFrame: header and payload come out of the
+// same Read, so a frame that arrives whole costs one Read, not two, and
+// a clean end of stream is still a bare io.EOF.
+func TestFrameReaderOneReadPerFrame(t *testing.T) {
+	src := &chunkReader{}
+	const frames = 5
+	for i := 1; i <= frames; i++ {
+		src.chunks = append(src.chunks, verifyFrame(t, uint64(i)))
+	}
+	fr := NewFrameReader(src)
+	for i := 1; i <= frames; i++ {
+		f, err := fr.Next()
+		if err != nil || f.ID != uint64(i) {
+			t.Fatalf("frame %d: id=%d err=%v", i, f.ID, err)
+		}
+		if src.reads != i {
+			t.Fatalf("%d Reads for %d whole frames, want one each", src.reads, i)
+		}
+	}
+	if _, err := fr.Next(); err != io.EOF {
+		t.Fatalf("end of stream: err=%v, want bare io.EOF", err)
+	}
+}
+
+// TestFrameReaderSplitAndCoalescedFrames: segment boundaries are not
+// frame boundaries — a header split in two, a payload finishing in the
+// same segment as the next whole frame and the head of a third, and a
+// stream cut mid-frame all read correctly.
+func TestFrameReaderSplitAndCoalescedFrames(t *testing.T) {
+	a, b, c := verifyFrame(t, 1), verifyFrame(t, 2), verifyFrame(t, 3)
+	src := &chunkReader{chunks: [][]byte{
+		a[:2],
+		a[2:9],
+		append(append(append([]byte{}, a[9:]...), b...), c[:6]...),
+		c[6 : len(c)-3], // the stream ends three bytes short
+	}}
+	fr := NewFrameReader(src)
+	for want := uint64(1); want <= 2; want++ {
+		f, err := fr.Next()
+		if err != nil || f.ID != want {
+			t.Fatalf("frame %d: id=%d err=%v", want, f.ID, err)
+		}
+		var m VerifyReq
+		if err := Decode(f, TypeVerifyReq, &m); err != nil || m.Token != "tok" {
+			t.Fatalf("frame %d: body %+v err=%v", want, m, err)
+		}
+	}
+	if _, err := fr.Next(); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated frame: err=%v, want unexpected EOF", err)
+	}
+}
+
+// TestFrameReaderStagingFrame: a frame at the MaxFrame ceiling, arriving
+// in socket-sized pieces, reads intact; the small frame behind it is not
+// lost, and once traffic is small again the megabytes are let go.
+func TestFrameReaderStagingFrame(t *testing.T) {
+	empty, err := AppendFrame(nil, CodecBinary, 1, TypeUploadReq, UploadReq{JobID: "j", Name: "in.dat"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, (MaxFrame-(len(empty)-4))/4*3) // base64 grows 3 bytes to 4
+	for i := range data {
+		data[i] = byte(i % 251)
+	}
+	big, err := AppendFrame(nil, CodecBinary, 1, TypeUploadReq, UploadReq{JobID: "j", Name: "in.dat", Data: data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(big) - 4; n > MaxFrame || n < MaxFrame-8 {
+		t.Fatalf("staging frame is %d bytes, want just under MaxFrame (%d)", n, MaxFrame)
+	}
+	src := &chunkReader{}
+	stream := append(big, verifyFrame(t, 2)...)
+	for len(stream) > 0 {
+		n := min(len(stream), 64<<10)
+		src.chunks = append(src.chunks, stream[:n])
+		stream = stream[n:]
+	}
+	fr := NewFrameReader(src)
+	f, err := fr.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got UploadReq
+	if err := Decode(f, TypeUploadReq, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Data, data) {
+		t.Fatal("staging payload corrupted")
+	}
+	if f, err = fr.Next(); err != nil || f.ID != 2 {
+		t.Fatalf("frame behind the staging frame: id=%d err=%v", f.ID, err)
+	}
+	if len(fr.buf) > maxPooledBuf {
+		t.Fatalf("reader still pins %d bytes after a small frame", len(fr.buf))
+	}
+}

@@ -18,6 +18,13 @@ import (
 // calls share one connection, a reader goroutine demultiplexes replies,
 // idle connections are reaped, and broken ones are redialed with the
 // existing jittered Retry policy.
+//
+// One exchange is a completion, not a parked goroutine: a call registers
+// its reply target, a deadline and a done func in its connection's
+// pending table and writes the request; the connection's read goroutine
+// decodes the answer in place and calls done. Go hands that completion
+// to the caller — a sixteen-way request-for-bids leaves on one goroutine
+// — and Call is the same registration plus a wait.
 
 // Pool defaults.
 const (
@@ -153,20 +160,64 @@ func (p *Pool) dial(addr string) (net.Conn, error) {
 // refused). Only idempotent calls belong here.
 func (p *Pool) Call(addr string, timeout time.Duration, reqType string, req any, wantReply string, reply any) error {
 	start := time.Now()
-	err := p.call(addr, timeout, reqType, req, wantReply, reply)
+	err := p.call(0, nil, addr, timeout, reqType, req, wantReply, reply)
 	observe(p.Obs, reqType, start, err)
 	return err
 }
 
-func (p *Pool) call(addr string, timeout time.Duration, reqType string, req any, wantReply string, reply any) error {
+// Go is Call as a completion: done receives what Call would have
+// returned, and reply belongs to the pool until then. When an
+// established connection can take the request it is written on the
+// caller's goroutine and done later runs on that connection's read
+// goroutine (or whichever goroutine fails the connection), so done must
+// not block, write to a connection, or call back into the pool. In every
+// other case — no connection yet, breaker OPEN, the write fails, the
+// connection breaks before the answer — a goroutine finishes the call on
+// Call's blocking path from where the attempt left off, so redial,
+// backoff, breaker and observer accounting are Call's. done never runs
+// on the goroutine that called Go.
+func (p *Pool) Go(addr string, timeout time.Duration, reqType string, req any, wantReply string, reply any, done func(error)) {
+	start := time.Now()
+	blocking := func(first int, err error) {
+		go func() {
+			err := p.call(first, err, addr, timeout, reqType, req, wantReply, reply)
+			observe(p.Obs, reqType, start, err)
+			done(err)
+		}()
+	}
+	p.mu.Lock()
+	pc := p.shareLocked(addr)
+	p.mu.Unlock()
+	if pc == nil {
+		blocking(0, nil)
+		return
+	}
+	if h := p.Health; h != nil && !h.Allow(addr) {
+		pc.inflight.Add(-1)
+		blocking(0, nil) // refused again there, unless the cooldown just lapsed
+		return
+	}
+	p.observeCheckout()
+	pc.start(timeout, reqType, req, wantReply, reply, func(err error) {
+		pc.checkin()
+		if !p.settled(addr, start, err) {
+			blocking(1, err)
+			return
+		}
+		observe(p.Obs, reqType, start, err)
+		done(err)
+	})
+}
+
+// call runs the attempt loop from attempt first; err is what the attempt
+// before it left behind (Go hands over after a failed attempt 0).
+func (p *Pool) call(first int, err error, addr string, timeout time.Duration, reqType string, req any, wantReply string, reply any) error {
 	p.init()
 	r := p.Retry
 	if r.Stop == nil {
 		r.Stop = p.closed
 	}
-	attempts := r.attempts()
-	var err error
-	for i := 0; i < attempts; i++ {
+	for i, attempts := first, r.attempts(); i < attempts; i++ {
 		if i > 0 {
 			if obs := p.PoolObs; obs != nil {
 				obs.PoolRedial()
@@ -198,24 +249,48 @@ func (p *Pool) call(addr string, timeout time.Duration, reqType string, req any,
 			p.recordHealth(addr, attemptStart, err)
 			continue // dial failure: back off and redial
 		}
-		err = pc.call(timeout, reqType, req, wantReply, reply)
+		w := waiters.Get().(*waiter)
+		pc.start(timeout, reqType, req, wantReply, reply, w.done)
+		err = <-w.ch
+		waiters.Put(w)
 		pc.checkin()
-		if err == nil {
-			p.recordHealth(addr, attemptStart, nil)
-			return nil
-		}
-		var remote *RemoteError
-		if errors.As(err, &remote) {
-			// Delivered and refused: the transport is healthy, so the
-			// breaker sees a success.
-			p.recordHealth(addr, attemptStart, nil)
-			return err // retrying unchanged cannot succeed
+		if p.settled(addr, attemptStart, err) {
+			return err
 		}
 		// Transport trouble: pc has already been evicted by fail();
 		// loop around for a fresh connection.
-		p.recordHealth(addr, attemptStart, err)
 	}
 	return err
+}
+
+// waiter parks a blocking Call until its completion runs. Completions
+// are exactly-once, so a waiter is reusable the moment its value has
+// been received and the steady state allocates no channel per call.
+type waiter struct {
+	ch   chan error
+	done func(error)
+}
+
+var waiters = sync.Pool{New: func() any {
+	w := &waiter{ch: make(chan error, 1)}
+	w.done = func(err error) { w.ch <- err }
+	return w
+}}
+
+// settled feeds one attempt's outcome to the breaker and reports whether
+// it ends the call. A *RemoteError does, and the breaker sees it as a
+// success: delivered and refused, so the transport is healthy and
+// retrying unchanged cannot succeed.
+func (p *Pool) settled(addr string, attemptStart time.Time, err error) bool {
+	transport := err
+	if err != nil {
+		var remote *RemoteError // declared here: errors.As makes it escape
+		if errors.As(err, &remote) {
+			transport = nil
+		}
+	}
+	p.recordHealth(addr, attemptStart, transport)
+	return transport == nil
 }
 
 // recordHealth feeds one attempt's outcome to the breaker, if any.
@@ -239,20 +314,12 @@ func (p *Pool) checkout(addr string) (*poolConn, error) {
 			return nil, ErrPoolClosed
 		default:
 		}
-		var best *poolConn
-		for _, pc := range p.conns[addr] {
-			if best == nil || pc.inflight.Load() < best.inflight.Load() {
-				best = pc
-			}
-		}
-		budget := len(p.conns[addr]) + p.dialing[addr]
-		if best != nil && (best.inflight.Load() == 0 || budget >= p.size()) {
-			best.inflight.Add(1)
+		if pc := p.shareLocked(addr); pc != nil {
 			p.mu.Unlock()
 			p.observeCheckout()
-			return best, nil
+			return pc, nil
 		}
-		if budget < p.size() {
+		if len(p.conns[addr])+p.dialing[addr] < p.size() {
 			p.dialing[addr]++
 			break
 		}
@@ -280,9 +347,14 @@ func (p *Pool) checkout(addr string) (*poolConn, error) {
 		return nil, ErrPoolClosed
 	default:
 	}
-	pc := &poolConn{pool: p, addr: addr, conn: conn, pending: map[uint64]chan callResult{}}
+	pc := &poolConn{pool: p, addr: addr, conn: conn, pending: map[uint64]pendingCall{}}
 	pc.inflight.Add(1)
 	pc.lastUsed.Store(time.Now().UnixNano())
+	// Both timers exist before the connection is published: once it is
+	// in p.conns another caller may check it out, fail it, and stop them.
+	pc.idleTimer = time.AfterFunc(p.idleTimeout(), pc.reapIfIdle)
+	pc.watchdog = time.AfterFunc(time.Hour, pc.overdue)
+	pc.watchdog.Stop() // armed by the first call that registers
 	p.conns[addr] = append(p.conns[addr], pc)
 	p.cond.Broadcast()
 	p.mu.Unlock()
@@ -290,9 +362,26 @@ func (p *Pool) checkout(addr string) (*poolConn, error) {
 		obs.PoolConnOpen(+1)
 	}
 	p.observeCheckout()
-	pc.idleTimer = time.AfterFunc(p.idleTimeout(), pc.reapIfIdle)
 	go pc.readLoop()
 	return pc, nil
+}
+
+// shareLocked claims the connection to addr that a checkout would hand
+// out right now — an idle one, or the least loaded once the budget is
+// spent — and returns nil when a checkout would dial or wait instead.
+// The caller holds p.mu.
+func (p *Pool) shareLocked(addr string) *poolConn {
+	var best *poolConn
+	for _, pc := range p.conns[addr] {
+		if best == nil || pc.inflight.Load() < best.inflight.Load() {
+			best = pc
+		}
+	}
+	if best == nil || best.inflight.Load() > 0 && len(p.conns[addr])+p.dialing[addr] < p.size() {
+		return nil
+	}
+	best.inflight.Add(1)
+	return best
 }
 
 func (p *Pool) observeCheckout() {
@@ -356,16 +445,20 @@ func (p *Pool) Close() {
 	}
 }
 
-// callResult is one demultiplexed reply (or the failure that ended the
-// connection).
-type callResult struct {
-	f   Frame
-	err error
+// pendingCall is one exchange awaiting its reply: where the answer goes,
+// when the call is overdue, and the completion that ends it. Whoever
+// removes the entry from its connection's table (under mu) calls done,
+// so every call completes exactly once.
+type pendingCall struct {
+	wantReply string
+	reply     any
+	deadline  time.Time
+	done      func(error)
 }
 
 // poolConn is one persistent connection with pipelined calls: writes
-// are serialized under wmu, a single readLoop goroutine routes replies
-// to waiters by frame ID.
+// are serialized under wmu, a single readLoop goroutine matches replies
+// to pending calls by frame ID and completes them.
 type poolConn struct {
 	pool *Pool
 	addr string
@@ -375,31 +468,39 @@ type poolConn struct {
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]chan callResult
+	pending map[uint64]pendingCall
 	err     error // first failure; connection is dead once set
+	// watchdog enforces every pending deadline with one timer: armed for
+	// the earliest (watchAt), re-armed earlier when a shorter one
+	// registers, left to fire late and look again otherwise.
+	watchdog *time.Timer
+	watchAt  time.Time // zero: not armed
 
 	inflight  atomic.Int64
 	lastUsed  atomic.Int64 // UnixNano of the last checkin
 	idleTimer *time.Timer
 }
 
-// readLoop routes reply frames to pending calls until the connection
-// dies, then fails every waiter.
+// readLoop completes pending calls with their replies until the
+// connection dies, then fails the rest. The reply is decoded here, in
+// place out of the reader's buffer, into the value the caller
+// registered; a large reply therefore delays the ones behind it on this
+// connection, and nothing of the frame outlives the iteration.
 func (pc *poolConn) readLoop() {
+	fr := NewFrameReader(pc.conn)
 	for {
-		f, err := ReadFrame(pc.conn)
+		f, err := fr.Next()
 		if err != nil {
 			pc.fail(fmt.Errorf("protocol: pooled read %s: %w", pc.addr, err))
 			return
 		}
 		pc.mu.Lock()
-		ch := pc.pending[f.ID]
+		call, ok := pc.pending[f.ID]
 		delete(pc.pending, f.ID)
 		pc.mu.Unlock()
-		if ch != nil {
-			ch <- callResult{f: f}
+		if ok {
+			call.done(decodeReply(f, call.wantReply, call.reply))
 		}
-		// A reply whose waiter timed out is dropped on the floor.
 	}
 }
 
@@ -419,14 +520,70 @@ func (pc *poolConn) failLocal(err error) {
 		pc.err = err
 	}
 	pending := pc.pending
-	pc.pending = map[uint64]chan callResult{}
+	pc.pending = nil // start refuses a dead connection, so nothing writes it again
 	pc.mu.Unlock()
 	pc.conn.Close()
-	if pc.idleTimer != nil {
-		pc.idleTimer.Stop()
+	pc.idleTimer.Stop()
+	pc.watchdog.Stop()
+	for _, call := range pending {
+		call.done(err)
 	}
-	for _, ch := range pending {
-		ch <- callResult{err: err}
+}
+
+// start registers one exchange and writes its request; done runs exactly
+// once, with the decoded reply in place or the error that ended the
+// attempt. The connection is shared, so the deadline is the watchdog's
+// rather than SetDeadline's, and a call that runs past it kills the
+// connection (a peer that stopped answering would poison every later
+// call sharing it).
+func (pc *poolConn) start(timeout time.Duration, reqType string, req any, wantReply string, reply any, done func(error)) {
+	deadline := time.Now().Add(Timeout(timeout))
+	pc.mu.Lock()
+	if pc.err != nil {
+		err := pc.err
+		pc.mu.Unlock()
+		done(fmt.Errorf("%w: %w", errConnBroken, err))
+		return
+	}
+	pc.nextID++
+	id := pc.nextID
+	pc.pending[id] = pendingCall{wantReply: wantReply, reply: reply, deadline: deadline, done: done}
+	if pc.watchAt.IsZero() || deadline.Before(pc.watchAt) {
+		pc.watchAt = deadline
+		pc.watchdog.Reset(time.Until(deadline))
+	}
+	pc.mu.Unlock()
+
+	pc.wmu.Lock()
+	_ = pc.conn.SetWriteDeadline(deadline)
+	err := writeFrame(pc.conn, id, reqType, req)
+	_ = pc.conn.SetWriteDeadline(time.Time{})
+	pc.wmu.Unlock()
+	if err != nil {
+		pc.fail(err) // completes this call too, unless the read loop got there first
+	}
+}
+
+// overdue is the watchdog firing: a call past its deadline kills the
+// connection and fails every pending call; otherwise the timer is
+// re-armed for the earliest deadline left, if any.
+func (pc *poolConn) overdue() {
+	pc.mu.Lock()
+	pc.watchAt = time.Time{}
+	var next time.Time
+	for _, call := range pc.pending {
+		if next.IsZero() || call.deadline.Before(next) {
+			next = call.deadline
+		}
+	}
+	late := !next.IsZero() && !next.After(time.Now())
+	if !late && !next.IsZero() {
+		pc.watchAt = next
+		pc.watchdog.Reset(time.Until(next))
+	}
+	pc.mu.Unlock()
+	if late {
+		pc.fail(fmt.Errorf("protocol: pooled call %s: deadline exceeded", pc.addr))
 	}
 }
 
@@ -456,61 +613,4 @@ func (pc *poolConn) reapIfIdle() {
 func (pc *poolConn) checkin() {
 	pc.lastUsed.Store(time.Now().UnixNano())
 	pc.inflight.Add(-1)
-}
-
-// call performs one pipelined exchange under an absolute deadline. The
-// connection is shared, so the deadline is enforced with a timer and a
-// per-call reply channel rather than SetDeadline; a call that times out
-// kills the connection (a peer that stopped answering would poison
-// every later call sharing it).
-func (pc *poolConn) call(timeout time.Duration, reqType string, req any, wantReply string, reply any) error {
-	pc.mu.Lock()
-	if pc.err != nil {
-		err := pc.err
-		pc.mu.Unlock()
-		return fmt.Errorf("%w: %w", errConnBroken, err)
-	}
-	pc.nextID++
-	id := pc.nextID
-	ch := make(chan callResult, 1)
-	pc.pending[id] = ch
-	pc.mu.Unlock()
-
-	pc.wmu.Lock()
-	_ = pc.conn.SetWriteDeadline(time.Now().Add(Timeout(timeout)))
-	err := writeFrame(pc.conn, id, reqType, req)
-	_ = pc.conn.SetWriteDeadline(time.Time{})
-	pc.wmu.Unlock()
-	if err != nil {
-		pc.drop(id)
-		pc.fail(err)
-		return err
-	}
-
-	timer := time.NewTimer(Timeout(timeout))
-	defer timer.Stop()
-	select {
-	case res := <-ch:
-		if res.err != nil {
-			return res.err
-		}
-		if res.f.Type == TypeError {
-			var e ErrorBody
-			_ = Decode(res.f, TypeError, &e)
-			return &RemoteError{Message: e.Message, Retryable: e.Retryable}
-		}
-		return Decode(res.f, wantReply, reply)
-	case <-timer.C:
-		pc.drop(id)
-		err := fmt.Errorf("protocol: pooled call %s %s: deadline exceeded", pc.addr, reqType)
-		pc.fail(err)
-		return err
-	}
-}
-
-// drop abandons a pending call registration.
-func (pc *poolConn) drop(id uint64) {
-	pc.mu.Lock()
-	delete(pc.pending, id)
-	pc.mu.Unlock()
 }

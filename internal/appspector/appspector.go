@@ -16,6 +16,7 @@ import (
 	"log"
 	"net"
 	"sync"
+	"time"
 
 	"faucets/internal/protocol"
 	"faucets/internal/telemetry"
@@ -40,6 +41,17 @@ type Server struct {
 	mu     sync.Mutex
 	jobs   map[string]*jobStream
 	verify VerifyFunc
+	// util is the generic section summed over the live streams, each
+	// counted with its latest sample, and utilSum their Σ utilization
+	// (Jobs and MeanUtil are derived when it is read). Register, Ingest
+	// and the watch path keep them current from the one stream they
+	// touch, so no request walks the jobs the monitor holds.
+	util    Utilization
+	utilSum float64
+	// finished lists ended streams oldest first, for eviction.
+	finished []string
+	// registered wakes watchers waiting for a registration in flight.
+	registered *sync.Cond
 
 	listener net.Listener
 	wg       sync.WaitGroup
@@ -48,6 +60,9 @@ type Server struct {
 
 	// MaxHistory bounds buffered samples per job (oldest dropped).
 	MaxHistory int
+	// MaxFinished bounds the ended streams kept watchable (oldest
+	// evicted); live streams are never evicted.
+	MaxFinished int
 
 	// Metrics is this server's registry, served at -metrics-addr.
 	Metrics *telemetry.Registry
@@ -89,16 +104,25 @@ func newASMetrics(reg *telemetry.Registry) *asMetrics {
 // NewServer returns an AppSpector server; verify may be nil.
 func NewServer(verify VerifyFunc) *Server {
 	reg := telemetry.NewRegistry()
-	return &Server{
-		jobs:       map[string]*jobStream{},
-		verify:     verify,
-		conns:      map[net.Conn]struct{}{},
-		closed:     make(chan struct{}),
-		MaxHistory: 4096,
-		Metrics:    reg,
-		met:        newASMetrics(reg),
+	s := &Server{
+		jobs:        map[string]*jobStream{},
+		verify:      verify,
+		conns:       map[net.Conn]struct{}{},
+		closed:      make(chan struct{}),
+		MaxHistory:  4096,
+		MaxFinished: 4096,
+		Metrics:     reg,
+		met:         newASMetrics(reg),
 	}
+	s.registered = sync.NewCond(&s.mu)
+	return s
 }
+
+// registerWait is how long a watch on an unknown job waits for the
+// registration to arrive. The FD announces a job one-way, off the
+// submit path, so a client that watches the instant it holds SubmitOK
+// can be ahead of it. Well inside the client's handshake deadline.
+const registerWait = time.Second
 
 // ErrUnknownJob is returned for watch requests on unregistered jobs.
 var ErrUnknownJob = errors.New("appspector: unknown job")
@@ -110,10 +134,8 @@ func (s *Server) Register(jobID, owner, server, app string) {
 	if _, ok := s.jobs[jobID]; ok {
 		return
 	}
-	s.jobs[jobID] = &jobStream{
-		owner: owner, server: server, app: app,
-		watchers: map[chan protocol.Telemetry]struct{}{},
-	}
+	s.jobs[jobID] = &jobStream{owner: owner, server: server, app: app}
+	s.registered.Broadcast()
 	s.gaugeLocked()
 }
 
@@ -132,6 +154,7 @@ func (s *Server) Ingest(t protocol.Telemetry) error {
 	}
 	s.met.samples.Inc()
 	s.met.utilDist.Observe(t.Util)
+	s.count(js, -1)
 	js.history = append(js.history, t)
 	if len(js.history) > s.MaxHistory {
 		js.history = js.history[len(js.history)-s.MaxHistory:]
@@ -148,10 +171,32 @@ func (s *Server) Ingest(t protocol.Telemetry) error {
 		for ch := range js.watchers {
 			close(ch)
 		}
-		js.watchers = map[chan protocol.Telemetry]struct{}{}
+		s.util.Watchers -= len(js.watchers)
+		js.watchers = nil
+		if s.finished = append(s.finished, t.JobID); len(s.finished) > s.MaxFinished {
+			delete(s.jobs, s.finished[0])
+			s.finished = s.finished[1:]
+		}
 	}
+	s.count(js, +1)
 	s.gaugeLocked()
 	return nil
+}
+
+// count adds (sign +1) or retires (−1) a stream's contribution to the
+// generic section; a stream contributes while it is live and has a
+// sample. Ingest brackets its change to the stream with the two.
+func (s *Server) count(js *jobStream, sign int) {
+	n := len(js.history)
+	if js.done || n == 0 {
+		return
+	}
+	s.util.LiveJobs += sign
+	s.util.PEs += sign * js.history[n-1].PEs
+	s.utilSum += float64(sign) * js.history[n-1].Util
+	if s.util.LiveJobs == 0 {
+		s.utilSum = 0 // shed the rounding the running sum picked up
+	}
 }
 
 // Utilization is the generic section of the Fig 3 display aggregated
@@ -174,20 +219,10 @@ func (s *Server) Utilization() Utilization {
 }
 
 func (s *Server) utilizationLocked() Utilization {
-	u := Utilization{Jobs: len(s.jobs)}
-	utilSum := 0.0
-	for _, js := range s.jobs {
-		u.Watchers += len(js.watchers)
-		if js.done || len(js.history) == 0 {
-			continue
-		}
-		last := js.history[len(js.history)-1]
-		u.LiveJobs++
-		u.PEs += last.PEs
-		utilSum += last.Util
-	}
+	u := s.util
+	u.Jobs = len(s.jobs)
 	if u.LiveJobs > 0 {
-		u.MeanUtil = utilSum / float64(u.LiveJobs)
+		u.MeanUtil = s.utilSum / float64(u.LiveJobs)
 	}
 	return u
 }
@@ -224,10 +259,19 @@ func (s *Server) Snapshot(jobID string) ([]protocol.Telemetry, bool, error) {
 
 // subscribe attaches a watcher: it receives the buffered history
 // (if fromStart) and a channel of live samples (nil if the job is done).
+// A job not registered yet is waited for, up to registerWait.
 func (s *Server) subscribe(jobID string, fromStart bool) ([]protocol.Telemetry, chan protocol.Telemetry, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	js, ok := s.jobs[jobID]
+	if !ok {
+		deadline := time.Now().Add(registerWait)
+		defer time.AfterFunc(registerWait, s.registered.Broadcast).Stop()
+		for !ok && time.Now().Before(deadline) && !s.isClosed() {
+			s.registered.Wait()
+			js, ok = s.jobs[jobID]
+		}
+	}
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %s", ErrUnknownJob, jobID)
 	}
@@ -239,7 +283,11 @@ func (s *Server) subscribe(jobID string, fromStart bool) ([]protocol.Telemetry, 
 		return hist, nil, nil
 	}
 	ch := make(chan protocol.Telemetry, 256)
+	if js.watchers == nil {
+		js.watchers = map[chan protocol.Telemetry]struct{}{}
+	}
 	js.watchers[ch] = struct{}{}
+	s.util.Watchers++
 	s.met.watchers.Add(1)
 	return hist, ch, nil
 }
@@ -250,6 +298,7 @@ func (s *Server) unsubscribe(jobID string, ch chan protocol.Telemetry) {
 	if js, ok := s.jobs[jobID]; ok {
 		if _, present := js.watchers[ch]; present {
 			delete(js.watchers, ch)
+			s.util.Watchers--
 			s.met.watchers.Add(-1)
 		}
 	}
@@ -273,12 +322,9 @@ func (s *Server) Serve(l net.Listener) {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
-			select {
-			case <-s.closed:
-				return
-			default:
+			if !s.isClosed() {
+				log.Printf("appspector: accept: %v", err)
 			}
-			log.Printf("appspector: accept: %v", err)
 			return
 		}
 		if !s.track(conn, true) {
@@ -304,13 +350,20 @@ func (s *Server) track(conn net.Conn, add bool) bool {
 		delete(s.conns, conn)
 		return true
 	}
-	select {
-	case <-s.closed:
+	if s.isClosed() {
 		return false
-	default:
 	}
 	s.conns[conn] = struct{}{}
 	return true
+}
+
+func (s *Server) isClosed() bool {
+	select {
+	case <-s.closed:
+		return true
+	default:
+		return false
+	}
 }
 
 // Close stops the server, severing live connections (watchers included),
@@ -326,6 +379,7 @@ func (s *Server) Close() {
 	for conn := range s.conns {
 		conn.Close()
 	}
+	s.registered.Broadcast() // a watcher waiting for a registration gives up
 	s.mu.Unlock()
 	if l != nil {
 		l.Close()
@@ -333,9 +387,8 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// handle serves one connection: a job feeding telemetry, an FD
-// registering jobs, or a client watching. Replies echo the request's
-// frame ID so pooled daemons can pipeline registrations.
+// handle serves one connection: an FD's monitor stream (registrations
+// and telemetry, both one-way) or a client watching.
 func (s *Server) handle(conn net.Conn) {
 	rc := protocol.NewReplyConn(conn)
 	fr := protocol.NewFrameReader(conn)
@@ -353,7 +406,6 @@ func (s *Server) handle(conn net.Conn) {
 				continue
 			}
 			s.Register(req.JobID, req.Owner, req.Server, req.App)
-			_ = protocol.WriteFrame(rc, protocol.TypeASRegisterOK, protocol.ASRegisterOK{})
 
 		case protocol.TypeTelemetry:
 			var t protocol.Telemetry
@@ -361,7 +413,7 @@ func (s *Server) handle(conn net.Conn) {
 				_ = protocol.WriteError(rc, err.Error())
 				continue
 			}
-			// Telemetry is fire-and-forget: no reply, so a chatty job
+			// The stream is fire-and-forget: no reply, so a chatty job
 			// never blocks on the monitor.
 			_ = s.Ingest(t)
 

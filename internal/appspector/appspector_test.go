@@ -2,7 +2,10 @@ package appspector
 
 import (
 	"errors"
+	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net"
 	"testing"
 	"time"
@@ -213,14 +216,12 @@ func TestNetworkRegisterAndTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	var reply protocol.ASRegisterOK
-	err = protocol.Call(conn, protocol.TypeASRegisterReq,
-		protocol.ASRegisterReq{JobID: "j9", Owner: "bob", Server: "s", App: "a"},
-		protocol.TypeASRegisterOK, &reply)
+	// Registration and telemetry are both one-way, on one connection.
+	err = protocol.WriteFrame(conn, protocol.TypeASRegisterReq,
+		protocol.ASRegisterReq{JobID: "j9", Owner: "bob", Server: "s", App: "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fire-and-forget telemetry on the same connection.
 	if err := protocol.WriteFrame(conn, protocol.TypeTelemetry, protocol.Telemetry{JobID: "j9", Time: 1, State: "finished"}); err != nil {
 		t.Fatal(err)
 	}
@@ -267,5 +268,214 @@ func TestTrackRefusesAfterClose(t *testing.T) {
 	_ = theirs.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := theirs.Read(make([]byte, 1)); err != io.EOF {
 		t.Fatalf("late connection not closed by the accept loop: read err = %v, want EOF", err)
+	}
+}
+
+// referenceUtilization is the full walk over every stream that Register
+// and Ingest used to end in, kept as the oracle for the incremental
+// aggregates that replaced it.
+func referenceUtilization(s *Server) Utilization {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	u := Utilization{Jobs: len(s.jobs)}
+	utilSum := 0.0
+	for _, js := range s.jobs {
+		u.Watchers += len(js.watchers)
+		if js.done || len(js.history) == 0 {
+			continue
+		}
+		last := js.history[len(js.history)-1]
+		u.LiveJobs++
+		u.PEs += last.PEs
+		utilSum += last.Util
+	}
+	if u.LiveJobs > 0 {
+		u.MeanUtil = utilSum / float64(u.LiveJobs)
+	}
+	return u
+}
+
+// checkAggregates compares the incremental aggregates — and the gauges
+// fed from them — with the reference walk.
+func checkAggregates(t *testing.T, s *Server, step int) {
+	t.Helper()
+	got, want := s.Utilization(), referenceUtilization(s)
+	if got.Jobs != want.Jobs || got.LiveJobs != want.LiveJobs || got.PEs != want.PEs || got.Watchers != want.Watchers ||
+		math.Abs(got.MeanUtil-want.MeanUtil) > 1e-9 {
+		t.Fatalf("step %d: aggregates %+v, full walk %+v", step, got, want)
+	}
+	if l, w := s.met.liveJobs.Value(), s.met.watchers.Value(); l != float64(want.LiveJobs) || w != float64(want.Watchers) {
+		t.Fatalf("step %d: gauges live=%v watchers=%v, full walk %+v", step, l, w, want)
+	}
+}
+
+// TestAggregatesMatchFullWalkProperty drives a seeded random mix of
+// every operation that touches a stream and checks after each one that
+// Utilization() is what the full walk computes, and that a stream's end
+// takes its whole contribution with it.
+func TestAggregatesMatchFullWalkProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	s := NewServer(nil)
+	s.MaxHistory = 4
+	s.MaxFinished = 8 // small, so eviction is part of the mix
+	type sub struct {
+		id string
+		ch chan protocol.Telemetry
+	}
+	var subs []sub
+	id := func() string { return fmt.Sprintf("j%d", rng.Intn(40)) }
+	for step := 0; step < 10000; step++ {
+		switch op := rng.Intn(10); {
+		case op < 2:
+			s.Register(id(), "u", "srv", "app")
+		case op < 6:
+			_ = s.Ingest(protocol.Telemetry{JobID: id(), PEs: rng.Intn(64), Util: rng.Float64(), State: "running"})
+		case op < 7:
+			_ = s.Ingest(protocol.Telemetry{JobID: id(), State: []string{"finished", "killed", "rejected"}[rng.Intn(3)]})
+		case op < 9:
+			jid := id()
+			s.mu.Lock()
+			_, known := s.jobs[jid]
+			s.mu.Unlock()
+			if !known {
+				break // subscribe would wait registerWait for it
+			}
+			if _, ch, err := s.subscribe(jid, false); err == nil && ch != nil {
+				subs = append(subs, sub{jid, ch})
+			}
+		default:
+			if len(subs) > 0 {
+				i := rng.Intn(len(subs))
+				s.unsubscribe(subs[i].id, subs[i].ch)
+				subs = append(subs[:i], subs[i+1:]...)
+			}
+		}
+		checkAggregates(t, s, step)
+	}
+	// End every stream still live: nothing may be left behind.
+	for i := 0; i < 40; i++ {
+		_ = s.Ingest(protocol.Telemetry{JobID: fmt.Sprintf("j%d", i), State: "finished"})
+	}
+	checkAggregates(t, s, -1)
+	if u := s.Utilization(); u.LiveJobs != 0 || u.PEs != 0 || u.MeanUtil != 0 || u.Watchers != 0 {
+		t.Fatalf("contributions outlived their streams: %+v", u)
+	}
+}
+
+// TestFinishedStreamsBounded: the monitor keeps MaxFinished ended
+// streams, evicting the oldest; a live stream is never evicted, and a
+// just-completed one stays watchable.
+func TestFinishedStreamsBounded(t *testing.T) {
+	s := NewServer(nil)
+	s.MaxFinished = 64
+	s.Register("live", "u", "srv", "app")
+	_ = s.Ingest(protocol.Telemetry{JobID: "live", PEs: 4, Util: 0.5, State: "running"})
+	for i := 0; i < 3*s.MaxFinished; i++ {
+		id := fmt.Sprintf("j%d", i)
+		s.Register(id, "u", "srv", "app")
+		_ = s.Ingest(protocol.Telemetry{JobID: id, PEs: 2, Util: 0.9, State: "running"})
+		_ = s.Ingest(protocol.Telemetry{JobID: id, State: "finished"})
+		checkAggregates(t, s, i)
+		if n := len(s.Jobs()); n > s.MaxFinished+1 {
+			t.Fatalf("after %d jobs the monitor holds %d streams, cap %d + 1 live", i+1, n, s.MaxFinished)
+		}
+		if _, done, err := s.Snapshot(id); err != nil || !done {
+			t.Fatalf("just-completed %s not watchable: done=%v err=%v", id, done, err)
+		}
+	}
+	if _, _, err := s.Snapshot("j0"); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("oldest finished stream survived eviction: %v", err)
+	}
+	if _, done, err := s.Snapshot("live"); err != nil || done {
+		t.Fatalf("live stream evicted or ended: done=%v err=%v", done, err)
+	}
+	if u := s.Utilization(); u.LiveJobs != 1 || u.PEs != 4 {
+		t.Fatalf("utilization=%+v, want the one live job", u)
+	}
+}
+
+// TestWatchWaitsForRegistrationInFlight: the FD announces a job one-way,
+// so a client that watches the instant it holds SubmitOK can arrive
+// first. The watch waits for the registration — and still refuses a job
+// that never existed, within registerWait.
+func TestWatchWaitsForRegistrationInFlight(t *testing.T) {
+	s, addr := startServer(t, nil)
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		s.Register("late", "alice", "turing", "namd")
+		_ = s.Ingest(protocol.Telemetry{JobID: "late", State: "finished"})
+	}()
+	if got := watchCollect(t, addr, "late", true); len(got) != 1 {
+		t.Fatalf("watch ahead of its registration saw %d samples, want 1", len(got))
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	_ = protocol.WriteFrame(conn, protocol.TypeWatchReq, protocol.WatchReq{JobID: "ghost"})
+	_ = conn.SetReadDeadline(start.Add(registerWait + 2*time.Second))
+	f, err := protocol.ReadFrame(conn)
+	if err != nil || f.Type != protocol.TypeError {
+		t.Fatalf("frame=%+v err=%v", f, err)
+	}
+	if took := time.Since(start); took < registerWait/2 {
+		t.Fatalf("unknown job refused after %v: the watch did not wait for a registration", took)
+	}
+}
+
+// TestCloseReleasesWaitingWatch: a watch parked on a registration that
+// never comes must not hold Close for registerWait.
+func TestCloseReleasesWaitingWatch(t *testing.T) {
+	s, addr := startServer(t, nil)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = protocol.WriteFrame(conn, protocol.TypeWatchReq, protocol.WatchReq{JobID: "ghost"})
+	deadline := time.Now().Add(5 * time.Second)
+	for s.met.watchReq.Value() == 0 { // the handler has reached the watch path
+		if time.Now().After(deadline) {
+			t.Fatal("watch never served")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	s.Close()
+	if took := time.Since(start); took > registerWait/2 {
+		t.Fatalf("Close took %v with a watch waiting for a registration", took)
+	}
+}
+
+// BenchmarkRegisterIngest is one job's cost to the monitor — a
+// registration, a running sample and the terminal one — with held_N
+// finished streams already in the table. The two cases reading the same
+// is the proof that nothing on that path walks the table.
+func BenchmarkRegisterIngest(b *testing.B) {
+	for _, held := range []int{0, 10000} {
+		b.Run(fmt.Sprintf("held_%d", held), func(b *testing.B) {
+			s := NewServer(nil)
+			s.MaxFinished = held + 1 // hold exactly `held` beside the job being timed
+			ids := make([]string, b.N+held)
+			for i := range ids {
+				ids[i] = fmt.Sprintf("job-%08d", i)
+			}
+			job := func(id string) {
+				s.Register(id, "alice", "turing", "namd")
+				_ = s.Ingest(protocol.Telemetry{JobID: id, PEs: 8, Util: 0.9, State: "running"})
+				_ = s.Ingest(protocol.Telemetry{JobID: id, PEs: 8, State: "finished"})
+			}
+			for _, id := range ids[:held] {
+				job(id)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, id := range ids[held:] {
+				job(id)
+			}
+		})
 	}
 }

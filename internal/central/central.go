@@ -15,7 +15,9 @@ import (
 	"fmt"
 	"log"
 	"net"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,12 +101,14 @@ type Server struct {
 	met     *srvMetrics
 	rpc     *telemetry.RPCMetrics
 
-	// mu guards the registry. Reader/writer split: the read-heavy paths
+	// mu guards the registry, which is kept in server-name order — the
+	// order every listing is served in — so the directory read is one
+	// pass and no sort. Reader/writer split: the read-heavy paths
 	// (Servers, Apps, Weather's fleet scan, PollOnce's target snapshot)
 	// take the read side, so they stop serializing against each other
 	// and against concurrent bid solicitations during a poll.
 	mu       sync.RWMutex
-	registry map[string]*regEntry
+	registry []*regEntry
 	peers    []string
 
 	// settleMu serializes settlement application so the settled-check,
@@ -283,7 +287,6 @@ func NewWithDB(mode accounting.Mode, store *db.DB) *Server {
 		Metrics:      reg,
 		met:          newSrvMetrics(reg),
 		rpc:          telemetry.NewRPCMetrics(reg, "central"),
-		registry:     map[string]*regEntry{},
 		dirtySettles: map[string]bool{},
 		remotes:      map[string]remoteDigest{},
 		wagg:         wagg,
@@ -309,11 +312,23 @@ func (s *Server) RegisterDaemon(info protocol.ServerInfo) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.registry[info.Spec.Name] = &regEntry{info: info, lastSeen: time.Now(), alive: true}
+	i, found := s.find(info.Spec.Name)
+	if !found {
+		s.registry = slices.Insert(s.registry, i, nil)
+	}
+	s.registry[i] = &regEntry{info: info, lastSeen: time.Now(), alive: true}
 	s.met.registrations.Inc()
 	s.gaugeDirectoryLocked()
 	s.invalidateWeather()
 	return nil
+}
+
+// find returns the registry index of the named daemon, or where it
+// would be inserted; caller holds s.mu.
+func (s *Server) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(s.registry, name, func(e *regEntry, name string) int {
+		return strings.Compare(e.info.Spec.Name, name)
+	})
 }
 
 // gaugeDirectoryLocked refreshes the directory-size gauges; caller holds
@@ -335,7 +350,9 @@ func (s *Server) gaugeDirectoryLocked() {
 func (s *Server) Deregister(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.registry, name)
+	if i, found := s.find(name); found {
+		s.registry = slices.Delete(s.registry, i, i+1)
+	}
 	s.gaugeDirectoryLocked()
 	s.invalidateWeather()
 }
@@ -344,7 +361,8 @@ func (s *Server) Deregister(name string) {
 func (s *Server) MarkSeen(name string, dyn protocol.PollOK) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.registry[name]; ok {
+	if i, found := s.find(name); found {
+		e := s.registry[i]
 		e.lastSeen = time.Now()
 		e.alive = true
 		e.dyn = dyn
@@ -357,8 +375,8 @@ func (s *Server) MarkSeen(name string, dyn protocol.PollOK) {
 func (s *Server) MarkDead(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.registry[name]; ok {
-		e.alive = false
+	if i, found := s.find(name); found {
+		s.registry[i].alive = false
 	}
 	s.gaugeDirectoryLocked()
 	s.invalidateWeather()
@@ -367,12 +385,12 @@ func (s *Server) MarkDead(name string) {
 // Servers returns directory entries matching the contract, applying the
 // §5.1 filters: static properties (processor count, per-PE memory,
 // exported applications) and dynamic properties (daemon liveness). A nil
-// contract lists every live server.
+// contract lists every live server. The listing is in name order.
 func (s *Server) Servers(c *qos.Contract) []protocol.ServerInfo {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	now := time.Now()
-	var out []protocol.ServerInfo
+	out := make([]protocol.ServerInfo, 0, len(s.registry))
 	for _, e := range s.registry {
 		if !e.alive || now.Sub(e.lastSeen) > s.DeadAfter {
 			continue
@@ -386,7 +404,6 @@ func (s *Server) Servers(c *qos.Contract) []protocol.ServerInfo {
 		info.UsedPE = e.dyn.UsedPE
 		out = append(out, info)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Spec.Name < out[j].Spec.Name })
 	return out
 }
 
@@ -593,8 +610,8 @@ func (s *Server) PollOnce() int {
 	defer func() { s.met.pollFanout.Observe(time.Since(start).Seconds()) }()
 	s.mu.RLock()
 	targets := make(map[string]string, len(s.registry))
-	for name, e := range s.registry {
-		targets[name] = e.info.Addr
+	for _, e := range s.registry {
+		targets[e.info.Spec.Name] = e.info.Addr
 	}
 	width := s.PollConcurrency
 	timeout := s.PollTimeout

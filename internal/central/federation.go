@@ -2,7 +2,8 @@ package central
 
 import (
 	"errors"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -33,8 +34,8 @@ const DefaultGossipInterval = 500 * time.Millisecond
 
 // remoteDigest is the cached digest of one peer.
 type remoteDigest struct {
-	at      time.Time // when the pull that fetched it was sent
-	servers []protocol.ServerInfo
+	at      time.Time             // when the pull that fetched it was sent
+	servers []protocol.ServerInfo // in name order, as FederatedServers merges them
 	weather protocol.WeatherDigest
 }
 
@@ -153,55 +154,49 @@ func (s *Server) storeDigest(addr string, sent time.Time, d protocol.GossipOK) {
 		s.remoteMu.Unlock()
 		return
 	}
+	// A peer serves its listing in name order already; the merge on the
+	// read path relies on it, so it is not taken on trust.
+	slices.SortStableFunc(d.Servers, func(a, b protocol.ServerInfo) int {
+		return strings.Compare(a.Spec.Name, b.Spec.Name)
+	})
 	s.remotes[addr] = remoteDigest{at: sent, servers: d.Servers, weather: d.Weather}
 	s.remoteMu.Unlock()
 	s.met.gossipRecv.Inc()
 	s.invalidateWeather()
 }
 
-// gossipServers returns every unexpired remote directory entry.
-func (s *Server) gossipServers() []protocol.ServerInfo {
+// FederatedServers returns the union of the local filtered directory and
+// every unexpired peer digest, deduplicated by server name (local
+// entries win) and in name order. It reads the gossip cache only: no
+// peer is dialed on the auction path.
+func (s *Server) FederatedServers(c *qos.Contract) []protocol.ServerInfo {
+	out := s.Servers(c)
 	stale := s.gossipStaleAfter()
 	now := time.Now()
 	s.remoteMu.Lock()
 	defer s.remoteMu.Unlock()
-	var out []protocol.ServerInfo
 	for _, d := range s.remotes {
-		if now.Sub(d.at) > stale {
-			continue
+		if now.Sub(d.at) <= stale && len(d.servers) > 0 {
+			out = mergeByName(out, d.servers, c)
 		}
-		out = append(out, d.servers...)
 	}
 	return out
 }
 
-// FederatedServers returns the union of the local filtered directory and
-// every unexpired peer digest, deduplicated by server name (local
-// entries win) and sorted by name. It reads the gossip cache only: no
-// peer is dialed on the auction path.
-func (s *Server) FederatedServers(c *qos.Contract) []protocol.ServerInfo {
-	local := s.Servers(c)
-	remote := s.gossipServers()
-	if len(remote) == 0 {
-		return local
-	}
-	seen := make(map[string]bool, len(local))
-	for _, info := range local {
-		seen[info.Spec.Name] = true
-	}
-	out := local
-	for _, info := range remote {
-		if seen[info.Spec.Name] {
-			continue
+// mergeByName merges two name-ordered listings into one: every entry of
+// have, and each entry of add that matches the contract and whose name
+// is not already listed.
+func mergeByName(have, add []protocol.ServerInfo, c *qos.Contract) []protocol.ServerInfo {
+	out := make([]protocol.ServerInfo, 0, len(have)+len(add))
+	for _, info := range add {
+		for len(have) > 0 && have[0].Spec.Name <= info.Spec.Name {
+			out, have = append(out, have[0]), have[1:]
 		}
-		if c != nil && !matches(info, c) {
-			continue
+		if n := len(out); (n == 0 || out[n-1].Spec.Name != info.Spec.Name) && (c == nil || matches(info, c)) {
+			out = append(out, info)
 		}
-		seen[info.Spec.Name] = true
-		out = append(out, info)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Spec.Name < out[j].Spec.Name })
-	return out
+	return append(out, have...)
 }
 
 // mergeRemoteWeather folds unexpired peer weather digests into a local

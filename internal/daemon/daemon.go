@@ -3,7 +3,7 @@
 // it listens on a well-known port, registers itself with the Faucets
 // Central Server at startup, relays bid requests to the local Cluster
 // Manager (the scheduler), accepts committed jobs and their input files,
-// starts jobs on the scheduler, registers running jobs with the
+// starts jobs on the scheduler, announces running jobs to the
 // AppSpector server, streams their telemetry, and settles finished jobs
 // with the Central Server. "In essence, to the external world, FD is the
 // representative of the Compute Server to the faucets system."
@@ -59,14 +59,15 @@ type Config struct {
 	// without operator action.
 	ReRegister time.Duration
 	// RPCTimeout bounds each outbound round trip (register, verify,
-	// settle, AppSpector); default protocol.DefaultCallTimeout.
+	// settle) and each write of the monitor stream; default
+	// protocol.DefaultCallTimeout.
 	RPCTimeout time.Duration
 	// SettleRetry is the wall cadence at which unacknowledged
 	// settlements are redelivered from the outbox (default 1s). A
 	// briefly-unreachable Central Server must not lose billing records.
 	SettleRetry time.Duration
-	// PoolSize caps the persistent RPC connections kept per peer
-	// address (Central Server, AppSpector). Settlements, heartbeats,
+	// PoolSize caps the persistent RPC connections kept to the Central
+	// Server. Settlements, heartbeats,
 	// and credential verifications share pooled connections instead of
 	// paying a TCP handshake each (default protocol.DefaultPoolSize).
 	PoolSize int
@@ -89,7 +90,7 @@ type Config struct {
 	// re-checked (and re-refused) every time.
 	VerifyCacheTTL time.Duration
 	// BreakerThreshold enables per-address circuit breakers on the
-	// daemon's outbound RPC pool (Central Server, AppSpector): transport
+	// daemon's outbound RPC pool (Central Server): transport
 	// failures and pathological latency accrue suspicion, and an OPEN
 	// breaker fails calls instantly instead of burning a timeout each.
 	// Zero disables the breakers (the default — the outbox's own retry
@@ -111,6 +112,11 @@ const DefaultVerifyCacheTTL = 2 * time.Second
 // TimeScale that would be every wall millisecond or less, which is more
 // than a monitor can use.
 const telemetryFloor = 5 * time.Millisecond
+
+// monitorBacklog bounds the bytes queued for AppSpector and not yet
+// taken by the stream's writer (a few thousand frames); past it frames
+// are dropped and counted.
+const monitorBacklog = 256 << 10
 
 // verifyCacheMax bounds the cache; past it the map is reset wholesale
 // (entries expire in seconds anyway, so eviction precision is not worth
@@ -158,8 +164,15 @@ type Daemon struct {
 	rpc *telemetry.RPCMetrics
 
 	// pool holds the persistent connections for every outbound RPC
-	// (register, verify, settle, AppSpector registration).
+	// (register, verify, settle).
 	pool *protocol.Pool
+
+	// monitorQ (under mu) is the daemon's one stream to AppSpector:
+	// encoded frames in the order they were enqueued, monitorFrames of
+	// them, waiting for monitorLoop, which monitorKick wakes.
+	monitorQ      []byte
+	monitorFrames int
+	monitorKick   chan struct{}
 
 	// verifyCache remembers recent successful credential checks:
 	// user+token → wall-clock expiry.
@@ -178,9 +191,6 @@ type Daemon struct {
 	wg       sync.WaitGroup
 	closed   chan struct{}
 	conns    map[net.Conn]struct{}
-
-	asMu   sync.Mutex
-	asConn net.Conn
 }
 
 // New validates the config and returns a daemon (not yet serving).
@@ -219,20 +229,21 @@ func New(cfg Config) (*Daemon, error) {
 		cfg.VerifyCacheTTL = DefaultVerifyCacheTTL
 	}
 	d := &Daemon{
-		cfg:        cfg,
-		epoch:      time.Now(),
-		jobs:       map[string]*job.Job{},
-		owners:     map[string]string{},
-		tempUsers:  map[string]string{},
-		prices:     map[string]float64{},
-		reserved:   map[string]*reservation{},
-		settledIDs: map[string]bool{},
-		conns:      map[net.Conn]struct{}{},
-		Stage:      stage.NewStore(),
-		closed:     make(chan struct{}),
-		kick:       make(chan struct{}, 1),
-		met:        newFDMetrics(cfg.Metrics),
-		rpc:        telemetry.NewRPCMetrics(cfg.Metrics, "daemon"),
+		cfg:         cfg,
+		epoch:       time.Now(),
+		jobs:        map[string]*job.Job{},
+		owners:      map[string]string{},
+		tempUsers:   map[string]string{},
+		prices:      map[string]float64{},
+		reserved:    map[string]*reservation{},
+		settledIDs:  map[string]bool{},
+		conns:       map[net.Conn]struct{}{},
+		Stage:       stage.NewStore(),
+		closed:      make(chan struct{}),
+		kick:        make(chan struct{}, 1),
+		monitorKick: make(chan struct{}, 1),
+		met:         newFDMetrics(cfg.Metrics),
+		rpc:         telemetry.NewRPCMetrics(cfg.Metrics, "daemon"),
 	}
 	if cfg.VerifyCacheTTL > 0 {
 		d.verifyCache = map[string]time.Time{}
@@ -292,6 +303,7 @@ func (d *Daemon) recover(path string) error {
 		d.tempUsers[rec.JobID] = fmt.Sprintf("fauc-tmp-%06d", d.tempSeq)
 		d.outstanding += rec.Contract.Work
 		d.Stage.CreateJob(rec.JobID)
+		d.announce(rec.JobID, rec.Owner, rec.Contract.App)
 	}
 	if len(st.pending) > 0 {
 		d.wake() // runLoop has not started yet; the kick waits for it
@@ -356,6 +368,13 @@ func (d *Daemon) Start(l net.Listener) error {
 			d.registerLoop()
 		}()
 	}
+	if d.cfg.AppSpectorAddr != "" {
+		d.wg.Add(1)
+		go func() {
+			defer d.wg.Done()
+			d.monitorLoop()
+		}()
+	}
 	return nil
 }
 
@@ -411,12 +430,6 @@ func (d *Daemon) Close() {
 	if l != nil {
 		l.Close()
 	}
-	d.asMu.Lock()
-	if d.asConn != nil {
-		d.asConn.Close()
-		d.asConn = nil
-	}
-	d.asMu.Unlock()
 	d.wg.Wait()
 	// Last chance to deliver queued settlements (grid.Close stops
 	// daemons before the Central Server for exactly this reason).
@@ -531,7 +544,7 @@ func (d *Daemon) verify(user, token string) error {
 }
 
 // runLoop is the execution loop: it advances the scheduler in wall time,
-// emits telemetry, settles finished jobs, and redelivers unacknowledged
+// queues telemetry, settles finished jobs, and redelivers unacknowledged
 // settlements. It is event-driven, the way gridsim's serverEntity.refresh
 // is: after every pass it arms one timer for the wall instant of the
 // scheduler's next event and sleeps until that fires or a kick reports a
@@ -584,7 +597,6 @@ func (d *Daemon) runLoop() {
 			from, to int
 		}
 		var changes []peChange
-		var samples []protocol.Telemetry
 		d.mu.Lock()
 		finished := append(d.done, d.cfg.Scheduler.Advance(now)...)
 		d.done = nil
@@ -604,7 +616,7 @@ func (d *Daemon) runLoop() {
 			if now >= nextSample {
 				nextSample = now + sampleEvery
 				for _, j := range running {
-					samples = append(samples, snapshotTelemetry(now, j, ""))
+					d.monitor(protocol.TypeTelemetry, snapshotTelemetry(now, j, ""))
 				}
 			}
 			if !armed || nextSample < next {
@@ -626,9 +638,6 @@ func (d *Daemon) runLoop() {
 		}
 		for _, j := range finished {
 			d.finishJob(now, j)
-		}
-		for _, s := range samples {
-			d.emitTelemetry(s)
 		}
 
 		// Arm last, against a fresh clock: settling took wall time. A job
@@ -699,7 +708,7 @@ func (d *Daemon) finishJob(now float64, j *job.Job) {
 	owner := d.owners[id]
 	tmpUser := d.tempUsers[id]
 	cpuUsed := j.CPUUsed()
-	sample := snapshotTelemetry(now, j, fmt.Sprintf("%s finished at %.1f", id, now))
+	d.monitor(protocol.TypeTelemetry, snapshotTelemetry(now, j, fmt.Sprintf("%s finished at %.1f", id, now)))
 	if d.cfg.CentralAddr != "" {
 		// The Central Server resolves the user's home cluster from its
 		// own accounts; the FD holds no accounting information. The
@@ -726,7 +735,6 @@ func (d *Daemon) finishJob(now float64, j *job.Job) {
 	_ = d.Stage.Append(id, "stdout.log", []byte(fmt.Sprintf("[%.1f] %s completed as %s: %.0f CPU-seconds\n", now, id, tmpUser, cpuUsed)))
 	_ = d.Stage.Put(id, "result.out", []byte(fmt.Sprintf("job=%s user=%s work=%.0f cpu=%.0f\n", id, tmpUser, j.Contract.Work, cpuUsed)))
 
-	d.emitTelemetry(sample)
 	d.flushSettlements()
 }
 
@@ -824,36 +832,76 @@ func snapshotTelemetry(now float64, j *job.Job, output string) protocol.Telemetr
 	}
 }
 
-// emitTelemetry sends one sample to AppSpector (best effort).
-func (d *Daemon) emitTelemetry(t protocol.Telemetry) {
+// monitor queues one frame of the stream to AppSpector; the caller holds
+// d.mu, so frames leave in the order the daemon's state changed: a job's
+// registration (queued by submit before it wakes runLoop) ahead of every
+// sample of it. Best effort: a full queue drops the frame and counts it,
+// and nothing on a job's path ever waits for the monitor.
+func (d *Daemon) monitor(typ string, body any) {
 	if d.cfg.AppSpectorAddr == "" {
 		return
 	}
-	d.asMu.Lock()
-	defer d.asMu.Unlock()
-	if d.asConn == nil {
-		conn, err := protocol.Dial(d.cfg.AppSpectorAddr, d.cfg.RPCTimeout)
-		if err != nil {
+	if len(d.monitorQ) < monitorBacklog {
+		// Encoding fails only past MaxFrame, and then appends nothing.
+		if q, err := protocol.AppendFrame(d.monitorQ, protocol.CodecBinary, 0, typ, body); err == nil {
+			d.monitorQ = q
+			d.monitorFrames++
+			select {
+			case d.monitorKick <- struct{}{}:
+			default:
+			}
 			return
 		}
-		d.asConn = conn
 	}
-	if err := protocol.WriteFrameTimeout(d.asConn, d.cfg.RPCTimeout, protocol.TypeTelemetry, t); err != nil {
-		d.asConn.Close()
-		d.asConn = nil
-	}
+	d.met.monitorDrops.Inc()
 }
 
-// registerWithAppSpector announces a starting job to the monitor.
-func (d *Daemon) registerWithAppSpector(id, owner, app string) {
-	if d.cfg.AppSpectorAddr == "" {
-		return
+// announce registers a starting job with the monitor; caller holds d.mu.
+func (d *Daemon) announce(id, owner, app string) {
+	d.monitor(protocol.TypeASRegisterReq, protocol.ASRegisterReq{JobID: id, Owner: owner, Server: d.Name(), App: app})
+}
+
+// monitorLoop is the stream's one writer: it takes everything queued,
+// dials AppSpector if the stream is down, and sends the batch in one
+// write. A batch the monitor cannot be handed is dropped and counted;
+// the next one redials. Close severs the connection with the rest of
+// d.conns, which is what ends a write to a monitor that stopped reading.
+func (d *Daemon) monitorLoop() {
+	var conn net.Conn
+	var batch []byte
+	for {
+		select {
+		case <-d.closed:
+			return
+		case <-d.monitorKick:
+		}
+		d.mu.Lock()
+		batch, d.monitorQ = d.monitorQ, batch[:0]
+		frames := d.monitorFrames
+		d.monitorFrames = 0
+		d.mu.Unlock()
+		if frames == 0 {
+			continue // the previous pass took what this kick announced
+		}
+		if conn == nil {
+			c, err := protocol.Dial(d.cfg.AppSpectorAddr, d.cfg.RPCTimeout)
+			if err == nil && d.track(c, true) {
+				conn = c
+			} else if err == nil {
+				c.Close() // the daemon is closing
+			}
+		}
+		if conn != nil {
+			_ = conn.SetWriteDeadline(time.Now().Add(d.cfg.RPCTimeout))
+			if _, err := conn.Write(batch); err == nil {
+				continue
+			}
+			d.track(conn, false)
+			conn.Close()
+			conn = nil
+		}
+		d.met.monitorDrops.Add(uint64(frames))
 	}
-	var ok protocol.ASRegisterOK
-	_ = d.pool.Call(d.cfg.AppSpectorAddr, d.cfg.RPCTimeout,
-		protocol.TypeASRegisterReq, protocol.ASRegisterReq{
-			JobID: id, Owner: owner, Server: d.Name(), App: app,
-		}, protocol.TypeASRegisterOK, &ok)
 }
 
 // serve accepts connections until Close, riding out transient accept
@@ -981,10 +1029,6 @@ func (d *Daemon) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 		if err := d.submit(req); err != nil {
 			return err
 		}
-		// Register with AppSpector before acknowledging: a client holding
-		// SubmitOK can immediately watch the job. Best-effort — a dead
-		// monitor must not fail the submission.
-		d.registerWithAppSpector(req.JobID, req.User, req.Contract.App)
 		return protocol.WriteFrame(conn, protocol.TypeSubmitOK, protocol.SubmitOK{JobID: req.JobID})
 
 	case protocol.TypeUploadReq:
@@ -1179,9 +1223,11 @@ func (d *Daemon) submit(req protocol.SubmitReq) error {
 		Price: d.prices[req.JobID], Contract: req.Contract,
 	})
 	d.trace(req.JobID, telemetry.SpanStart, fmt.Sprintf("started on %s with %d PEs", d.Name(), j.PEs()))
+	// Announced before the wake, so no sample of the job can be queued
+	// ahead of its registration. A client holding SubmitOK may still watch
+	// before the frame lands: AppSpector's watch path waits for it.
+	d.announce(req.JobID, req.User, req.Contract.App)
 	d.wake()
-	// AppSpector registration happens in the dispatch handler, after
-	// this lock is released and before SubmitOK is acknowledged.
 	return nil
 }
 
@@ -1212,8 +1258,7 @@ func (d *Daemon) kill(req protocol.KillReq) (state string, err error) {
 	if d.outstanding < 0 {
 		d.outstanding = 0
 	}
-	sample := snapshotTelemetry(now, j, fmt.Sprintf("%s killed by %s", req.JobID, req.User))
-	go d.emitTelemetry(sample)
+	d.monitor(protocol.TypeTelemetry, snapshotTelemetry(now, j, fmt.Sprintf("%s killed by %s", req.JobID, req.User)))
 	d.wake()
 	return j.State().String(), nil
 }

@@ -19,6 +19,7 @@ type fdMetrics struct {
 	outboxPoison    *telemetry.Counter   // settlements permanently refused and dropped
 	verifyCacheHits *telemetry.Counter   // credential checks answered from the verify cache
 	wakeups         *telemetry.Counter   // run-loop passes (timer fires and kicks)
+	monitorDrops    *telemetry.Counter   // AppSpector frames dropped (queue full or monitor unreachable)
 	queueDepth      *telemetry.Gauge     // scheduler queue length
 	runningJobs     *telemetry.Gauge     // jobs currently executing
 	usedPEs         *telemetry.Gauge     // processors allocated to running jobs
@@ -40,6 +41,7 @@ func newFDMetrics(reg *telemetry.Registry) *fdMetrics {
 		outboxPoison:    reg.Counter("faucets_daemon_outbox_poison_total", "Settlements the Central Server permanently refused, dropped from the outbox with their job ID logged."),
 		verifyCacheHits: reg.Counter("faucets_daemon_verify_cache_hits_total", "Credential verifications answered from the local cache instead of a Central Server round trip."),
 		wakeups:         reg.Counter("faucets_daemon_runloop_wakeups_total", "Execution-loop passes: timer fires at the scheduler's next event plus kicks from submit, kill and recovery. Idle daemons make none."),
+		monitorDrops:    reg.Counter("faucets_daemon_monitor_drops_total", "Registrations and samples not delivered to AppSpector: the queue was full or the monitor could not be reached."),
 		queueDepth:      reg.Gauge("faucets_daemon_queue_depth", "Jobs waiting in the scheduler queue."),
 		runningJobs:     reg.Gauge("faucets_daemon_running_jobs", "Jobs currently executing."),
 		usedPEs:         reg.Gauge("faucets_daemon_used_pes", "Processors allocated to running jobs."),

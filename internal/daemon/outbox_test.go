@@ -165,14 +165,16 @@ func TestSettlementRefusedIsDroppedNotRetried(t *testing.T) {
 	runJobOverWire(t, conn, "j-poison", "tok", 100)
 
 	// Wait for the job to finish, then for the refusal to drain the
-	// outbox without any successful settle.
+	// outbox without any successful settle. The outbox is also empty
+	// between a status read finding the job finished and the run loop
+	// queueing its settlement, so the drop itself is what is waited for.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		var st protocol.StatusOK
 		if err := protocol.Call(conn, protocol.TypeStatusReq, protocol.StatusReq{JobID: "j-poison"}, protocol.TypeStatusOK, &st); err != nil {
 			t.Fatal(err)
 		}
-		if st.State == "finished" && d.OutboxLen() == 0 {
+		if st.State == "finished" && d.OutboxLen() == 0 && d.met.outboxPoison.Value() > 0 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -24,6 +24,16 @@ import (
 // test's, 70 ms; the others never finish at all).
 const lagBound = 30 * time.Millisecond
 
+// medianLag runs a finish-lag scenario three times, on a fresh daemon
+// each, and returns the median: a host stall of tens of milliseconds
+// lands in one attempt, a loop that missed a re-arm is late in all three.
+// Whatever an attempt can count (wakeups, spans) it asserts itself.
+func medianLag(attempt func() time.Duration) time.Duration {
+	lags := []time.Duration{attempt(), attempt(), attempt()}
+	sort.Slice(lags, func(a, b int) bool { return lags[a] < lags[b] })
+	return lags[1]
+}
+
 // loopDaemon boots a standalone daemon (64 PE, equipartition, one wall
 // millisecond per virtual second) with a tracer to read spans back from.
 func loopDaemon(t *testing.T, cfg Config) (*Daemon, *telemetry.Tracer) {
@@ -162,47 +172,57 @@ func TestRunLoopFinishLag(t *testing.T) {
 // longer a completion. The loop re-arms for the later one; it neither
 // spins until then nor sleeps through it.
 func TestRunLoopRearmsWhenCompletionMovesLater(t *testing.T) {
-	d, tr := loopDaemon(t, Config{})
-	submitJob(t, d, "a", wide(40))
-	time.Sleep(5 * time.Millisecond)
-	submitJob(t, d, "b", wide(40))
-	lagA, lagB := awaitFinish(t, d, tr, "a"), awaitFinish(t, d, tr, "b")
-	// Two submit kicks and two completions; a stale fire or two is
-	// tolerated, a spin is thousands.
-	if got := d.met.wakeups.Value(); got > 6 {
-		t.Fatalf("two jobs cost %d wakeups, want <= 6", got)
-	}
-	if len(spans(tr, "a", telemetry.SpanShrink)) == 0 {
-		t.Fatalf("job a finished before b arrived: its completion never moved")
-	}
-	if lagA > lagBound || lagB > lagBound {
-		t.Fatalf("finish lags %v and %v, want <= %v", lagA, lagB, lagBound)
+	lag := medianLag(func() time.Duration {
+		d, tr := loopDaemon(t, Config{})
+		// Long enough that a 50 ms stall in the sleep cannot finish a
+		// before b arrives.
+		submitJob(t, d, "a", wide(120))
+		time.Sleep(5 * time.Millisecond)
+		submitJob(t, d, "b", wide(120))
+		lagA, lagB := awaitFinish(t, d, tr, "a"), awaitFinish(t, d, tr, "b")
+		// Two submit kicks and two completions; a stale fire or two is
+		// tolerated, a spin is thousands.
+		if got := d.met.wakeups.Value(); got > 6 {
+			t.Fatalf("two jobs cost %d wakeups, want <= 6", got)
+		}
+		if len(spans(tr, "a", telemetry.SpanShrink)) == 0 {
+			t.Fatalf("job a finished before b arrived: its completion never moved")
+		}
+		return max(lagA, lagB)
+	})
+	if lag > lagBound {
+		t.Fatalf("median finish lag %v, want <= %v", lag, lagBound)
 	}
 }
 
 // TestRunLoopRearmsAfterKill: the timer is armed for the earliest
 // completion; when that job is killed the loop must arm for the next.
 func TestRunLoopRearmsAfterKill(t *testing.T) {
-	d, tr := loopDaemon(t, Config{})
-	submitJob(t, d, "short", narrow(40))
-	submitJob(t, d, "long", narrow(80))
-	time.Sleep(5 * time.Millisecond)
-	state, err := d.kill(protocol.KillReq{User: "alice", JobID: "short"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lag := awaitFinish(t, d, tr, "long")
-	if got := d.met.wakeups.Value(); got > 6 {
-		t.Fatalf("two submits, a kill and a completion cost %d wakeups, want <= 6", got)
-	}
-	if state != job.Killed.String() {
-		t.Fatalf("job short was %s by the time it was killed", state)
-	}
-	if n := len(spans(tr, "short", telemetry.SpanFinish)); n != 0 {
-		t.Fatalf("killed job recorded %d finish spans", n)
-	}
+	lag := medianLag(func() time.Duration {
+		d, tr := loopDaemon(t, Config{})
+		// Long enough that a 50 ms stall in the sleep cannot finish the
+		// short job before it is killed.
+		submitJob(t, d, "short", narrow(120))
+		submitJob(t, d, "long", narrow(160))
+		time.Sleep(5 * time.Millisecond)
+		state, err := d.kill(protocol.KillReq{User: "alice", JobID: "short"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lag := awaitFinish(t, d, tr, "long")
+		if got := d.met.wakeups.Value(); got > 6 {
+			t.Fatalf("two submits, a kill and a completion cost %d wakeups, want <= 6", got)
+		}
+		if state != job.Killed.String() {
+			t.Fatalf("job short was %s by the time it was killed", state)
+		}
+		if n := len(spans(tr, "short", telemetry.SpanFinish)); n != 0 {
+			t.Fatalf("killed job recorded %d finish spans", n)
+		}
+		return lag
+	})
 	if lag > lagBound {
-		t.Fatalf("finish lag %v after the earlier job was killed, want <= %v", lag, lagBound)
+		t.Fatalf("median finish lag %v after the earlier job was killed, want <= %v", lag, lagBound)
 	}
 }
 
@@ -213,45 +233,51 @@ func TestRunLoopRearmsAfterKill(t *testing.T) {
 // wakes there; armed for the 100 ms completion alone it would notice the
 // finish 70 ms late.
 func TestRunLoopWakesAtPhaseBoundary(t *testing.T) {
-	d, tr := loopDaemon(t, Config{})
-	c := contract(200)
-	c.Phases = []qos.Phase{
-		{Name: "setup", Work: 40, MinPE: 2, MaxPE: 2},
-		{Name: "solve", Work: 160, MinPE: 2, MaxPE: 16},
-	}
-	submitJob(t, d, "phased", c)
-	lag := awaitFinish(t, d, tr, "phased")
-	expand := spans(tr, "phased", telemetry.SpanExpand)
-	if len(expand) != 1 || expand[0].Detail != "2 -> 16 PEs" {
-		t.Fatalf("expand spans = %+v, want one \"2 -> 16 PEs\"", expand)
-	}
-	// The submit kick, the boundary and the completion.
-	if got := d.met.wakeups.Value(); got > 5 {
-		t.Fatalf("one two-phase job cost %d wakeups, want <= 5", got)
-	}
+	lag := medianLag(func() time.Duration {
+		d, tr := loopDaemon(t, Config{})
+		c := contract(200)
+		c.Phases = []qos.Phase{
+			{Name: "setup", Work: 40, MinPE: 2, MaxPE: 2},
+			{Name: "solve", Work: 160, MinPE: 2, MaxPE: 16},
+		}
+		submitJob(t, d, "phased", c)
+		lag := awaitFinish(t, d, tr, "phased")
+		expand := spans(tr, "phased", telemetry.SpanExpand)
+		if len(expand) != 1 || expand[0].Detail != "2 -> 16 PEs" {
+			t.Fatalf("expand spans = %+v, want one \"2 -> 16 PEs\"", expand)
+		}
+		// The submit kick, the boundary and the completion.
+		if got := d.met.wakeups.Value(); got > 5 {
+			t.Fatalf("one two-phase job cost %d wakeups, want <= 5", got)
+		}
+		return lag
+	})
 	if lag > lagBound {
-		t.Fatalf("finish lag %v, want <= %v", lag, lagBound)
+		t.Fatalf("median finish lag %v, want <= %v", lag, lagBound)
 	}
 }
 
 // TestRunLoopArmsAfterRecovery: jobs restarted from the journal run to
 // completion on a daemon nobody sends a frame to.
 func TestRunLoopArmsAfterRecovery(t *testing.T) {
-	dir := t.TempDir()
-	crashed, err := New(durableCfg(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	submitJob(t, crashed, "j-recover", narrow(30))
-	// Crash: abandoned without Close, never started.
+	lag := medianLag(func() time.Duration {
+		dir := t.TempDir()
+		crashed, err := New(durableCfg(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		submitJob(t, crashed, "j-recover", narrow(30))
+		// Crash: abandoned without Close, never started.
 
-	d, tr := loopDaemon(t, durableCfg(dir))
-	lag := awaitFinish(t, d, tr, "j-recover")
-	if got := d.met.wakeups.Value(); got < 1 || got > 3 {
-		t.Fatalf("recovered job cost %d wakeups, want 1..3", got)
-	}
+		d, tr := loopDaemon(t, durableCfg(dir))
+		lag := awaitFinish(t, d, tr, "j-recover")
+		if got := d.met.wakeups.Value(); got < 1 || got > 3 {
+			t.Fatalf("recovered job cost %d wakeups, want 1..3", got)
+		}
+		return lag
+	})
 	if lag > lagBound {
-		t.Fatalf("finish lag %v, want <= %v", lag, lagBound)
+		t.Fatalf("median finish lag %v, want <= %v", lag, lagBound)
 	}
 }
 

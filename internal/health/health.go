@@ -135,6 +135,14 @@ type Breaker struct {
 
 const ewmaAlpha = 0.2
 
+// latencyFloor is the fastest answer that can count as pathologically
+// slow. The envelope is learned from the address's own history, and a
+// peer that answers in tens of microseconds, steadily, teaches one so
+// tight that a GC cycle or a descheduled thread on either side — a few
+// consecutive answers near a millisecond — would open the breaker on a
+// healthy peer. A gray failure worth forfeiting costs far more.
+const latencyFloor = 5 * time.Millisecond
+
 func (b *Breaker) openLocked(o *Options, now time.Time) {
 	b.state = Open
 	b.probing = false
@@ -204,7 +212,7 @@ func (b *Breaker) record(o *Options, now time.Time, d time.Duration, err error) 
 	}
 
 	sec := d.Seconds()
-	if b.samples > 0 && sec > o.latencyFactor()*(b.mean+b.dev) {
+	if b.samples > 0 && d >= latencyFloor && sec > o.latencyFactor()*(b.mean+b.dev) {
 		// Answered, but far outside its own envelope: gray failure.
 		// The sample is NOT folded into the EWMA — a daemon that turns
 		// pathologically slow must not drag its own baseline up until

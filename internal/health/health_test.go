@@ -111,6 +111,31 @@ func TestBreakerLatencyDegradationOpens(t *testing.T) {
 	}
 }
 
+// TestBreakerLatencyFloor: a peer that answers in 50 µs teaches an
+// envelope of a few hundred; a run of 1 ms answers — what a GC cycle on
+// either side looks like — is far outside it and still no gray failure.
+// Past the floor the same peer is indicted as before.
+func TestBreakerLatencyFloor(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	s := newTestSet(clk, Options{Threshold: 2, Cooldown: time.Second, LatencyFactor: 4})
+	const addr = "fs:9100"
+	for i := 0; i < 50; i++ {
+		s.Record(addr, 50*time.Microsecond, nil)
+	}
+	for i := 0; i < 8; i++ {
+		s.Record(addr, time.Millisecond, nil)
+	}
+	if got, score := s.State(addr), s.Score(addr); got != Closed || score != 0 {
+		t.Fatalf("a millisecond of jitter on a 50µs peer: state %v score %v, want closed and 0", got, score)
+	}
+	for i := 0; i < 4; i++ {
+		s.Record(addr, 100*time.Millisecond, nil)
+	}
+	if got := s.State(addr); got != Open {
+		t.Fatalf("state after sustained 100ms answers = %v, want open", got)
+	}
+}
+
 func TestBreakerHealthyResponsesDecayScore(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	s := newTestSet(clk, Options{Threshold: 4, Cooldown: time.Second})

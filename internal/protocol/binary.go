@@ -13,14 +13,14 @@ import (
 )
 
 // This file implements the hand-rolled binary encoding every sender
-// uses for the hot auction-path message types (the directory read,
-// solicit/bid/commit/settle, the nested verify, poll, gossip and their
-// error replies — the types in binCodeOf). Message types without a
-// binary encoding ride as JSON frames on the same connection. Every
-// frame self-describes its shape by its first payload byte (JSON
-// objects start '{', binary frames start binMagic), so a reader needs
-// no per-connection state to read the mixed stream, and there is no
-// handshake to agree on one.
+// uses for the message types a job's trip sends (the directory read,
+// solicit/bid/commit/settle, the nested verify, poll, gossip, the
+// monitor stream and their error replies — the types in binCodeOf).
+// Message types without a binary encoding ride as JSON frames on the
+// same connection. Every frame self-describes its shape by its first
+// payload byte (JSON objects start '{', binary frames start binMagic),
+// so a reader needs no per-connection state to read the mixed stream,
+// and there is no handshake to agree on one.
 //
 // Binary frame layout, after the usual 4-byte big-endian length prefix:
 //
@@ -71,6 +71,8 @@ const (
 	binForwardSettleReq uint8 = 18
 	binListServersReq   uint8 = 19
 	binListServersOK    uint8 = 20
+	binASRegisterReq    uint8 = 21
+	binTelemetry        uint8 = 22
 )
 
 // binCodeOf maps frame type strings to binary codes; binTypeOf is the
@@ -94,9 +96,11 @@ var binCodeOf = map[string]uint8{
 	TypeForwardSettleReq: binForwardSettleReq,
 	TypeListServersReq:   binListServersReq,
 	TypeListServersOK:    binListServersOK,
+	TypeASRegisterReq:    binASRegisterReq,
+	TypeTelemetry:        binTelemetry,
 }
 
-var binTypeOf = [21]string{
+var binTypeOf = [23]string{
 	binError:            TypeError,
 	binBidReq:           TypeBidReq,
 	binBidOK:            TypeBidOK,
@@ -115,6 +119,8 @@ var binTypeOf = [21]string{
 	binForwardSettleReq: TypeForwardSettleReq,
 	binListServersReq:   TypeListServersReq,
 	binListServersOK:    TypeListServersOK,
+	binASRegisterReq:    TypeASRegisterReq,
+	binTelemetry:        TypeTelemetry,
 }
 
 // ErrBinaryFrame wraps every malformed-binary-payload failure so callers
@@ -301,6 +307,23 @@ func (m ListServersReq) appendBinary(b []byte) []byte {
 }
 
 func (m ListServersOK) appendBinary(b []byte) []byte { return appendServerInfos(b, m.Servers) }
+
+func (m ASRegisterReq) appendBinary(b []byte) []byte {
+	b = appendStr(b, m.JobID)
+	b = appendStr(b, m.Owner)
+	b = appendStr(b, m.Server)
+	return appendStr(b, m.App)
+}
+
+func (m Telemetry) appendBinary(b []byte) []byte {
+	b = appendStr(b, m.JobID)
+	b = appendF64(b, m.Time)
+	b = appendI64(b, m.PEs)
+	b = appendF64(b, m.Util)
+	b = appendF64(b, m.Done)
+	b = appendStr(b, m.State)
+	return appendStr(b, m.Output)
+}
 
 func appendServerInfo(b []byte, si *ServerInfo) []byte {
 	b = appendStr(b, si.Spec.Name)
@@ -591,6 +614,11 @@ func decodeBinaryBody(typ string, data []byte, v any) error {
 		return storeBody(&r, typ, v, m)
 	case TypeListServersOK:
 		return storeBody(&r, typ, v, ListServersOK{Servers: r.serverInfos()})
+	case TypeASRegisterReq:
+		return storeBody(&r, typ, v, ASRegisterReq{JobID: r.str(), Owner: r.str(), Server: r.str(), App: r.str()})
+	case TypeTelemetry:
+		return storeBody(&r, typ, v, Telemetry{JobID: r.str(), Time: r.f64(), PEs: r.i64(), Util: r.f64(),
+			Done: r.f64(), State: r.str(), Output: r.str()})
 	}
 	return fmt.Errorf("%w: no binary decoder for type %q", ErrBinaryFrame, typ)
 }

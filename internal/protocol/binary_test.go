@@ -67,6 +67,10 @@ func TestBinaryRoundTripAllTypes(t *testing.T) {
 			{Spec: machine.Spec{Name: "tack", NumPE: 8}, Addr: "10.0.0.3:7000"},
 		}}, func() any { return &ListServersOK{} }},
 		{TypeListServersOK, ListServersOK{}, func() any { return &ListServersOK{} }},
+		{TypeASRegisterReq, ASRegisterReq{JobID: "job-1", Owner: "u", Server: "lemieux", App: "md"}, func() any { return &ASRegisterReq{} }},
+		{TypeTelemetry, Telemetry{JobID: "job-1", Time: 12.5, PEs: 8, Util: 0.93, Done: 0.4, State: "running", Output: "step 7\n"}, func() any { return &Telemetry{} }},
+		// A sample with no output text (every periodic one) and a zero one.
+		{TypeTelemetry, Telemetry{JobID: "job-1", State: "finished", Done: 1}, func() any { return &Telemetry{} }},
 	}
 	for _, tc := range cases {
 		buf, err := AppendFrame(nil, CodecBinary, 7, tc.typ, tc.body)
@@ -206,19 +210,18 @@ func TestDecodeEmptyBodyTable(t *testing.T) {
 		TypeCommitReq, TypeCommitOK, TypeSubmitReq, TypeSubmitOK,
 		TypeUploadReq, TypeUploadOK, TypeStatusReq, TypeStatusOK,
 		TypeOutputReq, TypeOutputOK, TypeKillReq, TypeKillOK,
-		TypeASRegisterReq, TypeASRegisterOK, TypeTelemetry,
+		TypeASRegisterReq, TypeTelemetry,
 		TypeWatchReq, TypeWatchOK, TypeWatchEnd,
 		TypeGossipReq, TypeGossipOK, TypeForwardSettleReq,
 	}
 	fieldFree := map[string]bool{
-		TypeError:        true,
-		TypeRegisterOK:   true,
-		TypePollReq:      true,
-		TypeSettleOK:     true,
-		TypeWeatherReq:   true,
-		TypeASRegisterOK: true,
-		TypeWatchEnd:     true,
-		TypeGossipReq:    true,
+		TypeError:      true,
+		TypeRegisterOK: true,
+		TypePollReq:    true,
+		TypeSettleOK:   true,
+		TypeWeatherReq: true,
+		TypeWatchEnd:   true,
+		TypeGossipReq:  true,
 	}
 	for _, typ := range all {
 		f := Frame{Type: typ}

@@ -76,14 +76,13 @@ func (e *IDMismatchError) Error() string {
 // field-free, so an absent body decodes to their zero value. Every other
 // type carries required fields and an empty body is a protocol error.
 var allowEmptyBody = map[string]bool{
-	TypeError:        true, // diagnostic: a bare error frame still signals failure
-	TypeRegisterOK:   true,
-	TypePollReq:      true,
-	TypeSettleOK:     true,
-	TypeWeatherReq:   true,
-	TypeASRegisterOK: true,
-	TypeWatchEnd:     true,
-	TypeGossipReq:    true,
+	TypeError:      true, // diagnostic: a bare error frame still signals failure
+	TypeRegisterOK: true,
+	TypePollReq:    true,
+	TypeSettleOK:   true,
+	TypeWeatherReq: true,
+	TypeWatchEnd:   true,
+	TypeGossipReq:  true,
 }
 
 // writeBufPool recycles frame encode buffers so the steady-state hot

@@ -82,6 +82,8 @@ func FuzzBinaryFrameRoundtrip(f *testing.F) {
 	seed(TypeListServersReq, 11, ListServersReq{Token: "t", Contract: contract})
 	seed(TypeListServersReq, 12, ListServersReq{Token: "t"})
 	seed(TypeListServersOK, 13, ListServersOK{Servers: []ServerInfo{{Addr: "b", Apps: []string{"x"}}}})
+	seed(TypeASRegisterReq, 14, ASRegisterReq{JobID: "j", Owner: "u", Server: "s", App: "a"})
+	seed(TypeTelemetry, 15, Telemetry{JobID: "j", Time: 1.5, PEs: 8, Util: 0.9, Done: 0.5, State: "running", Output: "o"})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := ReadFrame(bytes.NewReader(data))
@@ -123,7 +125,7 @@ func FuzzTelemetryRoundTrip(f *testing.F) {
 		in := Telemetry{JobID: id, Time: tm, PEs: pes, Output: out}
 		var buf bytes.Buffer
 		if err := WriteFrame(&buf, TypeTelemetry, in); err != nil {
-			t.Skip() // e.g. NaN time: JSON cannot encode — fine
+			t.Skip() // only an over-MaxFrame output can fail: telemetry rides binary
 		}
 		fr, err := ReadFrame(&buf)
 		if err != nil {

@@ -59,7 +59,6 @@ const (
 
 	// Job/Daemon ↔ AppSpector, Client ↔ AppSpector.
 	TypeASRegisterReq = "as_register_req"
-	TypeASRegisterOK  = "as_register_ok"
 	TypeTelemetry     = "telemetry"
 	TypeWatchReq      = "watch_req"
 	TypeWatchOK       = "watch_ok"
@@ -397,16 +396,13 @@ type OutputOK struct {
 
 // ASRegisterReq registers a started job with the AppSpector server
 // ("once the job starts, the FD registers the running job with the
-// AppSpector Server", §2).
+// AppSpector Server", §2). Like Telemetry it is one-way: no reply.
 type ASRegisterReq struct {
 	JobID  string `json:"job_id"`
 	Owner  string `json:"owner"`
 	Server string `json:"server"`
 	App    string `json:"app"`
 }
-
-// ASRegisterOK acknowledges AppSpector registration.
-type ASRegisterOK struct{}
 
 // Telemetry is one monitoring sample streamed from the running job to
 // AppSpector, and from AppSpector to each watching client. It carries

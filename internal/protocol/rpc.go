@@ -212,16 +212,6 @@ func CallTimeout(conn net.Conn, timeout time.Duration, reqType string, req any, 
 	return Call(conn, reqType, req, wantReply, reply)
 }
 
-// WriteFrameTimeout bounds a single frame write — used on long-lived
-// streams (telemetry) where only the send should be deadline-guarded.
-func WriteFrameTimeout(conn net.Conn, timeout time.Duration, typ string, body any) error {
-	if err := conn.SetWriteDeadline(time.Now().Add(Timeout(timeout))); err != nil {
-		return fmt.Errorf("protocol: set write deadline: %w", err)
-	}
-	defer conn.SetWriteDeadline(time.Time{})
-	return WriteFrame(conn, typ, body)
-}
-
 // DialCall is the one-shot exchange most components need: dial, one
 // deadline-bounded round trip, close.
 func DialCall(addr string, timeout time.Duration, reqType string, req any, wantReply string, reply any) error {

@@ -50,8 +50,6 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "admission control: auctions + settlements processed concurrently before new auctions are shed with a retryable OVERLOADED error (0 = unlimited)")
 	breakerThreshold := flag.Float64("breaker-threshold", 0, "circuit-breaker suspicion score that opens a daemon's breaker and skips its liveness probes (0 = breakers off)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long an open breaker waits before half-open probing (0 = library default)")
-	brownoutFsync := flag.Duration("brownout-fsync", 0, "WAL fsync latency EWMA above which the server enters brownout mode (0 = off)")
-	brownoutQueue := flag.Int("brownout-queue", 0, "WAL group-commit queue depth above which the server enters brownout mode (0 = off)")
 	mechanism := flag.String("mechanism", "", "grid default market mechanism advertised to clients at login: first-price, posted-price, or vickrey (empty = first-price)")
 	flag.Parse()
 
@@ -89,8 +87,6 @@ func main() {
 	srv.MaxInflight = *maxInflight
 	srv.BreakerThreshold = *breakerThreshold
 	srv.BreakerCooldown = *breakerCooldown
-	srv.BrownoutFsync = *brownoutFsync
-	srv.BrownoutQueue = *brownoutQueue
 	srv.DefaultMechanism = *mechanism
 	srv.GossipInterval = *gossipInterval
 	if *peers != "" && *ring != "" {
@@ -141,9 +137,6 @@ func main() {
 		srv.StartPolling(*poll)
 	}
 	srv.StartGossip()
-	if *brownoutFsync > 0 || *brownoutQueue > 0 {
-		srv.StartBrownoutMonitor(0)
-	}
 	if *stateDir != "" {
 		srv.StartSnapshots(*snapEvery)
 	}

@@ -39,7 +39,7 @@ func main() {
 	servers := flag.Int("servers", 4, "grid size (with -replay)")
 	pe := flag.Int("pe", 64, "processors per server (with -replay)")
 	sched := flag.String("scheduler", "equipartition", "fcfs, backfill, equipartition, profit (with -replay)")
-	bidder := flag.String("bidder", "baseline", "baseline, utilization, weather (with -replay)")
+	bidder := flag.String("bidder", "baseline", "baseline, utilization, weather, history (with -replay)")
 	flag.Parse()
 
 	if *genTrace != "" {
@@ -87,43 +87,25 @@ func main() {
 // runReplay drives a trace through a uniform simulated grid and prints
 // the measurement summary.
 func runReplay(tr *workload.Trace, path string, n, pe int, sched, bidder string) {
-	var factory gridsim.SchedulerFactory
-	switch strings.ToLower(sched) {
-	case "fcfs":
-		factory = func(sp machine.Spec, c scheduler.Config) scheduler.Scheduler { return scheduler.NewFCFS(sp, c) }
-	case "backfill":
-		factory = func(sp machine.Spec, c scheduler.Config) scheduler.Scheduler { return scheduler.NewBackfill(sp, c) }
-	case "equipartition":
-		factory = func(sp machine.Spec, c scheduler.Config) scheduler.Scheduler {
-			return scheduler.NewEquipartition(sp, c)
-		}
-	case "profit":
-		factory = func(sp machine.Spec, c scheduler.Config) scheduler.Scheduler { return scheduler.NewProfit(sp, c) }
-	default:
-		log.Fatalf("unknown scheduler %q", sched)
-	}
-	mkBidder := func() bidding.Generator {
-		switch strings.ToLower(bidder) {
-		case "baseline":
-			return bidding.Baseline{}
-		case "utilization":
-			return bidding.NewUtilization()
-		case "weather":
-			return bidding.NewWeather(nil) // wired to the grid by the simulator
-		default:
-			log.Fatalf("unknown bidder %q", bidder)
-			return nil
-		}
+	factory, err := scheduler.ByName(strings.ToLower(sched))
+	if err != nil {
+		log.Fatalf("-scheduler: %v", err)
 	}
 	cfg := gridsim.Config{}
 	for i := 0; i < n; i++ {
+		// A generator per server; the simulator wires weather and history
+		// ones to the grid.
+		gen, err := bidding.ByName(strings.ToLower(bidder))
+		if err != nil {
+			log.Fatalf("-bidder: %v", err)
+		}
 		cfg.Servers = append(cfg.Servers, gridsim.ServerConfig{
 			Spec: machine.Spec{
 				Name: fmt.Sprintf("s%03d", i), NumPE: pe, MemPerPE: 2048,
 				CPUType: "x86", Speed: 1, CostRate: 0.01,
 			},
 			NewScheduler: factory,
-			Bidder:       mkBidder(),
+			Bidder:       gen,
 		})
 	}
 	res, err := gridsim.Run(cfg, tr)

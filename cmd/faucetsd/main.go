@@ -61,44 +61,33 @@ func main() {
 		Speed: *speed, CostRate: *cost,
 	}
 	schedCfg := scheduler.Config{ReconfigLatency: *reconfig, Lookahead: *lookahead, Preempt: *preempt}
-	var cm scheduler.Scheduler
-	switch strings.ToLower(*sched) {
-	case "fcfs":
-		cm = scheduler.NewFCFS(spec, schedCfg)
-	case "backfill":
-		cm = scheduler.NewBackfill(spec, schedCfg)
-	case "equipartition":
-		cm = scheduler.NewEquipartition(spec, schedCfg)
-	case "profit":
-		cm = scheduler.NewProfit(spec, schedCfg)
-	default:
-		log.Fatalf("unknown scheduler %q", *sched)
+	newScheduler, err := scheduler.ByName(strings.ToLower(*sched))
+	if err != nil {
+		log.Fatalf("-scheduler: %v", err)
 	}
-	var gen bidding.Generator
+	cm := newScheduler(spec, schedCfg)
+	gen, err := bidding.ByName(strings.ToLower(*bidder))
+	if err != nil {
+		log.Fatalf("-bidder: %v", err)
+	}
 	// The weather/history sources are built before the daemon so the
 	// bidder can be handed to daemon.New; the daemon's shared RPC pool is
 	// wired into them right after construction.
 	var weatherSrc *daemon.CentralWeather
 	var historySrc *daemon.CentralHistory
-	switch strings.ToLower(*bidder) {
-	case "baseline":
-		gen = bidding.Baseline{}
-	case "utilization":
-		gen = bidding.NewUtilization()
-	case "weather":
+	switch g := gen.(type) {
+	case *bidding.Weather:
 		if *centralAddr == "" {
 			log.Fatal("the weather bidder needs -central for §5.2.1 grid reports")
 		}
 		weatherSrc = &daemon.CentralWeather{Addr: *centralAddr, Timeout: *rpcTimeout}
-		gen = bidding.NewWeather(weatherSrc)
-	case "history":
+		g.Source = weatherSrc
+	case *bidding.History:
 		if *centralAddr == "" {
 			log.Fatal("the history bidder needs -central for §5.2.1 contract history")
 		}
 		historySrc = &daemon.CentralHistory{Addr: *centralAddr, Timeout: *rpcTimeout}
-		gen = bidding.NewHistory(historySrc)
-	default:
-		log.Fatalf("unknown bidder %q", *bidder)
+		g.View = historySrc
 	}
 
 	var appList []string

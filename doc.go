@@ -6,7 +6,8 @@
 // with soft/hard-deadline payoff functions, and adaptive jobs let smart
 // schedulers shrink and expand allocations to keep machines full.
 //
-// The user-facing API lives in internal/core; runnable daemons in cmd/;
+// A live grid is booted by internal/grid and a simulated one run by
+// internal/gridsim; runnable daemons in cmd/;
 // worked examples in examples/; the experiment suite (bench harness) in
 // bench_test.go backed by internal/experiments. See README.md,
 // DESIGN.md and EXPERIMENTS.md.

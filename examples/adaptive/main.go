@@ -10,8 +10,8 @@ package main
 import (
 	"fmt"
 
-	"faucets/internal/core"
 	"faucets/internal/job"
+	"faucets/internal/machine"
 	"faucets/internal/qos"
 	"faucets/internal/scheduler"
 )
@@ -54,9 +54,9 @@ func run(name string, s scheduler.Scheduler) {
 }
 
 func main() {
-	spec := core.MachineSpec{Name: "hpc1000", NumPE: 1000, MemPerPE: 2048, CPUType: "x86", Speed: 1, CostRate: 0.01}
-	run("rigid FCFS", core.FCFS(spec, core.SchedulerConfig{}))
-	run("adaptive equipartition", core.Equipartition(spec, core.SchedulerConfig{ReconfigLatency: 10}))
+	spec := machine.Spec{Name: "hpc1000", NumPE: 1000, MemPerPE: 2048, CPUType: "x86", Speed: 1, CostRate: 0.01}
+	run("rigid FCFS", scheduler.NewFCFS(spec, scheduler.Config{}))
+	run("adaptive equipartition", scheduler.NewEquipartition(spec, scheduler.Config{ReconfigLatency: 10}))
 
 	fmt.Println("The adaptive scheduler turns 3500 seconds of waiting (and 500 idle")
 	fmt.Println("processors) into an immediate start: the exact motivation of paper §1.")

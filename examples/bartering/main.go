@@ -11,22 +11,23 @@ import (
 	"sort"
 
 	"faucets/internal/accounting"
-	"faucets/internal/core"
 	"faucets/internal/gridsim"
+	"faucets/internal/machine"
+	"faucets/internal/workload"
 )
 
 func main() {
-	spec := core.DefaultWorkload(7, 150, 2)
+	spec := workload.Default(7, 150, 2)
 	spec.MaxPE = 16
-	trace, err := core.GenerateWorkload(spec)
+	trace, err := workload.Generate(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	servers := []core.SimServer{
-		{Spec: core.MachineSpec{Name: "overloaded", NumPE: 8, MemPerPE: 2048, Speed: 1, CostRate: 0.01}},
-		{Spec: core.MachineSpec{Name: "helper-1", NumPE: 48, MemPerPE: 2048, Speed: 1, CostRate: 0.01}},
-		{Spec: core.MachineSpec{Name: "helper-2", NumPE: 48, MemPerPE: 2048, Speed: 1, CostRate: 0.01}},
+	servers := []gridsim.ServerConfig{
+		{Spec: machine.Spec{Name: "overloaded", NumPE: 8, MemPerPE: 2048, Speed: 1, CostRate: 0.01}},
+		{Spec: machine.Spec{Name: "helper-1", NumPE: 48, MemPerPE: 2048, Speed: 1, CostRate: 0.01}},
+		{Spec: machine.Spec{Name: "helper-2", NumPE: 48, MemPerPE: 2048, Speed: 1, CostRate: 0.01}},
 	}
 	// Every user calls the small cluster home.
 	homeOf := map[string]string{}
@@ -37,14 +38,14 @@ func main() {
 		lockedAccess[user] = []string{"overloaded"}
 	}
 
-	noShare, err := core.Simulate(gridsim.Config{
+	noShare, err := gridsim.Run(gridsim.Config{
 		Servers: servers, Mode: accounting.Barter,
 		HomeOf: homeOf, Access: lockedAccess,
 	}, trace)
 	if err != nil {
 		log.Fatal(err)
 	}
-	shared, err := core.Simulate(gridsim.Config{
+	shared, err := gridsim.Run(gridsim.Config{
 		Servers: servers, Mode: accounting.Barter,
 		HomeOf: homeOf, HomeFirst: true,
 		InitialCredits: map[string]float64{"overloaded": 100000},
@@ -71,7 +72,7 @@ func main() {
 	fmt.Println("can spend later — resource pooling with no money changing hands (§5.5.3).")
 }
 
-func report(res *core.SimResult) {
+func report(res *gridsim.Result) {
 	fmt.Printf("placed %d, rejected %d, mean response %.0fs, p95 %.0fs\n",
 		res.Placed, res.Rejected,
 		res.Metrics.S("response_time").Mean(),

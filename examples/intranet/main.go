@@ -13,15 +13,15 @@ package main
 import (
 	"fmt"
 
-	"faucets/internal/core"
 	"faucets/internal/job"
+	"faucets/internal/machine"
 	"faucets/internal/qos"
 	"faucets/internal/scheduler"
 )
 
 func main() {
-	spec := core.MachineSpec{Name: "corp-hpc", NumPE: 128, MemPerPE: 4096, CPUType: "x86", Speed: 1, CostRate: 0}
-	s := core.ProfitScheduler(spec, core.SchedulerConfig{Preempt: true, Lookahead: 1e9})
+	spec := machine.Spec{Name: "corp-hpc", NumPE: 128, MemPerPE: 4096, CPUType: "x86", Speed: 1, CostRate: 0}
+	s := scheduler.NewProfit(spec, scheduler.Config{Preempt: true, Lookahead: 1e9})
 
 	// Low-priority overnight batch jobs fill the machine.
 	var batch []*job.Job
@@ -76,9 +76,7 @@ func main() {
 	fmt.Printf("\nEvery batch job was checkpointed, restarted automatically, and\n")
 	fmt.Printf("completed — total checkpoints: %d. The urgent job met its deadline\n", totalCheckpoints(batch))
 	fmt.Printf("without an operator touching the queue (§5.5.4).\n")
-	if sched, ok := s.(*scheduler.Profit); ok {
-		fmt.Printf("scheduler recorded %d preemptions\n", sched.Preemptions())
-	}
+	fmt.Printf("scheduler recorded %d preemptions\n", s.Preemptions())
 }
 
 func totalCheckpoints(jobs []*job.Job) int {

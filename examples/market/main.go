@@ -11,54 +11,58 @@ import (
 	"log"
 	"sort"
 
-	"faucets/internal/core"
+	"faucets/internal/bidding"
+	"faucets/internal/gridsim"
+	"faucets/internal/machine"
+	"faucets/internal/market"
+	"faucets/internal/workload"
 )
 
-func grid(bidders map[string]core.BidGenerator) core.SimConfig {
-	var servers []core.SimServer
+func grid(bidders map[string]bidding.Generator) gridsim.Config {
+	var servers []gridsim.ServerConfig
 	names := make([]string, 0, len(bidders))
 	for name := range bidders {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		servers = append(servers, core.SimServer{
-			Spec: core.MachineSpec{
+		servers = append(servers, gridsim.ServerConfig{
+			Spec: machine.Spec{
 				Name: name, NumPE: 24, MemPerPE: 2048, CPUType: "x86",
 				Speed: 1.0, CostRate: 0.01,
 			},
 			Bidder: bidders[name],
 		})
 	}
-	return core.SimConfig{Servers: servers, Criterion: core.LeastCost}
+	return gridsim.Config{Servers: servers, Criterion: market.LeastCost{}}
 }
 
 func main() {
-	spec := core.DefaultWorkload(42, 200, 2.5)
+	spec := workload.Default(42, 200, 2.5)
 	spec.MaxPE = 24
-	trace, err := core.GenerateWorkload(spec)
+	trace, err := workload.Generate(spec)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("workload: %d jobs, %.0f total CPU-seconds, offered load %.2f on 96 PEs\n\n",
 		len(trace.Items), trace.TotalWork(), trace.OfferedLoad(96))
 
-	configs := map[string]map[string]core.BidGenerator{
+	configs := map[string]map[string]bidding.Generator{
 		"all baseline": {
-			"s1": core.BaselineBidder, "s2": core.BaselineBidder,
-			"s3": core.BaselineBidder, "s4": core.BaselineBidder,
+			"s1": bidding.Baseline{}, "s2": bidding.Baseline{},
+			"s3": bidding.Baseline{}, "s4": bidding.Baseline{},
 		},
 		"all utilization": {
-			"s1": core.UtilizationBidder(), "s2": core.UtilizationBidder(),
-			"s3": core.UtilizationBidder(), "s4": core.UtilizationBidder(),
+			"s1": bidding.NewUtilization(), "s2": bidding.NewUtilization(),
+			"s3": bidding.NewUtilization(), "s4": bidding.NewUtilization(),
 		},
 		"mixed (s1,s2 baseline / s3,s4 utilization)": {
-			"s1": core.BaselineBidder, "s2": core.BaselineBidder,
-			"s3": core.UtilizationBidder(), "s4": core.UtilizationBidder(),
+			"s1": bidding.Baseline{}, "s2": bidding.Baseline{},
+			"s3": bidding.NewUtilization(), "s4": bidding.NewUtilization(),
 		},
 	}
 	for _, label := range []string{"all baseline", "all utilization", "mixed (s1,s2 baseline / s3,s4 utilization)"} {
-		res, err := core.Simulate(grid(configs[label]), trace)
+		res, err := gridsim.Run(grid(configs[label]), trace)
 		if err != nil {
 			log.Fatal(err)
 		}

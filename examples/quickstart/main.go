@@ -9,19 +9,22 @@ import (
 	"log"
 	"time"
 
-	"faucets/internal/core"
+	"faucets/internal/grid"
+	"faucets/internal/machine"
+	"faucets/internal/market"
 	"faucets/internal/protocol"
+	"faucets/internal/qos"
 )
 
 func main() {
 	// Three Compute Servers with different sizes and prices. TimeScale
 	// 1000 compresses one virtual second into a millisecond so the demo
 	// finishes instantly.
-	sys, err := core.NewSystem([]core.ClusterSpec{
-		{Spec: core.MachineSpec{Name: "turing", NumPE: 64, MemPerPE: 2048, CPUType: "x86", Speed: 1.0, CostRate: 0.010}, Apps: []string{"synth", "namd"}},
-		{Spec: core.MachineSpec{Name: "lemieux", NumPE: 128, MemPerPE: 4096, CPUType: "alpha", Speed: 1.2, CostRate: 0.008}, Apps: []string{"synth"}},
-		{Spec: core.MachineSpec{Name: "tungsten", NumPE: 32, MemPerPE: 1024, CPUType: "x86", Speed: 0.9, CostRate: 0.020}, Apps: []string{"synth", "cfd"}},
-	}, core.SystemOptions{
+	sys, err := grid.Start([]grid.ClusterSpec{
+		{Spec: machine.Spec{Name: "turing", NumPE: 64, MemPerPE: 2048, CPUType: "x86", Speed: 1.0, CostRate: 0.010}, Apps: []string{"synth", "namd"}},
+		{Spec: machine.Spec{Name: "lemieux", NumPE: 128, MemPerPE: 4096, CPUType: "alpha", Speed: 1.2, CostRate: 0.008}, Apps: []string{"synth"}},
+		{Spec: machine.Spec{Name: "tungsten", NumPE: 32, MemPerPE: 1024, CPUType: "x86", Speed: 0.9, CostRate: 0.020}, Apps: []string{"synth", "cfd"}},
+	}, grid.Options{
 		Users:     map[string]string{"alice": "secret"},
 		TimeScale: 1000,
 	})
@@ -45,14 +48,14 @@ func main() {
 	// A QoS contract (§2.1): 4–32 processors, an hour of reference work,
 	// efficiency falling from 95% to 75% across the range, and a payoff
 	// function with soft and hard deadlines.
-	contract := &core.Contract{
+	contract := &qos.Contract{
 		App: "synth", MinPE: 4, MaxPE: 32, Work: 3600,
 		EffMin: 0.95, EffMax: 0.75,
-		Payoff: core.Payoff{Soft: 600, Hard: 1200, AtSoft: 50, AtHard: 10, Penalty: 20},
+		Payoff: qos.Payoff{Soft: 600, Hard: 1200, AtSoft: 50, AtHard: 10, Penalty: 20},
 	}
 
 	// Market selection (§5): every matching daemon bids; least cost wins.
-	p, err := cl.Place(contract, core.LeastCost)
+	p, err := cl.Place(contract, market.LeastCost{})
 	if err != nil {
 		log.Fatalf("place: %v", err)
 	}

@@ -13,7 +13,7 @@ package appspector
 import (
 	"errors"
 	"fmt"
-	"log"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -53,10 +53,10 @@ type Server struct {
 	// registered wakes watchers waiting for a registration in flight.
 	registered *sync.Cond
 
-	listener net.Listener
-	wg       sync.WaitGroup
-	closed   chan struct{}
-	conns    map[net.Conn]struct{}
+	// srv owns the listener and the FD and client connections; closed
+	// tells a watcher waiting for a registration to give up.
+	srv    *protocol.Server
+	closed chan struct{}
 
 	// MaxHistory bounds buffered samples per job (oldest dropped).
 	MaxHistory int
@@ -107,7 +107,6 @@ func NewServer(verify VerifyFunc) *Server {
 	s := &Server{
 		jobs:        map[string]*jobStream{},
 		verify:      verify,
-		conns:       map[net.Conn]struct{}{},
 		closed:      make(chan struct{}),
 		MaxHistory:  4096,
 		MaxFinished: 4096,
@@ -115,6 +114,7 @@ func NewServer(verify VerifyFunc) *Server {
 		met:         newASMetrics(reg),
 	}
 	s.registered = sync.NewCond(&s.mu)
+	s.srv = protocol.NewServer("appspector", s.dispatch, nil)
 	return s
 }
 
@@ -315,47 +315,7 @@ func (s *Server) Watchers(jobID string) int {
 }
 
 // Serve accepts connections on l until Close.
-func (s *Server) Serve(l net.Listener) {
-	s.mu.Lock()
-	s.listener = l
-	s.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if !s.isClosed() {
-				log.Printf("appspector: accept: %v", err)
-			}
-			return
-		}
-		if !s.track(conn, true) {
-			conn.Close()
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer s.track(conn, false)
-			defer conn.Close()
-			s.handle(conn)
-		}()
-	}
-}
-
-// track adds or removes a live connection. Adding fails once Close has
-// begun, for the reason central.Server.track gives.
-func (s *Server) track(conn net.Conn, add bool) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !add {
-		delete(s.conns, conn)
-		return true
-	}
-	if s.isClosed() {
-		return false
-	}
-	s.conns[conn] = struct{}{}
-	return true
-}
+func (s *Server) Serve(l net.Listener) { s.srv.Serve(l) }
 
 func (s *Server) isClosed() bool {
 	select {
@@ -375,75 +335,59 @@ func (s *Server) Close() {
 		close(s.closed)
 	}
 	s.mu.Lock()
-	l := s.listener
-	for conn := range s.conns {
-		conn.Close()
-	}
 	s.registered.Broadcast() // a watcher waiting for a registration gives up
 	s.mu.Unlock()
-	if l != nil {
-		l.Close()
-	}
-	s.wg.Wait()
+	s.srv.Close()
 }
 
-// handle serves one connection: an FD's monitor stream (registrations
-// and telemetry, both one-way) or a client watching.
-func (s *Server) handle(conn net.Conn) {
-	rc := protocol.NewReplyConn(conn)
-	fr := protocol.NewFrameReader(conn)
-	for {
-		f, err := fr.Next()
-		if err != nil {
-			return // EOF or broken pipe: connection done
+// dispatch handles one frame of an FD's monitor stream (registrations
+// and telemetry, both one-way: no reply, so a chatty job never blocks on
+// the monitor) or a client's watch request.
+func (s *Server) dispatch(rc *protocol.ReplyConn, f protocol.Frame) error {
+	switch f.Type {
+	case protocol.TypeASRegisterReq:
+		var req protocol.ASRegisterReq
+		if err := protocol.Decode(f, f.Type, &req); err != nil {
+			return err
 		}
-		rc.SetID(f.ID)
-		switch f.Type {
-		case protocol.TypeASRegisterReq:
-			var req protocol.ASRegisterReq
-			if err := protocol.Decode(f, f.Type, &req); err != nil {
-				_ = protocol.WriteError(rc, err.Error())
-				continue
-			}
-			s.Register(req.JobID, req.Owner, req.Server, req.App)
+		s.Register(req.JobID, req.Owner, req.Server, req.App)
+		return nil
 
-		case protocol.TypeTelemetry:
-			var t protocol.Telemetry
-			if err := protocol.Decode(f, f.Type, &t); err != nil {
-				_ = protocol.WriteError(rc, err.Error())
-				continue
-			}
-			// The stream is fire-and-forget: no reply, so a chatty job
-			// never blocks on the monitor.
-			_ = s.Ingest(t)
-
-		case protocol.TypeWatchReq:
-			var req protocol.WatchReq
-			if err := protocol.Decode(f, f.Type, &req); err != nil {
-				_ = protocol.WriteError(rc, err.Error())
-				return
-			}
-			s.serveWatch(conn, req)
-			return // watch owns the rest of the connection
-
-		default:
-			_ = protocol.WriteError(rc, "appspector: unsupported frame "+f.Type)
+	case protocol.TypeTelemetry:
+		var t protocol.Telemetry
+		if err := protocol.Decode(f, f.Type, &t); err != nil {
+			return err
 		}
+		_ = s.Ingest(t) // a sample for an unknown job is counted, not answered
+		return nil
+
+	case protocol.TypeWatchReq:
+		var req protocol.WatchReq
+		if err := protocol.Decode(f, f.Type, &req); err != nil {
+			return err
+		}
+		// The watch owns the rest of the connection. Its frames go out
+		// unstamped: a watch request carries no ID to echo.
+		s.serveWatch(rc.ReadWriter, req)
+		return protocol.ErrConnDone
+
+	default:
+		return fmt.Errorf("appspector: unsupported frame %s", f.Type)
 	}
 }
 
 // serveWatch streams history and live telemetry to one client.
-func (s *Server) serveWatch(conn net.Conn, req protocol.WatchReq) {
+func (s *Server) serveWatch(conn io.Writer, req protocol.WatchReq) {
 	if s.verify != nil {
 		if _, err := s.verify(req.Token); err != nil {
-			_ = protocol.WriteError(conn, "appspector: "+err.Error())
+			_ = protocol.WriteErrorFrom(conn, fmt.Errorf("appspector: %w", err))
 			return
 		}
 	}
 	s.met.watchReq.Inc()
 	hist, live, err := s.subscribe(req.JobID, req.FromStart)
 	if err != nil {
-		_ = protocol.WriteError(conn, err.Error())
+		_ = protocol.WriteErrorFrom(conn, err)
 		return
 	}
 	if live != nil {

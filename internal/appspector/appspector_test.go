@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -255,15 +256,13 @@ func (l *lateListener) Addr() net.Addr { return &net.TCPAddr{} }
 // TestTrackRefusesAfterClose: a connection accepted after Close has
 // begun must be refused and closed by the accept loop, never handed to
 // a handler that Close would then wait on for as long as the peer kept
-// the connection busy.
+// the connection busy (the rule is protocol.Server's; this pins that
+// the monitor's Close reaches it).
 func TestTrackRefusesAfterClose(t *testing.T) {
 	s := NewServer(nil)
 	s.Close()
 	ours, theirs := net.Pipe()
 	defer theirs.Close()
-	if s.track(ours, true) {
-		t.Fatal("track accepted a connection after Close")
-	}
 	s.Serve(&lateListener{conn: ours})
 	_ = theirs.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := theirs.Read(make([]byte, 1)); err != io.EOF {
@@ -477,5 +476,89 @@ func BenchmarkRegisterIngest(b *testing.B) {
 				job(id)
 			}
 		})
+	}
+}
+
+// failingListener fails its first Accepts, then delegates.
+type failingListener struct {
+	net.Listener
+	failures atomic.Int32
+}
+
+func (l *failingListener) Accept() (net.Conn, error) {
+	if l.failures.Add(-1) >= 0 {
+		return nil, errors.New("accept: too many open files")
+	}
+	return l.Listener.Accept()
+}
+
+// TestServeSurvivesTransientAcceptErrors: one EMFILE must not end
+// monitoring for the life of the process. AppSpector rides out a burst
+// of accept failures like the other two servers, backing off between
+// them (5+10+20 ms for three).
+func TestServeSurvivesTransientAcceptErrors(t *testing.T) {
+	s := NewServer(nil)
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := &failingListener{Listener: inner}
+	fl.failures.Store(3)
+	start := time.Now()
+	done := make(chan struct{})
+	go func() {
+		s.Serve(fl)
+		close(done)
+	}()
+	t.Cleanup(s.Close)
+
+	conn, err := net.Dial("tcp", inner.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := protocol.WriteFrame(conn, protocol.TypeASRegisterReq, protocol.ASRegisterReq{JobID: "j1", Owner: "alice"}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, _, err := s.Snapshot("j1"); err == nil {
+			break
+		}
+		select {
+		case <-done:
+			t.Fatalf("Serve returned %v after the first accept error", time.Since(start))
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("registration never served after transient accept errors")
+		}
+	}
+	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
+		t.Fatalf("recovered in %v from 3 accept failures: the loop is spinning, not backing off", elapsed)
+	}
+}
+
+// TestCloseBeforeServe: a Serve that starts after Close must not accept
+// on behalf of a server that is gone.
+func TestCloseBeforeServe(t *testing.T) {
+	s := NewServer(nil)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	s.Close()
+	done := make(chan struct{})
+	go func() {
+		s.Serve(l)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("Serve still accepting 1s after a Close that preceded it")
+	}
+	if _, err := l.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("listener left open: Accept err = %v", err)
 	}
 }

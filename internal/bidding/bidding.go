@@ -81,6 +81,24 @@ type Generator interface {
 	Multiplier(now float64, c *qos.Contract, st ServerState) (m float64, ok bool)
 }
 
+// ByName returns a fresh generator of the named strategy; the empty name
+// means baseline. Weather and history come without a source: the caller
+// sets Weather.Source / History.View (gridsim wires a nil one to the
+// simulated grid itself).
+func ByName(name string) (Generator, error) {
+	switch name {
+	case "", "baseline":
+		return Baseline{}, nil
+	case "utilization":
+		return NewUtilization(), nil
+	case "weather":
+		return NewWeather(nil), nil
+	case "history":
+		return NewHistory(nil), nil
+	}
+	return nil, fmt.Errorf("unknown bidder %q (want baseline, utilization, weather or history)", name)
+}
+
 // Price converts a multiplier into the quoted Dollar amount, exactly as
 // the paper prescribes: CPU-seconds needed for the job × normalized cost
 // × multiplier. The CPU-seconds are computed at the job's maximum

@@ -2,6 +2,7 @@ package bidding
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -231,5 +232,30 @@ func TestMakeClampsNegativeMultiplier(t *testing.T) {
 	b, ok := Make(negativeGen{}, "t", 0, contract(), idle(), 30)
 	if !ok || b.Price != 0 || b.Multiplier != 0 {
 		t.Fatalf("negative multiplier not clamped: %+v", b)
+	}
+}
+
+// TestByName: every strategy name resolves to a fresh generator of that
+// name, the empty name to baseline; weather and history come unwired.
+func TestByName(t *testing.T) {
+	for name, want := range map[string]string{
+		"": "baseline", "baseline": "baseline", "utilization": "utilization",
+		"weather": "weather", "history": "history",
+	} {
+		g, err := ByName(name)
+		if err != nil || g.Name() != want {
+			t.Fatalf("%q: generator %v, err %v; want %s", name, g, err, want)
+		}
+	}
+	a, _ := ByName("weather")
+	b, _ := ByName("weather")
+	if a == b || a.(*Weather).Source != nil {
+		t.Fatal("weather generators must be fresh and come without a source")
+	}
+	if h, _ := ByName("history"); h.(*History).View != nil {
+		t.Fatal("history generator must come without a view")
+	}
+	if _, err := ByName("oracle"); err == nil || !strings.Contains(err.Error(), "utilization") {
+		t.Fatalf("unknown name: err = %v, want one naming the valid strategies", err)
 	}
 }

@@ -56,8 +56,6 @@ type srvMetrics struct {
 	daemonsTotal  *telemetry.Gauge
 	shedInflight  *telemetry.Counter // admission rejections: in-flight budget exhausted
 	shedDeadline  *telemetry.Counter // admission rejections: hard deadline already unmeetable
-	brownoutOn    *telemetry.Gauge   // 1 while browned out
-	brownoutTrans *telemetry.Counter // brownout entries + exits
 	probeSkips    *telemetry.Counter // liveness probes skipped on an OPEN breaker
 	gossipSent    *telemetry.Counter // digests served to pulling peers
 	gossipRecv    *telemetry.Counter // digests pulled from peers and cached
@@ -79,8 +77,6 @@ func newSrvMetrics(reg *telemetry.Registry) *srvMetrics {
 		daemonsTotal:  reg.Gauge("faucets_central_daemons_registered", "Directory entries, alive or not."),
 		shedInflight:  reg.Counter("faucets_central_shed_total", "Requests shed by admission control.", telemetry.L("reason", "inflight")),
 		shedDeadline:  reg.Counter("faucets_central_shed_total", "Requests shed by admission control.", telemetry.L("reason", "deadline")),
-		brownoutOn:    reg.Gauge("faucets_central_brownout", "1 while the server is serving in brownout (degraded-freshness) mode."),
-		brownoutTrans: reg.Counter("faucets_central_brownout_transitions_total", "Brownout mode entries and exits."),
 		probeSkips:    reg.Counter("faucets_central_probe_breaker_skips_total", "Liveness probes skipped because the daemon's circuit breaker was open."),
 		gossipSent:    reg.Counter("faucets_central_gossip_sent_total", "Liveness/weather digests served to peer Central Servers."),
 		gossipRecv:    reg.Counter("faucets_central_gossip_received_total", "Liveness/weather digests pulled from peer Central Servers and cached."),
@@ -133,10 +129,11 @@ type Server struct {
 	weatherOK  bool
 	weatherRep weather.Report
 
-	listener net.Listener
-	wg       sync.WaitGroup
-	closed   chan struct{}
-	conns    map[net.Conn]struct{}
+	// srv owns the listener and the client and daemon connections;
+	// closed and wg cover the pollers, gossip and snapshot loops.
+	srv    *protocol.Server
+	wg     sync.WaitGroup
+	closed chan struct{}
 
 	// DeadAfter is how long a daemon may go unpolled/unseen before the
 	// directory marks it unavailable.
@@ -194,15 +191,6 @@ type Server struct {
 	BreakerCooldown  time.Duration
 	probeOnce        sync.Once
 	probes           *health.Set
-
-	// BrownoutFsync and BrownoutQueue are the db-pressure thresholds the
-	// brownout monitor compares against (see StartBrownoutMonitor);
-	// brownout state itself lives below.
-	BrownoutFsync time.Duration
-	BrownoutQueue int
-	brownout      atomic.Bool
-	brownoutMu    sync.Mutex    // serializes enter/exit transitions
-	savedWindow   time.Duration // group-commit window to restore on exit
 
 	peerOnce sync.Once
 	peerPool *protocol.Pool
@@ -280,7 +268,7 @@ func NewWithDB(mode accounting.Mode, store *db.DB) *Server {
 		recs[i], recs[j] = recs[j], recs[i]
 	}
 	wagg.Seed(recs)
-	return &Server{
+	s := &Server{
 		Auth:         auth.New(24 * time.Hour),
 		DB:           store,
 		Acct:         accounting.New(mode, store),
@@ -290,7 +278,6 @@ func NewWithDB(mode accounting.Mode, store *db.DB) *Server {
 		dirtySettles: map[string]bool{},
 		remotes:      map[string]remoteDigest{},
 		wagg:         wagg,
-		conns:        map[net.Conn]struct{}{},
 		closed:       make(chan struct{}),
 		DeadAfter:    30 * time.Second,
 		Dial: func(addr string) (net.Conn, error) {
@@ -300,6 +287,10 @@ func NewWithDB(mode accounting.Mode, store *db.DB) *Server {
 		PollConcurrency: 32,
 		RPCTimeout:      protocol.DefaultCallTimeout,
 	}
+	// Each handled request is observed into the per-type RPC latency and
+	// error instruments, so a scrape shows what the server spends time on.
+	s.srv = protocol.NewServer("central", s.dispatch, s.rpc)
+	return s
 }
 
 // RegisterDaemon records (or refreshes) a daemon's directory entry.
@@ -546,16 +537,6 @@ func (s *Server) Weather() weather.Report {
 		s.weatherMu.Unlock()
 		return r
 	}
-	if s.Brownout() && !s.weatherAt.IsZero() && now.Sub(s.weatherAt) <= ttl*brownoutWeatherFactor {
-		// Brownout: serve the last computed report even though an
-		// invalidation or the TTL expired it. Weather is advisory pricing
-		// input (§5.2.1) — staleness degrades bid quality, not
-		// correctness — and skipping the fleet scan sheds read load while
-		// the durability layer is drowning.
-		r := s.weatherRep
-		s.weatherMu.Unlock()
-		return r
-	}
 	s.weatherMu.Unlock()
 
 	servers, used, total := s.fleetScan()
@@ -709,77 +690,8 @@ func (s *Server) compactTimed() error {
 	return err
 }
 
-// Serve accepts client and daemon connections until Close. Transient
-// accept failures (e.g. EMFILE under descriptor pressure) are retried
-// with a capped backoff instead of silently killing the accept loop
-// while the process lives on; only closing the server ends it.
-func (s *Server) Serve(l net.Listener) {
-	s.mu.Lock()
-	s.listener = l
-	s.mu.Unlock()
-	var backoff time.Duration
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			select {
-			case <-s.closed:
-				return
-			default:
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			if backoff == 0 {
-				backoff = 5 * time.Millisecond
-			} else if backoff *= 2; backoff > time.Second {
-				backoff = time.Second
-			}
-			log.Printf("central: accept: %v (retrying in %v)", err, backoff)
-			// A stopped timer (not time.After) so a shutdown mid-backoff
-			// does not leak the timer until it fires.
-			wait := time.NewTimer(backoff)
-			select {
-			case <-s.closed:
-				wait.Stop()
-				return
-			case <-wait.C:
-			}
-			continue
-		}
-		backoff = 0
-		if !s.track(conn, true) {
-			conn.Close()
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer s.track(conn, false)
-			defer conn.Close()
-			s.handle(conn)
-		}()
-	}
-}
-
-// track adds or removes a live connection. Adding fails once Close has
-// begun: a connection accepted while Close was severing the others
-// would never be severed itself, and its handler would hold Close in
-// wg.Wait for as long as the peer kept the connection busy.
-func (s *Server) track(conn net.Conn, add bool) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !add {
-		delete(s.conns, conn)
-		return true
-	}
-	select {
-	case <-s.closed:
-		return false
-	default:
-	}
-	s.conns[conn] = struct{}{}
-	return true
-}
+// Serve accepts client and daemon connections on l until Close.
+func (s *Server) Serve(l net.Listener) { s.srv.Serve(l) }
 
 // Close shuts the server down, severing live connections, and waits for
 // handlers and pollers.
@@ -789,45 +701,17 @@ func (s *Server) Close() {
 	default:
 		close(s.closed)
 	}
-	s.mu.Lock()
-	l := s.listener
-	for conn := range s.conns {
-		conn.Close()
-	}
-	s.mu.Unlock()
-	if l != nil {
-		l.Close()
-	}
+	// The pools first: a handler blocked in a call to a peer that never
+	// answers is ended by closing the pool, and srv.Close waits for
+	// handlers.
 	s.peerRPC().Close()
 	s.pollRPC().Close()
+	s.srv.Close()
 	s.wg.Wait()
 }
 
 // errAuth is the uniform authentication failure sent to clients.
 var errAuth = errors.New("central: authentication failed")
-
-// handle dispatches frames on one connection until it closes. Each
-// handled request is observed into the per-type RPC latency/error
-// instruments, so a scrape shows what the server spends its time on.
-// Replies echo the request's frame ID, so pooled callers can pipeline
-// multiple in-flight requests over this connection.
-func (s *Server) handle(conn net.Conn) {
-	rc := protocol.NewReplyConn(conn)
-	fr := protocol.NewFrameReader(conn)
-	for {
-		f, err := fr.Next()
-		if err != nil {
-			return
-		}
-		rc.SetID(f.ID)
-		start := time.Now()
-		derr := s.dispatch(rc, f)
-		s.rpc.ObserveRPC(f.Type, time.Since(start), derr)
-		if derr != nil {
-			_ = protocol.WriteErrorFrom(rc, derr)
-		}
-	}
-}
 
 func (s *Server) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 	switch f.Type {

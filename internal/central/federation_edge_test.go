@@ -15,8 +15,8 @@ import (
 
 // TestDirectoryReadNeverDialsPeers: the only peer is a listener that
 // accepts and never answers, and a pull from it is hanging in the
-// background. Directory and weather reads — browned out or not — answer
-// from the local view at once: no read path waits on a peer.
+// background. Directory and weather reads answer from the local view at
+// once: no read path waits on a peer.
 func TestDirectoryReadNeverDialsPeers(t *testing.T) {
 	s := New(accounting.Dollars)
 	defer s.Close()
@@ -27,17 +27,14 @@ func TestDirectoryReadNeverDialsPeers(t *testing.T) {
 	s.SetPeers([]string{hungListener(t)})
 	s.StartGossip()
 
-	for _, brownout := range []bool{false, true, false} {
-		s.SetBrownout(brownout)
-		start := time.Now()
-		out := s.FederatedServers(nil)
-		w := s.Weather()
-		if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
-			t.Fatalf("brownout=%v: read took %v, a peer was waited on", brownout, elapsed)
-		}
-		if len(out) != 1 || out[0].Spec.Name != "local" || w.Servers != 1 {
-			t.Fatalf("brownout=%v: directory = %v, weather = %+v, want the local view", brownout, out, w)
-		}
+	start := time.Now()
+	out := s.FederatedServers(nil)
+	w := s.Weather()
+	if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
+		t.Fatalf("read took %v, a peer was waited on", elapsed)
+	}
+	if len(out) != 1 || out[0].Spec.Name != "local" || w.Servers != 1 {
+		t.Fatalf("directory = %v, weather = %+v, want the local view", out, w)
 	}
 }
 

@@ -266,3 +266,57 @@ func TestPollOnceHungDaemonsDoNotSerialize(t *testing.T) {
 		t.Fatalf("live=%v", live)
 	}
 }
+
+// TestCloseBeforeServe: a Serve that starts after Close must not accept
+// on behalf of a server that is gone (the accept loop itself is tested
+// in internal/protocol).
+func TestCloseBeforeServe(t *testing.T) {
+	s := New(accounting.Dollars)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	s.Close()
+	done := make(chan struct{})
+	go func() {
+		s.Serve(l)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("Serve still accepting 1s after a Close that preceded it")
+	}
+	if _, err := l.Accept(); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("listener left open: Accept err = %v", err)
+	}
+}
+
+// TestCloseDoesNotWaitOutAHungPeer: a handler blocked in a call to a
+// peer that never answers must not hold Close for the RPC timeout —
+// closing the peer pool is what ends that call.
+func TestCloseDoesNotWaitOutAHungPeer(t *testing.T) {
+	s := New(accounting.Dollars)
+	s.SetPeers([]string{hungListener(t)})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(l)
+	conn := dial(t, l.Addr().String())
+	// A token this server never issued: the handler asks the peer.
+	if err := protocol.WriteFrame(conn, protocol.TypeVerifyReq, protocol.VerifyReq{User: "mallory", Token: "nope"}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); s.peerRPC().OpenConns() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("handler never reached the peer")
+		}
+	}
+	start := time.Now()
+	s.Close()
+	if elapsed := time.Since(start); elapsed > s.RPCTimeout/2 {
+		t.Fatalf("Close took %v: it waited out the hung peer's timeout", elapsed)
+	}
+}

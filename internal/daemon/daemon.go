@@ -187,10 +187,12 @@ type Daemon struct {
 
 	Stage *stage.Store
 
-	listener net.Listener
-	wg       sync.WaitGroup
-	closed   chan struct{}
-	conns    map[net.Conn]struct{}
+	// srv owns the listener, the client connections and — so that Close
+	// severs it too — the outbound monitor stream; closed and wg cover
+	// the run, register and monitor loops.
+	srv    *protocol.Server
+	wg     sync.WaitGroup
+	closed chan struct{}
 }
 
 // New validates the config and returns a daemon (not yet serving).
@@ -237,7 +239,6 @@ func New(cfg Config) (*Daemon, error) {
 		prices:      map[string]float64{},
 		reserved:    map[string]*reservation{},
 		settledIDs:  map[string]bool{},
-		conns:       map[net.Conn]struct{}{},
 		Stage:       stage.NewStore(),
 		closed:      make(chan struct{}),
 		kick:        make(chan struct{}, 1),
@@ -245,6 +246,8 @@ func New(cfg Config) (*Daemon, error) {
 		met:         newFDMetrics(cfg.Metrics),
 		rpc:         telemetry.NewRPCMetrics(cfg.Metrics, "daemon"),
 	}
+	// No observer: a bid's path reads no clock for the server's sake.
+	d.srv = protocol.NewServer("daemon "+cfg.Info.Spec.Name, d.dispatch, nil)
 	if cfg.VerifyCacheTTL > 0 {
 		d.verifyCache = map[string]time.Time{}
 	}
@@ -338,9 +341,6 @@ func (d *Daemon) Name() string { return d.cfg.Info.Spec.Name }
 // Start begins serving on l, registers with the Central Server, and
 // launches the execution loop.
 func (d *Daemon) Start(l net.Listener) error {
-	d.mu.Lock()
-	d.listener = l
-	d.mu.Unlock()
 	if d.cfg.Info.Addr == "" {
 		d.cfg.Info.Addr = l.Addr().String()
 	}
@@ -355,7 +355,9 @@ func (d *Daemon) Start(l net.Listener) error {
 	d.wg.Add(2)
 	go func() {
 		defer d.wg.Done()
-		d.serve(l)
+		// A Close that runs before Serve has taken l cannot close it;
+		// Serve then does, and Close waits for that through d.wg.
+		d.srv.Serve(l)
 	}()
 	go func() {
 		defer d.wg.Done()
@@ -395,24 +397,6 @@ func (d *Daemon) registerLoop() {
 	}
 }
 
-// track adds or removes a live connection. Adding fails once Close has
-// begun, for the reason central.Server.track gives.
-func (d *Daemon) track(conn net.Conn, add bool) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !add {
-		delete(d.conns, conn)
-		return true
-	}
-	select {
-	case <-d.closed:
-		return false
-	default:
-	}
-	d.conns[conn] = struct{}{}
-	return true
-}
-
 // Close stops the daemon, severing live connections, and waits for its
 // goroutines.
 func (d *Daemon) Close() {
@@ -421,15 +405,7 @@ func (d *Daemon) Close() {
 	default:
 		close(d.closed)
 	}
-	d.mu.Lock()
-	l := d.listener
-	for conn := range d.conns {
-		conn.Close()
-	}
-	d.mu.Unlock()
-	if l != nil {
-		l.Close()
-	}
+	d.srv.Close()
 	d.wg.Wait()
 	// Last chance to deliver queued settlements (grid.Close stops
 	// daemons before the Central Server for exactly this reason).
@@ -864,8 +840,8 @@ func (d *Daemon) announce(id, owner, app string) {
 // monitorLoop is the stream's one writer: it takes everything queued,
 // dials AppSpector if the stream is down, and sends the batch in one
 // write. A batch the monitor cannot be handed is dropped and counted;
-// the next one redials. Close severs the connection with the rest of
-// d.conns, which is what ends a write to a monitor that stopped reading.
+// the next one redials. Close severs the connection with the ones d.srv
+// accepted, which is what ends a write to a monitor that stopped reading.
 func (d *Daemon) monitorLoop() {
 	var conn net.Conn
 	var batch []byte
@@ -885,7 +861,7 @@ func (d *Daemon) monitorLoop() {
 		}
 		if conn == nil {
 			c, err := protocol.Dial(d.cfg.AppSpectorAddr, d.cfg.RPCTimeout)
-			if err == nil && d.track(c, true) {
+			if err == nil && d.srv.Track(c) {
 				conn = c
 			} else if err == nil {
 				c.Close() // the daemon is closing
@@ -896,78 +872,11 @@ func (d *Daemon) monitorLoop() {
 			if _, err := conn.Write(batch); err == nil {
 				continue
 			}
-			d.track(conn, false)
+			d.srv.Untrack(conn)
 			conn.Close()
 			conn = nil
 		}
 		d.met.monitorDrops.Add(uint64(frames))
-	}
-}
-
-// serve accepts connections until Close, riding out transient accept
-// failures with a capped backoff (same policy as central.Serve).
-func (d *Daemon) serve(l net.Listener) {
-	var backoff time.Duration
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			select {
-			case <-d.closed:
-				return
-			default:
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			if backoff == 0 {
-				backoff = 5 * time.Millisecond
-			} else if backoff *= 2; backoff > time.Second {
-				backoff = time.Second
-			}
-			log.Printf("daemon %s: accept: %v (retrying in %v)", d.Name(), err, backoff)
-			// time.NewTimer, not time.After: a timer abandoned on the
-			// shutdown branch is stopped and freed immediately instead
-			// of leaking until it fires.
-			retry := time.NewTimer(backoff)
-			select {
-			case <-d.closed:
-				retry.Stop()
-				return
-			case <-retry.C:
-			}
-			continue
-		}
-		backoff = 0
-		if !d.track(conn, true) {
-			conn.Close()
-			return
-		}
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			defer d.track(conn, false)
-			defer conn.Close()
-			d.handle(conn)
-		}()
-	}
-}
-
-// handle serves one connection; replies echo the request's frame ID so
-// pooled clients can pipeline multiple in-flight requests. The
-// FrameReader reuses one payload buffer — safe because dispatch fully
-// consumes each frame before the next read.
-func (d *Daemon) handle(conn net.Conn) {
-	rc := protocol.NewReplyConn(conn)
-	fr := protocol.NewFrameReader(conn)
-	for {
-		f, err := fr.Next()
-		if err != nil {
-			return
-		}
-		rc.SetID(f.ID)
-		if err := d.dispatch(rc, f); err != nil {
-			_ = protocol.WriteError(rc, err.Error())
-		}
 	}
 }
 

@@ -377,21 +377,36 @@ func (l *lateListener) Accept() (net.Conn, error) {
 func (l *lateListener) Close() error   { return nil }
 func (l *lateListener) Addr() net.Addr { return &net.TCPAddr{} }
 
-// TestTrackRefusesAfterClose: a connection accepted after Close has
-// begun must be refused and closed by the accept loop, never handed to
-// a handler that Close would then wait on for as long as the peer kept
-// the connection busy.
+// TestTrackRefusesAfterClose: once the daemon is closed, neither a
+// connection a listener still hands out nor an outbound one the monitor
+// loop dials is taken on — Close would never sever it (the rule is
+// protocol.Server's; this pins that the daemon's Close reaches it).
 func TestTrackRefusesAfterClose(t *testing.T) {
 	d, _ := startDaemon(t, Config{})
 	d.Close()
 	ours, theirs := net.Pipe()
 	defer theirs.Close()
-	if d.track(ours, true) {
-		t.Fatal("track accepted a connection after Close")
+	if d.srv.Track(ours) {
+		t.Fatal("Track accepted a connection after Close")
 	}
-	d.serve(&lateListener{conn: ours})
+	d.srv.Serve(&lateListener{conn: ours})
 	_ = theirs.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := theirs.Read(make([]byte, 1)); err != io.EOF {
 		t.Fatalf("late connection not closed by the accept loop: read err = %v, want EOF", err)
+	}
+}
+
+// TestCloseRightAfterStartClosesListener: Close may run before the
+// accept loop has stored the listener Start handed it; the listener is
+// closed all the same by the time Close returns, and nothing dialing
+// the address is served by a daemon that is gone.
+func TestCloseRightAfterStartClosesListener(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		d, addr := startDaemon(t, Config{})
+		d.Close()
+		if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+			conn.Close()
+			t.Fatalf("round %d: listener still accepting after Close", i)
+		}
 	}
 }

@@ -19,13 +19,14 @@
 // settlement whose ack was lost in the crash can never double-charge.
 //
 // Like the db WAL, replay stops at the first corrupt line and truncates
-// the torn tail; recovery then rewrites the journal compacted to only
-// the live records.
+// the torn tail (internal/jsonl does both, for both); recovery then
+// rewrites the journal compacted to only the live records.
 //
 // Unlike the db WAL, append does not fsync: a record is one write(), so
 // it survives the daemon process dying (the kernel holds it) but not the
-// host losing power before writeback. Only rewrite syncs. An fsync per
-// record would add a disk flush to each of a trip's three appends.
+// host losing power before writeback. Only rewrite syncs (the file and,
+// after the rename, its directory). An fsync per record would add a disk
+// flush to each of a trip's three appends.
 package daemon
 
 import (
@@ -37,6 +38,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"faucets/internal/jsonl"
 	"faucets/internal/protocol"
 	"faucets/internal/qos"
 )
@@ -74,36 +76,15 @@ func openJournal(path string) (*journal, []journalRecord, error) {
 		return nil, nil, fmt.Errorf("daemon: journal dir: %w", err)
 	}
 	var recs []journalRecord
-	if blob, err := os.ReadFile(path); err == nil {
-		valid := 0
-		for off := 0; off < len(blob); {
-			nl := bytes.IndexByte(blob[off:], '\n')
-			end := len(blob)
-			if nl >= 0 {
-				end = off + nl
-			}
-			line := bytes.TrimSpace(blob[off:end])
-			if len(line) > 0 {
-				var rec journalRecord
-				if err := json.Unmarshal(line, &rec); err != nil || rec.Op == "" {
-					break // torn tail: keep the intact prefix only
-				}
-				recs = append(recs, rec)
-			}
-			if nl < 0 {
-				valid = len(blob)
-				break
-			}
-			off = end + 1
-			valid = off
+	err := jsonl.Replay(path, func(line []byte) bool {
+		var rec journalRecord
+		if err := json.Unmarshal(line, &rec); err != nil || rec.Op == "" {
+			return false // torn tail: keep the intact prefix only
 		}
-		if valid < len(blob) {
-			log.Printf("daemon: journal %s: dropping %d bytes of torn tail", path, len(blob)-valid)
-			if err := os.Truncate(path, int64(valid)); err != nil {
-				return nil, nil, fmt.Errorf("daemon: truncate torn journal: %w", err)
-			}
-		}
-	} else if !os.IsNotExist(err) {
+		recs = append(recs, rec)
+		return true
+	})
+	if err != nil {
 		return nil, nil, fmt.Errorf("daemon: read journal: %w", err)
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
@@ -135,9 +116,8 @@ func (j *journal) append(rec journalRecord) {
 	}
 }
 
-// rewrite replaces the journal contents with recs, atomically (temp file
-// + rename), and reopens for appending — compaction after recovery or at
-// shutdown.
+// rewrite replaces the journal contents with recs, atomically, and
+// reopens for appending — compaction after recovery or at shutdown.
 func (j *journal) rewrite(recs []journalRecord) error {
 	if j == nil {
 		return nil
@@ -153,29 +133,8 @@ func (j *journal) rewrite(recs []journalRecord) error {
 		buf.Write(blob)
 		buf.WriteByte('\n')
 	}
-	dir := filepath.Dir(j.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(j.path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("daemon: journal temp: %w", err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("daemon: journal write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("daemon: journal sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("daemon: journal close: %w", err)
-	}
-	if err := os.Rename(name, j.path); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("daemon: journal rename: %w", err)
+	if err := jsonl.ReplaceFile(j.path, buf.Bytes()); err != nil {
+		return fmt.Errorf("daemon: journal rewrite: %w", err)
 	}
 	if j.f != nil {
 		j.f.Close()

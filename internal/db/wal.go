@@ -15,21 +15,22 @@
 // crash mid-append) and truncates the file back to the last intact
 // record before appending resumes.
 //
-// Compaction folds the WAL into a fresh snapshot: the snapshot is
-// written to a temporary file in the same directory and renamed over the
-// target (atomic on POSIX), and only then is the WAL truncated.
+// Compaction folds the WAL into a fresh snapshot: the snapshot replaces
+// the old one atomically, and only then is the WAL truncated. The
+// torn-tail scan and the atomic replace are internal/jsonl's, shared
+// with the daemon journal.
 package db
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"faucets/internal/jsonl"
 )
 
 // WAL operation codes.
@@ -97,11 +98,6 @@ type walWriter struct {
 	// Metric hooks (nil until DB.Instrument wires them).
 	onSync func(records int) // after each successful group fsync
 	onErr  func(records int) // records whose durability failed
-
-	// syncEWMA is the smoothed duration of recent group fsyncs in
-	// nanoseconds, the brownout monitor's pressure signal. Written by
-	// the single active flush leader, read lock-free by Pressure.
-	syncEWMA atomic.Int64
 
 	// Fault-injection seam for chaos tests: the next failN flush passes
 	// fail with failErr before touching the file — the shape a full
@@ -196,9 +192,7 @@ func (w *walWriter) flushLocked() {
 		if inject != nil {
 			err = inject
 		} else {
-			start := time.Now()
 			err = w.writeAndSync(blob)
-			w.observeSync(time.Since(start))
 		}
 		if err != nil {
 			log.Printf("db: wal group commit (%d records): %v", n, err)
@@ -259,18 +253,6 @@ func (w *walWriter) reset() error {
 	return nil
 }
 
-// observeSync folds one group commit's duration into the pressure
-// EWMA (weight 1/4 — responsive enough to catch a sick disk within a
-// few commits, smooth enough to shrug off one outlier).
-func (w *walWriter) observeSync(d time.Duration) {
-	old := w.syncEWMA.Load()
-	if old == 0 {
-		w.syncEWMA.Store(int64(d))
-		return
-	}
-	w.syncEWMA.Store(old - old/4 + int64(d)/4)
-}
-
 func (w *walWriter) sync() error  { return w.f.Sync() }
 func (w *walWriter) close() error { return w.f.Close() }
 
@@ -299,8 +281,22 @@ func Open(stateDir string) (*DB, error) {
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("db: read snapshot: %w", err)
 	}
-	if err := d.replayWAL(walFile(stateDir)); err != nil {
-		return nil, err
+	// Apply every intact post-snapshot record; Replay stops at the first
+	// line that is not one and drops the torn tail, so a crash mid-append
+	// cannot wedge recovery.
+	err := jsonl.Replay(walFile(stateDir), func(line []byte) bool {
+		var rec walRecord
+		if err := json.Unmarshal(line, &rec); err != nil || rec.Op == "" {
+			return false
+		}
+		if rec.Seq > d.seq {
+			d.applyMemLocked(rec)
+			d.seq = rec.Seq
+		}
+		return true
+	})
+	if err != nil {
+		return nil, fmt.Errorf("db: replay wal: %w", err)
 	}
 	w, err := openWALWriter(walFile(stateDir))
 	if err != nil {
@@ -308,52 +304,6 @@ func Open(stateDir string) (*DB, error) {
 	}
 	d.wal = w
 	return d, nil
-}
-
-// replayWAL applies every intact post-snapshot record and truncates the
-// file back to the last intact line, so a torn tail from a crash
-// mid-append is dropped rather than wedging recovery.
-func (d *DB) replayWAL(path string) error {
-	blob, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("db: read wal: %w", err)
-	}
-	valid := 0
-	for off := 0; off < len(blob); {
-		nl := bytes.IndexByte(blob[off:], '\n')
-		end := len(blob)
-		if nl >= 0 {
-			end = off + nl
-		}
-		line := bytes.TrimSpace(blob[off:end])
-		if len(line) > 0 {
-			var rec walRecord
-			if err := json.Unmarshal(line, &rec); err != nil || rec.Op == "" {
-				break // corrupt tail: replay stops at the first bad line
-			}
-			if rec.Seq > d.seq {
-				d.applyMemLocked(rec)
-				d.seq = rec.Seq
-			}
-		}
-		if nl < 0 {
-			// A final line without a newline parsed cleanly — keep it.
-			valid = len(blob)
-			break
-		}
-		off = end + 1
-		valid = off
-	}
-	if valid < len(blob) {
-		log.Printf("db: wal %s: dropping %d bytes of torn tail", path, len(blob)-valid)
-		if err := os.Truncate(path, int64(valid)); err != nil {
-			return fmt.Errorf("db: truncate torn wal: %w", err)
-		}
-	}
-	return nil
 }
 
 // applyMemLocked applies a record to the in-memory tables only; it is
@@ -454,44 +404,6 @@ func (d *DB) SetGroupWindow(window time.Duration) {
 	d.wal.cmu.Unlock()
 }
 
-// GroupWindow returns the current group-commit accumulation window
-// (zero on an ephemeral database). Brownout control uses it to widen
-// the window under pressure and restore it afterwards.
-func (d *DB) GroupWindow() time.Duration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.wal == nil {
-		return 0
-	}
-	d.wal.cmu.Lock()
-	defer d.wal.cmu.Unlock()
-	return d.wal.window
-}
-
-// Pressure describes the WAL's current durability load: the smoothed
-// group-fsync latency and how many records are staged awaiting fsync.
-// The Central Server's brownout monitor polls it to decide when to
-// start degrading freshness.
-type Pressure struct {
-	SyncEWMA   time.Duration
-	QueueDepth int
-}
-
-// Pressure reports the WAL's current durability load. Zero on an
-// ephemeral database.
-func (d *DB) Pressure() Pressure {
-	d.mu.Lock()
-	w := d.wal
-	d.mu.Unlock()
-	if w == nil {
-		return Pressure{}
-	}
-	w.cmu.Lock()
-	depth := w.npend
-	w.cmu.Unlock()
-	return Pressure{SyncEWMA: time.Duration(w.syncEWMA.Load()), QueueDepth: depth}
-}
-
 // FailWALAppends arms fault injection on the WAL: the next n group
 // flushes fail with err before touching the file — the failure shape a
 // full disk produces. Records in a failed flush are dropped exactly as
@@ -562,10 +474,10 @@ func (d *DB) CommitBatch() error {
 	return d.waitDurable(b)
 }
 
-// Compact folds the WAL into a fresh snapshot: atomic snapshot write
-// (temp file in the same directory, then rename), fsync'd WAL, then WAL
-// truncation. Safe to call at any time; a crash at any point recovers to
-// the same state.
+// Compact folds the WAL into a fresh snapshot: atomic snapshot replace
+// (jsonl.ReplaceFile, which syncs the directory so the rename cannot be
+// lost behind the truncation), then WAL truncation and fsync. Safe to
+// call at any time; a crash at any point recovers to the same state.
 func (d *DB) Compact() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -577,8 +489,8 @@ func (d *DB) Compact() error {
 	if err != nil {
 		return fmt.Errorf("db: marshal snapshot: %w", err)
 	}
-	if err := atomicWrite(snapshotFile(d.stateDir), blob); err != nil {
-		return err
+	if err := jsonl.ReplaceFile(snapshotFile(d.stateDir), blob); err != nil {
+		return fmt.Errorf("db: write snapshot: %w", err)
 	}
 	if d.wal != nil {
 		// Quiesce in-flight group commits before truncating: d.mu (held)
@@ -612,34 +524,4 @@ func (d *DB) Close() error {
 	err := d.wal.close()
 	d.wal = nil
 	return err
-}
-
-// atomicWrite writes blob to path via a temp file in the same directory
-// and a rename, so a crash mid-save can never leave a torn target.
-func atomicWrite(path string, blob []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("db: temp snapshot: %w", err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(blob); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("db: write snapshot: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("db: sync snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("db: close snapshot: %w", err)
-	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("db: rename snapshot: %w", err)
-	}
-	return nil
 }

@@ -131,13 +131,6 @@ func E3AdaptiveVsRigid(seed uint64) *Table {
 		Title: "scheduler comparison across offered load (single 64-PE machine)",
 		Claim: "adaptive equipartition sustains higher utilization and lower response times than rigid queueing, especially near saturation",
 	}
-	factories := map[string]func(machine.Spec, scheduler.Config) scheduler.Scheduler{
-		"fcfs":     func(sp machine.Spec, c scheduler.Config) scheduler.Scheduler { return scheduler.NewFCFS(sp, c) },
-		"backfill": func(sp machine.Spec, c scheduler.Config) scheduler.Scheduler { return scheduler.NewBackfill(sp, c) },
-		"equipartition": func(sp machine.Spec, c scheduler.Config) scheduler.Scheduler {
-			return scheduler.NewEquipartition(sp, c)
-		},
-	}
 	// Interarrival gaps chosen to sweep light to heavy load on 64 PEs.
 	gaps := []float64{40, 20, 10, 5}
 	for _, name := range []string{"fcfs", "backfill", "equipartition"} {
@@ -148,7 +141,7 @@ func E3AdaptiveVsRigid(seed uint64) *Table {
 			spec.MaxWork = 3000
 			trace := mustTrace(spec)
 			res := runSim(simCfg{
-				servers: []simServer{{name: "m", pe: 64, factory: factories[name]}},
+				servers: []simServer{{name: "m", pe: 64, factory: strategy(name)}},
 			}, trace)
 			t.Rows = append(t.Rows, Row{
 				Label: fmt.Sprintf("%s gap=%gs", name, gap),
@@ -172,7 +165,7 @@ func E3AdaptiveVsRigid(seed uint64) *Table {
 	abTrace := mustTrace(abSpec)
 	for _, lat := range []float64{0, 15, 60, 300} {
 		res := runSim(simCfg{
-			servers:  []simServer{{name: "m", pe: 64, factory: factories["equipartition"]}},
+			servers:  []simServer{{name: "m", pe: 64, factory: strategy("equipartition")}},
 			schedCfg: scheduler.Config{ReconfigLatency: lat},
 		}, abTrace)
 		t.Rows = append(t.Rows, Row{

@@ -5,22 +5,9 @@ import (
 
 	"faucets/internal/accounting"
 	"faucets/internal/bidding"
-	"faucets/internal/machine"
 	"faucets/internal/scheduler"
 	"faucets/internal/workload"
 )
-
-func equi(sp machine.Spec, c scheduler.Config) scheduler.Scheduler {
-	return scheduler.NewEquipartition(sp, c)
-}
-
-func fcfs(sp machine.Spec, c scheduler.Config) scheduler.Scheduler {
-	return scheduler.NewFCFS(sp, c)
-}
-
-func profit(sp machine.Spec, c scheduler.Config) scheduler.Scheduler {
-	return scheduler.NewProfit(sp, c)
-}
 
 // E4BidStrategies compares the paper's two implemented bid-generation
 // algorithms (§5.2) head to head on the same grid — two servers run the
@@ -126,14 +113,14 @@ func E5PayoffAdmission(seed uint64) *Table {
 
 	cases := []struct {
 		label    string
-		factory  func(machine.Spec, scheduler.Config) scheduler.Scheduler
+		factory  scheduler.Factory
 		schedCfg scheduler.Config
 	}{
-		{"fcfs accept-all", fcfs, scheduler.Config{}},
-		{"equipartition accept-all", equi, scheduler.Config{}},
-		{"profit lookahead=0", profit, scheduler.Config{}},
-		{"profit lookahead=600s", profit, scheduler.Config{Lookahead: 600}},
-		{"profit lookahead=3600s", profit, scheduler.Config{Lookahead: 3600}},
+		{"fcfs accept-all", strategy("fcfs"), scheduler.Config{}},
+		{"equipartition accept-all", strategy("equipartition"), scheduler.Config{}},
+		{"profit lookahead=0", strategy("profit"), scheduler.Config{}},
+		{"profit lookahead=600s", strategy("profit"), scheduler.Config{Lookahead: 600}},
+		{"profit lookahead=3600s", strategy("profit"), scheduler.Config{Lookahead: 3600}},
 	}
 	for _, c := range cases {
 		res := runSim(simCfg{
@@ -280,7 +267,7 @@ func E8TwoPhaseCommit(seed uint64) *Table {
 			out = append(out, simServer{
 				name: fmt.Sprintf("s%d", i), pe: 4,
 				cost:    0.01 * float64(i+1),
-				factory: profit,
+				factory: strategy("profit"),
 			})
 		}
 		return out

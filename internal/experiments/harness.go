@@ -19,9 +19,18 @@ type simServer struct {
 	pe      int
 	speed   float64
 	cost    float64
-	factory func(machine.Spec, scheduler.Config) scheduler.Scheduler
+	factory scheduler.Factory
 	bidder  bidding.Generator
 	home    string
+}
+
+// strategy is scheduler.ByName for the fixed names the tables use.
+func strategy(name string) scheduler.Factory {
+	f, err := scheduler.ByName(name)
+	if err != nil {
+		panic(err)
+	}
+	return f
 }
 
 // simCfg is a compact gridsim configuration for experiment runs.

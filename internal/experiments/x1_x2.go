@@ -116,8 +116,8 @@ func X1Preemption(seed uint64) *Table {
 	schedCfg := scheduler.Config{Preempt: true, Lookahead: 600}
 	mkServers := func() []simServer {
 		return []simServer{
-			{name: "primary", pe: 32, cost: 0.001, factory: profit},
-			{name: "subcontract", pe: 32, cost: 0.1, factory: profit},
+			{name: "primary", pe: 32, cost: 0.001, factory: strategy("profit")},
+			{name: "subcontract", pe: 32, cost: 0.1, factory: strategy("profit")},
 		}
 	}
 	noMig := runSim(simCfg{servers: mkServers(), schedCfg: schedCfg}, trace)

@@ -71,17 +71,10 @@ type Options struct {
 	PoolSize int
 	// SettleRetry is the daemons' settlement-outbox redelivery cadence.
 	SettleRetry time.Duration
-	// BidConcurrency bounds every client's bid fan-out during Place
-	// (the in-process -bid-concurrency; zero = market default).
-	BidConcurrency int
 	// BidTimeout is the clients' per-bid deadline: a hung daemon
 	// forfeits its bid instead of stalling the auction (the in-process
 	// -bid-timeout; zero = none).
 	BidTimeout time.Duration
-	// WALGroupWindow is the Central Server database's group-commit
-	// accumulation window (the in-process -wal-group-window; zero =
-	// flush immediately). Only meaningful with StateDir.
-	WALGroupWindow time.Duration
 	// ReRegister is the daemons' Central Server heartbeat cadence, so a
 	// restarted FS rebuilds its directory quickly in tests.
 	ReRegister time.Duration
@@ -112,14 +105,6 @@ type Options struct {
 	// qos.Mechanism* name; empty = first-price). Also advertised by the
 	// Central Server as the grid default (the in-process -mechanism).
 	Mechanism string
-	// BrownoutFsync/BrownoutQueue are the Central Server's brownout
-	// thresholds; setting either starts the brownout monitor (the
-	// in-process -brownout-fsync/-brownout-queue).
-	BrownoutFsync time.Duration
-	BrownoutQueue int
-	// BrownoutInterval overrides the monitor cadence (zero =
-	// central.DefaultBrownoutInterval).
-	BrownoutInterval time.Duration
 	// Shards boots the Central Server as a consistent-hash mesh of this
 	// many cooperating shards (internal/shard): users and server names
 	// partition across them, daemons register with their owning shard,
@@ -419,7 +404,6 @@ func (g *Grid) newCentralAt(stateSub string, ring *shard.Ring, selfAddr string) 
 		if err != nil {
 			return nil, err
 		}
-		store.SetGroupWindow(g.opts.WALGroupWindow)
 		fs = central.NewWithDB(g.opts.Mode, store)
 	} else {
 		fs = central.New(g.opts.Mode)
@@ -437,15 +421,12 @@ func (g *Grid) newCentralAt(stateSub string, ring *shard.Ring, selfAddr string) 
 	fs.MaxInflight = g.opts.MaxInflight
 	fs.BreakerThreshold = g.opts.BreakerThreshold
 	fs.BreakerCooldown = g.opts.BreakerCooldown
-	fs.BrownoutFsync = g.opts.BrownoutFsync
-	fs.BrownoutQueue = g.opts.BrownoutQueue
 	fs.DefaultMechanism = g.opts.Mechanism
 	if ring != nil {
 		fs.Ring = ring
 		fs.SelfAddr = selfAddr
 		fs.GossipInterval = g.opts.GossipInterval
 	}
-	fs.StartBrownoutMonitor(g.opts.BrownoutInterval)
 	return fs, nil
 }
 
@@ -652,7 +633,6 @@ func (g *Grid) Login(user, password string) (*client.Client, error) {
 	c.AppSpectorAddr = g.AppSpectorAddr
 	c.Tracer = g.Tracer
 	c.PoolSize = g.opts.PoolSize
-	c.BidConcurrency = g.opts.BidConcurrency
 	c.BidTimeout = g.opts.BidTimeout
 	c.RPCTimeout = g.opts.RPCTimeout
 	c.HedgeQuantile = g.opts.HedgeQuantile

@@ -30,15 +30,11 @@ import (
 	"faucets/internal/workload"
 )
 
-// SchedulerFactory builds a scheduler for a machine — pick one of the
-// constructors in package scheduler.
-type SchedulerFactory func(machine.Spec, scheduler.Config) scheduler.Scheduler
-
 // ServerConfig describes one simulated Compute Server.
 type ServerConfig struct {
 	Spec machine.Spec
 	// NewScheduler defaults to the adaptive equipartition scheduler.
-	NewScheduler SchedulerFactory
+	NewScheduler scheduler.Factory
 	// Bidder defaults to the paper's baseline (multiplier 1.0).
 	Bidder bidding.Generator
 	// Home names the bartering cluster this server belongs to; defaults

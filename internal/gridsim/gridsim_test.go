@@ -513,7 +513,7 @@ func TestServiceUnitQuotas(t *testing.T) {
 // placed), utilization stays within [0,1], and no server exceeds its
 // capacity in the utilization integral.
 func TestSimulationInvariantsAcrossConfigs(t *testing.T) {
-	factories := []SchedulerFactory{nil, fcfsFactory, equiFactory,
+	factories := []scheduler.Factory{nil, fcfsFactory, equiFactory,
 		func(sp machine.Spec, c scheduler.Config) scheduler.Scheduler { return scheduler.NewBackfill(sp, c) },
 		func(sp machine.Spec, c scheduler.Config) scheduler.Scheduler { return scheduler.NewProfit(sp, c) },
 	}

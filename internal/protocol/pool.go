@@ -79,7 +79,7 @@ type PoolObserver interface {
 
 // Pool maintains persistent, pipelined RPC connections keyed by
 // address. The zero value is usable; fields must not change after the
-// first Call. Pool.Call is a drop-in replacement for DialCallObs for
+// first Call. Pool.Call is a drop-in replacement for DialCall for
 // idempotent exchanges: like Retry.Do it may deliver a request more
 // than once when a connection breaks mid-call, so non-idempotent
 // requests must keep their own one-shot path.
@@ -97,8 +97,8 @@ type Pool struct {
 	// Retry is the redial/backoff policy for broken connections; the
 	// zero value means 3 attempts with jittered exponential backoff.
 	Retry Retry
-	// Obs receives per-call latency/error observations, exactly like
-	// DialCallObs.
+	// Obs receives per-call latency/error observations; a failed dial
+	// is observed too.
 	Obs Observer
 	// PoolObs receives pool lifecycle events.
 	PoolObs PoolObserver
@@ -154,7 +154,7 @@ func (p *Pool) dial(addr string) (net.Conn, error) {
 }
 
 // Call performs one deadline-bounded request/response exchange over a
-// pooled connection, observing the outcome like DialCallObs. Transport
+// pooled connection and reports the outcome to Obs. Transport
 // failures evict the broken connection and redial under the Retry
 // policy; a *RemoteError aborts immediately (the peer answered and
 // refused). Only idempotent calls belong here.

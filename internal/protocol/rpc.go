@@ -20,12 +20,11 @@ import (
 // read) when the caller does not configure a timeout of its own.
 const DefaultCallTimeout = 5 * time.Second
 
-// Observer receives the outcome of one RPC round trip: the request
-// type, how long the exchange took (dial included for the DialCall
-// path), and the error, nil on success. Implementations must be safe
-// for concurrent use; telemetry.RPCMetrics is the standard one. A nil
-// Observer is silently skipped, so call sites instrument
-// unconditionally.
+// Observer receives the outcome of one RPC round trip (Pool) or of one
+// handled request (Server): the request type, how long it took, and the
+// error, nil on success. Implementations must be safe for concurrent
+// use; telemetry.RPCMetrics is the standard one. A nil Observer is
+// silently skipped, so call sites instrument unconditionally.
 type Observer interface {
 	ObserveRPC(reqType string, d time.Duration, err error)
 }
@@ -35,24 +34,6 @@ func observe(obs Observer, reqType string, start time.Time, err error) {
 	if obs != nil {
 		obs.ObserveRPC(reqType, time.Since(start), err)
 	}
-}
-
-// CallTimeoutObs is CallTimeout with per-RPC latency/error observation.
-func CallTimeoutObs(obs Observer, conn net.Conn, timeout time.Duration, reqType string, req any, wantReply string, reply any) error {
-	start := time.Now()
-	err := CallTimeout(conn, timeout, reqType, req, wantReply, reply)
-	observe(obs, reqType, start, err)
-	return err
-}
-
-// DialCallObs is DialCall with per-RPC latency/error observation; the
-// measured duration covers the dial, the exchange, or the failure of
-// either.
-func DialCallObs(obs Observer, addr string, timeout time.Duration, reqType string, req any, wantReply string, reply any) error {
-	start := time.Now()
-	err := DialCall(addr, timeout, reqType, req, wantReply, reply)
-	observe(obs, reqType, start, err)
-	return err
 }
 
 // Timeout resolves a config field's "zero means default" convention.

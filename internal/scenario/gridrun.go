@@ -366,7 +366,6 @@ func RunGridWithHooks(s *Spec, hooks GridHooks) (*ScenarioReport, error) {
 		text := central.String()
 		scrape(r.Counters, text, "central.shed.inflight", `faucets_central_shed_total{reason="inflight"}`)
 		scrape(r.Counters, text, "central.shed.deadline", `faucets_central_shed_total{reason="deadline"}`)
-		scrape(r.Counters, text, "central.brownout_transitions", "faucets_central_brownout_transitions_total")
 		scrape(r.Counters, text, "central.jobs_settled", "faucets_central_jobs_settled_total")
 		scrape(r.Counters, text, "central.gossip_sent", "faucets_central_gossip_sent_total")
 		scrape(r.Counters, text, "central.forwarded_settles", "faucets_central_forwarded_settles_total")

@@ -61,7 +61,7 @@ type ScenarioReport struct {
 	UtilizationPerServer map[string]float64 `json:"utilization_per_server,omitempty"`
 
 	// Counters carries the overload-protection tallies scraped from
-	// internal/telemetry (shed/breaker/brownout and friends); gridsim
+	// internal/telemetry (shed/breaker/outbox and friends); gridsim
 	// runs fill the subset the simulator models.
 	Counters map[string]float64 `json:"counters,omitempty"`
 

@@ -31,7 +31,6 @@ import (
 
 	"faucets/internal/bidding"
 	"faucets/internal/chaos"
-	"faucets/internal/gridsim"
 	"faucets/internal/machine"
 	"faucets/internal/qos"
 	"faucets/internal/scheduler"
@@ -446,26 +445,12 @@ func pick(own, inherited string) string {
 
 // schedulerFactory resolves a scheduler strategy name ("" =
 // equipartition).
-func schedulerFactory(name string) (gridsim.SchedulerFactory, error) {
-	switch name {
-	case "", "equipartition":
-		return func(sp machine.Spec, c scheduler.Config) scheduler.Scheduler {
-			return scheduler.NewEquipartition(sp, c)
-		}, nil
-	case "fcfs":
-		return func(sp machine.Spec, c scheduler.Config) scheduler.Scheduler {
-			return scheduler.NewFCFS(sp, c)
-		}, nil
-	case "backfill":
-		return func(sp machine.Spec, c scheduler.Config) scheduler.Scheduler {
-			return scheduler.NewBackfill(sp, c)
-		}, nil
-	case "profit":
-		return func(sp machine.Spec, c scheduler.Config) scheduler.Scheduler {
-			return scheduler.NewProfit(sp, c)
-		}, nil
+func schedulerFactory(name string) (scheduler.Factory, error) {
+	f, err := scheduler.ByName(name)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrUnknownName, err)
 	}
-	return nil, fmt.Errorf("%w: scheduler %q", ErrUnknownName, name)
+	return f, nil
 }
 
 // makeBidder resolves a bid-generator strategy name ("" = baseline).
@@ -473,17 +458,11 @@ func schedulerFactory(name string) (gridsim.SchedulerFactory, error) {
 // executor wires them to the simulated grid and the live-grid executor
 // to the Central Server's weather/history endpoints.
 func makeBidder(name string) (bidding.Generator, error) {
-	switch name {
-	case "", "baseline":
-		return bidding.Baseline{}, nil
-	case "utilization":
-		return bidding.NewUtilization(), nil
-	case "weather":
-		return bidding.NewWeather(nil), nil
-	case "history":
-		return bidding.NewHistory(nil), nil
+	g, err := bidding.ByName(name)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrUnknownName, err)
 	}
-	return nil, fmt.Errorf("%w: bidder %q", ErrUnknownName, name)
+	return g, nil
 }
 
 // Load reads and validates a scenario spec from a JSON file.

@@ -83,6 +83,26 @@ type Scheduler interface {
 	Evict(now float64, id job.ID) *job.Job
 }
 
+// Factory builds a Scheduler for one machine.
+type Factory func(machine.Spec, Config) Scheduler
+
+// ByName returns the constructor of the named strategy; the empty name
+// means equipartition. It is the one table the binaries, the scenario
+// engine and the experiments resolve a -scheduler name through.
+func ByName(name string) (Factory, error) {
+	switch name {
+	case "", "equipartition":
+		return func(sp machine.Spec, c Config) Scheduler { return NewEquipartition(sp, c) }, nil
+	case "fcfs":
+		return func(sp machine.Spec, c Config) Scheduler { return NewFCFS(sp, c) }, nil
+	case "backfill":
+		return func(sp machine.Spec, c Config) Scheduler { return NewBackfill(sp, c) }, nil
+	case "profit":
+		return func(sp machine.Spec, c Config) Scheduler { return NewProfit(sp, c) }, nil
+	}
+	return nil, fmt.Errorf("unknown scheduler %q (want fcfs, backfill, equipartition or profit)", name)
+}
+
 // Config carries the knobs shared by all strategies.
 type Config struct {
 	// ReconfigLatency is the stall, in seconds, an adaptive job suffers

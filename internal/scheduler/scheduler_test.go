@@ -3,6 +3,7 @@ package scheduler
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -597,5 +598,36 @@ func TestKillPromotesQueuedWork(t *testing.T) {
 	}
 	if next.State() != job.Running {
 		t.Fatalf("queued job not promoted after kill: %v", next.State())
+	}
+}
+
+// TestByNameProducesDistinctStrategies: every name the binaries and the
+// scenario specs accept resolves to its own strategy, the empty name to
+// equipartition, and anything else to an error naming the valid ones.
+func TestByNameProducesDistinctStrategies(t *testing.T) {
+	got := map[string]string{}
+	for _, name := range []string{"", "fcfs", "backfill", "equipartition", "profit"} {
+		f, err := ByName(name)
+		if err != nil {
+			t.Fatalf("%q: %v", name, err)
+		}
+		got[name] = f(spec(8), Config{}).Name()
+	}
+	if got[""] != got["equipartition"] {
+		t.Fatalf("empty name built %q, want equipartition", got[""])
+	}
+	delete(got, "")
+	distinct := map[string]bool{}
+	for name, built := range got {
+		if !strings.Contains(built, name) {
+			t.Errorf("%q built a scheduler calling itself %q", name, built)
+		}
+		distinct[built] = true
+	}
+	if len(distinct) != 4 {
+		t.Fatalf("factories collapsed: %v", got)
+	}
+	if _, err := ByName("lottery"); err == nil || !strings.Contains(err.Error(), "equipartition") {
+		t.Fatalf("unknown name: err = %v, want one naming the valid strategies", err)
 	}
 }

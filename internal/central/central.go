@@ -378,10 +378,15 @@ func (s *Server) MarkDead(name string) {
 // exported applications) and dynamic properties (daemon liveness). A nil
 // contract lists every live server. The listing is in name order.
 func (s *Server) Servers(c *qos.Contract) []protocol.ServerInfo {
+	return s.appendServers([]protocol.ServerInfo{}, c)
+}
+
+// appendServers is Servers appending to out, which it grows at most once.
+func (s *Server) appendServers(out []protocol.ServerInfo, c *qos.Contract) []protocol.ServerInfo {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	now := time.Now()
-	out := make([]protocol.ServerInfo, 0, len(s.registry))
+	out = slices.Grow(out, len(s.registry))
 	for _, e := range s.registry {
 		if !e.alive || now.Sub(e.lastSeen) > s.DeadAfter {
 			continue
@@ -713,6 +718,16 @@ func (s *Server) Close() {
 // errAuth is the uniform authentication failure sent to clients.
 var errAuth = errors.New("central: authentication failed")
 
+// listScratch is what the list_servers_req arm needs only until it has
+// replied. The listing's entries alias the registry's (and the gossip
+// cache's) Apps, as a fresh listing's do; they are only encoded.
+type listScratch struct {
+	req   protocol.ListServersReq
+	reply protocol.ListServersOK
+}
+
+var listScratches = sync.Pool{New: func() any { return new(listScratch) }}
+
 func (s *Server) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 	switch f.Type {
 	case protocol.TypeAuthReq:
@@ -737,8 +752,12 @@ func (s *Server) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 		return protocol.WriteFrame(conn, protocol.TypeAuthOK, ok)
 
 	case protocol.TypeListServersReq:
-		var req protocol.ListServersReq
-		if err := protocol.Decode(f, f.Type, &req); err != nil {
+		// One of these opens every placement and nothing of it outlives the
+		// reply, so request and listing live in a recycled scratch.
+		sc := listScratches.Get().(*listScratch)
+		defer listScratches.Put(sc)
+		req := &sc.req
+		if err := protocol.Decode(f, f.Type, req); err != nil {
 			return err
 		}
 		if _, err := s.Auth.Verify(req.Token); err != nil {
@@ -758,8 +777,8 @@ func (s *Server) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 			// sees to the bids themselves, which flow client↔daemon.
 			s.met.bidsSolicited.Inc()
 		}
-		return protocol.WriteFrame(conn, protocol.TypeListServersOK,
-			protocol.ListServersOK{Servers: s.FederatedServers(req.Contract)})
+		sc.reply.Servers = s.appendFederated(sc.reply.Servers[:0], req.Contract)
+		return protocol.WriteFrame(conn, protocol.TypeListServersOK, &sc.reply)
 
 	case protocol.TypeListAppsReq:
 		var req protocol.ListAppsReq

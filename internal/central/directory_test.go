@@ -96,6 +96,7 @@ func TestRegistryStaysNameOrdered(t *testing.T) {
 // order a peer served its digest in.
 func TestFederatedListingMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	var reused []protocol.ServerInfo
 	for round := 0; round < 200; round++ {
 		s := New(accounting.Dollars)
 		draw := func(home string) []protocol.ServerInfo {
@@ -135,6 +136,11 @@ func TestFederatedListingMatchesReference(t *testing.T) {
 			if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
 				t.Fatalf("round %d: federated listing\n %v\nwant\n %v", round, got, want)
 			}
+			// The list_servers arm appends into a listing it has used before.
+			reused = s.appendFederated(reused[:0], c)
+			if !reflect.DeepEqual(reused, want) && len(reused)+len(want) > 0 {
+				t.Fatalf("round %d: listing appended into a used slice\n %v\nwant\n %v", round, reused, want)
+			}
 		}
 		s.Close()
 	}
@@ -142,23 +148,32 @@ func TestFederatedListingMatchesReference(t *testing.T) {
 
 // BenchmarkServers is the directory read of one Place: the filtered
 // listing of a fleet_N registry, one pass into one pre-sized slice
-// (allocs/op is 1 and CI gates it).
+// (allocs/op is 1), and — _append, what the list_servers arm runs — into
+// the listing the last read left behind (0). CI gates both.
 func BenchmarkServers(b *testing.B) {
 	for _, fleet := range []int{16, 256} {
-		b.Run(fmt.Sprintf("fleet_%d", fleet), func(b *testing.B) {
-			s := New(accounting.Dollars)
-			defer s.Close()
-			for _, i := range rand.New(rand.NewSource(1)).Perm(fleet) {
-				if err := s.RegisterDaemon(info(fmt.Sprintf("srv-%03d", i), 64+i%4*64, 1024, "namd")); err != nil {
-					b.Fatal(err)
-				}
+		s := New(accounting.Dollars)
+		defer s.Close()
+		for _, i := range rand.New(rand.NewSource(1)).Perm(fleet) {
+			if err := s.RegisterDaemon(info(fmt.Sprintf("srv-%03d", i), 64+i%4*64, 1024, "namd")); err != nil {
+				b.Fatal(err)
 			}
-			c := &qos.Contract{App: "namd", MinPE: 8, MaxPE: 64, Work: 1}
+		}
+		c := &qos.Contract{App: "namd", MinPE: 8, MaxPE: 64, Work: 1}
+		b.Run(fmt.Sprintf("fleet_%d", fleet), func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if got := s.Servers(c); len(got) != fleet {
 					b.Fatalf("listed %d of %d", len(got), fleet)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("fleet_%d_append", fleet), func(b *testing.B) {
+			var listing []protocol.ServerInfo
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if listing = s.appendFederated(listing[:0], c); len(listing) != fleet {
+					b.Fatalf("listed %d of %d", len(listing), fleet)
 				}
 			}
 		})

@@ -156,47 +156,61 @@ func (s *Server) storeDigest(addr string, sent time.Time, d protocol.GossipOK) {
 	}
 	// A peer serves its listing in name order already; the merge on the
 	// read path relies on it, so it is not taken on trust.
-	slices.SortStableFunc(d.Servers, func(a, b protocol.ServerInfo) int {
-		return strings.Compare(a.Spec.Name, b.Spec.Name)
-	})
+	slices.SortStableFunc(d.Servers, byName)
 	s.remotes[addr] = remoteDigest{at: sent, servers: d.Servers, weather: d.Weather}
 	s.remoteMu.Unlock()
 	s.met.gossipRecv.Inc()
 	s.invalidateWeather()
 }
 
+// byName orders directory entries by server name.
+func byName(a, b protocol.ServerInfo) int { return strings.Compare(a.Spec.Name, b.Spec.Name) }
+
 // FederatedServers returns the union of the local filtered directory and
 // every unexpired peer digest, deduplicated by server name (local
 // entries win) and in name order. It reads the gossip cache only: no
 // peer is dialed on the auction path.
 func (s *Server) FederatedServers(c *qos.Contract) []protocol.ServerInfo {
-	out := s.Servers(c)
+	return s.appendFederated([]protocol.ServerInfo{}, c)
+}
+
+// appendFederated is FederatedServers appending to out.
+func (s *Server) appendFederated(out []protocol.ServerInfo, c *qos.Contract) []protocol.ServerInfo {
+	from := len(out)
+	out = s.appendServers(out, c)
 	stale := s.gossipStaleAfter()
 	now := time.Now()
 	s.remoteMu.Lock()
 	defer s.remoteMu.Unlock()
 	for _, d := range s.remotes {
-		if now.Sub(d.at) <= stale && len(d.servers) > 0 {
-			out = mergeByName(out, d.servers, c)
+		if now.Sub(d.at) <= stale {
+			out = mergeByName(out, from, d.servers, c)
 		}
 	}
 	return out
 }
 
-// mergeByName merges two name-ordered listings into one: every entry of
-// have, and each entry of add that matches the contract and whose name
-// is not already listed.
-func mergeByName(have, add []protocol.ServerInfo, c *qos.Contract) []protocol.ServerInfo {
-	out := make([]protocol.ServerInfo, 0, len(have)+len(add))
-	for _, info := range add {
-		for len(have) > 0 && have[0].Spec.Name <= info.Spec.Name {
-			out, have = append(out, have[0]), have[1:]
+// mergeByName merges add, in name order, into the name-ordered listing
+// out[from:], in place: each entry of add that matches the contract and
+// whose name is not already listed is appended, and the listing put back
+// in order if any was.
+func mergeByName(out []protocol.ServerInfo, from int, add []protocol.ServerInfo, c *qos.Contract) []protocol.ServerInfo {
+	n := len(out)
+	for i := range add {
+		name := add[i].Spec.Name
+		if len(out) > n && out[len(out)-1].Spec.Name == name {
+			continue // add lists the name twice: the first match stands
 		}
-		if n := len(out); (n == 0 || out[n-1].Spec.Name != info.Spec.Name) && (c == nil || matches(info, c)) {
-			out = append(out, info)
+		_, listed := slices.BinarySearchFunc(out[from:n], name,
+			func(e protocol.ServerInfo, name string) int { return strings.Compare(e.Spec.Name, name) })
+		if !listed && (c == nil || matches(add[i], c)) {
+			out = append(out, add[i])
 		}
 	}
-	return append(out, have...)
+	if len(out) > n {
+		slices.SortStableFunc(out[from:], byName)
+	}
+	return out
 }
 
 // mergeRemoteWeather folds unexpired peer weather digests into a local

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -337,13 +338,21 @@ func (c *Client) dial(addr string) (net.Conn, error) {
 // contract (nil lists all).
 func (c *Client) ListServers(contract *qos.Contract) ([]protocol.ServerInfo, error) {
 	var reply protocol.ListServersOK
-	err := c.centralCall(protocol.TypeListServersReq,
-		func(token string) any { return protocol.ListServersReq{Token: token, Contract: contract} },
-		protocol.TypeListServersOK, &reply)
-	if err != nil {
-		return nil, fmt.Errorf("client: list servers: %w", err)
+	if err := c.listServers(contract, &reply); err != nil {
+		return nil, err
 	}
 	return reply.Servers, nil
+}
+
+// listServers reads the directory into reply, reusing what it holds.
+func (c *Client) listServers(contract *qos.Contract, reply *protocol.ListServersOK) error {
+	err := c.centralCall(protocol.TypeListServersReq,
+		func(token string) any { return protocol.ListServersReq{Token: token, Contract: contract} },
+		protocol.TypeListServersOK, reply)
+	if err != nil {
+		return fmt.Errorf("client: list servers: %w", err)
+	}
+	return nil
 }
 
 // ListApps fetches the grid's Known Applications catalogue.
@@ -391,17 +400,51 @@ func (p *fdPort) RequestBid(_ float64, contract *qos.Contract) (bidding.Bid, boo
 }
 
 // StartBid implements market.BidStarter: the request is written on the
-// caller's goroutine — the auction's — and deliver runs as the pool's
-// completion, so a sixteen-way fan-out parks no goroutine per bid.
-func (p *fdPort) StartBid(_ float64, contract *qos.Contract, deliver func(bidding.Bid, bool)) {
-	reply := new(protocol.BidOK)
-	p.c.rpcPool().Go(p.info.Addr, p.c.RPCTimeout, protocol.TypeBidReq,
-		&protocol.BidReq{User: p.c.User, Token: p.c.token(), Contract: contract},
-		protocol.TypeBidOK, reply, func(err error) { deliver(bidFrom(reply, err)) })
+// caller's goroutine — the auction's — and the sink is answered by the
+// pool's completion, so a sixteen-way fan-out parks no goroutine per bid
+// and, on a recycled record, allocates nothing per bid.
+func (p *fdPort) StartBid(_ float64, contract *qos.Contract, sink market.BidSink) {
+	b, _ := bidCalls.Get().(*bidCall)
+	if b == nil {
+		b = new(bidCall)
+		b.call = protocol.PoolCall{ReqType: protocol.TypeBidReq, Req: &b.req,
+			WantReply: protocol.TypeBidOK, Reply: &b.reply, Done: b.done}
+	}
+	b.sink = sink
+	b.call.Addr, b.call.Timeout = p.info.Addr, p.c.RPCTimeout
+	b.req.User, b.req.Token, b.req.Contract = p.c.User, p.c.token(), contract
+	b.reply.Bid.Server = p.info.Spec.Name // what the daemon will answer: the decoder keeps an equal string
+	p.c.rpcPool().Start(&b.call)
+}
+
+// bidCall is one StartBid exchange: the pool's record with the request
+// and reply it points at. It belongs to the exchange from StartBid until
+// done runs — an attempt the auction has abandoned (bid deadline, hedge
+// sibling) still completes into its own record — and a pool call
+// completes exactly once, so done may recycle it.
+type bidCall struct {
+	call  protocol.PoolCall
+	req   protocol.BidReq
+	reply protocol.BidOK
+	sink  market.BidSink
+}
+
+var bidCalls sync.Pool // of *bidCall; no New: done refers back to the pool
+
+// done is the pool's completion. The record goes back before the bid is
+// delivered: nothing holds it any more, and the sink may start the next
+// attempt from here.
+func (b *bidCall) done(err error) {
+	bid, ok := bidFrom(&b.reply, err)
+	sink := b.sink
+	b.sink, b.req.Contract = nil, nil
+	bidCalls.Put(b)
+	sink.DeliverBid(bid, ok)
 }
 
 // bidFrom turns a bid exchange's outcome into the market's answer: any
-// failure is a forfeit.
+// failure is a forfeit, and reply is not read after one (a failed decode
+// leaves it unspecified).
 func bidFrom(reply *protocol.BidOK, err error) (bidding.Bid, bool) {
 	if err != nil {
 		return bidding.Bid{}, false
@@ -483,10 +526,16 @@ func (c *Client) Place(contract *qos.Contract, crit market.Criterion) (*Placemen
 	if crit == nil {
 		crit = market.LeastCost{}
 	}
-	servers, err := c.ListServers(contract)
-	if err != nil {
+	// The listing and the ports over it live in a recycled scratch: the
+	// directory barely changes between placements, so the decode keeps
+	// its strings and slices. Nothing outlives Place but the Placement,
+	// which copies what it needs.
+	sc := placeScratches.Get().(*placeScratch)
+	defer placeScratches.Put(sc)
+	if err := c.listServers(contract, &sc.listing); err != nil {
 		return nil, err
 	}
+	servers := sc.listing.Servers
 	if len(servers) == 0 {
 		return nil, ErrNoServers
 	}
@@ -494,14 +543,16 @@ func (c *Client) Place(contract *qos.Contract, crit market.Criterion) (*Placemen
 	if err != nil {
 		return nil, err
 	}
-	fds := make([]fdPort, len(servers))
-	ports := make([]market.ServerPort, len(servers))
+	sc.fds, sc.ports = slices.Grow(sc.fds[:0], len(servers)), sc.ports[:0] // grown first: ports point into fds
 	for i := range servers {
-		fds[i] = fdPort{c: c, info: &servers[i]}
-		ports[i] = &fds[i]
+		sc.fds = append(sc.fds, fdPort{c: c, info: &servers[i]})
+		sc.ports = append(sc.ports, &sc.fds[i])
 	}
+	ports := sc.ports
 	jobID := NewJobID()
-	c.Tracer.Record(jobID, telemetry.SpanSubmit, fmt.Sprintf("%s by %s: %.0f work for %d servers", contract.App, c.User, contract.Work, len(servers)))
+	if c.Tracer != nil { // the detail is formatted only when someone keeps it
+		c.Tracer.Record(jobID, telemetry.SpanSubmit, fmt.Sprintf("%s by %s: %.0f work for %d servers", contract.App, c.User, contract.Work, len(servers)))
+	}
 	// The winning bid is traced between solicit and commit, before the
 	// commit round records the contract span on the daemon — keeping the
 	// chain in causal order.
@@ -510,21 +561,26 @@ func (c *Client) Place(contract *qos.Contract, crit market.Criterion) (*Placemen
 	if h := c.fanout(); h != nil {
 		h.Observe(time.Since(solStart).Seconds())
 	}
-	if len(bids) > 0 {
+	if len(bids) > 0 && c.Tracer != nil {
 		c.Tracer.Record(jobID, telemetry.SpanBid, fmt.Sprintf("best of %d bids: %s at price %.2f", len(bids), bids[0].Server, bids[0].Price))
 	}
 	res, err := market.CommitPriced(0, ports, bids, jobID, false, mech)
 	if err != nil {
 		return nil, fmt.Errorf("client: award: %w", err)
 	}
-	return &Placement{
-		JobID:    jobID,
-		Server:   servers[res.Port],
-		Bid:      res.Bid,
-		Contract: contract,
-		Attempts: res.Attempts,
-	}, nil
+	p := &Placement{JobID: jobID, Server: servers[res.Port], Bid: res.Bid, Contract: contract, Attempts: res.Attempts}
+	p.Server.Apps = slices.Clone(p.Server.Apps) // the scratch's next decode overwrites the original
+	return p, nil
 }
+
+// placeScratch is what one Place needs only until it returns.
+type placeScratch struct {
+	listing protocol.ListServersOK
+	fds     []fdPort
+	ports   []market.ServerPort
+}
+
+var placeScratches = sync.Pool{New: func() any { return new(placeScratch) }}
 
 // Upload stages one input file to the awarded daemon in chunks with an
 // integrity digest.

@@ -118,6 +118,10 @@ const telemetryFloor = 5 * time.Millisecond
 // are dropped and counted.
 const monitorBacklog = 256 << 10
 
+// verifyKey is one verified credential. A struct of the two strings, not
+// their concatenation: looking one up allocates nothing.
+type verifyKey struct{ user, token string }
+
 // verifyCacheMax bounds the cache; past it the map is reset wholesale
 // (entries expire in seconds anyway, so eviction precision is not worth
 // bookkeeping).
@@ -177,7 +181,7 @@ type Daemon struct {
 	// verifyCache remembers recent successful credential checks:
 	// user+token → wall-clock expiry.
 	verifyMu    sync.Mutex
-	verifyCache map[string]time.Time
+	verifyCache map[verifyKey]time.Time
 
 	// centralHome overrides cfg.CentralAddr once a sharded mesh has
 	// redirected registration to the shard owning this daemon's name;
@@ -249,7 +253,7 @@ func New(cfg Config) (*Daemon, error) {
 	// No observer: a bid's path reads no clock for the server's sake.
 	d.srv = protocol.NewServer("daemon "+cfg.Info.Spec.Name, d.dispatch, nil)
 	if cfg.VerifyCacheTTL > 0 {
-		d.verifyCache = map[string]time.Time{}
+		d.verifyCache = map[verifyKey]time.Time{}
 	}
 	d.pool = &protocol.Pool{
 		Size:        cfg.PoolSize,
@@ -326,6 +330,8 @@ func (d *Daemon) recover(path string) error {
 func (d *Daemon) Metrics() *telemetry.Registry { return d.cfg.Metrics }
 
 // trace records one job-lifecycle span event (no-op without a Tracer).
+// Callers that format their detail check the Tracer first, so the text
+// is built only when someone keeps it.
 func (d *Daemon) trace(jobID, span, detail string) {
 	d.cfg.Tracer.Record(jobID, span, detail)
 }
@@ -492,7 +498,7 @@ func (d *Daemon) verify(user, token string) error {
 	if d.cfg.CentralAddr == "" {
 		return nil
 	}
-	key := user + "\x00" + token
+	key := verifyKey{user, token}
 	if d.verifyCache != nil {
 		d.verifyMu.Lock()
 		exp, hit := d.verifyCache[key]
@@ -511,7 +517,7 @@ func (d *Daemon) verify(user, token string) error {
 	if d.verifyCache != nil {
 		d.verifyMu.Lock()
 		if len(d.verifyCache) >= verifyCacheMax {
-			d.verifyCache = map[string]time.Time{}
+			d.verifyCache = map[verifyKey]time.Time{}
 		}
 		d.verifyCache[key] = time.Now().Add(d.cfg.VerifyCacheTTL)
 		d.verifyMu.Unlock()
@@ -610,7 +616,9 @@ func (d *Daemon) runLoop() {
 			if ch.to < ch.from {
 				span = telemetry.SpanShrink
 			}
-			d.trace(ch.id, span, fmt.Sprintf("%d -> %d PEs", ch.from, ch.to))
+			if d.cfg.Tracer != nil {
+				d.trace(ch.id, span, fmt.Sprintf("%d -> %d PEs", ch.from, ch.to))
+			}
 		}
 		for _, j := range finished {
 			d.finishJob(now, j)
@@ -704,7 +712,9 @@ func (d *Daemon) finishJob(now float64, j *job.Job) {
 	d.met.jobsFinished.Inc()
 	d.mu.Unlock()
 	d.met.finishLag.Observe(time.Since(d.epoch).Seconds() - j.FinishTime/d.cfg.TimeScale)
-	d.trace(id, telemetry.SpanFinish, fmt.Sprintf("%.0f CPU-seconds", cpuUsed))
+	if d.cfg.Tracer != nil {
+		d.trace(id, telemetry.SpanFinish, fmt.Sprintf("%.0f CPU-seconds", cpuUsed))
+	}
 
 	// The synthetic application's output file, stamped with the
 	// temporary userid the job ran under (§2.2).
@@ -880,6 +890,14 @@ func (d *Daemon) monitorLoop() {
 	}
 }
 
+// bidScratch is what the bid_req arm needs only until it has replied.
+type bidScratch struct {
+	req   protocol.BidReq
+	reply protocol.BidOK
+}
+
+var bidScratches = sync.Pool{New: func() any { return new(bidScratch) }}
+
 func (d *Daemon) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 	switch f.Type {
 	case protocol.TypePollReq:
@@ -893,8 +911,15 @@ func (d *Daemon) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 		return protocol.WriteFrame(conn, protocol.TypePollOK, reply)
 
 	case protocol.TypeBidReq:
-		var req protocol.BidReq
-		if err := protocol.Decode(f, f.Type, &req); err != nil {
+		// Sixteen of these arrive per auction and nothing of one outlives
+		// its reply — makeBid keeps neither the contract nor anything it
+		// points at — so the request is decoded into a recycled scratch and
+		// the reply encoded from it. Commit and submit keep fresh values: a
+		// submitted contract is retained by the job.
+		sc := bidScratches.Get().(*bidScratch)
+		defer bidScratches.Put(sc)
+		req := &sc.req
+		if err := protocol.Decode(f, f.Type, req); err != nil {
 			return err
 		}
 		if err := d.verify(req.User, req.Token); err != nil {
@@ -906,13 +931,13 @@ func (d *Daemon) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 		if err := req.Contract.Validate(); err != nil {
 			return err
 		}
-		b, ok := d.makeBid(req.Contract)
-		if !ok {
+		var ok bool
+		if sc.reply.Bid, ok = d.makeBid(req.Contract); !ok {
 			d.met.bidsDeclined.Inc()
 			return fmt.Errorf("daemon: %s declines the job", d.Name())
 		}
 		d.met.bids.Inc()
-		return protocol.WriteFrame(conn, protocol.TypeBidOK, protocol.BidOK{Bid: b})
+		return protocol.WriteFrame(conn, protocol.TypeBidOK, &sc.reply)
 
 	case protocol.TypeCommitReq:
 		var req protocol.CommitReq
@@ -1076,7 +1101,9 @@ func (d *Daemon) commitContract(jobID, user string, b bidding.Bid) error {
 	}
 	d.reserved[jobID] = &reservation{user: user, bid: b}
 	d.Stage.CreateJob(jobID)
-	d.trace(jobID, telemetry.SpanContract, fmt.Sprintf("committed to %s at price %.2f", d.Name(), b.Price))
+	if d.cfg.Tracer != nil {
+		d.trace(jobID, telemetry.SpanContract, fmt.Sprintf("committed to %s at price %.2f", d.Name(), b.Price))
+	}
 	return nil
 }
 
@@ -1131,7 +1158,9 @@ func (d *Daemon) submit(req protocol.SubmitReq) error {
 		Op: jopJob, JobID: req.JobID, Owner: req.User,
 		Price: d.prices[req.JobID], Contract: req.Contract,
 	})
-	d.trace(req.JobID, telemetry.SpanStart, fmt.Sprintf("started on %s with %d PEs", d.Name(), j.PEs()))
+	if d.cfg.Tracer != nil {
+		d.trace(req.JobID, telemetry.SpanStart, fmt.Sprintf("started on %s with %d PEs", d.Name(), j.PEs()))
+	}
 	// Announced before the wake, so no sample of the job can be queued
 	// ahead of its registration. A client holding SubmitOK may still watch
 	// before the frame lands: AppSpector's watch path waits for it.

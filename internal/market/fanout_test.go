@@ -59,7 +59,7 @@ type starterFleet struct {
 	delivered   sync.WaitGroup // every StartBid's deliver has run
 }
 
-func (s *starter) StartBid(now float64, c *qos.Contract, deliver func(bidding.Bid, bool)) {
+func (s *starter) StartBid(now float64, c *qos.Contract, sink BidSink) {
 	f := s.fleet
 	f.mu.Lock()
 	f.started++
@@ -75,7 +75,7 @@ func (s *starter) StartBid(now float64, c *qos.Contract, deliver func(bidding.Bi
 		f.mu.Lock()
 		f.outstanding--
 		f.mu.Unlock()
-		deliver(b, ok)
+		sink.DeliverBid(b, ok)
 	}()
 }
 

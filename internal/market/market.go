@@ -149,14 +149,21 @@ func rankBids(bids []bidding.Bid, crit Criterion) {
 
 // BidStarter is a ServerPort that can answer a request-for-bids as a
 // completion instead of blocking a goroutine for the round trip: StartBid
-// returns once the request is on its way, and deliver is called exactly
-// once, from any goroutine, with what RequestBid would have returned.
-// The concurrent collector launches such ports on the caller's goroutine
-// (wire ports write their request there) and blocking ports on a
-// goroutine of their own.
+// returns once the request is on its way, and the sink's DeliverBid is
+// called exactly once, from any goroutine, with what RequestBid would
+// have returned. The concurrent collector launches such ports on the
+// caller's goroutine (wire ports write their request there) and blocking
+// ports on a goroutine of their own.
 type BidStarter interface {
 	ServerPort
-	StartBid(now float64, c *qos.Contract, deliver func(bidding.Bid, bool))
+	StartBid(now float64, c *qos.Contract, sink BidSink)
+}
+
+// BidSink is where a BidStarter delivers its answer. It is an interface
+// the collector's per-attempt record implements, not a func: a method
+// value would be a closure allocated per bid.
+type BidSink interface {
+	DeliverBid(b bidding.Bid, ok bool)
 }
 
 // SolicitWith broadcasts a request-for-bids to the given servers (less
@@ -315,8 +322,9 @@ func (t *attempt) complete(b bidding.Bid, ok bool) {
 	}
 }
 
-// deliver is the port's side of complete, handed to StartBid.
-func (t *attempt) deliver(b bidding.Bid, ok bool) {
+// DeliverBid is the port's side of complete: the attempt is the BidSink
+// handed to StartBid.
+func (t *attempt) DeliverBid(b bidding.Bid, ok bool) {
 	if t.deadline != nil {
 		t.deadline.Stop()
 	}
@@ -329,7 +337,7 @@ func (t *attempt) deliver(b bidding.Bid, ok bool) {
 func (t *attempt) forfeit() { t.complete(bidding.Bid{}, false) }
 
 // ask is the goroutine a port that can only block is given.
-func (t *attempt) ask() { t.deliver(t.a.servers[t.i].RequestBid(t.a.now, t.a.c)) }
+func (t *attempt) ask() { t.DeliverBid(t.a.servers[t.i].RequestBid(t.a.now, t.a.c)) }
 
 // launch starts one attempt on server i, without holding a.mu.
 func (a *auction) launch(i int) {
@@ -339,7 +347,7 @@ func (a *auction) launch(i int) {
 		t.deadline = time.AfterFunc(a.timeout, t.forfeit)
 	}
 	if s, ok := a.servers[i].(BidStarter); ok {
-		s.StartBid(a.now, a.c, t.deliver)
+		s.StartBid(a.now, a.c, t)
 	} else {
 		go t.ask()
 	}

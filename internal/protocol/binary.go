@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 
 	"faucets/internal/bidding"
-	"faucets/internal/machine"
 	"faucets/internal/qos"
 )
 
@@ -404,33 +404,64 @@ func (r *breader) i64() int      { return int(int64(r.u64())) }
 func (r *breader) f64() float64  { return math.Float64frombits(r.u64()) }
 func (r *breader) boolean() bool { return r.u8() != 0 }
 
-func (r *breader) str() string {
+// str reads a string into *dst. When the target already holds exactly
+// the bytes on the wire it is left alone — the comparison does not
+// allocate — so a reader that decodes into a value it has used before
+// re-materialises only the strings that changed.
+func (r *breader) str(dst *string) {
 	n := r.u32()
 	if uint64(n) > uint64(len(r.b)) {
 		r.fail()
-		return ""
+		return
 	}
-	p := r.take(int(n))
-	return string(p)
+	if p := r.take(int(n)); *dst != string(p) {
+		*dst = string(p)
+	}
 }
 
-// count reads a repeated-group count, bounding it by the bytes left so a
-// corrupt prefix cannot drive a huge slice allocation.
-func (r *breader) count() int {
+// count reads a repeated-group count, bounding it by the elements the
+// bytes left could hold at minSize encoded bytes apiece, so a corrupt or
+// hostile prefix cannot buy a slice many times the size of its frame.
+func (r *breader) count(minSize int) int {
 	n := r.u32()
-	if uint64(n) > uint64(len(r.b)) {
+	if uint64(n) > uint64(len(r.b)/minSize) {
 		r.fail()
 		return 0
 	}
 	return int(n)
 }
 
-func (r *breader) contract() *qos.Contract {
+// The least a repeated element occupies on the wire: empty strings are
+// their 4-byte length, scalars 8 bytes.
+const (
+	minPhaseLen      = 4 + 5*8
+	minServerInfoLen = 4 + 8 + 8 + 4 + 8 + 8 + 4 + 4 + 4 + 8
+	minStrLen        = 4
+)
+
+// resized returns s with length n, reusing its backing array when that
+// is large enough. An empty group decodes to nil, as it does into a zero
+// value; the elements are the caller's to overwrite.
+func resized[T any](s []T, n int) []T {
+	switch {
+	case n == 0:
+		return nil
+	case n <= cap(s):
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+// contract reads an optional contract into c (and its Phases), or into a
+// new one when c is nil, and returns it; nil when the frame carries none.
+func (r *breader) contract(c *qos.Contract) *qos.Contract {
 	if !r.boolean() {
 		return nil
 	}
-	var c qos.Contract
-	c.App = r.str()
+	if c == nil {
+		c = new(qos.Contract)
+	}
+	r.str(&c.App)
 	c.MinPE = r.i64()
 	c.MaxPE = r.i64()
 	c.MemPerPE = r.i64()
@@ -444,51 +475,39 @@ func (r *breader) contract() *qos.Contract {
 	c.Payoff.AtHard = r.f64()
 	c.Payoff.Penalty = r.f64()
 	c.Deadline = r.f64()
-	if n := r.count(); n > 0 {
-		c.Phases = make([]qos.Phase, n)
-		for i := range c.Phases {
-			ph := &c.Phases[i]
-			ph.Name = r.str()
-			ph.Work = r.f64()
-			ph.MinPE = r.i64()
-			ph.MaxPE = r.i64()
-			ph.EffMin = r.f64()
-			ph.EffMax = r.f64()
-		}
+	c.Phases = resized(c.Phases, r.count(minPhaseLen))
+	for i := range c.Phases {
+		ph := &c.Phases[i]
+		r.str(&ph.Name)
+		ph.Work = r.f64()
+		ph.MinPE = r.i64()
+		ph.MaxPE = r.i64()
+		ph.EffMin = r.f64()
+		ph.EffMax = r.f64()
 	}
-	c.Mechanism = r.str()
-	if r.err != nil {
-		return nil
-	}
-	return &c
+	r.str(&c.Mechanism)
+	return c
 }
 
 func (r *breader) serverInfo(si *ServerInfo) {
-	si.Spec = machine.Spec{
-		Name:     r.str(),
-		NumPE:    r.i64(),
-		MemPerPE: r.i64(),
-		CPUType:  r.str(),
-		Speed:    r.f64(),
-		CostRate: r.f64(),
+	r.str(&si.Spec.Name)
+	si.Spec.NumPE = r.i64()
+	si.Spec.MemPerPE = r.i64()
+	r.str(&si.Spec.CPUType)
+	si.Spec.Speed = r.f64()
+	si.Spec.CostRate = r.f64()
+	r.str(&si.Addr)
+	si.Apps = resized(si.Apps, r.count(minStrLen))
+	for i := range si.Apps {
+		r.str(&si.Apps[i])
 	}
-	si.Addr = r.str()
-	if n := r.count(); n > 0 {
-		si.Apps = make([]string, n)
-		for i := range si.Apps {
-			si.Apps[i] = r.str()
-		}
-	}
-	si.Home = r.str()
+	r.str(&si.Home)
 	si.UsedPE = r.i64()
 }
 
-func (r *breader) serverInfos() []ServerInfo {
-	n := r.count()
-	if n == 0 {
-		return nil
-	}
-	sis := make([]ServerInfo, n)
+// serverInfos reads a listing into sis's storage and returns it.
+func (r *breader) serverInfos(sis []ServerInfo) []ServerInfo {
+	sis = resized(sis, r.count(minServerInfoLen))
 	for i := range sis {
 		r.serverInfo(&sis[i])
 	}
@@ -496,7 +515,7 @@ func (r *breader) serverInfos() []ServerInfo {
 }
 
 func (r *breader) bid(b *bidding.Bid) {
-	b.Server = r.str()
+	r.str(&b.Server)
 	b.Price = r.f64()
 	b.Multiplier = r.f64()
 	b.EstCompletion = r.f64()
@@ -516,126 +535,130 @@ func (r *breader) done() error {
 	return nil
 }
 
-// decodeBinaryBody decodes a binary body of type typ into v. The fast
-// path hits the exact pointer type a caller passes; *any (used by fuzz
-// and generic plumbing) receives the decoded value boxed.
-func decodeBinaryBody(typ string, data []byte, v any) error {
-	r := breader{b: data}
-	switch typ {
-	case TypeError:
-		var m ErrorBody
-		m.Message = r.str()
-		m.Retryable = r.boolean()
-		return storeBody(&r, typ, v, m)
-	case TypeBidReq:
-		var m BidReq
-		m.User = r.str()
-		m.Token = r.str()
-		m.Contract = r.contract()
-		return storeBody(&r, typ, v, m)
-	case TypeBidOK:
-		var m BidOK
-		r.bid(&m.Bid)
-		return storeBody(&r, typ, v, m)
-	case TypeCommitReq:
-		var m CommitReq
-		m.User = r.str()
-		m.Token = r.str()
-		m.JobID = r.str()
-		r.bid(&m.Bid)
-		return storeBody(&r, typ, v, m)
-	case TypeCommitOK:
-		return storeBody(&r, typ, v, CommitOK{JobID: r.str()})
-	case TypeSubmitReq:
-		var m SubmitReq
-		m.User = r.str()
-		m.Token = r.str()
-		m.JobID = r.str()
-		m.Contract = r.contract()
-		return storeBody(&r, typ, v, m)
-	case TypeSubmitOK:
-		return storeBody(&r, typ, v, SubmitOK{JobID: r.str()})
-	case TypeSettleReq:
-		var m SettleReq
-		m.JobID = r.str()
-		m.User = r.str()
-		m.Server = r.str()
-		m.HomeCluster = r.str()
-		m.App = r.str()
-		m.MinPE = r.i64()
-		m.MaxPE = r.i64()
-		m.Price = r.f64()
-		m.CPUSeconds = r.f64()
-		return storeBody(&r, typ, v, m)
-	case TypeSettleOK:
-		return storeBody(&r, typ, v, SettleOK{})
-	case TypePollReq:
-		return storeBody(&r, typ, v, PollReq{})
-	case TypePollOK:
-		var m PollOK
-		m.UsedPE = r.i64()
-		m.QueueLen = r.i64()
-		m.Running = r.i64()
-		return storeBody(&r, typ, v, m)
-	case TypeVerifyReq:
-		var m VerifyReq
-		m.User = r.str()
-		m.Token = r.str()
-		return storeBody(&r, typ, v, m)
-	case TypeVerifyOK:
-		return storeBody(&r, typ, v, VerifyOK{User: r.str()})
-	case TypeGossipReq:
-		return storeBody(&r, typ, v, GossipReq{})
-	case TypeGossipOK:
-		var m GossipOK
-		m.Servers = r.serverInfos()
-		m.Weather.Servers = r.i64()
-		m.Weather.TotalPE = r.i64()
-		m.Weather.UsedPE = r.i64()
-		m.Weather.Contracts = r.i64()
-		m.Weather.MeanMultiplier = r.f64()
-		return storeBody(&r, typ, v, m)
-	case TypeForwardSettleReq:
-		var m ForwardSettleReq
-		m.JobID = r.str()
-		m.User = r.str()
-		m.Server = r.str()
-		m.HomeCluster = r.str()
-		m.App = r.str()
-		m.MinPE = r.i64()
-		m.MaxPE = r.i64()
-		m.Price = r.f64()
-		m.CPUSeconds = r.f64()
-		return storeBody(&r, typ, v, m)
-	case TypeListServersReq:
-		var m ListServersReq
-		m.Token = r.str()
-		m.Contract = r.contract()
-		return storeBody(&r, typ, v, m)
-	case TypeListServersOK:
-		return storeBody(&r, typ, v, ListServersOK{Servers: r.serverInfos()})
-	case TypeASRegisterReq:
-		return storeBody(&r, typ, v, ASRegisterReq{JobID: r.str(), Owner: r.str(), Server: r.str(), App: r.str()})
-	case TypeTelemetry:
-		return storeBody(&r, typ, v, Telemetry{JobID: r.str(), Time: r.f64(), PEs: r.i64(), Util: r.f64(),
-			Done: r.f64(), State: r.str(), Output: r.str()})
-	}
-	return fmt.Errorf("%w: no binary decoder for type %q", ErrBinaryFrame, typ)
+// binaryDecoder mirrors binaryAppender on the pointer receiver: the
+// message decodes itself into the value the caller already holds. A
+// decoder overwrites every field, so decoding into a used value and into
+// a zero one give the same result; what it keeps of the old value is
+// storage — a string equal to the wire's, a slice's capacity, a non-nil
+// contract. After an error the target's contents are unspecified.
+type binaryDecoder interface {
+	decodeBinary(r *breader)
 }
 
-// storeBody finishes a decode: bounds check, then assign m into the
-// caller's target.
-func storeBody[T any](r *breader, typ string, v any, m T) error {
-	if err := r.done(); err != nil {
+// decodeBinaryBody decodes a binary body of type typ into v, which must
+// be a pointer to a message type with a binary encoding.
+func decodeBinaryBody(typ string, data []byte, v any) error {
+	m, ok := v.(binaryDecoder)
+	if !ok {
+		return fmt.Errorf("protocol: decode %s body: target %T has no binary decoder", typ, v)
+	}
+	// The reader is handed to an interface method, so a local one would
+	// be a heap allocation per frame.
+	r := breaders.Get().(*breader)
+	r.b, r.err = data, nil
+	m.decodeBinary(r)
+	err := r.done()
+	r.b = nil
+	breaders.Put(r)
+	if err != nil {
 		return fmt.Errorf("protocol: decode %s body: %w", typ, err)
 	}
-	switch t := v.(type) {
-	case *T:
-		*t = m
-		return nil
-	case *any:
-		*t = m
-		return nil
-	}
-	return fmt.Errorf("protocol: decode %s body: target %T does not match binary type", typ, v)
+	return nil
+}
+
+var breaders = sync.Pool{New: func() any { return new(breader) }}
+
+func (m *ErrorBody) decodeBinary(r *breader) {
+	r.str(&m.Message)
+	m.Retryable = r.boolean()
+}
+
+func (m *BidReq) decodeBinary(r *breader) {
+	r.str(&m.User)
+	r.str(&m.Token)
+	m.Contract = r.contract(m.Contract)
+}
+
+func (m *BidOK) decodeBinary(r *breader) { r.bid(&m.Bid) }
+
+func (m *CommitReq) decodeBinary(r *breader) {
+	r.str(&m.User)
+	r.str(&m.Token)
+	r.str(&m.JobID)
+	r.bid(&m.Bid)
+}
+
+func (m *CommitOK) decodeBinary(r *breader) { r.str(&m.JobID) }
+
+func (m *SubmitReq) decodeBinary(r *breader) {
+	r.str(&m.User)
+	r.str(&m.Token)
+	r.str(&m.JobID)
+	m.Contract = r.contract(m.Contract)
+}
+
+func (m *SubmitOK) decodeBinary(r *breader) { r.str(&m.JobID) }
+
+func (m *SettleReq) decodeBinary(r *breader) {
+	r.str(&m.JobID)
+	r.str(&m.User)
+	r.str(&m.Server)
+	r.str(&m.HomeCluster)
+	r.str(&m.App)
+	m.MinPE = r.i64()
+	m.MaxPE = r.i64()
+	m.Price = r.f64()
+	m.CPUSeconds = r.f64()
+}
+
+func (*SettleOK) decodeBinary(*breader)  {}
+func (*PollReq) decodeBinary(*breader)   {}
+func (*GossipReq) decodeBinary(*breader) {}
+
+func (m *PollOK) decodeBinary(r *breader) {
+	m.UsedPE = r.i64()
+	m.QueueLen = r.i64()
+	m.Running = r.i64()
+}
+
+func (m *VerifyReq) decodeBinary(r *breader) {
+	r.str(&m.User)
+	r.str(&m.Token)
+}
+
+func (m *VerifyOK) decodeBinary(r *breader) { r.str(&m.User) }
+
+func (m *GossipOK) decodeBinary(r *breader) {
+	m.Servers = r.serverInfos(m.Servers)
+	m.Weather.Servers = r.i64()
+	m.Weather.TotalPE = r.i64()
+	m.Weather.UsedPE = r.i64()
+	m.Weather.Contracts = r.i64()
+	m.Weather.MeanMultiplier = r.f64()
+}
+
+func (m *ForwardSettleReq) decodeBinary(r *breader) { (*SettleReq)(m).decodeBinary(r) }
+
+func (m *ListServersReq) decodeBinary(r *breader) {
+	r.str(&m.Token)
+	m.Contract = r.contract(m.Contract)
+}
+
+func (m *ListServersOK) decodeBinary(r *breader) { m.Servers = r.serverInfos(m.Servers) }
+
+func (m *ASRegisterReq) decodeBinary(r *breader) {
+	r.str(&m.JobID)
+	r.str(&m.Owner)
+	r.str(&m.Server)
+	r.str(&m.App)
+}
+
+func (m *Telemetry) decodeBinary(r *breader) {
+	r.str(&m.JobID)
+	m.Time = r.f64()
+	m.PEs = r.i64()
+	m.Util = r.f64()
+	m.Done = r.f64()
+	r.str(&m.State)
+	r.str(&m.Output)
 }

@@ -3,6 +3,7 @@ package protocol
 import (
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,9 +12,9 @@ import (
 	"faucets/internal/chaos"
 )
 
-// These tests pin the promises the completion-based pool must keep: Go
-// and Call are one path (same accounting, same deadline, same redial),
-// and every call completes exactly once whatever ends it.
+// These tests pin the promises the completion-based pool must keep:
+// Start and Call are one path (same accounting, same deadline, same
+// redial), and every call completes exactly once whatever ends it.
 
 // hookPoolObs is a countingPoolObs with hooks on the two events the
 // tests need to act inside of.
@@ -82,9 +83,10 @@ func startSilentPeer(t *testing.T) string {
 	return l.Addr().String()
 }
 
-// goResult is one Go'd call under observation: how often its done ran
-// and with what.
+// goResult is one started call under observation: how often its Done
+// ran and with what.
 type goResult struct {
+	call  PoolCall
 	reply PollOK
 	calls atomic.Int64
 	errCh chan error
@@ -92,10 +94,12 @@ type goResult struct {
 
 func goPoll(p *Pool, addr string, timeout time.Duration) *goResult {
 	r := &goResult{errCh: make(chan error, 4)} // room for the duplicates a bug would send
-	p.Go(addr, timeout, TypePollReq, PollReq{}, TypePollOK, &r.reply, func(err error) {
-		r.calls.Add(1)
-		r.errCh <- err
-	})
+	r.call = PoolCall{Addr: addr, Timeout: timeout, ReqType: TypePollReq, Req: PollReq{}, WantReply: TypePollOK, Reply: &r.reply,
+		Done: func(err error) {
+			r.calls.Add(1)
+			r.errCh <- err
+		}}
+	p.Start(&r.call)
 	return r
 }
 
@@ -107,7 +111,7 @@ func (r *goResult) wait(t *testing.T, limit time.Duration) error {
 	case err := <-r.errCh:
 		return err
 	case <-time.After(limit):
-		t.Fatalf("Go'd call did not complete within %v", limit)
+		t.Fatalf("started call did not complete within %v", limit)
 		return nil
 	}
 }
@@ -163,7 +167,7 @@ func TestPoolPublishedConnTimerRace(t *testing.T) {
 	}
 }
 
-// TestPoolGoAccountsLikeCall: a Go'd call — first over the blocking
+// TestPoolGoAccountsLikeCall: a started call — first over the blocking
 // path (no connection yet), then written by the caller on the warm
 // connection — is observed, health-recorded and checkout-counted exactly
 // as a Call is.
@@ -195,7 +199,8 @@ func TestPoolGoAccountsLikeCall(t *testing.T) {
 	// A refusal is final on the completion path too, and costs nothing.
 	var weather WeatherOK
 	refused := make(chan error, 1)
-	p.Go(s.addr(), time.Second, TypeWeatherReq, WeatherReq{}, TypeWeatherOK, &weather, func(err error) { refused <- err })
+	p.Start(&PoolCall{Addr: s.addr(), Timeout: time.Second, ReqType: TypeWeatherReq, Req: WeatherReq{},
+		WantReply: TypeWeatherOK, Reply: &weather, Done: func(err error) { refused <- err }})
 	var remote *RemoteError
 	if err := <-refused; !errors.As(err, &remote) {
 		t.Fatalf("want RemoteError, got %v", err)
@@ -204,7 +209,7 @@ func TestPoolGoAccountsLikeCall(t *testing.T) {
 		t.Fatalf("refusal cost the connection: open=%d redials=%d failures=%d", p.OpenConns(), obs.redials.Load(), h.failures.Load())
 	}
 
-	// An OPEN breaker refuses a Go'd call as it refuses a Call.
+	// An OPEN breaker refuses a started call as it refuses a Call.
 	h.shut.Store(true)
 	if err := goPoll(p, s.addr(), time.Second).wait(t, time.Second); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("want ErrBreakerOpen, got %v", err)
@@ -215,13 +220,13 @@ func TestPoolGoAccountsLikeCall(t *testing.T) {
 }
 
 // TestPoolSilentPeerFailsGoAndCall: a peer that accepts and never
-// answers costs a Go'd call and a blocking Call alike at most the
+// answers costs a started call and a blocking Call alike at most the
 // timeout, and costs the connection.
 func TestPoolSilentPeerFailsGoAndCall(t *testing.T) {
 	addr := startSilentPeer(t)
 	p := &Pool{Retry: Retry{Attempts: 1}, Size: 1}
 	defer p.Close()
-	// The Call dials and the Go shares its connection (Size 1); twice,
+	// The Call dials and the Start shares its connection (Size 1); twice,
 	// because the pool must come back from the kill.
 	for round := 0; round < 2; round++ {
 		start := time.Now()
@@ -233,7 +238,7 @@ func TestPoolSilentPeerFailsGoAndCall(t *testing.T) {
 		waitConns(t, p, 1)
 		r := goPoll(p, addr, 60*time.Millisecond)
 		if err := r.wait(t, 2*time.Second); err == nil {
-			t.Fatal("Go'd call to a silent peer succeeded")
+			t.Fatal("started call to a silent peer succeeded")
 		}
 		if err := <-blocked; err == nil {
 			t.Fatal("Call to a silent peer succeeded")
@@ -279,7 +284,7 @@ func TestPoolShorterDeadlineAfterLonger(t *testing.T) {
 }
 
 // TestPoolGoSeveredMidFlightRedialsOnce: a connection severed after a
-// Go'd request was written completes the call through the blocking
+// started request was written completes the call through the blocking
 // path's redial — one PoolRedial, one success, one done.
 func TestPoolGoSeveredMidFlightRedialsOnce(t *testing.T) {
 	inj := chaos.New(chaos.Config{Seed: 42})
@@ -338,7 +343,7 @@ func TestPoolGoSeveredMidFlightRedialsOnce(t *testing.T) {
 	}
 }
 
-// TestPoolCloseCompletesInflightOnce: Close with calls in flight, Go'd
+// TestPoolCloseCompletesInflightOnce: Close with calls in flight, started
 // and blocking, completes each exactly once with ErrPoolClosed.
 func TestPoolCloseCompletesInflightOnce(t *testing.T) {
 	addr := startSilentPeer(t)
@@ -371,13 +376,13 @@ func TestPoolCloseCompletesInflightOnce(t *testing.T) {
 	}
 	for i, r := range gone {
 		if err := r.wait(t, 2*time.Second); !errors.Is(err, ErrPoolClosed) {
-			t.Fatalf("Go'd call %d: %v, want ErrPoolClosed", i, err)
+			t.Fatalf("started call %d: %v, want ErrPoolClosed", i, err)
 		}
 	}
 	time.Sleep(20 * time.Millisecond)
 	for i, r := range gone {
 		if n := r.calls.Load(); n != 1 {
-			t.Fatalf("Go'd call %d completed %d times", i, n)
+			t.Fatalf("started call %d completed %d times", i, n)
 		}
 	}
 }
@@ -417,10 +422,11 @@ func startQuietEcho(tb testing.TB) string {
 }
 
 // fanout16 is the shape of one request-for-bids round at the pool: one
-// Go per peer from the caller's goroutine, then a wait for all sixteen.
+// Start per peer from the caller's goroutine, then a wait for all sixteen.
 type fanout16 struct {
 	p       *Pool
 	addrs   [16]string
+	calls   [16]PoolCall // caller-owned records, reused round after round
 	replies [16]PollOK
 	req     any
 	left    atomic.Int32
@@ -432,9 +438,6 @@ type fanout16 struct {
 func newFanout16(tb testing.TB) *fanout16 {
 	f := &fanout16{p: &Pool{}, req: PollReq{}, all: make(chan struct{}, 1)}
 	tb.Cleanup(f.p.Close)
-	for i := range f.addrs {
-		f.addrs[i] = startQuietEcho(tb)
-	}
 	f.done = func(err error) {
 		if err != nil {
 			f.failed.Add(1)
@@ -443,14 +446,87 @@ func newFanout16(tb testing.TB) *fanout16 {
 			f.all <- struct{}{}
 		}
 	}
+	for i := range f.addrs {
+		f.addrs[i] = startQuietEcho(tb)
+		f.calls[i] = PoolCall{Addr: f.addrs[i], Timeout: time.Second, ReqType: TypePollReq, Req: f.req,
+			WantReply: TypePollOK, Reply: &f.replies[i], Done: f.done}
+	}
 	f.round() // dial every peer
 	return f
 }
 
 func (f *fanout16) round() {
 	f.left.Store(int32(len(f.addrs)))
-	for i, addr := range f.addrs {
-		f.p.Go(addr, time.Second, TypePollReq, f.req, TypePollOK, &f.replies[i], f.done)
+	for i := range f.calls {
+		f.p.Start(&f.calls[i])
 	}
 	<-f.all
+}
+
+// TestPoolWriteBlockedOnStalledReaderFailsAtDeadline: a peer that accepts
+// and never reads lets a large request fill the socket buffers and block
+// its Write. There is no write deadline on the shared connection: the
+// call was registered and the watchdog armed before the write, and the
+// watchdog's fail closes the socket, which ends the blocked Write — and
+// fails the small call queued behind it for the write lock. Both finish
+// by their deadline and the connection is evicted.
+func TestPoolWriteBlockedOnStalledReaderFailsAtDeadline(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	held := make(chan net.Conn, 4)
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				close(held)
+				return
+			}
+			_ = conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+			held <- conn // accepted, never read
+		}
+	}()
+	defer func() {
+		l.Close()
+		for conn := range held {
+			conn.Close()
+		}
+	}()
+	p := &Pool{Size: 1, Retry: Retry{Attempts: 1}, DialFunc: func(addr string, timeout time.Duration) (net.Conn, error) {
+		conn, err := Dial(addr, timeout)
+		if err == nil {
+			_ = conn.(*net.TCPConn).SetWriteBuffer(4 << 10)
+		}
+		return conn, err
+	}}
+	defer p.Close()
+	const timeout = 150 * time.Millisecond
+	big := Telemetry{JobID: "j", Output: strings.Repeat("x", 12<<20)} // past any loopback buffering
+	start := time.Now()
+	blocked := make(chan error, 1)
+	go func() {
+		var reply PollOK
+		blocked <- p.Call(l.Addr().String(), timeout, TypeTelemetry, big, TypePollOK, &reply)
+	}()
+	waitConns(t, p, 1)
+	time.Sleep(20 * time.Millisecond) // the big write is in the kernel's hands
+	queued := goPoll(p, l.Addr().String(), timeout)
+	if err := queued.wait(t, 5*time.Second); err == nil {
+		t.Fatal("call queued behind a blocked write succeeded")
+	}
+	select {
+	case err := <-blocked:
+		if err == nil {
+			t.Fatal("call to a peer that never reads succeeded")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("write blocked past its deadline: nothing ended it")
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("blocked write took %v to fail, want ≈%v", took, timeout)
+	}
+	queued.once(t)
+	waitConns(t, p, 0)
 }

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -118,11 +119,16 @@ func writeFrame(w io.Writer, id uint64, typ string, body any) error {
 			err = fmt.Errorf("protocol: write frame: %w", werr)
 		}
 	}
+	putWriteBuf(bp, buf)
+	return err
+}
+
+// putWriteBuf returns an encode buffer, as grown, to the write pool.
+func putWriteBuf(bp *[]byte, buf []byte) {
 	if cap(buf) <= maxPooledBuf {
 		*bp = buf[:0]
 		writeBufPool.Put(bp)
 	}
-	return err
 }
 
 // AppendFrame appends one complete frame — length prefix included — to
@@ -333,6 +339,11 @@ func (fr *FrameReader) fill(need int) error {
 // An empty body is accepted only for the field-free types in
 // allowEmptyBody; for anything else it reports ErrEmptyBody rather than
 // letting a zero-valued struct flow onward as real data.
+//
+// v may be a value the caller has decoded into before: either codec
+// leaves it exactly as a decode into a zero value would, and the binary
+// one reuses its storage (see binaryDecoder). After an error v's
+// contents are unspecified.
 func Decode(f Frame, wantType string, v any) error {
 	if f.Type != wantType {
 		return fmt.Errorf("%w: got %q, want %q", ErrBadType, f.Type, wantType)
@@ -348,6 +359,11 @@ func Decode(f Frame, wantType string, v any) error {
 	}
 	if f.codec == CodecBinary {
 		return decodeBinaryBody(f.Type, f.Body, v)
+	}
+	// json.Unmarshal merges into what v holds: a field the frame omits
+	// (omitempty) would keep a reused target's previous value.
+	if rv := reflect.ValueOf(v); rv.Kind() == reflect.Pointer && !rv.IsNil() {
+		rv.Elem().SetZero()
 	}
 	if err := json.Unmarshal(f.Body, v); err != nil {
 		return fmt.Errorf("protocol: decode %s body: %w", f.Type, err)

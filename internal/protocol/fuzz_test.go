@@ -8,6 +8,60 @@ import (
 	"faucets/internal/qos"
 )
 
+// zeroBody returns a pointer to a zero message of the binary type typ:
+// the target a reader that knows the type would pass.
+func zeroBody(typ string) any {
+	switch typ {
+	case TypeError:
+		return &ErrorBody{}
+	case TypeBidReq:
+		return &BidReq{}
+	case TypeBidOK:
+		return &BidOK{}
+	case TypeCommitReq:
+		return &CommitReq{}
+	case TypeCommitOK:
+		return &CommitOK{}
+	case TypeSubmitReq:
+		return &SubmitReq{}
+	case TypeSubmitOK:
+		return &SubmitOK{}
+	case TypeSettleReq:
+		return &SettleReq{}
+	case TypeSettleOK:
+		return &SettleOK{}
+	case TypePollReq:
+		return &PollReq{}
+	case TypePollOK:
+		return &PollOK{}
+	case TypeVerifyReq:
+		return &VerifyReq{}
+	case TypeVerifyOK:
+		return &VerifyOK{}
+	case TypeGossipReq:
+		return &GossipReq{}
+	case TypeGossipOK:
+		return &GossipOK{}
+	case TypeForwardSettleReq:
+		return &ForwardSettleReq{}
+	case TypeListServersReq:
+		return &ListServersReq{}
+	case TypeListServersOK:
+		return &ListServersOK{}
+	case TypeASRegisterReq:
+		return &ASRegisterReq{}
+	case TypeTelemetry:
+		return &Telemetry{}
+	}
+	return nil
+}
+
+// decodeFresh decodes a binary frame into a zero message of its type.
+func decodeFresh(fr Frame) (any, error) {
+	v := zeroBody(fr.Type)
+	return v, Decode(fr, fr.Type, v)
+}
+
 // FuzzReadFrame throws arbitrary bytes at the frame decoder: it must
 // never panic or allocate unbounded memory, only return errors.
 func FuzzReadFrame(f *testing.F) {
@@ -23,6 +77,10 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{0, 0, 0, 5, 'h', 'e', 'l', 'l', 'o'})
 	f.Add([]byte{0, 0, 0, 12, binMagic, 1, 12, 0, 0, 0, 0, 0, 0, 0, 1, 9})
+	// Counts far past what their frames could hold (see
+	// TestCountFieldCannotOutbuyItsFrame).
+	f.Add(countBomb(f, TypeListServersOK, nil, 1<<22, 256))
+	f.Add(countBomb(f, TypeBidReq, contractPrefix("u", "t"), 1<<22, 256))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := ReadFrame(bytes.NewReader(data))
@@ -32,8 +90,8 @@ func FuzzReadFrame(f *testing.F) {
 		if fr.Codec() == CodecBinary {
 			// Binary bodies are raw bytes; structured decode may refuse a
 			// crafted body, but a body that decodes must re-encode.
-			var v any
-			if err := Decode(fr, fr.Type, &v); err != nil {
+			v, err := decodeFresh(fr)
+			if err != nil {
 				return
 			}
 			if _, err := AppendFrame(nil, CodecBinary, fr.ID, fr.Type, v); err != nil {
@@ -84,14 +142,16 @@ func FuzzBinaryFrameRoundtrip(f *testing.F) {
 	seed(TypeListServersOK, 13, ListServersOK{Servers: []ServerInfo{{Addr: "b", Apps: []string{"x"}}}})
 	seed(TypeASRegisterReq, 14, ASRegisterReq{JobID: "j", Owner: "u", Server: "s", App: "a"})
 	seed(TypeTelemetry, 15, Telemetry{JobID: "j", Time: 1.5, PEs: 8, Util: 0.9, Done: 0.5, State: "running", Output: "o"})
+	f.Add(countBomb(f, TypeListServersOK, nil, 1<<22, 256))
+	f.Add(countBomb(f, TypeSubmitReq, contractPrefix("u", "t", "j"), 1<<22, 256))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := ReadFrame(bytes.NewReader(data))
 		if err != nil || fr.Codec() != CodecBinary {
 			return
 		}
-		var v any
-		if err := Decode(fr, fr.Type, &v); err != nil {
+		v, err := decodeFresh(fr)
+		if err != nil {
 			return // malformed body: rejected is the correct outcome
 		}
 		out, err := AppendFrame(nil, CodecBinary, fr.ID, fr.Type, v)
@@ -102,8 +162,8 @@ func FuzzBinaryFrameRoundtrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("canonical encoding unreadable: %v", err)
 		}
-		var v2 any
-		if err := Decode(fr2, fr2.Type, &v2); err != nil {
+		v2, err := decodeFresh(fr2)
+		if err != nil {
 			t.Fatalf("canonical encoding undecodable: %v", err)
 		}
 		out2, err := AppendFrame(nil, CodecBinary, fr2.ID, fr2.Type, v2)

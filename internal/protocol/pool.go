@@ -19,12 +19,13 @@ import (
 // idle connections are reaped, and broken ones are redialed with the
 // existing jittered Retry policy.
 //
-// One exchange is a completion, not a parked goroutine: a call registers
-// its reply target, a deadline and a done func in its connection's
-// pending table and writes the request; the connection's read goroutine
-// decodes the answer in place and calls done. Go hands that completion
-// to the caller — a sixteen-way request-for-bids leaves on one goroutine
-// — and Call is the same registration plus a wait.
+// One exchange is a completion, not a parked goroutine, and a record the
+// caller owns: a *PoolCall names the peer, the request, the reply target
+// and a Done func; Start registers it in its connection's pending table
+// and writes the request, and the connection's read goroutine decodes
+// the answer in place and completes it. A sixteen-way request-for-bids
+// leaves on one goroutine and allocates nothing here; Pool.Call is the
+// same registration plus a wait.
 
 // Pool defaults.
 const (
@@ -153,6 +154,30 @@ func (p *Pool) dial(addr string) (net.Conn, error) {
 	return Dial(addr, p.DialTimeout)
 }
 
+// PoolCall is one pooled exchange. The caller fills the exported fields
+// and owns the record; from Start until Done runs, the record and
+// everything it points at belong to the pool. Done runs exactly once and
+// the pool does not touch the record afterwards, so Done may recycle it.
+type PoolCall struct {
+	Addr      string
+	Timeout   time.Duration
+	ReqType   string
+	Req       any
+	WantReply string
+	Reply     any
+	// Done receives what Pool.Call would have returned. It runs on a
+	// connection's read goroutine (or whichever goroutine fails the
+	// connection), never on the one that called Start, so it must not
+	// block, write to a connection, or call back into the pool.
+	Done func(error)
+
+	// The pool's state for the attempt in flight.
+	pc       *poolConn
+	begun    time.Time  // Start's instant: the observer's clock, and attempt 0's
+	deadline time.Time  // the watchdog's
+	parked   chan error // non-nil: the attempt loop (call) is waiting for this attempt
+}
+
 // Call performs one deadline-bounded request/response exchange over a
 // pooled connection and reports the outcome to Obs. Transport
 // failures evict the broken connection and redial under the Retry
@@ -160,59 +185,81 @@ func (p *Pool) dial(addr string) (net.Conn, error) {
 // refused). Only idempotent calls belong here.
 func (p *Pool) Call(addr string, timeout time.Duration, reqType string, req any, wantReply string, reply any) error {
 	start := time.Now()
-	err := p.call(0, nil, addr, timeout, reqType, req, wantReply, reply)
+	w := waiters.Get().(*waiter)
+	w.PoolCall = PoolCall{Addr: addr, Timeout: timeout, ReqType: reqType, Req: req, WantReply: wantReply, Reply: reply, parked: w.ch}
+	err := p.call(0, nil, &w.PoolCall)
+	w.PoolCall = PoolCall{} // pin nothing of the caller's while pooled
+	waiters.Put(w)
 	observe(p.Obs, reqType, start, err)
 	return err
 }
 
-// Go is Call as a completion: done receives what Call would have
-// returned, and reply belongs to the pool until then. When an
-// established connection can take the request it is written on the
-// caller's goroutine and done later runs on that connection's read
-// goroutine (or whichever goroutine fails the connection), so done must
-// not block, write to a connection, or call back into the pool. In every
-// other case — no connection yet, breaker OPEN, the write fails, the
-// connection breaks before the answer — a goroutine finishes the call on
-// Call's blocking path from where the attempt left off, so redial,
-// backoff, breaker and observer accounting are Call's. done never runs
-// on the goroutine that called Go.
-func (p *Pool) Go(addr string, timeout time.Duration, reqType string, req any, wantReply string, reply any, done func(error)) {
-	start := time.Now()
-	blocking := func(first int, err error) {
-		go func() {
-			err := p.call(first, err, addr, timeout, reqType, req, wantReply, reply)
-			observe(p.Obs, reqType, start, err)
-			done(err)
-		}()
-	}
-	p.mu.Lock()
-	pc := p.shareLocked(addr)
-	p.mu.Unlock()
-	if pc == nil {
-		blocking(0, nil)
-		return
-	}
-	if h := p.Health; h != nil && !h.Allow(addr) {
-		pc.inflight.Add(-1)
-		blocking(0, nil) // refused again there, unless the cooldown just lapsed
-		return
-	}
-	p.observeCheckout()
-	pc.start(timeout, reqType, req, wantReply, reply, func(err error) {
-		pc.checkin()
-		if !p.settled(addr, start, err) {
-			blocking(1, err)
-			return
-		}
-		observe(p.Obs, reqType, start, err)
-		done(err)
-	})
+// waiter is the record a blocking Call parks on. Completions are
+// exactly-once, so it is reusable the moment its value has been received
+// and the steady state allocates no record and no channel per call.
+type waiter struct {
+	PoolCall
+	ch chan error
 }
 
-// call runs the attempt loop from attempt first; err is what the attempt
-// before it left behind (Go hands over after a failed attempt 0).
-func (p *Pool) call(first int, err error, addr string, timeout time.Duration, reqType string, req any, wantReply string, reply any) error {
+var waiters = sync.Pool{New: func() any { return &waiter{ch: make(chan error, 1)} }}
+
+// Start is Call as a completion: c.Done receives the outcome. When an
+// established connection can take the request it is written on the
+// caller's goroutine. In every other case — no connection yet, breaker
+// OPEN, the connection breaks before the answer — a goroutine finishes
+// the call on Call's blocking path from where the attempt left off, so
+// redial, backoff, breaker and observer accounting are Call's.
+func (p *Pool) Start(c *PoolCall) {
+	c.begun = time.Now()
+	p.mu.Lock()
+	pc := p.shareLocked(c.Addr)
+	p.mu.Unlock()
+	if pc != nil {
+		if h := p.Health; h == nil || h.Allow(c.Addr) {
+			p.observeCheckout()
+			pc.start(c)
+			return
+		}
+		pc.inflight.Add(-1) // refused again in call, unless the cooldown just lapsed
+	}
+	go p.finish(c, 0, nil)
+}
+
+// finish completes a started call on the blocking path, from attempt
+// first on.
+func (p *Pool) finish(c *PoolCall, first int, err error) {
+	c.parked = make(chan error, 1)
+	err = p.call(first, err, c)
+	c.parked = nil
+	observe(p.Obs, c.ReqType, c.begun, err)
+	c.Done(err)
+}
+
+// complete ends the attempt in flight; whoever took c out of its
+// connection's pending table calls it. A parked attempt is the attempt
+// loop's to finish; a started one finishes here unless it needs a redial.
+func (c *PoolCall) complete(err error) {
+	if c.parked != nil {
+		c.parked <- err
+		return
+	}
+	p := c.pc.pool
+	c.pc.checkin()
+	if !p.settled(c.Addr, c.begun, err) {
+		go p.finish(c, 1, err)
+		return
+	}
+	observe(p.Obs, c.ReqType, c.begun, err)
+	c.Done(err)
+}
+
+// call runs the attempt loop from attempt first, parking on c for each;
+// err is what the attempt before it left behind (a started call hands
+// over after a failed attempt 0).
+func (p *Pool) call(first int, err error, c *PoolCall) error {
 	p.init()
+	addr := c.Addr
 	r := p.Retry
 	if r.Stop == nil {
 		r.Stop = p.closed
@@ -249,10 +296,8 @@ func (p *Pool) call(first int, err error, addr string, timeout time.Duration, re
 			p.recordHealth(addr, attemptStart, err)
 			continue // dial failure: back off and redial
 		}
-		w := waiters.Get().(*waiter)
-		pc.start(timeout, reqType, req, wantReply, reply, w.done)
-		err = <-w.ch
-		waiters.Put(w)
+		pc.start(c)
+		err = <-c.parked
 		pc.checkin()
 		if p.settled(addr, attemptStart, err) {
 			return err
@@ -262,20 +307,6 @@ func (p *Pool) call(first int, err error, addr string, timeout time.Duration, re
 	}
 	return err
 }
-
-// waiter parks a blocking Call until its completion runs. Completions
-// are exactly-once, so a waiter is reusable the moment its value has
-// been received and the steady state allocates no channel per call.
-type waiter struct {
-	ch   chan error
-	done func(error)
-}
-
-var waiters = sync.Pool{New: func() any {
-	w := &waiter{ch: make(chan error, 1)}
-	w.done = func(err error) { w.ch <- err }
-	return w
-}}
 
 // settled feeds one attempt's outcome to the breaker and reports whether
 // it ends the call. A *RemoteError does, and the breaker sees it as a
@@ -347,7 +378,7 @@ func (p *Pool) checkout(addr string) (*poolConn, error) {
 		return nil, ErrPoolClosed
 	default:
 	}
-	pc := &poolConn{pool: p, addr: addr, conn: conn, pending: map[uint64]pendingCall{}}
+	pc := &poolConn{pool: p, addr: addr, conn: conn, pending: map[uint64]*PoolCall{}}
 	pc.inflight.Add(1)
 	pc.lastUsed.Store(time.Now().UnixNano())
 	// Both timers exist before the connection is published: once it is
@@ -445,20 +476,11 @@ func (p *Pool) Close() {
 	}
 }
 
-// pendingCall is one exchange awaiting its reply: where the answer goes,
-// when the call is overdue, and the completion that ends it. Whoever
-// removes the entry from its connection's table (under mu) calls done,
-// so every call completes exactly once.
-type pendingCall struct {
-	wantReply string
-	reply     any
-	deadline  time.Time
-	done      func(error)
-}
-
 // poolConn is one persistent connection with pipelined calls: writes
 // are serialized under wmu, a single readLoop goroutine matches replies
-// to pending calls by frame ID and completes them.
+// to pending calls by frame ID and completes them. Whoever removes a
+// call from pending (under mu) completes it, so every call completes
+// exactly once.
 type poolConn struct {
 	pool *Pool
 	addr string
@@ -466,9 +488,10 @@ type poolConn struct {
 
 	wmu sync.Mutex // serializes frame writes
 
+	nextID atomic.Uint64
+
 	mu      sync.Mutex
-	nextID  uint64
-	pending map[uint64]pendingCall
+	pending map[uint64]*PoolCall
 	err     error // first failure; connection is dead once set
 	// watchdog enforces every pending deadline with one timer: armed for
 	// the earliest (watchAt), re-armed earlier when a shorter one
@@ -499,7 +522,7 @@ func (pc *poolConn) readLoop() {
 		delete(pc.pending, f.ID)
 		pc.mu.Unlock()
 		if ok {
-			call.done(decodeReply(f, call.wantReply, call.reply))
+			call.complete(decodeReply(f, call.WantReply, call.Reply))
 		}
 	}
 }
@@ -526,41 +549,50 @@ func (pc *poolConn) failLocal(err error) {
 	pc.idleTimer.Stop()
 	pc.watchdog.Stop()
 	for _, call := range pending {
-		call.done(err)
+		call.complete(err)
 	}
 }
 
-// start registers one exchange and writes its request; done runs exactly
-// once, with the decoded reply in place or the error that ended the
-// attempt. The connection is shared, so the deadline is the watchdog's
-// rather than SetDeadline's, and a call that runs past it kills the
-// connection (a peer that stopped answering would poison every later
-// call sharing it).
-func (pc *poolConn) start(timeout time.Duration, reqType string, req any, wantReply string, reply any, done func(error)) {
-	deadline := time.Now().Add(Timeout(timeout))
+// start registers one exchange and writes its request; c completes
+// exactly once, with the decoded reply in place or the error that ended
+// the attempt. The request is encoded before c is registered: from then
+// on a failing connection may complete c — and its owner recycle it — at
+// any moment, so start does not read it again. The connection is shared,
+// so the deadline is the watchdog's rather than SetDeadline's, and a call
+// that runs past it kills the connection (a peer that stopped answering
+// would poison every later call sharing it). That covers the write too:
+// the watchdog is armed before it, and closing the socket ends a write
+// blocked on a peer that has stopped reading.
+func (pc *poolConn) start(c *PoolCall) {
+	c.pc = pc
+	c.deadline = time.Now().Add(Timeout(c.Timeout))
+	id := pc.nextID.Add(1)
+	bp := writeBufPool.Get().(*[]byte)
+	buf, err := AppendFrame((*bp)[:0], CodecBinary, id, c.ReqType, c.Req)
 	pc.mu.Lock()
-	if pc.err != nil {
-		err := pc.err
+	if err == nil && pc.err != nil {
+		err = fmt.Errorf("%w: %w", errConnBroken, pc.err)
+	}
+	if err != nil {
 		pc.mu.Unlock()
-		done(fmt.Errorf("%w: %w", errConnBroken, err))
+		putWriteBuf(bp, buf)
+		c.complete(err)
 		return
 	}
-	pc.nextID++
-	id := pc.nextID
-	pc.pending[id] = pendingCall{wantReply: wantReply, reply: reply, deadline: deadline, done: done}
-	if pc.watchAt.IsZero() || deadline.Before(pc.watchAt) {
-		pc.watchAt = deadline
-		pc.watchdog.Reset(time.Until(deadline))
+	pc.pending[id] = c
+	if pc.watchAt.IsZero() || c.deadline.Before(pc.watchAt) {
+		pc.watchAt = c.deadline
+		pc.watchdog.Reset(time.Until(c.deadline))
 	}
 	pc.mu.Unlock()
 
 	pc.wmu.Lock()
-	_ = pc.conn.SetWriteDeadline(deadline)
-	err := writeFrame(pc.conn, id, reqType, req)
-	_ = pc.conn.SetWriteDeadline(time.Time{})
+	_, err = pc.conn.Write(buf)
 	pc.wmu.Unlock()
+	putWriteBuf(bp, buf)
 	if err != nil {
-		pc.fail(err) // completes this call too, unless the read loop got there first
+		// Completes this call too, unless the read loop got there first.
+		pc.fail(fmt.Errorf("protocol: write frame: %w", err))
 	}
 }
 

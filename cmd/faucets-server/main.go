@@ -23,7 +23,6 @@ import (
 	"faucets/internal/accounting"
 	"faucets/internal/central"
 	"faucets/internal/db"
-	"faucets/internal/protocol"
 	"faucets/internal/qos"
 	"faucets/internal/shard"
 	"faucets/internal/telemetry"
@@ -43,9 +42,7 @@ func main() {
 	shardID := flag.Int("shard-id", -1, "this server's index into -ring (its public address as peers dial it); required with -ring")
 	gossipInterval := flag.Duration("gossip-interval", 0, "how often each peer's directory/weather digest is pulled (0 = default; with -ring or -peers)")
 	rpcTimeout := flag.Duration("rpc-timeout", 5*time.Second, "deadline for each federation RPC round trip")
-	poolSize := flag.Int("rpc-pool-size", protocol.DefaultPoolSize, "persistent federation RPC connections kept per peer address")
 	pollTimeout := flag.Duration("poll-timeout", 3*time.Second, "deadline for each daemon liveness probe")
-	pollWidth := flag.Int("poll-concurrency", 32, "how many daemons are probed in parallel")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus metrics at this address under /metrics (empty = off)")
 	maxInflight := flag.Int("max-inflight", 0, "admission control: auctions + settlements processed concurrently before new auctions are shed with a retryable OVERLOADED error (0 = unlimited)")
 	breakerThreshold := flag.Float64("breaker-threshold", 0, "circuit-breaker suspicion score that opens a daemon's breaker and skips its liveness probes (0 = breakers off)")
@@ -81,9 +78,7 @@ func main() {
 	}
 	srv.DeadAfter = *deadAfter
 	srv.RPCTimeout = *rpcTimeout
-	srv.PoolSize = *poolSize
 	srv.PollTimeout = *pollTimeout
-	srv.PollConcurrency = *pollWidth
 	srv.MaxInflight = *maxInflight
 	srv.BreakerThreshold = *breakerThreshold
 	srv.BreakerCooldown = *breakerCooldown

@@ -34,8 +34,6 @@ func main() {
 	user := flag.String("user", "", "userid")
 	pass := flag.String("pass", "", "password")
 	rpcTimeout := flag.Duration("rpc-timeout", 5*time.Second, "deadline for each RPC round trip")
-	poolSize := flag.Int("rpc-pool-size", protocol.DefaultPoolSize, "persistent RPC connections kept per peer address")
-	bidConc := flag.Int("bid-concurrency", 0, "daemons asked for a bid in parallel during submit (0 = min(16, #servers), 1 = serial)")
 	bidTimeout := flag.Duration("bid-timeout", 0, "per-bid deadline: a daemon that does not answer in time forfeits its bid (0 = rpc-timeout only)")
 	breakerThreshold := flag.Float64("breaker-threshold", 0, "circuit-breaker suspicion score that opens the breaker on a sick daemon, skipping it during bid solicitation (0 = breakers off)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long an open breaker waits before half-open probing (0 = library default)")
@@ -53,8 +51,6 @@ func main() {
 		log.Fatalf("login: %v", err)
 	}
 	cl.AppSpectorAddr = *asAddr
-	cl.PoolSize = *poolSize
-	cl.BidConcurrency = *bidConc
 	cl.BidTimeout = *bidTimeout
 	cl.HedgeQuantile = *hedgeQuantile
 	cl.Mechanism = *mechanism

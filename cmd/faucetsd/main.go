@@ -44,7 +44,6 @@ func main() {
 	home := flag.String("home", "", "bartering home cluster (defaults to -name)")
 	timeScale := flag.Float64("timescale", 1.0, "virtual seconds per wall second")
 	rpcTimeout := flag.Duration("rpc-timeout", 5*time.Second, "deadline for each outbound RPC round trip")
-	poolSize := flag.Int("rpc-pool-size", protocol.DefaultPoolSize, "persistent RPC connections kept per peer address")
 	settleRetry := flag.Duration("settle-retry", time.Second, "redelivery cadence for unacknowledged settlements")
 	stateDir := flag.String("state-dir", "", "durable state directory: admitted jobs and the settlement outbox are journaled, and a restarted daemon resumes them")
 	reconfig := flag.Float64("reconfig-latency", 5.0, "adaptive-job reconfiguration stall, seconds")
@@ -70,25 +69,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("-bidder: %v", err)
 	}
-	// The weather/history sources are built before the daemon so the
-	// bidder can be handed to daemon.New; the daemon's shared RPC pool is
-	// wired into them right after construction.
-	var weatherSrc *daemon.CentralWeather
-	var historySrc *daemon.CentralHistory
-	switch g := gen.(type) {
-	case *bidding.Weather:
-		if *centralAddr == "" {
-			log.Fatal("the weather bidder needs -central for §5.2.1 grid reports")
-		}
-		weatherSrc = &daemon.CentralWeather{Addr: *centralAddr, Timeout: *rpcTimeout}
-		g.Source = weatherSrc
-	case *bidding.History:
-		if *centralAddr == "" {
-			log.Fatal("the history bidder needs -central for §5.2.1 contract history")
-		}
-		historySrc = &daemon.CentralHistory{Addr: *centralAddr, Timeout: *rpcTimeout}
-		g.View = historySrc
-	}
 
 	var appList []string
 	for _, a := range strings.Split(*apps, ",") {
@@ -105,7 +85,6 @@ func main() {
 		AppSpectorAddr:   *asAddr,
 		TimeScale:        *timeScale,
 		RPCTimeout:       *rpcTimeout,
-		PoolSize:         *poolSize,
 		SettleRetry:      *settleRetry,
 		StateDir:         *stateDir,
 		Tracer:           tracer,
@@ -115,12 +94,6 @@ func main() {
 	})
 	if err != nil {
 		log.Fatalf("daemon: %v", err)
-	}
-	if weatherSrc != nil {
-		weatherSrc.Pool = d.RPCPool()
-	}
-	if historySrc != nil {
-		historySrc.Pool = d.RPCPool()
 	}
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {

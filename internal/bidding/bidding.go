@@ -29,6 +29,7 @@ package bidding
 import (
 	"fmt"
 
+	"faucets/internal/machine"
 	"faucets/internal/qos"
 )
 
@@ -52,6 +53,42 @@ type ServerState struct {
 	// when the scheduler declined the job.
 	EstimatedCompletion float64
 	CanRun              bool
+}
+
+// Estimator is the part of a Cluster Manager a bid is generated from.
+type Estimator interface {
+	EstimateCompletion(now float64, c *qos.Contract) (float64, bool)
+	UsedPEs() int
+}
+
+// StateFor is the ServerState of a bid for c: the machine's spec, the
+// scheduler's verdict on the contract, and the server's admitted-but-
+// unfinished work. The live daemon and the simulated server both bid from
+// this.
+func StateFor(spec *machine.Spec, sched Estimator, now float64, c *qos.Contract, queuedWork float64) ServerState {
+	est, canRun := sched.EstimateCompletion(now, c)
+	return ServerState{
+		NumPE:               spec.NumPE,
+		UsedPE:              sched.UsedPEs(),
+		QueuedWork:          queuedWork,
+		Speed:               spec.Speed,
+		CostRate:            spec.CostRate,
+		EstimatedCompletion: est,
+		CanRun:              canRun,
+	}
+}
+
+// PostedState is the ServerState a directory listing supports — the
+// static spec and the published busy-processor count, no scheduler — for
+// PostedBid. canRun is the static screen's verdict.
+func PostedState(spec *machine.Spec, usedPE int, canRun bool) ServerState {
+	return ServerState{
+		NumPE:    spec.NumPE,
+		UsedPE:   usedPE,
+		Speed:    spec.Speed,
+		CostRate: spec.CostRate,
+		CanRun:   canRun,
+	}
 }
 
 // Bid is a priced offer to run a job, as relayed by the Faucets Daemon to
@@ -105,6 +142,16 @@ func ByName(name string) (Generator, error) {
 // processor count (the allocation the scheduler will aim for).
 func Price(c *qos.Contract, st ServerState, multiplier float64) float64 {
 	return c.CPUSeconds(c.MaxPE, st.Speed) * st.CostRate * multiplier
+}
+
+// MultiplierOf is Price read backwards: the multiplier at which a server
+// of the given cost rate charged price for cpuSeconds — what the contract
+// history of §5.2.1 records. Zero when either factor is unknown.
+func MultiplierOf(price, cpuSeconds, costRate float64) float64 {
+	if cpuSeconds > 0 && costRate > 0 {
+		return price / (cpuSeconds * costRate)
+	}
+	return 0
 }
 
 // Baseline always bids multiplier 1.0 when the scheduler can run the job.

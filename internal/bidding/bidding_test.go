@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"faucets/internal/machine"
 	"faucets/internal/qos"
 )
 
@@ -257,5 +258,50 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("oracle"); err == nil || !strings.Contains(err.Error(), "utilization") {
 		t.Fatalf("unknown name: err = %v, want one naming the valid strategies", err)
+	}
+}
+
+// TestMultiplierOfInvertsPrice: the history records the multiplier a
+// contract was bid at, so MultiplierOf must read Price backwards for any
+// server and contract — and say 0, "unknown", when a factor is missing.
+func TestMultiplierOfInvertsPrice(t *testing.T) {
+	prop := func(m, rate, speed float64, work uint16) bool {
+		m, rate, speed = 0.25+math.Mod(math.Abs(m), 4), 0.001+math.Mod(math.Abs(rate), 1), 0.5+math.Mod(math.Abs(speed), 4)
+		c := &qos.Contract{App: "cfd", MinPE: 4, MaxPE: 16, Work: 1 + float64(work)}
+		st := ServerState{Speed: speed, CostRate: rate}
+		got := MultiplierOf(Price(c, st, m), c.CPUSeconds(c.MaxPE, speed), rate)
+		return math.Abs(got-m) < 1e-9
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
+	}
+	if MultiplierOf(10, 0, 0.01) != 0 || MultiplierOf(10, 100, 0) != 0 {
+		t.Fatal("a missing factor must read as multiplier 0")
+	}
+}
+
+type fixedEstimator struct {
+	est  float64
+	ok   bool
+	used int
+}
+
+func (f fixedEstimator) EstimateCompletion(float64, *qos.Contract) (float64, bool) {
+	return f.est, f.ok
+}
+func (f fixedEstimator) UsedPEs() int { return f.used }
+
+// TestStateConstructors: a bid's state is the spec, the scheduler's verdict
+// and the queued work; a posted state is the spec and the published load,
+// with no estimate and no queue.
+func TestStateConstructors(t *testing.T) {
+	spec := &machine.Spec{Name: "m", NumPE: 64, Speed: 2, CostRate: 0.02}
+	got := StateFor(spec, fixedEstimator{est: 120, ok: true, used: 48}, 10, contract(), 3200)
+	want := ServerState{NumPE: 64, UsedPE: 48, QueuedWork: 3200, Speed: 2, CostRate: 0.02, EstimatedCompletion: 120, CanRun: true}
+	if got != want {
+		t.Fatalf("StateFor = %+v, want %+v", got, want)
+	}
+	if got := PostedState(spec, 16, true); got != (ServerState{NumPE: 64, UsedPE: 16, Speed: 2, CostRate: 0.02, CanRun: true}) {
+		t.Fatalf("PostedState = %+v", got)
 	}
 }

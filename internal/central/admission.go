@@ -84,7 +84,7 @@ func (s *Server) deadlineUnmeetable(c *qos.Contract) bool {
 		if !e.alive || now.Sub(e.lastSeen) > s.DeadAfter {
 			continue
 		}
-		if !matches(e.info, c) {
+		if !e.info.Matches(c) {
 			continue
 		}
 		candidates = true

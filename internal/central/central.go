@@ -24,6 +24,7 @@ import (
 
 	"faucets/internal/accounting"
 	"faucets/internal/auth"
+	"faucets/internal/bidding"
 	"faucets/internal/db"
 	"faucets/internal/health"
 	"faucets/internal/protocol"
@@ -144,15 +145,8 @@ type Server struct {
 	// that accepts connections but never answers costs the poller at
 	// most this long instead of hanging the refresh forever.
 	PollTimeout time.Duration
-	// PollConcurrency bounds how many daemons are probed at once; the
-	// fan-out keeps one dead host from delaying everyone else's
-	// liveness refresh.
-	PollConcurrency int
 	// RPCTimeout bounds federation calls to peer Central Servers.
 	RPCTimeout time.Duration
-	// PoolSize caps persistent federation connections per peer address
-	// (zero = protocol.DefaultPoolSize).
-	PoolSize int
 
 	// DefaultMechanism is the grid's default market mechanism, one of
 	// the qos.Mechanism* names. It is advertised to clients at login
@@ -220,7 +214,6 @@ func (s *Server) probeBreakers() *health.Set {
 func (s *Server) peerRPC() *protocol.Pool {
 	s.peerOnce.Do(func() {
 		s.peerPool = &protocol.Pool{
-			Size:    s.PoolSize,
 			Obs:     s.rpc,
 			PoolObs: telemetry.NewPoolMetrics(s.Metrics, "central"),
 			Retry:   protocol.Retry{Attempts: 2, Base: 50 * time.Millisecond, Max: 500 * time.Millisecond, Stop: s.closed},
@@ -283,9 +276,8 @@ func NewWithDB(mode accounting.Mode, store *db.DB) *Server {
 		Dial: func(addr string) (net.Conn, error) {
 			return protocol.Dial(addr, 5*time.Second)
 		},
-		PollTimeout:     3 * time.Second,
-		PollConcurrency: 32,
-		RPCTimeout:      protocol.DefaultCallTimeout,
+		PollTimeout: 3 * time.Second,
+		RPCTimeout:  protocol.DefaultCallTimeout,
 	}
 	// Each handled request is observed into the per-type RPC latency and
 	// error instruments, so a scrape shows what the server spends time on.
@@ -391,7 +383,7 @@ func (s *Server) appendServers(out []protocol.ServerInfo, c *qos.Contract) []pro
 		if !e.alive || now.Sub(e.lastSeen) > s.DeadAfter {
 			continue
 		}
-		if c != nil && !matches(e.info, c) {
+		if c != nil && !e.info.Matches(c) {
 			continue
 		}
 		info := e.info
@@ -401,29 +393,6 @@ func (s *Server) appendServers(out []protocol.ServerInfo, c *qos.Contract) []pro
 		out = append(out, info)
 	}
 	return out
-}
-
-// matches applies the static filters.
-func matches(info protocol.ServerInfo, c *qos.Contract) bool {
-	if info.Spec.NumPE < c.MinPE {
-		return false
-	}
-	if !c.FitsMemory(c.MinPE, info.Spec.MemPerPE) {
-		return false
-	}
-	if len(info.Apps) > 0 {
-		found := false
-		for _, a := range info.Apps {
-			if a == c.App {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
 }
 
 // Apps returns the union of applications exported by live servers — the
@@ -492,10 +461,7 @@ func (s *Server) Settle(req protocol.SettleReq) error {
 		return err
 	}
 	s.DB.MarkSettled(req.JobID)
-	mult := 0.0
-	if req.CPUSeconds > 0 {
-		mult = req.Price / req.CPUSeconds
-	}
+	mult := bidding.MultiplierOf(req.Price, req.CPUSeconds, s.costRateOf(req.Server))
 	s.DB.AppendContract(db.ContractRecord{
 		Time: float64(time.Now().UnixNano()) / 1e9, JobID: req.JobID,
 		App: req.App, Server: req.Server, MinPE: req.MinPE, MaxPE: req.MaxPE,
@@ -515,6 +481,29 @@ func (s *Server) Settle(req protocol.SettleReq) error {
 	s.met.settled.Inc()
 	s.met.contracts.Inc()
 	return nil
+}
+
+// costRateOf returns the named Compute Server's normalized cost rate, the
+// factor that turns a settled price back into the multiplier it was bid
+// at: from the registry (alive or not — a spec does not die with a missed
+// poll), else from the last digest of any peer that listed the name,
+// however old. Zero when this server has never been told of the name.
+func (s *Server) costRateOf(name string) float64 {
+	s.mu.RLock()
+	if i, found := s.find(name); found {
+		rate := s.registry[i].info.Spec.CostRate
+		s.mu.RUnlock()
+		return rate
+	}
+	s.mu.RUnlock()
+	s.remoteMu.Lock()
+	defer s.remoteMu.Unlock()
+	for _, d := range s.remotes {
+		if i, found := slices.BinarySearchFunc(d.servers, name, compareName); found {
+			return d.servers[i].Spec.CostRate
+		}
+	}
+	return 0
 }
 
 // DefaultWeatherTTL is how long a cached weather report is served
@@ -586,6 +575,10 @@ func (s *Server) invalidateWeather() {
 	s.weatherMu.Unlock()
 }
 
+// pollConcurrency bounds how many daemons are probed at once; the fan-out
+// keeps one dead host from delaying everyone else's liveness refresh.
+const pollConcurrency = 32
+
 // PollOnce probes every registered daemon and updates liveness; it
 // returns how many daemons answered. Probes fan out with bounded
 // concurrency and a per-call deadline, so one dead or hung host delays
@@ -599,13 +592,9 @@ func (s *Server) PollOnce() int {
 	for _, e := range s.registry {
 		targets[e.info.Spec.Name] = e.info.Addr
 	}
-	width := s.PollConcurrency
 	timeout := s.PollTimeout
 	s.mu.RUnlock()
-	if width <= 0 {
-		width = 32
-	}
-	sem := make(chan struct{}, width)
+	sem := make(chan struct{}, pollConcurrency)
 	brk := s.probeBreakers()
 	var wg sync.WaitGroup
 	var alive atomic.Int64
@@ -912,10 +901,7 @@ func (s *Server) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 		if limit <= 0 || limit > 500 {
 			limit = 100
 		}
-		bucket := weather.Bucket(req.MaxPE)
-		recs := s.DB.RecentContracts(func(r db.ContractRecord) bool {
-			return weather.Bucket(r.MaxPE) == bucket
-		}, limit)
+		recs := weather.SimilarContracts(s.DB, req.MaxPE, limit)
 		out := make([]protocol.HistoryRecord, len(recs))
 		for i, r := range recs {
 			out[i] = protocol.HistoryRecord{Time: r.Time, App: r.App, MinPE: r.MinPE, MaxPE: r.MaxPE, Multiplier: r.Multiplier}

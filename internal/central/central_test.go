@@ -1,6 +1,7 @@
 package central
 
 import (
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -117,9 +118,15 @@ func TestAppsUnion(t *testing.T) {
 	}
 }
 
+// The history row's multiplier is what the winner bid: price over list
+// price, and list price is CPU-seconds × the executing server's cost rate
+// (bidding.Price). This test used to pin price/CPU-seconds = 0.1, which is
+// the multiplier times big's cost rate — the number the live grid booked
+// and gridsim never did.
 func TestSettleRecordsHistory(t *testing.T) {
 	s := New(accounting.Dollars)
 	defer s.Close()
+	_ = s.RegisterDaemon(info("big", 1000, 512)) // cost rate 0.01
 	err := s.Settle(protocol.SettleReq{JobID: "j1", User: "u", Server: "big", Price: 42, CPUSeconds: 420})
 	if err != nil {
 		t.Fatal(err)
@@ -131,8 +138,16 @@ func TestSettleRecordsHistory(t *testing.T) {
 		t.Fatalf("revenue=%v", s.Acct.Revenue("big"))
 	}
 	recs := s.DB.RecentContracts(nil, 1)
-	if recs[0].Multiplier != 0.1 {
-		t.Fatalf("multiplier=%v, want price/cpuseconds=0.1", recs[0].Multiplier)
+	if math.Abs(recs[0].Multiplier-10) > 1e-9 {
+		t.Fatalf("multiplier=%v, want price/(cpuseconds × cost rate)=10", recs[0].Multiplier)
+	}
+	// A server this Central Server was never told of: the money is booked
+	// all the same, the multiplier is unknown and recorded as 0.
+	if err := s.Settle(protocol.SettleReq{JobID: "j2", User: "u", Server: "ghost", Price: 7, CPUSeconds: 70}); err != nil {
+		t.Fatal(err)
+	}
+	if recs = s.DB.RecentContracts(nil, 1); s.Acct.Revenue("ghost") != 7 || recs[0].Multiplier != 0 {
+		t.Fatalf("unlisted server: revenue=%v multiplier=%v, want 7 and 0", s.Acct.Revenue("ghost"), recs[0].Multiplier)
 	}
 }
 
@@ -300,7 +315,10 @@ func TestWeatherReport(t *testing.T) {
 	_ = s.RegisterDaemon(b)
 	s.MarkSeen("a", protocol.PollOK{UsedPE: 50})
 	s.MarkSeen("b", protocol.PollOK{UsedPE: 100})
-	_ = s.Settle(protocol.SettleReq{JobID: "j", User: "u", Server: "a", Price: 20, CPUSeconds: 10})
+	// 10 CPU-seconds on a list at 10 × 0.01 = $0.10; $0.20 is multiplier 2.
+	// (The settlement used to read Price: 20 — multiplier 200 — and the
+	// expectation below held only because the cost rate was left out.)
+	_ = s.Settle(protocol.SettleReq{JobID: "j", User: "u", Server: "a", Price: 0.20, CPUSeconds: 10})
 	r := s.Weather()
 	if r.Servers != 2 || r.TotalPE != 200 {
 		t.Fatalf("report=%+v", r)
@@ -308,7 +326,7 @@ func TestWeatherReport(t *testing.T) {
 	if r.GridUtilization != 0.75 {
 		t.Fatalf("grid util=%v, want 0.75", r.GridUtilization)
 	}
-	if r.Contracts != 1 || r.MeanMultiplier != 2.0 {
+	if r.Contracts != 1 || math.Abs(r.MeanMultiplier-2.0) > 1e-9 {
 		t.Fatalf("price stats=%+v", r)
 	}
 	// Dead servers drop out of the report.

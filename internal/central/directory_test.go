@@ -29,7 +29,7 @@ func referenceListing(local []protocol.ServerInfo, remotes [][]protocol.ServerIn
 	}
 	for _, remote := range remotes {
 		for _, in := range remote {
-			if seen[in.Spec.Name] || (c != nil && !matches(in, c)) {
+			if seen[in.Spec.Name] || (c != nil && !in.Matches(c)) {
 				continue
 			}
 			seen[in.Spec.Name] = true
@@ -78,7 +78,7 @@ func TestRegistryStaysNameOrdered(t *testing.T) {
 		for _, c := range []*qos.Contract{nil, want} {
 			var ref []protocol.ServerInfo
 			for n, in := range model {
-				if !dead[n] && (c == nil || matches(in, c)) {
+				if !dead[n] && (c == nil || in.Matches(c)) {
 					ref = append(ref, in)
 				}
 			}

@@ -166,6 +166,9 @@ func (s *Server) storeDigest(addr string, sent time.Time, d protocol.GossipOK) {
 // byName orders directory entries by server name.
 func byName(a, b protocol.ServerInfo) int { return strings.Compare(a.Spec.Name, b.Spec.Name) }
 
+// compareName orders a directory entry against a server name.
+func compareName(e protocol.ServerInfo, name string) int { return strings.Compare(e.Spec.Name, name) }
+
 // FederatedServers returns the union of the local filtered directory and
 // every unexpired peer digest, deduplicated by server name (local
 // entries win) and in name order. It reads the gossip cache only: no
@@ -201,9 +204,8 @@ func mergeByName(out []protocol.ServerInfo, from int, add []protocol.ServerInfo,
 		if len(out) > n && out[len(out)-1].Spec.Name == name {
 			continue // add lists the name twice: the first match stands
 		}
-		_, listed := slices.BinarySearchFunc(out[from:n], name,
-			func(e protocol.ServerInfo, name string) int { return strings.Compare(e.Spec.Name, name) })
-		if !listed && (c == nil || matches(add[i], c)) {
+		_, listed := slices.BinarySearchFunc(out[from:n], name, compareName)
+		if !listed && (c == nil || add[i].Matches(c)) {
 			out = append(out, add[i])
 		}
 	}

@@ -61,6 +61,11 @@ func TestSettlePersistsContractShape(t *testing.T) {
 // not return medium-bucket contracts and vice versa.
 func TestHistoryBucketFilterAfterSettle(t *testing.T) {
 	s := New(accounting.Dollars)
+	srv := info("srv", 64, 1024, "synth")
+	srv.Spec.CostRate = 1 // list price = CPU-seconds, so multiplier = price/cpu
+	if err := s.RegisterDaemon(srv); err != nil {
+		t.Fatal(err)
+	}
 	settle := func(id string, maxPE int, price, cpu float64) {
 		t.Helper()
 		if err := s.Settle(protocol.SettleReq{

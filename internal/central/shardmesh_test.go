@@ -74,12 +74,17 @@ func TestGossipRoundMergesDirectoryAndWeather(t *testing.T) {
 	servers, ring := shardMesh(t, 2)
 	nameA := ownedServerName(t, ring, servers[0].SelfAddr)
 	nameB := ownedServerName(t, ring, servers[1].SelfAddr)
-	if err := servers[0].RegisterDaemon(info(nameA, 64, 1024, "synth")); err != nil {
+	a := info(nameA, 64, 1024, "synth")
+	a.Spec.CostRate = 1 // list price = CPU-seconds, so multiplier = price/cpu
+	if err := servers[0].RegisterDaemon(a); err != nil {
 		t.Fatal(err)
 	}
 	if err := servers[1].RegisterDaemon(info(nameB, 32, 512, "synth")); err != nil {
 		t.Fatal(err)
 	}
+	// Shard 1 settles a job that ran on shard 0's server: it prices the
+	// multiplier off the cost rate in shard 0's digest, so it needs one.
+	pullAll(servers...)
 	// One settled contract per shard, with different multipliers, so the
 	// merged mean is the weighted average and not either local value.
 	settle := func(s *Server, job, user string, price, cpu float64) {

@@ -43,18 +43,12 @@ type Client struct {
 	// and bid award happen client-side; the grid harness shares one
 	// tracer with the daemons to assemble the full chain).
 	Tracer *telemetry.Tracer
-	// PoolSize caps persistent RPC connections per peer address (zero =
-	// protocol.DefaultPoolSize). Bid solicitation, commits, submits and
-	// status polls all ride the pool; bulk transfers (Upload,
-	// FetchOutput) and the Watch stream keep dedicated connections.
-	PoolSize int
 	// PoolObs, when set, receives connection-pool lifecycle events
-	// (telemetry.NewPoolMetrics is the standard implementation).
+	// (telemetry.NewPoolMetrics is the standard implementation). Bid
+	// solicitation, commits, submits and status polls all ride the pool;
+	// bulk transfers (Upload, FetchOutput) and the Watch stream keep
+	// dedicated connections.
 	PoolObs protocol.PoolObserver
-	// BidConcurrency bounds how many daemons are asked for a bid at
-	// once during Place (zero = market default, min(16, #servers); 1
-	// reproduces the serial walk).
-	BidConcurrency int
 	// BidTimeout is the per-bid deadline: a daemon that has not
 	// answered in time forfeits its bid for this auction instead of
 	// stalling it (zero = no per-bid deadline beyond RPCTimeout).
@@ -115,7 +109,6 @@ type Client struct {
 func (c *Client) rpcPool() *protocol.Pool {
 	c.poolOnce.Do(func() {
 		c.pool = &protocol.Pool{
-			Size:        c.PoolSize,
 			DialTimeout: c.DialTimeout,
 			PoolObs:     c.PoolObs,
 			Retry:       protocol.Retry{Attempts: 3, Base: 50 * time.Millisecond, Max: 500 * time.Millisecond},
@@ -157,14 +150,13 @@ func (c *Client) breakerSkips() *telemetry.Counter {
 	return c.skipCount
 }
 
-// solicitOpts assembles the fan-out options for Place: concurrency,
-// per-bid deadline, hedging, and the breaker gate. The gate reads
-// Healthy — a non-claiming check — rather than Allow, so gating a
-// fan-out never consumes the half-open probe slot the pool's own Allow
-// claims when a call is actually issued.
+// solicitOpts assembles the fan-out options for Place: per-bid deadline,
+// hedging, and the breaker gate (concurrency is the market's default).
+// The gate reads Healthy — a non-claiming check — rather than Allow, so
+// gating a fan-out never consumes the half-open probe slot the pool's own
+// Allow claims when a call is actually issued.
 func (c *Client) solicitOpts() market.SolicitOpts {
 	opts := market.SolicitOpts{
-		Concurrency:   c.BidConcurrency,
 		Timeout:       c.BidTimeout,
 		HedgeQuantile: c.HedgeQuantile,
 	}
@@ -459,28 +451,11 @@ func bidFrom(reply *protocol.BidOK, err error) (bidding.Bid, bool) {
 // derived entirely from its directory listing — static spec plus the
 // UsedPE weather the Central Server publishes from its liveness polls —
 // so reading a post costs no round trip at all. Feasibility here is the
-// static screen only (size, memory, exported application); the daemon
-// still arbitrates at commit time, which is where the posted-price
-// mechanism's admission risk lives.
+// directory's static screen only; the daemon still arbitrates at commit
+// time, which is where the posted-price mechanism's admission risk lives.
 func (p *fdPort) Post(now float64, contract *qos.Contract) (bidding.Bid, bool) {
-	spec := p.info.Spec
-	ok := spec.NumPE >= contract.MinPE && contract.FitsMemory(min(contract.MaxPE, spec.NumPE), spec.MemPerPE)
-	if ok && len(p.info.Apps) > 0 {
-		ok = false
-		for _, a := range p.info.Apps {
-			if a == contract.App {
-				ok = true
-				break
-			}
-		}
-	}
-	return bidding.PostedBid(spec.Name, now, contract, bidding.ServerState{
-		NumPE:    spec.NumPE,
-		UsedPE:   p.info.UsedPE,
-		Speed:    spec.Speed,
-		CostRate: spec.CostRate,
-		CanRun:   ok,
-	})
+	return bidding.PostedBid(p.info.Spec.Name, now, contract,
+		bidding.PostedState(&p.info.Spec, p.info.UsedPE, p.info.Matches(contract)))
 }
 
 // Commit rides the pool too: the daemon's commit handler is idempotent

@@ -51,8 +51,6 @@ type Config struct {
 	AppSpectorAddr string
 	// TimeScale is virtual seconds per wall second (default 1).
 	TimeScale float64
-	// BidValidity is how long bids stand, in virtual seconds.
-	BidValidity float64
 	// ReRegister is how often the daemon refreshes its Central Server
 	// registration (default 30s wall time). A Central Server restart
 	// loses its in-memory directory; the heartbeat restores the entry
@@ -66,11 +64,6 @@ type Config struct {
 	// settlements are redelivered from the outbox (default 1s). A
 	// briefly-unreachable Central Server must not lose billing records.
 	SettleRetry time.Duration
-	// PoolSize caps the persistent RPC connections kept to the Central
-	// Server. Settlements, heartbeats,
-	// and credential verifications share pooled connections instead of
-	// paying a TCP handshake each (default protocol.DefaultPoolSize).
-	PoolSize int
 	// StateDir, when set, makes the daemon durable: job admissions and
 	// the settlement outbox are journaled there, and New recovers them —
 	// unfinished jobs are restarted from zero under their original
@@ -106,6 +99,10 @@ type Config struct {
 // of seconds; long enough to cover the bid/commit/submit burst of one
 // auction round with a single verify round trip.
 const DefaultVerifyCacheTTL = 2 * time.Second
+
+// bidValidity is how long a bid stands, in virtual seconds: a commit that
+// arrives later is refused as expired.
+const bidValidity = 300
 
 // telemetryFloor is the shortest wall interval between two AppSpector
 // sample rounds. Samples are due every virtual second; at a compressed
@@ -213,9 +210,6 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1
 	}
-	if cfg.BidValidity <= 0 {
-		cfg.BidValidity = 300
-	}
 	if cfg.ReRegister <= 0 {
 		cfg.ReRegister = 30 * time.Second
 	}
@@ -256,7 +250,6 @@ func New(cfg Config) (*Daemon, error) {
 		d.verifyCache = map[verifyKey]time.Time{}
 	}
 	d.pool = &protocol.Pool{
-		Size:        cfg.PoolSize,
 		DialTimeout: cfg.RPCTimeout,
 		Obs:         d.rpc,
 		PoolObs:     telemetry.NewPoolMetrics(cfg.Metrics, "daemon"),
@@ -274,6 +267,25 @@ func New(cfg Config) (*Daemon, error) {
 				log.Printf("daemon %s: breaker %s: %v -> %v", cfg.Info.Spec.Name, addr, from, to)
 			},
 		})
+	}
+	// §5.2.1 global information: a weather or history bidder that came
+	// without a source — or with the one a daemon this one replaces
+	// installed, whose pool is closed — reads the Central Server.
+	switch b := cfg.Bidder.(type) {
+	case *bidding.Weather:
+		if _, stale := b.Source.(*centralWeather); b.Source == nil || stale {
+			if cfg.CentralAddr == "" {
+				return nil, errors.New("daemon: the weather bidder needs a Central Server for §5.2.1 grid reports")
+			}
+			b.Source = &centralWeather{d: d}
+		}
+	case *bidding.History:
+		if _, stale := b.View.(*centralHistory); b.View == nil || stale {
+			if cfg.CentralAddr == "" {
+				return nil, errors.New("daemon: the history bidder needs a Central Server for §5.2.1 contract history")
+			}
+			b.View = &centralHistory{d: d}
+		}
 	}
 	if cfg.StateDir != "" {
 		if err := d.recover(filepath.Join(cfg.StateDir, "journal.jsonl")); err != nil {
@@ -444,10 +456,6 @@ func (d *Daemon) Close() {
 	// ErrPoolClosed instead of redialing a dead grid.
 	d.pool.Close()
 }
-
-// RPCPool exposes the daemon's outbound connection pool so sibling
-// wire clients (CentralWeather, CentralHistory) can share it.
-func (d *Daemon) RPCPool() *protocol.Pool { return d.pool }
 
 // centralAddr is the Central Server this daemon talks to: the
 // configured address until a NOT_OWNER redirect re-homes it to the
@@ -1033,42 +1041,17 @@ func (d *Daemon) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 	}
 }
 
-// exportsApp reports whether the contract's application is among this
-// Compute Server's exported Known Applications (§2.2). A daemon that
-// exports no list accepts anything (trusting the Central Server's
-// screening).
-func (d *Daemon) exportsApp(app string) bool {
-	if len(d.cfg.Info.Apps) == 0 {
-		return true
-	}
-	for _, a := range d.cfg.Info.Apps {
-		if a == app {
-			return true
-		}
-	}
-	return false
-}
-
 // makeBid consults the scheduler and the bid generator.
 func (d *Daemon) makeBid(c *qos.Contract) (bidding.Bid, bool) {
-	if !d.exportsApp(c.App) {
+	if !d.cfg.Info.Exports(c.App) {
 		return bidding.Bid{}, false
 	}
 	now := d.Now()
 	d.mu.Lock()
 	d.catchUp(now)
-	est, canRun := d.cfg.Scheduler.EstimateCompletion(now, c)
-	st := bidding.ServerState{
-		NumPE:               d.cfg.Info.Spec.NumPE,
-		UsedPE:              d.cfg.Scheduler.UsedPEs(),
-		QueuedWork:          d.outstanding,
-		Speed:               d.cfg.Info.Spec.Speed,
-		CostRate:            d.cfg.Info.Spec.CostRate,
-		EstimatedCompletion: est,
-		CanRun:              canRun,
-	}
+	st := bidding.StateFor(&d.cfg.Info.Spec, d.cfg.Scheduler, now, c, d.outstanding)
 	d.mu.Unlock()
-	return bidding.Make(d.cfg.Bidder, d.Name(), now, c, st, d.cfg.BidValidity)
+	return bidding.Make(d.cfg.Bidder, d.Name(), now, c, st, bidValidity)
 }
 
 // commit is phase two: hold capacity for a job whose files are still on
@@ -1117,7 +1100,7 @@ func (d *Daemon) submit(req protocol.SubmitReq) error {
 	if err := req.Contract.Validate(); err != nil {
 		return err
 	}
-	if !d.exportsApp(req.Contract.App) {
+	if !d.cfg.Info.Exports(req.Contract.App) {
 		return fmt.Errorf("daemon: %s does not export application %q", d.Name(), req.Contract.App)
 	}
 	now := d.Now()

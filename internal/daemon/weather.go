@@ -10,21 +10,13 @@ import (
 	"faucets/internal/weather"
 )
 
-// CentralWeather implements bidding.WeatherSource over the wire: the
-// daemon's bid generator asks the Faucets Central Server for the §5.2.1
+// centralWeather implements bidding.WeatherSource over the wire: the
+// daemon's bid generator asks the Faucets Central Server — over the
+// daemon's pool, at the address it is homed to now — for the §5.2.1
 // grid-weather report. Reports are cached briefly so a burst of bid
 // requests does not hammer the Central Server.
-type CentralWeather struct {
-	// Addr is the Central Server address.
-	Addr string
-	// TTL is the cache lifetime (default 2s wall time).
-	TTL time.Duration
-	// Timeout bounds the fetch round trip (default
-	// protocol.DefaultCallTimeout).
-	Timeout time.Duration
-	// Pool, when set, carries the fetch over a shared persistent
-	// connection pool instead of dialing per report.
-	Pool *protocol.Pool
+type centralWeather struct {
+	d *Daemon
 
 	mu      sync.Mutex
 	last    weather.Report
@@ -32,14 +24,13 @@ type CentralWeather struct {
 	fetched time.Time
 }
 
+// weatherTTL is the cache lifetime of a fetched report, wall time.
+const weatherTTL = 2 * time.Second
+
 // GridWeather implements bidding.WeatherSource.
-func (c *CentralWeather) GridWeather(now float64) (weather.Report, bool) {
-	ttl := c.TTL
-	if ttl <= 0 {
-		ttl = 2 * time.Second
-	}
+func (c *centralWeather) GridWeather(now float64) (weather.Report, bool) {
 	c.mu.Lock()
-	if time.Since(c.fetched) < ttl {
+	if time.Since(c.fetched) < weatherTTL {
 		rep, ok := c.last, c.lastOK
 		c.mu.Unlock()
 		return rep, ok
@@ -54,14 +45,10 @@ func (c *CentralWeather) GridWeather(now float64) (weather.Report, bool) {
 	return rep, ok
 }
 
-func (c *CentralWeather) fetch() (weather.Report, bool) {
+func (c *centralWeather) fetch() (weather.Report, bool) {
 	var reply protocol.WeatherOK
-	var err error
-	if c.Pool != nil {
-		err = c.Pool.Call(c.Addr, c.Timeout, protocol.TypeWeatherReq, protocol.WeatherReq{}, protocol.TypeWeatherOK, &reply)
-	} else {
-		err = protocol.DialCall(c.Addr, c.Timeout, protocol.TypeWeatherReq, protocol.WeatherReq{}, protocol.TypeWeatherOK, &reply)
-	}
+	err := c.d.pool.Call(c.d.centralAddr(), c.d.cfg.RPCTimeout,
+		protocol.TypeWeatherReq, protocol.WeatherReq{}, protocol.TypeWeatherOK, &reply)
 	if err != nil {
 		return weather.Report{}, false
 	}
@@ -76,37 +63,22 @@ func (c *CentralWeather) fetch() (weather.Report, bool) {
 	}, true
 }
 
-// CentralHistory implements bidding.HistoryView over the wire: the
+// centralHistory implements bidding.HistoryView over the wire: the
 // daemon's history bidder asks the Central Server for recent settled
 // contracts similar to the proposed one (§5.2.1).
-type CentralHistory struct {
-	// Addr is the Central Server address.
-	Addr string
-	// Timeout bounds the fetch round trip (default
-	// protocol.DefaultCallTimeout).
-	Timeout time.Duration
-	// Pool, when set, carries the fetch over a shared persistent
-	// connection pool instead of dialing per query.
-	Pool *protocol.Pool
-}
+type centralHistory struct{ d *Daemon }
 
 // SimilarContracts implements bidding.HistoryView.
-func (c *CentralHistory) SimilarContracts(now float64, ct *qos.Contract, limit int) []bidding.HistoryRecord {
+func (c *centralHistory) SimilarContracts(now float64, ct *qos.Contract, limit int) []bidding.HistoryRecord {
 	var reply protocol.HistoryOK
-	var err error
-	if c.Pool != nil {
-		err = c.Pool.Call(c.Addr, c.Timeout, protocol.TypeHistoryReq,
-			protocol.HistoryReq{MaxPE: ct.MaxPE, Limit: limit}, protocol.TypeHistoryOK, &reply)
-	} else {
-		err = protocol.DialCall(c.Addr, c.Timeout, protocol.TypeHistoryReq,
-			protocol.HistoryReq{MaxPE: ct.MaxPE, Limit: limit}, protocol.TypeHistoryOK, &reply)
-	}
+	err := c.d.pool.Call(c.d.centralAddr(), c.d.cfg.RPCTimeout, protocol.TypeHistoryReq,
+		protocol.HistoryReq{MaxPE: ct.MaxPE, Limit: limit}, protocol.TypeHistoryOK, &reply)
 	if err != nil {
 		return nil
 	}
 	out := make([]bidding.HistoryRecord, len(reply.Records))
 	for i, r := range reply.Records {
-		out[i] = bidding.HistoryRecord{Time: r.Time, App: r.App, MinPE: r.MinPE, MaxPE: r.MaxPE, Multiplier: r.Multiplier}
+		out[i] = bidding.HistoryRecord(r)
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"faucets/internal/gridsim"
 	"faucets/internal/job"
 	"faucets/internal/machine"
 	"faucets/internal/qos"
@@ -98,24 +99,22 @@ func E2ExternalFragmentation(seed uint64) *Table {
 	spec.MaxWork = 600
 	trace := mustTrace(spec)
 
-	servers := []simServer{
-		{name: "s1", pe: 16}, {name: "s2", pe: 16}, {name: "s3", pe: 16},
-	}
+	servers := fleet(16, nil, "s1", "s2", "s3")
 	// Locked: every user only sees s1.
 	access := map[string][]string{}
 	for u := 0; u < 7; u++ {
 		access[fmt.Sprintf("user-%d", u)] = []string{"s1"}
 	}
-	locked := runSim(simCfg{servers: servers, access: access}, trace)
-	open := runSim(simCfg{servers: servers}, trace)
-	for label, res := range map[string]*runResult{"locked-to-one": locked, "open-market": open} {
+	locked := runSim(gridsim.Config{Servers: servers, Access: access}, trace)
+	open := runSim(gridsim.Config{Servers: servers}, trace)
+	for label, res := range map[string]*gridsim.Result{"locked-to-one": locked, "open-market": open} {
 		t.Rows = append(t.Rows, Row{Label: label, Cols: []Col{
-			V("mean_resp_s", res.meanResp),
-			V("p95_resp_s", res.p95Resp),
-			V("rejected", float64(res.rejected)),
-			V("util_s1", res.util["s1"]),
-			V("util_s2", res.util["s2"]),
-			V("util_s3", res.util["s3"]),
+			V("mean_resp_s", meanResp(res)),
+			V("p95_resp_s", res.Metrics.S("response_time").Percentile(95)),
+			V("rejected", float64(res.Rejected)),
+			V("util_s1", res.Utilization["s1"]),
+			V("util_s2", res.Utilization["s2"]),
+			V("util_s3", res.Utilization["s3"]),
 		}})
 	}
 	orderRows(t, []string{"locked-to-one", "open-market"})
@@ -140,17 +139,17 @@ func E3AdaptiveVsRigid(seed uint64) *Table {
 			spec.MinWork = 100
 			spec.MaxWork = 3000
 			trace := mustTrace(spec)
-			res := runSim(simCfg{
-				servers: []simServer{{name: "m", pe: 64, factory: strategy(name)}},
+			res := runSim(gridsim.Config{
+				Servers: []gridsim.ServerConfig{{Spec: refSpec("m", 64), NewScheduler: strategy(name)}},
 			}, trace)
 			t.Rows = append(t.Rows, Row{
 				Label: fmt.Sprintf("%s gap=%gs", name, gap),
 				Cols: []Col{
 					V("offered_load", trace.OfferedLoad(64)),
-					V("mean_resp_s", res.meanResp),
-					V("p95_resp_s", res.p95Resp),
-					V("utilization", res.util["m"]),
-					V("rejected", float64(res.rejected)),
+					V("mean_resp_s", meanResp(res)),
+					V("p95_resp_s", res.Metrics.S("response_time").Percentile(95)),
+					V("utilization", res.Utilization["m"]),
+					V("rejected", float64(res.Rejected)),
 				},
 			})
 		}
@@ -164,15 +163,15 @@ func E3AdaptiveVsRigid(seed uint64) *Table {
 	abSpec.MaxWork = 3000
 	abTrace := mustTrace(abSpec)
 	for _, lat := range []float64{0, 15, 60, 300} {
-		res := runSim(simCfg{
-			servers:  []simServer{{name: "m", pe: 64, factory: strategy("equipartition")}},
-			schedCfg: scheduler.Config{ReconfigLatency: lat},
+		res := runSim(gridsim.Config{
+			Servers:  []gridsim.ServerConfig{{Spec: refSpec("m", 64), NewScheduler: strategy("equipartition")}},
+			SchedCfg: scheduler.Config{ReconfigLatency: lat},
 		}, abTrace)
 		t.Rows = append(t.Rows, Row{
 			Label: fmt.Sprintf("equi ablation latency=%gs", lat),
 			Cols: []Col{
-				V("mean_resp_s", res.meanResp),
-				V("utilization", res.util["m"]),
+				V("mean_resp_s", meanResp(res)),
+				V("utilization", res.Utilization["m"]),
 			},
 		})
 	}

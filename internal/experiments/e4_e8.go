@@ -5,6 +5,7 @@ import (
 
 	"faucets/internal/accounting"
 	"faucets/internal/bidding"
+	"faucets/internal/gridsim"
 	"faucets/internal/scheduler"
 	"faucets/internal/workload"
 )
@@ -26,16 +27,14 @@ func E4BidStrategies(seed uint64) *Table {
 	spec.MaxWork = 1200
 	trace := mustTrace(spec)
 
-	mixed := runSim(simCfg{servers: []simServer{
-		{name: "base-1", pe: 24, bidder: bidding.Baseline{}},
-		{name: "base-2", pe: 24, bidder: bidding.Baseline{}},
-		{name: "util-1", pe: 24, bidder: bidding.NewUtilization()},
-		{name: "util-2", pe: 24, bidder: bidding.NewUtilization()},
-	}}, trace)
-	baseRev := mixed.totalRevenue("base-1", "base-2")
-	utilRev := mixed.totalRevenue("util-1", "util-2")
-	baseUtil := (mixed.util["base-1"] + mixed.util["base-2"]) / 2
-	utilUtil := (mixed.util["util-1"] + mixed.util["util-2"]) / 2
+	utilization := func() bidding.Generator { return bidding.NewUtilization() }
+	mixed := runSim(gridsim.Config{Servers: append(
+		fleet(24, nil, "base-1", "base-2"), fleet(24, utilization, "util-1", "util-2")...,
+	)}, trace)
+	baseRev := totalRevenue(mixed, "base-1", "base-2")
+	utilRev := totalRevenue(mixed, "util-1", "util-2")
+	baseUtil := (mixed.Utilization["base-1"] + mixed.Utilization["base-2"]) / 2
+	utilUtil := (mixed.Utilization["util-1"] + mixed.Utilization["util-2"]) / 2
 	t.Rows = append(t.Rows,
 		Row{Label: "mixed: baseline pair", Cols: []Col{
 			V("revenue", baseRev), V("utilization", baseUtil),
@@ -51,20 +50,15 @@ func E4BidStrategies(seed uint64) *Table {
 		gen   func() bidding.Generator
 	}{
 		{"all-baseline", func() bidding.Generator { return bidding.Baseline{} }},
-		{"all-utilization", func() bidding.Generator { return bidding.NewUtilization() }},
+		{"all-utilization", utilization},
 		{"all-history", func() bidding.Generator { return bidding.NewHistory(nil) }},
 	} {
-		res := runSim(simCfg{servers: []simServer{
-			{name: "s1", pe: 24, bidder: c.gen()},
-			{name: "s2", pe: 24, bidder: c.gen()},
-			{name: "s3", pe: 24, bidder: c.gen()},
-			{name: "s4", pe: 24, bidder: c.gen()},
-		}}, trace)
+		res := runSim(gridsim.Config{Servers: fleet(24, c.gen, "s1", "s2", "s3", "s4")}, trace)
 		t.Rows = append(t.Rows, Row{Label: c.label, Cols: []Col{
-			V("revenue", res.totalRevenue()),
-			V("mean_multiplier", res.meanMult),
-			V("mean_resp_s", res.meanResp),
-			V("rejected", float64(res.rejected)),
+			V("revenue", totalRevenue(res)),
+			V("mean_multiplier", res.Metrics.S("bid_multiplier").Mean()),
+			V("mean_resp_s", meanResp(res)),
+			V("rejected", float64(res.Rejected)),
 		}})
 	}
 
@@ -75,17 +69,12 @@ func E4BidStrategies(seed uint64) *Table {
 		gen := func() bidding.Generator {
 			return &bidding.Utilization{K: 1, Alpha: ab.alpha, Beta: ab.beta}
 		}
-		res := runSim(simCfg{servers: []simServer{
-			{name: "s1", pe: 24, bidder: gen()},
-			{name: "s2", pe: 24, bidder: gen()},
-			{name: "s3", pe: 24, bidder: gen()},
-			{name: "s4", pe: 24, bidder: gen()},
-		}}, trace)
+		res := runSim(gridsim.Config{Servers: fleet(24, gen, "s1", "s2", "s3", "s4")}, trace)
 		t.Rows = append(t.Rows, Row{
 			Label: fmt.Sprintf("ablation a=%.1f b=%.1f", ab.alpha, ab.beta),
 			Cols: []Col{
-				V("revenue", res.totalRevenue()),
-				V("mean_multiplier", res.meanMult),
+				V("revenue", totalRevenue(res)),
+				V("mean_multiplier", res.Metrics.S("bid_multiplier").Mean()),
 			},
 		})
 	}
@@ -123,16 +112,16 @@ func E5PayoffAdmission(seed uint64) *Table {
 		{"profit lookahead=3600s", strategy("profit"), scheduler.Config{Lookahead: 3600}},
 	}
 	for _, c := range cases {
-		res := runSim(simCfg{
-			servers:  []simServer{{name: "m", pe: 64, factory: c.factory}},
-			schedCfg: c.schedCfg,
+		res := runSim(gridsim.Config{
+			Servers:  []gridsim.ServerConfig{{Spec: refSpec("m", 64), NewScheduler: c.factory}},
+			SchedCfg: c.schedCfg,
 		}, trace)
 		t.Rows = append(t.Rows, Row{Label: c.label, Cols: []Col{
-			V("total_payoff", res.totalPayoff),
-			V("met", float64(res.deadlineMet)),
-			V("missed", float64(res.deadlineMiss)),
-			V("rejected", float64(res.rejected)),
-			V("utilization", res.util["m"]),
+			V("total_payoff", res.Metrics.S("payoff").Sum()),
+			V("met", float64(res.Metrics.C("deadline.met").Value())),
+			V("missed", float64(res.Metrics.C("deadline.missed").Value())),
+			V("rejected", float64(res.Rejected)),
+			V("utilization", res.Utilization["m"]),
 		}})
 	}
 	return t
@@ -154,11 +143,7 @@ func E6Bartering(seed uint64) *Table {
 	spec.MaxWork = 900
 	trace := mustTrace(spec)
 
-	servers := []simServer{
-		{name: "overloaded", pe: 8},
-		{name: "helper-1", pe: 48},
-		{name: "helper-2", pe: 48},
-	}
+	servers := append(fleet(8, nil, "overloaded"), fleet(48, nil, "helper-1", "helper-2")...)
 	homeOf := map[string]string{}
 	for u := 0; u < 7; u++ {
 		homeOf[fmt.Sprintf("user-%d", u)] = "overloaded"
@@ -167,28 +152,28 @@ func E6Bartering(seed uint64) *Table {
 	for u := range homeOf {
 		lockedAccess[u] = []string{"overloaded"}
 	}
-	noShare := runSim(simCfg{
-		servers: servers, mode: accounting.Barter, homeOf: homeOf, access: lockedAccess,
+	noShare := runSim(gridsim.Config{
+		Servers: servers, Mode: accounting.Barter, HomeOf: homeOf, Access: lockedAccess,
 	}, trace)
-	shared := runSim(simCfg{
-		servers: servers, mode: accounting.Barter, homeOf: homeOf, homeFirst: true,
-		initialCredits: map[string]float64{"overloaded": 1e6},
+	shared := runSim(gridsim.Config{
+		Servers: servers, Mode: accounting.Barter, HomeOf: homeOf, HomeFirst: true,
+		InitialCredits: map[string]float64{"overloaded": 1e6},
 	}, trace)
 
 	t.Rows = append(t.Rows,
 		Row{Label: "no-sharing", Cols: []Col{
-			V("mean_resp_s", noShare.meanResp),
-			V("rejected", float64(noShare.rejected)),
-			V("home_util", noShare.util["overloaded"]),
-			V("helper_util", (noShare.util["helper-1"]+noShare.util["helper-2"])/2),
+			V("mean_resp_s", meanResp(noShare)),
+			V("rejected", float64(noShare.Rejected)),
+			V("home_util", noShare.Utilization["overloaded"]),
+			V("helper_util", (noShare.Utilization["helper-1"]+noShare.Utilization["helper-2"])/2),
 		}},
 		Row{Label: "bartering", Cols: []Col{
-			V("mean_resp_s", shared.meanResp),
-			V("rejected", float64(shared.rejected)),
-			V("home_util", shared.util["overloaded"]),
-			V("helper_util", (shared.util["helper-1"]+shared.util["helper-2"])/2),
-			V("helper_credits", shared.credits["helper-1"]+shared.credits["helper-2"]),
-			V("home_credits_spent", 1e6-shared.credits["overloaded"]),
+			V("mean_resp_s", meanResp(shared)),
+			V("rejected", float64(shared.Rejected)),
+			V("home_util", shared.Utilization["overloaded"]),
+			V("helper_util", (shared.Utilization["helper-1"]+shared.Utilization["helper-2"])/2),
+			V("helper_credits", shared.Credits["helper-1"]+shared.Credits["helper-2"]),
+			V("home_credits_spent", 1e6-shared.Credits["overloaded"]),
 		}},
 	)
 	return t
@@ -210,7 +195,7 @@ func E7BidScalability(seed uint64) *Table {
 		spec.MinWork = 50
 		spec.MaxWork = 400
 		trace := mustTrace(spec)
-		var servers []simServer
+		var servers []gridsim.ServerConfig
 		for i := 0; i < n; i++ {
 			// Heterogeneous sizes: half the fleet is too small for large
 			// jobs, giving the static filter something to screen.
@@ -218,19 +203,19 @@ func E7BidScalability(seed uint64) *Table {
 			if i%2 == 0 {
 				pe = 64
 			}
-			servers = append(servers, simServer{name: fmt.Sprintf("s%03d", i), pe: pe})
+			servers = append(servers, gridsim.ServerConfig{Spec: refSpec(fmt.Sprintf("s%03d", i), pe)})
 		}
 		for _, filtered := range []bool{false, true} {
-			res := runSim(simCfg{servers: servers, filterFeasible: filtered}, trace)
+			res := runSim(gridsim.Config{Servers: servers, FilterFeasible: filtered}, trace)
 			label := fmt.Sprintf("n=%d broadcast", n)
 			if filtered {
 				label = fmt.Sprintf("n=%d filtered", n)
 			}
 			t.Rows = append(t.Rows, Row{Label: label, Cols: []Col{
-				V("bid_messages", float64(res.bidMessages)),
-				V("msgs_per_job", float64(res.bidMessages)/100),
-				V("screened", float64(res.screened)),
-				V("placed", float64(res.placed)),
+				V("bid_messages", float64(res.Metrics.C("messages.bid_req").Value())),
+				V("msgs_per_job", float64(res.Metrics.C("messages.bid_req").Value())/100),
+				V("screened", float64(res.Metrics.C("filter.screened").Value())),
+				V("placed", float64(res.Placed)),
 			}})
 		}
 	}
@@ -261,33 +246,31 @@ func E8TwoPhaseCommit(seed uint64) *Table {
 	// processors were promised to an earlier commit refuses later ones —
 	// the "more lucrative job in between" of §5.3. Distinct prices make
 	// every client chase the same best bid.
-	mkServers := func() []simServer {
-		var out []simServer
+	mkServers := func() []gridsim.ServerConfig {
+		var out []gridsim.ServerConfig
 		for i := 0; i < 6; i++ {
-			out = append(out, simServer{
-				name: fmt.Sprintf("s%d", i), pe: 4,
-				cost:    0.01 * float64(i+1),
-				factory: strategy("profit"),
-			})
+			sp := refSpec(fmt.Sprintf("s%d", i), 4)
+			sp.CostRate = 0.01 * float64(i+1)
+			out = append(out, gridsim.ServerConfig{Spec: sp, NewScheduler: strategy("profit")})
 		}
 		return out
 	}
 	// All 60 solicitations land inside the one-second commit window, so
 	// every client holds bids computed from the same (idle) snapshot.
-	two := runSim(simCfg{servers: mkServers(), commitDelay: 1.0}, trace)
-	one := runSim(simCfg{servers: mkServers(), commitDelay: 1.0, singlePhase: true}, trace)
+	two := runSim(gridsim.Config{Servers: mkServers(), CommitDelay: 1.0}, trace)
+	one := runSim(gridsim.Config{Servers: mkServers(), CommitDelay: 1.0, SinglePhase: true}, trace)
 	t.Rows = append(t.Rows,
 		Row{Label: "two-phase", Cols: []Col{
-			V("placed", float64(two.placed)),
-			V("rejected", float64(two.rejected)),
-			V("commit_refused", float64(two.commitRefused)),
-			V("mean_attempts", two.meanAttempts),
+			V("placed", float64(two.Placed)),
+			V("rejected", float64(two.Rejected)),
+			V("commit_refused", float64(two.Metrics.C("commit.refused").Value()+two.Metrics.C("commit.declined").Value())),
+			V("mean_attempts", two.Metrics.S("award_attempts").Mean()),
 		}},
 		Row{Label: "single-phase", Cols: []Col{
-			V("placed", float64(one.placed)),
-			V("rejected", float64(one.rejected)),
-			V("commit_refused", float64(one.commitRefused)),
-			V("mean_attempts", one.meanAttempts),
+			V("placed", float64(one.Placed)),
+			V("rejected", float64(one.Rejected)),
+			V("commit_refused", float64(one.Metrics.C("commit.refused").Value()+one.Metrics.C("commit.declined").Value())),
+			V("mean_attempts", one.Metrics.S("award_attempts").Mean()),
 		}},
 	)
 	return t

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"faucets/internal/bidding"
+	"faucets/internal/gridsim"
 	"faucets/internal/job"
 	"faucets/internal/machine"
 	"faucets/internal/qos"
@@ -114,24 +115,21 @@ func X1Preemption(seed uint64) *Table {
 	spec.DeadlineTightness = 1.5
 	trace := mustTrace(spec)
 	schedCfg := scheduler.Config{Preempt: true, Lookahead: 600}
-	mkServers := func() []simServer {
-		return []simServer{
-			{name: "primary", pe: 32, cost: 0.001, factory: strategy("profit")},
-			{name: "subcontract", pe: 32, cost: 0.1, factory: strategy("profit")},
-		}
-	}
-	noMig := runSim(simCfg{servers: mkServers(), schedCfg: schedCfg}, trace)
-	mig := runSim(simCfg{servers: mkServers(), schedCfg: schedCfg, migrateAfter: 60}, trace)
+	servers := fleet(32, nil, "primary", "subcontract")
+	servers[0].Spec.CostRate, servers[1].Spec.CostRate = 0.001, 0.1
+	servers[0].NewScheduler, servers[1].NewScheduler = strategy("profit"), strategy("profit")
+	noMig := runSim(gridsim.Config{Servers: servers, SchedCfg: schedCfg}, trace)
+	mig := runSim(gridsim.Config{Servers: servers, SchedCfg: schedCfg, MigrateAfter: 60}, trace)
 	t.Rows = append(t.Rows,
 		Row{Label: "grid preempt no-migrate", Cols: []Col{
-			V("mean_resp_s", noMig.meanResp),
-			V("migrations", float64(noMig.migrations)),
-			V("met", float64(noMig.deadlineMet)),
+			V("mean_resp_s", meanResp(noMig)),
+			V("migrations", float64(noMig.Metrics.C("migrations").Value())),
+			V("met", float64(noMig.Metrics.C("deadline.met").Value())),
 		}},
 		Row{Label: "grid preempt+migrate", Cols: []Col{
-			V("mean_resp_s", mig.meanResp),
-			V("migrations", float64(mig.migrations)),
-			V("met", float64(mig.deadlineMet)),
+			V("mean_resp_s", meanResp(mig)),
+			V("migrations", float64(mig.Metrics.C("migrations").Value())),
+			V("met", float64(mig.Metrics.C("deadline.met").Value())),
 		}},
 	)
 	return t
@@ -154,13 +152,6 @@ func X2GridWeather(seed uint64) *Table {
 	spec.MaxWork = 1200
 	trace := mustTrace(spec)
 
-	mk := func(gen func() bidding.Generator) []simServer {
-		var out []simServer
-		for i := 0; i < 4; i++ {
-			out = append(out, simServer{name: fmt.Sprintf("s%d", i+1), pe: 24, bidder: gen()})
-		}
-		return out
-	}
 	cases := []struct {
 		label string
 		gen   func() bidding.Generator
@@ -170,12 +161,12 @@ func X2GridWeather(seed uint64) *Table {
 		{"weather", func() bidding.Generator { return bidding.NewWeather(nil) }},
 	}
 	for _, c := range cases {
-		res := runSim(simCfg{servers: mk(c.gen)}, trace)
+		res := runSim(gridsim.Config{Servers: fleet(24, c.gen, "s1", "s2", "s3", "s4")}, trace)
 		t.Rows = append(t.Rows, Row{Label: c.label, Cols: []Col{
-			V("revenue", res.totalRevenue()),
-			V("mean_multiplier", res.meanMult),
-			V("mean_resp_s", res.meanResp),
-			V("placed", float64(res.placed)),
+			V("revenue", totalRevenue(res)),
+			V("mean_multiplier", res.Metrics.S("bid_multiplier").Mean()),
+			V("mean_resp_s", meanResp(res)),
+			V("placed", float64(res.Placed)),
 		}})
 	}
 	return t

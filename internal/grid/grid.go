@@ -65,10 +65,6 @@ type Options struct {
 	// RPCTimeout bounds every wire round trip (FS polls, FD
 	// register/verify/settle); zero uses protocol defaults.
 	RPCTimeout time.Duration
-	// PoolSize caps every component's persistent RPC connections per
-	// peer address (the in-process equivalent of -rpc-pool-size; zero =
-	// protocol.DefaultPoolSize).
-	PoolSize int
 	// SettleRetry is the daemons' settlement-outbox redelivery cadence.
 	SettleRetry time.Duration
 	// BidTimeout is the clients' per-bid deadline: a hung daemon
@@ -417,7 +413,6 @@ func (g *Grid) newCentralAt(stateSub string, ring *shard.Ring, selfAddr string) 
 		fs.PollTimeout = g.opts.RPCTimeout
 		fs.RPCTimeout = g.opts.RPCTimeout
 	}
-	fs.PoolSize = g.opts.PoolSize
 	fs.MaxInflight = g.opts.MaxInflight
 	fs.BreakerThreshold = g.opts.BreakerThreshold
 	fs.BreakerCooldown = g.opts.BreakerCooldown
@@ -453,7 +448,6 @@ func (g *Grid) startDaemon(i int, addr string) (*daemon.Daemon, string, error) {
 		AppSpectorAddr: g.AppSpectorAddr,
 		TimeScale:      g.opts.TimeScale,
 		RPCTimeout:     g.opts.RPCTimeout,
-		PoolSize:       g.opts.PoolSize,
 		SettleRetry:    g.opts.SettleRetry,
 		ReRegister:     g.opts.ReRegister,
 		StateDir:       stateDir,
@@ -632,7 +626,6 @@ func (g *Grid) Login(user, password string) (*client.Client, error) {
 	}
 	c.AppSpectorAddr = g.AppSpectorAddr
 	c.Tracer = g.Tracer
-	c.PoolSize = g.opts.PoolSize
 	c.BidTimeout = g.opts.BidTimeout
 	c.RPCTimeout = g.opts.RPCTimeout
 	c.HedgeQuantile = g.opts.HedgeQuantile

@@ -75,27 +75,35 @@ func TestSamplesNeverOvertakeRegistrations(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	// Every job has been acknowledged; give the last of them time to run
-	// and their final samples time to cross the stream.
+	// Every job has been acknowledged; wait for what is asserted — each
+	// stream's terminal sample — and not for a counter that stands in for
+	// it: a job that outlives telemetryFloor (any does, raced) emits more
+	// than one sample, and a registered stream with no sample yet is not
+	// counted live, so neither samples_total nor LiveJobs says "done".
 	deadline := time.Now().Add(10 * time.Second)
-	for asCounter(g, "faucets_appspector_samples_total") < workers*each && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	for time.Now().Before(deadline) && g.AppSpector.Utilization().LiveJobs > 0 {
-		time.Sleep(5 * time.Millisecond)
+	for _, w := range ids {
+		for _, id := range w {
+			for {
+				_, done, err := g.AppSpector.Snapshot(id)
+				if done {
+					break
+				}
+				if time.Now().After(deadline) {
+					drops := uint64(0)
+					for _, d := range g.Daemons {
+						drops += d.Metrics().Counter("faucets_daemon_monitor_drops_total", "").Value()
+					}
+					t.Fatalf("job %s: done=%v err=%v: its stream never ended (faucets_daemon_monitor_drops_total=%d)", id, done, err, drops)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		}
 	}
 	if n := asCounter(g, "faucets_appspector_unknown_job_samples_total"); n != 0 {
 		t.Errorf("%d samples overtook their job's registration and were refused", n)
 	}
 	if u := g.AppSpector.Utilization(); u.LiveJobs != 0 || u.Jobs != workers*each {
 		t.Errorf("monitor holds %d jobs, %d still live; want %d, none live", u.Jobs, u.LiveJobs, workers*each)
-	}
-	for _, w := range ids {
-		for _, id := range w {
-			if _, done, err := g.AppSpector.Snapshot(id); err != nil || !done {
-				t.Fatalf("job %s: done=%v err=%v: its stream never ended", id, done, err)
-			}
-		}
 	}
 }
 

@@ -57,8 +57,6 @@ type Config struct {
 	Mechanism string
 	// Mode selects the economic context (§5.5); default Dollars.
 	Mode accounting.Mode
-	// BidValidity is how long a bid stands, in virtual seconds.
-	BidValidity float64
 	// SinglePhase disables the two-phase commit fallback (experiment E8).
 	SinglePhase bool
 	// CommitDelay separates bid solicitation from commit by the given
@@ -88,8 +86,6 @@ type Config struct {
 	// == accounting.ServiceUnits): bids are SU multipliers and a user
 	// whose quota cannot cover a bid is refused at commit.
 	SUQuota map[string]float64
-	// CreditFloor lets barter balances go negative down to -floor.
-	CreditFloor float64
 	// MigrateAfter enables checkpoint migration (§4.1: jobs "restarted
 	// at a later point in time and possibly at another (subcontracted)
 	// Compute Server"): every MigrateAfter virtual seconds, checkpointed
@@ -120,6 +116,9 @@ type Result struct {
 	// DB is the shared database (contract history, job records).
 	DB *db.DB
 }
+
+// bidValidity is how long a simulated bid stands, in virtual seconds.
+const bidValidity = 60
 
 // serverEntity is one Compute Server object in the simulation.
 type serverEntity struct {
@@ -180,17 +179,8 @@ func (s *serverEntity) RequestBid(now float64, c *qos.Contract) (bidding.Bid, bo
 		g.bidReq = g.metrics.C("messages.bid_req")
 	}
 	g.bidReq.Inc()
-	est, canRun := s.sched.EstimateCompletion(now, c)
-	st := bidding.ServerState{
-		NumPE:               s.spec.NumPE,
-		UsedPE:              s.sched.UsedPEs(),
-		QueuedWork:          s.outstanding,
-		Speed:               s.spec.Speed,
-		CostRate:            s.spec.CostRate,
-		EstimatedCompletion: est,
-		CanRun:              canRun,
-	}
-	b, ok := bidding.Make(s.bidder, s.name, now, c, st, g.cfg.BidValidity)
+	st := bidding.StateFor(&s.spec, s.sched, now, c, s.outstanding)
+	b, ok := bidding.Make(s.bidder, s.name, now, c, st, bidValidity)
 	if ok {
 		if g.bidReply == nil {
 			g.bidReply = g.metrics.C("messages.bid_reply")
@@ -202,24 +192,13 @@ func (s *serverEntity) RequestBid(now float64, c *qos.Contract) (bidding.Bid, bo
 
 // Post implements market.PostPort: the server's commodity post, read
 // straight from its published weather with no bid round trip. The
-// static screen mirrors what a directory listing supports (size,
-// memory); the scheduler still arbitrates at commit time, which is the
-// posted-price mechanism's admission risk.
+// static screen is what a directory listing supports; the scheduler still
+// arbitrates at commit time, which is the posted-price mechanism's
+// admission risk.
 func (s *serverEntity) Post(now float64, c *qos.Contract) (bidding.Bid, bool) {
 	s.g.metrics.C("messages.post_read").Inc()
-	sp := &s.spec
-	pe := c.MaxPE
-	if pe > sp.NumPE {
-		pe = sp.NumPE
-	}
-	ok := sp.NumPE >= c.MinPE && c.FitsMemory(pe, sp.MemPerPE)
-	return bidding.PostedBid(s.name, now, c, bidding.ServerState{
-		NumPE:    sp.NumPE,
-		UsedPE:   s.sched.UsedPEs(),
-		Speed:    sp.Speed,
-		CostRate: sp.CostRate,
-		CanRun:   ok,
-	})
+	return bidding.PostedBid(s.name, now, c,
+		bidding.PostedState(&s.spec, s.sched.UsedPEs(), c.FitsMachine(s.spec.NumPE, s.spec.MemPerPE)))
 }
 
 // Commit implements market.ServerPort: phase two, the actual admission.
@@ -316,14 +295,10 @@ func (s *serverEntity) settle(now float64, j *job.Job) {
 		}
 	}
 	// Market history for the §5.2.1 history-aware bidders.
-	mult := 0.0
-	if rec.CPUSeconds > 0 && s.spec.CostRate > 0 {
-		mult = rec.Price / (rec.CPUSeconds * s.spec.CostRate)
-	}
 	g.store.AppendContract(db.ContractRecord{
 		Time: now, JobID: rec.ID, App: rec.App, Server: s.name,
-		MinPE: j.Contract.MinPE, MaxPE: j.Contract.MaxPE,
-		Price: rec.Price, Multiplier: mult,
+		MinPE: j.Contract.MinPE, MaxPE: j.Contract.MaxPE, Price: rec.Price,
+		Multiplier: bidding.MultiplierOf(rec.Price, rec.CPUSeconds, s.spec.CostRate),
 	})
 }
 
@@ -341,9 +316,6 @@ func runInternal(cfg Config, trace *workload.Trace) (*Result, *gridRun, error) {
 	if cfg.Criterion == nil {
 		cfg.Criterion = market.LeastCost{}
 	}
-	if cfg.BidValidity <= 0 {
-		cfg.BidValidity = 60
-	}
 	mech, err := market.ForName(cfg.Mechanism)
 	if err != nil {
 		return nil, nil, fmt.Errorf("gridsim: %w", err)
@@ -359,7 +331,6 @@ func runInternal(cfg Config, trace *workload.Trace) (*Result, *gridRun, error) {
 		acct:    accounting.New(cfg.Mode, store),
 		placing: map[string]*placement{},
 	}
-	g.acct.SetCreditFloor(cfg.CreditFloor)
 	for cluster, amount := range cfg.InitialCredits {
 		store.AddCredits(cluster, amount)
 	}
@@ -529,16 +500,12 @@ func (g *gridRun) findPromptServer(now float64, origin *serverEntity, j *job.Job
 
 // storeHistoryView adapts the shared database's contract history to the
 // history bidder's view (§5.2.1: "what is the average price of similar
-// contracts in the recent past, in the whole system?"). Similarity is
-// the weather package's processor-demand bucket.
+// contracts in the recent past, in the whole system?").
 type storeHistoryView struct{ store *db.DB }
 
 // SimilarContracts implements bidding.HistoryView.
 func (v storeHistoryView) SimilarContracts(now float64, c *qos.Contract, limit int) []bidding.HistoryRecord {
-	bucket := weather.Bucket(c.MaxPE)
-	recs := v.store.RecentContracts(func(r db.ContractRecord) bool {
-		return weather.Bucket(r.MaxPE) == bucket
-	}, limit)
+	recs := weather.SimilarContracts(v.store, c.MaxPE, limit)
 	out := make([]bidding.HistoryRecord, len(recs))
 	for i, r := range recs {
 		out[i] = bidding.HistoryRecord{Time: r.Time, App: r.App, MinPE: r.MinPE, MaxPE: r.MaxPE, Multiplier: r.Multiplier}
@@ -576,8 +543,7 @@ func (g *gridRun) eligible(user string, c *qos.Contract) []*serverEntity {
 	}
 	out := make([]*serverEntity, 0, len(base))
 	for _, s := range base {
-		sp := &s.spec
-		if sp.NumPE < c.MinPE || !c.FitsMemory(c.MinPE, sp.MemPerPE) {
+		if !c.FitsMachine(s.spec.NumPE, s.spec.MemPerPE) {
 			g.metrics.C("filter.screened").Inc()
 			continue
 		}

@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"slices"
+
 	"faucets/internal/bidding"
 	"faucets/internal/machine"
 	"faucets/internal/qos"
@@ -106,6 +108,19 @@ type ServerInfo struct {
 	// liveness poll — the published weather the posted-price commodity
 	// market derives each server's post from, with no extra round trip.
 	UsedPE int `json:"used_pe,omitempty"`
+}
+
+// Exports reports whether app is among the server's exported Known
+// Applications (§2.2). A server that exports no list runs anything.
+func (s *ServerInfo) Exports(app string) bool {
+	return len(s.Apps) == 0 || slices.Contains(s.Apps, app)
+}
+
+// Matches applies the static filters of §5.1 — what a directory entry
+// alone can say: the machine could ever run the contract and exports its
+// application.
+func (s *ServerInfo) Matches(c *qos.Contract) bool {
+	return c.FitsMachine(s.Spec.NumPE, s.Spec.MemPerPE) && s.Exports(c.App)
 }
 
 // ListServersReq asks the Central Server for Compute Servers matching a

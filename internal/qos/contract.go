@@ -243,6 +243,15 @@ func (c *Contract) HardDeadline() float64 {
 	return c.Deadline
 }
 
+// FitsMachine is the static screen of §5.1: whether a machine of numPE
+// processors with memPerPE MB each could ever run the contract. It is
+// judged at MinPE, the size an adaptive job can be shrunk to — the size
+// a scheduler's admission holds it to, so a directory filter, a posted
+// quote and the scheduler cannot disagree about the same machine.
+func (c *Contract) FitsMachine(numPE, memPerPE int) bool {
+	return c.MinPE <= numPE && c.FitsMemory(c.MinPE, memPerPE)
+}
+
 // FitsMemory reports whether a machine with the given per-PE memory (MB)
 // and processor count can satisfy the contract's memory demands at p
 // processors.

@@ -207,6 +207,26 @@ func TestFitsMemory(t *testing.T) {
 	}
 }
 
+// FitsMachine is the static screen, judged at MinPE: the size an adaptive
+// job can be shrunk to, not the one it would like.
+func TestFitsMachine(t *testing.T) {
+	c := &Contract{App: "x", MinPE: 4, MaxPE: 16, Work: 10, MemPerPE: 512, TotalMem: 4096}
+	for _, tc := range []struct {
+		numPE, memPerPE int
+		want            bool
+	}{
+		{64, 1024, true}, // 4 × 1024 = TotalMem
+		{4, 1024, true},  // exactly MinPE processors
+		{3, 4096, false}, // too few processors, however large
+		{64, 256, false}, // per-PE memory short
+		{64, 512, false}, // 4 × 512 < TotalMem, though 16 × 512 would do
+	} {
+		if got := c.FitsMachine(tc.numPE, tc.memPerPE); got != tc.want {
+			t.Errorf("FitsMachine(%d, %d) = %v, want %v", tc.numPE, tc.memPerPE, got, tc.want)
+		}
+	}
+}
+
 func TestMarshalRoundTrip(t *testing.T) {
 	c := valid()
 	c.Payoff = Payoff{Soft: 60, Hard: 120, AtSoft: 100, AtHard: 25, Penalty: 50}

@@ -7,9 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"faucets/internal/bidding"
 	"faucets/internal/client"
-	"faucets/internal/daemon"
 	"faucets/internal/grid"
 	"faucets/internal/market"
 	"faucets/internal/protocol"
@@ -64,8 +62,6 @@ func RunGridWithHooks(s *Spec, hooks GridHooks) (*ScenarioReport, error) {
 	if ts <= 0 {
 		ts = 1000
 	}
-	var weathers []*bidding.Weather
-	var histories []*bidding.History
 	clusters := make([]grid.ClusterSpec, 0, len(machines))
 	for _, m := range machines {
 		factory, err := schedulerFactory(m.Scheduler)
@@ -75,12 +71,6 @@ func RunGridWithHooks(s *Spec, hooks GridHooks) (*ScenarioReport, error) {
 		bidder, err := makeBidder(m.Bidder)
 		if err != nil {
 			return nil, err
-		}
-		switch b := bidder.(type) {
-		case *bidding.Weather:
-			weathers = append(weathers, b)
-		case *bidding.History:
-			histories = append(histories, b)
 		}
 		cs := grid.ClusterSpec{
 			Spec:         m.Spec,
@@ -104,7 +94,6 @@ func RunGridWithHooks(s *Spec, hooks GridHooks) (*ScenarioReport, error) {
 		BreakerThreshold: s.Grid.BreakerThreshold,
 		BreakerCooldown:  msOr(s.Grid.BreakerCooldownMs, 0),
 		HedgeQuantile:    s.Grid.HedgeQuantile,
-		PoolSize:         s.Grid.PoolSize,
 		Mechanism:        s.Mechanism,
 		Shards:           s.Topology.Shards,
 		GossipInterval:   msOr(s.Grid.GossipIntervalMs, 0),
@@ -124,15 +113,6 @@ func RunGridWithHooks(s *Spec, hooks GridHooks) (*ScenarioReport, error) {
 		return nil, fmt.Errorf("scenario: grid start: %w", err)
 	}
 	defer g.Close()
-
-	// §5.2.1 global information: weather/history bidders read the
-	// Central Server, exactly as cmd/faucetsd wires them in production.
-	for _, w := range weathers {
-		w.SetSource(&daemon.CentralWeather{Addr: g.CentralAddr, Timeout: opts.RPCTimeout})
-	}
-	for _, h := range histories {
-		h.View = &daemon.CentralHistory{Addr: g.CentralAddr, Timeout: opts.RPCTimeout}
-	}
 
 	cl, err := g.Login("scenario", "pw")
 	if err != nil {

@@ -178,10 +178,7 @@ func (c *cluster) syncView() {
 
 // feasible reports whether the contract could ever run on this machine.
 func (c *cluster) feasible(ct *qos.Contract) bool {
-	if ct.MinPE > c.spec.NumPE {
-		return false
-	}
-	return ct.FitsMemory(ct.MinPE, c.spec.MemPerPE)
+	return ct.FitsMachine(c.spec.NumPE, c.spec.MemPerPE)
 }
 
 // start launches a job on pe processors right now.

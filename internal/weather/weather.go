@@ -52,6 +52,16 @@ func Bucket(maxPE int) string {
 	}
 }
 
+// SimilarContracts answers §5.2.1's "what is the average price of similar
+// contracts in the recent past": up to limit settled contracts in the
+// processor-demand bucket of maxPE, newest first.
+func SimilarContracts(store *db.DB, maxPE, limit int) []db.ContractRecord {
+	bucket := Bucket(maxPE)
+	return store.RecentContracts(func(r db.ContractRecord) bool {
+		return Bucket(r.MaxPE) == bucket
+	}, limit)
+}
+
 // Window is how many recent contracts feed the price statistics.
 const Window = 100
 

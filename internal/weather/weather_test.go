@@ -1,6 +1,7 @@
 package weather
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -131,5 +132,24 @@ func TestAggregateSeedMatchesCompute(t *testing.T) {
 	agg.Fill(&got)
 	if got.Contracts != want.Contracts || math.Abs(got.MeanMultiplier-want.MeanMultiplier) > 1e-9 {
 		t.Fatalf("seeded aggregate %+v, want %+v", got, want)
+	}
+}
+
+// TestSimilarContracts: similarity is the processor-demand bucket, the
+// answer is newest first and bounded by limit.
+func TestSimilarContracts(t *testing.T) {
+	store := db.New()
+	for i, maxPE := range []int{4, 32, 8, 128, 2} {
+		store.AppendContract(db.ContractRecord{Time: float64(i), JobID: fmt.Sprint(i), MaxPE: maxPE, Multiplier: float64(i)})
+	}
+	got := SimilarContracts(store, 6, 10)
+	if len(got) != 3 || got[0].MaxPE != 2 || got[1].MaxPE != 8 || got[2].MaxPE != 4 {
+		t.Fatalf("small bucket: %+v", got)
+	}
+	if got := SimilarContracts(store, 6, 2); len(got) != 2 || got[0].MaxPE != 2 {
+		t.Fatalf("limit 2: %+v", got)
+	}
+	if got := SimilarContracts(store, 1000, 10); len(got) != 1 || got[0].MaxPE != 128 {
+		t.Fatalf("large bucket: %+v", got)
 	}
 }

@@ -22,12 +22,6 @@
 // the named benchmark reports more than 8 allocs/op. Allocation counts
 // are deterministic per build, so unlike ns/op the ceilings need no
 // tolerance and are checked even when -baseline is empty.
-//
-// -scale gates intra-run ratios: each semicolon-separated 'fast,slow,R'
-// triple fails the build unless fast's ns/op beats slow's by at least R
-// in this run. Both sides come from the same machine, so no baseline or
-// tolerance applies — this is how the sharded control plane's ~linear
-// throughput claim is enforced.
 package main
 
 import (
@@ -51,7 +45,6 @@ func main() {
 	gate := flag.String("gate", "BenchmarkGridSustainedAuctions", "comma-separated benchmark names the gate guards, each optionally name=tolerance")
 	tolerance := flag.Float64("tolerance", 0.15, "default allowed ns/op growth over baseline (0.15 = +15%)")
 	allocs := flag.String("allocs", "", "comma-separated name=N absolute allocs/op ceilings (checked even without -baseline)")
-	scale := flag.String("scale", "", "semicolon-separated fast,slow,ratio triples: fast must beat slow by >=ratio in this run (checked even without -baseline)")
 	flag.Parse()
 
 	var src io.Reader = os.Stdin
@@ -108,27 +101,6 @@ func main() {
 		}
 		fmt.Printf("gate OK: %s %.0f allocs/op (budget %.0f)\n",
 			name, rep.Results[name].AllocsPerOp, max)
-	}
-
-	for _, sg := range strings.Split(*scale, ";") {
-		sg = strings.TrimSpace(sg)
-		if sg == "" {
-			continue
-		}
-		parts := strings.Split(sg, ",")
-		if len(parts) != 3 {
-			log.Fatalf("benchgate: -scale entry %q must be fast,slow,ratio", sg)
-		}
-		fast, slow := strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1])
-		ratio, err := strconv.ParseFloat(strings.TrimSpace(parts[2]), 64)
-		if err != nil {
-			log.Fatalf("benchgate: bad scale ratio %q: %v", sg, err)
-		}
-		if err := experiments.CheckScaling(rep, fast, slow, ratio); err != nil {
-			log.Fatalf("benchgate: GATE FAILED: %v", err)
-		}
-		fmt.Printf("gate OK: %s is %.2fx faster than %s (floor %.2fx)\n",
-			fast, rep.Results[slow].NsPerOp/rep.Results[fast].NsPerOp, slow, ratio)
 	}
 
 	if *baseline == "" {

@@ -36,7 +36,6 @@ func main() {
 	deadAfter := flag.Duration("dead-after", 30*time.Second, "unseen daemons drop from the directory after this long")
 	stateDir := flag.String("state-dir", "", "durable state directory (snapshot + write-ahead log): every mutation is logged, and a restarted server recovers accounts, history, and settled-job marks")
 	snapEvery := flag.Duration("snapshot-interval", time.Minute, "WAL compaction interval (with -state-dir)")
-	walWindow := flag.Duration("wal-group-window", 0, "WAL group-commit accumulation window: how long a batch leader waits for concurrent mutations to pile on before the shared fsync (0 = flush immediately; with -state-dir)")
 	peers := flag.String("peers", "", "comma-separated peer Central Server addresses this server asks (distributed directory and token vouching, §5.1); not with -ring")
 	ring := flag.String("ring", "", "comma-separated addresses of EVERY shard in a consistent-hash Central Server mesh, identical on all members; users and server names partition across them, and every other member is a peer")
 	shardID := flag.Int("shard-id", -1, "this server's index into -ring (its public address as peers dial it); required with -ring")
@@ -72,7 +71,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("db: %v", err)
 		}
-		store.SetGroupWindow(*walWindow)
 		srv = central.NewWithDB(m, store)
 		log.Printf("faucets-server: recovered durable state from %s (%d history records)", *stateDir, store.HistoryLen())
 	}

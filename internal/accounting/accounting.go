@@ -9,7 +9,6 @@ package accounting
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"faucets/internal/db"
 )
@@ -54,16 +53,11 @@ var (
 // database. All balances — SU quotas, per-server revenue, per-user
 // spend, credit ledger — live in the database, so an Accountant over a
 // durable db (db.Open) forgets nothing across a Central Server restart.
-// It is safe for concurrent use.
+// It holds no state of its own beyond the mode, so it is safe for
+// concurrent use: each settlement is one database transaction.
 type Accountant struct {
 	mode Mode
 	db   *db.DB
-
-	mu sync.Mutex
-	// creditFloor is how far negative a home cluster's balance may go in
-	// Barter mode before jobs are refused off-cluster (0 = must stay
-	// non-negative).
-	creditFloor float64
 }
 
 // New returns an Accountant in the given mode over the database.
@@ -73,13 +67,6 @@ func New(mode Mode, store *db.DB) *Accountant {
 
 // Mode returns the active economic context.
 func (a *Accountant) Mode() Mode { return a.mode }
-
-// SetCreditFloor allows barter balances to run down to -floor.
-func (a *Accountant) SetCreditFloor(floor float64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.creditFloor = floor
-}
 
 // GrantQuota adds SUs to a user's allocation (§5.5.2: "users can then be
 // allocated quota in terms of Service-Units as before").
@@ -98,12 +85,10 @@ func (a *Accountant) Quota(user string) float64 {
 
 // CanAfford reports whether the payer can cover a price before bids are
 // even solicited: in ServiceUnits mode the user needs quota; in Barter
-// mode an off-home placement needs home-cluster credits above the floor;
+// mode an off-home placement needs that many home-cluster credits;
 // Dollars mode always affords (credit risk is out of scope, as in the
 // paper).
 func (a *Accountant) CanAfford(user, homeCluster, server string, price float64) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	switch a.mode {
 	case ServiceUnits:
 		return a.db.Quota(user) >= price
@@ -111,43 +96,51 @@ func (a *Accountant) CanAfford(user, homeCluster, server string, price float64) 
 		if homeCluster == "" || homeCluster == server {
 			return true // running at home costs no credits
 		}
-		return a.db.Credits(homeCluster)-price >= -a.creditFloor
+		return a.db.Credits(homeCluster) >= price
 	default:
 		return true
 	}
 }
 
-// Settle records payment for a finished job. price is the accepted bid
-// amount (Dollars or SUs); in Barter mode it is the credit transfer
-// between the home cluster and the executing cluster, and running on the
-// home cluster itself transfers nothing.
-func (a *Accountant) Settle(jobID, user, homeCluster, server string, price float64) error {
+// Charge applies the billing rule for one finished job inside the
+// caller's transaction. price is the accepted bid amount (Dollars or
+// SUs); in Barter mode it is the credit transfer between the home
+// cluster and the executing cluster, and running on the home cluster
+// itself transfers nothing. On error nothing may be committed: the
+// caller returns it from its Update.
+func (a *Accountant) Charge(tx *db.Tx, user, homeCluster, server string, price float64) error {
 	if price < 0 {
 		return ErrNegative
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	switch a.mode {
 	case Dollars:
-		a.db.AddRevenue(server, price)
+		tx.AddRevenue(server, price)
 	case ServiceUnits:
-		if q := a.db.Quota(user); q < price {
+		if q := tx.Quota(user); q < price {
 			return fmt.Errorf("%w: user %s has %.1f, needs %.1f", ErrQuota, user, q, price)
 		}
-		a.db.AddQuota(user, -price)
-		a.db.AddRevenue(server, price)
+		tx.AddQuota(user, -price)
+		tx.AddRevenue(server, price)
 	case Barter:
 		if homeCluster != "" && homeCluster != server {
-			if a.db.Credits(homeCluster)-price < -a.creditFloor {
-				return fmt.Errorf("%w: %s at %.1f, needs %.1f", ErrCredit, homeCluster, a.db.Credits(homeCluster), price)
+			if c := tx.Credits(homeCluster); c < price {
+				return fmt.Errorf("%w: %s at %.1f, needs %.1f", ErrCredit, homeCluster, c, price)
 			}
-			if err := a.db.TransferCredits(homeCluster, server, price); err != nil {
+			if err := tx.TransferCredits(homeCluster, server, price); err != nil {
 				return err
 			}
 		}
 	}
-	a.db.AddSpend(user, price)
+	tx.AddSpend(user, price)
 	return nil
+}
+
+// Settle records payment for a finished job as one transaction of its
+// own (Charge).
+func (a *Accountant) Settle(jobID, user, homeCluster, server string, price float64) error {
+	return a.db.Update(func(tx *db.Tx) error {
+		return a.Charge(tx, user, homeCluster, server, price)
+	})
 }
 
 // Revenue returns a server's cumulative income (Dollars/SU modes).

@@ -111,19 +111,10 @@ func TestBarterInsufficientCredits(t *testing.T) {
 	if err := a.Settle("j", "u", "hub", "remote", 10); !errors.Is(err, ErrCredit) {
 		t.Fatalf("err=%v", err)
 	}
-	// With a floor, deficits are allowed down to -floor.
-	a.SetCreditFloor(50)
-	if !a.CanAfford("u", "hub", "remote", 40) {
-		t.Fatal("floor should allow a modest deficit")
-	}
-	if err := a.Settle("j", "u", "hub", "remote", 40); err != nil {
-		t.Fatal(err)
-	}
-	if store.Credits("hub") != -40 {
-		t.Fatalf("hub=%v", store.Credits("hub"))
-	}
-	if err := a.Settle("j2", "u", "hub", "remote", 40); !errors.Is(err, ErrCredit) {
-		t.Fatalf("exceeding the floor accepted: %v", err)
+	// A refused settlement moves nothing.
+	if store.Credits("hub") != 0 || store.Credits("remote") != 0 || store.Spend("u") != 0 {
+		t.Fatalf("refused settle applied: hub=%v remote=%v spend=%v",
+			store.Credits("hub"), store.Credits("remote"), store.Spend("u"))
 	}
 }
 
@@ -160,11 +151,12 @@ func TestConcurrentSettlement(t *testing.T) {
 }
 
 func TestModeAndCreditsAccessors(t *testing.T) {
-	a := New(Barter, db.New())
+	store := db.New()
+	a := New(Barter, store)
 	if a.Mode() != Barter {
 		t.Fatalf("mode=%v", a.Mode())
 	}
-	a.SetCreditFloor(100) // let clusterB run a tab
+	store.AddCredits("clusterB", 12) // clusterB earned what it spends
 	if err := a.Settle("j1", "u", "clusterB", "clusterA", 12); err != nil {
 		t.Fatal(err)
 	}

@@ -108,15 +108,6 @@ type Server struct {
 	registry []*regEntry
 	peers    []string
 
-	// settleMu serializes settlement application so the settled-check,
-	// billing, and history append act as one atomic step per job ID.
-	settleMu sync.Mutex
-	// dirtySettles (under settleMu) tracks job IDs settled in memory
-	// whose WAL group commit failed: their acknowledgment is withheld
-	// (the daemon keeps redelivering) until a Compact folds the
-	// in-memory state into a durable snapshot.
-	dirtySettles map[string]bool
-
 	// wagg incrementally mirrors the settled-contract window, so a
 	// weather report costs O(1) instead of rescanning history.
 	wagg *weather.Aggregate
@@ -262,17 +253,16 @@ func NewWithDB(mode accounting.Mode, store *db.DB) *Server {
 	}
 	wagg.Seed(recs)
 	s := &Server{
-		Auth:         auth.New(24 * time.Hour),
-		DB:           store,
-		Acct:         accounting.New(mode, store),
-		Metrics:      reg,
-		met:          newSrvMetrics(reg),
-		rpc:          telemetry.NewRPCMetrics(reg, "central"),
-		dirtySettles: map[string]bool{},
-		remotes:      map[string]remoteDigest{},
-		wagg:         wagg,
-		closed:       make(chan struct{}),
-		DeadAfter:    30 * time.Second,
+		Auth:      auth.New(24 * time.Hour),
+		DB:        store,
+		Acct:      accounting.New(mode, store),
+		Metrics:   reg,
+		met:       newSrvMetrics(reg),
+		rpc:       telemetry.NewRPCMetrics(reg, "central"),
+		remotes:   map[string]remoteDigest{},
+		wagg:      wagg,
+		closed:    make(chan struct{}),
+		DeadAfter: 30 * time.Second,
 		Dial: func(addr string) (net.Conn, error) {
 			return protocol.Dial(addr, 5*time.Second)
 		},
@@ -426,61 +416,55 @@ func (s *Server) Apps() []string {
 // here when the request leaves it blank.
 //
 // Settlement is idempotent by job ID: daemons redeliver from a durable
-// outbox until acknowledged, so the same settlement may arrive twice
-// (the classic lost-ack after a crash on either side). A duplicate is
-// acknowledged without charging anything again. On a durable database
-// the whole settlement — billing mutation, settled-mark, contract row —
-// lands as one atomic WAL record, so a Central Server crash mid-settle
-// either keeps all of it or none and the daemon's redelivery repairs
-// the rest.
+// outbox until acknowledged, so the same settlement may arrive twice. The
+// settled check, the charge, the settled-mark and the contract row are one
+// transaction — one WAL line, kept whole or not at all by a crash. A
+// duplicate stages nothing but is acknowledged only once what precedes it
+// is on disk. A settlement applied but not confirmed durable is refused
+// as retryable; the redelivery finds it settled.
 func (s *Server) Settle(req protocol.SettleReq) error {
-	s.settleMu.Lock()
-	defer s.settleMu.Unlock()
-	if s.DB.Settled(req.JobID) {
-		if s.dirtySettles[req.JobID] {
-			// Settled in memory but its WAL group commit failed, so the
-			// ack was withheld and the daemon redelivered. Repair by
-			// compacting: the snapshot is written from memory, which
-			// already holds the full settlement.
-			if err := s.compactTimed(); err != nil {
-				s.met.settleErrors.Inc()
-				return protocol.MarkRetryable(fmt.Errorf("central: settle %s: durability: %w", req.JobID, err))
-			}
-			s.dirtySettles = map[string]bool{} // snapshot covers everything
-		}
-		s.met.settleRetries.Inc()
-		return nil // duplicate redelivery: re-acknowledge, apply nothing
-	}
 	if req.HomeCluster == "" {
 		req.HomeCluster = s.Auth.HomeCluster(req.User)
 	}
-	s.DB.BeginBatch()
-	if err := s.Acct.Settle(req.JobID, req.User, req.HomeCluster, req.Server, req.Price); err != nil {
-		s.met.settleErrors.Inc()
-		s.DB.CommitBatch() // flush whatever the failed attempt staged
-		return err
-	}
-	s.DB.MarkSettled(req.JobID)
-	mult := bidding.MultiplierOf(req.Price, req.CPUSeconds, s.costRateOf(req.Server))
-	s.DB.AppendContract(db.ContractRecord{
+	row := db.ContractRecord{
 		Time: float64(time.Now().UnixNano()) / 1e9, JobID: req.JobID,
 		App: req.App, Server: req.Server, MinPE: req.MinPE, MaxPE: req.MaxPE,
-		Price: req.Price, Multiplier: mult,
-	})
-	if err := s.DB.CommitBatch(); err != nil {
-		// Applied in memory but not confirmed on disk. Withhold the ack
-		// (retryable, so the daemon's outbox redelivers) and remember
-		// the job as dirty; the redelivery path above repairs
-		// durability via a snapshot.
-		s.dirtySettles[req.JobID] = true
-		s.met.settleErrors.Inc()
-		return protocol.MarkRetryable(fmt.Errorf("central: settle %s: durability: %w", req.JobID, err))
+		Price: req.Price, Multiplier: bidding.MultiplierOf(req.Price, req.CPUSeconds, s.costRateOf(req.Server)),
 	}
-	s.wagg.Add(req.MaxPE, mult)
-	s.invalidateWeather()
-	s.met.settled.Inc()
-	s.met.contracts.Inc()
-	return nil
+	fresh := false
+	err := s.DB.Update(func(tx *db.Tx) error {
+		if tx.Settled(req.JobID) {
+			return nil // duplicate redelivery: apply nothing
+		}
+		if err := s.Acct.Charge(tx, req.User, req.HomeCluster, req.Server, req.Price); err != nil {
+			return err
+		}
+		tx.MarkSettled(req.JobID)
+		tx.AppendContract(row)
+		fresh = true
+		return nil
+	})
+	notDurable := errors.Is(err, db.ErrNotDurable)
+	if fresh && (err == nil || notDurable) {
+		// The row is in the history, durable or not: the weather mirrors it.
+		s.wagg.Add(row.MaxPE, row.Multiplier)
+		s.invalidateWeather()
+		s.met.settled.Inc()
+		s.met.contracts.Inc()
+	}
+	switch {
+	case err == nil:
+		if !fresh {
+			s.met.settleRetries.Inc()
+		}
+		return nil
+	case notDurable:
+		s.met.settleErrors.Inc()
+		return protocol.MarkRetryable(fmt.Errorf("central: settle %s: %w", req.JobID, err))
+	default:
+		s.met.settleErrors.Inc()
+		return err
+	}
 }
 
 // costRateOf returns the named Compute Server's normalized cost rate, the

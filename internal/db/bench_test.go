@@ -1,0 +1,75 @@
+package db
+
+import (
+	"fmt"
+	"strconv"
+	"sync"
+	"sync/atomic"
+	"testing"
+)
+
+// settleShaped is one settlement as the Central Server commits it: a
+// credit transfer, the settled-mark and the contract row, one Tx.
+func settleShaped(d *DB, i int64) {
+	job := "job-" + strconv.FormatInt(i, 10)
+	d.Update(func(tx *Tx) error {
+		if tx.Settled(job) {
+			return nil
+		}
+		if err := tx.TransferCredits("home", "remote", 1); err != nil {
+			return err
+		}
+		tx.MarkSettled(job)
+		tx.AppendContract(ContractRecord{JobID: job, App: "synth", Server: "remote", MinPE: 2, MaxPE: 8, Price: 1, Multiplier: 1})
+		return nil
+	})
+}
+
+// BenchmarkSettleTx is the db layer's share of a settlement: one
+// settle-shaped transaction per op. ephemeral is the in-memory apply
+// alone (a fresh database every 64k ops keeps the history bounded);
+// durable_N has N callers committing concurrently against one WAL, and
+// fsyncs/op says how many of them one group fsync covers.
+func BenchmarkSettleTx(b *testing.B) {
+	b.Run("ephemeral", func(b *testing.B) {
+		b.ReportAllocs()
+		d := New()
+		for i := 0; i < b.N; i++ {
+			if i%(1<<16) == 0 {
+				b.StopTimer()
+				d = New()
+				b.StartTimer()
+			}
+			settleShaped(d, int64(i))
+		}
+	})
+	for _, callers := range []int{1, 8} {
+		b.Run(fmt.Sprintf("durable_%d", callers), func(b *testing.B) {
+			d, err := Open(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer d.Close()
+			var syncs atomic.Int64
+			d.wal.cmu.Lock()
+			d.wal.onSync = func(int) { syncs.Add(1) }
+			d.wal.cmu.Unlock()
+			b.ReportAllocs()
+			b.ResetTimer()
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			for c := 0; c < callers; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := next.Add(1); i <= int64(b.N); i = next.Add(1) {
+						settleShaped(d, i)
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(syncs.Load())/float64(b.N), "fsyncs/op")
+		})
+	}
+}

@@ -107,12 +107,14 @@ func initMaps(s *snapshot) {
 type DB struct {
 	mu   sync.RWMutex
 	data snapshot
+	// tx is the transaction Update lends to its fn; it is only ever
+	// touched under mu.
+	tx Tx
 
 	// Durability state (nil/empty on an ephemeral database).
 	stateDir string
 	wal      *walWriter
 	seq      uint64
-	batch    *[]walRecord
 }
 
 // ErrNotFound is returned when a row does not exist.
@@ -120,9 +122,10 @@ var ErrNotFound = errors.New("db: not found")
 
 // New returns an empty ephemeral database.
 func New() *DB {
-	var s snapshot
-	initMaps(&s)
-	return &DB{data: s}
+	d := &DB{}
+	initMaps(&d.data)
+	d.tx.data = &d.data
+	return d
 }
 
 // Durable reports whether mutations are written ahead to disk.
@@ -132,12 +135,72 @@ func (d *DB) Durable() bool {
 	return d.wal != nil
 }
 
+// Tx is one transaction, handed to the fn of Update. Its reads see the
+// tables as they stood when fn was called — not the writes it has staged
+// itself — and its writes are applied together, as one WAL line, once fn
+// returns nil. A Tx is valid only inside that fn, and fn must not call
+// the DB's own methods: Update holds the lock they take.
+type Tx struct {
+	data *snapshot
+	recs []walRecord
+}
+
+func (tx *Tx) stage(rec walRecord) { tx.recs = append(tx.recs, rec) }
+
+// Settled reports whether a job's settlement has already been applied.
+func (tx *Tx) Settled(jobID string) bool { return tx.data.Settled[jobID] }
+
+// Quota returns a user's remaining Service-Units.
+func (tx *Tx) Quota(user string) float64 { return tx.data.Quotas[user] }
+
+// Credits returns a cluster's bartering balance.
+func (tx *Tx) Credits(cluster string) float64 { return tx.data.Credits[cluster] }
+
+// PutJob stages inserting or replacing a job row.
+func (tx *Tx) PutJob(r JobRecord) { tx.stage(walRecord{Op: opPutJob, Job: &r}) }
+
+// PutUser stages inserting or replacing a user profile.
+func (tx *Tx) PutUser(r UserRecord) { tx.stage(walRecord{Op: opPutUser, User: &r}) }
+
+// AddCredits stages adjusting a cluster's balance by delta.
+func (tx *Tx) AddCredits(cluster string, delta float64) {
+	tx.stage(walRecord{Op: opAddCredits, Key: cluster, Amount: delta})
+}
+
+// TransferCredits stages moving amount from one cluster to another; a
+// negative amount fails the transaction.
+func (tx *Tx) TransferCredits(from, to string, amount float64) error {
+	if amount < 0 {
+		return fmt.Errorf("db: negative transfer %v", amount)
+	}
+	tx.stage(walRecord{Op: opTransfer, Key: from, To: to, Amount: amount})
+	return nil
+}
+
+// AddQuota stages adjusting a user's SU allocation by delta.
+func (tx *Tx) AddQuota(user string, delta float64) {
+	tx.stage(walRecord{Op: opAddQuota, Key: user, Amount: delta})
+}
+
+// AddRevenue stages booking income for a server.
+func (tx *Tx) AddRevenue(server string, amount float64) {
+	tx.stage(walRecord{Op: opAddRevenue, Key: server, Amount: amount})
+}
+
+// AddSpend stages accumulating a user's payments.
+func (tx *Tx) AddSpend(user string, amount float64) {
+	tx.stage(walRecord{Op: opAddSpend, Key: user, Amount: amount})
+}
+
+// MarkSettled stages recording a job ID as settled.
+func (tx *Tx) MarkSettled(jobID string) { tx.stage(walRecord{Op: opMarkSettled, JobID: jobID}) }
+
+// AppendContract stages recording a settled contract in the history.
+func (tx *Tx) AppendContract(r ContractRecord) { tx.stage(walRecord{Op: opContract, Contract: &r}) }
+
 // PutJob inserts or replaces a job row.
 func (d *DB) PutJob(r JobRecord) {
-	d.mu.Lock()
-	b := d.applyLocked(walRecord{Op: opPutJob, Job: &r})
-	d.mu.Unlock()
-	d.waitDurable(b)
+	d.Update(func(tx *Tx) error { tx.PutJob(r); return nil })
 }
 
 // GetJob fetches a job row.
@@ -153,17 +216,15 @@ func (d *DB) GetJob(id string) (JobRecord, error) {
 
 // UpdateJob applies fn to an existing row under the lock.
 func (d *DB) UpdateJob(id string, fn func(*JobRecord)) error {
-	d.mu.Lock()
-	r, ok := d.data.Jobs[id]
-	if !ok {
-		d.mu.Unlock()
-		return fmt.Errorf("%w: job %s", ErrNotFound, id)
-	}
-	fn(&r)
-	b := d.applyLocked(walRecord{Op: opPutJob, Job: &r})
-	d.mu.Unlock()
-	d.waitDurable(b)
-	return nil
+	return d.Update(func(tx *Tx) error {
+		r, ok := tx.data.Jobs[id]
+		if !ok {
+			return fmt.Errorf("%w: job %s", ErrNotFound, id)
+		}
+		fn(&r)
+		tx.PutJob(r)
+		return nil
+	})
 }
 
 // jobLess is the canonical job ordering: submit time, then ID.
@@ -192,10 +253,7 @@ func (d *DB) ListJobs(match func(JobRecord) bool) []JobRecord {
 
 // PutUser inserts or replaces a user profile.
 func (d *DB) PutUser(r UserRecord) {
-	d.mu.Lock()
-	b := d.applyLocked(walRecord{Op: opPutUser, User: &r})
-	d.mu.Unlock()
-	d.waitDurable(b)
+	d.Update(func(tx *Tx) error { tx.PutUser(r); return nil })
 }
 
 // GetUser fetches a user profile.
@@ -220,11 +278,12 @@ func (d *DB) Credits(cluster string) float64 {
 // AddCredits adjusts a cluster's balance by delta and returns the new
 // balance.
 func (d *DB) AddCredits(cluster string, delta float64) float64 {
-	d.mu.Lock()
-	b := d.applyLocked(walRecord{Op: opAddCredits, Key: cluster, Amount: delta})
-	v := d.data.Credits[cluster]
-	d.mu.Unlock()
-	d.waitDurable(b)
+	var v float64
+	d.Update(func(tx *Tx) error {
+		v = tx.Credits(cluster) + delta
+		tx.AddCredits(cluster, delta)
+		return nil
+	})
 	return v
 }
 
@@ -233,13 +292,7 @@ func (d *DB) AddCredits(cluster string, delta float64) float64 {
 // the Compute Server that executed the job and [an] equal amount is
 // deducted from the Home Cluster's account."
 func (d *DB) TransferCredits(from, to string, amount float64) error {
-	if amount < 0 {
-		return fmt.Errorf("db: negative transfer %v", amount)
-	}
-	d.mu.Lock()
-	b := d.applyLocked(walRecord{Op: opTransfer, Key: from, To: to, Amount: amount})
-	d.mu.Unlock()
-	return d.waitDurable(b)
+	return d.Update(func(tx *Tx) error { return tx.TransferCredits(from, to, amount) })
 }
 
 // TotalCredits sums every balance — zero by construction under pure
@@ -264,11 +317,12 @@ func (d *DB) Quota(user string) float64 {
 // AddQuota adjusts a user's SU allocation by delta (negative to draw
 // down) and returns the new balance.
 func (d *DB) AddQuota(user string, delta float64) float64 {
-	d.mu.Lock()
-	b := d.applyLocked(walRecord{Op: opAddQuota, Key: user, Amount: delta})
-	v := d.data.Quotas[user]
-	d.mu.Unlock()
-	d.waitDurable(b)
+	var v float64
+	d.Update(func(tx *Tx) error {
+		v = tx.Quota(user) + delta
+		tx.AddQuota(user, delta)
+		return nil
+	})
 	return v
 }
 
@@ -281,10 +335,7 @@ func (d *DB) Revenue(server string) float64 {
 
 // AddRevenue books income for a server.
 func (d *DB) AddRevenue(server string, amount float64) {
-	d.mu.Lock()
-	b := d.applyLocked(walRecord{Op: opAddRevenue, Key: server, Amount: amount})
-	d.mu.Unlock()
-	d.waitDurable(b)
+	d.Update(func(tx *Tx) error { tx.AddRevenue(server, amount); return nil })
 }
 
 // Spend returns a user's cumulative payments (§5.5.4 fair usage).
@@ -296,10 +347,7 @@ func (d *DB) Spend(user string) float64 {
 
 // AddSpend accumulates a user's payments.
 func (d *DB) AddSpend(user string, amount float64) {
-	d.mu.Lock()
-	b := d.applyLocked(walRecord{Op: opAddSpend, Key: user, Amount: amount})
-	d.mu.Unlock()
-	d.waitDurable(b)
+	d.Update(func(tx *Tx) error { tx.AddSpend(user, amount); return nil })
 }
 
 // Settled reports whether a job's settlement has already been applied.
@@ -313,15 +361,14 @@ func (d *DB) Settled(jobID string) bool {
 // return false. This is the dedupe that makes settlement application
 // idempotent under daemon outbox redelivery.
 func (d *DB) MarkSettled(jobID string) bool {
-	d.mu.Lock()
-	if d.data.Settled[jobID] {
-		d.mu.Unlock()
-		return false
-	}
-	b := d.applyLocked(walRecord{Op: opMarkSettled, JobID: jobID})
-	d.mu.Unlock()
-	d.waitDurable(b)
-	return true
+	fresh := false
+	d.Update(func(tx *Tx) error {
+		if fresh = !tx.Settled(jobID); fresh {
+			tx.MarkSettled(jobID)
+		}
+		return nil
+	})
+	return fresh
 }
 
 // SettledCount returns how many distinct jobs have settled.
@@ -333,10 +380,7 @@ func (d *DB) SettledCount() int {
 
 // AppendContract records a settled contract in the market history.
 func (d *DB) AppendContract(r ContractRecord) {
-	d.mu.Lock()
-	b := d.applyLocked(walRecord{Op: opContract, Contract: &r})
-	d.mu.Unlock()
-	d.waitDurable(b)
+	d.Update(func(tx *Tx) error { tx.AppendContract(r); return nil })
 }
 
 // RecentContracts returns up to limit settled contracts matching the

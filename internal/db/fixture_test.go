@@ -53,12 +53,13 @@ func writeFixtureOps(t *testing.T, d *DB) {
 	t.Helper()
 	d.PutUser(UserRecord{Name: "alice", HomeCluster: "turing"})
 	d.AddCredits("turing", 100)
-	d.BeginBatch()
-	d.AddSpend("alice", 16)
-	d.AddRevenue("lemieux", 16)
-	d.MarkSettled("job-1")
-	d.AppendContract(ContractRecord{Time: 1.5, JobID: "job-1", App: "synth", Server: "lemieux", MinPE: 2, MaxPE: 16, Price: 16, Multiplier: 0.008})
-	if err := d.CommitBatch(); err != nil {
+	if err := d.Update(func(tx *Tx) error {
+		tx.AddSpend("alice", 16)
+		tx.AddRevenue("lemieux", 16)
+		tx.MarkSettled("job-1")
+		tx.AppendContract(ContractRecord{Time: 1.5, JobID: "job-1", App: "synth", Server: "lemieux", MinPE: 2, MaxPE: 16, Price: 16, Multiplier: 0.008})
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.TransferCredits("turing", "lemieux", 4); err != nil {

@@ -35,11 +35,12 @@ func seedStateDir(f *testing.F) (snap, wal []byte) {
 	d.AddCredits("turing", 100)
 	d.Compact() // folds the above into snapshot.json
 	d.PutJob(JobRecord{ID: "job-1", Owner: "ana", State: "finished", Price: 3})
-	d.BeginBatch()
-	_ = d.TransferCredits("turing", "pascal", 12.5)
-	d.MarkSettled("job-1")
-	d.AppendContract(ContractRecord{JobID: "job-1", App: "synth", Server: "pascal", Price: 3})
-	d.CommitBatch()
+	d.Update(func(tx *Tx) error {
+		_ = tx.TransferCredits("turing", "pascal", 12.5)
+		tx.MarkSettled("job-1")
+		tx.AppendContract(ContractRecord{JobID: "job-1", App: "synth", Server: "pascal", Price: 3})
+		return nil
+	})
 	d.AddRevenue("pascal", 3)
 	d.AddSpend("ana", 3)
 	if err := d.Close(); err != nil {

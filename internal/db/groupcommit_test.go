@@ -1,8 +1,10 @@
 package db
 
 import (
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,12 +14,46 @@ import (
 	"faucets/internal/telemetry"
 )
 
-// TestGroupCommitCrashConsistency drives concurrent mutators and a
-// serialized settle loop through the group-commit path, snapshots the
-// WAL mid-flight (the moral equivalent of kill -9: whatever bytes are on
-// disk at that instant), and recovers from the copy. Every operation
-// acknowledged before the snapshot must be present exactly once; settle
-// batches must be all-or-nothing.
+// settleTx is a settlement's shape: transfer + settled-mark as one
+// transaction, skipped (an empty Tx) when the job is already settled.
+func settleTx(d *DB, job string) error {
+	return d.Update(func(tx *Tx) error {
+		if tx.Settled(job) {
+			return nil
+		}
+		if err := tx.TransferCredits("payer", "payee", 1); err != nil {
+			return err
+		}
+		tx.MarkSettled(job)
+		return nil
+	})
+}
+
+// crashCopy copies a state dir's files as they are on disk right now —
+// the moral equivalent of kill -9 — into a fresh dir.
+func crashCopy(t *testing.T, dir string) string {
+	t.Helper()
+	out := t.TempDir()
+	for _, name := range []string{filepath.Base(walFile(dir)), filepath.Base(snapshotFile(dir))} {
+		blob, err := os.ReadFile(filepath.Join(dir, name))
+		if errors.Is(err, os.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(out, name), blob, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestGroupCommitCrashConsistency drives concurrent single-record
+// mutators and several concurrent settle loops through the group-commit
+// path, copies the state dir mid-flight, and recovers from the copy.
+// Every operation acknowledged before the copy must be present exactly
+// once; settle transactions must be all-or-nothing.
 func TestGroupCommitCrashConsistency(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(dir)
@@ -25,18 +61,15 @@ func TestGroupCommitCrashConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	// A small accumulation window so concurrent records actually share
-	// fsyncs rather than degenerating to one record per batch.
-	d.SetGroupWindow(200 * time.Microsecond)
 
 	var (
 		ackMu      sync.Mutex
 		ackCredits = map[string]bool{} // AddCredits keys whose call returned
-		ackSettled = map[string]bool{} // job IDs whose CommitBatch returned nil
+		ackSettled = map[string]bool{} // jobs whose settle Update returned nil
 		stop       atomic.Bool
 	)
 
-	const workers = 6
+	const workers, settlers = 6, 4
 	var wg sync.WaitGroup
 	// Concurrent single-record mutators: each key is touched by exactly
 	// one +1, so any recovered balance other than 0 or 1 is a lost or
@@ -54,32 +87,27 @@ func TestGroupCommitCrashConsistency(t *testing.T) {
 			}
 		}(w)
 	}
-	// Serialized settle loop (Central holds settleMu, so batches never
-	// overlap in production either): transfer + settled-mark as one
-	// atomic WAL line.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; !stop.Load(); i++ {
-			job := fmt.Sprintf("job-%d", i)
-			d.BeginBatch()
-			if err := d.TransferCredits("payer", "payee", 1); err != nil {
-				t.Error(err)
-				return
+	// Concurrent settle loops, as the Central Server runs them: nothing
+	// serializes one settlement behind another's fsync.
+	for s := 0; s < settlers; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				job := fmt.Sprintf("job-%d-%d", s, i)
+				if err := settleTx(d, job); err != nil {
+					t.Error(err)
+					return
+				}
+				ackMu.Lock()
+				ackSettled[job] = true
+				ackMu.Unlock()
 			}
-			d.MarkSettled(job)
-			if err := d.CommitBatch(); err != nil {
-				t.Error(err)
-				return
-			}
-			ackMu.Lock()
-			ackSettled[job] = true
-			ackMu.Unlock()
-		}
-	}()
+		}(s)
+	}
 
 	// Let traffic build, then "crash": clone the acked sets FIRST, then
-	// copy the WAL. Anything acked before the clone was fsync'd before
+	// copy the files. Anything acked before the clone was fsync'd before
 	// the copy, so it must be in the copied bytes; a torn tail from an
 	// in-flight append is expected and must be survivable.
 	time.Sleep(50 * time.Millisecond)
@@ -96,14 +124,7 @@ func TestGroupCommitCrashConsistency(t *testing.T) {
 	if len(credAtCrash) == 0 || len(settledAtCrash) == 0 {
 		t.Fatalf("no traffic before crash: %d credits, %d settles", len(credAtCrash), len(settledAtCrash))
 	}
-	walBytes, err := os.ReadFile(walFile(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	crashDir := t.TempDir()
-	if err := os.WriteFile(walFile(crashDir), walBytes, 0o600); err != nil {
-		t.Fatal(err)
-	}
+	crashDir := crashCopy(t, dir)
 
 	stop.Store(true)
 	wg.Wait()
@@ -133,29 +154,83 @@ func TestGroupCommitCrashConsistency(t *testing.T) {
 			}
 		}
 	}
-	// Acked settles survived; batches are atomic, so the payer/payee pair
-	// must agree exactly with the number of settled marks that replayed.
+	// Acked settles survived; transactions are atomic, so the payer/payee
+	// pair must agree exactly with the number of settled marks replayed.
 	for _, job := range settledAtCrash {
 		if !rec.Settled(job) {
 			t.Fatalf("acked settle %s lost in recovery", job)
 		}
 	}
 	applied := 0
-	for i := 0; rec.Settled(fmt.Sprintf("job-%d", i)); i++ {
-		applied++
+	for s := 0; s < settlers; s++ {
+		for i := 0; rec.Settled(fmt.Sprintf("job-%d-%d", s, i)); i++ {
+			applied++
+		}
 	}
 	if got := rec.Credits("payee"); got != float64(applied) {
-		t.Fatalf("payee = %v, want %d (one per applied settle batch)", got, applied)
+		t.Fatalf("payee = %v, want %d (one per applied settle)", got, applied)
 	}
 	if got := rec.Credits("payer"); got != float64(-applied) {
-		t.Fatalf("payer = %v, want %d — settle batch torn apart on replay", got, -applied)
+		t.Fatalf("payer = %v, want %d — settle transaction torn apart on replay", got, -applied)
 	}
 }
 
-// TestCommitBatchSurfacesWALFailure: when the group fsync fails, the
-// batch's caller must get the error back (so Central withholds the
-// settlement ack) and the append-error counter must record the loss.
-func TestCommitBatchSurfacesWALFailure(t *testing.T) {
+// TestMutationBesideOpenSettleIsDurable: a mutation that returns while
+// another goroutine's settlement transaction is open must already be on
+// disk. (A DB-global open batch used to swallow it: AddCredits returned
+// at once and a crash copy taken then recovered the balance as 0.)
+func TestMutationBesideOpenSettleIsDurable(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	open, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	letGo := func() { once.Do(func() { close(release) }) }
+	settled := make(chan error, 1)
+	go func() {
+		settled <- d.Update(func(tx *Tx) error {
+			close(open)
+			<-release
+			tx.MarkSettled("job-1")
+			return tx.TransferCredits("payer", "payee", 1)
+		})
+	}()
+	<-open
+	credited := make(chan struct{})
+	go func() {
+		d.AddCredits("acct", 1)
+		close(credited)
+	}()
+	select {
+	case <-credited: // returned with the settle still open
+	case <-time.After(20 * time.Millisecond):
+		letGo() // it waits for the settle to let go
+		<-credited
+	}
+	crashDir := crashCopy(t, dir)
+	letGo()
+	if err := <-settled; err != nil {
+		t.Fatal(err)
+	}
+
+	rec, err := Open(crashDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if got := rec.Credits("acct"); got != 1 {
+		t.Fatalf("acknowledged AddCredits recovered as %v, want 1", got)
+	}
+}
+
+// TestUpdateSurfacesWALFailure: when the group fsync fails, the caller
+// gets ErrNotDurable back (so Central withholds the settlement ack) and
+// the append-error counter records the loss.
+func TestUpdateSurfacesWALFailure(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(dir)
 	if err != nil {
@@ -170,16 +245,11 @@ func TestCommitBatchSurfacesWALFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d.BeginBatch()
-	if err := d.TransferCredits("a", "b", 5); err != nil {
-		t.Fatal(err) // staged into the batch buffer, no I/O yet
+	if err := settleTx(d, "j-fail"); !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("settle on a dead WAL file = %v, want ErrNotDurable", err)
 	}
-	d.MarkSettled("j-fail")
-	if err := d.CommitBatch(); err == nil {
-		t.Fatal("CommitBatch returned nil with a dead WAL file")
-	}
-	// Memory still has the mutation (Central repairs durability via
-	// Compact on redelivery), but the failure was counted.
+	// Memory still has the mutation (the next compaction makes it
+	// durable), but the failure was counted.
 	if !d.Settled("j-fail") {
 		t.Fatal("in-memory state rolled back; it must stay applied")
 	}
@@ -193,9 +263,9 @@ func TestCommitBatchSurfacesWALFailure(t *testing.T) {
 	d.wal = nil // already closed; keep d.Close from double-closing
 }
 
-// TestGroupCommitAmortizesFsyncs: with an accumulation window, N
-// concurrent mutators must complete in far fewer than N fsyncs, and the
-// batch-size histogram must account for every record.
+// TestGroupCommitAmortizesFsyncs: N concurrent mutators must complete in
+// far fewer than N fsyncs — records staged while one fsync runs share
+// the next — and the batch-size histogram must account for every record.
 func TestGroupCommitAmortizesFsyncs(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(dir)
@@ -203,7 +273,6 @@ func TestGroupCommitAmortizesFsyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	d.SetGroupWindow(2 * time.Millisecond)
 
 	var syncs, records atomic.Int64
 	d.wal.cmu.Lock()

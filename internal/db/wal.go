@@ -6,29 +6,29 @@
 //	<state-dir>/wal.jsonl      — append-only JSONL of mutations since
 //	                             the snapshot
 //
-// Every mutation is applied to the in-memory tables and appended to the
-// WAL as one JSON line carrying a monotonically increasing sequence
-// number. Recovery loads the snapshot (if any) and replays WAL records
-// whose sequence number exceeds the snapshot's — so a crash between
-// writing the snapshot and truncating the WAL can never double-apply a
-// record. Replay stops at the first corrupt line (a torn tail from a
-// crash mid-append) and truncates the file back to the last intact
-// record before appending resumes.
+// Every transaction (Update) is applied to the in-memory tables and
+// appended to the WAL as one JSON line carrying a monotonically
+// increasing sequence number. Recovery loads the snapshot (if any) and
+// replays WAL records whose sequence number exceeds the snapshot's — so a
+// crash between writing the snapshot and truncating the WAL can never
+// double-apply a record. Replay stops at the first corrupt line (a torn
+// tail from a crash mid-append) and truncates the file back to the last
+// intact record before appending resumes.
 //
 // Compaction folds the WAL into a fresh snapshot: the snapshot replaces
-// the old one atomically, and only then is the WAL truncated. The
-// torn-tail scan and the atomic replace are internal/jsonl's, shared
-// with the daemon journal.
+// the old one atomically, and only then is the WAL truncated. It is also
+// the one repair for a failed flush. The torn-tail scan and the atomic
+// replace are internal/jsonl's, shared with the daemon journal.
 package db
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"faucets/internal/jsonl"
 )
@@ -64,44 +64,55 @@ type walRecord struct {
 	Recs   []walRecord `json:"recs,omitempty"`
 }
 
-// walBatch is one group commit in flight: every record staged while the
+// walBatch is one group commit in flight: every line staged while the
 // previous fsync was running shares a batch, and every staging goroutine
 // waits on the same done channel. err is set before done closes, so the
 // close is the happens-before edge that publishes it.
 type walBatch struct {
-	w    *walWriter
 	done chan struct{}
 	err  error
 }
 
-// walWriter appends records to the log file using group commit: callers
-// stage marshaled records under the database lock (enqueue) and then
-// wait for durability outside it (commitWait). The first waiter becomes
+// errBroken fails, unwritten, every batch staged behind a failed flush:
+// a line appended after the bytes that flush may have left would be cut
+// off with them on replay.
+var errBroken = errors.New("db: wal broken by an earlier failed flush")
+
+// ErrNotDurable marks an Update whose mutations were applied in memory
+// but are not confirmed on disk. The caller must not acknowledge them to
+// a remote party yet; the next compaction makes them durable.
+var ErrNotDurable = errors.New("db: not durable")
+
+// walWriter appends lines to the log file using group commit: Update
+// stages a marshaled line under the database lock (enqueue) and then
+// waits for durability outside it (commitWait). The first waiter becomes
 // the leader and writes+fsyncs the whole accumulated batch in one pass;
 // followers park on the batch's done channel. One slow fsync therefore
-// covers every record that arrived while it ran, instead of each record
+// covers every line that arrived while it ran, instead of each line
 // paying its own.
 type walWriter struct {
-	f    *os.File
-	path string
+	f *os.File
 
 	// cmu guards the staging state below. Lock order: d.mu → cmu
 	// (enqueue runs under both; commitWait takes cmu alone).
 	cmu     sync.Mutex
 	cond    *sync.Cond // broadcast when leadership is released
-	window  time.Duration
 	leader  bool
-	pending []byte    // marshaled records awaiting write+fsync
-	npend   int       // record count in pending
-	batch   *walBatch // batch the pending records belong to
+	pending []byte    // marshaled lines awaiting write+fsync
+	npend   int       // line count in pending
+	batch   *walBatch // batch the pending lines belong to
+	last    *walBatch // the newest batch handed out, flushed or not
+	// broken is the error of the first failed flush since the last
+	// reset; while it is set nothing more is written.
+	broken error
 
 	// Metric hooks (nil until DB.Instrument wires them).
 	onSync func(records int) // after each successful group fsync
 	onErr  func(records int) // records whose durability failed
 
 	// Fault-injection seam for chaos tests: the next failN flush passes
-	// fail with failErr before touching the file — the shape a full
-	// disk produces. Guarded by cmu.
+	// write half their bytes and then fail with failErr — the shape a
+	// short write(2) on a full disk leaves. Guarded by cmu.
 	failN   int
 	failErr error
 }
@@ -111,128 +122,127 @@ func openWALWriter(path string) (*walWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("db: open wal: %w", err)
 	}
-	w := &walWriter{f: f, path: path}
+	w := &walWriter{f: f}
 	w.cond = sync.NewCond(&w.cmu)
 	return w, nil
 }
 
-// enqueue marshals rec into the pending buffer and returns the batch
-// handle to wait on with commitWait. The caller must hold the database
-// lock, which is what keeps the buffer in sequence-number order: the
-// record is staged before the lock is released, so a later sequence
-// number can never land in the file ahead of an earlier one.
-func (w *walWriter) enqueue(rec walRecord) (*walBatch, error) {
-	blob, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("db: marshal wal record: %w", err)
-	}
+// enqueue appends one marshaled line to the pending buffer and returns
+// the batch to wait on with commitWait. The caller must hold the database
+// lock, which is what keeps the buffer in sequence-number order.
+func (w *walWriter) enqueue(line []byte) *walBatch {
 	w.cmu.Lock()
+	defer w.cmu.Unlock()
 	if w.batch == nil {
-		w.batch = &walBatch{w: w, done: make(chan struct{})}
+		w.batch = &walBatch{done: make(chan struct{})}
+		w.last = w.batch
 	}
-	w.pending = append(w.pending, blob...)
+	w.pending = append(w.pending, line...)
 	w.pending = append(w.pending, '\n')
 	w.npend++
-	b := w.batch
-	w.cmu.Unlock()
-	return b, nil
+	return w.batch
 }
 
-// commitWait blocks until b's records are written and fsync'd, electing
+// lastBatch is what a transaction that staged nothing waits on: batches
+// finish in order, so the newest one covers every line before it. Nil
+// when nothing was staged since the last reset.
+func (w *walWriter) lastBatch() *walBatch {
+	w.cmu.Lock()
+	defer w.cmu.Unlock()
+	return w.last
+}
+
+// brokenErr reports the failed flush that broke the log, if any.
+func (w *walWriter) brokenErr() error {
+	w.cmu.Lock()
+	defer w.cmu.Unlock()
+	return w.broken
+}
+
+// commitWait blocks until b's lines are written and fsync'd, electing
 // this goroutine as the batch leader if none is active. Must be called
 // without the database lock.
 func (w *walWriter) commitWait(b *walBatch) error {
 	w.cmu.Lock()
-	for {
-		select {
-		case <-b.done:
-			w.cmu.Unlock()
-			return b.err
-		default:
+	select {
+	case <-b.done:
+	default:
+		// With a leader active we just wait: its loop runs until nothing
+		// is pending, so our batch is guaranteed to close.
+		if !w.leader {
+			w.leadLocked()
 		}
-		if w.leader {
-			// Another goroutine is flushing; its drain loop runs until
-			// nothing is pending, so our batch is guaranteed to close.
-			w.cmu.Unlock()
-			<-b.done
-			return b.err
-		}
-		w.leader = true
-		if w.window > 0 {
-			// Optional accumulation window: give concurrent mutators a
-			// beat to pile onto this batch before paying the fsync.
-			w.cmu.Unlock()
-			time.Sleep(w.window)
-			w.cmu.Lock()
-		}
-		w.flushLocked()
-		w.leader = false
-		w.cond.Broadcast()
-		w.cmu.Unlock()
-		<-b.done
-		return b.err
 	}
+	w.cmu.Unlock()
+	<-b.done
+	return b.err
 }
 
-// flushLocked writes and fsyncs every pending batch, looping until the
-// buffer is empty so no waiter is left parked when leadership releases.
-// Caller holds cmu; the lock is dropped around the disk I/O.
+// leadLocked makes the caller the leader for one flush of everything
+// pending. Caller holds cmu and has checked that no leader is active.
+func (w *walWriter) leadLocked() {
+	w.leader = true
+	w.flushLocked()
+	w.leader = false
+	w.cond.Broadcast()
+}
+
+// flushLocked writes and fsyncs every pending batch in order, looping
+// until the buffer is empty so no waiter is left parked when leadership
+// releases. Caller holds cmu; the lock is dropped around the disk I/O.
+// The first failure breaks the log: the batches behind it fail with
+// errBroken without being written.
 func (w *walWriter) flushLocked() {
 	for w.npend > 0 {
 		blob, n, batch := w.pending, w.npend, w.batch
 		w.pending, w.npend, w.batch = nil, 0, nil
-		onSync, onErr := w.onSync, w.onErr
-		var inject error
-		if w.failN > 0 {
-			w.failN--
-			inject = w.failErr
-		}
-		w.cmu.Unlock()
-		var err error
-		if inject != nil {
-			err = inject
-		} else {
-			err = w.writeAndSync(blob)
+		err := errBroken
+		if w.broken == nil {
+			var inject error
+			if w.failN > 0 {
+				w.failN--
+				inject = w.failErr
+			}
+			w.cmu.Unlock()
+			err = w.writeAndSync(blob, inject)
+			w.cmu.Lock()
+			if err != nil {
+				log.Printf("db: wal group commit (%d records): %v", n, err)
+				w.broken = err
+			}
 		}
 		if err != nil {
-			log.Printf("db: wal group commit (%d records): %v", n, err)
-			if onErr != nil {
-				onErr(n)
+			if w.onErr != nil {
+				w.onErr(n)
 			}
-		} else if onSync != nil {
-			onSync(n)
+		} else if w.onSync != nil {
+			w.onSync(n)
 		}
 		batch.err = err
 		close(batch.done)
-		w.cmu.Lock()
 	}
 }
 
-// drain flushes any staged records and returns once no leader is active
+// drain flushes any staged lines and returns once no leader is active
 // and nothing is pending. Callers hold the database lock, so no new
-// records can be staged while drain runs — afterwards the file is
+// lines can be staged while drain runs — afterwards the file is
 // quiescent and safe to truncate or close.
 func (w *walWriter) drain() {
 	w.cmu.Lock()
-	for {
-		if w.leader {
-			w.cond.Wait()
-			continue
-		}
-		if w.npend == 0 {
-			w.cmu.Unlock()
-			return
-		}
-		// Pending records whose owner has not reached commitWait yet:
-		// flush on their behalf (they will find done already closed).
-		w.leader = true
-		w.flushLocked()
-		w.leader = false
-		w.cond.Broadcast()
+	defer w.cmu.Unlock()
+	for w.leader {
+		w.cond.Wait()
 	}
+	// Lines whose owner has not reached commitWait yet: flush on their
+	// behalf (they will find done already closed).
+	w.leadLocked()
 }
 
-func (w *walWriter) writeAndSync(blob []byte) error {
+func (w *walWriter) writeAndSync(blob []byte, inject error) error {
+	if inject != nil {
+		w.f.Write(blob[:len(blob)/2])
+		return inject
+	}
 	if _, err := w.f.Write(blob); err != nil {
 		return fmt.Errorf("db: append wal: %w", err)
 	}
@@ -242,7 +252,9 @@ func (w *walWriter) writeAndSync(blob []byte) error {
 	return nil
 }
 
-// reset truncates the log after a successful snapshot.
+// reset truncates and syncs the log after a successful snapshot, which
+// makes a broken log whole again. Callers hold the database lock and
+// have drained the writer.
 func (w *walWriter) reset() error {
 	if err := w.f.Truncate(0); err != nil {
 		return fmt.Errorf("db: truncate wal: %w", err)
@@ -250,10 +262,15 @@ func (w *walWriter) reset() error {
 	if _, err := w.f.Seek(0, 0); err != nil {
 		return fmt.Errorf("db: rewind wal: %w", err)
 	}
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("db: sync wal: %w", err)
+	}
+	w.cmu.Lock()
+	w.broken, w.last = nil, nil
+	w.cmu.Unlock()
 	return nil
 }
 
-func (w *walWriter) sync() error  { return w.f.Sync() }
 func (w *walWriter) close() error { return w.f.Close() }
 
 // snapshotFile and walFile name the two durable files in a state dir.
@@ -343,73 +360,91 @@ func (d *DB) applyMemLocked(rec walRecord) {
 	}
 }
 
-// applyLocked applies a mutation to memory and stages it for durable
-// logging (when the database was opened with Open; a plain New/Load
-// database skips the log). It returns the group-commit batch the caller
-// must wait on with waitDurable after releasing d.mu — nil when there is
-// nothing to wait for. Caller holds d.mu.
-func (d *DB) applyLocked(rec walRecord) *walBatch {
-	d.applyMemLocked(rec)
-	return d.logLocked(rec)
-}
-
-// logLocked stages one record for the WAL, or appends it to the open
-// batch buffer. A marshal failure is counted and logged here because the
-// record never reaches the group-commit path that normally reports
-// errors.
-func (d *DB) logLocked(rec walRecord) *walBatch {
-	if d.wal == nil {
+// Update runs fn as one transaction; it is the only way anything is
+// written. fn runs under the database lock with a Tx that reads the live
+// tables and stages mutations. If fn fails nothing is applied or logged.
+// Otherwise the records are applied to memory and staged as one WAL line
+// (one record as itself, several as a batch), the lock is released, and
+// Update waits until that line and every line before it are fsync'd — a
+// Tx that stages nothing still waits for what precedes it.
+//
+// A failed flush breaks the log, and no Update returns nil while it is
+// broken: those whose own line failed return ErrNotDurable, and the first
+// to find its line or its predecessors behind the failure compacts (memory
+// holds everything applied) and returns that compaction's verdict.
+func (d *DB) Update(fn func(*Tx) error) error {
+	d.mu.Lock()
+	tx := &d.tx
+	err := fn(tx)
+	w := d.wal
+	var b *walBatch
+	if err == nil && w != nil {
+		b, err = d.logLocked(tx.recs)
+	}
+	staged := len(tx.recs)
+	if err == nil {
+		for _, rec := range tx.recs {
+			d.applyMemLocked(rec)
+		}
+	}
+	clear(tx.recs)
+	tx.recs = tx.recs[:0]
+	d.mu.Unlock()
+	if err != nil || b == nil {
+		return err
+	}
+	if err = w.commitWait(b); err == nil {
 		return nil
 	}
-	if d.batch != nil {
-		*d.batch = append(*d.batch, rec)
-		return nil
+	if staged > 0 && !errors.Is(err, errBroken) {
+		return fmt.Errorf("%w: %w", ErrNotDurable, err)
+	}
+	if err = d.repair(w); err != nil {
+		return fmt.Errorf("%w: %w", ErrNotDurable, err)
+	}
+	return nil
+}
+
+// logLocked marshals a transaction's records as the next WAL line and
+// stages it, returning the batch to wait on; for an empty transaction it
+// returns the newest batch instead. A record that cannot be marshaled
+// fails the transaction before anything is applied. Caller holds d.mu.
+func (d *DB) logLocked(recs []walRecord) (*walBatch, error) {
+	if len(recs) == 0 {
+		return d.wal.lastBatch(), nil
+	}
+	rec := walRecord{Op: opBatch, Recs: recs}
+	if len(recs) == 1 {
+		rec = recs[0]
+	}
+	rec.Seq = d.seq + 1
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return nil, fmt.Errorf("db: marshal wal record: %w", err)
 	}
 	d.seq++
-	rec.Seq = d.seq
-	b, err := d.wal.enqueue(rec)
-	if err != nil {
-		log.Printf("db: wal append failed: %v", err)
-		if f := d.wal.onErr; f != nil {
-			f(1)
-		}
-		return nil
-	}
-	return b
+	return d.wal.enqueue(line), nil
 }
 
-// waitDurable blocks until a staged record's group commit has fsync'd.
-// Call without holding d.mu. Nil batches (ephemeral database, open batch
-// buffer) return immediately.
-func (d *DB) waitDurable(b *walBatch) error {
-	if b == nil {
-		return nil
-	}
-	return b.w.commitWait(b)
-}
-
-// SetGroupWindow sets the group-commit accumulation window: how long a
-// freshly elected batch leader waits before paying the fsync, letting
-// concurrent mutators pile onto the batch. Zero (the default) flushes
-// immediately — batching then comes only from records that arrive while
-// a previous fsync is in flight. No-op on an ephemeral database.
-func (d *DB) SetGroupWindow(window time.Duration) {
+// repair compacts a broken log, unless a compaction since the failure
+// already made it whole: that one ran after the caller's records were
+// applied, so its snapshot holds them.
+func (d *DB) repair(w *walWriter) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.wal == nil {
-		return
+	err := w.brokenErr()
+	if err != nil && d.wal == w {
+		err = d.compactLocked()
 	}
-	d.wal.cmu.Lock()
-	d.wal.window = window
-	d.wal.cmu.Unlock()
+	return err
 }
 
 // FailWALAppends arms fault injection on the WAL: the next n group
-// flushes fail with err before touching the file — the failure shape a
-// full disk produces. Records in a failed flush are dropped exactly as
-// a real append failure drops them, so CommitBatch surfaces the error
-// and settle acks are withheld. n <= 0 disarms. No-op on an ephemeral
-// database. Chaos-test seam; never called in production paths.
+// flushes write half their bytes and then fail with err — the failure
+// shape a short write on a full disk produces. Their Updates return
+// ErrNotDurable and the log stays broken until a compaction repairs it.
+// n <= 0 disarms. No-op on an ephemeral database. Chaos-test seam; never
+// called in production paths.
 func (d *DB) FailWALAppends(n int, err error) {
 	d.mu.Lock()
 	w := d.wal
@@ -423,64 +458,18 @@ func (d *DB) FailWALAppends(n int, err error) {
 	w.cmu.Unlock()
 }
 
-// BeginBatch starts buffering WAL records so a multi-mutation operation
-// (a settlement: transfer + settled-mark + contract row) lands as one
-// atomic WAL line — after a crash, either all of it replays or none.
-// Mutations still apply to memory immediately. Concurrent mutations from
-// other goroutines that slip into the window are flushed with the batch,
-// which only delays their durability to the commit. No-op on a
-// non-durable database.
-func (d *DB) BeginBatch() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.wal == nil || d.batch != nil {
-		return
-	}
-	buf := make([]walRecord, 0, 4)
-	d.batch = &buf
-}
-
-// CommitBatch writes the buffered records as a single atomic WAL line
-// and waits for the group commit that makes it durable. An empty batch
-// (the operation failed before mutating anything) writes nothing. The
-// error is the durability verdict for the whole batch: a non-nil return
-// means the mutations are applied in memory but their WAL line is not
-// confirmed on disk, and the caller must not acknowledge the operation
-// to a remote party (the settlement path surfaces this as a retryable
-// RPC error so the daemon's outbox redelivers).
-func (d *DB) CommitBatch() error {
-	d.mu.Lock()
-	if d.batch == nil {
-		d.mu.Unlock()
-		return nil
-	}
-	recs := *d.batch
-	d.batch = nil
-	if len(recs) == 0 || d.wal == nil {
-		d.mu.Unlock()
-		return nil
-	}
-	d.seq++
-	b, err := d.wal.enqueue(walRecord{Seq: d.seq, Op: opBatch, Recs: recs})
-	if err != nil {
-		if f := d.wal.onErr; f != nil {
-			f(1)
-		}
-		d.mu.Unlock()
-		log.Printf("db: wal batch append failed: %v", err)
-		return err
-	}
-	d.mu.Unlock()
-	return d.waitDurable(b)
-}
-
 // Compact folds the WAL into a fresh snapshot: atomic snapshot replace
 // (jsonl.ReplaceFile, which syncs the directory so the rename cannot be
 // lost behind the truncation), then WAL truncation and fsync. Safe to
-// call at any time; a crash at any point recovers to the same state.
+// call at any time; a crash at any point recovers to the same state. It
+// is also what repairs a log broken by a failed flush.
 func (d *DB) Compact() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.compactLocked()
+}
+
+func (d *DB) compactLocked() error {
 	if d.stateDir == "" {
 		return fmt.Errorf("db: compact: not a durable database")
 	}
@@ -492,19 +481,14 @@ func (d *DB) Compact() error {
 	if err := jsonl.ReplaceFile(snapshotFile(d.stateDir), blob); err != nil {
 		return fmt.Errorf("db: write snapshot: %w", err)
 	}
-	if d.wal != nil {
-		// Quiesce in-flight group commits before truncating: d.mu (held)
-		// stops new records being staged, drain flushes what is already
-		// staged and waits out any active leader.
-		d.wal.drain()
-		if err := d.wal.reset(); err != nil {
-			return err
-		}
-		if err := d.wal.sync(); err != nil {
-			return fmt.Errorf("db: sync wal: %w", err)
-		}
+	if d.wal == nil {
+		return nil
 	}
-	return nil
+	// Quiesce in-flight group commits before truncating: d.mu (held)
+	// stops new lines being staged, drain flushes what is already staged
+	// and waits out any active leader.
+	d.wal.drain()
+	return d.wal.reset()
 }
 
 // Close flushes and closes the WAL. The database remains readable but
@@ -516,7 +500,7 @@ func (d *DB) Close() error {
 		return nil
 	}
 	d.wal.drain()
-	if err := d.wal.sync(); err != nil {
+	if err := d.wal.f.Sync(); err != nil {
 		d.wal.close()
 		d.wal = nil
 		return fmt.Errorf("db: sync wal: %w", err)

@@ -2,6 +2,8 @@ package db
 
 import (
 	"encoding/json"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -186,19 +188,26 @@ func TestTruncatedWALTailTolerated(t *testing.T) {
 	}
 }
 
-// TestBatchAtomicOnReplay: records buffered in a batch become one WAL
-// line; an uncommitted batch (crash before commit) replays to nothing.
+// TestBatchAtomicOnReplay: records staged in one transaction become one
+// WAL line; a transaction that never commits replays to nothing.
 func TestBatchAtomicOnReplay(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.BeginBatch()
-	d.AddRevenue("s", 5)
-	d.AddSpend("u", 5)
-	d.MarkSettled("j9")
-	// No commit: simulate a crash with the batch still buffered.
+	errAbort := errors.New("abort")
+	if err := d.Update(func(tx *Tx) error {
+		tx.AddRevenue("s", 5)
+		tx.AddSpend("u", 5)
+		tx.MarkSettled("j9")
+		return errAbort // no commit: as if the settle died before it
+	}); !errors.Is(err, errAbort) {
+		t.Fatalf("aborted transaction returned %v", err)
+	}
+	if d.Revenue("s") != 0 || d.Settled("j9") {
+		t.Fatal("aborted transaction applied to memory")
+	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +220,12 @@ func TestBatchAtomicOnReplay(t *testing.T) {
 			r.Revenue("s"), r.Spend("u"), r.Settled("j9"))
 	}
 	// A committed batch replays whole.
-	r.BeginBatch()
-	r.AddRevenue("s", 5)
-	r.AddSpend("u", 5)
-	r.MarkSettled("j9")
-	r.CommitBatch()
+	r.Update(func(tx *Tx) error {
+		tx.AddRevenue("s", 5)
+		tx.AddSpend("u", 5)
+		tx.MarkSettled("j9")
+		return nil
+	})
 	blob, err := os.ReadFile(walFile(dir))
 	if err != nil {
 		t.Fatal(err)
@@ -288,5 +298,33 @@ func TestCompactRequiresDurable(t *testing.T) {
 	}
 	if err := New().Close(); err != nil {
 		t.Fatalf("close on ephemeral db: %v", err)
+	}
+}
+
+// TestUnloggableTransactionAppliesNothing: a transaction whose records
+// cannot be marshaled (a NaN has no JSON form) fails whole on a durable
+// database — nothing applied, nothing logged, no sequence number spent.
+func TestUnloggableTransactionAppliesNothing(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Update(func(tx *Tx) error {
+		tx.AddCredits("a", 1)
+		tx.AddCredits("b", math.NaN())
+		return nil
+	}); err == nil {
+		t.Fatal("unloggable transaction committed")
+	}
+	if d.Credits("a") != 0 {
+		t.Fatal("unloggable transaction applied to memory")
+	}
+	d.AddCredits("c", 1)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readFile(t, walFile(dir)); got != `{"seq":1,"op":"add_credits","key":"c","amount":1}`+"\n" {
+		t.Fatalf("WAL after a refused transaction: %q", got)
 	}
 }

@@ -157,31 +157,6 @@ func CheckAllocs(current *BenchReport, name string, maxAllocs float64) error {
 	return nil
 }
 
-// CheckScaling gates a scaling ratio inside one report: fast must be at
-// least minRatio times cheaper per op than slow. This is how CI holds
-// the sharded control plane to ~linear throughput (the 4-shard
-// benchmark vs its single-shard baseline) — both numbers come from the
-// same run on the same machine, so unlike the baseline gate no
-// cross-runner tolerance is needed, only the ratio.
-func CheckScaling(rep *BenchReport, fast, slow string, minRatio float64) error {
-	f, ok := rep.Results[fast]
-	if !ok {
-		return fmt.Errorf("experiments: %s missing from current run", fast)
-	}
-	s, ok := rep.Results[slow]
-	if !ok {
-		return fmt.Errorf("experiments: %s missing from current run", slow)
-	}
-	if f.NsPerOp <= 0 {
-		return fmt.Errorf("experiments: %s reports %.0f ns/op", fast, f.NsPerOp)
-	}
-	if ratio := s.NsPerOp / f.NsPerOp; ratio < minRatio {
-		return fmt.Errorf("experiments: %s is only %.2fx faster than %s, gate requires %.2fx",
-			fast, ratio, slow, minRatio)
-	}
-	return nil
-}
-
 // CompareBench checks one guarded benchmark in current against
 // baseline: it fails when current ns/op exceeds baseline ns/op by more
 // than tolerance (0.15 = +15%). A benchmark missing from either report

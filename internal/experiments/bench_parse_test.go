@@ -81,31 +81,6 @@ func TestCompareBenchGate(t *testing.T) {
 	}
 }
 
-func TestCheckScalingGate(t *testing.T) {
-	rep := &BenchReport{Results: map[string]BenchResult{
-		"BenchmarkShardedSettleThroughput/shards_1": {NsPerOp: 500000},
-		"BenchmarkShardedSettleThroughput/shards_4": {NsPerOp: 160000},
-		"BenchmarkBroken": {NsPerOp: 0},
-	}}
-	fast, slow := "BenchmarkShardedSettleThroughput/shards_4", "BenchmarkShardedSettleThroughput/shards_1"
-	if err := CheckScaling(rep, fast, slow, 2.5); err != nil {
-		t.Fatalf("3.1x rejected by a 2.5x floor: %v", err)
-	}
-	if err := CheckScaling(rep, fast, slow, 3.5); err == nil {
-		t.Fatal("3.1x passed a 3.5x floor")
-	}
-	// A missing or degenerate benchmark must fail loudly, not skip.
-	if err := CheckScaling(rep, "BenchmarkNoSuch", slow, 2.5); err == nil {
-		t.Fatal("missing fast benchmark not flagged")
-	}
-	if err := CheckScaling(rep, fast, "BenchmarkNoSuch", 2.5); err == nil {
-		t.Fatal("missing slow benchmark not flagged")
-	}
-	if err := CheckScaling(rep, "BenchmarkBroken", slow, 2.5); err == nil {
-		t.Fatal("zero ns/op fast benchmark not flagged")
-	}
-}
-
 func TestBenchReportRoundTrip(t *testing.T) {
 	rep, err := ParseBench(strings.NewReader(sampleBenchOutput))
 	if err != nil {

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -166,11 +168,17 @@ func TestE8Shape(t *testing.T) {
 	}
 }
 
+// TestAllRunsEveryExperiment also pins the whole suite's output, as
+// `faucets-sim -experiment all -seed 42` prints it, byte for byte: it is
+// the only pin on CommitDelay (E8), MigrateAfter (X1), Access, HomeFirst
+// with barter credits and FilterFeasible. Regenerate testdata only on
+// purpose, with that command redirected into testdata/all-seed42.txt.
 func TestAllRunsEveryExperiment(t *testing.T) {
 	tabs := All(seed)
 	if len(tabs) != 10 {
 		t.Fatalf("suite has %d experiments, want 10", len(tabs))
 	}
+	var out strings.Builder
 	for _, tab := range tabs {
 		if len(tab.Rows) == 0 {
 			t.Fatalf("%s produced no rows", tab.ID)
@@ -178,9 +186,18 @@ func TestAllRunsEveryExperiment(t *testing.T) {
 		if !strings.HasPrefix(tab.ID, "E") && !strings.HasPrefix(tab.ID, "X") {
 			t.Fatalf("bad id %q", tab.ID)
 		}
-		if s := tab.String(); !strings.Contains(s, tab.ID) || !strings.Contains(s, "case") {
+		s := tab.String()
+		if !strings.Contains(s, tab.ID) || !strings.Contains(s, "case") {
 			t.Fatalf("table render broken:\n%s", s)
 		}
+		fmt.Fprintln(&out, s)
+	}
+	golden, err := os.ReadFile("testdata/all-seed42.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); got != string(golden) {
+		t.Fatalf("experiment tables drifted from testdata/all-seed42.txt:\n%s", got)
 	}
 }
 

@@ -113,9 +113,10 @@ func TestBaselineSetRoundTrip(t *testing.T) {
 	}
 }
 
-// The committed SCENARIO_BASELINE.json must hold a first-price gridsim
-// entry for every shipped example scenario, and each must reproduce
-// byte-for-byte — the same pin the CI mechanism-matrix job enforces.
+// The committed SCENARIO_BASELINE.json must hold a gridsim entry for
+// every shipped example scenario under every mechanism, and each must
+// reproduce byte-for-byte — the same pin the CI mechanism-matrix job
+// enforces.
 func TestCommittedBaselineMatchesExamples(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays every example scenario")
@@ -131,22 +132,27 @@ func TestCommittedBaselineMatchesExamples(t *testing.T) {
 	for _, path := range specs {
 		name := strings.TrimSuffix(filepath.Base(path), ".json")
 		t.Run(name, func(t *testing.T) {
-			s, err := Load(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := RunSim(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base := set.Lookup(rep.Scenario, "gridsim", rep.Mechanism)
-			if base == nil {
-				t.Fatalf("no baseline entry for %s/gridsim/%s", rep.Scenario, rep.Mechanism)
-			}
-			bb, _ := json.Marshal(base)
-			rb, _ := json.Marshal(rep)
-			if !bytes.Equal(bb, rb) {
-				t.Fatalf("report drifted from committed baseline:\n%s\n--- vs ---\n%s", bb, rb)
+			for _, mech := range []string{qos.MechanismFirstPrice, qos.MechanismPostedPrice, qos.MechanismVickrey} {
+				t.Run(mech, func(t *testing.T) {
+					s, err := Load(path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s.Mechanism = mech
+					rep, err := RunSim(s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					base := set.Lookup(rep.Scenario, "gridsim", rep.Mechanism)
+					if base == nil {
+						t.Fatalf("no baseline entry for %s/gridsim/%s", rep.Scenario, rep.Mechanism)
+					}
+					bb, _ := json.Marshal(base)
+					rb, _ := json.Marshal(rep)
+					if !bytes.Equal(bb, rb) {
+						t.Fatalf("report drifted from committed baseline:\n%s\n--- vs ---\n%s", bb, rb)
+					}
+				})
 			}
 		})
 	}

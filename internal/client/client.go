@@ -501,10 +501,10 @@ func (c *Client) Place(contract *qos.Contract, crit market.Criterion) (*Placemen
 	if crit == nil {
 		crit = market.LeastCost{}
 	}
-	// The listing and the ports over it live in a recycled scratch: the
-	// directory barely changes between placements, so the decode keeps
-	// its strings and slices. Nothing outlives Place but the Placement,
-	// which copies what it needs.
+	// The listing, the ports over it and the ranked bids live in a
+	// recycled scratch: the directory barely changes between placements,
+	// so the decode keeps its strings and slices. Nothing outlives Place
+	// but the Placement, which copies what it needs.
 	sc := placeScratches.Get().(*placeScratch)
 	defer placeScratches.Put(sc)
 	if err := c.listServers(contract, &sc.listing); err != nil {
@@ -532,7 +532,8 @@ func (c *Client) Place(contract *qos.Contract, crit market.Criterion) (*Placemen
 	// commit round records the contract span on the daemon — keeping the
 	// chain in causal order.
 	solStart := time.Now()
-	bids := mech.Solicit(0, ports, contract, crit, c.solicitOpts())
+	bids := mech.Solicit(sc.bids, 0, ports, contract, crit, c.solicitOpts())
+	sc.bids = bids
 	if h := c.fanout(); h != nil {
 		h.Observe(time.Since(solStart).Seconds())
 	}
@@ -553,6 +554,7 @@ type placeScratch struct {
 	listing protocol.ListServersOK
 	fds     []fdPort
 	ports   []market.ServerPort
+	bids    []bidding.Bid
 }
 
 var placeScratches = sync.Pool{New: func() any { return new(placeScratch) }}

@@ -143,6 +143,11 @@ func (d *DB) Durable() bool {
 type Tx struct {
 	data *snapshot
 	recs []walRecord
+	// Staged rows live in slabs kept across transactions, so staging one
+	// allocates nothing once they have grown. A record staged before a
+	// slab grew points into the old array, which stays alive and unchanged.
+	jobs      []JobRecord
+	contracts []ContractRecord
 }
 
 func (tx *Tx) stage(rec walRecord) { tx.recs = append(tx.recs, rec) }
@@ -157,7 +162,10 @@ func (tx *Tx) Quota(user string) float64 { return tx.data.Quotas[user] }
 func (tx *Tx) Credits(cluster string) float64 { return tx.data.Credits[cluster] }
 
 // PutJob stages inserting or replacing a job row.
-func (tx *Tx) PutJob(r JobRecord) { tx.stage(walRecord{Op: opPutJob, Job: &r}) }
+func (tx *Tx) PutJob(r JobRecord) {
+	tx.jobs = append(tx.jobs, r)
+	tx.stage(walRecord{Op: opPutJob, Job: &tx.jobs[len(tx.jobs)-1]})
+}
 
 // PutUser stages inserting or replacing a user profile.
 func (tx *Tx) PutUser(r UserRecord) { tx.stage(walRecord{Op: opPutUser, User: &r}) }
@@ -196,7 +204,10 @@ func (tx *Tx) AddSpend(user string, amount float64) {
 func (tx *Tx) MarkSettled(jobID string) { tx.stage(walRecord{Op: opMarkSettled, JobID: jobID}) }
 
 // AppendContract stages recording a settled contract in the history.
-func (tx *Tx) AppendContract(r ContractRecord) { tx.stage(walRecord{Op: opContract, Contract: &r}) }
+func (tx *Tx) AppendContract(r ContractRecord) {
+	tx.contracts = append(tx.contracts, r)
+	tx.stage(walRecord{Op: opContract, Contract: &tx.contracts[len(tx.contracts)-1]})
+}
 
 // PutJob inserts or replaces a job row.
 func (d *DB) PutJob(r JobRecord) {

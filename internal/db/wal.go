@@ -388,7 +388,7 @@ func (d *DB) Update(fn func(*Tx) error) error {
 		}
 	}
 	clear(tx.recs)
-	tx.recs = tx.recs[:0]
+	tx.recs, tx.jobs, tx.contracts = tx.recs[:0], tx.jobs[:0], tx.contracts[:0]
 	d.mu.Unlock()
 	if err != nil || b == nil {
 		return err

@@ -14,8 +14,10 @@
 package gridsim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"faucets/internal/accounting"
 	"faucets/internal/bidding"
@@ -129,16 +131,11 @@ type serverEntity struct {
 	spec   machine.Spec // sched.Spec(), read once
 	bidder bidding.Generator
 
-	outstanding float64 // admitted-but-unfinished sequential work
-	completion  *sim.Event
+	outstanding float64   // admitted-but-unfinished sequential work
+	completion  sim.Event // the next completion, re-armed by refresh
 	util        *sim.TimeWeighted
 	revenue     float64
 	payoff      float64
-
-	// The completion event's name and callback, built once per server:
-	// refresh re-arms the event after every state change.
-	completionName string
-	fire           func(*sim.Engine)
 }
 
 // gridRun is the in-flight simulation state.
@@ -152,12 +149,27 @@ type gridRun struct {
 	acct    *accounting.Accountant
 	store   *db.DB
 	// placing maps a job ID to its Job while an award is in progress.
-	placing map[string]*placement
+	placing map[string]placement
 	res     *Result
 
-	// The two per-bid counters, looked up by name on the first bid (a
-	// run that never solicits must not report them) and by pointer after.
-	bidReq, bidReply *sim.Counter
+	// Per-run scratch for one auction: the solicited ports, the home
+	// cluster's port and the ranked bids.
+	ports    []market.ServerPort
+	homePort [1]market.ServerPort
+	bids     []bidding.Bid
+
+	// The per-job statistics, through stat.
+	bidReq, bidReply, postRead, commits, declined, jobsPlaced, met, missed *sim.Counter
+	response, slowdown, price, payoff, attempts, multiplier                *sim.Series
+}
+
+// stat returns the named statistic through *p, looking it up by name on
+// first use only: a run that never records it must not report it.
+func stat[T any](p **T, lookup func(string) *T, name string) *T {
+	if *p == nil {
+		*p = lookup(name)
+	}
+	return *p
 }
 
 // placement carries the context a Commit callback needs.
@@ -175,17 +187,11 @@ func (s *serverEntity) ServerName() string { return s.name }
 // experiments.
 func (s *serverEntity) RequestBid(now float64, c *qos.Contract) (bidding.Bid, bool) {
 	g := s.g
-	if g.bidReq == nil {
-		g.bidReq = g.metrics.C("messages.bid_req")
-	}
-	g.bidReq.Inc()
+	stat(&g.bidReq, g.metrics.C, "messages.bid_req").Inc()
 	st := bidding.StateFor(&s.spec, s.sched, now, c, s.outstanding)
 	b, ok := bidding.Make(s.bidder, s.name, now, c, st, bidValidity)
 	if ok {
-		if g.bidReply == nil {
-			g.bidReply = g.metrics.C("messages.bid_reply")
-		}
-		g.bidReply.Inc()
+		stat(&g.bidReply, g.metrics.C, "messages.bid_reply").Inc()
 	}
 	return b, ok
 }
@@ -196,14 +202,14 @@ func (s *serverEntity) RequestBid(now float64, c *qos.Contract) (bidding.Bid, bo
 // arbitrates at commit time, which is the posted-price mechanism's
 // admission risk.
 func (s *serverEntity) Post(now float64, c *qos.Contract) (bidding.Bid, bool) {
-	s.g.metrics.C("messages.post_read").Inc()
+	stat(&s.g.postRead, s.g.metrics.C, "messages.post_read").Inc()
 	return bidding.PostedBid(s.name, now, c,
 		bidding.PostedState(&s.spec, s.sched.UsedPEs(), c.FitsMachine(s.spec.NumPE, s.spec.MemPerPE)))
 }
 
 // Commit implements market.ServerPort: phase two, the actual admission.
 func (s *serverEntity) Commit(now float64, jobID string, b bidding.Bid) error {
-	s.g.metrics.C("messages.commit").Inc()
+	stat(&s.g.commits, s.g.metrics.C, "messages.commit").Inc()
 	pl, ok := s.g.placing[jobID]
 	if !ok {
 		return errors.New("gridsim: unknown job in commit")
@@ -229,16 +235,15 @@ func (s *serverEntity) Commit(now float64, jobID string, b bidding.Bid) error {
 // state change.
 func (s *serverEntity) refresh(now float64) {
 	s.util.Set(sim.Time(now), float64(s.sched.UsedPEs()))
-	s.g.eng.Cancel(s.completion)
-	s.completion = nil
 	t, ok := s.sched.NextCompletion(now)
 	if !ok {
+		s.g.eng.Cancel(&s.completion)
 		return
 	}
 	if t < now {
 		t = now
 	}
-	s.completion = s.g.eng.At(sim.Time(t), s.completionName, s.fire)
+	s.g.eng.Rearm(&s.completion, sim.Time(t))
 }
 
 // onCompletion advances the scheduler and settles finished jobs.
@@ -272,26 +277,26 @@ func (s *serverEntity) settle(now float64, j *job.Job) {
 	}
 
 	g.res.Finished++
-	g.metrics.S("response_time").Add(j.ResponseTime())
+	stat(&g.response, g.metrics.S, "response_time").Add(j.ResponseTime())
 	// Bounded slowdown: response over service time, floored at 10s of
 	// service so tiny jobs don't dominate the statistic.
 	service := j.FinishTime - j.StartTime
 	if service < 10 {
 		service = 10
 	}
-	g.metrics.S("slowdown").Add(j.ResponseTime() / service)
-	g.metrics.S("price").Add(rec.Price)
+	stat(&g.slowdown, g.metrics.S, "slowdown").Add(j.ResponseTime() / service)
+	stat(&g.price, g.metrics.S, "price").Add(rec.Price)
 	if err := g.acct.Settle(rec.ID, rec.Owner, rec.HomeCluster, s.name, rec.Price); err == nil {
 		s.revenue += rec.Price
 	}
 	if !j.Contract.Payoff.Zero() {
 		v := j.Payout()
 		s.payoff += v
-		g.metrics.S("payoff").Add(v)
+		stat(&g.payoff, g.metrics.S, "payoff").Add(v)
 		if j.MetDeadline() {
-			g.metrics.C("deadline.met").Inc()
+			stat(&g.met, g.metrics.C, "deadline.met").Inc()
 		} else {
-			g.metrics.C("deadline.missed").Inc()
+			stat(&g.missed, g.metrics.C, "deadline.missed").Inc()
 		}
 	}
 	// Market history for the §5.2.1 history-aware bidders.
@@ -329,7 +334,7 @@ func runInternal(cfg Config, trace *workload.Trace) (*Result, *gridRun, error) {
 		metrics: sim.NewMetrics(),
 		store:   store,
 		acct:    accounting.New(cfg.Mode, store),
-		placing: map[string]*placement{},
+		placing: map[string]placement{},
 	}
 	for cluster, amount := range cfg.InitialCredits {
 		store.AddCredits(cluster, amount)
@@ -370,11 +375,10 @@ func runInternal(cfg Config, trace *workload.Trace) (*Result, *gridRun, error) {
 			sched:  factory(sc.Spec, cfg.SchedCfg),
 			bidder: bidder,
 			util:   g.metrics.L("util." + sc.Spec.Name),
-
-			completionName: "completion:" + sc.Spec.Name,
 		}
 		ent.spec = ent.sched.Spec()
-		ent.fire = func(e *sim.Engine) { ent.onCompletion(float64(e.Now())) }
+		ent.completion = sim.Event{Name: "completion:" + sc.Spec.Name,
+			Fn: func(e *sim.Engine) { ent.onCompletion(float64(e.Now())) }}
 		ent.util.Set(0, 0)
 		g.servers = append(g.servers, ent)
 		g.byName[ent.name] = ent
@@ -393,12 +397,26 @@ func runInternal(cfg Config, trace *workload.Trace) (*Result, *gridRun, error) {
 		}
 	}
 
-	// Schedule every submission from the trace.
-	for _, it := range trace.Items {
-		it := it
-		g.eng.At(sim.Time(it.SubmitAt), "submit:"+it.ID, func(e *sim.Engine) {
-			g.submit(float64(e.Now()), it)
-		})
+	// One event walks the trace in SubmitAt order, re-armed for the next
+	// item each time it fires. Priority -1 keeps the order one event per
+	// item scheduled up front gave: at any instant the submissions due
+	// fire, in trace order, before the completions and commits due then.
+	items := trace.Items
+	bySubmit := func(a, b workload.Item) int { return cmp.Compare(a.SubmitAt, b.SubmitAt) }
+	if !slices.IsSortedFunc(items, bySubmit) {
+		items = slices.Clone(items)
+		slices.SortStableFunc(items, bySubmit)
+	}
+	next := 0
+	submit := sim.Event{Name: "submit", Priority: -1}
+	submit.Fn = func(e *sim.Engine) {
+		g.submit(float64(e.Now()), items[next])
+		if next++; next < len(items) {
+			e.Rearm(&submit, sim.Time(items[next].SubmitAt))
+		}
+	}
+	if len(items) > 0 {
+		g.eng.Rearm(&submit, sim.Time(items[0].SubmitAt))
 	}
 	if cfg.MigrateAfter > 0 {
 		g.scheduleMigration()
@@ -526,30 +544,31 @@ func (s gridWeatherSource) GridWeather(now float64) (weather.Report, bool) {
 	return weather.Compute(now, used, total, len(s.g.servers), s.g.store), true
 }
 
-// eligible returns the servers a user may solicit, honoring the access
-// policy and, when enabled, the §5.1 static feasibility filter.
-func (g *gridRun) eligible(user string, c *qos.Contract) []*serverEntity {
-	base := g.servers
+// eligible appends to dst the servers a user may solicit, honoring the
+// access policy and, when enabled, the §5.1 static feasibility filter.
+func (g *gridRun) eligible(dst []market.ServerPort, user string, c *qos.Contract) []market.ServerPort {
 	if allowed, restricted := g.cfg.Access[user]; restricted {
-		base = base[:0:0]
 		for _, name := range allowed {
 			if s, ok := g.byName[name]; ok {
-				base = append(base, s)
+				dst = g.screen(dst, s, c)
 			}
 		}
+		return dst
 	}
-	if !g.cfg.FilterFeasible {
-		return base
+	for _, s := range g.servers {
+		dst = g.screen(dst, s, c)
 	}
-	out := make([]*serverEntity, 0, len(base))
-	for _, s := range base {
-		if !c.FitsMachine(s.spec.NumPE, s.spec.MemPerPE) {
-			g.metrics.C("filter.screened").Inc()
-			continue
-		}
-		out = append(out, s)
+	return dst
+}
+
+// screen appends s to dst unless the static feasibility filter is on and
+// s cannot run the contract.
+func (g *gridRun) screen(dst []market.ServerPort, s *serverEntity, c *qos.Contract) []market.ServerPort {
+	if g.cfg.FilterFeasible && !c.FitsMachine(s.spec.NumPE, s.spec.MemPerPE) {
+		g.metrics.C("filter.screened").Inc()
+		return dst
 	}
-	return out
+	return append(dst, s)
 }
 
 // submit is the client-entity behaviour for one trace item: identify
@@ -560,7 +579,7 @@ func (g *gridRun) eligible(user string, c *qos.Contract) []*serverEntity {
 func (g *gridRun) submit(now float64, it workload.Item) {
 	j := job.New(job.ID(it.ID), it.User, it.Contract, now)
 	home := g.cfg.HomeOf[it.User]
-	g.placing[it.ID] = &placement{j: j, user: it.User, home: home}
+	g.placing[it.ID] = placement{j: j, user: it.User, home: home}
 
 	mech := g.mech
 	if name := it.Contract.Mechanism; name != "" {
@@ -577,7 +596,9 @@ func (g *gridRun) submit(now float64, it workload.Item) {
 	// construction).
 	serial := market.SolicitOpts{Concurrency: 1}
 
-	candidates := g.eligible(it.User, it.Contract)
+	// Screened before the home cluster is tried: filter.screened counts
+	// every submission, home-first or not.
+	g.ports = g.eligible(g.ports[:0], it.User, it.Contract)
 	// Home-cluster preference (§5.5.3): "normally whenever he tries to
 	// submit a job, the system tries to submit the job to the user's
 	// Home Cluster. But if the resources on the Home Cluster are not
@@ -588,12 +609,12 @@ func (g *gridRun) submit(now float64, it workload.Item) {
 	// have to wait behind a backlog.
 	if g.cfg.HomeFirst && home != "" {
 		if hs, ok := g.byName[home]; ok {
-			ports := []market.ServerPort{hs}
-			bids := mech.Solicit(now, ports, it.Contract, g.cfg.Criterion, serial)
-			if len(bids) > 0 {
+			g.homePort[0] = hs
+			g.bids = mech.Solicit(g.bids, now, g.homePort[:], it.Contract, g.cfg.Criterion, serial)
+			if len(g.bids) > 0 {
 				prompt := now + it.Contract.ExecTime(it.Contract.MinPE, hs.spec.Speed)
-				if bids[0].EstCompletion <= prompt+1e-9 {
-					if res, err := market.CommitPriced(now, ports, bids, it.ID, g.cfg.SinglePhase, mech); err == nil {
+				if g.bids[0].EstCompletion <= prompt+1e-9 {
+					if res, err := market.CommitPriced(now, g.homePort[:], g.bids, it.ID, g.cfg.SinglePhase, mech); err == nil {
 						g.finishAward(now, it, j, res, nil)
 						return
 					}
@@ -601,16 +622,15 @@ func (g *gridRun) submit(now float64, it workload.Item) {
 			}
 		}
 	}
-	ports := make([]market.ServerPort, len(candidates))
-	for i, s := range candidates {
-		ports[i] = s
-	}
-	bids := mech.Solicit(now, ports, it.Contract, g.cfg.Criterion, serial)
+	g.bids = mech.Solicit(g.bids, now, g.ports, it.Contract, g.cfg.Criterion, serial)
 	if g.cfg.CommitDelay <= 0 {
-		res, err := market.CommitPriced(now, ports, bids, it.ID, g.cfg.SinglePhase, mech)
+		res, err := market.CommitPriced(now, g.ports, g.bids, it.ID, g.cfg.SinglePhase, mech)
 		g.finishAward(now, it, j, res, err)
 		return
 	}
+	// The delayed commit holds its ports and bids until it fires, past the
+	// next submission's reuse of the scratch: it gets copies.
+	ports, bids := slices.Clone(g.ports), slices.Clone(g.bids)
 	g.eng.After(sim.Duration(g.cfg.CommitDelay), "commit:"+it.ID, func(e *sim.Engine) {
 		t := float64(e.Now())
 		res, err := market.CommitPriced(t, ports, bids, it.ID, g.cfg.SinglePhase, mech)
@@ -622,9 +642,9 @@ func (g *gridRun) submit(now float64, it workload.Item) {
 func (g *gridRun) finishAward(now float64, it workload.Item, j *job.Job, res market.AwardResult, err error) {
 	delete(g.placing, it.ID)
 	if res.Attempts > 0 {
-		g.metrics.S("award_attempts").Add(float64(res.Attempts))
+		stat(&g.attempts, g.metrics.S, "award_attempts").Add(float64(res.Attempts))
 	}
-	g.metrics.C("commit.declined").Addn(uint64(len(res.Declined)))
+	stat(&g.declined, g.metrics.C, "commit.declined").Addn(uint64(len(res.Declined)))
 	if err != nil {
 		g.res.Rejected++
 		g.metrics.C("jobs.rejected").Inc()
@@ -636,6 +656,6 @@ func (g *gridRun) finishAward(now float64, it workload.Item, j *job.Job, res mar
 
 func (g *gridRun) placed(now float64, it workload.Item, res market.AwardResult) {
 	g.res.Placed++
-	g.metrics.C("jobs.placed").Inc()
-	g.metrics.S("bid_multiplier").Add(res.Bid.Multiplier)
+	stat(&g.jobsPlaced, g.metrics.C, "jobs.placed").Inc()
+	stat(&g.multiplier, g.metrics.S, "bid_multiplier").Add(res.Bid.Multiplier)
 }

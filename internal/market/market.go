@@ -169,7 +169,8 @@ type BidSink interface {
 // SolicitWith broadcasts a request-for-bids to the given servers (less
 // any the gate skips; pre-screening is the caller's or the Central
 // Server's filters', §5.1) and returns all offers, stably sorted
-// best-first under the criterion. Bids land in per-server slots and
+// best-first under the criterion, in a new slice: it is FirstPrice's
+// Solicit with no buffer to reuse. Bids land in per-server slots and
 // server name breaks criterion ties, so the ranking is independent of
 // reply timing and awards are deterministic for seeded workloads.
 //
@@ -180,9 +181,15 @@ type BidSink interface {
 // single-threaded simulation entities, and the reference every
 // concurrent configuration must match bid-for-bid.
 func SolicitWith(now float64, servers []ServerPort, c *qos.Contract, crit Criterion, opts SolicitOpts) []bidding.Bid {
+	return FirstPrice{}.Solicit(nil, now, servers, c, crit, opts)
+}
+
+// Solicit implements Mechanism: SolicitWith's request-for-bids fan-out,
+// ranked into dst[:0].
+func (FirstPrice) Solicit(dst []bidding.Bid, now float64, servers []ServerPort, c *qos.Contract, crit Criterion, opts SolicitOpts) []bidding.Bid {
 	n := len(servers)
 	if n == 0 {
-		return nil
+		return dst[:0]
 	}
 	hedge := opts.HedgeQuantile > 0 && opts.HedgeQuantile < 1
 	conc := min(opts.Concurrency, n)
@@ -190,7 +197,7 @@ func SolicitWith(now float64, servers []ServerPort, c *qos.Contract, crit Criter
 		conc = min(DefaultFanout, n)
 	}
 	if conc == 1 && opts.Timeout <= 0 && !hedge {
-		bids := make([]bidding.Bid, 0, n)
+		bids := slices.Grow(dst[:0], n)
 		for _, s := range servers {
 			if opts.Gate != nil && !opts.Gate(s) {
 				continue // breaker OPEN: instant forfeit
@@ -202,7 +209,7 @@ func SolicitWith(now float64, servers []ServerPort, c *qos.Contract, crit Criter
 		rankBids(bids, crit)
 		return bids
 	}
-	return collect(now, servers, c, crit, opts, conc, hedge)
+	return collect(dst, now, servers, c, crit, opts, conc, hedge)
 }
 
 // collect is the concurrent round. There are no workers and no queue:
@@ -212,7 +219,7 @@ func SolicitWith(now float64, servers []ServerPort, c *qos.Contract, crit Criter
 // server in line once an attempt returns, or a hedge), and launches
 // again. A completion only records its answer under the lock and
 // signals, so it is safe to run on a connection's read goroutine.
-func collect(now float64, servers []ServerPort, c *qos.Contract, crit Criterion, opts SolicitOpts, conc int, hedge bool) []bidding.Bid {
+func collect(dst []bidding.Bid, now float64, servers []ServerPort, c *qos.Contract, crit Criterion, opts SolicitOpts, conc int, hedge bool) []bidding.Bid {
 	n := len(servers)
 	a := &auction{now: now, servers: servers, c: c, timeout: opts.Timeout, conc: conc, slots: make([]slot, n)}
 	a.wake.L = &a.mu
@@ -241,7 +248,7 @@ func collect(now float64, servers []ServerPort, c *qos.Contract, crit Criterion,
 			a.wake.Wait()
 		}
 	}
-	bids := make([]bidding.Bid, 0, n)
+	bids := slices.Grow(dst[:0], n)
 	for i := range a.slots {
 		if a.slots[i].got {
 			bids = append(bids, a.slots[i].bid)

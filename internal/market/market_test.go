@@ -65,7 +65,7 @@ func solicit(servers []ServerPort, crit Criterion) []bidding.Bid {
 // mechanism with default options (least cost), then the priced commit
 // walk — two-phase unless singlePhase is set.
 func award(now float64, servers []ServerPort, jobID string, m Mechanism, singlePhase bool) (AwardResult, error) {
-	bids := m.Solicit(now, servers, contract(), LeastCost{}, SolicitOpts{})
+	bids := m.Solicit(nil, now, servers, contract(), LeastCost{}, SolicitOpts{})
 	return CommitPriced(now, servers, bids, jobID, singlePhase, m)
 }
 

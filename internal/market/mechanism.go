@@ -19,6 +19,7 @@ package market
 
 import (
 	"fmt"
+	"slices"
 
 	"faucets/internal/bidding"
 	"faucets/internal/qos"
@@ -32,8 +33,10 @@ type Mechanism interface {
 	// Name is the wire name carried in qos.Contract.Mechanism.
 	Name() string
 	// Solicit gathers offers for the contract, ranked best-first under
-	// the criterion.
-	Solicit(now float64, servers []ServerPort, c *qos.Contract, crit Criterion, opts SolicitOpts) []bidding.Bid
+	// the criterion, appending them to dst[:0]: the result is the
+	// caller's buffer, valid until its next Solicit into it (nil dst
+	// allocates).
+	Solicit(dst []bidding.Bid, now float64, servers []ServerPort, c *qos.Contract, crit Criterion, opts SolicitOpts) []bidding.Bid
 	// ClearingPrice returns the price actually paid when the offer at
 	// rank i of the ranked list wins the award.
 	ClearingPrice(ranked []bidding.Bid, i int) float64
@@ -55,11 +58,6 @@ type FirstPrice struct{}
 
 // Name implements Mechanism.
 func (FirstPrice) Name() string { return qos.MechanismFirstPrice }
-
-// Solicit implements Mechanism: the request-for-bids fan-out.
-func (FirstPrice) Solicit(now float64, servers []ServerPort, c *qos.Contract, crit Criterion, opts SolicitOpts) []bidding.Bid {
-	return SolicitWith(now, servers, c, crit, opts)
-}
 
 // ClearingPrice implements Mechanism: the winner pays what it bid.
 func (FirstPrice) ClearingPrice(ranked []bidding.Bid, i int) float64 {
@@ -98,8 +96,8 @@ func (PostedPrice) Name() string { return qos.MechanismPostedPrice }
 
 // Solicit implements Mechanism. Gate is still honoured so circuit
 // breakers keep sick servers out of the commodity market too.
-func (PostedPrice) Solicit(now float64, servers []ServerPort, c *qos.Contract, crit Criterion, opts SolicitOpts) []bidding.Bid {
-	bids := make([]bidding.Bid, 0, len(servers))
+func (PostedPrice) Solicit(dst []bidding.Bid, now float64, servers []ServerPort, c *qos.Contract, crit Criterion, opts SolicitOpts) []bidding.Bid {
+	bids := slices.Grow(dst[:0], len(servers))
 	for _, s := range servers {
 		pp, ok := s.(PostPort)
 		if !ok {

@@ -120,7 +120,7 @@ func TestPostedPriceSkipsNonPostsAndGated(t *testing.T) {
 	a := psrv("a", 10, 12)
 	b := psrv("b", 20, 18)
 	gate := func(s ServerPort) bool { return s.ServerName() != "a" }
-	bids := (PostedPrice{}).Solicit(0, []ServerPort{legacy, noPost, a, b},
+	bids := (PostedPrice{}).Solicit(nil, 0, []ServerPort{legacy, noPost, a, b},
 		contract(), LeastCost{}, SolicitOpts{Gate: gate})
 	if len(bids) != 1 || bids[0].Server != "b" || bids[0].Price != 18 {
 		t.Fatalf("bids=%v, want only b's 18", bids)

@@ -72,3 +72,22 @@ func BenchmarkRankBids(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSolicitSerial is one gridsim round's solicitation: the serial
+// walk over 12 in-memory ports, ranked into a warm dst. CI holds ports_12
+// to 0 allocs/op: the bids land in the caller's buffer.
+func BenchmarkSolicitSerial(b *testing.B) {
+	b.Run("ports_12", func(b *testing.B) {
+		servers := make([]ServerPort, 12)
+		for i := range servers {
+			servers[i] = srv(fmt.Sprintf("s%02d", i), float64(1+i%3), float64(10*(1+i%4)))
+		}
+		c, serial := contract(), SolicitOpts{Concurrency: 1}
+		dst := FirstPrice{}.Solicit(nil, 0, servers, c, LeastCost{}, serial)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dst = FirstPrice{}.Solicit(dst, 0, servers, c, LeastCost{}, serial)
+		}
+	})
+}

@@ -1,8 +1,10 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"faucets/internal/sim"
@@ -98,14 +100,16 @@ func (p *Process) validate() error {
 	return nil
 }
 
-// arrival is one generated submission before global ordering.
+// arrival is one generated submission before global ordering; its
+// process's job mix and shape stream are looked up by proc.
 type arrival struct {
 	t    float64
-	proc int // generating process index (tie-break for a stable merge)
+	proc int // generating process index (tie-break for the merge)
 	idx  int // ordinal within the process
-	mix  workload.Spec
-	rng  *sim.RNG // per-process shape stream
 }
+
+// users names the submitting users round-robin.
+var users = [...]string{"user-0", "user-1", "user-2", "user-3", "user-4", "user-5", "user-6"}
 
 // GenerateTrace expands the scenario's traffic processes into one
 // SubmitAt-sorted workload trace, deterministically from Spec.Seed.
@@ -117,19 +121,22 @@ func (s *Spec) GenerateTrace() (*workload.Trace, error) {
 		return nil, err
 	}
 	base := s.Jobs.shape()
-	var all []arrival
+	n := len(s.Traffic)
+	times, mixes, shapes := make([][]float64, n), make([]workload.Spec, n), make([]*sim.RNG, n)
+	total := 0
 	for pi := range s.Traffic {
 		p := &s.Traffic[pi]
 		// golden-ratio stride keeps per-process seeds well separated
 		// even for adjacent scenario seeds.
 		root := sim.NewRNG(s.Seed ^ (0x9e3779b97f4a7c15 * uint64(pi+1)))
 		clock := root.Split()
-		shapes := root.Split()
+		shapes[pi] = root.Split()
 		mix := base
 		if p.Jobs != nil {
 			mix = p.Jobs.shape()
 		}
-		times := p.arrivals(clock, s.Duration)
+		times[pi] = p.arrivals(clock, s.Duration)
+		total += len(times[pi])
 		if p.Kind == "adversarial" {
 			// Adversarial batches exist to stress deadlines: force the
 			// payoff on and keep it tight unless the mix overrides it.
@@ -138,18 +145,17 @@ func (s *Spec) GenerateTrace() (*workload.Trace, error) {
 				mix.DeadlineTightness = 1.05
 			}
 		}
-		for i, t := range times {
-			all = append(all, arrival{t: t, proc: pi, idx: i, mix: mix, rng: shapes})
+		mixes[pi] = mix
+	}
+	all := make([]arrival, 0, total)
+	for pi, ts := range times {
+		for i, t := range ts {
+			all = append(all, arrival{t: t, proc: pi, idx: i})
 		}
 	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].t != all[j].t {
-			return all[i].t < all[j].t
-		}
-		if all[i].proc != all[j].proc {
-			return all[i].proc < all[j].proc
-		}
-		return all[i].idx < all[j].idx
+	// (t, proc, idx) is unique per arrival: any sort gives this order.
+	slices.SortFunc(all, func(a, b arrival) int {
+		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.proc, b.proc), cmp.Compare(a.idx, b.idx))
 	})
 	tr := &workload.Trace{Items: make([]workload.Item, 0, len(all))}
 	// Record provenance in the embedded spec: the trace regenerates from
@@ -164,8 +170,8 @@ func (s *Spec) GenerateTrace() (*workload.Trace, error) {
 		tr.Items = append(tr.Items, workload.Item{
 			ID:       fmt.Sprintf("job-%06d", gi),
 			SubmitAt: a.t,
-			User:     fmt.Sprintf("user-%d", gi%7),
-			Contract: workload.Sample(a.rng, a.mix, a.idx),
+			User:     users[gi%len(users)],
+			Contract: workload.Sample(shapes[a.proc], mixes[a.proc], a.idx),
 		})
 	}
 	return tr, nil

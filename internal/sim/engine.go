@@ -9,7 +9,8 @@ import (
 
 // Event is a scheduled callback. Events with equal times fire in the order
 // of (Priority ascending, insertion sequence ascending), so ties are
-// deterministic.
+// deterministic. An Event may be the caller's own, scheduled again and
+// again with Engine.Rearm; the zero Event is unscheduled.
 type Event struct {
 	At       Time
 	Priority int
@@ -17,11 +18,12 @@ type Event struct {
 	Fn       func(*Engine)
 
 	seq   uint64
-	index int // heap index; -1 once popped or cancelled
+	index int // heap index + 1; 0 while not pending
 }
 
-// Cancelled reports whether the event has been cancelled or already fired.
-func (e *Event) Cancelled() bool { return e.index == -1 && e.Fn == nil }
+// Cancelled reports whether the event is not pending: cancelled, already
+// fired or never scheduled.
+func (e *Event) Cancelled() bool { return e.index == 0 }
 
 type eventHeap []*Event
 
@@ -39,14 +41,14 @@ func (h eventHeap) Less(i, j int) bool {
 
 func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+	h[i].index = i + 1
+	h[j].index = j + 1
 }
 
 func (h *eventHeap) Push(x any) {
 	e := x.(*Event)
-	e.index = len(*h)
 	*h = append(*h, e)
+	e.index = len(*h)
 }
 
 func (h *eventHeap) Pop() any {
@@ -54,7 +56,7 @@ func (h *eventHeap) Pop() any {
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -1
+	e.index = 0
 	*h = old[:n-1]
 	return e
 }
@@ -94,13 +96,24 @@ var ErrPast = errors.New("sim: event scheduled in the past")
 // At schedules fn to run at absolute time t. It panics if t is before the
 // current time: in a discrete-event simulation that is always a logic bug.
 func (e *Engine) At(t Time, name string, fn func(*Engine)) *Event {
+	return e.AtPriority(t, 0, name, fn)
+}
+
+// Rearm schedules the caller's event ev (its Fn, Name and Priority) at
+// time t, moving it if it is pending, with no allocation. It takes a
+// fresh sequence number, so ties order exactly as Cancel followed by At
+// would order them, and panics on a time in the past as At does.
+func (e *Engine) Rearm(ev *Event, t Time) {
 	if t < e.now {
-		panic(fmt.Errorf("%w: now=%v scheduled=%v (%s)", ErrPast, e.now, t, name))
+		panic(fmt.Errorf("%w: now=%v scheduled=%v (%s)", ErrPast, e.now, t, ev.Name))
 	}
-	ev := &Event{At: t, Name: name, Fn: fn, seq: e.seq}
+	ev.At, ev.seq = t, e.seq
 	e.seq++
-	heap.Push(&e.queue, ev)
-	return ev
+	if ev.index > 0 {
+		heap.Fix(&e.queue, ev.index-1)
+	} else {
+		heap.Push(&e.queue, ev)
+	}
 }
 
 // After schedules fn to run d seconds from now.
@@ -111,21 +124,18 @@ func (e *Engine) After(d Duration, name string, fn func(*Engine)) *Event {
 // AtPriority schedules fn at time t with an explicit tie-break priority.
 // Lower priorities fire first among same-time events.
 func (e *Engine) AtPriority(t Time, prio int, name string, fn func(*Engine)) *Event {
-	ev := e.At(t, name, fn)
-	ev.Priority = prio
-	heap.Fix(&e.queue, ev.index)
+	ev := &Event{Priority: prio, Name: name, Fn: fn}
+	e.Rearm(ev, t)
 	return ev
 }
 
-// Cancel removes a pending event. Cancelling an event that already fired
-// or was already cancelled is a no-op.
+// Cancel removes a pending event. Cancelling an event that is not pending
+// is a no-op.
 func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.index < 0 {
+	if ev == nil || ev.index == 0 {
 		return
 	}
-	heap.Remove(&e.queue, ev.index)
-	ev.index = -1
-	ev.Fn = nil
+	heap.Remove(&e.queue, ev.index-1)
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -144,11 +154,9 @@ func (e *Engine) Step() bool {
 	}
 	heap.Pop(&e.queue)
 	e.now = next.At
-	fn := next.Fn
-	next.Fn = nil
 	e.fired++
-	if fn != nil {
-		fn(e)
+	if next.Fn != nil {
+		next.Fn(e)
 	}
 	return true
 }

@@ -12,6 +12,9 @@ import (
 type Series struct {
 	vals []float64
 	sum  float64
+	// sorted is Percentile's sorted copy, current while as long as vals
+	// (Add only appends); vals keeps the order Stddev sums in.
+	sorted []float64
 }
 
 // Add records one observation.
@@ -78,13 +81,17 @@ func (s *Series) Stddev() float64 {
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) by nearest-rank.
+// The sort it needs is kept until the next Add.
 func (s *Series) Percentile(p float64) float64 {
 	n := len(s.vals)
 	if n == 0 {
 		return 0
 	}
-	sorted := append([]float64(nil), s.vals...)
-	sort.Float64s(sorted)
+	if len(s.sorted) != n {
+		s.sorted = append(s.sorted[:0], s.vals...)
+		sort.Float64s(s.sorted)
+	}
+	sorted := s.sorted
 	if p <= 0 {
 		return sorted[0]
 	}

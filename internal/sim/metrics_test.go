@@ -36,18 +36,31 @@ func TestSeriesEmpty(t *testing.T) {
 	}
 }
 
+// The values arrive in descending order and are ones whose squared
+// deviations sum differently in ascending order, so a Percentile that
+// sorted the series in place would move Stddev; the sorted copy it keeps
+// must follow a later Add.
 func TestSeriesPercentile(t *testing.T) {
+	cube := func(i float64) float64 { return i * i * i / 3 }
 	var s Series
-	for i := 1; i <= 100; i++ {
-		s.Add(float64(i))
+	for i := 100; i >= 1; i-- {
+		s.Add(cube(float64(i)))
 	}
+	sd := s.Stddev()
 	cases := []struct{ p, want float64 }{
 		{0, 1}, {50, 50}, {95, 95}, {100, 100}, {1, 1},
 	}
 	for _, c := range cases {
-		if got := s.Percentile(c.p); got != c.want {
-			t.Errorf("P%v = %v, want %v", c.p, got, c.want)
+		if got := s.Percentile(c.p); got != cube(c.want) {
+			t.Errorf("P%v = %v, want %v", c.p, got, cube(c.want))
 		}
+	}
+	if got := s.Stddev(); got != sd {
+		t.Errorf("Stddev moved from %v to %v across Percentile calls", sd, got)
+	}
+	s.Add(1e9)
+	if got := s.Percentile(100); got != 1e9 {
+		t.Errorf("P100 after Add = %v, want 1e9", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package grid
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -23,6 +24,34 @@ func historyWatcherClusters() []ClusterSpec {
 		{Spec: spec("tungsten", 32, 0.020), Apps: []string{"synth"}},
 		{Spec: spec("watcher", 32, 0.500), Apps: []string{"synth"}, Bidder: bidding.NewHistory(nil)},
 	}
+}
+
+// awayUsers picks n of the candidates. On a mesh the first two are homed
+// on different shards, so whichever baseline server wins, one of them
+// settles on a shard other than the winner's owner.
+func awayUsers(t *testing.T, g *Grid, candidates []string, n int) []string {
+	t.Helper()
+	if g.ring.Size() < 2 {
+		return candidates[:n]
+	}
+	users := []string{candidates[0]}
+	for _, u := range candidates[1:] {
+		if g.ring.OwnerUser(u) != g.ring.OwnerUser(users[0]) {
+			users = append(users, u)
+			break
+		}
+	}
+	for _, u := range candidates[1:] {
+		if len(users) < n && !slices.Contains(users, u) {
+			users = append(users, u)
+		}
+	}
+	for _, s := range historyWatcherClusters()[:3] {
+		if !slices.ContainsFunc(users, func(u string) bool { return g.ring.OwnerUser(u) != g.ring.OwnerServer(s.Spec.Name) }) {
+			t.Fatalf("users %v are all homed on %s's owner", users, s.Spec.Name)
+		}
+	}
+	return users
 }
 
 // runAndSettle places, starts and finishes one job per user, in turn, and
@@ -66,10 +95,14 @@ func runAndSettle(t *testing.T, g *Grid, users []string) []*client.Placement {
 // floor.) On the mesh the settling shard is the user's, not the server's:
 // it must find the cost rate in a peer's digest.
 func TestLivePriceHistoryRecordsTheBidMultiplier(t *testing.T) {
-	users := []string{"alice", "bob", "carol", "dave"}
+	// Which users settle on a shard other than the winner's depends on the
+	// ring, and the ring on the listeners' random ports: the four users
+	// that run are picked from a larger set once the grid is up.
+	candidates := make([]string, 32)
 	pw := map[string]string{}
-	for _, u := range users {
-		pw[u] = "pw"
+	for i := range candidates {
+		candidates[i] = fmt.Sprintf("user%02d", i)
+		pw[candidates[i]] = "pw"
 	}
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards_%d", shards), func(t *testing.T) {
@@ -78,6 +111,7 @@ func TestLivePriceHistoryRecordsTheBidMultiplier(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer g.Close()
+			users := awayUsers(t, g, candidates, 4)
 			placed := runAndSettle(t, g, users)
 
 			bid := map[string]float64{}
@@ -116,7 +150,7 @@ func TestLivePriceHistoryRecordsTheBidMultiplier(t *testing.T) {
 
 			// The watcher now has history to price from: the market clears
 			// at 1.0×, so that is what it bids — not its 0.25 floor.
-			cl, err := g.Login("alice", "pw")
+			cl, err := g.Login(users[0], "pw")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,6 +179,7 @@ func TestLivePriceHistoryRecordsTheBidMultiplier(t *testing.T) {
 	}
 
 	// The same trace through the simulator books the same multipliers.
+	users := candidates[:4]
 	var cfg gridsim.Config
 	for _, c := range historyWatcherClusters()[:3] {
 		cfg.Servers = append(cfg.Servers, gridsim.ServerConfig{Spec: c.Spec})

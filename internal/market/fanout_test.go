@@ -183,6 +183,128 @@ func TestSolicitStartBidLateDeliveryChangesNothing(t *testing.T) {
 	}
 }
 
+// keeper is a BidStarter that answers at once, on the launcher's
+// goroutine, except that it keeps the sink of its first hold StartBids
+// and never answers them: the test delivers through them by hand, after
+// the round that launched them has returned. onStart, if set, runs at
+// the top of every StartBid.
+type keeper struct {
+	*fakeServer
+	hold    int
+	kept    []BidSink
+	onStart func()
+}
+
+func (k *keeper) StartBid(now float64, c *qos.Contract, sink BidSink) {
+	if k.onStart != nil {
+		k.onStart()
+	}
+	if len(k.kept) < k.hold {
+		k.kept = append(k.kept, sink)
+		return
+	}
+	sink.DeliverBid(k.RequestBid(now, c))
+}
+
+func keepers(ss ...*fakeServer) []ServerPort {
+	out := make([]ServerPort, len(ss))
+	for i, s := range ss {
+		out[i] = &keeper{fakeServer: s}
+	}
+	return out
+}
+
+// TestLateDeliveryNeverReachesTheNextRound: a port that still holds a
+// round's sink — the original a hedge outran, or an attempt its deadline
+// forfeited — delivers after Solicit returned, while the next round runs
+// on the same goroutine. That round must rank exactly as the serial walk
+// does: a round is recycled only when no port or timer can still reach
+// it. The late answer is delivered from the next round's last StartBid,
+// the moment a recycled round would have handed the same attempt out
+// again.
+func TestLateDeliveryNeverReachesTheNextRound(t *testing.T) {
+	ghost := bidding.Bid{Server: "ghost", Price: 0.5, EstCompletion: 1}
+	for _, tc := range []struct {
+		name      string
+		opts      SolicitOpts
+		firstBids int // x's hedge answers; a forfeited x has no bid
+	}{
+		{"hedge-sibling", SolicitOpts{HedgeQuantile: 0.5}, 3},
+		{"forfeited-deadline", SolicitOpts{Timeout: 10 * time.Millisecond}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for round := 0; round < 20; round++ {
+				first := keepers(srv("a", 10, 5), srv("b", 20, 5), srv("x", 1, 1))
+				x := first[2].(*keeper)
+				x.hold = 1
+				if bids := SolicitWith(0, first, contract(), LeastCost{}, tc.opts); len(bids) != tc.firstBids {
+					t.Fatalf("first round bids = %+v, want %d", bids, tc.firstBids)
+				}
+				if len(x.kept) != 1 {
+					t.Fatalf("x kept %d sinks, want 1", len(x.kept))
+				}
+				second := keepers(srv("p", 30, 5), srv("q", 20, 5), srv("r", 10, 5))
+				want := SolicitWith(0, second, contract(), LeastCost{}, SolicitOpts{Concurrency: 1})
+				second[2].(*keeper).onStart = func() { x.kept[0].DeliverBid(ghost, true) }
+				if got := SolicitWith(0, second, contract(), LeastCost{}, SolicitOpts{}); !reflect.DeepEqual(got, want) {
+					t.Fatalf("round %d: the next round diverged from the serial walk:\n got %+v\nwant %+v", round, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestRecycledRoundsMatchSerialUnderStress: eight goroutines each run 500
+// rounds over their own fleet of in-memory BidStarters answering from
+// other goroutines in shuffled order, one of them a straggler, under a
+// random hedge quantile and per-bid deadline (long enough never to fire)
+// per round. Abandoned hedge siblings answer into later rounds' time.
+// Every round must rank as the serial walk does; -race checks that no
+// recycled round is touched by its last user.
+func TestRecycledRoundsMatchSerialUnderStress(t *testing.T) {
+	rounds := 500
+	if testing.Short() {
+		rounds = 50
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			blocking := make([]ServerPort, 4+rng.Intn(9))
+			for i := range blocking {
+				s := srv(fmt.Sprintf("g%d-%02d", g, i), float64(1+rng.Intn(4)), float64(1+rng.Intn(3)))
+				s.declines = rng.Intn(6) == 0
+				blocking[i] = s
+			}
+			want := SolicitWith(0, blocking, contract(), LeastCost{}, SolicitOpts{Concurrency: 1})
+			servers, fleet := asStarters(blocking)
+			servers[rng.Intn(len(servers))].(*starter).late = time.Millisecond
+			var dst []bidding.Bid
+			for r := 0; r < rounds; r++ {
+				opts := SolicitOpts{Concurrency: rng.Intn(len(servers) + 1)}
+				if rng.Intn(2) == 0 {
+					opts.HedgeQuantile = []float64{0.25, 0.5, 0.9}[rng.Intn(3)]
+				}
+				if rng.Intn(2) == 0 {
+					opts.Timeout = time.Minute
+				}
+				if opts.Concurrency == 1 && opts.Timeout == 0 && opts.HedgeQuantile == 0 {
+					opts.Concurrency = 0 // keep the round in the collector
+				}
+				dst = FirstPrice{}.Solicit(dst, 0, servers, contract(), LeastCost{}, opts)
+				if !reflect.DeepEqual(dst, want) {
+					t.Errorf("goroutine %d round %d, opts %+v diverged from the serial walk:\n got %+v\nwant %+v", g, r, opts, dst, want)
+					return
+				}
+			}
+			fleet.delivered.Wait()
+		}(g)
+	}
+	wg.Wait()
+}
+
 // serialOnlyServer fails the test if two RequestBid calls are ever in
 // flight at once — a single-threaded simulation entity.
 type serialOnlyServer struct {

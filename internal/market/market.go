@@ -17,7 +17,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"faucets/internal/bidding"
@@ -39,10 +38,22 @@ type ServerPort interface {
 	Commit(now float64, jobID string, b bidding.Bid) error
 }
 
-// Criterion orders bids; Less reports whether a is preferable to b.
+// Criterion orders bids; Compare is negative when a is preferable to b,
+// positive when b is, and zero when neither is.
 type Criterion interface {
 	Name() string
-	Less(a, b bidding.Bid) bool
+	Compare(a, b *bidding.Bid) int
+}
+
+// less3 is -1 if x < y, +1 if y < x, else 0: NaN ties with everything.
+func less3(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case y < x:
+		return 1
+	}
+	return 0
 }
 
 // LeastCost prefers the cheapest bid, breaking ties by earlier promised
@@ -52,12 +63,12 @@ type LeastCost struct{}
 // Name implements Criterion.
 func (LeastCost) Name() string { return "least-cost" }
 
-// Less implements Criterion.
-func (LeastCost) Less(a, b bidding.Bid) bool {
+// Compare implements Criterion.
+func (LeastCost) Compare(a, b *bidding.Bid) int {
 	if a.Price != b.Price {
-		return a.Price < b.Price
+		return less3(a.Price, b.Price)
 	}
-	return a.EstCompletion < b.EstCompletion
+	return less3(a.EstCompletion, b.EstCompletion)
 }
 
 // EarliestCompletion prefers the soonest promised completion, breaking
@@ -67,12 +78,12 @@ type EarliestCompletion struct{}
 // Name implements Criterion.
 func (EarliestCompletion) Name() string { return "earliest-completion" }
 
-// Less implements Criterion.
-func (EarliestCompletion) Less(a, b bidding.Bid) bool {
+// Compare implements Criterion.
+func (EarliestCompletion) Compare(a, b *bidding.Bid) int {
 	if a.EstCompletion != b.EstCompletion {
-		return a.EstCompletion < b.EstCompletion
+		return less3(a.EstCompletion, b.EstCompletion)
 	}
-	return a.Price < b.Price
+	return less3(a.Price, b.Price)
 }
 
 // Weighted scores bids as PriceWeight·price + TimeWeight·completion and
@@ -86,11 +97,9 @@ type Weighted struct {
 // Name implements Criterion.
 func (w Weighted) Name() string { return "weighted" }
 
-// Less implements Criterion.
-func (w Weighted) Less(a, b bidding.Bid) bool {
-	sa := w.PriceWeight*a.Price + w.TimeWeight*a.EstCompletion
-	sb := w.PriceWeight*b.Price + w.TimeWeight*b.EstCompletion
-	return sa < sb
+// Compare implements Criterion.
+func (w Weighted) Compare(a, b *bidding.Bid) int {
+	return less3(w.PriceWeight*a.Price+w.TimeWeight*a.EstCompletion, w.PriceWeight*b.Price+w.TimeWeight*b.EstCompletion)
 }
 
 // Errors from the award protocol.
@@ -135,25 +144,40 @@ const DefaultFanout = 16
 // set with distinct servers, so the result is independent of arrival
 // order — parallel and serial solicitation of the same bid set produce
 // byte-identical rankings.
+//
+// It stable-sorts a permutation (on the stack up to 64 bids), which sees
+// the very comparisons sorting the bids would — NaNs included — and then
+// moves each bid once, cycle by cycle.
 func rankBids(bids []bidding.Bid, crit Criterion) {
-	slices.SortStableFunc(bids, func(a, b bidding.Bid) int {
-		switch {
-		case crit.Less(a, b):
-			return -1
-		case crit.Less(b, a):
-			return 1
+	var stack [64]int32
+	perm := stack[:0]
+	for i := range bids {
+		perm = append(perm, int32(i))
+	}
+	slices.SortStableFunc(perm, func(i, j int32) int {
+		a, b := &bids[i], &bids[j]
+		if c := crit.Compare(a, b); c != 0 {
+			return c
 		}
 		return strings.Compare(a.Server, b.Server)
 	})
+	for i := range perm { // bids[k] takes the old bids[perm[k]]; a placed bid has perm[k] == k
+		first, k := bids[i], i
+		for int(perm[k]) != i {
+			bids[k], perm[k], k = bids[perm[k]], int32(k), int(perm[k])
+		}
+		bids[k], perm[k] = first, int32(k)
+	}
 }
 
 // BidStarter is a ServerPort that can answer a request-for-bids as a
 // completion instead of blocking a goroutine for the round trip: StartBid
 // returns once the request is on its way, and the sink's DeliverBid is
 // called exactly once, from any goroutine, with what RequestBid would
-// have returned. The concurrent collector launches such ports on the
-// caller's goroutine (wire ports write their request there) and blocking
-// ports on a goroutine of their own.
+// have returned; after that call the sink may belong to the next round.
+// The concurrent collector launches such ports on the caller's goroutine
+// (wire ports write their request there) and blocking ports on a
+// goroutine of their own.
 type BidStarter interface {
 	ServerPort
 	StartBid(now float64, c *qos.Contract, sink BidSink)
@@ -219,10 +243,16 @@ func (FirstPrice) Solicit(dst []bidding.Bid, now float64, servers []ServerPort, 
 // server in line once an attempt returns, or a hedge), and launches
 // again. A completion only records its answer under the lock and
 // signals, so it is safe to run on a connection's read goroutine.
+//
+// The round comes from a pool and goes back only when quiescent: every
+// attempt delivered by its port, its deadline stopped unfired. One that an
+// abandoned hedge sibling or a forfeited attempt can still reach is the GC's.
 func collect(dst []bidding.Bid, now float64, servers []ServerPort, c *qos.Contract, crit Criterion, opts SolicitOpts, conc int, hedge bool) []bidding.Bid {
 	n := len(servers)
-	a := &auction{now: now, servers: servers, c: c, timeout: opts.Timeout, conc: conc, slots: make([]slot, n)}
-	a.wake.L = &a.mu
+	a := rounds.Get().(*auction)
+	a.now, a.servers, a.c, a.timeout, a.conc, a.wake.L = now, servers, c, opts.Timeout, conc, &a.mu
+	a.slots = append(a.slots[:0], make([]slot, n)...)
+	a.left, a.hedgeAt, a.running, a.cursor, a.released = 0, 0, 0, 0, 0
 	for i, s := range servers {
 		if opts.Gate != nil && !opts.Gate(s) {
 			continue // breaker OPEN: instant forfeit, nothing launched
@@ -234,7 +264,7 @@ func collect(dst []bidding.Bid, now float64, servers []ServerPort, c *qos.Contra
 	if hedge {
 		a.hedgeAt = a.left - max(1, int(math.Ceil(opts.HedgeQuantile*float64(a.left))))
 	}
-	a.attempts = make([]attempt, 0, a.left+a.hedgeAt)
+	a.attempts = slices.Grow(a.attempts[:0], a.left+a.hedgeAt) // never regrown: ports hold pointers into it
 	// Wait for every gated-in server to resolve, not for every attempt to
 	// return: an attempt whose sibling already answered is abandoned (it
 	// finds its slot taken and changes nothing).
@@ -254,10 +284,17 @@ func collect(dst []bidding.Bid, now float64, servers []ServerPort, c *qos.Contra
 			bids = append(bids, a.slots[i].bid)
 		}
 	}
+	quiet := a.released == len(a.attempts)
 	a.mu.Unlock()
+	if quiet {
+		a.servers, a.c = nil, nil
+		rounds.Put(a)
+	}
 	rankBids(bids, crit)
 	return bids
 }
+
+var rounds = sync.Pool{New: func() any { return new(auction) }}
 
 // slot is one server's place in a concurrent auction.
 type slot struct {
@@ -277,16 +314,17 @@ type auction struct {
 	c        *qos.Contract
 	timeout  time.Duration
 	conc     int
-	attempts []attempt // launcher-owned backing store: one allocation per round
+	attempts []attempt // launcher-owned backing store, kept across rounds
 
-	mu      sync.Mutex
-	wake    sync.Cond // the launcher sleeps here
-	slots   []slot
-	left    int // servers not yet resolved
-	hedgeAt int // hedge once only this many are left; 0 = off or spent
-	running int // attempts outstanding, bounded by conc
-	queued  int // attempts waiting to be launched
-	cursor  int // launch order: slots 0..n-1 for the originals, n..2n-1 for the hedges
+	mu       sync.Mutex
+	wake     sync.Cond // the launcher sleeps here
+	slots    []slot
+	left     int // servers not yet resolved
+	hedgeAt  int // hedge once only this many are left; 0 = off or spent
+	running  int // attempts outstanding, bounded by conc
+	queued   int // attempts waiting to be launched
+	cursor   int // launch order: slots 0..n-1 for the originals, n..2n-1 for the hedges
+	released int // attempts no port or timer will touch again
 }
 
 // next claims the next attempt in line, if there is one and the
@@ -317,31 +355,20 @@ func (a *auction) next() (int, bool) {
 type attempt struct {
 	a        *auction
 	i        int
-	fired    atomic.Bool
+	done     bool        // the answer or the forfeit has counted; under a.mu
 	deadline *time.Timer // the per-bid deadline, if any; set before the port is asked
 }
 
-// complete ends the attempt exactly once: of the port's answer and the
-// deadline's forfeit the first counts and the other changes nothing.
-func (t *attempt) complete(b bidding.Bid, ok bool) {
-	if t.fired.CompareAndSwap(false, true) {
-		t.a.finish(t.i, b, ok)
-	}
-}
-
-// DeliverBid is the port's side of complete: the attempt is the BidSink
-// handed to StartBid.
+// DeliverBid is the port's side: the attempt is the BidSink handed to
+// StartBid. A deadline stopped here never runs; one that fired may be.
 func (t *attempt) DeliverBid(b bidding.Bid, ok bool) {
-	if t.deadline != nil {
-		t.deadline.Stop()
-	}
-	t.complete(b, ok)
+	t.a.finish(t, b, ok, t.deadline == nil || t.deadline.Stop())
 }
 
 // forfeit is the deadline's side: the server has not answered in time,
 // the attempt is abandoned (the transport's own deadline eventually
 // reaps the underlying RPC) and the auction proceeds without that bid.
-func (t *attempt) forfeit() { t.complete(bidding.Bid{}, false) }
+func (t *attempt) forfeit() { t.a.finish(t, bidding.Bid{}, false, false) }
 
 // ask is the goroutine a port that can only block is given.
 func (t *attempt) ask() { t.DeliverBid(t.a.servers[t.i].RequestBid(t.a.now, t.a.c)) }
@@ -367,12 +394,20 @@ func (a *auction) launch(i int) {
 // quantile latency for this auction is known and everything still
 // outstanding is already slower than that: each is re-issued once to
 // the same server. Hedging changes when bids arrive, never how they
-// rank.
-func (a *auction) finish(i int, b bidding.Bid, ok bool) {
+// rank. Of an attempt's answer and its forfeit the first counts; released
+// says neither its port nor its timer will touch it again.
+func (a *auction) finish(t *attempt, b bidding.Bid, ok, released bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if released {
+		a.released++
+	}
+	if t.done {
+		return
+	}
+	t.done = true
 	a.running--
-	s := &a.slots[i]
+	s := &a.slots[t.i]
 	s.inflight--
 	if !s.resolved && (ok || s.inflight == 0) {
 		s.bid, s.got, s.resolved = b, ok, true

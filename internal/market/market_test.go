@@ -93,11 +93,11 @@ func TestSolicitSkipsDecliners(t *testing.T) {
 func TestCriterionTieBreaks(t *testing.T) {
 	a := bidding.Bid{Server: "a", Price: 10, EstCompletion: 5}
 	b := bidding.Bid{Server: "b", Price: 10, EstCompletion: 9}
-	if !(LeastCost{}).Less(a, b) {
+	if (LeastCost{}).Compare(&a, &b) >= 0 {
 		t.Fatal("least-cost must tie-break by completion")
 	}
 	c := bidding.Bid{Server: "c", Price: 3, EstCompletion: 5}
-	if !(EarliestCompletion{}).Less(c, a) {
+	if (EarliestCompletion{}).Compare(&c, &a) >= 0 {
 		t.Fatal("earliest-completion must tie-break by price")
 	}
 }
@@ -106,11 +106,11 @@ func TestWeightedCriterion(t *testing.T) {
 	w := Weighted{PriceWeight: 1, TimeWeight: 0}
 	cheapSlow := bidding.Bid{Price: 1, EstCompletion: 1000}
 	fastDear := bidding.Bid{Price: 100, EstCompletion: 1}
-	if !w.Less(cheapSlow, fastDear) {
+	if w.Compare(&cheapSlow, &fastDear) >= 0 {
 		t.Fatal("pure price weighting failed")
 	}
 	w = Weighted{PriceWeight: 0, TimeWeight: 1}
-	if !w.Less(fastDear, cheapSlow) {
+	if w.Compare(&fastDear, &cheapSlow) >= 0 {
 		t.Fatal("pure time weighting failed")
 	}
 	if w.Name() == "" || (LeastCost{}).Name() == "" || (EarliestCompletion{}).Name() == "" {
@@ -264,7 +264,7 @@ func TestSolicitSortedProperty(t *testing.T) {
 				return false
 			}
 			for i := 1; i < len(bids); i++ {
-				if crit.Less(bids[i], bids[i-1]) && !crit.Less(bids[i-1], bids[i]) {
+				if crit.Compare(&bids[i], &bids[i-1]) < 0 {
 					return false
 				}
 			}

@@ -32,11 +32,20 @@ type SpanEvent struct {
 // bounded: once MaxJobs traces exist, recording a new job evicts the
 // oldest. A nil *Tracer is a valid no-op sink, so instrumented code
 // needs no conditionals.
+//
+// The traces are a ring in recording order: past the bound a new job
+// takes the oldest one's slot and event slice (Events hands out copies).
 type Tracer struct {
 	mu      sync.Mutex
-	jobs    map[string][]SpanEvent
-	order   []string // insertion order, for eviction
+	slot    map[string]int // job → its index in ring
+	ring    []traceSlot    // grows to maxJobs, then wraps
+	oldest  int            // once full: the slot the next new job evicts
 	maxJobs int
+}
+
+type traceSlot struct {
+	job    string
+	events []SpanEvent
 }
 
 // NewTracer returns a tracer bounded to maxJobs job traces
@@ -45,7 +54,7 @@ func NewTracer(maxJobs int) *Tracer {
 	if maxJobs <= 0 {
 		maxJobs = 4096
 	}
-	return &Tracer{jobs: map[string][]SpanEvent{}, maxJobs: maxJobs}
+	return &Tracer{slot: map[string]int{}, maxJobs: maxJobs}
 }
 
 // Record appends a span event to the job's trace.
@@ -55,15 +64,18 @@ func (t *Tracer) Record(job, name, detail string) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := t.jobs[job]; !ok {
-		if len(t.order) >= t.maxJobs {
-			evict := t.order[0]
-			t.order = t.order[1:]
-			delete(t.jobs, evict)
+	i, ok := t.slot[job]
+	if !ok {
+		if i = len(t.ring); i < t.maxJobs {
+			t.ring = append(t.ring, traceSlot{})
+		} else {
+			i, t.oldest = t.oldest, (t.oldest+1)%t.maxJobs
+			delete(t.slot, t.ring[i].job)
 		}
-		t.order = append(t.order, job)
+		t.slot[job] = i
+		t.ring[i].job, t.ring[i].events = job, t.ring[i].events[:0]
 	}
-	t.jobs[job] = append(t.jobs[job], SpanEvent{Job: job, Name: name, Wall: time.Now(), Detail: detail})
+	t.ring[i].events = append(t.ring[i].events, SpanEvent{Job: job, Name: name, Wall: time.Now(), Detail: detail})
 }
 
 // Events returns a copy of the job's trace in recording order
@@ -74,11 +86,10 @@ func (t *Tracer) Events(job string) []SpanEvent {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	evs := t.jobs[job]
-	if evs == nil {
-		return nil
+	if i, ok := t.slot[job]; ok {
+		return append([]SpanEvent(nil), t.ring[i].events...)
 	}
-	return append([]SpanEvent(nil), evs...)
+	return nil
 }
 
 // Jobs lists traced job IDs, oldest first.
@@ -88,7 +99,11 @@ func (t *Tracer) Jobs() []string {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]string(nil), t.order...)
+	var jobs []string
+	for k := range t.ring {
+		jobs = append(jobs, t.ring[(t.oldest+k)%len(t.ring)].job)
+	}
+	return jobs
 }
 
 // SpanNames projects a trace down to its ordered span names — the shape

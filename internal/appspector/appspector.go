@@ -340,25 +340,36 @@ func (s *Server) Close() {
 	s.srv.Close()
 }
 
+// streamScratch is what a monitor-stream frame decodes into, recycled:
+// Register and Ingest copy what they keep.
+type streamScratch struct {
+	reg protocol.ASRegisterReq
+	tel protocol.Telemetry
+}
+
+var streamScratches = sync.Pool{New: func() any { return new(streamScratch) }}
+
 // dispatch handles one frame of an FD's monitor stream (registrations
 // and telemetry, both one-way: no reply, so a chatty job never blocks on
 // the monitor) or a client's watch request.
 func (s *Server) dispatch(rc *protocol.ReplyConn, f protocol.Frame) error {
 	switch f.Type {
 	case protocol.TypeASRegisterReq:
-		var req protocol.ASRegisterReq
-		if err := protocol.Decode(f, f.Type, &req); err != nil {
+		sc := streamScratches.Get().(*streamScratch)
+		defer streamScratches.Put(sc)
+		if err := protocol.Decode(f, f.Type, &sc.reg); err != nil {
 			return err
 		}
-		s.Register(req.JobID, req.Owner, req.Server, req.App)
+		s.Register(sc.reg.JobID, sc.reg.Owner, sc.reg.Server, sc.reg.App)
 		return nil
 
 	case protocol.TypeTelemetry:
-		var t protocol.Telemetry
-		if err := protocol.Decode(f, f.Type, &t); err != nil {
+		sc := streamScratches.Get().(*streamScratch)
+		defer streamScratches.Put(sc)
+		if err := protocol.Decode(f, f.Type, &sc.tel); err != nil {
 			return err
 		}
-		_ = s.Ingest(t) // a sample for an unknown job is counted, not answered
+		_ = s.Ingest(sc.tel) // a sample for an unknown job is counted, not answered
 		return nil
 
 	case protocol.TypeWatchReq:

@@ -462,11 +462,23 @@ func (p *fdPort) Post(now float64, contract *qos.Contract) (bidding.Bid, bool) {
 // per (job, user), so a redial-and-resend after a broken connection is
 // safe.
 func (p *fdPort) Commit(_ float64, jobID string, b bidding.Bid) error {
-	var reply protocol.CommitOK
+	tc := tripCalls.Get().(*tripCall)
+	defer tripCalls.Put(tc)
+	tc.commit = protocol.CommitReq{User: p.c.User, Token: p.c.token(), JobID: jobID, Bid: b}
 	return p.c.rpcPool().Call(p.info.Addr, p.c.RPCTimeout, protocol.TypeCommitReq,
-		protocol.CommitReq{User: p.c.User, Token: p.c.token(), JobID: jobID, Bid: b},
-		protocol.TypeCommitOK, &reply)
+		&tc.commit, protocol.TypeCommitOK, &tc.commitOK)
 }
+
+// tripCall is a commit's or a start's request and reply, recycled rather
+// than boxed afresh: Pool.Call keeps nothing of either once it returns.
+type tripCall struct {
+	commit   protocol.CommitReq
+	commitOK protocol.CommitOK
+	submit   protocol.SubmitReq
+	submitOK protocol.SubmitOK
+}
+
+var tripCalls = sync.Pool{New: func() any { return new(tripCall) }}
 
 // Placement is a job awarded to a Compute Server.
 type Placement struct {
@@ -598,10 +610,11 @@ func (c *Client) Upload(p *Placement, name string, data []byte) error {
 // Start submits the committed job for execution (idempotent per job ID,
 // so it rides the pool).
 func (c *Client) Start(p *Placement) error {
-	var reply protocol.SubmitOK
+	tc := tripCalls.Get().(*tripCall)
+	defer tripCalls.Put(tc)
+	tc.submit = protocol.SubmitReq{User: c.User, Token: c.token(), JobID: p.JobID, Contract: p.Contract}
 	return c.rpcPool().Call(p.Server.Addr, c.RPCTimeout, protocol.TypeSubmitReq,
-		protocol.SubmitReq{User: c.User, Token: c.token(), JobID: p.JobID, Contract: p.Contract},
-		protocol.TypeSubmitOK, &reply)
+		&tc.submit, protocol.TypeSubmitOK, &tc.submitOK)
 }
 
 // Status queries the job's current state from its daemon.

@@ -150,6 +150,11 @@ type Daemon struct {
 	// outbox holds settlements the Central Server has not acknowledged
 	// yet; runLoop redelivers them until each is acked (or refused).
 	outbox []protocol.SettleReq
+	// flushSettlements' own, reused: a copy of the outbox and the IDs it
+	// may drop. Its only caller is runLoop while the daemon runs, and
+	// Close once runLoop has exited, so they need no lock.
+	flushPending []protocol.SettleReq
+	flushDone    map[string]bool
 	// kick wakes runLoop after a change to the scheduler's running set
 	// that it did not make itself (submit, kill, recovery), so it
 	// re-arms its timer. One pending kick covers any number of changes.
@@ -237,6 +242,7 @@ func New(cfg Config) (*Daemon, error) {
 		prices:      map[string]float64{},
 		reserved:    map[string]*reservation{},
 		settledIDs:  map[string]bool{},
+		flushDone:   map[string]bool{},
 		Stage:       stage.NewStore(),
 		closed:      make(chan struct{}),
 		kick:        make(chan struct{}, 1),
@@ -705,15 +711,14 @@ func (d *Daemon) finishJob(now float64, j *job.Job) {
 		// The Central Server resolves the user's home cluster from its
 		// own accounts; the FD holds no accounting information. The
 		// contract shape rides along for the §5.2.1 history buckets.
-		req := protocol.SettleReq{
+		d.outbox = append(d.outbox, protocol.SettleReq{
 			JobID: id, User: owner, Server: d.Name(),
 			App: j.Contract.App, MinPE: j.Contract.MinPE, MaxPE: j.Contract.MaxPE,
 			Price: price, CPUSeconds: cpuUsed,
-		}
-		d.outbox = append(d.outbox, req)
+		})
 		// "queue" is the job's terminal journal record: the settlement now
 		// carries the obligation, and a restart redelivers it from here.
-		d.journalAppend(journalRecord{Op: jopQueue, Settle: &req})
+		d.journalAppend(journalRecord{Op: jopQueue, Settle: &d.outbox[len(d.outbox)-1]})
 	} else {
 		d.journalAppend(journalRecord{Op: jopDone, JobID: id})
 	}
@@ -744,15 +749,16 @@ func (d *Daemon) flushSettlements() {
 		return
 	}
 	d.mu.Lock()
-	pending := append([]protocol.SettleReq(nil), d.outbox...)
+	d.flushPending = append(d.flushPending[:0], d.outbox...)
 	d.mu.Unlock()
+	pending, done := d.flushPending, d.flushDone
 	if len(pending) == 0 {
 		return
 	}
-	done := make(map[string]bool, len(pending))
-	for _, req := range pending {
-		var ok protocol.SettleOK
-		err := d.pool.Call(d.centralAddr(), d.cfg.RPCTimeout, protocol.TypeSettleReq, req, protocol.TypeSettleOK, &ok)
+	clear(done)
+	for i := range pending {
+		req := &pending[i] // Pool.Call keeps nothing of it once it returns
+		err := d.pool.Call(d.centralAddr(), d.cfg.RPCTimeout, protocol.TypeSettleReq, req, protocol.TypeSettleOK, &protocol.SettleOK{})
 		if err == nil {
 			done[req.JobID] = true
 			continue
@@ -782,7 +788,6 @@ func (d *Daemon) flushSettlements() {
 	if len(done) == 0 {
 		return
 	}
-	var acked []string
 	d.mu.Lock()
 	kept := d.outbox[:0]
 	for _, req := range d.outbox {
@@ -791,14 +796,15 @@ func (d *Daemon) flushSettlements() {
 		} else {
 			d.journalAppend(journalRecord{Op: jopAck, JobID: req.JobID})
 			d.met.settleAcked.Inc()
-			acked = append(acked, req.JobID)
 		}
 	}
 	d.outbox = kept
 	d.met.outboxDepth.Set(float64(len(d.outbox)))
 	d.mu.Unlock()
-	for _, id := range acked {
-		d.trace(id, telemetry.SpanSettle, "acknowledged by central")
+	for _, req := range pending { // each one done left the outbox above
+		if done[req.JobID] {
+			d.trace(req.JobID, telemetry.SpanSettle, "acknowledged by central")
+		}
 	}
 }
 

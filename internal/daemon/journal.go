@@ -27,6 +27,10 @@
 // host losing power before writeback. Only rewrite syncs (the file and,
 // after the rename, its directory). An fsync per record would add a disk
 // flush to each of a trip's three appends.
+//
+// append encodes into a buffer the journal owns, through a record it
+// owns, under its lock — json.Marshal's bytes plus a newline, allocating
+// nothing once the buffer has grown.
 package daemon
 
 import (
@@ -67,6 +71,9 @@ type journal struct {
 	mu   sync.Mutex
 	f    *os.File
 	path string
+	rec  journalRecord // append encodes through rec and enc into buf, under mu
+	enc  *json.Encoder
+	buf  bytes.Buffer
 }
 
 // openJournal reads the existing journal (tolerating a torn tail, which
@@ -91,7 +98,9 @@ func openJournal(path string) (*journal, []journalRecord, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("daemon: open journal: %w", err)
 	}
-	return &journal{f: f, path: path}, recs, nil
+	j := &journal{f: f, path: path}
+	j.enc = json.NewEncoder(&j.buf) // HTML-escaping, as json.Marshal
+	return j, recs, nil
 }
 
 // append writes one record with one write() and no fsync; best effort
@@ -106,12 +115,13 @@ func (j *journal) append(rec journalRecord) {
 	if j.f == nil {
 		return
 	}
-	blob, err := json.Marshal(rec)
-	if err != nil {
+	j.rec = rec
+	j.buf.Reset()
+	if err := j.enc.Encode(&j.rec); err != nil {
 		log.Printf("daemon: journal marshal: %v", err)
 		return
 	}
-	if _, err := j.f.Write(append(blob, '\n')); err != nil {
+	if _, err := j.f.Write(j.buf.Bytes()); err != nil {
 		log.Printf("daemon: journal append: %v", err)
 	}
 }
@@ -125,13 +135,11 @@ func (j *journal) rewrite(recs []journalRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var buf bytes.Buffer
-	for _, rec := range recs {
-		blob, err := json.Marshal(rec)
-		if err != nil {
+	enc := json.NewEncoder(&buf)
+	for i := range recs {
+		if err := enc.Encode(&recs[i]); err != nil {
 			return fmt.Errorf("daemon: journal marshal: %w", err)
 		}
-		buf.Write(blob)
-		buf.WriteByte('\n')
 	}
 	if err := jsonl.ReplaceFile(j.path, buf.Bytes()); err != nil {
 		return fmt.Errorf("daemon: journal rewrite: %w", err)

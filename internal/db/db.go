@@ -16,6 +16,8 @@
 package db
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -115,6 +117,11 @@ type DB struct {
 	stateDir string
 	wal      *walWriter
 	seq      uint64
+	// logLocked encodes each line through rec (so nothing is boxed) and
+	// enc into line, json.Marshal's bytes plus '\n'; all three under mu.
+	rec  walRecord
+	enc  *json.Encoder
+	line bytes.Buffer
 }
 
 // ErrNotFound is returned when a row does not exist.

@@ -84,7 +84,7 @@ var errBroken = errors.New("db: wal broken by an earlier failed flush")
 var ErrNotDurable = errors.New("db: not durable")
 
 // walWriter appends lines to the log file using group commit: Update
-// stages a marshaled line under the database lock (enqueue) and then
+// stages an encoded line under the database lock (enqueue) and then
 // waits for durability outside it (commitWait). The first waiter becomes
 // the leader and writes+fsyncs the whole accumulated batch in one pass;
 // followers park on the batch's done channel. One slow fsync therefore
@@ -98,7 +98,8 @@ type walWriter struct {
 	cmu     sync.Mutex
 	cond    *sync.Cond // broadcast when leadership is released
 	leader  bool
-	pending []byte    // marshaled lines awaiting write+fsync
+	pending []byte    // encoded lines awaiting write+fsync
+	spare   []byte    // the last flush's written buffer, the next pending
 	npend   int       // line count in pending
 	batch   *walBatch // batch the pending lines belong to
 	last    *walBatch // the newest batch handed out, flushed or not
@@ -110,26 +111,32 @@ type walWriter struct {
 	onSync func(records int) // after each successful group fsync
 	onErr  func(records int) // records whose durability failed
 
-	// Fault-injection seam for chaos tests: the next failN flush passes
-	// write half their bytes and then fail with failErr — the shape a
-	// short write(2) on a full disk leaves. Guarded by cmu.
-	failN   int
-	failErr error
+	// Fault-injection seams for tests: the next failN flushes write half
+	// their bytes and then fail with failErr — the shape a short write(2)
+	// on a full disk leaves — and beforeWrite runs on the leader just
+	// before each write, cmu released (a no-op unless a test holds the
+	// leader there). Guarded by cmu.
+	failN       int
+	failErr     error
+	beforeWrite func()
 }
+
+// maxSpareBuf caps the spare a flush keeps: a burst's buffer is dropped.
+const maxSpareBuf = 64 << 10
 
 func openWALWriter(path string) (*walWriter, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
 	if err != nil {
 		return nil, fmt.Errorf("db: open wal: %w", err)
 	}
-	w := &walWriter{f: f}
+	w := &walWriter{f: f, beforeWrite: func() {}}
 	w.cond = sync.NewCond(&w.cmu)
 	return w, nil
 }
 
-// enqueue appends one marshaled line to the pending buffer and returns
-// the batch to wait on with commitWait. The caller must hold the database
-// lock, which is what keeps the buffer in sequence-number order.
+// enqueue copies one encoded line, newline included, to pending and
+// returns the batch to wait on with commitWait. The caller must hold the
+// database lock, which is what keeps the buffer in sequence-number order.
 func (w *walWriter) enqueue(line []byte) *walBatch {
 	w.cmu.Lock()
 	defer w.cmu.Unlock()
@@ -138,7 +145,6 @@ func (w *walWriter) enqueue(line []byte) *walBatch {
 		w.last = w.batch
 	}
 	w.pending = append(w.pending, line...)
-	w.pending = append(w.pending, '\n')
 	w.npend++
 	return w.batch
 }
@@ -189,13 +195,13 @@ func (w *walWriter) leadLocked() {
 
 // flushLocked writes and fsyncs every pending batch in order, looping
 // until the buffer is empty so no waiter is left parked when leadership
-// releases. Caller holds cmu; the lock is dropped around the disk I/O.
-// The first failure breaks the log: the batches behind it fail with
-// errBroken without being written.
+// releases. Caller holds cmu; the lock is dropped around the disk I/O,
+// while enqueue fills the spare. The first failure breaks the log: the
+// batches behind it fail with errBroken without being written.
 func (w *walWriter) flushLocked() {
 	for w.npend > 0 {
 		blob, n, batch := w.pending, w.npend, w.batch
-		w.pending, w.npend, w.batch = nil, 0, nil
+		w.pending, w.spare, w.npend, w.batch = w.spare, nil, 0, nil
 		err := errBroken
 		if w.broken == nil {
 			var inject error
@@ -203,13 +209,18 @@ func (w *walWriter) flushLocked() {
 				w.failN--
 				inject = w.failErr
 			}
+			hold := w.beforeWrite
 			w.cmu.Unlock()
+			hold()
 			err = w.writeAndSync(blob, inject)
 			w.cmu.Lock()
 			if err != nil {
 				log.Printf("db: wal group commit (%d records): %v", n, err)
 				w.broken = err
 			}
+		}
+		if cap(blob) <= maxSpareBuf {
+			w.spare = blob[:0] // written: nothing reads it any more
 		}
 		if err != nil {
 			if w.onErr != nil {
@@ -320,6 +331,7 @@ func Open(stateDir string) (*DB, error) {
 		return nil, err
 	}
 	d.wal = w
+	d.enc = json.NewEncoder(&d.line) // HTML-escaping, as json.Marshal
 	return d, nil
 }
 
@@ -405,25 +417,25 @@ func (d *DB) Update(fn func(*Tx) error) error {
 	return nil
 }
 
-// logLocked marshals a transaction's records as the next WAL line and
+// logLocked encodes a transaction's records as the next WAL line and
 // stages it, returning the batch to wait on; for an empty transaction it
-// returns the newest batch instead. A record that cannot be marshaled
+// returns the newest batch instead. A record that cannot be encoded
 // fails the transaction before anything is applied. Caller holds d.mu.
 func (d *DB) logLocked(recs []walRecord) (*walBatch, error) {
 	if len(recs) == 0 {
 		return d.wal.lastBatch(), nil
 	}
-	rec := walRecord{Op: opBatch, Recs: recs}
+	d.rec = walRecord{Op: opBatch, Recs: recs}
 	if len(recs) == 1 {
-		rec = recs[0]
+		d.rec = recs[0]
 	}
-	rec.Seq = d.seq + 1
-	line, err := json.Marshal(rec)
-	if err != nil {
+	d.rec.Seq = d.seq + 1
+	d.line.Reset()
+	if err := d.enc.Encode(&d.rec); err != nil {
 		return nil, fmt.Errorf("db: marshal wal record: %w", err)
 	}
 	d.seq++
-	return d.wal.enqueue(line), nil
+	return d.wal.enqueue(d.line.Bytes()), nil
 }
 
 // repair compacts a broken log, unless a compaction since the failure

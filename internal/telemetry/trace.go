@@ -67,7 +67,8 @@ func (t *Tracer) Record(job, name, detail string) {
 	i, ok := t.slot[job]
 	if !ok {
 		if i = len(t.ring); i < t.maxJobs {
-			t.ring = append(t.ring, traceSlot{})
+			// Sized once for a trip's six spans, not grown 1→2→4→8.
+			t.ring = append(t.ring, traceSlot{events: make([]SpanEvent, 0, 8)})
 		} else {
 			i, t.oldest = t.oldest, (t.oldest+1)%t.maxJobs
 			delete(t.slot, t.ring[i].job)

@@ -4,7 +4,6 @@ package daemon
 
 import (
 	"net"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -14,15 +13,16 @@ import (
 // The race detector adds allocations of its own, so the pins stand down
 // under -race.
 
-// TestJournalAppendAllocs pins the journal's encode buffer: once it has
-// grown, appending a trip's records — its admission, its queued
-// settlement and the settlement's ack — allocates nothing.
+// TestJournalAppendAllocs pins the journal's write path: once the
+// writer's buffers have grown, staging a trip's records — its admission,
+// its queued settlement and the settlement's ack — and waiting for each
+// to be fsync'd allocates nothing.
 func TestJournalAppendAllocs(t *testing.T) {
-	jnl, _, err := openJournal(filepath.Join(t.TempDir(), "journal.jsonl"))
+	d, err := New(durableCfg(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jnl.close()
+	defer d.Close()
 	settle := &protocol.SettleReq{JobID: "job-0123456789abcdef", User: "alice", Server: "turing",
 		App: "synth", MinPE: 2, MaxPE: 16, Price: 16.25, CPUSeconds: 2000}
 	for _, rec := range []journalRecord{
@@ -30,17 +30,25 @@ func TestJournalAppendAllocs(t *testing.T) {
 		{Op: jopQueue, Settle: settle},
 		{Op: jopAck, JobID: settle.JobID},
 	} {
-		jnl.append(rec) // grows the buffer
-		if got := testing.AllocsPerRun(100, func() { jnl.append(rec) }); got != 0 {
-			t.Errorf("journal append %q: %v allocs, want 0", rec.Op, got)
+		commit := func() {
+			d.mu.Lock()
+			ticket := d.journalStage(rec)
+			d.mu.Unlock()
+			if err := d.journalWait(ticket, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		commit() // grows the buffers
+		if got := testing.AllocsPerRun(100, commit); got != 0 {
+			t.Errorf("journal stage+wait %q: %v allocs, want 0", rec.Op, got)
 		}
 	}
 }
 
 // TestFlushSettlementsAllocs pins the outbox flush: a warm flush of one
 // entry — copied into the flush's own slice, sent from it, acknowledged,
-// journaled as acked and dropped — allocates nothing, the pooled
-// exchange and the acknowledging server included.
+// journaled as acked (and fsync'd) and dropped — allocates nothing, the
+// pooled exchange and the acknowledging server included.
 func TestFlushSettlementsAllocs(t *testing.T) {
 	srv := protocol.NewServer("central stub", func(rc *protocol.ReplyConn, f protocol.Frame) error {
 		return protocol.WriteFrame(rc, protocol.TypeSettleOK, protocol.SettleOK{})
@@ -60,20 +68,20 @@ func TestFlushSettlementsAllocs(t *testing.T) {
 	}
 	defer d.Close()
 	// Never started: with no runLoop, this goroutine is the flush's only
-	// caller, as runLoop is in a running daemon.
+	// caller, as runLoop's settle is in a running daemon.
 	req := protocol.SettleReq{JobID: "job-0123456789abcdef", User: "alice", Server: "turing",
 		App: "synth", MinPE: 2, MaxPE: 16, Price: 16.25, CPUSeconds: 2000}
 	flushOne := func() {
 		d.mu.Lock()
 		d.outbox = append(d.outbox, req)
 		d.mu.Unlock()
-		d.flushSettlements()
+		d.settle()
 	}
 	for range 3 {
 		flushOne()
 	}
 	if got := testing.AllocsPerRun(100, flushOne); got != 0 {
-		t.Errorf("flushSettlements of one entry: %v allocs, want 0", got)
+		t.Errorf("settle of one entry: %v allocs, want 0", got)
 	}
 	if n, acked := d.OutboxLen(), d.met.settleAcked.Value(); n != 0 || acked != 104 {
 		t.Fatalf("outbox %d, acked %d: want 0 and 104 (every flush acked)", n, acked)

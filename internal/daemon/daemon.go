@@ -28,6 +28,7 @@ import (
 	"faucets/internal/bidding"
 	"faucets/internal/health"
 	"faucets/internal/job"
+	"faucets/internal/jsonl"
 	"faucets/internal/protocol"
 	"faucets/internal/qos"
 	"faucets/internal/scheduler"
@@ -163,8 +164,13 @@ type Daemon struct {
 	// runLoop settles them.
 	done []*job.Job
 
-	// journal persists admissions and the outbox (nil = in-memory only).
-	journal *journal
+	// journal persists admissions and the outbox (nil = in-memory only);
+	// jrec is the record journalStage encodes through, under mu.
+	journal *jsonl.Writer
+	jrec    journalRecord
+	// unplaced are admissions recovery replayed but the scheduler refused:
+	// still owed, so every rewrite keeps them for a later boot.
+	unplaced []journalRecord
 
 	met *fdMetrics
 	rpc *telemetry.RPCMetrics
@@ -312,13 +318,17 @@ func (d *Daemon) recover(path string) error {
 		return err
 	}
 	d.journal = jnl
+	jnl.Instrument(d.cfg.Metrics, "faucets_daemon_journal_sync_total",
+		"faucets_daemon_journal_batch_size", "faucets_daemon_journal_append_errors_total")
 	st := reduce(recs)
 	for _, rec := range st.pending {
 		j := job.New(job.ID(rec.JobID), rec.Owner, rec.Contract, 0)
 		if !d.cfg.Scheduler.Submit(0, j) {
 			// It fit before the crash; refusing now means the cluster shrank
-			// under us. Surface the loss rather than silently dropping it.
-			log.Printf("daemon %s: recovery: scheduler refused job %s", d.cfg.Info.Spec.Name, rec.JobID)
+			// under us. Surface the loss rather than silently dropping it,
+			// and keep its admission on disk for a boot that can place it.
+			log.Printf("daemon %s: recovery: scheduler refused job %s; kept in the journal", d.cfg.Info.Spec.Name, rec.JobID)
+			d.unplaced = append(d.unplaced, rec)
 			continue
 		}
 		d.jobs[rec.JobID] = j
@@ -337,10 +347,7 @@ func (d *Daemon) recover(path string) error {
 		d.settledIDs[req.JobID] = true
 		d.outbox = append(d.outbox, req)
 	}
-	if err := d.journalRewrite(st.liveRecords()); err != nil {
-		return err
-	}
-	return nil
+	return d.rewriteJournalLocked()
 }
 
 // Metrics returns the daemon's registry (for -metrics-addr serving and
@@ -438,25 +445,11 @@ func (d *Daemon) Close() {
 		// Compact the journal down to the live records so the next boot
 		// replays state, not history.
 		d.mu.Lock()
-		var live []journalRecord
-		for id, j := range d.jobs {
-			if !j.State().Terminal() && !d.settledIDs[id] {
-				c := *j.Contract
-				live = append(live, journalRecord{
-					Op: jopJob, JobID: id, Owner: d.owners[id],
-					Price: d.prices[id], Contract: &c,
-				})
-			}
-		}
-		for i := range d.outbox {
-			req := d.outbox[i]
-			live = append(live, journalRecord{Op: jopQueue, Settle: &req})
-		}
-		d.mu.Unlock()
-		if err := d.journalRewrite(reduce(live).liveRecords()); err != nil {
+		if err := d.rewriteJournalLocked(); err != nil {
 			log.Printf("daemon %s: journal compact: %v", d.Name(), err)
 		}
-		d.journal.close()
+		d.mu.Unlock()
+		d.journal.Close()
 	}
 	// After the final settlement flush: later Calls fail fast with
 	// ErrPoolClosed instead of redialing a dead grid.
@@ -581,7 +574,7 @@ func (d *Daemon) runLoop() {
 		case <-d.closed:
 			return
 		case <-settleTicker.C:
-			d.flushSettlements()
+			d.settle()
 			continue
 		case <-timer.C:
 		case <-d.kick:
@@ -637,6 +630,9 @@ func (d *Daemon) runLoop() {
 		for _, j := range finished {
 			d.finishJob(now, j)
 		}
+		if len(finished) > 0 {
+			d.settle()
+		}
 
 		// Arm last, against a fresh clock: settling took wall time. A job
 		// admitted or killed meanwhile left a kick behind, so a stale
@@ -687,9 +683,9 @@ func (d *Daemon) wake() {
 	}
 }
 
-// finishJob settles and reports a completed job. The settlement is
-// queued in the outbox and flushed immediately; if the Central Server
-// is unreachable the record survives and runLoop redelivers it.
+// finishJob books a completed job — settlement queued for runLoop's
+// settle, journal record staged, output written — under d.mu, so a status
+// read that finds the job settled also finds its output.
 func (d *Daemon) finishJob(now float64, j *job.Job) {
 	id := string(j.ID)
 	d.mu.Lock()
@@ -718,23 +714,27 @@ func (d *Daemon) finishJob(now float64, j *job.Job) {
 		})
 		// "queue" is the job's terminal journal record: the settlement now
 		// carries the obligation, and a restart redelivers it from here.
-		d.journalAppend(journalRecord{Op: jopQueue, Settle: &d.outbox[len(d.outbox)-1]})
+		d.journalStage(journalRecord{Op: jopQueue, Settle: &d.outbox[len(d.outbox)-1]})
 	} else {
-		d.journalAppend(journalRecord{Op: jopDone, JobID: id})
+		d.journalStage(journalRecord{Op: jopDone, JobID: id})
 	}
+	// The synthetic application's output file, stamped with the
+	// temporary userid the job ran under (§2.2).
+	_ = d.Stage.Append(id, "stdout.log", []byte(fmt.Sprintf("[%.1f] %s completed as %s: %.0f CPU-seconds\n", now, id, tmpUser, cpuUsed)))
+	_ = d.Stage.Put(id, "result.out", []byte(fmt.Sprintf("job=%s user=%s work=%.0f cpu=%.0f\n", id, tmpUser, j.Contract.Work, cpuUsed)))
 	d.met.jobsFinished.Inc()
 	d.mu.Unlock()
 	d.met.finishLag.Observe(time.Since(d.epoch).Seconds() - j.FinishTime/d.cfg.TimeScale)
 	if d.cfg.Tracer != nil {
 		d.trace(id, telemetry.SpanFinish, fmt.Sprintf("%.0f CPU-seconds", cpuUsed))
 	}
+}
 
-	// The synthetic application's output file, stamped with the
-	// temporary userid the job ran under (§2.2).
-	_ = d.Stage.Append(id, "stdout.log", []byte(fmt.Sprintf("[%.1f] %s completed as %s: %.0f CPU-seconds\n", now, id, tmpUser, cpuUsed)))
-	_ = d.Stage.Put(id, "result.out", []byte(fmt.Sprintf("job=%s user=%s work=%.0f cpu=%.0f\n", id, tmpUser, j.Contract.Work, cpuUsed)))
-
+// settle delivers the outbox, then waits once for every journal record
+// staged so far (finishes and acks) to reach the disk: one fsync a pass.
+func (d *Daemon) settle() {
 	d.flushSettlements()
+	_ = d.journalWait(jticket{}, nil)
 }
 
 // flushSettlements delivers queued settlements to the Central Server
@@ -794,7 +794,7 @@ func (d *Daemon) flushSettlements() {
 		if !done[req.JobID] {
 			kept = append(kept, req)
 		} else {
-			d.journalAppend(journalRecord{Op: jopAck, JobID: req.JobID})
+			d.journalStage(journalRecord{Op: jopAck, JobID: req.JobID})
 			d.met.settleAcked.Inc()
 		}
 	}
@@ -1005,7 +1005,11 @@ func (d *Daemon) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 			if j.Contract.Work > 0 {
 				done = j.DoneWork() / j.Contract.Work
 			}
-			st = protocol.StatusOK{JobID: req.JobID, State: j.State().String(), PEs: j.PEs(), Progress: done}
+			state := j.State()
+			if state == job.Finished && !d.settledIDs[req.JobID] {
+				state = job.Running // until finishJob has written its output
+			}
+			st = protocol.StatusOK{JobID: req.JobID, State: state.String(), PEs: j.PEs(), Progress: done}
 		}
 		d.mu.Unlock()
 		if !ok {
@@ -1096,18 +1100,24 @@ func (d *Daemon) commitContract(jobID, user string, b bidding.Bid) error {
 	return nil
 }
 
-// submit starts a committed job on the scheduler. Jobs may also be
+// submit starts a committed job on the scheduler and returns once its
+// admission is on disk: SubmitOK is written only then. Jobs may also be
 // submitted without a prior commit (the client accepted the bid
 // implicitly); the admission check happens here either way.
 func (d *Daemon) submit(req protocol.SubmitReq) error {
+	return d.journalWait(d.admit(req))
+}
+
+// admit is submit under d.mu: it returns the admission's journal ticket.
+func (d *Daemon) admit(req protocol.SubmitReq) (jticket, error) {
 	if req.Contract == nil {
-		return errors.New("daemon: submit without contract")
+		return jticket{}, errors.New("daemon: submit without contract")
 	}
 	if err := req.Contract.Validate(); err != nil {
-		return err
+		return jticket{}, err
 	}
 	if !d.cfg.Info.Exports(req.Contract.App) {
-		return fmt.Errorf("daemon: %s does not export application %q", d.Name(), req.Contract.App)
+		return jticket{}, fmt.Errorf("daemon: %s does not export application %q", d.Name(), req.Contract.App)
 	}
 	now := d.Now()
 	d.mu.Lock()
@@ -1115,11 +1125,11 @@ func (d *Daemon) submit(req protocol.SubmitReq) error {
 	if _, dup := d.jobs[req.JobID]; dup {
 		// Same idempotency rule as commit: a retried submit from the same
 		// user is re-acknowledged rather than refused, so a lost ack does
-		// not strand the client.
+		// not strand the client — once the original's record is on disk.
 		if d.owners[req.JobID] == req.User {
-			return nil
+			return jticket{}, nil
 		}
-		return fmt.Errorf("daemon: job %s already submitted", req.JobID)
+		return jticket{}, fmt.Errorf("daemon: job %s already submitted", req.JobID)
 	}
 	res := d.reserved[req.JobID]
 	delete(d.reserved, req.JobID)
@@ -1128,7 +1138,7 @@ func (d *Daemon) submit(req protocol.SubmitReq) error {
 	d.catchUp(now)
 	if !d.cfg.Scheduler.Submit(now, j) {
 		d.met.jobsRejected.Inc()
-		return fmt.Errorf("daemon: %s refused job %s at submission", d.Name(), req.JobID)
+		return jticket{}, fmt.Errorf("daemon: %s refused job %s at submission", d.Name(), req.JobID)
 	}
 	d.met.jobsAdmitted.Inc()
 	d.jobs[req.JobID] = j
@@ -1143,7 +1153,7 @@ func (d *Daemon) submit(req protocol.SubmitReq) error {
 	}
 	d.outstanding += req.Contract.Work
 	d.Stage.CreateJob(req.JobID)
-	d.journalAppend(journalRecord{
+	t := d.journalStage(journalRecord{
 		Op: jopJob, JobID: req.JobID, Owner: req.User,
 		Price: d.prices[req.JobID], Contract: req.Contract,
 	})
@@ -1155,31 +1165,38 @@ func (d *Daemon) submit(req protocol.SubmitReq) error {
 	// before the frame lands: AppSpector's watch path waits for it.
 	d.announce(req.JobID, req.User, req.Contract.App)
 	d.wake()
-	return nil
+	return t, nil
 }
 
 // kill terminates a job on behalf of its owner (§2: users can interact
-// with their jobs).
-func (d *Daemon) kill(req protocol.KillReq) (state string, err error) {
+// with their jobs) and returns once the kill is on disk: KillOK is
+// written only then.
+func (d *Daemon) kill(req protocol.KillReq) (string, error) {
+	state, t, err := d.terminate(req)
+	return state, d.journalWait(t, err)
+}
+
+// terminate is kill under d.mu: it returns the kill's journal ticket.
+func (d *Daemon) terminate(req protocol.KillReq) (state string, t jticket, err error) {
 	now := d.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	j, ok := d.jobs[req.JobID]
 	if !ok {
-		return "", fmt.Errorf("daemon: unknown job %s", req.JobID)
+		return "", t, fmt.Errorf("daemon: unknown job %s", req.JobID)
 	}
 	if d.owners[req.JobID] != req.User {
-		return "", fmt.Errorf("daemon: job %s is not owned by %s", req.JobID, req.User)
+		return "", t, fmt.Errorf("daemon: job %s is not owned by %s", req.JobID, req.User)
 	}
 	d.catchUp(now)
 	if j.State().Terminal() {
-		return j.State().String(), nil // idempotent: already done
+		return j.State().String(), t, nil // idempotent: already done
 	}
 	if !d.cfg.Scheduler.Kill(now, j.ID) {
-		return "", fmt.Errorf("daemon: job %s could not be killed", req.JobID)
+		return "", t, fmt.Errorf("daemon: job %s could not be killed", req.JobID)
 	}
 	// A killed job settles nothing, so it is terminal for the journal.
-	d.journalAppend(journalRecord{Op: jopDone, JobID: req.JobID})
+	t = d.journalStage(journalRecord{Op: jopDone, JobID: req.JobID})
 	d.met.jobsKilled.Inc()
 	d.outstanding -= j.RemainingWork()
 	if d.outstanding < 0 {
@@ -1187,7 +1204,7 @@ func (d *Daemon) kill(req protocol.KillReq) (state string, err error) {
 	}
 	d.monitor(protocol.TypeTelemetry, snapshotTelemetry(now, j, fmt.Sprintf("%s killed by %s", req.JobID, req.User)))
 	d.wake()
-	return j.State().String(), nil
+	return j.State().String(), t, nil
 }
 
 // TempUser returns the temporary userid a job runs under (§2.2).

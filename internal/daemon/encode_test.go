@@ -58,15 +58,17 @@ func TestJournalLinesMatchMarshal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jnl.close()
+	defer jnl.Close()
 	rng := rand.New(rand.NewSource(33))
 	var want []byte
 	for i := 0; i < 400; i++ {
 		rec := randomJournalRecord(rng)
 		if i%50 == 7 {
-			jnl.append(journalRecord{Op: jopJob, JobID: "nan", Price: math.NaN()})
+			appendRecord(jnl, journalRecord{Op: jopJob, JobID: "nan", Price: math.NaN()})
 		}
-		jnl.append(rec)
+		if err := appendRecord(jnl, rec); err != nil {
+			t.Fatal(err)
+		}
 		line, err := json.Marshal(rec)
 		if err != nil {
 			t.Fatal(err)

@@ -45,13 +45,19 @@ func TestNewFixtureBytes(t *testing.T) {
 	settle := func(id string, price, cpu float64) *protocol.SettleReq {
 		return &protocol.SettleReq{JobID: id, User: "bob", Server: "turing", App: "synth", MinPE: 2, MaxPE: 16, Price: price, CPUSeconds: cpu}
 	}
-	j.append(journalRecord{Op: jopJob, JobID: "job-a", Owner: "alice", Price: 20, Contract: contract(1e7)})
-	j.append(journalRecord{Op: jopJob, JobID: "job-b", Owner: "bob", Price: 16, Contract: contract(2000)})
-	j.append(journalRecord{Op: jopJob, JobID: "job-c", Owner: "bob", Price: 8, Contract: contract(1000)})
-	j.append(journalRecord{Op: jopQueue, Settle: settle("job-b", 16, 2000)})
-	j.append(journalRecord{Op: jopQueue, Settle: settle("job-c", 8, 1000)})
-	j.append(journalRecord{Op: jopAck, JobID: "job-c"})
-	j.close()
+	for _, rec := range []journalRecord{
+		{Op: jopJob, JobID: "job-a", Owner: "alice", Price: 20, Contract: contract(1e7)},
+		{Op: jopJob, JobID: "job-b", Owner: "bob", Price: 16, Contract: contract(2000)},
+		{Op: jopJob, JobID: "job-c", Owner: "bob", Price: 8, Contract: contract(1000)},
+		{Op: jopQueue, Settle: settle("job-b", 16, 2000)},
+		{Op: jopQueue, Settle: settle("job-c", 8, 1000)},
+		{Op: jopAck, JobID: "job-c"},
+	} {
+		if err := appendRecord(j, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
 	if got := readJournal(t, path); got != fixtureJournal {
 		t.Fatalf("journal bytes moved:\n%s\nwant:\n%s", got, fixtureJournal)
 	}
@@ -66,7 +72,7 @@ func TestNewFixtureBytes(t *testing.T) {
 	if err != nil || len(recs) != 6 {
 		t.Fatalf("torn journal: %d records, %v; want the 6 intact ones", len(recs), err)
 	}
-	j.close()
+	j.Close()
 	if got := readJournal(t, path); got != fixtureJournal {
 		t.Fatalf("torn journal truncated to %d bytes, want the %d intact ones", len(got), len(fixtureJournal))
 	}

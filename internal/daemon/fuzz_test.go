@@ -20,11 +20,17 @@ func journalSeed(f *testing.F) []byte {
 		f.Fatal(err)
 	}
 	c := &qos.Contract{App: "synth", Work: 100, MinPE: 1, MaxPE: 4, Deadline: 100}
-	jnl.append(journalRecord{Op: jopJob, JobID: "job-a", Owner: "ana", Price: 2, Contract: c})
-	jnl.append(journalRecord{Op: jopJob, JobID: "job-b", Owner: "bob", Price: 3, Contract: c})
-	jnl.append(journalRecord{Op: jopQueue, Settle: &protocol.SettleReq{JobID: "job-a", User: "ana", Server: "turing", Price: 2}})
-	jnl.append(journalRecord{Op: jopAck, JobID: "job-a"})
-	jnl.close()
+	for _, rec := range []journalRecord{
+		{Op: jopJob, JobID: "job-a", Owner: "ana", Price: 2, Contract: c},
+		{Op: jopJob, JobID: "job-b", Owner: "bob", Price: 3, Contract: c},
+		{Op: jopQueue, Settle: &protocol.SettleReq{JobID: "job-a", User: "ana", Server: "turing", Price: 2}},
+		{Op: jopAck, JobID: "job-a"},
+	} {
+		if err := appendRecord(jnl, rec); err != nil {
+			f.Fatal(err)
+		}
+	}
+	jnl.Close()
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		f.Fatal(err)
@@ -91,15 +97,15 @@ func FuzzJournalRecovery(f *testing.F) {
 		// same live state (rewrite is exactly what recovery and shutdown
 		// do).
 		want := stateFingerprint(t, st)
-		if err := jnl.rewrite(st.liveRecords()); err != nil {
+		if err := jnl.Rewrite(st.liveRecords()...); err != nil {
 			t.Fatalf("rewrite: %v", err)
 		}
-		jnl.close()
+		jnl.Close()
 		jnl2, recs2, err := openJournal(path)
 		if err != nil {
 			t.Fatalf("reopen compacted journal: %v", err)
 		}
-		defer jnl2.close()
+		defer jnl2.Close()
 		if got := stateFingerprint(t, reduce(recs2)); got != want {
 			t.Fatalf("state drifted across compaction:\n got %s\nwant %s", got, want)
 		}

@@ -13,35 +13,29 @@
 //
 // Recovery resubmits every job with a "job" record and no terminal
 // record (the synthetic application restarts from zero — the QoS
-// contract, owner, and agreed price are preserved), and reloads every
+// contract, owner, and agreed price are preserved; one the scheduler no
+// longer fits stays journaled for a later boot), and reloads every
 // queued-but-unacknowledged settlement into the outbox for redelivery.
 // The Central Server deduplicates by job ID, so redelivering a
 // settlement whose ack was lost in the crash can never double-charge.
 //
-// Like the db WAL, replay stops at the first corrupt line and truncates
-// the torn tail (internal/jsonl does both, for both); recovery then
-// rewrites the journal compacted to only the live records.
-//
-// Unlike the db WAL, append does not fsync: a record is one write(), so
-// it survives the daemon process dying (the kernel holds it) but not the
-// host losing power before writeback. Only rewrite syncs (the file and,
-// after the rename, its directory). An fsync per record would add a disk
-// flush to each of a trip's three appends.
-//
-// append encodes into a buffer the journal owns, through a record it
-// owns, under its lock — json.Marshal's bytes plus a newline, allocating
-// nothing once the buffer has grown.
+// The journal is written as the db WAL is, through internal/jsonl's
+// group-committing Writer: records are staged under d.mu and a reply that
+// depends on one (SubmitOK on its "job", KillOK on its "done") is written
+// only once its ticket is fsync'd. A finish's "queue" and "ack" are waited
+// for once per run-loop pass; no reply rests on them. A failed flush is
+// repaired by rewriting the journal from live state, as recovery and
+// Close leave it.
 package daemon
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"log"
-	"os"
-	"path/filepath"
-	"sync"
+	"sort"
+	"time"
 
+	"faucets/internal/job"
 	"faucets/internal/jsonl"
 	"faucets/internal/protocol"
 	"faucets/internal/qos"
@@ -65,25 +59,11 @@ type journalRecord struct {
 	Settle   *protocol.SettleReq `json:"settle,omitempty"`
 }
 
-// journal is an append-only JSONL file. A nil *journal is a no-op sink,
-// so callers need no durability conditionals.
-type journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-	rec  journalRecord // append encodes through rec and enc into buf, under mu
-	enc  *json.Encoder
-	buf  bytes.Buffer
-}
-
-// openJournal reads the existing journal (tolerating a torn tail, which
-// is truncated away) and opens it for appending.
-func openJournal(path string) (*journal, []journalRecord, error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o700); err != nil {
-		return nil, nil, fmt.Errorf("daemon: journal dir: %w", err)
-	}
+// openJournal replays the journal at path (a torn tail is truncated away)
+// and opens it for appending.
+func openJournal(path string) (*jsonl.Writer, []journalRecord, error) {
 	var recs []journalRecord
-	err := jsonl.Replay(path, func(line []byte) bool {
+	w, err := jsonl.Open(path, func(line []byte) bool {
 		var rec journalRecord
 		if err := json.Unmarshal(line, &rec); err != nil || rec.Op == "" {
 			return false // torn tail: keep the intact prefix only
@@ -92,82 +72,83 @@ func openJournal(path string) (*journal, []journalRecord, error) {
 		return true
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("daemon: read journal: %w", err)
+		return nil, nil, fmt.Errorf("daemon: journal: %w", err)
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
+	return w, recs, nil
+}
+
+// A jticket is a staged journal record: its writer ticket and when it was
+// staged. The zero jticket stands for the newest record, what a caller
+// that staged nothing waits on: lines are written in order.
+type jticket struct {
+	n  uint64
+	at time.Time
+}
+
+// journalStage stages rec as the journal's next line. Caller holds d.mu,
+// which keeps the lines in the order of the changes they record. A record
+// that cannot be encoded is logged and not journaled.
+func (d *Daemon) journalStage(rec journalRecord) jticket {
+	if d.journal == nil {
+		return jticket{}
+	}
+	at := time.Now()
+	d.jrec = rec
+	n, err := d.journal.Stage(&d.jrec)
 	if err != nil {
-		return nil, nil, fmt.Errorf("daemon: open journal: %w", err)
+		log.Printf("daemon %s: %s %s not journaled: %v", d.Name(), rec.Op, rec.JobID, err)
 	}
-	j := &journal{f: f, path: path}
-	j.enc = json.NewEncoder(&j.buf) // HTML-escaping, as json.Marshal
-	return j, recs, nil
+	return jticket{n: n, at: at}
 }
 
-// append writes one record with one write() and no fsync; best effort
-// (an unwritable journal degrades to in-memory operation rather than
-// failing the job path).
-func (j *journal) append(rec journalRecord) {
-	if j == nil {
-		return
+// journalWait returns once t's record and every one before it are on
+// disk, timing a staged one. A failed flush is repaired by rewriting the
+// journal from live state, which holds the record; if that fails too the
+// caller's reply is a retryable error. Call it without d.mu. An err that
+// came with t is the caller's own failure, returned as is.
+func (d *Daemon) journalWait(t jticket, err error) error {
+	if err != nil || d.journal == nil {
+		return err
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return
+	if t.n == 0 {
+		t.n = d.journal.Last()
 	}
-	j.rec = rec
-	j.buf.Reset()
-	if err := j.enc.Encode(&j.rec); err != nil {
-		log.Printf("daemon: journal marshal: %v", err)
-		return
+	err = d.journal.Wait(t.n)
+	if !t.at.IsZero() {
+		d.met.journalAppend.Observe(time.Since(t.at).Seconds())
 	}
-	if _, err := j.f.Write(j.buf.Bytes()); err != nil {
-		log.Printf("daemon: journal append: %v", err)
-	}
-}
-
-// rewrite replaces the journal contents with recs, atomically, and
-// reopens for appending — compaction after recovery or at shutdown.
-func (j *journal) rewrite(recs []journalRecord) error {
-	if j == nil {
+	if err == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for i := range recs {
-		if err := enc.Encode(&recs[i]); err != nil {
-			return fmt.Errorf("daemon: journal marshal: %w", err)
-		}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.journal.Broken() == nil {
+		return nil // a rewrite since the failure holds the record
 	}
-	if err := jsonl.ReplaceFile(j.path, buf.Bytes()); err != nil {
-		return fmt.Errorf("daemon: journal rewrite: %w", err)
+	if err := d.rewriteJournalLocked(); err != nil {
+		return protocol.MarkRetryable(fmt.Errorf("daemon %s: journal: %w", d.Name(), err))
 	}
-	if j.f != nil {
-		j.f.Close()
-	}
-	f, err := os.OpenFile(j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o600)
-	if err != nil {
-		j.f = nil
-		return fmt.Errorf("daemon: journal reopen: %w", err)
-	}
-	j.f = f
 	return nil
 }
 
-// close flushes and closes the file.
-func (j *journal) close() {
-	if j == nil {
-		return
+// rewriteJournalLocked compacts the journal to the daemon's live state:
+// every admission no finish or kill has closed, including those recovery
+// could not place, then the outbox. It is what recovery and Close leave,
+// and the repair for a failed flush. Caller holds d.mu (or owns the
+// daemon, as New does).
+func (d *Daemon) rewriteJournalLocked() error {
+	st := recoveredState{pending: map[string]journalRecord{}, queued: d.outbox}
+	for _, rec := range d.unplaced {
+		st.pending[rec.JobID] = rec
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f != nil {
-		_ = j.f.Sync()
-		_ = j.f.Close()
-		j.f = nil
+	for id, j := range d.jobs {
+		// A job the scheduler finished but finishJob has not settled is
+		// still owed its settlement: live until a "queue" record says so.
+		if !d.settledIDs[id] && j.State() != job.Killed {
+			st.pending[id] = journalRecord{Op: jopJob, JobID: id, Owner: d.owners[id], Price: d.prices[id], Contract: j.Contract}
+		}
 	}
+	return d.journal.Rewrite(st.liveRecords()...)
 }
 
 // recoveredState is the live state distilled from a journal replay.
@@ -200,9 +181,7 @@ func reduce(recs []journalRecord) recoveredState {
 				queued[rec.Settle.JobID] = *rec.Settle
 			}
 		case jopAck:
-			if _, ok := queued[rec.JobID]; ok {
-				delete(queued, rec.JobID)
-			}
+			delete(queued, rec.JobID)
 		}
 	}
 	for _, id := range order {
@@ -213,28 +192,21 @@ func reduce(recs []journalRecord) recoveredState {
 	return st
 }
 
-// liveRecords renders the state back into a compact record stream.
-func (st recoveredState) liveRecords() []journalRecord {
-	var out []journalRecord
+// liveRecords renders the state back into a compact record stream, as
+// the *journalRecord values Rewrite takes.
+func (st recoveredState) liveRecords() []any {
+	var out []any
 	ids := make([]string, 0, len(st.pending))
 	for id := range st.pending {
 		ids = append(ids, id)
 	}
-	// Deterministic order keeps compacted journals reproducible.
-	for i := 0; i < len(ids); i++ {
-		for k := i + 1; k < len(ids); k++ {
-			if ids[k] < ids[i] {
-				ids[i], ids[k] = ids[k], ids[i]
-			}
-		}
-	}
+	sort.Strings(ids) // deterministic order keeps compacted journals reproducible
 	for _, id := range ids {
 		rec := st.pending[id]
-		out = append(out, rec)
+		out = append(out, &rec)
 	}
 	for i := range st.queued {
-		req := st.queued[i]
-		out = append(out, journalRecord{Op: jopQueue, Settle: &req})
+		out = append(out, &journalRecord{Op: jopQueue, Settle: &st.queued[i]})
 	}
 	return out
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"faucets/internal/bidding"
+	"faucets/internal/jsonl"
 	"faucets/internal/protocol"
 	"faucets/internal/scheduler"
 )
@@ -102,7 +103,7 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jnl.close()
+	defer jnl.Close()
 	if len(recs) != 1 || recs[0].JobID != "j-1" {
 		t.Fatalf("recs=%+v, want the one intact record", recs)
 	}
@@ -113,6 +114,16 @@ func TestJournalTornTailTolerated(t *testing.T) {
 	if string(blob) != intact {
 		t.Fatalf("torn tail not truncated: %q", blob)
 	}
+}
+
+// appendRecord stages rec and waits until it is on disk, as the reply
+// paths do; a record that cannot be encoded returns the error unwritten.
+func appendRecord(w *jsonl.Writer, rec journalRecord) error {
+	t, err := w.Stage(&rec)
+	if err != nil {
+		return err
+	}
+	return w.Wait(t)
 }
 
 // switchCentral acks register/verify always; settlements are dropped at
@@ -275,5 +286,47 @@ func TestCommitAndSubmitIdempotent(t *testing.T) {
 	d.mu.Unlock()
 	if outstanding != 5000 {
 		t.Fatalf("outstanding=%v after retries, want 5000 (double-counted)", outstanding)
+	}
+}
+
+// TestRecoveryKeepsUnplacedAdmission: a job recovery cannot place (the
+// cluster shrank below its minimum) is still owed. Its admission must
+// outlive the recovery's and Close's rewrites, so a boot on the full
+// cluster runs it.
+func TestRecoveryKeepsUnplacedAdmission(t *testing.T) {
+	dir := t.TempDir()
+	d, err := New(durableCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.submit(protocol.SubmitReq{User: "alice", JobID: "j-wide", Contract: contract(5000)}); err != nil {
+		t.Fatal(err)
+	}
+
+	small := durableCfg(dir)
+	small.Info.Spec = spec("turing", 1)
+	small.Scheduler = scheduler.NewEquipartition(small.Info.Spec, scheduler.Config{})
+	d2, err := New(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := d2.Job("j-wide"); ok {
+		t.Fatal("a 1-PE cluster placed a job that needs 2")
+	}
+	d2.Close()
+	_, recs, err := openJournal(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, ok := reduce(recs).pending["j-wide"]; !ok || rec.Owner != "alice" {
+		t.Fatalf("journal after the small boot: %+v; the unplaced admission is gone", recs)
+	}
+
+	d3, err := New(durableCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := d3.Job("j-wide"); !ok {
+		t.Fatal("the full cluster did not recover the job the small one could not place")
 	}
 }

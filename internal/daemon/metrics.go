@@ -1,10 +1,6 @@
 package daemon
 
-import (
-	"time"
-
-	"faucets/internal/telemetry"
-)
+import "faucets/internal/telemetry"
 
 // fdMetrics holds the Faucets Daemon's pre-resolved instruments, so the
 // scheduler loop and RPC dispatch record with plain atomic updates.
@@ -25,8 +21,7 @@ type fdMetrics struct {
 	usedPEs         *telemetry.Gauge     // processors allocated to running jobs
 	outboxDepth     *telemetry.Gauge     // settlements awaiting acknowledgement
 	finishLag       *telemetry.Histogram // scheduler completion instant → finish span
-	journalAppend   *telemetry.Histogram // journal record append latency (one write, no fsync)
-	journalRewr     *telemetry.Histogram // journal compaction rewrite latency
+	journalAppend   *telemetry.Histogram // a reply's journal record staged → on disk
 }
 
 func newFDMetrics(reg *telemetry.Registry) *fdMetrics {
@@ -47,30 +42,6 @@ func newFDMetrics(reg *telemetry.Registry) *fdMetrics {
 		usedPEs:         reg.Gauge("faucets_daemon_used_pes", "Processors allocated to running jobs."),
 		outboxDepth:     reg.Gauge("faucets_daemon_outbox_depth", "Settlements queued for (re)delivery to the Central Server."),
 		finishLag:       reg.Histogram("faucets_daemon_finish_lag_seconds", "Wall time from the instant the scheduler says a job completed to its finish span.", nil),
-		journalAppend:   reg.Histogram("faucets_daemon_journal_append_seconds", "Journal record append latency.", nil),
-		journalRewr:     reg.Histogram("faucets_daemon_journal_rewrite_seconds", "Journal compaction rewrite+fsync latency.", nil),
+		journalAppend:   reg.Histogram("faucets_daemon_journal_append_seconds", "Stage+wait latency of the journal records a reply waits on (a submit's job, a kill's done): from staging the record to the return of the group fsync that made it durable.", nil),
 	}
-}
-
-// journalAppend journals one record, timing the append. A daemon
-// without a journal records nothing (the latency of a no-op would only
-// pollute the histogram's low buckets).
-func (d *Daemon) journalAppend(rec journalRecord) {
-	if d.journal == nil {
-		return
-	}
-	start := time.Now()
-	d.journal.append(rec)
-	d.met.journalAppend.Observe(time.Since(start).Seconds())
-}
-
-// journalRewrite rewrites the journal compacted, timing the rewrite.
-func (d *Daemon) journalRewrite(recs []journalRecord) error {
-	if d.journal == nil {
-		return nil
-	}
-	start := time.Now()
-	err := d.journal.rewrite(recs)
-	d.met.journalRewr.Observe(time.Since(start).Seconds())
-	return err
 }

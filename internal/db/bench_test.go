@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"faucets/internal/telemetry"
 )
 
 // settleShaped is one settlement as the Central Server commits it: a
@@ -50,10 +52,9 @@ func BenchmarkSettleTx(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer d.Close()
-			var syncs atomic.Int64
-			d.wal.cmu.Lock()
-			d.wal.onSync = func(int) { syncs.Add(1) }
-			d.wal.cmu.Unlock()
+			reg := telemetry.NewRegistry()
+			d.Instrument(reg)
+			syncs := reg.Counter("faucets_db_wal_sync_total", "")
 			b.ReportAllocs()
 			b.ResetTimer()
 			var next atomic.Int64
@@ -69,7 +70,7 @@ func BenchmarkSettleTx(b *testing.B) {
 			}
 			wg.Wait()
 			b.StopTimer()
-			b.ReportMetric(float64(syncs.Load())/float64(b.N), "fsyncs/op")
+			b.ReportMetric(float64(syncs.Value())/float64(b.N), "fsyncs/op")
 		})
 	}
 }

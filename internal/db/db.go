@@ -16,12 +16,12 @@
 package db
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
 	"sync"
+
+	"faucets/internal/jsonl"
 )
 
 // JobRecord is a job's persistent status row.
@@ -115,13 +115,8 @@ type DB struct {
 
 	// Durability state (nil/empty on an ephemeral database).
 	stateDir string
-	wal      *walWriter
+	wal      *jsonl.Writer
 	seq      uint64
-	// logLocked encodes each line through rec (so nothing is boxed) and
-	// enc into line, json.Marshal's bytes plus '\n'; all three under mu.
-	rec  walRecord
-	enc  *json.Encoder
-	line bytes.Buffer
 }
 
 // ErrNotFound is returned when a row does not exist.
@@ -155,6 +150,8 @@ type Tx struct {
 	// slab grew points into the old array, which stays alive and unchanged.
 	jobs      []JobRecord
 	contracts []ContractRecord
+	// batch is the WAL line of a Tx that staged several records.
+	batch walRecord
 }
 
 func (tx *Tx) stage(rec walRecord) { tx.recs = append(tx.recs, rec) }

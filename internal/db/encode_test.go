@@ -122,14 +122,11 @@ func TestUnencodableRecordFailsTheTx(t *testing.T) {
 		{"batch", func(tx *Tx) { tx.AddRevenue("s", 5); tx.MarkSettled("j"); tx.AddSpend("u", math.Inf(1)) }},
 		{"row", func(tx *Tx) { tx.AddRevenue("s", 5); tx.PutJob(JobRecord{ID: "j", Price: math.NaN()}) }},
 	} {
-		before, seq := readFile(t, walFile(dir)), d.seq
+		before, seq, last := readFile(t, walFile(dir)), d.seq, d.wal.Last()
 		if err := d.Update(func(tx *Tx) error { c.stage(tx); return nil }); err == nil {
 			t.Fatalf("%s: Update with an unencodable amount succeeded", c.name)
 		}
-		d.wal.cmu.Lock()
-		staged := d.wal.npend
-		d.wal.cmu.Unlock()
-		if staged != 0 || d.seq != seq || readFile(t, walFile(dir)) != before {
+		if staged := d.wal.Last() - last; staged != 0 || d.seq != seq || readFile(t, walFile(dir)) != before {
 			t.Fatalf("%s: failed Tx staged %d lines, seq %d → %d", c.name, staged, seq, d.seq)
 		}
 		if d.Revenue("s") != 1 || d.Spend("u") != 0 || d.Settled("j") {

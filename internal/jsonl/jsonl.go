@@ -1,8 +1,9 @@
 // Package jsonl is the disk edge of the durable components: the Central
 // Server's WAL and snapshot (internal/db) and the Faucets Daemon's
-// journal are line-per-record files recovered and replaced the same way,
-// and this package is the one place that scans, truncates and renames
-// them. What a line means stays with its owner.
+// journal are line-per-record files recovered, appended to (one Writer,
+// one crash model) and replaced the same way, and this package is the one
+// place that scans, writes, syncs, truncates and renames them. What a
+// line means stays with its owner.
 package jsonl
 
 import (
@@ -54,9 +55,10 @@ func Replay(path string, apply func(line []byte) bool) error {
 // mix. The directory is then synced as well. A rename lives in the
 // directory, not in the file, and until the directory reaches the disk
 // a power loss can bring the old name back — while what the caller does
-// next may survive: db.Compact truncates the WAL right after replacing
+// next may survive: db.Compact empties the WAL right after replacing
 // the snapshot, and the old snapshot beside an empty WAL is every
-// mutation since that snapshot lost.
+// mutation since that snapshot lost. An error may come after the rename:
+// path may then name the new content, not yet durable.
 func ReplaceFile(path string, blob []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
@@ -78,12 +80,17 @@ func ReplaceFile(path string, blob []byte) error {
 		os.Remove(name)
 		return fmt.Errorf("jsonl: replace %s: %w", path, err)
 	}
+	return syncDir(dir)
+}
+
+// syncDir makes the renames in dir durable; a test may make it fail.
+var syncDir = func(dir string) error {
 	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("jsonl: open directory: %w", err)
+	if err == nil {
+		err = d.Sync()
+		d.Close()
 	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
+	if err != nil {
 		return fmt.Errorf("jsonl: sync directory: %w", err)
 	}
 	return nil

@@ -2,7 +2,7 @@
 // (internal/scenario) against either the discrete-event simulator or a
 // live loopback TCP grid, prints a human summary, and optionally writes
 // the machine-readable ScenarioReport JSON and gates it against a
-// committed baseline — the scenario-level counterpart of benchgate.
+// committed baseline.
 //
 // Usage:
 //

@@ -7,8 +7,8 @@
 // schedulers shrink and expand allocations to keep machines full.
 //
 // A live grid is booted by internal/grid and a simulated one run by
-// internal/gridsim; runnable daemons in cmd/;
-// worked examples in examples/; the experiment suite (bench harness) in
-// bench_test.go backed by internal/experiments. See README.md,
-// DESIGN.md and EXPERIMENTS.md.
+// internal/gridsim; runnable daemons in cmd/; worked examples in
+// examples/; the experiment suite in internal/experiments; the
+// end-to-end benchmark in bench/. See README.md, DESIGN.md and
+// EXPERIMENTS.md.
 package faucets

@@ -19,8 +19,8 @@ var otherToolFlags = map[string]bool{
 }
 
 // TestDocsCiteExistingTests: every Test…/Benchmark…/Fuzz… identifier
-// README.md and DESIGN.md cite is a function in some _test.go file, and
-// every -flag they or the verify skill put in backticks (inline or in a
+// README.md, DESIGN.md and the verify skill cite is a function in some
+// _test.go file, and every -flag they put in backticks (inline or in a
 // fenced block) is defined by a flag./fs. call under cmd/ or in
 // bench/main.go, so a PR that deletes, moves or renames a test or a flag
 // cannot leave the documents pointing at nothing.
@@ -40,8 +40,9 @@ func TestDocsCiteExistingTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	docs := []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"}
 	citeRe := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z]\w*`)
-	for _, doc := range []string{"README.md", "DESIGN.md"} {
+	for _, doc := range docs {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -69,7 +70,7 @@ func TestDocsCiteExistingTests(t *testing.T) {
 	// A fenced block, or an inline span (which may wrap, not cross a blank line).
 	codeRe := regexp.MustCompile("(?s)```.*?```|`(?:[^`\n]|\n[^`\n])+`")
 	flagRe := regexp.MustCompile(`(?:^|[\s/(])-([a-z][a-z0-9-]*)(\*?)`)
-	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+	for _, doc := range docs {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 
+	"faucets/internal/bidding"
 	"faucets/internal/db"
 )
 
@@ -132,6 +133,18 @@ func (a *Accountant) Charge(tx *db.Tx, user, homeCluster, server string, price f
 		}
 	}
 	tx.AddSpend(user, price)
+	return nil
+}
+
+// Book is the §5.5 settle of one finished job inside the caller's Tx, the
+// rule the Central Server and gridsim share: Charge row.Price, then append
+// row with the multiplier it was bid at. A refused charge books no row.
+func (a *Accountant) Book(tx *db.Tx, user, homeCluster string, row *db.ContractRecord, cpuSeconds, costRate float64) error {
+	if err := a.Charge(tx, user, homeCluster, row.Server, row.Price); err != nil {
+		return err
+	}
+	row.Multiplier = bidding.MultiplierOf(row.Price, cpuSeconds, costRate)
+	tx.AppendContract(*row)
 	return nil
 }
 

@@ -14,6 +14,18 @@ import (
 // The race detector adds allocations of its own, so the pins stand down
 // under -race.
 
+// TestServersAllocs pins BenchmarkServers/fleet_16{,_append}: a Place's
+// directory read over sixteen servers is its one listing, and none when
+// appended into the listing the last read left.
+func TestServersAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(100, serversCase(t, 16, false)); got > 1 {
+		t.Errorf("Servers over 16: %v allocs, want ≤ 1", got)
+	}
+	if got := testing.AllocsPerRun(100, serversCase(t, 16, true)); got != 0 {
+		t.Errorf("appendFederated over 16 into a used listing: %v allocs, want 0", got)
+	}
+}
+
 // TestSettleAllocs pins what one settlement allocates: on an ephemeral
 // database the contract row (≤ 1); on a durable one no more than that
 // (0 measured) — the WAL line is encoded straight into the writer's

@@ -24,7 +24,6 @@ import (
 
 	"faucets/internal/accounting"
 	"faucets/internal/auth"
-	"faucets/internal/bidding"
 	"faucets/internal/db"
 	"faucets/internal/health"
 	"faucets/internal/protocol"
@@ -428,19 +427,18 @@ func (s *Server) Settle(req protocol.SettleReq) error {
 	}
 	row := db.ContractRecord{
 		Time: float64(time.Now().UnixNano()) / 1e9, JobID: req.JobID,
-		App: req.App, Server: req.Server, MinPE: req.MinPE, MaxPE: req.MaxPE,
-		Price: req.Price, Multiplier: bidding.MultiplierOf(req.Price, req.CPUSeconds, s.costRateOf(req.Server)),
+		App: req.App, Server: req.Server, MinPE: req.MinPE, MaxPE: req.MaxPE, Price: req.Price,
 	}
+	rate := s.costRateOf(req.Server)
 	fresh := false
 	err := s.DB.Update(func(tx *db.Tx) error {
 		if tx.Settled(req.JobID) {
 			return nil // duplicate redelivery: apply nothing
 		}
-		if err := s.Acct.Charge(tx, req.User, req.HomeCluster, req.Server, req.Price); err != nil {
+		if err := s.Acct.Book(tx, req.User, req.HomeCluster, &row, req.CPUSeconds, rate); err != nil {
 			return err
 		}
 		tx.MarkSettled(req.JobID)
-		tx.AppendContract(row)
 		fresh = true
 		return nil
 	})

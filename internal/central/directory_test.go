@@ -146,36 +146,49 @@ func TestFederatedListingMatchesReference(t *testing.T) {
 	}
 }
 
-// BenchmarkServers is the directory read of one Place: the filtered
-// listing of a fleet_N registry, one pass into one pre-sized slice
-// (allocs/op is 1), and — _append, what the list_servers arm runs — into
-// the listing the last read left behind (0). CI gates both.
+// serversCase is the directory read of one Place against a fleet-server
+// registry: the filtered listing in one pass into one pre-sized slice,
+// or — appended, what the list_servers arm runs — into the listing the
+// last read left behind.
+func serversCase(tb testing.TB, fleet int, appended bool) func() {
+	s := New(accounting.Dollars)
+	tb.Cleanup(s.Close)
+	for _, i := range rand.New(rand.NewSource(1)).Perm(fleet) {
+		if err := s.RegisterDaemon(info(fmt.Sprintf("srv-%03d", i), 64+i%4*64, 1024, "namd")); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	c := &qos.Contract{App: "namd", MinPE: 8, MaxPE: 64, Work: 1}
+	var listing []protocol.ServerInfo
+	return func() {
+		if appended {
+			listing = s.appendFederated(listing[:0], c)
+		} else {
+			listing = s.Servers(c)
+		}
+		if len(listing) != fleet {
+			tb.Fatalf("listed %d of %d", len(listing), fleet)
+		}
+	}
+}
+
+// BenchmarkServers times serversCase; TestServersAllocs pins fleet_16 at
+// 1 allocs/op and fleet_16_append at 0.
 func BenchmarkServers(b *testing.B) {
 	for _, fleet := range []int{16, 256} {
-		s := New(accounting.Dollars)
-		defer s.Close()
-		for _, i := range rand.New(rand.NewSource(1)).Perm(fleet) {
-			if err := s.RegisterDaemon(info(fmt.Sprintf("srv-%03d", i), 64+i%4*64, 1024, "namd")); err != nil {
-				b.Fatal(err)
+		for _, appended := range []bool{false, true} {
+			name := fmt.Sprintf("fleet_%d", fleet)
+			if appended {
+				name += "_append"
 			}
+			b.Run(name, func(b *testing.B) {
+				read := serversCase(b, fleet, appended)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					read()
+				}
+			})
 		}
-		c := &qos.Contract{App: "namd", MinPE: 8, MaxPE: 64, Work: 1}
-		b.Run(fmt.Sprintf("fleet_%d", fleet), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if got := s.Servers(c); len(got) != fleet {
-					b.Fatalf("listed %d of %d", len(got), fleet)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("fleet_%d_append", fleet), func(b *testing.B) {
-			var listing []protocol.ServerInfo
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if listing = s.appendFederated(listing[:0], c); len(listing) != fleet {
-					b.Fatalf("listed %d of %d", len(listing), fleet)
-				}
-			}
-		})
 	}
 }

@@ -3,10 +3,12 @@ package central
 import (
 	"fmt"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"faucets/internal/accounting"
+	"faucets/internal/db"
 	"faucets/internal/protocol"
 	"faucets/internal/shard"
 )
@@ -297,5 +299,87 @@ func TestRegisterWrongShardRedirects(t *testing.T) {
 	owner, isRedirect := protocol.NotOwnerAddr(err)
 	if !isRedirect || owner != servers[1].SelfAddr {
 		t.Fatalf("want NOT_OWNER redirect to %s, got: %v", servers[1].SelfAddr, err)
+	}
+}
+
+// settleMesh boots n in-process shards over a consistent-hash ring, each
+// journaling settlements to its own durable WAL. No listeners: every
+// settle is routed in-process to the owning shard, the path a ring-aware
+// client takes after its first NOT_OWNER redirect, so only the control
+// plane's own cost is measured.
+func settleMesh(b *testing.B, n int) (*shard.Ring, map[string]*Server) {
+	b.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("10.255.0.%d:9", i+1) // ring positions only, never dialed
+	}
+	ring := shard.New(addrs)
+	byAddr := make(map[string]*Server, n)
+	for _, addr := range addrs {
+		store, err := db.Open(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := NewWithDB(accounting.Dollars, store)
+		s.Ring = ring // a 1-member ring is deliberately unsharded (the baseline)
+		s.SelfAddr = addr
+		b.Cleanup(func() { s.Close(); store.Close() })
+		byAddr[addr] = s
+	}
+	// The directory as daemon registration lands it: each name on its
+	// owning shard.
+	for i := 0; i < 8; i++ {
+		name := fmt.Sprintf("bench-%02d", i)
+		if err := byAddr[ring.OwnerServer(name)].RegisterDaemon(info(name, 64, 1024, "synth")); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return ring, byAddr
+}
+
+// BenchmarkShardedSettleThroughput is what sharding buys settlement: one
+// durable settlement per op against a 1-, 2- and 4-shard mesh, users
+// spread across the ring and each request on its owning shard. Settles
+// share group fsyncs rather than queue behind one another's, so with
+// every shard's WAL on one disk the three read alike (DESIGN §16).
+func BenchmarkShardedSettleThroughput(b *testing.B) {
+	for _, n := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("shards_%d", n), func(b *testing.B) {
+			ring, byAddr := settleMesh(b, n)
+			// Users bucketed by owning shard, so workers are dealt
+			// round-robin across shards: the balance thousands of real
+			// users would give, with few workers.
+			buckets := make(map[string][]string)
+			for i := 0; i < 256; i++ {
+				u := fmt.Sprintf("u%03d", i)
+				buckets[ring.OwnerUser(u)] = append(buckets[ring.OwnerUser(u)], u)
+			}
+			addrs := ring.Addrs()
+			// Each worker is one user's client, stuck to its home shard
+			// after the first redirect; oversubscribed so every shard's
+			// settle queue stays non-empty.
+			b.SetParallelism(16)
+			var workers, jobs atomic.Uint64
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				w := int(workers.Add(1)) - 1
+				home := addrs[w%len(addrs)]
+				user := buckets[home][(w/len(addrs))%len(buckets[home])]
+				s := byAddr[home]
+				for pb.Next() {
+					err := s.Settle(protocol.SettleReq{
+						JobID: fmt.Sprintf("bench-%d", jobs.Add(1)), User: user,
+						App: "synth", Server: "bench-00", MinPE: 2, MaxPE: 8,
+						Price: 0.001, CPUSeconds: 1, HomeCluster: "home",
+					})
+					if err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "settles/s")
+		})
 	}
 }

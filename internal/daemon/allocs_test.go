@@ -13,6 +13,20 @@ import (
 // The race detector adds allocations of its own, so the pins stand down
 // under -race.
 
+// TestBidDispatchAllocs pins BenchmarkBidDispatch: a bid request from
+// the user the last one came from allocates nothing; alternating between
+// two users, the three strings that differ.
+func TestBidDispatchAllocs(t *testing.T) {
+	for _, c := range []struct {
+		users int
+		max   float64
+	}{{1, 0}, {2, 3}} {
+		if got := testing.AllocsPerRun(100, bidDispatchCase(t, c.users)); got > c.max {
+			t.Errorf("bid arm, requests from %d users: %v allocs, want ≤ %v", c.users, got, c.max)
+		}
+	}
+}
+
 // TestJournalAppendAllocs pins the journal's write path: once the
 // writer's buffers have grown, staging a trip's records — its admission,
 // its queued settlement and the settlement's ack — and waiting for each

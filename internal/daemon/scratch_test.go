@@ -145,45 +145,57 @@ type discard struct{}
 func (discard) Read([]byte) (int, error)    { return 0, io.EOF }
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
-// BenchmarkBidDispatch is one bid request through the daemon's arm on a
-// warm connection: decode, verify (cache hit), estimate, bid, encode.
-// From one user it allocates nothing; with two users alternating — what
-// two clients bidding on one daemon look like — each request
-// re-materialises the three strings that differ from the scratch's last
-// (user, token, application) and nothing else. CI gates both.
-func BenchmarkBidDispatch(b *testing.B) {
+// bidDispatchCase is one bid request through the daemon's arm on a warm
+// connection: decode, verify (cache hit), estimate, bid, encode. The
+// requests come from one user, or alternate between two — what two
+// clients bidding on one daemon look like.
+func bidDispatchCase(tb testing.TB, users int) func() {
 	info := protocol.ServerInfo{Spec: spec("turing", 64), Apps: []string{"synth", "namd"}}
 	d, err := New(Config{Info: info, Scheduler: scheduler.NewEquipartition(info.Spec, scheduler.Config{}),
 		CentralAddr: "127.0.0.1:1", VerifyCacheTTL: time.Hour})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer d.Close()
-	var frames [2]protocol.Frame
+	tb.Cleanup(d.Close)
+	frames := make([]protocol.Frame, users)
 	for i, req := range []protocol.BidReq{
 		{User: "user-00", Token: "tok-0123456789abcdef", Contract: phased("synth", 400, 2, 16, 2)},
 		{User: "user-01", Token: "tok-fedcba9876543210", Contract: phased("namd", 9000, 8, 64, 2)},
-	} {
+	}[:users] {
 		d.verifyCache[verifyKey{req.User, req.Token}] = time.Now().Add(time.Hour)
 		buf, err := protocol.AppendFrame(nil, protocol.CodecBinary, uint64(i+1), protocol.TypeBidReq, req)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if frames[i], err = protocol.NewFrameReader(&onceReader{buf}).Next(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	conn := protocol.NewReplyConn(discard{})
+	next := 0
+	return func() {
+		if err := d.dispatch(conn, frames[next%users]); err != nil {
+			tb.Fatal(err)
+		}
+		next++
+	}
+}
+
+// BenchmarkBidDispatch times bidDispatchCase. TestBidDispatchAllocs pins
+// it: from one user nothing; between two, each request re-materialises
+// the three strings that differ from the scratch's last (user, token,
+// application) and nothing else.
+func BenchmarkBidDispatch(b *testing.B) {
 	for _, bc := range []struct {
-		name string
-		mask int
-	}{{"one_user", 0}, {"two_users", 1}} {
+		name  string
+		users int
+	}{{"one_user", 1}, {"two_users", 2}} {
 		b.Run(bc.name, func(b *testing.B) {
+			dispatch := bidDispatchCase(b, bc.users)
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := d.dispatch(conn, frames[i&bc.mask]); err != nil {
-					b.Fatal(err)
-				}
+				dispatch()
 			}
 		})
 	}

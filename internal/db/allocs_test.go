@@ -7,6 +7,25 @@ import "testing"
 // The race detector adds allocations of its own, so the pins stand down
 // under -race.
 
+// TestSettleTxAllocs pins BenchmarkSettleTx/{ephemeral,durable_1}: a
+// settlement's transaction costs its job ID and its share of table
+// growth, and on a durable database no more — its WAL line is encoded
+// into the log writer's own buffer and waiting on its ticket allocates
+// nothing.
+func TestSettleTxAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(1000, settleCase(New())); got > 2 {
+		t.Errorf("ephemeral settle: %v allocs, want ≤ 2", got)
+	}
+	d, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if got := testing.AllocsPerRun(100, settleCase(d)); got > 2 {
+		t.Errorf("durable settle, one caller: %v allocs, want ≤ 2", got)
+	}
+}
+
 // TestMutatorAllocs pins the ephemeral mutators: a balance change
 // allocates nothing, and neither does a job row, staged in the Tx's slab.
 func TestMutatorAllocs(t *testing.T) {

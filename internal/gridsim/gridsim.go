@@ -286,7 +286,14 @@ func (s *serverEntity) settle(now float64, j *job.Job) {
 	}
 	stat(&g.slowdown, g.metrics.S, "slowdown").Add(j.ResponseTime() / service)
 	stat(&g.price, g.metrics.S, "price").Add(rec.Price)
-	if err := g.acct.Settle(rec.ID, rec.Owner, rec.HomeCluster, s.name, rec.Price); err == nil {
+	// The charge and the history row the §5.2.1 bidders read: both or neither.
+	row := db.ContractRecord{
+		Time: now, JobID: rec.ID, App: rec.App, Server: s.name,
+		MinPE: j.Contract.MinPE, MaxPE: j.Contract.MaxPE, Price: rec.Price,
+	}
+	if g.store.Update(func(tx *db.Tx) error {
+		return g.acct.Book(tx, rec.Owner, rec.HomeCluster, &row, rec.CPUSeconds, s.spec.CostRate)
+	}) == nil {
 		s.revenue += rec.Price
 	}
 	if !j.Contract.Payoff.Zero() {
@@ -299,12 +306,6 @@ func (s *serverEntity) settle(now float64, j *job.Job) {
 			stat(&g.missed, g.metrics.C, "deadline.missed").Inc()
 		}
 	}
-	// Market history for the §5.2.1 history-aware bidders.
-	g.store.AppendContract(db.ContractRecord{
-		Time: now, JobID: rec.ID, App: rec.App, Server: s.name,
-		MinPE: j.Contract.MinPE, MaxPE: j.Contract.MaxPE, Price: rec.Price,
-		Multiplier: bidding.MultiplierOf(rec.Price, rec.CPUSeconds, s.spec.CostRate),
-	})
 }
 
 // Run executes a trace against a grid configuration and returns the

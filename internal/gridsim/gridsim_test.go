@@ -3,11 +3,13 @@ package gridsim
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"faucets/internal/accounting"
 
 	"faucets/internal/bidding"
+	"faucets/internal/db"
 	"faucets/internal/machine"
 	"faucets/internal/market"
 	"faucets/internal/qos"
@@ -505,6 +507,50 @@ func TestServiceUnitQuotas(t *testing.T) {
 	}
 	if open.Placed <= res.Placed {
 		t.Fatalf("rich placed %d <= tight placed %d", open.Placed, res.Placed)
+	}
+}
+
+// TestRefusedChargeBooksNoHistory: a settle the quota cannot cover books
+// nothing — no revenue and no history row — as on the Central Server.
+// Jobs admitted while the quota still covered them finish after it has
+// been drawn down, so some charges are refused. The charged jobs are
+// counted by walking the finishes in time order and drawing each price
+// from its owner's quota while it covers it.
+func TestRefusedChargeBooksNoHistory(t *testing.T) {
+	quota := map[string]float64{}
+	for u := 0; u < 7; u++ {
+		quota[fmt.Sprintf("user-%d", u)] = 4
+	}
+	res, err := Run(Config{
+		Servers: []ServerConfig{{Spec: spec("center", 64)}},
+		Mode:    accounting.ServiceUnits,
+		SUQuota: quota,
+	}, smallTrace(37, 40, 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	finished := res.DB.ListJobs(func(r db.JobRecord) bool { return r.FinishTime > 0 })
+	sort.SliceStable(finished, func(i, j int) bool { return finished[i].FinishTime < finished[j].FinishTime })
+	charged, drawn := 0, 0.0
+	for _, r := range finished {
+		if quota[r.Owner] >= r.Price {
+			quota[r.Owner] -= r.Price
+			charged++
+			drawn += r.Price
+		}
+	}
+	if charged == len(finished) {
+		t.Fatal("every charge was covered: the trace no longer exercises a refusal")
+	}
+	booked := 0.0
+	for _, r := range res.DB.RecentContracts(nil, res.DB.HistoryLen()) {
+		booked += r.Price
+	}
+	if n := res.DB.HistoryLen(); n != charged {
+		t.Errorf("%d history rows for %d charged jobs (%d finished)", n, charged, len(finished))
+	}
+	if rev := res.Revenue["center"]; math.Abs(booked-rev) > 1e-9 || math.Abs(drawn-rev) > 1e-9 {
+		t.Errorf("history books %.2f, revenue %.2f, quota drawn %.2f: want all equal", booked, rev, drawn)
 	}
 }
 

@@ -9,8 +9,32 @@ import (
 	"faucets/internal/bidding"
 )
 
-// The race detector adds allocations of its own, so the pin stands down
+// The race detector adds allocations of its own, so the pins stand down
 // under -race.
+
+// TestRankBidsAllocs pins BenchmarkRankBids/bids_12: ranking a round's
+// twelve replies allocates nothing.
+func TestRankBidsAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(1000, rankCase(12)); got != 0 {
+		t.Errorf("rankBids over 12 bids: %v allocs, want 0", got)
+	}
+}
+
+// TestSolicitSerialAllocs pins BenchmarkSolicitSerial/ports_12: a serial
+// solicitation ranked into a warm buffer allocates nothing.
+func TestSolicitSerialAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(1000, solicitSerialCase()); got != 0 {
+		t.Errorf("serial solicitation over 12 ports: %v allocs, want 0", got)
+	}
+}
+
+// TestSolicitWithBreakersAllocs pins BenchmarkSolicitWithBreakers: the
+// breaker gate's all-healthy fan-out stays within 14 allocations.
+func TestSolicitWithBreakersAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(200, breakersCase(t)); got > 14 {
+		t.Errorf("13-way fan-out behind closed breakers: %v allocs, want ≤ 14", got)
+	}
+}
 
 // TestCollectAllocs pins a warm concurrent round: sixteen in-memory
 // BidStarters answering at once, ranked into a warm buffer, allocate

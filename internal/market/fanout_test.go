@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"faucets/internal/bidding"
+	"faucets/internal/health"
 	"faucets/internal/qos"
 )
 
@@ -378,5 +379,40 @@ func TestSolicitTimeoutForfeitsSlowBid(t *testing.T) {
 	}
 	if elapsed > time.Second {
 		t.Fatalf("solicit took %v, the straggler stalled it", elapsed)
+	}
+}
+
+// breakersCase is a 13-daemon fan-out where every circuit breaker is
+// CLOSED, so the breaker gate is pure bookkeeping on the all-healthy
+// path. The ports answer in memory and start no bid of their own, so the
+// round parks a goroutine per bid.
+func breakersCase(tb testing.TB) func() {
+	set := health.NewSet(health.Options{})
+	servers := make([]ServerPort, 13)
+	for i := range servers {
+		servers[i] = srv(fmt.Sprintf("bench-%02d", i), 0.001*float64(i+1), 1)
+		set.Record(servers[i].ServerName(), time.Millisecond, nil) // history, CLOSED
+	}
+	opts := SolicitOpts{
+		Concurrency: 16,
+		Gate:        func(s ServerPort) bool { return set.Healthy(s.ServerName()) },
+	}
+	c := contract()
+	if bids := SolicitWith(0, servers, c, LeastCost{}, opts); len(bids) != 13 {
+		tb.Fatalf("bids=%d, want 13 with every breaker closed", len(bids))
+	}
+	return func() { SolicitWith(0, servers, c, LeastCost{}, opts) }
+}
+
+// BenchmarkSolicitWithBreakers times breakersCase: an OPEN breaker makes
+// auctions cheaper, so the cost to watch is the gate's tax on the
+// all-healthy common case. TestSolicitWithBreakersAllocs pins it at ≤ 14
+// allocs/op.
+func BenchmarkSolicitWithBreakers(b *testing.B) {
+	round := breakersCase(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
 	}
 }

@@ -143,39 +143,55 @@ func identical(a, b []bidding.Bid) bool {
 	})
 }
 
-// BenchmarkRankBids times the client-side ranking of one auction's
-// replies: 12 is a gridsim flash-crowd round (a live auction-wide one is
-// 16), 64 a wide grid. CI holds bids_12 to 0 allocs/op.
+// rankCase is the client-side ranking of one auction's n replies, copied
+// into a warm buffer first.
+func rankCase(n int) func() {
+	bids := tiedBids(sim.NewRNG(1), n)
+	work := make([]bidding.Bid, n)
+	return func() {
+		copy(work, bids)
+		rankBids(work, LeastCost{})
+	}
+}
+
+// BenchmarkRankBids times rankCase: 12 is a gridsim flash-crowd round (a
+// live auction-wide one is 16), 64 a wide grid. TestRankBidsAllocs pins
+// bids_12 at 0 allocs/op.
 func BenchmarkRankBids(b *testing.B) {
 	for _, n := range []int{12, 64} {
 		b.Run(fmt.Sprintf("bids_%d", n), func(b *testing.B) {
-			bids := tiedBids(sim.NewRNG(1), n)
-			work := make([]bidding.Bid, n)
+			rank := rankCase(n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				copy(work, bids)
-				rankBids(work, LeastCost{})
+				rank()
 			}
 		})
 	}
 }
 
-// BenchmarkSolicitSerial is one gridsim round's solicitation: the serial
-// walk over 12 in-memory ports, ranked into a warm dst. CI holds ports_12
-// to 0 allocs/op: the bids land in the caller's buffer.
+// solicitSerialCase is one gridsim round's solicitation: the serial walk
+// over 12 in-memory ports, ranked into the dst the last round left.
+func solicitSerialCase() func() {
+	servers := make([]ServerPort, 12)
+	for i := range servers {
+		servers[i] = srv(fmt.Sprintf("s%02d", i), float64(1+i%3), float64(10*(1+i%4)))
+	}
+	c, serial := contract(), SolicitOpts{Concurrency: 1}
+	var dst []bidding.Bid
+	return func() { dst = FirstPrice{}.Solicit(dst, 0, servers, c, LeastCost{}, serial) }
+}
+
+// BenchmarkSolicitSerial times solicitSerialCase. TestSolicitSerialAllocs
+// pins ports_12 at 0 allocs/op: the bids land in the caller's buffer.
 func BenchmarkSolicitSerial(b *testing.B) {
 	b.Run("ports_12", func(b *testing.B) {
-		servers := make([]ServerPort, 12)
-		for i := range servers {
-			servers[i] = srv(fmt.Sprintf("s%02d", i), float64(1+i%3), float64(10*(1+i%4)))
-		}
-		c, serial := contract(), SolicitOpts{Concurrency: 1}
-		dst := FirstPrice{}.Solicit(nil, 0, servers, c, LeastCost{}, serial)
+		solicit := solicitSerialCase()
+		solicit()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			dst = FirstPrice{}.Solicit(dst, 0, servers, c, LeastCost{}, serial)
+			solicit()
 		}
 	})
 }

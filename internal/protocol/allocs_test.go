@@ -7,13 +7,13 @@ import (
 	"time"
 )
 
-// The race detector makes sync.Pool drop items at random, so the pin
-// stands down under -race.
+// The race detector makes sync.Pool drop items at random, so the pins
+// stand down under -race.
 
 // TestPoolWarmPathAllocs pins what one exchange allocates once its
 // connection is warm: nothing — no channel, no timer, no payload buffer
 // for a blocking Call, and no closure for a Start on a record the caller
-// reuses.
+// reuses (the round is BenchmarkPoolGoFanout16's).
 func TestPoolWarmPathAllocs(t *testing.T) {
 	addr := startQuietEcho(t)
 	p := &Pool{}
@@ -39,9 +39,25 @@ func TestPoolWarmPathAllocs(t *testing.T) {
 	}
 }
 
+// TestFrameReaderAllocs pins BenchmarkFrameReaderNext: reading and
+// decoding a reply frame reuses the reader's buffer and the reply.
+func TestFrameReaderAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(1000, frameReaderCase(t)); got != 0 {
+		t.Errorf("FrameReader.Next + Decode: %v allocs, want 0", got)
+	}
+}
+
+// TestSolicitEncodeAllocs pins BenchmarkSolicitEncodeBinary: a bid
+// request encoded into a reused buffer stays within 8 allocations.
+func TestSolicitEncodeAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(1000, solicitEncodeCase(t)); got > 8 {
+		t.Errorf("binary bid_req encode: %v allocs, want ≤ 8", got)
+	}
+}
+
 // TestDecodeIntoWarmAllocs: decoding a frame into the value the last
 // like frame was decoded into keeps every string, slice and contract,
-// so it allocates nothing.
+// so it allocates nothing (BenchmarkDecodeInto's cases).
 func TestDecodeIntoWarmAllocs(t *testing.T) {
 	for _, tc := range decodeIntoCases() {
 		fr := frameOf(t, CodecBinary, tc.typ, tc.body)

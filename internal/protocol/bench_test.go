@@ -12,8 +12,8 @@ import (
 
 // Per-layer microbenchmarks for the pool and the frame reader: the cost
 // of the request-for-bids fan-out below the market, where bench/'s
-// auction-wide measures it end to end. CI runs them with -cpu 1,4 and
-// gates their allocs/op.
+// auction-wide measures it end to end. The !race pins in allocs_test.go
+// hold their allocs/op.
 
 // BenchmarkPoolGoFanout16 is one sixteen-way round over loopback echo
 // peers: sixteen Start calls from the benchmark's goroutine, then a wait
@@ -58,25 +58,61 @@ type loopReader struct{ frame []byte }
 
 func (l *loopReader) Read(p []byte) (int, error) { return copy(p, l.frame), nil }
 
-// BenchmarkFrameReaderNext reads and decodes a bid reply, the frame the
-// pool's read loop sees sixteen times an auction.
-func BenchmarkFrameReaderNext(b *testing.B) {
+// frameReaderCase reads and decodes a bid reply, the frame the pool's
+// read loop sees sixteen times an auction.
+func frameReaderCase(tb testing.TB) func() {
 	frame, err := AppendFrame(nil, CodecBinary, 9, TypePollOK, PollOK{UsedPE: 3, QueueLen: 2, Running: 1})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	fr := NewFrameReader(io.Reader(&loopReader{frame: frame}))
 	var reply PollOK
+	return func() {
+		f, err := fr.Next()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := Decode(f, TypePollOK, &reply); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFrameReaderNext times frameReaderCase; TestFrameReaderAllocs
+// pins it at 0 allocs/op.
+func BenchmarkFrameReaderNext(b *testing.B) {
+	next := frameReaderCase(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, err := fr.Next()
-		if err != nil {
-			b.Fatal(err)
+		next()
+	}
+}
+
+// solicitEncodeCase encodes the request every auction fan-out sends once
+// per candidate server — the hottest encode in the system — as a binary
+// frame into a reused buffer.
+func solicitEncodeCase(tb testing.TB) func() {
+	body := BidReq{User: "alice", Token: "tok-0123456789abcdef", Contract: testContract()}
+	buf := make([]byte, 0, 1024)
+	var id uint64
+	return func() {
+		id++
+		out, err := AppendFrame(buf[:0], CodecBinary, id, TypeBidReq, body)
+		if err != nil || len(out) == 0 {
+			tb.Fatalf("frame of %d bytes: %v", len(out), err)
 		}
-		if err := Decode(f, TypePollOK, &reply); err != nil {
-			b.Fatal(err)
-		}
+	}
+}
+
+// BenchmarkSolicitEncodeBinary times solicitEncodeCase;
+// TestSolicitEncodeAllocs pins it at ≤ 8 allocs/op.
+func BenchmarkSolicitEncodeBinary(b *testing.B) {
+	encode := solicitEncodeCase(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		encode()
 	}
 }
 
@@ -103,8 +139,9 @@ func decodeIntoCases() []decodeIntoCase {
 
 // BenchmarkDecodeInto is what a daemon pays per bid frame and a client
 // per directory listing: the frame decoded into the value the last one
-// was decoded into (0 allocs/op, CI gates it), and beside it — _zero —
-// into a zero value, which is what every frame used to cost.
+// was decoded into (0 allocs/op, TestDecodeIntoWarmAllocs pins it), and
+// beside it — _zero — into a zero value, which is what every frame used
+// to cost.
 func BenchmarkDecodeInto(b *testing.B) {
 	for _, tc := range decodeIntoCases() {
 		fr := frameOf(b, CodecBinary, tc.typ, tc.body)

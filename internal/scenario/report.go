@@ -8,11 +8,10 @@ import (
 	"sort"
 )
 
-// ScenarioReport is the machine-readable outcome of one scenario run —
-// the scenario-level analogue of experiments.BenchReport. Both
-// executors emit the same shape so a gridsim dry run and a live-grid
-// soak are directly comparable, and Compare can gate CI on a committed
-// baseline the way cmd/benchgate gates allocations.
+// ScenarioReport is the machine-readable outcome of one scenario run.
+// Both executors emit the same shape so a gridsim dry run and a
+// live-grid soak are directly comparable, and Compare can gate CI on a
+// committed baseline.
 //
 // Units: gridsim latencies are VIRTUAL seconds; live-grid TTC and
 // settle-lag are WALL milliseconds (the client-observed number an
@@ -154,7 +153,7 @@ func LoadReport(path string) (*ScenarioReport, error) {
 type GateOpts struct {
 	// TTCTolerance is the allowed relative increase of TTC.P99 over
 	// baseline (1.0 = up to double). Live-grid latencies are noisy;
-	// CI uses a generous multiple, the way benchgate tolerates ns/op.
+	// CI uses a generous multiple.
 	TTCTolerance float64
 	// MissRateSlack is the allowed absolute increase in
 	// DeadlineMissRate over baseline (0.05 = five points).

@@ -14,7 +14,7 @@
 // Both executors emit the same machine-readable ScenarioReport
 // (report.go) with p50/p95/p99 time-to-contract, settlement lag,
 // revenue, utilization, and deadline-miss rate, which Compare gates
-// against a committed baseline the way cmd/benchgate gates benchmarks.
+// against a committed baseline.
 //
 // This is the evaluation harness the paper's §5.4 simulation framework
 // and the Buyya economic-models line (Nimrod-G) judge mechanisms with:

@@ -214,3 +214,29 @@ func TestWallClockMonotone(t *testing.T) {
 		t.Fatalf("wall clock went backwards: %v then %v", a, b)
 	}
 }
+
+// BenchmarkEngineEventChurn is one event scheduled and fired on an
+// otherwise empty queue.
+func BenchmarkEngineEventChurn(b *testing.B) {
+	e := NewEngine()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e.After(1, "tick", func(*Engine) {})
+		e.Step()
+	}
+}
+
+// BenchmarkEngineHeap1k is the same churn against a 1000-event horizon.
+func BenchmarkEngineHeap1k(b *testing.B) {
+	e := NewEngine()
+	rng := NewRNG(1)
+	for i := 0; i < 1000; i++ {
+		e.After(Duration(rng.Range(0, 100)), "seed", func(*Engine) {})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.After(Duration(rng.Range(0, 100)), "churn", func(*Engine) {})
+		e.Step()
+	}
+}

@@ -126,21 +126,37 @@ func TestHTTPEndpoint(t *testing.T) {
 	}
 }
 
-// TestHotPathAllocFree proves the scheduler/RPC hot-path updates perform
-// zero allocations (the benchmark in bench_test.go measures the same
-// property; this asserts it).
-func TestHotPathAllocFree(t *testing.T) {
+// hotPathCase is the instrumented fast path every daemon tick and RPC
+// dispatch pays: a counter increment, a gauge store and a histogram
+// observation on pre-resolved instruments.
+func hotPathCase() func() {
 	reg := NewRegistry()
 	c := reg.Counter("faucets_alloc_total", "c")
 	g := reg.Gauge("faucets_alloc_depth", "g")
 	h := reg.Histogram("faucets_alloc_seconds", "h", nil)
-	allocs := testing.AllocsPerRun(1000, func() {
+	i := 0
+	return func() {
 		c.Inc()
-		g.Set(42)
-		h.Observe(0.003)
-	})
-	if allocs != 0 {
+		g.Set(float64(i))
+		h.Observe(float64(i%1000) * 0.0001)
+		i++
+	}
+}
+
+// TestHotPathAllocFree: scrapes format text, updates never allocate.
+func TestHotPathAllocFree(t *testing.T) {
+	if allocs := testing.AllocsPerRun(1000, hotPathCase()); allocs != 0 {
 		t.Fatalf("hot path allocates: %v allocs/op", allocs)
+	}
+}
+
+// BenchmarkHotPath times hotPathCase.
+func BenchmarkHotPath(b *testing.B) {
+	update := hotPathCase()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		update()
 	}
 }
 

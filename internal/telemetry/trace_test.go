@@ -150,3 +150,14 @@ func TestTracerConcurrent(t *testing.T) {
 		t.Fatalf("events = %d, want 800", got)
 	}
 }
+
+// BenchmarkTraceRecord is one span appended to a warm job's trace, the
+// per-lifecycle-event cost inside the daemons.
+func BenchmarkTraceRecord(b *testing.B) {
+	tr := NewTracer(8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Record("job-bench", SpanStart, "")
+	}
+}

@@ -12,8 +12,9 @@ var benchSink float64
 
 // estimateCase is what every bid asks the Cluster Manager (§5.2: "when
 // would this finish?") against n long-running adaptive jobs at ≈2.5 PEs
-// each.
-func estimateCase(tb testing.TB, n int) func() {
+// each. With rebuild, an Advance before each bid makes it rebuild the
+// kept plan, as the first bid after a state change does.
+func estimateCase(tb testing.TB, n int, rebuild bool) func() {
 	probe := &qos.Contract{App: "synth", MinPE: 2, MaxPE: 16, Work: 2000}
 	s := NewEquipartition(spec(n*256/100), Config{})
 	for i := 0; i < n; i++ {
@@ -22,22 +23,31 @@ func estimateCase(tb testing.TB, n int) func() {
 	if s.RunningCount() != n {
 		tb.Fatalf("%d of %d jobs running", s.RunningCount(), n)
 	}
+	if rebuild {
+		return func() { s.Advance(1); benchSink, _ = s.EstimateCompletion(1, probe) }
+	}
 	return func() { benchSink, _ = s.EstimateCompletion(1, probe) }
 }
 
 // BenchmarkEstimateCompletion times estimateCase. running_100 is the
 // bench's scheduler.estimate_ns probe; TestEstimateCompletionAllocs pins
-// it at 0 allocs/op.
+// it and rebuild_100 at 0 allocs/op.
 func BenchmarkEstimateCompletion(b *testing.B) {
 	for _, n := range []int{10, 100, 1000} {
-		b.Run(fmt.Sprintf("running_%d", n), func(b *testing.B) {
-			estimate := estimateCase(b, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				estimate()
+		for _, rebuild := range []bool{false, true} {
+			name := fmt.Sprintf("running_%d", n)
+			if rebuild {
+				name = fmt.Sprintf("rebuild_%d", n)
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				estimate := estimateCase(b, n, rebuild)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					estimate()
+				}
+			})
+		}
 	}
 }
 

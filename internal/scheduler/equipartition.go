@@ -1,6 +1,8 @@
 package scheduler
 
 import (
+	"slices"
+
 	"faucets/internal/job"
 	"faucets/internal/machine"
 	"faucets/internal/qos"
@@ -21,10 +23,12 @@ import (
 // start as soon as the shares leave room for their MinPE.
 type Equipartition struct {
 	*cluster
-	// bs and target are plan's working set, reused so that a bid
-	// (EstimateCompletion) allocates nothing.
+	// bs and target are plan's working set, reused across reallocations.
 	bs     []bounds
 	target []int
+	// kept is the base plan every bid (EstimateCompletion) reads until
+	// Submit, Advance, Kill or Evict changes the state it was built from.
+	kept keptPlan
 }
 
 var _ Scheduler = (*Equipartition)(nil)
@@ -40,6 +44,7 @@ func (e *Equipartition) Name() string { return "equipartition" }
 // Submit implements Scheduler: any feasible job is admitted (the strategy
 // maximizes utilization, it does no profit-based admission control).
 func (e *Equipartition) Submit(now float64, j *job.Job) bool {
+	e.kept.fresh = false
 	if !e.feasible(j.Contract) {
 		return false
 	}
@@ -106,11 +111,9 @@ func jobBounds(j *job.Job) bounds {
 	return bounds{min: min, max: max}
 }
 
-// plan water-fills the machine over the running jobs in ID order, then
-// the queue FIFO, then — for an estimate — one hypothetical arrival. The
-// result is aligned with that sequence and lives in the scheduler's
-// scratch until the next call.
-func (e *Equipartition) plan(arrival ...bounds) []int {
+// bases lists the bounds of the running jobs in ID order, then the
+// queue FIFO, into the scheduler's scratch.
+func (e *Equipartition) bases() []bounds {
 	e.bs = e.bs[:0]
 	for _, ent := range e.running {
 		e.bs = append(e.bs, jobBounds(ent.j))
@@ -118,9 +121,92 @@ func (e *Equipartition) plan(arrival ...bounds) []int {
 	for _, j := range e.queue {
 		e.bs = append(e.bs, jobBounds(j))
 	}
-	e.bs = append(e.bs, arrival...)
-	e.target = shares(e.spec.NumPE, e.bs, e.target)
+	return e.bs
+}
+
+// plan water-fills the machine over bases. The result is aligned with
+// them and lives in the scheduler's scratch until the next call.
+func (e *Equipartition) plan() []int {
+	e.target = shares(e.spec.NumPE, e.bases(), e.target)
 	return e.target
+}
+
+// keptPlan is the minimum pass of shares over the base jobs — running,
+// then queued — which is all an arrival's share depends on: the arrival
+// is last, so every round grants the base jobs theirs first.
+type keptPlan struct {
+	fresh bool
+	free  int   // processors left once every served base job has its min
+	head  []int // each served base job's max−min headroom, ascending, >0
+	sum   []int // sum[i] is head[0] + … + head[i-1]
+}
+
+// keep returns the kept plan, rebuilt if the state moved since.
+func (e *Equipartition) keep() *keptPlan {
+	if !e.kept.fresh {
+		e.kept.build(e.spec.NumPE, e.bases())
+	}
+	return &e.kept
+}
+
+// build runs shares' minimum pass over bs into the plan's own slices.
+func (p *keptPlan) build(total int, bs []bounds) {
+	p.free, p.head = total, p.head[:0]
+	for _, b := range bs {
+		if b.min > p.free {
+			continue
+		}
+		p.free -= b.min
+		if b.min > 0 && b.max > b.min {
+			p.head = append(p.head, b.max-b.min)
+		}
+	}
+	slices.Sort(p.head)
+	p.sum = append(p.sum[:0], 0)
+	for i, h := range p.head {
+		p.sum = append(p.sum, p.sum[i]+h)
+	}
+	p.fresh = true
+}
+
+// share is the arrival's element of shares over the base jobs plus a, in
+// O(rounds·log n). Every base job whose headroom exceeds a round's level
+// has been granted exactly level so far, so a round grants the base jobs
+// one prefix-sum difference for those that saturate and per for the rest,
+// and the arrival whatever per leaves.
+func (p *keptPlan) share(a bounds) int {
+	if a.min > p.free {
+		return 0
+	}
+	pe, left := a.min, p.free-a.min
+	if pe <= 0 {
+		return pe
+	}
+	n, level, k := len(p.head), 0, 0 // head[k:] still grow
+	for left > 0 {
+		grow := n - k
+		if pe < a.max {
+			grow++
+		}
+		if grow == 0 {
+			break
+		}
+		per := max(left/grow, 1)
+		m, _ := slices.BinarySearch(p.head[k:], level+per+1) // head[k:k+m] saturate
+		m += k
+		base := p.sum[m] - p.sum[k] - level*(m-k) + per*(n-m)
+		if base >= left {
+			break
+		}
+		left -= base
+		if pe < a.max {
+			grant := min(per, a.max-pe, left)
+			pe += grant
+			left -= grant
+		}
+		level, k = level+per, m
+	}
+	return pe
 }
 
 // reallocate recomputes the fair shares and applies them.
@@ -135,19 +221,22 @@ func (e *Equipartition) reallocate(now float64) {
 
 // Advance implements Scheduler.
 func (e *Equipartition) Advance(now float64) []*job.Job {
+	// Progress moves phase bounds even when nothing is due.
+	e.kept.fresh = false
 	return e.advanceCore(now, e.reallocate)
 }
 
 // EstimateCompletion implements Scheduler: assume the new job receives
 // the equipartition share it would get if it arrived now, and runs at
 // that share to completion. This is an estimate — shares change as other
-// jobs come and go — but it is the basis the bid generator needs.
+// jobs come and go — but it is the basis the bid generator needs. It
+// reads the kept plan, so a bid against an unchanged state costs a few
+// binary searches, not a water-fill over every job.
 func (e *Equipartition) EstimateCompletion(now float64, c *qos.Contract) (float64, bool) {
 	if !e.feasible(c) {
 		return 0, false
 	}
-	target := e.plan(bounds{min: c.MinPE, max: c.MaxPE})
-	pe := target[len(target)-1]
+	pe := e.keep().share(bounds{min: c.MinPE, max: c.MaxPE})
 	if pe == 0 {
 		// Cannot start immediately; estimate a wait until the earliest
 		// completion frees capacity, then a fair share.
@@ -162,9 +251,16 @@ func (e *Equipartition) EstimateCompletion(now float64, c *qos.Contract) (float6
 
 // Kill implements Scheduler.
 func (e *Equipartition) Kill(now float64, id job.ID) bool {
+	e.kept.fresh = false
 	if !e.killCore(now, id) {
 		return false
 	}
 	e.reallocate(now)
 	return true
+}
+
+// Evict implements Scheduler.
+func (e *Equipartition) Evict(now float64, id job.ID) *job.Job {
+	e.kept.fresh = false
+	return e.cluster.Evict(now, id)
 }

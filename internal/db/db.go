@@ -1,43 +1,26 @@
 // Package db is the Database component of the Faucets architecture
-// (paper Fig 1): the Faucets Central Server stores user information and
-// the directory of Compute Servers; each Scheduler stores "the current
-// status of all the running and scheduled jobs on the Compute Server",
-// which it queries to decide whether to accept a new job; and the
-// contract history of §5.2.1 feeds the history-aware bid generators.
+// (paper Fig 1) as the Faucets Central Server keeps it: user profiles,
+// accounts, and the contract history of §5.2.1 that feeds the
+// history-aware bid generators. "The current status of all the running
+// and scheduled jobs on the Compute Server" is the Scheduler's own
+// (internal/scheduler), made durable by the daemon's journal.
 //
 // The store is an in-memory, mutex-guarded set of tables. Opened with
 // Open, every mutation is also appended to a write-ahead log and
 // periodically folded into an atomic snapshot (see wal.go), so a crashed
-// Central Server recovers its accounts, job records, and contract
-// history — the durability the paper's contractually binding payoffs
-// (§3, §5.2.1) demand, with none of the external dependencies this
-// reproduction forbids. New remains for ephemeral (simulation/test)
-// databases.
+// Central Server recovers its accounts and contract history — the
+// durability the paper's contractually binding payoffs (§3, §5.2.1)
+// demand, with none of the external dependencies this reproduction
+// forbids. New remains for ephemeral (simulation/test) databases.
 package db
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"faucets/internal/jsonl"
 )
-
-// JobRecord is a job's persistent status row.
-type JobRecord struct {
-	ID          string  `json:"id"`
-	Owner       string  `json:"owner"`
-	Server      string  `json:"server"`
-	App         string  `json:"app"`
-	State       string  `json:"state"`
-	SubmitTime  float64 `json:"submit_time"`
-	StartTime   float64 `json:"start_time"`
-	FinishTime  float64 `json:"finish_time"`
-	Price       float64 `json:"price"`
-	CPUSeconds  float64 `json:"cpu_seconds"`
-	HomeCluster string  `json:"home_cluster,omitempty"`
-}
 
 // ContractRecord is one settled contract in the market history (§5.2.1:
 // "maintaining a history of every individual contract over recent time
@@ -64,7 +47,6 @@ type UserRecord struct {
 // below it.
 type snapshot struct {
 	Seq     uint64                `json:"seq,omitempty"`
-	Jobs    map[string]JobRecord  `json:"jobs"`
 	Users   map[string]UserRecord `json:"users"`
 	Credits map[string]float64    `json:"credits"`
 	History []ContractRecord      `json:"history"`
@@ -81,9 +63,6 @@ type snapshot struct {
 // initMaps replaces nil tables (absent in older snapshots) with empty
 // ones.
 func initMaps(s *snapshot) {
-	if s.Jobs == nil {
-		s.Jobs = map[string]JobRecord{}
-	}
 	if s.Users == nil {
 		s.Users = map[string]UserRecord{}
 	}
@@ -145,10 +124,10 @@ func (d *DB) Durable() bool {
 type Tx struct {
 	data *snapshot
 	recs []walRecord
-	// Staged rows live in slabs kept across transactions, so staging one
-	// allocates nothing once they have grown. A record staged before a
-	// slab grew points into the old array, which stays alive and unchanged.
-	jobs      []JobRecord
+	// Staged contract rows live in a slab kept across transactions, so
+	// staging one allocates nothing once it has grown. A record staged
+	// before the slab grew points into the old array, which stays alive
+	// and unchanged.
 	contracts []ContractRecord
 	// batch is the WAL line of a Tx that staged several records.
 	batch walRecord
@@ -164,12 +143,6 @@ func (tx *Tx) Quota(user string) float64 { return tx.data.Quotas[user] }
 
 // Credits returns a cluster's bartering balance.
 func (tx *Tx) Credits(cluster string) float64 { return tx.data.Credits[cluster] }
-
-// PutJob stages inserting or replacing a job row.
-func (tx *Tx) PutJob(r JobRecord) {
-	tx.jobs = append(tx.jobs, r)
-	tx.stage(walRecord{Op: opPutJob, Job: &tx.jobs[len(tx.jobs)-1]})
-}
 
 // PutUser stages inserting or replacing a user profile.
 func (tx *Tx) PutUser(r UserRecord) { tx.stage(walRecord{Op: opPutUser, User: &r}) }
@@ -211,59 +184,6 @@ func (tx *Tx) MarkSettled(jobID string) { tx.stage(walRecord{Op: opMarkSettled, 
 func (tx *Tx) AppendContract(r ContractRecord) {
 	tx.contracts = append(tx.contracts, r)
 	tx.stage(walRecord{Op: opContract, Contract: &tx.contracts[len(tx.contracts)-1]})
-}
-
-// PutJob inserts or replaces a job row.
-func (d *DB) PutJob(r JobRecord) {
-	d.Update(func(tx *Tx) error { tx.PutJob(r); return nil })
-}
-
-// GetJob fetches a job row.
-func (d *DB) GetJob(id string) (JobRecord, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	r, ok := d.data.Jobs[id]
-	if !ok {
-		return JobRecord{}, fmt.Errorf("%w: job %s", ErrNotFound, id)
-	}
-	return r, nil
-}
-
-// UpdateJob applies fn to an existing row under the lock.
-func (d *DB) UpdateJob(id string, fn func(*JobRecord)) error {
-	return d.Update(func(tx *Tx) error {
-		r, ok := tx.data.Jobs[id]
-		if !ok {
-			return fmt.Errorf("%w: job %s", ErrNotFound, id)
-		}
-		fn(&r)
-		tx.PutJob(r)
-		return nil
-	})
-}
-
-// jobLess is the canonical job ordering: submit time, then ID.
-func jobLess(a, b JobRecord) bool {
-	if a.SubmitTime != b.SubmitTime {
-		return a.SubmitTime < b.SubmitTime
-	}
-	return a.ID < b.ID
-}
-
-// ListJobs returns rows matching the filter (nil matches all), sorted by
-// submit time then ID. The result is sized up front so the append loop
-// never reallocates mid-scan.
-func (d *DB) ListJobs(match func(JobRecord) bool) []JobRecord {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]JobRecord, 0, len(d.data.Jobs))
-	for _, r := range d.data.Jobs {
-		if match == nil || match(r) {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return jobLess(out[i], out[j]) })
-	return out
 }
 
 // PutUser inserts or replaces a user profile.

@@ -2,7 +2,6 @@ package db
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,43 +11,6 @@ import (
 
 	"faucets/internal/sim"
 )
-
-func TestJobCRUD(t *testing.T) {
-	d := New()
-	d.PutJob(JobRecord{ID: "j1", Owner: "alice", State: "pending", SubmitTime: 5})
-	r, err := d.GetJob("j1")
-	if err != nil || r.Owner != "alice" {
-		t.Fatalf("get: %+v %v", r, err)
-	}
-	if err := d.UpdateJob("j1", func(j *JobRecord) { j.State = "running" }); err != nil {
-		t.Fatal(err)
-	}
-	r, _ = d.GetJob("j1")
-	if r.State != "running" {
-		t.Fatalf("update lost: %+v", r)
-	}
-	if _, err := d.GetJob("missing"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err=%v", err)
-	}
-	if err := d.UpdateJob("missing", func(*JobRecord) {}); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err=%v", err)
-	}
-}
-
-func TestListJobsSortedAndFiltered(t *testing.T) {
-	d := New()
-	d.PutJob(JobRecord{ID: "b", SubmitTime: 2, Owner: "x"})
-	d.PutJob(JobRecord{ID: "a", SubmitTime: 1, Owner: "y"})
-	d.PutJob(JobRecord{ID: "c", SubmitTime: 2, Owner: "x"})
-	all := d.ListJobs(nil)
-	if len(all) != 3 || all[0].ID != "a" || all[1].ID != "b" || all[2].ID != "c" {
-		t.Fatalf("order: %v", all)
-	}
-	xs := d.ListJobs(func(r JobRecord) bool { return r.Owner == "x" })
-	if len(xs) != 2 {
-		t.Fatalf("filter: %v", xs)
-	}
-}
 
 func TestUserCRUD(t *testing.T) {
 	d := New()
@@ -132,10 +94,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.PutJob(JobRecord{ID: "j1", Owner: "alice", Price: 12.5})
 	d.PutUser(UserRecord{Name: "alice", HomeCluster: "hub"})
 	d.AddCredits("hub", 42)
-	d.AppendContract(ContractRecord{Time: 1, JobID: "j1", Multiplier: 1.5})
+	d.AppendContract(ContractRecord{Time: 1, JobID: "j1", Price: 12.5, Multiplier: 1.5})
 	if err := d.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -147,15 +108,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer back.Close()
-	j, err := back.GetJob("j1")
-	if err != nil || j.Price != 12.5 {
-		t.Fatalf("job: %+v %v", j, err)
-	}
 	if back.Credits("hub") != 42 {
 		t.Fatalf("credits=%v", back.Credits("hub"))
 	}
-	if back.HistoryLen() != 1 {
-		t.Fatalf("history=%d", back.HistoryLen())
+	if h := back.RecentContracts(nil, 2); len(h) != 1 || h[0].Price != 12.5 || h[0].Multiplier != 1.5 {
+		t.Fatalf("history=%+v", h)
 	}
 	u, err := back.GetUser("alice")
 	if err != nil || u.HomeCluster != "hub" {
@@ -194,8 +151,9 @@ func TestLoadEmptyObjectInitializesMaps(t *testing.T) {
 	}
 	defer d.Close()
 	// Must not panic on nil maps.
-	d.PutJob(JobRecord{ID: "x"})
 	d.AddCredits("c", 1)
+	d.AddQuota("q", 1)
+	d.MarkSettled("x")
 	d.PutUser(UserRecord{Name: "u"})
 }
 
@@ -207,10 +165,10 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(n int) {
 			defer wg.Done()
 			id := string(rune('a' + n%26))
-			d.PutJob(JobRecord{ID: id})
+			d.PutUser(UserRecord{Name: id})
 			d.AddCredits(id, 1)
 			d.AppendContract(ContractRecord{JobID: id})
-			d.ListJobs(nil)
+			_, _ = d.GetUser(id)
 			d.RecentContracts(nil, 5)
 			d.TotalCredits()
 		}(i)
@@ -220,23 +178,4 @@ func TestConcurrentAccess(t *testing.T) {
 
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o600)
-}
-
-// TestListJobsAllocBound pins the listing path's allocation profile: one
-// pre-sized result slice plus sort.Slice's fixed overhead, independent
-// of row count. A regression to append-growth or a per-row comparator
-// allocation shows up as a count scaling with the table size.
-func TestListJobsAllocBound(t *testing.T) {
-	d := New()
-	for i := 0; i < 256; i++ {
-		d.PutJob(JobRecord{ID: fmt.Sprintf("j-%03d", i), SubmitTime: float64(i % 17)})
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if got := d.ListJobs(nil); len(got) != 256 {
-			t.Fatalf("rows=%d", len(got))
-		}
-	})
-	if allocs > 6 {
-		t.Fatalf("ListJobs allocates %v times per call over 256 rows, want a small constant", allocs)
-	}
 }

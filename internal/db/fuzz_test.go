@@ -34,7 +34,7 @@ func seedStateDir(f *testing.F) (snap, wal []byte) {
 	d.PutUser(UserRecord{Name: "ana", HomeCluster: "turing"})
 	d.AddCredits("turing", 100)
 	d.Compact() // folds the above into snapshot.json
-	d.PutJob(JobRecord{ID: "job-1", Owner: "ana", State: "finished", Price: 3})
+	d.PutUser(UserRecord{Name: "bo", HomeCluster: "pascal"})
 	d.Update(func(tx *Tx) error {
 		_ = tx.TransferCredits("turing", "pascal", 12.5)
 		tx.MarkSettled("job-1")

@@ -35,7 +35,6 @@ import (
 
 // WAL operation codes.
 const (
-	opPutJob      = "put_job"
 	opPutUser     = "put_user"
 	opAddCredits  = "add_credits"
 	opTransfer    = "transfer"
@@ -52,7 +51,6 @@ const (
 type walRecord struct {
 	Seq      uint64          `json:"seq,omitempty"`
 	Op       string          `json:"op"`
-	Job      *JobRecord      `json:"job,omitempty"`
 	User     *UserRecord     `json:"user,omitempty"`
 	Contract *ContractRecord `json:"contract,omitempty"`
 	// Key names the account (cluster, user, or server) an amount applies
@@ -115,12 +113,10 @@ func Open(stateDir string) (*DB, error) {
 // applyMemLocked applies a record to the in-memory tables only; it is
 // the single definition of each operation's semantics, shared by live
 // mutation and replay. Caller holds d.mu (or exclusively owns d).
+// An unknown op — such as the put_job lines of the job table older state
+// directories carry — applies nothing.
 func (d *DB) applyMemLocked(rec walRecord) {
 	switch rec.Op {
-	case opPutJob:
-		if rec.Job != nil {
-			d.data.Jobs[rec.Job.ID] = *rec.Job
-		}
 	case opPutUser:
 		if rec.User != nil {
 			d.data.Users[rec.User.Name] = *rec.User
@@ -177,7 +173,7 @@ func (d *DB) Update(fn func(*Tx) error) error {
 		}
 	}
 	clear(tx.recs)
-	tx.recs, tx.jobs, tx.contracts = tx.recs[:0], tx.jobs[:0], tx.contracts[:0]
+	tx.recs, tx.contracts = tx.recs[:0], tx.contracts[:0]
 	d.mu.Unlock()
 	if err != nil || w == nil {
 		return err

@@ -8,11 +8,11 @@ import "testing"
 // under -race.
 
 // TestReplayFlashCrowdAllocs pins BenchmarkReplayFlashCrowd: a replay
-// allocates less than 18 000 times (17 452 on go1.24), less than one
+// allocates less than 16 500 times (15 848 on go1.24), less than one
 // allocation per job beyond what the run keeps.
 func TestReplayFlashCrowdAllocs(t *testing.T) {
 	jobs := 0
-	if got := testing.AllocsPerRun(1, replayCase(t, &jobs)); got > 18000 {
-		t.Errorf("flash-crowd replay of %d jobs: %v allocs, want ≤ 18000", jobs, got)
+	if got := testing.AllocsPerRun(1, replayCase(t, &jobs)); got > 16500 {
+		t.Errorf("flash-crowd replay of %d jobs: %v allocs, want ≤ 16500", jobs, got)
 	}
 }

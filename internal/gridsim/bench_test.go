@@ -28,7 +28,7 @@ func replayCase(tb testing.TB, jobs *int) func() {
 // BenchmarkReplayFlashCrowd times replayCase, so ns/op here is the
 // bench's gridsim.replay_p50_ms probe and latency_p50_ms on sim-sweep,
 // and B/op ÷ jobs is its alloc_kb_per_job. TestReplayFlashCrowdAllocs
-// holds allocs/op under 18 000 (≈10 a job, all of them kept by the run):
+// holds allocs/op under 16 500 (≈9 a job, all of them kept by the run):
 // one more transient per job would add ≈1.7k.
 func BenchmarkReplayFlashCrowd(b *testing.B) {
 	jobs := 0

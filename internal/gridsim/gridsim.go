@@ -115,7 +115,7 @@ type Result struct {
 	Utilization map[string]float64
 	// Credits per cluster at the end (bartering mode).
 	Credits map[string]float64
-	// DB is the shared database (contract history, job records).
+	// DB is the shared database (accounts and contract history).
 	DB *db.DB
 }
 
@@ -150,7 +150,10 @@ type gridRun struct {
 	store   *db.DB
 	// placing maps a job ID to its Job while an award is in progress.
 	placing map[string]placement
-	res     *Result
+	// awards holds each admitted job's award from its Commit until settle
+	// books it, so it holds only the jobs in flight.
+	awards map[*job.Job]award
+	res    *Result
 
 	// Per-run scratch for one auction: the solicited ports, the home
 	// cluster's port and the ranked bids.
@@ -177,6 +180,13 @@ type placement struct {
 	j    *job.Job
 	user string
 	home string
+}
+
+// award is what settle books beyond the job itself: the price Commit
+// accepted and the owner's home cluster.
+type award struct {
+	price float64
+	home  string
 }
 
 // ServerPort adapter: bid solicitation.
@@ -222,11 +232,7 @@ func (s *serverEntity) Commit(now float64, jobID string, b bidding.Bid) error {
 		return fmt.Errorf("gridsim: %s refused %s at commit", s.name, jobID)
 	}
 	s.outstanding += pl.j.Contract.Work
-	s.g.store.PutJob(db.JobRecord{
-		ID: jobID, Owner: pl.user, Server: s.name, App: pl.j.Contract.App,
-		State: pl.j.State().String(), SubmitTime: pl.j.SubmitTime,
-		Price: b.Price, HomeCluster: pl.home,
-	})
+	s.g.awards[pl.j] = award{price: b.Price, home: pl.home}
 	s.refresh(now)
 	return nil
 }
@@ -262,19 +268,8 @@ func (s *serverEntity) settle(now float64, j *job.Job) {
 	if s.outstanding < 0 {
 		s.outstanding = 0
 	}
-	// One trip to the store: complete the row Commit wrote and keep a copy.
-	var rec db.JobRecord
-	complete := func(r *db.JobRecord) {
-		r.State = j.State().String()
-		r.StartTime = j.StartTime
-		r.FinishTime = j.FinishTime
-		r.CPUSeconds = j.CPUUsed()
-		rec = *r
-	}
-	if g.store.UpdateJob(string(j.ID), complete) != nil {
-		complete(&db.JobRecord{ID: string(j.ID), Owner: j.Owner, Server: s.name})
-		g.store.PutJob(rec)
-	}
+	aw := g.awards[j]
+	delete(g.awards, j)
 
 	g.res.Finished++
 	stat(&g.response, g.metrics.S, "response_time").Add(j.ResponseTime())
@@ -285,16 +280,16 @@ func (s *serverEntity) settle(now float64, j *job.Job) {
 		service = 10
 	}
 	stat(&g.slowdown, g.metrics.S, "slowdown").Add(j.ResponseTime() / service)
-	stat(&g.price, g.metrics.S, "price").Add(rec.Price)
+	stat(&g.price, g.metrics.S, "price").Add(aw.price)
 	// The charge and the history row the §5.2.1 bidders read: both or neither.
 	row := db.ContractRecord{
-		Time: now, JobID: rec.ID, App: rec.App, Server: s.name,
-		MinPE: j.Contract.MinPE, MaxPE: j.Contract.MaxPE, Price: rec.Price,
+		Time: now, JobID: string(j.ID), App: j.Contract.App, Server: s.name,
+		MinPE: j.Contract.MinPE, MaxPE: j.Contract.MaxPE, Price: aw.price,
 	}
 	if g.store.Update(func(tx *db.Tx) error {
-		return g.acct.Book(tx, rec.Owner, rec.HomeCluster, &row, rec.CPUSeconds, s.spec.CostRate)
+		return g.acct.Book(tx, j.Owner, aw.home, &row, j.CPUUsed(), s.spec.CostRate)
 	}) == nil {
-		s.revenue += rec.Price
+		s.revenue += aw.price
 	}
 	if !j.Contract.Payoff.Zero() {
 		v := j.Payout()
@@ -336,6 +331,7 @@ func runInternal(cfg Config, trace *workload.Trace) (*Result, *gridRun, error) {
 		store:   store,
 		acct:    accounting.New(cfg.Mode, store),
 		placing: map[string]placement{},
+		awards:  map[*job.Job]award{},
 	}
 	for cluster, amount := range cfg.InitialCredits {
 		store.AddCredits(cluster, amount)
@@ -459,10 +455,6 @@ func (g *gridRun) migrateSweep(now float64) {
 			if j.State() != job.Checkpointed {
 				continue
 			}
-			rec, err := g.store.GetJob(string(j.ID))
-			if err != nil {
-				continue
-			}
 			target := g.findPromptServer(now, origin, j)
 			if target == nil {
 				continue
@@ -476,14 +468,13 @@ func (g *gridRun) migrateSweep(now float64) {
 				_ = origin.sched.Submit(now, evicted)
 				continue
 			}
-			// Transfer the outstanding-work accounting and the record.
+			// Transfer the outstanding-work accounting; the award goes with
+			// the job.
 			origin.outstanding -= evicted.Contract.Work
 			if origin.outstanding < 0 {
 				origin.outstanding = 0
 			}
 			target.outstanding += evicted.Contract.Work
-			rec.Server = target.name
-			g.store.PutJob(rec)
 			g.metrics.C("migrations").Inc()
 			origin.refresh(now)
 			target.refresh(now)

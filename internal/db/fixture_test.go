@@ -15,7 +15,6 @@ const fixtureWAL = `{"seq":1,"op":"put_user","user":{"name":"alice","home_cluste
 
 const fixtureSnapshot = `{
   "seq": 4,
-  "jobs": {},
   "users": {
     "alice": {
       "name": "alice",

@@ -134,3 +134,71 @@ func TestOpenFixtureBytes(t *testing.T) {
 		t.Fatalf("append after recovery:\n%s", got)
 	}
 }
+
+// An old-format state directory: a snapshot whose users and credits came
+// in at seq 1, beside a job table, and a WAL that carries a put_job line
+// between the settlement batch and the transfer — the bytes the database
+// wrote while it still kept job rows.
+const (
+	oldSnapshot = `{
+  "seq": 1,
+  "jobs": {
+    "job-0": {
+      "id": "job-0",
+      "owner": "alice",
+      "server": "turing",
+      "app": "synth",
+      "state": "finished",
+      "submit_time": 0,
+      "start_time": 0.25,
+      "finish_time": 1,
+      "price": 8,
+      "cpu_seconds": 8,
+      "home_cluster": "turing"
+    }
+  },
+  "users": {
+    "alice": {
+      "name": "alice",
+      "home_cluster": "turing"
+    }
+  },
+  "credits": {
+    "turing": 100
+  },
+  "history": []
+}`
+	oldWAL = `{"seq":2,"op":"batch","recs":[{"op":"add_spend","key":"alice","amount":16},{"op":"add_revenue","key":"lemieux","amount":16},{"op":"settled","job_id":"job-1"},{"op":"contract","contract":{"time":1.5,"job_id":"job-1","app":"synth","server":"lemieux","min_pe":2,"max_pe":16,"price":16,"multiplier":0.008}}]}
+{"seq":3,"op":"put_job","job":{"id":"job-1","owner":"alice","server":"lemieux","app":"synth","state":"finished","submit_time":0,"start_time":0.5,"finish_time":1.5,"price":16,"cpu_seconds":16,"home_cluster":"turing"}}
+{"seq":4,"op":"transfer","key":"turing","to":"lemieux","amount":4}
+`
+)
+
+// TestOpenOldFormatSkipsJobRows: a directory written while the database
+// kept job rows opens with every other record applied — the snapshot's
+// jobs key and the WAL's put_job line are skipped, the lines after it
+// still replay — and its compaction is the current fixture, byte for byte.
+func TestOpenOldFormatSkipsJobRows(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(snapshotFile(dir), []byte(oldSnapshot), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(walFile(dir), []byte(oldWAL), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	checkFixtureState(t, d)
+	if got := readFile(t, walFile(dir)); got != oldWAL {
+		t.Fatalf("replay cut the old WAL to %d of its %d bytes", len(got), len(oldWAL))
+	}
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readFile(t, snapshotFile(dir)); got != fixtureSnapshot {
+		t.Fatalf("old directory compacts to\n%s\nwant:\n%s", got, fixtureSnapshot)
+	}
+}

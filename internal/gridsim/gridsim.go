@@ -150,9 +150,9 @@ type gridRun struct {
 	store   *db.DB
 	// placing maps a job ID to its Job while an award is in progress.
 	placing map[string]placement
-	// awards holds each admitted job's award from its Commit until settle
-	// books it, so it holds only the jobs in flight.
-	awards map[*job.Job]award
+	// awards holds each admitted job's placement, priced, from its Commit
+	// until settle books it, so it holds only the jobs in flight.
+	awards map[*job.Job]placement
 	res    *Result
 
 	// Per-run scratch for one auction: the solicited ports, the home
@@ -175,18 +175,13 @@ func stat[T any](p **T, lookup func(string) *T, name string) *T {
 	return *p
 }
 
-// placement carries the context a Commit callback needs.
+// placement carries the context a Commit callback needs, and once a
+// Commit admits the job, the price it accepted for settle to book.
 type placement struct {
-	j    *job.Job
-	user string
-	home string
-}
-
-// award is what settle books beyond the job itself: the price Commit
-// accepted and the owner's home cluster.
-type award struct {
-	price float64
+	j     *job.Job
+	user  string
 	home  string
+	price float64
 }
 
 // ServerPort adapter: bid solicitation.
@@ -232,7 +227,8 @@ func (s *serverEntity) Commit(now float64, jobID string, b bidding.Bid) error {
 		return fmt.Errorf("gridsim: %s refused %s at commit", s.name, jobID)
 	}
 	s.outstanding += pl.j.Contract.Work
-	s.g.awards[pl.j] = award{price: b.Price, home: pl.home}
+	pl.price = b.Price
+	s.g.awards[pl.j] = pl
 	s.refresh(now)
 	return nil
 }
@@ -268,7 +264,7 @@ func (s *serverEntity) settle(now float64, j *job.Job) {
 	if s.outstanding < 0 {
 		s.outstanding = 0
 	}
-	aw := g.awards[j]
+	pl := g.awards[j]
 	delete(g.awards, j)
 
 	g.res.Finished++
@@ -280,16 +276,16 @@ func (s *serverEntity) settle(now float64, j *job.Job) {
 		service = 10
 	}
 	stat(&g.slowdown, g.metrics.S, "slowdown").Add(j.ResponseTime() / service)
-	stat(&g.price, g.metrics.S, "price").Add(aw.price)
+	stat(&g.price, g.metrics.S, "price").Add(pl.price)
 	// The charge and the history row the §5.2.1 bidders read: both or neither.
 	row := db.ContractRecord{
 		Time: now, JobID: string(j.ID), App: j.Contract.App, Server: s.name,
-		MinPE: j.Contract.MinPE, MaxPE: j.Contract.MaxPE, Price: aw.price,
+		MinPE: j.Contract.MinPE, MaxPE: j.Contract.MaxPE, Price: pl.price,
 	}
 	if g.store.Update(func(tx *db.Tx) error {
-		return g.acct.Book(tx, j.Owner, aw.home, &row, j.CPUUsed(), s.spec.CostRate)
+		return g.acct.Book(tx, j.Owner, pl.home, &row, j.CPUUsed(), s.spec.CostRate)
 	}) == nil {
-		s.revenue += aw.price
+		s.revenue += pl.price
 	}
 	if !j.Contract.Payoff.Zero() {
 		v := j.Payout()
@@ -331,7 +327,7 @@ func runInternal(cfg Config, trace *workload.Trace) (*Result, *gridRun, error) {
 		store:   store,
 		acct:    accounting.New(cfg.Mode, store),
 		placing: map[string]placement{},
-		awards:  map[*job.Job]award{},
+		awards:  map[*job.Job]placement{},
 	}
 	for cluster, amount := range cfg.InitialCredits {
 		store.AddCredits(cluster, amount)

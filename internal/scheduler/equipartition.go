@@ -23,7 +23,7 @@ import (
 // start as soon as the shares leave room for their MinPE.
 type Equipartition struct {
 	*cluster
-	// bs and target are plan's working set, reused across reallocations.
+	// bs and target are the working set of bases and reallocate.
 	bs     []bounds
 	target []int
 	// kept is the base plan every bid (EstimateCompletion) reads until
@@ -124,13 +124,6 @@ func (e *Equipartition) bases() []bounds {
 	return e.bs
 }
 
-// plan water-fills the machine over bases. The result is aligned with
-// them and lives in the scheduler's scratch until the next call.
-func (e *Equipartition) plan() []int {
-	e.target = shares(e.spec.NumPE, e.bases(), e.target)
-	return e.target
-}
-
 // keptPlan is the minimum pass of shares over the base jobs — running,
 // then queued — which is all an arrival's share depends on: the arrival
 // is last, so every round grants the base jobs theirs first.
@@ -157,7 +150,7 @@ func (p *keptPlan) build(total int, bs []bounds) {
 			continue
 		}
 		p.free -= b.min
-		if b.min > 0 && b.max > b.min {
+		if b.max > b.min {
 			p.head = append(p.head, b.max-b.min)
 		}
 	}
@@ -170,18 +163,16 @@ func (p *keptPlan) build(total int, bs []bounds) {
 }
 
 // share is the arrival's element of shares over the base jobs plus a, in
-// O(rounds·log n). Every base job whose headroom exceeds a round's level
-// has been granted exactly level so far, so a round grants the base jobs
-// one prefix-sum difference for those that saturate and per for the rest,
+// O(rounds·log n), for minimums of at least one processor (a validated
+// contract's). Every base job whose headroom exceeds a round's level has
+// been granted exactly level so far, so a round grants the base jobs one
+// prefix-sum difference for those that saturate and per for the rest,
 // and the arrival whatever per leaves.
 func (p *keptPlan) share(a bounds) int {
 	if a.min > p.free {
 		return 0
 	}
 	pe, left := a.min, p.free-a.min
-	if pe <= 0 {
-		return pe
-	}
 	n, level, k := len(p.head), 0, 0 // head[k:] still grow
 	for left > 0 {
 		grow := n - k
@@ -209,9 +200,11 @@ func (p *keptPlan) share(a bounds) int {
 	return pe
 }
 
-// reallocate recomputes the fair shares and applies them.
+// reallocate water-fills the machine over bases, into the scheduler's
+// scratch, and applies the shares.
 func (e *Equipartition) reallocate(now float64) {
-	target := e.plan()
+	e.target = shares(e.spec.NumPE, e.bases(), e.target)
+	target := e.target
 	nrun := len(e.running)
 	for i := range e.running {
 		e.running[i].target = target[i]

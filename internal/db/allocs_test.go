@@ -27,17 +27,23 @@ func TestSettleTxAllocs(t *testing.T) {
 }
 
 // TestMutatorAllocs pins the ephemeral mutators: a balance change
-// allocates nothing.
+// allocates nothing, and neither does a contract appended into history
+// GrowHistory reserved.
 func TestMutatorAllocs(t *testing.T) {
+	const runs = 100
 	d := New()
+	// AllocsPerRun makes one warm-up call besides its runs.
+	d.GrowHistory(runs + 1)
+	rec := ContractRecord{JobID: "j", Server: "s", Price: 1}
 	for _, c := range []struct {
 		name string
 		max  float64
 		f    func()
 	}{
 		{"AddRevenue", 0, func() { d.AddRevenue("s", 1) }},
+		{"AppendContract", 0, func() { d.AppendContract(rec) }},
 	} {
-		if got := testing.AllocsPerRun(100, c.f); got > c.max {
+		if got := testing.AllocsPerRun(runs, c.f); got > c.max {
 			t.Errorf("%s: %v allocs, want ≤ %v", c.name, got, c.max)
 		}
 	}

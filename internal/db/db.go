@@ -17,6 +17,7 @@ package db
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"faucets/internal/jsonl"
@@ -316,6 +317,15 @@ func (d *DB) SettledCount() int {
 // AppendContract records a settled contract in the market history.
 func (d *DB) AppendContract(r ContractRecord) {
 	d.Update(func(tx *Tx) error { tx.AppendContract(r); return nil })
+}
+
+// GrowHistory reserves room for n more contracts in the history, so a
+// caller that knows how many it will settle — a simulated replay, from
+// its trace — appends them without regrowing the table.
+func (d *DB) GrowHistory(n int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.data.History = slices.Grow(d.data.History, n)
 }
 
 // RecentContracts returns up to limit settled contracts matching the

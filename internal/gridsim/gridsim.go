@@ -161,9 +161,11 @@ type gridRun struct {
 	homePort [1]market.ServerPort
 	bids     []bidding.Bid
 
-	// The per-job statistics, through stat.
+	// The per-job statistics, through stat; the series through g.series.
 	bidReq, bidReply, postRead, commits, declined, jobsPlaced, met, missed *sim.Counter
 	response, slowdown, price, payoff, attempts, multiplier                *sim.Series
+	// jobs is the trace's length, the room each per-job series reserves.
+	jobs int
 }
 
 // stat returns the named statistic through *p, looking it up by name on
@@ -173,6 +175,14 @@ func stat[T any](p **T, lookup func(string) *T, name string) *T {
 		*p = lookup(name)
 	}
 	return *p
+}
+
+// series looks up a per-job series for stat and reserves room for one
+// observation per job in the trace.
+func (g *gridRun) series(name string) *sim.Series {
+	s := g.metrics.S(name)
+	s.Grow(g.jobs)
+	return s
 }
 
 // placement carries the context a Commit callback needs, and once a
@@ -268,15 +278,15 @@ func (s *serverEntity) settle(now float64, j *job.Job) {
 	delete(g.awards, j)
 
 	g.res.Finished++
-	stat(&g.response, g.metrics.S, "response_time").Add(j.ResponseTime())
+	stat(&g.response, g.series, "response_time").Add(j.ResponseTime())
 	// Bounded slowdown: response over service time, floored at 10s of
 	// service so tiny jobs don't dominate the statistic.
 	service := j.FinishTime - j.StartTime
 	if service < 10 {
 		service = 10
 	}
-	stat(&g.slowdown, g.metrics.S, "slowdown").Add(j.ResponseTime() / service)
-	stat(&g.price, g.metrics.S, "price").Add(pl.price)
+	stat(&g.slowdown, g.series, "slowdown").Add(j.ResponseTime() / service)
+	stat(&g.price, g.series, "price").Add(pl.price)
 	// The charge and the history row the §5.2.1 bidders read: both or neither.
 	row := db.ContractRecord{
 		Time: now, JobID: string(j.ID), App: j.Contract.App, Server: s.name,
@@ -290,7 +300,7 @@ func (s *serverEntity) settle(now float64, j *job.Job) {
 	if !j.Contract.Payoff.Zero() {
 		v := j.Payout()
 		s.payoff += v
-		stat(&g.payoff, g.metrics.S, "payoff").Add(v)
+		stat(&g.payoff, g.series, "payoff").Add(v)
 		if j.MetDeadline() {
 			stat(&g.met, g.metrics.C, "deadline.met").Inc()
 		} else {
@@ -400,6 +410,10 @@ func runInternal(cfg Config, trace *workload.Trace) (*Result, *gridRun, error) {
 		items = slices.Clone(items)
 		slices.SortStableFunc(items, bySubmit)
 	}
+	// The trace fixes how many jobs the run can settle, so the history
+	// and the per-job series are sized once rather than regrown.
+	g.jobs = len(items)
+	store.GrowHistory(len(items))
 	next := 0
 	submit := sim.Event{Name: "submit", Priority: -1}
 	submit.Fn = func(e *sim.Engine) {
@@ -630,7 +644,7 @@ func (g *gridRun) submit(now float64, it workload.Item) {
 func (g *gridRun) finishAward(now float64, it workload.Item, j *job.Job, res market.AwardResult, err error) {
 	delete(g.placing, it.ID)
 	if res.Attempts > 0 {
-		stat(&g.attempts, g.metrics.S, "award_attempts").Add(float64(res.Attempts))
+		stat(&g.attempts, g.series, "award_attempts").Add(float64(res.Attempts))
 	}
 	stat(&g.declined, g.metrics.C, "commit.declined").Addn(uint64(len(res.Declined)))
 	if err != nil {
@@ -645,5 +659,5 @@ func (g *gridRun) finishAward(now float64, it workload.Item, j *job.Job, res mar
 func (g *gridRun) placed(now float64, it workload.Item, res market.AwardResult) {
 	g.res.Placed++
 	stat(&g.jobsPlaced, g.metrics.C, "jobs.placed").Inc()
-	stat(&g.multiplier, g.metrics.S, "bid_multiplier").Add(res.Bid.Multiplier)
+	stat(&g.multiplier, g.series, "bid_multiplier").Add(res.Bid.Multiplier)
 }

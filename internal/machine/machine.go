@@ -4,8 +4,7 @@
 // that "the communication topology also needs to be considered because
 // the shrunk jobs should continue to have locality and a contiguous set
 // of processors need to be assigned to the new job" (§4.1), so the
-// allocator hands out contiguous ranges when possible and tracks
-// fragmentation.
+// allocator hands out contiguous ranges when possible.
 package machine
 
 import (
@@ -69,24 +68,6 @@ func (a *Alloc) Size() int {
 	return n
 }
 
-// Ranges returns the allocation's ranges (callers must not mutate).
-func (a *Alloc) Ranges() []Range { return a.ranges }
-
-// Contiguous reports whether the allocation is a single range — the
-// locality-preserving shape the scheduler prefers.
-func (a *Alloc) Contiguous() bool { return len(a.ranges) <= 1 }
-
-// PEs expands the allocation into the individual processor indices.
-func (a *Alloc) PEs() []int {
-	out := make([]int, 0, a.Size())
-	for _, r := range a.ranges {
-		for p := r.Lo; p < r.Hi; p++ {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 func (a *Alloc) String() string {
 	if len(a.ranges) == 0 {
 		return "[]"
@@ -106,9 +87,8 @@ func (a *Alloc) String() string {
 // falls back to scattering across several blocks only when no single
 // block is large enough.
 type Allocator struct {
-	numPE int
-	used  []bool // used[p] == true when processor p is allocated
-	free  int
+	used []bool // used[p] == true when processor p is allocated
+	free int
 }
 
 // NewAllocator returns an allocator for a machine with numPE processors.
@@ -116,59 +96,30 @@ func NewAllocator(numPE int) *Allocator {
 	if numPE < 1 {
 		panic("machine: allocator needs at least one processor")
 	}
-	return &Allocator{numPE: numPE, used: make([]bool, numPE), free: numPE}
+	return &Allocator{used: make([]bool, numPE), free: numPE}
 }
-
-// NumPE returns the machine size.
-func (al *Allocator) NumPE() int { return al.numPE }
 
 // Free returns the number of unallocated processors.
 func (al *Allocator) Free() int { return al.free }
 
 // Used returns the number of allocated processors.
-func (al *Allocator) Used() int { return al.numPE - al.free }
-
-// Utilization returns the fraction of processors currently allocated.
-func (al *Allocator) Utilization() float64 {
-	return float64(al.Used()) / float64(al.numPE)
-}
+func (al *Allocator) Used() int { return len(al.used) - al.free }
 
 // ErrNoSpace is returned when an allocation cannot be satisfied.
 var ErrNoSpace = errors.New("machine: not enough free processors")
 
-// freeBlocks returns the free contiguous ranges, in index order.
-func (al *Allocator) freeBlocks() []Range {
-	var blocks []Range
-	i := 0
-	for i < al.numPE {
-		if al.used[i] {
-			i++
-			continue
-		}
-		j := i
-		for j < al.numPE && !al.used[j] {
-			j++
-		}
-		blocks = append(blocks, Range{i, j})
-		i = j
+// freeEnd returns the end of the free block that starts at processor lo.
+func (al *Allocator) freeEnd(lo int) int {
+	hi := lo
+	for hi < len(al.used) && !al.used[hi] {
+		hi++
 	}
-	return blocks
-}
-
-// LargestFreeBlock returns the size of the largest contiguous free range.
-func (al *Allocator) LargestFreeBlock() int {
-	max := 0
-	for _, b := range al.freeBlocks() {
-		if b.Len() > max {
-			max = b.Len()
-		}
-	}
-	return max
+	return hi
 }
 
 // Alloc grants n processors. It returns a contiguous range when any free
-// block fits (choosing the best-fit block), otherwise it stitches the
-// allocation from multiple blocks in index order.
+// block fits (choosing the best-fit block, the first of equals),
+// otherwise it stitches the allocation from free blocks in index order.
 func (al *Allocator) Alloc(n int) (*Alloc, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("machine: allocation of %d processors", n)
@@ -176,35 +127,39 @@ func (al *Allocator) Alloc(n int) (*Alloc, error) {
 	if n > al.free {
 		return nil, fmt.Errorf("%w: want %d, free %d", ErrNoSpace, n, al.free)
 	}
-	blocks := al.freeBlocks()
-	// Best fit: smallest block that still fits n.
-	best := -1
-	for i, b := range blocks {
-		if b.Len() >= n && (best == -1 || b.Len() < blocks[best].Len()) {
-			best = i
+	// Best fit: one scan over the free blocks for the smallest that
+	// still fits n. An exact fit cannot be beaten, so it ends the scan.
+	best, bestLen := -1, 0
+	for lo := 0; lo < len(al.used) && bestLen != n; {
+		if al.used[lo] {
+			lo++
+			continue
 		}
+		hi := al.freeEnd(lo)
+		if l := hi - lo; l >= n && (best < 0 || l < bestLen) {
+			best, bestLen = lo, l
+		}
+		lo = hi
 	}
 	a := &Alloc{}
 	if best >= 0 {
-		r := Range{blocks[best].Lo, blocks[best].Lo + n}
+		r := Range{best, best + n}
 		al.mark(r, true)
 		a.ranges = []Range{r}
 		return a, nil
 	}
-	// Fragmented allocation: take blocks in order until satisfied.
-	remaining := n
-	for _, b := range blocks {
-		take := b.Len()
-		if take > remaining {
-			take = remaining
+	// Fragmented allocation: take blocks in order until satisfied, which
+	// n ≤ free guarantees happens before the scan leaves the machine.
+	for lo, remaining := 0, n; remaining > 0; {
+		if al.used[lo] {
+			lo++
+			continue
 		}
-		r := Range{b.Lo, b.Lo + take}
+		r := Range{lo, min(al.freeEnd(lo), lo+remaining)}
 		al.mark(r, true)
 		a.ranges = append(a.ranges, r)
-		remaining -= take
-		if remaining == 0 {
-			break
-		}
+		remaining -= r.Len()
+		lo = r.Hi
 	}
 	return a, nil
 }
@@ -274,7 +229,7 @@ func (al *Allocator) Expand(a *Alloc, newSize int) error {
 	// leftward; this keeps allocations contiguous as long as possible.
 	if len(a.ranges) > 0 {
 		last := &a.ranges[len(a.ranges)-1]
-		for need > 0 && last.Hi < al.numPE && !al.used[last.Hi] {
+		for need > 0 && last.Hi < len(al.used) && !al.used[last.Hi] {
 			al.used[last.Hi] = true
 			al.free--
 			last.Hi++

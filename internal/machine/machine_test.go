@@ -34,14 +34,11 @@ func TestAllocContiguousPreferred(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.Contiguous() || a.Size() != 8 {
+	if len(a.ranges) != 1 || a.Size() != 8 {
 		t.Fatalf("first allocation not contiguous: %v", a)
 	}
 	if al.Free() != 8 || al.Used() != 8 {
 		t.Fatalf("free=%d used=%d", al.Free(), al.Used())
-	}
-	if al.Utilization() != 0.5 {
-		t.Fatalf("utilization=%v", al.Utilization())
 	}
 }
 
@@ -59,10 +56,10 @@ func TestAllocBestFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a4.Contiguous() {
+	if len(a4.ranges) != 1 {
 		t.Fatalf("best-fit allocation fragmented: %v", a4)
 	}
-	if r := a4.Ranges()[0]; r.Lo != 15 {
+	if r := a4.ranges[0]; r.Lo != 15 {
 		t.Fatalf("best-fit chose block at %d, want 15", r.Lo)
 	}
 }
@@ -88,7 +85,7 @@ func TestAllocFragmentedFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if frag.Contiguous() {
+	if len(frag.ranges) == 1 {
 		t.Fatal("expected fragmented allocation")
 	}
 	if frag.Size() != 6 {
@@ -113,7 +110,7 @@ func TestReleaseDoublePanics(t *testing.T) {
 	al := NewAllocator(4)
 	a, _ := al.Alloc(2)
 	// Copy the ranges so we can simulate a stale handle.
-	stale := &Alloc{ranges: append([]Range(nil), a.Ranges()...)}
+	stale := &Alloc{ranges: append([]Range(nil), a.ranges...)}
 	al.Release(a)
 	defer func() {
 		if recover() == nil {
@@ -137,8 +134,8 @@ func TestShrink(t *testing.T) {
 	if err := al.Shrink(a, 4); err != nil {
 		t.Fatal(err)
 	}
-	if a.Size() != 4 || !a.Contiguous() {
-		t.Fatalf("after shrink: size=%d contiguous=%v", a.Size(), a.Contiguous())
+	if a.Size() != 4 || len(a.ranges) != 1 {
+		t.Fatalf("after shrink: size=%d ranges=%v", a.Size(), a.ranges)
 	}
 	if al.Free() != 12 {
 		t.Fatalf("free=%d, want 12", al.Free())
@@ -157,7 +154,7 @@ func TestExpandInPlace(t *testing.T) {
 	if err := al.Expand(a, 8); err != nil {
 		t.Fatal(err)
 	}
-	if a.Size() != 8 || !a.Contiguous() {
+	if a.Size() != 8 || len(a.ranges) != 1 {
 		t.Fatalf("expand broke contiguity: %v size=%d", a, a.Size())
 	}
 }
@@ -172,10 +169,10 @@ func TestExpandLeftward(t *testing.T) {
 	if err := al.Expand(a, 8); err != nil {
 		t.Fatal(err)
 	}
-	if !a.Contiguous() || a.Size() != 8 {
+	if len(a.ranges) != 1 || a.Size() != 8 {
 		t.Fatalf("leftward expand failed: %v", a)
 	}
-	if r := a.Ranges()[0]; r.Lo != 0 || r.Hi != 8 {
+	if r := a.ranges[0]; r.Lo != 0 || r.Hi != 8 {
 		t.Fatalf("expanded range = %v", r)
 	}
 }
@@ -193,7 +190,7 @@ func TestExpandFragmentedFallback(t *testing.T) {
 	if a.Size() != 6 {
 		t.Fatalf("size=%d", a.Size())
 	}
-	if a.Contiguous() {
+	if len(a.ranges) == 1 {
 		t.Fatal("expected fragmented expansion around the blocker")
 	}
 	if err := al.Expand(a, 100); !errors.Is(err, ErrNoSpace) {
@@ -215,31 +212,15 @@ func TestExpandNoopAndMerge(t *testing.T) {
 	}
 }
 
-func TestPEsAndString(t *testing.T) {
+func TestString(t *testing.T) {
 	al := NewAllocator(8)
 	a, _ := al.Alloc(3)
-	pes := a.PEs()
-	if len(pes) != 3 || pes[0] != 0 || pes[2] != 2 {
-		t.Fatalf("PEs=%v", pes)
-	}
 	if !strings.Contains(a.String(), "[0,3)") {
 		t.Fatalf("String=%q", a.String())
 	}
 	empty := &Alloc{}
 	if empty.String() != "[]" {
 		t.Fatalf("empty String=%q", empty.String())
-	}
-}
-
-func TestLargestFreeBlock(t *testing.T) {
-	al := NewAllocator(10)
-	a, _ := al.Alloc(3) // [0,3)
-	b, _ := al.Alloc(3) // [3,6)
-	_ = b
-	al.Release(a)
-	// Free: [0,3) and [6,10) → largest 4.
-	if got := al.LargestFreeBlock(); got != 4 {
-		t.Fatalf("LargestFreeBlock=%d, want 4", got)
 	}
 }
 
@@ -286,11 +267,13 @@ func TestAllocatorInvariantProperty(t *testing.T) {
 			}
 			for idx, a := range live {
 				total += a.Size()
-				for _, p := range a.PEs() {
-					if p < 0 || p >= numPE || owner[p] != -1 {
-						return false
+				for _, r := range a.ranges {
+					for p := r.Lo; p < r.Hi; p++ {
+						if p < 0 || p >= numPE || owner[p] != -1 {
+							return false
+						}
+						owner[p] = idx
 					}
-					owner[p] = idx
 				}
 			}
 			if al.Used() != total || al.Free() != numPE-total {

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -12,10 +13,15 @@ import (
 type Series struct {
 	vals []float64
 	sum  float64
-	// sorted is Percentile's sorted copy, current while as long as vals
-	// (Add only appends); vals keeps the order Stddev sums in.
+	// sorted is Percentile's sorted copy of vals. Add only appends, so
+	// the copy is current exactly when it is as long as vals; vals keeps
+	// the order Stddev sums in.
 	sorted []float64
 }
+
+// Grow reserves room for n more observations, so the next n Adds
+// allocate nothing.
+func (s *Series) Grow(n int) { s.vals = slices.Grow(s.vals, n) }
 
 // Add records one observation.
 func (s *Series) Add(v float64) {

@@ -40,6 +40,27 @@ func TestSeriesEmpty(t *testing.T) {
 // deviations sum differently in ascending order, so a Percentile that
 // sorted the series in place would move Stddev; the sorted copy it keeps
 // must follow a later Add.
+// Grow reserves without recording: the series stays empty, and the
+// next Adds fill the reserved array in place.
+func TestSeriesGrow(t *testing.T) {
+	var s Series
+	s.Grow(8)
+	if s.N() != 0 || s.Sum() != 0 || cap(s.vals) < 8 {
+		t.Fatalf("after Grow(8): N=%d Sum=%v cap=%d", s.N(), s.Sum(), cap(s.vals))
+	}
+	s.Add(1)
+	first := &s.vals[0]
+	for i := 2; i <= 8; i++ {
+		s.Add(float64(i))
+	}
+	if &s.vals[0] != first {
+		t.Fatal("Adds within the reserved room moved the array")
+	}
+	if s.N() != 8 || s.Mean() != 4.5 || s.Percentile(50) != 4 {
+		t.Fatalf("N=%d Mean=%v p50=%v", s.N(), s.Mean(), s.Percentile(50))
+	}
+}
+
 func TestSeriesPercentile(t *testing.T) {
 	cube := func(i float64) float64 { return i * i * i / 3 }
 	var s Series

@@ -4,6 +4,7 @@ package daemon
 
 import (
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -99,5 +100,22 @@ func TestFlushSettlementsAllocs(t *testing.T) {
 	}
 	if n, acked := d.OutboxLen(), d.met.settleAcked.Value(); n != 0 || acked != 104 {
 		t.Fatalf("outbox %d, acked %d: want 0 and 104 (every flush acked)", n, acked)
+	}
+}
+
+// TestWakeTimerAllocs pins the run loop's re-arm: arming the timer and
+// disarming it allocate nothing.
+func TestWakeTimerAllocs(t *testing.T) {
+	var wg sync.WaitGroup
+	w, err := newWakeTimer(&wg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if got := testing.AllocsPerRun(100, func() {
+		w.Reset(time.Hour)
+		w.Stop()
+	}); got != 0 {
+		t.Errorf("wake timer Reset+Stop: %v allocs, want 0", got)
 	}
 }

@@ -372,6 +372,11 @@ func (d *Daemon) Name() string { return d.cfg.Info.Spec.Name }
 // Start begins serving on l, registers with the Central Server, and
 // launches the execution loop.
 func (d *Daemon) Start(l net.Listener) error {
+	// The loop's timer first: a daemon that cannot arm one never serves.
+	timer, err := newWakeTimer(&d.wg)
+	if err != nil {
+		return err
+	}
 	if d.cfg.Info.Addr == "" {
 		d.cfg.Info.Addr = l.Addr().String()
 	}
@@ -392,7 +397,7 @@ func (d *Daemon) Start(l net.Listener) error {
 	}()
 	go func() {
 		defer d.wg.Done()
-		d.runLoop()
+		d.runLoop(timer)
 	}()
 	if d.cfg.CentralAddr != "" {
 		d.wg.Add(1)
@@ -535,27 +540,16 @@ func (d *Daemon) verify(user, token string) error {
 // runLoop is the execution loop: it advances the scheduler in wall time,
 // queues telemetry, settles finished jobs, and redelivers unacknowledged
 // settlements. It is event-driven, the way gridsim's serverEntity.refresh
-// is: after every pass it arms one timer for the wall instant of the
+// is: after every pass it arms timer for the wall instant of the
 // scheduler's next event and sleeps until that fires or a kick reports a
-// job arriving or leaving. An idle cluster costs no wakeups.
+// job arriving or leaving. An idle cluster costs no wakeups. The timer
+// is runLoop's alone, and it closes it on the way out.
 //
 // runLoop is the only goroutine that calls flushSettlements while the
 // daemon runs (Close calls it once more after runLoop has exited): two
 // concurrent flushes would each deliver the same outbox entries.
-func (d *Daemon) runLoop() {
-	timer := time.NewTimer(maxSleep)
-	defer timer.Stop()
-	// go.mod predates Go 1.23's timer channels: a Reset must follow a
-	// Stop and a drain, or a stale fire is delivered after it.
-	disarm := func() {
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-	}
-	disarm()
+func (d *Daemon) runLoop(timer *wakeTimer) {
+	defer timer.Close()
 	settleTicker := time.NewTicker(d.cfg.SettleRetry)
 	defer settleTicker.Stop()
 	// AppSpector samples are due every virtual second, no more often
@@ -637,7 +631,7 @@ func (d *Daemon) runLoop() {
 		// Arm last, against a fresh clock: settling took wall time. A job
 		// admitted or killed meanwhile left a kick behind, so a stale
 		// `next` is corrected on the following pass.
-		disarm()
+		timer.Stop()
 		if armed {
 			timer.Reset(d.wallUntil(next))
 		}

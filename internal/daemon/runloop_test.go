@@ -135,11 +135,13 @@ func TestRunLoopWakesOnlyForEvents(t *testing.T) {
 }
 
 // TestRunLoopFinishLag: 50 overlapping jobs of 1–20 ms are each noticed
-// once, and half of them within 2 ms of completing. Under the fixed 5 ms
-// tick the median was 2.5 ms by construction; what is left is the Go
-// runtime's own timer granularity (an idle process sleeps in epoll_wait,
-// whose timeout is whole milliseconds: median ≈0.5 ms, measured 0.5–0.8
-// under -race on a loaded host).
+// once, and half of them within finishLagMedian of completing. Under the
+// fixed 5 ms tick the median was 2.5 ms by construction, and armed on a
+// time.Timer it was ≈0.5 ms: an idle Go process sleeps in epoll_wait,
+// whose timeout is whole milliseconds, so a runtime timer overshoots by
+// up to one. The loop's timerfd wakes that epoll_wait when it expires
+// (median ≈0.12 ms); the race detector's own overhead keeps the raced
+// build to the old 2 ms bound.
 func TestRunLoopFinishLag(t *testing.T) {
 	d, tr := loopDaemon(t, Config{})
 	const n = 50
@@ -152,7 +154,7 @@ func TestRunLoopFinishLag(t *testing.T) {
 		lags[i] = awaitFinish(t, d, tr, fmt.Sprintf("j%d", i))
 	}
 	sort.Slice(lags, func(a, b int) bool { return lags[a] < lags[b] })
-	t.Logf("finish lag p50=%v max=%v over %d jobs, %d wakeups", lags[n/2], lags[n-1], n, d.met.wakeups.Value())
+	t.Logf("finish lag p50=%v p90=%v max=%v over %d jobs, %d wakeups", lags[n/2], lags[n*9/10], lags[n-1], n, d.met.wakeups.Value())
 	if lags[0] < 0 {
 		t.Fatalf("a job was reported finished %v before it completed", -lags[0])
 	}
@@ -162,8 +164,8 @@ func TestRunLoopFinishLag(t *testing.T) {
 	if got := d.met.finishLag.Count(); got != n {
 		t.Fatalf("finish_lag_seconds has %d observations, want %d", got, n)
 	}
-	if median := lags[n/2]; median >= 2*time.Millisecond {
-		t.Fatalf("median finish lag %v, want < 2ms (max %v)", median, lags[n-1])
+	if median := lags[n/2]; median >= finishLagMedian {
+		t.Fatalf("median finish lag %v, want < %v (max %v)", median, finishLagMedian, lags[n-1])
 	}
 }
 

@@ -1113,6 +1113,23 @@ func (d *Daemon) admit(req protocol.SubmitReq) (jticket, error) {
 	if !d.cfg.Info.Exports(req.Contract.App) {
 		return jticket{}, fmt.Errorf("daemon: %s does not export application %q", d.Name(), req.Contract.App)
 	}
+	// A submit with no commit before it takes the bid the daemon would
+	// make for the contract now: that is its price, and where the daemon
+	// declines to bid, it refuses the job. The bid is made before the
+	// lock, as a bid request's is; a commit landing in between prices the
+	// job instead.
+	d.mu.Lock()
+	_, committed := d.reserved[req.JobID]
+	_, dup := d.jobs[req.JobID]
+	d.mu.Unlock()
+	var direct bidding.Bid
+	if !committed && !dup {
+		var ok bool
+		if direct, ok = d.makeBid(req.Contract); !ok {
+			d.met.jobsRejected.Inc()
+			return jticket{}, fmt.Errorf("daemon: %s declines to bid on job %s", d.Name(), req.JobID)
+		}
+	}
 	now := d.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -1142,6 +1159,7 @@ func (d *Daemon) admit(req protocol.SubmitReq) (jticket, error) {
 	// with a temporary userid").
 	d.tempSeq++
 	d.tempUsers[req.JobID] = fmt.Sprintf("fauc-tmp-%06d", d.tempSeq)
+	d.prices[req.JobID] = direct.Price
 	if res != nil {
 		d.prices[req.JobID] = res.bid.Price
 	}

@@ -215,9 +215,16 @@ func TestDoubleCommitAndDoubleSubmit(t *testing.T) {
 	}
 }
 
+// TestSubmitWithoutCommitAllowed: a submit with no commit before it is
+// admitted at the price the daemon bids for its contract, not for free;
+// a daemon that declines to bid refuses it.
 func TestSubmitWithoutCommitAllowed(t *testing.T) {
 	d, addr := startDaemon(t, Config{})
 	conn := dial(t, addr)
+	bid, ok := d.makeBid(contract(1e7))
+	if !ok || bid.Price <= 0 {
+		t.Fatalf("idle daemon bids %+v, %v", bid, ok)
+	}
 	var sub protocol.SubmitOK
 	if err := protocol.Call(conn, protocol.TypeSubmitReq, protocol.SubmitReq{User: "u", JobID: "direct", Contract: contract(1e7)}, protocol.TypeSubmitOK, &sub); err != nil {
 		t.Fatal(err)
@@ -225,6 +232,30 @@ func TestSubmitWithoutCommitAllowed(t *testing.T) {
 	if _, ok := d.Job("direct"); !ok {
 		t.Fatal("direct submit lost")
 	}
+	d.mu.Lock()
+	price := d.prices["direct"]
+	d.mu.Unlock()
+	if price != bid.Price {
+		t.Fatalf("direct submit priced %v, want the daemon's bid %v", price, bid.Price)
+	}
+
+	shy, shyAddr := startDaemon(t, Config{Bidder: declineAll{}})
+	err := protocol.Call(dial(t, shyAddr), protocol.TypeSubmitReq, protocol.SubmitReq{User: "u", JobID: "unbid", Contract: contract(1e7)}, protocol.TypeSubmitOK, &sub)
+	if err == nil {
+		t.Fatal("a daemon that declines to bid admitted a direct submit")
+	}
+	if _, ok := shy.Job("unbid"); ok {
+		t.Fatal("refused direct submit is on the daemon")
+	}
+}
+
+// declineAll is a bid generator that declines every job.
+type declineAll struct{}
+
+func (declineAll) Name() string { return "decline-all" }
+
+func (declineAll) Multiplier(float64, *qos.Contract, bidding.ServerState) (float64, bool) {
+	return 0, false
 }
 
 func TestStatusUnknownJob(t *testing.T) {

@@ -328,6 +328,25 @@ func (d *DB) GrowHistory(n int) {
 	d.data.History = slices.Grow(d.data.History, n)
 }
 
+// Reset empties an ephemeral database for reuse, keeping the storage
+// of its tables and its history: a simulated replay hands its database
+// to the next one. A durable database cannot be reset; Reset panics.
+func (d *DB) Reset() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.wal != nil {
+		panic("db: Reset of a durable database")
+	}
+	clear(d.data.Users)
+	clear(d.data.Credits)
+	clear(d.data.Quotas)
+	clear(d.data.Revenue)
+	clear(d.data.Spend)
+	clear(d.data.Settled)
+	clear(d.data.History)
+	d.data.History = d.data.History[:0]
+}
+
 // RecentContracts returns up to limit settled contracts matching the
 // filter, newest first.
 func (d *DB) RecentContracts(match func(ContractRecord) bool, limit int) []ContractRecord {

@@ -27,11 +27,11 @@ func replayCase(tb testing.TB, jobs *int) func() {
 
 // BenchmarkReplayFlashCrowd times replayCase, so ns/op here is the
 // bench's gridsim.replay_p50_ms probe and latency_p50_ms on sim-sweep,
-// and B/op ÷ jobs is its alloc_kb_per_job. On go1.24 a replay costs
-// 1 132 700 B/op and 12 774 allocs/op. TestReplayFlashCrowdAllocs holds
-// allocs/op under 13 500 (under 8 a job, all of them kept by the run):
-// one more transient per job would add ≈1.7k. TestReplayFlashCrowdBytes
-// holds B/op under 1.25 MB.
+// and B/op ÷ jobs is its alloc_kb_per_job. Each replay reuses the
+// per-job storage of the one before it: on go1.24 a replay costs
+// 113 232 B/op and 2 696 allocs/op. TestReplayFlashCrowdAllocs holds
+// allocs/op under 4 000: one more transient per job would add ≈1.7k.
+// TestReplayFlashCrowdBytes holds B/op under 400 000.
 func BenchmarkReplayFlashCrowd(b *testing.B) {
 	jobs := 0
 	replay := replayCase(b, &jobs)

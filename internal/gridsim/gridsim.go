@@ -164,8 +164,9 @@ type gridRun struct {
 	// The per-job statistics, through stat; the series through g.series.
 	bidReq, bidReply, postRead, commits, declined, jobsPlaced, met, missed *sim.Counter
 	response, slowdown, price, payoff, attempts, multiplier                *sim.Series
-	// jobs is the trace's length, the room each per-job series reserves.
-	jobs int
+	// jobs holds one record per trace item, in trace order, so each
+	// per-job series reserves room for len(jobs) observations.
+	jobs []job.Job
 }
 
 // stat returns the named statistic through *p, looking it up by name on
@@ -181,7 +182,7 @@ func stat[T any](p **T, lookup func(string) *T, name string) *T {
 // observation per job in the trace.
 func (g *gridRun) series(name string) *sim.Series {
 	s := g.metrics.S(name)
-	s.Grow(g.jobs)
+	s.Grow(len(g.jobs))
 	return s
 }
 
@@ -309,14 +310,31 @@ func (s *serverEntity) settle(now float64, j *job.Job) {
 	}
 }
 
+// Storage is the per-job storage of a run: one record per job, the
+// database with its contract history, and the metrics registry with its
+// per-job series. A run resets each, keeping its capacity, so a sweep of
+// replays through one Storage regrows none of them. The Result of a run
+// reads from the Storage: it is valid until the Storage's next run.
+type Storage struct {
+	jobs    []job.Job
+	store   *db.DB
+	metrics *sim.Metrics
+}
+
 // Run executes a trace against a grid configuration and returns the
 // measurements.
 func Run(cfg Config, trace *workload.Trace) (*Result, error) {
-	res, _, err := runInternal(cfg, trace)
+	return new(Storage).Run(cfg, trace)
+}
+
+// Run is the package's Run on st's storage. The trace's items and
+// contracts must stay unchanged until it returns.
+func (st *Storage) Run(cfg Config, trace *workload.Trace) (*Result, error) {
+	res, _, err := st.run(cfg, trace)
 	return res, err
 }
 
-func runInternal(cfg Config, trace *workload.Trace) (*Result, *gridRun, error) {
+func (st *Storage) run(cfg Config, trace *workload.Trace) (*Result, *gridRun, error) {
 	if len(cfg.Servers) == 0 {
 		return nil, nil, errors.New("gridsim: no servers configured")
 	}
@@ -327,13 +345,19 @@ func runInternal(cfg Config, trace *workload.Trace) (*Result, *gridRun, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("gridsim: %w", err)
 	}
-	store := db.New()
+	if st.store == nil {
+		st.store, st.metrics = db.New(), sim.NewMetrics()
+	} else {
+		st.store.Reset()
+		st.metrics.Reset()
+	}
+	store := st.store
 	g := &gridRun{
 		cfg:     cfg,
 		mech:    mech,
 		eng:     sim.NewEngine(),
 		byName:  map[string]*serverEntity{},
-		metrics: sim.NewMetrics(),
+		metrics: st.metrics,
 		store:   store,
 		acct:    accounting.New(cfg.Mode, store),
 		placing: map[string]placement{},
@@ -410,14 +434,16 @@ func runInternal(cfg Config, trace *workload.Trace) (*Result, *gridRun, error) {
 		items = slices.Clone(items)
 		slices.SortStableFunc(items, bySubmit)
 	}
-	// The trace fixes how many jobs the run can settle, so the history
-	// and the per-job series are sized once rather than regrown.
-	g.jobs = len(items)
+	// The trace fixes how many jobs the run can settle, so the job
+	// records, the history and the per-job series are sized once rather
+	// than regrown.
+	st.jobs = slices.Grow(st.jobs[:0], len(items))[:len(items)]
+	g.jobs = st.jobs
 	store.GrowHistory(len(items))
 	next := 0
 	submit := sim.Event{Name: "submit", Priority: -1}
 	submit.Fn = func(e *sim.Engine) {
-		g.submit(float64(e.Now()), items[next])
+		g.submit(float64(e.Now()), &g.jobs[next], items[next])
 		if next++; next < len(items) {
 			e.Rearm(&submit, sim.Time(items[next].SubmitAt))
 		}
@@ -577,9 +603,9 @@ func (g *gridRun) screen(dst []market.ServerPort, s *serverEntity, c *qos.Contra
 // candidate servers (home-first if configured), run the award protocol,
 // and count the outcome. With CommitDelay configured, bids are solicited
 // now and the commit walk fires in a later event, overlapping with other
-// clients' solicitations (§5.3).
-func (g *gridRun) submit(now float64, it workload.Item) {
-	j := job.New(job.ID(it.ID), it.User, it.Contract, now)
+// clients' solicitations (§5.3). The job's record is made in *j.
+func (g *gridRun) submit(now float64, j *job.Job, it workload.Item) {
+	*j = job.Make(job.ID(it.ID), it.User, it.Contract, now)
 	home := g.cfg.HomeOf[it.User]
 	g.placing[it.ID] = placement{j: j, user: it.User, home: home}
 

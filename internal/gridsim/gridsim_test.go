@@ -480,7 +480,7 @@ func TestReplayKeepsNoSettledAward(t *testing.T) {
 		servers = append(servers, ServerConfig{Spec: spec(fmt.Sprintf("s%02d", i), 32), Bidder: bidding.NewUtilization()})
 	}
 	for _, delay := range []float64{0, 2} {
-		res, g, err := runInternal(Config{Servers: servers, CommitDelay: delay}, smallTrace(42, 600, 0.2))
+		res, g, err := new(Storage).run(Config{Servers: servers, CommitDelay: delay}, smallTrace(42, 600, 0.2))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -98,7 +98,14 @@ type Job struct {
 
 // New creates a Pending job. The contract must already be validated.
 func New(id ID, owner string, c *qos.Contract, submitTime float64) *Job {
-	return &Job{
+	j := Make(id, owner, c, submitTime)
+	return &j
+}
+
+// Make is New for a caller that stores jobs by value, as a simulated
+// replay keeps all of its jobs in one slice.
+func Make(id ID, owner string, c *qos.Contract, submitTime float64) Job {
+	return Job{
 		ID:         id,
 		Owner:      owner,
 		Contract:   c,

@@ -86,7 +86,8 @@ func TestBlockScanOracle(t *testing.T) {
 // FuzzAllocMatchesBlockScan: on any machine size, under any sequence of
 // Alloc, Release, Shrink and Expand read two bytes an operation from the
 // input, every Alloc grants exactly the ranges the block-list best fit
-// picks, and the free count matches the used map.
+// picks in an allocation no live one shares, and the free count matches
+// the used map.
 func FuzzAllocMatchesBlockScan(f *testing.F) {
 	// Allocate 4+4+4 of 12, free the outer two, ask for 6: it scatters.
 	f.Add(uint8(11), []byte{0, 3, 0, 3, 0, 3, 1, 0, 1, 1, 0, 5})
@@ -121,6 +122,9 @@ func FuzzAllocMatchesBlockScan(f *testing.F) {
 				}
 				if err != nil || !slices.Equal(a.ranges, want) {
 					t.Fatalf("op %d: Alloc(%d) = %v, %v; block scan picks %v", i/2, n, a, err, want)
+				}
+				if slices.Contains(live, a) {
+					t.Fatalf("op %d: Alloc(%d) granted %p, which is still live", i/2, n, a)
 				}
 				live = append(live, a)
 			case 1:

@@ -89,6 +89,9 @@ func (a *Alloc) String() string {
 type Allocator struct {
 	used []bool // used[p] == true when processor p is allocated
 	free int
+	// spare holds released allocations; Alloc hands them out again, range
+	// storage and all, before it makes a new one.
+	spare []*Alloc
 }
 
 // NewAllocator returns an allocator for a machine with numPE processors.
@@ -141,11 +144,11 @@ func (al *Allocator) Alloc(n int) (*Alloc, error) {
 		}
 		lo = hi
 	}
-	a := &Alloc{}
+	a := al.take()
 	if best >= 0 {
 		r := Range{best, best + n}
 		al.mark(r, true)
-		a.ranges = []Range{r}
+		a.ranges = append(a.ranges, r)
 		return a, nil
 	}
 	// Fragmented allocation: take blocks in order until satisfied, which
@@ -164,12 +167,36 @@ func (al *Allocator) Alloc(n int) (*Alloc, error) {
 	return a, nil
 }
 
-// Release returns an allocation's processors to the free pool. Releasing
-// nil is a no-op; releasing the same allocation twice panics, because it
-// indicates scheduler state corruption.
+// take returns an empty allocation: a spare one if there is one.
+func (al *Allocator) take() *Alloc {
+	n := len(al.spare)
+	if n == 0 {
+		return &Alloc{}
+	}
+	a := al.spare[n-1]
+	al.spare[n-1] = nil
+	al.spare = al.spare[:n-1]
+	return a
+}
+
+// recycle empties a and queues it for take.
+func (al *Allocator) recycle(a *Alloc) {
+	a.ranges = a.ranges[:0]
+	al.spare = append(al.spare, a)
+}
+
+// Release returns an allocation's processors to the free pool, and the
+// allocation itself to the allocator, which may grant it again: the
+// caller must drop it. Releasing nil is a no-op; releasing the same
+// allocation twice panics, because it indicates scheduler state
+// corruption — and would hand the one allocation to two jobs.
 func (al *Allocator) Release(a *Alloc) {
 	if a == nil {
 		return
+	}
+	if len(a.ranges) == 0 {
+		// Every granted allocation holds a processor until released.
+		panic("machine: double release of an allocation")
 	}
 	for _, r := range a.ranges {
 		for p := r.Lo; p < r.Hi; p++ {
@@ -181,7 +208,7 @@ func (al *Allocator) Release(a *Alloc) {
 	for _, r := range a.ranges {
 		al.mark(r, false)
 	}
-	a.ranges = nil
+	al.recycle(a)
 }
 
 // Shrink releases processors from an allocation down to newSize,
@@ -249,6 +276,7 @@ func (al *Allocator) Expand(a *Alloc, newSize int) error {
 			return err
 		}
 		a.ranges = append(a.ranges, extra.ranges...)
+		al.recycle(extra)
 		normalize(a)
 	}
 	return nil

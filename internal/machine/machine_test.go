@@ -120,6 +120,29 @@ func TestReleaseDoublePanics(t *testing.T) {
 	al.Release(stale)
 }
 
+// TestReleaseTwicePanics: releasing one allocation twice panics, even
+// though the first release left it holding nothing. Were it silent, the
+// released allocation would be queued for reuse twice and granted to two
+// jobs.
+func TestReleaseTwicePanics(t *testing.T) {
+	al := NewAllocator(4)
+	a, _ := al.Alloc(2)
+	al.Release(a)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("second release of one allocation did not panic")
+			}
+		}()
+		al.Release(a)
+	}()
+	b, _ := al.Alloc(1)
+	c, _ := al.Alloc(1)
+	if b == c {
+		t.Fatalf("one allocation granted twice: %p", b)
+	}
+}
+
 func TestReleaseNilNoop(t *testing.T) {
 	al := NewAllocator(4)
 	al.Release(nil)

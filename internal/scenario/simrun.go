@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"sync"
 
 	"faucets/internal/gridsim"
 	"faucets/internal/sim"
@@ -19,8 +20,28 @@ import (
 //   - Time-to-contract is exactly Spec.CommitDelay for every placed job
 //     (the simulator separates solicit from commit by that constant).
 //   - Settlement is instantaneous at job finish, so SettleLag is zero.
+//
+// A sweep of replays in one process regrows no per-job storage: each
+// replay takes the working set of one before it from a pool and hands it
+// back once its report is built. The report holds nothing of it.
 func RunSim(s *Spec) (*ScenarioReport, error) {
-	trace, err := s.GenerateTrace()
+	rp := replays.Get().(*replay)
+	r, err := s.runSim(rp)
+	replays.Put(rp)
+	return r, err
+}
+
+// replay is one RunSim's working set: the trace and the simulator's
+// per-job storage.
+type replay struct {
+	trace traceStore
+	sim   gridsim.Storage
+}
+
+var replays = sync.Pool{New: func() any { return new(replay) }}
+
+func (s *Spec) runSim(rp *replay) (*ScenarioReport, error) {
+	trace, err := s.generateTrace(&rp.trace)
 	if err != nil {
 		return nil, err
 	}
@@ -47,7 +68,7 @@ func RunSim(s *Spec) (*ScenarioReport, error) {
 			Bidder:       bidder,
 		})
 	}
-	res, err := gridsim.Run(cfg, trace)
+	res, err := rp.sim.Run(cfg, trace)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: gridsim: %w", err)
 	}

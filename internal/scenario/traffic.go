@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 
+	"faucets/internal/qos"
 	"faucets/internal/sim"
 	"faucets/internal/workload"
 )
@@ -117,12 +118,31 @@ var users = [...]string{"user-0", "user-1", "user-2", "user-3", "user-4", "user-
 // clocks arrivals, one draws job shapes — so the number of arrivals a
 // process produces never disturbs another process's jobs.
 func (s *Spec) GenerateTrace() (*workload.Trace, error) {
+	return s.generateTrace(new(traceStore))
+}
+
+// traceStore is the storage a trace is generated into: the trace with
+// its items, one contract per item, the job-ID strings and the arrival
+// scratch. A store generates one trace at a time: the next generation
+// overwrites the last one's items and contracts.
+type traceStore struct {
+	tr        workload.Trace
+	contracts []qos.Contract
+	ids       []string
+	times     [][]float64
+	all       []arrival
+}
+
+func (s *Spec) generateTrace(b *traceStore) (*workload.Trace, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	base := s.Jobs.shape()
 	n := len(s.Traffic)
-	times, mixes, shapes := make([][]float64, n), make([]workload.Spec, n), make([]*sim.RNG, n)
+	if len(b.times) < n {
+		b.times = append(b.times, make([][]float64, n-len(b.times))...)
+	}
+	times, mixes, shapes := b.times[:n], make([]workload.Spec, n), make([]*sim.RNG, n)
 	total := 0
 	for pi := range s.Traffic {
 		p := &s.Traffic[pi]
@@ -135,7 +155,7 @@ func (s *Spec) GenerateTrace() (*workload.Trace, error) {
 		if p.Jobs != nil {
 			mix = p.Jobs.shape()
 		}
-		times[pi] = p.arrivals(clock, s.Duration)
+		times[pi] = p.arrivals(times[pi], clock, s.Duration)
 		total += len(times[pi])
 		if p.Kind == "adversarial" {
 			// Adversarial batches exist to stress deadlines: force the
@@ -147,40 +167,47 @@ func (s *Spec) GenerateTrace() (*workload.Trace, error) {
 		}
 		mixes[pi] = mix
 	}
-	all := make([]arrival, 0, total)
+	all := slices.Grow(b.all[:0], total)
 	for pi, ts := range times {
 		for i, t := range ts {
 			all = append(all, arrival{t: t, proc: pi, idx: i})
 		}
 	}
+	b.all = all
 	// (t, proc, idx) is unique per arrival: any sort gives this order.
 	slices.SortFunc(all, func(a, b arrival) int {
 		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.proc, b.proc), cmp.Compare(a.idx, b.idx))
 	})
-	tr := &workload.Trace{Items: make([]workload.Item, 0, len(all))}
+	for len(b.ids) < len(all) {
+		b.ids = append(b.ids, fmt.Sprintf("job-%06d", len(b.ids)))
+	}
+	b.contracts = slices.Grow(b.contracts[:0], len(all))[:len(all)]
+	tr := &b.tr
 	// Record provenance in the embedded spec: the trace regenerates from
 	// the scenario, not from workload.Generate.
 	tr.Spec = base
 	tr.Spec.Seed = s.Seed
 	tr.Spec.Jobs = len(all)
+	tr.Items = slices.Grow(tr.Items[:0], len(all))
 	for gi, a := range all {
 		// Shapes are drawn from the process's own stream in process-local
 		// arrival order (the merge above only reorders globally), so the
 		// draw sequence is independent of how other processes interleave.
 		tr.Items = append(tr.Items, workload.Item{
-			ID:       fmt.Sprintf("job-%06d", gi),
+			ID:       b.ids[gi],
 			SubmitAt: a.t,
 			User:     users[gi%len(users)],
-			Contract: workload.Sample(shapes[a.proc], mixes[a.proc], a.idx),
+			Contract: workload.Sample(shapes[a.proc], mixes[a.proc], a.idx, &b.contracts[gi]),
 		})
 	}
 	return tr, nil
 }
 
 // arrivals generates this process's submission times in [0, horizon),
-// sorted ascending, consuming only the given clock stream.
-func (p *Process) arrivals(rng *sim.RNG, horizon float64) []float64 {
-	var out []float64
+// sorted ascending, consuming only the given clock stream. It returns
+// them in out's storage, overwriting what out held.
+func (p *Process) arrivals(out []float64, rng *sim.RNG, horizon float64) []float64 {
+	out = out[:0]
 	switch p.Kind {
 	case "poisson":
 		for t := rng.Exp(1 / p.Rate); t < horizon; t += rng.Exp(1 / p.Rate) {

@@ -23,6 +23,10 @@ type Series struct {
 // allocate nothing.
 func (s *Series) Grow(n int) { s.vals = slices.Grow(s.vals, n) }
 
+// reset empties the series, keeping its storage for the observations
+// to come.
+func (s *Series) reset() { *s = Series{vals: s.vals[:0], sorted: s.sorted[:0]} }
+
 // Add records one observation.
 func (s *Series) Add(v float64) {
 	s.vals = append(s.vals, v)
@@ -197,6 +201,8 @@ type Metrics struct {
 	Series   map[string]*Series
 	Counters map[string]*Counter
 	Levels   map[string]*TimeWeighted
+	// spare holds the series a Reset emptied, for S to hand back by name.
+	spare map[string]*Series
 }
 
 // NewMetrics returns an empty registry.
@@ -208,11 +214,31 @@ func NewMetrics() *Metrics {
 	}
 }
 
+// Reset empties the registry for another run. The series keep their
+// storage: S hands each one back, empty, when the next run first asks
+// for it by name, so the registry holds the same names as a new one.
+func (m *Metrics) Reset() {
+	if m.spare == nil {
+		m.spare = map[string]*Series{}
+	}
+	for name, s := range m.Series {
+		s.reset()
+		m.spare[name] = s
+	}
+	clear(m.Series)
+	clear(m.Counters)
+	clear(m.Levels)
+}
+
 // S returns (creating if needed) the named series.
 func (m *Metrics) S(name string) *Series {
 	s, ok := m.Series[name]
 	if !ok {
-		s = &Series{}
+		if s, ok = m.spare[name]; ok {
+			delete(m.spare, name)
+		} else {
+			s = &Series{}
+		}
 		m.Series[name] = s
 	}
 	return s

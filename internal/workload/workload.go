@@ -153,7 +153,7 @@ func Generate(s Spec) (*Trace, error) {
 			ID:       fmt.Sprintf("job-%06d", i),
 			SubmitAt: now,
 			User:     fmt.Sprintf("user-%d", i%7),
-			Contract: Sample(rng, s, i),
+			Contract: Sample(rng, s, i, nil),
 		})
 	}
 	return tr, nil
@@ -166,10 +166,14 @@ func Generate(s Spec) (*Trace, error) {
 // generators can layer their own arrival clocks over the same job model.
 // The caller is responsible for having validated the shape
 // (Spec.ValidateShape).
-func Sample(rng *sim.RNG, s Spec, i int) *qos.Contract {
-	apps := s.Apps
-	if len(apps) == 0 {
-		apps = []string{"synth"}
+//
+// The draw lands in dst, which it overwrites whole but for the storage
+// of its Phases, and Sample returns dst; a nil dst draws into a new
+// contract.
+func Sample(rng *sim.RNG, s Spec, i int, dst *qos.Contract) *qos.Contract {
+	app := "synth"
+	if len(s.Apps) > 0 {
+		app = s.Apps[i%len(s.Apps)]
 	}
 	work := rng.LogUniform(s.MinWork, s.MaxWork)
 
@@ -182,12 +186,11 @@ func Sample(rng *sim.RNG, s Spec, i int) *qos.Contract {
 	if pe > s.MaxPE {
 		pe = s.MaxPE
 	}
-	c := &qos.Contract{
-		App:   apps[i%len(apps)],
-		MinPE: pe,
-		MaxPE: pe,
-		Work:  work,
+	c := dst
+	if c == nil {
+		c = new(qos.Contract)
 	}
+	*c = qos.Contract{App: app, MinPE: pe, MaxPE: pe, Work: work, Phases: c.Phases[:0]}
 	if rng.Bool(s.AdaptiveFraction) {
 		// Malleable: can shrink to a quarter of the request. A
 		// 1-processor request cannot shrink, so widen it first.
@@ -212,11 +215,10 @@ func Sample(rng *sim.RNG, s Spec, i int) *qos.Contract {
 		if narrowMax < c.MinPE {
 			narrowMax = c.MinPE
 		}
-		c.Phases = []qos.Phase{
-			{Name: "compute", Work: wideWork, MinPE: c.MinPE, MaxPE: c.MaxPE,
+		c.Phases = append(c.Phases,
+			qos.Phase{Name: "compute", Work: wideWork, MinPE: c.MinPE, MaxPE: c.MaxPE,
 				EffMin: c.EffMin, EffMax: c.EffMax},
-			{Name: "reduce", Work: work - wideWork, MinPE: c.MinPE, MaxPE: narrowMax},
-		}
+			qos.Phase{Name: "reduce", Work: work - wideWork, MinPE: c.MinPE, MaxPE: narrowMax})
 	}
 	if rng.Bool(s.DeadlineFraction) {
 		best := c.ExecTime(c.MaxPE, 1.0)

@@ -44,8 +44,6 @@ func main() {
 	pollTimeout := flag.Duration("poll-timeout", 3*time.Second, "deadline for each daemon liveness probe")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus metrics at this address under /metrics (empty = off)")
 	maxInflight := flag.Int("max-inflight", 0, "admission control: auctions + settlements processed concurrently before new auctions are shed with a retryable OVERLOADED error (0 = unlimited)")
-	breakerThreshold := flag.Float64("breaker-threshold", 0, "circuit-breaker suspicion score that opens a daemon's breaker and skips its liveness probes (0 = breakers off)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long an open breaker waits before half-open probing (0 = library default)")
 	mechanism := flag.String("mechanism", "", "grid default market mechanism advertised to clients at login: first-price, posted-price, or vickrey (empty = first-price)")
 	flag.Parse()
 
@@ -78,8 +76,6 @@ func main() {
 	srv.RPCTimeout = *rpcTimeout
 	srv.PollTimeout = *pollTimeout
 	srv.MaxInflight = *maxInflight
-	srv.BreakerThreshold = *breakerThreshold
-	srv.BreakerCooldown = *breakerCooldown
 	srv.DefaultMechanism = *mechanism
 	srv.GossipInterval = *gossipInterval
 	if *peers != "" && *ring != "" {

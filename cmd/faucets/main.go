@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"faucets/internal/client"
-	"faucets/internal/health"
 	"faucets/internal/market"
 	"faucets/internal/protocol"
 	"faucets/internal/qos"
@@ -35,9 +34,6 @@ func main() {
 	pass := flag.String("pass", "", "password")
 	rpcTimeout := flag.Duration("rpc-timeout", 5*time.Second, "deadline for each RPC round trip")
 	bidTimeout := flag.Duration("bid-timeout", 0, "per-bid deadline: a daemon that does not answer in time forfeits its bid (0 = rpc-timeout only)")
-	breakerThreshold := flag.Float64("breaker-threshold", 0, "circuit-breaker suspicion score that opens the breaker on a sick daemon, skipping it during bid solicitation (0 = breakers off)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long an open breaker waits before half-open probing (0 = library default)")
-	hedgeQuantile := flag.Float64("hedge-quantile", 0, "latency quantile after which outstanding bid requests are hedged with a duplicate, first answer wins (0 = hedging off; try 0.9)")
 	mechanism := flag.String("mechanism", "", "market mechanism for submitted jobs: first-price, posted-price, or vickrey (empty = the grid default advertised at login)")
 	flag.Parse()
 	if flag.NArg() < 1 {
@@ -52,14 +48,7 @@ func main() {
 	}
 	cl.AppSpectorAddr = *asAddr
 	cl.BidTimeout = *bidTimeout
-	cl.HedgeQuantile = *hedgeQuantile
 	cl.Mechanism = *mechanism
-	if *breakerThreshold > 0 {
-		cl.Breakers = health.NewSet(health.Options{
-			Threshold: *breakerThreshold,
-			Cooldown:  *breakerCooldown,
-		})
-	}
 	defer cl.Close()
 
 	cmd, args := flag.Arg(0), flag.Args()[1:]

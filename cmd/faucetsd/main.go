@@ -51,8 +51,6 @@ func main() {
 	preempt := flag.Bool("preempt", false, "profit scheduler: checkpoint low-payoff jobs for high-payoff arrivals (§4.1/§5.5.4)")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus metrics at this address under /metrics, job traces under /trace (empty = off)")
 	verifyCache := flag.Duration("verify-cache", daemon.DefaultVerifyCacheTTL, "how long a verified user token is trusted without re-asking the Central Server (negative disables the cache)")
-	breakerThreshold := flag.Float64("breaker-threshold", 0, "circuit-breaker suspicion score that opens the breaker on an unresponsive peer address (0 = breakers off)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long an open breaker waits before half-open probing (0 = library default)")
 	flag.Parse()
 
 	spec := machine.Spec{
@@ -78,19 +76,17 @@ func main() {
 	}
 	tracer := telemetry.NewTracer(0)
 	d, err := daemon.New(daemon.Config{
-		Info:             protocol.ServerInfo{Spec: spec, Apps: appList, Home: *home},
-		Scheduler:        cm,
-		Bidder:           gen,
-		CentralAddr:      *centralAddr,
-		AppSpectorAddr:   *asAddr,
-		TimeScale:        *timeScale,
-		RPCTimeout:       *rpcTimeout,
-		SettleRetry:      *settleRetry,
-		StateDir:         *stateDir,
-		Tracer:           tracer,
-		VerifyCacheTTL:   *verifyCache,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
+		Info:           protocol.ServerInfo{Spec: spec, Apps: appList, Home: *home},
+		Scheduler:      cm,
+		Bidder:         gen,
+		CentralAddr:    *centralAddr,
+		AppSpectorAddr: *asAddr,
+		TimeScale:      *timeScale,
+		RPCTimeout:     *rpcTimeout,
+		SettleRetry:    *settleRetry,
+		StateDir:       *stateDir,
+		Tracer:         tracer,
+		VerifyCacheTTL: *verifyCache,
 	})
 	if err != nil {
 		log.Fatalf("daemon: %v", err)

@@ -79,7 +79,7 @@ func TestDocsCiteExistingTests(t *testing.T) {
 		for _, code := range codeRe.FindAllString(string(text), -1) {
 			for _, m := range flagRe.FindAllStringSubmatch(strings.Trim(code, "`"), -1) {
 				name, known := m[1], flags[m[1]] || otherToolFlags[m[1]]
-				if m[2] == "*" { // `-breaker-*`: some flag starts so
+				if m[2] == "*" { // `-poll-*`: some flag starts so
 					for f := range flags {
 						known = known || strings.HasPrefix(f, name)
 					}

@@ -1,10 +1,7 @@
 package central
 
 import (
-	"net"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"faucets/internal/accounting"
 	"faucets/internal/protocol"
@@ -150,44 +147,5 @@ func TestOverloadSignalSurvivesWire(t *testing.T) {
 		protocol.ListServersReq{Token: ok.Token, Contract: doomed}, protocol.TypeListServersOK, &reply)
 	if !protocol.IsOverloaded(err) || !protocol.IsRetryable(err) {
 		t.Fatalf("wire error = %v, want retryable OVERLOADED", err)
-	}
-}
-
-// TestPollBreakerSkipsOpenDaemon: once a daemon's probe breaker opens,
-// liveness refreshes stop dialing it entirely until the cooldown — the
-// forfeit is instant, costing the poller nothing.
-func TestPollBreakerSkipsOpenDaemon(t *testing.T) {
-	s := New(accounting.Dollars)
-	defer s.Close()
-	s.BreakerThreshold = 2
-	s.BreakerCooldown = time.Minute
-	var dials atomic.Int64
-	base := s.Dial
-	s.Dial = func(addr string) (net.Conn, error) {
-		dials.Add(1)
-		return base(addr)
-	}
-	dead := info("dead", 8, 512)
-	dead.Addr = "127.0.0.1:1" // connection refused
-	if err := s.RegisterDaemon(dead); err != nil {
-		t.Fatal(err)
-	}
-
-	s.PollOnce()
-	s.PollOnce() // second failure crosses the threshold: breaker opens
-	settled := dials.Load()
-	if settled == 0 {
-		t.Fatal("probes never dialed the dead daemon")
-	}
-	s.PollOnce()
-	s.PollOnce()
-	if got := dials.Load(); got != settled {
-		t.Fatalf("open breaker still dialed: %d dials, want %d", got, settled)
-	}
-	if got := s.met.probeSkips.Value(); got == 0 {
-		t.Fatal("probe-skip counter never incremented")
-	}
-	if len(s.Servers(nil)) != 0 {
-		t.Fatal("dead daemon still listed")
 	}
 }

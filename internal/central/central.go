@@ -25,7 +25,6 @@ import (
 	"faucets/internal/accounting"
 	"faucets/internal/auth"
 	"faucets/internal/db"
-	"faucets/internal/health"
 	"faucets/internal/protocol"
 	"faucets/internal/qos"
 	"faucets/internal/shard"
@@ -56,7 +55,6 @@ type srvMetrics struct {
 	daemonsTotal  *telemetry.Gauge
 	shedInflight  *telemetry.Counter // admission rejections: in-flight budget exhausted
 	shedDeadline  *telemetry.Counter // admission rejections: hard deadline already unmeetable
-	probeSkips    *telemetry.Counter // liveness probes skipped on an OPEN breaker
 	gossipSent    *telemetry.Counter // digests served to pulling peers
 	gossipRecv    *telemetry.Counter // digests pulled from peers and cached
 	notOwner      *telemetry.Counter // requests refused with a NOT_OWNER redirect
@@ -77,7 +75,6 @@ func newSrvMetrics(reg *telemetry.Registry) *srvMetrics {
 		daemonsTotal:  reg.Gauge("faucets_central_daemons_registered", "Directory entries, alive or not."),
 		shedInflight:  reg.Counter("faucets_central_shed_total", "Requests shed by admission control.", telemetry.L("reason", "inflight")),
 		shedDeadline:  reg.Counter("faucets_central_shed_total", "Requests shed by admission control.", telemetry.L("reason", "deadline")),
-		probeSkips:    reg.Counter("faucets_central_probe_breaker_skips_total", "Liveness probes skipped because the daemon's circuit breaker was open."),
 		gossipSent:    reg.Counter("faucets_central_gossip_sent_total", "Liveness/weather digests served to peer Central Servers."),
 		gossipRecv:    reg.Counter("faucets_central_gossip_received_total", "Liveness/weather digests pulled from peer Central Servers and cached."),
 		notOwner:      reg.Counter("faucets_central_not_owner_total", "Requests refused with a NOT_OWNER shard redirect."),
@@ -166,36 +163,11 @@ type Server struct {
 	MaxInflight int
 	inflight    atomic.Int64
 
-	// BreakerThreshold enables per-daemon circuit breakers on the
-	// liveness poller: probe failures accrue suspicion, and once it
-	// crosses the threshold the daemon's probes are skipped (instant
-	// forfeit, no dial) until BreakerCooldown passes and a half-open
-	// probe succeeds. Zero disables the breakers (the default).
-	BreakerThreshold float64
-	BreakerCooldown  time.Duration
-	probeOnce        sync.Once
-	probes           *health.Set
-
 	peerOnce sync.Once
 	peerPool *protocol.Pool
 
 	pollPoolOnce sync.Once
 	pollPool     *protocol.Pool
-}
-
-// probeBreakers lazily builds the per-daemon breaker set for the
-// liveness poller. Returns nil when breakers are disabled — a nil
-// health.Set allows every probe and records nothing.
-func (s *Server) probeBreakers() *health.Set {
-	s.probeOnce.Do(func() {
-		if s.BreakerThreshold > 0 {
-			s.probes = health.NewSet(health.Options{
-				Threshold: s.BreakerThreshold,
-				Cooldown:  s.BreakerCooldown,
-			})
-		}
-	})
-	return s.probes
 }
 
 // peerRPC lazily builds the pool carrying federation calls to peer
@@ -577,7 +549,6 @@ func (s *Server) PollOnce() int {
 	timeout := s.PollTimeout
 	s.mu.RUnlock()
 	sem := make(chan struct{}, pollConcurrency)
-	brk := s.probeBreakers()
 	var wg sync.WaitGroup
 	var alive atomic.Int64
 	for name, addr := range targets {
@@ -586,19 +557,8 @@ func (s *Server) PollOnce() int {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if !brk.Allow(addr) {
-				// OPEN breaker: skip the dial entirely. The entry is NOT
-				// marked dead here — the failures that opened the breaker
-				// already did that, and a daemon restarting mid-cooldown
-				// re-registers itself alive; the half-open probe after the
-				// cooldown confirms or re-opens.
-				s.met.probeSkips.Inc()
-				return
-			}
-			probe := time.Now()
 			var dyn protocol.PollOK
 			err := s.pollRPC().Call(addr, timeout, protocol.TypePollReq, protocol.PollReq{}, protocol.TypePollOK, &dyn)
-			brk.Record(addr, time.Since(probe), err)
 			if err != nil {
 				s.MarkDead(name)
 				return

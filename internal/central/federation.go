@@ -1,7 +1,6 @@
 package central
 
 import (
-	"errors"
 	"slices"
 	"strings"
 	"sync"
@@ -250,42 +249,25 @@ func (s *Server) mergeRemoteWeather(r *weather.Report) (used int) {
 // in the federation. The old sequential walk cost up to
 // len(peers)×RPCTimeout on a cache-cold verify when early peers were
 // partitioned; the fan-out bounds the worst case at one timeout.
-// Probes share the liveness prober's breaker set, so a peer that keeps
-// timing out is skipped instantly until its cooldown — but a remote
-// refusal ("I don't know this token") proves the transport works and
-// never accrues suspicion. Verification is read-only, so it rides the
-// pooled federation connections.
+// Verification is read-only, so it rides the pooled federation
+// connections.
 func (s *Server) verifyViaPeers(user, token string) bool {
 	peers := s.Peers()
 	if len(peers) == 0 {
 		return false
 	}
-	brk := s.probeBreakers()
 	// Buffered to len(peers): stragglers after the first positive answer
 	// park their result in the buffer and exit — no goroutine leak.
 	results := make(chan bool, len(peers))
-	asked := 0
 	for _, addr := range peers {
-		if !brk.Allow(addr) {
-			s.met.probeSkips.Inc()
-			continue
-		}
-		asked++
 		go func(addr string) {
-			start := time.Now()
 			var ok protocol.VerifyOK
 			err := s.peerRPC().Call(addr, s.RPCTimeout, protocol.TypePeerVerifyReq,
 				protocol.PeerVerifyReq{User: user, Token: token}, protocol.TypeVerifyOK, &ok)
-			health := err
-			var remote *protocol.RemoteError
-			if errors.As(err, &remote) {
-				health = nil // a refusal is a healthy peer saying no
-			}
-			brk.Record(addr, time.Since(start), health)
 			results <- err == nil
 		}(addr)
 	}
-	for i := 0; i < asked; i++ {
+	for range peers {
 		if <-results {
 			return true
 		}

@@ -95,40 +95,6 @@ func TestVerifyViaPeersFirstPositiveWins(t *testing.T) {
 	}
 }
 
-// TestVerifyViaPeersBreakerSkipsOpenPeer: a peer whose breaker is open
-// is skipped without any wire traffic (the skip counter moves), and a
-// verify where EVERY peer is skipped returns false immediately.
-func TestVerifyViaPeersBreakerSkipsOpenPeer(t *testing.T) {
-	s := New(accounting.Dollars)
-	defer s.Close()
-	s.BreakerThreshold = 1
-	s.BreakerCooldown = time.Hour // stays open for the whole test
-	s.RPCTimeout = 200 * time.Millisecond
-	dead := "127.0.0.1:1" // nothing listens here
-	s.SetPeers([]string{dead})
-
-	// Open the breaker the way production does: recorded failures.
-	brk := s.probeBreakers()
-	for i := 0; i < 10 && brk.Allow(dead); i++ {
-		brk.Record(dead, s.RPCTimeout, errors.New("connection refused"))
-	}
-	if brk.Allow(dead) {
-		t.Fatal("breaker never opened despite repeated failures")
-	}
-
-	before := s.met.probeSkips.Value()
-	start := time.Now()
-	if s.verifyViaPeers("alice", "tok") {
-		t.Fatal("verify true with every peer skipped")
-	}
-	if time.Since(start) > 50*time.Millisecond {
-		t.Fatal("all-skipped verify should not touch the wire")
-	}
-	if after := s.met.probeSkips.Value(); after != before+1 {
-		t.Fatalf("probe skip counter: %d -> %d, want +1", before, after)
-	}
-}
-
 // TestShardedDirectoryDedupLocalWins: the union dedups by name on a
 // sharded mesh exactly as between plain peers — a server registered
 // both locally and in a peer's digest (daemon failover mid-gossip)

@@ -59,13 +59,9 @@ type Client struct {
 	// Breakers, when set, installs per-daemon circuit breakers on the
 	// pool and gates auction fan-outs: a daemon whose breaker is OPEN
 	// forfeits its bid instantly (no dial, no timeout) until its cooldown
-	// lapses and a half-open probe succeeds (nil = no breakers).
+	// lapses and a half-open probe succeeds (nil = no breakers). The pool
+	// refuses every call to an OPEN daemon, status polls included.
 	Breakers *health.Set
-	// HedgeQuantile, in (0,1), turns on hedged bid solicitation: once
-	// that fraction of the fan-out has resolved, the slowest outstanding
-	// requests are re-issued and the first response per daemon wins.
-	// Zero disables hedging.
-	HedgeQuantile float64
 	// Mechanism selects the market mechanism for contracts that do not
 	// carry one (a qos.Mechanism* name). Empty adopts the grid default
 	// the Central Server advertised at login, falling back to the
@@ -150,16 +146,13 @@ func (c *Client) breakerSkips() *telemetry.Counter {
 	return c.skipCount
 }
 
-// solicitOpts assembles the fan-out options for Place: per-bid deadline,
-// hedging, and the breaker gate (concurrency is the market's default).
+// solicitOpts assembles the fan-out options for Place: per-bid deadline
+// and the breaker gate (concurrency is the market's default).
 // The gate reads Healthy — a non-claiming check — rather than Allow, so
 // gating a fan-out never consumes the half-open probe slot the pool's own
 // Allow claims when a call is actually issued.
 func (c *Client) solicitOpts() market.SolicitOpts {
-	opts := market.SolicitOpts{
-		Timeout:       c.BidTimeout,
-		HedgeQuantile: c.HedgeQuantile,
-	}
+	opts := market.SolicitOpts{Timeout: c.BidTimeout}
 	if c.Breakers != nil {
 		skips := c.breakerSkips()
 		opts.Gate = func(s market.ServerPort) bool {
@@ -411,8 +404,8 @@ func (p *fdPort) StartBid(_ float64, contract *qos.Contract, sink market.BidSink
 
 // bidCall is one StartBid exchange: the pool's record with the request
 // and reply it points at. It belongs to the exchange from StartBid until
-// done runs — an attempt the auction has abandoned (bid deadline, hedge
-// sibling) still completes into its own record — and a pool call
+// done runs — an attempt the auction has forfeited at its bid deadline
+// still completes into its own record — and a pool call
 // completes exactly once, so done may recycle it.
 type bidCall struct {
 	call  protocol.PoolCall

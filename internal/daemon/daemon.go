@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"faucets/internal/bidding"
-	"faucets/internal/health"
 	"faucets/internal/job"
 	"faucets/internal/jsonl"
 	"faucets/internal/protocol"
@@ -83,16 +82,6 @@ type Config struct {
 	// Only positive verifications are cached — a bogus token is
 	// re-checked (and re-refused) every time.
 	VerifyCacheTTL time.Duration
-	// BreakerThreshold enables per-address circuit breakers on the
-	// daemon's outbound RPC pool (Central Server): transport
-	// failures and pathological latency accrue suspicion, and an OPEN
-	// breaker fails calls instantly instead of burning a timeout each.
-	// Zero disables the breakers (the default — the outbox's own retry
-	// cadence already paces redelivery).
-	BreakerThreshold float64
-	// BreakerCooldown is how long an OPEN breaker waits before the
-	// half-open probe (zero = health.DefaultCooldown).
-	BreakerCooldown time.Duration
 }
 
 // DefaultVerifyCacheTTL bounds how stale a cached credential check may
@@ -270,15 +259,6 @@ func New(cfg Config) (*Daemon, error) {
 		// a genuinely-down peer fails fast so the outbox keeps the
 		// records for the next cycle instead of wedging.
 		Retry: protocol.Retry{Attempts: 2, Base: 50 * time.Millisecond, Max: 500 * time.Millisecond, Stop: d.closed},
-	}
-	if cfg.BreakerThreshold > 0 {
-		d.pool.Health = health.NewSet(health.Options{
-			Threshold: cfg.BreakerThreshold,
-			Cooldown:  cfg.BreakerCooldown,
-			OnTransition: func(addr string, from, to health.State) {
-				log.Printf("daemon %s: breaker %s: %v -> %v", cfg.Info.Spec.Name, addr, from, to)
-			},
-		})
 	}
 	// §5.2.1 global information: a weather or history bidder that came
 	// without a source — or with the one a daemon this one replaces

@@ -189,17 +189,3 @@ func TestSettlementRefusedIsDroppedNotRetried(t *testing.T) {
 		t.Fatalf("poison counter = %d, want 1 for the dropped settlement", got)
 	}
 }
-
-// TestBreakerConfigWiresPool: a positive threshold installs breakers on
-// the outbound pool; the default leaves them off so recovery timing is
-// unchanged for existing deployments.
-func TestBreakerConfigWiresPool(t *testing.T) {
-	d, _ := startDaemon(t, Config{BreakerThreshold: 3})
-	if d.pool.Health == nil {
-		t.Fatal("BreakerThreshold set but pool has no health policy")
-	}
-	d2, _ := startDaemon(t, Config{})
-	if d2.pool.Health != nil {
-		t.Fatal("breakers installed without opt-in")
-	}
-}

@@ -88,15 +88,10 @@ type Options struct {
 	// MaxInflight is the Central Server's admission-control budget (the
 	// in-process -max-inflight; zero = admission off).
 	MaxInflight int
-	// BreakerThreshold/BreakerCooldown configure circuit breakers on the
-	// Central Server's liveness poller and every client's bid fan-out
-	// (the in-process -breaker-threshold/-breaker-cooldown; zero
-	// threshold = breakers off).
+	// BreakerThreshold/BreakerCooldown configure circuit breakers on
+	// every client's bid fan-out (zero threshold = breakers off).
 	BreakerThreshold float64
 	BreakerCooldown  time.Duration
-	// HedgeQuantile turns on hedged bid solicitation for clients (the
-	// in-process -hedge-quantile; zero = off).
-	HedgeQuantile float64
 	// Mechanism is the market mechanism clients place jobs under (a
 	// qos.Mechanism* name; empty = first-price). Also advertised by the
 	// Central Server as the grid default (the in-process -mechanism).
@@ -414,8 +409,6 @@ func (g *Grid) newCentralAt(stateSub string, ring *shard.Ring, selfAddr string) 
 		fs.RPCTimeout = g.opts.RPCTimeout
 	}
 	fs.MaxInflight = g.opts.MaxInflight
-	fs.BreakerThreshold = g.opts.BreakerThreshold
-	fs.BreakerCooldown = g.opts.BreakerCooldown
 	fs.DefaultMechanism = g.opts.Mechanism
 	if ring != nil {
 		fs.Ring = ring
@@ -628,7 +621,6 @@ func (g *Grid) Login(user, password string) (*client.Client, error) {
 	c.Tracer = g.Tracer
 	c.BidTimeout = g.opts.BidTimeout
 	c.RPCTimeout = g.opts.RPCTimeout
-	c.HedgeQuantile = g.opts.HedgeQuantile
 	c.Mechanism = g.opts.Mechanism
 	if g.opts.BreakerThreshold > 0 {
 		c.Breakers = health.NewSet(health.Options{

@@ -109,7 +109,6 @@ func TestChaosSoakSickMinority(t *testing.T) {
 		SettleRetry:      25 * time.Millisecond,
 		BreakerThreshold: 2,
 		BreakerCooldown:  time.Minute, // stays open through the measured phase
-		HedgeQuantile:    0.9,
 		MaxInflight:      256,
 	}
 
@@ -162,7 +161,7 @@ func TestChaosSoakSickMinority(t *testing.T) {
 	}
 	if !open() {
 		for _, addr := range sickAddrs {
-			t.Logf("breaker %s: state=%v score=%.1f", addr, cl.Breakers.State(addr), cl.Breakers.Score(addr))
+			t.Logf("breaker %s: state=%v", addr, cl.Breakers.State(addr))
 		}
 		t.Fatalf("breakers never opened after %d warmup auctions", warmup)
 	}

@@ -14,9 +14,7 @@
 //
 // The happy path (CLOSED breaker, healthy response) is allocation-free:
 // Allow, Healthy, and Record perform only a read-locked map lookup,
-// a per-breaker mutex, and float arithmetic. All methods are safe on a
-// nil *Set, which lets call sites thread an optional detector without
-// guarding every use.
+// a per-breaker mutex, and float arithmetic.
 package health
 
 import (
@@ -52,10 +50,18 @@ func (s State) String() string {
 
 // Defaults applied by Options when a field is zero.
 const (
-	DefaultThreshold     = 4.0
-	DefaultCooldown      = 2 * time.Second
-	DefaultDecay         = 0.5
-	DefaultLatencyFactor = 4.0
+	DefaultThreshold = 4.0
+	DefaultCooldown  = 2 * time.Second
+)
+
+const (
+	// decay multiplies the suspicion score on every healthy response.
+	decay = 0.5
+	// latencyFactor: a success slower than latencyFactor × (EWMA mean +
+	// EWMA deviation) counts as a half-point of suspicion. This is the
+	// adaptive, per-address part of the detector — expectations are
+	// learned from the address's own history, not configured.
+	latencyFactor = 4.0
 )
 
 // Options tunes a breaker Set. The zero value is usable: every field
@@ -68,18 +74,6 @@ type Options struct {
 	// Cooldown is how long an OPEN breaker refuses calls before
 	// admitting a half-open probe.
 	Cooldown time.Duration
-	// Decay multiplies the suspicion score on every healthy response
-	// (0 < Decay < 1). Lower values forgive faster.
-	Decay float64
-	// LatencyFactor: a success slower than LatencyFactor × (EWMA mean +
-	// EWMA deviation) counts as a half-point of suspicion. This is the
-	// adaptive, per-address part of the detector — expectations are
-	// learned from the address's own history, not configured.
-	LatencyFactor float64
-	// OnTransition, when set, is called after every state change —
-	// e.g. to feed telemetry counters. Called without breaker locks
-	// held.
-	OnTransition func(addr string, from, to State)
 	// Now overrides the clock (tests). Nil means time.Now.
 	Now func() time.Time
 }
@@ -96,20 +90,6 @@ func (o *Options) cooldown() time.Duration {
 		return o.Cooldown
 	}
 	return DefaultCooldown
-}
-
-func (o *Options) decay() float64 {
-	if o.Decay > 0 && o.Decay < 1 {
-		return o.Decay
-	}
-	return DefaultDecay
-}
-
-func (o *Options) latencyFactor() float64 {
-	if o.LatencyFactor > 0 {
-		return o.LatencyFactor
-	}
-	return DefaultLatencyFactor
 }
 
 func (o *Options) now() time.Time {
@@ -151,26 +131,25 @@ func (b *Breaker) openLocked(o *Options, now time.Time) {
 
 // allow reports whether a call may proceed, claiming the half-open
 // probe slot when the cooldown has elapsed.
-func (b *Breaker) allow(o *Options, now time.Time) (ok bool, from, to State) {
+func (b *Breaker) allow(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	from = b.state
 	switch b.state {
 	case Closed:
-		return true, from, from
+		return true
 	case Open:
 		if now.Before(b.retryAt) {
-			return false, from, from
+			return false
 		}
 		b.state = HalfOpen
 		b.probing = true
-		return true, from, HalfOpen
+		return true
 	default: // HalfOpen
 		if b.probing {
-			return false, from, from
+			return false
 		}
 		b.probing = true
-		return true, from, from
+		return true
 	}
 }
 
@@ -178,7 +157,7 @@ func (b *Breaker) allow(o *Options, now time.Time) (ok bool, from, to State) {
 // address is worth launching right now. It never claims the probe
 // slot, so gating a fan-out on healthy leaves the actual probe
 // admission to allow.
-func (b *Breaker) healthy(o *Options, now time.Time) bool {
+func (b *Breaker) healthy(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -192,10 +171,9 @@ func (b *Breaker) healthy(o *Options, now time.Time) bool {
 }
 
 // record feeds one call outcome into the detector.
-func (b *Breaker) record(o *Options, now time.Time, d time.Duration, err error) (from, to State) {
+func (b *Breaker) record(o *Options, now time.Time, d time.Duration, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	from = b.state
 	if err != nil {
 		b.score++
 		switch {
@@ -208,18 +186,18 @@ func (b *Breaker) record(o *Options, now time.Time, d time.Duration, err error) 
 			// Straggler failure from before the trip; the cooldown is
 			// already running.
 		}
-		return from, b.state
+		return
 	}
 
 	sec := d.Seconds()
-	if b.samples > 0 && d >= latencyFloor && sec > o.latencyFactor()*(b.mean+b.dev) {
+	if b.samples > 0 && d >= latencyFloor && sec > latencyFactor*(b.mean+b.dev) {
 		// Answered, but far outside its own envelope: gray failure.
 		// The sample is NOT folded into the EWMA — a daemon that turns
 		// pathologically slow must not drag its own baseline up until
 		// the slowness stops looking suspicious.
 		b.score += 0.5
 	} else {
-		b.score *= o.decay()
+		b.score *= decay
 		if b.samples == 0 {
 			b.mean = sec
 		} else {
@@ -246,11 +224,10 @@ func (b *Breaker) record(o *Options, now time.Time, d time.Duration, err error) 
 		// Straggler success from before the trip; only the probe may
 		// close an open breaker.
 	}
-	return from, b.state
 }
 
 // Set is a collection of Breakers keyed by remote address. It
-// implements protocol.HealthPolicy. All methods are nil-receiver safe.
+// implements protocol.HealthPolicy.
 type Set struct {
 	opts Options
 	mu   sync.RWMutex
@@ -282,24 +259,14 @@ func (s *Set) breaker(addr string) *Breaker {
 // half-open probe slot if the breaker's cooldown has elapsed. Callers
 // that get true MUST follow up with Record so a claimed probe resolves.
 func (s *Set) Allow(addr string) bool {
-	if s == nil {
-		return true
-	}
-	ok, from, to := s.breaker(addr).allow(&s.opts, s.opts.now())
-	if from != to && s.opts.OnTransition != nil {
-		s.opts.OnTransition(addr, from, to)
-	}
-	return ok
+	return s.breaker(addr).allow(s.opts.now())
 }
 
 // Healthy reports whether addr is worth including in a fan-out right
 // now, without claiming the probe slot. False means the breaker is
 // OPEN (cooldown running) or a half-open probe is already in flight.
 func (s *Set) Healthy(addr string) bool {
-	if s == nil {
-		return true
-	}
-	return s.breaker(addr).healthy(&s.opts, s.opts.now())
+	return s.breaker(addr).healthy(s.opts.now())
 }
 
 // Record feeds one call outcome into addr's detector. A nil err is a
@@ -307,21 +274,12 @@ func (s *Set) Healthy(addr string) bool {
 // application-level refusals (the peer answered, however unhappily) as
 // success — only transport failures indict the address.
 func (s *Set) Record(addr string, d time.Duration, err error) {
-	if s == nil {
-		return
-	}
-	from, to := s.breaker(addr).record(&s.opts, s.opts.now(), d, err)
-	if from != to && s.opts.OnTransition != nil {
-		s.opts.OnTransition(addr, from, to)
-	}
+	s.breaker(addr).record(&s.opts, s.opts.now(), d, err)
 }
 
 // State returns addr's current breaker state (Closed for unknown
 // addresses).
 func (s *Set) State(addr string) State {
-	if s == nil {
-		return Closed
-	}
 	s.mu.RLock()
 	b := s.m[addr]
 	s.mu.RUnlock()
@@ -331,39 +289,4 @@ func (s *Set) State(addr string) State {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
-}
-
-// Score returns addr's current suspicion score (0 for unknown
-// addresses). Exposed for tests and telemetry.
-func (s *Set) Score(addr string) float64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.RLock()
-	b := s.m[addr]
-	s.mu.RUnlock()
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.score
-}
-
-// OpenCount returns how many breakers are currently not CLOSED.
-func (s *Set) OpenCount() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, b := range s.m {
-		b.mu.Lock()
-		if b.state != Closed {
-			n++
-		}
-		b.mu.Unlock()
-	}
-	return n
 }

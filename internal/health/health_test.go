@@ -19,6 +19,19 @@ func newTestSet(clk *fakeClock, opts Options) *Set {
 	return NewSet(opts)
 }
 
+// score reads addr's suspicion score (0 for an unknown address).
+func score(s *Set, addr string) float64 {
+	s.mu.RLock()
+	b := s.m[addr]
+	s.mu.RUnlock()
+	if b == nil {
+		return 0
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.score
+}
+
 func TestBreakerOpensAfterFailures(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	s := newTestSet(clk, Options{Threshold: 3, Cooldown: time.Second})
@@ -86,14 +99,14 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	if got := s.State(addr); got != Closed {
 		t.Fatalf("state after good probe = %v, want closed", got)
 	}
-	if got := s.Score(addr); got != 0 {
+	if got := score(s, addr); got != 0 {
 		t.Fatalf("score after good probe = %v, want 0", got)
 	}
 }
 
 func TestBreakerLatencyDegradationOpens(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	s := newTestSet(clk, Options{Threshold: 2, Cooldown: time.Second, LatencyFactor: 4})
+	s := newTestSet(clk, Options{Threshold: 2, Cooldown: time.Second})
 	const addr = "fd1:9200"
 	// Establish a ~1ms envelope.
 	for i := 0; i < 20; i++ {
@@ -117,7 +130,7 @@ func TestBreakerLatencyDegradationOpens(t *testing.T) {
 // Past the floor the same peer is indicted as before.
 func TestBreakerLatencyFloor(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	s := newTestSet(clk, Options{Threshold: 2, Cooldown: time.Second, LatencyFactor: 4})
+	s := newTestSet(clk, Options{Threshold: 2, Cooldown: time.Second})
 	const addr = "fs:9100"
 	for i := 0; i < 50; i++ {
 		s.Record(addr, 50*time.Microsecond, nil)
@@ -125,7 +138,7 @@ func TestBreakerLatencyFloor(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		s.Record(addr, time.Millisecond, nil)
 	}
-	if got, score := s.State(addr), s.Score(addr); got != Closed || score != 0 {
+	if got, score := s.State(addr), score(s, addr); got != Closed || score != 0 {
 		t.Fatalf("a millisecond of jitter on a 50µs peer: state %v score %v, want closed and 0", got, score)
 	}
 	for i := 0; i < 4; i++ {
@@ -142,10 +155,10 @@ func TestBreakerHealthyResponsesDecayScore(t *testing.T) {
 	const addr = "fd1:9200"
 	s.Record(addr, time.Millisecond, errBoom)
 	s.Record(addr, time.Millisecond, errBoom)
-	high := s.Score(addr)
+	high := score(s, addr)
 	s.Record(addr, time.Millisecond, nil)
 	s.Record(addr, time.Millisecond, nil)
-	if got := s.Score(addr); got >= high {
+	if got := score(s, addr); got >= high {
 		t.Fatalf("score did not decay: %v -> %v", high, got)
 	}
 	if got := s.State(addr); got != Closed {
@@ -153,37 +166,24 @@ func TestBreakerHealthyResponsesDecayScore(t *testing.T) {
 	}
 }
 
-func TestSetTransitionCallback(t *testing.T) {
+// TestSetTransitions walks one breaker round the whole cycle:
+// closed -> open -> half-open -> closed.
+func TestSetTransitions(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	type tr struct{ from, to State }
-	var seen []tr
-	opts := Options{Threshold: 1, Cooldown: time.Second, Now: clk.now,
-		OnTransition: func(addr string, from, to State) { seen = append(seen, tr{from, to}) }}
-	s := NewSet(opts)
+	s := newTestSet(clk, Options{Threshold: 1, Cooldown: time.Second})
 	const addr = "a"
-	s.Record(addr, time.Millisecond, errBoom) // closed -> open
+	s.Record(addr, time.Millisecond, errBoom)
+	if got := s.State(addr); got != Open {
+		t.Fatalf("after a failure at threshold 1: %v, want open", got)
+	}
 	clk.advance(2 * time.Second)
-	s.Allow(addr)                         // open -> half-open
-	s.Record(addr, time.Millisecond, nil) // half-open -> closed
-	want := []tr{{Closed, Open}, {Open, HalfOpen}, {HalfOpen, Closed}}
-	if len(seen) != len(want) {
-		t.Fatalf("transitions = %v, want %v", seen, want)
+	s.Allow(addr)
+	if got := s.State(addr); got != HalfOpen {
+		t.Fatalf("after the cooldown's first Allow: %v, want half-open", got)
 	}
-	for i := range want {
-		if seen[i] != want[i] {
-			t.Fatalf("transition %d = %v, want %v", i, seen[i], want[i])
-		}
-	}
-}
-
-func TestNilSetIsSafe(t *testing.T) {
-	var s *Set
-	if !s.Allow("a") || !s.Healthy("a") {
-		t.Fatal("nil Set must allow everything")
-	}
-	s.Record("a", time.Millisecond, errBoom)
-	if s.State("a") != Closed || s.Score("a") != 0 || s.OpenCount() != 0 {
-		t.Fatal("nil Set must report closed/zero")
+	s.Record(addr, time.Millisecond, nil)
+	if got := s.State(addr); got != Closed {
+		t.Fatalf("after a good probe: %v, want closed", got)
 	}
 }
 
@@ -204,15 +204,5 @@ func TestHappyPathZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("happy path allocates %v per call, want 0", allocs)
-	}
-}
-
-func TestOpenCount(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	s := newTestSet(clk, Options{Threshold: 1, Cooldown: time.Minute})
-	s.Record("a", time.Millisecond, errBoom)
-	s.Record("b", time.Millisecond, nil)
-	if got := s.OpenCount(); got != 1 {
-		t.Fatalf("OpenCount = %d, want 1", got)
 	}
 }

@@ -98,12 +98,12 @@ func bothKinds(t *testing.T, servers []ServerPort, run func(t *testing.T, server
 	t.Run("startbid", func(t *testing.T) {
 		wrapped, fleet := asStarters(servers)
 		run(t, wrapped)
-		fleet.delivered.Wait() // abandoned hedges may answer after the last round: nothing may break
+		fleet.delivered.Wait() // every StartBid has answered before the fleet goes
 	})
 }
 
 // TestSolicitParallelMatchesSerial: whatever the collector is asked to
-// do on top — per-bid deadline, breaker gate, hedging, all three — and
+// do on top — per-bid deadline, breaker gate, both — and
 // at every concurrency level, it must return exactly the ranking of the
 // Concurrency 1 walk over the same (gated) fleet.
 func TestSolicitParallelMatchesSerial(t *testing.T) {
@@ -117,8 +117,7 @@ func TestSolicitParallelMatchesSerial(t *testing.T) {
 		{"plain", SolicitOpts{}, 7},
 		{"timeout", SolicitOpts{Timeout: time.Second}, 7},
 		{"gate", SolicitOpts{Gate: gate}, 6},
-		{"hedge", SolicitOpts{HedgeQuantile: 0.5}, 7},
-		{"gate+hedge+timeout", SolicitOpts{Gate: gate, HedgeQuantile: 0.5, Timeout: time.Second}, 6},
+		{"gate+timeout", SolicitOpts{Gate: gate, Timeout: time.Second}, 6},
 	}
 	bothKinds(t, mixedFleet(), func(t *testing.T, servers []ServerPort) {
 		for _, tc := range cases {
@@ -147,20 +146,16 @@ func TestSolicitStartBidBoundsOutstanding(t *testing.T) {
 	}
 	want := SolicitWith(0, blocking, contract(), LeastCost{}, SolicitOpts{Concurrency: 1})
 	for _, k := range []int{1, 3, 16} {
-		for _, opts := range []SolicitOpts{
-			{Concurrency: k, Timeout: time.Second}, // Timeout keeps k = 1 off the inline walk
-			{Concurrency: k, Timeout: time.Second, HedgeQuantile: 0.5},
-		} {
-			servers, fleet := asStarters(blocking)
-			got := SolicitWith(0, servers, contract(), LeastCost{}, opts)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("concurrency %d diverged from the serial walk:\n got %+v\nwant %+v", k, got, want)
-			}
-			fleet.delivered.Wait()
-			if fleet.peak > k || fleet.started < len(blocking) {
-				t.Fatalf("opts %+v: %d attempts outstanding at once over %d launches, want ≤ %d over ≥ %d",
-					opts, fleet.peak, fleet.started, k, len(blocking))
-			}
+		opts := SolicitOpts{Concurrency: k, Timeout: time.Second} // Timeout keeps k = 1 off the inline walk
+		servers, fleet := asStarters(blocking)
+		got := SolicitWith(0, servers, contract(), LeastCost{}, opts)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("concurrency %d diverged from the serial walk:\n got %+v\nwant %+v", k, got, want)
+		}
+		fleet.delivered.Wait()
+		if fleet.peak > k || fleet.started != len(blocking) {
+			t.Fatalf("concurrency %d: %d attempts outstanding at once over %d launches, want ≤ %d over %d",
+				k, fleet.peak, fleet.started, k, len(blocking))
 		}
 	}
 }
@@ -216,52 +211,41 @@ func keepers(ss ...*fakeServer) []ServerPort {
 }
 
 // TestLateDeliveryNeverReachesTheNextRound: a port that still holds a
-// round's sink — the original a hedge outran, or an attempt its deadline
-// forfeited — delivers after Solicit returned, while the next round runs
-// on the same goroutine. That round must rank exactly as the serial walk
-// does: a round is recycled only when no port or timer can still reach
-// it. The late answer is delivered from the next round's last StartBid,
-// the moment a recycled round would have handed the same attempt out
-// again.
+// round's sink — an attempt its deadline forfeited — delivers after
+// Solicit returned, while the next round runs on the same goroutine.
+// That round must rank exactly as the serial walk does: a round is
+// recycled only when no port or timer can still reach it. The late
+// answer is delivered from the next round's last StartBid, the moment a
+// recycled round would have handed the same attempt out again.
 func TestLateDeliveryNeverReachesTheNextRound(t *testing.T) {
 	ghost := bidding.Bid{Server: "ghost", Price: 0.5, EstCompletion: 1}
-	for _, tc := range []struct {
-		name      string
-		opts      SolicitOpts
-		firstBids int // x's hedge answers; a forfeited x has no bid
-	}{
-		{"hedge-sibling", SolicitOpts{HedgeQuantile: 0.5}, 3},
-		{"forfeited-deadline", SolicitOpts{Timeout: 10 * time.Millisecond}, 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			for round := 0; round < 20; round++ {
-				first := keepers(srv("a", 10, 5), srv("b", 20, 5), srv("x", 1, 1))
-				x := first[2].(*keeper)
-				x.hold = 1
-				if bids := SolicitWith(0, first, contract(), LeastCost{}, tc.opts); len(bids) != tc.firstBids {
-					t.Fatalf("first round bids = %+v, want %d", bids, tc.firstBids)
-				}
-				if len(x.kept) != 1 {
-					t.Fatalf("x kept %d sinks, want 1", len(x.kept))
-				}
-				second := keepers(srv("p", 30, 5), srv("q", 20, 5), srv("r", 10, 5))
-				want := SolicitWith(0, second, contract(), LeastCost{}, SolicitOpts{Concurrency: 1})
-				second[2].(*keeper).onStart = func() { x.kept[0].DeliverBid(ghost, true) }
-				if got := SolicitWith(0, second, contract(), LeastCost{}, SolicitOpts{}); !reflect.DeepEqual(got, want) {
-					t.Fatalf("round %d: the next round diverged from the serial walk:\n got %+v\nwant %+v", round, got, want)
-				}
+	t.Run("forfeited-deadline", func(t *testing.T) {
+		for round := 0; round < 20; round++ {
+			first := keepers(srv("a", 10, 5), srv("b", 20, 5), srv("x", 1, 1))
+			x := first[2].(*keeper)
+			x.hold = 1
+			if bids := SolicitWith(0, first, contract(), LeastCost{}, SolicitOpts{Timeout: 10 * time.Millisecond}); len(bids) != 2 {
+				t.Fatalf("first round bids = %+v, want a and b with x forfeited", bids)
 			}
-		})
-	}
+			if len(x.kept) != 1 {
+				t.Fatalf("x kept %d sinks, want 1", len(x.kept))
+			}
+			second := keepers(srv("p", 30, 5), srv("q", 20, 5), srv("r", 10, 5))
+			want := SolicitWith(0, second, contract(), LeastCost{}, SolicitOpts{Concurrency: 1})
+			second[2].(*keeper).onStart = func() { x.kept[0].DeliverBid(ghost, true) }
+			if got := SolicitWith(0, second, contract(), LeastCost{}, SolicitOpts{}); !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d: the next round diverged from the serial walk:\n got %+v\nwant %+v", round, got, want)
+			}
+		}
+	})
 }
 
 // TestRecycledRoundsMatchSerialUnderStress: eight goroutines each run 500
 // rounds over their own fleet of in-memory BidStarters answering from
 // other goroutines in shuffled order, one of them a straggler, under a
-// random hedge quantile and per-bid deadline (long enough never to fire)
-// per round. Abandoned hedge siblings answer into later rounds' time.
-// Every round must rank as the serial walk does; -race checks that no
-// recycled round is touched by its last user.
+// random concurrency and per-bid deadline (long enough never to fire)
+// per round. Every round must rank as the serial walk does; -race checks
+// that no recycled round is touched by its last user.
 func TestRecycledRoundsMatchSerialUnderStress(t *testing.T) {
 	rounds := 500
 	if testing.Short() {
@@ -286,12 +270,9 @@ func TestRecycledRoundsMatchSerialUnderStress(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				opts := SolicitOpts{Concurrency: rng.Intn(len(servers) + 1)}
 				if rng.Intn(2) == 0 {
-					opts.HedgeQuantile = []float64{0.25, 0.5, 0.9}[rng.Intn(3)]
-				}
-				if rng.Intn(2) == 0 {
 					opts.Timeout = time.Minute
 				}
-				if opts.Concurrency == 1 && opts.Timeout == 0 && opts.HedgeQuantile == 0 {
+				if opts.Concurrency == 1 && opts.Timeout == 0 {
 					opts.Concurrency = 0 // keep the round in the collector
 				}
 				dst = FirstPrice{}.Solicit(dst, 0, servers, contract(), LeastCost{}, opts)
@@ -379,6 +360,47 @@ func TestSolicitTimeoutForfeitsSlowBid(t *testing.T) {
 	}
 	if elapsed > time.Second {
 		t.Fatalf("solicit took %v, the straggler stalled it", elapsed)
+	}
+}
+
+// TestSolicitGateSkipsWithoutCalling: a gated-out server must not be
+// asked at all — the forfeit is instant, not a timeout.
+func TestSolicitGateSkipsWithoutCalling(t *testing.T) {
+	sick := &slowServer{delay: 2 * time.Second}
+	sick.fakeServer = *srv("sick", 1, 1)
+	servers := append(ports(srv("a", 10, 5), srv("b", 20, 5)), sick)
+	gate := func(s ServerPort) bool { return s.ServerName() != "sick" }
+
+	for _, opts := range []SolicitOpts{
+		{Gate: gate},
+		{Gate: gate, Timeout: 50 * time.Millisecond},
+		{Gate: gate, Concurrency: 1},
+	} {
+		start := time.Now()
+		bids := SolicitWith(0, servers, contract(), LeastCost{}, opts)
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("opts %+v: solicit took %v despite gate", opts, d)
+		}
+		if len(bids) != 2 || bids[0].Server != "a" || bids[1].Server != "b" {
+			t.Fatalf("opts %+v: bids = %+v, want a,b", opts, bids)
+		}
+	}
+	if got := sick.asked.Load(); got != 0 {
+		t.Fatalf("gated-out server was asked %d times, want 0", got)
+	}
+}
+
+// TestSolicitAllDecline: a concurrent round in which every server
+// declines resolves with no bids, with and without a per-bid deadline.
+func TestSolicitAllDecline(t *testing.T) {
+	servers := []ServerPort{
+		&fakeServer{name: "x", declines: true},
+		&fakeServer{name: "y", declines: true},
+	}
+	for _, opts := range []SolicitOpts{{}, {Timeout: time.Second}} {
+		if bids := SolicitWith(0, servers, contract(), LeastCost{}, opts); len(bids) != 0 {
+			t.Fatalf("opts %+v: bids = %+v, want none", opts, bids)
+		}
 	}
 }
 

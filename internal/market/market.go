@@ -13,7 +13,6 @@ package market
 import (
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -113,7 +112,7 @@ var (
 type SolicitOpts struct {
 	// Concurrency bounds the number of in-flight RequestBid calls.
 	// <= 0 selects the default, min(16, len(servers)); 1 with no Timeout
-	// and no hedging is the serial walk on the caller's goroutine.
+	// is the serial walk on the caller's goroutine.
 	Concurrency int
 	// Timeout bounds each individual RequestBid. A server that has not
 	// answered within the deadline forfeits its bid for this auction —
@@ -126,13 +125,6 @@ type SolicitOpts struct {
 	// point this at the per-address circuit breaker so an OPEN daemon
 	// costs the auction nothing instead of a per-bid timeout.
 	Gate func(s ServerPort) bool
-	// HedgeQuantile in (0,1) enables hedged solicitation: once that
-	// fraction of the gated-in servers has resolved, every request
-	// still outstanding — the auction's own slow tail — is re-issued
-	// once to the same server. First response wins per server, so a
-	// hedge can never double a server's bid and awards stay
-	// duplicate-safe. <= 0 (or >= 1) disables hedging.
-	HedgeQuantile float64
 }
 
 // DefaultFanout is the concurrency cap used when SolicitOpts.Concurrency
@@ -200,10 +192,10 @@ type BidSink interface {
 //
 // Requests fan out concurrently, so ports must be safe for concurrent
 // RequestBid calls (wire ports are). The exception is Concurrency 1 with
-// no per-bid deadline and no hedging: that walk runs inline on the
-// caller's goroutine, one server at a time — the only legal path for
-// single-threaded simulation entities, and the reference every
-// concurrent configuration must match bid-for-bid.
+// no per-bid deadline: that walk runs inline on the caller's goroutine,
+// one server at a time — the only legal path for single-threaded
+// simulation entities, and the reference every concurrent configuration
+// must match bid-for-bid.
 func SolicitWith(now float64, servers []ServerPort, c *qos.Contract, crit Criterion, opts SolicitOpts) []bidding.Bid {
 	return FirstPrice{}.Solicit(nil, now, servers, c, crit, opts)
 }
@@ -215,12 +207,11 @@ func (FirstPrice) Solicit(dst []bidding.Bid, now float64, servers []ServerPort, 
 	if n == 0 {
 		return dst[:0]
 	}
-	hedge := opts.HedgeQuantile > 0 && opts.HedgeQuantile < 1
 	conc := min(opts.Concurrency, n)
 	if conc <= 0 {
 		conc = min(DefaultFanout, n)
 	}
-	if conc == 1 && opts.Timeout <= 0 && !hedge {
+	if conc == 1 && opts.Timeout <= 0 {
 		bids := slices.Grow(dst[:0], n)
 		for _, s := range servers {
 			if opts.Gate != nil && !opts.Gate(s) {
@@ -233,55 +224,49 @@ func (FirstPrice) Solicit(dst []bidding.Bid, now float64, servers []ServerPort, 
 		rankBids(bids, crit)
 		return bids
 	}
-	return collect(dst, now, servers, c, crit, opts, conc, hedge)
+	return collect(dst, now, servers, c, crit, opts, conc)
 }
 
-// collect is the concurrent round. There are no workers and no queue:
-// the caller's goroutine is the auction's only launcher. It starts up to
-// conc attempts, sleeps until a completion reports that every server
-// has resolved or that something is waiting to be launched (the next
-// server in line once an attempt returns, or a hedge), and launches
-// again. A completion only records its answer under the lock and
-// signals, so it is safe to run on a connection's read goroutine.
+// collect is the concurrent round: one attempt per gated-in server.
+// There are no workers and no queue: the caller's goroutine is the
+// auction's only launcher. It starts up to conc attempts in server
+// order, sleeps until a completion reports that every server has
+// answered or forfeited or that the bound has room for the next one,
+// and launches again. A completion only records its answer under the
+// lock and signals, so it is safe to run on a connection's read
+// goroutine.
 //
 // The round comes from a pool and goes back only when quiescent: every
-// attempt delivered by its port, its deadline stopped unfired. One that an
-// abandoned hedge sibling or a forfeited attempt can still reach is the GC's.
-func collect(dst []bidding.Bid, now float64, servers []ServerPort, c *qos.Contract, crit Criterion, opts SolicitOpts, conc int, hedge bool) []bidding.Bid {
-	n := len(servers)
+// attempt delivered by its port, its deadline stopped unfired. One that a
+// forfeited attempt can still reach is the GC's.
+func collect(dst []bidding.Bid, now float64, servers []ServerPort, c *qos.Contract, crit Criterion, opts SolicitOpts, conc int) []bidding.Bid {
 	a := rounds.Get().(*auction)
 	a.now, a.servers, a.c, a.timeout, a.conc, a.wake.L = now, servers, c, opts.Timeout, conc, &a.mu
-	a.slots = append(a.slots[:0], make([]slot, n)...)
-	a.left, a.hedgeAt, a.running, a.cursor, a.released = 0, 0, 0, 0, 0
+	a.attempts = slices.Grow(a.attempts[:0], len(servers)) // filled before any launch: ports hold pointers into it
 	for i, s := range servers {
 		if opts.Gate != nil && !opts.Gate(s) {
 			continue // breaker OPEN: instant forfeit, nothing launched
 		}
-		a.slots[i].inflight, a.slots[i].queued = 1, 1
-		a.left++
+		a.attempts = append(a.attempts, attempt{a: a, i: i})
 	}
-	a.queued = a.left
-	if hedge {
-		a.hedgeAt = a.left - max(1, int(math.Ceil(opts.HedgeQuantile*float64(a.left))))
-	}
-	a.attempts = slices.Grow(a.attempts[:0], a.left+a.hedgeAt) // never regrown: ports hold pointers into it
-	// Wait for every gated-in server to resolve, not for every attempt to
-	// return: an attempt whose sibling already answered is abandoned (it
-	// finds its slot taken and changes nothing).
+	a.left, a.running, a.launched, a.released = len(a.attempts), 0, 0, 0
 	a.mu.Lock()
 	for a.left > 0 {
-		if i, ok := a.next(); ok {
+		if a.launched < len(a.attempts) && a.running < a.conc {
+			t := &a.attempts[a.launched]
+			a.launched++
+			a.running++
 			a.mu.Unlock()
-			a.launch(i)
+			a.launch(t)
 			a.mu.Lock()
 		} else {
 			a.wake.Wait()
 		}
 	}
-	bids := slices.Grow(dst[:0], n)
-	for i := range a.slots {
-		if a.slots[i].got {
-			bids = append(bids, a.slots[i].bid)
+	bids := slices.Grow(dst[:0], len(servers))
+	for i := range a.attempts {
+		if t := &a.attempts[i]; t.got {
+			bids = append(bids, t.bid)
 		}
 	}
 	quiet := a.released == len(a.attempts)
@@ -296,65 +281,31 @@ func collect(dst []bidding.Bid, now float64, servers []ServerPort, c *qos.Contra
 
 var rounds = sync.Pool{New: func() any { return new(auction) }}
 
-// slot is one server's place in a concurrent auction.
-type slot struct {
-	bid      bidding.Bid
-	got      bool // bid holds the server's offer
-	resolved bool // the server has answered, declined or forfeited
-	inflight int8 // attempts waiting to be launched or outstanding
-	queued   int8 // of those, the ones still waiting
-}
-
 // auction is the state of one concurrent request-for-bids round. The
 // caller's goroutine launches; completions write each answer straight
-// into that server's slot.
+// into that server's attempt.
 type auction struct {
 	now      float64
 	servers  []ServerPort
 	c        *qos.Contract
 	timeout  time.Duration
 	conc     int
-	attempts []attempt // launcher-owned backing store, kept across rounds
+	attempts []attempt // one per gated-in server, in server order; kept across rounds
 
 	mu       sync.Mutex
 	wake     sync.Cond // the launcher sleeps here
-	slots    []slot
-	left     int // servers not yet resolved
-	hedgeAt  int // hedge once only this many are left; 0 = off or spent
-	running  int // attempts outstanding, bounded by conc
-	queued   int // attempts waiting to be launched
-	cursor   int // launch order: slots 0..n-1 for the originals, n..2n-1 for the hedges
-	released int // attempts no port or timer will touch again
+	left     int       // attempts not yet answered or forfeited
+	running  int       // attempts outstanding, bounded by conc
+	launched int       // attempts[:launched] have been started
+	released int       // attempts no port or timer will touch again
 }
 
-// next claims the next attempt in line, if there is one and the
-// concurrency bound has room: every original in server order, then one
-// re-issue per hedged server in the same order. The caller holds a.mu.
-func (a *auction) next() (int, bool) {
-	n := len(a.slots)
-	for a.queued > 0 && a.running < a.conc {
-		i := a.cursor % n
-		a.cursor++
-		s := &a.slots[i]
-		if s.queued == 0 {
-			continue
-		}
-		s.queued--
-		a.queued--
-		if s.resolved {
-			s.inflight-- // its sibling answered first: nothing to re-issue
-			continue
-		}
-		a.running++
-		return i, true
-	}
-	return 0, false
-}
-
-// attempt is one launched request, original or hedge.
+// attempt is one server's request in a concurrent round.
 type attempt struct {
 	a        *auction
 	i        int
+	bid      bidding.Bid
+	got      bool        // bid holds the server's offer; under a.mu
 	done     bool        // the answer or the forfeit has counted; under a.mu
 	deadline *time.Timer // the per-bid deadline, if any; set before the port is asked
 }
@@ -373,29 +324,22 @@ func (t *attempt) forfeit() { t.a.finish(t, bidding.Bid{}, false, false) }
 // ask is the goroutine a port that can only block is given.
 func (t *attempt) ask() { t.DeliverBid(t.a.servers[t.i].RequestBid(t.a.now, t.a.c)) }
 
-// launch starts one attempt on server i, without holding a.mu.
-func (a *auction) launch(i int) {
-	a.attempts = append(a.attempts, attempt{a: a, i: i})
-	t := &a.attempts[len(a.attempts)-1]
+// launch starts one attempt, without holding a.mu.
+func (a *auction) launch(t *attempt) {
 	if a.timeout > 0 {
 		t.deadline = time.AfterFunc(a.timeout, t.forfeit)
 	}
-	if s, ok := a.servers[i].(BidStarter); ok {
+	if s, ok := a.servers[t.i].(BidStarter); ok {
 		s.StartBid(a.now, a.c, t)
 	} else {
 		go t.ask()
 	}
 }
 
-// finish records one attempt's outcome. The first positive answer wins
-// the server's slot — a server can never hold two, so commits stay
-// duplicate-safe — and a decline resolves it only once no sibling
-// attempt remains. When the hedge quantile of servers has resolved, the
-// quantile latency for this auction is known and everything still
-// outstanding is already slower than that: each is re-issued once to
-// the same server. Hedging changes when bids arrive, never how they
-// rank. Of an attempt's answer and its forfeit the first counts; released
-// says neither its port nor its timer will touch it again.
+// finish records one attempt's outcome: of its answer and its forfeit
+// the first counts, so a server never holds two bids and a late answer
+// changes nothing. released says neither its port nor its timer will
+// touch the attempt again.
 func (a *auction) finish(t *attempt, b bidding.Bid, ok, released bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -405,25 +349,10 @@ func (a *auction) finish(t *attempt, b bidding.Bid, ok, released bool) {
 	if t.done {
 		return
 	}
-	t.done = true
+	t.done, t.bid, t.got = true, b, ok
 	a.running--
-	s := &a.slots[t.i]
-	s.inflight--
-	if !s.resolved && (ok || s.inflight == 0) {
-		s.bid, s.got, s.resolved = b, ok, true
-		a.left--
-		if a.left > 0 && a.left <= a.hedgeAt {
-			a.hedgeAt = 0
-			for j := range a.slots {
-				if o := &a.slots[j]; !o.resolved && o.inflight > 0 {
-					o.inflight++
-					o.queued++
-					a.queued++
-				}
-			}
-		}
-	}
-	if a.left == 0 || a.queued > 0 {
+	a.left--
+	if a.left == 0 || a.launched < len(a.attempts) {
 		a.wake.Signal() // all resolved, or a slot just freed for the next in line
 	}
 }

@@ -2,8 +2,8 @@
 // auction (§5.3); the Buyya economic-models line (PAPERS.md) enumerates
 // the wider design space a grid economy should be able to swap in.
 // Mechanism generalizes the award path into solicit → rank → award →
-// price so those alternatives plug into the same two-phase commit,
-// breaker, and hedging machinery:
+// price so those alternatives plug into the same two-phase commit and
+// breaker machinery:
 //
 //   - FirstPrice: the paper's protocol. Winner pays its own bid.
 //   - Vickrey: second-price sealed-bid reverse auction. Same
@@ -65,7 +65,7 @@ func (FirstPrice) ClearingPrice(ranked []bidding.Bid, i int) float64 {
 }
 
 // Vickrey is the second-price sealed-bid reverse auction: solicitation
-// is FirstPrice's, embedded (same fan-out, hedging, and breakers), but
+// is FirstPrice's, embedded (same fan-out and breakers), but
 // the winner is paid the runner-up's price. When no runner-up exists —
 // the winner was the only standing offer — it pays its own bid, the
 // only price the auction discovered.

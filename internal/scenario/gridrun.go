@@ -93,7 +93,6 @@ func RunGridWithHooks(s *Spec, hooks GridHooks) (*ScenarioReport, error) {
 		MaxInflight:      s.Grid.MaxInflight,
 		BreakerThreshold: s.Grid.BreakerThreshold,
 		BreakerCooldown:  msOr(s.Grid.BreakerCooldownMs, 0),
-		HedgeQuantile:    s.Grid.HedgeQuantile,
 		Mechanism:        s.Mechanism,
 		Shards:           s.Topology.Shards,
 		GossipInterval:   msOr(s.Grid.GossipIntervalMs, 0),
@@ -119,11 +118,22 @@ func RunGridWithHooks(s *Spec, hooks GridHooks) (*ScenarioReport, error) {
 		return nil, fmt.Errorf("scenario: login: %w", err)
 	}
 	defer cl.Close()
+	// The finish watch polls through a session of its own, without
+	// breakers: a breaker that opens on a daemon forfeits its bids in
+	// later auctions, and must not also hide the jobs it already runs.
+	watcher, err := g.Login("scenario", "pw")
+	if err != nil {
+		return nil, fmt.Errorf("scenario: login: %w", err)
+	}
+	watcher.Breakers = nil
+	defer watcher.Close()
 
 	// Fleet-utilization sampler: poll every daemon's used-PE gauge on a
 	// fixed wall cadence and average. Time-weighted enough at 10ms
-	// against runs lasting hundreds of ms and up.
+	// against runs lasting hundreds of ms and up. It reads g.Daemons
+	// under hookMu, which a MidRun hook that restarts a daemon holds.
 	type utilSample struct{ sum, n float64 }
+	var hookMu sync.Mutex
 	utilStop := make(chan struct{})
 	utilByServer := make(map[string]*utilSample, len(machines))
 	var utilWG sync.WaitGroup
@@ -140,6 +150,7 @@ func RunGridWithHooks(s *Spec, hooks GridHooks) (*ScenarioReport, error) {
 			case <-utilStop:
 				return
 			case <-tick.C:
+				hookMu.Lock()
 				for i, d := range g.Daemons {
 					var sb strings.Builder
 					if err := d.Metrics().WritePrometheus(&sb); err != nil {
@@ -153,6 +164,7 @@ func RunGridWithHooks(s *Spec, hooks GridHooks) (*ScenarioReport, error) {
 					u.sum += used / float64(machines[i].Spec.NumPE)
 					u.n++
 				}
+				hookMu.Unlock()
 			}
 		}
 	}()
@@ -180,7 +192,10 @@ func RunGridWithHooks(s *Spec, hooks GridHooks) (*ScenarioReport, error) {
 	var lastFire time.Time
 	for i, it := range trace.Items {
 		if hooks.MidRun != nil && i == len(trace.Items)/2 {
-			if err := hooks.MidRun(g); err != nil {
+			hookMu.Lock()
+			err := hooks.MidRun(g)
+			hookMu.Unlock()
+			if err != nil {
 				return nil, fmt.Errorf("scenario: mid-run hook: %w", err)
 			}
 		}
@@ -211,7 +226,7 @@ func RunGridWithHooks(s *Spec, hooks GridHooks) (*ScenarioReport, error) {
 				}
 			} else if err := cl.Start(p); err != nil {
 				o.rejected = true
-			} else if o.finish, err = watchFinish(cl, p, drained); err != nil {
+			} else if o.finish, err = watchFinish(watcher, p, drained); err != nil {
 				o.rejected = true
 			} else {
 				o.place = p
@@ -386,7 +401,8 @@ func RunGridWithHooks(s *Spec, hooks GridHooks) (*ScenarioReport, error) {
 
 // watchFinish polls a started job's status until it reads "finished"
 // and returns that wall instant; zero if giveUp closes first. A job the
-// daemon reports rejected or killed is an error.
+// daemon reports rejected or killed is an error. cl must not gate its
+// calls on breakers: a poll refused by one is no answer at all.
 //
 // RunGrid calls it from the job's own placement goroutine as soon as
 // Start is acknowledged, so a finish is stamped when it happens: not

@@ -3,6 +3,8 @@ package scenario
 import (
 	"math"
 	"testing"
+
+	"faucets/internal/grid"
 )
 
 // TestOpenLoopHoldsSchedule is the open-loop property pin: with one
@@ -79,5 +81,56 @@ func TestOpenLoopHoldsSchedule(t *testing.T) {
 	}
 	if len(rep.UtilizationPerServer) == 0 {
 		t.Fatal("no per-server utilization sampled")
+	}
+}
+
+// TestFinishWatchSeesPastAnOpenBreaker: jobs placed on a daemon whose
+// breaker opens afterwards must still be seen to finish. The grid has
+// one daemon and breakers that open on the first failure and stay open
+// for a minute; halfway through the schedule the daemon is restarted
+// from its journal, so the status polls spinning on its running jobs
+// fail and open the placing client's breaker on it. The jobs run on and
+// finish after the restart. A finish watch gated by that breaker reads
+// nothing but refusals until the drain gives up on every job.
+func TestFinishWatchSeesPastAnOpenBreaker(t *testing.T) {
+	noDeadlines := 0.0
+	s := &Spec{
+		Name:     "watch-behind-breaker",
+		Seed:     3,
+		Duration: 100, // ~20 arrivals over ~100 wall ms
+		Topology: Topology{Count: 1, PEs: 64, CostMin: 0.01, CostMax: 0.01},
+		// Jobs run 125-500 ms wall: every job placed before the restart
+		// is still running through it.
+		Jobs:    JobMix{MinWork: 1000, MaxWork: 2000, MaxPE: 8, DeadlineFraction: &noDeadlines},
+		Traffic: []Process{{Kind: "poisson", Rate: 0.2}},
+		Grid: GridTuning{
+			RPCTimeoutMs:      150,
+			BidTimeoutMs:      50,
+			SettleRetryMs:     25,
+			BreakerThreshold:  1,
+			BreakerCooldownMs: 60_000,
+			DrainTimeoutMs:    5_000,
+		},
+	}
+	rep, err := RunGridWithHooks(s, GridHooks{MidRun: func(g *grid.Grid) error {
+		return g.RestartDaemon(g.Daemons[0].Name())
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("placed=%d rejected=%d finished=%d settled=%d skips=%v wall=%.2fs",
+		rep.Placed, rep.Rejected, rep.Finished, rep.Settled, rep.Counters["client.breaker_skips"], rep.WallSeconds)
+	if rep.Counters["client.breaker_skips"] == 0 {
+		t.Fatal("no auction skipped the restarted daemon: its breaker never opened, nothing was exercised")
+	}
+	if rep.Placed == 0 {
+		t.Fatal("no job was placed before the restart")
+	}
+	if rep.Finished != rep.Placed || rep.Settled != rep.Finished {
+		t.Fatalf("placed %d, finished %d, settled %d: the finish watch lost jobs behind the open breaker",
+			rep.Placed, rep.Finished, rep.Settled)
+	}
+	if rep.WallSeconds >= 5 {
+		t.Fatalf("run took %.1fs: it sat out the drain", rep.WallSeconds)
 	}
 }

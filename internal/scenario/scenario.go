@@ -225,7 +225,6 @@ type GridTuning struct {
 	MaxInflight       int     `json:"max_inflight,omitempty"`
 	BreakerThreshold  float64 `json:"breaker_threshold,omitempty"`
 	BreakerCooldownMs float64 `json:"breaker_cooldown_ms,omitempty"`
-	HedgeQuantile     float64 `json:"hedge_quantile,omitempty"`
 	// GossipIntervalMs is the shard digest pull cadence (with
 	// Topology.Shards > 1; 0 = central.DefaultGossipInterval).
 	GossipIntervalMs float64 `json:"gossip_interval_ms,omitempty"`

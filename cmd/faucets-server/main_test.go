@@ -30,11 +30,11 @@ bob:hunter2
 	if err := loadUsers(srv, path); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Auth.Users() != 2 {
-		t.Fatalf("users=%d", srv.Auth.Users())
-	}
 	if _, err := srv.Auth.Login("alice", "secret"); err != nil {
 		t.Fatalf("alice login: %v", err)
+	}
+	if _, err := srv.Auth.Login("bob", "hunter2"); err != nil {
+		t.Fatalf("bob login: %v", err)
 	}
 	if srv.Auth.HomeCluster("alice") != "cluster-a" {
 		t.Fatalf("home=%q", srv.Auth.HomeCluster("alice"))

@@ -66,9 +66,6 @@ func New(mode Mode, store *db.DB) *Accountant {
 	return &Accountant{mode: mode, db: store}
 }
 
-// Mode returns the active economic context.
-func (a *Accountant) Mode() Mode { return a.mode }
-
 // GrantQuota adds SUs to a user's allocation (§5.5.2: "users can then be
 // allocated quota in terms of Service-Units as before").
 func (a *Accountant) GrantQuota(user string, su float64) error {
@@ -77,11 +74,6 @@ func (a *Accountant) GrantQuota(user string, su float64) error {
 	}
 	a.db.AddQuota(user, su)
 	return nil
-}
-
-// Quota returns a user's remaining SUs.
-func (a *Accountant) Quota(user string) float64 {
-	return a.db.Quota(user)
 }
 
 // CanAfford reports whether the payer can cover a price before bids are
@@ -154,21 +146,4 @@ func (a *Accountant) Settle(jobID, user, homeCluster, server string, price float
 	return a.db.Update(func(tx *db.Tx) error {
 		return a.Charge(tx, user, homeCluster, server, price)
 	})
-}
-
-// Revenue returns a server's cumulative income (Dollars/SU modes).
-func (a *Accountant) Revenue(server string) float64 {
-	return a.db.Revenue(server)
-}
-
-// Spend returns a user's cumulative payments — the fair-usage statistic
-// of §5.5.4 ("so that high priority jobs do not forever starve a subset
-// of users, who may own some of the resources").
-func (a *Accountant) Spend(user string) float64 {
-	return a.db.Spend(user)
-}
-
-// Credits exposes the bartering balance of a cluster.
-func (a *Accountant) Credits(cluster string) float64 {
-	return a.db.Credits(cluster)
 }

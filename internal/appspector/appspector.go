@@ -304,16 +304,6 @@ func (s *Server) unsubscribe(jobID string, ch chan protocol.Telemetry) {
 	}
 }
 
-// Watchers returns the live watcher count for a job (diagnostics).
-func (s *Server) Watchers(jobID string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if js, ok := s.jobs[jobID]; ok {
-		return len(js.watchers)
-	}
-	return 0
-}
-
 // Serve accepts connections on l until Close.
 func (s *Server) Serve(l net.Listener) { s.srv.Serve(l) }
 

@@ -152,7 +152,7 @@ func TestMultipleSimultaneousWatchers(t *testing.T) {
 	}
 	// Wait until all three watchers are subscribed, then finish the job.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Watchers("j1") < 3 {
+	for s.Utilization().Watchers < 3 {
 		if time.Now().After(deadline) {
 			t.Fatal("watchers never subscribed")
 		}

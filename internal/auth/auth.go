@@ -3,7 +3,7 @@
 // receive a session token embedded in later requests, and Faucets Daemons
 // — which hold no accounting information — verify those credentials back
 // with the Central Server. Jobs run on Compute Servers the user holds no
-// account on under a temporary userid.
+// account on under a temporary userid, which the daemon mints.
 //
 // Passwords are stored as salted SHA-256 digests; tokens are 128-bit
 // random values from crypto/rand.
@@ -52,7 +52,9 @@ type Authenticator struct {
 	sessions map[string]*session
 	ttl      time.Duration
 	now      func() time.Time
-	tempSeq  uint64
+	// swept is the session count the last sweep left; Login sweeps
+	// again once the table has doubled from it.
+	swept int
 }
 
 // New returns an Authenticator whose tokens live for ttl.
@@ -120,7 +122,18 @@ func (a *Authenticator) Login(name, password string) (token string, err error) {
 		return "", fmt.Errorf("auth: token: %w", err)
 	}
 	token = hex.EncodeToString(raw[:])
-	a.sessions[token] = &session{user: name, expires: a.now().Add(a.ttl)}
+	now := a.now()
+	a.sessions[token] = &session{user: name, expires: now.Add(a.ttl)}
+	if len(a.sessions) >= 2*a.swept {
+		// Verify reaps only a token presented again after its TTL; the
+		// rest go here. Sweeping on doubling keeps a login O(1) amortised.
+		for tok, s := range a.sessions {
+			if now.After(s.expires) {
+				delete(a.sessions, tok)
+			}
+		}
+		a.swept = len(a.sessions)
+	}
 	return token, nil
 }
 
@@ -152,13 +165,6 @@ func (a *Authenticator) VerifyUser(userName, token string) error {
 	return nil
 }
 
-// Logout invalidates a token. Unknown tokens are a no-op.
-func (a *Authenticator) Logout(token string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	delete(a.sessions, token)
-}
-
 // HomeCluster returns the user's bartering home cluster ("" if none).
 func (a *Authenticator) HomeCluster(userName string) string {
 	a.mu.Lock()
@@ -167,29 +173,4 @@ func (a *Authenticator) HomeCluster(userName string) string {
 		return u.home
 	}
 	return ""
-}
-
-// TempUserID mints the temporary userid under which a Compute Server
-// runs a job for a client without a local account (§2.2: "the Faucets
-// system runs the job with a temporary userid").
-func (a *Authenticator) TempUserID(realUser string) string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.tempSeq++
-	return fmt.Sprintf("fauc-tmp-%06d", a.tempSeq)
-}
-
-// Users returns the number of registered accounts.
-func (a *Authenticator) Users() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.users)
-}
-
-// Sessions returns the number of live (possibly expired-but-unreaped)
-// sessions.
-func (a *Authenticator) Sessions() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.sessions)
 }

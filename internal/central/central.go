@@ -290,17 +290,6 @@ func (s *Server) gaugeDirectoryLocked() {
 	s.met.daemonsTotal.Set(float64(len(s.registry)))
 }
 
-// Deregister removes a daemon from the directory.
-func (s *Server) Deregister(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if i, found := s.find(name); found {
-		s.registry = slices.Delete(s.registry, i, i+1)
-	}
-	s.gaugeDirectoryLocked()
-	s.invalidateWeather()
-}
-
 // MarkSeen refreshes a daemon's liveness with fresh dynamic state.
 func (s *Server) MarkSeen(name string, dyn protocol.PollOK) {
 	s.mu.Lock()

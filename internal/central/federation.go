@@ -34,7 +34,7 @@ const DefaultGossipInterval = 500 * time.Millisecond
 // remoteDigest is the cached digest of one peer.
 type remoteDigest struct {
 	at      time.Time             // when the pull that fetched it was sent
-	servers []protocol.ServerInfo // in name order, as FederatedServers merges them
+	servers []protocol.ServerInfo // in name order, as appendFederated merges them
 	weather protocol.WeatherDigest
 }
 
@@ -168,15 +168,10 @@ func byName(a, b protocol.ServerInfo) int { return strings.Compare(a.Spec.Name, 
 // compareName orders a directory entry against a server name.
 func compareName(e protocol.ServerInfo, name string) int { return strings.Compare(e.Spec.Name, name) }
 
-// FederatedServers returns the union of the local filtered directory and
-// every unexpired peer digest, deduplicated by server name (local
-// entries win) and in name order. It reads the gossip cache only: no
-// peer is dialed on the auction path.
-func (s *Server) FederatedServers(c *qos.Contract) []protocol.ServerInfo {
-	return s.appendFederated([]protocol.ServerInfo{}, c)
-}
-
-// appendFederated is FederatedServers appending to out.
+// appendFederated appends to out the union of the local filtered
+// directory and every unexpired peer digest, deduplicated by server name
+// (local entries win) and in name order. It reads the gossip cache only:
+// no peer is dialed on the auction path.
 func (s *Server) appendFederated(out []protocol.ServerInfo, c *qos.Contract) []protocol.ServerInfo {
 	from := len(out)
 	out = s.appendServers(out, c)

@@ -28,7 +28,7 @@ func TestDirectoryReadNeverDialsPeers(t *testing.T) {
 	s.StartGossip()
 
 	start := time.Now()
-	out := s.FederatedServers(nil)
+	out := s.appendFederated(nil, nil)
 	w := s.Weather()
 	if elapsed := time.Since(start); elapsed > 50*time.Millisecond {
 		t.Fatalf("read took %v, a peer was waited on", elapsed)
@@ -116,7 +116,7 @@ func TestShardedDirectoryDedupLocalWins(t *testing.T) {
 		Servers: []protocol.ServerInfo{remoteDup, info("other", 32, 512)},
 	})
 
-	union := s.FederatedServers(nil)
+	union := s.appendFederated(nil, nil)
 	if len(union) != 2 {
 		t.Fatalf("union=%v", union)
 	}
@@ -154,7 +154,7 @@ func TestFederationPartitionedPeerConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 5; j++ {
 				servers[0].GossipOnce()
-				union := servers[0].FederatedServers(nil)
+				union := servers[0].appendFederated(nil, nil)
 				if len(union) < 2 {
 					errs <- fmt.Errorf("union shrank below reachable membership: %v", union)
 					return

@@ -54,7 +54,7 @@ func TestFederatedDirectoryUnion(t *testing.T) {
 	_ = servers[2].RegisterDaemon(info("gamma", 32, 512, "synth"))
 	pullAll(servers...)
 
-	union := servers[0].FederatedServers(nil)
+	union := servers[0].appendFederated(nil, nil)
 	if len(union) != 3 {
 		t.Fatalf("union=%d servers: %v", len(union), union)
 	}
@@ -62,7 +62,7 @@ func TestFederatedDirectoryUnion(t *testing.T) {
 		t.Fatalf("union order: %v", union)
 	}
 	// Filters apply across the federation.
-	big := servers[2].FederatedServers(&qos.Contract{App: "synth", MinPE: 100, MaxPE: 128, Work: 1})
+	big := servers[2].appendFederated(nil, &qos.Contract{App: "synth", MinPE: 100, MaxPE: 128, Work: 1})
 	if len(big) != 1 || big[0].Spec.Name != "beta" {
 		t.Fatalf("federated filter: %v", big)
 	}
@@ -79,7 +79,7 @@ func TestFederationDeduplicatesByName(t *testing.T) {
 	_ = servers[0].RegisterDaemon(local)
 	_ = servers[1].RegisterDaemon(remote)
 	pullAll(servers...)
-	union := servers[0].FederatedServers(nil)
+	union := servers[0].appendFederated(nil, nil)
 	if len(union) != 1 {
 		t.Fatalf("union=%v", union)
 	}
@@ -95,7 +95,7 @@ func TestFederationDegradesWhenPeerDown(t *testing.T) {
 	s.SetPeers([]string{"127.0.0.1:1"}) // nothing listens here
 	start := time.Now()
 	s.GossipOnce()
-	union := s.FederatedServers(nil)
+	union := s.appendFederated(nil, nil)
 	if len(union) != 1 || union[0].Spec.Name != "solo" {
 		t.Fatalf("union=%v", union)
 	}
@@ -138,7 +138,7 @@ func TestGossipReplyIsLocalOnly(t *testing.T) {
 	_ = servers[0].RegisterDaemon(info("elsewhere", 64, 1024))
 	_ = servers[1].RegisterDaemon(info("remote-only", 8, 512))
 	pullAll(servers...)
-	if n := len(servers[1].FederatedServers(nil)); n != 2 {
+	if n := len(servers[1].appendFederated(nil, nil)); n != 2 {
 		t.Fatalf("server 1 should hold merged state before it is asked: %d entries", n)
 	}
 	conn, err := net.Dial("tcp", addrs[1])
@@ -204,7 +204,7 @@ func TestPushedDirectoryFramesChangeNothing(t *testing.T) {
 	if err := protocol.Call(conn, "peer_list_req", forged, protocol.TypeListServersOK, &ls); err == nil {
 		t.Fatalf("peer_list_req still answered: %v", ls.Servers)
 	}
-	if union := servers[0].FederatedServers(nil); len(union) != 1 || union[0].Spec.Name != "honest" {
+	if union := servers[0].appendFederated(nil, nil); len(union) != 1 || union[0].Spec.Name != "honest" {
 		t.Fatalf("pushed frames reached the directory: %v", union)
 	}
 }
@@ -249,7 +249,7 @@ func TestFederatedPeerRestartRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	s0.GossipOnce()
-	if union := s0.FederatedServers(nil); len(union) != 2 {
+	if union := s0.appendFederated(nil, nil); len(union) != 2 {
 		t.Fatalf("pre-crash union=%v", union)
 	}
 
@@ -261,7 +261,7 @@ func TestFederatedPeerRestartRecovery(t *testing.T) {
 	}
 	s0.GossipOnce()
 	time.Sleep(250 * time.Millisecond)
-	if union := s0.FederatedServers(nil); len(union) != 1 || union[0].Spec.Name != "near" {
+	if union := s0.appendFederated(nil, nil); len(union) != 1 || union[0].Spec.Name != "near" {
 		t.Fatalf("degraded union=%v", union)
 	}
 
@@ -291,10 +291,10 @@ func TestFederatedPeerRestartRecovery(t *testing.T) {
 	_ = s2.RegisterDaemon(info("far", 64, 1024, "synth"))
 
 	s0.GossipOnce() // one round, no waiting out a restart window
-	if union := s0.FederatedServers(nil); len(union) != 2 {
+	if union := s0.appendFederated(nil, nil); len(union) != 2 {
 		t.Fatalf("post-restart union=%v", union)
 	}
-	if rev := s2.Acct.Revenue("far"); rev != 5 {
+	if rev := s2.DB.Revenue("far"); rev != 5 {
 		t.Fatalf("peer revenue lost across restart: %v", rev)
 	}
 	if s2.DB.HistoryLen() != 1 {
@@ -304,7 +304,7 @@ func TestFederatedPeerRestartRecovery(t *testing.T) {
 	if err := s2.Settle(req); err != nil {
 		t.Fatal(err)
 	}
-	if rev := s2.Acct.Revenue("far"); rev != 5 || s2.DB.HistoryLen() != 1 {
+	if rev := s2.DB.Revenue("far"); rev != 5 || s2.DB.HistoryLen() != 1 {
 		t.Fatalf("recovered peer re-applied a settled job: rev=%v hist=%d", rev, s2.DB.HistoryLen())
 	}
 }

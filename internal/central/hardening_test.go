@@ -10,6 +10,7 @@ import (
 
 	"faucets/internal/accounting"
 	"faucets/internal/protocol"
+	"faucets/internal/telemetry"
 )
 
 // TestAppsStaleness: the Known Applications list must apply the same
@@ -314,7 +315,8 @@ func TestCloseDoesNotWaitOutAHungPeer(t *testing.T) {
 	if err := protocol.WriteFrame(conn, protocol.TypeVerifyReq, protocol.VerifyReq{User: "mallory", Token: "nope"}); err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(2 * time.Second); s.peerRPC().OpenConns() == 0; time.Sleep(time.Millisecond) {
+	peerConns := s.Metrics.Gauge("faucets_rpc_pool_open_conns", "", telemetry.L("component", "central"))
+	for deadline := time.Now().Add(2 * time.Second); peerConns.Value() == 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("handler never reached the peer")
 		}

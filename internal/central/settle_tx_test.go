@@ -92,7 +92,7 @@ func TestSettleShortWriteDoesNotLoseTheNextAck(t *testing.T) {
 	if err := s.Settle(reqA); err != nil {
 		t.Fatalf("A's redelivery: %v", err)
 	}
-	if rev := s.Acct.Revenue("turing"); rev != 12 {
+	if rev := s.DB.Revenue("turing"); rev != 12 {
 		t.Fatalf("revenue=%v, want 12 (A and B charged once each)", rev)
 	}
 	if rows := rowsByJob(s.DB); rows["j-A"] != 1 || rows["j-B"] != 1 {
@@ -200,7 +200,13 @@ func TestConcurrentSettleRedeliveryCrashCopy(t *testing.T) {
 	if revenue != spend || spend != prices {
 		t.Fatalf("crash copy: Σ revenue %v, Σ spend %v, Σ history prices %v", revenue, spend, prices)
 	}
-	if rec.SettledCount() != rec.HistoryLen() {
-		t.Fatalf("crash copy: %d settled marks, %d history rows", rec.SettledCount(), rec.HistoryLen())
+	settled := 0
+	for i := int64(1); i <= next.Load(); i++ {
+		if rec.Settled(fmt.Sprintf("job-%d", i)) {
+			settled++
+		}
+	}
+	if settled != rec.HistoryLen() {
+		t.Fatalf("crash copy: %d settled marks, %d history rows", settled, rec.HistoryLen())
 	}
 }

@@ -112,7 +112,7 @@ func TestGossipRoundMergesDirectoryAndWeather(t *testing.T) {
 	}
 
 	for i, s := range servers {
-		union := s.FederatedServers(nil)
+		union := s.appendFederated(nil, nil)
 		if len(union) != 2 || union[0].Spec.Name > union[1].Spec.Name {
 			t.Fatalf("shard %d directory after gossip: %v", i, union)
 		}
@@ -145,11 +145,11 @@ func TestStartGossipPropagatesPeriodically(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if union := servers[0].FederatedServers(nil); len(union) == 1 && union[0].Spec.Name == name {
+		if union := servers[0].appendFederated(nil, nil); len(union) == 1 && union[0].Spec.Name == name {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("background gossip never delivered the directory: %v", servers[0].FederatedServers(nil))
+			t.Fatalf("background gossip never delivered the directory: %v", servers[0].appendFederated(nil, nil))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -251,7 +251,7 @@ func TestGossipStaleDigestExpires(t *testing.T) {
 	if w.GridUtilization != 1 {
 		t.Fatalf("utilization not capped at 1: %v", w.GridUtilization)
 	}
-	if len(s.FederatedServers(nil)) != 1 {
+	if len(s.appendFederated(nil, nil)) != 1 {
 		t.Fatalf("fresh digest missing from directory")
 	}
 
@@ -261,7 +261,7 @@ func TestGossipStaleDigestExpires(t *testing.T) {
 	s.storeDigest(peer, sent.Add(-time.Millisecond), protocol.GossipOK{
 		Servers: []protocol.ServerInfo{info("older", 8, 128, "synth")},
 	})
-	if union := s.FederatedServers(nil); s.met.gossipRecv.Value() != recvBefore || len(union) != 1 || union[0].Spec.Name != "ghost" {
+	if union := s.appendFederated(nil, nil); s.met.gossipRecv.Value() != recvBefore || len(union) != 1 || union[0].Spec.Name != "ghost" {
 		t.Fatalf("older overlapping pull overwrote a newer digest: %v", union)
 	}
 
@@ -269,7 +269,7 @@ func TestGossipStaleDigestExpires(t *testing.T) {
 	s.storeDigest(peer, time.Now(), protocol.GossipOK{
 		Servers: []protocol.ServerInfo{info("reborn", 8, 128, "synth")},
 	})
-	if union := s.FederatedServers(nil); len(union) != 1 || union[0].Spec.Name != "reborn" {
+	if union := s.appendFederated(nil, nil); len(union) != 1 || union[0].Spec.Name != "reborn" {
 		t.Fatalf("restarted peer's digest not served at once: %v", union)
 	}
 
@@ -278,7 +278,7 @@ func TestGossipStaleDigestExpires(t *testing.T) {
 	if w := s.Weather(); w.Servers != 0 || w.Contracts != 0 {
 		t.Fatalf("expired digest still in weather: %+v", w)
 	}
-	if union := s.FederatedServers(nil); len(union) != 0 {
+	if union := s.appendFederated(nil, nil); len(union) != 0 {
 		t.Fatalf("expired digest still in directory: %v", union)
 	}
 }

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"errors"
 	"net"
 	"reflect"
 	"testing"
@@ -45,7 +46,7 @@ func startBidStub(t *testing.T, name string, price float64, delay time.Duration,
 					}
 					rc.SetID(f.ID)
 					if f.Type != protocol.TypeBidReq {
-						_ = protocol.WriteError(rc, "stub: "+f.Type)
+						_ = protocol.WriteErrorFrom(rc, errors.New("stub: "+f.Type))
 						continue
 					}
 					if delay > 0 {

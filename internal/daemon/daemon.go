@@ -1198,18 +1198,3 @@ func (d *Daemon) terminate(req protocol.KillReq) (state string, t jticket, err e
 	d.wake()
 	return j.State().String(), t, nil
 }
-
-// TempUser returns the temporary userid a job runs under (§2.2).
-func (d *Daemon) TempUser(id string) string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.tempUsers[id]
-}
-
-// Job returns a submitted job by ID (diagnostics/tests).
-func (d *Daemon) Job(id string) (*job.Job, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	j, ok := d.jobs[id]
-	return j, ok
-}

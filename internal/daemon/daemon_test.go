@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"errors"
 	"io"
 	"net"
 	"strings"
@@ -48,6 +49,22 @@ func startDaemon(t *testing.T, cfg Config) (*Daemon, string) {
 	return d, l.Addr().String()
 }
 
+// tracked reports whether the daemon answers a status call for id: it
+// knows every job it has admitted and not finished with a kill.
+func tracked(t *testing.T, conn net.Conn, id string) bool {
+	t.Helper()
+	var st protocol.StatusOK
+	err := protocol.Call(conn, protocol.TypeStatusReq, protocol.StatusReq{JobID: id}, protocol.TypeStatusOK, &st)
+	var remote *protocol.RemoteError
+	if errors.As(err, &remote) {
+		return false
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return true
+}
+
 func dial(t *testing.T, addr string) net.Conn {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
@@ -86,7 +103,7 @@ func TestPoll(t *testing.T) {
 }
 
 func TestBidSubmitStatusLifecycle(t *testing.T) {
-	d, addr := startDaemon(t, Config{})
+	_, addr := startDaemon(t, Config{})
 	conn := dial(t, addr)
 
 	c := contract(200) // ~12.5 virtual seconds on 16 PEs
@@ -144,9 +161,6 @@ func TestBidSubmitStatusLifecycle(t *testing.T) {
 			t.Fatalf("result.out never appeared: %+v %v", out, err)
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-	if _, ok := d.Job("j1"); !ok {
-		t.Fatal("job not tracked")
 	}
 }
 
@@ -229,7 +243,7 @@ func TestSubmitWithoutCommitAllowed(t *testing.T) {
 	if err := protocol.Call(conn, protocol.TypeSubmitReq, protocol.SubmitReq{User: "u", JobID: "direct", Contract: contract(1e7)}, protocol.TypeSubmitOK, &sub); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := d.Job("direct"); !ok {
+	if !tracked(t, conn, "direct") {
 		t.Fatal("direct submit lost")
 	}
 	d.mu.Lock()
@@ -239,12 +253,13 @@ func TestSubmitWithoutCommitAllowed(t *testing.T) {
 		t.Fatalf("direct submit priced %v, want the daemon's bid %v", price, bid.Price)
 	}
 
-	shy, shyAddr := startDaemon(t, Config{Bidder: declineAll{}})
-	err := protocol.Call(dial(t, shyAddr), protocol.TypeSubmitReq, protocol.SubmitReq{User: "u", JobID: "unbid", Contract: contract(1e7)}, protocol.TypeSubmitOK, &sub)
+	_, shyAddr := startDaemon(t, Config{Bidder: declineAll{}})
+	shy := dial(t, shyAddr)
+	err := protocol.Call(shy, protocol.TypeSubmitReq, protocol.SubmitReq{User: "u", JobID: "unbid", Contract: contract(1e7)}, protocol.TypeSubmitOK, &sub)
 	if err == nil {
 		t.Fatal("a daemon that declines to bid admitted a direct submit")
 	}
-	if _, ok := shy.Job("unbid"); ok {
+	if tracked(t, shy, "unbid") {
 		t.Fatal("refused direct submit is on the daemon")
 	}
 }
@@ -362,11 +377,15 @@ func TestReRegisterHeartbeatRestoresDirectory(t *testing.T) {
 	if len(fs.Servers(nil)) != 1 {
 		t.Fatal("initial registration missing")
 	}
-	// Simulate an FS restart losing its directory.
-	fs.Deregister("turing")
-	if len(fs.Servers(nil)) != 0 {
-		t.Fatal("deregister failed")
+	// The FS restarts on the same address with an empty directory.
+	fs.Close()
+	fs = central.New(accounting.Dollars)
+	fsl, err = net.Listen("tcp", fsl.Addr().String())
+	if err != nil {
+		t.Fatal(err)
 	}
+	go fs.Serve(fsl)
+	t.Cleanup(fs.Close)
 	deadline := time.Now().Add(5 * time.Second)
 	for len(fs.Servers(nil)) == 0 {
 		if time.Now().After(deadline) {
@@ -376,21 +395,46 @@ func TestReRegisterHeartbeatRestoresDirectory(t *testing.T) {
 	}
 }
 
+// TestJobsRunUnderTemporaryUserIDs: each job runs under a userid of its
+// own, which its result.out names (§2.2).
 func TestJobsRunUnderTemporaryUserIDs(t *testing.T) {
-	d, addr := startDaemon(t, Config{})
+	_, addr := startDaemon(t, Config{})
 	conn := dial(t, addr)
 	var sub protocol.SubmitOK
 	for _, id := range []string{"t1", "t2"} {
-		if err := protocol.Call(conn, protocol.TypeSubmitReq, protocol.SubmitReq{User: "alice", JobID: id, Contract: contract(1e7)}, protocol.TypeSubmitOK, &sub); err != nil {
+		if err := protocol.Call(conn, protocol.TypeSubmitReq, protocol.SubmitReq{User: "alice", JobID: id, Contract: contract(200)}, protocol.TypeSubmitOK, &sub); err != nil {
 			t.Fatal(err)
 		}
 	}
-	u1, u2 := d.TempUser("t1"), d.TempUser("t2")
+	u1, u2 := resultUser(t, conn, "t1"), resultUser(t, conn, "t2")
 	if u1 == "" || u2 == "" || u1 == u2 {
 		t.Fatalf("temp users: %q %q", u1, u2)
 	}
 	if !strings.HasPrefix(u1, "fauc-tmp-") {
 		t.Fatalf("temp user format: %q", u1)
+	}
+}
+
+// resultUser waits for a job's result.out and returns the userid on its
+// user= field.
+func resultUser(t *testing.T, conn net.Conn, id string) string {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var out protocol.OutputOK
+		err := protocol.Call(conn, protocol.TypeOutputReq, protocol.OutputReq{JobID: id, Name: "result.out"}, protocol.TypeOutputOK, &out)
+		if err == nil && out.EOF && len(out.Data) > 0 {
+			for _, field := range strings.Fields(string(out.Data)) {
+				if user, ok := strings.CutPrefix(field, "user="); ok {
+					return user
+				}
+			}
+			t.Fatalf("%s result.out names no user: %q", id, out.Data)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s result.out never appeared: %v", id, err)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -84,11 +84,11 @@ func TestNewFixtureBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jb, ok := d.Job("job-a"); !ok || jb.Contract.Work != 1e7 {
+	if jb, ok := jobOf(d, "job-a"); !ok || jb.Contract.Work != 1e7 {
 		t.Fatalf("unfinished job not recovered: %+v", jb)
 	}
 	for _, id := range []string{"job-b", "job-c", "job-d"} {
-		if _, ok := d.Job(id); ok {
+		if _, ok := jobOf(d, id); ok {
 			t.Fatalf("%s restarted: it was finished, acknowledged or torn", id)
 		}
 	}

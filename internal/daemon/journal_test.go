@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"errors"
 	"net"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"faucets/internal/bidding"
+	"faucets/internal/job"
 	"faucets/internal/jsonl"
 	"faucets/internal/protocol"
 	"faucets/internal/scheduler"
@@ -46,7 +48,7 @@ func TestJournalRecoveryRestartsUnfinishedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, ok := d2.Job("j-recover")
+	j, ok := jobOf(d2, "j-recover")
 	if !ok {
 		t.Fatal("job lost across restart")
 	}
@@ -54,7 +56,7 @@ func TestJournalRecoveryRestartsUnfinishedJob(t *testing.T) {
 		t.Fatalf("contract mangled: %+v", j.Contract)
 	}
 	d2.mu.Lock()
-	owner, price, outstanding := d2.owners["j-recover"], d2.prices["j-recover"], d2.outstanding
+	owner, price, outstanding, tmpUser := d2.owners["j-recover"], d2.prices["j-recover"], d2.outstanding, d2.tempUsers["j-recover"]
 	d2.mu.Unlock()
 	if owner != "alice" || price != 7 {
 		t.Fatalf("owner=%q price=%v, want alice/7", owner, price)
@@ -62,7 +64,7 @@ func TestJournalRecoveryRestartsUnfinishedJob(t *testing.T) {
 	if outstanding != 5000 {
 		t.Fatalf("outstanding=%v, want 5000", outstanding)
 	}
-	if d2.TempUser("j-recover") == "" {
+	if tmpUser == "" {
 		t.Fatal("recovered job has no temporary userid")
 	}
 }
@@ -85,7 +87,7 @@ func TestJournalKilledJobNotRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := d2.Job("j-kill"); ok {
+	if _, ok := jobOf(d2, "j-kill"); ok {
 		t.Fatal("killed job resubmitted on recovery")
 	}
 }
@@ -163,7 +165,7 @@ func switchCentral(t *testing.T, deliver *atomic.Bool, settled *atomic.Int32) st
 						settled.Add(1)
 						_ = protocol.WriteFrame(rc, protocol.TypeSettleOK, protocol.SettleOK{})
 					default:
-						_ = protocol.WriteError(rc, "stub: "+f.Type)
+						_ = protocol.WriteErrorFrom(rc, errors.New("stub: "+f.Type))
 					}
 				}
 			}()
@@ -310,7 +312,7 @@ func TestRecoveryKeepsUnplacedAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := d2.Job("j-wide"); ok {
+	if _, ok := jobOf(d2, "j-wide"); ok {
 		t.Fatal("a 1-PE cluster placed a job that needs 2")
 	}
 	d2.Close()
@@ -326,7 +328,16 @@ func TestRecoveryKeepsUnplacedAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := d3.Job("j-wide"); !ok {
+	if _, ok := jobOf(d3, "j-wide"); !ok {
 		t.Fatal("the full cluster did not recover the job the small one could not place")
 	}
+}
+
+// jobOf is the daemon's job table entry for id, read under its lock: these
+// tests open daemons they never start, so no status call can ask.
+func jobOf(d *Daemon, id string) (*job.Job, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	j, ok := d.jobs[id]
+	return j, ok
 }

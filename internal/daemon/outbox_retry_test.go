@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"errors"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -48,7 +49,7 @@ func stubCentralRetryable(t *testing.T, deferUntil int32, attempts, settled *ato
 						settled.Add(1)
 						_ = protocol.WriteFrame(rc, protocol.TypeSettleOK, protocol.SettleOK{})
 					default:
-						_ = protocol.WriteError(rc, "stub: "+f.Type)
+						_ = protocol.WriteErrorFrom(rc, errors.New("stub: "+f.Type))
 					}
 				}
 			}()

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"errors"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -135,13 +136,13 @@ func stubCentral(t *testing.T, refuseSettle bool, settled *atomic.Int32) string 
 						_ = protocol.WriteFrame(rc, protocol.TypeVerifyOK, protocol.VerifyOK{})
 					case protocol.TypeSettleReq:
 						if refuseSettle {
-							_ = protocol.WriteError(rc, "no such account")
+							_ = protocol.WriteErrorFrom(rc, errors.New("no such account"))
 							continue
 						}
 						settled.Add(1)
 						_ = protocol.WriteFrame(rc, protocol.TypeSettleOK, protocol.SettleOK{})
 					default:
-						_ = protocol.WriteError(rc, "stub: "+f.Type)
+						_ = protocol.WriteErrorFrom(rc, errors.New("stub: "+f.Type))
 					}
 				}
 			}()

@@ -97,7 +97,7 @@ func restart(t *testing.T, dir string) (*Daemon, net.Conn) {
 func TestAckedRecordsSurvivePowerLoss(t *testing.T) {
 	p := installPowerCut(t)
 	dir := t.TempDir()
-	d, conn := restart(t, dir)
+	_, conn := restart(t, dir)
 	var sub protocol.SubmitOK
 	for _, id := range []string{"kept", "killed"} {
 		if err := protocol.Call(conn, protocol.TypeSubmitReq, protocol.SubmitReq{User: "alice", JobID: id, Contract: contract(1e7)}, protocol.TypeSubmitOK, &sub); err != nil {
@@ -105,9 +105,9 @@ func TestAckedRecordsSurvivePowerLoss(t *testing.T) {
 		}
 	}
 	p.cut(t)
-	d, conn = restart(t, dir)
+	_, conn = restart(t, dir)
 	for _, id := range []string{"kept", "killed"} {
-		if _, ok := d.Job(id); !ok {
+		if !tracked(t, conn, id) {
 			t.Fatalf("job %s lost to a power cut after its SubmitOK was sent", id)
 		}
 	}
@@ -117,11 +117,11 @@ func TestAckedRecordsSurvivePowerLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.cut(t)
-	d, _ = restart(t, dir)
-	if _, ok := d.Job("killed"); ok {
+	_, conn = restart(t, dir)
+	if tracked(t, conn, "killed") {
 		t.Fatal("job back after a power cut, though its KillOK was sent")
 	}
-	if _, ok := d.Job("kept"); !ok {
+	if !tracked(t, conn, "kept") {
 		t.Fatal("job lost to the second power cut")
 	}
 }

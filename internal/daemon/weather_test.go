@@ -11,6 +11,7 @@ import (
 	"faucets/internal/protocol"
 	"faucets/internal/qos"
 	"faucets/internal/scheduler"
+	"faucets/internal/telemetry"
 )
 
 func startCentralForWeather(t *testing.T) (*central.Server, string) {
@@ -109,7 +110,7 @@ func TestCentralWeatherAndHistoryOverPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.MarkSeen("w", protocol.PollOK{UsedPE: 50})
-	fs.DB.AppendContract(db.ContractRecord{MaxPE: 4, Multiplier: 2.0})
+	fs.DB.Update(func(tx *db.Tx) error { tx.AppendContract(db.ContractRecord{MaxPE: 4, Multiplier: 2.0}); return nil })
 
 	w := bidding.NewWeather(nil)
 	d := sourcedDaemon(t, addr, w)
@@ -122,8 +123,8 @@ func TestCentralWeatherAndHistoryOverPool(t *testing.T) {
 	if len(recs) != 1 || recs[0].Multiplier != 2.0 {
 		t.Fatalf("pooled history fetch: recs=%v", recs)
 	}
-	if d.pool.OpenConns() != 1 {
-		t.Fatalf("pooled fetches opened %d conns, want 1 shared", d.pool.OpenConns())
+	if open := d.cfg.Metrics.Gauge("faucets_rpc_pool_open_conns", "", telemetry.L("component", "daemon")).Value(); open != 1 {
+		t.Fatalf("pooled fetches opened %v conns, want 1 shared", open)
 	}
 
 	d.Close()
@@ -138,8 +139,8 @@ func TestCentralWeatherAndHistoryOverPool(t *testing.T) {
 
 func TestCentralHistoryFetch(t *testing.T) {
 	fs, addr := startCentralForWeather(t)
-	fs.DB.AppendContract(db.ContractRecord{MaxPE: 4, Multiplier: 1.5})
-	fs.DB.AppendContract(db.ContractRecord{MaxPE: 128, Multiplier: 9.0}) // other bucket
+	fs.DB.Update(func(tx *db.Tx) error { tx.AppendContract(db.ContractRecord{MaxPE: 4, Multiplier: 1.5}); return nil })
+	fs.DB.Update(func(tx *db.Tx) error { tx.AppendContract(db.ContractRecord{MaxPE: 128, Multiplier: 9.0}); return nil }) // other bucket
 
 	h := bidding.NewHistory(nil)
 	sourcedDaemon(t, addr, h)

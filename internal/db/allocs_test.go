@@ -40,8 +40,8 @@ func TestMutatorAllocs(t *testing.T) {
 		max  float64
 		f    func()
 	}{
-		{"AddRevenue", 0, func() { d.AddRevenue("s", 1) }},
-		{"AppendContract", 0, func() { d.AppendContract(rec) }},
+		{"AddRevenue", 0, func() { d.Update(func(tx *Tx) error { tx.AddRevenue("s", 1); return nil }) }},
+		{"AppendContract", 0, func() { d.Update(func(tx *Tx) error { tx.AppendContract(rec); return nil }) }},
 	} {
 		if got := testing.AllocsPerRun(runs, c.f); got > c.max {
 			t.Errorf("%s: %v allocs, want ≤ %v", c.name, got, c.max)

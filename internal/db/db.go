@@ -15,7 +15,6 @@
 package db
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -38,6 +37,8 @@ type ContractRecord struct {
 }
 
 // UserRecord is a user profile row (credentials live in package auth).
+// No production path writes one: the table and its put_user record stay
+// in the on-disk format, so state directories that carry them replay.
 type UserRecord struct {
 	Name        string `json:"name"`
 	HomeCluster string `json:"home_cluster,omitempty"`
@@ -99,9 +100,6 @@ type DB struct {
 	seq      uint64
 }
 
-// ErrNotFound is returned when a row does not exist.
-var ErrNotFound = errors.New("db: not found")
-
 // New returns an empty ephemeral database.
 func New() *DB {
 	d := &DB{}
@@ -145,9 +143,6 @@ func (tx *Tx) Quota(user string) float64 { return tx.data.Quotas[user] }
 // Credits returns a cluster's bartering balance.
 func (tx *Tx) Credits(cluster string) float64 { return tx.data.Credits[cluster] }
 
-// PutUser stages inserting or replacing a user profile.
-func (tx *Tx) PutUser(r UserRecord) { tx.stage(walRecord{Op: opPutUser, User: &r}) }
-
 // AddCredits stages adjusting a cluster's balance by delta.
 func (tx *Tx) AddCredits(cluster string, delta float64) {
 	tx.stage(walRecord{Op: opAddCredits, Key: cluster, Amount: delta})
@@ -187,22 +182,6 @@ func (tx *Tx) AppendContract(r ContractRecord) {
 	tx.stage(walRecord{Op: opContract, Contract: &tx.contracts[len(tx.contracts)-1]})
 }
 
-// PutUser inserts or replaces a user profile.
-func (d *DB) PutUser(r UserRecord) {
-	d.Update(func(tx *Tx) error { tx.PutUser(r); return nil })
-}
-
-// GetUser fetches a user profile.
-func (d *DB) GetUser(name string) (UserRecord, error) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	r, ok := d.data.Users[name]
-	if !ok {
-		return UserRecord{}, fmt.Errorf("%w: user %s", ErrNotFound, name)
-	}
-	return r, nil
-}
-
 // Credits returns a cluster's bartering balance (zero for unknown
 // clusters — every cluster starts at zero, §5.5.3).
 func (d *DB) Credits(cluster string) float64 {
@@ -221,26 +200,6 @@ func (d *DB) AddCredits(cluster string, delta float64) float64 {
 		return nil
 	})
 	return v
-}
-
-// TransferCredits moves amount from one cluster to another atomically —
-// the §5.5.3 settlement: "the appropriate number of credits are added to
-// the Compute Server that executed the job and [an] equal amount is
-// deducted from the Home Cluster's account."
-func (d *DB) TransferCredits(from, to string, amount float64) error {
-	return d.Update(func(tx *Tx) error { return tx.TransferCredits(from, to, amount) })
-}
-
-// TotalCredits sums every balance — zero by construction under pure
-// transfers, the conservation invariant the bartering tests check.
-func (d *DB) TotalCredits() float64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	var sum float64
-	for _, v := range d.data.Credits {
-		sum += v
-	}
-	return sum
 }
 
 // Quota returns a user's remaining Service-Units (§5.5.2).
@@ -269,11 +228,6 @@ func (d *DB) Revenue(server string) float64 {
 	return d.data.Revenue[server]
 }
 
-// AddRevenue books income for a server.
-func (d *DB) AddRevenue(server string, amount float64) {
-	d.Update(func(tx *Tx) error { tx.AddRevenue(server, amount); return nil })
-}
-
 // Spend returns a user's cumulative payments (§5.5.4 fair usage).
 func (d *DB) Spend(user string) float64 {
 	d.mu.RLock()
@@ -281,42 +235,11 @@ func (d *DB) Spend(user string) float64 {
 	return d.data.Spend[user]
 }
 
-// AddSpend accumulates a user's payments.
-func (d *DB) AddSpend(user string, amount float64) {
-	d.Update(func(tx *Tx) error { tx.AddSpend(user, amount); return nil })
-}
-
 // Settled reports whether a job's settlement has already been applied.
 func (d *DB) Settled(jobID string) bool {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.data.Settled[jobID]
-}
-
-// MarkSettled records a job ID as settled; the second and later calls
-// return false. This is the dedupe that makes settlement application
-// idempotent under daemon outbox redelivery.
-func (d *DB) MarkSettled(jobID string) bool {
-	fresh := false
-	d.Update(func(tx *Tx) error {
-		if fresh = !tx.Settled(jobID); fresh {
-			tx.MarkSettled(jobID)
-		}
-		return nil
-	})
-	return fresh
-}
-
-// SettledCount returns how many distinct jobs have settled.
-func (d *DB) SettledCount() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.data.Settled)
-}
-
-// AppendContract records a settled contract in the market history.
-func (d *DB) AppendContract(r ContractRecord) {
-	d.Update(func(tx *Tx) error { tx.AppendContract(r); return nil })
 }
 
 // GrowHistory reserves room for n more contracts in the history, so a

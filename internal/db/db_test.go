@@ -1,7 +1,6 @@
 package db
 
 import (
-	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,15 +11,16 @@ import (
 	"faucets/internal/sim"
 )
 
+// TestUserCRUD: a staged user row is applied and read back; an unknown
+// user has none.
 func TestUserCRUD(t *testing.T) {
 	d := New()
-	d.PutUser(UserRecord{Name: "alice", HomeCluster: "hub"})
-	u, err := d.GetUser("alice")
-	if err != nil || u.HomeCluster != "hub" {
-		t.Fatalf("%+v %v", u, err)
+	d.Update(func(tx *Tx) error { putUser(tx, UserRecord{Name: "alice", HomeCluster: "hub"}); return nil })
+	if u, ok := userOf(d, "alice"); !ok || u.HomeCluster != "hub" {
+		t.Fatalf("%+v %v", u, ok)
 	}
-	if _, err := d.GetUser("bob"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err=%v", err)
+	if _, ok := userOf(d, "bob"); ok {
+		t.Fatal("unknown user found")
 	}
 }
 
@@ -29,21 +29,20 @@ func TestCreditsTransferConservation(t *testing.T) {
 	if d.Credits("a") != 0 {
 		t.Fatal("unknown cluster should start at zero")
 	}
-	if err := d.TransferCredits("a", "b", 50); err != nil {
+	transfer := func(amount float64) error {
+		return d.Update(func(tx *Tx) error { return tx.TransferCredits("a", "b", amount) })
+	}
+	if err := transfer(50); err != nil {
 		t.Fatal(err)
 	}
 	if d.Credits("a") != -50 || d.Credits("b") != 50 {
 		t.Fatalf("a=%v b=%v", d.Credits("a"), d.Credits("b"))
 	}
-	if d.TotalCredits() != 0 {
-		t.Fatalf("total=%v, want 0", d.TotalCredits())
-	}
-	if err := d.TransferCredits("a", "b", -1); err == nil {
+	if err := transfer(-1); err == nil {
 		t.Fatal("negative transfer accepted")
 	}
-	d.AddCredits("c", 10)
-	if d.TotalCredits() != 10 {
-		t.Fatalf("total=%v", d.TotalCredits())
+	if d.Credits("a") != -50 || d.Credits("b") != 50 {
+		t.Fatalf("refused transfer applied: a=%v b=%v", d.Credits("a"), d.Credits("b"))
 	}
 }
 
@@ -56,11 +55,16 @@ func TestCreditConservationProperty(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			from := clusters[rng.Intn(len(clusters))]
 			to := clusters[rng.Intn(len(clusters))]
-			if d.TransferCredits(from, to, rng.Range(0, 100)) != nil {
+			amount := rng.Range(0, 100)
+			if d.Update(func(tx *Tx) error { return tx.TransferCredits(from, to, amount) }) != nil {
 				return false
 			}
 		}
-		return math.Abs(d.TotalCredits()) < 1e-6
+		var total float64
+		for _, c := range clusters {
+			total += d.Credits(c)
+		}
+		return math.Abs(total) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -78,7 +82,10 @@ func TestContractHistory(t *testing.T) {
 				t.Fatalf("GrowHistory changed the history: len=%d", d.HistoryLen())
 			}
 		}
-		d.AppendContract(ContractRecord{Time: float64(i), JobID: "j", MinPE: i})
+		d.Update(func(tx *Tx) error {
+			tx.AppendContract(ContractRecord{Time: float64(i), JobID: "j", MinPE: i})
+			return nil
+		})
 	}
 	if d.HistoryLen() != 10 {
 		t.Fatalf("len=%d", d.HistoryLen())
@@ -102,9 +109,14 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.PutUser(UserRecord{Name: "alice", HomeCluster: "hub"})
-	d.AddCredits("hub", 42)
-	d.AppendContract(ContractRecord{Time: 1, JobID: "j1", Price: 12.5, Multiplier: 1.5})
+	if err := d.Update(func(tx *Tx) error {
+		putUser(tx, UserRecord{Name: "alice", HomeCluster: "hub"})
+		tx.AddCredits("hub", 42)
+		tx.AppendContract(ContractRecord{Time: 1, JobID: "j1", Price: 12.5, Multiplier: 1.5})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if err := d.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +134,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if h := back.RecentContracts(nil, 2); len(h) != 1 || h[0].Price != 12.5 || h[0].Multiplier != 1.5 {
 		t.Fatalf("history=%+v", h)
 	}
-	u, err := back.GetUser("alice")
-	if err != nil || u.HomeCluster != "hub" {
-		t.Fatalf("user: %+v %v", u, err)
+	if u, ok := userOf(back, "alice"); !ok || u.HomeCluster != "hub" {
+		t.Fatalf("user: %+v %v", u, ok)
 	}
 }
 
@@ -161,8 +172,13 @@ func TestLoadEmptyObjectInitializesMaps(t *testing.T) {
 	// Must not panic on nil maps.
 	d.AddCredits("c", 1)
 	d.AddQuota("q", 1)
-	d.MarkSettled("x")
-	d.PutUser(UserRecord{Name: "u"})
+	d.Update(func(tx *Tx) error {
+		tx.MarkSettled("x")
+		putUser(tx, UserRecord{Name: "u"})
+		tx.AddRevenue("s", 1)
+		tx.AddSpend("u", 1)
+		return nil
+	})
 }
 
 func TestConcurrentAccess(t *testing.T) {
@@ -173,12 +189,10 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(n int) {
 			defer wg.Done()
 			id := string(rune('a' + n%26))
-			d.PutUser(UserRecord{Name: id})
 			d.AddCredits(id, 1)
-			d.AppendContract(ContractRecord{JobID: id})
-			_, _ = d.GetUser(id)
+			d.Update(func(tx *Tx) error { tx.AppendContract(ContractRecord{JobID: id}); return nil })
+			d.Credits(id)
 			d.RecentContracts(nil, 5)
-			d.TotalCredits()
 		}(i)
 	}
 	wg.Wait()

@@ -41,7 +41,7 @@ func stageRandom(rng *rand.Rand, tx *Tx) {
 	s, a := func() string { return randText(rng) }, func() float64 { return randAmount(rng) }
 	switch rng.Intn(8) {
 	case 0:
-		tx.PutUser(UserRecord{Name: s(), HomeCluster: s()})
+		putUser(tx, UserRecord{Name: s(), HomeCluster: s()})
 	case 1:
 		tx.AddCredits(s(), a())
 	case 2:
@@ -110,7 +110,7 @@ func TestUnencodableRecordFailsTheTx(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	d.AddRevenue("s", 1)
+	d.Update(func(tx *Tx) error { tx.AddRevenue("s", 1); return nil })
 	for _, c := range []struct {
 		name  string
 		stage func(*Tx)
@@ -131,7 +131,7 @@ func TestUnencodableRecordFailsTheTx(t *testing.T) {
 		}
 	}
 	before := readFile(t, walFile(dir))
-	d.AddRevenue("s<&>", 2)
+	d.Update(func(tx *Tx) error { tx.AddRevenue("s<&>", 2); return nil })
 	line, _ := json.Marshal(walRecord{Seq: d.seq, Op: opAddRevenue, Key: "s<&>", Amount: 2})
 	if got := readFile(t, walFile(dir)); got != before+string(line)+"\n" {
 		t.Fatalf("line after the failures:\n%q\nwant\n%q", got[len(before):], string(line)+"\n")

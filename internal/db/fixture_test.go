@@ -48,9 +48,23 @@ const fixtureSnapshot = `{
   }
 }`
 
+// putUser stages a user profile row. No production path writes one any
+// more; the table, and the put_user line, stay in the on-disk format.
+func putUser(tx *Tx, r UserRecord) { tx.stage(walRecord{Op: opPutUser, User: &r}) }
+
+// userOf reads a user profile row.
+func userOf(d *DB, name string) (UserRecord, bool) {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	r, ok := d.data.Users[name]
+	return r, ok
+}
+
 func writeFixtureOps(t *testing.T, d *DB) {
 	t.Helper()
-	d.PutUser(UserRecord{Name: "alice", HomeCluster: "turing"})
+	if err := d.Update(func(tx *Tx) error { putUser(tx, UserRecord{Name: "alice", HomeCluster: "turing"}); return nil }); err != nil {
+		t.Fatal(err)
+	}
 	d.AddCredits("turing", 100)
 	if err := d.Update(func(tx *Tx) error {
 		tx.AddSpend("alice", 16)
@@ -61,15 +75,15 @@ func writeFixtureOps(t *testing.T, d *DB) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.TransferCredits("turing", "lemieux", 4); err != nil {
+	if err := d.Update(func(tx *Tx) error { return tx.TransferCredits("turing", "lemieux", 4) }); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func checkFixtureState(t *testing.T, d *DB) {
 	t.Helper()
-	if u, err := d.GetUser("alice"); err != nil || u.HomeCluster != "turing" {
-		t.Fatalf("user: %+v, %v", u, err)
+	if u, ok := userOf(d, "alice"); !ok || u.HomeCluster != "turing" {
+		t.Fatalf("user: %+v, %v", u, ok)
 	}
 	if a, b := d.Credits("turing"), d.Credits("lemieux"); a != 96 || b != 4 {
 		t.Fatalf("credits turing=%v lemieux=%v, want 96 and 4", a, b)

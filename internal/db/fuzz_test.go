@@ -31,18 +31,18 @@ func seedStateDir(f *testing.F) (snap, wal []byte) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	d.PutUser(UserRecord{Name: "ana", HomeCluster: "turing"})
+	d.Update(func(tx *Tx) error { putUser(tx, UserRecord{Name: "ana", HomeCluster: "turing"}); return nil })
 	d.AddCredits("turing", 100)
 	d.Compact() // folds the above into snapshot.json
-	d.PutUser(UserRecord{Name: "bo", HomeCluster: "pascal"})
+	d.Update(func(tx *Tx) error { putUser(tx, UserRecord{Name: "bo", HomeCluster: "pascal"}); return nil })
 	d.Update(func(tx *Tx) error {
 		_ = tx.TransferCredits("turing", "pascal", 12.5)
 		tx.MarkSettled("job-1")
 		tx.AppendContract(ContractRecord{JobID: "job-1", App: "synth", Server: "pascal", Price: 3})
 		return nil
 	})
-	d.AddRevenue("pascal", 3)
-	d.AddSpend("ana", 3)
+	d.Update(func(tx *Tx) error { tx.AddRevenue("pascal", 3); return nil })
+	d.Update(func(tx *Tx) error { tx.AddSpend("ana", 3); return nil })
 	if err := d.Close(); err != nil {
 		f.Fatal(err)
 	}

@@ -40,12 +40,6 @@ func NewChart(capacity int) *Chart {
 	return &Chart{capacity: capacity, res: map[int]Reservation{}}
 }
 
-// Capacity returns the chart's processor capacity.
-func (c *Chart) Capacity() int { return c.capacity }
-
-// Len returns the number of live reservations.
-func (c *Chart) Len() int { return len(c.res) }
-
 // Errors returned by Reserve.
 var (
 	ErrBadInterval = errors.New("gantt: end must be after start")
@@ -70,9 +64,6 @@ func (c *Chart) Reserve(start, end float64, pe int) (int, error) {
 	c.res[c.nextID] = Reservation{ID: c.nextID, Start: start, End: end, PEs: pe}
 	return c.nextID, nil
 }
-
-// Release frees a reservation; unknown ids are a no-op.
-func (c *Chart) Release(id int) { delete(c.res, id) }
 
 // UsedAt returns the processors reserved at instant t.
 func (c *Chart) UsedAt(t float64) int {

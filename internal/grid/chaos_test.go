@@ -46,7 +46,7 @@ func settlementTally(g *Grid, jobIDs []string) (perJob map[string]int, revenue f
 		perJob[r.JobID]++
 	}
 	for _, cl := range g.clusters {
-		revenue += g.Central.Acct.Revenue(cl.Spec.Name)
+		revenue += g.Central.DB.Revenue(cl.Spec.Name)
 	}
 	return perJob, revenue
 }

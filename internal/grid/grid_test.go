@@ -110,7 +110,7 @@ func TestEndToEndGrid(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if rev := g.Central.Acct.Revenue("lemieux"); rev <= 0 {
+	if rev := g.Central.DB.Revenue("lemieux"); rev <= 0 {
 		t.Fatalf("revenue=%v", rev)
 	}
 }

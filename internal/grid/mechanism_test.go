@@ -84,7 +84,7 @@ func TestGridDefaultMechanismSettlesEndToEnd(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if rev := g.Central.Acct.Revenue(p.Server.Spec.Name); math.Abs(rev-p.Bid.Price) > 1e-9 {
+	if rev := g.Central.DB.Revenue(p.Server.Spec.Name); math.Abs(rev-p.Bid.Price) > 1e-9 {
 		t.Fatalf("revenue %v != awarded posted price %v", rev, p.Bid.Price)
 	}
 }

@@ -157,7 +157,10 @@ func TestJobTraceFullSpanChain(t *testing.T) {
 	var names []string
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		names = telemetry.SpanNames(g.Tracer.Events(p.JobID))
+		names = names[:0]
+		for _, e := range g.Tracer.Events(p.JobID) {
+			names = append(names, e.Name)
+		}
 		if len(names) > 0 && names[len(names)-1] == telemetry.SpanSettle {
 			break
 		}

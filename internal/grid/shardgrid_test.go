@@ -2,11 +2,13 @@ package grid
 
 import (
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
 	"faucets/internal/client"
 	"faucets/internal/market"
+	"faucets/internal/protocol"
 )
 
 // shardedClusters are deliberately identical in Speed and CostRate so
@@ -82,7 +84,11 @@ func TestShardedGridDirectoryConverges(t *testing.T) {
 	for i, s := range g.Shards {
 		i, s := i, s
 		retryUntil(t, fmt.Sprintf("shard %d convergence", i), 10*time.Second, func() error {
-			if n := len(s.FederatedServers(nil)); n != 3 {
+			listing, err := shardListing(g, i)
+			if err != nil {
+				return err
+			}
+			if n := len(listing); n != 3 {
 				return fmt.Errorf("shard %d directory has %d servers, want 3", i, n)
 			}
 			if w := s.Weather(); w.Servers != 3 {
@@ -107,11 +113,32 @@ func TestShardedGridReadyAtStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	for i, s := range g.Shards {
-		if n := len(s.FederatedServers(nil)); n != len(g.Daemons) {
+	for i := range g.Shards {
+		listing, err := shardListing(g, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(listing); n != len(g.Daemons) {
 			t.Errorf("shard %d lists %d of %d daemons when Start returns", i, n, len(g.Daemons))
 		}
 	}
+}
+
+// shardListing reads shard i's directory over the wire, on a session
+// that shard issued to alice.
+func shardListing(g *Grid, i int) ([]protocol.ServerInfo, error) {
+	token, err := g.Shards[i].Auth.Login("alice", "pw")
+	if err != nil {
+		return nil, err
+	}
+	conn, err := net.Dial("tcp", g.ShardAddrs[i])
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	var listing protocol.ListServersOK
+	err = protocol.Call(conn, protocol.TypeListServersReq, protocol.ListServersReq{Token: token}, protocol.TypeListServersOK, &listing)
+	return listing.Servers, err
 }
 
 // shardedTally counts settled-history records per job across every

@@ -90,8 +90,6 @@ type Job struct {
 	speed float64
 	// cpuUsed accumulates processor-seconds actually consumed, for billing.
 	cpuUsed float64
-	// reconfigs counts shrink/expand operations applied.
-	reconfigs int
 	// checkpoints counts checkpoint operations.
 	checkpoints int
 }
@@ -136,9 +134,6 @@ func (j *Job) RemainingWork() float64 {
 
 // CPUUsed returns processor-seconds consumed so far (the billing basis).
 func (j *Job) CPUUsed() float64 { return j.cpuUsed }
-
-// Reconfigs returns how many shrink/expand operations have been applied.
-func (j *Job) Reconfigs() int { return j.reconfigs }
 
 // Checkpoints returns how many times the job has been checkpointed.
 func (j *Job) Checkpoints() int { return j.checkpoints }
@@ -232,7 +227,6 @@ func (j *Job) Reconfigure(now float64, pe int, reconfigLatency float64) error {
 		return nil // no-op, no latency charged
 	}
 	j.curPE = pe
-	j.reconfigs++
 	// The reconfiguration stall: progress resumes only after the latency.
 	j.lastUpdate = now + reconfigLatency
 	return nil
@@ -311,16 +305,6 @@ func (j *Job) CompletionTime(now float64) (float64, bool) {
 		done += left
 	}
 	return t, true
-}
-
-// CurrentPhase returns the index and name of the phase the job is in
-// (-1, "" for single-phase contracts).
-func (j *Job) CurrentPhase() (int, string) {
-	idx, ph, ok := j.Contract.PhaseAt(j.doneWork)
-	if !ok {
-		return -1, ""
-	}
-	return idx, ph.Name
 }
 
 // NextPhaseBoundary predicts when the running job will cross into its

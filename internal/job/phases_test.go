@@ -102,8 +102,8 @@ func TestPhasedExecutionRates(t *testing.T) {
 	if math.Abs(j.DoneWork()-400) > 1e-9 {
 		t.Fatalf("done=%v, want 400", j.DoneWork())
 	}
-	if idx, name := j.CurrentPhase(); idx != 0 || name != "fft" {
-		t.Fatalf("phase=%d %s", idx, name)
+	if idx, ph, _ := j.Contract.PhaseAt(j.DoneWork()); idx != 0 || ph.Name != "fft" {
+		t.Fatalf("phase=%d %s", idx, ph.Name)
 	}
 	// Cross the boundary: at t=70, 50s of phase 1 (800) + 20s of phase 2
 	// at 4 PEs (80) = 880.
@@ -111,8 +111,8 @@ func TestPhasedExecutionRates(t *testing.T) {
 	if math.Abs(j.DoneWork()-880) > 1e-9 {
 		t.Fatalf("done=%v, want 880", j.DoneWork())
 	}
-	if idx, name := j.CurrentPhase(); idx != 1 || name != "reduce" {
-		t.Fatalf("phase=%d %s", idx, name)
+	if idx, ph, _ := j.Contract.PhaseAt(j.DoneWork()); idx != 1 || ph.Name != "reduce" {
+		t.Fatalf("phase=%d %s", idx, ph.Name)
 	}
 	// Exact finish.
 	if !j.AdvanceTo(150) {

@@ -81,8 +81,8 @@ func TestBinaryRoundTripAllTypes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: read: %v", tc.typ, err)
 		}
-		if f.Codec() != CodecBinary {
-			t.Fatalf("%s: arrived as codec %d, want binary", tc.typ, f.Codec())
+		if f.codec != CodecBinary {
+			t.Fatalf("%s: arrived as codec %d, want binary", tc.typ, f.codec)
 		}
 		if f.ID != 7 || f.Type != tc.typ {
 			t.Fatalf("%s: header mismatch: id=%d type=%q", tc.typ, f.ID, f.Type)
@@ -117,8 +117,8 @@ func TestBinaryFieldFreeTypesRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: read: %v", tc.typ, err)
 		}
-		if f.Codec() != CodecBinary || len(f.Body) != 0 {
-			t.Fatalf("%s: codec=%d body=%d bytes, want binary empty body", tc.typ, f.Codec(), len(f.Body))
+		if f.codec != CodecBinary || len(f.Body) != 0 {
+			t.Fatalf("%s: codec=%d body=%d bytes, want binary empty body", tc.typ, f.codec, len(f.Body))
 		}
 		if err := Decode(f, tc.typ, &struct{}{}); err != nil {
 			t.Fatalf("%s: decode: %v", tc.typ, err)
@@ -315,7 +315,7 @@ func TestFrameArrivesAsSingleWrite(t *testing.T) {
 		if err != nil {
 			t.Fatalf("codec %d: parse: %v", codec, err)
 		}
-		if f.ID != 42 || f.Type != msg.typ || int(f.Codec()) != codec {
+		if f.ID != 42 || f.Type != msg.typ || int(f.codec) != codec {
 			t.Fatalf("codec %d: frame header mismatch: %+v", codec, f)
 		}
 		cli.Close()

@@ -205,8 +205,8 @@ func TestPoolGoAccountsLikeCall(t *testing.T) {
 	if err := <-refused; !errors.As(err, &remote) {
 		t.Fatalf("want RemoteError, got %v", err)
 	}
-	if p.OpenConns() != 1 || obs.redials.Load() != 0 || h.failures.Load() != 0 {
-		t.Fatalf("refusal cost the connection: open=%d redials=%d failures=%d", p.OpenConns(), obs.redials.Load(), h.failures.Load())
+	if openConns(p) != 1 || obs.redials.Load() != 0 || h.failures.Load() != 0 {
+		t.Fatalf("refusal cost the connection: open=%d redials=%d failures=%d", openConns(p), obs.redials.Load(), h.failures.Load())
 	}
 
 	// An OPEN breaker refuses a started call as it refuses a Call.

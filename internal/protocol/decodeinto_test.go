@@ -171,8 +171,8 @@ func frameOf(t testing.TB, codec uint8, typ string, body any) Frame {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fr.Codec() != codec {
-		t.Fatalf("%s arrived as codec %d, want %d", typ, fr.Codec(), codec)
+	if fr.codec != codec {
+		t.Fatalf("%s arrived as codec %d, want %d", typ, fr.codec, codec)
 	}
 	return fr
 }
@@ -291,11 +291,11 @@ func FuzzDecodeIntoDirtyTarget(f *testing.F) {
 	f.Add(countBomb(f, TypeListServersOK, nil, 1<<20, 4096), countBomb(f, TypeBidReq, contractPrefix("u", "t"), 1<<20, 4096))
 	f.Fuzz(func(t *testing.T, first, second []byte) {
 		a, err := ReadFrame(bytes.NewReader(first))
-		if err != nil || a.Codec() != CodecBinary {
+		if err != nil || a.codec != CodecBinary {
 			return
 		}
 		b, err := ReadFrame(bytes.NewReader(second))
-		if err != nil || b.Type != a.Type || b.Codec() != CodecBinary {
+		if err != nil || b.Type != a.Type || b.codec != CodecBinary {
 			return
 		}
 		fresh := zeroBody(b.Type)

@@ -50,9 +50,6 @@ type Frame struct {
 	codec uint8
 }
 
-// Codec reports the encoding the frame arrived in.
-func (f Frame) Codec() uint8 { return f.codec }
-
 // Framing errors.
 var (
 	ErrFrameTooBig = errors.New("protocol: frame exceeds MaxFrame")
@@ -406,11 +403,6 @@ func decodeReply(f Frame, wantReply string, reply any) error {
 		return &RemoteError{Message: e.Message, Retryable: e.Retryable}
 	}
 	return Decode(f, wantReply, reply)
-}
-
-// WriteError sends a TypeError frame describing a failure.
-func WriteError(w io.Writer, msg string) error {
-	return WriteFrame(w, TypeError, ErrorBody{Message: msg})
 }
 
 // WriteErrorFrom sends a TypeError frame for err, carrying the

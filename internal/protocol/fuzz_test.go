@@ -87,7 +87,7 @@ func FuzzReadFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if fr.Codec() == CodecBinary {
+		if fr.codec == CodecBinary {
 			// Binary bodies are raw bytes; structured decode may refuse a
 			// crafted body, but a body that decodes must re-encode.
 			v, err := decodeFresh(fr)
@@ -147,7 +147,7 @@ func FuzzBinaryFrameRoundtrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := ReadFrame(bytes.NewReader(data))
-		if err != nil || fr.Codec() != CodecBinary {
+		if err != nil || fr.codec != CodecBinary {
 			return
 		}
 		v, err := decodeFresh(fr)

@@ -127,7 +127,7 @@ func TestPoolBreakerRemoteErrorIsSuccess(t *testing.T) {
 						return
 					}
 					rc.SetID(f.ID)
-					_ = WriteError(rc, "refused")
+					_ = WriteErrorFrom(rc, errors.New("refused"))
 				}
 			}()
 		}

@@ -439,18 +439,6 @@ func (p *Pool) evict(pc *poolConn) {
 	p.mu.Unlock()
 }
 
-// OpenConns reports the number of live pooled connections (tests).
-func (p *Pool) OpenConns() int {
-	p.init()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, conns := range p.conns {
-		n += len(conns)
-	}
-	return n
-}
-
 // Close severs every pooled connection and fails future Calls with
 // ErrPoolClosed. Safe to call more than once.
 func (p *Pool) Close() {

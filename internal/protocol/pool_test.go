@@ -59,12 +59,12 @@ func startPoolEcho(t *testing.T) *poolEchoServer {
 						return
 					}
 					s.frames.Add(1)
-					if f.Codec() == CodecBinary {
+					if f.codec == CodecBinary {
 						s.binFrames.Add(1)
 					}
 					rc.SetID(f.ID)
 					if f.Type != TypePollReq {
-						_ = WriteError(rc, "unexpected "+f.Type)
+						_ = WriteErrorFrom(rc, errors.New("unexpected "+f.Type))
 						continue
 					}
 					_ = WriteFrame(rc, TypePollOK, PollOK{UsedPE: 7})
@@ -77,13 +77,25 @@ func startPoolEcho(t *testing.T) *poolEchoServer {
 
 func (s *poolEchoServer) addr() string { return s.l.Addr().String() }
 
+// openConns counts the pool's live connections, read under its lock.
+func openConns(p *Pool) int {
+	p.init()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for _, conns := range p.conns {
+		n += len(conns)
+	}
+	return n
+}
+
 // waitConns polls until the pool reports want open connections.
 func waitConns(t *testing.T, p *Pool, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for p.OpenConns() != want {
+	for openConns(p) != want {
 		if time.Now().After(deadline) {
-			t.Fatalf("pool still holds %d conns, want %d", p.OpenConns(), want)
+			t.Fatalf("pool still holds %d conns, want %d", openConns(p), want)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -310,8 +322,8 @@ func TestPoolRemoteErrorAbortsAndKeepsConnection(t *testing.T) {
 	if got := s.accepts.Load(); got != 1 {
 		t.Fatalf("remote refusal consumed %d connections, want 1", got)
 	}
-	if p.OpenConns() != 1 {
-		t.Fatalf("refused call evicted the healthy connection (open=%d)", p.OpenConns())
+	if openConns(p) != 1 {
+		t.Fatalf("refused call evicted the healthy connection (open=%d)", openConns(p))
 	}
 	// The same connection still answers well-formed calls.
 	var ok PollOK
@@ -337,8 +349,8 @@ func TestPoolCloseFailsFutureCalls(t *testing.T) {
 	if !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("want ErrPoolClosed, got %v", err)
 	}
-	if p.OpenConns() != 0 {
-		t.Fatalf("closed pool still holds %d conns", p.OpenConns())
+	if openConns(p) != 0 {
+		t.Fatalf("closed pool still holds %d conns", openConns(p))
 	}
 }
 
@@ -405,8 +417,8 @@ func TestPoolPartitionEvictsAndHeals(t *testing.T) {
 	if err := p.Call(addr, time.Second, TypePollReq, PollReq{}, TypePollOK, &reply); err != nil {
 		t.Fatal(err)
 	}
-	if p.OpenConns() != 1 {
-		t.Fatalf("open=%d before partition, want 1", p.OpenConns())
+	if openConns(p) != 1 {
+		t.Fatalf("open=%d before partition, want 1", openConns(p))
 	}
 
 	inj.Partition(true)

@@ -18,7 +18,7 @@ func echoPeer(conn net.Conn, reqType, replyType string, body any) {
 		}
 		rc.SetID(f.ID)
 		if f.Type != reqType {
-			_ = WriteError(rc, "unexpected "+f.Type)
+			_ = WriteErrorFrom(rc, errors.New("unexpected "+f.Type))
 			continue
 		}
 		_ = WriteFrame(rc, replyType, body)
@@ -98,7 +98,7 @@ func TestCallErrorFrameIsRemoteError(t *testing.T) {
 		f, _ := ReadFrame(server)
 		rc := NewReplyConn(server)
 		rc.SetID(f.ID)
-		_ = WriteError(rc, "no such job")
+		_ = WriteErrorFrom(rc, errors.New("no such job"))
 	}()
 
 	var reply PollOK

@@ -8,7 +8,6 @@
 package qos
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 )
@@ -189,10 +188,6 @@ func (c *Contract) Validate() error {
 	return nil
 }
 
-// Adaptive reports whether the job can change its processor count at
-// runtime.
-func (c *Contract) Adaptive() bool { return c.MaxPE > c.MinPE }
-
 // Eff returns the parallel efficiency at p processors, linearly
 // interpolated between (MinPE, EffMin) and (MaxPE, EffMax). Outside the
 // range it clamps to the nearest bound. A contract with no efficiency
@@ -298,21 +293,6 @@ func (c *Contract) PhaseRemaining(done float64) float64 {
 		}
 	}
 	return 0
-}
-
-// Marshal encodes the contract as JSON.
-func (c *Contract) Marshal() ([]byte, error) { return json.Marshal(c) }
-
-// Unmarshal decodes a JSON contract and validates it.
-func Unmarshal(data []byte) (*Contract, error) {
-	var c Contract
-	if err := json.Unmarshal(data, &c); err != nil {
-		return nil, fmt.Errorf("qos: decode: %w", err)
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return &c, nil
 }
 
 // String renders a short human-readable description, as the Faucets client

@@ -1,6 +1,7 @@
 package qos
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"strings"
@@ -109,9 +110,6 @@ func TestEffRigidJob(t *testing.T) {
 	c := &Contract{App: "x", MinPE: 8, MaxPE: 8, Work: 100, EffMin: 0.9, EffMax: 0.9}
 	if c.Eff(8) != 0.9 {
 		t.Fatalf("rigid Eff=%v", c.Eff(8))
-	}
-	if c.Adaptive() {
-		t.Fatal("MinPE==MaxPE job must not be adaptive")
 	}
 }
 
@@ -227,16 +225,21 @@ func TestFitsMachine(t *testing.T) {
 	}
 }
 
+// TestMarshalRoundTrip: a contract survives the JSON a wire frame
+// carries it in, payoff and phases included.
 func TestMarshalRoundTrip(t *testing.T) {
 	c := valid()
 	c.Payoff = Payoff{Soft: 60, Hard: 120, AtSoft: 100, AtHard: 25, Penalty: 50}
 	c.Phases = []Phase{{Name: "a", Work: 3600, MinPE: 4, MaxPE: 64}}
-	data, err := c.Marshal()
+	data, err := json.Marshal(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Unmarshal(data)
-	if err != nil {
+	back := new(Contract)
+	if err := json.Unmarshal(data, back); err != nil {
+		t.Fatal(err)
+	}
+	if err := back.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if back.App != c.App || back.MinPE != c.MinPE || back.MaxPE != c.MaxPE ||
@@ -245,11 +248,18 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRejectsInvalid: a receiver decodes a contract, then
+// validates it; a well-formed but invalid one fails the second step and
+// malformed JSON the first.
 func TestUnmarshalRejectsInvalid(t *testing.T) {
-	if _, err := Unmarshal([]byte(`{"app":"","min_pe":1,"max_pe":1,"work":1}`)); err == nil {
-		t.Fatal("invalid contract decoded without error")
+	var c Contract
+	if err := json.Unmarshal([]byte(`{"app":"","min_pe":1,"max_pe":1,"work":1}`), &c); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Unmarshal([]byte(`{not json`)); err == nil {
+	if err := c.Validate(); err == nil {
+		t.Fatal("invalid contract validated")
+	}
+	if err := json.Unmarshal([]byte(`{not json`), &c); err == nil {
 		t.Fatal("syntactically invalid JSON accepted")
 	}
 }

@@ -136,19 +136,6 @@ func (r *ScenarioReport) WriteJSON(path string) error {
 	return nil
 }
 
-// LoadReport reads a report written by WriteJSON.
-func LoadReport(path string) (*ScenarioReport, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: read report: %w", err)
-	}
-	var r ScenarioReport
-	if err := json.Unmarshal(blob, &r); err != nil {
-		return nil, fmt.Errorf("scenario: parse report %s: %w", path, err)
-	}
-	return &r, nil
-}
-
 // GateOpts tunes the Compare regression gate.
 type GateOpts struct {
 	// TTCTolerance is the allowed relative increase of TTC.P99 over
@@ -171,7 +158,7 @@ var (
 // Compare gates current against baseline: same scenario and backend,
 // p99 TTC within (1+TTCTolerance)×baseline, deadline-miss rate within
 // MissRateSlack points. A missing baseline is the caller's error to
-// surface (LoadReport fails) — absence never passes, matching
+// surface, and a nil report fails here — absence never passes, matching
 // experiments.CompareBench.
 func Compare(baseline, current *ScenarioReport, opts GateOpts) error {
 	if baseline == nil || current == nil {

@@ -39,8 +39,8 @@ func TestPhaseBoundaryTriggersReallocation(t *testing.T) {
 		t.Fatalf("pre-boundary mp=%d, want %d", mp.PEs(), initial)
 	}
 	s.Advance(boundary + 1)
-	if idx, name := mp.CurrentPhase(); idx != 1 || name != "narrow" {
-		t.Fatalf("phase=%d %s", idx, name)
+	if idx, ph, _ := mp.Contract.PhaseAt(mp.DoneWork()); idx != 1 || ph.Name != "narrow" {
+		t.Fatalf("phase=%d %s", idx, ph.Name)
 	}
 	// The narrow phase can use at most 2 PEs; the scheduler must have
 	// shrunk mp and expanded greedy at the boundary.

@@ -29,8 +29,6 @@ import (
 // Config.Lookahead for jobs that must wait to start).
 type Profit struct {
 	*cluster
-	// accepted tracks expected payoffs for accounting/diagnostics.
-	acceptedPayoff float64
 	// preemptions counts checkpoint evictions (Config.Preempt).
 	preemptions int
 	// cands is candidates' storage, reused.
@@ -270,7 +268,6 @@ func (p *Profit) Submit(now float64, j *job.Job) bool {
 	if gain < loss {
 		return false
 	}
-	p.acceptedPayoff += gain
 	p.queue = append(p.queue, j)
 	p.reallocate(now)
 	return true
@@ -323,10 +320,6 @@ func (p *Profit) EstimateCompletion(now float64, c *qos.Contract) (float64, bool
 	}
 	return cand.complete, true
 }
-
-// AcceptedPayoff returns the cumulative expected payoff of accepted jobs
-// (a diagnostic for the admission controller, not billed revenue).
-func (p *Profit) AcceptedPayoff() float64 { return p.acceptedPayoff }
 
 // Preemptions returns how many running jobs have been checkpointed to
 // make room for higher-payoff arrivals.

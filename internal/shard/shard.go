@@ -97,19 +97,6 @@ func (r *Ring) Addrs() []string {
 	return r.addrs
 }
 
-// Contains reports whether addr is a ring member.
-func (r *Ring) Contains(addr string) bool {
-	if r == nil {
-		return false
-	}
-	for _, a := range r.addrs {
-		if a == addr {
-			return true
-		}
-	}
-	return false
-}
-
 // OwnerUser returns the shard address owning a user key: accounting,
 // quotas, sessions, and settlement for that user all live there.
 func (r *Ring) OwnerUser(user string) string { return r.owner("u/" + user) }

@@ -2,12 +2,13 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
 func TestNilRingIsUnsharded(t *testing.T) {
 	var r *Ring
-	if r.Size() != 0 || r.Addrs() != nil || r.OwnerUser("alice") != "" || r.Contains("x") {
+	if r.Size() != 0 || r.Addrs() != nil || r.OwnerUser("alice") != "" {
 		t.Fatal("nil ring must behave as unsharded")
 	}
 	if New(nil) != nil || New([]string{"", "  "}) != nil {
@@ -39,7 +40,7 @@ func TestOwnershipIsDeterministicAndTotal(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		u := fmt.Sprintf("user-%d", i)
 		o := r.OwnerUser(u)
-		if !r.Contains(o) {
+		if !slices.Contains(r.Addrs(), o) {
 			t.Fatalf("owner %q of %q not a member", o, u)
 		}
 		if o2 := r.OwnerUser(u); o2 != o {

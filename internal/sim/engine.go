@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Event is a scheduled callback. Events with equal times fire in the order
@@ -20,10 +19,6 @@ type Event struct {
 	seq   uint64
 	index int // heap index + 1; 0 while not pending
 }
-
-// Cancelled reports whether the event is not pending: cancelled, already
-// fired or never scheduled.
-func (e *Event) Cancelled() bool { return e.index == 0 }
 
 type eventHeap []*Event
 
@@ -62,33 +57,23 @@ func (h *eventHeap) Pop() any {
 }
 
 // Engine is a single-threaded discrete-event simulation executive.
-// The zero value is not usable; construct with NewEngine.
+// The zero value is an engine at time zero with nothing scheduled.
 type Engine struct {
-	now     Time
-	queue   eventHeap
-	seq     uint64
-	stopped bool
-	fired   uint64
-	horizon Time
+	now   Time
+	queue eventHeap
+	seq   uint64
 }
 
-// NewEngine returns an engine positioned at time zero with no horizon.
+// NewEngine returns an engine positioned at time zero.
 func NewEngine() *Engine {
-	return &Engine{horizon: Time(math.Inf(1))}
+	return &Engine{}
 }
 
 // Now returns the current virtual time. Engine satisfies Clock.
 func (e *Engine) Now() Time { return e.now }
 
-// Fired returns the number of events executed so far.
-func (e *Engine) Fired() uint64 { return e.fired }
-
 // Pending returns the number of events currently scheduled.
 func (e *Engine) Pending() int { return len(e.queue) }
-
-// SetHorizon stops the run once virtual time would pass t. Events at
-// exactly t still fire.
-func (e *Engine) SetHorizon(t Time) { e.horizon = t }
 
 // ErrPast is returned when scheduling an event before the current time.
 var ErrPast = errors.New("sim: event scheduled in the past")
@@ -138,46 +123,25 @@ func (e *Engine) Cancel(ev *Event) {
 	heap.Remove(&e.queue, ev.index-1)
 }
 
-// Stop makes Run return after the currently executing event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Step fires the next pending event, advancing the clock to it. It
-// returns false when there is nothing left to run (or the horizon or a
-// Stop was reached).
+// returns false when there is nothing left to run.
 func (e *Engine) Step() bool {
-	if e.stopped || len(e.queue) == 0 {
+	if len(e.queue) == 0 {
 		return false
 	}
 	next := e.queue[0]
-	if next.At > e.horizon {
-		return false
-	}
 	heap.Pop(&e.queue)
 	e.now = next.At
-	e.fired++
 	if next.Fn != nil {
 		next.Fn(e)
 	}
 	return true
 }
 
-// Run executes events until the queue drains, the horizon passes, or Stop
-// is called. It returns the final virtual time.
+// Run executes events until the queue drains. It returns the final
+// virtual time.
 func (e *Engine) Run() Time {
 	for e.Step() {
-	}
-	return e.now
-}
-
-// RunUntil executes events up to and including time t, then returns. The
-// clock is advanced to t even if no event fires exactly there, so repeated
-// RunUntil calls observe monotonically increasing Now values.
-func (e *Engine) RunUntil(t Time) Time {
-	for len(e.queue) > 0 && !e.stopped && e.queue[0].At <= t {
-		e.Step()
-	}
-	if t > e.now {
-		e.now = t
 	}
 	return e.now
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strings"
 )
 
 // Series accumulates scalar observations (response times, prices, …) and
@@ -47,20 +46,6 @@ func (s *Series) Mean() float64 {
 	return s.sum / float64(len(s.vals))
 }
 
-// Min returns the smallest observation, or 0 for an empty series.
-func (s *Series) Min() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	m := s.vals[0]
-	for _, v := range s.vals[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Max returns the largest observation, or 0 for an empty series.
 func (s *Series) Max() float64 {
 	if len(s.vals) == 0 {
@@ -73,21 +58,6 @@ func (s *Series) Max() float64 {
 		}
 	}
 	return m
-}
-
-// Stddev returns the population standard deviation.
-func (s *Series) Stddev() float64 {
-	n := len(s.vals)
-	if n == 0 {
-		return 0
-	}
-	mean := s.Mean()
-	var ss float64
-	for _, v := range s.vals {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) by nearest-rank.
@@ -140,19 +110,17 @@ func (c *Counter) Value() uint64 { return c.n }
 // statistic for "utilization" and "busy processors": each Set records the
 // new level; MeanOver reports the time-weighted average level.
 type TimeWeighted struct {
-	first    Time
-	last     Time
-	level    float64
-	area     float64
-	started  bool
-	maxLevel float64
+	first   Time
+	last    Time
+	level   float64
+	area    float64
+	started bool
 }
 
 // Set records that the level changed to v at time t.
 func (tw *TimeWeighted) Set(t Time, v float64) {
 	if !tw.started {
 		tw.first, tw.last, tw.level, tw.started = t, t, v, true
-		tw.maxLevel = v
 		return
 	}
 	if t < tw.last {
@@ -162,19 +130,7 @@ func (tw *TimeWeighted) Set(t Time, v float64) {
 	tw.area += tw.level * float64(t-tw.last)
 	tw.last = t
 	tw.level = v
-	if v > tw.maxLevel {
-		tw.maxLevel = v
-	}
 }
-
-// Add records a delta to the current level at time t.
-func (tw *TimeWeighted) Add(t Time, dv float64) { tw.Set(t, tw.level+dv) }
-
-// Level returns the current level.
-func (tw *TimeWeighted) Level() float64 { return tw.level }
-
-// Max returns the maximum level observed.
-func (tw *TimeWeighted) Max() float64 { return tw.maxLevel }
 
 // MeanOver returns the time-weighted mean level from the first sample up
 // to time end. If end precedes the last sample, the mean up to the last
@@ -262,34 +218,4 @@ func (m *Metrics) L(name string) *TimeWeighted {
 		m.Levels[name] = l
 	}
 	return l
-}
-
-// Report renders all statistics sorted by name, one per line.
-func (m *Metrics) Report(end Time) string {
-	var b strings.Builder
-	names := make([]string, 0, len(m.Counters))
-	for n := range m.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(&b, "counter %-28s %d\n", n, m.Counters[n].Value())
-	}
-	names = names[:0]
-	for n := range m.Series {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(&b, "series  %-28s %s\n", n, m.Series[n])
-	}
-	names = names[:0]
-	for n := range m.Levels {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(&b, "level   %-28s mean=%.3f max=%.1f\n", n, m.Levels[n].MeanOver(end), m.Levels[n].Max())
-	}
-	return b.String()
 }

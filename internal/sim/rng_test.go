@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterministic(t *testing.T) {
@@ -109,27 +108,6 @@ func TestRNGLogUniformPanics(t *testing.T) {
 		}
 	}()
 	NewRNG(1).LogUniform(0, 1)
-}
-
-func TestRNGPermIsPermutation(t *testing.T) {
-	f := func(seed uint64) bool {
-		n := 20
-		p := NewRNG(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestRNGSplitIndependent(t *testing.T) {

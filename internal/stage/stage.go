@@ -12,7 +12,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -50,13 +49,6 @@ func (s *Store) CreateJob(jobID string) {
 	if _, ok := s.jobs[jobID]; !ok {
 		s.jobs[jobID] = map[string]*file{}
 	}
-}
-
-// DropJob discards a job's staging area and all its files.
-func (s *Store) DropJob(jobID string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.jobs, jobID)
 }
 
 // PutChunk appends a chunk at the given offset. Chunks must arrive
@@ -126,17 +118,6 @@ func (s *Store) Append(jobID, name string, data []byte) error {
 	return nil
 }
 
-// Get returns a copy of a finalized or in-progress file's full contents.
-func (s *Store) Get(jobID, name string) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, err := s.lookup(jobID, name)
-	if err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), f.data...), nil
-}
-
 // ReadAt returns up to limit bytes from offset and whether the end of
 // the file was reached. limit <= 0 means "to the end".
 func (s *Store) ReadAt(jobID, name string, offset, limit int64) (data []byte, eof bool, err error) {
@@ -168,33 +149,6 @@ func (s *Store) SHA256(jobID, name string) (string, error) {
 	}
 	sum := sha256.Sum256(f.data)
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// List returns a job's file names, sorted.
-func (s *Store) List(jobID string) ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	files, ok := s.jobs[jobID]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoJob, jobID)
-	}
-	names := make([]string, 0, len(files))
-	for n := range files {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
-// Size returns a file's current length in bytes.
-func (s *Store) Size(jobID, name string) (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, err := s.lookup(jobID, name)
-	if err != nil {
-		return 0, err
-	}
-	return int64(len(f.data)), nil
 }
 
 func (s *Store) lookup(jobID, name string) (*file, error) {

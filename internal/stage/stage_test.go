@@ -21,7 +21,7 @@ func TestChunkedUploadWithChecksum(t *testing.T) {
 	if err != nil || n != int64(len(full)) {
 		t.Fatalf("chunk2: n=%d err=%v", n, err)
 	}
-	got, err := s.Get("j1", "in.dat")
+	got, _, err := s.ReadAt("j1", "in.dat", 0, 0)
 	if err != nil || !bytes.Equal(got, full) {
 		t.Fatalf("get: %q err=%v", got, err)
 	}
@@ -39,7 +39,7 @@ func TestChecksumMismatchDiscardsFile(t *testing.T) {
 		t.Fatalf("err=%v", err)
 	}
 	// The corrupt upload must be gone so a retry starts clean.
-	if _, err := s.Get("j", "f"); !errors.Is(err, ErrNoFile) {
+	if _, _, err := s.ReadAt("j", "f", 0, 0); !errors.Is(err, ErrNoFile) {
 		t.Fatalf("corrupt file retained: %v", err)
 	}
 	if n, err := s.PutChunk("j", "f", 0, []byte("data"), true, Digest([]byte("data"))); err != nil || n != 4 {
@@ -83,10 +83,10 @@ func TestUnknownJobAndFile(t *testing.T) {
 		t.Fatalf("err=%v", err)
 	}
 	s.CreateJob("j")
-	if _, err := s.Get("j", "absent"); !errors.Is(err, ErrNoFile) {
+	if _, _, err := s.ReadAt("j", "absent", 0, 0); !errors.Is(err, ErrNoFile) {
 		t.Fatalf("err=%v", err)
 	}
-	if _, err := s.List("ghost"); !errors.Is(err, ErrNoJob) {
+	if _, _, err := s.ReadAt("ghost", "f", 0, 0); !errors.Is(err, ErrNoJob) {
 		t.Fatalf("err=%v", err)
 	}
 }
@@ -111,23 +111,8 @@ func TestAppendAndReadAt(t *testing.T) {
 	if err != nil || !eof || len(data) != 0 {
 		t.Fatalf("past-end read: %q eof=%v err=%v", data, eof, err)
 	}
-	if sz, _ := s.Size("j", "out.log"); sz != 15 {
-		t.Fatalf("size=%d", sz)
-	}
-}
-
-func TestListSortedAndDropJob(t *testing.T) {
-	s := NewStore()
-	s.CreateJob("j")
-	_ = s.Put("j", "b.txt", []byte("b"))
-	_ = s.Put("j", "a.txt", []byte("a"))
-	names, err := s.List("j")
-	if err != nil || len(names) != 2 || names[0] != "a.txt" {
-		t.Fatalf("names=%v err=%v", names, err)
-	}
-	s.DropJob("j")
-	if _, err := s.List("j"); !errors.Is(err, ErrNoJob) {
-		t.Fatal("dropped job still present")
+	if all, _, _ := s.ReadAt("j", "out.log", 0, 0); len(all) != 15 {
+		t.Fatalf("size=%d", len(all))
 	}
 }
 
@@ -136,20 +121,20 @@ func TestCreateJobIdempotent(t *testing.T) {
 	s.CreateJob("j")
 	_ = s.Put("j", "f", []byte("keep"))
 	s.CreateJob("j") // must not clear files
-	if got, err := s.Get("j", "f"); err != nil || string(got) != "keep" {
+	if got, _, err := s.ReadAt("j", "f", 0, 0); err != nil || string(got) != "keep" {
 		t.Fatalf("%q %v", got, err)
 	}
 }
 
-func TestGetReturnsCopy(t *testing.T) {
+func TestReadAtReturnsCopy(t *testing.T) {
 	s := NewStore()
 	s.CreateJob("j")
 	_ = s.Put("j", "f", []byte("abc"))
-	got, _ := s.Get("j", "f")
+	got, _, _ := s.ReadAt("j", "f", 0, 0)
 	got[0] = 'X'
-	again, _ := s.Get("j", "f")
+	again, _, _ := s.ReadAt("j", "f", 0, 0)
 	if string(again) != "abc" {
-		t.Fatal("Get exposed internal buffer")
+		t.Fatal("ReadAt exposed internal buffer")
 	}
 }
 
@@ -176,7 +161,7 @@ func TestChunkReassemblyProperty(t *testing.T) {
 		if _, err := s.PutChunk("j", "f", off, rest, true, digest); err != nil {
 			return false
 		}
-		got, err := s.Get("j", "f")
+		got, _, err := s.ReadAt("j", "f", 0, 0)
 		return err == nil && bytes.Equal(got, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -194,7 +179,7 @@ func TestConcurrentJobsIsolated(t *testing.T) {
 			id := string(rune('a' + n))
 			s.CreateJob(id)
 			_ = s.Put(id, "f", []byte(id))
-			got, err := s.Get(id, "f")
+			got, _, err := s.ReadAt(id, "f", 0, 0)
 			if err != nil || string(got) != id {
 				t.Errorf("job %s corrupted: %q %v", id, got, err)
 			}

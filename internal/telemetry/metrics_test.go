@@ -165,11 +165,11 @@ func TestRPCMetricsObserver(t *testing.T) {
 	m := NewRPCMetrics(reg, "daemon")
 	m.ObserveRPC("settle_req", 2*time.Millisecond, nil)
 	m.ObserveRPC("settle_req", 3*time.Millisecond, io.EOF)
-	if got := m.Latency("settle_req").Count(); got != 2 {
-		t.Fatalf("latency count = %d, want 2", got)
-	}
 	var out strings.Builder
 	_ = reg.WritePrometheus(&out)
+	if !strings.Contains(out.String(), `faucets_rpc_latency_seconds_count{component="daemon",type="settle_req"} 2`) {
+		t.Fatalf("latency count not rendered as 2:\n%s", out.String())
+	}
 	if !strings.Contains(out.String(), `faucets_rpc_errors_total{component="daemon",type="settle_req"} 1`) {
 		t.Fatalf("error counter not rendered:\n%s", out.String())
 	}

@@ -60,14 +60,3 @@ func (m *RPCMetrics) ObserveRPC(reqType string, d time.Duration, err error) {
 		c.Inc()
 	}
 }
-
-// Latency returns the latency histogram for one request type (nil if
-// that type has never been observed) — used by tests.
-func (m *RPCMetrics) Latency(reqType string) *Histogram {
-	if m == nil {
-		return nil
-	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.lat[reqType]
-}

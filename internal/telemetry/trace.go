@@ -106,13 +106,3 @@ func (t *Tracer) Jobs() []string {
 	}
 	return jobs
 }
-
-// SpanNames projects a trace down to its ordered span names — the shape
-// harness tests assert against.
-func SpanNames(evs []SpanEvent) []string {
-	out := make([]string, len(evs))
-	for i, e := range evs {
-		out[i] = e.Name
-	}
-	return out
-}

@@ -13,7 +13,10 @@ func TestTracerRecordsOrderedSpans(t *testing.T) {
 	for _, name := range []string{SpanSubmit, SpanBid, SpanContract, SpanStart, SpanFinish, SpanSettle} {
 		tr.Record("job-1", name, "")
 	}
-	got := SpanNames(tr.Events("job-1"))
+	var got []string
+	for _, e := range tr.Events("job-1") {
+		got = append(got, e.Name)
+	}
 	want := []string{"submit", "bid", "contract", "start", "finish", "settle"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("span chain = %v, want %v", got, want)

@@ -38,9 +38,9 @@ func TestComputeUtilizationClamped(t *testing.T) {
 
 func TestComputePriceStats(t *testing.T) {
 	store := db.New()
-	store.AppendContract(db.ContractRecord{MaxPE: 4, Multiplier: 1.0})
-	store.AppendContract(db.ContractRecord{MaxPE: 32, Multiplier: 2.0})
-	store.AppendContract(db.ContractRecord{MaxPE: 128, Multiplier: 3.0})
+	store.Update(func(tx *db.Tx) error { tx.AppendContract(db.ContractRecord{MaxPE: 4, Multiplier: 1.0}); return nil })
+	store.Update(func(tx *db.Tx) error { tx.AppendContract(db.ContractRecord{MaxPE: 32, Multiplier: 2.0}); return nil })
+	store.Update(func(tx *db.Tx) error { tx.AppendContract(db.ContractRecord{MaxPE: 128, Multiplier: 3.0}); return nil })
 	r := Compute(5, 10, 100, 3, store)
 	if r.Contracts != 3 {
 		t.Fatalf("contracts=%d", r.Contracts)
@@ -63,7 +63,7 @@ func TestComputeWindowLimit(t *testing.T) {
 		if i < 50 {
 			m = 100.0 // old outliers that must age out of the window
 		}
-		store.AppendContract(db.ContractRecord{MaxPE: 4, Multiplier: m})
+		store.Update(func(tx *db.Tx) error { tx.AppendContract(db.ContractRecord{MaxPE: 4, Multiplier: m}); return nil })
 	}
 	r := Compute(0, 0, 100, 1, store)
 	if r.Contracts != Window {
@@ -89,7 +89,7 @@ func TestAggregateMatchesCompute(t *testing.T) {
 			MaxPE:      []int{2, 8, 16, 64, 65, 400}[i%6],
 			Multiplier: 1 + float64(i%13)*0.25,
 		}
-		store.AppendContract(c)
+		store.Update(func(tx *db.Tx) error { tx.AppendContract(c); return nil })
 		agg.Add(c.MaxPE, c.Multiplier)
 
 		want := Compute(float64(i), 10, 100, 3, store)
@@ -118,7 +118,10 @@ func TestAggregateMatchesCompute(t *testing.T) {
 func TestAggregateSeedMatchesCompute(t *testing.T) {
 	store := db.New()
 	for i := 0; i < Window+20; i++ {
-		store.AppendContract(db.ContractRecord{MaxPE: 1 + i%80, Multiplier: 1 + float64(i%7)*0.5})
+		store.Update(func(tx *db.Tx) error {
+			tx.AppendContract(db.ContractRecord{MaxPE: 1 + i%80, Multiplier: 1 + float64(i%7)*0.5})
+			return nil
+		})
 	}
 	recent := store.RecentContracts(nil, Window)
 	// RecentContracts is newest-first; Seed wants chronological order.
@@ -140,7 +143,10 @@ func TestAggregateSeedMatchesCompute(t *testing.T) {
 func TestSimilarContracts(t *testing.T) {
 	store := db.New()
 	for i, maxPE := range []int{4, 32, 8, 128, 2} {
-		store.AppendContract(db.ContractRecord{Time: float64(i), JobID: fmt.Sprint(i), MaxPE: maxPE, Multiplier: float64(i)})
+		store.Update(func(tx *db.Tx) error {
+			tx.AppendContract(db.ContractRecord{Time: float64(i), JobID: fmt.Sprint(i), MaxPE: maxPE, Multiplier: float64(i)})
+			return nil
+		})
 	}
 	got := SimilarContracts(store, 6, 10)
 	if len(got) != 3 || got[0].MaxPE != 2 || got[1].MaxPE != 8 || got[2].MaxPE != 4 {

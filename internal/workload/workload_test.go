@@ -63,7 +63,7 @@ func TestGenerateFractions(t *testing.T) {
 	tr, _ := Generate(Default(11, 2000, 1))
 	adaptive, deadlined := 0, 0
 	for _, it := range tr.Items {
-		if it.Contract.Adaptive() {
+		if it.Contract.MaxPE > it.Contract.MinPE {
 			adaptive++
 		}
 		if !it.Contract.Payoff.Zero() {
@@ -85,7 +85,7 @@ func TestGenerateRigidWhenAdaptiveZero(t *testing.T) {
 	s.AdaptiveFraction = 0
 	tr, _ := Generate(s)
 	for _, it := range tr.Items {
-		if it.Contract.Adaptive() {
+		if it.Contract.MaxPE > it.Contract.MinPE {
 			t.Fatal("rigid-only workload produced adaptive job")
 		}
 	}

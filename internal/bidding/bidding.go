@@ -49,8 +49,8 @@ type ServerState struct {
 	Speed    float64
 	CostRate float64
 	// EstimatedCompletion is the scheduler's predicted completion time
-	// for the proposed job (absolute, virtual seconds); CanRun is false
-	// when the scheduler declined the job.
+	// for the proposed job (absolute, virtual seconds); CanRun means its
+	// Submit at the same instant would admit the job.
 	EstimatedCompletion float64
 	CanRun              bool
 }

@@ -495,22 +495,18 @@ func (g *gridRun) migrateSweep(now float64) {
 			if target == nil {
 				continue
 			}
-			evicted := origin.sched.Evict(now, j.ID)
-			if evicted == nil {
+			// Evict only after the target admits: a refusal leaves the job home.
+			if !target.sched.Submit(now, j) {
 				continue
 			}
-			if !target.sched.Submit(now, evicted) {
-				// Target changed its mind: put the job back home.
-				_ = origin.sched.Submit(now, evicted)
-				continue
-			}
+			origin.sched.Evict(now, j.ID)
 			// Transfer the outstanding-work accounting; the award goes with
 			// the job.
-			origin.outstanding -= evicted.Contract.Work
+			origin.outstanding -= j.Contract.Work
 			if origin.outstanding < 0 {
 				origin.outstanding = 0
 			}
-			target.outstanding += evicted.Contract.Work
+			target.outstanding += j.Contract.Work
 			g.metrics.C("migrations").Inc()
 			origin.refresh(now)
 			target.refresh(now)

@@ -28,6 +28,10 @@ func equiFactory(sp machine.Spec, c scheduler.Config) scheduler.Scheduler {
 	return scheduler.NewEquipartition(sp, c)
 }
 
+func profitFactory(sp machine.Spec, c scheduler.Config) scheduler.Scheduler {
+	return scheduler.NewProfit(sp, c)
+}
+
 func smallTrace(seed uint64, jobs int, gap float64) *workload.Trace {
 	s := workload.Default(seed, jobs, gap)
 	s.MaxPE = 16
@@ -402,9 +406,6 @@ func TestPhasedWorkloadSimulates(t *testing.T) {
 // §4.1 migration: a checkpointed preemption victim restarts on a
 // subcontracted idle server instead of waiting behind the urgent job.
 func TestCheckpointMigration(t *testing.T) {
-	profitFactory := func(sp machine.Spec, c scheduler.Config) scheduler.Scheduler {
-		return scheduler.NewProfit(sp, c)
-	}
 	// Craft a trace: a low-value filler that saturates "busy", then an
 	// urgent high-payoff job that preempts it. "idle" has capacity.
 	mkTrace := func() *workload.Trace {
@@ -460,6 +461,49 @@ func TestCheckpointMigration(t *testing.T) {
 	}
 	if fMig.Time >= fNo.Time {
 		t.Fatalf("migration did not help: %v vs %v", fMig.Time, fNo.Time)
+	}
+}
+
+// A migration target's bid is not its admission: its estimate probes a
+// job submitted now, while Submit measures the hard deadline from the
+// job's own SubmitTime. When the target refuses, the checkpointed job
+// stays queued at home and finishes there.
+func TestRefusedMigrationKeepsTheJobHome(t *testing.T) {
+	// The filler needs 1900 s on 8 PEs and has 1950 s to its hard
+	// deadline; the urgent job checkpoints it from 50 s to 150 s. At the
+	// sweep at 120 s its 1850 s left would run promptly on "idle" (the
+	// estimate's 1970 s is within 1950 s of now) but miss the deadline
+	// measured from 0 s, so "idle" refuses at Submit.
+	filler := &qos.Contract{
+		App: "fill", MinPE: 8, MaxPE: 8, Work: 8 * 1900,
+		Payoff: qos.Payoff{Soft: 1920, Hard: 1950, AtSoft: 1, AtHard: 0.5},
+	}
+	urgent := &qos.Contract{
+		App: "urgent", MinPE: 8, MaxPE: 8, Work: 8 * 100,
+		Payoff: qos.Payoff{Soft: 300, Hard: 600, AtSoft: 10000, AtHard: 1000, Penalty: 100},
+	}
+	tr := &workload.Trace{Items: []workload.Item{
+		{ID: "filler", SubmitAt: 0, User: "u", Contract: filler},
+		{ID: "urgent", SubmitAt: 50, User: "u", Contract: urgent},
+	}}
+	busy, idle := spec("busy", 8), spec("idle", 8)
+	busy.CostRate, idle.CostRate = 0.001, 1.0
+	res, err := Run(Config{
+		Servers:      []ServerConfig{{Spec: busy, NewScheduler: profitFactory}, {Spec: idle, NewScheduler: profitFactory}},
+		SchedCfg:     scheduler.Config{Preempt: true, Lookahead: 1e9},
+		MigrateAfter: 120,
+	}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Metrics.C("migrations").Value(); n != 0 {
+		t.Fatalf("%d migrations, want 0: the target admitted the job", n)
+	}
+	if res.Placed != 2 || res.Finished != 2 {
+		t.Fatalf("placed %d, finished %d: want both finished", res.Placed, res.Finished)
+	}
+	if row := contractRow(t, res.DB, "filler"); row.Server != "busy" || row.Time != 2000 {
+		t.Fatalf("filler finished on %s at %v, want busy at 2000", row.Server, row.Time)
 	}
 }
 
@@ -578,14 +622,20 @@ func TestRefusedChargeBooksNoHistory(t *testing.T) {
 	}
 }
 
-// Property-style sweep: across random small configurations, the
-// simulation conserves jobs (placed + rejected == submitted, finished <=
-// placed), utilization stays within [0,1], and no server exceeds its
-// capacity in the utilization integral.
+// Property-style sweep: across random small configurations, and X1's
+// migrating grid, the simulation conserves jobs (placed + rejected ==
+// submitted, finished == placed) and utilization stays within [0,1], so
+// no server exceeds its capacity in the utilization integral.
 func TestSimulationInvariantsAcrossConfigs(t *testing.T) {
+	type runCase struct {
+		name string
+		cfg  Config
+		ws   workload.Spec
+	}
+	var cases []runCase
 	factories := []scheduler.Factory{nil, fcfsFactory, equiFactory,
 		func(sp machine.Spec, c scheduler.Config) scheduler.Scheduler { return scheduler.NewBackfill(sp, c) },
-		func(sp machine.Spec, c scheduler.Config) scheduler.Scheduler { return scheduler.NewProfit(sp, c) },
+		profitFactory,
 	}
 	bidders := []bidding.Generator{nil, bidding.Baseline{}, bidding.NewUtilization(), bidding.NewWeather(nil)}
 	for seed := uint64(0); seed < 12; seed++ {
@@ -598,41 +648,58 @@ func TestSimulationInvariantsAcrossConfigs(t *testing.T) {
 				Bidder:       bidders[int(seed+uint64(i))%len(bidders)],
 			})
 		}
-		cfg := Config{
-			Servers:      servers,
-			SchedCfg:     scheduler.Config{ReconfigLatency: float64(seed % 3), Lookahead: float64(seed%2) * 1e6},
-			SinglePhase:  seed%5 == 0,
-			CommitDelay:  float64(seed%4) * 0.5,
-			MigrateAfter: float64(seed%3) * 40,
-		}
 		ws := workload.Default(seed, 30, 6)
 		ws.MaxPE = 16
 		ws.MinWork = 20
 		ws.MaxWork = 300
 		ws.PhasedFraction = 0.3
-		tr, err := workload.Generate(ws)
+		cases = append(cases, runCase{fmt.Sprintf("seed %d", seed), Config{
+			Servers:      servers,
+			SchedCfg:     scheduler.Config{ReconfigLatency: float64(seed % 3), Lookahead: float64(seed%2) * 1e6},
+			SinglePhase:  seed%5 == 0,
+			CommitDelay:  float64(seed%4) * 0.5,
+			MigrateAfter: float64(seed%3) * 40,
+		}, ws})
+	}
+	// X1's grid: two preempting profit servers and the migration sweep.
+	// None of the generated configurations above ever migrates a job.
+	for _, seed := range []uint64{21, 42} {
+		primary, sub := spec("primary", 32), spec("subcontract", 32)
+		primary.MemPerPE, sub.MemPerPE = 2048, 2048
+		primary.CostRate, sub.CostRate = 0.001, 0.1
+		ws := workload.Default(seed, 80, 30)
+		ws.MaxPE = 32
+		ws.MinWork = 500
+		ws.MaxWork = 4000
+		ws.DeadlineFraction = 1.0
+		ws.DeadlineTightness = 1.5
+		cases = append(cases, runCase{fmt.Sprintf("X1 grid seed %d", seed), Config{
+			Servers:      []ServerConfig{{Spec: primary, NewScheduler: profitFactory}, {Spec: sub, NewScheduler: profitFactory}},
+			SchedCfg:     scheduler.Config{Preempt: true, Lookahead: 600},
+			MigrateAfter: 60,
+		}, ws})
+	}
+	for _, c := range cases {
+		tr, err := workload.Generate(c.ws)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(cfg, tr)
+		res, err := Run(c.cfg, tr)
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
 		if res.Placed+res.Rejected != len(tr.Items) {
-			t.Fatalf("seed %d: placed %d + rejected %d != %d", seed, res.Placed, res.Rejected, len(tr.Items))
-		}
-		if res.Finished > res.Placed {
-			t.Fatalf("seed %d: finished %d > placed %d", seed, res.Finished, res.Placed)
+			t.Errorf("%s: placed %d + rejected %d != %d", c.name, res.Placed, res.Rejected, len(tr.Items))
 		}
 		// Every placed job must eventually finish (traces are finite and
 		// schedulers are work-conserving; migration/lookahead must not
 		// strand anything).
 		if res.Finished != res.Placed {
-			t.Fatalf("seed %d: %d placed jobs never finished", seed, res.Placed-res.Finished)
+			t.Errorf("%s: finished %d of %d placed jobs", c.name, res.Finished, res.Placed)
 		}
 		for name, u := range res.Utilization {
 			if u < -1e-9 || u > 1+1e-9 {
-				t.Fatalf("seed %d: %s utilization %v out of range", seed, name, u)
+				t.Errorf("%s: %s utilization %v out of range", c.name, name, u)
 			}
 		}
 	}

@@ -51,6 +51,29 @@ func BenchmarkEstimateCompletion(b *testing.B) {
 	}
 }
 
+// BenchmarkProfitEstimate times a profit bid on a 64-PE machine holding n
+// rigid 4-PE jobs: 16 run and the rest queue within the lookahead. A bid
+// is the admission verdict, so it plans the machine with and without the
+// probe, and each plan searches the Gantt chart once per queued job.
+func BenchmarkProfitEstimate(b *testing.B) {
+	probe := &qos.Contract{App: "synth", MinPE: 2, MaxPE: 16, Work: 2000}
+	for _, n := range []int{10, 100} {
+		b.Run(fmt.Sprintf("jobs_%d", n), func(b *testing.B) {
+			s := NewProfit(spec(64), Config{Lookahead: 1e12})
+			for i := 0; i < n; i++ {
+				if !s.Submit(0, mk(fmt.Sprintf("b%d", i), 4, 4, 4e6)) {
+					b.Fatalf("job %d refused", i)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink, _ = s.EstimateCompletion(1, probe)
+			}
+		})
+	}
+}
+
 // BenchmarkAdvanceReallocate times one scheduler event pair — a Submit
 // and the Advance that finishes the job, each reallocating the machine —
 // the bench's scheduler.submit_finish_ns probe.

@@ -238,10 +238,12 @@ func (p *Profit) plan(now float64, jobs []*job.Job) []planEntry {
 	return out
 }
 
-// Submit implements Scheduler with profit-based admission control.
-func (p *Profit) Submit(now float64, j *job.Job) bool {
+// verdict is the one admission rule, for Submit and every bid: j fits,
+// meets its hard deadline counted from its SubmitTime, starts now or
+// within the lookahead, and pays what the incumbents lose (§4.1).
+func (p *Profit) verdict(now float64, j *job.Job) (complete float64, ok bool) {
 	if !p.feasible(j.Contract) {
-		return false
+		return 0, false
 	}
 	withNew := p.candidates(j)
 	before := p.plan(now, withNew[:len(withNew)-1])
@@ -249,15 +251,12 @@ func (p *Profit) Submit(now float64, j *job.Job) bool {
 
 	// The candidate's own predicted outcome.
 	cand := after[len(after)-1]
-	hard := j.Contract.HardDeadline()
-	if hard > 0 && cand.complete > j.SubmitTime+hard {
-		return false // cannot meet the deadline: reject (paper §4.1)
+	if hard := j.Contract.HardDeadline(); hard > 0 && cand.complete > j.SubmitTime+hard {
+		return 0, false // cannot meet the deadline: reject (paper §4.1)
 	}
-	if cand.pe == 0 {
-		// Must wait to start: only acceptable within the lookahead.
-		if p.cfg.Lookahead <= 0 || cand.complete > now+p.cfg.Lookahead {
-			return false
-		}
+	// A job that must wait to start is acceptable only within the lookahead.
+	if cand.pe == 0 && (p.cfg.Lookahead <= 0 || cand.complete > now+p.cfg.Lookahead) {
+		return 0, false
 	}
 	gain := predictedPayoff(j, cand.complete)
 	// Payoff the incumbents lose because of the newcomer.
@@ -266,6 +265,14 @@ func (p *Profit) Submit(now float64, j *job.Job) bool {
 		loss += predictedPayoff(b.j, b.complete) - predictedPayoff(after[i].j, after[i].complete)
 	}
 	if gain < loss {
+		return 0, false
+	}
+	return cand.complete, true
+}
+
+// Submit implements Scheduler with profit-based admission control.
+func (p *Profit) Submit(now float64, j *job.Job) bool {
+	if _, ok := p.verdict(now, j); !ok {
 		return false
 	}
 	p.queue = append(p.queue, j)
@@ -306,19 +313,10 @@ func (p *Profit) Advance(now float64) []*job.Job {
 	return p.advanceCore(now, p.reallocate)
 }
 
-// EstimateCompletion implements Scheduler using the same plan that
-// admission control would apply.
+// EstimateCompletion implements Scheduler: the verdict Submit would give
+// a job with contract c submitted now.
 func (p *Profit) EstimateCompletion(now float64, c *qos.Contract) (float64, bool) {
-	if !p.feasible(c) {
-		return 0, false
-	}
-	probe := job.New("estimate-probe", "", c, now)
-	entries := p.plan(now, p.candidates(probe))
-	cand := entries[len(entries)-1]
-	if cand.pe == 0 && p.cfg.Lookahead <= 0 {
-		return 0, false
-	}
-	return cand.complete, true
+	return p.verdict(now, job.New("estimate-probe", "", c, now))
 }
 
 // Preemptions returns how many running jobs have been checkpointed to

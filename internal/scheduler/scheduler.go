@@ -54,9 +54,9 @@ type Scheduler interface {
 	// reported where it was, before now. ok is false when nothing is
 	// running.
 	NextCompletion(now float64) (t float64, ok bool)
-	// EstimateCompletion predicts when a hypothetical job with the given
-	// contract would complete if submitted now, without admitting it.
-	// ok is false when the job cannot be accommodated.
+	// EstimateCompletion predicts when a job with contract c, submitted
+	// now, would complete, without admitting it. ok is a promise (§5.3):
+	// Submit at the same instant would accept that job.
 	EstimateCompletion(now float64, c *qos.Contract) (t float64, ok bool)
 	// UsedPEs returns the number of busy processors.
 	UsedPEs() int

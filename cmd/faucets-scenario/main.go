@@ -242,8 +242,8 @@ func summarize(r *scenario.ScenarioReport) {
 		unit = "wall ms"
 	}
 	fmt.Printf("scenario %s [%s/%s] seed=%d servers=%d\n", r.Scenario, r.Backend, r.Mechanism, r.Seed, r.Servers)
-	fmt.Printf("  jobs %d submitted %d placed %d rejected %d shed %d finished %d settled %d\n",
-		r.Jobs, r.Submitted, r.Placed, r.Rejected, r.Shed, r.Finished, r.Settled)
+	fmt.Printf("  jobs %d submitted %d placed %d rejected %d finished %d settled %d\n",
+		r.Jobs, r.Submitted, r.Placed, r.Rejected, r.Finished, r.Settled)
 	fmt.Printf("  ttc (%s)        p50=%.3f p95=%.3f p99=%.3f max=%.3f n=%d\n",
 		unit, r.TTC.P50, r.TTC.P95, r.TTC.P99, r.TTC.Max, r.TTC.N)
 	fmt.Printf("  response (virtual s) p50=%.1f p95=%.1f p99=%.1f max=%.1f n=%d\n",

@@ -43,7 +43,6 @@ func main() {
 	rpcTimeout := flag.Duration("rpc-timeout", 5*time.Second, "deadline for each federation RPC round trip")
 	pollTimeout := flag.Duration("poll-timeout", 3*time.Second, "deadline for each daemon liveness probe")
 	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus metrics at this address under /metrics (empty = off)")
-	maxInflight := flag.Int("max-inflight", 0, "admission control: auctions + settlements processed concurrently before new auctions are shed with a retryable OVERLOADED error (0 = unlimited)")
 	mechanism := flag.String("mechanism", "", "grid default market mechanism advertised to clients at login: first-price, posted-price, or vickrey (empty = first-price)")
 	flag.Parse()
 
@@ -75,7 +74,6 @@ func main() {
 	srv.DeadAfter = *deadAfter
 	srv.RPCTimeout = *rpcTimeout
 	srv.PollTimeout = *pollTimeout
-	srv.MaxInflight = *maxInflight
 	srv.DefaultMechanism = *mechanism
 	srv.GossipInterval = *gossipInterval
 	if *peers != "" && *ring != "" {

@@ -53,8 +53,6 @@ type srvMetrics struct {
 	snapshotLat   *telemetry.Histogram // WAL compaction latency
 	daemonsAlive  *telemetry.Gauge
 	daemonsTotal  *telemetry.Gauge
-	shedInflight  *telemetry.Counter // admission rejections: in-flight budget exhausted
-	shedDeadline  *telemetry.Counter // admission rejections: hard deadline already unmeetable
 	gossipSent    *telemetry.Counter // digests served to pulling peers
 	gossipRecv    *telemetry.Counter // digests pulled from peers and cached
 	notOwner      *telemetry.Counter // requests refused with a NOT_OWNER redirect
@@ -73,8 +71,6 @@ func newSrvMetrics(reg *telemetry.Registry) *srvMetrics {
 		snapshotLat:   reg.Histogram("faucets_central_snapshot_seconds", "Latency of one WAL compaction into an atomic snapshot.", nil),
 		daemonsAlive:  reg.Gauge("faucets_central_daemons_alive", "Directory entries currently considered alive."),
 		daemonsTotal:  reg.Gauge("faucets_central_daemons_registered", "Directory entries, alive or not."),
-		shedInflight:  reg.Counter("faucets_central_shed_total", "Requests shed by admission control.", telemetry.L("reason", "inflight")),
-		shedDeadline:  reg.Counter("faucets_central_shed_total", "Requests shed by admission control.", telemetry.L("reason", "deadline")),
 		gossipSent:    reg.Counter("faucets_central_gossip_sent_total", "Liveness/weather digests served to peer Central Servers."),
 		gossipRecv:    reg.Counter("faucets_central_gossip_received_total", "Liveness/weather digests pulled from peer Central Servers and cached."),
 		notOwner:      reg.Counter("faucets_central_not_owner_total", "Requests refused with a NOT_OWNER shard redirect."),
@@ -153,15 +149,6 @@ type Server struct {
 	GossipInterval time.Duration
 	remoteMu       sync.Mutex
 	remotes        map[string]remoteDigest // by dialed peer address
-
-	// MaxInflight caps concurrently admitted auction and settlement
-	// requests. Past the cap, admission control sheds the request with a
-	// retryable OVERLOADED error instead of queueing it without bound;
-	// settlements ride a priority lane a quarter wider than the base
-	// budget so money is booked even while auctions are shed. Zero
-	// disables admission control (the default).
-	MaxInflight int
-	inflight    atomic.Int64
 
 	peerOnce sync.Once
 	peerPool *protocol.Pool
@@ -687,11 +674,6 @@ func (s *Server) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 			if err := req.Contract.Validate(); err != nil {
 				return err
 			}
-			release, err := s.admitAuction(req.Contract)
-			if err != nil {
-				return err
-			}
-			defer release()
 			// A contract-filtered directory read is the first step of a bid
 			// solicitation (§5.1) — the closest thing the Central Server
 			// sees to the bids themselves, which flow client↔daemon.
@@ -770,15 +752,6 @@ func (s *Server) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 		if err := protocol.Decode(f, f.Type, &req); err != nil {
 			return err
 		}
-		// Settlements ride the priority admission lane: shedding one
-		// delays booking money the daemon already earned, so they are
-		// only refused when even the widened budget is exhausted (the
-		// daemon's durable outbox redelivers on OVERLOADED).
-		release, err := s.admitSettle()
-		if err != nil {
-			return err
-		}
-		defer release()
 		if !s.ownsUser(req.User) {
 			// The daemon settled with the shard it registered at, but the
 			// money belongs to the user's shard. Forward one hop server-side
@@ -803,11 +776,6 @@ func (s *Server) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 		if err := protocol.Decode(f, f.Type, &req); err != nil {
 			return err
 		}
-		release, err := s.admitSettle()
-		if err != nil {
-			return err
-		}
-		defer release()
 		if err := s.Settle(protocol.SettleReq(req)); err != nil {
 			return err
 		}

@@ -57,10 +57,11 @@ type Client struct {
 	// faucets_auction_fanout_seconds.
 	Metrics *telemetry.Registry
 	// Breakers, when set, installs per-daemon circuit breakers on the
-	// pool and gates auction fan-outs: a daemon whose breaker is OPEN
-	// forfeits its bid instantly (no dial, no timeout) until its cooldown
-	// lapses and a half-open probe succeeds (nil = no breakers). The pool
-	// refuses every call to an OPEN daemon, status polls included.
+	// daemons' pool and gates auction fan-outs: a daemon whose breaker
+	// is OPEN forfeits its bid instantly (no dial, no timeout) until its
+	// cooldown lapses and a half-open probe succeeds (nil = no
+	// breakers). The pool refuses every call to an OPEN daemon, status
+	// polls included. Central Server calls never consult or feed them.
 	Breakers *health.Set
 	// Mechanism selects the market mechanism for contracts that do not
 	// carry one (a qos.Mechanism* name). Empty adopts the grid default
@@ -95,31 +96,43 @@ type Client struct {
 	skipOnce   sync.Once
 	skipCount  *telemetry.Counter
 
-	poolOnce sync.Once
-	pool     *protocol.Pool
+	poolOnce    sync.Once
+	pool        *protocol.Pool // daemon calls, behind Breakers
+	centralPool *protocol.Pool // Central Server calls, behind no breaker
 }
 
-// rpcPool lazily builds the client's shared connection pool. The retry
-// policy matches the old callRetry path: three attempts with jittered
-// exponential backoff.
-func (c *Client) rpcPool() *protocol.Pool {
+// pools lazily builds the client's two connection pools, each retrying
+// three times with jittered exponential backoff. Only the daemons' pool
+// carries Breakers: a slow or restarting Central Server must not open a
+// breaker that refuses the directory for a whole cooldown.
+func (c *Client) pools() {
 	c.poolOnce.Do(func() {
-		c.pool = &protocol.Pool{
-			DialTimeout: c.DialTimeout,
-			PoolObs:     c.PoolObs,
-			Retry:       protocol.Retry{Attempts: 3, Base: 50 * time.Millisecond, Max: 500 * time.Millisecond},
+		build := func() *protocol.Pool {
+			return &protocol.Pool{
+				DialTimeout: c.DialTimeout,
+				PoolObs:     c.PoolObs,
+				Retry:       protocol.Retry{Attempts: 3, Base: 50 * time.Millisecond, Max: 500 * time.Millisecond},
+			}
 		}
+		c.pool, c.centralPool = build(), build()
 		if c.Breakers != nil {
 			c.pool.Health = c.Breakers
 		}
 	})
+}
+
+// rpcPool is the pool for calls to daemons.
+func (c *Client) rpcPool() *protocol.Pool {
+	c.pools()
 	return c.pool
 }
 
 // Close releases the client's pooled connections. The session is done
 // after Close: subsequent calls fail with protocol.ErrPoolClosed.
 func (c *Client) Close() {
-	c.rpcPool().Close()
+	c.pools()
+	c.pool.Close()
+	c.centralPool.Close()
 }
 
 // fanout lazily resolves the auction fan-out histogram (nil when no
@@ -270,8 +283,9 @@ func (c *Client) refreshSession(prevToken string, err error) bool {
 // per attempt with that attempt's token, so the retried request carries
 // the fresh one.
 func (c *Client) centralCall(reqType string, build func(token string) any, wantReply string, reply any) error {
+	c.pools()
 	addr, tok := c.session()
-	err := c.callRetry(addr, reqType, build(tok), wantReply, reply)
+	err := c.centralPool.Call(addr, c.RPCTimeout, reqType, build(tok), wantReply, reply)
 	if err == nil {
 		return nil
 	}
@@ -279,7 +293,7 @@ func (c *Client) centralCall(reqType string, build func(token string) any, wantR
 		return err
 	}
 	addr, tok = c.session()
-	return c.callRetry(addr, reqType, build(tok), wantReply, reply)
+	return c.centralPool.Call(addr, c.RPCTimeout, reqType, build(tok), wantReply, reply)
 }
 
 // mechanismFor resolves the market mechanism used to place a contract:
@@ -296,15 +310,6 @@ func (c *Client) mechanismFor(contract *qos.Contract) (market.Mechanism, error) 
 		c.sessMu.RUnlock()
 	}
 	return market.ForName(name)
-}
-
-// callRetry performs one exchange over the shared connection pool with
-// the per-call deadline; the pool retries transport failures on a fresh
-// connection with jittered backoff. Only idempotent requests (directory
-// reads, status queries, per-job commits/submits) go through it; a
-// remote refusal aborts immediately.
-func (c *Client) callRetry(addr, reqType string, req any, wantReply string, reply any) error {
-	return c.rpcPool().Call(addr, c.RPCTimeout, reqType, req, wantReply, reply)
 }
 
 func (c *Client) dial(addr string) (net.Conn, error) {
@@ -613,7 +618,7 @@ func (c *Client) Start(p *Placement) error {
 // Status queries the job's current state from its daemon.
 func (c *Client) Status(p *Placement) (protocol.StatusOK, error) {
 	var reply protocol.StatusOK
-	err := c.callRetry(p.Server.Addr, protocol.TypeStatusReq,
+	err := c.rpcPool().Call(p.Server.Addr, c.RPCTimeout, protocol.TypeStatusReq,
 		protocol.StatusReq{Token: c.token(), JobID: p.JobID},
 		protocol.TypeStatusOK, &reply)
 	return reply, err

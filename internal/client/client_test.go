@@ -12,6 +12,7 @@ import (
 	"faucets/internal/accounting"
 	"faucets/internal/central"
 	"faucets/internal/daemon"
+	"faucets/internal/health"
 	"faucets/internal/machine"
 	"faucets/internal/market"
 	"faucets/internal/protocol"
@@ -70,6 +71,50 @@ func TestLoginFailures(t *testing.T) {
 	}
 	if _, err := Login("127.0.0.1:1", "alice", "pw"); err == nil {
 		t.Fatal("dead address accepted")
+	}
+}
+
+// TestCentralOutageOpensNoBreaker: breakers judge daemons only. A
+// Central Server outage that fails every attempt must not open a
+// breaker that keeps refusing the directory once a fresh server
+// listens on the same address.
+func TestCentralOutageOpensNoBreaker(t *testing.T) {
+	serve := func(l net.Listener) *central.Server {
+		fs := central.New(accounting.Dollars)
+		if err := fs.Auth.AddUser("alice", "pw", ""); err != nil {
+			t.Fatal(err)
+		}
+		go fs.Serve(l)
+		t.Cleanup(fs.Close)
+		return fs
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	fs := serve(l)
+	cl, err := Login(addr, "alice", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.Breakers = health.NewSet(health.Options{Threshold: 1, Cooldown: time.Hour})
+	if _, err := cl.ListServers(nil); err != nil {
+		t.Fatal(err)
+	}
+
+	fs.Close() // the Central Server goes down...
+	if _, err := cl.ListServers(nil); err == nil {
+		t.Fatal("directory read succeeded with no Central Server listening")
+	}
+	l, err = net.Listen("tcp", addr) // ...and a fresh one comes back
+	if err != nil {
+		t.Fatalf("rebind %s: %v", addr, err)
+	}
+	serve(l)
+	if _, err := cl.ListServers(nil); err != nil {
+		t.Fatalf("directory read after the restart: %v (breaker %v)", err, cl.Breakers.State(addr))
 	}
 }
 

@@ -85,9 +85,6 @@ type Options struct {
 	// in-process equivalent of each daemon's -metrics-addr flag); read
 	// the addresses back with MetricsAddr.
 	Metrics bool
-	// MaxInflight is the Central Server's admission-control budget (the
-	// in-process -max-inflight; zero = admission off).
-	MaxInflight int
 	// BreakerThreshold/BreakerCooldown configure circuit breakers on
 	// every client's bid fan-out (zero threshold = breakers off).
 	BreakerThreshold float64
@@ -408,7 +405,6 @@ func (g *Grid) newCentralAt(stateSub string, ring *shard.Ring, selfAddr string) 
 		fs.PollTimeout = g.opts.RPCTimeout
 		fs.RPCTimeout = g.opts.RPCTimeout
 	}
-	fs.MaxInflight = g.opts.MaxInflight
 	fs.DefaultMechanism = g.opts.Mechanism
 	if ring != nil {
 		fs.Ring = ring

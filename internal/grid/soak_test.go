@@ -109,7 +109,6 @@ func TestChaosSoakSickMinority(t *testing.T) {
 		SettleRetry:      25 * time.Millisecond,
 		BreakerThreshold: 2,
 		BreakerCooldown:  time.Minute, // stays open through the measured phase
-		MaxInflight:      256,
 	}
 
 	// Phase 1: all-healthy baseline.

@@ -499,7 +499,10 @@ func (g *gridRun) migrateSweep(now float64) {
 			if !target.sched.Submit(now, j) {
 				continue
 			}
-			origin.sched.Evict(now, j.ID)
+			if !origin.sched.Evict(now, j.ID) {
+				panic(fmt.Sprintf("gridsim: %s admitted on %s but not evicted from %s: it would run twice",
+					j.ID, target.name, origin.name))
+			}
 			// Transfer the outstanding-work accounting; the award goes with
 			// the job.
 			origin.outstanding -= j.Contract.Work

@@ -11,58 +11,6 @@ import (
 	"faucets/internal/health"
 )
 
-func TestMarkOverloadedClassification(t *testing.T) {
-	base := errors.New("central: auction shed")
-	err := MarkOverloaded(base)
-	if !IsOverloaded(err) {
-		t.Fatal("MarkOverloaded not classified by IsOverloaded")
-	}
-	if !IsRetryable(err) {
-		t.Fatal("OVERLOADED must always be retryable")
-	}
-	if !errors.Is(err, base) {
-		t.Fatal("MarkOverloaded must wrap the cause")
-	}
-	if MarkOverloaded(nil) != nil {
-		t.Fatal("MarkOverloaded(nil) must stay nil")
-	}
-	if IsOverloaded(errors.New("plain")) || IsOverloaded(nil) {
-		t.Fatal("false positives")
-	}
-}
-
-// The OVERLOADED classification must survive a trip through the wire's
-// ErrorBody — the receiving side only sees a RemoteError.
-func TestOverloadedSurvivesWire(t *testing.T) {
-	client, server := net.Pipe()
-	defer client.Close()
-	defer server.Close()
-	go func() {
-		f, err := ReadFrame(server)
-		if err != nil || f.Type != TypePollReq {
-			return
-		}
-		rc := NewReplyConn(server)
-		rc.SetID(f.ID)
-		_ = WriteErrorFrom(rc, MarkOverloaded(errors.New("central: shed")))
-	}()
-	var reply PollOK
-	err := CallTimeout(client, time.Second, TypePollReq, PollReq{}, TypePollOK, &reply)
-	if err == nil {
-		t.Fatal("expected remote error")
-	}
-	var remote *RemoteError
-	if !errors.As(err, &remote) {
-		t.Fatalf("err = %v, want RemoteError", err)
-	}
-	if !IsOverloaded(err) {
-		t.Fatalf("overload classification lost over the wire: %v", err)
-	}
-	if !IsRetryable(err) {
-		t.Fatalf("retryable mark lost over the wire: %v", err)
-	}
-}
-
 // An OPEN breaker must fail calls immediately — no dial, no timeout.
 func TestPoolBreakerOpensAndFailsFast(t *testing.T) {
 	// A listener that is closed right away: dials fail with refused.

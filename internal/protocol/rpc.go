@@ -92,47 +92,10 @@ func IsRetryable(err error) bool {
 	return errors.As(err, &remote) && remote.Retryable
 }
 
-// overloadedPrefix tags a shed request on the wire. The typed
-// OVERLOADED refusal rides inside ErrorBody.Message rather than a new
-// field, so the hand-rolled binary ErrorBody layout stays two fields
-// and a caller that does not classify it still sees a retryable remote
-// error.
-const overloadedPrefix = "OVERLOADED: "
-
-// overloadedMark wraps a refusal caused by load shedding (admission
-// control, deadline-unmeetable rejection). It prefixes the message so
-// the classification survives the wire.
-type overloadedMark struct{ err error }
-
-func (m *overloadedMark) Error() string { return overloadedPrefix + m.err.Error() }
-func (m *overloadedMark) Unwrap() error { return m.err }
-
-// MarkOverloaded marks err as an overload shed: the refusal is typed
-// OVERLOADED on the wire and is always retryable — the same request is
-// expected to succeed once pressure drops. Nil stays nil.
-func MarkOverloaded(err error) error {
-	if err == nil {
-		return nil
-	}
-	return MarkRetryable(&overloadedMark{err: err})
-}
-
-// IsOverloaded reports whether err is a shed-by-overload refusal,
-// either locally marked (MarkOverloaded) or received over the wire as
-// a RemoteError carrying the OVERLOADED prefix.
-func IsOverloaded(err error) bool {
-	var m *overloadedMark
-	if errors.As(err, &m) {
-		return true
-	}
-	var remote *RemoteError
-	return errors.As(err, &remote) && strings.HasPrefix(remote.Message, overloadedPrefix)
-}
-
 // notOwnerPrefix tags a request that reached the wrong shard of a
-// sharded Central Server mesh. Like OVERLOADED, the classification
-// rides inside ErrorBody.Message — "NOT_OWNER <addr>: <cause>" — so the
-// binary ErrorBody layout is unchanged. The embedded address is the
+// sharded Central Server mesh. The classification rides inside
+// ErrorBody.Message — "NOT_OWNER <addr>: <cause>" — so the binary
+// ErrorBody layout is unchanged. The embedded address is the
 // owning shard, letting clients refresh their shard map and redirect.
 const notOwnerPrefix = "NOT_OWNER "
 

@@ -239,19 +239,17 @@ func TestErrConnDoneEndsConnectionWithoutErrorFrame(t *testing.T) {
 }
 
 // TestErrorFrameKeepsMarks: the error frame written for a handler's
-// error carries each of rpc.go's three marks across the wire.
+// error carries each of rpc.go's two marks across the wire.
 func TestErrorFrameKeepsMarks(t *testing.T) {
 	cause := errors.New("cause")
 	cases := []struct {
-		name       string
-		err        error
-		retryable  bool
-		overloaded bool
-		owner      string
+		name      string
+		err       error
+		retryable bool
+		owner     string
 	}{
 		{name: "plain", err: cause},
 		{name: "retryable", err: MarkRetryable(cause), retryable: true},
-		{name: "overloaded", err: MarkOverloaded(cause), retryable: true, overloaded: true},
 		{name: "not owner", err: MarkNotOwner(cause, "10.0.0.2:9100"), owner: "10.0.0.2:9100"},
 	}
 	next := 0
@@ -272,8 +270,8 @@ func TestErrorFrameKeepsMarks(t *testing.T) {
 			t.Fatalf("%s: err = %v, want a RemoteError", tc.name, err)
 		}
 		owner, redirected := NotOwnerAddr(err)
-		if remote.Retryable != tc.retryable || IsOverloaded(err) != tc.overloaded || owner != tc.owner || redirected != (tc.owner != "") {
-			t.Fatalf("%s: retryable=%v overloaded=%v owner=%q (%q)", tc.name, remote.Retryable, IsOverloaded(err), owner, remote.Message)
+		if remote.Retryable != tc.retryable || owner != tc.owner || redirected != (tc.owner != "") {
+			t.Fatalf("%s: retryable=%v owner=%q (%q)", tc.name, remote.Retryable, owner, remote.Message)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"faucets/internal/client"
 	"faucets/internal/grid"
 	"faucets/internal/market"
-	"faucets/internal/protocol"
 	"faucets/internal/telemetry"
 	"faucets/internal/workload"
 )
@@ -25,8 +24,8 @@ import (
 // how many earlier jobs have completed, committed, or even answered.
 // A closed-loop harness — submit, wait, submit — self-throttles
 // exactly when the grid degrades, hiding the overload it was supposed
-// to measure; an open-loop one keeps the offered load fixed so shed
-// counts, breaker trips, and latency tails mean what they say. The
+// to measure; an open-loop one keeps the offered load fixed so
+// breaker trips and latency tails mean what they say. The
 // report's OpenLoop block records how faithfully the schedule was held.
 //
 // The trace is the same one RunSim replays (same seed ⇒ same jobs), so
@@ -90,7 +89,6 @@ func RunGridWithHooks(s *Spec, hooks GridHooks) (*ScenarioReport, error) {
 		RPCTimeout:       msOr(s.Grid.RPCTimeoutMs, 500),
 		BidTimeout:       msOr(s.Grid.BidTimeoutMs, 0),
 		SettleRetry:      msOr(s.Grid.SettleRetryMs, 25),
-		MaxInflight:      s.Grid.MaxInflight,
 		BreakerThreshold: s.Grid.BreakerThreshold,
 		BreakerCooldown:  msOr(s.Grid.BreakerCooldownMs, 0),
 		Mechanism:        s.Mechanism,
@@ -176,7 +174,6 @@ func RunGridWithHooks(s *Spec, hooks GridHooks) (*ScenarioReport, error) {
 		dispatch time.Time // wall instant Place was issued
 		finish   time.Time // wall instant a status poll first read "finished"; zero = never
 		ttcMs    float64
-		shed     bool
 		rejected bool
 	}
 	var (
@@ -219,11 +216,7 @@ func RunGridWithHooks(s *Spec, hooks GridHooks) (*ScenarioReport, error) {
 			p, err := cl.Place(it.Contract, market.LeastCost{})
 			o.ttcMs = time.Since(o.dispatch).Seconds() * 1000
 			if err != nil {
-				if protocol.IsOverloaded(err) {
-					o.shed = true
-				} else {
-					o.rejected = true
-				}
+				o.rejected = true
 			} else if err := cl.Start(p); err != nil {
 				o.rejected = true
 			} else if o.finish, err = watchFinish(watcher, p, drained); err != nil {
@@ -282,8 +275,6 @@ func RunGridWithHooks(s *Spec, hooks GridHooks) (*ScenarioReport, error) {
 	var ttc, resp, lag []float64
 	for _, o := range outs {
 		switch {
-		case o.shed:
-			r.Shed++
 		case o.rejected:
 			r.Rejected++
 		default:
@@ -359,8 +350,6 @@ func RunGridWithHooks(s *Spec, hooks GridHooks) (*ScenarioReport, error) {
 			continue
 		}
 		text := central.String()
-		scrape(r.Counters, text, "central.shed.inflight", `faucets_central_shed_total{reason="inflight"}`)
-		scrape(r.Counters, text, "central.shed.deadline", `faucets_central_shed_total{reason="deadline"}`)
 		scrape(r.Counters, text, "central.jobs_settled", "faucets_central_jobs_settled_total")
 		scrape(r.Counters, text, "central.gossip_sent", "faucets_central_gossip_sent_total")
 		scrape(r.Counters, text, "central.forwarded_settles", "faucets_central_forwarded_settles_total")

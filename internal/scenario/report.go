@@ -30,15 +30,18 @@ type ScenarioReport struct {
 
 	// Arrival accounting. Submitted counts jobs the driver actually
 	// offered to the market (== Jobs unless the run was cut short);
-	// Placed/Rejected/Shed partition their fates at admission, and
+	// Placed/Rejected partition their fates at admission, and
 	// Finished/Settled count completions and paid-out contracts.
 	Jobs      int `json:"jobs"`
 	Submitted int `json:"submitted"`
 	Placed    int `json:"placed"`
 	Rejected  int `json:"rejected"`
-	Shed      int `json:"shed"`
-	Finished  int `json:"finished"`
-	Settled   int `json:"settled"`
+	// Shed is always 0: the Central Server has no admission control.
+	// It stays only because the frozen bench/simsweep.go reads it;
+	// ROADMAP item 7 deletes it.
+	Shed     int `json:"shed"`
+	Finished int `json:"finished"`
+	Settled  int `json:"settled"`
 
 	// TTC is time-to-contract: submission to a committed bid.
 	TTC Quantiles `json:"ttc"`
@@ -60,7 +63,7 @@ type ScenarioReport struct {
 	UtilizationPerServer map[string]float64 `json:"utilization_per_server,omitempty"`
 
 	// Counters carries the overload-protection tallies scraped from
-	// internal/telemetry (shed/breaker/outbox and friends); gridsim
+	// internal/telemetry (breaker/outbox and friends); gridsim
 	// runs fill the subset the simulator models.
 	Counters map[string]float64 `json:"counters,omitempty"`
 

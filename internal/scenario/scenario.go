@@ -222,7 +222,6 @@ type GridTuning struct {
 	RPCTimeoutMs      float64 `json:"rpc_timeout_ms,omitempty"`
 	BidTimeoutMs      float64 `json:"bid_timeout_ms,omitempty"`
 	SettleRetryMs     float64 `json:"settle_retry_ms,omitempty"`
-	MaxInflight       int     `json:"max_inflight,omitempty"`
 	BreakerThreshold  float64 `json:"breaker_threshold,omitempty"`
 	BreakerCooldownMs float64 `json:"breaker_cooldown_ms,omitempty"`
 	// GossipIntervalMs is the shard digest pull cadence (with

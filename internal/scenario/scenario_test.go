@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -255,13 +256,19 @@ func TestPerProcessJobOverride(t *testing.T) {
 }
 
 func TestLoadRejectsUnknownFields(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/bad.json"
-	blob := []byte(`{"name":"x","seed":1,"duration":10,"topology":{"count":1},"traffic":[{"kind":"poisson","rate":1}],"typo_field":true}`)
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); err == nil {
-		t.Fatal("Load accepted a spec with an unknown field")
+	const base = `{"name":"x","seed":1,"duration":10,"topology":{"count":1},"traffic":[{"kind":"poisson","rate":1}]`
+	for _, tc := range []struct{ field, blob string }{
+		{"typo_field", base + `,"typo_field":true}`},
+		// The Central Server has no admission control: a spec that still
+		// sets its budget must fail by name, not run without it.
+		{"max_inflight", base + `,"grid":{"max_inflight":256}}`},
+	} {
+		path := t.TempDir() + "/bad.json"
+		if err := os.WriteFile(path, []byte(tc.blob), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Fatalf("Load of a spec with %q = %v, want an error naming it", tc.field, err)
+		}
 	}
 }

@@ -253,7 +253,7 @@ func (e *Equipartition) Kill(now float64, id job.ID) bool {
 }
 
 // Evict implements Scheduler.
-func (e *Equipartition) Evict(now float64, id job.ID) *job.Job {
+func (e *Equipartition) Evict(now float64, id job.ID) bool {
 	e.kept.fresh = false
 	return e.cluster.Evict(now, id)
 }

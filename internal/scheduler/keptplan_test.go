@@ -74,7 +74,7 @@ func TestKeptPlanFollowsEveryStateChange(t *testing.T) {
 		{"submit q", 10, false, func(now float64) { s.Submit(now, mk("q", 6, 6, 600)) }},
 		{"advance past a's boundary", 101, true, func(now float64) { s.Advance(now) }},
 		{"evict q", 101, true, func(now float64) {
-			if s.Evict(now, "q") == nil {
+			if !s.Evict(now, "q") {
 				t.Fatal("q is not waiting")
 			}
 		}},

@@ -349,14 +349,14 @@ func (r *refEquipartition) Kill(now float64, id job.ID) bool {
 	return false
 }
 
-func (r *refEquipartition) Evict(id job.ID) *job.Job {
+func (r *refEquipartition) Evict(id job.ID) bool {
 	for i, q := range r.queue {
 		if q.ID == id {
 			r.queue = append(r.queue[:i], r.queue[i+1:]...)
-			return q
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 func (r *refEquipartition) EstimateCompletion(now float64, c *qos.Contract) (float64, bool) {
@@ -421,7 +421,7 @@ func TestEquipartitionMatchesNaiveReference(t *testing.T) {
 					t.Fatalf("%s: Kill %v, reference %v", at, g, w)
 				}
 			case 'e':
-				if g, w := got.Evict(o.now, o.id), want.Evict(o.id); (g == nil) != (w == nil) {
+				if g, w := got.Evict(o.now, o.id), want.Evict(o.id); g != w {
 					t.Fatalf("%s: Evict %v, reference %v", at, g, w)
 				}
 			}

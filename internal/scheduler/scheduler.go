@@ -78,9 +78,9 @@ type Scheduler interface {
 	Waiting() []*job.Job
 	// Evict withdraws a waiting (non-running) job from this scheduler so
 	// the grid can restart it elsewhere — the §4.1 migration to a
-	// "subcontracted" Compute Server. It returns nil when the job is not
-	// waiting here.
-	Evict(now float64, id job.ID) *job.Job
+	// "subcontracted" Compute Server. It reports false when the job is
+	// not waiting here.
+	Evict(now float64, id job.ID) bool
 }
 
 // Factory builds a Scheduler for one machine.
@@ -345,14 +345,14 @@ func (c *cluster) Waiting() []*job.Job {
 
 // Evict implements the shared part of Scheduler.Evict: withdraw a
 // waiting job. Running jobs cannot be evicted (checkpoint them first).
-func (c *cluster) Evict(now float64, id job.ID) *job.Job {
+func (c *cluster) Evict(now float64, id job.ID) bool {
 	for i, q := range c.queue {
 		if q.ID == id {
 			c.queue = append(c.queue[:i], c.queue[i+1:]...)
-			return q
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 // killCore terminates a running or queued job and frees its resources.

@@ -105,19 +105,21 @@ func E2ExternalFragmentation(seed uint64) *Table {
 	for u := 0; u < 7; u++ {
 		access[fmt.Sprintf("user-%d", u)] = []string{"s1"}
 	}
-	locked := runSim(gridsim.Config{Servers: servers, Access: access}, trace)
-	open := runSim(gridsim.Config{Servers: servers}, trace)
-	for label, res := range map[string]*gridsim.Result{"locked-to-one": locked, "open-market": open} {
-		t.Rows = append(t.Rows, Row{Label: label, Cols: []Col{
-			V("mean_resp_s", meanResp(res)),
-			V("p95_resp_s", res.Metrics.S("response_time").Percentile(95)),
-			V("rejected", float64(res.Rejected)),
-			V("util_s1", res.Utilization["s1"]),
-			V("util_s2", res.Utilization["s2"]),
-			V("util_s3", res.Utilization["s3"]),
-		}})
+	for _, c := range []struct {
+		label  string
+		access map[string][]string
+	}{{"locked-to-one", access}, {"open-market", nil}} {
+		runSim(gridsim.Config{Servers: servers, Access: c.access}, trace, func(res *gridsim.Result) {
+			t.Rows = append(t.Rows, Row{Label: c.label, Cols: []Col{
+				V("mean_resp_s", meanResp(res)),
+				V("p95_resp_s", res.Metrics.S("response_time").Percentile(95)),
+				V("rejected", float64(res.Rejected)),
+				V("util_s1", res.Utilization["s1"]),
+				V("util_s2", res.Utilization["s2"]),
+				V("util_s3", res.Utilization["s3"]),
+			}})
+		})
 	}
-	orderRows(t, []string{"locked-to-one", "open-market"})
 	return t
 }
 
@@ -139,18 +141,19 @@ func E3AdaptiveVsRigid(seed uint64) *Table {
 			spec.MinWork = 100
 			spec.MaxWork = 3000
 			trace := mustTrace(spec)
-			res := runSim(gridsim.Config{
+			runSim(gridsim.Config{
 				Servers: []gridsim.ServerConfig{{Spec: refSpec("m", 64), NewScheduler: strategy(name)}},
-			}, trace)
-			t.Rows = append(t.Rows, Row{
-				Label: fmt.Sprintf("%s gap=%gs", name, gap),
-				Cols: []Col{
-					V("offered_load", trace.OfferedLoad(64)),
-					V("mean_resp_s", meanResp(res)),
-					V("p95_resp_s", res.Metrics.S("response_time").Percentile(95)),
-					V("utilization", res.Utilization["m"]),
-					V("rejected", float64(res.Rejected)),
-				},
+			}, trace, func(res *gridsim.Result) {
+				t.Rows = append(t.Rows, Row{
+					Label: fmt.Sprintf("%s gap=%gs", name, gap),
+					Cols: []Col{
+						V("offered_load", trace.OfferedLoad(64)),
+						V("mean_resp_s", meanResp(res)),
+						V("p95_resp_s", res.Metrics.S("response_time").Percentile(95)),
+						V("utilization", res.Utilization["m"]),
+						V("rejected", float64(res.Rejected)),
+					},
+				})
 			})
 		}
 	}
@@ -163,16 +166,17 @@ func E3AdaptiveVsRigid(seed uint64) *Table {
 	abSpec.MaxWork = 3000
 	abTrace := mustTrace(abSpec)
 	for _, lat := range []float64{0, 15, 60, 300} {
-		res := runSim(gridsim.Config{
+		runSim(gridsim.Config{
 			Servers:  []gridsim.ServerConfig{{Spec: refSpec("m", 64), NewScheduler: strategy("equipartition")}},
 			SchedCfg: scheduler.Config{ReconfigLatency: lat},
-		}, abTrace)
-		t.Rows = append(t.Rows, Row{
-			Label: fmt.Sprintf("equi ablation latency=%gs", lat),
-			Cols: []Col{
-				V("mean_resp_s", meanResp(res)),
-				V("utilization", res.Utilization["m"]),
-			},
+		}, abTrace, func(res *gridsim.Result) {
+			t.Rows = append(t.Rows, Row{
+				Label: fmt.Sprintf("equi ablation latency=%gs", lat),
+				Cols: []Col{
+					V("mean_resp_s", meanResp(res)),
+					V("utilization", res.Utilization["m"]),
+				},
+			})
 		})
 	}
 	return t

@@ -28,21 +28,22 @@ func E4BidStrategies(seed uint64) *Table {
 	trace := mustTrace(spec)
 
 	utilization := func() bidding.Generator { return bidding.NewUtilization() }
-	mixed := runSim(gridsim.Config{Servers: append(
+	runSim(gridsim.Config{Servers: append(
 		fleet(24, nil, "base-1", "base-2"), fleet(24, utilization, "util-1", "util-2")...,
-	)}, trace)
-	baseRev := totalRevenue(mixed, "base-1", "base-2")
-	utilRev := totalRevenue(mixed, "util-1", "util-2")
-	baseUtil := (mixed.Utilization["base-1"] + mixed.Utilization["base-2"]) / 2
-	utilUtil := (mixed.Utilization["util-1"] + mixed.Utilization["util-2"]) / 2
-	t.Rows = append(t.Rows,
-		Row{Label: "mixed: baseline pair", Cols: []Col{
-			V("revenue", baseRev), V("utilization", baseUtil),
-		}},
-		Row{Label: "mixed: utilization pair", Cols: []Col{
-			V("revenue", utilRev), V("utilization", utilUtil),
-		}},
-	)
+	)}, trace, func(mixed *gridsim.Result) {
+		baseRev := totalRevenue(mixed, "base-1", "base-2")
+		utilRev := totalRevenue(mixed, "util-1", "util-2")
+		baseUtil := (mixed.Utilization["base-1"] + mixed.Utilization["base-2"]) / 2
+		utilUtil := (mixed.Utilization["util-1"] + mixed.Utilization["util-2"]) / 2
+		t.Rows = append(t.Rows,
+			Row{Label: "mixed: baseline pair", Cols: []Col{
+				V("revenue", baseRev), V("utilization", baseUtil),
+			}},
+			Row{Label: "mixed: utilization pair", Cols: []Col{
+				V("revenue", utilRev), V("utilization", utilUtil),
+			}},
+		)
+	})
 
 	// Homogeneous control runs: the whole grid on one strategy.
 	for _, c := range []struct {
@@ -53,13 +54,14 @@ func E4BidStrategies(seed uint64) *Table {
 		{"all-utilization", utilization},
 		{"all-history", func() bidding.Generator { return bidding.NewHistory(nil) }},
 	} {
-		res := runSim(gridsim.Config{Servers: fleet(24, c.gen, "s1", "s2", "s3", "s4")}, trace)
-		t.Rows = append(t.Rows, Row{Label: c.label, Cols: []Col{
-			V("revenue", totalRevenue(res)),
-			V("mean_multiplier", res.Metrics.S("bid_multiplier").Mean()),
-			V("mean_resp_s", meanResp(res)),
-			V("rejected", float64(res.Rejected)),
-		}})
+		runSim(gridsim.Config{Servers: fleet(24, c.gen, "s1", "s2", "s3", "s4")}, trace, func(res *gridsim.Result) {
+			t.Rows = append(t.Rows, Row{Label: c.label, Cols: []Col{
+				V("revenue", totalRevenue(res)),
+				V("mean_multiplier", res.Metrics.S("bid_multiplier").Mean()),
+				V("mean_resp_s", meanResp(res)),
+				V("rejected", float64(res.Rejected)),
+			}})
+		})
 	}
 
 	// Ablation: risk parameters (α discount, β premium).
@@ -69,13 +71,14 @@ func E4BidStrategies(seed uint64) *Table {
 		gen := func() bidding.Generator {
 			return &bidding.Utilization{K: 1, Alpha: ab.alpha, Beta: ab.beta}
 		}
-		res := runSim(gridsim.Config{Servers: fleet(24, gen, "s1", "s2", "s3", "s4")}, trace)
-		t.Rows = append(t.Rows, Row{
-			Label: fmt.Sprintf("ablation a=%.1f b=%.1f", ab.alpha, ab.beta),
-			Cols: []Col{
-				V("revenue", totalRevenue(res)),
-				V("mean_multiplier", res.Metrics.S("bid_multiplier").Mean()),
-			},
+		runSim(gridsim.Config{Servers: fleet(24, gen, "s1", "s2", "s3", "s4")}, trace, func(res *gridsim.Result) {
+			t.Rows = append(t.Rows, Row{
+				Label: fmt.Sprintf("ablation a=%.1f b=%.1f", ab.alpha, ab.beta),
+				Cols: []Col{
+					V("revenue", totalRevenue(res)),
+					V("mean_multiplier", res.Metrics.S("bid_multiplier").Mean()),
+				},
+			})
 		})
 	}
 	return t
@@ -112,17 +115,18 @@ func E5PayoffAdmission(seed uint64) *Table {
 		{"profit lookahead=3600s", strategy("profit"), scheduler.Config{Lookahead: 3600}},
 	}
 	for _, c := range cases {
-		res := runSim(gridsim.Config{
+		runSim(gridsim.Config{
 			Servers:  []gridsim.ServerConfig{{Spec: refSpec("m", 64), NewScheduler: c.factory}},
 			SchedCfg: c.schedCfg,
-		}, trace)
-		t.Rows = append(t.Rows, Row{Label: c.label, Cols: []Col{
-			V("total_payoff", res.Metrics.S("payoff").Sum()),
-			V("met", float64(res.Metrics.C("deadline.met").Value())),
-			V("missed", float64(res.Metrics.C("deadline.missed").Value())),
-			V("rejected", float64(res.Rejected)),
-			V("utilization", res.Utilization["m"]),
-		}})
+		}, trace, func(res *gridsim.Result) {
+			t.Rows = append(t.Rows, Row{Label: c.label, Cols: []Col{
+				V("total_payoff", res.Metrics.S("payoff").Sum()),
+				V("met", float64(res.Metrics.C("deadline.met").Value())),
+				V("missed", float64(res.Metrics.C("deadline.missed").Value())),
+				V("rejected", float64(res.Rejected)),
+				V("utilization", res.Utilization["m"]),
+			}})
+		})
 	}
 	return t
 }
@@ -152,30 +156,29 @@ func E6Bartering(seed uint64) *Table {
 	for u := range homeOf {
 		lockedAccess[u] = []string{"overloaded"}
 	}
-	noShare := runSim(gridsim.Config{
+	runSim(gridsim.Config{
 		Servers: servers, Mode: accounting.Barter, HomeOf: homeOf, Access: lockedAccess,
-	}, trace)
-	shared := runSim(gridsim.Config{
-		Servers: servers, Mode: accounting.Barter, HomeOf: homeOf, HomeFirst: true,
-		InitialCredits: map[string]float64{"overloaded": 1e6},
-	}, trace)
-
-	t.Rows = append(t.Rows,
-		Row{Label: "no-sharing", Cols: []Col{
+	}, trace, func(noShare *gridsim.Result) {
+		t.Rows = append(t.Rows, Row{Label: "no-sharing", Cols: []Col{
 			V("mean_resp_s", meanResp(noShare)),
 			V("rejected", float64(noShare.Rejected)),
 			V("home_util", noShare.Utilization["overloaded"]),
 			V("helper_util", (noShare.Utilization["helper-1"]+noShare.Utilization["helper-2"])/2),
-		}},
-		Row{Label: "bartering", Cols: []Col{
+		}})
+	})
+	runSim(gridsim.Config{
+		Servers: servers, Mode: accounting.Barter, HomeOf: homeOf, HomeFirst: true,
+		InitialCredits: map[string]float64{"overloaded": 1e6},
+	}, trace, func(shared *gridsim.Result) {
+		t.Rows = append(t.Rows, Row{Label: "bartering", Cols: []Col{
 			V("mean_resp_s", meanResp(shared)),
 			V("rejected", float64(shared.Rejected)),
 			V("home_util", shared.Utilization["overloaded"]),
 			V("helper_util", (shared.Utilization["helper-1"]+shared.Utilization["helper-2"])/2),
 			V("helper_credits", shared.Credits["helper-1"]+shared.Credits["helper-2"]),
 			V("home_credits_spent", 1e6-shared.Credits["overloaded"]),
-		}},
-	)
+		}})
+	})
 	return t
 }
 
@@ -206,17 +209,18 @@ func E7BidScalability(seed uint64) *Table {
 			servers = append(servers, gridsim.ServerConfig{Spec: refSpec(fmt.Sprintf("s%03d", i), pe)})
 		}
 		for _, filtered := range []bool{false, true} {
-			res := runSim(gridsim.Config{Servers: servers, FilterFeasible: filtered}, trace)
 			label := fmt.Sprintf("n=%d broadcast", n)
 			if filtered {
 				label = fmt.Sprintf("n=%d filtered", n)
 			}
-			t.Rows = append(t.Rows, Row{Label: label, Cols: []Col{
-				V("bid_messages", float64(res.Metrics.C("messages.bid_req").Value())),
-				V("msgs_per_job", float64(res.Metrics.C("messages.bid_req").Value())/100),
-				V("screened", float64(res.Metrics.C("filter.screened").Value())),
-				V("placed", float64(res.Placed)),
-			}})
+			runSim(gridsim.Config{Servers: servers, FilterFeasible: filtered}, trace, func(res *gridsim.Result) {
+				t.Rows = append(t.Rows, Row{Label: label, Cols: []Col{
+					V("bid_messages", float64(res.Metrics.C("messages.bid_req").Value())),
+					V("msgs_per_job", float64(res.Metrics.C("messages.bid_req").Value())/100),
+					V("screened", float64(res.Metrics.C("filter.screened").Value())),
+					V("placed", float64(res.Placed)),
+				}})
+			})
 		}
 	}
 	return t
@@ -257,21 +261,18 @@ func E8TwoPhaseCommit(seed uint64) *Table {
 	}
 	// All 60 solicitations land inside the one-second commit window, so
 	// every client holds bids computed from the same (idle) snapshot.
-	two := runSim(gridsim.Config{Servers: mkServers(), CommitDelay: 1.0}, trace)
-	one := runSim(gridsim.Config{Servers: mkServers(), CommitDelay: 1.0, SinglePhase: true}, trace)
-	t.Rows = append(t.Rows,
-		Row{Label: "two-phase", Cols: []Col{
-			V("placed", float64(two.Placed)),
-			V("rejected", float64(two.Rejected)),
-			V("commit_refused", float64(two.Metrics.C("commit.refused").Value()+two.Metrics.C("commit.declined").Value())),
-			V("mean_attempts", two.Metrics.S("award_attempts").Mean()),
-		}},
-		Row{Label: "single-phase", Cols: []Col{
-			V("placed", float64(one.Placed)),
-			V("rejected", float64(one.Rejected)),
-			V("commit_refused", float64(one.Metrics.C("commit.refused").Value()+one.Metrics.C("commit.declined").Value())),
-			V("mean_attempts", one.Metrics.S("award_attempts").Mean()),
-		}},
-	)
+	for _, c := range []struct {
+		label       string
+		singlePhase bool
+	}{{"two-phase", false}, {"single-phase", true}} {
+		runSim(gridsim.Config{Servers: mkServers(), CommitDelay: 1.0, SinglePhase: c.singlePhase}, trace, func(res *gridsim.Result) {
+			t.Rows = append(t.Rows, Row{Label: c.label, Cols: []Col{
+				V("placed", float64(res.Placed)),
+				V("rejected", float64(res.Rejected)),
+				V("commit_refused", float64(res.Metrics.C("commit.refused").Value()+res.Metrics.C("commit.declined").Value())),
+				V("mean_attempts", res.Metrics.S("award_attempts").Mean()),
+			}})
+		})
+	}
 	return t
 }

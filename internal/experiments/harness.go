@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"sync"
 
 	"faucets/internal/bidding"
 	"faucets/internal/gridsim"
@@ -40,15 +40,20 @@ func fleet(pe int, gen func() bidding.Generator, names ...string) []gridsim.Serv
 	return out
 }
 
-// runSim executes one simulation; a refused configuration is a bug in the
-// experiment.
-func runSim(cfg gridsim.Config, trace *workload.Trace) *gridsim.Result {
-	res, err := gridsim.Run(cfg, trace)
+// runSim executes one simulation and hands its result to read; a refused
+// configuration is a bug in the experiment. The runs share their per-job
+// storage through a pool, so the result is valid only inside read.
+func runSim(cfg gridsim.Config, trace *workload.Trace, read func(*gridsim.Result)) {
+	st := storages.Get().(*gridsim.Storage)
+	defer storages.Put(st)
+	res, err := st.Run(cfg, trace)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: run: %v", err))
 	}
-	return res
+	read(res)
 }
+
+var storages = sync.Pool{New: func() any { return new(gridsim.Storage) }}
 
 // meanResp is a run's mean response time in seconds.
 func meanResp(r *gridsim.Result) float64 { return r.Metrics.S("response_time").Mean() }
@@ -65,21 +70,4 @@ func totalRevenue(r *gridsim.Result, names ...string) float64 {
 		sum += r.Revenue[n]
 	}
 	return sum
-}
-
-// orderRows sorts a table's rows into the given label order (labels not
-// listed keep their relative position after the listed ones).
-func orderRows(t *Table, order []string) {
-	rank := map[string]int{}
-	for i, l := range order {
-		rank[l] = i
-	}
-	sort.SliceStable(t.Rows, func(i, j int) bool {
-		ri, iok := rank[t.Rows[i].Label]
-		rj, jok := rank[t.Rows[j].Label]
-		if iok && jok {
-			return ri < rj
-		}
-		return iok && !jok
-	})
 }

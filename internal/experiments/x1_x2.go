@@ -118,20 +118,18 @@ func X1Preemption(seed uint64) *Table {
 	servers := fleet(32, nil, "primary", "subcontract")
 	servers[0].Spec.CostRate, servers[1].Spec.CostRate = 0.001, 0.1
 	servers[0].NewScheduler, servers[1].NewScheduler = strategy("profit"), strategy("profit")
-	noMig := runSim(gridsim.Config{Servers: servers, SchedCfg: schedCfg}, trace)
-	mig := runSim(gridsim.Config{Servers: servers, SchedCfg: schedCfg, MigrateAfter: 60}, trace)
-	t.Rows = append(t.Rows,
-		Row{Label: "grid preempt no-migrate", Cols: []Col{
-			V("mean_resp_s", meanResp(noMig)),
-			V("migrations", float64(noMig.Metrics.C("migrations").Value())),
-			V("met", float64(noMig.Metrics.C("deadline.met").Value())),
-		}},
-		Row{Label: "grid preempt+migrate", Cols: []Col{
-			V("mean_resp_s", meanResp(mig)),
-			V("migrations", float64(mig.Metrics.C("migrations").Value())),
-			V("met", float64(mig.Metrics.C("deadline.met").Value())),
-		}},
-	)
+	for _, c := range []struct {
+		label   string
+		migrate float64
+	}{{"grid preempt no-migrate", 0}, {"grid preempt+migrate", 60}} {
+		runSim(gridsim.Config{Servers: servers, SchedCfg: schedCfg, MigrateAfter: c.migrate}, trace, func(res *gridsim.Result) {
+			t.Rows = append(t.Rows, Row{Label: c.label, Cols: []Col{
+				V("mean_resp_s", meanResp(res)),
+				V("migrations", float64(res.Metrics.C("migrations").Value())),
+				V("met", float64(res.Metrics.C("deadline.met").Value())),
+			}})
+		})
+	}
 	return t
 }
 
@@ -161,13 +159,14 @@ func X2GridWeather(seed uint64) *Table {
 		{"weather", func() bidding.Generator { return bidding.NewWeather(nil) }},
 	}
 	for _, c := range cases {
-		res := runSim(gridsim.Config{Servers: fleet(24, c.gen, "s1", "s2", "s3", "s4")}, trace)
-		t.Rows = append(t.Rows, Row{Label: c.label, Cols: []Col{
-			V("revenue", totalRevenue(res)),
-			V("mean_multiplier", res.Metrics.S("bid_multiplier").Mean()),
-			V("mean_resp_s", meanResp(res)),
-			V("placed", float64(res.Placed)),
-		}})
+		runSim(gridsim.Config{Servers: fleet(24, c.gen, "s1", "s2", "s3", "s4")}, trace, func(res *gridsim.Result) {
+			t.Rows = append(t.Rows, Row{Label: c.label, Cols: []Col{
+				V("revenue", totalRevenue(res)),
+				V("mean_multiplier", res.Metrics.S("bid_multiplier").Mean()),
+				V("mean_resp_s", meanResp(res)),
+				V("placed", float64(res.Placed)),
+			}})
+		})
 	}
 	return t
 }

@@ -13,23 +13,26 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
-// Reservation is one processor-time rectangle.
-type Reservation struct {
-	ID    int
-	Start float64
-	End   float64 // +Inf allowed for open-ended holds
-	PEs   int
+// step is one breakpoint of the chart: used processors are in use from
+// at until the next step's at.
+type step struct {
+	at   float64
+	used int
 }
 
-// Chart is a set of reservations against a fixed processor capacity.
+// Chart is a set of reservations against a fixed processor capacity,
+// kept as sorted steps: the first at -Inf, then every reservation's start
+// and end. The last step, where every reservation has ended, holds none.
 // The zero value is unusable; construct with NewChart.
 type Chart struct {
 	capacity int
 	nextID   int
-	res      map[int]Reservation
+	steps    []step
+	horizon  float64 // the latest finite reservation end; -Inf if none
 }
 
 // NewChart returns an empty chart over capacity processors.
@@ -37,7 +40,7 @@ func NewChart(capacity int) *Chart {
 	if capacity < 1 {
 		panic("gantt: capacity must be positive")
 	}
-	return &Chart{capacity: capacity, res: map[int]Reservation{}}
+	return &Chart{capacity: capacity, steps: []step{{at: math.Inf(-1)}}, horizon: math.Inf(-1)}
 }
 
 // Errors returned by Reserve.
@@ -49,90 +52,92 @@ var (
 
 // Reserve books pe processors over [start, end) and returns the
 // reservation id. It fails if any instant in the window would exceed
-// capacity.
+// capacity. A NaN bound is no interval, and neither is a start of +Inf.
 func (c *Chart) Reserve(start, end float64, pe int) (int, error) {
-	if end <= start {
+	if !(start < end) {
 		return 0, fmt.Errorf("%w: [%v,%v)", ErrBadInterval, start, end)
 	}
 	if pe < 1 || pe > c.capacity {
 		return 0, fmt.Errorf("%w: %d of %d", ErrBadPEs, pe, c.capacity)
 	}
-	if c.MinFree(start, end) < pe {
+	if c.minFree(start, end) < pe {
 		return 0, fmt.Errorf("%w: %d PEs in [%v,%v)", ErrOverflow, pe, start, end)
 	}
+	from, to := c.split(start), c.split(end)
+	for k := from; k < to; k++ {
+		c.steps[k].used += pe
+	}
+	if end > c.horizon && !math.IsInf(end, 1) {
+		c.horizon = end
+	}
 	c.nextID++
-	c.res[c.nextID] = Reservation{ID: c.nextID, Start: start, End: end, PEs: pe}
 	return c.nextID, nil
 }
 
-// UsedAt returns the processors reserved at instant t.
-func (c *Chart) UsedAt(t float64) int {
-	used := 0
-	for _, r := range c.res {
-		if r.Start <= t && t < r.End {
-			used += r.PEs
-		}
-	}
-	return used
+// holding returns the index of the step in force at t: the last one at
+// or before t. A NaN t is held by the last step, which holds none.
+func (c *Chart) holding(t float64) int {
+	return sort.Search(len(c.steps), func(k int) bool { return c.steps[k].at > t }) - 1
 }
 
-// FreeAt returns the processors free at instant t.
-func (c *Chart) FreeAt(t float64) int { return c.capacity - c.UsedAt(t) }
-
-// MinFree returns the minimum free processors over [start, end).
-// Availability only changes at reservation boundaries, so it suffices to
-// sample start and every boundary inside the window.
-func (c *Chart) MinFree(start, end float64) int {
-	min := c.FreeAt(start)
-	for _, r := range c.res {
-		for _, t := range [2]float64{r.Start, r.End} {
-			if t > start && t < end {
-				if f := c.FreeAt(t); f < min {
-					min = f
-				}
-			}
-		}
+// split makes t a step and returns its index.
+func (c *Chart) split(t float64) int {
+	k := c.holding(t)
+	if c.steps[k].at != t {
+		k++
+		c.steps = slices.Insert(c.steps, k, step{at: t, used: c.steps[k-1].used})
 	}
-	return min
+	return k
+}
+
+// minFree returns the minimum free processors over [start, end): those
+// free at start and at every step that begins inside the window.
+func (c *Chart) minFree(start, end float64) int {
+	k := c.holding(start)
+	used := c.steps[k].used
+	for k++; k < len(c.steps) && c.steps[k].at < end; k++ {
+		used = max(used, c.steps[k].used)
+	}
+	return c.capacity - used
 }
 
 // FindWindow returns the earliest start ≥ earliest at which pe
 // processors stay free for duration seconds, finishing no later than
 // deadline (deadline ≤ 0 means unbounded). ok is false when no such
 // window exists.
+//
+// It is one sweep: a step with too few processors free inside the
+// window moves the start to that step's end, the next instant at which
+// the window can fit.
 func (c *Chart) FindWindow(earliest, duration float64, pe int, deadline float64) (float64, bool) {
 	if pe < 1 || pe > c.capacity || duration <= 0 {
 		return 0, false
 	}
-	// Candidate starts: `earliest` plus every boundary after it, sorted.
-	cands := []float64{earliest}
-	for _, r := range c.res {
-		for _, t := range [2]float64{r.Start, r.End} {
-			if t > earliest && !math.IsInf(t, 1) {
-				cands = append(cands, t)
+	limit := c.capacity - pe // the most a window may find in use
+	start := earliest
+	for k := c.holding(start); ; {
+		if deadline > 0 && start+duration > deadline {
+			return 0, false // later starts only get worse
+		}
+		for c.steps[k].used <= limit {
+			if k++; k == len(c.steps) || !(c.steps[k].at < start+duration) {
+				return start, true
 			}
 		}
-	}
-	sort.Float64s(cands)
-	for _, start := range cands {
-		if deadline > 0 && start+duration > deadline {
-			return 0, false // later candidates only get worse
+		// Step k blocks the window, and the last step never does: the
+		// window tries again where step k ends.
+		if k++; math.IsInf(c.steps[k].at, 1) {
+			return 0, false
 		}
-		if c.MinFree(start, start+duration) >= pe {
-			return start, true
-		}
+		start = c.steps[k].at
 	}
-	return 0, false
 }
 
 // Horizon returns the latest finite reservation end (or `now` if none) —
 // the time after which the whole machine is free again.
 func (c *Chart) Horizon(now float64) float64 {
-	h := now
-	for _, r := range c.res {
-		if !math.IsInf(r.End, 1) && r.End > h {
-			h = r.End
-		}
+	if c.horizon > now {
+		return c.horizon
 	}
-	return h
+	return now
 }

@@ -9,16 +9,19 @@ import (
 	"faucets/internal/sim"
 )
 
+// freeAt is the processors free at instant t.
+func (c *Chart) freeAt(t float64) int { return c.minFree(t, t) }
+
 func TestReserveAndQuery(t *testing.T) {
 	c := NewChart(100)
 	_, err := c.Reserve(0, 10, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.UsedAt(5) != 60 || c.FreeAt(5) != 40 {
-		t.Fatalf("used=%d free=%d", c.UsedAt(5), c.FreeAt(5))
+	if c.freeAt(5) != 40 {
+		t.Fatalf("free=%d", c.freeAt(5))
 	}
-	if c.UsedAt(10) != 0 { // half-open interval
+	if c.freeAt(10) != 100 { // half-open interval
 		t.Fatal("reservation leaks past its end")
 	}
 }
@@ -33,6 +36,16 @@ func TestReserveValidation(t *testing.T) {
 	}
 	if _, err := c.Reserve(0, 1, 11); !errors.Is(err, ErrBadPEs) {
 		t.Fatalf("err=%v", err)
+	}
+	// A NaN bound, or a start of +Inf, books nothing any query would see.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, b := range [][2]float64{{nan, 10}, {0, nan}, {nan, nan}, {inf, inf}, {inf, nan}} {
+		if _, err := c.Reserve(b[0], b[1], 4); !errors.Is(err, ErrBadInterval) {
+			t.Fatalf("Reserve(%v, %v): err=%v", b[0], b[1], err)
+		}
+	}
+	if id, err := c.Reserve(0, 10, 10); id != 1 || err != nil {
+		t.Fatalf("first good reservation: id=%d err=%v, want id 1", id, err)
 	}
 }
 
@@ -55,10 +68,10 @@ func TestMinFreeAcrossBoundaries(t *testing.T) {
 	_, _ = c.Reserve(0, 5, 3)
 	_, _ = c.Reserve(3, 8, 4)
 	// Over [0,8): the worst instant is [3,5) with 7 used.
-	if got := c.MinFree(0, 8); got != 3 {
+	if got := c.minFree(0, 8); got != 3 {
 		t.Fatalf("MinFree=%d, want 3", got)
 	}
-	if got := c.MinFree(5, 8); got != 6 {
+	if got := c.minFree(5, 8); got != 6 {
 		t.Fatalf("MinFree(5,8)=%d, want 6", got)
 	}
 }
@@ -129,7 +142,7 @@ func TestOpenEndedReservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.FreeAt(1e12) != 6 {
+	if c.freeAt(1e12) != 6 {
 		t.Fatal("open-ended reservation not honored")
 	}
 	start, ok := c.FindWindow(0, 5, 6, 0)
@@ -168,14 +181,14 @@ func TestChartInvariantProperty(t *testing.T) {
 				pe := 1 + rng.Intn(64)
 				dur := rng.Range(1, 30)
 				if start, ok := c.FindWindow(rng.Range(0, 120), dur, pe, 0); ok {
-					if c.MinFree(start, start+dur) < pe {
+					if c.minFree(start, start+dur) < pe {
 						return false // window does not actually fit
 					}
 				}
 			}
 			// Capacity invariant at sampled instants.
 			for s := 0; s < 5; s++ {
-				if c.UsedAt(rng.Range(0, 160)) > 64 {
+				if c.freeAt(rng.Range(0, 160)) < 0 {
 					return false
 				}
 			}
@@ -206,7 +219,7 @@ func TestFindWindowEarliestProperty(t *testing.T) {
 		// Probe a handful of earlier instants: none may fit.
 		for i := 0; i < 20; i++ {
 			probe := rng.Range(0, start)
-			if probe < start && c.MinFree(probe, probe+dur) >= pe {
+			if probe < start && c.minFree(probe, probe+dur) >= pe {
 				// probe fits but is before the "earliest" — only legal
 				// if probe is not reachable from a boundary; earliest
 				// feasibility is defined over boundary candidates, so a

@@ -11,10 +11,10 @@ import (
 // under -race.
 
 // TestReplayFlashCrowdAllocs pins BenchmarkReplayFlashCrowd: a replay
-// allocates at most 4 000 times (2 696 on go1.24, under 1.6 a job). The
+// allocates at most 4 000 times (2 681 on go1.24, under 1.6 a job). The
 // replay before it left its per-job storage — trace, contracts, job
-// records, history, series — in RunSim's pool; allocating the contracts
-// or the job records afresh would add ≈1.7k.
+// records, history, series, award maps — in RunSim's pool; allocating
+// the contracts or the job records afresh would add ≈1.7k.
 func TestReplayFlashCrowdAllocs(t *testing.T) {
 	jobs := 0
 	if got := testing.AllocsPerRun(1, replayCase(t, &jobs)); got > 4000 {
@@ -23,8 +23,9 @@ func TestReplayFlashCrowdAllocs(t *testing.T) {
 }
 
 // TestReplayFlashCrowdBytes pins BenchmarkReplayFlashCrowd's B/op: a
-// replay after another allocates at most 400 000 B (113 232 B on
-// go1.24). A replay on fresh storage allocates ≈1.13 MB.
+// replay after another allocates at most 400 000 B (≈80 700 B on
+// go1.24; 113 232 B while each run grew fresh award maps). A replay on
+// fresh storage allocates ≈1.13 MB.
 func TestReplayFlashCrowdBytes(t *testing.T) {
 	// RunSim's pool hands storage back through the processor the last
 	// replay ran on; on one, as in AllocsPerRun, the handoff is certain.

@@ -29,7 +29,7 @@ func replayCase(tb testing.TB, jobs *int) func() {
 // bench's gridsim.replay_p50_ms probe and latency_p50_ms on sim-sweep,
 // and B/op ÷ jobs is its alloc_kb_per_job. Each replay reuses the
 // per-job storage of the one before it: on go1.24 a replay costs
-// 113 232 B/op and 2 696 allocs/op. TestReplayFlashCrowdAllocs holds
+// ≈80 700 B/op and 2 681 allocs/op. TestReplayFlashCrowdAllocs holds
 // allocs/op under 4 000: one more transient per job would add ≈1.7k.
 // TestReplayFlashCrowdBytes holds B/op under 400 000.
 func BenchmarkReplayFlashCrowd(b *testing.B) {

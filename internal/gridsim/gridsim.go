@@ -128,7 +128,8 @@ type serverEntity struct {
 	name   string
 	home   string
 	sched  scheduler.Scheduler
-	spec   machine.Spec // sched.Spec(), read once
+	est    bidding.Estimator // sched, converted once
+	spec   machine.Spec      // sched.Spec(), read once
 	bidder bidding.Generator
 
 	outstanding float64   // admitted-but-unfinished sequential work
@@ -204,7 +205,7 @@ func (s *serverEntity) ServerName() string { return s.name }
 func (s *serverEntity) RequestBid(now float64, c *qos.Contract) (bidding.Bid, bool) {
 	g := s.g
 	stat(&g.bidReq, g.metrics.C, "messages.bid_req").Inc()
-	st := bidding.StateFor(&s.spec, s.sched, now, c, s.outstanding)
+	st := bidding.StateFor(&s.spec, s.est, now, c, s.outstanding)
 	b, ok := bidding.Make(s.bidder, s.name, now, c, st, bidValidity)
 	if ok {
 		stat(&g.bidReply, g.metrics.C, "messages.bid_reply").Inc()
@@ -311,14 +312,17 @@ func (s *serverEntity) settle(now float64, j *job.Job) {
 }
 
 // Storage is the per-job storage of a run: one record per job, the
-// database with its contract history, and the metrics registry with its
-// per-job series. A run resets each, keeping its capacity, so a sweep of
-// replays through one Storage regrows none of them. The Result of a run
-// reads from the Storage: it is valid until the Storage's next run.
+// database with its contract history, the metrics registry with its
+// per-job series, and the maps of awards in flight. A run resets each,
+// keeping its capacity, so a sweep of replays through one Storage
+// regrows none of them. The Result of a run reads from the Storage: it
+// is valid until the Storage's next run.
 type Storage struct {
 	jobs    []job.Job
 	store   *db.DB
 	metrics *sim.Metrics
+	placing map[string]placement
+	awards  map[*job.Job]placement
 }
 
 // Run executes a trace against a grid configuration and returns the
@@ -347,9 +351,12 @@ func (st *Storage) run(cfg Config, trace *workload.Trace) (*Result, *gridRun, er
 	}
 	if st.store == nil {
 		st.store, st.metrics = db.New(), sim.NewMetrics()
+		st.placing, st.awards = map[string]placement{}, map[*job.Job]placement{}
 	} else {
 		st.store.Reset()
 		st.metrics.Reset()
+		clear(st.placing)
+		clear(st.awards)
 	}
 	store := st.store
 	g := &gridRun{
@@ -360,8 +367,8 @@ func (st *Storage) run(cfg Config, trace *workload.Trace) (*Result, *gridRun, er
 		metrics: st.metrics,
 		store:   store,
 		acct:    accounting.New(cfg.Mode, store),
-		placing: map[string]placement{},
-		awards:  map[*job.Job]placement{},
+		placing: st.placing,
+		awards:  st.awards,
 	}
 	for cluster, amount := range cfg.InitialCredits {
 		store.AddCredits(cluster, amount)
@@ -403,7 +410,7 @@ func (st *Storage) run(cfg Config, trace *workload.Trace) (*Result, *gridRun, er
 			bidder: bidder,
 			util:   g.metrics.L("util." + sc.Spec.Name),
 		}
-		ent.spec = ent.sched.Spec()
+		ent.est, ent.spec = ent.sched, ent.sched.Spec()
 		ent.completion = sim.Event{Name: "completion:" + sc.Spec.Name,
 			Fn: func(e *sim.Engine) { ent.onCompletion(float64(e.Now())) }}
 		ent.util.Set(0, 0)

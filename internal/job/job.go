@@ -88,6 +88,9 @@ type Job struct {
 	curPE int
 	// speed is the speed factor of the machine currently running the job.
 	speed float64
+	// flatRate is rate for a contract without phases: the contract's
+	// speedup on curPE times speed, set wherever curPE is.
+	flatRate float64
 	// cpuUsed accumulates processor-seconds actually consumed, for billing.
 	cpuUsed float64
 	// checkpoints counts checkpoint operations.
@@ -160,8 +163,7 @@ func (j *Job) Start(now float64, pe int, speed float64) error {
 		j.StartTime = now
 	}
 	j.state = Running
-	j.curPE = pe
-	j.speed = speed
+	j.curPE, j.speed, j.flatRate = pe, speed, j.Contract.Speedup(pe)*speed
 	j.lastUpdate = now
 	return nil
 }
@@ -171,10 +173,16 @@ func (j *Job) Start(now float64, pe int, speed float64) error {
 // contracts (§2.1): the active phase's efficiency curve governs, and
 // processors beyond the phase's MaxPE idle.
 func (j *Job) rate(done float64) float64 {
-	if _, ph, ok := j.Contract.PhaseAt(done); ok {
-		return ph.Speedup(j.curPE) * j.speed
+	if len(j.Contract.Phases) == 0 {
+		return j.flatRate
 	}
-	return j.Contract.Speedup(j.curPE) * j.speed
+	return j.phaseRate(done)
+}
+
+// phaseRate is rate for a multi-phase contract; apart, rate inlines.
+func (j *Job) phaseRate(done float64) float64 {
+	_, ph, _ := j.Contract.PhaseAt(done)
+	return ph.Speedup(j.curPE) * j.speed
 }
 
 // progressTo accrues work done between lastUpdate and now, integrating
@@ -226,7 +234,7 @@ func (j *Job) Reconfigure(now float64, pe int, reconfigLatency float64) error {
 	if pe == j.curPE {
 		return nil // no-op, no latency charged
 	}
-	j.curPE = pe
+	j.curPE, j.flatRate = pe, j.Contract.Speedup(pe)*j.speed
 	// The reconfiguration stall: progress resumes only after the latency.
 	j.lastUpdate = now + reconfigLatency
 	return nil
@@ -242,7 +250,7 @@ func (j *Job) Checkpoint(now float64) error {
 	}
 	j.progressTo(now)
 	j.state = Checkpointed
-	j.curPE = 0
+	j.curPE, j.flatRate = 0, 0
 	j.checkpoints++
 	return nil
 }
@@ -370,7 +378,7 @@ func (j *Job) AdvanceTo(now float64) bool {
 		j.progressTo(done)
 		j.state = Finished
 		j.FinishTime = done
-		j.curPE = 0
+		j.curPE, j.flatRate = 0, 0
 		return true
 	}
 	j.progressTo(now)
@@ -395,7 +403,7 @@ func (j *Job) Kill(now float64) error {
 	j.progressTo(now)
 	j.state = Killed
 	j.FinishTime = now
-	j.curPE = 0
+	j.curPE, j.flatRate = 0, 0
 	return nil
 }
 

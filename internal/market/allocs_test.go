@@ -12,11 +12,13 @@ import (
 // The race detector adds allocations of its own, so the pins stand down
 // under -race.
 
-// TestRankBidsAllocs pins BenchmarkRankBids/bids_12: ranking a round's
-// twelve replies allocates nothing.
+// TestRankBidsAllocs pins BenchmarkRankBids: ranking a round of up to 64
+// replies allocates nothing.
 func TestRankBidsAllocs(t *testing.T) {
-	if got := testing.AllocsPerRun(1000, rankCase(12)); got != 0 {
-		t.Errorf("rankBids over 12 bids: %v allocs, want 0", got)
+	for _, n := range []int{12, 64} {
+		if got := testing.AllocsPerRun(1000, rankCase(n)); got != 0 {
+			t.Errorf("rankBids over %d bids: %v allocs, want 0", n, got)
+		}
 	}
 }
 

@@ -156,7 +156,7 @@ func rankCase(n int) func() {
 
 // BenchmarkRankBids times rankCase: 12 is a gridsim flash-crowd round (a
 // live auction-wide one is 16), 64 a wide grid. TestRankBidsAllocs pins
-// bids_12 at 0 allocs/op.
+// both at 0 allocs/op.
 func BenchmarkRankBids(b *testing.B) {
 	for _, n := range []int{12, 64} {
 		b.Run(fmt.Sprintf("bids_%d", n), func(b *testing.B) {

@@ -23,9 +23,10 @@ type Payoff struct {
 	Penalty float64 `json:"penalty,omitempty"` // charged to the provider after Hard
 }
 
-// Zero reports whether the payoff function is unset.
+// Zero reports whether the payoff function is unset. It compares field
+// by field, not the whole struct, which would be a call.
 func (p Payoff) Zero() bool {
-	return p == Payoff{}
+	return p.Soft == 0 && p.Hard == 0 && p.AtSoft == 0 && p.AtHard == 0 && p.Penalty == 0
 }
 
 // Payoff validation errors.

@@ -1,9 +1,11 @@
 package scenario
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -138,6 +140,35 @@ func TestPoissonArrivalCount(t *testing.T) {
 	for i := 1; i < len(tr.Items); i++ {
 		if tr.Items[i].SubmitAt < tr.Items[i-1].SubmitAt {
 			t.Fatalf("trace not sorted at %d", i)
+		}
+	}
+}
+
+// TestArrivalMergeMatchesSort holds the merge of the processes' sorted
+// arrivals to the (t, proc, idx) sort it replaced, with every process
+// kind in one scenario and over seeds.
+func TestArrivalMergeMatchesSort(t *testing.T) {
+	s := tinySpec()
+	s.Duration = 2000
+	s.Traffic = []Process{
+		{Kind: "poisson", Rate: 0.2},
+		{Kind: "diurnal", Rate: 0.2, Amplitude: 0.5},
+		{Kind: "onoff", Rate: 0.5, On: 50, Off: 100},
+		{Kind: "flash", Rate: 2, At: 500, Width: 100},
+		{Kind: "adversarial", Every: 300, Burst: 10},
+	}
+	var b traceStore
+	for seed := uint64(1); seed <= 20; seed++ {
+		s.Seed = seed
+		if _, err := s.generateTrace(&b); err != nil {
+			t.Fatal(err)
+		}
+		want := slices.Clone(b.all)
+		slices.SortFunc(want, func(x, y arrival) int {
+			return cmp.Or(cmp.Compare(x.t, y.t), cmp.Compare(x.proc, y.proc), cmp.Compare(x.idx, y.idx))
+		})
+		if !slices.Equal(b.all, want) {
+			t.Fatalf("seed %d: merged arrivals differ from the sorted ones", seed)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -130,6 +129,7 @@ type traceStore struct {
 	contracts []qos.Contract
 	ids       []string
 	times     [][]float64
+	heads     []int
 	all       []arrival
 }
 
@@ -167,17 +167,20 @@ func (s *Spec) generateTrace(b *traceStore) (*workload.Trace, error) {
 		}
 		mixes[pi] = mix
 	}
-	all := slices.Grow(b.all[:0], total)
-	for pi, ts := range times {
-		for i, t := range ts {
-			all = append(all, arrival{t: t, proc: pi, idx: i})
+	// Each process's times ascend, so merging them, the lower process
+	// first on a tie, puts the arrivals in (t, proc, idx) order.
+	all, heads := slices.Grow(b.all[:0], total), append(b.heads[:0], make([]int, n)...)
+	for len(all) < total {
+		pi := -1
+		for q, ts := range times {
+			if heads[q] < len(ts) && (pi < 0 || ts[heads[q]] < times[pi][heads[pi]]) {
+				pi = q
+			}
 		}
+		all = append(all, arrival{t: times[pi][heads[pi]], proc: pi, idx: heads[pi]})
+		heads[pi]++
 	}
-	b.all = all
-	// (t, proc, idx) is unique per arrival: any sort gives this order.
-	slices.SortFunc(all, func(a, b arrival) int {
-		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.proc, b.proc), cmp.Compare(a.idx, b.idx))
-	})
+	b.all, b.heads = all, heads
 	for len(b.ids) < len(all) {
 		b.ids = append(b.ids, fmt.Sprintf("job-%06d", len(b.ids)))
 	}

@@ -54,10 +54,11 @@ func BenchmarkEstimateCompletion(b *testing.B) {
 // BenchmarkProfitEstimate times a profit bid on a 64-PE machine holding n
 // rigid 4-PE jobs: 16 run and the rest queue within the lookahead. A bid
 // is the admission verdict, so it plans the machine with and without the
-// probe, and each plan searches the Gantt chart once per queued job.
+// probe, and each plan searches the Gantt chart once per queued job. It
+// is the live bid cost of a profit daemon as its queue deepens.
 func BenchmarkProfitEstimate(b *testing.B) {
 	probe := &qos.Contract{App: "synth", MinPE: 2, MaxPE: 16, Work: 2000}
-	for _, n := range []int{10, 100} {
+	for _, n := range []int{10, 100, 1000} {
 		b.Run(fmt.Sprintf("jobs_%d", n), func(b *testing.B) {
 			s := NewProfit(spec(64), Config{Lookahead: 1e12})
 			for i := 0; i < n; i++ {

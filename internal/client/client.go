@@ -440,7 +440,10 @@ func bidFrom(reply *protocol.BidOK, err error) (bidding.Bid, bool) {
 		return bidding.Bid{}, false
 	}
 	b := reply.Bid
-	// Expiry is daemon-local; neutralize it for client-side comparison.
+	// ExpiresAt is on the daemon's clock, which the client does not
+	// share: zeroed, it ranks no bid and the commit carries none back.
+	// The daemon bounds the commitment itself, bidValidity from the
+	// moment it accepts the commit.
 	b.ExpiresAt = 0
 	return b, true
 }

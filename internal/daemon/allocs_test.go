@@ -15,16 +15,27 @@ import (
 // under -race.
 
 // TestBidDispatchAllocs pins BenchmarkBidDispatch: a bid request from
-// the user the last one came from allocates nothing; alternating between
-// two users, the three strings that differ.
+// the user the connection's last one came from allocates nothing, so two
+// users each on their own connection allocate nothing either; two
+// alternating on one connection, the three strings that differ.
 func TestBidDispatchAllocs(t *testing.T) {
 	for _, c := range []struct {
-		users int
-		max   float64
-	}{{1, 0}, {2, 3}} {
-		if got := testing.AllocsPerRun(100, bidDispatchCase(t, c.users)); got > c.max {
-			t.Errorf("bid arm, requests from %d users: %v allocs, want ≤ %v", c.users, got, c.max)
+		users, conns int
+		max          float64
+	}{{1, 1, 0}, {2, 2, 0}, {2, 1, 3}} {
+		if got := testing.AllocsPerRun(100, bidDispatchCase(t, c.users, c.conns)); got > c.max {
+			t.Errorf("bid arm, requests from %d users on %d connections: %v allocs, want ≤ %v", c.users, c.conns, got, c.max)
 		}
+	}
+}
+
+// TestCommitDispatchAllocs pins BenchmarkCommitDispatch: a warm commit
+// carrying a fresh job ID allocates that ID and nothing else — the hold
+// is a value in the daemon's table, and the sweeps that keep the table
+// bounded cost less than an allocation a commit.
+func TestCommitDispatchAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(100, commitDispatchCase(t)); got > 1 {
+		t.Errorf("commit arm: %v allocs, want ≤ 1 (the job ID)", got)
 	}
 }
 

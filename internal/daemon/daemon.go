@@ -90,8 +90,12 @@ type Config struct {
 // auction round with a single verify round trip.
 const DefaultVerifyCacheTTL = 2 * time.Second
 
-// bidValidity is how long a bid stands, in virtual seconds: a commit that
-// arrives later is refused as expired.
+// bidValidity is how long a bid stands, in virtual seconds, and so how
+// long a commit holds the daemon to its price: a commit carrying a bid
+// whose ExpiresAt has passed is refused as expired, and a commit is held
+// until bidValidity after the daemon accepted it, on the daemon's own
+// clock (the live client zeroes ExpiresAt, so this is the bound that
+// fires there). A submit or upload after that finds no commitment.
 const bidValidity = 300
 
 // telemetryFloor is the shortest wall interval between two AppSpector
@@ -115,12 +119,14 @@ type verifyKey struct{ user, token string }
 const verifyCacheMax = 4096
 
 // reservation is a committed-but-not-yet-submitted contract (phase two
-// of §5.3 ahead of file upload).
+// of §5.3 ahead of file upload): who committed, at what price, and the
+// virtual instant the hold lapses. staged records that an upload has
+// created the job's staging area, which goes when the hold does.
 type reservation struct {
-	user     string
-	home     string
-	contract *qos.Contract
-	bid      bidding.Bid
+	user    string
+	price   float64
+	expires float64
+	staged  bool
 }
 
 // Daemon is a running FD.
@@ -128,15 +134,21 @@ type Daemon struct {
 	cfg   Config
 	epoch time.Time
 
-	mu          sync.Mutex
-	jobs        map[string]*job.Job
-	owners      map[string]string
-	tempUsers   map[string]string
-	prices      map[string]float64
-	reserved    map[string]*reservation
-	outstanding float64
-	settledIDs  map[string]bool
-	tempSeq     uint64
+	mu        sync.Mutex
+	jobs      map[string]*job.Job
+	owners    map[string]string
+	tempUsers map[string]string
+	prices    map[string]float64
+	// reserved holds the commits no submit has followed yet, expired ones
+	// included until a sweep (see holdLocked). A sweep copies the live ones
+	// into reservedSpare and swaps the two; reservedSwept is how many it
+	// left, and the next runs once the table has doubled from that.
+	reserved      map[string]reservation
+	reservedSpare map[string]reservation
+	reservedSwept int
+	outstanding   float64
+	settledIDs    map[string]bool
+	tempSeq       uint64
 	// outbox holds settlements the Central Server has not acknowledged
 	// yet; runLoop redelivers them until each is acked (or refused).
 	outbox []protocol.SettleReq
@@ -229,21 +241,22 @@ func New(cfg Config) (*Daemon, error) {
 		cfg.VerifyCacheTTL = DefaultVerifyCacheTTL
 	}
 	d := &Daemon{
-		cfg:         cfg,
-		epoch:       time.Now(),
-		jobs:        map[string]*job.Job{},
-		owners:      map[string]string{},
-		tempUsers:   map[string]string{},
-		prices:      map[string]float64{},
-		reserved:    map[string]*reservation{},
-		settledIDs:  map[string]bool{},
-		flushDone:   map[string]bool{},
-		Stage:       stage.NewStore(),
-		closed:      make(chan struct{}),
-		kick:        make(chan struct{}, 1),
-		monitorKick: make(chan struct{}, 1),
-		met:         newFDMetrics(cfg.Metrics),
-		rpc:         telemetry.NewRPCMetrics(cfg.Metrics, "daemon"),
+		cfg:           cfg,
+		epoch:         time.Now(),
+		jobs:          map[string]*job.Job{},
+		owners:        map[string]string{},
+		tempUsers:     map[string]string{},
+		prices:        map[string]float64{},
+		reserved:      map[string]reservation{},
+		reservedSpare: map[string]reservation{},
+		settledIDs:    map[string]bool{},
+		flushDone:     map[string]bool{},
+		Stage:         stage.NewStore(),
+		closed:        make(chan struct{}),
+		kick:          make(chan struct{}, 1),
+		monitorKick:   make(chan struct{}, 1),
+		met:           newFDMetrics(cfg.Metrics),
+		rpc:           telemetry.NewRPCMetrics(cfg.Metrics, "daemon"),
 	}
 	// No observer: a bid's path reads no clock for the server's sake.
 	d.srv = protocol.NewServer("daemon "+cfg.Info.Spec.Name, d.dispatch, nil)
@@ -878,13 +891,17 @@ func (d *Daemon) monitorLoop() {
 	}
 }
 
-// bidScratch is what the bid_req arm needs only until it has replied.
-type bidScratch struct {
-	req   protocol.BidReq
-	reply protocol.BidOK
+// connScratch is what the bid_req and commit_req arms need only until
+// they have replied. It lives in its connection's Scratch slot, so a
+// request is decoded into the value the connection's previous one left:
+// a client's user, token and application strings are decoded once a
+// connection, however many other clients the daemon is serving.
+type connScratch struct {
+	bid      protocol.BidReq
+	bidOK    protocol.BidOK
+	commit   protocol.CommitReq
+	commitOK protocol.CommitOK
 }
-
-var bidScratches = sync.Pool{New: func() any { return new(bidScratch) }}
 
 func (d *Daemon) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 	switch f.Type {
@@ -901,12 +918,11 @@ func (d *Daemon) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 	case protocol.TypeBidReq:
 		// Sixteen of these arrive per auction and nothing of one outlives
 		// its reply — makeBid keeps neither the contract nor anything it
-		// points at — so the request is decoded into a recycled scratch and
-		// the reply encoded from it. Commit and submit keep fresh values: a
-		// submitted contract is retained by the job.
-		sc := bidScratches.Get().(*bidScratch)
-		defer bidScratches.Put(sc)
-		req := &sc.req
+		// points at — so the request is decoded into the connection's
+		// scratch and the reply encoded from it. Submit keeps fresh values:
+		// a submitted contract is retained by the job.
+		sc := scratchOf(conn)
+		req := &sc.bid
 		if err := protocol.Decode(f, f.Type, req); err != nil {
 			return err
 		}
@@ -920,16 +936,20 @@ func (d *Daemon) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 			return err
 		}
 		var ok bool
-		if sc.reply.Bid, ok = d.makeBid(req.Contract); !ok {
+		if sc.bidOK.Bid, ok = d.makeBid(req.Contract); !ok {
 			d.met.bidsDeclined.Inc()
 			return fmt.Errorf("daemon: %s declines the job", d.Name())
 		}
 		d.met.bids.Inc()
-		return protocol.WriteFrame(conn, protocol.TypeBidOK, &sc.reply)
+		return protocol.WriteFrame(conn, protocol.TypeBidOK, &sc.bidOK)
 
 	case protocol.TypeCommitReq:
-		var req protocol.CommitReq
-		if err := protocol.Decode(f, f.Type, &req); err != nil {
+		// A hold keeps the user and job ID strings, which a later decode
+		// replaces and never writes, and copies the rest; so the commit
+		// too decodes into the connection's scratch.
+		sc := scratchOf(conn)
+		req := &sc.commit
+		if err := protocol.Decode(f, f.Type, req); err != nil {
 			return err
 		}
 		if err := d.verify(req.User, req.Token); err != nil {
@@ -938,7 +958,8 @@ func (d *Daemon) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 		if err := d.commit(req); err != nil {
 			return err
 		}
-		return protocol.WriteFrame(conn, protocol.TypeCommitOK, protocol.CommitOK{JobID: req.JobID})
+		sc.commitOK.JobID = req.JobID
+		return protocol.WriteFrame(conn, protocol.TypeCommitOK, &sc.commitOK)
 
 	case protocol.TypeSubmitReq:
 		var req protocol.SubmitReq
@@ -958,7 +979,7 @@ func (d *Daemon) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 		if err := protocol.Decode(f, f.Type, &req); err != nil {
 			return err
 		}
-		n, err := d.Stage.PutChunk(req.JobID, req.Name, req.Offset, req.Data, req.Last, req.SHA256)
+		n, err := d.upload(&req)
 		if err != nil {
 			return err
 		}
@@ -1025,6 +1046,17 @@ func (d *Daemon) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 	}
 }
 
+// scratchOf returns the connection's scratch, making it on the
+// connection's first bid or commit.
+func scratchOf(conn *protocol.ReplyConn) *connScratch {
+	sc, _ := conn.Scratch.(*connScratch)
+	if sc == nil {
+		sc = new(connScratch)
+		conn.Scratch = sc
+	}
+	return sc
+}
+
 // makeBid consults the scheduler and the bid generator.
 func (d *Daemon) makeBid(c *qos.Contract) (bidding.Bid, bool) {
 	if !d.cfg.Info.Exports(c.App) {
@@ -1038,9 +1070,13 @@ func (d *Daemon) makeBid(c *qos.Contract) (bidding.Bid, bool) {
 	return bidding.Make(d.cfg.Bidder, d.Name(), now, c, st, bidValidity)
 }
 
-// commit is phase two: hold capacity for a job whose files are still on
-// their way. The reservation is bounded by the bid's expiry.
-func (d *Daemon) commit(req protocol.CommitReq) error {
+// commit is phase two: hold the daemon to its price for a job whose
+// files are still on their way. The hold lapses bidValidity after the
+// commit, on the daemon's clock; a submit or upload after that finds no
+// commitment. No staging area is made here: the first upload makes it,
+// or the submit, so a commit no submit follows leaves one small value
+// behind, and only until a sweep.
+func (d *Daemon) commit(req *protocol.CommitReq) error {
 	return d.commitContract(req.JobID, req.User, req.Bid)
 }
 
@@ -1054,7 +1090,7 @@ func (d *Daemon) commitContract(jobID, user string, b bidding.Bid) error {
 	// Commits are idempotent per (job, user): a client whose ack was lost
 	// to the network retries the same commit and must get a fresh ack,
 	// not an error. A different user colliding on the ID is still refused.
-	if res, dup := d.reserved[jobID]; dup {
+	if res, held := d.holdLocked(jobID, now); held {
 		if res.user == user {
 			return nil
 		}
@@ -1066,12 +1102,85 @@ func (d *Daemon) commitContract(jobID, user string, b bidding.Bid) error {
 		}
 		return fmt.Errorf("daemon: job %s already submitted", jobID)
 	}
-	d.reserved[jobID] = &reservation{user: user, bid: b}
-	d.Stage.CreateJob(jobID)
+	d.reserved[jobID] = reservation{user: user, price: b.Price, expires: now + bidValidity}
+	if len(d.reserved) >= 2*d.reservedSwept {
+		d.sweepHoldsLocked(now)
+	}
 	if d.cfg.Tracer != nil {
 		d.trace(jobID, telemetry.SpanContract, fmt.Sprintf("committed to %s at price %.2f", d.Name(), b.Price))
 	}
 	return nil
+}
+
+// holdLocked returns the job's reservation if one holds at now. One that
+// has lapsed is removed here, with any staging area an upload made for
+// it, so a submit, upload or commit treats it as absent whether or not a
+// sweep has run since. Caller holds d.mu.
+func (d *Daemon) holdLocked(jobID string, now float64) (reservation, bool) {
+	res, ok := d.reserved[jobID]
+	if !ok {
+		return reservation{}, false
+	}
+	if now > res.expires {
+		d.dropHoldLocked(jobID, res)
+		return reservation{}, false
+	}
+	return res, true
+}
+
+// dropHoldLocked forgets a reservation and the staging area an upload
+// made for it. Caller holds d.mu.
+func (d *Daemon) dropHoldLocked(jobID string, res reservation) {
+	delete(d.reserved, jobID)
+	if res.staged {
+		d.Stage.DropJob(jobID)
+	}
+}
+
+// sweepHoldsLocked forgets every lapsed reservation. The holds still live
+// are copied into the spare table and the two swapped, rather than the
+// lapsed ones deleted in place: Go 1.24's maps never rehash in place, so
+// a table whose deleted slots fill up grows instead, and job IDs are
+// never reused. Commit calls it once the table has doubled since the
+// last sweep, so a commit costs O(1) amortised and the table stays
+// within twice the commits of one validity window. Caller holds d.mu.
+func (d *Daemon) sweepHoldsLocked(now float64) {
+	live := d.reservedSpare
+	for id, res := range d.reserved {
+		if now > res.expires {
+			if res.staged {
+				d.Stage.DropJob(id)
+			}
+			continue
+		}
+		live[id] = res
+	}
+	clear(d.reserved)
+	d.reserved, d.reservedSpare = live, d.reserved
+	d.reservedSwept = len(live)
+}
+
+// upload stages one chunk of an input file. A job takes uploads while
+// its commitment holds — the first one makes its staging area — and once
+// it has been submitted.
+func (d *Daemon) upload(req *protocol.UploadReq) (int64, error) {
+	now := d.Now()
+	d.mu.Lock()
+	_, submitted := d.jobs[req.JobID]
+	if !submitted {
+		res, held := d.holdLocked(req.JobID, now)
+		if !held {
+			d.mu.Unlock()
+			return 0, fmt.Errorf("%w: %s", stage.ErrNoJob, req.JobID)
+		}
+		if !res.staged {
+			res.staged = true
+			d.reserved[req.JobID] = res
+			d.Stage.CreateJob(req.JobID)
+		}
+	}
+	d.mu.Unlock()
+	return d.Stage.PutChunk(req.JobID, req.Name, req.Offset, req.Data, req.Last, req.SHA256)
 }
 
 // submit starts a committed job on the scheduler and returns once its
@@ -1093,17 +1202,18 @@ func (d *Daemon) admit(req protocol.SubmitReq) (jticket, error) {
 	if !d.cfg.Info.Exports(req.Contract.App) {
 		return jticket{}, fmt.Errorf("daemon: %s does not export application %q", d.Name(), req.Contract.App)
 	}
-	// A submit with no commit before it takes the bid the daemon would
-	// make for the contract now: that is its price, and where the daemon
-	// declines to bid, it refuses the job. The bid is made before the
-	// lock, as a bid request's is; a commit landing in between prices the
-	// job instead.
+	// A submit takes the price of the commitment holding for its job when
+	// it arrives. With none, it takes the bid the daemon would make for
+	// the contract now, and where the daemon declines to bid, it refuses
+	// the job. The bid is made outside the lock, as a bid request's is; a
+	// commit landing meanwhile prices the job instead.
+	arrived := d.Now()
 	d.mu.Lock()
-	_, committed := d.reserved[req.JobID]
+	res, held := d.holdLocked(req.JobID, arrived)
 	_, dup := d.jobs[req.JobID]
 	d.mu.Unlock()
 	var direct bidding.Bid
-	if !committed && !dup {
+	if !held && !dup {
 		var ok bool
 		if direct, ok = d.makeBid(req.Contract); !ok {
 			d.met.jobsRejected.Inc()
@@ -1122,15 +1232,24 @@ func (d *Daemon) admit(req protocol.SubmitReq) (jticket, error) {
 		}
 		return jticket{}, fmt.Errorf("daemon: job %s already submitted", req.JobID)
 	}
-	res := d.reserved[req.JobID]
-	delete(d.reserved, req.JobID)
+	if !held {
+		res, held = d.holdLocked(req.JobID, now)
+	}
+	price := direct.Price
+	if held {
+		price = res.price
+	}
 
 	j := job.New(job.ID(req.JobID), req.User, req.Contract, now)
 	d.catchUp(now)
 	if !d.cfg.Scheduler.Submit(now, j) {
+		// The submit spends the hold, admitted or not.
+		d.dropHoldLocked(req.JobID, d.reserved[req.JobID])
 		d.met.jobsRejected.Inc()
 		return jticket{}, fmt.Errorf("daemon: %s refused job %s at submission", d.Name(), req.JobID)
 	}
+	// Whatever holds the ID now is spent: the job exists.
+	delete(d.reserved, req.JobID)
 	d.met.jobsAdmitted.Inc()
 	d.jobs[req.JobID] = j
 	d.owners[req.JobID] = req.User
@@ -1139,15 +1258,12 @@ func (d *Daemon) admit(req protocol.SubmitReq) (jticket, error) {
 	// with a temporary userid").
 	d.tempSeq++
 	d.tempUsers[req.JobID] = fmt.Sprintf("fauc-tmp-%06d", d.tempSeq)
-	d.prices[req.JobID] = direct.Price
-	if res != nil {
-		d.prices[req.JobID] = res.bid.Price
-	}
+	d.prices[req.JobID] = price
 	d.outstanding += req.Contract.Work
 	d.Stage.CreateJob(req.JobID)
 	t := d.journalStage(journalRecord{
 		Op: jopJob, JobID: req.JobID, Owner: req.User,
-		Price: d.prices[req.JobID], Contract: req.Contract,
+		Price: price, Contract: req.Contract,
 	})
 	if d.cfg.Tracer != nil {
 		d.trace(req.JobID, telemetry.SpanStart, fmt.Sprintf("started on %s with %d PEs", d.Name(), j.PEs()))

@@ -1,0 +1,227 @@
+package daemon
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"faucets/internal/bidding"
+	"faucets/internal/protocol"
+	"faucets/internal/qos"
+	"faucets/internal/scheduler"
+	"faucets/internal/stage"
+)
+
+// advance moves a daemon's virtual clock v seconds ahead. Only for a
+// daemon that was never started: nothing else may read its epoch.
+func advance(d *Daemon, v float64) {
+	d.epoch = d.epoch.Add(-time.Duration(v / d.cfg.TimeScale * float64(time.Second)))
+}
+
+// TestReservationsExpire: a commit holds the daemon to its price for
+// bidValidity on the daemon's clock and no longer. Commits that no
+// submit follows leave a table bounded by the commits of one validity
+// window, and no staging area; a submit inside the window pays the
+// committed price; after it, the job is priced by a fresh bid, or refused
+// where the daemon declines, an upload finds no job, and another user may
+// commit the ID.
+func TestReservationsExpire(t *testing.T) {
+	info := protocol.ServerInfo{Spec: spec("turing", 64), Apps: []string{"synth"}}
+	d, err := New(Config{Info: info, Scheduler: scheduler.NewEquipartition(info.Spec, scheduler.Config{}),
+		TimeScale: 1e-6}) // the clock stands still but for advance
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	conn := protocol.NewReplyConn(discard{})
+	var id uint64
+	commit := func(user, job string, price float64) error {
+		id++
+		return d.dispatch(conn, frameOf(t, id, protocol.TypeCommitReq, protocol.CommitReq{
+			User: user, JobID: job, Bid: bidding.Bid{Server: "turing", Price: price}}))
+	}
+	payload := []byte("input deck")
+	upload := func(job string) error {
+		id++
+		return d.dispatch(conn, frameOf(t, id, protocol.TypeUploadReq, protocol.UploadReq{
+			JobID: job, Name: "in.dat", Data: payload, Last: true, SHA256: stage.Digest(payload)}))
+	}
+	submit := func(job string, c *qos.Contract) error {
+		return d.submit(protocol.SubmitReq{User: "alice", JobID: job, Contract: c})
+	}
+	hasFile := func(job string) error {
+		_, _, err := d.Stage.ReadAt(job, "in.dat", 0, 0)
+		return err
+	}
+
+	// 10 000 commits and no submit, the clock moving a tenth of a window
+	// every 100: a window spans 1 000 of them.
+	const commits, step, perWindow = 10000, 100, 1000
+	most := 0
+	for i := 0; i < commits; i++ {
+		if i > 0 && i%step == 0 {
+			advance(d, bidValidity/10)
+		}
+		if err := commit("alice", fmt.Sprintf("idle-%05d", i), 1); err != nil {
+			t.Fatal(err)
+		}
+		most = max(most, len(d.reserved))
+	}
+	if bound := 2 * (perWindow + step); most > bound {
+		t.Fatalf("%d commits left up to %d holds, want ≤ %d (twice a window's commits)", commits, most, bound)
+	}
+	if err := hasFile("idle-09999"); !errors.Is(err, stage.ErrNoJob) {
+		t.Fatalf("a commit made a staging area: %v", err)
+	}
+
+	fresh := func() *qos.Contract { return contract(1e7) }
+	// Inside the window: the committed price, and the files uploaded.
+	if err := commit("alice", "held", 123.25); err != nil {
+		t.Fatal(err)
+	}
+	advance(d, bidValidity/2)
+	if err := upload("held"); err != nil {
+		t.Fatalf("upload inside the window: %v", err)
+	}
+	if err := submit("held", fresh()); err != nil {
+		t.Fatal(err)
+	}
+	if p := d.prices["held"]; p != 123.25 {
+		t.Fatalf("submit inside the window priced at %v, want the committed 123.25", p)
+	}
+	if err := hasFile("held"); err != nil {
+		t.Fatalf("the held job's upload is gone: %v", err)
+	}
+
+	// After it: no upload, no staged file, and a fresh bid's price.
+	if err := commit("alice", "late", 123.25); err != nil {
+		t.Fatal(err)
+	}
+	if err := upload("late"); err != nil {
+		t.Fatalf("upload inside the window: %v", err)
+	}
+	advance(d, bidValidity+1)
+	if err := upload("late"); !errors.Is(err, stage.ErrNoJob) {
+		t.Fatalf("upload after the window: %v, want stage.ErrNoJob", err)
+	}
+	want, ok := d.makeBid(fresh())
+	if !ok || want.Price == 123.25 {
+		t.Fatalf("the daemon bids %+v, %v: the test needs a price apart from the committed one", want, ok)
+	}
+	if err := submit("late", fresh()); err != nil {
+		t.Fatal(err)
+	}
+	if p := d.prices["late"]; p != want.Price {
+		t.Fatalf("submit after the window priced at %v, want a fresh bid's %v", p, want.Price)
+	}
+	if err := hasFile("late"); !errors.Is(err, stage.ErrNoFile) {
+		t.Fatalf("the lapsed hold's upload reached the job: %v", err)
+	}
+
+	// After it, where the daemon declines to bid: refused.
+	if err := commit("alice", "declined", 123.25); err != nil {
+		t.Fatal(err)
+	}
+	advance(d, bidValidity+1)
+	big := &qos.Contract{App: "synth", MinPE: 1000, MaxPE: 1000, Work: 1}
+	if err := submit("declined", big); err == nil || !strings.Contains(err.Error(), "declines") {
+		t.Fatalf("submit after the window to a daemon that declines: %v", err)
+	}
+
+	// A lapsed hold binds no one: another user commits the ID.
+	if err := commit("alice", "taken", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := commit("bob", "taken", 1); err == nil {
+		t.Fatal("a foreign commit on a held job accepted")
+	}
+	advance(d, bidValidity+1)
+	if err := commit("bob", "taken", 2); err != nil {
+		t.Fatalf("commit on a lapsed hold: %v", err)
+	}
+}
+
+// TestReservationChurnUnderLoad interleaves commits, uploads, submits and
+// the sweeps commits run from several goroutines on one running daemon
+// whose holds lapse within milliseconds; CI runs it under -race. A job
+// is admitted at its committed price or a bid's, never for nothing, and
+// once every hold has lapsed a sweep leaves neither a hold nor a staging
+// area for a job that was not submitted.
+func TestReservationChurnUnderLoad(t *testing.T) {
+	d, _ := startDaemon(t, Config{TimeScale: 1e5}) // a hold lasts 3 ms
+	const workers, rounds, committed = 4, 200, 777.0
+	// Frames are built here: a worker's goroutine may not end the test.
+	type trip struct {
+		job            string
+		commit, upload protocol.Frame
+	}
+	trips := make([][]trip, workers)
+	for w := range trips {
+		for i := 0; i < rounds; i++ {
+			job := fmt.Sprintf("w%d-%03d", w, i)
+			trips[w] = append(trips[w], trip{job,
+				frameOf(t, uint64(2*i+1), protocol.TypeCommitReq, protocol.CommitReq{
+					User: "alice", JobID: job, Bid: bidding.Bid{Server: "turing", Price: committed}}),
+				frameOf(t, uint64(2*i+2), protocol.TypeUploadReq, protocol.UploadReq{
+					JobID: job, Name: "in.dat", Data: []byte("chunk"), Last: true}),
+			})
+		}
+	}
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var unsubmitted []string
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			conn := protocol.NewReplyConn(discard{})
+			rng := rand.New(rand.NewSource(int64(w)))
+			for _, tr := range trips[w] {
+				if err := d.dispatch(conn, tr.commit); err != nil {
+					t.Error(err)
+					return
+				}
+				if rng.Intn(2) == 0 {
+					if err := d.dispatch(conn, tr.upload); err != nil && !errors.Is(err, stage.ErrNoJob) {
+						t.Error(err)
+						return
+					}
+				}
+				if rng.Intn(4) == 0 { // let some holds lapse
+					time.Sleep(time.Duration(rng.Intn(5)) * time.Millisecond)
+				}
+				if rng.Intn(2) == 0 {
+					mu.Lock()
+					unsubmitted = append(unsubmitted, tr.job)
+					mu.Unlock()
+					continue
+				}
+				if err := d.submit(protocol.SubmitReq{User: "alice", JobID: tr.job, Contract: contract(100)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for job, p := range d.prices {
+		if p <= 0 {
+			t.Errorf("job %s admitted at %v", job, p)
+		}
+	}
+	d.sweepHoldsLocked(d.Now() + bidValidity + 1) // past every hold's lapse
+	if left := len(d.reserved); left != 0 {
+		t.Fatalf("%d holds survive a sweep after all lapsed", left)
+	}
+	for _, job := range unsubmitted {
+		if _, _, err := d.Stage.ReadAt(job, "in.dat", 0, 0); !errors.Is(err, stage.ErrNoJob) {
+			t.Fatalf("job %s was never submitted, yet its staging area is left: %v", job, err)
+		}
+	}
+}

@@ -148,8 +148,65 @@ func (discard) Write(p []byte) (int, error) { return len(p), nil }
 // bidDispatchCase is one bid request through the daemon's arm on a warm
 // connection: decode, verify (cache hit), estimate, bid, encode. The
 // requests come from one user, or alternate between two — what two
-// clients bidding on one daemon look like.
-func bidDispatchCase(tb testing.TB, users int) func() {
+// clients bidding on one daemon look like — on one connection or each on
+// its own.
+func bidDispatchCase(tb testing.TB, users, conns int) func() {
+	d := dispatchDaemon(tb)
+	frames := make([]protocol.Frame, users)
+	for i, req := range []protocol.BidReq{
+		{User: "user-00", Token: "tok-0123456789abcdef", Contract: phased("synth", 400, 2, 16, 2)},
+		{User: "user-01", Token: "tok-fedcba9876543210", Contract: phased("namd", 9000, 8, 64, 2)},
+	}[:users] {
+		d.verifyCache[verifyKey{req.User, req.Token}] = time.Now().Add(time.Hour)
+		frames[i] = frameOf(tb, uint64(i+1), protocol.TypeBidReq, req)
+	}
+	rcs := make([]*protocol.ReplyConn, conns)
+	for i := range rcs {
+		rcs[i] = protocol.NewReplyConn(discard{})
+	}
+	next := 0
+	return func() {
+		if err := d.dispatch(rcs[next%conns], frames[next%users]); err != nil {
+			tb.Fatal(err)
+		}
+		next++
+	}
+}
+
+// commitDispatchCase is one commit through the daemon's arm on a warm
+// connection: decode, verify (cache hit), hold, encode. Every commit
+// carries a job ID the daemon holds nothing for, as a client's do, and
+// none is followed by a submit, as on auction-wide: the case cycles
+// through 4096 IDs and moves the daemon's clock past the holds' lapse
+// before it comes back to the first.
+func commitDispatchCase(tb testing.TB) func() {
+	d := dispatchDaemon(tb)
+	const user, token = "user-00", "tok-0123456789abcdef"
+	d.verifyCache[verifyKey{user, token}] = time.Now().Add(time.Hour)
+	const n = 4096
+	frames := make([]protocol.Frame, n)
+	for i := range frames {
+		frames[i] = frameOf(tb, uint64(i+1), protocol.TypeCommitReq, protocol.CommitReq{
+			User: user, Token: token, JobID: fmt.Sprintf("job-%016x", i),
+			Bid: bidding.Bid{Server: "turing", Price: 16.25, EstCompletion: 120, Multiplier: 1},
+		})
+	}
+	conn := protocol.NewReplyConn(discard{})
+	next := 0
+	return func() {
+		if next%n == 0 {
+			advance(d, bidValidity+1)
+		}
+		if err := d.dispatch(conn, frames[next%n]); err != nil {
+			tb.Fatal(err)
+		}
+		next++
+	}
+}
+
+// dispatchDaemon is a daemon that is never started, behind a Central
+// Server it never reaches: the cases warm its verify cache.
+func dispatchDaemon(tb testing.TB) *Daemon {
 	info := protocol.ServerInfo{Spec: spec("turing", 64), Apps: []string{"synth", "namd"}}
 	d, err := New(Config{Info: info, Scheduler: scheduler.NewEquipartition(info.Spec, scheduler.Config{}),
 		CentralAddr: "127.0.0.1:1", VerifyCacheTTL: time.Hour})
@@ -157,47 +214,53 @@ func bidDispatchCase(tb testing.TB, users int) func() {
 		tb.Fatal(err)
 	}
 	tb.Cleanup(d.Close)
-	frames := make([]protocol.Frame, users)
-	for i, req := range []protocol.BidReq{
-		{User: "user-00", Token: "tok-0123456789abcdef", Contract: phased("synth", 400, 2, 16, 2)},
-		{User: "user-01", Token: "tok-fedcba9876543210", Contract: phased("namd", 9000, 8, 64, 2)},
-	}[:users] {
-		d.verifyCache[verifyKey{req.User, req.Token}] = time.Now().Add(time.Hour)
-		buf, err := protocol.AppendFrame(nil, protocol.CodecBinary, uint64(i+1), protocol.TypeBidReq, req)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if frames[i], err = protocol.NewFrameReader(&onceReader{buf}).Next(); err != nil {
-			tb.Fatal(err)
-		}
+	return d
+}
+
+// frameOf encodes body as a binary request frame and reads it back, as
+// a connection's reader hands it to dispatch.
+func frameOf(tb testing.TB, id uint64, typ string, body any) protocol.Frame {
+	tb.Helper()
+	buf, err := protocol.AppendFrame(nil, protocol.CodecBinary, id, typ, body)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	conn := protocol.NewReplyConn(discard{})
-	next := 0
-	return func() {
-		if err := d.dispatch(conn, frames[next%users]); err != nil {
-			tb.Fatal(err)
-		}
-		next++
+	f, err := protocol.NewFrameReader(&onceReader{buf}).Next()
+	if err != nil {
+		tb.Fatal(err)
 	}
+	return f
 }
 
 // BenchmarkBidDispatch times bidDispatchCase. TestBidDispatchAllocs pins
-// it: from one user nothing; between two, each request re-materialises
-// the three strings that differ from the scratch's last (user, token,
+// it: from one user nothing, nor from two each on its own connection;
+// between two on one connection, each request re-materialises the three
+// strings that differ from the connection's last (user, token,
 // application) and nothing else.
 func BenchmarkBidDispatch(b *testing.B) {
 	for _, bc := range []struct {
-		name  string
-		users int
-	}{{"one_user", 1}, {"two_users", 2}} {
+		name         string
+		users, conns int
+	}{{"one_user", 1, 1}, {"two_users", 2, 1}, {"two_users_two_conns", 2, 2}} {
 		b.Run(bc.name, func(b *testing.B) {
-			dispatch := bidDispatchCase(b, bc.users)
+			dispatch := bidDispatchCase(b, bc.users, bc.conns)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				dispatch()
 			}
 		})
+	}
+}
+
+// BenchmarkCommitDispatch times commitDispatchCase, which
+// TestCommitDispatchAllocs pins.
+func BenchmarkCommitDispatch(b *testing.B) {
+	dispatch := commitDispatchCase(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dispatch()
 	}
 }
 

@@ -419,6 +419,13 @@ func WriteErrorFrom(w io.Writer, err error) error {
 type ReplyConn struct {
 	io.ReadWriter
 	id uint64
+	// Scratch is the handler's own slot for the connection's lifetime:
+	// what one request leaves here the next request on the same
+	// connection finds, and nothing else reads it. A handler that decodes
+	// into a value kept here re-materialises only what changed since the
+	// connection's previous request, however many other connections its
+	// server is serving.
+	Scratch any
 }
 
 // NewReplyConn wraps rw for ID-stamped replies.

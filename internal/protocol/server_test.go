@@ -238,6 +238,39 @@ func TestErrConnDoneEndsConnectionWithoutErrorFrame(t *testing.T) {
 	}
 }
 
+// TestScratchIsPerConnection: what a handler leaves in rc.Scratch the
+// next request on the same connection finds, and a request on another
+// connection does not.
+func TestScratchIsPerConnection(t *testing.T) {
+	addr := serveOn(t, NewServer("test", func(rc *ReplyConn, f Frame) error {
+		n, _ := rc.Scratch.(*int)
+		if n == nil {
+			n = new(int)
+			rc.Scratch = n
+		}
+		*n++
+		return WriteFrame(rc, TypePollOK, PollOK{UsedPE: *n})
+	}, nil), nil)
+	var conns [2]net.Conn
+	for i := range conns {
+		c, err := Dial(addr, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		conns[i] = c
+	}
+	for _, step := range []struct{ conn, want int }{{0, 1}, {1, 1}, {0, 2}, {0, 3}, {1, 2}} {
+		var ok PollOK
+		if err := CallTimeout(conns[step.conn], 5*time.Second, TypePollReq, PollReq{}, TypePollOK, &ok); err != nil {
+			t.Fatal(err)
+		}
+		if ok.UsedPE != step.want {
+			t.Fatalf("connection %d saw its scratch at %d, want %d", step.conn, ok.UsedPE, step.want)
+		}
+	}
+}
+
 // TestErrorFrameKeepsMarks: the error frame written for a handler's
 // error carries each of rpc.go's two marks across the wire.
 func TestErrorFrameKeepsMarks(t *testing.T) {

@@ -51,6 +51,14 @@ func (s *Store) CreateJob(jobID string) {
 	}
 }
 
+// DropJob discards a job's staging area and every file in it (a no-op
+// for a job that has none).
+func (s *Store) DropJob(jobID string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.jobs, jobID)
+}
+
 // PutChunk appends a chunk at the given offset. Chunks must arrive
 // contiguously (offset == bytes received so far). When last is true the
 // file is finalized and, if sha256hex is non-empty, verified against it.

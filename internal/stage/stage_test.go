@@ -126,6 +126,21 @@ func TestCreateJobIdempotent(t *testing.T) {
 	}
 }
 
+func TestDropJobDiscardsTheArea(t *testing.T) {
+	s := NewStore()
+	s.CreateJob("j")
+	_ = s.Put("j", "f", []byte("gone"))
+	s.DropJob("j")
+	s.DropJob("never-created")
+	if _, err := s.PutChunk("j", "f", 0, []byte("x"), true, ""); !errors.Is(err, ErrNoJob) {
+		t.Fatalf("upload to a dropped area: %v, want ErrNoJob", err)
+	}
+	s.CreateJob("j") // a new area starts empty
+	if _, _, err := s.ReadAt("j", "f", 0, 0); !errors.Is(err, ErrNoFile) {
+		t.Fatalf("a dropped file came back: %v", err)
+	}
+}
+
 func TestReadAtReturnsCopy(t *testing.T) {
 	s := NewStore()
 	s.CreateJob("j")

@@ -593,7 +593,7 @@ func (c *Client) Upload(p *Placement, name string, data []byte) error {
 			end = len(data)
 			last = true
 		}
-		req := protocol.UploadReq{JobID: p.JobID, Name: name, Offset: int64(off), Data: data[off:end], Last: last}
+		req := protocol.UploadReq{User: c.User, Token: c.token(), JobID: p.JobID, Name: name, Offset: int64(off), Data: data[off:end], Last: last}
 		if last {
 			req.SHA256 = digest
 		}
@@ -609,7 +609,8 @@ func (c *Client) Upload(p *Placement, name string, data []byte) error {
 }
 
 // Start submits the committed job for execution (idempotent per job ID,
-// so it rides the pool).
+// so it rides the pool) while this user's commitment holds, 0.3 s wall at
+// a daemon TimeScale of 1000; once it lapses, Start is refused: Place again.
 func (c *Client) Start(p *Placement) error {
 	tc := tripCalls.Get().(*tripCall)
 	defer tripCalls.Put(tc)

@@ -129,16 +129,31 @@ type reservation struct {
 	staged  bool
 }
 
+// admission is one job the daemon has admitted: the job (its Owner the
+// user who submitted it), the price its commitment agreed, and the number
+// of the temporary userid it runs under (§2.2: "the Faucets system runs
+// the job with a temporary userid").
+type admission struct {
+	j     *job.Job
+	price float64
+	tmp   uint64
+}
+
+// A job ID is refused to a user who does not own it on this daemon. A
+// lapsed commitment, or one a restart lost (holds are not journaled), is
+// no commitment.
+var (
+	errNoCommitment = errors.New("no live commitment")
+	errNotOwner     = errors.New("it belongs to another user")
+)
+
 // Daemon is a running FD.
 type Daemon struct {
 	cfg   Config
 	epoch time.Time
 
-	mu        sync.Mutex
-	jobs      map[string]*job.Job
-	owners    map[string]string
-	tempUsers map[string]string
-	prices    map[string]float64
+	mu   sync.Mutex
+	jobs map[string]admission
 	// reserved holds the commits no submit has followed yet, expired ones
 	// included until a sweep (see holdLocked). A sweep copies the live ones
 	// into reservedSpare and swaps the two; reservedSwept is how many it
@@ -148,7 +163,7 @@ type Daemon struct {
 	reservedSwept int
 	outstanding   float64
 	settledIDs    map[string]bool
-	tempSeq       uint64
+	tempSeq       uint64 // the last temporary userid handed out
 	// outbox holds settlements the Central Server has not acknowledged
 	// yet; runLoop redelivers them until each is acked (or refused).
 	outbox []protocol.SettleReq
@@ -243,10 +258,7 @@ func New(cfg Config) (*Daemon, error) {
 	d := &Daemon{
 		cfg:           cfg,
 		epoch:         time.Now(),
-		jobs:          map[string]*job.Job{},
-		owners:        map[string]string{},
-		tempUsers:     map[string]string{},
-		prices:        map[string]float64{},
+		jobs:          map[string]admission{},
 		reserved:      map[string]reservation{},
 		reservedSpare: map[string]reservation{},
 		settledIDs:    map[string]bool{},
@@ -324,11 +336,8 @@ func (d *Daemon) recover(path string) error {
 			d.unplaced = append(d.unplaced, rec)
 			continue
 		}
-		d.jobs[rec.JobID] = j
-		d.owners[rec.JobID] = rec.Owner
-		d.prices[rec.JobID] = rec.Price
 		d.tempSeq++
-		d.tempUsers[rec.JobID] = fmt.Sprintf("fauc-tmp-%06d", d.tempSeq)
+		d.jobs[rec.JobID] = admission{j: j, price: rec.Price, tmp: d.tempSeq}
 		d.outstanding += rec.Contract.Work
 		d.Stage.CreateJob(rec.JobID)
 		d.announce(rec.JobID, rec.Owner, rec.Contract.App)
@@ -685,9 +694,8 @@ func (d *Daemon) finishJob(now float64, j *job.Job) {
 	if d.outstanding < 0 {
 		d.outstanding = 0
 	}
-	price := d.prices[id]
-	owner := d.owners[id]
-	tmpUser := d.tempUsers[id]
+	a := d.jobs[id]
+	tmpUser := fmt.Sprintf("fauc-tmp-%06d", a.tmp)
 	cpuUsed := j.CPUUsed()
 	d.monitor(protocol.TypeTelemetry, snapshotTelemetry(now, j, fmt.Sprintf("%s finished at %.1f", id, now)))
 	if d.cfg.CentralAddr != "" {
@@ -695,9 +703,9 @@ func (d *Daemon) finishJob(now float64, j *job.Job) {
 		// own accounts; the FD holds no accounting information. The
 		// contract shape rides along for the §5.2.1 history buckets.
 		d.outbox = append(d.outbox, protocol.SettleReq{
-			JobID: id, User: owner, Server: d.Name(),
+			JobID: id, User: j.Owner, Server: d.Name(),
 			App: j.Contract.App, MinPE: j.Contract.MinPE, MaxPE: j.Contract.MaxPE,
-			Price: price, CPUSeconds: cpuUsed,
+			Price: a.price, CPUSeconds: cpuUsed,
 		})
 		// "queue" is the job's terminal journal record: the settlement now
 		// carries the obligation, and a restart redelivers it from here.
@@ -979,6 +987,9 @@ func (d *Daemon) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 		if err := protocol.Decode(f, f.Type, &req); err != nil {
 			return err
 		}
+		if err := d.verify(req.User, req.Token); err != nil {
+			return err
+		}
 		n, err := d.upload(&req)
 		if err != nil {
 			return err
@@ -992,9 +1003,9 @@ func (d *Daemon) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 		}
 		now := d.Now()
 		d.mu.Lock()
-		j, ok := d.jobs[req.JobID]
+		j := d.jobs[req.JobID].j
 		var st protocol.StatusOK
-		if ok {
+		if j != nil {
 			d.catchUp(now)
 			done := 0.0
 			if j.Contract.Work > 0 {
@@ -1007,7 +1018,7 @@ func (d *Daemon) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 			st = protocol.StatusOK{JobID: req.JobID, State: state.String(), PEs: j.PEs(), Progress: done}
 		}
 		d.mu.Unlock()
-		if !ok {
+		if j == nil {
 			return fmt.Errorf("daemon: unknown job %s", req.JobID)
 		}
 		return protocol.WriteFrame(conn, protocol.TypeStatusOK, st)
@@ -1077,39 +1088,48 @@ func (d *Daemon) makeBid(c *qos.Contract) (bidding.Bid, bool) {
 // or the submit, so a commit no submit follows leaves one small value
 // behind, and only until a sweep.
 func (d *Daemon) commit(req *protocol.CommitReq) error {
-	return d.commitContract(req.JobID, req.User, req.Bid)
-}
-
-func (d *Daemon) commitContract(jobID, user string, b bidding.Bid) error {
 	now := d.Now()
-	if b.ExpiresAt > 0 && now > b.ExpiresAt {
-		return fmt.Errorf("daemon: bid for %s expired", jobID)
+	if req.Bid.ExpiresAt > 0 && now > req.Bid.ExpiresAt {
+		return fmt.Errorf("daemon: bid for %s expired", req.JobID)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	// Commits are idempotent per (job, user): a client whose ack was lost
 	// to the network retries the same commit and must get a fresh ack,
-	// not an error. A different user colliding on the ID is still refused.
-	if res, held := d.holdLocked(jobID, now); held {
-		if res.user == user {
-			return nil
-		}
-		return fmt.Errorf("daemon: job %s already committed", jobID)
+	// not an error. Another user's hold or job on the ID is refused.
+	if _, _, err := d.ownerLocked(req.JobID, req.User, now); !errors.Is(err, errNoCommitment) {
+		return err
 	}
-	if _, dup := d.jobs[jobID]; dup {
-		if d.owners[jobID] == user {
-			return nil
-		}
-		return fmt.Errorf("daemon: job %s already submitted", jobID)
-	}
-	d.reserved[jobID] = reservation{user: user, price: b.Price, expires: now + bidValidity}
+	d.reserved[req.JobID] = reservation{user: req.User, price: req.Bid.Price, expires: now + bidValidity}
 	if len(d.reserved) >= 2*d.reservedSwept {
 		d.sweepHoldsLocked(now)
 	}
 	if d.cfg.Tracer != nil {
-		d.trace(jobID, telemetry.SpanContract, fmt.Sprintf("committed to %s at price %.2f", d.Name(), b.Price))
+		d.trace(req.JobID, telemetry.SpanContract, fmt.Sprintf("committed to %s at price %.2f", d.Name(), req.Bid.Price))
 	}
 	return nil
+}
+
+// ownerLocked answers whether user owns jobID on this daemon: as the
+// owner of the admitted job, which it returns (its j set), or as the user
+// a live commitment holds it for, which it returns. With neither a job
+// nor a hold it returns errNoCommitment, bare; with someone else's,
+// errNotOwner, wrapped. Caller holds d.mu.
+func (d *Daemon) ownerLocked(jobID, user string, now float64) (admission, reservation, error) {
+	if a, ok := d.jobs[jobID]; ok {
+		if a.j.Owner != user {
+			return a, reservation{}, fmt.Errorf("daemon: job %s already submitted: %w", jobID, errNotOwner)
+		}
+		return a, reservation{}, nil
+	}
+	res, held := d.holdLocked(jobID, now)
+	if !held {
+		return admission{}, res, errNoCommitment
+	}
+	if res.user != user {
+		return admission{}, res, fmt.Errorf("daemon: job %s already committed: %w", jobID, errNotOwner)
+	}
+	return admission{}, res, nil
 }
 
 // holdLocked returns the job's reservation if one holds at now. One that
@@ -1160,38 +1180,38 @@ func (d *Daemon) sweepHoldsLocked(now float64) {
 	d.reservedSwept = len(live)
 }
 
-// upload stages one chunk of an input file. A job takes uploads while
-// its commitment holds — the first one makes its staging area — and once
-// it has been submitted.
+// upload stages one chunk of an input file for the user who owns the
+// job. A job takes uploads while its commitment holds (the first one makes
+// its staging area) and once it has been submitted.
 func (d *Daemon) upload(req *protocol.UploadReq) (int64, error) {
 	now := d.Now()
 	d.mu.Lock()
-	_, submitted := d.jobs[req.JobID]
-	if !submitted {
-		res, held := d.holdLocked(req.JobID, now)
-		if !held {
-			d.mu.Unlock()
-			return 0, fmt.Errorf("%w: %s", stage.ErrNoJob, req.JobID)
-		}
-		if !res.staged {
-			res.staged = true
-			d.reserved[req.JobID] = res
-			d.Stage.CreateJob(req.JobID)
-		}
+	a, res, err := d.ownerLocked(req.JobID, req.User, now)
+	if err == nil && a.j == nil && !res.staged {
+		res.staged = true
+		d.reserved[req.JobID] = res
+		d.Stage.CreateJob(req.JobID)
 	}
 	d.mu.Unlock()
+	if errors.Is(err, errNoCommitment) {
+		return 0, fmt.Errorf("%w: %s", stage.ErrNoJob, req.JobID)
+	}
+	if err != nil {
+		return 0, err
+	}
 	return d.Stage.PutChunk(req.JobID, req.Name, req.Offset, req.Data, req.Last, req.SHA256)
 }
 
 // submit starts a committed job on the scheduler and returns once its
-// admission is on disk: SubmitOK is written only then. Jobs may also be
-// submitted without a prior commit (the client accepted the bid
-// implicitly); the admission check happens here either way.
+// admission is on disk: SubmitOK is written only then.
 func (d *Daemon) submit(req protocol.SubmitReq) error {
 	return d.journalWait(d.admit(req))
 }
 
 // admit is submit under d.mu: it returns the admission's journal ticket.
+// A submit is admitted only by spending a live commitment held for its
+// own user, at the committed price (§5.3: bid, commit, upload, start).
+// One with no commitment, a lapsed one, or another user's is refused.
 func (d *Daemon) admit(req protocol.SubmitReq) (jticket, error) {
 	if req.Contract == nil {
 		return jticket{}, errors.New("daemon: submit without contract")
@@ -1202,68 +1222,42 @@ func (d *Daemon) admit(req protocol.SubmitReq) (jticket, error) {
 	if !d.cfg.Info.Exports(req.Contract.App) {
 		return jticket{}, fmt.Errorf("daemon: %s does not export application %q", d.Name(), req.Contract.App)
 	}
-	// A submit takes the price of the commitment holding for its job when
-	// it arrives. With none, it takes the bid the daemon would make for
-	// the contract now, and where the daemon declines to bid, it refuses
-	// the job. The bid is made outside the lock, as a bid request's is; a
-	// commit landing meanwhile prices the job instead.
-	arrived := d.Now()
-	d.mu.Lock()
-	res, held := d.holdLocked(req.JobID, arrived)
-	_, dup := d.jobs[req.JobID]
-	d.mu.Unlock()
-	var direct bidding.Bid
-	if !held && !dup {
-		var ok bool
-		if direct, ok = d.makeBid(req.Contract); !ok {
-			d.met.jobsRejected.Inc()
-			return jticket{}, fmt.Errorf("daemon: %s declines to bid on job %s", d.Name(), req.JobID)
-		}
-	}
 	now := d.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, dup := d.jobs[req.JobID]; dup {
+	a, res, err := d.ownerLocked(req.JobID, req.User, now)
+	if errors.Is(err, errNoCommitment) {
+		err = fmt.Errorf("daemon: %s refuses job %s: %w", d.Name(), req.JobID, err)
+	}
+	if err != nil {
+		d.met.jobsRejected.Inc()
+		return jticket{}, err
+	}
+	if a.j != nil {
 		// Same idempotency rule as commit: a retried submit from the same
 		// user is re-acknowledged rather than refused, so a lost ack does
 		// not strand the client — once the original's record is on disk.
-		if d.owners[req.JobID] == req.User {
-			return jticket{}, nil
-		}
-		return jticket{}, fmt.Errorf("daemon: job %s already submitted", req.JobID)
-	}
-	if !held {
-		res, held = d.holdLocked(req.JobID, now)
-	}
-	price := direct.Price
-	if held {
-		price = res.price
+		return jticket{}, nil
 	}
 
 	j := job.New(job.ID(req.JobID), req.User, req.Contract, now)
 	d.catchUp(now)
 	if !d.cfg.Scheduler.Submit(now, j) {
 		// The submit spends the hold, admitted or not.
-		d.dropHoldLocked(req.JobID, d.reserved[req.JobID])
+		d.dropHoldLocked(req.JobID, res)
 		d.met.jobsRejected.Inc()
 		return jticket{}, fmt.Errorf("daemon: %s refused job %s at submission", d.Name(), req.JobID)
 	}
-	// Whatever holds the ID now is spent: the job exists.
+	// The hold is spent: the job exists, with the staging area it made.
 	delete(d.reserved, req.JobID)
 	d.met.jobsAdmitted.Inc()
-	d.jobs[req.JobID] = j
-	d.owners[req.JobID] = req.User
-	// The end user holds no account on this Compute Server: the job runs
-	// under a temporary userid (§2.2: "the Faucets system runs the job
-	// with a temporary userid").
 	d.tempSeq++
-	d.tempUsers[req.JobID] = fmt.Sprintf("fauc-tmp-%06d", d.tempSeq)
-	d.prices[req.JobID] = price
+	d.jobs[req.JobID] = admission{j: j, price: res.price, tmp: d.tempSeq}
 	d.outstanding += req.Contract.Work
 	d.Stage.CreateJob(req.JobID)
 	t := d.journalStage(journalRecord{
 		Op: jopJob, JobID: req.JobID, Owner: req.User,
-		Price: price, Contract: req.Contract,
+		Price: res.price, Contract: req.Contract,
 	})
 	if d.cfg.Tracer != nil {
 		d.trace(req.JobID, telemetry.SpanStart, fmt.Sprintf("started on %s with %d PEs", d.Name(), j.PEs()))
@@ -1289,12 +1283,13 @@ func (d *Daemon) terminate(req protocol.KillReq) (state string, t jticket, err e
 	now := d.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	j, ok := d.jobs[req.JobID]
-	if !ok {
+	a, _, err := d.ownerLocked(req.JobID, req.User, now)
+	j := a.j
+	if j == nil {
 		return "", t, fmt.Errorf("daemon: unknown job %s", req.JobID)
 	}
-	if d.owners[req.JobID] != req.User {
-		return "", t, fmt.Errorf("daemon: job %s is not owned by %s", req.JobID, req.User)
+	if err != nil {
+		return "", t, err
 	}
 	d.catchUp(now)
 	if j.State().Terminal() {

@@ -79,6 +79,15 @@ func contract(work float64) *qos.Contract {
 	return &qos.Contract{App: "synth", MinPE: 2, MaxPE: 16, Work: work}
 }
 
+// commitJob holds d to price for user's job id, as a client's commit
+// does: d admits a submit of id by user only while the hold lasts.
+func commitJob(t testing.TB, d *Daemon, user, id string, price float64) {
+	t.Helper()
+	if err := d.commit(&protocol.CommitReq{User: user, JobID: id, Bid: bidding.Bid{Server: d.Name(), Price: price}}); err != nil {
+		t.Fatalf("commit %s: %v", id, err)
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("daemon without scheduler accepted")
@@ -122,7 +131,7 @@ func TestBidSubmitStatusLifecycle(t *testing.T) {
 	payload := []byte("input data")
 	var up protocol.UploadOK
 	err := protocol.Call(conn, protocol.TypeUploadReq, protocol.UploadReq{
-		JobID: "j1", Name: "in.dat", Offset: 0, Data: payload, Last: true, SHA256: stage.Digest(payload),
+		User: "alice", JobID: "j1", Name: "in.dat", Offset: 0, Data: payload, Last: true, SHA256: stage.Digest(payload),
 	}, protocol.TypeUploadOK, &up)
 	if err != nil || up.Received != int64(len(payload)) {
 		t.Fatalf("upload: %+v %v", up, err)
@@ -229,48 +238,31 @@ func TestDoubleCommitAndDoubleSubmit(t *testing.T) {
 	}
 }
 
-// TestSubmitWithoutCommitAllowed: a submit with no commit before it is
-// admitted at the price the daemon bids for its contract, not for free;
-// a daemon that declines to bid refuses it.
-func TestSubmitWithoutCommitAllowed(t *testing.T) {
+// TestSubmitWithoutCommitRefused: a submit with no commit before it is
+// refused, over the wire and in process, and leaves nothing on the
+// daemon: no job, no hold, no staging area, no outstanding work.
+func TestSubmitWithoutCommitRefused(t *testing.T) {
 	d, addr := startDaemon(t, Config{})
 	conn := dial(t, addr)
-	bid, ok := d.makeBid(contract(1e7))
-	if !ok || bid.Price <= 0 {
-		t.Fatalf("idle daemon bids %+v, %v", bid, ok)
-	}
 	var sub protocol.SubmitOK
-	if err := protocol.Call(conn, protocol.TypeSubmitReq, protocol.SubmitReq{User: "u", JobID: "direct", Contract: contract(1e7)}, protocol.TypeSubmitOK, &sub); err != nil {
-		t.Fatal(err)
+	err := protocol.Call(conn, protocol.TypeSubmitReq, protocol.SubmitReq{User: "u", JobID: "direct", Contract: contract(1e7)}, protocol.TypeSubmitOK, &sub)
+	if err == nil {
+		t.Fatal("a submit with no commit was admitted")
 	}
-	if !tracked(t, conn, "direct") {
-		t.Fatal("direct submit lost")
+	if tracked(t, conn, "direct") {
+		t.Fatal("a refused submit is on the daemon")
+	}
+	if err := d.submit(protocol.SubmitReq{User: "u", JobID: "direct", Contract: contract(1e7)}); !errors.Is(err, errNoCommitment) {
+		t.Fatalf("submit with no commit: %v, want errNoCommitment", err)
+	}
+	if _, _, err := d.Stage.ReadAt("direct", "in.dat", 0, 0); !errors.Is(err, stage.ErrNoJob) {
+		t.Fatalf("a refused submit made a staging area: %v", err)
 	}
 	d.mu.Lock()
-	price := d.prices["direct"]
-	d.mu.Unlock()
-	if price != bid.Price {
-		t.Fatalf("direct submit priced %v, want the daemon's bid %v", price, bid.Price)
+	defer d.mu.Unlock()
+	if len(d.jobs) != 0 || len(d.reserved) != 0 || d.outstanding != 0 {
+		t.Fatalf("a refused submit left %d jobs, %d holds, %v outstanding", len(d.jobs), len(d.reserved), d.outstanding)
 	}
-
-	_, shyAddr := startDaemon(t, Config{Bidder: declineAll{}})
-	shy := dial(t, shyAddr)
-	err := protocol.Call(shy, protocol.TypeSubmitReq, protocol.SubmitReq{User: "u", JobID: "unbid", Contract: contract(1e7)}, protocol.TypeSubmitOK, &sub)
-	if err == nil {
-		t.Fatal("a daemon that declines to bid admitted a direct submit")
-	}
-	if tracked(t, shy, "unbid") {
-		t.Fatal("refused direct submit is on the daemon")
-	}
-}
-
-// declineAll is a bid generator that declines every job.
-type declineAll struct{}
-
-func (declineAll) Name() string { return "decline-all" }
-
-func (declineAll) Multiplier(float64, *qos.Contract, bidding.ServerState) (float64, bool) {
-	return 0, false
 }
 
 func TestStatusUnknownJob(t *testing.T) {
@@ -332,7 +324,7 @@ func TestRegistersWithCentralOnStart(t *testing.T) {
 func TestKnownApplicationsEnforced(t *testing.T) {
 	cfg := Config{Info: protocol.ServerInfo{Spec: spec("strict", 32), Apps: []string{"namd"}}}
 	cfg.Scheduler = scheduler.NewEquipartition(cfg.Info.Spec, scheduler.Config{})
-	_, addr := startDaemon(t, cfg)
+	d, addr := startDaemon(t, cfg)
 	conn := dial(t, addr)
 	// An unexported application gets no bid (the §2.2 trust model).
 	unknown := &qos.Contract{App: "synth", MinPE: 1, MaxPE: 4, Work: 10}
@@ -340,7 +332,8 @@ func TestKnownApplicationsEnforced(t *testing.T) {
 	if err := protocol.Call(conn, protocol.TypeBidReq, protocol.BidReq{User: "u", Contract: unknown}, protocol.TypeBidOK, &bid); err == nil {
 		t.Fatal("daemon bid on an application it does not export")
 	}
-	// ... and cannot be submitted directly either.
+	// ... and cannot be submitted either, even on a commitment.
+	commitJob(t, d, "u", "x", 1)
 	var sub protocol.SubmitOK
 	if err := protocol.Call(conn, protocol.TypeSubmitReq, protocol.SubmitReq{User: "u", JobID: "x", Contract: unknown}, protocol.TypeSubmitOK, &sub); err == nil {
 		t.Fatal("daemon ran an application it does not export")
@@ -398,10 +391,11 @@ func TestReRegisterHeartbeatRestoresDirectory(t *testing.T) {
 // TestJobsRunUnderTemporaryUserIDs: each job runs under a userid of its
 // own, which its result.out names (§2.2).
 func TestJobsRunUnderTemporaryUserIDs(t *testing.T) {
-	_, addr := startDaemon(t, Config{})
+	d, addr := startDaemon(t, Config{})
 	conn := dial(t, addr)
 	var sub protocol.SubmitOK
 	for _, id := range []string{"t1", "t2"} {
+		commitJob(t, d, "alice", id, 1)
 		if err := protocol.Call(conn, protocol.TypeSubmitReq, protocol.SubmitReq{User: "alice", JobID: id, Contract: contract(200)}, protocol.TypeSubmitOK, &sub); err != nil {
 			t.Fatal(err)
 		}

@@ -93,7 +93,7 @@ func TestNewFixtureBytes(t *testing.T) {
 		}
 	}
 	d.mu.Lock()
-	owner, price, outbox := d.owners["job-a"], d.prices["job-a"], append([]protocol.SettleReq(nil), d.outbox...)
+	owner, price, outbox := d.jobs["job-a"].j.Owner, d.jobs["job-a"].price, append([]protocol.SettleReq(nil), d.outbox...)
 	d.mu.Unlock()
 	if owner != "alice" || price != 20 || len(outbox) != 1 || outbox[0] != *settle("job-b", 16, 2000) {
 		t.Fatalf("recovered owner=%q price=%v outbox=%+v", owner, price, outbox)

@@ -141,11 +141,11 @@ func (d *Daemon) rewriteJournalLocked() error {
 	for _, rec := range d.unplaced {
 		st.pending[rec.JobID] = rec
 	}
-	for id, j := range d.jobs {
+	for id, a := range d.jobs {
 		// A job the scheduler finished but finishJob has not settled is
 		// still owed its settlement: live until a "queue" record says so.
-		if !d.settledIDs[id] && j.State() != job.Killed {
-			st.pending[id] = journalRecord{Op: jopJob, JobID: id, Owner: d.owners[id], Price: d.prices[id], Contract: j.Contract}
+		if !d.settledIDs[id] && a.j.State() != job.Killed {
+			st.pending[id] = journalRecord{Op: jopJob, JobID: id, Owner: a.j.Owner, Price: a.price, Contract: a.j.Contract}
 		}
 	}
 	return d.journal.Rewrite(st.liveRecords()...)

@@ -36,9 +36,7 @@ func TestJournalRecoveryRestartsUnfinishedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.commitContract("j-recover", "alice", bidding.Bid{Price: 7}); err != nil {
-		t.Fatal(err)
-	}
+	commitJob(t, d, "alice", "j-recover", 7)
 	if err := d.submit(protocol.SubmitReq{User: "alice", JobID: "j-recover", Contract: contract(5000)}); err != nil {
 		t.Fatal(err)
 	}
@@ -56,15 +54,15 @@ func TestJournalRecoveryRestartsUnfinishedJob(t *testing.T) {
 		t.Fatalf("contract mangled: %+v", j.Contract)
 	}
 	d2.mu.Lock()
-	owner, price, outstanding, tmpUser := d2.owners["j-recover"], d2.prices["j-recover"], d2.outstanding, d2.tempUsers["j-recover"]
+	a, outstanding := d2.jobs["j-recover"], d2.outstanding
 	d2.mu.Unlock()
-	if owner != "alice" || price != 7 {
-		t.Fatalf("owner=%q price=%v, want alice/7", owner, price)
+	if a.j.Owner != "alice" || a.price != 7 {
+		t.Fatalf("owner=%q price=%v, want alice/7", a.j.Owner, a.price)
 	}
 	if outstanding != 5000 {
 		t.Fatalf("outstanding=%v, want 5000", outstanding)
 	}
-	if tmpUser == "" {
+	if a.tmp == 0 {
 		t.Fatal("recovered job has no temporary userid")
 	}
 }
@@ -77,6 +75,7 @@ func TestJournalKilledJobNotRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	commitJob(t, d, "alice", "j-kill", 1)
 	if err := d.submit(protocol.SubmitReq{User: "alice", JobID: "j-kill", Contract: contract(5000)}); err != nil {
 		t.Fatal(err)
 	}
@@ -259,14 +258,17 @@ func TestCommitAndSubmitIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.commitContract("j-idem", "alice", bidding.Bid{Price: 3}); err != nil {
+	commit := func(user string) error {
+		return d.commit(&protocol.CommitReq{User: user, JobID: "j-idem", Bid: bidding.Bid{Price: 3}})
+	}
+	if err := commit("alice"); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.commitContract("j-idem", "alice", bidding.Bid{Price: 3}); err != nil {
+	if err := commit("alice"); err != nil {
 		t.Fatalf("retried commit refused: %v", err)
 	}
-	if err := d.commitContract("j-idem", "mallory", bidding.Bid{}); err == nil {
-		t.Fatal("foreign commit on a reserved job accepted")
+	if err := commit("mallory"); !errors.Is(err, errNotOwner) {
+		t.Fatalf("foreign commit on a reserved job: %v, want errNotOwner", err)
 	}
 	req := protocol.SubmitReq{User: "alice", JobID: "j-idem", Contract: contract(5000)}
 	if err := d.submit(req); err != nil {
@@ -275,13 +277,13 @@ func TestCommitAndSubmitIdempotent(t *testing.T) {
 	if err := d.submit(req); err != nil {
 		t.Fatalf("retried submit refused: %v", err)
 	}
-	if err := d.commitContract("j-idem", "alice", bidding.Bid{Price: 3}); err != nil {
+	if err := commit("alice"); err != nil {
 		t.Fatalf("commit retry after submit refused: %v", err)
 	}
 	foreign := req
 	foreign.User = "mallory"
-	if err := d.submit(foreign); err == nil {
-		t.Fatal("foreign submit on a running job accepted")
+	if err := d.submit(foreign); !errors.Is(err, errNotOwner) {
+		t.Fatalf("foreign submit on a running job: %v, want errNotOwner", err)
 	}
 	d.mu.Lock()
 	outstanding := d.outstanding
@@ -301,6 +303,7 @@ func TestRecoveryKeepsUnplacedAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	commitJob(t, d, "alice", "j-wide", 1)
 	if err := d.submit(protocol.SubmitReq{User: "alice", JobID: "j-wide", Contract: contract(5000)}); err != nil {
 		t.Fatal(err)
 	}
@@ -338,6 +341,6 @@ func TestRecoveryKeepsUnplacedAdmission(t *testing.T) {
 func jobOf(d *Daemon, id string) (*job.Job, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	j, ok := d.jobs[id]
-	return j, ok
+	a, ok := d.jobs[id]
+	return a.j, ok
 }

@@ -91,6 +91,7 @@ func TestSilentMonitorNeverBlocksTheDaemon(t *testing.T) {
 	const rpcTimeout = 3 * time.Second
 	d, addr := startDaemon(t, Config{AppSpectorAddr: silentMonitor(t), RPCTimeout: rpcTimeout})
 	conn := dial(t, addr)
+	commitJob(t, d, "alice", "j1", 1)
 
 	start := time.Now()
 	var sub protocol.SubmitOK

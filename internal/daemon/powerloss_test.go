@@ -97,9 +97,10 @@ func restart(t *testing.T, dir string) (*Daemon, net.Conn) {
 func TestAckedRecordsSurvivePowerLoss(t *testing.T) {
 	p := installPowerCut(t)
 	dir := t.TempDir()
-	_, conn := restart(t, dir)
+	d, conn := restart(t, dir)
 	var sub protocol.SubmitOK
 	for _, id := range []string{"kept", "killed"} {
+		commitJob(t, d, "alice", id, 1)
 		if err := protocol.Call(conn, protocol.TypeSubmitReq, protocol.SubmitReq{User: "alice", JobID: id, Contract: contract(1e7)}, protocol.TypeSubmitOK, &sub); err != nil {
 			t.Fatal(err)
 		}
@@ -135,6 +136,7 @@ func TestJournalFailedFlushRepairedBeforeReply(t *testing.T) {
 	dir := t.TempDir()
 	d, conn := restart(t, dir)
 	submit := func(id string) error {
+		commitJob(t, d, "alice", id, 1)
 		var sub protocol.SubmitOK
 		return protocol.Call(conn, protocol.TypeSubmitReq, protocol.SubmitReq{User: "alice", JobID: id, Contract: contract(1e7)}, protocol.TypeSubmitOK, &sub)
 	}
@@ -195,9 +197,9 @@ func TestJournalFailedFlushRepairedBeforeReply(t *testing.T) {
 // Caller holds d.mu.
 func stateOf(t *testing.T, d *Daemon) string {
 	st := recoveredState{pending: map[string]journalRecord{}, queued: d.outbox}
-	for id, j := range d.jobs {
-		if !d.settledIDs[id] && !j.State().Terminal() {
-			st.pending[id] = journalRecord{Op: jopJob, JobID: id, Owner: d.owners[id], Price: d.prices[id], Contract: j.Contract}
+	for id, a := range d.jobs {
+		if !d.settledIDs[id] && !a.j.State().Terminal() {
+			st.pending[id] = journalRecord{Op: jopJob, JobID: id, Owner: a.j.Owner, Price: a.price, Contract: a.j.Contract}
 		}
 	}
 	return stateFingerprint(t, st)

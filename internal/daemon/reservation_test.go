@@ -26,9 +26,8 @@ func advance(d *Daemon, v float64) {
 // bidValidity on the daemon's clock and no longer. Commits that no
 // submit follows leave a table bounded by the commits of one validity
 // window, and no staging area; a submit inside the window pays the
-// committed price; after it, the job is priced by a fresh bid, or refused
-// where the daemon declines, an upload finds no job, and another user may
-// commit the ID.
+// committed price; after it, a submit is refused and leaves no job, an
+// upload finds no job, and another user may commit the ID.
 func TestReservationsExpire(t *testing.T) {
 	info := protocol.ServerInfo{Spec: spec("turing", 64), Apps: []string{"synth"}}
 	d, err := New(Config{Info: info, Scheduler: scheduler.NewEquipartition(info.Spec, scheduler.Config{}),
@@ -48,7 +47,7 @@ func TestReservationsExpire(t *testing.T) {
 	upload := func(job string) error {
 		id++
 		return d.dispatch(conn, frameOf(t, id, protocol.TypeUploadReq, protocol.UploadReq{
-			JobID: job, Name: "in.dat", Data: payload, Last: true, SHA256: stage.Digest(payload)}))
+			User: "alice", JobID: job, Name: "in.dat", Data: payload, Last: true, SHA256: stage.Digest(payload)}))
 	}
 	submit := func(job string, c *qos.Contract) error {
 		return d.submit(protocol.SubmitReq{User: "alice", JobID: job, Contract: c})
@@ -90,14 +89,14 @@ func TestReservationsExpire(t *testing.T) {
 	if err := submit("held", fresh()); err != nil {
 		t.Fatal(err)
 	}
-	if p := d.prices["held"]; p != 123.25 {
+	if p := priceOf(d, "held"); p != 123.25 {
 		t.Fatalf("submit inside the window priced at %v, want the committed 123.25", p)
 	}
 	if err := hasFile("held"); err != nil {
 		t.Fatalf("the held job's upload is gone: %v", err)
 	}
 
-	// After it: no upload, no staged file, and a fresh bid's price.
+	// After it: no upload, no submit, and nothing left of the job.
 	if err := commit("alice", "late", 123.25); err != nil {
 		t.Fatal(err)
 	}
@@ -108,28 +107,14 @@ func TestReservationsExpire(t *testing.T) {
 	if err := upload("late"); !errors.Is(err, stage.ErrNoJob) {
 		t.Fatalf("upload after the window: %v, want stage.ErrNoJob", err)
 	}
-	want, ok := d.makeBid(fresh())
-	if !ok || want.Price == 123.25 {
-		t.Fatalf("the daemon bids %+v, %v: the test needs a price apart from the committed one", want, ok)
+	if err := submit("late", fresh()); !errors.Is(err, errNoCommitment) {
+		t.Fatalf("submit after the window: %v, want errNoCommitment", err)
 	}
-	if err := submit("late", fresh()); err != nil {
-		t.Fatal(err)
+	if _, ok := jobOf(d, "late"); ok {
+		t.Fatal("a submit after the window left a job")
 	}
-	if p := d.prices["late"]; p != want.Price {
-		t.Fatalf("submit after the window priced at %v, want a fresh bid's %v", p, want.Price)
-	}
-	if err := hasFile("late"); !errors.Is(err, stage.ErrNoFile) {
-		t.Fatalf("the lapsed hold's upload reached the job: %v", err)
-	}
-
-	// After it, where the daemon declines to bid: refused.
-	if err := commit("alice", "declined", 123.25); err != nil {
-		t.Fatal(err)
-	}
-	advance(d, bidValidity+1)
-	big := &qos.Contract{App: "synth", MinPE: 1000, MaxPE: 1000, Work: 1}
-	if err := submit("declined", big); err == nil || !strings.Contains(err.Error(), "declines") {
-		t.Fatalf("submit after the window to a daemon that declines: %v", err)
+	if err := hasFile("late"); !errors.Is(err, stage.ErrNoJob) {
+		t.Fatalf("the lapsed hold's staging area outlived it: %v", err)
 	}
 
 	// A lapsed hold binds no one: another user commits the ID.
@@ -148,9 +133,9 @@ func TestReservationsExpire(t *testing.T) {
 // TestReservationChurnUnderLoad interleaves commits, uploads, submits and
 // the sweeps commits run from several goroutines on one running daemon
 // whose holds lapse within milliseconds; CI runs it under -race. A job
-// is admitted at its committed price or a bid's, never for nothing, and
+// is admitted at its committed price or, its hold lapsed, refused, and
 // once every hold has lapsed a sweep leaves neither a hold nor a staging
-// area for a job that was not submitted.
+// area for a job that was not admitted.
 func TestReservationChurnUnderLoad(t *testing.T) {
 	d, _ := startDaemon(t, Config{TimeScale: 1e5}) // a hold lasts 3 ms
 	const workers, rounds, committed = 4, 200, 777.0
@@ -167,7 +152,7 @@ func TestReservationChurnUnderLoad(t *testing.T) {
 				frameOf(t, uint64(2*i+1), protocol.TypeCommitReq, protocol.CommitReq{
 					User: "alice", JobID: job, Bid: bidding.Bid{Server: "turing", Price: committed}}),
 				frameOf(t, uint64(2*i+2), protocol.TypeUploadReq, protocol.UploadReq{
-					JobID: job, Name: "in.dat", Data: []byte("chunk"), Last: true}),
+					User: "alice", JobID: job, Name: "in.dat", Data: []byte("chunk"), Last: true}),
 			})
 		}
 	}
@@ -200,7 +185,14 @@ func TestReservationChurnUnderLoad(t *testing.T) {
 					mu.Unlock()
 					continue
 				}
-				if err := d.submit(protocol.SubmitReq{User: "alice", JobID: tr.job, Contract: contract(100)}); err != nil {
+				err := d.submit(protocol.SubmitReq{User: "alice", JobID: tr.job, Contract: contract(100)})
+				if errors.Is(err, errNoCommitment) { // the hold lapsed
+					mu.Lock()
+					unsubmitted = append(unsubmitted, tr.job)
+					mu.Unlock()
+					continue
+				}
+				if err != nil {
 					t.Error(err)
 					return
 				}
@@ -210,9 +202,9 @@ func TestReservationChurnUnderLoad(t *testing.T) {
 	wg.Wait()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for job, p := range d.prices {
-		if p <= 0 {
-			t.Errorf("job %s admitted at %v", job, p)
+	for job, a := range d.jobs {
+		if a.price != committed {
+			t.Errorf("job %s admitted at %v, want the committed %v", job, a.price, committed)
 		}
 	}
 	d.sweepHoldsLocked(d.Now() + bidValidity + 1) // past every hold's lapse
@@ -223,5 +215,95 @@ func TestReservationChurnUnderLoad(t *testing.T) {
 		if _, _, err := d.Stage.ReadAt(job, "in.dat", 0, 0); !errors.Is(err, stage.ErrNoJob) {
 			t.Fatalf("job %s was never submitted, yet its staging area is left: %v", job, err)
 		}
+	}
+}
+
+// priceOf is the price the daemon admitted job id at, read under its lock.
+func priceOf(d *Daemon, id string) float64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.jobs[id].price
+}
+
+// TestSubmitSpendsOnlyYourOwnCommitment: a commitment binds the daemon to
+// the user who made it (§5.3). Another user's submit of the held job ID
+// is refused and leaves no job; the committer's own submit then pays the
+// committed price, and the job is theirs.
+func TestSubmitSpendsOnlyYourOwnCommitment(t *testing.T) {
+	info := protocol.ServerInfo{Spec: spec("turing", 64), Apps: []string{"synth"}}
+	d, err := New(Config{Info: info, Scheduler: scheduler.NewEquipartition(info.Spec, scheduler.Config{}),
+		TimeScale: 1e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	commitJob(t, d, "alice", "a", 50000)
+	err = d.submit(protocol.SubmitReq{User: "mallory", JobID: "a", Contract: contract(1e7)})
+	if !errors.Is(err, errNotOwner) {
+		t.Fatalf("mallory's submit of alice's held job: %v, want errNotOwner", err)
+	}
+	if _, ok := jobOf(d, "a"); ok {
+		t.Fatal("mallory's refused submit left a job")
+	}
+	if err := d.submit(protocol.SubmitReq{User: "alice", JobID: "a", Contract: contract(1e7)}); err != nil {
+		t.Fatalf("alice's submit after mallory's: %v", err)
+	}
+	if j, _ := jobOf(d, "a"); j.Owner != "alice" || priceOf(d, "a") != 50000 {
+		t.Fatalf("job admitted for %q at %v, want alice at the committed 50000", j.Owner, priceOf(d, "a"))
+	}
+	if _, err := d.kill(protocol.KillReq{User: "mallory", JobID: "a"}); !errors.Is(err, errNotOwner) {
+		t.Fatalf("mallory's kill of alice's job: %v, want errNotOwner", err)
+	}
+}
+
+// TestUploadNeedsTheJobsUser: an upload is checked as a submit is. On a
+// daemon with a Central Server, one carrying no valid token is refused,
+// and so is one from a user who does not own the job, held or running;
+// the owner's own is staged.
+func TestUploadNeedsTheJobsUser(t *testing.T) {
+	fs, fsAddr := startCentralForWeather(t)
+	for _, u := range []string{"alice", "mallory"} {
+		if err := fs.Auth.AddUser(u, "pw", ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, addr := startDaemon(t, Config{CentralAddr: fsAddr, TimeScale: 1e-6})
+	conn := dial(t, addr)
+	alice, err := fs.Auth.Login("alice", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mallory, err := fs.Auth.Login("mallory", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := []byte("input deck")
+	upload := func(user, token string) error {
+		var up protocol.UploadOK
+		return protocol.Call(conn, protocol.TypeUploadReq, protocol.UploadReq{User: user, Token: token,
+			JobID: "a", Name: "in.dat", Data: payload, Last: true, SHA256: stage.Digest(payload)}, protocol.TypeUploadOK, &up)
+	}
+	commitJob(t, d, "alice", "a", 1)
+	for _, bad := range []struct{ what, user, token string }{
+		{"no token", "alice", ""},
+		{"a bogus token", "alice", "bogus"},
+		{"another user", "mallory", mallory},
+		{"another user's token", "alice", mallory},
+	} {
+		if err := upload(bad.user, bad.token); err == nil {
+			t.Fatalf("upload with %s to a held job accepted", bad.what)
+		}
+	}
+	if _, _, err := d.Stage.ReadAt("a", "in.dat", 0, 0); !errors.Is(err, stage.ErrNoJob) {
+		t.Fatalf("a refused upload staged something: %v", err)
+	}
+	if err := upload("alice", alice); err != nil {
+		t.Fatalf("the owner's upload: %v", err)
+	}
+	if err := d.submit(protocol.SubmitReq{User: "alice", JobID: "a", Contract: contract(1e7)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := upload("mallory", mallory); err == nil || !strings.Contains(err.Error(), errNotOwner.Error()) {
+		t.Fatalf("mallory's upload to alice's running job: %v", err)
 	}
 }

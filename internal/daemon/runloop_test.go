@@ -46,6 +46,7 @@ func loopDaemon(t *testing.T, cfg Config) (*Daemon, *telemetry.Tracer) {
 
 func submitJob(t *testing.T, d *Daemon, id string, c *qos.Contract) {
 	t.Helper()
+	commitJob(t, d, "alice", id, 1)
 	if err := d.submit(protocol.SubmitReq{User: "alice", JobID: id, Contract: c}); err != nil {
 		t.Fatalf("submit %s: %v", id, err)
 	}
@@ -78,7 +79,7 @@ func awaitFinish(t *testing.T, d *Daemon, tr *telemetry.Tracer, id string) time.
 		t.Fatalf("job %s finished %d times", id, len(fin))
 	}
 	d.mu.Lock()
-	finishTime := d.jobs[id].FinishTime
+	finishTime := d.jobs[id].j.FinishTime
 	d.mu.Unlock()
 	completed := d.epoch.Add(time.Duration(finishTime / d.cfg.TimeScale * float64(time.Second)))
 	return fin[0].Wall.Sub(completed)
@@ -107,7 +108,7 @@ func TestRunLoopWakesOnlyForEvents(t *testing.T) {
 				if err := j.Start(0, 16, 1); err != nil || !j.AdvanceTo(2) {
 					t.Fatalf("building a finished job: %v", err)
 				}
-				d.jobs[string(j.ID)] = j
+				d.jobs[string(j.ID)] = admission{j: j}
 				d.settledIDs[string(j.ID)] = true
 			}
 			d.mu.Unlock()
@@ -295,7 +296,7 @@ func TestProgressIsBookedBetweenEvents(t *testing.T) {
 	booked := func(t *testing.T, d *Daemon, read func() float64) {
 		t.Helper()
 		d.mu.Lock()
-		started := d.jobs["lone"].StartTime
+		started := d.jobs["lone"].j.StartTime
 		d.mu.Unlock()
 		time.Sleep(wallMS / 2 * time.Millisecond)
 		lo := (d.Now() - started) / wallMS
@@ -333,7 +334,7 @@ func TestProgressIsBookedBetweenEvents(t *testing.T) {
 			}
 			d.mu.Lock()
 			defer d.mu.Unlock()
-			j := d.jobs["lone"]
+			j := d.jobs["lone"].j
 			return j.DoneWork() / j.Contract.Work
 		})
 	})

@@ -113,6 +113,7 @@ func TestMakeBidKeepsNothingOfTheContract(t *testing.T) {
 				info := protocol.ServerInfo{Spec: spec("turing", 64)}
 				d, _ := startDaemon(t, Config{Info: info, Scheduler: mk(info.Spec, scheduler.Config{}), Bidder: gen, TimeScale: 1e-6})
 				// Something running, so an estimate has a plan to fit into.
+				commitJob(t, d, "u", "resident", 1)
 				if err := d.submit(protocol.SubmitReq{User: "u", JobID: "resident", Contract: phased("synth", 1e9, 8, 32, 2)}); err != nil {
 					t.Fatal(err)
 				}

@@ -410,21 +410,21 @@ func TestUploadResumeAfterOffsetError(t *testing.T) {
 	full := []byte("resumable payload 0123456789")
 	var up protocol.UploadOK
 	err = protocol.Call(conn, protocol.TypeUploadReq, protocol.UploadReq{
-		JobID: p.JobID, Name: "in.dat", Offset: 0, Data: full[:10],
+		User: cl.User, Token: cl.Token, JobID: p.JobID, Name: "in.dat", Offset: 0, Data: full[:10],
 	}, protocol.TypeUploadOK, &up)
 	if err != nil || up.Received != 10 {
 		t.Fatalf("first chunk: %+v %v", up, err)
 	}
 	// Wrong offset (simulated retransmission confusion) is rejected.
 	err = protocol.Call(conn, protocol.TypeUploadReq, protocol.UploadReq{
-		JobID: p.JobID, Name: "in.dat", Offset: 5, Data: full[5:],
+		User: cl.User, Token: cl.Token, JobID: p.JobID, Name: "in.dat", Offset: 5, Data: full[5:],
 	}, protocol.TypeUploadOK, &up)
 	if err == nil {
 		t.Fatal("non-contiguous offset accepted")
 	}
 	// Resume from the correct offset with the final digest.
 	err = protocol.Call(conn, protocol.TypeUploadReq, protocol.UploadReq{
-		JobID: p.JobID, Name: "in.dat", Offset: 10, Data: full[10:], Last: true, SHA256: stage.Digest(full),
+		User: cl.User, Token: cl.Token, JobID: p.JobID, Name: "in.dat", Offset: 10, Data: full[10:], Last: true, SHA256: stage.Digest(full),
 	}, protocol.TypeUploadOK, &up)
 	if err != nil || up.Received != int64(len(full)) {
 		t.Fatalf("resume: %+v %v", up, err)

@@ -346,8 +346,10 @@ type SubmitOK struct {
 
 // UploadReq stages one input file chunk to the daemon before the job
 // starts (§2: "at this point the client uploads the input files to the
-// chosen FD").
+// chosen FD"). Only the job's own user, verified, may upload.
 type UploadReq struct {
+	User   string `json:"user"`
+	Token  string `json:"token"`
 	JobID  string `json:"job_id"`
 	Name   string `json:"name"`
 	Offset int64  `json:"offset"`

@@ -69,3 +69,11 @@ func TestSettleAllocs(t *testing.T) {
 		t.Errorf("ephemeral Accountant.Settle: %v allocs, want 0", got)
 	}
 }
+
+// TestSettleDispatchAllocs pins the settle arm: the job ID, the deferred
+// reply's closure and, on an ephemeral database, the contract row.
+func TestSettleDispatchAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(100, settleDispatchCase(t, 101)); got > 3 {
+		t.Errorf("settle arm: %v allocs, want ≤ 3", got)
+	}
+}

@@ -747,39 +747,37 @@ func (s *Server) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 		}
 		return protocol.WriteFrame(conn, protocol.TypeVerifyOK, protocol.VerifyOK{User: req.User})
 
-	case protocol.TypeSettleReq:
-		var req protocol.SettleReq
-		if err := protocol.Decode(f, f.Type, &req); err != nil {
+	case protocol.TypeSettleReq, protocol.TypeForwardSettleReq:
+		// Acknowledged only once on disk, here or at the owning shard, so
+		// the reply is deferred and the connection reads on meanwhile. The
+		// request is decoded into the connection's scratch (a daemon's
+		// user, server and application strings outlive it) and copied.
+		sc, _ := conn.Scratch.(*protocol.SettleReq)
+		if sc == nil {
+			sc = new(protocol.SettleReq)
+			conn.Scratch = sc
+		}
+		if err := protocol.Decode(f, f.Type, sc); err != nil { // the two share a body
 			return err
 		}
-		if !s.ownsUser(req.User) {
-			// The daemon settled with the shard it registered at, but the
-			// money belongs to the user's shard. Forward one hop server-side
-			// — daemons stay ring-unaware.
+		// A daemon's settlement for a user another shard owns is forwarded
+		// one hop (daemons stay ring-unaware); a forwarded one is settled
+		// here, always — the distinct frame type is the recursion guard.
+		forward := f.Type == protocol.TypeSettleReq && !s.ownsUser(sc.User)
+		if forward {
 			s.met.fwdSettles.Inc()
-			if err := s.forwardSettle(req); err != nil {
-				return err
+		}
+		r, req := conn.Defer(), *sc
+		go func() {
+			var err error
+			if forward {
+				err = s.forwardSettle(req)
+			} else {
+				err = s.Settle(req)
 			}
-			return protocol.WriteFrame(conn, protocol.TypeSettleOK, protocol.SettleOK{})
-		}
-		if err := s.Settle(req); err != nil {
-			return err
-		}
-		return protocol.WriteFrame(conn, protocol.TypeSettleOK, protocol.SettleOK{})
-
-	case protocol.TypeForwardSettleReq:
-		// A settlement forwarded by a peer shard: settle locally, always.
-		// The distinct frame type is the recursion guard — this handler
-		// never forwards, so a stale ring on the sender costs one wrong
-		// hop at most, never a loop.
-		var req protocol.ForwardSettleReq
-		if err := protocol.Decode(f, f.Type, &req); err != nil {
-			return err
-		}
-		if err := s.Settle(protocol.SettleReq(req)); err != nil {
-			return err
-		}
-		return protocol.WriteFrame(conn, protocol.TypeSettleOK, protocol.SettleOK{})
+			r.Finish(protocol.TypeSettleOK, protocol.SettleOK{}, err)
+		}()
+		return nil
 
 	case protocol.TypeGossipReq:
 		// A peer pulling our digest: answer with LOCAL state only, so

@@ -72,9 +72,9 @@ func TestJournalAppendAllocs(t *testing.T) {
 }
 
 // TestFlushSettlementsAllocs pins the outbox flush: a warm flush of one
-// entry — copied into the flush's own slice, sent from it, acknowledged,
-// journaled as acked (and fsync'd) and dropped — allocates nothing, the
-// pooled exchange and the acknowledging server included.
+// entry — copied into the flush's own call record, started from it,
+// acknowledged, journaled as acked (and fsync'd) and dropped — allocates
+// nothing, the pooled exchange and the acknowledging server included.
 func TestFlushSettlementsAllocs(t *testing.T) {
 	srv := protocol.NewServer("central stub", func(rc *protocol.ReplyConn, f protocol.Frame) error {
 		return protocol.WriteFrame(rc, protocol.TypeSettleOK, protocol.SettleOK{})
@@ -128,5 +128,15 @@ func TestWakeTimerAllocs(t *testing.T) {
 		w.Stop()
 	}); got != 0 {
 		t.Errorf("wake timer Reset+Stop: %v allocs, want 0", got)
+	}
+}
+
+// TestSubmitDispatchAllocs pins the submit arm: what an admitted job
+// keeps — its ID, its contract, its *job.Job, its staging area — and the
+// deferred reply's closure and boxed SubmitOK, the tables' growth
+// amortised.
+func TestSubmitDispatchAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(200, submitDispatchCase(t, 201)); got > 6 {
+		t.Errorf("submit arm: %v allocs, want ≤ 6", got)
 	}
 }

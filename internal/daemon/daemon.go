@@ -22,6 +22,7 @@ import (
 	"math"
 	"net"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -132,12 +133,18 @@ type reservation struct {
 // admission is one job the daemon has admitted: the job (its Owner the
 // user who submitted it), the price its commitment agreed, and the number
 // of the temporary userid it runs under (§2.2: "the Faucets system runs
-// the job with a temporary userid").
+// the job with a temporary userid"); whether its finish is booked, and
+// whether it has nothing left to deliver (see retireLocked).
 type admission struct {
-	j     *job.Job
-	price float64
-	tmp   uint64
+	j                *job.Job
+	price            float64
+	tmp              uint64
+	settled, retired bool
 }
+
+// maxRetired is how many jobs with nothing left to deliver the daemon
+// still answers for, as AppSpector (MaxFinished) and the tracer do.
+const maxRetired = 4096
 
 // A job ID is refused to a user who does not own it on this daemon. A
 // lapsed commitment, or one a restart lost (holds are not journaled), is
@@ -154,6 +161,11 @@ type Daemon struct {
 
 	mu   sync.Mutex
 	jobs map[string]admission
+	// retireLocked's: a ring of the newest jobs retired, and its sweep's.
+	retiredIDs  []string
+	retiredNext int
+	jobsSpare   map[string]admission
+	jobsDropped int
 	// reserved holds the commits no submit has followed yet, expired ones
 	// included until a sweep (see holdLocked). A sweep copies the live ones
 	// into reservedSpare and swaps the two; reservedSwept is how many it
@@ -162,16 +174,15 @@ type Daemon struct {
 	reservedSpare map[string]reservation
 	reservedSwept int
 	outstanding   float64
-	settledIDs    map[string]bool
 	tempSeq       uint64 // the last temporary userid handed out
 	// outbox holds settlements the Central Server has not acknowledged
 	// yet; runLoop redelivers them until each is acked (or refused).
 	outbox []protocol.SettleReq
-	// flushSettlements' own, reused: a copy of the outbox and the IDs it
-	// may drop. Its only caller is runLoop while the daemon runs, and
-	// Close once runLoop has exited, so they need no lock.
-	flushPending []protocol.SettleReq
-	flushDone    map[string]bool
+	// flushSettlements' own, reused: a call record per entry in flight.
+	// Its only caller is runLoop while the daemon runs, and Close once
+	// runLoop has exited, so they need no lock.
+	flushCalls []*settleCall
+	flushWG    sync.WaitGroup
 	// kick wakes runLoop after a change to the scheduler's running set
 	// that it did not make itself (submit, kill, recovery), so it
 	// re-arms its timer. One pending kick covers any number of changes.
@@ -201,6 +212,9 @@ type Daemon struct {
 	monitorQ      []byte
 	monitorFrames int
 	monitorKick   chan struct{}
+	// monReg and monTel (under mu): what frames are encoded from, unboxed.
+	monReg protocol.ASRegisterReq
+	monTel protocol.Telemetry
 
 	// verifyCache remembers recent successful credential checks:
 	// user+token → wall-clock expiry.
@@ -259,10 +273,9 @@ func New(cfg Config) (*Daemon, error) {
 		cfg:           cfg,
 		epoch:         time.Now(),
 		jobs:          map[string]admission{},
+		jobsSpare:     map[string]admission{},
 		reserved:      map[string]reservation{},
 		reservedSpare: map[string]reservation{},
-		settledIDs:    map[string]bool{},
-		flushDone:     map[string]bool{},
 		Stage:         stage.NewStore(),
 		closed:        make(chan struct{}),
 		kick:          make(chan struct{}, 1),
@@ -345,10 +358,7 @@ func (d *Daemon) recover(path string) error {
 	if len(st.pending) > 0 {
 		d.wake() // runLoop has not started yet; the kick waits for it
 	}
-	for _, req := range st.queued {
-		d.settledIDs[req.JobID] = true
-		d.outbox = append(d.outbox, req)
-	}
+	d.outbox = append(d.outbox, st.queued...)
 	return d.rewriteJournalLocked()
 }
 
@@ -601,7 +611,7 @@ func (d *Daemon) runLoop(timer *wakeTimer) {
 			if now >= nextSample {
 				nextSample = now + sampleEvery
 				for _, j := range running {
-					d.monitor(protocol.TypeTelemetry, snapshotTelemetry(now, j, ""))
+					d.sample(now, j, "")
 				}
 			}
 			if !armed || nextSample < next {
@@ -685,19 +695,19 @@ func (d *Daemon) wake() {
 func (d *Daemon) finishJob(now float64, j *job.Job) {
 	id := string(j.ID)
 	d.mu.Lock()
-	if d.settledIDs[id] {
+	a := d.jobs[id]
+	if a.settled {
 		d.mu.Unlock()
 		return
 	}
-	d.settledIDs[id] = true
+	a.settled = true
+	d.jobs[id] = a
 	d.outstanding -= j.Contract.Work
 	if d.outstanding < 0 {
 		d.outstanding = 0
 	}
-	a := d.jobs[id]
-	tmpUser := fmt.Sprintf("fauc-tmp-%06d", a.tmp)
 	cpuUsed := j.CPUUsed()
-	d.monitor(protocol.TypeTelemetry, snapshotTelemetry(now, j, fmt.Sprintf("%s finished at %.1f", id, now)))
+	d.sample(now, j, fmt.Sprintf("%s finished at %.1f", id, now))
 	if d.cfg.CentralAddr != "" {
 		// The Central Server resolves the user's home cluster from its
 		// own accounts; the FD holds no accounting information. The
@@ -712,17 +722,56 @@ func (d *Daemon) finishJob(now float64, j *job.Job) {
 		d.journalStage(journalRecord{Op: jopQueue, Settle: &d.outbox[len(d.outbox)-1]})
 	} else {
 		d.journalStage(journalRecord{Op: jopDone, JobID: id})
+		d.retireLocked(id)
 	}
-	// The synthetic application's output file, stamped with the
-	// temporary userid the job ran under (§2.2).
-	_ = d.Stage.Append(id, "stdout.log", []byte(fmt.Sprintf("[%.1f] %s completed as %s: %.0f CPU-seconds\n", now, id, tmpUser, cpuUsed)))
-	_ = d.Stage.Put(id, "result.out", []byte(fmt.Sprintf("job=%s user=%s work=%.0f cpu=%.0f\n", id, tmpUser, j.Contract.Work, cpuUsed)))
+	// The synthetic application's output files, stamped with the
+	// temporary userid the job ran under (§2.2): formatted into one buffer
+	// the store keeps, stdout.log capped so an append cannot reach
+	// result.out.
+	b := fmt.Appendf(make([]byte, 0, 128+2*len(id)), "[%.1f] %s completed as fauc-tmp-%06d: %.0f CPU-seconds\n", now, id, a.tmp, cpuUsed)
+	n := len(b)
+	b = fmt.Appendf(b, "job=%s user=fauc-tmp-%06d work=%.0f cpu=%.0f\n", id, a.tmp, j.Contract.Work, cpuUsed)
+	_ = d.Stage.Append(id, "stdout.log", b[:n:n])
+	_ = d.Stage.Put(id, "result.out", b[n:])
 	d.met.jobsFinished.Inc()
 	d.mu.Unlock()
 	d.met.finishLag.Observe(time.Since(d.epoch).Seconds() - j.FinishTime/d.cfg.TimeScale)
 	if d.cfg.Tracer != nil {
 		d.trace(id, telemetry.SpanFinish, fmt.Sprintf("%.0f CPU-seconds", cpuUsed))
 	}
+}
+
+// retireLocked marks a job as having nothing left to deliver (its
+// settlement acknowledged, its standalone finish or kill journaled) and
+// forgets, whole, the one retired maxRetired jobs before it: its status
+// and outputs then answer "unknown job". A journal rewrite leaves settled
+// jobs out already. Once as many have been forgotten as are held, the
+// table is swept into its spare, as sweepHoldsLocked's is. Caller holds
+// d.mu.
+func (d *Daemon) retireLocked(id string) {
+	a, ok := d.jobs[id]
+	if !ok || a.retired {
+		return
+	}
+	a.retired = true
+	d.jobs[id] = a
+	if len(d.retiredIDs) < maxRetired {
+		d.retiredIDs = append(d.retiredIDs, id)
+		return
+	}
+	old := d.retiredIDs[d.retiredNext]
+	d.retiredIDs[d.retiredNext] = id
+	d.retiredNext = (d.retiredNext + 1) % maxRetired
+	delete(d.jobs, old)
+	d.Stage.DropJob(old)
+	if d.jobsDropped++; d.jobsDropped <= len(d.jobs) {
+		return
+	}
+	for id, a := range d.jobs {
+		d.jobsSpare[id] = a
+	}
+	clear(d.jobs)
+	d.jobs, d.jobsSpare, d.jobsDropped = d.jobsSpare, d.jobs, 0
 }
 
 // settle delivers the outbox, then waits once for every journal record
@@ -732,73 +781,97 @@ func (d *Daemon) settle() {
 	_ = d.journalWait(jticket{}, nil)
 }
 
+// maxSettleFlight bounds the settlements (and a cold pool's goroutines)
+// one flush puts in flight; a longer outbox's rest waits for a pass.
+const maxSettleFlight = 1024
+
+// settleCall is one outbox entry in flight, reused: a copy of the entry
+// and its pooled exchange, Done made with the record; drop: it leaves.
+type settleCall struct {
+	protocol.PoolCall
+	req  protocol.SettleReq
+	err  error
+	drop bool
+}
+
 // flushSettlements delivers queued settlements to the Central Server
-// over the shared connection pool, removing each acknowledged (or
-// permanently refused) one from the outbox. Transport failures keep
-// records queued for the next cycle; the pool evicts broken
-// connections, so a partitioned Central Server costs one fast failure
-// here and a fresh dial on the next cycle — the outbox never wedges on
-// a dead cached connection.
+// over the shared connection pool, all in flight at once, and
+// removes each acknowledged (or permanently refused) one from the outbox.
+// A transport failure keeps its own entry queued for the next cycle; the
+// pool evicts broken connections, so a partitioned Central Server costs
+// one fast failure here and a fresh dial on the next cycle — the outbox
+// never wedges on a dead cached connection.
 func (d *Daemon) flushSettlements() {
 	if d.cfg.CentralAddr == "" {
 		return
 	}
 	d.mu.Lock()
-	d.flushPending = append(d.flushPending[:0], d.outbox...)
+	n := min(len(d.outbox), maxSettleFlight)
+	for len(d.flushCalls) < n {
+		c := new(settleCall)
+		c.Done = func(err error) { c.err = err; d.flushWG.Done() }
+		d.flushCalls = append(d.flushCalls, c)
+	}
+	calls := d.flushCalls[:n]
+	for i, c := range calls {
+		c.req = d.outbox[i]
+	}
 	d.mu.Unlock()
-	pending, done := d.flushPending, d.flushDone
-	if len(pending) == 0 {
+	if len(calls) == 0 {
 		return
 	}
-	clear(done)
-	for i := range pending {
-		req := &pending[i] // Pool.Call keeps nothing of it once it returns
-		err := d.pool.Call(d.centralAddr(), d.cfg.RPCTimeout, protocol.TypeSettleReq, req, protocol.TypeSettleOK, &protocol.SettleOK{})
-		if err == nil {
-			done[req.JobID] = true
-			continue
-		}
-		var remote *protocol.RemoteError
-		if errors.As(err, &remote) {
-			if remote.Retryable {
+	addr := d.centralAddr()
+	d.flushWG.Add(len(calls))
+	for _, c := range calls {
+		c.Addr, c.Timeout, c.ReqType, c.Req = addr, d.cfg.RPCTimeout, protocol.TypeSettleReq, &c.req
+		c.WantReply, c.Reply = protocol.TypeSettleOK, &protocol.SettleOK{}
+		d.pool.Start(&c.PoolCall)
+	}
+	d.flushWG.Wait()
+	for _, c := range calls {
+		req, err := &c.req, c.err
+		c.drop = err == nil
+		if err != nil {
+			var remote *protocol.RemoteError // declared here: errors.As makes it escape
+			switch {
+			case !errors.As(err, &remote):
+				// Connection-level trouble: retry it next cycle.
+			case remote.Retryable:
 				// Delivered, accepted in principle, but the central could
 				// not make it durable (e.g. a WAL failure). Keep it
 				// queued: redelivery is idempotent on the central's side.
 				log.Printf("daemon %s: settlement %s deferred by central: %v", d.Name(), req.JobID, err)
-				continue
+			default:
+				// Delivered but refused: retrying unchanged cannot succeed,
+				// so drop it rather than poison the queue forever. The job ID
+				// and amount go to the log — this is billing data an operator
+				// may need to reconcile by hand — and the poison counter, so a
+				// quietly mis-refusing Central Server shows up on a dashboard.
+				log.Printf("daemon %s: settlement dropped from outbox: job=%s server=%s price=%.4f refused by central: %v",
+					d.Name(), req.JobID, req.Server, req.Price, err)
+				d.met.outboxPoison.Inc()
+				c.drop = true
 			}
-			// Delivered but refused: retrying unchanged cannot succeed,
-			// so drop it rather than poison the queue forever. The job ID
-			// and amount go to the log — this is billing data an operator
-			// may need to reconcile by hand — and the poison counter, so a
-			// quietly mis-refusing Central Server shows up on a dashboard.
-			log.Printf("daemon %s: settlement dropped from outbox: job=%s server=%s price=%.4f refused by central: %v",
-				d.Name(), req.JobID, req.Server, req.Price, err)
-			d.met.outboxPoison.Inc()
-			done[req.JobID] = true
-			continue
 		}
-		break // connection-level trouble: retry the rest next cycle
 	}
-	if len(done) == 0 {
-		return
-	}
+	// Entries are only appended meanwhile: calls[i] is still outbox[i].
 	d.mu.Lock()
 	kept := d.outbox[:0]
-	for _, req := range d.outbox {
-		if !done[req.JobID] {
+	for i, req := range d.outbox {
+		if i >= len(calls) || !calls[i].drop {
 			kept = append(kept, req)
-		} else {
-			d.journalStage(journalRecord{Op: jopAck, JobID: req.JobID})
-			d.met.settleAcked.Inc()
+			continue
 		}
+		d.journalStage(journalRecord{Op: jopAck, JobID: req.JobID})
+		d.retireLocked(req.JobID)
+		d.met.settleAcked.Inc()
 	}
 	d.outbox = kept
 	d.met.outboxDepth.Set(float64(len(d.outbox)))
 	d.mu.Unlock()
-	for _, req := range pending { // each one done left the outbox above
-		if done[req.JobID] {
-			d.trace(req.JobID, telemetry.SpanSettle, "acknowledged by central")
+	for _, c := range calls { // each one dropped left the outbox above
+		if c.drop {
+			d.trace(c.req.JobID, telemetry.SpanSettle, "acknowledged by central")
 		}
 	}
 }
@@ -810,9 +883,9 @@ func (d *Daemon) OutboxLen() int {
 	return len(d.outbox)
 }
 
-// snapshotTelemetry reads a job's fields into a telemetry sample; the
-// caller must hold d.mu (or otherwise own the job).
-func snapshotTelemetry(now float64, j *job.Job, output string) protocol.Telemetry {
+// sample queues a telemetry sample of a job for the monitor; caller holds
+// d.mu.
+func (d *Daemon) sample(now float64, j *job.Job, output string) {
 	done := 0.0
 	if j.Contract.Work > 0 {
 		done = j.DoneWork() / j.Contract.Work
@@ -821,10 +894,11 @@ func snapshotTelemetry(now float64, j *job.Job, output string) protocol.Telemetr
 	if j.State() == job.Running {
 		util = j.Contract.Eff(j.PEs())
 	}
-	return protocol.Telemetry{
+	d.monTel = protocol.Telemetry{
 		JobID: string(j.ID), Time: now, PEs: j.PEs(), Util: util,
 		Done: done, State: j.State().String(), Output: output,
 	}
+	d.monitor(protocol.TypeTelemetry, &d.monTel)
 }
 
 // monitor queues one frame of the stream to AppSpector; the caller holds
@@ -853,7 +927,8 @@ func (d *Daemon) monitor(typ string, body any) {
 
 // announce registers a starting job with the monitor; caller holds d.mu.
 func (d *Daemon) announce(id, owner, app string) {
-	d.monitor(protocol.TypeASRegisterReq, protocol.ASRegisterReq{JobID: id, Owner: owner, Server: d.Name(), App: app})
+	d.monReg = protocol.ASRegisterReq{JobID: id, Owner: owner, Server: d.Name(), App: app}
+	d.monitor(protocol.TypeASRegisterReq, &d.monReg)
 }
 
 // monitorLoop is the stream's one writer: it takes everything queued,
@@ -899,16 +974,18 @@ func (d *Daemon) monitorLoop() {
 	}
 }
 
-// connScratch is what the bid_req and commit_req arms need only until
-// they have replied. It lives in its connection's Scratch slot, so a
-// request is decoded into the value the connection's previous one left:
-// a client's user, token and application strings are decoded once a
-// connection, however many other clients the daemon is serving.
+// connScratch is what the bid_req, commit_req and submit_req arms need
+// only until they have replied, or handed the reply off. It lives in its
+// connection's Scratch slot, so a request is decoded into the value the
+// connection's previous one left: a client's user, token and application
+// strings are decoded once a connection, however many other clients the
+// daemon is serving.
 type connScratch struct {
 	bid      protocol.BidReq
 	bidOK    protocol.BidOK
 	commit   protocol.CommitReq
 	commitOK protocol.CommitOK
+	submit   protocol.SubmitReq
 }
 
 func (d *Daemon) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
@@ -970,17 +1047,21 @@ func (d *Daemon) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 		return protocol.WriteFrame(conn, protocol.TypeCommitOK, &sc.commitOK)
 
 	case protocol.TypeSubmitReq:
-		var req protocol.SubmitReq
-		if err := protocol.Decode(f, f.Type, &req); err != nil {
+		// admit keeps copies of the contract and the job ID (a string the
+		// next decode replaces, never writes): decoded into the scratch.
+		req := &scratchOf(conn).submit
+		if err := protocol.Decode(f, f.Type, req); err != nil {
 			return err
 		}
 		if err := d.verify(req.User, req.Token); err != nil {
 			return err
 		}
-		if err := d.submit(req); err != nil {
+		t, err := d.admit(req)
+		if err != nil {
 			return err
 		}
-		return protocol.WriteFrame(conn, protocol.TypeSubmitOK, protocol.SubmitOK{JobID: req.JobID})
+		d.replyDurable(conn, t, protocol.TypeSubmitOK, protocol.SubmitOK{JobID: req.JobID})
+		return nil
 
 	case protocol.TypeUploadReq:
 		var req protocol.UploadReq
@@ -1003,7 +1084,8 @@ func (d *Daemon) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 		}
 		now := d.Now()
 		d.mu.Lock()
-		j := d.jobs[req.JobID].j
+		a := d.jobs[req.JobID]
+		j := a.j
 		var st protocol.StatusOK
 		if j != nil {
 			d.catchUp(now)
@@ -1012,7 +1094,7 @@ func (d *Daemon) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 				done = j.DoneWork() / j.Contract.Work
 			}
 			state := j.State()
-			if state == job.Finished && !d.settledIDs[req.JobID] {
+			if state == job.Finished && !a.settled {
 				state = job.Running // until finishJob has written its output
 			}
 			st = protocol.StatusOK{JobID: req.JobID, State: state.String(), PEs: j.PEs(), Progress: done}
@@ -1031,11 +1113,12 @@ func (d *Daemon) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 		if err := d.verify(req.User, req.Token); err != nil {
 			return err
 		}
-		st, err := d.kill(req)
+		st, t, err := d.terminate(req)
 		if err != nil {
 			return err
 		}
-		return protocol.WriteFrame(conn, protocol.TypeKillOK, protocol.KillOK{JobID: req.JobID, State: st})
+		d.replyDurable(conn, t, protocol.TypeKillOK, protocol.KillOK{JobID: req.JobID, State: st})
+		return nil
 
 	case protocol.TypeOutputReq:
 		var req protocol.OutputReq
@@ -1057,8 +1140,16 @@ func (d *Daemon) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 	}
 }
 
+// replyDurable answers conn's request with body as typ once t is on disk,
+// from a goroutine of its own: the connection's next request does not
+// queue behind this one's fsync. The hand-off allocates only its closure.
+func (d *Daemon) replyDurable(conn *protocol.ReplyConn, t jticket, typ string, body any) {
+	r := conn.Defer()
+	go func() { r.Finish(typ, body, d.journalWait(t, nil)) }()
+}
+
 // scratchOf returns the connection's scratch, making it on the
-// connection's first bid or commit.
+// connection's first bid, commit or submit.
 func scratchOf(conn *protocol.ReplyConn) *connScratch {
 	sc, _ := conn.Scratch.(*connScratch)
 	if sc == nil {
@@ -1202,17 +1293,13 @@ func (d *Daemon) upload(req *protocol.UploadReq) (int64, error) {
 	return d.Stage.PutChunk(req.JobID, req.Name, req.Offset, req.Data, req.Last, req.SHA256)
 }
 
-// submit starts a committed job on the scheduler and returns once its
-// admission is on disk: SubmitOK is written only then.
-func (d *Daemon) submit(req protocol.SubmitReq) error {
-	return d.journalWait(d.admit(req))
-}
-
-// admit is submit under d.mu: it returns the admission's journal ticket.
-// A submit is admitted only by spending a live commitment held for its
-// own user, at the committed price (§5.3: bid, commit, upload, start).
-// One with no commitment, a lapsed one, or another user's is refused.
-func (d *Daemon) admit(req protocol.SubmitReq) (jticket, error) {
+// admit starts a committed job on the scheduler and returns the
+// admission's journal ticket: SubmitOK is written only once that is on
+// disk. A submit is admitted only by spending a live commitment held for
+// its own user, at the committed price (§5.3: bid, commit, upload,
+// start). One with no commitment, a lapsed one, or another user's is
+// refused. The job keeps a copy of req's contract.
+func (d *Daemon) admit(req *protocol.SubmitReq) (jticket, error) {
 	if req.Contract == nil {
 		return jticket{}, errors.New("daemon: submit without contract")
 	}
@@ -1240,7 +1327,9 @@ func (d *Daemon) admit(req protocol.SubmitReq) (jticket, error) {
 		return jticket{}, nil
 	}
 
-	j := job.New(job.ID(req.JobID), req.User, req.Contract, now)
+	c := *req.Contract
+	c.Phases = slices.Clone(c.Phases)
+	j := job.New(job.ID(req.JobID), req.User, &c, now)
 	d.catchUp(now)
 	if !d.cfg.Scheduler.Submit(now, j) {
 		// The submit spends the hold, admitted or not.
@@ -1253,11 +1342,11 @@ func (d *Daemon) admit(req protocol.SubmitReq) (jticket, error) {
 	d.met.jobsAdmitted.Inc()
 	d.tempSeq++
 	d.jobs[req.JobID] = admission{j: j, price: res.price, tmp: d.tempSeq}
-	d.outstanding += req.Contract.Work
+	d.outstanding += c.Work
 	d.Stage.CreateJob(req.JobID)
 	t := d.journalStage(journalRecord{
 		Op: jopJob, JobID: req.JobID, Owner: req.User,
-		Price: res.price, Contract: req.Contract,
+		Price: res.price, Contract: &c,
 	})
 	if d.cfg.Tracer != nil {
 		d.trace(req.JobID, telemetry.SpanStart, fmt.Sprintf("started on %s with %d PEs", d.Name(), j.PEs()))
@@ -1270,15 +1359,9 @@ func (d *Daemon) admit(req protocol.SubmitReq) (jticket, error) {
 	return t, nil
 }
 
-// kill terminates a job on behalf of its owner (§2: users can interact
-// with their jobs) and returns once the kill is on disk: KillOK is
-// written only then.
-func (d *Daemon) kill(req protocol.KillReq) (string, error) {
-	state, t, err := d.terminate(req)
-	return state, d.journalWait(t, err)
-}
-
-// terminate is kill under d.mu: it returns the kill's journal ticket.
+// terminate kills a job on behalf of its owner (§2: users can interact
+// with their jobs) and returns the kill's journal ticket: KillOK is
+// written only once that is on disk.
 func (d *Daemon) terminate(req protocol.KillReq) (state string, t jticket, err error) {
 	now := d.Now()
 	d.mu.Lock()
@@ -1300,12 +1383,13 @@ func (d *Daemon) terminate(req protocol.KillReq) (state string, t jticket, err e
 	}
 	// A killed job settles nothing, so it is terminal for the journal.
 	t = d.journalStage(journalRecord{Op: jopDone, JobID: req.JobID})
+	d.retireLocked(req.JobID)
 	d.met.jobsKilled.Inc()
 	d.outstanding -= j.RemainingWork()
 	if d.outstanding < 0 {
 		d.outstanding = 0
 	}
-	d.monitor(protocol.TypeTelemetry, snapshotTelemetry(now, j, fmt.Sprintf("%s killed by %s", req.JobID, req.User)))
+	d.sample(now, j, fmt.Sprintf("%s killed by %s", req.JobID, req.User))
 	d.wake()
 	return j.State().String(), t, nil
 }

@@ -11,6 +11,7 @@ import (
 	"faucets/internal/accounting"
 	"faucets/internal/bidding"
 	"faucets/internal/central"
+	"faucets/internal/job"
 	"faucets/internal/machine"
 	"faucets/internal/protocol"
 	"faucets/internal/qos"
@@ -86,6 +87,16 @@ func commitJob(t testing.TB, d *Daemon, user, id string, price float64) {
 	if err := d.commit(&protocol.CommitReq{User: user, JobID: id, Bid: bidding.Bid{Server: d.Name(), Price: price}}); err != nil {
 		t.Fatalf("commit %s: %v", id, err)
 	}
+}
+
+// submit is the submit arm's work without the wire: admit req, and return
+// once its admission is on disk, when the arm would acknowledge.
+func (d *Daemon) submit(req protocol.SubmitReq) error { return d.journalWait(d.admit(&req)) }
+
+// kill is the kill arm's work without the wire, as submit is.
+func (d *Daemon) kill(req protocol.KillReq) (string, error) {
+	state, t, err := d.terminate(req)
+	return state, d.journalWait(t, err)
 }
 
 func TestNewValidation(t *testing.T) {
@@ -406,6 +417,32 @@ func TestJobsRunUnderTemporaryUserIDs(t *testing.T) {
 	}
 	if !strings.HasPrefix(u1, "fauc-tmp-") {
 		t.Fatalf("temp user format: %q", u1)
+	}
+}
+
+// TestOutputFileBytes pins the synthetic application's two output files
+// byte for byte, temporary userid and all.
+func TestOutputFileBytes(t *testing.T) {
+	d, err := New(Config{Info: protocol.ServerInfo{Spec: spec("turing", 64), Apps: []string{"synth"}},
+		Scheduler: scheduler.NewEquipartition(spec("turing", 64), scheduler.Config{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	j := job.New("job-7", "alice", contract(200), 0)
+	if err := j.Start(0, 16, 1); err != nil || !j.AdvanceTo(100) {
+		t.Fatalf("building a finished job: %v", err)
+	}
+	d.jobs["job-7"] = admission{j: j, price: 1, tmp: 42}
+	d.Stage.CreateJob("job-7")
+	d.finishJob(12.34, j)
+	for name, want := range map[string]string{
+		"stdout.log": "[12.3] job-7 completed as fauc-tmp-000042: 200 CPU-seconds\n",
+		"result.out": "job=job-7 user=fauc-tmp-000042 work=200 cpu=200\n",
+	} {
+		if got, _, err := d.Stage.ReadAt("job-7", name, 0, 0); err != nil || string(got) != want {
+			t.Errorf("%s reads %q (%v), want %q", name, got, err, want)
+		}
 	}
 }
 

@@ -144,7 +144,7 @@ func (d *Daemon) rewriteJournalLocked() error {
 	for id, a := range d.jobs {
 		// A job the scheduler finished but finishJob has not settled is
 		// still owed its settlement: live until a "queue" record says so.
-		if !d.settledIDs[id] && a.j.State() != job.Killed {
+		if !a.settled && a.j.State() != job.Killed {
 			st.pending[id] = journalRecord{Op: jopJob, JobID: id, Owner: a.j.Owner, Price: a.price, Contract: a.j.Contract}
 		}
 	}

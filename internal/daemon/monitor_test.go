@@ -151,7 +151,7 @@ func TestMonitorStreamRedials(t *testing.T) {
 		submitJob(t, d, id, narrow(1))
 		for {
 			d.mu.Lock()
-			finished := d.settledIDs[id]
+			finished := d.jobs[id].settled
 			d.mu.Unlock()
 			if finished {
 				break

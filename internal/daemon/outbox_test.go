@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -188,5 +189,59 @@ func TestSettlementRefusedIsDroppedNotRetried(t *testing.T) {
 	}
 	if got := d.met.outboxPoison.Value(); got != 1 {
 		t.Fatalf("poison counter = %d, want 1 for the dropped settlement", got)
+	}
+}
+
+// TestLongOutboxDrainsInBoundedPasses: a flush puts at most
+// maxSettleFlight settlements in flight — an outbox that grew through a
+// Central Server outage does not turn into one goroutine per entry — and
+// every one of them; the rest go out on the following passes, each
+// delivered once.
+func TestLongOutboxDrainsInBoundedPasses(t *testing.T) {
+	var delivered, inflight, most atomic.Int64
+	srv := protocol.NewServer("central stub", func(rc *protocol.ReplyConn, f protocol.Frame) error {
+		now := inflight.Add(1)
+		for m := most.Load(); now > m && !most.CompareAndSwap(m, now); m = most.Load() {
+		}
+		r := rc.Defer()
+		go func() {
+			time.Sleep(time.Millisecond) // every request arrives before the first answer
+			delivered.Add(1)
+			inflight.Add(-1)
+			r.Finish(protocol.TypeSettleOK, protocol.SettleOK{}, nil)
+		}()
+		return nil
+	}, nil)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	defer srv.Close()
+	cfg := durableCfg(t.TempDir())
+	cfg.CentralAddr, cfg.RPCTimeout = l.Addr().String(), 5*time.Second
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	// Never started: this goroutine is the flush's only caller.
+	const entries = 2*maxSettleFlight + 100
+	d.mu.Lock()
+	for i := range entries {
+		d.outbox = append(d.outbox, protocol.SettleReq{JobID: fmt.Sprintf("j-%d", i), User: "alice", Server: "turing", Price: 1})
+	}
+	d.mu.Unlock()
+	for pass, left := range []int{entries - maxSettleFlight, entries - 2*maxSettleFlight, 0} {
+		d.settle()
+		if n := d.OutboxLen(); n != left {
+			t.Fatalf("after pass %d the outbox holds %d, want %d", pass+1, n, left)
+		}
+	}
+	if got := delivered.Load(); got != entries {
+		t.Fatalf("%d settlements delivered, want %d, each once", got, entries)
+	}
+	if m := most.Load(); m > maxSettleFlight || m < 2 {
+		t.Fatalf("at most %d settlements in flight at once, want 2 to %d", m, maxSettleFlight)
 	}
 }

@@ -198,7 +198,7 @@ func TestJournalFailedFlushRepairedBeforeReply(t *testing.T) {
 func stateOf(t *testing.T, d *Daemon) string {
 	st := recoveredState{pending: map[string]journalRecord{}, queued: d.outbox}
 	for id, a := range d.jobs {
-		if !d.settledIDs[id] && !a.j.State().Terminal() {
+		if !a.settled && !a.j.State().Terminal() {
 			st.pending[id] = journalRecord{Op: jopJob, JobID: id, Owner: a.j.Owner, Price: a.price, Contract: a.j.Contract}
 		}
 	}

@@ -108,8 +108,7 @@ func TestRunLoopWakesOnlyForEvents(t *testing.T) {
 				if err := j.Start(0, 16, 1); err != nil || !j.AdvanceTo(2) {
 					t.Fatalf("building a finished job: %v", err)
 				}
-				d.jobs[string(j.ID)] = admission{j: j}
-				d.settledIDs[string(j.ID)] = true
+				d.jobs[string(j.ID)] = admission{j: j, settled: true}
 			}
 			d.mu.Unlock()
 

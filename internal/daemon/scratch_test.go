@@ -276,3 +276,73 @@ func (r *onceReader) Read(p []byte) (int, error) {
 	r.b = r.b[n:]
 	return n, nil
 }
+
+// TestSubmitKeepsNothingOfTheScratch: submits decode into the
+// connection's scratch, which the next submit overwrites, phase list
+// included. Each admitted job keeps the contract it was submitted with,
+// and its journal record says the same.
+func TestSubmitKeepsNothingOfTheScratch(t *testing.T) {
+	d, addr := startDaemon(t, Config{
+		Info:      protocol.ServerInfo{Spec: spec("turing", 64), Apps: []string{"synth", "namd"}},
+		StateDir:  t.TempDir(),
+		TimeScale: 1e-6,
+	})
+	conn := dial(t, addr)
+	shapes := []*qos.Contract{phased("synth", 400, 2, 16, 2), phased("namd", 9000, 8, 32, 3), phased("synth", 50, 1, 4, 0)}
+	for i, c := range shapes {
+		id := fmt.Sprintf("j-%d", i)
+		commitJob(t, d, "alice", id, 1)
+		var ok protocol.SubmitOK
+		if err := protocol.Call(conn, protocol.TypeSubmitReq, protocol.SubmitReq{User: "alice", JobID: id, Contract: c}, protocol.TypeSubmitOK, &ok); err != nil || ok.JobID != id {
+			t.Fatalf("submit %s: %+v, %v", id, ok, err)
+		}
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i, c := range shapes {
+		j := d.jobs[fmt.Sprintf("j-%d", i)].j
+		want := phased(c.App, c.Work, c.MinPE, c.MaxPE, len(c.Phases))
+		if fmt.Sprint(*j.Contract) != fmt.Sprint(*want) {
+			t.Errorf("job %d keeps %+v, was submitted with %+v", i, *j.Contract, *want)
+		}
+	}
+}
+
+// signalling is a connection whose every reply write is announced on
+// wrote, so a case can wait for a reply written from another goroutine.
+type signalling struct{ wrote chan struct{} }
+
+func (signalling) Read([]byte) (int, error) { return 0, io.EOF }
+func (s signalling) Write(p []byte) (int, error) {
+	s.wrote <- struct{}{}
+	return len(p), nil
+}
+
+// submitDispatchCase is one submit through the daemon's arm on a warm
+// connection, each for a job ID committed beforehand: decode, verify
+// (cache hit), admit, and the deferred reply, which the case waits for.
+// The daemon's clock stands still, so the jobs pile up in its scheduler.
+func submitDispatchCase(tb testing.TB, n int) func() {
+	d := dispatchDaemon(tb)
+	d.cfg.TimeScale = 1e-9
+	const user, token = "user-00", "tok-0123456789abcdef"
+	d.verifyCache[verifyKey{user, token}] = time.Now().Add(time.Hour)
+	frames := make([]protocol.Frame, n)
+	for i := range frames {
+		id := fmt.Sprintf("job-%016x", i)
+		commitJob(tb, d, user, id, 16.25)
+		frames[i] = frameOf(tb, uint64(i+1), protocol.TypeSubmitReq, protocol.SubmitReq{
+			User: user, Token: token, JobID: id, Contract: phased("synth", 400, 1, 2, 0),
+		})
+	}
+	wrote := make(chan struct{}, 1)
+	conn := protocol.NewReplyConn(signalling{wrote})
+	next := 0
+	return func() {
+		if err := d.dispatch(conn, frames[next%n]); err != nil {
+			tb.Fatal(err)
+		}
+		<-wrote
+		next++
+	}
+}

@@ -38,8 +38,10 @@ const maxSpareBuf = 64 << 10
 // value under a lock of its own (Stage), which keeps the file in the
 // order of the changes the lines record, and waits for its ticket outside
 // that lock (Wait). The first waiter to find lines unwritten leads: it
-// writes and fsyncs everything staged, and the rest park on cond. One
-// fsync covers every line that arrived while the previous one ran.
+// writes and fsyncs everything staged, its own line included, and hands
+// leadership to a waiter still parked on cond: however fast lines arrive,
+// a waiter returns after at most two fsyncs. One fsync covers every line
+// that arrived while the previous one ran.
 //
 // Tickets count the lines staged since Open. Everything up to synced is
 // on disk; a flush that fails breaks the log, its tickets (up to failTo)
@@ -136,7 +138,7 @@ func (w *Writer) Wait(t uint64) error {
 	w.cmu.Lock()
 	defer w.cmu.Unlock()
 	for t > w.done {
-		// A leader loops until nothing is pending, so it reaches t.
+		// A leader flushes everything pending, so it reaches t.
 		if w.leader {
 			w.cond.Wait()
 		} else {
@@ -152,52 +154,47 @@ func (w *Writer) Wait(t uint64) error {
 	return ErrBroken
 }
 
-// leadLocked makes the caller the leader for one flush of everything
-// pending. Caller holds cmu and has checked that no leader is active.
+// leadLocked makes the caller the leader for one flush: it writes and
+// fsyncs the lines pending when it starts, if any, and hands leadership
+// on. The lock is dropped around the disk I/O, while Stage fills the
+// spare: only the leader holds the buffer in flight. The first failure
+// breaks the log, and the lines behind it fail with ErrBroken unwritten.
+// Caller holds cmu and has checked that no leader is active.
 func (w *Writer) leadLocked() {
-	w.leader = true
-	w.flushLocked()
-	w.leader = false
-	w.cond.Broadcast()
-}
-
-// flushLocked writes and fsyncs the pending lines, looping until none is
-// left so no waiter stays parked when leadership ends. The lock is dropped
-// around the disk I/O, while Stage fills the spare: only the leader holds
-// the buffer in flight. The first failure breaks the log, and the lines
-// behind it fail with ErrBroken unwritten.
-func (w *Writer) flushLocked() {
-	for w.done < w.staged {
-		blob, hi := w.pending, w.staged
-		n := int(hi - w.done)
-		w.pending, w.spare = w.spare, nil
-		err := ErrBroken
-		if w.broken == nil {
-			var inject error
-			if w.failN > 0 {
-				w.failN--
-				inject = w.failErr
-			}
-			f := w.f
-			w.cmu.Unlock()
-			err = writeAndSync(f, blob, inject)
-			w.cmu.Lock()
-			if err != nil {
-				log.Printf("jsonl: %s: group commit (%d lines): %v", w.path, n, err)
-				w.broken, w.failTo = err, hi
-			} else {
-				w.synced = hi
-			}
-		}
-		if cap(blob) <= maxSpareBuf {
-			w.spare = blob[:0] // written: nothing reads it any more
-		}
-		if w.onFlush != nil {
-			w.onFlush(n, err)
-		}
-		w.done = hi
-		w.cond.Broadcast()
+	defer w.cond.Broadcast()
+	if w.done == w.staged {
+		return
 	}
+	blob, hi := w.pending, w.staged
+	n := int(hi - w.done)
+	w.pending, w.spare = w.spare, nil
+	err := ErrBroken
+	if w.broken == nil {
+		var inject error
+		if w.failN > 0 {
+			w.failN--
+			inject = w.failErr
+		}
+		f := w.f
+		w.leader = true
+		w.cmu.Unlock()
+		err = writeAndSync(f, blob, inject)
+		w.cmu.Lock()
+		w.leader = false
+		if err != nil {
+			log.Printf("jsonl: %s: group commit (%d lines): %v", w.path, n, err)
+			w.broken, w.failTo = err, hi
+		} else {
+			w.synced = hi
+		}
+	}
+	if cap(blob) <= maxSpareBuf {
+		w.spare = blob[:0] // written: nothing reads it any more
+	}
+	if w.onFlush != nil {
+		w.onFlush(n, err)
+	}
+	w.done = hi
 }
 
 func writeAndSync(f File, blob []byte, inject error) error {
@@ -217,11 +214,13 @@ func writeAndSync(f File, blob []byte, inject error) error {
 // drainLocked flushes what is staged and returns, holding cmu, once no
 // flush is running and nothing is pending. Caller holds cmu.
 func (w *Writer) drainLocked() {
-	for w.leader {
-		w.cond.Wait()
+	for w.leader || w.done < w.staged {
+		if w.leader {
+			w.cond.Wait()
+		} else {
+			w.leadLocked() // for lines whose owners are not waiting yet
+		}
 	}
-	// Lines whose owner has not reached Wait yet: flush on their behalf.
-	w.leadLocked()
 }
 
 // Rewrite makes vals, one line each as Stage encodes them (one that cannot

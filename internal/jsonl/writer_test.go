@@ -311,3 +311,86 @@ func TestFailedRewriteBreaksTheLog(t *testing.T) {
 		t.Fatalf("log after the repair:\n%q\nwant\n%q", blob, want)
 	}
 }
+
+// slowSyncFile is a log file whose every fsync takes d: a slow disk.
+type slowSyncFile struct {
+	File
+	d time.Duration
+}
+
+func (f slowSyncFile) Sync() error {
+	time.Sleep(f.d)
+	return f.File.Sync()
+}
+
+// TestLeaderHandsOff: on a slow disk, with lines arriving all the time, a
+// waiter returns after at most two flushes — the one running when it
+// staged and the one that carries its line — rather than staying on as
+// leader to flush other callers' lines for as long as they keep coming.
+func TestLeaderHandsOff(t *testing.T) {
+	open := OpenFile
+	t.Cleanup(func() { OpenFile = open })
+	OpenFile = func(path string) (File, error) {
+		f, err := open(path)
+		if err != nil {
+			return nil, err
+		}
+		return slowSyncFile{File: f, d: 2 * time.Millisecond}, nil
+	}
+	w, err := Open(filepath.Join(t.TempDir(), "log.jsonl"), func([]byte) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	// stagedAt[i] is the newest ticket handed out when flush i finished:
+	// flush i finished after ticket t was staged iff stagedAt[i] >= t.
+	var stagedAt []uint64
+	w.onFlush = func(int, error) { stagedAt = append(stagedAt, w.staged) } // under cmu
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	// Three callers that stage and wait, and one whose lines nobody waits
+	// for (as a daemon's finish records): lines land during every fsync.
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5000 && !stop.Load(); i++ {
+				t, err := w.Stage(&rec{Seq: i})
+				if err == nil && g > 0 {
+					err = w.Wait(t)
+				}
+				if err != nil {
+					panic(err)
+				}
+				if g == 0 {
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+		}()
+	}
+	for i := range 20 {
+		ticket, err := w.Stage(&rec{Seq: -i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Wait(ticket); err != nil {
+			t.Fatal(err)
+		}
+		w.cmu.Lock()
+		flushes := 0
+		for _, at := range stagedAt {
+			if at >= ticket {
+				flushes++
+			}
+		}
+		w.cmu.Unlock()
+		if flushes > 2 {
+			stop.Store(true)
+			wg.Wait()
+			t.Fatalf("wait %d returned after %d flushes, want ≤ 2", i, flushes)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+}

@@ -414,8 +414,8 @@ func WriteErrorFrom(w io.Writer, err error) error {
 // ReplyConn wraps a server-side connection so reply frames echo the ID
 // of the request being answered. A handler loop calls SetID with each
 // request frame's ID before dispatching; WriteFrame stamps it on every
-// reply. Handler loops are single-goroutine per connection, so no
-// synchronization is needed.
+// reply. Handler loops are single-goroutine per connection; a reply
+// deferred to another goroutine (Defer) carries its own ID.
 type ReplyConn struct {
 	io.ReadWriter
 	id uint64
@@ -426,6 +426,9 @@ type ReplyConn struct {
 	// connection's previous request, however many other connections its
 	// server is serving.
 	Scratch any
+
+	wmu      sync.Mutex      // a frame is written whole, in one Write
+	deferred *sync.WaitGroup // the server's: Close waits for deferred replies
 }
 
 // NewReplyConn wraps rw for ID-stamped replies.
@@ -433,3 +436,39 @@ func NewReplyConn(rw io.ReadWriter) *ReplyConn { return &ReplyConn{ReadWriter: r
 
 // SetID records the in-flight request's ID for the next replies.
 func (rc *ReplyConn) SetID(id uint64) { rc.id = id }
+
+// Write writes one frame, never interleaved with a deferred reply's.
+func (rc *ReplyConn) Write(p []byte) (int, error) {
+	rc.wmu.Lock()
+	defer rc.wmu.Unlock()
+	return rc.ReadWriter.Write(p)
+}
+
+// Deferred is a reply its handler left to another goroutine — one that
+// must wait for the disk before it may acknowledge — while the read loop
+// goes on to the connection's next request.
+type Deferred struct {
+	rc *ReplyConn
+	id uint64
+}
+
+// Defer hands the in-flight request's reply to a Deferred, to be finished
+// exactly once, and the handler returns nil; the server's Close waits for
+// it. The finisher keeps copies: the loop reuses the frame and Scratch.
+func (rc *ReplyConn) Defer() Deferred {
+	if rc.deferred != nil {
+		rc.deferred.Add(1)
+	}
+	return Deferred{rc, rc.id}
+}
+
+// Finish writes the deferred reply: body as typ, or err as a TypeError.
+func (d Deferred) Finish(typ string, body any, err error) {
+	if err != nil {
+		typ, body = TypeError, ErrorBody{Message: err.Error(), Retryable: IsRetryable(err)}
+	}
+	_ = writeFrame(d.rc, d.id, typ, body)
+	if d.rc.deferred != nil {
+		d.rc.deferred.Done()
+	}
+}

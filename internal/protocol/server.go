@@ -10,7 +10,8 @@ import (
 
 // Handler answers one request frame on rc, whose replies already carry
 // the request's ID. A returned error is sent to the peer as a TypeError
-// frame; ErrConnDone ends the connection instead.
+// frame; ErrConnDone ends the connection instead. A handler may instead
+// hand the reply to another goroutine (ReplyConn.Defer) and return nil.
 type Handler func(rc *ReplyConn, f Frame) error
 
 // ErrConnDone is returned by a Handler that took over the rest of its
@@ -134,8 +135,9 @@ func (s *Server) Untrack(conn net.Conn) {
 }
 
 // Close stops accepting, severs every tracked connection and waits for
-// the connection handlers. A Serve that has not stored its listener yet
-// closes it itself when it does. Safe to call more than once.
+// the connection handlers and their deferred replies. A Serve that has
+// not stored its listener yet closes it itself when it does. Safe to call
+// more than once.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if !s.closing {
@@ -157,9 +159,11 @@ func (s *Server) Close() {
 // to the Handler. Replies echo the request's frame ID, so pooled callers
 // can pipeline requests over the connection. The FrameReader reuses one
 // payload buffer, which is safe because the Handler is done with each
-// frame before the next is read.
+// frame before the next is read (a deferred reply keeps copies). The
+// observer sees a deferred request up to its hand-off, without its error.
 func (s *Server) serveConn(conn net.Conn) {
 	rc := NewReplyConn(conn)
+	rc.deferred = &s.wg
 	fr := NewFrameReader(conn)
 	for {
 		f, err := fr.Next()

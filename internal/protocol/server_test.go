@@ -341,3 +341,69 @@ func TestServerObserver(t *testing.T) {
 		obs.mu.Unlock()
 	}
 }
+
+// TestDeferredReplyReleasesTheConnection: a handler that defers its reply
+// (a poll here, standing for a submit waiting on its fsync) leaves the
+// connection's read loop free. A request behind it on the same connection
+// is answered first, each reply carries its own request's ID, an error
+// finishes as an error frame, and the server's Close waits for replies
+// still deferred.
+func TestDeferredReplyReleasesTheConnection(t *testing.T) {
+	release, deferred := make(chan error), make(chan struct{}, 1)
+	s := NewServer("test", func(rc *ReplyConn, f Frame) error {
+		if f.Type != TypePollReq {
+			return WriteFrame(rc, TypeVerifyOK, VerifyOK{User: "fast"})
+		}
+		r := rc.Defer()
+		go func() { r.Finish(TypePollOK, PollOK{UsedPE: 7}, <-release) }()
+		deferred <- struct{}{}
+		return nil
+	}, nil)
+	conn, err := net.Dial("tcp", serveOn(t, s, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	send := func(id uint64, typ string, body any) {
+		buf, err := AppendFrame(nil, CodecBinary, id, typ, body)
+		if err == nil {
+			_, err = conn.Write(buf)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect := func(id uint64, typ string) {
+		t.Helper()
+		f, err := ReadFrame(conn)
+		if err != nil || f.ID != id || f.Type != typ {
+			t.Fatalf("read %s #%d (%v), want %s #%d", f.Type, f.ID, err, typ, id)
+		}
+	}
+
+	send(1, TypePollReq, PollReq{})
+	<-deferred
+	send(2, TypeVerifyReq, VerifyReq{User: "u", Token: "t"})
+	expect(2, TypeVerifyOK) // the poll's reply is still deferred
+	release <- nil
+	expect(1, TypePollOK)
+	send(3, TypePollReq, PollReq{})
+	<-deferred
+	release <- errors.New("not durable")
+	expect(3, TypeError)
+
+	send(4, TypePollReq, PollReq{})
+	<-deferred
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned with a reply still deferred")
+	case <-time.After(50 * time.Millisecond):
+	}
+	release <- nil
+	<-closed
+}

@@ -12,6 +12,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -24,22 +25,25 @@ var (
 	ErrCompleted = errors.New("stage: file already finalized")
 )
 
-// file is one staged file's buffer.
+// file is one staged file: its name in the job's area and its buffer.
 type file struct {
+	name      string
 	data      []byte
 	finalized bool
 }
 
-// Store holds staged files grouped by job. It is safe for concurrent
-// use.
+// Store holds staged files grouped by job. A job's area is a short slice
+// of files, searched by name: a job stages a handful of files, not
+// enough for a map to pay for itself. It is safe for concurrent use.
 type Store struct {
-	mu   sync.Mutex
-	jobs map[string]map[string]*file
+	mu          sync.Mutex
+	jobs, spare map[string][]file // spare: see DropJob
+	drops       int
 }
 
 // NewStore returns an empty staging store.
 func NewStore() *Store {
-	return &Store{jobs: map[string]map[string]*file{}}
+	return &Store{jobs: map[string][]file{}, spare: map[string][]file{}}
 }
 
 // CreateJob prepares a staging area for a job (idempotent).
@@ -47,33 +51,61 @@ func (s *Store) CreateJob(jobID string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.jobs[jobID]; !ok {
-		s.jobs[jobID] = map[string]*file{}
+		s.jobs[jobID] = make([]file, 0, 2) // room for a finished job's outputs
 	}
 }
 
 // DropJob discards a job's staging area and every file in it (a no-op
-// for a job that has none).
+// for a job that has none). Job IDs are never reused and Go's maps never
+// reclaim deleted slots, so once as many areas have been dropped as are
+// left, the live ones are copied into the spare table and the two swapped.
 func (s *Store) DropJob(jobID string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if _, ok := s.jobs[jobID]; !ok {
+		return
+	}
 	delete(s.jobs, jobID)
+	if s.drops++; s.drops <= len(s.jobs) {
+		return
+	}
+	for id, files := range s.jobs {
+		s.spare[id] = files
+	}
+	clear(s.jobs)
+	s.jobs, s.spare, s.drops = s.spare, s.jobs, 0
 }
 
-// PutChunk appends a chunk at the given offset. Chunks must arrive
-// contiguously (offset == bytes received so far). When last is true the
-// file is finalized and, if sha256hex is non-empty, verified against it.
-// It returns the total bytes received.
+// fileLocked returns the named file in the job's area, adding it if
+// create; the pointer is good until the area grows. Caller holds s.mu.
+func (s *Store) fileLocked(jobID, name string, create bool) (*file, error) {
+	files, ok := s.jobs[jobID]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNoJob, jobID)
+	}
+	for i := range files {
+		if files[i].name == name {
+			return &files[i], nil
+		}
+	}
+	if !create {
+		return nil, fmt.Errorf("%w: %s/%s", ErrNoFile, jobID, name)
+	}
+	files = append(files, file{name: name})
+	s.jobs[jobID] = files
+	return &files[len(files)-1], nil
+}
+
+// PutChunk appends a copy of a chunk at the given offset. Chunks must
+// arrive contiguously (offset == bytes received so far). When last is
+// true the file is finalized and, if sha256hex is non-empty, verified
+// against it. It returns the total bytes received.
 func (s *Store) PutChunk(jobID, name string, offset int64, data []byte, last bool, sha256hex string) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	files, ok := s.jobs[jobID]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNoJob, jobID)
-	}
-	f, ok := files[name]
-	if !ok {
-		f = &file{}
-		files[name] = f
+	f, err := s.fileLocked(jobID, name, true)
+	if err != nil {
+		return 0, err
 	}
 	if f.finalized {
 		return int64(len(f.data)), fmt.Errorf("%w: %s/%s", ErrCompleted, jobID, name)
@@ -87,7 +119,7 @@ func (s *Store) PutChunk(jobID, name string, offset int64, data []byte, last boo
 			sum := sha256.Sum256(f.data)
 			if hex.EncodeToString(sum[:]) != sha256hex {
 				// Discard the corrupt upload so a retry can start clean.
-				delete(files, name)
+				s.jobs[jobID] = slices.DeleteFunc(s.jobs[jobID], func(f file) bool { return f.name == name })
 				return 0, fmt.Errorf("%w: %s/%s", ErrChecksum, jobID, name)
 			}
 		}
@@ -97,32 +129,33 @@ func (s *Store) PutChunk(jobID, name string, offset int64, data []byte, last boo
 }
 
 // Put stores a complete file in one call (used by jobs writing outputs).
+// The store takes data over: the caller must not touch it again.
 func (s *Store) Put(jobID, name string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	files, ok := s.jobs[jobID]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoJob, jobID)
+	f, err := s.fileLocked(jobID, name, true)
+	if err != nil {
+		return err
 	}
-	files[name] = &file{data: append([]byte(nil), data...), finalized: true}
+	f.data, f.finalized = data, true
 	return nil
 }
 
 // Append adds data to a job output file, creating it if needed — the
-// streaming write a running job performs.
+// streaming write a running job performs. A file it creates takes data
+// over, as Put does: the caller must not touch it again.
 func (s *Store) Append(jobID, name string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	files, ok := s.jobs[jobID]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoJob, jobID)
+	f, err := s.fileLocked(jobID, name, true)
+	if err != nil {
+		return err
 	}
-	f, ok := files[name]
-	if !ok {
-		f = &file{}
-		files[name] = f
+	if f.data == nil {
+		f.data = data
+	} else {
+		f.data = append(f.data, data...)
 	}
-	f.data = append(f.data, data...)
 	return nil
 }
 
@@ -131,7 +164,7 @@ func (s *Store) Append(jobID, name string, data []byte) error {
 func (s *Store) ReadAt(jobID, name string, offset, limit int64) (data []byte, eof bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, err := s.lookup(jobID, name)
+	f, err := s.fileLocked(jobID, name, false)
 	if err != nil {
 		return nil, false, err
 	}
@@ -151,24 +184,12 @@ func (s *Store) ReadAt(jobID, name string, offset, limit int64) (data []byte, eo
 func (s *Store) SHA256(jobID, name string) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, err := s.lookup(jobID, name)
+	f, err := s.fileLocked(jobID, name, false)
 	if err != nil {
 		return "", err
 	}
 	sum := sha256.Sum256(f.data)
 	return hex.EncodeToString(sum[:]), nil
-}
-
-func (s *Store) lookup(jobID, name string) (*file, error) {
-	files, ok := s.jobs[jobID]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoJob, jobID)
-	}
-	f, ok := files[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s/%s", ErrNoFile, jobID, name)
-	}
-	return f, nil
 }
 
 // Digest computes the SHA-256 hex digest of data — the client-side half

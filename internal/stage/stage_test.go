@@ -3,6 +3,7 @@ package stage
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -201,4 +202,95 @@ func TestConcurrentJobsIsolated(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// TestOutputsShareTheirOwnersBuffer: Put and a creating Append take the
+// caller's slice over without copying it, as a daemon hands over one
+// buffer holding two output files. An append to the first, capped at its
+// end, reallocates instead of running into the second.
+func TestOutputsShareTheirOwnersBuffer(t *testing.T) {
+	s := NewStore()
+	s.CreateJob("j")
+	buf := []byte("stdout line\nresult line\n")
+	n := len("stdout line\n")
+	if got := testing.AllocsPerRun(1, func() {
+		s.DropJob("j")
+		s.CreateJob("j")
+		_ = s.Append("j", "stdout.log", buf[:n:n])
+		_ = s.Put("j", "result.out", buf[n:])
+	}); got > 1 {
+		t.Errorf("a new area and two files handed over: %v allocs, want ≤ 1 (the area)", got)
+	}
+	if err := s.Append("j", "stdout.log", []byte("more\n")); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{"stdout.log": "stdout line\nmore\n", "result.out": "result line\n"} {
+		if got, eof, err := s.ReadAt("j", name, 0, 0); err != nil || !eof || string(got) != want {
+			t.Errorf("%s reads %q (eof %v, %v), want %q", name, got, eof, err, want)
+		}
+	}
+	if string(buf) != "stdout line\nresult line\n" {
+		t.Errorf("the handed-over buffer was written through: %q", buf)
+	}
+}
+
+// TestFilesOfOneAreaStayApart: an area holds several files, read, hashed
+// and uploaded by name: interleaved chunks land in their own files, a
+// corrupt upload discards only its own, and each digest is its file's.
+func TestFilesOfOneAreaStayApart(t *testing.T) {
+	s := NewStore()
+	s.CreateJob("j")
+	files := map[string]string{"a.dat": "alpha-alpha", "b.dat": "bravo", "c.dat": "charlie-charlie-charlie"}
+	for off := 0; off < 24; off += 4 {
+		for name, body := range files {
+			if off >= len(body) {
+				continue
+			}
+			end := min(off+4, len(body))
+			if _, err := s.PutChunk("j", name, int64(off), []byte(body[off:end]), end == len(body), Digest([]byte(body))); err != nil {
+				t.Fatalf("%s at %d: %v", name, off, err)
+			}
+		}
+	}
+	if _, err := s.PutChunk("j", "bad.dat", 0, []byte("x"), true, Digest([]byte("y"))); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("corrupt upload: %v", err)
+	}
+	if _, _, err := s.ReadAt("j", "bad.dat", 0, 0); !errors.Is(err, ErrNoFile) {
+		t.Fatalf("corrupt upload kept: %v", err)
+	}
+	for name, body := range files {
+		if got, _, err := s.ReadAt("j", name, 2, 3); err != nil || string(got) != body[2:5] {
+			t.Errorf("%s[2:5] reads %q, %v; want %q", name, got, err, body[2:5])
+		}
+		if sum, err := s.SHA256("j", name); err != nil || sum != Digest([]byte(body)) {
+			t.Errorf("%s digest %s, %v", name, sum, err)
+		}
+	}
+	if _, err := s.SHA256("j", "bad.dat"); !errors.Is(err, ErrNoFile) {
+		t.Errorf("digest of a discarded file: %v", err)
+	}
+}
+
+// TestDropsKeepTheTableSmall: areas created and dropped by the thousand
+// (job IDs are never reused) leave the live ones readable across the
+// swaps into the spare table, and the table no bigger than twice them.
+func TestDropsKeepTheTableSmall(t *testing.T) {
+	s := NewStore()
+	for i := range 10000 {
+		id := fmt.Sprintf("job-%d", i)
+		s.CreateJob(id)
+		_ = s.Put(id, "f", []byte(id))
+		if i >= 100 {
+			s.DropJob(fmt.Sprintf("job-%d", i-100))
+		}
+	}
+	if len(s.jobs) != 100 || s.drops > len(s.jobs) {
+		t.Fatalf("%d areas, %d drops since the last swap: want 100 and at most as many", len(s.jobs), s.drops)
+	}
+	for i := 9900; i < 10000; i++ {
+		id := fmt.Sprintf("job-%d", i)
+		if got, _, err := s.ReadAt(id, "f", 0, 0); err != nil || string(got) != id {
+			t.Fatalf("%s reads %q, %v", id, got, err)
+		}
+	}
 }

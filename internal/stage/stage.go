@@ -56,9 +56,9 @@ func (s *Store) CreateJob(jobID string) {
 }
 
 // DropJob discards a job's staging area and every file in it (a no-op
-// for a job that has none). Job IDs are never reused and Go's maps never
-// reclaim deleted slots, so once as many areas have been dropped as are
-// left, the live ones are copied into the spare table and the two swapped.
+// for a job that has none). Job IDs are never reused, and a Go map keeps
+// deleted slots until it grows, so once as many areas have been dropped
+// as are left, the live ones are copied into the spare table and swapped.
 func (s *Store) DropJob(jobID string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

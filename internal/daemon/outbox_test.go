@@ -205,7 +205,7 @@ func TestLongOutboxDrainsInBoundedPasses(t *testing.T) {
 		}
 		r := rc.Defer()
 		go func() {
-			time.Sleep(time.Millisecond) // every request arrives before the first answer
+			time.Sleep(time.Millisecond) // hold the answer, so requests overlap
 			delivered.Add(1)
 			inflight.Add(-1)
 			r.Finish(protocol.TypeSettleOK, protocol.SettleOK{}, nil)

@@ -356,12 +356,13 @@ func TestLeaderHandsOff(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5000 && !stop.Load(); i++ {
-				t, err := w.Stage(&rec{Seq: i})
+				ticket, err := w.Stage(&rec{Seq: i})
 				if err == nil && g > 0 {
-					err = w.Wait(t)
+					err = w.Wait(ticket)
 				}
 				if err != nil {
-					panic(err)
+					t.Error(err)
+					return
 				}
 				if g == 0 {
 					time.Sleep(100 * time.Microsecond)

@@ -161,11 +161,11 @@ type Daemon struct {
 
 	mu   sync.Mutex
 	jobs map[string]admission
-	// retireLocked's: a ring of the newest jobs retired, and its sweep's.
+	// retireLocked's: a ring of the newest jobs retired, and the IDs of
+	// the jobs it has forgotten, which no commit may take again.
 	retiredIDs  []string
 	retiredNext int
-	jobsSpare   map[string]admission
-	jobsDropped int
+	forgotten   map[string]struct{}
 	// reserved holds the commits no submit has followed yet, expired ones
 	// included until a sweep (see holdLocked). A sweep copies the live ones
 	// into reservedSpare and swaps the two; reservedSwept is how many it
@@ -273,7 +273,7 @@ func New(cfg Config) (*Daemon, error) {
 		cfg:           cfg,
 		epoch:         time.Now(),
 		jobs:          map[string]admission{},
-		jobsSpare:     map[string]admission{},
+		forgotten:     map[string]struct{}{},
 		reserved:      map[string]reservation{},
 		reservedSpare: map[string]reservation{},
 		Stage:         stage.NewStore(),
@@ -744,10 +744,10 @@ func (d *Daemon) finishJob(now float64, j *job.Job) {
 // retireLocked marks a job as having nothing left to deliver (its
 // settlement acknowledged, its standalone finish or kill journaled) and
 // forgets, whole, the one retired maxRetired jobs before it: its status
-// and outputs then answer "unknown job". A journal rewrite leaves settled
-// jobs out already. Once as many have been forgotten as are held, the
-// table is swept into its spare, as sweepHoldsLocked's is. Caller holds
-// d.mu.
+// and outputs then answer "unknown job". Only its ID is kept, so a commit
+// of it is refused: a re-run would settle under an ID the Central Server
+// has booked, and be paid by no one. A journal rewrite leaves settled
+// jobs out already. Caller holds d.mu.
 func (d *Daemon) retireLocked(id string) {
 	a, ok := d.jobs[id]
 	if !ok || a.retired {
@@ -763,15 +763,8 @@ func (d *Daemon) retireLocked(id string) {
 	d.retiredIDs[d.retiredNext] = id
 	d.retiredNext = (d.retiredNext + 1) % maxRetired
 	delete(d.jobs, old)
+	d.forgotten[old] = struct{}{}
 	d.Stage.DropJob(old)
-	if d.jobsDropped++; d.jobsDropped <= len(d.jobs) {
-		return
-	}
-	for id, a := range d.jobs {
-		d.jobsSpare[id] = a
-	}
-	clear(d.jobs)
-	d.jobs, d.jobsSpare, d.jobsDropped = d.jobsSpare, d.jobs, 0
 }
 
 // settle delivers the outbox, then waits once for every journal record
@@ -1205,13 +1198,17 @@ func (d *Daemon) commit(req *protocol.CommitReq) error {
 // owner of the admitted job, which it returns (its j set), or as the user
 // a live commitment holds it for, which it returns. With neither a job
 // nor a hold it returns errNoCommitment, bare; with someone else's,
-// errNotOwner, wrapped. Caller holds d.mu.
+// errNotOwner, wrapped; for a job retireLocked forgot, an error that is
+// neither. Caller holds d.mu.
 func (d *Daemon) ownerLocked(jobID, user string, now float64) (admission, reservation, error) {
 	if a, ok := d.jobs[jobID]; ok {
 		if a.j.Owner != user {
 			return a, reservation{}, fmt.Errorf("daemon: job %s already submitted: %w", jobID, errNotOwner)
 		}
 		return a, reservation{}, nil
+	}
+	if _, ok := d.forgotten[jobID]; ok {
+		return admission{}, reservation{}, fmt.Errorf("daemon: job %s already ran here", jobID)
 	}
 	res, held := d.holdLocked(jobID, now)
 	if !held {
@@ -1250,11 +1247,12 @@ func (d *Daemon) dropHoldLocked(jobID string, res reservation) {
 
 // sweepHoldsLocked forgets every lapsed reservation. The holds still live
 // are copied into the spare table and the two swapped, rather than the
-// lapsed ones deleted in place: Go 1.24's maps never rehash in place, so
-// a table whose deleted slots fill up grows instead, and job IDs are
-// never reused. Commit calls it once the table has doubled since the
-// last sweep, so a commit costs O(1) amortised and the table stays
-// within twice the commits of one validity window. Caller holds d.mu.
+// lapsed ones deleted in place, which sizes the table to them: a Go map
+// keeps the room of its largest size, and one churned through IDs it
+// never sees again settles near twice its live keys (EXPERIMENTS X25).
+// Commit calls it once the table has doubled since the last sweep, so a
+// commit costs O(1) amortised and the table stays within twice the
+// commits of one validity window. Caller holds d.mu.
 func (d *Daemon) sweepHoldsLocked(now float64) {
 	live := d.reservedSpare
 	for id, res := range d.reserved {

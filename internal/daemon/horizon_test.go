@@ -19,14 +19,15 @@ import (
 // acknowledged, and forgets older ones whole. On the kept side of the
 // bound a job's status and outputs read back, and a duplicate submit and
 // a re-commit are re-acknowledged; on the forgotten side each answers
-// "unknown job", a duplicate submit is refused for want of a commitment,
-// and a re-commit and re-run of the ID settles again without the user
-// paying twice: the Central Server takes the second settlement as a
-// redelivery.
+// "unknown job", and a re-commit (its owner's or anyone's) and a
+// duplicate submit are refused: a re-run would settle under an ID the
+// Central Server has booked already, and be paid by no one.
 func TestRetiredJobsPastTheHorizonAreForgotten(t *testing.T) {
 	fs := central.New(accounting.Dollars)
-	if err := fs.Auth.AddUser("alice", "pw", ""); err != nil {
-		t.Fatal(err)
+	for _, u := range []string{"alice", "bob"} {
+		if err := fs.Auth.AddUser(u, "pw", ""); err != nil {
+			t.Fatal(err)
+		}
 	}
 	fsl, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -38,6 +39,10 @@ func TestRetiredJobsPastTheHorizonAreForgotten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bobToken, err := fs.Auth.Login("bob", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
 	d, addr := startDaemon(t, Config{CentralAddr: fsl.Addr().String(), SettleRetry: 5 * time.Millisecond})
 	conn := dial(t, addr)
 
@@ -46,10 +51,11 @@ func TestRetiredJobsPastTheHorizonAreForgotten(t *testing.T) {
 		defer d.mu.Unlock()
 		return d.jobs[id].retired
 	}
-	commit := func(id string) error {
-		return protocol.Call(conn, protocol.TypeCommitReq, protocol.CommitReq{User: "alice", Token: token, JobID: id,
+	commitAs := func(user, token, id string) error {
+		return protocol.Call(conn, protocol.TypeCommitReq, protocol.CommitReq{User: user, Token: token, JobID: id,
 			Bid: bidding.Bid{Server: d.Name(), Price: 2}}, protocol.TypeCommitOK, &protocol.CommitOK{})
 	}
+	commit := func(id string) error { return commitAs("alice", token, id) }
 	submit := func(id string) error {
 		return protocol.Call(conn, protocol.TypeSubmitReq, protocol.SubmitReq{User: "alice", Token: token, JobID: id,
 			Contract: contract(20)}, protocol.TypeSubmitOK, &protocol.SubmitOK{})
@@ -125,23 +131,25 @@ func TestRetiredJobsPastTheHorizonAreForgotten(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unknown job") {
 		t.Fatalf("result.out of the forgotten job: %q, %v; want unknown job", out.Data, err)
 	}
-	if err := submit("forgotten"); err == nil || !strings.Contains(err.Error(), errNoCommitment.Error()) {
-		t.Fatalf("duplicate submit of the forgotten job: %v, want %v", err, errNoCommitment)
+	const ran = "already ran here"
+	if err := submit("forgotten"); err == nil || !strings.Contains(err.Error(), ran) {
+		t.Fatalf("duplicate submit of the forgotten job: %v, want %q", err, ran)
 	}
-	revenue := fs.DB.Revenue(d.Name())
-	redeliveries := fs.Metrics.Counter("faucets_central_settle_retries_total", "")
-	before := redeliveries.Value()
-	run("forgotten")
-	if got := fs.DB.Revenue(d.Name()); got != revenue {
-		t.Fatalf("the re-run paid %v more", got-revenue)
+	if err := commit("forgotten"); err == nil || !strings.Contains(err.Error(), ran) || protocol.IsRetryable(err) {
+		t.Fatalf("re-commit of the forgotten job by its owner: %v, want %q, not retryable", err, ran)
 	}
-	if got := redeliveries.Value(); got != before+1 {
-		t.Fatalf("settle redeliveries %d, want %d: the re-run's settlement is the old one's", got, before+1)
+	if err := commitAs("bob", bobToken, "forgotten"); err == nil || !strings.Contains(err.Error(), ran) {
+		t.Fatalf("commit of the forgotten job by another user: %v, want %q", err, ran)
 	}
-	// Through the swaps into the spare table: the newest still held, the
-	// table no larger than twice them.
+	if err := submit("forgotten"); err == nil {
+		t.Fatal("a submit after the refused commits ran the forgotten job again")
+	}
+	// Far past the bound: the newest still held, every older one refused.
 	fill(3 * maxRetired)
 	if err := status(fmt.Sprintf("filler-%d", filled-1)); err != nil || held() != maxRetired {
 		t.Fatalf("after %d more: the newest answers %v, %d jobs held", 3*maxRetired, err, held())
+	}
+	if err := commit("kept"); err == nil || !strings.Contains(err.Error(), ran) {
+		t.Fatalf("re-commit of the once-kept job, now forgotten: %v, want %q", err, ran)
 	}
 }

@@ -429,7 +429,14 @@ type ReplyConn struct {
 
 	wmu      sync.Mutex      // a frame is written whole, in one Write
 	deferred *sync.WaitGroup // the server's: Close waits for deferred replies
+	slots    chan struct{}   // one per deferred reply outstanding (see Defer)
 }
+
+// maxDeferred is how many deferred replies one connection may have
+// outstanding before Defer holds its read loop: a peer that pipelines
+// faster than the disk syncs is slowed down, not served by ever more
+// goroutines.
+const maxDeferred = 64
 
 // NewReplyConn wraps rw for ID-stamped replies.
 func NewReplyConn(rw io.ReadWriter) *ReplyConn { return &ReplyConn{ReadWriter: rw} }
@@ -455,7 +462,12 @@ type Deferred struct {
 // Defer hands the in-flight request's reply to a Deferred, to be finished
 // exactly once, and the handler returns nil; the server's Close waits for
 // it. The finisher keeps copies: the loop reuses the frame and Scratch.
+// With maxDeferred replies outstanding, Defer waits until one finishes.
 func (rc *ReplyConn) Defer() Deferred {
+	if rc.slots == nil {
+		rc.slots = make(chan struct{}, maxDeferred)
+	}
+	rc.slots <- struct{}{}
 	if rc.deferred != nil {
 		rc.deferred.Add(1)
 	}
@@ -468,6 +480,7 @@ func (d Deferred) Finish(typ string, body any, err error) {
 		typ, body = TypeError, ErrorBody{Message: err.Error(), Retryable: IsRetryable(err)}
 	}
 	_ = writeFrame(d.rc, d.id, typ, body)
+	<-d.rc.slots
 	if d.rc.deferred != nil {
 		d.rc.deferred.Done()
 	}

@@ -407,3 +407,50 @@ func TestDeferredReplyReleasesTheConnection(t *testing.T) {
 	release <- nil
 	<-closed
 }
+
+// TestDeferredRepliesAreCapped: a connection with maxDeferred replies
+// outstanding has its read loop held, so a request behind them waits;
+// once one of them finishes, the loop goes on.
+func TestDeferredRepliesAreCapped(t *testing.T) {
+	release, deferred := make(chan struct{}), make(chan struct{}, maxDeferred+1)
+	s := NewServer("test", func(rc *ReplyConn, f Frame) error {
+		if f.Type != TypePollReq {
+			return WriteFrame(rc, TypeVerifyOK, VerifyOK{User: "fast"})
+		}
+		r := rc.Defer()
+		go func() { <-release; r.Finish(TypePollOK, PollOK{}, nil) }()
+		deferred <- struct{}{}
+		return nil
+	}, nil)
+	addr := serveOn(t, s, nil)
+	t.Cleanup(func() { close(release) }) // before the server's Close, a failure's too
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var buf []byte
+	for id := uint64(1); id <= maxDeferred+1; id++ {
+		buf, _ = AppendFrame(buf, CodecBinary, id, TypePollReq, PollReq{})
+	}
+	buf, _ = AppendFrame(buf, CodecBinary, maxDeferred+2, TypeVerifyReq, VerifyReq{User: "u", Token: "t"})
+	if _, err := conn.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	for range maxDeferred {
+		<-deferred
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if f, err := ReadFrame(conn); err == nil {
+		t.Fatalf("read %s #%d with %d replies deferred, want the loop held", f.Type, f.ID, maxDeferred)
+	}
+	_ = conn.SetReadDeadline(time.Time{})
+	release <- struct{}{}
+	if f, err := ReadFrame(conn); err != nil || f.Type != TypePollOK {
+		t.Fatalf("read %s (%v), want the released poll's reply", f.Type, err)
+	}
+	<-deferred // the held poll, deferred now
+	if f, err := ReadFrame(conn); err != nil || f.ID != maxDeferred+2 || f.Type != TypeVerifyOK {
+		t.Fatalf("read %s #%d (%v), want the verify behind the held poll", f.Type, f.ID, err)
+	}
+}

@@ -36,14 +36,13 @@ type file struct {
 // of files, searched by name: a job stages a handful of files, not
 // enough for a map to pay for itself. It is safe for concurrent use.
 type Store struct {
-	mu          sync.Mutex
-	jobs, spare map[string][]file // spare: see DropJob
-	drops       int
+	mu   sync.Mutex
+	jobs map[string][]file
 }
 
 // NewStore returns an empty staging store.
 func NewStore() *Store {
-	return &Store{jobs: map[string][]file{}, spare: map[string][]file{}}
+	return &Store{jobs: map[string][]file{}}
 }
 
 // CreateJob prepares a staging area for a job (idempotent).
@@ -56,24 +55,11 @@ func (s *Store) CreateJob(jobID string) {
 }
 
 // DropJob discards a job's staging area and every file in it (a no-op
-// for a job that has none). Job IDs are never reused, and a Go map keeps
-// deleted slots until it grows, so once as many areas have been dropped
-// as are left, the live ones are copied into the spare table and swapped.
+// for a job that has none).
 func (s *Store) DropJob(jobID string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.jobs[jobID]; !ok {
-		return
-	}
 	delete(s.jobs, jobID)
-	if s.drops++; s.drops <= len(s.jobs) {
-		return
-	}
-	for id, files := range s.jobs {
-		s.spare[id] = files
-	}
-	clear(s.jobs)
-	s.jobs, s.spare, s.drops = s.spare, s.jobs, 0
 }
 
 // fileLocked returns the named file in the job's area, adding it if

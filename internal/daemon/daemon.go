@@ -32,6 +32,7 @@ import (
 	"faucets/internal/protocol"
 	"faucets/internal/qos"
 	"faucets/internal/scheduler"
+	"faucets/internal/server"
 	"faucets/internal/stage"
 	"faucets/internal/telemetry"
 )
@@ -91,14 +92,6 @@ type Config struct {
 // auction round with a single verify round trip.
 const DefaultVerifyCacheTTL = 2 * time.Second
 
-// bidValidity is how long a bid stands, in virtual seconds, and so how
-// long a commit holds the daemon to its price: a commit carrying a bid
-// whose ExpiresAt has passed is refused as expired, and a commit is held
-// until bidValidity after the daemon accepted it, on the daemon's own
-// clock (the live client zeroes ExpiresAt, so this is the bound that
-// fires there). A submit or upload after that finds no commitment.
-const bidValidity = 300
-
 // telemetryFloor is the shortest wall interval between two AppSpector
 // sample rounds. Samples are due every virtual second; at a compressed
 // TimeScale that would be every wall millisecond or less, which is more
@@ -119,26 +112,17 @@ type verifyKey struct{ user, token string }
 // bookkeeping).
 const verifyCacheMax = 4096
 
-// reservation is a committed-but-not-yet-submitted contract (phase two
-// of §5.3 ahead of file upload): who committed, at what price, and the
-// virtual instant the hold lapses. staged records that an upload has
-// created the job's staging area, which goes when the hold does.
-type reservation struct {
-	user    string
-	price   float64
-	expires float64
-	staged  bool
-}
-
 // admission is one job the daemon has admitted: the job (its Owner the
 // user who submitted it), the price its commitment agreed, and the number
 // of the temporary userid it runs under (§2.2: "the Faucets system runs
 // the job with a temporary userid"); whether its finish is booked, and
-// whether it has nothing left to deliver (see retireLocked).
+// whether it has nothing left to deliver (see retireLocked). pes is the
+// allocation last traced for it: its start's, then runLoop's.
 type admission struct {
 	j                *job.Job
 	price            float64
 	tmp              uint64
+	pes              int
 	settled, retired bool
 }
 
@@ -146,35 +130,23 @@ type admission struct {
 // still answers for, as AppSpector (MaxFinished) and the tracer do.
 const maxRetired = 4096
 
-// A job ID is refused to a user who does not own it on this daemon. A
-// lapsed commitment, or one a restart lost (holds are not journaled), is
-// no commitment.
-var (
-	errNoCommitment = errors.New("no live commitment")
-	errNotOwner     = errors.New("it belongs to another user")
-)
-
 // Daemon is a running FD.
 type Daemon struct {
 	cfg   Config
 	epoch time.Time
 
-	mu   sync.Mutex
+	mu sync.Mutex
+	// core bids, holds commits (not journaled: a restart voids them),
+	// admits and counts queued work; jobs is what the daemon keeps of each
+	// job core admitted.
+	core server.Core
 	jobs map[string]admission
 	// retireLocked's: a ring of the newest jobs retired, and the IDs of
 	// the jobs it has forgotten, which no commit may take again.
 	retiredIDs  []string
 	retiredNext int
 	forgotten   map[string]struct{}
-	// reserved holds the commits no submit has followed yet, expired ones
-	// included until a sweep (see holdLocked). A sweep copies the live ones
-	// into reservedSpare and swaps the two; reservedSwept is how many it
-	// left, and the next runs once the table has doubled from that.
-	reserved      map[string]reservation
-	reservedSpare map[string]reservation
-	reservedSwept int
-	outstanding   float64
-	tempSeq       uint64 // the last temporary userid handed out
+	tempSeq     uint64 // the last temporary userid handed out
 	// outbox holds settlements the Central Server has not acknowledged
 	// yet; runLoop redelivers them until each is acked (or refused).
 	outbox []protocol.SettleReq
@@ -245,9 +217,6 @@ func New(cfg Config) (*Daemon, error) {
 	if err := cfg.Info.Spec.Validate(); err != nil {
 		return nil, fmt.Errorf("daemon: %w", err)
 	}
-	if cfg.Bidder == nil {
-		cfg.Bidder = bidding.Baseline{}
-	}
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1
 	}
@@ -270,19 +239,20 @@ func New(cfg Config) (*Daemon, error) {
 		cfg.VerifyCacheTTL = DefaultVerifyCacheTTL
 	}
 	d := &Daemon{
-		cfg:           cfg,
-		epoch:         time.Now(),
-		jobs:          map[string]admission{},
-		forgotten:     map[string]struct{}{},
-		reserved:      map[string]reservation{},
-		reservedSpare: map[string]reservation{},
-		Stage:         stage.NewStore(),
-		closed:        make(chan struct{}),
-		kick:          make(chan struct{}, 1),
-		monitorKick:   make(chan struct{}, 1),
-		met:           newFDMetrics(cfg.Metrics),
-		rpc:           telemetry.NewRPCMetrics(cfg.Metrics, "daemon"),
+		cfg:         cfg,
+		epoch:       time.Now(),
+		jobs:        map[string]admission{},
+		forgotten:   map[string]struct{}{},
+		Stage:       stage.NewStore(),
+		closed:      make(chan struct{}),
+		kick:        make(chan struct{}, 1),
+		monitorKick: make(chan struct{}, 1),
+		met:         newFDMetrics(cfg.Metrics),
+		rpc:         telemetry.NewRPCMetrics(cfg.Metrics, "daemon"),
 	}
+	d.core.Reset(cfg.Info.Spec, cfg.Scheduler, cfg.Bidder)
+	// A hold that ends without a job takes the area its upload made.
+	d.core.Dropped = d.Stage.DropJob
 	// No observer: a bid's path reads no clock for the server's sake.
 	d.srv = protocol.NewServer("daemon "+cfg.Info.Spec.Name, d.dispatch, nil)
 	if cfg.VerifyCacheTTL > 0 {
@@ -341,7 +311,7 @@ func (d *Daemon) recover(path string) error {
 	st := reduce(recs)
 	for _, rec := range st.pending {
 		j := job.New(job.ID(rec.JobID), rec.Owner, rec.Contract, 0)
-		if !d.cfg.Scheduler.Submit(0, j) {
+		if !d.core.Adopt(0, j) {
 			// It fit before the crash; refusing now means the cluster shrank
 			// under us. Surface the loss rather than silently dropping it,
 			// and keep its admission on disk for a boot that can place it.
@@ -351,7 +321,6 @@ func (d *Daemon) recover(path string) error {
 		}
 		d.tempSeq++
 		d.jobs[rec.JobID] = admission{j: j, price: rec.Price, tmp: d.tempSeq}
-		d.outstanding += rec.Contract.Work
 		d.Stage.CreateJob(rec.JobID)
 		d.announce(rec.JobID, rec.Owner, rec.Contract.App)
 	}
@@ -570,11 +539,6 @@ func (d *Daemon) runLoop(timer *wakeTimer) {
 	sampling := d.cfg.AppSpectorAddr != ""
 	sampleEvery := math.Max(1, telemetryFloor.Seconds()*d.cfg.TimeScale)
 	nextSample := 0.0
-	// lastPEs tracks each running job's allocation so adaptive
-	// reallocations (paper §4: jobs shrink and expand between MinPE and
-	// MaxPE) surface as shrink/expand span events. It is rebuilt from the
-	// running set on every pass, so it never outgrows it.
-	lastPEs, curPEs := map[string]int{}, map[string]int{}
 	for {
 		select {
 		case <-d.closed:
@@ -593,20 +557,24 @@ func (d *Daemon) runLoop(timer *wakeTimer) {
 		}
 		var changes []peChange
 		d.mu.Lock()
-		finished := append(d.done, d.cfg.Scheduler.Advance(now)...)
+		finished := append(d.done, d.core.Advance(now)...)
 		d.done = nil
 		// The scheduler's own view: read only until d.mu is released.
 		running := d.cfg.Scheduler.Running()
 		next, armed := d.cfg.Scheduler.NextCompletion(now)
+		// Adaptive reallocations (paper §4: jobs shrink and expand between
+		// MinPE and MaxPE) surface as span events, against the allocation
+		// last traced: a pass that lands after one still sees it.
 		for _, j := range running {
 			id, pes := string(j.ID), j.PEs()
-			if prev, seen := lastPEs[id]; seen && prev != pes {
-				changes = append(changes, peChange{id: id, from: prev, to: pes})
+			if a, ok := d.jobs[id]; ok && a.pes != pes {
+				if a.pes > 0 {
+					changes = append(changes, peChange{id: id, from: a.pes, to: pes})
+				}
+				a.pes = pes
+				d.jobs[id] = a
 			}
-			curPEs[id] = pes
 		}
-		lastPEs, curPEs = curPEs, lastPEs
-		clear(curPEs)
 		if sampling && len(running) > 0 {
 			if now >= nextSample {
 				nextSample = now + sampleEvery
@@ -675,7 +643,7 @@ func (d *Daemon) wallUntil(t float64) time.Duration {
 // first. Jobs it finds finished are left for runLoop to settle. Caller
 // holds d.mu.
 func (d *Daemon) catchUp(now float64) {
-	if fin := d.cfg.Scheduler.Advance(now); len(fin) > 0 {
+	if fin := d.core.Advance(now); len(fin) > 0 {
 		d.done = append(d.done, fin...)
 		d.wake()
 	}
@@ -702,10 +670,6 @@ func (d *Daemon) finishJob(now float64, j *job.Job) {
 	}
 	a.settled = true
 	d.jobs[id] = a
-	d.outstanding -= j.Contract.Work
-	if d.outstanding < 0 {
-		d.outstanding = 0
-	}
 	cpuUsed := j.CPUUsed()
 	d.sample(now, j, fmt.Sprintf("%s finished at %.1f", id, now))
 	if d.cfg.CentralAddr != "" {
@@ -1152,7 +1116,9 @@ func scratchOf(conn *protocol.ReplyConn) *connScratch {
 	return sc
 }
 
-// makeBid consults the scheduler and the bid generator.
+// makeBid prices a bid for c: the core's state under d.mu, its bidder
+// outside it, since a weather or history bidder may call the Central
+// Server.
 func (d *Daemon) makeBid(c *qos.Contract) (bidding.Bid, bool) {
 	if !d.cfg.Info.Exports(c.App) {
 		return bidding.Bid{}, false
@@ -1160,33 +1126,24 @@ func (d *Daemon) makeBid(c *qos.Contract) (bidding.Bid, bool) {
 	now := d.Now()
 	d.mu.Lock()
 	d.catchUp(now)
-	st := bidding.StateFor(&d.cfg.Info.Spec, d.cfg.Scheduler, now, c, d.outstanding)
+	st := d.core.State(now, c)
 	d.mu.Unlock()
-	return bidding.Make(d.cfg.Bidder, d.Name(), now, c, st, bidValidity)
+	return d.core.Bid(now, c, st)
 }
 
-// commit is phase two: hold the daemon to its price for a job whose
-// files are still on their way. The hold lapses bidValidity after the
-// commit, on the daemon's clock; a submit or upload after that finds no
-// commitment. No staging area is made here: the first upload makes it,
-// or the submit, so a commit no submit follows leaves one small value
-// behind, and only until a sweep.
+// commit is phase two: the core holds the daemon to its price while the
+// job's files are on their way. The first upload makes the staging area,
+// or the submit. A commit of an admitted job is re-acknowledged for its
+// owner, as a lost ack's retry.
 func (d *Daemon) commit(req *protocol.CommitReq) error {
 	now := d.Now()
-	if req.Bid.ExpiresAt > 0 && now > req.Bid.ExpiresAt {
-		return fmt.Errorf("daemon: bid for %s expired", req.JobID)
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	// Commits are idempotent per (job, user): a client whose ack was lost
-	// to the network retries the same commit and must get a fresh ack,
-	// not an error. Another user's hold or job on the ID is refused.
-	if _, _, err := d.ownerLocked(req.JobID, req.User, now); !errors.Is(err, errNoCommitment) {
+	if _, known, err := d.ownerLocked(req.JobID, req.User); known {
 		return err
 	}
-	d.reserved[req.JobID] = reservation{user: req.User, price: req.Bid.Price, expires: now + bidValidity}
-	if len(d.reserved) >= 2*d.reservedSwept {
-		d.sweepHoldsLocked(now)
+	if err := d.core.Commit(now, req.JobID, req.User, req.Bid); err != nil {
+		return err
 	}
 	if d.cfg.Tracer != nil {
 		d.trace(req.JobID, telemetry.SpanContract, fmt.Sprintf("committed to %s at price %.2f", d.Name(), req.Bid.Price))
@@ -1194,79 +1151,21 @@ func (d *Daemon) commit(req *protocol.CommitReq) error {
 	return nil
 }
 
-// ownerLocked answers whether user owns jobID on this daemon: as the
-// owner of the admitted job, which it returns (its j set), or as the user
-// a live commitment holds it for, which it returns. With neither a job
-// nor a hold it returns errNoCommitment, bare; with someone else's,
-// errNotOwner, wrapped; for a job retireLocked forgot, an error that is
+// ownerLocked answers, in front of the core's hold check, for a job ID
+// the daemon has admitted (the admission, and server.ErrNotOwner wrapped
+// if user does not own it) or forgotten (an error); known is false for
 // neither. Caller holds d.mu.
-func (d *Daemon) ownerLocked(jobID, user string, now float64) (admission, reservation, error) {
+func (d *Daemon) ownerLocked(jobID, user string) (admission, bool, error) {
 	if a, ok := d.jobs[jobID]; ok {
 		if a.j.Owner != user {
-			return a, reservation{}, fmt.Errorf("daemon: job %s already submitted: %w", jobID, errNotOwner)
+			return a, true, fmt.Errorf("daemon: job %s already submitted: %w", jobID, server.ErrNotOwner)
 		}
-		return a, reservation{}, nil
+		return a, true, nil
 	}
 	if _, ok := d.forgotten[jobID]; ok {
-		return admission{}, reservation{}, fmt.Errorf("daemon: job %s already ran here", jobID)
+		return admission{}, true, fmt.Errorf("daemon: job %s already ran here", jobID)
 	}
-	res, held := d.holdLocked(jobID, now)
-	if !held {
-		return admission{}, res, errNoCommitment
-	}
-	if res.user != user {
-		return admission{}, res, fmt.Errorf("daemon: job %s already committed: %w", jobID, errNotOwner)
-	}
-	return admission{}, res, nil
-}
-
-// holdLocked returns the job's reservation if one holds at now. One that
-// has lapsed is removed here, with any staging area an upload made for
-// it, so a submit, upload or commit treats it as absent whether or not a
-// sweep has run since. Caller holds d.mu.
-func (d *Daemon) holdLocked(jobID string, now float64) (reservation, bool) {
-	res, ok := d.reserved[jobID]
-	if !ok {
-		return reservation{}, false
-	}
-	if now > res.expires {
-		d.dropHoldLocked(jobID, res)
-		return reservation{}, false
-	}
-	return res, true
-}
-
-// dropHoldLocked forgets a reservation and the staging area an upload
-// made for it. Caller holds d.mu.
-func (d *Daemon) dropHoldLocked(jobID string, res reservation) {
-	delete(d.reserved, jobID)
-	if res.staged {
-		d.Stage.DropJob(jobID)
-	}
-}
-
-// sweepHoldsLocked forgets every lapsed reservation. The holds still live
-// are copied into the spare table and the two swapped, rather than the
-// lapsed ones deleted in place, which sizes the table to them: a Go map
-// keeps the room of its largest size, and one churned through IDs it
-// never sees again settles near twice its live keys (EXPERIMENTS X25).
-// Commit calls it once the table has doubled since the last sweep, so a
-// commit costs O(1) amortised and the table stays within twice the
-// commits of one validity window. Caller holds d.mu.
-func (d *Daemon) sweepHoldsLocked(now float64) {
-	live := d.reservedSpare
-	for id, res := range d.reserved {
-		if now > res.expires {
-			if res.staged {
-				d.Stage.DropJob(id)
-			}
-			continue
-		}
-		live[id] = res
-	}
-	clear(d.reserved)
-	d.reserved, d.reservedSpare = live, d.reserved
-	d.reservedSwept = len(live)
+	return admission{}, false, nil
 }
 
 // upload stages one chunk of an input file for the user who owns the
@@ -1275,14 +1174,14 @@ func (d *Daemon) sweepHoldsLocked(now float64) {
 func (d *Daemon) upload(req *protocol.UploadReq) (int64, error) {
 	now := d.Now()
 	d.mu.Lock()
-	a, res, err := d.ownerLocked(req.JobID, req.User, now)
-	if err == nil && a.j == nil && !res.staged {
-		res.staged = true
-		d.reserved[req.JobID] = res
-		d.Stage.CreateJob(req.JobID)
+	_, known, err := d.ownerLocked(req.JobID, req.User)
+	if !known {
+		if _, err = d.core.HeldFor(now, req.JobID, req.User); err == nil {
+			d.Stage.CreateJob(req.JobID)
+		}
 	}
 	d.mu.Unlock()
-	if errors.Is(err, errNoCommitment) {
+	if errors.Is(err, server.ErrNoCommitment) {
 		return 0, fmt.Errorf("%w: %s", stage.ErrNoJob, req.JobID)
 	}
 	if err != nil {
@@ -1291,12 +1190,9 @@ func (d *Daemon) upload(req *protocol.UploadReq) (int64, error) {
 	return d.Stage.PutChunk(req.JobID, req.Name, req.Offset, req.Data, req.Last, req.SHA256)
 }
 
-// admit starts a committed job on the scheduler and returns the
-// admission's journal ticket: SubmitOK is written only once that is on
-// disk. A submit is admitted only by spending a live commitment held for
-// its own user, at the committed price (§5.3: bid, commit, upload,
-// start). One with no commitment, a lapsed one, or another user's is
-// refused. The job keeps a copy of req's contract.
+// admit starts a committed job, at the price its user's hold agreed, and
+// returns the admission's journal ticket: SubmitOK is written only once
+// that is on disk. The job keeps a copy of req's contract.
 func (d *Daemon) admit(req *protocol.SubmitReq) (jticket, error) {
 	if req.Contract == nil {
 		return jticket{}, errors.New("daemon: submit without contract")
@@ -1310,41 +1206,31 @@ func (d *Daemon) admit(req *protocol.SubmitReq) (jticket, error) {
 	now := d.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	a, res, err := d.ownerLocked(req.JobID, req.User, now)
-	if errors.Is(err, errNoCommitment) {
-		err = fmt.Errorf("daemon: %s refuses job %s: %w", d.Name(), req.JobID, err)
-	}
-	if err != nil {
-		d.met.jobsRejected.Inc()
-		return jticket{}, err
-	}
-	if a.j != nil {
+	if _, known, err := d.ownerLocked(req.JobID, req.User); known {
 		// Same idempotency rule as commit: a retried submit from the same
 		// user is re-acknowledged rather than refused, so a lost ack does
 		// not strand the client — once the original's record is on disk.
-		return jticket{}, nil
+		if err != nil {
+			d.met.jobsRejected.Inc()
+		}
+		return jticket{}, err
 	}
-
 	c := *req.Contract
 	c.Phases = slices.Clone(c.Phases)
 	j := job.New(job.ID(req.JobID), req.User, &c, now)
 	d.catchUp(now)
-	if !d.cfg.Scheduler.Submit(now, j) {
-		// The submit spends the hold, admitted or not.
-		d.dropHoldLocked(req.JobID, res)
+	price, err := d.core.Submit(now, j)
+	if err != nil {
 		d.met.jobsRejected.Inc()
-		return jticket{}, fmt.Errorf("daemon: %s refused job %s at submission", d.Name(), req.JobID)
+		return jticket{}, err
 	}
-	// The hold is spent: the job exists, with the staging area it made.
-	delete(d.reserved, req.JobID)
 	d.met.jobsAdmitted.Inc()
 	d.tempSeq++
-	d.jobs[req.JobID] = admission{j: j, price: res.price, tmp: d.tempSeq}
-	d.outstanding += c.Work
+	d.jobs[req.JobID] = admission{j: j, price: price, tmp: d.tempSeq, pes: j.PEs()}
 	d.Stage.CreateJob(req.JobID)
 	t := d.journalStage(journalRecord{
 		Op: jopJob, JobID: req.JobID, Owner: req.User,
-		Price: res.price, Contract: &c,
+		Price: price, Contract: &c,
 	})
 	if d.cfg.Tracer != nil {
 		d.trace(req.JobID, telemetry.SpanStart, fmt.Sprintf("started on %s with %d PEs", d.Name(), j.PEs()))
@@ -1364,7 +1250,7 @@ func (d *Daemon) terminate(req protocol.KillReq) (state string, t jticket, err e
 	now := d.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	a, _, err := d.ownerLocked(req.JobID, req.User, now)
+	a, _, err := d.ownerLocked(req.JobID, req.User)
 	j := a.j
 	if j == nil {
 		return "", t, fmt.Errorf("daemon: unknown job %s", req.JobID)
@@ -1376,17 +1262,13 @@ func (d *Daemon) terminate(req protocol.KillReq) (state string, t jticket, err e
 	if j.State().Terminal() {
 		return j.State().String(), t, nil // idempotent: already done
 	}
-	if !d.cfg.Scheduler.Kill(now, j.ID) {
+	if !d.core.Kill(now, j) {
 		return "", t, fmt.Errorf("daemon: job %s could not be killed", req.JobID)
 	}
 	// A killed job settles nothing, so it is terminal for the journal.
 	t = d.journalStage(journalRecord{Op: jopDone, JobID: req.JobID})
 	d.retireLocked(req.JobID)
 	d.met.jobsKilled.Inc()
-	d.outstanding -= j.RemainingWork()
-	if d.outstanding < 0 {
-		d.outstanding = 0
-	}
 	d.sample(now, j, fmt.Sprintf("%s killed by %s", req.JobID, req.User))
 	d.wake()
 	return j.State().String(), t, nil

@@ -16,6 +16,7 @@ import (
 	"faucets/internal/protocol"
 	"faucets/internal/qos"
 	"faucets/internal/scheduler"
+	"faucets/internal/server"
 	"faucets/internal/stage"
 )
 
@@ -88,6 +89,10 @@ func commitJob(t testing.TB, d *Daemon, user, id string, price float64) {
 		t.Fatalf("commit %s: %v", id, err)
 	}
 }
+
+// queuedLocked is the queued work a bid made now is priced from. Caller
+// holds d.mu.
+func queuedLocked(d *Daemon) float64 { return d.core.State(d.Now(), contract(1)).QueuedWork }
 
 // submit is the submit arm's work without the wire: admit req, and return
 // once its admission is on disk, when the arm would acknowledge.
@@ -251,7 +256,7 @@ func TestDoubleCommitAndDoubleSubmit(t *testing.T) {
 
 // TestSubmitWithoutCommitRefused: a submit with no commit before it is
 // refused, over the wire and in process, and leaves nothing on the
-// daemon: no job, no hold, no staging area, no outstanding work.
+// daemon: no job, no hold, no staging area, no queued work.
 func TestSubmitWithoutCommitRefused(t *testing.T) {
 	d, addr := startDaemon(t, Config{})
 	conn := dial(t, addr)
@@ -263,16 +268,47 @@ func TestSubmitWithoutCommitRefused(t *testing.T) {
 	if tracked(t, conn, "direct") {
 		t.Fatal("a refused submit is on the daemon")
 	}
-	if err := d.submit(protocol.SubmitReq{User: "u", JobID: "direct", Contract: contract(1e7)}); !errors.Is(err, errNoCommitment) {
-		t.Fatalf("submit with no commit: %v, want errNoCommitment", err)
+	if err := d.submit(protocol.SubmitReq{User: "u", JobID: "direct", Contract: contract(1e7)}); !errors.Is(err, server.ErrNoCommitment) {
+		t.Fatalf("submit with no commit: %v, want server.ErrNoCommitment", err)
 	}
 	if _, _, err := d.Stage.ReadAt("direct", "in.dat", 0, 0); !errors.Is(err, stage.ErrNoJob) {
 		t.Fatalf("a refused submit made a staging area: %v", err)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if len(d.jobs) != 0 || len(d.reserved) != 0 || d.outstanding != 0 {
-		t.Fatalf("a refused submit left %d jobs, %d holds, %v outstanding", len(d.jobs), len(d.reserved), d.outstanding)
+	_, held := d.core.HeldFor(d.Now(), "direct", "u")
+	if len(d.jobs) != 0 || !errors.Is(held, server.ErrNoCommitment) || queuedLocked(d) != 0 {
+		t.Fatalf("a refused submit left %d jobs, a hold (%v), %v queued work", len(d.jobs), held, queuedLocked(d))
+	}
+}
+
+// TestKillLeavesNoQueuedWork: a job killed halfway through leaves none of
+// its work in the queued work later bids are priced from — its whole
+// contract leaves, as a finished job's does, not only what it had left.
+func TestKillLeavesNoQueuedWork(t *testing.T) {
+	info := protocol.ServerInfo{Spec: spec("turing", 64), Apps: []string{"synth"}}
+	d, err := New(Config{Info: info, Scheduler: scheduler.NewEquipartition(info.Spec, scheduler.Config{}),
+		TimeScale: 1e-6}) // the clock stands still but for advance
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	commitJob(t, d, "alice", "half", 1)
+	if err := d.submit(protocol.SubmitReq{User: "alice", JobID: "half", Contract: contract(1600)}); err != nil {
+		t.Fatal(err)
+	}
+	advance(d, 50) // 16 PEs for 50 s: 800 of its 1 600 CPU-seconds
+	if _, err := d.kill(protocol.KillReq{User: "alice", JobID: "half"}); err != nil {
+		t.Fatal(err)
+	}
+	d.mu.Lock()
+	queued, done := queuedLocked(d), d.jobs["half"].j.DoneWork()
+	d.mu.Unlock()
+	if done < 700 || done > 900 {
+		t.Fatalf("the job had done %v CPU-seconds when killed, want ≈800", done)
+	}
+	if queued != 0 {
+		t.Fatalf("a job killed halfway left %v CPU-seconds queued, want 0", queued)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"faucets/internal/jsonl"
 	"faucets/internal/protocol"
 	"faucets/internal/scheduler"
+	"faucets/internal/server"
 )
 
 // durableCfg builds a daemon config journaling under dir.
@@ -54,13 +55,13 @@ func TestJournalRecoveryRestartsUnfinishedJob(t *testing.T) {
 		t.Fatalf("contract mangled: %+v", j.Contract)
 	}
 	d2.mu.Lock()
-	a, outstanding := d2.jobs["j-recover"], d2.outstanding
+	a, queued := d2.jobs["j-recover"], queuedLocked(d2)
 	d2.mu.Unlock()
 	if a.j.Owner != "alice" || a.price != 7 {
 		t.Fatalf("owner=%q price=%v, want alice/7", a.j.Owner, a.price)
 	}
-	if outstanding != 5000 {
-		t.Fatalf("outstanding=%v, want 5000", outstanding)
+	if queued != 5000 {
+		t.Fatalf("queued=%v, want 5000", queued)
 	}
 	if a.tmp == 0 {
 		t.Fatal("recovered job has no temporary userid")
@@ -267,8 +268,8 @@ func TestCommitAndSubmitIdempotent(t *testing.T) {
 	if err := commit("alice"); err != nil {
 		t.Fatalf("retried commit refused: %v", err)
 	}
-	if err := commit("mallory"); !errors.Is(err, errNotOwner) {
-		t.Fatalf("foreign commit on a reserved job: %v, want errNotOwner", err)
+	if err := commit("mallory"); !errors.Is(err, server.ErrNotOwner) {
+		t.Fatalf("foreign commit on a reserved job: %v, want server.ErrNotOwner", err)
 	}
 	req := protocol.SubmitReq{User: "alice", JobID: "j-idem", Contract: contract(5000)}
 	if err := d.submit(req); err != nil {
@@ -282,14 +283,14 @@ func TestCommitAndSubmitIdempotent(t *testing.T) {
 	}
 	foreign := req
 	foreign.User = "mallory"
-	if err := d.submit(foreign); !errors.Is(err, errNotOwner) {
-		t.Fatalf("foreign submit on a running job: %v, want errNotOwner", err)
+	if err := d.submit(foreign); !errors.Is(err, server.ErrNotOwner) {
+		t.Fatalf("foreign submit on a running job: %v, want server.ErrNotOwner", err)
 	}
 	d.mu.Lock()
-	outstanding := d.outstanding
+	queued := queuedLocked(d)
 	d.mu.Unlock()
-	if outstanding != 5000 {
-		t.Fatalf("outstanding=%v after retries, want 5000 (double-counted)", outstanding)
+	if queued != 5000 {
+		t.Fatalf("queued=%v after retries, want 5000 (double-counted)", queued)
 	}
 }
 

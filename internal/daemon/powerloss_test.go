@@ -188,8 +188,12 @@ func TestJournalFailedFlushRepairedBeforeReply(t *testing.T) {
 	if err := submit("homeless"); err != nil {
 		t.Fatalf("retried submit once the disk is back: %v", err)
 	}
-	if d2, _ := restart(t, dir); len(d2.jobs) != 4 {
-		t.Fatalf("recovered %d jobs from the repaired journal, want 4", len(d2.jobs))
+	d2, _ := restart(t, dir)
+	d2.mu.Lock()
+	recovered := len(d2.jobs) // runLoop writes d.jobs once it runs
+	d2.mu.Unlock()
+	if recovered != 4 {
+		t.Fatalf("recovered %d jobs from the repaired journal, want 4", recovered)
 	}
 }
 

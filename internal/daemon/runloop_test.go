@@ -10,6 +10,7 @@ import (
 	"faucets/internal/job"
 	"faucets/internal/protocol"
 	"faucets/internal/qos"
+	"faucets/internal/scheduler"
 	"faucets/internal/telemetry"
 )
 
@@ -256,6 +257,41 @@ func TestRunLoopWakesAtPhaseBoundary(t *testing.T) {
 	})
 	if lag > lagBound {
 		t.Fatalf("median finish lag %v, want <= %v", lag, lagBound)
+	}
+}
+
+// TestRunLoopSeesAnExpandItCameLateFor: the loop's first pass over a job
+// may come after the job's first reallocation. Here the daemon starts
+// serving only once its clock has passed the 2 → 16 PE boundary of a job
+// submitted before, so the first pass finds the job at 16 PEs already and
+// must still trace the expand, against the PEs admit started it on.
+func TestRunLoopSeesAnExpandItCameLateFor(t *testing.T) {
+	tr := telemetry.NewTracer(0)
+	info := protocol.ServerInfo{Spec: spec("turing", 64), Apps: []string{"synth"}}
+	d, err := New(Config{Info: info, Scheduler: scheduler.NewEquipartition(info.Spec, scheduler.Config{}),
+		TimeScale: 1000, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := contract(200)
+	c.Phases = []qos.Phase{
+		{Name: "setup", Work: 40, MinPE: 2, MaxPE: 2},   // 20 s on 2 PEs
+		{Name: "solve", Work: 160, MinPE: 2, MaxPE: 16}, // then 10 s on 16
+	}
+	submitJob(t, d, "phased", c)
+	advance(d, 25) // past the boundary, short of the finish
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(l); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	awaitFinish(t, d, tr, "phased")
+	expand := spans(tr, "phased", telemetry.SpanExpand)
+	if len(expand) != 1 || expand[0].Detail != "2 -> 16 PEs" {
+		t.Fatalf("expand spans = %+v, want one \"2 -> 16 PEs\"", expand)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"faucets/internal/protocol"
 	"faucets/internal/qos"
 	"faucets/internal/scheduler"
+	"faucets/internal/server"
 )
 
 // The bid_req arm decodes into a recycled scratch and replies from it.
@@ -196,7 +197,7 @@ func commitDispatchCase(tb testing.TB) func() {
 	next := 0
 	return func() {
 		if next%n == 0 {
-			advance(d, bidValidity+1)
+			advance(d, server.BidValidity+1)
 		}
 		if err := d.dispatch(conn, frames[next%n]); err != nil {
 			tb.Fatal(err)

@@ -27,6 +27,7 @@ import (
 	"faucets/internal/market"
 	"faucets/internal/qos"
 	"faucets/internal/scheduler"
+	"faucets/internal/server"
 	"faucets/internal/sim"
 	"faucets/internal/weather"
 	"faucets/internal/workload"
@@ -119,24 +120,21 @@ type Result struct {
 	DB *db.DB
 }
 
-// bidValidity is how long a simulated bid stands, in virtual seconds.
-const bidValidity = 60
-
-// serverEntity is one Compute Server object in the simulation.
+// serverEntity is one Compute Server object in the simulation: its core
+// bids, holds, admits and counts queued work, as the live daemon's does.
 type serverEntity struct {
-	g      *gridRun
-	name   string
-	home   string
-	sched  scheduler.Scheduler
-	est    bidding.Estimator // sched, converted once
-	spec   machine.Spec      // sched.Spec(), read once
-	bidder bidding.Generator
+	g    *gridRun
+	name string
+	home string
+	core server.Core
+	// The core's scheduler and sched.Spec(), kept for reading.
+	sched scheduler.Scheduler
+	spec  machine.Spec
 
-	outstanding float64   // admitted-but-unfinished sequential work
-	completion  sim.Event // the next completion, re-armed by refresh
-	util        *sim.TimeWeighted
-	revenue     float64
-	payoff      float64
+	completion sim.Event // the next completion, re-armed by refresh
+	util       *sim.TimeWeighted
+	revenue    float64
+	payoff     float64
 }
 
 // gridRun is the in-flight simulation state.
@@ -191,7 +189,6 @@ func (g *gridRun) series(name string) *sim.Series {
 // Commit admits the job, the price it accepted for settle to book.
 type placement struct {
 	j     *job.Job
-	user  string
 	home  string
 	price float64
 }
@@ -205,8 +202,7 @@ func (s *serverEntity) ServerName() string { return s.name }
 func (s *serverEntity) RequestBid(now float64, c *qos.Contract) (bidding.Bid, bool) {
 	g := s.g
 	stat(&g.bidReq, g.metrics.C, "messages.bid_req").Inc()
-	st := bidding.StateFor(&s.spec, s.est, now, c, s.outstanding)
-	b, ok := bidding.Make(s.bidder, s.name, now, c, st, bidValidity)
+	b, ok := s.core.Bid(now, c, s.core.State(now, c))
 	if ok {
 		stat(&g.bidReply, g.metrics.C, "messages.bid_reply").Inc()
 	}
@@ -224,22 +220,26 @@ func (s *serverEntity) Post(now float64, c *qos.Contract) (bidding.Bid, bool) {
 		bidding.PostedState(&s.spec, s.sched.UsedPEs(), c.FitsMachine(s.spec.NumPE, s.spec.MemPerPE)))
 }
 
-// Commit implements market.ServerPort: phase two, the actual admission.
+// Commit implements market.ServerPort: phase two and the start at one
+// instant — the core holds the job for its user and the submit spends
+// the hold — since a simulated client has no files to stage in between.
 func (s *serverEntity) Commit(now float64, jobID string, b bidding.Bid) error {
 	stat(&s.g.commits, s.g.metrics.C, "messages.commit").Inc()
 	pl, ok := s.g.placing[jobID]
 	if !ok {
 		return errors.New("gridsim: unknown job in commit")
 	}
-	if !s.g.acct.CanAfford(pl.user, pl.home, s.home, b.Price) {
-		return fmt.Errorf("gridsim: %s cannot afford %s on %s", pl.user, jobID, s.name)
+	if !s.g.acct.CanAfford(pl.j.Owner, pl.home, s.home, b.Price) {
+		return fmt.Errorf("gridsim: %s cannot afford %s on %s", pl.j.Owner, jobID, s.name)
 	}
-	if !s.sched.Submit(now, pl.j) {
+	if err := s.core.Commit(now, jobID, pl.j.Owner, b); err != nil {
+		return err
+	}
+	var err error
+	if pl.price, err = s.core.Submit(now, pl.j); err != nil {
 		s.g.metrics.C("commit.refused").Inc()
-		return fmt.Errorf("gridsim: %s refused %s at commit", s.name, jobID)
+		return err
 	}
-	s.outstanding += pl.j.Contract.Work
-	pl.price = b.Price
 	s.g.awards[pl.j] = pl
 	s.refresh(now)
 	return nil
@@ -262,7 +262,7 @@ func (s *serverEntity) refresh(now float64) {
 
 // onCompletion advances the scheduler and settles finished jobs.
 func (s *serverEntity) onCompletion(now float64) {
-	finished := s.sched.Advance(now)
+	finished := s.core.Advance(now)
 	for _, j := range finished {
 		s.settle(now, j)
 	}
@@ -272,10 +272,6 @@ func (s *serverEntity) onCompletion(now float64) {
 // settle books revenue, payoff, history and metrics for a finished job.
 func (s *serverEntity) settle(now float64, j *job.Job) {
 	g := s.g
-	s.outstanding -= j.Contract.Work
-	if s.outstanding < 0 {
-		s.outstanding = 0
-	}
 	pl := g.awards[j]
 	delete(g.awards, j)
 
@@ -313,16 +309,18 @@ func (s *serverEntity) settle(now float64, j *job.Job) {
 
 // Storage is the per-job storage of a run: one record per job, the
 // database with its contract history, the metrics registry with its
-// per-job series, and the maps of awards in flight. A run resets each,
-// keeping its capacity, so a sweep of replays through one Storage
-// regrows none of them. The Result of a run reads from the Storage: it
-// is valid until the Storage's next run.
+// per-job series, the maps of awards in flight, and the server entities,
+// whose cores keep their hold tables. A run resets each, keeping its
+// capacity, so a sweep of replays through one Storage regrows none of
+// them. The Result of a run reads from the Storage: it is valid until
+// the Storage's next run.
 type Storage struct {
 	jobs    []job.Job
 	store   *db.DB
 	metrics *sim.Metrics
 	placing map[string]placement
 	awards  map[*job.Job]placement
+	servers []serverEntity
 }
 
 // Run executes a trace against a grid configuration and returns the
@@ -386,7 +384,9 @@ func (st *Storage) run(cfg Config, trace *workload.Trace) (*Result, *gridRun, er
 		Credits:     map[string]float64{},
 		DB:          store,
 	}
-	for _, sc := range cfg.Servers {
+	// Each server's entity is reused, and with it its core's hold table.
+	st.servers = slices.Grow(st.servers[:0], len(cfg.Servers))[:len(cfg.Servers)]
+	for i, sc := range cfg.Servers {
 		if err := sc.Spec.Validate(); err != nil {
 			return nil, nil, fmt.Errorf("gridsim: %w", err)
 		}
@@ -396,39 +396,29 @@ func (st *Storage) run(cfg Config, trace *workload.Trace) (*Result, *gridRun, er
 				return scheduler.NewEquipartition(sp, c)
 			}
 		}
-		bidder := sc.Bidder
-		if bidder == nil {
-			bidder = bidding.Baseline{}
-		}
 		home := sc.Home
 		if home == "" {
 			home = sc.Spec.Name
 		}
-		ent := &serverEntity{
-			g: g, name: sc.Spec.Name, home: home,
-			sched:  factory(sc.Spec, cfg.SchedCfg),
-			bidder: bidder,
-			util:   g.metrics.L("util." + sc.Spec.Name),
+		// The §5.2.1 grid-weather and contract-history sources of a bidder
+		// made without one: in simulation the Faucets system's global
+		// information is the grid itself.
+		if w, ok := sc.Bidder.(*bidding.Weather); ok && w.Source == nil {
+			w.SetSource(gridWeatherSource{g: g})
 		}
-		ent.est, ent.spec = ent.sched, ent.sched.Spec()
+		if h, ok := sc.Bidder.(*bidding.History); ok && h.View == nil {
+			h.View = storeHistoryView{store: g.store}
+		}
+		sched := factory(sc.Spec, cfg.SchedCfg)
+		ent := &st.servers[i]
+		*ent = serverEntity{g: g, name: sc.Spec.Name, home: home, core: ent.core,
+			sched: sched, spec: sched.Spec(), util: g.metrics.L("util." + sc.Spec.Name)}
+		ent.core.Reset(ent.spec, sched, sc.Bidder)
 		ent.completion = sim.Event{Name: "completion:" + sc.Spec.Name,
 			Fn: func(e *sim.Engine) { ent.onCompletion(float64(e.Now())) }}
 		ent.util.Set(0, 0)
 		g.servers = append(g.servers, ent)
 		g.byName[ent.name] = ent
-	}
-
-	// Wire the §5.2.1 grid-weather and contract-history sources into any
-	// bidders constructed without one: in simulation the Faucets system's
-	// global information is the grid itself.
-	src := gridWeatherSource{g: g}
-	for _, s := range g.servers {
-		if w, ok := s.bidder.(*bidding.Weather); ok && w.Source == nil {
-			w.SetSource(src)
-		}
-		if h, ok := s.bidder.(*bidding.History); ok && h.View == nil {
-			h.View = storeHistoryView{store: g.store}
-		}
 	}
 
 	// One event walks the trace in SubmitAt order, re-armed for the next
@@ -502,21 +492,15 @@ func (g *gridRun) migrateSweep(now float64) {
 			if target == nil {
 				continue
 			}
-			// Evict only after the target admits: a refusal leaves the job home.
-			if !target.sched.Submit(now, j) {
+			// Evict only after the target admits: a refusal leaves the job
+			// home. The queued work moves with the job, and so does its award.
+			if !target.core.Adopt(now, j) {
 				continue
 			}
-			if !origin.sched.Evict(now, j.ID) {
+			if !origin.core.Evict(now, j) {
 				panic(fmt.Sprintf("gridsim: %s admitted on %s but not evicted from %s: it would run twice",
 					j.ID, target.name, origin.name))
 			}
-			// Transfer the outstanding-work accounting; the award goes with
-			// the job.
-			origin.outstanding -= j.Contract.Work
-			if origin.outstanding < 0 {
-				origin.outstanding = 0
-			}
-			target.outstanding += j.Contract.Work
 			g.metrics.C("migrations").Inc()
 			origin.refresh(now)
 			target.refresh(now)
@@ -613,7 +597,7 @@ func (g *gridRun) screen(dst []market.ServerPort, s *serverEntity, c *qos.Contra
 func (g *gridRun) submit(now float64, j *job.Job, it workload.Item) {
 	*j = job.Make(job.ID(it.ID), it.User, it.Contract, now)
 	home := g.cfg.HomeOf[it.User]
-	g.placing[it.ID] = placement{j: j, user: it.User, home: home}
+	g.placing[it.ID] = placement{j: j, home: home}
 
 	mech := g.mech
 	if name := it.Contract.Mechanism; name != "" {

@@ -1,12 +1,19 @@
-package scheduler
+package server
 
 import (
 	"fmt"
 	"testing"
 
+	"faucets/internal/bidding"
 	"faucets/internal/job"
+	"faucets/internal/machine"
 	"faucets/internal/qos"
+	"faucets/internal/scheduler"
 )
+
+func spec(numPE int) machine.Spec {
+	return machine.Spec{Name: "test", NumPE: numPE, MemPerPE: 1024, CPUType: "x86", Speed: 1.0, CostRate: 0.01}
+}
 
 // promiseContract is a valid contract decoded from four fuzz bytes on a
 // machine of total processors: a MinPE that may exceed the machine, a
@@ -22,15 +29,16 @@ func promiseContract(total int, min, extra uint8, work, payoff uint16) *qos.Cont
 	return c
 }
 
-// FuzzBidIsAPromise: a bid is a binding offer (§5.3). Two schedulers of
-// one strategy are driven through the same fuzzed submits, advances and
-// kills; at the final instant one is asked EstimateCompletion for a
-// contract and the other is handed a job with it, submitted then. An
-// estimate that says ok must be a job Submit accepts, for every strategy.
-// Profit and equipartition also decline only what Submit refuses. The
-// rigid queues may decline a job Submit would queue: their estimate needs
-// an instant the job's rigid size frees, and a running job that reports
-// no completion gives none, while Submit queues any job that fits the
+// FuzzBidIsAPromise: a bid is a binding offer (§5.3). Two cores on one
+// scheduling strategy, bidding at the baseline, are driven through the
+// same fuzzed commits and submits, advances and kills; at the final
+// instant one is asked for a Bid on a contract, and the other is handed a
+// Commit and then a Submit of a job with it, at that instant. A Bid that
+// says ok must be a job the Submit admits, for every strategy. Profit and
+// equipartition also decline only what Submit refuses. The rigid queues
+// may decline a job Submit would queue: their estimate needs an instant
+// the job's rigid size frees, and a running job that reports no
+// completion gives none, while Submit queues any job that fits the
 // machine.
 func FuzzBidIsAPromise(f *testing.F) {
 	// Profit, lookahead 600, a 16-PE machine with 12 PEs held by a long
@@ -48,22 +56,23 @@ func FuzzBidIsAPromise(f *testing.F) {
 	strategies := []string{"fcfs", "backfill", "equipartition", "profit"}
 	f.Fuzz(func(t *testing.T, strat, pe, cfgBits uint8, ops []byte, min, extra uint8, work, payoff uint16) {
 		name := strategies[int(strat)%len(strategies)]
-		newSched, err := ByName(name)
+		newSched, err := scheduler.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		total := 1 + int(pe)%64
-		cfg := Config{Lookahead: float64(cfgBits&3) * 200, Preempt: cfgBits&4 != 0, ReconfigLatency: float64(cfgBits>>3&1) * 5}
+		cfg := scheduler.Config{Lookahead: float64(cfgBits&3) * 200, Preempt: cfgBits&4 != 0, ReconfigLatency: float64(cfgBits>>3&1) * 5}
 		if len(ops) > 200 {
 			ops = ops[:200]
 		}
-		// drive replays ops on a fresh scheduler and returns it with the
+		// drive replays ops on a fresh core and returns it with the
 		// instant the ops end at. Each op is five bytes: a kind, then its
 		// arguments.
-		drive := func() (Scheduler, float64) {
-			s := newSched(spec(total), cfg)
+		drive := func() (*Core, float64) {
+			s := new(Core)
+			s.Reset(spec(total), newSched(spec(total), cfg), bidding.Baseline{})
 			now := 0.0
-			var ids []job.ID
+			var jobs []*job.Job
 			for i := 0; i+5 <= len(ops); i += 5 {
 				op := ops[i : i+5]
 				switch op[0] % 4 {
@@ -72,16 +81,19 @@ func FuzzBidIsAPromise(f *testing.F) {
 					if op[0]%4 == 1 {
 						p = 20 + uint16(op[3])*4
 					}
-					id := job.ID(fmt.Sprint(i))
-					if s.Submit(now, job.New(id, "u", promiseContract(total, op[1], op[2], uint16(op[3])*40, p), now)) {
-						ids = append(ids, id)
+					j := job.New(job.ID(fmt.Sprint(i)), "u", promiseContract(total, op[1], op[2], uint16(op[3])*40, p), now)
+					if err := s.Commit(now, string(j.ID), "u", bidding.Bid{}); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := s.Submit(now, j); err == nil {
+						jobs = append(jobs, j)
 					}
 				case 2: // advance
 					now += 1 + float64(op[1])*5
 					s.Advance(now)
 				case 3: // kill
-					if len(ids) > 0 {
-						s.Kill(now, ids[int(op[1])%len(ids)])
+					if len(jobs) > 0 {
+						s.Kill(now, jobs[int(op[1])%len(jobs)])
 					}
 				}
 			}
@@ -93,11 +105,15 @@ func FuzzBidIsAPromise(f *testing.F) {
 		}
 		bidder, now := drive()
 		admitter, _ := drive()
-		est, bid := bidder.EstimateCompletion(now, c)
-		admitted := admitter.Submit(now, job.New("probe", "u", c, now))
+		b, bid := bidder.Bid(now, c, bidder.State(now, c))
+		if err := admitter.Commit(now, "probe", "u", b); err != nil {
+			t.Fatal(err)
+		}
+		_, err = admitter.Submit(now, job.New("probe", "u", c, now))
+		admitted := err == nil
 		if bid && !admitted {
-			t.Fatalf("%s at %v: bid (completion %v) on [%d,%d] work %v payoff %+v, then refused it",
-				name, now, est, c.MinPE, c.MaxPE, c.Work, c.Payoff)
+			t.Fatalf("%s at %v: bid (completion %v) on [%d,%d] work %v payoff %+v, then refused it: %v",
+				name, now, b.EstCompletion, c.MinPE, c.MaxPE, c.Work, c.Payoff, err)
 		}
 		if !bid && admitted && (name == "profit" || name == "equipartition") {
 			t.Fatalf("%s at %v: declined to bid on [%d,%d] work %v payoff %+v, then admitted it",

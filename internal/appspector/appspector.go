@@ -48,8 +48,10 @@ type Server struct {
 	// touch, so no request walks the jobs the monitor holds.
 	util    Utilization
 	utilSum float64
-	// finished lists ended streams oldest first, for eviction.
-	finished []string
+	// finished is a ring of the ended streams, for eviction: once it
+	// holds MaxFinished, finishedNext is the oldest.
+	finished     []string
+	finishedNext int
 	// registered wakes watchers waiting for a registration in flight.
 	registered *sync.Cond
 
@@ -173,9 +175,17 @@ func (s *Server) Ingest(t protocol.Telemetry) error {
 		}
 		s.util.Watchers -= len(js.watchers)
 		js.watchers = nil
-		if s.finished = append(s.finished, t.JobID); len(s.finished) > s.MaxFinished {
-			delete(s.jobs, s.finished[0])
-			s.finished = s.finished[1:]
+		// Kept watchable, up to MaxFinished: the ring is written in place
+		// once full, evicting the oldest, so the list is never copied.
+		switch {
+		case len(s.finished) < s.MaxFinished:
+			s.finished = append(s.finished, t.JobID)
+		case len(s.finished) == 0:
+			delete(s.jobs, t.JobID)
+		default:
+			delete(s.jobs, s.finished[s.finishedNext])
+			s.finished[s.finishedNext] = t.JobID
+			s.finishedNext = (s.finishedNext + 1) % len(s.finished)
 		}
 	}
 	s.count(js, +1)

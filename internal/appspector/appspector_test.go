@@ -393,6 +393,38 @@ func TestFinishedStreamsBounded(t *testing.T) {
 	}
 }
 
+// TestFinishedRingEvictsOldestFirst: over 3×MaxFinished ended streams
+// the monitor keeps exactly the newest MaxFinished, evicting in the
+// order they ended, and once it holds MaxFinished the list of them is
+// written in place: its array is never grown or copied again.
+func TestFinishedRingEvictsOldestFirst(t *testing.T) {
+	s := NewServer(nil)
+	s.MaxFinished = 16
+	var ring *string
+	for i := 0; i < 3*s.MaxFinished; i++ {
+		id := fmt.Sprintf("j%d", i)
+		s.Register(id, "u", "srv", "app")
+		_ = s.Ingest(protocol.Telemetry{JobID: id, State: "finished"})
+		kept := s.Jobs()
+		if want := min(i+1, s.MaxFinished); len(kept) != want {
+			t.Fatalf("after %d ended streams %d are kept, want %d", i+1, len(kept), want)
+		}
+		for k := max(0, i+1-s.MaxFinished); k <= i; k++ {
+			if _, _, err := s.Snapshot(fmt.Sprintf("j%d", k)); err != nil {
+				t.Fatalf("after j%d ended, j%d is gone: %v", i, k, err)
+			}
+		}
+		s.mu.Lock()
+		switch {
+		case i+1 == s.MaxFinished:
+			ring = &s.finished[0]
+		case i+1 > s.MaxFinished && (&s.finished[0] != ring || len(s.finished) != s.MaxFinished):
+			t.Fatalf("after %d ended streams the list was reallocated (len %d)", i+1, len(s.finished))
+		}
+		s.mu.Unlock()
+	}
+}
+
 // TestWatchWaitsForRegistrationInFlight: the FD announces a job one-way,
 // so a client that watches the instant it holds SubmitOK can arrive
 // first. The watch waits for the registration — and still refuses a job

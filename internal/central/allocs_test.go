@@ -4,6 +4,7 @@ package central
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"faucets/internal/accounting"
@@ -71,9 +72,29 @@ func TestSettleAllocs(t *testing.T) {
 }
 
 // TestSettleDispatchAllocs pins the settle arm: the job ID, the deferred
-// reply's closure and, on an ephemeral database, the contract row.
+// reply's hand-off and, once a history page is full, the next page.
 func TestSettleDispatchAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(100, settleDispatchCase(t, 101)); got > 3 {
 		t.Errorf("settle arm: %v allocs, want ≤ 3", got)
 	}
+	// ≈155 B: the job ID, the settled mark's and the row's shares of
+	// their tables, and the 16-byte hand-off to the task's goroutine. A
+	// closure holding a copy of the request is 160 B by itself.
+	if got := bytesPerRun(1000, settleDispatchCase(t, 1001)); got > 240 {
+		t.Errorf("settle arm: %d B a run, want ≤ 240", got)
+	}
+}
+
+// bytesPerRun is what f allocates a call over runs calls after one to
+// warm it, as testing.Benchmark's B/op counts it but over a fixed number
+// of runs: a dispatch case prepares one frame a run.
+func bytesPerRun(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

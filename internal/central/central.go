@@ -602,6 +602,30 @@ func (s *Server) compactTimed() error {
 	return err
 }
 
+// settleTask is a deferred settlement handed to its own goroutine. Tasks
+// are pooled, so the hand-off copies the request into a recycled one
+// rather than into a closure of its own.
+type settleTask struct {
+	s       *Server
+	r       protocol.Deferred
+	req     protocol.SettleReq
+	forward bool
+}
+
+var settleTasks = sync.Pool{New: func() any { return new(settleTask) }}
+
+func (t *settleTask) run() {
+	var err error
+	if t.forward {
+		err = t.s.forwardSettle(t.req)
+	} else {
+		err = t.s.Settle(t.req)
+	}
+	t.r.Finish(protocol.TypeSettleOK, protocol.SettleOK{}, err)
+	*t = settleTask{}
+	settleTasks.Put(t)
+}
+
 // Serve accepts client and daemon connections on l until Close.
 func (s *Server) Serve(l net.Listener) { s.srv.Serve(l) }
 
@@ -751,7 +775,8 @@ func (s *Server) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 		// Acknowledged only once on disk, here or at the owning shard, so
 		// the reply is deferred and the connection reads on meanwhile. The
 		// request is decoded into the connection's scratch (a daemon's
-		// user, server and application strings outlive it) and copied.
+		// user, server and application strings outlive it) and copied
+		// into a pooled task.
 		sc, _ := conn.Scratch.(*protocol.SettleReq)
 		if sc == nil {
 			sc = new(protocol.SettleReq)
@@ -767,16 +792,9 @@ func (s *Server) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 		if forward {
 			s.met.fwdSettles.Inc()
 		}
-		r, req := conn.Defer(), *sc
-		go func() {
-			var err error
-			if forward {
-				err = s.forwardSettle(req)
-			} else {
-				err = s.Settle(req)
-			}
-			r.Finish(protocol.TypeSettleOK, protocol.SettleOK{}, err)
-		}()
+		t := settleTasks.Get().(*settleTask)
+		t.s, t.r, t.req, t.forward = s, conn.Defer(), *sc, forward
+		go t.run()
 		return nil
 
 	case protocol.TypeGossipReq:

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -538,8 +539,9 @@ func (c *Client) Place(contract *qos.Contract, crit market.Criterion) (*Placemen
 	}
 	ports := sc.ports
 	jobID := NewJobID()
+	var text [128]byte
 	if c.Tracer != nil { // the detail is formatted only when someone keeps it
-		c.Tracer.Record(jobID, telemetry.SpanSubmit, fmt.Sprintf("%s by %s: %.0f work for %d servers", contract.App, c.User, contract.Work, len(servers)))
+		c.Tracer.Record(jobID, telemetry.SpanSubmit, string(submitText(text[:0], contract.App, c.User, contract.Work, len(servers))))
 	}
 	// The winning bid is traced between solicit and commit, before the
 	// commit round records the contract span on the daemon — keeping the
@@ -551,7 +553,7 @@ func (c *Client) Place(contract *qos.Contract, crit market.Criterion) (*Placemen
 		h.Observe(time.Since(solStart).Seconds())
 	}
 	if len(bids) > 0 && c.Tracer != nil {
-		c.Tracer.Record(jobID, telemetry.SpanBid, fmt.Sprintf("best of %d bids: %s at price %.2f", len(bids), bids[0].Server, bids[0].Price))
+		c.Tracer.Record(jobID, telemetry.SpanBid, string(bidText(text[:0], len(bids), bids[0].Server, bids[0].Price)))
 	}
 	res, err := market.CommitPriced(0, ports, bids, jobID, false, mech)
 	if err != nil {
@@ -560,6 +562,21 @@ func (c *Client) Place(contract *qos.Contract, crit market.Criterion) (*Placemen
 	p := &Placement{JobID: jobID, Server: servers[res.Port], Bid: res.Bid, Contract: contract, Attempts: res.Attempts}
 	p.Server.Apps = slices.Clone(p.Server.Apps) // the scratch's next decode overwrites the original
 	return p, nil
+}
+
+// submitText appends the submit span's detail, "%s by %s: %.0f work for
+// %d servers" byte for byte, boxing no argument.
+func submitText(b []byte, app, user string, work float64, servers int) []byte {
+	b = append(append(append(append(b, app...), " by "...), user...), ": "...)
+	b = strconv.AppendInt(append(strconv.AppendFloat(b, work, 'f', 0, 64), " work for "...), int64(servers), 10)
+	return append(b, " servers"...)
+}
+
+// bidText appends the bid span's detail, "best of %d bids: %s at price
+// %.2f" byte for byte, boxing no argument.
+func bidText(b []byte, bids int, server string, price float64) []byte {
+	b = append(append(append(strconv.AppendInt(append(b, "best of "...), int64(bids), 10), " bids: "...), server...), " at price "...)
+	return strconv.AppendFloat(b, price, 'f', 2, 64)
 }
 
 // placeScratch is what one Place needs only until it returns.

@@ -4,6 +4,7 @@ package daemon
 
 import (
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -133,10 +134,28 @@ func TestWakeTimerAllocs(t *testing.T) {
 
 // TestSubmitDispatchAllocs pins the submit arm: what an admitted job
 // keeps — its ID, its contract, its *job.Job, its staging area — and the
-// deferred reply's closure and boxed SubmitOK, the tables' growth
-// amortised.
+// deferred reply's hand-off, the tables' growth amortised.
 func TestSubmitDispatchAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(200, submitDispatchCase(t, 201)); got > 6 {
 		t.Errorf("submit arm: %v allocs, want ≤ 6", got)
 	}
+	// ≈980 B, most of it the admission and its tables' growth. A closure
+	// over the reply and a boxed SubmitOK added ≈95 B.
+	if got := bytesPerRun(1000, submitDispatchCase(t, 1001)); got > 1030 {
+		t.Errorf("submit arm: %d B a run, want ≤ 1030", got)
+	}
+}
+
+// bytesPerRun is what f allocates a call over runs calls after one to
+// warm it, as testing.Benchmark's B/op counts it but over a fixed number
+// of runs: a dispatch case prepares one frame a run.
+func bytesPerRun(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

@@ -23,6 +23,7 @@ import (
 	"net"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -671,7 +672,8 @@ func (d *Daemon) finishJob(now float64, j *job.Job) {
 	a.settled = true
 	d.jobs[id] = a
 	cpuUsed := j.CPUUsed()
-	d.sample(now, j, fmt.Sprintf("%s finished at %.1f", id, now))
+	var text [96]byte
+	d.sample(now, j, string(finishedText(text[:0], id, now)))
 	if d.cfg.CentralAddr != "" {
 		// The Central Server resolves the user's home cluster from its
 		// own accounts; the FD holds no accounting information. The
@@ -689,19 +691,17 @@ func (d *Daemon) finishJob(now float64, j *job.Job) {
 		d.retireLocked(id)
 	}
 	// The synthetic application's output files, stamped with the
-	// temporary userid the job ran under (§2.2): formatted into one buffer
+	// temporary userid the job ran under (§2.2): appended into one buffer
 	// the store keeps, stdout.log capped so an append cannot reach
 	// result.out.
-	b := fmt.Appendf(make([]byte, 0, 128+2*len(id)), "[%.1f] %s completed as fauc-tmp-%06d: %.0f CPU-seconds\n", now, id, a.tmp, cpuUsed)
-	n := len(b)
-	b = fmt.Appendf(b, "job=%s user=fauc-tmp-%06d work=%.0f cpu=%.0f\n", id, a.tmp, j.Contract.Work, cpuUsed)
+	b, n := outputText(make([]byte, 0, 128+2*len(id)), now, id, a.tmp, j.Contract.Work, cpuUsed)
 	_ = d.Stage.Append(id, "stdout.log", b[:n:n])
 	_ = d.Stage.Put(id, "result.out", b[n:])
 	d.met.jobsFinished.Inc()
 	d.mu.Unlock()
 	d.met.finishLag.Observe(time.Since(d.epoch).Seconds() - j.FinishTime/d.cfg.TimeScale)
 	if d.cfg.Tracer != nil {
-		d.trace(id, telemetry.SpanFinish, fmt.Sprintf("%.0f CPU-seconds", cpuUsed))
+		d.trace(id, telemetry.SpanFinish, string(cpuText(text[:0], cpuUsed)))
 	}
 }
 
@@ -1017,7 +1017,7 @@ func (d *Daemon) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 		if err != nil {
 			return err
 		}
-		d.replyDurable(conn, t, protocol.TypeSubmitOK, protocol.SubmitOK{JobID: req.JobID})
+		replyDurable(d, &submitReplies, conn, t, protocol.TypeSubmitOK, protocol.SubmitOK{JobID: req.JobID})
 		return nil
 
 	case protocol.TypeUploadReq:
@@ -1074,7 +1074,7 @@ func (d *Daemon) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 		if err != nil {
 			return err
 		}
-		d.replyDurable(conn, t, protocol.TypeKillOK, protocol.KillOK{JobID: req.JobID, State: st})
+		replyDurable(d, &killReplies, conn, t, protocol.TypeKillOK, protocol.KillOK{JobID: req.JobID, State: st})
 		return nil
 
 	case protocol.TypeOutputReq:
@@ -1097,12 +1097,37 @@ func (d *Daemon) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 	}
 }
 
-// replyDurable answers conn's request with body as typ once t is on disk,
-// from a goroutine of its own: the connection's next request does not
-// queue behind this one's fsync. The hand-off allocates only its closure.
-func (d *Daemon) replyDurable(conn *protocol.ReplyConn, t jticket, typ string, body any) {
-	r := conn.Defer()
-	go func() { r.Finish(typ, body, d.journalWait(t, nil)) }()
+// durableReply is a reply that waits for its journal ticket, from a
+// goroutine of its own: the connection's next request does not queue
+// behind this one's fsync. Replies are pooled, a pool a body type, and
+// hold their body, so the hand-off neither copies into a closure nor
+// boxes the body.
+type durableReply[B any] struct {
+	d    *Daemon
+	r    protocol.Deferred
+	t    jticket
+	typ  string
+	body B
+	pool *sync.Pool
+}
+
+var (
+	submitReplies = sync.Pool{New: func() any { return new(durableReply[protocol.SubmitOK]) }}
+	killReplies   = sync.Pool{New: func() any { return new(durableReply[protocol.KillOK]) }}
+)
+
+// replyDurable answers conn's request with body as typ once t is on disk.
+func replyDurable[B any](d *Daemon, pool *sync.Pool, conn *protocol.ReplyConn, t jticket, typ string, body B) {
+	rep := pool.Get().(*durableReply[B])
+	*rep = durableReply[B]{d, conn.Defer(), t, typ, body, pool}
+	go rep.finish()
+}
+
+func (rep *durableReply[B]) finish() {
+	rep.r.Finish(rep.typ, &rep.body, rep.d.journalWait(rep.t, nil))
+	pool := rep.pool
+	*rep = durableReply[B]{}
+	pool.Put(rep)
 }
 
 // scratchOf returns the connection's scratch, making it on the
@@ -1146,7 +1171,8 @@ func (d *Daemon) commit(req *protocol.CommitReq) error {
 		return err
 	}
 	if d.cfg.Tracer != nil {
-		d.trace(req.JobID, telemetry.SpanContract, fmt.Sprintf("committed to %s at price %.2f", d.Name(), req.Bid.Price))
+		var text [96]byte
+		d.trace(req.JobID, telemetry.SpanContract, string(committedText(text[:0], d.Name(), req.Bid.Price)))
 	}
 	return nil
 }
@@ -1233,7 +1259,8 @@ func (d *Daemon) admit(req *protocol.SubmitReq) (jticket, error) {
 		Price: price, Contract: &c,
 	})
 	if d.cfg.Tracer != nil {
-		d.trace(req.JobID, telemetry.SpanStart, fmt.Sprintf("started on %s with %d PEs", d.Name(), j.PEs()))
+		var text [96]byte
+		d.trace(req.JobID, telemetry.SpanStart, string(startedText(text[:0], d.Name(), j.PEs())))
 	}
 	// Announced before the wake, so no sample of the job can be queued
 	// ahead of its registration. A client holding SubmitOK may still watch
@@ -1272,4 +1299,50 @@ func (d *Daemon) terminate(req protocol.KillReq) (state string, t jticket, err e
 	d.sample(now, j, fmt.Sprintf("%s killed by %s", req.JobID, req.User))
 	d.wake()
 	return j.State().String(), t, nil
+}
+
+// The trip's span details, finish sample and output lines, appended to b
+// with no argument boxed: each writes what the fmt format it names did,
+// byte for byte.
+
+// committedText: "committed to %s at price %.2f".
+func committedText(b []byte, server string, price float64) []byte {
+	return strconv.AppendFloat(append(append(append(b, "committed to "...), server...), " at price "...), price, 'f', 2, 64)
+}
+
+// startedText: "started on %s with %d PEs".
+func startedText(b []byte, server string, pes int) []byte {
+	return append(strconv.AppendInt(append(append(append(b, "started on "...), server...), " with "...), int64(pes), 10), " PEs"...)
+}
+
+// finishedText: "%s finished at %.1f".
+func finishedText(b []byte, id string, now float64) []byte {
+	return strconv.AppendFloat(append(append(b, id...), " finished at "...), now, 'f', 1, 64)
+}
+
+// cpuText: "%.0f CPU-seconds".
+func cpuText(b []byte, cpu float64) []byte {
+	return append(strconv.AppendFloat(b, cpu, 'f', 0, 64), " CPU-seconds"...)
+}
+
+// outputText appends stdout.log's line, "[%.1f] %s completed as
+// fauc-tmp-%06d: %.0f CPU-seconds\n", then result.out's, "job=%s
+// user=fauc-tmp-%06d work=%.0f cpu=%.0f\n", and returns where that starts.
+func outputText(b []byte, now float64, id string, tmp uint64, work, cpu float64) ([]byte, int) {
+	b = strconv.AppendFloat(append(b, '['), now, 'f', 1, 64)
+	b = tmpUser(append(append(append(b, "] "...), id...), " completed as "...), tmp)
+	b = append(cpuText(append(b, ": "...), cpu), '\n')
+	n := len(b)
+	b = tmpUser(append(append(append(b, "job="...), id...), " user="...), tmp)
+	b = strconv.AppendFloat(append(b, " work="...), work, 'f', 0, 64)
+	return append(strconv.AppendFloat(append(b, " cpu="...), cpu, 'f', 0, 64), '\n'), n
+}
+
+// tmpUser: "fauc-tmp-%06d".
+func tmpUser(b []byte, tmp uint64) []byte {
+	b = append(b, "fauc-tmp-"...)
+	for w := uint64(100000); w > 1 && tmp < w; w /= 10 {
+		b = append(b, '0')
+	}
+	return strconv.AppendUint(b, tmp, 10)
 }

@@ -16,7 +16,6 @@ package db
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"faucets/internal/jsonl"
@@ -51,7 +50,7 @@ type snapshot struct {
 	Seq     uint64                `json:"seq,omitempty"`
 	Users   map[string]UserRecord `json:"users"`
 	Credits map[string]float64    `json:"credits"`
-	History []ContractRecord      `json:"history"`
+	History history               `json:"history"`
 	// The accounting tables of §5.5: SU quotas per user, Dollar/SU
 	// revenue per server, cumulative spend per user (§5.5.4 fair usage),
 	// and the set of settled job IDs that makes settlement idempotent
@@ -242,15 +241,6 @@ func (d *DB) Settled(jobID string) bool {
 	return d.data.Settled[jobID]
 }
 
-// GrowHistory reserves room for n more contracts in the history, so a
-// caller that knows how many it will settle — a simulated replay, from
-// its trace — appends them without regrowing the table.
-func (d *DB) GrowHistory(n int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.data.History = slices.Grow(d.data.History, n)
-}
-
 // Reset empties an ephemeral database for reuse, keeping the storage
 // of its tables and its history: a simulated replay hands its database
 // to the next one. A durable database cannot be reset; Reset panics.
@@ -266,8 +256,7 @@ func (d *DB) Reset() {
 	clear(d.data.Revenue)
 	clear(d.data.Spend)
 	clear(d.data.Settled)
-	clear(d.data.History)
-	d.data.History = d.data.History[:0]
+	d.data.History.reset()
 }
 
 // RecentContracts returns up to limit settled contracts matching the
@@ -276,8 +265,8 @@ func (d *DB) RecentContracts(match func(ContractRecord) bool, limit int) []Contr
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	var out []ContractRecord
-	for i := len(d.data.History) - 1; i >= 0 && len(out) < limit; i-- {
-		r := d.data.History[i]
+	for i := d.data.History.n - 1; i >= 0 && len(out) < limit; i-- {
+		r := *d.data.History.at(i)
 		if match == nil || match(r) {
 			out = append(out, r)
 		}
@@ -289,5 +278,5 @@ func (d *DB) RecentContracts(match func(ContractRecord) bool, limit int) []Contr
 func (d *DB) HistoryLen() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return len(d.data.History)
+	return d.data.History.n
 }

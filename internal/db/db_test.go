@@ -71,17 +71,9 @@ func TestCreditConservationProperty(t *testing.T) {
 	}
 }
 
-// TestContractHistory also reserves room partway through: GrowHistory
-// records nothing, and appends past the reserved room still land.
 func TestContractHistory(t *testing.T) {
 	d := New()
 	for i := 0; i < 10; i++ {
-		if i == 4 {
-			d.GrowHistory(3)
-			if d.HistoryLen() != 4 {
-				t.Fatalf("GrowHistory changed the history: len=%d", d.HistoryLen())
-			}
-		}
 		d.Update(func(tx *Tx) error {
 			tx.AppendContract(ContractRecord{Time: float64(i), JobID: "j", MinPE: i})
 			return nil

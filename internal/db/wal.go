@@ -128,7 +128,7 @@ func (d *DB) applyMemLocked(rec walRecord) {
 		d.data.Credits[rec.To] += rec.Amount
 	case opContract:
 		if rec.Contract != nil {
-			d.data.History = append(d.data.History, *rec.Contract)
+			d.data.History.append(*rec.Contract)
 		}
 	case opAddQuota:
 		d.data.Quotas[rec.Key] += rec.Amount

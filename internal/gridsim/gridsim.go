@@ -432,11 +432,9 @@ func (st *Storage) run(cfg Config, trace *workload.Trace) (*Result, *gridRun, er
 		slices.SortStableFunc(items, bySubmit)
 	}
 	// The trace fixes how many jobs the run can settle, so the job
-	// records, the history and the per-job series are sized once rather
-	// than regrown.
+	// records and the per-job series are sized once rather than regrown.
 	st.jobs = slices.Grow(st.jobs[:0], len(items))[:len(items)]
 	g.jobs = st.jobs
-	store.GrowHistory(len(items))
 	next := 0
 	submit := sim.Event{Name: "submit", Priority: -1}
 	submit.Fn = func(e *sim.Engine) {

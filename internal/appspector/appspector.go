@@ -28,6 +28,7 @@ type VerifyFunc func(token string) (user string, err error)
 
 // jobStream is the buffered display data of one job.
 type jobStream struct {
+	id       string
 	owner    string
 	server   string
 	app      string
@@ -50,7 +51,7 @@ type Server struct {
 	utilSum float64
 	// finished is a ring of the ended streams, for eviction: once it
 	// holds MaxFinished, finishedNext is the oldest.
-	finished     []string
+	finished     []*jobStream
 	finishedNext int
 	// registered wakes watchers waiting for a registration in flight.
 	registered *sync.Cond
@@ -129,14 +130,15 @@ const registerWait = time.Second
 // ErrUnknownJob is returned for watch requests on unregistered jobs.
 var ErrUnknownJob = errors.New("appspector: unknown job")
 
-// Register announces a job (the FD does this when the job starts).
+// Register announces a job (the FD does this when the job starts); a job
+// ID whose stream has ended is a new run of it, with a stream of its own.
 func (s *Server) Register(jobID, owner, server, app string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.jobs[jobID]; ok {
+	if js, ok := s.jobs[jobID]; ok && !js.done {
 		return
 	}
-	s.jobs[jobID] = &jobStream{owner: owner, server: server, app: app}
+	s.jobs[jobID] = &jobStream{id: jobID, owner: owner, server: server, app: app}
 	s.registered.Broadcast()
 	s.gaugeLocked()
 }
@@ -179,12 +181,14 @@ func (s *Server) Ingest(t protocol.Telemetry) error {
 		// once full, evicting the oldest, so the list is never copied.
 		switch {
 		case len(s.finished) < s.MaxFinished:
-			s.finished = append(s.finished, t.JobID)
+			s.finished = append(s.finished, js)
 		case len(s.finished) == 0:
 			delete(s.jobs, t.JobID)
 		default:
-			delete(s.jobs, s.finished[s.finishedNext])
-			s.finished[s.finishedNext] = t.JobID
+			if old := s.finished[s.finishedNext]; s.jobs[old.id] == old {
+				delete(s.jobs, old.id)
+			}
+			s.finished[s.finishedNext] = js
 			s.finishedNext = (s.finishedNext + 1) % len(s.finished)
 		}
 	}

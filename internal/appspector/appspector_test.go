@@ -68,6 +68,32 @@ func TestRegisterIdempotent(t *testing.T) {
 	}
 }
 
+// TestRegisterReusedJobIDAfterItsEnd: a job ID whose stream has ended
+// is registered again by a new run of it, which gets a stream of its own;
+// evicting the ended stream from the finished ring leaves the new one.
+func TestRegisterReusedJobIDAfterItsEnd(t *testing.T) {
+	s := NewServer(nil)
+	s.MaxFinished = 2
+	s.Register("x", "alice", "turing", "app")
+	_ = s.Ingest(protocol.Telemetry{JobID: "x", Time: 1, State: "finished"})
+	s.Register("x", "bob", "lemieux", "app")
+	_ = s.Ingest(protocol.Telemetry{JobID: "x", Time: 2, PEs: 4, State: "running"})
+	for _, id := range []string{"a", "b"} { // the second evicts alice's x
+		s.Register(id, "u", "srv", "app")
+		_ = s.Ingest(protocol.Telemetry{JobID: id, State: "finished"})
+	}
+	hist, done, err := s.Snapshot("x")
+	if err != nil || done || len(hist) != 1 || hist[0].Time != 2 {
+		t.Fatalf("x's second run: history %+v, done %v, %v; want its one live sample", hist, done, err)
+	}
+	s.mu.Lock()
+	owner := s.jobs["x"].owner
+	s.mu.Unlock()
+	if u := s.Utilization(); owner != "bob" || u.LiveJobs != 1 || u.PEs != 4 {
+		t.Fatalf("x's stream is %s's, utilization %+v; want bob's, one live job on 4 PEs", owner, u)
+	}
+}
+
 func TestHistoryBounded(t *testing.T) {
 	s := NewServer(nil)
 	s.MaxHistory = 10
@@ -400,7 +426,7 @@ func TestFinishedStreamsBounded(t *testing.T) {
 func TestFinishedRingEvictsOldestFirst(t *testing.T) {
 	s := NewServer(nil)
 	s.MaxFinished = 16
-	var ring *string
+	var ring **jobStream
 	for i := 0; i < 3*s.MaxFinished; i++ {
 		id := fmt.Sprintf("j%d", i)
 		s.Register(id, "u", "srv", "app")

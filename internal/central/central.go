@@ -163,12 +163,10 @@ type Server struct {
 func (s *Server) peerRPC() *protocol.Pool {
 	s.peerOnce.Do(func() {
 		s.peerPool = &protocol.Pool{
-			Obs:     s.rpc,
-			PoolObs: telemetry.NewPoolMetrics(s.Metrics, "central"),
-			Retry:   protocol.Retry{Attempts: 2, Base: 50 * time.Millisecond, Max: 500 * time.Millisecond, Stop: s.closed},
-			DialFunc: func(addr string, _ time.Duration) (net.Conn, error) {
-				return s.Dial(addr)
-			},
+			Obs:      s.rpc,
+			PoolObs:  telemetry.NewPoolMetrics(s.Metrics, "central"),
+			Retry:    protocol.Retry{Attempts: 2, Base: 50 * time.Millisecond, Max: 500 * time.Millisecond, Stop: s.closed},
+			DialFunc: s.dial,
 		}
 	})
 	return s.peerPool
@@ -181,16 +179,17 @@ func (s *Server) peerRPC() *protocol.Pool {
 func (s *Server) pollRPC() *protocol.Pool {
 	s.pollPoolOnce.Do(func() {
 		s.pollPool = &protocol.Pool{
-			Size:  1,
-			Obs:   s.rpc,
-			Retry: protocol.Retry{Attempts: 2, Base: 25 * time.Millisecond, Max: 200 * time.Millisecond, Stop: s.closed},
-			DialFunc: func(addr string, _ time.Duration) (net.Conn, error) {
-				return s.Dial(addr)
-			},
+			Size:     1,
+			Obs:      s.rpc,
+			Retry:    protocol.Retry{Attempts: 2, Base: 25 * time.Millisecond, Max: 200 * time.Millisecond, Stop: s.closed},
+			DialFunc: s.dial,
 		}
 	})
 	return s.pollPool
 }
+
+// dial is both pools' DialFunc: s.Dial, whose timeout is its own.
+func (s *Server) dial(addr string, _ time.Duration) (net.Conn, error) { return s.Dial(addr) }
 
 // New returns a Central Server in the given economic mode.
 func New(mode accounting.Mode) *Server {
@@ -206,9 +205,7 @@ func NewWithDB(mode accounting.Mode, store *db.DB) *Server {
 	// Recover the price window from history: RecentContracts is newest
 	// first, the aggregate wants arrival order.
 	recs := store.RecentContracts(nil, weather.Window)
-	for i, j := 0, len(recs)-1; i < j; i, j = i+1, j-1 {
-		recs[i], recs[j] = recs[j], recs[i]
-	}
+	slices.Reverse(recs)
 	wagg.Seed(recs)
 	s := &Server{
 		Auth:      auth.New(24 * time.Hour),
@@ -362,8 +359,9 @@ func (s *Server) Apps() []string {
 // accounting information (§2.2), so the user's home cluster is resolved
 // here when the request leaves it blank.
 //
-// Settlement is idempotent by job ID: daemons redeliver from a durable
-// outbox until acknowledged, so the same settlement may arrive twice. The
+// Settlement is idempotent by run (job ID, server, admission number), so
+// a job ID its client reused is booked again: daemons redeliver from a
+// durable outbox until acknowledged, so one may arrive twice. The
 // settled check, the charge, the settled-mark and the contract row are one
 // transaction — one WAL line, kept whole or not at all by a crash. A
 // duplicate stages nothing but is acknowledged only once what precedes it
@@ -380,13 +378,13 @@ func (s *Server) Settle(req protocol.SettleReq) error {
 	rate := s.costRateOf(req.Server)
 	fresh := false
 	err := s.DB.Update(func(tx *db.Tx) error {
-		if tx.Settled(req.JobID) {
+		if tx.Settled(req.JobID, req.Server, req.Admission) {
 			return nil // duplicate redelivery: apply nothing
 		}
 		if err := s.Acct.Book(tx, req.User, req.HomeCluster, &row, req.CPUSeconds, rate); err != nil {
 			return err
 		}
-		tx.MarkSettled(req.JobID)
+		tx.MarkSettled(req.JobID, req.Server, req.Admission)
 		fresh = true
 		return nil
 	})
@@ -824,12 +822,7 @@ func (s *Server) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 		return protocol.WriteFrame(conn, protocol.TypeHistoryOK, protocol.HistoryOK{Records: out})
 
 	case protocol.TypeWeatherReq:
-		r := s.Weather()
-		return protocol.WriteFrame(conn, protocol.TypeWeatherOK, protocol.WeatherOK{
-			Time: r.Time, GridUtilization: r.GridUtilization,
-			Servers: r.Servers, TotalPE: r.TotalPE, Contracts: r.Contracts,
-			MeanMultiplier: r.MeanMultiplier, BucketMultipliers: r.BucketMultipliers,
-		})
+		return protocol.WriteFrame(conn, protocol.TypeWeatherOK, protocol.WeatherOK(s.Weather()))
 
 	default:
 		return fmt.Errorf("central: unsupported frame %q", f.Type)

@@ -84,6 +84,39 @@ func TestSettleIdempotentAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestSettleBooksEachRunOnceAcrossRestart: a settlement names its run,
+// the job ID with the server that ran it and that server's admission
+// number. Runs of one job ID on two servers, or admitted twice on one,
+// are each booked and billed; a redelivery of any, before or after a
+// restart, is not.
+func TestSettleBooksEachRunOnceAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	runs := []protocol.SettleReq{settleReq("x", 2), settleReq("x", 2), settleReq("x", 2)}
+	runs[0].Admission, runs[1].Admission = 7, 9
+	runs[2].Server, runs[2].Admission = "lemieux", 7
+	for restart := range 2 {
+		store, err := db.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewWithDB(accounting.Dollars, store)
+		for _, req := range runs {
+			if err := s.Settle(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		spend, rev, rows := s.DB.Spend("alice"), s.DB.Revenue("turing")+s.DB.Revenue("lemieux"), s.DB.HistoryLen()
+		s.Close()
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if spend != 6 || rev != 6 || rows != 3 {
+			t.Fatalf("restart %d: three runs of x, delivered %d times each: alice spent %v, servers earned %v, %d rows; want 6, 6 and 3",
+				restart, restart+1, spend, rev, rows)
+		}
+	}
+}
+
 // TestBarterSettlementSurvivesRestart: credit transfers are the binding
 // payoff of §5.5.3 — a restart must neither forget nor repeat them.
 func TestBarterSettlementSurvivesRestart(t *testing.T) {

@@ -114,15 +114,16 @@ type verifyKey struct{ user, token string }
 const verifyCacheMax = 4096
 
 // admission is one job the daemon has admitted: the job (its Owner the
-// user who submitted it), the price its commitment agreed, and the number
+// user who submitted it), the price its commitment agreed, the number
 // of the temporary userid it runs under (§2.2: "the Faucets system runs
-// the job with a temporary userid"); whether its finish is booked, and
+// the job with a temporary userid"), and the admission number its
+// settlement carries (see admit); whether its finish is booked, and
 // whether it has nothing left to deliver (see retireLocked). pes is the
 // allocation last traced for it: its start's, then runLoop's.
 type admission struct {
 	j                *job.Job
 	price            float64
-	tmp              uint64
+	tmp, num         uint64
 	pes              int
 	settled, retired bool
 }
@@ -142,11 +143,9 @@ type Daemon struct {
 	// job core admitted.
 	core server.Core
 	jobs map[string]admission
-	// retireLocked's: a ring of the newest jobs retired, and the IDs of
-	// the jobs it has forgotten, which no commit may take again.
+	// retireLocked's ring of the newest jobs retired.
 	retiredIDs  []string
 	retiredNext int
-	forgotten   map[string]struct{}
 	tempSeq     uint64 // the last temporary userid handed out
 	// outbox holds settlements the Central Server has not acknowledged
 	// yet; runLoop redelivers them until each is acked (or refused).
@@ -243,7 +242,6 @@ func New(cfg Config) (*Daemon, error) {
 		cfg:         cfg,
 		epoch:       time.Now(),
 		jobs:        map[string]admission{},
-		forgotten:   map[string]struct{}{},
 		Stage:       stage.NewStore(),
 		closed:      make(chan struct{}),
 		kick:        make(chan struct{}, 1),
@@ -321,7 +319,7 @@ func (d *Daemon) recover(path string) error {
 			continue
 		}
 		d.tempSeq++
-		d.jobs[rec.JobID] = admission{j: j, price: rec.Price, tmp: d.tempSeq}
+		d.jobs[rec.JobID] = admission{j: j, price: rec.Price, tmp: d.tempSeq, num: rec.Admission}
 		d.Stage.CreateJob(rec.JobID)
 		d.announce(rec.JobID, rec.Owner, rec.Contract.App)
 	}
@@ -681,14 +679,14 @@ func (d *Daemon) finishJob(now float64, j *job.Job) {
 		d.outbox = append(d.outbox, protocol.SettleReq{
 			JobID: id, User: j.Owner, Server: d.Name(),
 			App: j.Contract.App, MinPE: j.Contract.MinPE, MaxPE: j.Contract.MaxPE,
-			Price: a.price, CPUSeconds: cpuUsed,
+			Price: a.price, CPUSeconds: cpuUsed, Admission: a.num,
 		})
 		// "queue" is the job's terminal journal record: the settlement now
 		// carries the obligation, and a restart redelivers it from here.
 		d.journalStage(journalRecord{Op: jopQueue, Settle: &d.outbox[len(d.outbox)-1]})
 	} else {
 		d.journalStage(journalRecord{Op: jopDone, JobID: id})
-		d.retireLocked(id)
+		d.retireLocked(id, a.num)
 	}
 	// The synthetic application's output files, stamped with the
 	// temporary userid the job ran under (§2.2): appended into one buffer
@@ -705,17 +703,16 @@ func (d *Daemon) finishJob(now float64, j *job.Job) {
 	}
 }
 
-// retireLocked marks a job as having nothing left to deliver (its
-// settlement acknowledged, its standalone finish or kill journaled) and
-// forgets, whole, the one retired maxRetired jobs before it: its status
-// and outputs then answer "unknown job". Only its ID is kept, so a commit
-// of it is refused: a re-run would settle under an ID the Central Server
-// has booked, and be paid by no one. A journal rewrite leaves settled
-// jobs out already. Caller holds d.mu.
-func (d *Daemon) retireLocked(id string) {
+// retireLocked marks admission num of a job as having nothing left to
+// deliver (its settlement acknowledged, its standalone finish or kill
+// journaled) and forgets, whole, the one retired maxRetired jobs before
+// it: its status and outputs then answer "unknown job", and its ID is
+// free, a new run the Central Server books and bills as such. A journal
+// rewrite leaves settled jobs out already. Caller holds d.mu.
+func (d *Daemon) retireLocked(id string, num uint64) {
 	a, ok := d.jobs[id]
-	if !ok || a.retired {
-		return
+	if !ok || a.retired || a.num != num {
+		return // an earlier admission's ack: the ID runs again
 	}
 	a.retired = true
 	d.jobs[id] = a
@@ -727,7 +724,6 @@ func (d *Daemon) retireLocked(id string) {
 	d.retiredIDs[d.retiredNext] = id
 	d.retiredNext = (d.retiredNext + 1) % maxRetired
 	delete(d.jobs, old)
-	d.forgotten[old] = struct{}{}
 	d.Stage.DropJob(old)
 }
 
@@ -819,8 +815,8 @@ func (d *Daemon) flushSettlements() {
 			kept = append(kept, req)
 			continue
 		}
-		d.journalStage(journalRecord{Op: jopAck, JobID: req.JobID})
-		d.retireLocked(req.JobID)
+		d.journalStage(journalRecord{Op: jopAck, JobID: req.JobID, Admission: req.Admission})
+		d.retireLocked(req.JobID, req.Admission)
 		d.met.settleAcked.Inc()
 	}
 	d.outbox = kept
@@ -1178,20 +1174,14 @@ func (d *Daemon) commit(req *protocol.CommitReq) error {
 }
 
 // ownerLocked answers, in front of the core's hold check, for a job ID
-// the daemon has admitted (the admission, and server.ErrNotOwner wrapped
-// if user does not own it) or forgotten (an error); known is false for
-// neither. Caller holds d.mu.
-func (d *Daemon) ownerLocked(jobID, user string) (admission, bool, error) {
-	if a, ok := d.jobs[jobID]; ok {
-		if a.j.Owner != user {
-			return a, true, fmt.Errorf("daemon: job %s already submitted: %w", jobID, server.ErrNotOwner)
-		}
-		return a, true, nil
+// the daemon holds: the admission, and server.ErrNotOwner wrapped if
+// user does not own it; known is false for any other ID. Caller holds
+// d.mu.
+func (d *Daemon) ownerLocked(jobID, user string) (a admission, known bool, err error) {
+	if a, known = d.jobs[jobID]; known && a.j.Owner != user {
+		err = fmt.Errorf("daemon: job %s already submitted: %w", jobID, server.ErrNotOwner)
 	}
-	if _, ok := d.forgotten[jobID]; ok {
-		return admission{}, true, fmt.Errorf("daemon: job %s already ran here", jobID)
-	}
-	return admission{}, false, nil
+	return a, known, err
 }
 
 // upload stages one chunk of an input file for the user who owns the
@@ -1218,7 +1208,8 @@ func (d *Daemon) upload(req *protocol.UploadReq) (int64, error) {
 
 // admit starts a committed job, at the price its user's hold agreed, and
 // returns the admission's journal ticket: SubmitOK is written only once
-// that is on disk. The job keeps a copy of req's contract.
+// that is on disk. The job keeps a copy of req's contract. Its admission
+// number is the boot's wall-clock epoch in nanoseconds plus tempSeq.
 func (d *Daemon) admit(req *protocol.SubmitReq) (jticket, error) {
 	if req.Contract == nil {
 		return jticket{}, errors.New("daemon: submit without contract")
@@ -1252,11 +1243,12 @@ func (d *Daemon) admit(req *protocol.SubmitReq) (jticket, error) {
 	}
 	d.met.jobsAdmitted.Inc()
 	d.tempSeq++
-	d.jobs[req.JobID] = admission{j: j, price: price, tmp: d.tempSeq, pes: j.PEs()}
+	num := uint64(d.epoch.UnixNano()) + d.tempSeq
+	d.jobs[req.JobID] = admission{j: j, price: price, tmp: d.tempSeq, num: num, pes: j.PEs()}
 	d.Stage.CreateJob(req.JobID)
 	t := d.journalStage(journalRecord{
 		Op: jopJob, JobID: req.JobID, Owner: req.User,
-		Price: price, Contract: &c,
+		Price: price, Contract: &c, Admission: num,
 	})
 	if d.cfg.Tracer != nil {
 		var text [96]byte
@@ -1294,7 +1286,7 @@ func (d *Daemon) terminate(req protocol.KillReq) (state string, t jticket, err e
 	}
 	// A killed job settles nothing, so it is terminal for the journal.
 	t = d.journalStage(journalRecord{Op: jopDone, JobID: req.JobID})
-	d.retireLocked(req.JobID)
+	d.retireLocked(req.JobID, a.num)
 	d.met.jobsKilled.Inc()
 	d.sample(now, j, fmt.Sprintf("%s killed by %s", req.JobID, req.User))
 	d.wake()

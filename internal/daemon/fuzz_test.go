@@ -64,6 +64,15 @@ func FuzzJournalRecovery(f *testing.F) {
 	f.Add([]byte(`{"op":"ack","job_id":"ghost"}` + "\n" + `{"op":"job","job_id":"no-contract"}` + "\n" + `{"op":""}` + "\n"))
 	f.Add([]byte(nil))
 	f.Add([]byte("\n\n\n"))
+	// Two runs of one job ID, each record naming its admission: the
+	// first run's ack retires its own settlement only.
+	f.Add([]byte(`{"op":"queue","settle":{"job_id":"j1","admission":7}}` + "\n" +
+		`{"op":"job","job_id":"j1","owner":"ana","contract":{"app":"synth","min_pe":1,"max_pe":4,"work":100},"admission":9}` + "\n" +
+		`{"op":"queue","settle":{"job_id":"j1","admission":9}}` + "\n" + `{"op":"ack","job_id":"j1","admission":7}` + "\n"))
+	// Written before admission numbers: a job, its queue and its ack
+	// name none, and read as admission 0.
+	f.Add([]byte(`{"op":"job","job_id":"j2","owner":"ana","contract":{"app":"synth","min_pe":1,"max_pe":4,"work":100}}` + "\n" +
+		`{"op":"queue","settle":{"job_id":"j2","user":"ana","server":"turing","price":2}}` + "\n" + `{"op":"ack","job_id":"j2"}` + "\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -77,14 +86,19 @@ func FuzzJournalRecovery(f *testing.F) {
 		}
 		st := reduce(recs)
 
-		// A job ID may carry at most one queued settlement, whatever the
-		// journal claimed — redelivering one twice double-charges.
-		seen := map[string]bool{}
+		// A run — a job ID and its admission number — may carry at most
+		// one queued settlement, whatever the journal claimed: redelivering
+		// one twice double-charges.
+		type run struct {
+			id  string
+			num uint64
+		}
+		seen := map[run]bool{}
 		for _, req := range st.queued {
-			if seen[req.JobID] {
-				t.Fatalf("job %s queued for settlement twice", req.JobID)
+			if seen[run{req.JobID, req.Admission}] {
+				t.Fatalf("job %s admission %d queued for settlement twice", req.JobID, req.Admission)
 			}
-			seen[req.JobID] = true
+			seen[run{req.JobID, req.Admission}] = true
 		}
 		// Pending jobs must all carry contracts (recovery resubmits them).
 		for id, rec := range st.pending {

@@ -19,9 +19,9 @@ import (
 // acknowledged, and forgets older ones whole. On the kept side of the
 // bound a job's status and outputs read back, and a duplicate submit and
 // a re-commit are re-acknowledged; on the forgotten side each answers
-// "unknown job", and a re-commit (its owner's or anyone's) and a
-// duplicate submit are refused: a re-run would settle under an ID the
-// Central Server has booked already, and be paid by no one.
+// "unknown job", and the ID is free: committed again, it runs as a new
+// admission, which the Central Server books and bills as a run of its
+// own.
 func TestRetiredJobsPastTheHorizonAreForgotten(t *testing.T) {
 	fs := central.New(accounting.Dollars)
 	for _, u := range []string{"alice", "bob"} {
@@ -84,7 +84,7 @@ func TestRetiredJobsPastTheHorizonAreForgotten(t *testing.T) {
 			filled++
 			d.jobs[id] = admission{j: job.New(job.ID(id), "alice", contract(1), 0), settled: true}
 			d.Stage.CreateJob(id)
-			d.retireLocked(id)
+			d.retireLocked(id, 0)
 		}
 	}
 	status := func(id string) error {
@@ -131,25 +131,23 @@ func TestRetiredJobsPastTheHorizonAreForgotten(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unknown job") {
 		t.Fatalf("result.out of the forgotten job: %q, %v; want unknown job", out.Data, err)
 	}
-	const ran = "already ran here"
-	if err := submit("forgotten"); err == nil || !strings.Contains(err.Error(), ran) {
-		t.Fatalf("duplicate submit of the forgotten job: %v, want %q", err, ran)
+	spend, rows := fs.DB.Spend("alice"), fs.DB.HistoryLen()
+	run("forgotten")
+	if got := fs.DB.Spend("alice"); got != spend+2 || fs.DB.HistoryLen() != rows+1 {
+		t.Fatalf("the forgotten ID's new run: alice spent %v and the history holds %d rows, want %v and %d", got, fs.DB.HistoryLen(), spend+2, rows+1)
 	}
-	if err := commit("forgotten"); err == nil || !strings.Contains(err.Error(), ran) || protocol.IsRetryable(err) {
-		t.Fatalf("re-commit of the forgotten job by its owner: %v, want %q, not retryable", err, ran)
+	if err := commitAs("bob", bobToken, "forgotten"); err == nil || !strings.Contains(err.Error(), "already submitted") {
+		t.Fatalf("commit of the re-run job by another user: %v, want already submitted", err)
 	}
-	if err := commitAs("bob", bobToken, "forgotten"); err == nil || !strings.Contains(err.Error(), ran) {
-		t.Fatalf("commit of the forgotten job by another user: %v, want %q", err, ran)
-	}
-	if err := submit("forgotten"); err == nil {
-		t.Fatal("a submit after the refused commits ran the forgotten job again")
-	}
-	// Far past the bound: the newest still held, every older one refused.
+	// Far past the bound: the newest still held, every older one free.
 	fill(3 * maxRetired)
 	if err := status(fmt.Sprintf("filler-%d", filled-1)); err != nil || held() != maxRetired {
 		t.Fatalf("after %d more: the newest answers %v, %d jobs held", 3*maxRetired, err, held())
 	}
-	if err := commit("kept"); err == nil || !strings.Contains(err.Error(), ran) {
-		t.Fatalf("re-commit of the once-kept job, now forgotten: %v, want %q", err, ran)
+	if err := status("kept"); err == nil || !strings.Contains(err.Error(), "unknown job") {
+		t.Fatalf("status of the once-kept job, now forgotten: %v; want unknown job", err)
+	}
+	if err := commitAs("bob", bobToken, "kept"); err != nil {
+		t.Fatalf("commit of the once-kept job, now forgotten, by another user: %v", err)
 	}
 }

@@ -16,8 +16,9 @@
 // contract, owner, and agreed price are preserved; one the scheduler no
 // longer fits stays journaled for a later boot), and reloads every
 // queued-but-unacknowledged settlement into the outbox for redelivery.
-// The Central Server deduplicates by job ID, so redelivering a
-// settlement whose ack was lost in the crash can never double-charge.
+// The job, queue and ack records name the run's admission number (0 in
+// records older than it), and the Central Server books each run once, so
+// redelivering a settlement whose ack was lost can never double-charge.
 //
 // The journal is written as the db WAL is, through internal/jsonl's
 // group-committing Writer: records are staged under d.mu and a reply that
@@ -51,12 +52,13 @@ const (
 
 // journalRecord is one journal line.
 type journalRecord struct {
-	Op       string              `json:"op"`
-	JobID    string              `json:"job_id,omitempty"`
-	Owner    string              `json:"owner,omitempty"`
-	Price    float64             `json:"price,omitempty"`
-	Contract *qos.Contract       `json:"contract,omitempty"`
-	Settle   *protocol.SettleReq `json:"settle,omitempty"`
+	Op        string              `json:"op"`
+	JobID     string              `json:"job_id,omitempty"`
+	Owner     string              `json:"owner,omitempty"`
+	Price     float64             `json:"price,omitempty"`
+	Contract  *qos.Contract       `json:"contract,omitempty"`
+	Settle    *protocol.SettleReq `json:"settle,omitempty"`
+	Admission uint64              `json:"admission,omitempty"`
 }
 
 // openJournal replays the journal at path (a torn tail is truncated away)
@@ -145,7 +147,7 @@ func (d *Daemon) rewriteJournalLocked() error {
 		// A job the scheduler finished but finishJob has not settled is
 		// still owed its settlement: live until a "queue" record says so.
 		if !a.settled && a.j.State() != job.Killed {
-			st.pending[id] = journalRecord{Op: jopJob, JobID: id, Owner: a.j.Owner, Price: a.price, Contract: a.j.Contract}
+			st.pending[id] = journalRecord{Op: jopJob, JobID: id, Owner: a.j.Owner, Price: a.price, Contract: a.j.Contract, Admission: a.num}
 		}
 	}
 	return d.journal.Rewrite(st.liveRecords()...)
@@ -162,8 +164,12 @@ type recoveredState struct {
 // reduce folds a record stream into the live state.
 func reduce(recs []journalRecord) recoveredState {
 	st := recoveredState{pending: map[string]journalRecord{}}
-	queued := map[string]protocol.SettleReq{}
-	var order []string
+	type run struct {
+		id  string
+		num uint64
+	}
+	queued := map[run]protocol.SettleReq{}
+	var order []run
 	for _, rec := range recs {
 		switch rec.Op {
 		case jopJob:
@@ -175,17 +181,18 @@ func reduce(recs []journalRecord) recoveredState {
 		case jopQueue:
 			if rec.Settle != nil {
 				delete(st.pending, rec.Settle.JobID)
-				if _, dup := queued[rec.Settle.JobID]; !dup {
-					order = append(order, rec.Settle.JobID)
+				k := run{rec.Settle.JobID, rec.Settle.Admission}
+				if _, dup := queued[k]; !dup {
+					order = append(order, k)
 				}
-				queued[rec.Settle.JobID] = *rec.Settle
+				queued[k] = *rec.Settle
 			}
 		case jopAck:
-			delete(queued, rec.JobID)
+			delete(queued, run{rec.JobID, rec.Admission})
 		}
 	}
-	for _, id := range order {
-		if req, ok := queued[id]; ok {
+	for _, k := range order {
+		if req, ok := queued[k]; ok {
 			st.queued = append(st.queued, req)
 		}
 	}

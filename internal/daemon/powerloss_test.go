@@ -203,7 +203,7 @@ func stateOf(t *testing.T, d *Daemon) string {
 	st := recoveredState{pending: map[string]journalRecord{}, queued: d.outbox}
 	for id, a := range d.jobs {
 		if !a.settled && !a.j.State().Terminal() {
-			st.pending[id] = journalRecord{Op: jopJob, JobID: id, Owner: a.j.Owner, Price: a.price, Contract: a.j.Contract}
+			st.pending[id] = journalRecord{Op: jopJob, JobID: id, Owner: a.j.Owner, Price: a.price, Contract: a.j.Contract, Admission: a.num}
 		}
 	}
 	return stateFingerprint(t, st)

@@ -15,13 +15,13 @@ import (
 func settleShaped(d *DB, i int64) {
 	job := "job-" + strconv.FormatInt(i, 10)
 	d.Update(func(tx *Tx) error {
-		if tx.Settled(job) {
+		if tx.Settled(job, "", 0) {
 			return nil
 		}
 		if err := tx.TransferCredits("home", "remote", 1); err != nil {
 			return err
 		}
-		tx.MarkSettled(job)
+		tx.MarkSettled(job, "", 0)
 		tx.AppendContract(ContractRecord{JobID: job, App: "synth", Server: "remote", MinPE: 2, MaxPE: 8, Price: 1, Multiplier: 1})
 		return nil
 	})

@@ -16,6 +16,7 @@ package db
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"faucets/internal/jsonl"
@@ -53,34 +54,55 @@ type snapshot struct {
 	History history               `json:"history"`
 	// The accounting tables of §5.5: SU quotas per user, Dollar/SU
 	// revenue per server, cumulative spend per user (§5.5.4 fair usage),
-	// and the set of settled job IDs that makes settlement idempotent
-	// under outbox redelivery.
-	Quotas  map[string]float64 `json:"quotas,omitempty"`
-	Revenue map[string]float64 `json:"revenue,omitempty"`
-	Spend   map[string]float64 `json:"spend,omitempty"`
-	Settled map[string]bool    `json:"settled,omitempty"`
+	// and the settled runs that make settlement idempotent under outbox
+	// redelivery (book). Settled is an older snapshot's: initMaps books it.
+	Quotas  map[string]float64           `json:"quotas,omitempty"`
+	Revenue map[string]float64           `json:"revenue,omitempty"`
+	Spend   map[string]float64           `json:"spend,omitempty"`
+	Runs    map[string]map[string]uint64 `json:"runs,omitempty"`
+	Reused  map[string][]booking         `json:"reused,omitempty"`
+	Settled map[string]bool              `json:"settled,omitempty"`
+}
+
+// booking is a settled run of a reused job ID: its server and admission.
+type booking struct {
+	Server    string `json:"server,omitempty"`
+	Admission uint64 `json:"admission,omitempty"`
+}
+
+// book records a settled run: by server, then job ID, the admission
+// number of the first run of that ID there, and in Reused any later one.
+func (s *snapshot) book(jobID, server string, admission uint64) {
+	if _, ok := s.Runs[server][jobID]; ok {
+		s.Reused[jobID] = append(s.Reused[jobID], booking{server, admission})
+		return
+	}
+	if s.Runs[server] == nil {
+		s.Runs[server] = map[string]uint64{}
+	}
+	s.Runs[server][jobID] = admission
 }
 
 // initMaps replaces nil tables (absent in older snapshots) with empty
 // ones.
 func initMaps(s *snapshot) {
-	if s.Users == nil {
-		s.Users = map[string]UserRecord{}
+	orEmpty(&s.Users)
+	orEmpty(&s.Credits)
+	orEmpty(&s.Quotas)
+	orEmpty(&s.Revenue)
+	orEmpty(&s.Spend)
+	orEmpty(&s.Runs)
+	orEmpty(&s.Reused)
+	for id := range s.Settled {
+		s.book(id, "", 0) // a run of no server and admission 0
 	}
-	if s.Credits == nil {
-		s.Credits = map[string]float64{}
-	}
-	if s.Quotas == nil {
-		s.Quotas = map[string]float64{}
-	}
-	if s.Revenue == nil {
-		s.Revenue = map[string]float64{}
-	}
-	if s.Spend == nil {
-		s.Spend = map[string]float64{}
-	}
-	if s.Settled == nil {
-		s.Settled = map[string]bool{}
+	s.Settled = nil
+}
+
+// orEmpty makes a nil map empty.
+func orEmpty[M ~map[K]V, K comparable, V any](m *M) {
+	if *m == nil {
+		*m = M{}
 	}
 }
 
@@ -133,8 +155,11 @@ type Tx struct {
 
 func (tx *Tx) stage(rec walRecord) { tx.recs = append(tx.recs, rec) }
 
-// Settled reports whether a job's settlement has already been applied.
-func (tx *Tx) Settled(jobID string) bool { return tx.data.Settled[jobID] }
+// Settled reports whether the settlement of a run has been applied.
+func (tx *Tx) Settled(jobID, server string, admission uint64) bool {
+	n, ok := tx.data.Runs[server][jobID]
+	return ok && (n == admission || slices.Contains(tx.data.Reused[jobID], booking{server, admission}))
+}
 
 // Quota returns a user's remaining Service-Units.
 func (tx *Tx) Quota(user string) float64 { return tx.data.Quotas[user] }
@@ -172,8 +197,10 @@ func (tx *Tx) AddSpend(user string, amount float64) {
 	tx.stage(walRecord{Op: opAddSpend, Key: user, Amount: amount})
 }
 
-// MarkSettled stages recording a job ID as settled.
-func (tx *Tx) MarkSettled(jobID string) { tx.stage(walRecord{Op: opMarkSettled, JobID: jobID}) }
+// MarkSettled stages recording the settlement of a run.
+func (tx *Tx) MarkSettled(jobID, server string, admission uint64) {
+	tx.stage(walRecord{Op: opMarkSettled, JobID: jobID, Key: server, Admission: admission})
+}
 
 // AppendContract stages recording a settled contract in the history.
 func (tx *Tx) AppendContract(r ContractRecord) {
@@ -234,11 +261,16 @@ func (d *DB) Spend(user string) float64 {
 	return d.data.Spend[user]
 }
 
-// Settled reports whether a job's settlement has already been applied.
+// Settled reports whether some settlement of a job ID has been applied.
 func (d *DB) Settled(jobID string) bool {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.data.Settled[jobID]
+	for _, runs := range d.data.Runs {
+		if _, ok := runs[jobID]; ok {
+			return true
+		}
+	}
+	return false
 }
 
 // Reset empties an ephemeral database for reuse, keeping the storage
@@ -255,7 +287,8 @@ func (d *DB) Reset() {
 	clear(d.data.Quotas)
 	clear(d.data.Revenue)
 	clear(d.data.Spend)
-	clear(d.data.Settled)
+	clear(d.data.Runs)
+	clear(d.data.Reused)
 	d.data.History.reset()
 }
 

@@ -165,7 +165,7 @@ func TestLoadEmptyObjectInitializesMaps(t *testing.T) {
 	d.AddCredits("c", 1)
 	d.AddQuota("q", 1)
 	d.Update(func(tx *Tx) error {
-		tx.MarkSettled("x")
+		tx.MarkSettled("x", "", 0)
 		putUser(tx, UserRecord{Name: "u"})
 		tx.AddRevenue("s", 1)
 		tx.AddSpend("u", 1)

@@ -56,7 +56,7 @@ func stageRandom(rng *rand.Rand, tx *Tx) {
 	case 6:
 		tx.AddSpend(s(), a())
 	default:
-		tx.MarkSettled(s())
+		tx.MarkSettled(s(), "", 0)
 	}
 }
 
@@ -116,7 +116,7 @@ func TestUnencodableRecordFailsTheTx(t *testing.T) {
 		stage func(*Tx)
 	}{
 		{"single", func(tx *Tx) { tx.AddSpend("u", math.NaN()) }},
-		{"batch", func(tx *Tx) { tx.AddRevenue("s", 5); tx.MarkSettled("j"); tx.AddSpend("u", math.Inf(1)) }},
+		{"batch", func(tx *Tx) { tx.AddRevenue("s", 5); tx.MarkSettled("j", "", 0); tx.AddSpend("u", math.Inf(1)) }},
 		{"row", func(tx *Tx) { tx.AddRevenue("s", 5); tx.AppendContract(ContractRecord{JobID: "j", Price: math.NaN()}) }},
 	} {
 		before, seq, last := readFile(t, walFile(dir)), d.seq, d.wal.Last()

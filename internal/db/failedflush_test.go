@@ -95,7 +95,7 @@ func TestFailedFlushWithStagedLinesReplaysToMemory(t *testing.T) {
 		go func() {
 			errs <- d.Update(func(tx *Tx) error {
 				tx.AddCredits(fmt.Sprintf("behind-%d", i), float64(i))
-				tx.MarkSettled(fmt.Sprintf("behind-%d", i))
+				tx.MarkSettled(fmt.Sprintf("behind-%d", i), "", 0)
 				return nil
 			})
 		}()

@@ -69,7 +69,7 @@ func writeFixtureOps(t *testing.T, d *DB) {
 	if err := d.Update(func(tx *Tx) error {
 		tx.AddSpend("alice", 16)
 		tx.AddRevenue("lemieux", 16)
-		tx.MarkSettled("job-1")
+		tx.MarkSettled("job-1", "", 0)
 		tx.AppendContract(ContractRecord{Time: 1.5, JobID: "job-1", App: "synth", Server: "lemieux", MinPE: 2, MaxPE: 16, Price: 16, Multiplier: 0.008})
 		return nil
 	}); err != nil {

@@ -37,7 +37,7 @@ func seedStateDir(f *testing.F) (snap, wal []byte) {
 	d.Update(func(tx *Tx) error { putUser(tx, UserRecord{Name: "bo", HomeCluster: "pascal"}); return nil })
 	d.Update(func(tx *Tx) error {
 		_ = tx.TransferCredits("turing", "pascal", 12.5)
-		tx.MarkSettled("job-1")
+		tx.MarkSettled("job-1", "", 0)
 		tx.AppendContract(ContractRecord{JobID: "job-1", App: "synth", Server: "pascal", Price: 3})
 		return nil
 	})
@@ -69,6 +69,11 @@ func FuzzWALRecovery(f *testing.F) {
 	f.Add([]byte(nil), []byte(nil))
 	f.Add([]byte(`{"seq":"not-a-number"}`), wal)
 	f.Add([]byte(`{}`), []byte("not json at all\n\n{\"op\":\"\"}\n"))
+	// Settled marks naming the run: one job ID booked on two servers.
+	f.Add([]byte(nil), []byte(`{"seq":1,"op":"batch","recs":[{"op":"settled","key":"turing","job_id":"j","admission":7},{"op":"settled","key":"lemieux","job_id":"j","admission":7}]}`+"\n"))
+	// Marks written before runs were named: a snapshot's true and a WAL
+	// record with no server or admission.
+	f.Add([]byte(`{"seq":1,"settled":{"job-1":true}}`), []byte(`{"seq":2,"op":"settled","job_id":"job-1"}`+"\n"))
 
 	f.Fuzz(func(t *testing.T, snapBytes, walBytes []byte) {
 		dir := t.TempDir()

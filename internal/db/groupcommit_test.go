@@ -19,13 +19,13 @@ import (
 // transaction, skipped (an empty Tx) when the job is already settled.
 func settleTx(d *DB, job string) error {
 	return d.Update(func(tx *Tx) error {
-		if tx.Settled(job) {
+		if tx.Settled(job, "", 0) {
 			return nil
 		}
 		if err := tx.TransferCredits("payer", "payee", 1); err != nil {
 			return err
 		}
-		tx.MarkSettled(job)
+		tx.MarkSettled(job, "", 0)
 		return nil
 	})
 }
@@ -196,7 +196,7 @@ func TestMutationBesideOpenSettleIsDurable(t *testing.T) {
 		settled <- d.Update(func(tx *Tx) error {
 			close(open)
 			<-release
-			tx.MarkSettled("job-1")
+			tx.MarkSettled("job-1", "", 0)
 			return tx.TransferCredits("payer", "payee", 1)
 		})
 	}()

@@ -54,12 +54,13 @@ type walRecord struct {
 	User     *UserRecord     `json:"user,omitempty"`
 	Contract *ContractRecord `json:"contract,omitempty"`
 	// Key names the account (cluster, user, or server) an amount applies
-	// to; To is the receiving cluster of a transfer.
-	Key    string      `json:"key,omitempty"`
-	To     string      `json:"to,omitempty"`
-	Amount float64     `json:"amount,omitempty"`
-	JobID  string      `json:"job_id,omitempty"`
-	Recs   []walRecord `json:"recs,omitempty"`
+	// to, or a settled run's server; To is a transfer's receiving cluster.
+	Key       string      `json:"key,omitempty"`
+	To        string      `json:"to,omitempty"`
+	Amount    float64     `json:"amount,omitempty"`
+	JobID     string      `json:"job_id,omitempty"`
+	Admission uint64      `json:"admission,omitempty"`
+	Recs      []walRecord `json:"recs,omitempty"`
 }
 
 // ErrNotDurable marks an Update whose mutations were applied in memory
@@ -137,7 +138,7 @@ func (d *DB) applyMemLocked(rec walRecord) {
 	case opAddSpend:
 		d.data.Spend[rec.Key] += rec.Amount
 	case opMarkSettled:
-		d.data.Settled[rec.JobID] = true
+		d.data.book(rec.JobID, rec.Key, rec.Admission)
 	case opBatch:
 		for _, sub := range rec.Recs {
 			d.applyMemLocked(sub)

@@ -30,7 +30,7 @@ func TestOpenRecoversFromWALReplay(t *testing.T) {
 		func(tx *Tx) { tx.AddRevenue("lemieux", 7) },
 		func(tx *Tx) { tx.AddSpend("alice", 7) },
 		func(tx *Tx) { tx.AppendContract(ContractRecord{JobID: "j1", App: "synth", Price: 7}) },
-		func(tx *Tx) { tx.MarkSettled("j1") },
+		func(tx *Tx) { tx.MarkSettled("j1", "", 0) },
 	} {
 		if err := d.Update(func(tx *Tx) error { stage(tx); return nil }); err != nil {
 			t.Fatal(err)
@@ -196,7 +196,7 @@ func TestBatchAtomicOnReplay(t *testing.T) {
 	if err := d.Update(func(tx *Tx) error {
 		tx.AddRevenue("s", 5)
 		tx.AddSpend("u", 5)
-		tx.MarkSettled("j9")
+		tx.MarkSettled("j9", "", 0)
 		return errAbort // no commit: as if the settle died before it
 	}); !errors.Is(err, errAbort) {
 		t.Fatalf("aborted transaction returned %v", err)
@@ -219,7 +219,7 @@ func TestBatchAtomicOnReplay(t *testing.T) {
 	r.Update(func(tx *Tx) error {
 		tx.AddRevenue("s", 5)
 		tx.AddSpend("u", 5)
-		tx.MarkSettled("j9")
+		tx.MarkSettled("j9", "", 0)
 		return nil
 	})
 	blob, err := os.ReadFile(walFile(dir))

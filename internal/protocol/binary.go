@@ -154,11 +154,6 @@ func appendStr(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func appendBytes(b []byte, p []byte) []byte {
-	b = appendU32(b, uint32(len(p)))
-	return append(b, p...)
-}
-
 func appendContract(b []byte, c *qos.Contract) []byte {
 	if c == nil {
 		return append(b, 0)
@@ -269,7 +264,8 @@ func (m SettleReq) appendBinary(b []byte) []byte {
 	b = appendI64(b, m.MinPE)
 	b = appendI64(b, m.MaxPE)
 	b = appendF64(b, m.Price)
-	return appendF64(b, m.CPUSeconds)
+	b = appendF64(b, m.CPUSeconds)
+	return appendU64(b, m.Admission)
 }
 
 // The field-free types: an empty binary body.
@@ -609,6 +605,7 @@ func (m *SettleReq) decodeBinary(r *breader) {
 	m.MaxPE = r.i64()
 	m.Price = r.f64()
 	m.CPUSeconds = r.f64()
+	m.Admission = r.u64()
 }
 
 func (*SettleOK) decodeBinary(*breader)  {}

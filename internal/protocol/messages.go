@@ -6,6 +6,7 @@ import (
 	"faucets/internal/bidding"
 	"faucets/internal/machine"
 	"faucets/internal/qos"
+	"faucets/internal/weather"
 )
 
 // Frame type constants. Requests end in "_req", replies in "_ok";
@@ -208,6 +209,8 @@ type VerifyOK struct {
 // MinPE, MaxPE) rides along so the §5.2.1 history keeps per-bucket
 // price statistics — without it every settled contract would collapse
 // into one histogram bucket and bid generators would price blind.
+// Admission numbers the run on Server, the same on every redelivery: the
+// Central Server books each run once, so a reused job ID is paid again.
 type SettleReq struct {
 	JobID       string  `json:"job_id"`
 	User        string  `json:"user"`
@@ -218,6 +221,7 @@ type SettleReq struct {
 	MaxPE       int     `json:"max_pe,omitempty"`
 	Price       float64 `json:"price"`
 	CPUSeconds  float64 `json:"cpu_seconds"`
+	Admission   uint64  `json:"admission,omitempty"`
 }
 
 // SettleOK acknowledges settlement.
@@ -228,16 +232,9 @@ type SettleOK struct{}
 // the entire computational grid likely to be…?").
 type WeatherReq struct{}
 
-// WeatherOK carries the report; the body mirrors weather.Report.
-type WeatherOK struct {
-	Time              float64            `json:"time"`
-	GridUtilization   float64            `json:"grid_utilization"`
-	Servers           int                `json:"servers"`
-	TotalPE           int                `json:"total_pe"`
-	Contracts         int                `json:"contracts"`
-	MeanMultiplier    float64            `json:"mean_multiplier"`
-	BucketMultipliers map[string]float64 `json:"bucket_multipliers,omitempty"`
-}
+// WeatherOK carries the report: weather.Report's body, under the wire's
+// name.
+type WeatherOK weather.Report
 
 // HistoryReq asks the Central Server for recent settled contracts
 // similar to a proposed one (§5.2.1: "maintaining a history of every
@@ -248,14 +245,8 @@ type HistoryReq struct {
 	Limit int `json:"limit"`
 }
 
-// HistoryRecord mirrors one settled contract for bid generators.
-type HistoryRecord struct {
-	Time       float64 `json:"time"`
-	App        string  `json:"app"`
-	MinPE      int     `json:"min_pe"`
-	MaxPE      int     `json:"max_pe"`
-	Multiplier float64 `json:"multiplier"`
-}
+// HistoryRecord is one settled contract for bid generators.
+type HistoryRecord bidding.HistoryRecord
 
 // HistoryOK returns the matching recent contracts, newest first.
 type HistoryOK struct {
@@ -290,20 +281,10 @@ type GossipOK struct {
 
 // ForwardSettleReq is a settlement forwarded one hop from the shard a
 // daemon reported to, to the shard owning the settling user's
-// accounting. It reuses SettleReq's shape under a distinct type so the
+// accounting. It is SettleReq's body under a distinct type so the
 // receiver can never forward again — the type itself bounds the hop
 // count at one.
-type ForwardSettleReq struct {
-	JobID       string  `json:"job_id"`
-	User        string  `json:"user"`
-	Server      string  `json:"server"`
-	HomeCluster string  `json:"home_cluster,omitempty"`
-	App         string  `json:"app,omitempty"`
-	MinPE       int     `json:"min_pe,omitempty"`
-	MaxPE       int     `json:"max_pe,omitempty"`
-	Price       float64 `json:"price"`
-	CPUSeconds  float64 `json:"cpu_seconds"`
-}
+type ForwardSettleReq SettleReq
 
 // BidReq solicits a bid from a daemon for a contract.
 type BidReq struct {

@@ -2,6 +2,7 @@ package db
 
 import (
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -43,8 +44,10 @@ const fixtureSnapshot = `{
   "spend": {
     "alice": 16
   },
-  "settled": {
-    "job-1": true
+  "runs": {
+    "": {
+      "job-1": 0
+    }
   }
 }`
 
@@ -214,5 +217,41 @@ func TestOpenOldFormatSkipsJobRows(t *testing.T) {
 	}
 	if got := readFile(t, snapshotFile(dir)); got != fixtureSnapshot {
 		t.Fatalf("old directory compacts to\n%s\nwant:\n%s", got, fixtureSnapshot)
+	}
+}
+
+// TestOpenSnapshotWithOldSettledMarks: a snapshot written before settled
+// marks named the run keeps the settled job IDs, each marked true. It
+// opens with each booked as the run of no server and admission 0, and
+// compacts to the current fixture.
+func TestOpenSnapshotWithOldSettledMarks(t *testing.T) {
+	dir := t.TempDir()
+	runs := "\"runs\": {\n    \"\": {\n      \"job-1\": 0\n    }\n  }"
+	old := strings.Replace(fixtureSnapshot, runs, "\"settled\": {\n    \"job-1\": true\n  }", 1)
+	if old == fixtureSnapshot {
+		t.Fatal("the fixture has no settled runs to write the old way")
+	}
+	if err := os.WriteFile(snapshotFile(dir), []byte(old), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	checkFixtureState(t, d)
+	if err := d.Update(func(tx *Tx) error {
+		if !tx.Settled("job-1", "", 0) || tx.Settled("job-1", "lemieux", 0) {
+			t.Error("the old mark is not the booking of no server and admission 0")
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readFile(t, snapshotFile(dir)); got != fixtureSnapshot {
+		t.Fatalf("old marks compact to\n%s\nwant:\n%s", got, fixtureSnapshot)
 	}
 }

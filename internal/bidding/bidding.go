@@ -226,13 +226,13 @@ func (u *Utilization) Multiplier(now float64, c *qos.Contract, st ServerState) (
 }
 
 // HistoryRecord is one settled contract, as kept by the Faucets system's
-// contract history (§5.2.1), and as the history_ok frame carries it.
+// contract history (§5.2.1).
 type HistoryRecord struct {
-	Time       float64 `json:"time"`
-	App        string  `json:"app"`
-	MinPE      int     `json:"min_pe"`
-	MaxPE      int     `json:"max_pe"`
-	Multiplier float64 `json:"multiplier"`
+	Time       float64
+	App        string
+	MinPE      int
+	MaxPE      int
+	Multiplier float64
 }
 
 // HistoryView provides recent settled contracts similar to a proposed

@@ -163,10 +163,12 @@ type Server struct {
 func (s *Server) peerRPC() *protocol.Pool {
 	s.peerOnce.Do(func() {
 		s.peerPool = &protocol.Pool{
-			Obs:      s.rpc,
-			PoolObs:  telemetry.NewPoolMetrics(s.Metrics, "central"),
-			Retry:    protocol.Retry{Attempts: 2, Base: 50 * time.Millisecond, Max: 500 * time.Millisecond, Stop: s.closed},
-			DialFunc: s.dial,
+			Obs:     s.rpc,
+			PoolObs: telemetry.NewPoolMetrics(s.Metrics, "central"),
+			Retry:   protocol.Retry{Attempts: 2, Base: 50 * time.Millisecond, Max: 500 * time.Millisecond, Stop: s.closed},
+			DialFunc: func(addr string, _ time.Duration) (net.Conn, error) {
+				return s.Dial(addr)
+			},
 		}
 	})
 	return s.peerPool
@@ -179,17 +181,16 @@ func (s *Server) peerRPC() *protocol.Pool {
 func (s *Server) pollRPC() *protocol.Pool {
 	s.pollPoolOnce.Do(func() {
 		s.pollPool = &protocol.Pool{
-			Size:     1,
-			Obs:      s.rpc,
-			Retry:    protocol.Retry{Attempts: 2, Base: 25 * time.Millisecond, Max: 200 * time.Millisecond, Stop: s.closed},
-			DialFunc: s.dial,
+			Size:  1,
+			Obs:   s.rpc,
+			Retry: protocol.Retry{Attempts: 2, Base: 25 * time.Millisecond, Max: 200 * time.Millisecond, Stop: s.closed},
+			DialFunc: func(addr string, _ time.Duration) (net.Conn, error) {
+				return s.Dial(addr)
+			},
 		}
 	})
 	return s.pollPool
 }
-
-// dial is both pools' DialFunc: s.Dial, whose timeout is its own.
-func (s *Server) dial(addr string, _ time.Duration) (net.Conn, error) { return s.Dial(addr) }
 
 // New returns a Central Server in the given economic mode.
 func New(mode accounting.Mode) *Server {
@@ -205,7 +206,9 @@ func NewWithDB(mode accounting.Mode, store *db.DB) *Server {
 	// Recover the price window from history: RecentContracts is newest
 	// first, the aggregate wants arrival order.
 	recs := store.RecentContracts(nil, weather.Window)
-	slices.Reverse(recs)
+	for i, j := 0, len(recs)-1; i < j; i, j = i+1, j-1 {
+		recs[i], recs[j] = recs[j], recs[i]
+	}
 	wagg.Seed(recs)
 	s := &Server{
 		Auth:      auth.New(24 * time.Hour),
@@ -822,7 +825,12 @@ func (s *Server) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 		return protocol.WriteFrame(conn, protocol.TypeHistoryOK, protocol.HistoryOK{Records: out})
 
 	case protocol.TypeWeatherReq:
-		return protocol.WriteFrame(conn, protocol.TypeWeatherOK, protocol.WeatherOK(s.Weather()))
+		r := s.Weather()
+		return protocol.WriteFrame(conn, protocol.TypeWeatherOK, protocol.WeatherOK{
+			Time: r.Time, GridUtilization: r.GridUtilization,
+			Servers: r.Servers, TotalPE: r.TotalPE, Contracts: r.Contracts,
+			MeanMultiplier: r.MeanMultiplier, BucketMultipliers: r.BucketMultipliers,
+		})
 
 	default:
 		return fmt.Errorf("central: unsupported frame %q", f.Type)

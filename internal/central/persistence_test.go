@@ -117,6 +117,45 @@ func TestSettleBooksEachRunOnceAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestSettleAfterUpgradeDedupesOldMarks: a state directory written
+// before settled marks named the run holds bare job IDs, in the snapshot
+// (x) and in the WAL (y). A daemon queued their settlements before its
+// own upgrade, so its redeliveries carry the server and no admission
+// number: both are duplicates, acknowledged and charged nothing. A run
+// with a number is a new run of the ID, booked and paid.
+func TestSettleAfterUpgradeDedupesOldMarks(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "snapshot.json"), []byte(`{"settled": {"x": true}}`), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "wal.jsonl"), []byte(`{"seq":1,"op":"settled","job_id":"y"}`+"\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	store, err := db.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewWithDB(accounting.Dollars, store)
+	defer store.Close()
+	defer s.Close()
+	for _, id := range []string{"x", "y"} {
+		if err := s.Settle(settleReq(id, 2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if spend, rows := s.DB.Spend("alice"), s.DB.HistoryLen(); spend != 0 || rows != 0 {
+		t.Fatalf("redeliveries of old marks: alice spent %v, %d history rows; want 0 and 0", spend, rows)
+	}
+	rerun := settleReq("x", 2)
+	rerun.Admission = 7
+	if err := s.Settle(rerun); err != nil {
+		t.Fatal(err)
+	}
+	if spend, rows := s.DB.Spend("alice"), s.DB.HistoryLen(); spend != 2 || rows != 1 {
+		t.Fatalf("a numbered run of x: alice spent %v, %d history rows; want 2 and 1", spend, rows)
+	}
+}
+
 // TestBarterSettlementSurvivesRestart: credit transfers are the binding
 // payoff of §5.5.3 — a restart must neither forget nor repeat them.
 func TestBarterSettlementSurvivesRestart(t *testing.T) {

@@ -414,10 +414,11 @@ func (d *Daemon) registerLoop() {
 }
 
 // Close stops the daemon, severing live connections, and waits for its
-// goroutines.
+// goroutines. Only the first call does anything.
 func (d *Daemon) Close() {
 	select {
 	case <-d.closed:
+		return // closed already: its journal may be a successor's now
 	default:
 		close(d.closed)
 	}
@@ -1177,11 +1178,14 @@ func (d *Daemon) commit(req *protocol.CommitReq) error {
 // the daemon holds: the admission, and server.ErrNotOwner wrapped if
 // user does not own it; known is false for any other ID. Caller holds
 // d.mu.
-func (d *Daemon) ownerLocked(jobID, user string) (a admission, known bool, err error) {
-	if a, known = d.jobs[jobID]; known && a.j.Owner != user {
-		err = fmt.Errorf("daemon: job %s already submitted: %w", jobID, server.ErrNotOwner)
+func (d *Daemon) ownerLocked(jobID, user string) (admission, bool, error) {
+	if a, ok := d.jobs[jobID]; ok {
+		if a.j.Owner != user {
+			return a, true, fmt.Errorf("daemon: job %s already submitted: %w", jobID, server.ErrNotOwner)
+		}
+		return a, true, nil
 	}
-	return a, known, err
+	return admission{}, false, nil
 }
 
 // upload stages one chunk of an input file for the user who owns the

@@ -69,6 +69,11 @@ func FuzzJournalRecovery(f *testing.F) {
 	f.Add([]byte(`{"op":"queue","settle":{"job_id":"j1","admission":7}}` + "\n" +
 		`{"op":"job","job_id":"j1","owner":"ana","contract":{"app":"synth","min_pe":1,"max_pe":4,"work":100},"admission":9}` + "\n" +
 		`{"op":"queue","settle":{"job_id":"j1","admission":9}}` + "\n" + `{"op":"ack","job_id":"j1","admission":7}` + "\n"))
+	// A run admitted while an earlier run's settlement is still queued:
+	// the rewrite lists the admission before that settlement, which must
+	// not close it.
+	f.Add([]byte(`{"op":"queue","settle":{"job_id":"j1","admission":7}}` + "\n" +
+		`{"op":"job","job_id":"j1","owner":"ana","contract":{"app":"synth","min_pe":1,"max_pe":4,"work":100},"admission":9}` + "\n"))
 	// Written before admission numbers: a job, its queue and its ack
 	// name none, and read as admission 0.
 	f.Add([]byte(`{"op":"job","job_id":"j2","owner":"ana","contract":{"app":"synth","min_pe":1,"max_pe":4,"work":100}}` + "\n" +

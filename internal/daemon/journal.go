@@ -180,7 +180,11 @@ func reduce(recs []journalRecord) recoveredState {
 			delete(st.pending, rec.JobID)
 		case jopQueue:
 			if rec.Settle != nil {
-				delete(st.pending, rec.Settle.JobID)
+				// A rewrite lists pending jobs first, so an earlier run's
+				// queued settlement can follow a newer run's admission.
+				if p := st.pending[rec.Settle.JobID]; p.Admission == rec.Settle.Admission {
+					delete(st.pending, rec.Settle.JobID)
+				}
 				k := run{rec.Settle.JobID, rec.Settle.Admission}
 				if _, dup := queued[k]; !dup {
 					order = append(order, k)

@@ -345,3 +345,34 @@ func jobOf(d *Daemon, id string) (*job.Job, bool) {
 	a, ok := d.jobs[id]
 	return a.j, ok
 }
+
+// TestJournalKeptFromPredecessorsSecondClose: only a daemon's first
+// Close compacts its journal. Closing it again once a successor has
+// opened the state directory and admitted a job must leave the
+// successor's journal whole: a crash of the successor recovers the job.
+func TestJournalKeptFromPredecessorsSecondClose(t *testing.T) {
+	dir := t.TempDir()
+	a, err := New(durableCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+	b, err := New(durableCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	commitJob(t, b, "alice", "y", 1)
+	if err := b.submit(protocol.SubmitReq{User: "alice", JobID: "y", Contract: contract(5000)}); err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+	c, err := New(durableCfg(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, ok := jobOf(c, "y"); !ok {
+		t.Fatal("the predecessor's second Close rewrote y out of the journal")
+	}
+}

@@ -3,7 +3,6 @@ package daemon
 import (
 	"errors"
 	"net"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -41,29 +40,6 @@ func reuseGrid(t *testing.T) (fs *central.Server, addr string, tokens map[string
 	go fs.Serve(l)
 	t.Cleanup(fs.Close)
 	return fs, l.Addr().String(), tokens
-}
-
-// bootDaemon starts a daemon on cfg as startDaemon does, for a test that
-// stops it to restart it: the returned stop closes it once, and so does
-// the cleanup if the test has not, so no journal is rewritten after its
-// successor opened it.
-func bootDaemon(t *testing.T, cfg Config) (d *Daemon, addr string, stop func()) {
-	t.Helper()
-	d, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Start(l); err != nil {
-		t.Fatal(err)
-	}
-	var once sync.Once
-	stop = func() { once.Do(d.Close) }
-	t.Cleanup(stop)
-	return d, l.Addr().String(), stop
 }
 
 // runAs commits id to d at price 2 for user, submits it, and returns once
@@ -118,11 +94,11 @@ func TestSettledJobIDRerunAfterRestartIsPaid(t *testing.T) {
 	fs, fsAddr, tokens := reuseGrid(t)
 	cfg := durableCfg(t.TempDir())
 	cfg.CentralAddr, cfg.SettleRetry = fsAddr, 5*time.Millisecond
-	d, addr, stop := bootDaemon(t, cfg)
+	d, addr := startDaemon(t, cfg)
 	runAs(t, d, addr, "alice", tokens["alice"], "j")
-	stop()
+	d.Close()
 
-	d, addr, _ = bootDaemon(t, cfg)
+	d, addr = startDaemon(t, cfg)
 	runAs(t, d, addr, "alice", tokens["alice"], "j")
 	if s, r, n := fs.DB.Spend("alice"), fs.DB.Revenue("turing"), fs.DB.HistoryLen(); s != 4 || r != 4 || n != 2 {
 		t.Fatalf("two runs of j: alice spent %v, turing earned %v, %d history rows; want 4, 4 and 2", s, r, n)
@@ -180,6 +156,34 @@ func gatedCentral(t *testing.T, fs *central.Server, pass *atomic.Pointer[func(pr
 	return l.Addr().String()
 }
 
+// waitOutbox returns once d's outbox holds n settlements.
+func waitOutbox(t *testing.T, d *Daemon, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); d.OutboxLen() != n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("outbox holds %d settlements, want %d", d.OutboxLen(), n)
+		}
+	}
+}
+
+// gatedDaemonCfg is a durable daemon's config whose Central Server books
+// on fs only the settlements pass lets through.
+func gatedDaemonCfg(t *testing.T, fs *central.Server, pass *atomic.Pointer[func(protocol.SettleReq) bool]) Config {
+	cfg := durableCfg(t.TempDir())
+	cfg.CentralAddr, cfg.SettleRetry, cfg.RPCTimeout = gatedCentral(t, fs, pass), 5*time.Millisecond, 500*time.Millisecond
+	return cfg
+}
+
+// checkBothRunsBooked fails t unless fs's history holds two runs of x,
+// each booked and charged to alice once.
+func checkBothRunsBooked(t *testing.T, fs *central.Server) {
+	t.Helper()
+	rows := fs.DB.RecentContracts(nil, 10)
+	if len(rows) != 2 || rows[0].JobID != "x" || rows[1].JobID != "x" || fs.DB.Spend("alice") != rows[0].Price+rows[1].Price {
+		t.Fatalf("history %+v and alice's spend %v: want both runs of x booked once each", rows, fs.DB.Spend("alice"))
+	}
+}
+
 // TestJournalRestartWithQueuedSettlementKeepsBothRuns: x finishes while
 // its settlement cannot be delivered, and the daemon restarts with it
 // queued. x is then committed, submitted and finished again. The first
@@ -189,48 +193,75 @@ func TestJournalRestartWithQueuedSettlementKeepsBothRuns(t *testing.T) {
 	fs := central.New(accounting.Dollars)
 	t.Cleanup(fs.Close)
 	var pass atomic.Pointer[func(protocol.SettleReq) bool]
-	cfg := durableCfg(t.TempDir())
-	cfg.CentralAddr, cfg.SettleRetry, cfg.RPCTimeout = gatedCentral(t, fs, &pass), 5*time.Millisecond, 500*time.Millisecond
-	waitOutbox := func(d *Daemon, n int) {
-		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); d.OutboxLen() != n; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("outbox holds %d settlements, want %d", d.OutboxLen(), n)
-			}
-		}
-	}
+	cfg := gatedDaemonCfg(t, fs, &pass)
 
 	// The first run is short, the second long: the gate tells their
 	// settlements apart by the CPU-seconds each reports.
-	d, addr, stop := bootDaemon(t, cfg)
+	d, addr := startDaemon(t, cfg)
 	runJobOverWire(t, dial(t, addr), "x", "tok", 100)
-	waitOutbox(d, 1)
-	stop()
-	d, addr, stop = bootDaemon(t, cfg)
+	waitOutbox(t, d, 1)
+	d.Close()
+	d, addr = startDaemon(t, cfg)
 	runJobOverWire(t, dial(t, addr), "x", "tok", 1000)
-	waitOutbox(d, 2)
+	waitOutbox(t, d, 2)
 
 	first := func(req protocol.SettleReq) bool { return req.CPUSeconds < 500 }
 	pass.Store(&first)
-	waitOutbox(d, 1)
+	waitOutbox(t, d, 1)
 	d.mu.Lock()
 	retired := d.jobs["x"].retired
 	d.mu.Unlock()
 	if retired || fs.DB.HistoryLen() != 1 {
 		t.Fatalf("after the first run's ack: second run retired %v, %d history rows; want false and 1", retired, fs.DB.HistoryLen())
 	}
-	stop()
+	d.Close()
 
-	d, _, stop = bootDaemon(t, cfg)
+	d, _ = startDaemon(t, cfg)
 	if got := d.OutboxLen(); got != 1 {
 		t.Fatalf("the second restart recovered %d queued settlements, want the second run's", got)
 	}
 	all := func(protocol.SettleReq) bool { return true }
 	pass.Store(&all)
-	waitOutbox(d, 0)
-	stop()
-	rows := fs.DB.RecentContracts(nil, 10)
-	if len(rows) != 2 || rows[0].JobID != "x" || rows[1].JobID != "x" || fs.DB.Spend("alice") != rows[0].Price+rows[1].Price {
-		t.Fatalf("history %+v and alice's spend %v: want both runs of x booked once each", rows, fs.DB.Spend("alice"))
+	waitOutbox(t, d, 0)
+	d.Close()
+	checkBothRunsBooked(t, fs)
+}
+
+// TestJournalRestartWhileRerunRunsKeepsIt: x's first run sits queued
+// and unacknowledged while its second run is admitted, and the daemon
+// stops with the second still running. The compacted journal lists the
+// second run's admission before the first run's queued settlement; the
+// next boot must not take that settlement for the second run's end. The
+// second run restarts, and both runs are booked once.
+func TestJournalRestartWhileRerunRunsKeepsIt(t *testing.T) {
+	fs := central.New(accounting.Dollars)
+	t.Cleanup(fs.Close)
+	var pass atomic.Pointer[func(protocol.SettleReq) bool]
+	cfg := gatedDaemonCfg(t, fs, &pass)
+
+	d, addr := startDaemon(t, cfg)
+	runJobOverWire(t, dial(t, addr), "x", "tok", 100)
+	waitOutbox(t, d, 1)
+	d.Close()
+	d, addr = startDaemon(t, cfg)
+	runJobOverWire(t, dial(t, addr), "x", "tok", 5000)
+	d.mu.Lock()
+	second := d.jobs["x"].num
+	d.mu.Unlock()
+	d.Close()
+
+	d, _ = startDaemon(t, cfg)
+	d.mu.Lock()
+	a, ok := d.jobs["x"]
+	d.mu.Unlock()
+	if !ok || a.num != second || d.OutboxLen() != 1 {
+		t.Fatalf("after the restart: x admitted %v (admission %d, want %d), %d queued settlements; want the second run back and the first queued",
+			ok, a.num, second, d.OutboxLen())
 	}
+	waitOutbox(t, d, 2)
+	all := func(protocol.SettleReq) bool { return true }
+	pass.Store(&all)
+	waitOutbox(t, d, 0)
+	d.Close()
+	checkBothRunsBooked(t, fs)
 }

@@ -52,7 +52,15 @@ func (c *centralWeather) fetch() (weather.Report, bool) {
 	if err != nil {
 		return weather.Report{}, false
 	}
-	return weather.Report(reply), true
+	return weather.Report{
+		Time:              reply.Time,
+		GridUtilization:   reply.GridUtilization,
+		Servers:           reply.Servers,
+		TotalPE:           reply.TotalPE,
+		Contracts:         reply.Contracts,
+		MeanMultiplier:    reply.MeanMultiplier,
+		BucketMultipliers: reply.BucketMultipliers,
+	}, true
 }
 
 // centralHistory implements bidding.HistoryView over the wire: the

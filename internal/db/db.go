@@ -86,24 +86,31 @@ func (s *snapshot) book(jobID, server string, admission uint64) {
 // initMaps replaces nil tables (absent in older snapshots) with empty
 // ones.
 func initMaps(s *snapshot) {
-	orEmpty(&s.Users)
-	orEmpty(&s.Credits)
-	orEmpty(&s.Quotas)
-	orEmpty(&s.Revenue)
-	orEmpty(&s.Spend)
-	orEmpty(&s.Runs)
-	orEmpty(&s.Reused)
+	if s.Users == nil {
+		s.Users = map[string]UserRecord{}
+	}
+	if s.Credits == nil {
+		s.Credits = map[string]float64{}
+	}
+	if s.Quotas == nil {
+		s.Quotas = map[string]float64{}
+	}
+	if s.Revenue == nil {
+		s.Revenue = map[string]float64{}
+	}
+	if s.Spend == nil {
+		s.Spend = map[string]float64{}
+	}
+	if s.Runs == nil {
+		s.Runs = map[string]map[string]uint64{}
+	}
+	if s.Reused == nil {
+		s.Reused = map[string][]booking{}
+	}
 	for id := range s.Settled {
 		s.book(id, "", 0) // a run of no server and admission 0
 	}
 	s.Settled = nil
-}
-
-// orEmpty makes a nil map empty.
-func orEmpty[M ~map[K]V, K comparable, V any](m *M) {
-	if *m == nil {
-		*m = M{}
-	}
 }
 
 // DB is a concurrent in-memory database with optional WAL+snapshot
@@ -155,8 +162,13 @@ type Tx struct {
 
 func (tx *Tx) stage(rec walRecord) { tx.recs = append(tx.recs, rec) }
 
-// Settled reports whether the settlement of a run has been applied.
+// Settled reports whether the settlement of a run has been applied. A
+// run of admission 0 is also the run of no server that a mark written
+// before marks named runs stands for: an older daemon's redelivery.
 func (tx *Tx) Settled(jobID, server string, admission uint64) bool {
+	if _, old := tx.data.Runs[""][jobID]; old && admission == 0 {
+		return true
+	}
 	n, ok := tx.data.Runs[server][jobID]
 	return ok && (n == admission || slices.Contains(tx.data.Reused[jobID], booking{server, admission}))
 }

@@ -222,8 +222,9 @@ func TestOpenOldFormatSkipsJobRows(t *testing.T) {
 
 // TestOpenSnapshotWithOldSettledMarks: a snapshot written before settled
 // marks named the run keeps the settled job IDs, each marked true. It
-// opens with each booked as the run of no server and admission 0, and
-// compacts to the current fixture.
+// opens with each booked as the run of no server and admission 0, which
+// a run of admission 0 on any server matches, and compacts to the
+// current fixture.
 func TestOpenSnapshotWithOldSettledMarks(t *testing.T) {
 	dir := t.TempDir()
 	runs := "\"runs\": {\n    \"\": {\n      \"job-1\": 0\n    }\n  }"
@@ -241,7 +242,7 @@ func TestOpenSnapshotWithOldSettledMarks(t *testing.T) {
 	defer d.Close()
 	checkFixtureState(t, d)
 	if err := d.Update(func(tx *Tx) error {
-		if !tx.Settled("job-1", "", 0) || tx.Settled("job-1", "lemieux", 0) {
+		if !tx.Settled("job-1", "", 0) || !tx.Settled("job-1", "lemieux", 0) || tx.Settled("job-1", "lemieux", 7) {
 			t.Error("the old mark is not the booking of no server and admission 0")
 		}
 		return nil

@@ -154,6 +154,11 @@ func appendStr(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
+func appendBytes(b []byte, p []byte) []byte {
+	b = appendU32(b, uint32(len(p)))
+	return append(b, p...)
+}
+
 func appendContract(b []byte, c *qos.Contract) []byte {
 	if c == nil {
 		return append(b, 0)

@@ -6,7 +6,6 @@ import (
 	"faucets/internal/bidding"
 	"faucets/internal/machine"
 	"faucets/internal/qos"
-	"faucets/internal/weather"
 )
 
 // Frame type constants. Requests end in "_req", replies in "_ok";
@@ -232,9 +231,16 @@ type SettleOK struct{}
 // the entire computational grid likely to be…?").
 type WeatherReq struct{}
 
-// WeatherOK carries the report: weather.Report's body, under the wire's
-// name.
-type WeatherOK weather.Report
+// WeatherOK carries the report; the body mirrors weather.Report.
+type WeatherOK struct {
+	Time              float64            `json:"time"`
+	GridUtilization   float64            `json:"grid_utilization"`
+	Servers           int                `json:"servers"`
+	TotalPE           int                `json:"total_pe"`
+	Contracts         int                `json:"contracts"`
+	MeanMultiplier    float64            `json:"mean_multiplier"`
+	BucketMultipliers map[string]float64 `json:"bucket_multipliers,omitempty"`
+}
 
 // HistoryReq asks the Central Server for recent settled contracts
 // similar to a proposed one (§5.2.1: "maintaining a history of every
@@ -245,8 +251,14 @@ type HistoryReq struct {
 	Limit int `json:"limit"`
 }
 
-// HistoryRecord is one settled contract for bid generators.
-type HistoryRecord bidding.HistoryRecord
+// HistoryRecord mirrors one settled contract for bid generators.
+type HistoryRecord struct {
+	Time       float64 `json:"time"`
+	App        string  `json:"app"`
+	MinPE      int     `json:"min_pe"`
+	MaxPE      int     `json:"max_pe"`
+	Multiplier float64 `json:"multiplier"`
+}
 
 // HistoryOK returns the matching recent contracts, newest first.
 type HistoryOK struct {

@@ -38,16 +38,21 @@ func run(name string, s scheduler.Scheduler) {
 			1000-s.UsedPEs(), b.PEs(), s.UsedPEs())
 	}
 
-	// Drive to completion of both jobs.
+	// Drive to completion of both jobs, reading finishes off the log.
+	var log []scheduler.Event
+	s.Record(&log)
 	now := 100.0
 	for (a.State() != job.Finished || b.State() != job.Finished) && now < 1e7 {
 		t, ok := s.NextCompletion(now)
 		if !ok {
 			break
 		}
-		now = t
-		for _, f := range s.Advance(now) {
-			fmt.Printf("t=%-5.0f: %s finished (response %.0fs)\n", now, f.ID, f.ResponseTime())
+		now, log = t, log[:0]
+		s.Advance(now)
+		for _, e := range log {
+			if f := e.Job; e.Kind == scheduler.Finish {
+				fmt.Printf("t=%-5.0f: %s finished (response %.0fs)\n", now, f.ID, f.ResponseTime())
+			}
 		}
 	}
 	fmt.Println()

@@ -57,20 +57,25 @@ func main() {
 	fmt.Printf("t=600   : risk-report arrives → %d batch jobs checkpointed, urgent on %d PEs\n",
 		checkpointed, urgent.PEs())
 
-	// Drive to completion.
+	// Drive to completion, reading finishes off the scheduler's event log.
+	var log []scheduler.Event
+	s.Record(&log)
 	now := 600.0
 	for {
 		t, ok := s.NextCompletion(now)
 		if !ok {
 			break
 		}
-		now = t
-		for _, f := range s.Advance(now) {
-			met := ""
-			if !f.Contract.Payoff.Zero() && f.MetDeadline() {
-				met = " (deadline met)"
+		now, log = t, log[:0]
+		s.Advance(now)
+		for _, e := range log {
+			if f := e.Job; e.Kind == scheduler.Finish {
+				met := ""
+				if !f.Contract.Payoff.Zero() && f.MetDeadline() {
+					met = " (deadline met)"
+				}
+				fmt.Printf("t=%-6.0f: %s finished%s\n", now, f.ID, met)
 			}
-			fmt.Printf("t=%-6.0f: %s finished%s\n", now, f.ID, met)
 		}
 	}
 	fmt.Printf("\nEvery batch job was checkpointed, restarted automatically, and\n")

@@ -29,6 +29,7 @@ package bidding
 import (
 	"fmt"
 
+	"faucets/internal/db"
 	"faucets/internal/machine"
 	"faucets/internal/qos"
 )
@@ -228,11 +229,20 @@ func (u *Utilization) Multiplier(now float64, c *qos.Contract, st ServerState) (
 // HistoryRecord is one settled contract, as kept by the Faucets system's
 // contract history (§5.2.1).
 type HistoryRecord struct {
-	Time       float64
-	App        string
-	MinPE      int
-	MaxPE      int
-	Multiplier float64
+	Time       float64 `json:"time"`
+	App        string  `json:"app"`
+	MinPE      int     `json:"min_pe"`
+	MaxPE      int     `json:"max_pe"`
+	Multiplier float64 `json:"multiplier"`
+}
+
+// HistoryOf is what a history bidder reads of settled contract rows.
+func HistoryOf(rows []db.ContractRecord) []HistoryRecord {
+	out := make([]HistoryRecord, len(rows))
+	for i, r := range rows {
+		out[i] = HistoryRecord{Time: r.Time, App: r.App, MinPE: r.MinPE, MaxPE: r.MaxPE, Multiplier: r.Multiplier}
+	}
+	return out
 }
 
 // HistoryView provides recent settled contracts similar to a proposed

@@ -24,6 +24,7 @@ import (
 
 	"faucets/internal/accounting"
 	"faucets/internal/auth"
+	"faucets/internal/bidding"
 	"faucets/internal/db"
 	"faucets/internal/protocol"
 	"faucets/internal/qos"
@@ -157,18 +158,19 @@ type Server struct {
 	pollPool     *protocol.Pool
 }
 
+// dial is both pools' DialFunc: through s.Dial, so tests that substitute
+// the poller's connection factory also steer peer traffic.
+func (s *Server) dial(addr string, _ time.Duration) (net.Conn, error) { return s.Dial(addr) }
+
 // peerRPC lazily builds the pool carrying federation calls to peer
-// Central Servers. It dials through s.Dial so tests that substitute the
-// poller's connection factory also steer peer traffic.
+// Central Servers.
 func (s *Server) peerRPC() *protocol.Pool {
 	s.peerOnce.Do(func() {
 		s.peerPool = &protocol.Pool{
-			Obs:     s.rpc,
-			PoolObs: telemetry.NewPoolMetrics(s.Metrics, "central"),
-			Retry:   protocol.Retry{Attempts: 2, Base: 50 * time.Millisecond, Max: 500 * time.Millisecond, Stop: s.closed},
-			DialFunc: func(addr string, _ time.Duration) (net.Conn, error) {
-				return s.Dial(addr)
-			},
+			Obs:      s.rpc,
+			PoolObs:  telemetry.NewPoolMetrics(s.Metrics, "central"),
+			Retry:    protocol.Retry{Attempts: 2, Base: 50 * time.Millisecond, Max: 500 * time.Millisecond, Stop: s.closed},
+			DialFunc: s.dial,
 		}
 	})
 	return s.peerPool
@@ -181,12 +183,10 @@ func (s *Server) peerRPC() *protocol.Pool {
 func (s *Server) pollRPC() *protocol.Pool {
 	s.pollPoolOnce.Do(func() {
 		s.pollPool = &protocol.Pool{
-			Size:  1,
-			Obs:   s.rpc,
-			Retry: protocol.Retry{Attempts: 2, Base: 25 * time.Millisecond, Max: 200 * time.Millisecond, Stop: s.closed},
-			DialFunc: func(addr string, _ time.Duration) (net.Conn, error) {
-				return s.Dial(addr)
-			},
+			Size:     1,
+			Obs:      s.rpc,
+			Retry:    protocol.Retry{Attempts: 2, Base: 25 * time.Millisecond, Max: 200 * time.Millisecond, Stop: s.closed},
+			DialFunc: s.dial,
 		}
 	})
 	return s.pollPool
@@ -206,9 +206,7 @@ func NewWithDB(mode accounting.Mode, store *db.DB) *Server {
 	// Recover the price window from history: RecentContracts is newest
 	// first, the aggregate wants arrival order.
 	recs := store.RecentContracts(nil, weather.Window)
-	for i, j := 0, len(recs)-1; i < j; i, j = i+1, j-1 {
-		recs[i], recs[j] = recs[j], recs[i]
-	}
+	slices.Reverse(recs)
 	wagg.Seed(recs)
 	s := &Server{
 		Auth:      auth.New(24 * time.Hour),
@@ -817,20 +815,11 @@ func (s *Server) dispatch(conn *protocol.ReplyConn, f protocol.Frame) error {
 		if limit <= 0 || limit > 500 {
 			limit = 100
 		}
-		recs := weather.SimilarContracts(s.DB, req.MaxPE, limit)
-		out := make([]protocol.HistoryRecord, len(recs))
-		for i, r := range recs {
-			out[i] = protocol.HistoryRecord{Time: r.Time, App: r.App, MinPE: r.MinPE, MaxPE: r.MaxPE, Multiplier: r.Multiplier}
-		}
-		return protocol.WriteFrame(conn, protocol.TypeHistoryOK, protocol.HistoryOK{Records: out})
+		recs := bidding.HistoryOf(weather.SimilarContracts(s.DB, req.MaxPE, limit))
+		return protocol.WriteFrame(conn, protocol.TypeHistoryOK, protocol.HistoryOK{Records: recs})
 
 	case protocol.TypeWeatherReq:
-		r := s.Weather()
-		return protocol.WriteFrame(conn, protocol.TypeWeatherOK, protocol.WeatherOK{
-			Time: r.Time, GridUtilization: r.GridUtilization,
-			Servers: r.Servers, TotalPE: r.TotalPE, Contracts: r.Contracts,
-			MeanMultiplier: r.MeanMultiplier, BucketMultipliers: r.BucketMultipliers,
-		})
+		return protocol.WriteFrame(conn, protocol.TypeWeatherOK, protocol.WeatherOK(s.Weather()))
 
 	default:
 		return fmt.Errorf("central: unsupported frame %q", f.Type)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"faucets/internal/accounting"
+	"faucets/internal/bidding"
 	"faucets/internal/protocol"
 	"faucets/internal/telemetry"
 )
@@ -82,7 +83,7 @@ func TestHistoryBucketFilterAfterSettle(t *testing.T) {
 	addr := startTCP(t, s)
 	conn := dial(t, addr)
 
-	query := func(maxPE int) []protocol.HistoryRecord {
+	query := func(maxPE int) []bidding.HistoryRecord {
 		t.Helper()
 		var reply protocol.HistoryOK
 		if err := protocol.Call(conn, protocol.TypeHistoryReq,

@@ -118,13 +118,11 @@ const verifyCacheMax = 4096
 // of the temporary userid it runs under (§2.2: "the Faucets system runs
 // the job with a temporary userid"), and the admission number its
 // settlement carries (see admit); whether its finish is booked, and
-// whether it has nothing left to deliver (see retireLocked). pes is the
-// allocation last traced for it: its start's, then runLoop's.
+// whether it has nothing left to deliver (see retireLocked).
 type admission struct {
 	j                *job.Job
 	price            float64
 	tmp, num         uint64
-	pes              int
 	settled, retired bool
 }
 
@@ -156,12 +154,10 @@ type Daemon struct {
 	flushCalls []*settleCall
 	flushWG    sync.WaitGroup
 	// kick wakes runLoop after a change to the scheduler's running set
-	// that it did not make itself (submit, kill, recovery), so it
-	// re-arms its timer. One pending kick covers any number of changes.
+	// that it did not make itself (submit, kill, recovery, a catchUp that
+	// left events), so it re-arms its timer and drains the core's events.
+	// One pending kick covers any number of changes.
 	kick chan struct{}
-	// done holds jobs a request handler's catchUp found finished, until
-	// runLoop settles them.
-	done []*job.Job
 
 	// journal persists admissions and the outbox (nil = in-memory only);
 	// jrec is the record journalStage encodes through, under mu.
@@ -519,12 +515,13 @@ func (d *Daemon) verify(user, token string) error {
 }
 
 // runLoop is the execution loop: it advances the scheduler in wall time,
-// queues telemetry, settles finished jobs, and redelivers unacknowledged
-// settlements. It is event-driven, the way gridsim's serverEntity.refresh
-// is: after every pass it arms timer for the wall instant of the
-// scheduler's next event and sleeps until that fires or a kick reports a
-// job arriving or leaving. An idle cluster costs no wakeups. The timer
-// is runLoop's alone, and it closes it on the way out.
+// traces what the core's events say happened, queues telemetry, settles
+// finished jobs, and redelivers unacknowledged settlements. It is
+// event-driven, the way gridsim's serverEntity.refresh is: after every
+// pass it arms timer for the wall instant of the scheduler's next event
+// and sleeps until that fires or a kick reports a job arriving or
+// leaving. An idle cluster costs no wakeups. The timer is runLoop's
+// alone, and it closes it on the way out.
 //
 // runLoop is the only goroutine that calls flushSettlements while the
 // daemon runs (Close calls it once more after runLoop has exited): two
@@ -539,6 +536,9 @@ func (d *Daemon) runLoop(timer *wakeTimer) {
 	sampling := d.cfg.AppSpectorAddr != ""
 	sampleEvery := math.Max(1, telemetryFloor.Seconds()*d.cfg.TimeScale)
 	nextSample := 0.0
+	var events []scheduler.Event
+	var running []*job.Job
+	var text [96]byte
 	for {
 		select {
 		case <-d.closed:
@@ -551,33 +551,17 @@ func (d *Daemon) runLoop(timer *wakeTimer) {
 		}
 		d.met.wakeups.Inc()
 		now := d.Now()
-		type peChange struct {
-			id       string
-			from, to int
-		}
-		var changes []peChange
 		d.mu.Lock()
-		finished := append(d.done, d.core.Advance(now)...)
-		d.done = nil
-		// The scheduler's own view: read only until d.mu is released.
-		running := d.cfg.Scheduler.Running()
+		d.core.Advance(now)
+		// What happened since the last pass, here or in a handler's
+		// catchUp, Submit or Kill (paper §4: jobs start, shrink, expand
+		// and finish), in the order it happened.
+		events = d.core.Drain(events[:0])
 		next, armed := d.cfg.Scheduler.NextCompletion(now)
-		// Adaptive reallocations (paper §4: jobs shrink and expand between
-		// MinPE and MaxPE) surface as span events, against the allocation
-		// last traced: a pass that lands after one still sees it.
-		for _, j := range running {
-			id, pes := string(j.ID), j.PEs()
-			if a, ok := d.jobs[id]; ok && a.pes != pes {
-				if a.pes > 0 {
-					changes = append(changes, peChange{id: id, from: a.pes, to: pes})
-				}
-				a.pes = pes
-				d.jobs[id] = a
-			}
-		}
-		if sampling && len(running) > 0 {
+		if sampling && d.cfg.Scheduler.RunningCount() > 0 {
 			if now >= nextSample {
 				nextSample = now + sampleEvery
+				running = d.cfg.Scheduler.Running(running[:0])
 				for _, j := range running {
 					d.sample(now, j, "")
 				}
@@ -587,24 +571,27 @@ func (d *Daemon) runLoop(timer *wakeTimer) {
 			}
 		}
 		d.met.queueDepth.Set(float64(d.cfg.Scheduler.QueueLen()))
-		d.met.runningJobs.Set(float64(len(running)))
+		d.met.runningJobs.Set(float64(d.cfg.Scheduler.RunningCount()))
 		d.met.usedPEs.Set(float64(d.cfg.Scheduler.UsedPEs()))
 		d.met.outboxDepth.Set(float64(len(d.outbox)))
 		d.mu.Unlock()
 
-		for _, ch := range changes {
-			span := telemetry.SpanExpand
-			if ch.to < ch.from {
-				span = telemetry.SpanShrink
-			}
-			if d.cfg.Tracer != nil {
-				d.trace(ch.id, span, fmt.Sprintf("%d -> %d PEs", ch.from, ch.to))
+		finished := false
+		for _, e := range events {
+			switch {
+			case e.Kind == scheduler.Finish:
+				d.finishJob(now, e.Job)
+				finished = true
+			case d.cfg.Tracer == nil:
+			case e.Kind == scheduler.Start:
+				d.trace(string(e.Job.ID), telemetry.SpanStart, string(startedText(text[:0], d.Name(), e.To)))
+			case e.Kind == scheduler.Shrink:
+				d.trace(string(e.Job.ID), telemetry.SpanShrink, string(resizedText(text[:0], e.From, e.To)))
+			case e.Kind == scheduler.Expand:
+				d.trace(string(e.Job.ID), telemetry.SpanExpand, string(resizedText(text[:0], e.From, e.To)))
 			}
 		}
-		for _, j := range finished {
-			d.finishJob(now, j)
-		}
-		if len(finished) > 0 {
+		if finished {
 			d.settle()
 		}
 
@@ -640,11 +627,10 @@ func (d *Daemon) wallUntil(t float64) time.Duration {
 // job's progress: the run loop wakes only at scheduler events, so
 // whatever reads that progress in between (a status reply, a bid's or
 // an admission's view of the incumbents' remaining work) calls this
-// first. Jobs it finds finished are left for runLoop to settle. Caller
-// holds d.mu.
+// first. What it finds happened waits in the core for runLoop's next
+// pass. Caller holds d.mu.
 func (d *Daemon) catchUp(now float64) {
-	if fin := d.core.Advance(now); len(fin) > 0 {
-		d.done = append(d.done, fin...)
+	if d.core.Advance(now) {
 		d.wake()
 	}
 }
@@ -659,15 +645,12 @@ func (d *Daemon) wake() {
 
 // finishJob books a completed job — settlement queued for runLoop's
 // settle, journal record staged, output written — under d.mu, so a status
-// read that finds the job settled also finds its output.
+// read that finds the job settled also finds its output. The core's one
+// finish event of a job is its one call.
 func (d *Daemon) finishJob(now float64, j *job.Job) {
 	id := string(j.ID)
 	d.mu.Lock()
 	a := d.jobs[id]
-	if a.settled {
-		d.mu.Unlock()
-		return
-	}
 	a.settled = true
 	d.jobs[id] = a
 	cpuUsed := j.CPUUsed()
@@ -1248,16 +1231,12 @@ func (d *Daemon) admit(req *protocol.SubmitReq) (jticket, error) {
 	d.met.jobsAdmitted.Inc()
 	d.tempSeq++
 	num := uint64(d.epoch.UnixNano()) + d.tempSeq
-	d.jobs[req.JobID] = admission{j: j, price: price, tmp: d.tempSeq, num: num, pes: j.PEs()}
+	d.jobs[req.JobID] = admission{j: j, price: price, tmp: d.tempSeq, num: num}
 	d.Stage.CreateJob(req.JobID)
 	t := d.journalStage(journalRecord{
 		Op: jopJob, JobID: req.JobID, Owner: req.User,
 		Price: price, Contract: &c, Admission: num,
 	})
-	if d.cfg.Tracer != nil {
-		var text [96]byte
-		d.trace(req.JobID, telemetry.SpanStart, string(startedText(text[:0], d.Name(), j.PEs())))
-	}
 	// Announced before the wake, so no sample of the job can be queued
 	// ahead of its registration. A client holding SubmitOK may still watch
 	// before the frame lands: AppSpector's watch path waits for it.
@@ -1292,7 +1271,8 @@ func (d *Daemon) terminate(req protocol.KillReq) (state string, t jticket, err e
 	t = d.journalStage(journalRecord{Op: jopDone, JobID: req.JobID})
 	d.retireLocked(req.JobID, a.num)
 	d.met.jobsKilled.Inc()
-	d.sample(now, j, fmt.Sprintf("%s killed by %s", req.JobID, req.User))
+	var text [96]byte
+	d.sample(now, j, string(killedText(text[:0], req.JobID, req.User)))
 	d.wake()
 	return j.State().String(), t, nil
 }
@@ -1309,6 +1289,16 @@ func committedText(b []byte, server string, price float64) []byte {
 // startedText: "started on %s with %d PEs".
 func startedText(b []byte, server string, pes int) []byte {
 	return append(strconv.AppendInt(append(append(append(b, "started on "...), server...), " with "...), int64(pes), 10), " PEs"...)
+}
+
+// resizedText: "%d -> %d PEs".
+func resizedText(b []byte, from, to int) []byte {
+	return append(strconv.AppendInt(append(strconv.AppendInt(b, int64(from), 10), " -> "...), int64(to), 10), " PEs"...)
+}
+
+// killedText: "%s killed by %s".
+func killedText(b []byte, id, user string) []byte {
+	return append(append(append(b, id...), " killed by "...), user...)
 }
 
 // finishedText: "%s finished at %.1f".

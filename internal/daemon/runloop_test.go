@@ -264,7 +264,7 @@ func TestRunLoopWakesAtPhaseBoundary(t *testing.T) {
 // may come after the job's first reallocation. Here the daemon starts
 // serving only once its clock has passed the 2 → 16 PE boundary of a job
 // submitted before, so the first pass finds the job at 16 PEs already and
-// must still trace the expand, against the PEs admit started it on.
+// must still trace the expand, against the PEs the job started on.
 func TestRunLoopSeesAnExpandItCameLateFor(t *testing.T) {
 	tr := telemetry.NewTracer(0)
 	info := protocol.ServerInfo{Spec: spec("turing", 64), Apps: []string{"synth"}}
@@ -292,6 +292,89 @@ func TestRunLoopSeesAnExpandItCameLateFor(t *testing.T) {
 	expand := spans(tr, "phased", telemetry.SpanExpand)
 	if len(expand) != 1 || expand[0].Detail != "2 -> 16 PEs" {
 		t.Fatalf("expand spans = %+v, want one \"2 -> 16 PEs\"", expand)
+	}
+}
+
+// heldDaemon is a 64-PE equipartition daemon, not yet serving, whose
+// clock stands still but for advance, with a tracer to read spans from.
+func heldDaemon(t *testing.T) (*Daemon, *telemetry.Tracer) {
+	t.Helper()
+	tr := telemetry.NewTracer(0)
+	info := protocol.ServerInfo{Spec: spec("turing", 64), Apps: []string{"synth"}}
+	d, err := New(Config{Info: info, Scheduler: scheduler.NewEquipartition(info.Spec, scheduler.Config{}),
+		TimeScale: 1e-6, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	return d, tr
+}
+
+// serve starts d, whose loop then makes its first pass, and waits for
+// that pass to trace job id's span named name.
+func serve(t *testing.T, d *Daemon, tr *telemetry.Tracer, id, name string) {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Start(l); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for len(spans(tr, id, name)) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never traced %s", id, name)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+}
+
+// TestQueuedJobTracesItsRealStart: a job that queues at admission is
+// traced starting when it starts, on the PEs it starts on — not at its
+// admission, on none.
+func TestQueuedJobTracesItsRealStart(t *testing.T) {
+	d, tr := heldDaemon(t)
+	submitJob(t, d, "big", &qos.Contract{App: "synth", MinPE: 64, MaxPE: 64, Work: 64 * 10}) // 10 s
+	submitJob(t, d, "next", contract(16*100))                                                // queued behind it
+	if got := spans(tr, "next", telemetry.SpanStart); len(got) != 0 {
+		t.Fatalf("a queued job traced its start at admission: %+v", got)
+	}
+	advance(d, 15) // past big's finish
+	serve(t, d, tr, "next", telemetry.SpanStart)
+	start, fin := spans(tr, "next", telemetry.SpanStart), spans(tr, "big", telemetry.SpanFinish)
+	if len(start) != 1 || start[0].Detail != "started on turing with 16 PEs" {
+		t.Fatalf("next's start spans = %+v, want one \"started on turing with 16 PEs\"", start)
+	}
+	if len(fin) != 1 || start[0].Wall.Before(fin[0].Wall) {
+		t.Fatalf("next's start %+v was traced before big's finish %+v", start, fin)
+	}
+}
+
+// TestExpandNoPassSawIsTraced: a job that expands at its phase boundary
+// and finishes before any pass of the loop runs still has its expand
+// traced, once, ahead of its finish: the core recorded both when they
+// happened.
+func TestExpandNoPassSawIsTraced(t *testing.T) {
+	d, tr := heldDaemon(t)
+	c := contract(200)
+	c.Phases = []qos.Phase{
+		{Name: "setup", Work: 40, MinPE: 2, MaxPE: 2},   // 20 s on 2 PEs
+		{Name: "solve", Work: 160, MinPE: 2, MaxPE: 16}, // then 10 s on 16
+	}
+	submitJob(t, d, "phased", c)
+	advance(d, 35) // past the boundary and the finish
+	serve(t, d, tr, "phased", telemetry.SpanFinish)
+	var names []string
+	for _, ev := range tr.Events("phased") {
+		names = append(names, ev.Name)
+	}
+	want := []string{telemetry.SpanContract, telemetry.SpanStart, telemetry.SpanExpand, telemetry.SpanFinish}
+	if fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Fatalf("spans %v, want %v", names, want)
+	}
+	if expand := spans(tr, "phased", telemetry.SpanExpand); expand[0].Detail != "2 -> 16 PEs" {
+		t.Fatalf("expand span %+v, want \"2 -> 16 PEs\"", expand)
 	}
 }
 

@@ -21,6 +21,8 @@ func TestTripTextsMatchFmt(t *testing.T) {
 	out, n := outputText(nil, 12.34, "job-7", 42, 200, 199.5)
 	check(committedText(nil, "turing", 16.25), "committed to turing at price 16.25")
 	check(startedText(nil, "turing", 16), "started on turing with 16 PEs")
+	check(resizedText(nil, 2, 16), "2 -> 16 PEs")
+	check(killedText(nil, "job-7", "alice"), "job-7 killed by alice")
 	check(finishedText(nil, "job-7", 12.34), "job-7 finished at 12.3")
 	check(cpuText(nil, 199.5), "200 CPU-seconds")
 	check(out[:n], "[12.3] job-7 completed as fauc-tmp-000042: 200 CPU-seconds\n")
@@ -38,7 +40,15 @@ func TestTripTextsMatchFmt(t *testing.T) {
 			check(out[n:], fmt.Sprintf("job=%s user=fauc-tmp-%06d work=%.0f cpu=%.0f\n", "job-1", tmp, -x, x))
 		}
 	}
-	for _, pes := range []int{0, 1, 9, 10, 255, 256, -1, math.MaxInt, math.MinInt} {
+	pess := []int{0, 1, 9, 10, 255, 256, -1, math.MaxInt, math.MinInt}
+	for _, pes := range pess {
 		check(startedText(nil, "lemieux", pes), fmt.Sprintf("started on %s with %d PEs", "lemieux", pes))
+		for _, to := range pess {
+			check(resizedText(nil, pes, to), fmt.Sprintf("%d -> %d PEs", pes, to))
+		}
+	}
+	for _, s := range []string{"", "bob", "job with spaces", "π%d\x00"} {
+		check(killedText(nil, s, "alice"), fmt.Sprintf("%s killed by %s", s, "alice"))
+		check(killedText(nil, "job-1", s), fmt.Sprintf("%s killed by %s", "job-1", s))
 	}
 }

@@ -52,15 +52,7 @@ func (c *centralWeather) fetch() (weather.Report, bool) {
 	if err != nil {
 		return weather.Report{}, false
 	}
-	return weather.Report{
-		Time:              reply.Time,
-		GridUtilization:   reply.GridUtilization,
-		Servers:           reply.Servers,
-		TotalPE:           reply.TotalPE,
-		Contracts:         reply.Contracts,
-		MeanMultiplier:    reply.MeanMultiplier,
-		BucketMultipliers: reply.BucketMultipliers,
-	}, true
+	return weather.Report(reply), true
 }
 
 // centralHistory implements bidding.HistoryView over the wire: the
@@ -76,9 +68,5 @@ func (c *centralHistory) SimilarContracts(now float64, ct *qos.Contract, limit i
 	if err != nil {
 		return nil
 	}
-	out := make([]bidding.HistoryRecord, len(reply.Records))
-	for i, r := range reply.Records {
-		out[i] = bidding.HistoryRecord(r)
-	}
-	return out
+	return reply.Records
 }

@@ -127,9 +127,11 @@ type serverEntity struct {
 	name string
 	home string
 	core server.Core
-	// The core's scheduler and sched.Spec(), kept for reading.
+	// The core's scheduler and spec, kept for reading.
 	sched scheduler.Scheduler
 	spec  machine.Spec
+	// events is what onCompletion drains the core into, reused.
+	events []scheduler.Event
 
 	completion sim.Event // the next completion, re-armed by refresh
 	util       *sim.TimeWeighted
@@ -260,11 +262,15 @@ func (s *serverEntity) refresh(now float64) {
 	s.g.eng.Rearm(&s.completion, sim.Time(t))
 }
 
-// onCompletion advances the scheduler and settles finished jobs.
+// onCompletion advances the scheduler and settles the jobs its events
+// say finished.
 func (s *serverEntity) onCompletion(now float64) {
-	finished := s.core.Advance(now)
-	for _, j := range finished {
-		s.settle(now, j)
+	s.core.Advance(now)
+	s.events = s.core.Drain(s.events[:0])
+	for _, e := range s.events {
+		if e.Kind == scheduler.Finish {
+			s.settle(now, e.Job)
+		}
 	}
 	s.refresh(now)
 }
@@ -384,7 +390,8 @@ func (st *Storage) run(cfg Config, trace *workload.Trace) (*Result, *gridRun, er
 		Credits:     map[string]float64{},
 		DB:          store,
 	}
-	// Each server's entity is reused, and with it its core's hold table.
+	// Each server's entity is reused, and with it its core's hold table
+	// and event log.
 	st.servers = slices.Grow(st.servers[:0], len(cfg.Servers))[:len(cfg.Servers)]
 	for i, sc := range cfg.Servers {
 		if err := sc.Spec.Validate(); err != nil {
@@ -411,8 +418,8 @@ func (st *Storage) run(cfg Config, trace *workload.Trace) (*Result, *gridRun, er
 		}
 		sched := factory(sc.Spec, cfg.SchedCfg)
 		ent := &st.servers[i]
-		*ent = serverEntity{g: g, name: sc.Spec.Name, home: home, core: ent.core,
-			sched: sched, spec: sched.Spec(), util: g.metrics.L("util." + sc.Spec.Name)}
+		*ent = serverEntity{g: g, name: sc.Spec.Name, home: home, core: ent.core, events: ent.events,
+			sched: sched, spec: sc.Spec, util: g.metrics.L("util." + sc.Spec.Name)}
 		ent.core.Reset(ent.spec, sched, sc.Bidder)
 		ent.completion = sim.Event{Name: "completion:" + sc.Spec.Name,
 			Fn: func(e *sim.Engine) { ent.onCompletion(float64(e.Now())) }}
@@ -539,12 +546,7 @@ type storeHistoryView struct{ store *db.DB }
 
 // SimilarContracts implements bidding.HistoryView.
 func (v storeHistoryView) SimilarContracts(now float64, c *qos.Contract, limit int) []bidding.HistoryRecord {
-	recs := weather.SimilarContracts(v.store, c.MaxPE, limit)
-	out := make([]bidding.HistoryRecord, len(recs))
-	for i, r := range recs {
-		out[i] = bidding.HistoryRecord{Time: r.Time, App: r.App, MinPE: r.MinPE, MaxPE: r.MaxPE, Multiplier: r.Multiplier}
-	}
-	return out
+	return bidding.HistoryOf(weather.SimilarContracts(v.store, c.MaxPE, limit))
 }
 
 // gridWeatherSource computes §5.2.1 reports from the simulated fleet.

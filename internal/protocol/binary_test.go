@@ -285,7 +285,7 @@ func TestFrameArrivesAsSingleWrite(t *testing.T) {
 		typ  string
 		body any
 	}{
-		CodecJSON:   {TypeHistoryOK, HistoryOK{Records: []HistoryRecord{{App: "synth", MaxPE: 8}}}},
+		CodecJSON:   {TypeHistoryOK, HistoryOK{Records: []bidding.HistoryRecord{{App: "synth", MaxPE: 8}}}},
 		CodecBinary: {TypeBidOK, BidOK{Bid: testBid()}},
 	} {
 		cli, srv := net.Pipe()

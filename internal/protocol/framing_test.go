@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"faucets/internal/bidding"
 	"faucets/internal/qos"
 )
 
@@ -368,5 +369,34 @@ func TestFrameReaderStagingFrame(t *testing.T) {
 	}
 	if len(fr.buf) > maxPooledBuf {
 		t.Fatalf("reader still pins %d bytes after a small frame", len(fr.buf))
+	}
+}
+
+// TestWeatherAndHistoryBodies pins the weather_ok and history_ok frames
+// byte for byte: WeatherOK is weather.Report's fields and HistoryOK's
+// records are the history bidder's own type, each with its json tags.
+func TestWeatherAndHistoryBodies(t *testing.T) {
+	for _, c := range []struct {
+		typ  string
+		body any
+		want string
+	}{
+		{TypeWeatherOK, WeatherOK{Time: 12.5, GridUtilization: 0.25, Servers: 3, TotalPE: 192, Contracts: 7,
+			MeanMultiplier: 1.125, BucketMultipliers: map[string]float64{"small": 0.5, "large": 2}},
+			"\x00\x00\x00\xb7{\"id\":7,\"type\":\"weather_ok\",\"body\":{\"time\":12.5,\"grid_utilization\":0.25,\"servers\":3,\"total_pe\":192,\"contracts\":7,\"mean_multiplier\":1.125,\"bucket_multipliers\":{\"large\":2,\"small\":0.5}}}"},
+		{TypeWeatherOK, WeatherOK{},
+			"\x00\x00\x00~{\"id\":7,\"type\":\"weather_ok\",\"body\":{\"time\":0,\"grid_utilization\":0,\"servers\":0,\"total_pe\":0,\"contracts\":0,\"mean_multiplier\":0}}"},
+		{TypeHistoryOK, HistoryOK{Records: []bidding.HistoryRecord{{Time: 4, App: "synth", MinPE: 2, MaxPE: 16, Multiplier: 1.5}, {App: "namd"}}},
+			"\x00\x00\x00\xaf{\"id\":7,\"type\":\"history_ok\",\"body\":{\"records\":[{\"time\":4,\"app\":\"synth\",\"min_pe\":2,\"max_pe\":16,\"multiplier\":1.5},{\"time\":0,\"app\":\"namd\",\"min_pe\":0,\"max_pe\":0,\"multiplier\":0}]}}"},
+		{TypeHistoryOK, HistoryOK{},
+			"\x00\x00\x004{\"id\":7,\"type\":\"history_ok\",\"body\":{\"records\":null}}"},
+	} {
+		got, err := AppendFrame(nil, CodecJSON, 7, c.typ, c.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != c.want {
+			t.Errorf("%s frame %q, want %q", c.typ, got, c.want)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"faucets/internal/bidding"
 	"faucets/internal/machine"
 	"faucets/internal/qos"
+	"faucets/internal/weather"
 )
 
 // Frame type constants. Requests end in "_req", replies in "_ok";
@@ -231,16 +232,8 @@ type SettleOK struct{}
 // the entire computational grid likely to be…?").
 type WeatherReq struct{}
 
-// WeatherOK carries the report; the body mirrors weather.Report.
-type WeatherOK struct {
-	Time              float64            `json:"time"`
-	GridUtilization   float64            `json:"grid_utilization"`
-	Servers           int                `json:"servers"`
-	TotalPE           int                `json:"total_pe"`
-	Contracts         int                `json:"contracts"`
-	MeanMultiplier    float64            `json:"mean_multiplier"`
-	BucketMultipliers map[string]float64 `json:"bucket_multipliers,omitempty"`
-}
+// WeatherOK carries the report, as weather.Report's own fields.
+type WeatherOK weather.Report
 
 // HistoryReq asks the Central Server for recent settled contracts
 // similar to a proposed one (§5.2.1: "maintaining a history of every
@@ -251,18 +244,9 @@ type HistoryReq struct {
 	Limit int `json:"limit"`
 }
 
-// HistoryRecord mirrors one settled contract for bid generators.
-type HistoryRecord struct {
-	Time       float64 `json:"time"`
-	App        string  `json:"app"`
-	MinPE      int     `json:"min_pe"`
-	MaxPE      int     `json:"max_pe"`
-	Multiplier float64 `json:"multiplier"`
-}
-
 // HistoryOK returns the matching recent contracts, newest first.
 type HistoryOK struct {
-	Records []HistoryRecord `json:"records"`
+	Records []bidding.HistoryRecord `json:"records"`
 }
 
 // WeatherDigest is the compact grid-weather summary a Central Server

@@ -213,10 +213,10 @@ func (e *Equipartition) reallocate(now float64) {
 }
 
 // Advance implements Scheduler.
-func (e *Equipartition) Advance(now float64) []*job.Job {
+func (e *Equipartition) Advance(now float64) {
 	// Progress moves phase bounds even when nothing is due.
 	e.kept.fresh = false
-	return e.advanceCore(now, e.reallocate)
+	e.advanceCore(now, e.reallocate)
 }
 
 // EstimateCompletion implements Scheduler: assume the new job receives

@@ -147,9 +147,7 @@ func (f *FCFS) earliestFit(now float64, pe int) (float64, bool) {
 }
 
 // Advance implements Scheduler.
-func (f *FCFS) Advance(now float64) []*job.Job {
-	return f.advanceCore(now, f.dispatch)
-}
+func (f *FCFS) Advance(now float64) { f.advanceCore(now, f.dispatch) }
 
 // EstimateCompletion implements Scheduler: the job would start at the
 // earliest time its rigid allocation fits behind the current queue, then

@@ -297,7 +297,7 @@ func (p *Profit) reallocate(now float64) {
 				continue
 			}
 			i, _ := p.find(pe.j.ID)
-			p.finish(i)
+			p.finish(now, i, Stop)
 			p.preemptions++
 			preempted = append(preempted, pe.j)
 		}
@@ -309,9 +309,7 @@ func (p *Profit) reallocate(now float64) {
 }
 
 // Advance implements Scheduler.
-func (p *Profit) Advance(now float64) []*job.Job {
-	return p.advanceCore(now, p.reallocate)
-}
+func (p *Profit) Advance(now float64) { p.advanceCore(now, p.reallocate) }
 
 // EstimateCompletion implements Scheduler: the verdict Submit would give
 // a job with contract c submitted now.

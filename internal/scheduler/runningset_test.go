@@ -96,7 +96,7 @@ func TestRunningSetInvariantProperty(t *testing.T) {
 					case 'e':
 						s.Evict(o.now, o.id)
 					}
-					run := s.Running()
+					run := s.Running(nil)
 					pes := 0
 					for i, j := range run {
 						if i > 0 && run[i-1].ID >= j.ID {
@@ -398,6 +398,8 @@ func TestEquipartitionMatchesNaiveReference(t *testing.T) {
 	finished := 0
 	for seed := uint64(1); seed <= 40; seed++ {
 		got, want := NewEquipartition(spec(32), cfg), newRefEquipartition(spec(32), cfg)
+		var log []Event
+		got.Record(&log)
 		for step, o := range randomOps(t, seed, 300) {
 			at := fmt.Sprintf("seed %d step %d (%c)", seed, step, o.kind)
 			switch o.kind {
@@ -406,7 +408,9 @@ func TestEquipartitionMatchesNaiveReference(t *testing.T) {
 					t.Fatalf("%s: Submit %v, reference %v", at, g, w)
 				}
 			case 'a':
-				g, w := got.Advance(o.now), want.Advance(o.now)
+				log = log[:0]
+				got.Advance(o.now)
+				g, w := finishes(log), want.Advance(o.now)
 				if len(g) != len(w) {
 					t.Fatalf("%s: Advance finished %d jobs, reference %d", at, len(g), len(w))
 				}
@@ -437,7 +441,7 @@ func TestEquipartitionMatchesNaiveReference(t *testing.T) {
 					t.Fatalf("%s: EstimateCompletion(probe %d) %v %v, reference %v %v", at, i, ge, gok, we, wok)
 				}
 			}
-			run, ref := got.Running(), want.sorted()
+			run, ref := got.Running(nil), want.sorted()
 			if len(run) != len(ref) || got.QueueLen() != len(want.queue) {
 				t.Fatalf("%s: %d running %d queued, reference %d and %d", at, len(run), got.QueueLen(), len(ref), len(want.queue))
 			}

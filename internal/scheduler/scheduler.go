@@ -36,16 +36,16 @@ import (
 type Scheduler interface {
 	// Name identifies the strategy ("fcfs", "equipartition", …).
 	Name() string
-	// Spec returns the machine this scheduler manages.
-	Spec() machine.Spec
 	// Submit offers a job at time now. It returns false when the job is
 	// rejected outright (cannot ever run, or fails admission control);
 	// true means the job is running or queued.
 	Submit(now float64, j *job.Job) bool
 	// Advance moves virtual time forward to now, completing jobs whose
-	// work finishes at or before now, and returns them in completion
-	// order.
-	Advance(now float64) []*job.Job
+	// work finishes at or before now.
+	Advance(now float64)
+	// Record makes *log, which the caller owns and truncates, the log
+	// every later change to a running job's processors is appended to.
+	Record(log *[]Event)
 	// NextCompletion predicts the next instant at which Advance has
 	// something to do under current allocations: the earliest completion
 	// among running jobs, or an earlier phase boundary (a reallocation
@@ -64,11 +64,8 @@ type Scheduler interface {
 	QueueLen() int
 	// RunningCount returns the number of executing jobs.
 	RunningCount() int
-	// Running returns the executing jobs, ascending by ID. The slice is
-	// the scheduler's own view, rewritten in place whenever a job starts
-	// or leaves: read it before the next Submit, Advance or Kill, under
-	// whatever lock serializes those calls, and copy it to keep it.
-	Running() []*job.Job
+	// Running appends the executing jobs to dst, ascending by ID.
+	Running(dst []*job.Job) []*job.Job
 	// Kill terminates a job (running or queued) at time now, freeing its
 	// processors; remaining capacity is redistributed. It returns false
 	// when the job is unknown or already terminal.
@@ -122,6 +119,26 @@ type Config struct {
 	Preempt bool
 }
 
+// Kind is what happened to a running job's processors.
+type Kind uint8
+
+const (
+	Start  Kind = iota + 1 // started, or restarted from a checkpoint
+	Shrink                 // fewer processors
+	Expand                 // more processors
+	Finish                 // its work completed
+	Stop                   // killed or checkpointed
+)
+
+// Event is one change to a job's processors, From → To, at virtual
+// instant T. Nothing else moves a job between processor counts.
+type Event struct {
+	T        float64
+	Job      *job.Job
+	Kind     Kind
+	From, To int
+}
+
 // entry is one member of the running set: a job, its processors, and
 // the size the latest reallocation planned for it.
 type entry struct {
@@ -141,11 +158,8 @@ type cluster struct {
 	// order every reader wants. Only start inserts and only finish
 	// removes; readers walk it in place.
 	running []entry
-	// view is running's jobs in the same order, what Running hands out.
-	// start and finish rewrite it whole and nothing in this package reads
-	// it, so a caller scribbling on it cannot corrupt the scheduler.
-	view  []*job.Job
-	queue []*job.Job // admitted, waiting to start (FIFO)
+	queue   []*job.Job // admitted, waiting to start (FIFO)
+	log     *[]Event   // Record's, or nil
 }
 
 func newCluster(spec machine.Spec, cfg Config) *cluster {
@@ -155,25 +169,33 @@ func newCluster(spec machine.Spec, cfg Config) *cluster {
 	return &cluster{spec: spec, alloc: machine.NewAllocator(spec.NumPE), cfg: cfg}
 }
 
-func (c *cluster) Spec() machine.Spec  { return c.spec }
-func (c *cluster) UsedPEs() int        { return c.alloc.Used() }
-func (c *cluster) QueueLen() int       { return len(c.queue) }
-func (c *cluster) RunningCount() int   { return len(c.running) }
-func (c *cluster) Running() []*job.Job { return c.view }
+func (c *cluster) UsedPEs() int      { return c.alloc.Used() }
+func (c *cluster) QueueLen() int     { return len(c.queue) }
+func (c *cluster) RunningCount() int { return len(c.running) }
+
+// Running implements Scheduler.
+func (c *cluster) Running(dst []*job.Job) []*job.Job {
+	for _, e := range c.running {
+		dst = append(dst, e.j)
+	}
+	return dst
+}
+
+// Record implements Scheduler.
+func (c *cluster) Record(log *[]Event) { c.log = log }
+
+// record appends one event to the log, if there is one.
+func (c *cluster) record(t float64, j *job.Job, k Kind, from, to int) {
+	if c.log != nil {
+		*c.log = append(*c.log, Event{t, j, k, from, to})
+	}
+}
 
 // find returns id's index in the running set, or where it would go.
 func (c *cluster) find(id job.ID) (int, bool) {
 	return slices.BinarySearchFunc(c.running, id, func(e entry, id job.ID) int {
 		return cmp.Compare(e.j.ID, id)
 	})
-}
-
-// syncView rewrites Running's view after the running set changed.
-func (c *cluster) syncView() {
-	c.view = c.view[:0]
-	for _, e := range c.running {
-		c.view = append(c.view, e.j)
-	}
 }
 
 // feasible reports whether the contract could ever run on this machine.
@@ -196,16 +218,18 @@ func (c *cluster) start(now float64, j *job.Job, pe int) error {
 		return err
 	}
 	c.running = slices.Insert(c.running, i, entry{j: j, alloc: a, target: pe})
-	c.syncView()
+	c.record(now, j, Start, 0, pe)
 	return nil
 }
 
-// finish releases the processors of running[i] — completed, killed or
-// checkpointed — and drops it from the running set.
-func (c *cluster) finish(i int) {
-	c.alloc.Release(c.running[i].alloc)
+// finish releases the processors of running[i] at t — completed (kind
+// Finish), killed or checkpointed (Stop) — and drops it from the running
+// set.
+func (c *cluster) finish(t float64, i int, kind Kind) {
+	e := c.running[i]
+	c.record(t, e.j, kind, e.alloc.Size(), 0)
+	c.alloc.Release(e.alloc)
 	c.running = slices.Delete(c.running, i, i+1)
-	c.syncView()
 }
 
 // apply moves the machine to a plan: every running job's planned size is
@@ -215,11 +239,13 @@ func (c *cluster) finish(i int) {
 // last pass skips it; then expand.
 func (c *cluster) apply(now float64, queued func(k int) int) {
 	for _, ent := range c.running {
-		if ent.target == 0 || ent.target >= ent.alloc.Size() {
+		from := ent.alloc.Size()
+		if ent.target == 0 || ent.target >= from {
 			continue
 		}
 		if err := c.alloc.Shrink(ent.alloc, ent.target); err == nil {
 			_ = ent.j.Reconfigure(now, ent.target, c.cfg.ReconfigLatency)
+			c.record(now, ent.j, Shrink, from, ent.target)
 		}
 	}
 	kept := c.queue[:0]
@@ -231,45 +257,31 @@ func (c *cluster) apply(now float64, queued func(k int) int) {
 	clear(c.queue[len(kept):])
 	c.queue = kept
 	for _, ent := range c.running {
-		if ent.target <= ent.alloc.Size() {
+		from := ent.alloc.Size()
+		if ent.target <= from {
 			continue
 		}
 		if err := c.alloc.Expand(ent.alloc, ent.target); err == nil {
 			_ = ent.j.Reconfigure(now, ent.target, c.cfg.ReconfigLatency)
+			c.record(now, ent.j, Expand, from, ent.target)
 		}
 	}
+}
+
+// earliest returns the earliest instant at reports over the running jobs.
+func (c *cluster) earliest(at func(*job.Job) (float64, bool)) (best float64, ok bool) {
+	for _, e := range c.running {
+		if t, tok := at(e.j); tok && (!ok || t < best) {
+			best, ok = t, true
+		}
+	}
+	return best, ok
 }
 
 // nextCompletion returns the earliest predicted completion among running
 // jobs, assuming allocations stay fixed.
 func (c *cluster) nextCompletion(now float64) (float64, bool) {
-	best, ok := 0.0, false
-	for _, e := range c.running {
-		t, tok := e.j.CompletionTime(now)
-		if !tok {
-			continue
-		}
-		if !ok || t < best {
-			best, ok = t, true
-		}
-	}
-	return best, ok
-}
-
-// nextPhaseBoundary returns the earliest upcoming phase transition among
-// running multi-phase jobs.
-func (c *cluster) nextPhaseBoundary() (float64, bool) {
-	best, ok := 0.0, false
-	for _, e := range c.running {
-		t, tok := e.j.NextPhaseBoundary()
-		if !tok {
-			continue
-		}
-		if !ok || t < best {
-			best, ok = t, true
-		}
-	}
-	return best, ok
+	return c.earliest(func(j *job.Job) (float64, bool) { return j.CompletionTime(now) })
 }
 
 // nextEvent returns the earliest pending completion or phase boundary,
@@ -277,7 +289,7 @@ func (c *cluster) nextPhaseBoundary() (float64, bool) {
 // progress puts it, so it lies before now when the caller is late.
 func (c *cluster) nextEvent(now float64) (t float64, boundary, ok bool) {
 	tc, okc := c.nextCompletion(now)
-	tb, okb := c.nextPhaseBoundary()
+	tb, okb := c.earliest((*job.Job).NextPhaseBoundary) // the upcoming phase transition
 	if okb && (!okc || tb < tc) {
 		return tb, true, true
 	}
@@ -291,25 +303,24 @@ func (c *cluster) NextCompletion(now float64) (float64, bool) {
 }
 
 // sweep books every running job's progress up to t and finishes, in ID
-// order, those whose work completes by then, appending them to done.
-func (c *cluster) sweep(t float64, done []*job.Job) []*job.Job {
+// order, those whose work completes by then. It reports whether any did.
+func (c *cluster) sweep(t float64) (finished bool) {
 	for i := 0; i < len(c.running); {
 		if j := c.running[i].j; j.AdvanceTo(t) {
-			c.finish(i)
-			done = append(done, j)
+			c.finish(j.FinishTime, i, Finish)
+			finished = true
 		} else {
 			i++
 		}
 	}
-	return done
+	return finished
 }
 
 // advanceCore completes jobs up to time now, invoking onChange(t) at
 // each completion instant and each phase boundary, so the owning
 // strategy can reallocate and start queued work at exactly the right
-// moments. Finished jobs are returned in completion order.
-func (c *cluster) advanceCore(now float64, onChange func(t float64)) []*job.Job {
-	var done []*job.Job
+// moments.
+func (c *cluster) advanceCore(now float64, onChange func(t float64)) {
 	for {
 		t, boundary, ok := c.nextEvent(now)
 		if !ok || t > now {
@@ -324,18 +335,16 @@ func (c *cluster) advanceCore(now float64, onChange func(t float64)) []*job.Job 
 		if boundary {
 			target += 1e-9
 		}
-		done = c.sweep(target, done)
+		c.sweep(target)
 		onChange(t)
 	}
 	// Book progress up to now for everything still running. A job whose
 	// completion lands within floating-point epsilon of now can finish
 	// here even though the prediction loop above placed it just past now
 	// — collect it like any other completion.
-	n := len(done)
-	if done = c.sweep(now, done); len(done) > n {
+	if c.sweep(now) {
 		onChange(now)
 	}
-	return done
 }
 
 // Waiting implements the shared part of Scheduler.Waiting.
@@ -368,7 +377,7 @@ func (c *cluster) killCore(now float64, id job.ID) bool {
 		if err := j.Kill(now); err != nil {
 			return false
 		}
-		c.finish(i)
+		c.finish(now, i, Stop)
 		return true
 	}
 	for i, q := range c.queue {

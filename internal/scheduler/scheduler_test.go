@@ -26,6 +26,8 @@ func mk(id string, minPE, maxPE int, work float64) *job.Job {
 // finish times by job ID.
 func drain(s Scheduler, until float64) map[job.ID]float64 {
 	out := map[job.ID]float64{}
+	var log []Event
+	s.Record(&log)
 	now := 0.0
 	for {
 		t, ok := s.NextCompletion(now)
@@ -33,8 +35,20 @@ func drain(s Scheduler, until float64) map[job.ID]float64 {
 			break
 		}
 		now = t
-		for _, j := range s.Advance(now) {
-			out[j.ID] = j.FinishTime
+		s.Advance(now)
+	}
+	for _, j := range finishes(log) {
+		out[j.ID] = j.FinishTime
+	}
+	return out
+}
+
+// finishes returns the jobs log records finishing, in order.
+func finishes(log []Event) []*job.Job {
+	var out []*job.Job
+	for _, e := range log {
+		if e.Kind == Finish {
+			out = append(out, e.Job)
 		}
 	}
 	return out
@@ -528,7 +542,7 @@ func TestSchedulerCapacityProperty(t *testing.T) {
 			if s.UsedPEs() > 32 {
 				return false
 			}
-			for _, r := range s.Running() {
+			for _, r := range s.Running(nil) {
 				if r.PEs() < r.Contract.MinPE || r.PEs() > r.Contract.MaxPE {
 					return false
 				}

@@ -42,6 +42,9 @@ type Core struct {
 	queued float64         // Σ Contract.Work of admitted jobs not yet gone
 	holds  map[string]hold // lapsed ones too, until a sweep
 	swept  int             // holds the last sweep left
+	// events is the scheduler's log until Drain. It outlives the
+	// scheduler: Reset hands the same storage to the next one.
+	events []scheduler.Event
 
 	// Dropped, if set, is called with the job ID of each hold that ends
 	// without an admission: lapsed, or spent by a refused submit. The
@@ -50,13 +53,15 @@ type Core struct {
 }
 
 // Reset makes c the core of a server with spec, sched and bidder (nil:
-// the baseline), nothing queued or held; the hold table keeps its room.
+// the baseline), nothing queued, held or recorded; the hold table and
+// the event log keep their room.
 func (c *Core) Reset(spec machine.Spec, sched scheduler.Scheduler, bidder bidding.Generator) {
 	if bidder == nil {
 		bidder = bidding.Baseline{}
 	}
 	clear(c.holds)
-	*c = Core{spec: spec, sched: sched, est: sched, bidder: bidder, holds: c.holds, Dropped: c.Dropped}
+	*c = Core{spec: spec, sched: sched, est: sched, bidder: bidder, holds: c.holds, events: c.events[:0], Dropped: c.Dropped}
+	sched.Record(&c.events)
 }
 
 // State is what a bid for ct at now is priced from.
@@ -125,12 +130,11 @@ func (c *Core) Submit(now float64, j *job.Job) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("server: %s refuses job %s: %w", c.spec.Name, id, err)
 	}
-	if !c.sched.Submit(now, j) {
+	if !c.Adopt(now, j) {
 		c.drop(id)
 		return 0, fmt.Errorf("server: %s refused job %s at submission", c.spec.Name, id)
 	}
 	delete(c.holds, id)
-	c.queued += j.Contract.Work
 	return price, nil
 }
 
@@ -143,13 +147,27 @@ func (c *Core) Adopt(now float64, j *job.Job) bool {
 	return true
 }
 
-// Advance moves the scheduler to now and returns the jobs that finished.
-func (c *Core) Advance(now float64) []*job.Job {
-	fin := c.sched.Advance(now)
-	for _, j := range fin {
-		c.unqueue(j)
+// Advance moves the scheduler to now, taking the work of each job that
+// finished out of the queue, and reports whether events wait for Drain.
+func (c *Core) Advance(now float64) bool {
+	n := len(c.events)
+	c.sched.Advance(now)
+	for _, e := range c.events[n:] {
+		if e.Kind == scheduler.Finish {
+			c.unqueue(e.Job)
+		}
 	}
-	return fin
+	return len(c.events) > 0
+}
+
+// Drain appends to dst, in the order they happened, the scheduler's
+// events since the last Drain — what Submit, Adopt, Advance and Kill did
+// to running jobs' processors — and forgets them. It is the one way a
+// finish leaves the core.
+func (c *Core) Drain(dst []scheduler.Event) []scheduler.Event {
+	dst = append(dst, c.events...)
+	c.events = c.events[:0]
+	return dst
 }
 
 // Kill terminates j and reports whether it was live.

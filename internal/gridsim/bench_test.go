@@ -28,10 +28,13 @@ func replayCase(tb testing.TB, jobs *int) func() {
 // BenchmarkReplayFlashCrowd times replayCase, so ns/op here is the
 // bench's gridsim.replay_p50_ms probe and latency_p50_ms on sim-sweep,
 // and B/op ÷ jobs is its alloc_kb_per_job. Each replay reuses the
-// per-job storage of the one before it: on go1.24 a replay costs
-// ≈80 700 B/op and 2 681 allocs/op. TestReplayFlashCrowdAllocs holds
-// allocs/op under 4 000: one more transient per job would add ≈1.7k.
-// TestReplayFlashCrowdBytes holds B/op under 400 000.
+// per-job storage of the one before it and recycles its schedulers: on
+// go1.24 a replay costs ≈18 400 B/op and 166 allocs/op over 300 replays
+// (61 772 and 921 while each replay built its schedulers anew; a short
+// run adds the first replay's ≈1.13 MB over b.N).
+// TestReplayFlashCrowdAllocs holds allocs/op under 325: one more
+// transient per job would add ≈1.7k. TestReplayFlashCrowdBytes holds
+// B/op under 27 000.
 func BenchmarkReplayFlashCrowd(b *testing.B) {
 	jobs := 0
 	replay := replayCase(b, &jobs)

@@ -223,8 +223,8 @@ func (s *serverEntity) Post(now float64, c *qos.Contract) (bidding.Bid, bool) {
 }
 
 // Commit implements market.ServerPort: phase two and the start at one
-// instant — the core holds the job for its user and the submit spends
-// the hold — since a simulated client has no files to stage in between.
+// instant, through the core's Place, since a simulated client has no
+// files to stage in between. No hold enters the core's table.
 func (s *serverEntity) Commit(now float64, jobID string, b bidding.Bid) error {
 	stat(&s.g.commits, s.g.metrics.C, "messages.commit").Inc()
 	pl, ok := s.g.placing[jobID]
@@ -234,12 +234,11 @@ func (s *serverEntity) Commit(now float64, jobID string, b bidding.Bid) error {
 	if !s.g.acct.CanAfford(pl.j.Owner, pl.home, s.home, b.Price) {
 		return fmt.Errorf("gridsim: %s cannot afford %s on %s", pl.j.Owner, jobID, s.name)
 	}
-	if err := s.core.Commit(now, jobID, pl.j.Owner, b); err != nil {
-		return err
-	}
 	var err error
-	if pl.price, err = s.core.Submit(now, pl.j); err != nil {
-		s.g.metrics.C("commit.refused").Inc()
+	if pl.price, err = s.core.Place(now, pl.j, b); err != nil {
+		if errors.Is(err, server.ErrRefused) {
+			s.g.metrics.C("commit.refused").Inc()
+		}
 		return err
 	}
 	s.g.awards[pl.j] = pl
@@ -316,10 +315,10 @@ func (s *serverEntity) settle(now float64, j *job.Job) {
 // Storage is the per-job storage of a run: one record per job, the
 // database with its contract history, the metrics registry with its
 // per-job series, the maps of awards in flight, and the server entities,
-// whose cores keep their hold tables. A run resets each, keeping its
-// capacity, so a sweep of replays through one Storage regrows none of
-// them. The Result of a run reads from the Storage: it is valid until
-// the Storage's next run.
+// whose cores keep their hold tables and whose schedulers are recycled.
+// A run resets each, keeping its capacity, so a sweep of replays through
+// one Storage regrows none of them. The Result of a run reads from the
+// Storage: it is valid until the Storage's next run.
 type Storage struct {
 	jobs    []job.Job
 	store   *db.DB
@@ -391,7 +390,7 @@ func (st *Storage) run(cfg Config, trace *workload.Trace) (*Result, *gridRun, er
 		DB:          store,
 	}
 	// Each server's entity is reused, and with it its core's hold table
-	// and event log.
+	// and event log; its last scheduler, whose run is over, is recycled.
 	st.servers = slices.Grow(st.servers[:0], len(cfg.Servers))[:len(cfg.Servers)]
 	for i, sc := range cfg.Servers {
 		if err := sc.Spec.Validate(); err != nil {
@@ -416,8 +415,9 @@ func (st *Storage) run(cfg Config, trace *workload.Trace) (*Result, *gridRun, er
 		if h, ok := sc.Bidder.(*bidding.History); ok && h.View == nil {
 			h.View = storeHistoryView{store: g.store}
 		}
-		sched := factory(sc.Spec, cfg.SchedCfg)
 		ent := &st.servers[i]
+		scheduler.Recycle(ent.sched)
+		sched := factory(sc.Spec, cfg.SchedCfg)
 		*ent = serverEntity{g: g, name: sc.Spec.Name, home: home, core: ent.core, events: ent.events,
 			sched: sched, spec: sc.Spec, util: g.metrics.L("util." + sc.Spec.Name)}
 		ent.core.Reset(ent.spec, sched, sc.Bidder)

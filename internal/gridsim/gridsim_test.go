@@ -1,6 +1,7 @@
 package gridsim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"faucets/internal/market"
 	"faucets/internal/qos"
 	"faucets/internal/scheduler"
+	"faucets/internal/server"
 	"faucets/internal/workload"
 )
 
@@ -536,6 +538,50 @@ func TestReplayKeepsNoSettledAward(t *testing.T) {
 		}
 		if len(g.awards) != 0 || len(g.placing) != 0 {
 			t.Fatalf("delay %v: %d awards and %d placements outlive %d settled jobs", delay, len(g.awards), len(g.placing), res.Finished)
+		}
+	}
+}
+
+// TestReplayHoldsNothing: a replay places every job without a hold ever
+// entering a server's table, with commits immediate or delayed (when the
+// schedulers refuse stale bids) — so after it, at each job's own
+// submission instant, no server holds any job.
+// The replays share one storage, so the later ones run on recycled
+// schedulers, and the last, a repeat of the first, places as it did.
+func TestReplayHoldsNothing(t *testing.T) {
+	ws := workload.Default(7, 200, 1)
+	ws.MaxPE = 16
+	ws.DeadlineFraction = 1.0
+	ws.DeadlineTightness = 1.2
+	tr, err := workload.Generate(ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var servers []ServerConfig
+	for i, f := range []scheduler.Factory{profitFactory, equiFactory, profitFactory, fcfsFactory} {
+		servers = append(servers, ServerConfig{Spec: spec(fmt.Sprintf("s%d", i), 16), NewScheduler: f})
+	}
+	st := new(Storage)
+	placed := map[float64]int{}
+	for _, delay := range []float64{0, 2, 0} {
+		res, g, err := st.run(Config{Servers: servers, CommitDelay: delay}, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, ok := placed[delay]; ok && n != res.Placed {
+			t.Fatalf("delay %v: placed %d on recycled schedulers, %d at first", delay, res.Placed, n)
+		}
+		placed[delay] = res.Placed
+		if res.Placed == 0 || (delay > 0 && res.Metrics.C("commit.refused").Value() == 0) {
+			t.Fatalf("delay %v: placed %d, refused %d: want both", delay, res.Placed, res.Metrics.C("commit.refused").Value())
+		}
+		for i := range g.jobs {
+			j := &g.jobs[i]
+			for _, s := range g.servers {
+				if _, err := s.core.HeldFor(j.SubmitTime, string(j.ID), j.Owner); !errors.Is(err, server.ErrNoCommitment) {
+					t.Fatalf("delay %v: %s holds %s after the replay: %v", delay, s.name, j.ID, err)
+				}
+			}
 		}
 	}
 }

@@ -10,6 +10,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Spec describes a Compute Server's static properties — the information
@@ -96,10 +97,20 @@ type Allocator struct {
 
 // NewAllocator returns an allocator for a machine with numPE processors.
 func NewAllocator(numPE int) *Allocator {
+	al := &Allocator{}
+	al.Reset(numPE)
+	return al
+}
+
+// Reset frees all of numPE processors, keeping al's storage and the
+// allocations Release gave back; those still granted must be dropped.
+func (al *Allocator) Reset(numPE int) {
 	if numPE < 1 {
 		panic("machine: allocator needs at least one processor")
 	}
-	return &Allocator{used: make([]bool, numPE), free: numPE}
+	al.used = slices.Grow(al.used[:0], numPE)[:numPE]
+	clear(al.used)
+	al.free = numPE
 }
 
 // Free returns the number of unallocated processors.

@@ -148,13 +148,18 @@ func TestRunSimConcurrentSweeps(t *testing.T) {
 // replay's trace is by turns longer and shorter than the one before it.
 // No example scenario bids from the grid's weather or its contract
 // history, so the bidder byte may swap one in: a history left behind in
-// the database would show in their bids.
+// the database would show in their bids. The fresh replay's schedulers
+// may still come recycled; TestRecycledSchedulerMatchesFresh holds those
+// to new ones.
 func FuzzReplayReuse(f *testing.F) {
 	specs := loadExamples(f)
 	bidders := []string{"", "baseline", "weather", "history"}
 	f.Add([]byte{0, 0, 1, 7, 0, 4, 1, 2, 31, 0, 4, 1, 2, 0, 0})
 	f.Add([]byte{6, 2, 9, 31, 3, 1, 0, 9, 1, 3, 6, 2, 9, 31, 3})
 	f.Add([]byte{2, 1, 42, 15, 2, 3, 2, 42, 2, 2, 5, 0, 42, 20, 3, 2, 1, 42, 15, 2})
+	// Backfill, equipartition and profit scenarios by turns, so a replay
+	// finds the last one's schedulers recycled, of another kind.
+	f.Add([]byte{1, 0, 7, 5, 0, 4, 0, 7, 5, 0, 0, 0, 7, 5, 0, 1, 2, 8, 3, 0, 0, 1, 9, 2, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const op = 5
 		if len(ops) > 8*op {

@@ -35,7 +35,10 @@ var _ Scheduler = (*Equipartition)(nil)
 
 // NewEquipartition returns the adaptive equipartition scheduler.
 func NewEquipartition(spec machine.Spec, cfg Config) *Equipartition {
-	return &Equipartition{cluster: newCluster(spec, cfg)}
+	e := equipartitions.Get().(*Equipartition)
+	*e = Equipartition{cluster: e.cluster.reset(spec, cfg), bs: e.bs[:0], target: e.target[:0],
+		kept: keptPlan{head: e.kept.head[:0], sum: e.kept.sum[:0]}}
+	return e
 }
 
 // Name implements Scheduler.

@@ -41,9 +41,8 @@ func checkEvents(t *testing.T, log []Event, id job.ID, ws ...want) {
 // (40 work, so 20 s) and allowed 16 in its second (160 work, so 10 s)
 // yields, from one Advance across both the boundary and the finish, its
 // start, its expand at the boundary's virtual instant and its finish —
-// however late the caller is. Profit plans on the contract's bounds, not
-// the phase's, so there a rigid neighbour holds the other 14 PEs until
-// the same instant.
+// however late the caller is. On profit a rigid neighbour holds the
+// other 14 PEs until the same instant as well.
 func TestEventsAcrossAPhaseBoundary(t *testing.T) {
 	for name, build := range map[string]func() Scheduler{
 		"equipartition": func() Scheduler { return NewEquipartition(spec(64), Config{}) },
@@ -67,6 +66,28 @@ func TestEventsAcrossAPhaseBoundary(t *testing.T) {
 			checkEvents(t, log, "mp", want{Start, 0, 0, 2}, want{Expand, 20, 2, 16}, want{Finish, 30, 16, 0})
 		})
 	}
+}
+
+// TestProfitSizesAPhasedJobFromItsPhase: a lone job whose first phase is
+// held to 2 PEs starts at 2 on profit, as on equipartition, and expands
+// at the boundary — profit plans on the phase's bounds, not the
+// contract's, which would start it at 16 and leave 14 idle for the phase.
+func TestProfitSizesAPhasedJobFromItsPhase(t *testing.T) {
+	s := NewProfit(spec(16), Config{})
+	var log []Event
+	s.Record(&log)
+	c := &qos.Contract{App: "mp", MinPE: 2, MaxPE: 16, Work: 200, Phases: []qos.Phase{
+		{Name: "setup", Work: 40, MinPE: 2, MaxPE: 2},
+		{Name: "solve", Work: 160, MinPE: 2, MaxPE: 16},
+	}}
+	if !s.Submit(0, job.New("mp", "u", c, 0)) {
+		t.Fatal("phased job rejected")
+	}
+	if s.UsedPEs() != 2 {
+		t.Fatalf("used %d PEs in the 2-PE phase, want 2", s.UsedPEs())
+	}
+	s.Advance(35)
+	checkEvents(t, log, "mp", want{Start, 0, 0, 2}, want{Expand, 20, 2, 16}, want{Finish, 30, 16, 0})
 }
 
 // TestStopEvents: a kill and a profit preemption each take a running

@@ -28,13 +28,16 @@ type FCFS struct {
 var _ Scheduler = (*FCFS)(nil)
 
 // NewFCFS returns a rigid first-come-first-served scheduler.
-func NewFCFS(spec machine.Spec, cfg Config) *FCFS {
-	return &FCFS{cluster: newCluster(spec, cfg)}
-}
+func NewFCFS(spec machine.Spec, cfg Config) *FCFS { return newRigid(spec, cfg, false) }
 
 // NewBackfill returns a rigid FCFS scheduler with EASY backfilling.
-func NewBackfill(spec machine.Spec, cfg Config) *FCFS {
-	return &FCFS{cluster: newCluster(spec, cfg), backfill: true}
+func NewBackfill(spec machine.Spec, cfg Config) *FCFS { return newRigid(spec, cfg, true) }
+
+// newRigid is both: either may take an FCFS the other made.
+func newRigid(spec machine.Spec, cfg Config, backfill bool) *FCFS {
+	f := rigids.Get().(*FCFS)
+	*f = FCFS{cluster: f.cluster.reset(spec, cfg), backfill: backfill}
+	return f
 }
 
 // Name implements Scheduler.

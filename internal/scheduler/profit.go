@@ -39,7 +39,9 @@ var _ Scheduler = (*Profit)(nil)
 
 // NewProfit returns the payoff-maximizing adaptive scheduler.
 func NewProfit(spec machine.Spec, cfg Config) *Profit {
-	return &Profit{cluster: newCluster(spec, cfg)}
+	p := profits.Get().(*Profit)
+	*p = Profit{cluster: p.cluster.reset(spec, cfg), cands: p.cands[:0]}
+	return p
 }
 
 // Name implements Scheduler.
@@ -101,26 +103,27 @@ func (p *Profit) plan(now float64, jobs []*job.Job) []planEntry {
 		if deadline == 0 {
 			deadline = hard
 		}
-		want := c.MinPE
+		lo, hi := j.EffectiveBounds() // the phase's, as equipartition's
+		want := lo
 		slack := 1e18
 		if deadline > 0 {
 			slack = (j.SubmitTime + deadline) - now
 			rem := j.RemainingWork()
 			// Find the smallest pe within bounds whose predicted finish
 			// meets the deadline.
-			want = c.MaxPE + 1 // sentinel: not achievable
-			for pe := c.MinPE; pe <= c.MaxPE; pe++ {
+			want = hi + 1 // sentinel: not achievable
+			for pe := lo; pe <= hi; pe++ {
 				t := rem / (c.Speedup(pe) * p.spec.Speed)
 				if t <= slack {
 					want = pe
 					break
 				}
 			}
-			if want > c.MaxPE {
-				want = c.MaxPE // best effort
+			if want > hi {
+				want = hi // best effort
 			}
 		}
-		needs[i] = need{idx: i, slack: slack, min: c.MinPE, max: c.MaxPE, want: want}
+		needs[i] = need{idx: i, slack: slack, min: lo, max: hi, want: want}
 	}
 	// Running jobs are committed and must keep at least their MinPE
 	// before any waiting job gets processors; within each class the
@@ -224,7 +227,7 @@ func (p *Profit) plan(now float64, jobs []*job.Job) []planEntry {
 				}
 			}
 		}
-		min := j.Contract.MinPE
+		min := needs[i].min
 		dur := j.RemainingWork() / (j.Contract.Speedup(min) * p.spec.Speed)
 		if start, ok := chart.FindWindow(now, dur, min, 0); ok {
 			// Hold the slot so later queued jobs in this plan don't all

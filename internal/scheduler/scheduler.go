@@ -23,6 +23,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"faucets/internal/job"
 	"faucets/internal/machine"
@@ -162,11 +163,38 @@ type cluster struct {
 	log     *[]Event   // Record's, or nil
 }
 
-func newCluster(spec machine.Spec, cfg Config) *cluster {
+// reset returns c (nil: a new cluster) as a new one for spec whose running
+// set, queue and allocator keep their room; running allocations drop.
+func (c *cluster) reset(spec machine.Spec, cfg Config) *cluster {
 	if err := spec.Validate(); err != nil {
 		panic(fmt.Sprintf("scheduler: %v", err))
 	}
-	return &cluster{spec: spec, alloc: machine.NewAllocator(spec.NumPE), cfg: cfg}
+	if c == nil {
+		return &cluster{spec: spec, alloc: machine.NewAllocator(spec.NumPE), cfg: cfg}
+	}
+	c.alloc.Reset(spec.NumPE)
+	*c = cluster{spec: spec, alloc: c.alloc, cfg: cfg, running: c.running[:0], queue: c.queue[:0]}
+	return c
+}
+
+// Recycled schedulers, one pool per kind: a constructor takes its own.
+var (
+	equipartitions = sync.Pool{New: func() any { return new(Equipartition) }}
+	rigids         = sync.Pool{New: func() any { return new(FCFS) }}
+	profits        = sync.Pool{New: func() any { return new(Profit) }}
+)
+
+// Recycle hands s, which its caller is done with, to the next constructor
+// of its kind, which resets it but keeps its storage; other types drop.
+func Recycle(s Scheduler) {
+	switch s := s.(type) {
+	case *Equipartition:
+		equipartitions.Put(s)
+	case *FCFS:
+		rigids.Put(s)
+	case *Profit:
+		profits.Put(s)
+	}
 }
 
 func (c *cluster) UsedPEs() int      { return c.alloc.Used() }

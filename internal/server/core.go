@@ -22,6 +22,7 @@ const BidValidity = 300
 var (
 	ErrNoCommitment = errors.New("no live commitment")
 	ErrNotOwner     = errors.New("it belongs to another user")
+	ErrRefused      = errors.New("refused at submission") // by the scheduler
 )
 
 // hold is a commit no submit has spent yet.
@@ -80,10 +81,7 @@ func (c *Core) Bid(now float64, ct *qos.Contract, st bidding.ServerState) (biddi
 // until BidValidity from now. The same user's commit again renews the
 // hold; another user's live hold, or a bid past its ExpiresAt, refuses it.
 func (c *Core) Commit(now float64, jobID, user string, b bidding.Bid) error {
-	if b.ExpiresAt > 0 && now > b.ExpiresAt {
-		return fmt.Errorf("server: bid for %s expired", jobID)
-	}
-	if _, err := c.HeldFor(now, jobID, user); err != nil && !errors.Is(err, ErrNoCommitment) {
+	if err := c.mayHold(now, jobID, user, b); err != nil {
 		return err
 	}
 	if c.holds == nil {
@@ -100,6 +98,17 @@ func (c *Core) Commit(now float64, jobID, user string, b bidding.Bid) error {
 			}
 		}
 		c.swept = len(c.holds)
+	}
+	return nil
+}
+
+// mayHold refuses a commit of b after its ExpiresAt or on another's hold.
+func (c *Core) mayHold(now float64, jobID, user string, b bidding.Bid) error {
+	if b.ExpiresAt > 0 && now > b.ExpiresAt {
+		return fmt.Errorf("server: bid for %s expired", jobID)
+	}
+	if _, err := c.HeldFor(now, jobID, user); err != nil && !errors.Is(err, ErrNoCommitment) {
+		return err
 	}
 	return nil
 }
@@ -132,10 +141,23 @@ func (c *Core) Submit(now float64, j *job.Job) (float64, error) {
 	}
 	if !c.Adopt(now, j) {
 		c.drop(id)
-		return 0, fmt.Errorf("server: %s refused job %s at submission", c.spec.Name, id)
+		return 0, fmt.Errorf("server: %s refused job %s: %w", c.spec.Name, id, ErrRefused)
 	}
 	delete(c.holds, id)
 	return price, nil
+}
+
+// Place is Commit and Submit at one instant, for a client with nothing
+// to stage in between: it refuses what Commit refuses and admits j at b's
+// price, but the hold it would write and spend at once is never written.
+func (c *Core) Place(now float64, j *job.Job, b bidding.Bid) (float64, error) {
+	if err := c.mayHold(now, string(j.ID), j.Owner, b); err != nil {
+		return 0, err
+	}
+	if !c.Adopt(now, j) {
+		return 0, fmt.Errorf("server: %s refused job %s: %w", c.spec.Name, j.ID, ErrRefused)
+	}
+	return b.Price, nil
 }
 
 // Adopt admits j, recovered or migrating in, with no hold to spend.

@@ -180,3 +180,35 @@ func TestQueuedWorkLeavesWhole(t *testing.T) {
 		t.Fatalf("after every job finished: %v queued, want 0", q)
 	}
 }
+
+// TestPlaceWritesNoHold: Place admits a job at its bid's price and leaves
+// the hold table as it found it, with nothing dropped; it refuses what
+// Commit refuses — an expired bid, another user's live hold — and a
+// scheduler's refusal as ErrRefused, admitting nothing for any of them.
+func TestPlaceWritesNoHold(t *testing.T) {
+	var dropped []string
+	c := newCore(&dropped)
+	price, err := c.Place(0, job.New("a", "alice", contract(1000), 0), bidding.Bid{Price: 7.5, ExpiresAt: BidValidity})
+	if err != nil || price != 7.5 {
+		t.Fatalf("place: price %v, %v; want the bid's 7.5", price, err)
+	}
+	if c.holds != nil || len(dropped) != 0 {
+		t.Fatalf("place left holds %v and dropped %q, want neither", c.holds, dropped)
+	}
+	if _, err := c.Place(BidValidity+1, job.New("b", "alice", contract(1000), 0), bidding.Bid{ExpiresAt: BidValidity}); err == nil {
+		t.Fatal("an expired bid placed")
+	}
+	if err := c.Commit(0, "c", "bob", bidding.Bid{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Place(1, job.New("c", "alice", contract(1000), 1), bidding.Bid{}); !errors.Is(err, ErrNotOwner) {
+		t.Fatalf("place on bob's hold: %v, want ErrNotOwner", err)
+	}
+	huge := &qos.Contract{App: "synth", MinPE: 128, MaxPE: 128, Work: 1}
+	if _, err := c.Place(1, job.New("d", "alice", huge, 1), bidding.Bid{}); !errors.Is(err, ErrRefused) {
+		t.Fatalf("place of a job the machine cannot fit: %v, want ErrRefused", err)
+	}
+	if q := c.queued; q != 1000 {
+		t.Fatalf("queued work %v, want the placed job's 1000 alone", q)
+	}
+}

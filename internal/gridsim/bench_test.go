@@ -28,13 +28,15 @@ func replayCase(tb testing.TB, jobs *int) func() {
 // BenchmarkReplayFlashCrowd times replayCase, so ns/op here is the
 // bench's gridsim.replay_p50_ms probe and latency_p50_ms on sim-sweep,
 // and B/op ÷ jobs is its alloc_kb_per_job. Each replay reuses the
-// per-job storage of the one before it and recycles its schedulers: on
-// go1.24 a replay costs ≈18 400 B/op and 166 allocs/op over 300 replays
-// (61 772 and 921 while each replay built its schedulers anew; a short
-// run adds the first replay's ≈1.13 MB over b.N).
-// TestReplayFlashCrowdAllocs holds allocs/op under 325: one more
-// transient per job would add ≈1.7k. TestReplayFlashCrowdBytes holds
-// B/op under 27 000.
+// storage of the one before it — fleet, run state, statistics — and
+// recycles its schedulers: on go1.24 a replay costs ≈2 600 B/op and 28
+// allocs/op over 300 replays, its report and its trace's scratch
+// (18 400 and 166 while each replay rebuilt its fleet, maps and levels,
+// 61 772 and 921 while it also built its schedulers anew). A run adds
+// ≈1.13 MB over b.N for each replay that found RunSim's pool empty,
+// as a short one may. TestReplayFlashCrowdAllocs holds allocs/op under
+// 120: one more transient per job would add ≈1.7k.
+// TestReplayFlashCrowdBytes holds B/op under 4 200.
 func BenchmarkReplayFlashCrowd(b *testing.B) {
 	jobs := 0
 	replay := replayCase(b, &jobs)

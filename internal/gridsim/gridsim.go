@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sort"
 
 	"faucets/internal/accounting"
 	"faucets/internal/bidding"
@@ -135,6 +136,7 @@ type serverEntity struct {
 
 	completion sim.Event // the next completion, re-armed by refresh
 	util       *sim.TimeWeighted
+	utilName   string // "util." + name, the level util is registered as
 	revenue    float64
 	payoff     float64
 }
@@ -143,7 +145,7 @@ type serverEntity struct {
 type gridRun struct {
 	cfg     Config
 	mech    market.Mechanism
-	eng     *sim.Engine
+	eng     sim.Engine
 	servers []*serverEntity
 	byName  map[string]*serverEntity
 	metrics *sim.Metrics
@@ -151,10 +153,7 @@ type gridRun struct {
 	store   *db.DB
 	// placing maps a job ID to its Job while an award is in progress.
 	placing map[string]placement
-	// awards holds each admitted job's placement, priced, from its Commit
-	// until settle books it, so it holds only the jobs in flight.
-	awards map[*job.Job]placement
-	res    *Result
+	res     *Result
 
 	// Per-run scratch for one auction: the solicited ports, the home
 	// cluster's port and the ranked bids.
@@ -166,8 +165,26 @@ type gridRun struct {
 	bidReq, bidReply, postRead, commits, declined, jobsPlaced, met, missed *sim.Counter
 	response, slowdown, price, payoff, attempts, multiplier                *sim.Series
 	// jobs holds one record per trace item, in trace order, so each
-	// per-job series reserves room for len(jobs) observations.
-	jobs []job.Job
+	// per-job series reserves room for len(jobs) observations. Beside
+	// each, awards holds its placement, priced, from its Commit until
+	// settle books it; award finds the slot.
+	jobs   []job.Job
+	awards []placement
+	// The trace, in submission order, walked by one event, arrival:
+	// submitted counts the items it has submitted.
+	items     []workload.Item
+	submitted int
+	arrival   sim.Event
+}
+
+// award returns the award slot beside job j. The records of the jobs
+// submitted so far are in order of submit time, so a search by it finds j.
+func (g *gridRun) award(j *job.Job) *placement {
+	i := sort.Search(g.submitted, func(i int) bool { return g.jobs[i].SubmitTime >= j.SubmitTime })
+	for &g.jobs[i] != j {
+		i++
+	}
+	return &g.awards[i]
 }
 
 // stat returns the named statistic through *p, looking it up by name on
@@ -241,7 +258,7 @@ func (s *serverEntity) Commit(now float64, jobID string, b bidding.Bid) error {
 		}
 		return err
 	}
-	s.g.awards[pl.j] = pl
+	*s.g.award(pl.j) = pl
 	s.refresh(now)
 	return nil
 }
@@ -277,8 +294,9 @@ func (s *serverEntity) onCompletion(now float64) {
 // settle books revenue, payoff, history and metrics for a finished job.
 func (s *serverEntity) settle(now float64, j *job.Job) {
 	g := s.g
-	pl := g.awards[j]
-	delete(g.awards, j)
+	award := g.award(j)
+	pl := *award
+	*award = placement{}
 
 	g.res.Finished++
 	stat(&g.response, g.series, "response_time").Add(j.ResponseTime())
@@ -312,19 +330,17 @@ func (s *serverEntity) settle(now float64, j *job.Job) {
 	}
 }
 
-// Storage is the per-job storage of a run: one record per job, the
-// database with its contract history, the metrics registry with its
-// per-job series, the maps of awards in flight, and the server entities,
-// whose cores keep their hold tables and whose schedulers are recycled.
-// A run resets each, keeping its capacity, so a sweep of replays through
-// one Storage regrows none of them. The Result of a run reads from the
+// Storage is what a run keeps for the next: its state — one record and
+// award per job, the database with its contract history, the metrics
+// registry with its series, counters and levels, the Result and its maps,
+// the engine and the auction scratch — and the server entities, whose
+// cores keep their hold tables, whose names carry over while a slot
+// serves the same server, and whose schedulers are recycled. A run
+// resets each, keeping its capacity, so a sweep of replays through one
+// Storage regrows none of them. The Result of a run reads from the
 // Storage: it is valid until the Storage's next run.
 type Storage struct {
-	jobs    []job.Job
-	store   *db.DB
-	metrics *sim.Metrics
-	placing map[string]placement
-	awards  map[*job.Job]placement
+	g       gridRun
 	servers []serverEntity
 }
 
@@ -352,27 +368,27 @@ func (st *Storage) run(cfg Config, trace *workload.Trace) (*Result, *gridRun, er
 	if err != nil {
 		return nil, nil, fmt.Errorf("gridsim: %w", err)
 	}
-	if st.store == nil {
-		st.store, st.metrics = db.New(), sim.NewMetrics()
-		st.placing, st.awards = map[string]placement{}, map[*job.Job]placement{}
-	} else {
-		st.store.Reset()
-		st.metrics.Reset()
-		clear(st.placing)
-		clear(st.awards)
+	g := &st.g
+	if g.store == nil {
+		g.store, g.metrics, g.byName, g.placing = db.New(), sim.NewMetrics(), map[string]*serverEntity{}, map[string]placement{}
+		g.res = &Result{Revenue: map[string]float64{}, Payoff: map[string]float64{},
+			Utilization: map[string]float64{}, Credits: map[string]float64{}}
 	}
-	store := st.store
-	g := &gridRun{
-		cfg:     cfg,
-		mech:    mech,
-		eng:     sim.NewEngine(),
-		byName:  map[string]*serverEntity{},
-		metrics: st.metrics,
-		store:   store,
-		acct:    accounting.New(cfg.Mode, store),
-		placing: st.placing,
-		awards:  st.awards,
+	g.store.Reset()
+	g.metrics.Reset()
+	g.eng.Reset()
+	clear(g.byName)
+	clear(g.placing)
+	res := g.res
+	for _, m := range [...]map[string]float64{res.Revenue, res.Payoff, res.Utilization, res.Credits} {
+		clear(m)
 	}
+	*res = Result{Metrics: g.metrics, DB: g.store,
+		Revenue: res.Revenue, Payoff: res.Payoff, Utilization: res.Utilization, Credits: res.Credits}
+	*g = gridRun{cfg: cfg, mech: mech, eng: g.eng, servers: g.servers[:0], byName: g.byName, metrics: g.metrics,
+		acct: accounting.New(cfg.Mode, g.store), store: g.store, placing: g.placing, res: res,
+		ports: g.ports, bids: g.bids, jobs: g.jobs, awards: g.awards, arrival: g.arrival}
+	store := g.store
 	for cluster, amount := range cfg.InitialCredits {
 		store.AddCredits(cluster, amount)
 	}
@@ -381,16 +397,11 @@ func (st *Storage) run(cfg Config, trace *workload.Trace) (*Result, *gridRun, er
 			return nil, nil, fmt.Errorf("gridsim: quota for %s: %w", user, err)
 		}
 	}
-	g.res = &Result{
-		Metrics:     g.metrics,
-		Revenue:     map[string]float64{},
-		Payoff:      map[string]float64{},
-		Utilization: map[string]float64{},
-		Credits:     map[string]float64{},
-		DB:          store,
-	}
 	// Each server's entity is reused, and with it its core's hold table
 	// and event log; its last scheduler, whose run is over, is recycled.
+	// A slot keeps its names and completion while it serves a server of
+	// the same name. The completion finds its entity through g, as a
+	// larger fleet moves the entities.
 	st.servers = slices.Grow(st.servers[:0], len(cfg.Servers))[:len(cfg.Servers)]
 	for i, sc := range cfg.Servers {
 		if err := sc.Spec.Validate(); err != nil {
@@ -407,22 +418,30 @@ func (st *Storage) run(cfg Config, trace *workload.Trace) (*Result, *gridRun, er
 			home = sc.Spec.Name
 		}
 		// The §5.2.1 grid-weather and contract-history sources of a bidder
-		// made without one: in simulation the Faucets system's global
-		// information is the grid itself.
-		if w, ok := sc.Bidder.(*bidding.Weather); ok && w.Source == nil {
-			w.SetSource(gridWeatherSource{g: g})
+		// made without one, or bound to an earlier run: in simulation the
+		// Faucets system's global information is the grid itself.
+		if w, ok := sc.Bidder.(*bidding.Weather); ok {
+			if _, ours := w.Source.(gridWeatherSource); ours || w.Source == nil {
+				w.SetSource(gridWeatherSource{g: g})
+			}
 		}
-		if h, ok := sc.Bidder.(*bidding.History); ok && h.View == nil {
-			h.View = storeHistoryView{store: g.store}
+		if h, ok := sc.Bidder.(*bidding.History); ok {
+			if _, ours := h.View.(storeHistoryView); ours || h.View == nil {
+				h.View = storeHistoryView{store: g.store}
+			}
 		}
 		ent := &st.servers[i]
+		if ent.name != sc.Spec.Name {
+			ent.utilName = "util." + sc.Spec.Name
+			ent.completion = sim.Event{Name: "completion:" + sc.Spec.Name,
+				Fn: func(e *sim.Engine) { g.servers[i].onCompletion(float64(e.Now())) }}
+		}
 		scheduler.Recycle(ent.sched)
 		sched := factory(sc.Spec, cfg.SchedCfg)
 		*ent = serverEntity{g: g, name: sc.Spec.Name, home: home, core: ent.core, events: ent.events,
-			sched: sched, spec: sc.Spec, util: g.metrics.L("util." + sc.Spec.Name)}
+			sched: sched, spec: sc.Spec, completion: ent.completion, utilName: ent.utilName,
+			util: g.metrics.L(ent.utilName)}
 		ent.core.Reset(ent.spec, sched, sc.Bidder)
-		ent.completion = sim.Event{Name: "completion:" + sc.Spec.Name,
-			Fn: func(e *sim.Engine) { ent.onCompletion(float64(e.Now())) }}
 		ent.util.Set(0, 0)
 		g.servers = append(g.servers, ent)
 		g.byName[ent.name] = ent
@@ -438,20 +457,16 @@ func (st *Storage) run(cfg Config, trace *workload.Trace) (*Result, *gridRun, er
 		items = slices.Clone(items)
 		slices.SortStableFunc(items, bySubmit)
 	}
+	g.items = items
 	// The trace fixes how many jobs the run can settle, so the job
 	// records and the per-job series are sized once rather than regrown.
-	st.jobs = slices.Grow(st.jobs[:0], len(items))[:len(items)]
-	g.jobs = st.jobs
-	next := 0
-	submit := sim.Event{Name: "submit", Priority: -1}
-	submit.Fn = func(e *sim.Engine) {
-		g.submit(float64(e.Now()), &g.jobs[next], items[next])
-		if next++; next < len(items) {
-			e.Rearm(&submit, sim.Time(items[next].SubmitAt))
-		}
+	g.jobs = slices.Grow(g.jobs[:0], len(items))[:len(items)]
+	g.awards = slices.Grow(g.awards[:0], len(items))[:len(items)]
+	if g.arrival.Fn == nil {
+		g.arrival = sim.Event{Name: "submit", Priority: -1, Fn: g.arrive}
 	}
 	if len(items) > 0 {
-		g.eng.Rearm(&submit, sim.Time(items[0].SubmitAt))
+		g.eng.Rearm(&g.arrival, sim.Time(items[0].SubmitAt))
 	}
 	if cfg.MigrateAfter > 0 {
 		g.scheduleMigration()
@@ -466,6 +481,17 @@ func (st *Storage) run(cfg Config, trace *workload.Trace) (*Result, *gridRun, er
 		g.res.Credits[s.home] = store.Credits(s.home)
 	}
 	return g.res, g, nil
+}
+
+// arrive submits the trace's next item and arms the arrival of the one
+// after it.
+func (g *gridRun) arrive(e *sim.Engine) {
+	i := g.submitted
+	g.submitted++
+	g.submit(float64(e.Now()), &g.jobs[i], g.items[i])
+	if g.submitted < len(g.items) {
+		e.Rearm(&g.arrival, sim.Time(g.items[g.submitted].SubmitAt))
+	}
 }
 
 // scheduleMigration arms the next checkpoint-migration sweep. Sweeps

@@ -386,6 +386,36 @@ func TestWeatherBidderWiredInSimulation(t *testing.T) {
 	}
 }
 
+// TestBiddersFollowTheirRun: weather and history bidders that served one
+// run serve the next, on other storage, as new ones would: gridsim binds
+// them to the run they bid in, not to the first run that bound them.
+func TestBiddersFollowTheirRun(t *testing.T) {
+	servers := func() []ServerConfig {
+		return []ServerConfig{
+			{Spec: spec("w1", 24), Bidder: bidding.NewWeather(nil)},
+			{Spec: spec("w2", 24), Bidder: bidding.NewWeather(nil)},
+			{Spec: spec("h1", 24), Bidder: bidding.NewHistory(nil)},
+		}
+	}
+	reused := servers()
+	for _, seed := range []uint64{8, 9} {
+		tr := smallTrace(seed, 60, 3)
+		got, err := Run(Config{Servers: reused}, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Run(Config{Servers: servers()}, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, w := got.Metrics.S("bid_multiplier"), want.Metrics.S("bid_multiplier")
+		if g.N() != w.N() || g.Sum() != w.Sum() || got.Placed != want.Placed {
+			t.Fatalf("seed %d: reused bidders placed %d, multipliers n=%d sum=%v; new ones %d, n=%d sum=%v",
+				seed, got.Placed, g.N(), g.Sum(), want.Placed, w.N(), w.Sum())
+		}
+	}
+}
+
 func TestPhasedWorkloadSimulates(t *testing.T) {
 	s := workload.Default(29, 50, 5)
 	s.MaxPE = 16
@@ -521,8 +551,8 @@ func contractRow(t *testing.T, d *db.DB, jobID string) db.ContractRecord {
 
 // TestReplayKeepsNoSettledAward: a flash crowd on twelve servers, every
 // job soliciting all of them, leaves no award behind once its jobs have
-// settled — with commits immediate or delayed, the replay's per-job state
-// is bounded by the jobs in flight, not by the trace.
+// settled — with commits immediate or delayed, every award slot beside a
+// job record is empty again, and no placement is in progress.
 func TestReplayKeepsNoSettledAward(t *testing.T) {
 	var servers []ServerConfig
 	for i := 0; i < 12; i++ {
@@ -536,8 +566,44 @@ func TestReplayKeepsNoSettledAward(t *testing.T) {
 		if res.Placed == 0 || res.Finished != res.Placed {
 			t.Fatalf("delay %v: placed %d, finished %d", delay, res.Placed, res.Finished)
 		}
-		if len(g.awards) != 0 || len(g.placing) != 0 {
-			t.Fatalf("delay %v: %d awards and %d placements outlive %d settled jobs", delay, len(g.awards), len(g.placing), res.Finished)
+		left := 0
+		for _, a := range g.awards {
+			if a != (placement{}) {
+				left++
+			}
+		}
+		if left != 0 || len(g.placing) != 0 {
+			t.Fatalf("delay %v: %d awards and %d placements outlive %d settled jobs", delay, left, len(g.placing), res.Finished)
+		}
+	}
+}
+
+// TestAwardsAmongSimultaneousSubmissions: jobs submitted ten at an
+// instant each find their own award beside their record, with commits
+// immediate or delayed: every settled price is one a commit set, and no
+// award is left once all have settled.
+func TestAwardsAmongSimultaneousSubmissions(t *testing.T) {
+	tr := smallTrace(5, 80, 3)
+	for i := range tr.Items {
+		tr.Items[i].SubmitAt = float64(i / 10 * 7)
+	}
+	servers := []ServerConfig{{Spec: spec("a", 16)}, {Spec: spec("b", 32), NewScheduler: profitFactory}}
+	st := new(Storage)
+	for _, delay := range []float64{0, 2} {
+		res, g, err := st.run(Config{Servers: servers, CommitDelay: delay}, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Placed != len(tr.Items) || res.Finished != res.Placed {
+			t.Fatalf("delay %v: placed %d, finished %d of %d", delay, res.Placed, res.Finished, len(tr.Items))
+		}
+		if p := res.Metrics.S("price").Percentile(0); p <= 0 {
+			t.Fatalf("delay %v: a job settled at price %v, an award it never had", delay, p)
+		}
+		for i, a := range g.awards {
+			if a != (placement{}) {
+				t.Fatalf("delay %v: job %d's award outlives its settlement", delay, i)
+			}
 		}
 	}
 }

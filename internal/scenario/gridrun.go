@@ -52,7 +52,7 @@ func RunGridWithHooks(s *Spec, hooks GridHooks) (*ScenarioReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	machines, err := s.machines()
+	machines, err := s.machines(new(fleet))
 	if err != nil {
 		return nil, err
 	}

@@ -189,6 +189,45 @@ func FuzzReplayReuse(f *testing.F) {
 	})
 }
 
+// TestRunSimReuseAcrossFleets crosses fleets through one working set: the
+// flash crowd's 12 generated servers, with utilization and then weather
+// bidders, and a 3-server explicit fleet whose first two slots share the
+// generated names srv-00 and srv-01, so a slot keeps its names while the
+// servers it holds grow from 3 to 12 and move. Each report must equal the
+// same spec replayed on fresh storage.
+func TestRunSimReuseAcrossFleets(t *testing.T) {
+	crowd, err := Load("../../examples/scenarios/flash-crowd.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	crowd.Duration = 800
+	weather := *crowd
+	weather.Topology.Bidder = "weather"
+	explicit := *crowd
+	explicit.Topology = Topology{Servers: []ServerSpec{
+		{Name: "srv-00", PEs: 8, CostRate: 0.012, Bidder: "history"},
+		{Name: "srv-01", PEs: 16, Speed: 1.4, CostRate: 0.02, Bidder: "weather", Scheduler: "profit"},
+		{Name: "big", PEs: 64, CostRate: 0.009},
+	}}
+	rp := new(replay)
+	for i, s := range []*Spec{&explicit, crowd, &explicit, &weather, &weather, &explicit, crowd} {
+		s := *s
+		s.Seed = uint64(i + 1)
+		pooled, err := s.runSim(rp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := s.runSim(new(replay))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := reportJSON(t, pooled), reportJSON(t, fresh); !bytes.Equal(a, b) {
+			t.Fatalf("replay %d (%d servers, %q bidder): reused report differs from fresh:\n%s\n--- vs ---\n%s",
+				i, pooled.Servers, s.Topology.Bidder, a, b)
+		}
+	}
+}
+
 // TestGenerateTraceReuseMatchesFresh: a trace generated into a store that
 // held a longer trace, and then a shorter one, equals the trace generated
 // into fresh storage — no item, contract or phase of the last trace

@@ -339,18 +339,19 @@ func (t *Topology) validate() error {
 	return nil
 }
 
-// machines materializes the fleet: explicit servers verbatim, generated
-// servers drawn deterministically from the scenario seed (speeds and
-// faucet prices uniform over their ranges). The returned specs are in
-// serving order; sick-profile assignment (the last Topology.Sick) is the
-// caller's concern because only the live grid can inject faults.
-func (s *Spec) machines() ([]machineSpec, error) {
+// machines materializes the fleet into f: explicit servers verbatim,
+// generated servers drawn deterministically from the scenario seed
+// (speeds and faucet prices uniform over their ranges). The returned
+// specs are in serving order and valid until f's next use;
+// sick-profile assignment (the last Topology.Sick) is the caller's
+// concern because only the live grid can inject faults.
+func (s *Spec) machines(f *fleet) ([]machineSpec, error) {
 	t := &s.Topology
 	apps := t.Apps
 	if len(apps) == 0 {
-		apps = []string{"synth"}
+		apps = defaultApps
 	}
-	var out []machineSpec
+	out := f.specs[:0]
 	if len(t.Servers) > 0 {
 		for _, sv := range t.Servers {
 			m := machineSpec{
@@ -393,6 +394,9 @@ func (s *Spec) machines() ([]machineSpec, error) {
 			costLo, costHi = 0.01, 0.01
 		}
 		for i := 0; i < t.Count; i++ {
+			if i == len(f.names) {
+				f.names = append(f.names, fmt.Sprintf("srv-%02d", i))
+			}
 			speed := speedLo
 			if speedHi > speedLo {
 				speed = rng.Range(speedLo, speedHi)
@@ -403,7 +407,7 @@ func (s *Spec) machines() ([]machineSpec, error) {
 			}
 			m := machineSpec{
 				Spec: machine.Spec{
-					Name: fmt.Sprintf("srv-%02d", i), NumPE: pe, MemPerPE: mem,
+					Name: f.names[i], NumPE: pe, MemPerPE: mem,
 					CPUType: "x86", Speed: speed, CostRate: cost,
 				},
 				Scheduler: t.Scheduler,
@@ -416,12 +420,23 @@ func (s *Spec) machines() ([]machineSpec, error) {
 			out = append(out, m)
 		}
 	}
+	f.specs = out
 	for i := range out {
 		if err := out[i].Spec.Validate(); err != nil {
 			return nil, fmt.Errorf("scenario: %w", err)
 		}
 	}
 	return out, nil
+}
+
+// defaultApps is what a fleet exports when its topology names no apps.
+var defaultApps = []string{"synth"}
+
+// fleet is the storage machines materializes a fleet in: the machine
+// list and the generated servers' names, srv-00 on, by index.
+type fleet struct {
+	specs []machineSpec
+	names []string
 }
 
 // machineSpec is one materialized server: hardware plus strategy names.

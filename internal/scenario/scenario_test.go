@@ -87,7 +87,7 @@ func TestValidateRejects(t *testing.T) {
 func TestGeneratedTopologyHeterogeneity(t *testing.T) {
 	s := tinySpec()
 	s.Topology = Topology{Count: 20, PEs: 16, SpeedMin: 0.5, SpeedMax: 2.0, CostMin: 0.01, CostMax: 0.05}
-	ms, err := s.machines()
+	ms, err := s.machines(new(fleet))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestGeneratedTopologyHeterogeneity(t *testing.T) {
 func TestSickMinorityAssignment(t *testing.T) {
 	s := tinySpec()
 	s.Topology = Topology{Count: 5, PEs: 8, Sick: 2, Chaos: &ChaosProfile{TrickleProb: 1}}
-	ms, err := s.machines()
+	ms, err := s.machines(new(fleet))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"faucets/internal/gridsim"
@@ -31,11 +33,13 @@ func RunSim(s *Spec) (*ScenarioReport, error) {
 	return r, err
 }
 
-// replay is one RunSim's working set: the trace and the simulator's
-// per-job storage.
+// replay is one RunSim's working set: the trace, the fleet and its
+// servers' configurations, and the simulator's storage.
 type replay struct {
-	trace traceStore
-	sim   gridsim.Storage
+	trace   traceStore
+	fleet   fleet
+	servers []gridsim.ServerConfig
+	sim     gridsim.Storage
 }
 
 var replays = sync.Pool{New: func() any { return new(replay) }}
@@ -45,28 +49,29 @@ func (s *Spec) runSim(rp *replay) (*ScenarioReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	machines, err := s.machines()
+	machines, err := s.machines(&rp.fleet)
 	if err != nil {
 		return nil, err
 	}
+	rp.servers = slices.Grow(rp.servers[:0], len(machines))[:len(machines)]
 	cfg := gridsim.Config{
+		Servers:     rp.servers,
 		CommitDelay: s.CommitDelay,
 		Mechanism:   s.Mechanism,
 	}
-	for _, m := range machines {
-		factory, err := schedulerFactory(m.Scheduler)
-		if err != nil {
+	for i, m := range machines {
+		sc := &cfg.Servers[i]
+		if sc.NewScheduler, err = schedulerFactory(m.Scheduler); err != nil {
 			return nil, err
 		}
-		bidder, err := makeBidder(m.Bidder)
-		if err != nil {
-			return nil, err
+		// A bidder holds no state of a run, so a slot keeps one of the
+		// same kind; gridsim binds a weather or history bidder to its run.
+		if sc.Bidder == nil || sc.Bidder.Name() != cmp.Or(m.Bidder, "baseline") {
+			if sc.Bidder, err = makeBidder(m.Bidder); err != nil {
+				return nil, err
+			}
 		}
-		cfg.Servers = append(cfg.Servers, gridsim.ServerConfig{
-			Spec:         m.Spec,
-			NewScheduler: factory,
-			Bidder:       bidder,
-		})
+		sc.Spec = m.Spec
 	}
 	res, err := rp.sim.Run(cfg, trace)
 	if err != nil {

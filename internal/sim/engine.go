@@ -69,6 +69,16 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
+// Reset empties the engine and winds its clock back to zero, keeping the
+// queue's room. Events still pending are dropped.
+func (e *Engine) Reset() {
+	for _, ev := range e.queue {
+		ev.index = 0
+	}
+	clear(e.queue)
+	*e = Engine{queue: e.queue[:0]}
+}
+
 // Now returns the current virtual time. Engine satisfies Clock.
 func (e *Engine) Now() Time { return e.now }
 

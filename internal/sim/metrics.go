@@ -157,8 +157,12 @@ type Metrics struct {
 	Series   map[string]*Series
 	Counters map[string]*Counter
 	Levels   map[string]*TimeWeighted
-	// spare holds the series a Reset emptied, for S to hand back by name.
-	spare map[string]*Series
+	// madeS, madeC and madeL hold every statistic the registry has made,
+	// by name: a Reset zeroes and unlists them, and S, C and L list them
+	// again when asked.
+	madeS map[string]*Series
+	madeC map[string]*Counter
+	madeL map[string]*TimeWeighted
 }
 
 // NewMetrics returns an empty registry.
@@ -167,55 +171,49 @@ func NewMetrics() *Metrics {
 		Series:   map[string]*Series{},
 		Counters: map[string]*Counter{},
 		Levels:   map[string]*TimeWeighted{},
+		madeS:    map[string]*Series{},
+		madeC:    map[string]*Counter{},
+		madeL:    map[string]*TimeWeighted{},
 	}
 }
 
-// Reset empties the registry for another run. The series keep their
-// storage: S hands each one back, empty, when the next run first asks
-// for it by name, so the registry holds the same names as a new one.
+// Reset empties the registry for another run. Every statistic keeps its
+// storage: S, C and L hand each one back, zeroed, when the next run first
+// asks for it by name, so the registry holds the same names as a new one.
 func (m *Metrics) Reset() {
-	if m.spare == nil {
-		m.spare = map[string]*Series{}
-	}
-	for name, s := range m.Series {
+	for _, s := range m.Series {
 		s.reset()
-		m.spare[name] = s
+	}
+	for _, c := range m.Counters {
+		*c = Counter{}
+	}
+	for _, l := range m.Levels {
+		*l = TimeWeighted{}
 	}
 	clear(m.Series)
 	clear(m.Counters)
 	clear(m.Levels)
 }
 
-// S returns (creating if needed) the named series.
-func (m *Metrics) S(name string) *Series {
-	s, ok := m.Series[name]
+// stat returns live[name]. A name live lacks is listed with its statistic
+// from made, which a Reset left zeroed, or with a new one made there.
+func stat[T any](live, made map[string]*T, name string) *T {
+	v, ok := live[name]
 	if !ok {
-		if s, ok = m.spare[name]; ok {
-			delete(m.spare, name)
-		} else {
-			s = &Series{}
+		if v, ok = made[name]; !ok {
+			v = new(T)
+			made[name] = v
 		}
-		m.Series[name] = s
+		live[name] = v
 	}
-	return s
+	return v
 }
+
+// S returns (creating if needed) the named series.
+func (m *Metrics) S(name string) *Series { return stat(m.Series, m.madeS, name) }
 
 // C returns (creating if needed) the named counter.
-func (m *Metrics) C(name string) *Counter {
-	c, ok := m.Counters[name]
-	if !ok {
-		c = &Counter{}
-		m.Counters[name] = c
-	}
-	return c
-}
+func (m *Metrics) C(name string) *Counter { return stat(m.Counters, m.madeC, name) }
 
 // L returns (creating if needed) the named time-weighted level.
-func (m *Metrics) L(name string) *TimeWeighted {
-	l, ok := m.Levels[name]
-	if !ok {
-		l = &TimeWeighted{}
-		m.Levels[name] = l
-	}
-	return l
-}
+func (m *Metrics) L(name string) *TimeWeighted { return stat(m.Levels, m.madeL, name) }
